@@ -8,9 +8,10 @@
 //! either way), while `refresh_popularities` and `snapshot` show the
 //! per-shard structure (in-place value walks and Arc bumps respectively).
 //!
-//! Corpus and queries mirror the `mbt bench --server` generator shape —
-//! three vocabulary tokens per record name — but scaled down and fully
-//! inlined so the bench has no dependency on the experiment harness.
+//! Corpus and queries mirror the generator shape of the `ledger`
+//! benchmark's `server_storm` workload — three vocabulary tokens per record
+//! name — but scaled down and fully inlined so the bench has no dependency
+//! on the experiment harness.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dtn_trace::{NodeId, SimTime};

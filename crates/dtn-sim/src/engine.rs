@@ -1,6 +1,6 @@
 //! The discrete-event simulation engine.
 
-use dtn_trace::{Contact, ContactTrace, SimTime};
+use dtn_trace::{Contact, SimTime};
 
 use crate::event::{Event, EventQueue};
 
@@ -35,7 +35,7 @@ impl SimCtx<'_> {
     }
 }
 
-/// Callbacks invoked by the [`Simulator`].
+/// Callbacks invoked by the [`StreamSimulator`].
 ///
 /// All methods have empty default implementations so handlers implement only
 /// what they need.
@@ -66,67 +66,22 @@ pub trait SimHandler {
     }
 }
 
-/// Drives a [`SimHandler`] through a contact trace in event order.
-///
-/// Construction is cheap; the trace is borrowed. Use
-/// [`Simulator::horizon`] to cut the run short and
-/// [`Simulator::schedule`] to pre-register scheduled events (e.g. a daily
-/// workload tick) before running.
-///
-/// Determinism: given the same trace, pre-scheduled events, and a
-/// deterministic handler, two runs produce identical event sequences (see
-/// [`EventQueue`] for the tie-breaking rules).
-#[derive(Debug)]
-pub struct Simulator<'a> {
-    trace: &'a ContactTrace,
-    queue: EventQueue,
-    horizon: Option<SimTime>,
-}
-
-impl<'a> Simulator<'a> {
-    /// Creates a simulator over `trace`.
-    pub fn new(trace: &'a ContactTrace) -> Self {
-        Simulator {
-            trace,
-            queue: EventQueue::new(),
-            horizon: None,
-        }
-    }
-
-    /// Stops the run at `at`: events strictly after the horizon never fire.
-    pub fn horizon(mut self, at: SimTime) -> Self {
-        self.horizon = Some(at);
-        self
-    }
-
-    /// Pre-registers a scheduled event before the run starts.
-    pub fn schedule(mut self, at: SimTime, tag: u64) -> Self {
-        self.queue.push(at, Event::Scheduled { tag });
-        self
-    }
-
-    /// Runs the simulation to completion (queue empty or horizon passed),
-    /// returning the final clock value.
-    pub fn run<H: SimHandler>(self, handler: &mut H) -> SimTime {
-        run_streaming(
-            self.trace.iter().cloned(),
-            self.queue,
-            self.horizon,
-            handler,
-        )
-    }
-}
-
 /// Drives a [`SimHandler`] through a *stream* of contacts in event order,
 /// holding only the contacts that are currently open.
 ///
 /// The stream must yield contacts sorted by start time (the canonical
-/// [`ContactTrace`] order — both in-memory traces and sharded traces
-/// provide it). Given the same contact sequence, scheduled events, and
-/// handler, the event sequence is byte-identical to [`Simulator`] over the
-/// equivalent in-memory trace: contact events can never tie with each other
-/// on `(time, rank, key)` (the stream position is the key and is unique),
-/// so feeding the queue lazily cannot change the pop order.
+/// [`dtn_trace::ContactTrace`] order — both in-memory traces and sharded
+/// traces provide it; for the former pass `trace.iter().cloned()`). Use
+/// [`StreamSimulator::horizon`] to cut the run short and
+/// [`StreamSimulator::schedule`] to pre-register scheduled events (e.g. a
+/// daily workload tick) before running.
+///
+/// Determinism: given the same contact sequence, pre-scheduled events, and
+/// a deterministic handler, two runs produce identical event sequences (see
+/// [`EventQueue`] for the tie-breaking rules) — the same sequence as if
+/// every contact had been queued up front: contact events can never tie
+/// with each other on `(time, rank, key)` (the stream position is the key
+/// and is unique), so feeding the queue lazily cannot change the pop order.
 ///
 /// Memory: the event queue and the open-contact table hold only contacts
 /// whose end has not fired yet — simulation state, not the trace.
@@ -165,7 +120,7 @@ impl<I: Iterator<Item = Contact>> StreamSimulator<I> {
     }
 }
 
-/// Shared event-pump behind [`Simulator`] and [`StreamSimulator`].
+/// The event pump behind [`StreamSimulator::run`].
 ///
 /// Before each pop, contacts are admitted from the stream while their start
 /// time is at or before the queue's next event (or the queue is empty) —
@@ -274,7 +229,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtn_trace::NodeId;
+    use dtn_trace::{ContactTrace, NodeId};
 
     fn pc(a: u32, b: u32, start: u64, end: u64) -> Contact {
         Contact::pairwise(
@@ -323,7 +278,7 @@ mod tests {
             .into_iter()
             .collect();
         let mut rec = Recorder::default();
-        let end = Simulator::new(&trace).run(&mut rec);
+        let end = StreamSimulator::new(trace.iter().cloned()).run(&mut rec);
         assert_eq!(end, SimTime::from_secs(30));
         assert_eq!(
             rec.log,
@@ -342,7 +297,7 @@ mod tests {
     fn scheduled_events_interleave() {
         let trace: ContactTrace = vec![pc(0, 1, 10, 20)].into_iter().collect();
         let mut rec = Recorder::default();
-        Simulator::new(&trace)
+        StreamSimulator::new(trace.iter().cloned())
             .schedule(SimTime::from_secs(15), 7)
             .run(&mut rec);
         assert_eq!(rec.log[2], "ev7@15");
@@ -363,7 +318,7 @@ mod tests {
         }
         let trace = ContactTrace::new();
         let mut h = Ticker { fired: vec![] };
-        Simulator::new(&trace)
+        StreamSimulator::new(trace.iter().cloned())
             .schedule(SimTime::from_secs(5), 1)
             .run(&mut h);
         assert_eq!(h.fired, vec![5, 15, 25]);
@@ -375,7 +330,7 @@ mod tests {
             .into_iter()
             .collect();
         let mut rec = Recorder::default();
-        let end = Simulator::new(&trace)
+        let end = StreamSimulator::new(trace.iter().cloned())
             .horizon(SimTime::from_secs(50))
             .run(&mut rec);
         assert!(end <= SimTime::from_secs(50));
@@ -396,7 +351,7 @@ mod tests {
         }
         let trace = ContactTrace::new();
         let mut h = FarScheduler { fired: 0 };
-        Simulator::new(&trace)
+        StreamSimulator::new(trace.iter().cloned())
             .horizon(SimTime::from_secs(100))
             .schedule(SimTime::from_secs(5), 1)
             .run(&mut h);
@@ -409,7 +364,7 @@ mod tests {
             .into_iter()
             .collect();
         let mut rec = Recorder::default();
-        Simulator::new(&trace).run(&mut rec);
+        StreamSimulator::new(trace.iter().cloned()).run(&mut rec);
         let pos_end = rec.log.iter().position(|l| l == "ce@20:n0").unwrap();
         let pos_start = rec.log.iter().position(|l| l == "cs@20:n2").unwrap();
         assert!(pos_end < pos_start);
@@ -430,7 +385,7 @@ mod tests {
         }
         let mut h = PastScheduler { fired_at: vec![] };
         let trace = ContactTrace::new();
-        Simulator::new(&trace)
+        StreamSimulator::new(trace.iter().cloned())
             .schedule(SimTime::from_secs(50), 1)
             .run(&mut h);
         assert_eq!(h.fired_at, vec![50, 50]);
@@ -440,58 +395,9 @@ mod tests {
     fn empty_trace_still_calls_start_and_finish() {
         let trace = ContactTrace::new();
         let mut rec = Recorder::default();
-        let end = Simulator::new(&trace).run(&mut rec);
+        let end = StreamSimulator::new(trace.iter().cloned()).run(&mut rec);
         assert_eq!(end, SimTime::ZERO);
         assert_eq!(rec.log, vec!["start@0", "finish@0"]);
-    }
-
-    /// A trace with overlapping contacts, simultaneous starts/ends, and an
-    /// end coinciding with another contact's start — the shapes that stress
-    /// the event ordering rules.
-    fn gnarly_trace() -> ContactTrace {
-        vec![
-            pc(0, 1, 10, 20),
-            pc(2, 3, 10, 30), // same start as above, longer
-            pc(4, 5, 20, 25), // starts exactly when the first ends
-            pc(6, 7, 22, 40),
-            pc(8, 9, 40, 55), // starts when the previous ends
-            pc(1, 2, 40, 41), // simultaneous start, different pair
-        ]
-        .into_iter()
-        .collect()
-    }
-
-    #[test]
-    fn stream_simulator_matches_simulator_event_for_event() {
-        let trace = gnarly_trace();
-        let mut upfront = Recorder::default();
-        let end_a = Simulator::new(&trace)
-            .schedule(SimTime::from_secs(15), 1)
-            .schedule(SimTime::from_secs(40), 2)
-            .run(&mut upfront);
-        let mut streamed = Recorder::default();
-        let end_b = StreamSimulator::new(trace.iter().cloned())
-            .schedule(SimTime::from_secs(15), 1)
-            .schedule(SimTime::from_secs(40), 2)
-            .run(&mut streamed);
-        assert_eq!(end_a, end_b);
-        assert_eq!(upfront.log, streamed.log);
-    }
-
-    #[test]
-    fn stream_simulator_matches_simulator_under_horizon() {
-        let trace = gnarly_trace();
-        // A horizon that truncates contact 3's end (40 > 35) and drops the
-        // last two contacts entirely.
-        let mut upfront = Recorder::default();
-        Simulator::new(&trace)
-            .horizon(SimTime::from_secs(35))
-            .run(&mut upfront);
-        let mut streamed = Recorder::default();
-        StreamSimulator::new(trace.iter().cloned())
-            .horizon(SimTime::from_secs(35))
-            .run(&mut streamed);
-        assert_eq!(upfront.log, streamed.log);
     }
 
     #[test]

@@ -7,8 +7,9 @@ use dtn_trace::SimTime;
 
 /// A simulation event.
 ///
-/// Contact events are injected by the [`Simulator`](crate::Simulator) from
-/// the trace; [`Event::Scheduled`] events are created by handlers via
+/// Contact events are injected by the
+/// [`StreamSimulator`](crate::StreamSimulator) from the contact stream;
+/// [`Event::Scheduled`] events are created by handlers via
 /// [`SimCtx::schedule`](crate::SimCtx::schedule) and carry a user-chosen tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Event {

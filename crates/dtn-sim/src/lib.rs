@@ -14,13 +14,13 @@
 //! - deterministic fault injection ([`faults`]) for robustness experiments,
 //!   and
 //! - always-on observability counters and phase spans ([`telemetry`]) that
-//!   feed the perf-report/bench tooling without perturbing simulation
-//!   output.
+//!   feed `mbt simulate --perf-report` and the `ledger` benchmark without
+//!   perturbing simulation output.
 //!
 //! # Example
 //!
 //! ```
-//! use dtn_sim::engine::{SimHandler, Simulator, SimCtx};
+//! use dtn_sim::engine::{SimCtx, SimHandler, StreamSimulator};
 //! use dtn_trace::{Contact, ContactTrace, NodeId, SimTime};
 //!
 //! struct CountContacts(usize);
@@ -36,7 +36,7 @@
 //! ].into_iter().collect();
 //!
 //! let mut handler = CountContacts(0);
-//! Simulator::new(&trace).run(&mut handler);
+//! StreamSimulator::new(trace.iter().cloned()).run(&mut handler);
 //! assert_eq!(handler.0, 1);
 //! # Ok::<(), dtn_trace::ContactError>(())
 //! ```
@@ -57,7 +57,7 @@ pub mod telemetry;
 
 pub use channel::{broadcast_per_node_capacity, pairwise_per_node_capacity, ContactBudget};
 pub use clique::NeighborGraph;
-pub use engine::{SimCtx, SimHandler, Simulator, StreamSimulator};
+pub use engine::{SimCtx, SimHandler, StreamSimulator};
 pub use event::{Event, EventQueue};
 pub use faults::{FaultKind, FaultPlan};
 pub use hello::{HelloBeacon, NeighborTable};

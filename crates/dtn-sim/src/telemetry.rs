@@ -16,11 +16,10 @@
 //! stream: two runs with the same trace, parameters, and seed produce
 //! **byte-identical counter totals**, regardless of thread count, because
 //! per-cell counters merge in grid order (and the merge operations — `u64`
-//! addition for totals, maximum for the `peak_resident_*` counters — are
-//! commutative and associative besides). Wall-clock spans are observational only — they
-//! are never fed back into simulation state, so enabling telemetry cannot
-//! perturb simulation output. `tests/parallel_determinism.rs` pins both
-//! properties.
+//! addition for totals, maximum for peaks — are commutative and associative
+//! besides). Wall-clock spans are observational only — they are never fed
+//! back into simulation state, so enabling telemetry cannot perturb
+//! simulation output. `tests/parallel_determinism.rs` pins both properties.
 //!
 //! # Example
 //!
@@ -40,157 +39,115 @@
 
 use std::time::{Duration, Instant};
 
-/// Deterministic event counters accumulated by a simulation run.
-///
-/// Every field counts events of the deterministic simulation itself, so the
-/// totals are reproducible bit-for-bit (see the module docs). All counts are
-/// contact-level unless noted; Internet synchronisation sessions are not
-/// metered here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Counters {
+/// Declares [`Counters`] from one table — `doc, field: sum | max` per
+/// counter — so the struct, [`Counters::merge`] and [`Counters::entries`]
+/// cannot disagree about which counters exist, in what order, or how each
+/// one merges.
+macro_rules! counters {
+    (@merge sum, $a:expr, $b:expr) => { $a += $b };
+    (@merge max, $a:expr, $b:expr) => { $a = $a.max($b) };
+    ($( $(#[$doc:meta])* $field:ident: $merge:ident, )*) => {
+        /// Deterministic event counters accumulated by a simulation run.
+        ///
+        /// Every field counts events of the deterministic simulation itself,
+        /// so the totals are reproducible bit-for-bit (see the module docs).
+        /// All counts are contact-level unless noted; Internet
+        /// synchronisation sessions are not metered here.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct Counters {
+            $( $(#[$doc])* pub $field: u64, )*
+        }
+
+        impl Counters {
+            const COUNT: usize = [$(stringify!($field)),*].len();
+
+            /// `(name, merge rule)` per counter, in [`Counters::entries`]
+            /// order; the rule is `"sum"` or `"max"`.
+            #[cfg(test)]
+            const MERGE_RULES: [(&'static str, &'static str); Counters::COUNT] =
+                [$((stringify!($field), stringify!($merge))),*];
+
+            /// Merges another counter set into this one, each counter by
+            /// its rule in the table: totals add, peaks take the maximum.
+            pub fn merge(&mut self, other: &Counters) {
+                $( counters!(@merge $merge, self.$field, other.$field); )*
+            }
+
+            /// Every counter as a `(name, value)` pair, in a fixed rendering
+            /// order. The names double as the keys of the perf-report JSON.
+            pub fn entries(&self) -> [(&'static str, u64); Counters::COUNT] {
+                [$((stringify!($field), self.$field)),*]
+            }
+        }
+    };
+}
+
+counters! {
     /// Contacts processed (at least two alive participants).
-    pub contacts: u64,
+    contacts: sum,
     /// Hello beacons exchanged: one per participant per processed contact.
-    pub hello_exchanges: u64,
+    hello_exchanges: sum,
     /// Contacts that formed a clique of three or more participants.
-    pub clique_formations: u64,
+    clique_formations: sum,
     /// Broadcast frames transmitted (metadata and file broadcasts).
-    pub frames_sent: u64,
+    frames_sent: sum,
     /// Receptions dropped by injected frame loss.
-    pub frames_lost: u64,
+    frames_lost: sum,
     /// Metadata records successfully received and stored (non-duplicate),
     /// including metadata riding along with file broadcasts.
-    pub metadata_transferred: u64,
+    metadata_transferred: sum,
     /// File pieces successfully received as part of completed file
     /// broadcasts.
-    pub pieces_transferred: u64,
+    pieces_transferred: sum,
     /// Application bytes successfully moved: metadata wire bytes plus file
     /// content bytes, counted per reception.
-    pub bytes_moved: u64,
+    bytes_moved: sum,
     /// File receptions discarded by checksum verification after injected
     /// piece corruption.
-    pub corrupt_receptions: u64,
+    corrupt_receptions: sum,
     /// Hello snapshots whose wanted-URI list was served from the node's
     /// memoized cache (no recomputation). Deterministic: the hit/miss
     /// pattern is a pure function of the event stream.
-    pub wanted_cache_hits: u64,
+    wanted_cache_hits: sum,
     /// Inverted-index lookups performed to (re)compute wanted-URI lists on
     /// cache misses (one per own query per miss).
-    pub index_lookups: u64,
+    index_lookups: sum,
     /// On-disk trace shards loaded by streaming replay. Zero for fully
     /// in-memory runs. Additive on merge: total shard loads across all
     /// streaming passes.
-    pub shards_loaded: u64,
+    shards_loaded: sum,
     /// Shards whose decode was started ahead of consumption by pipelined
     /// streaming replay. Zero for in-memory runs and serial streams.
     /// Additive on merge, like [`Counters::shards_loaded`].
-    pub shards_prefetched: u64,
+    shards_prefetched: sum,
     /// Peak number of trace contacts resident in memory at once across the
     /// runs merged so far. Merges by **maximum**, not addition — residency
     /// is concurrent state, so the sweep-wide figure is the worst single
     /// run, which keeps the value independent of `--jobs` and cell count.
-    pub peak_resident_contacts: u64,
+    peak_resident_contacts: max,
     /// Node states materialized by the lazy node arena: one per node that
     /// actually appeared in a contact, an Internet session, or seeded
     /// content. Additive on merge.
-    pub nodes_instantiated: u64,
+    nodes_instantiated: sum,
     /// Peak number of node states resident in the arena at once (lazy
     /// instantiation minus cold-node eviction). Merges by **maximum**, like
     /// [`Counters::peak_resident_contacts`].
-    pub peak_resident_nodes: u64,
+    peak_resident_nodes: max,
     /// Peak number of evicted (cold) nodes holding residue in the arena's
     /// residue store at once. Merges by **maximum** — residency, not a
     /// total.
-    pub peak_residue_nodes: u64,
+    peak_residue_nodes: max,
     /// Estimated peak bytes held by the residue store (packed entries plus
     /// the interned query-text pool). An estimate from data-structure
     /// sizes, but a deterministic one: it is a pure function of the event
     /// stream. Merges by **maximum**.
-    pub residue_bytes_est: u64,
+    residue_bytes_est: max,
 }
 
 impl Counters {
-    /// Adds another counter set into this one. Every counter adds except
-    /// [`Counters::peak_resident_contacts`], which takes the maximum.
-    pub fn merge(&mut self, other: &Counters) {
-        self.contacts += other.contacts;
-        self.hello_exchanges += other.hello_exchanges;
-        self.clique_formations += other.clique_formations;
-        self.frames_sent += other.frames_sent;
-        self.frames_lost += other.frames_lost;
-        self.metadata_transferred += other.metadata_transferred;
-        self.pieces_transferred += other.pieces_transferred;
-        self.bytes_moved += other.bytes_moved;
-        self.corrupt_receptions += other.corrupt_receptions;
-        self.wanted_cache_hits += other.wanted_cache_hits;
-        self.index_lookups += other.index_lookups;
-        self.shards_loaded += other.shards_loaded;
-        self.shards_prefetched += other.shards_prefetched;
-        self.peak_resident_contacts = self
-            .peak_resident_contacts
-            .max(other.peak_resident_contacts);
-        self.nodes_instantiated += other.nodes_instantiated;
-        self.peak_resident_nodes = self.peak_resident_nodes.max(other.peak_resident_nodes);
-        self.peak_residue_nodes = self.peak_residue_nodes.max(other.peak_residue_nodes);
-        self.residue_bytes_est = self.residue_bytes_est.max(other.residue_bytes_est);
-    }
-
     /// True if every counter is zero (the state of a fresh accumulator).
     pub fn is_zero(&self) -> bool {
         *self == Counters::default()
-    }
-
-    /// Every counter as a `(name, value)` pair, in a fixed rendering order.
-    /// The names double as the keys of the perf-report JSON schema.
-    pub fn entries(&self) -> [(&'static str, u64); 18] {
-        [
-            ("contacts", self.contacts),
-            ("hello_exchanges", self.hello_exchanges),
-            ("clique_formations", self.clique_formations),
-            ("frames_sent", self.frames_sent),
-            ("frames_lost", self.frames_lost),
-            ("metadata_transferred", self.metadata_transferred),
-            ("pieces_transferred", self.pieces_transferred),
-            ("bytes_moved", self.bytes_moved),
-            ("corrupt_receptions", self.corrupt_receptions),
-            ("wanted_cache_hits", self.wanted_cache_hits),
-            ("index_lookups", self.index_lookups),
-            ("shards_loaded", self.shards_loaded),
-            ("shards_prefetched", self.shards_prefetched),
-            ("peak_resident_contacts", self.peak_resident_contacts),
-            ("nodes_instantiated", self.nodes_instantiated),
-            ("peak_resident_nodes", self.peak_resident_nodes),
-            ("peak_residue_nodes", self.peak_residue_nodes),
-            ("residue_bytes_est", self.residue_bytes_est),
-        ]
-    }
-
-    /// Sets the counter with the given [`Counters::entries`] name. Returns
-    /// false (and changes nothing) for an unknown name — used by the perf
-    /// report parser so new fields stay forward-compatible.
-    pub fn set(&mut self, name: &str, value: u64) -> bool {
-        match name {
-            "contacts" => self.contacts = value,
-            "hello_exchanges" => self.hello_exchanges = value,
-            "clique_formations" => self.clique_formations = value,
-            "frames_sent" => self.frames_sent = value,
-            "frames_lost" => self.frames_lost = value,
-            "metadata_transferred" => self.metadata_transferred = value,
-            "pieces_transferred" => self.pieces_transferred = value,
-            "bytes_moved" => self.bytes_moved = value,
-            "corrupt_receptions" => self.corrupt_receptions = value,
-            "wanted_cache_hits" => self.wanted_cache_hits = value,
-            "index_lookups" => self.index_lookups = value,
-            "shards_loaded" => self.shards_loaded = value,
-            "shards_prefetched" => self.shards_prefetched = value,
-            "peak_resident_contacts" => self.peak_resident_contacts = value,
-            "nodes_instantiated" => self.nodes_instantiated = value,
-            "peak_resident_nodes" => self.peak_resident_nodes = value,
-            "peak_residue_nodes" => self.peak_residue_nodes = value,
-            "residue_bytes_est" => self.residue_bytes_est = value,
-            _ => return false,
-        }
-        true
     }
 }
 
@@ -235,11 +192,6 @@ impl Phase {
             Phase::Download => "download",
             Phase::Reduction => "reduction",
         }
-    }
-
-    /// Parses a [`Phase::name`] back into a phase.
-    pub fn from_name(name: &str) -> Option<Phase> {
-        Phase::ALL.into_iter().find(|p| p.name() == name)
     }
 
     fn index(self) -> usize {
@@ -307,6 +259,43 @@ impl Telemetry {
         self.counters.merge(&other.counters);
         self.phases.merge(&other.phases);
     }
+
+    /// Renders `wall_secs`, every phase span and every counter as a JSON
+    /// object — what `mbt simulate --perf-report` writes. Keys are the
+    /// static [`Phase::name`]s and [`Counters::entries`] names and every
+    /// value is a number, so nothing needs escaping.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use std::time::Duration;
+    /// use dtn_sim::telemetry::Telemetry;
+    ///
+    /// let mut t = Telemetry::default();
+    /// t.counters.contacts = 3;
+    /// let json = t.to_json(Duration::from_millis(1500));
+    /// assert!(json.starts_with("{\n  \"wall_secs\": 1.500000,\n  \"phases\": {\n"));
+    /// assert!(json.contains("    \"contacts\": 3,\n"));
+    /// assert!(json.ends_with("    \"residue_bytes_est\": 0\n  }\n}\n"));
+    /// ```
+    pub fn to_json(&self, wall: Duration) -> String {
+        let secs = |d: Duration| format!("{:.6}", d.as_secs_f64());
+        let object = |rows: &[(&str, String)]| {
+            let rows: Vec<String> = rows
+                .iter()
+                .map(|(key, value)| format!("    \"{key}\": {value}"))
+                .collect();
+            rows.join(",\n")
+        };
+        let phases = Phase::ALL.map(|p| (p.name(), secs(self.phases.get(p))));
+        let counters = self.counters.entries().map(|(k, v)| (k, v.to_string()));
+        format!(
+            "{{\n  \"wall_secs\": {},\n  \"phases\": {{\n{}\n  }},\n  \"counters\": {{\n{}\n  }}\n}}\n",
+            secs(wall),
+            object(&phases),
+            object(&counters)
+        )
+    }
 }
 
 /// `count / elapsed` in events per second, guarded against empty inputs: a
@@ -367,17 +356,19 @@ mod tests {
         let mut a = distinct_counters();
         let b = a;
         a.merge(&b);
-        let maxing = [
-            "peak_resident_contacts",
-            "peak_resident_nodes",
-            "peak_residue_nodes",
-            "residue_bytes_est",
-        ];
-        for ((name, merged), (_, original)) in a.entries().iter().zip(b.entries().iter()) {
-            if maxing.contains(name) {
-                assert_eq!(*merged, *original, "{name} merges by max, not addition");
-            } else {
-                assert_eq!(*merged, original * 2, "{name} should add on merge");
+        for (((name, merged), (_, original)), (rule_name, rule)) in a
+            .entries()
+            .iter()
+            .zip(b.entries())
+            .zip(Counters::MERGE_RULES)
+        {
+            assert_eq!(
+                *name, rule_name,
+                "entries() and the table disagree on order"
+            );
+            match rule {
+                "max" => assert_eq!(*merged, original, "{name} merges by max, not addition"),
+                _ => assert_eq!(*merged, original * 2, "{name} should add on merge"),
             }
         }
     }
@@ -414,25 +405,6 @@ mod tests {
         assert_eq!(a, before);
         assert!(!a.is_zero());
         assert!(Counters::default().is_zero());
-    }
-
-    #[test]
-    fn entries_round_trip_through_set() {
-        let a = distinct_counters();
-        let mut b = Counters::default();
-        for (name, value) in a.entries() {
-            assert!(b.set(name, value), "unknown counter name {name}");
-        }
-        assert_eq!(a, b);
-        assert!(!b.set("not_a_counter", 1));
-    }
-
-    #[test]
-    fn phase_names_round_trip() {
-        for p in Phase::ALL {
-            assert_eq!(Phase::from_name(p.name()), Some(p));
-        }
-        assert_eq!(Phase::from_name("warp_drive"), None);
     }
 
     #[test]

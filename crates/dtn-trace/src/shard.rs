@@ -1096,6 +1096,19 @@ mod tests {
     }
 
     #[test]
+    fn rewriting_a_reused_directory_overwrites_it_deterministically() {
+        let dir = temp_dir("reused");
+        write_sample(&dir);
+        let first = fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+        // Same contacts, same directory: the second writer must replace the
+        // first one's shard files, not append to them.
+        let second = write_sample(&dir);
+        second.verify().unwrap();
+        assert_eq!(fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap(), first);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn stream_stats_bound_by_largest_shard() {
         let dir = temp_dir("stats");
         let sharded = write_sample(&dir);

@@ -1,6 +1,5 @@
 //! The `mbt` subcommands.
 
-pub mod bench;
 pub mod capacity;
 pub mod gateway;
 pub mod gen_trace;

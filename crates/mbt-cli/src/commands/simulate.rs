@@ -8,9 +8,7 @@ use std::time::Instant;
 use dtn_sim::{FaultPlan, Telemetry};
 use dtn_trace::{read_trace, ShardedTrace, SimDuration, TraceSource};
 use mbt_core::{BroadcastOrdering, CooperationMode, MbtConfig, ProtocolSpec, TransportKind};
-use mbt_experiments::perf::BenchReport;
 use mbt_experiments::runner::{run_simulation, SimParams};
-use mbt_experiments::ExecConfig;
 
 use crate::args::Args;
 use crate::CliError;
@@ -102,8 +100,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         )
         .build();
     // With --perf-report the run goes through the observed path (identical
-    // results — telemetry never feeds back) and the telemetry is written as
-    // a schema-versioned JSON perf report.
+    // results — telemetry never feeds back) and the telemetry is written
+    // as JSON.
     let perf_path = args.opt_str("perf-report").map(str::to_string);
     let started = Instant::now();
     let (r, perf_line) = match &perf_path {
@@ -111,15 +109,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         Some(report_path) => {
             let mut telemetry = Telemetry::default();
             let r = run_simulation(source.as_ref(), &params, Some(&mut telemetry));
-            let report = BenchReport::new(
-                "simulate",
-                &ExecConfig::serial(),
-                1,
-                started.elapsed(),
-                &telemetry,
-                vec!["simulate".to_string()],
-            );
-            std::fs::write(report_path, report.to_json())
+            std::fs::write(report_path, telemetry.to_json(started.elapsed()))
                 .map_err(|e| CliError::Io(report_path.clone(), e))?;
             (r, Some(format!("  perf report written to {report_path}")))
         }
@@ -250,11 +240,21 @@ mod tests {
                 ""
             )
         );
-        let report =
-            BenchReport::from_json(&std::fs::read_to_string(&report_path).unwrap()).unwrap();
-        assert_eq!(report.scale, "simulate");
-        assert_eq!(report.cells, 1);
-        assert!(report.counters.contacts > 0);
+        // The report carries the run's counters: `contacts` is the figure
+        // the first output line prints.
+        let contacts = plain
+            .split_once(" contacts)")
+            .and_then(|(head, _)| head.rsplit_once('('))
+            .map(|(_, n)| n.parse::<u64>().unwrap())
+            .unwrap();
+        assert!(contacts > 0);
+        let report = std::fs::read_to_string(&report_path).unwrap();
+        assert!(report.contains("\"wall_secs\": "), "{report}");
+        assert!(report.contains("\"contact_processing\": "), "{report}");
+        assert!(
+            report.contains(&format!("\"contacts\": {contacts},")),
+            "{report}"
+        );
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! mbt sweep        sweep a parameter over named protocol variants
 //! mbt routing      run a routing baseline (epidemic | prophet | spray | direct)
 //! mbt capacity     print the §V broadcast vs pair-wise capacity table
-//! mbt bench        run quick-scale sweeps under telemetry, emit a perf report
 //! mbt node         run live nodes + a gateway on the threaded frame bus
 //! mbt gateway      stand up a live gateway and probe it with a search
 //! ```
@@ -61,7 +60,6 @@ commands:
   sweep        sweep a parameter over named protocol variants (table/CSV)
   routing      run a store-carry-forward routing baseline
   capacity     print the broadcast vs pair-wise capacity table
-  bench        run benchmark sweeps and write a JSON perf report
   node         run live nodes + a gateway on the threaded frame bus
   gateway      stand up a live gateway and probe it with a search
 
@@ -116,12 +114,6 @@ fn dispatch(command: &str, args: &Args) -> Result<String, CliError> {
                 return Ok(commands::capacity::USAGE.to_string());
             }
             commands::capacity::run(args)
-        }
-        "bench" => {
-            if args.flag("help") {
-                return Ok(commands::bench::USAGE.to_string());
-            }
-            commands::bench::run(args)
         }
         "node" => {
             if args.flag("help") {
@@ -181,9 +173,12 @@ mod tests {
     #[test]
     fn unknown_command_mentions_usage() {
         let args = Args::parse(Vec::new()).unwrap();
-        let err = dispatch("teleport", &args).unwrap_err();
-        assert!(err.to_string().contains("unknown command"));
-        assert!(err.to_string().contains("gen-trace"));
+        // `bench` was a subcommand once; the benchmark is `ledger` now.
+        for cmd in ["teleport", "bench"] {
+            let err = dispatch(cmd, &args).unwrap_err();
+            assert!(err.to_string().contains("unknown command"));
+            assert!(err.to_string().contains("gen-trace"));
+        }
     }
 
     #[test]
@@ -198,7 +193,6 @@ mod tests {
             "sweep",
             "routing",
             "capacity",
-            "bench",
             "node",
             "gateway",
         ] {

@@ -48,7 +48,6 @@ pub mod capacity;
 pub mod exec;
 pub mod figures;
 pub mod mobility;
-pub mod perf;
 pub mod progress;
 pub mod report;
 pub mod residue;
@@ -59,7 +58,6 @@ pub mod workload;
 
 pub use exec::{ExecConfig, ParallelRunner};
 pub use figures::{RunContext, Scale};
-pub use perf::{BenchReport, Tolerance};
 pub use residue::ResidueStore;
 pub use runner::{run_simulation, SimParams, SimResult};
 pub use sweep::{Figure, ProtocolSeries, RatioSummary, SeriesPoint};

@@ -5,7 +5,10 @@
 //! workload, RNG, executor, or CSV schema that shifts figure output fails CI
 //! explicitly instead of silently drifting. The paper's headline protocol
 //! ordering (MBT ≥ MBT-Q ≥ MBT-QM on metadata delivery) is asserted
-//! directly as well.
+//! directly as well, and the telemetry counters the three sweeps accumulate
+//! are pinned exactly (`quick_counters.txt`): they are a pure function of the
+//! event stream, so any drift there is a behaviour change even when the
+//! figures happen not to move.
 //!
 //! To update the fixtures after an *intentional* change:
 //!
@@ -13,7 +16,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p mbt-experiments --test golden_figures
 //! ```
 //!
-//! and commit the resulting `tests/fixtures/*.csv` alongside the change.
+//! and commit the resulting `tests/fixtures/*` alongside the change.
 
 use mbt_core::ProtocolKind;
 use mbt_experiments::figures::{fault_sweep, fig2a, fig3a, RunContext};
@@ -30,11 +33,16 @@ fn fixture_path(name: &str) -> std::path::PathBuf {
 /// Compares `fig`'s CSV against the named fixture; with `UPDATE_GOLDEN=1`
 /// rewrites the fixture instead.
 fn assert_matches_golden(fig: &Figure, name: &str) {
-    let csv = figure_csv(fig);
+    assert_text_matches_golden(&figure_csv(fig), &fig.id, name);
+}
+
+/// Compares `text` (describing `what`) against the named fixture; with
+/// `UPDATE_GOLDEN=1` rewrites the fixture instead.
+fn assert_text_matches_golden(text: &str, what: &str, name: &str) {
     let path = fixture_path(name);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &csv).unwrap();
+        std::fs::write(&path, text).unwrap();
         return;
     }
     let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -45,11 +53,10 @@ fn assert_matches_golden(fig: &Figure, name: &str) {
         )
     });
     assert_eq!(
-        csv,
+        text,
         golden,
-        "{} drifted from its golden fixture {}; if the change is intentional, \
+        "{what} drifted from its golden fixture {}; if the change is intentional, \
          regenerate with UPDATE_GOLDEN=1 and commit the fixture",
-        fig.id,
         path.display()
     );
 }
@@ -165,4 +172,22 @@ fn fig3a_quick_matches_golden() {
     let fig = fig3a(&mut RunContext::new(Scale::Quick).exec(golden_exec()));
     assert_protocol_ordering(&fig);
     assert_matches_golden(&fig, "fig3a_quick.csv");
+}
+
+#[test]
+fn quick_sweep_counters_match_golden() {
+    // One replicate, default jobs: counters merge in grid order, so the
+    // totals do not depend on the worker count.
+    let mut ctx = RunContext::new(Scale::Quick).observed();
+    fig2a(&mut ctx);
+    fig3a(&mut ctx);
+    fault_sweep(&mut ctx);
+    let counters: String = ctx
+        .take_telemetry()
+        .counters
+        .entries()
+        .iter()
+        .map(|(name, value)| format!("{name} {value}\n"))
+        .collect();
+    assert_text_matches_golden(&counters, "quick-sweep counters", "quick_counters.txt");
 }
