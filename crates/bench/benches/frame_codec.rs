@@ -30,7 +30,7 @@ fn hello_message() -> WireMessage {
     let rejected: BTreeSet<Uri> = (0..2)
         .map(|i| Uri::new(format!("mbt://spam/{i}")).unwrap())
         .collect();
-    let frequent: BTreeSet<NodeId> = (1..5).map(NodeId::new).collect();
+    let frequent = (1..5).map(NodeId::new).collect();
     let credits = (1..9).map(|i| (NodeId::new(i), i as f64 * 0.5)).collect();
     WireMessage::Hello(HelloFrame {
         sender: NodeId::new(0),

@@ -155,7 +155,7 @@ impl Counters {
 ///
 /// `Discovery` and `Download` are sub-spans of `ContactProcessing` (they
 /// time the metadata and file broadcast phases inside each contact), so the
-/// five spans do not sum to wall-clock time; report them individually.
+/// spans do not sum to wall-clock time; report them individually.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Loading or generating the contact trace.
@@ -168,16 +168,20 @@ pub enum Phase {
     Download,
     /// Merging per-cell results in grid order.
     Reduction,
+    /// The runner's scheduled day boundary: cold-node eviction, expiry of
+    /// the delivery books, publishing, query draws and Internet sessions.
+    DayTick,
 }
 
 impl Phase {
     /// Every phase, in rendering order.
-    pub const ALL: [Phase; 5] = [
+    pub const ALL: [Phase; 6] = [
         Phase::TraceLoad,
         Phase::ContactProcessing,
         Phase::Discovery,
         Phase::Download,
         Phase::Reduction,
+        Phase::DayTick,
     ];
 
     /// Number of phases.
@@ -191,6 +195,7 @@ impl Phase {
             Phase::Discovery => "discovery",
             Phase::Download => "download",
             Phase::Reduction => "reduction",
+            Phase::DayTick => "day_tick",
         }
     }
 
@@ -201,6 +206,7 @@ impl Phase {
             Phase::Discovery => 2,
             Phase::Download => 3,
             Phase::Reduction => 4,
+            Phase::DayTick => 5,
         }
     }
 }

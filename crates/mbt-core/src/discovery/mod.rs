@@ -84,9 +84,9 @@ pub enum ReceiveOutcome {
 /// and — if `ledger` is given — credits the sender per the tit-for-tat rule
 /// (+5 for new matched, +popularity for new unmatched, nothing for
 /// duplicates).
-pub fn receive_metadata(
+pub fn receive_metadata<'q>(
     store: &mut MetadataStore,
-    own_queries: &[Query],
+    own_queries: impl IntoIterator<Item = &'q Query>,
     metadata: &Metadata,
     popularity: Popularity,
     sender: NodeId,
@@ -96,7 +96,7 @@ pub fn receive_metadata(
         return ReceiveOutcome::Duplicate;
     }
     let matched = own_queries
-        .iter()
+        .into_iter()
         .any(|q| q.matches_token_set(metadata.token_set()));
     if let Some(ledger) = ledger {
         if matched {

@@ -164,32 +164,38 @@ impl InvertedIndex {
     }
 
     /// Borrowing variant of [`lookup_all`](Self::lookup_all): the only
-    /// allocation is the result vector.
+    /// allocation is the result vector, and a lookup that matches nothing —
+    /// an empty index, an absent token — allocates nothing at all.
     ///
     /// Walks the smallest posting list and probes the others for membership,
     /// so the cost is proportional to the rarest token's postings rather
     /// than to set intersections.
     pub fn lookup_all_ref(&self, tokens: &[String]) -> Vec<&Uri> {
-        let mut postings = Vec::with_capacity(tokens.len());
-        for token in tokens {
+        if self.by_token.is_empty() {
+            return Vec::new();
+        }
+        // Posting lists for the common short query stay on the stack.
+        const INLINE: usize = 4;
+        let mut inline: [Option<&BTreeSet<Uri>>; INLINE] = [None; INLINE];
+        let mut spilled = Vec::new();
+        for (i, token) in tokens.iter().enumerate() {
             let Some(set) = self.by_token.get(token) else {
                 return Vec::new();
             };
-            postings.push(set);
+            match inline.get_mut(i) {
+                Some(slot) => *slot = Some(set),
+                None => spilled.push(set),
+            }
         }
-        let Some(smallest) = postings
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, set)| set.len())
-            .map(|(i, _)| i)
+        let postings = || inline.iter().flatten().chain(&spilled).copied();
+        let Some((smallest, rarest)) = postings().enumerate().min_by_key(|(_, set)| set.len())
         else {
             return Vec::new();
         };
-        postings[smallest]
+        rarest
             .iter()
             .filter(|uri| {
-                postings
-                    .iter()
+                postings()
                     .enumerate()
                     .all(|(i, set)| i == smallest || set.contains(uri))
             })
@@ -264,6 +270,23 @@ mod tests {
         assert_eq!(idx.lookup_all(&["fox".into()]).len(), 2);
         assert!(idx.lookup_all(&["cnn".into()]).is_empty());
         assert!(idx.lookup_all(&[]).is_empty());
+    }
+
+    #[test]
+    fn lookup_all_handles_queries_longer_than_the_inline_scratch() {
+        let mut idx = InvertedIndex::new();
+        idx.insert(&uri("mbt://a"), "one two three four five six");
+        idx.insert(&uri("mbt://b"), "one two three four five");
+        let tokens = |text: &str| tokenize(text);
+        assert_eq!(
+            idx.lookup_all(&tokens("one two three four five six")),
+            vec![uri("mbt://a")]
+        );
+        assert_eq!(idx.lookup_all(&tokens("five four three two one")).len(), 2);
+        assert!(idx
+            .lookup_all(&tokens("one two three four five seven"))
+            .is_empty());
+        assert!(InvertedIndex::new().lookup_all(&tokens("one")).is_empty());
     }
 
     #[test]

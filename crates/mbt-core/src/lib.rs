@@ -93,6 +93,6 @@ pub use protocol::{
 };
 pub use query::Query;
 pub use server::MetadataServer;
-pub use store::{FileStore, MetadataStore, QueryStore};
+pub use store::{FileStore, MetadataStore, OwnQuery, QueryStore};
 pub use transport::{BusTransport, Carried, SimTransport, Transport, TransportKind, WireMessage};
 pub use uri::Uri;

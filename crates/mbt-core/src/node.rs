@@ -10,6 +10,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use dtn_routing::{AvailabilityDiffusion, EvictLowestScore, EvictionPolicy};
 use dtn_sim::channel::frame_bytes;
@@ -26,7 +27,8 @@ use crate::popularity::Popularity;
 use crate::protocol::{CachePolicy, PopularityScope, ProtocolSpec, ReplicationPolicy};
 use crate::query::Query;
 use crate::server::MetadataServer;
-use crate::store::{FileStore, MetadataStore, QueryStore};
+use crate::store::{is_expired, FileStore, MetadataStore, NextExpiry, OwnQuery, QueryStore};
+use crate::transport::frame::ascending;
 use crate::transport::{Carried, HelloFrame, SimTransport, Transport, WireMessage};
 use crate::uri::Uri;
 
@@ -85,7 +87,9 @@ pub struct MbtNode {
     protocol: ProtocolSpec,
     config: MbtConfig,
     internet_access: bool,
-    frequent_contacts: BTreeSet<NodeId>,
+    /// Ascending and distinct; shared with whoever declared it (the
+    /// experiment arena keeps one list per node) and with every hello.
+    frequent_contacts: Arc<[NodeId]>,
     queries: QueryStore,
     metadata: MetadataStore,
     files: FileStore,
@@ -106,6 +110,9 @@ pub struct MbtNode {
     /// never re-requested, so fakes cannot burn a broadcast slot at every
     /// contact.
     rejected: BTreeMap<Uri, Option<SimTime>>,
+    /// Earliest expiry among `popularity` and `rejected` (the three stores
+    /// keep their own).
+    next_expiry: NextExpiry,
     events: Vec<NodeEvent>,
     /// Memoized [`wanted_uris`](MbtNode::wanted_uris) result, keyed by the
     /// store versions it was computed from. `RefCell` so reads stay `&self`;
@@ -119,7 +126,7 @@ pub struct MbtNode {
 struct WantedCache {
     valid: bool,
     versions: (u64, u64, u64),
-    uris: Vec<Uri>,
+    uris: BTreeSet<Uri>,
 }
 
 /// The compact residue of a node whose stores have fully decayed — see
@@ -146,7 +153,7 @@ impl MbtNode {
             protocol: protocol.into(),
             config,
             internet_access: false,
-            frequent_contacts: BTreeSet::new(),
+            frequent_contacts: Arc::default(),
             queries: QueryStore::new(),
             metadata: MetadataStore::new(),
             files: FileStore::new(),
@@ -156,6 +163,7 @@ impl MbtNode {
             availability: BTreeMap::new(),
             key_registry: None,
             rejected: BTreeMap::new(),
+            next_expiry: NextExpiry::default(),
             events: Vec::new(),
             wanted_cache: RefCell::new(WantedCache::default()),
         }
@@ -187,13 +195,14 @@ impl MbtNode {
     }
 
     /// Declares the node's frequent contacting nodes (paper §VI-A), whose
-    /// queries it will collect metadata for under full MBT.
-    pub fn set_frequent_contacts<I: IntoIterator<Item = NodeId>>(&mut self, peers: I) {
-        self.frequent_contacts = peers.into_iter().collect();
+    /// queries it will collect metadata for under full MBT. An ascending,
+    /// duplicate-free list handed over as an `Arc` is shared, not copied.
+    pub fn set_frequent_contacts(&mut self, peers: impl Into<Arc<[NodeId]>>) {
+        self.frequent_contacts = ascending(peers.into());
     }
 
-    /// The node's frequent contacting nodes.
-    pub fn frequent_contacts(&self) -> &BTreeSet<NodeId> {
+    /// The node's frequent contacting nodes, ascending.
+    pub fn frequent_contacts(&self) -> &[NodeId] {
         &self.frequent_contacts
     }
 
@@ -226,6 +235,7 @@ impl MbtNode {
     }
 
     fn reject(&mut self, metadata: &Metadata) {
+        self.next_expiry.note(metadata.expires());
         self.rejected
             .insert(metadata.uri().clone(), metadata.expires());
     }
@@ -259,7 +269,7 @@ impl MbtNode {
 
     /// The node's own active query strings.
     pub fn own_queries(&self) -> Vec<Query> {
-        self.queries.own().map(|e| e.query().clone()).collect()
+        self.queries.own().iter().map(|(q, _)| q.clone()).collect()
     }
 
     /// Number of stored queries (own + collected for others).
@@ -328,6 +338,8 @@ impl MbtNode {
             // `None` means "no known lifetime": never prune.
             _ => None,
         };
+        let lifetime = entry.1;
+        self.next_expiry.note(lifetime);
     }
 
     /// URIs the node wants to download: it has metadata matching one of its
@@ -338,12 +350,12 @@ impl MbtNode {
     /// metadata, file, or own-query stores mutates; a recompute is one
     /// inverted-index lookup per own query instead of a full-store scan.
     pub fn wanted_uris(&self) -> Vec<Uri> {
-        self.wanted_uris_cached().0
+        self.wanted_uris_cached().0.into_iter().collect()
     }
 
     /// [`wanted_uris`](Self::wanted_uris) plus whether the memoized list was
     /// served without recomputation (the contact loop counts hits).
-    fn wanted_uris_cached(&self) -> (Vec<Uri>, bool) {
+    fn wanted_uris_cached(&self) -> (BTreeSet<Uri>, bool) {
         let versions = (
             self.metadata.version(),
             self.files.version(),
@@ -354,29 +366,35 @@ impl MbtNode {
             return (cache.uris.clone(), true);
         }
         let mut wanted: BTreeSet<Uri> = BTreeSet::new();
-        for entry in self.queries.own() {
-            for uri in self.metadata.matching_uris(entry.query()) {
+        for (query, _) in self.queries.own().iter() {
+            for uri in self.metadata.matching_uris(query) {
                 if !self.files.contains(uri) {
                     wanted.insert(uri.clone());
                 }
             }
         }
-        cache.uris = wanted.into_iter().collect();
+        cache.uris = wanted;
         cache.versions = versions;
         cache.valid = true;
         (cache.uris.clone(), false)
     }
 
     /// Drops expired metadata, files, queries, popularity observations, and
-    /// rejection records.
+    /// rejection records. O(1) until something can have expired: each store
+    /// tracks its earliest expiry.
     pub fn prune(&mut self, now: SimTime) {
         self.metadata.prune_expired(now);
         self.files.prune_expired(now);
         self.queries.prune_expired(now);
-        self.popularity
-            .retain(|_, &mut (_, expires)| expires.is_none_or(|e| now < e));
-        self.rejected
-            .retain(|_, expires| !expires.is_some_and(|e| now >= e));
+        if self.next_expiry.due(now) {
+            self.popularity
+                .retain(|_, &mut (_, expires)| !is_expired(expires, now));
+            self.rejected
+                .retain(|_, expires| !is_expired(*expires, now));
+            let popularity = self.popularity.values().map(|&(_, expires)| expires);
+            self.next_expiry
+                .reset(popularity.chain(self.rejected.values().copied()));
+        }
     }
 
     /// Drains accumulated [`NodeEvent`]s.
@@ -410,11 +428,7 @@ impl MbtNode {
             && self.events.is_empty()
             && self.queries.foreign().next().is_none();
         cold.then(|| ColdNodeState {
-            queries: self
-                .queries
-                .own()
-                .map(|e| (e.query().clone(), e.expires()))
-                .collect(),
+            queries: self.queries.own().to_vec(),
             credits: self.credits.entries().collect(),
         })
     }
@@ -432,7 +446,8 @@ impl MbtNode {
         self.metadata.get(uri).is_some_and(|m| {
             self.queries
                 .own()
-                .any(|e| e.query().matches_token_set(m.token_set()))
+                .iter()
+                .any(|(q, _)| q.matches_token_set(m.token_set()))
         })
     }
 
@@ -638,20 +653,6 @@ impl ContactReport {
     }
 }
 
-/// Per-member snapshot taken at the start of a contact.
-#[derive(Debug, Clone)]
-struct MemberSnapshot {
-    id: NodeId,
-    own_queries: Vec<(Query, Option<SimTime>)>,
-    relevant_queries: Vec<Query>,
-    wanted: BTreeSet<Uri>,
-    /// URIs this member blacklisted after authentication failures (carried
-    /// in its hello so peers stop offering them).
-    rejected: BTreeSet<Uri>,
-    frequent: BTreeSet<NodeId>,
-    ledger: CreditLedger,
-}
-
 /// Runs one contact among the nodes at `members` (indices into `nodes`).
 ///
 /// Implements the paper's contact behaviour: hello exchange (implicit in the
@@ -712,11 +713,27 @@ pub fn run_contact_timed(
 ///
 /// Frame emission order is deterministic: every collection iterated on this
 /// path — member snapshots, the metadata/file catalogs, broadcast schedules
-/// — is a `Vec`, `BTreeMap`, or `BTreeSet`, never a hash map, so the carry
-/// sequence is a pure function of member state. (Audited 2026-08: the only
-/// `HashMap` near the contact path is documented scratch space in
-/// `server/shard.rs` that never reaches iteration order into results.)
+/// — is a `Vec`, slice, `BTreeMap`, or `BTreeSet`, never a hash map, so the
+/// carry sequence is a pure function of member state. (Audited 2026-08 and
+/// again with the cost-model rewrite: no hashed container was introduced;
+/// the only `HashMap` near the contact path is documented scratch space in
+/// `server/shard.rs` that never reaches iteration order into results, and
+/// [`QueryStore`]'s sync memo is probed by key only.)
 /// `tests/transport_equivalence.rs` pins the exact sequence.
+///
+/// # Cost model
+///
+/// A contact costs what its clique *holds and what changed*, not what its
+/// members carry. Each member's hello — which is also its start-of-contact
+/// snapshot — shares the member's own-query list and frequent set by
+/// reference (neither changes inside a contact) and copies only what the
+/// contact itself mutates: the wanted set, the credit ledger and the
+/// foreign queries, all three usually empty. Pruning on entry is O(1) until
+/// something can have expired; a query share whose receiver already holds
+/// the sender's unchanged list is carried (the wire sequence is the
+/// protocol) but not re-stored; requester matching counts its probes
+/// arithmetically and an empty index answers without looking; empty
+/// catalogs build no offers and no schedule.
 ///
 /// # Panics
 ///
@@ -733,12 +750,9 @@ pub fn run_contact_via(
     if members.len() < 2 {
         return report;
     }
-    {
-        let mut seen = BTreeSet::new();
-        for &idx in members {
-            assert!(idx < nodes.len(), "member index {idx} out of range");
-            assert!(seen.insert(idx), "duplicate member index {idx}");
-        }
+    for (i, &idx) in members.iter().enumerate() {
+        assert!(idx < nodes.len(), "member index {idx} out of range");
+        assert!(!members[..i].contains(&idx), "duplicate member index {idx}");
     }
     let protocol = nodes[members[0]].protocol;
     let config = nodes[members[0]].config.clone();
@@ -763,23 +777,32 @@ pub fn run_contact_via(
     transport.join(now, &all_ids);
     let coordinator = *all_ids.iter().min().expect("members is non-empty");
 
+    // A delivered hello doubles as that member's start-of-contact snapshot.
     let mut alive: Vec<usize> = Vec::with_capacity(members.len());
-    let mut snapshots: Vec<MemberSnapshot> = Vec::with_capacity(members.len());
+    let mut snapshots: Vec<HelloFrame> = Vec::with_capacity(members.len());
     for &idx in members {
         let hello = build_hello(&nodes[idx], protocol, &mut report);
         let sender = nodes[idx].id;
         let delivered = if sender == coordinator {
             Some(hello)
         } else {
+            // A list that arrives as it left is the sender's list: keep
+            // pointing at that one allocation rather than at a decoded copy.
+            let sent = Arc::clone(&hello.own_queries);
             match transport.carry(now, sender, coordinator, WireMessage::Hello(hello)) {
-                Carried::Delivered(WireMessage::Hello(h)) => Some(h),
+                Carried::Delivered(WireMessage::Hello(mut h)) => {
+                    if h.own_queries == sent {
+                        h.own_queries = sent;
+                    }
+                    Some(h)
+                }
                 Carried::Delivered(_) | Carried::Dropped => None,
             }
         };
         match delivered {
             Some(h) => {
                 alive.push(idx);
-                snapshots.push(snapshot_from_hello(h));
+                snapshots.push(h);
             }
             None => report.frames_lost += 1,
         }
@@ -811,7 +834,7 @@ pub fn run_contact_via(
         }
     }
 
-    let member_ids: Vec<NodeId> = snapshots.iter().map(|s| s.id).collect();
+    let member_ids: Vec<NodeId> = snapshots.iter().map(|s| s.sender).collect();
     let index_of = |id: NodeId| -> usize {
         members[member_ids
             .iter()
@@ -831,7 +854,7 @@ pub fn run_contact_via(
         for &idx in members {
             let me = nodes[idx].id;
             for snap in &snapshots {
-                if snap.id == me {
+                if snap.sender == me {
                     continue;
                 }
                 for uri in &snap.wanted {
@@ -880,12 +903,12 @@ pub fn run_contact_via(
             let requesters: Vec<NodeId> = members
                 .iter()
                 .zip(&snapshots)
-                .filter(|(_, s)| !holders.contains(&s.id) && !s.rejected.contains(uri))
+                .filter(|(_, s)| !holders.contains(&s.sender) && !s.rejected.contains(uri))
                 .filter(|(&idx, _)| {
                     let estimate = nodes[idx].availability.get(uri).copied().unwrap_or(0.0);
                     diffusion.is_scarce(estimate)
                 })
-                .map(|(_, s)| s.id)
+                .map(|(_, s)| s.sender)
                 .collect();
             if !requesters.is_empty() {
                 proactive.insert(uri.clone(), requesters);
@@ -899,28 +922,40 @@ pub fn run_contact_via(
     if protocol.distributes_queries() {
         for (i, &idx) in members.iter().enumerate() {
             for (j, snap) in snapshots.iter().enumerate() {
-                if i == j || !snapshots[i].frequent.contains(&snap.id) {
+                if i == j || snapshots[i].frequent.binary_search(&snap.sender).is_err() {
                     continue;
                 }
-                for (query, expires) in &snap.own_queries {
+                // Every share is carried — the wire sequence is the
+                // protocol — but a receiver that has stored this list
+                // before, and dropped nothing since, has nothing to store.
+                let receiver = &mut nodes[idx].queries;
+                let in_sync = receiver.is_synced(snap.sender, &snap.own_queries);
+                let mut all_arrived = true;
+                for (query, expires) in snap.own_queries.iter() {
                     let share = WireMessage::QueryShare {
-                        owner: snap.id,
+                        owner: snap.sender,
                         query: query.clone(),
                         expires: *expires,
                     };
-                    match transport.carry(now, snap.id, snapshots[i].id, share) {
+                    match transport.carry(now, snap.sender, snapshots[i].sender, share) {
                         Carried::Delivered(WireMessage::QueryShare {
                             owner,
                             query,
                             expires,
                         }) => {
-                            if nodes[idx].queries.add_foreign(owner, query, expires) {
+                            if !in_sync && receiver.add_foreign(owner, query, expires) {
                                 report.queries_distributed += 1;
                             }
                         }
-                        Carried::Delivered(_) => {}
-                        Carried::Dropped => report.frames_lost += 1,
+                        Carried::Delivered(_) => all_arrived = false,
+                        Carried::Dropped => {
+                            report.frames_lost += 1;
+                            all_arrived = false;
+                        }
                     }
+                }
+                if all_arrived && !in_sync {
+                    receiver.mark_synced(snap.sender, snap.own_queries.clone());
                 }
             }
         }
@@ -943,117 +978,127 @@ pub fn run_contact_via(
     };
 
     // --- Phase closures. ---
-    let metadata_phase =
-        |transport: &mut dyn Transport, nodes: &mut [MbtNode], report: &mut ContactReport| {
-            if !protocol.distributes_metadata() {
-                return;
-            }
-            // Index-backed requester matching (the §IV-A hot loop): probe each
-            // member store's inverted index once per relevant query instead of
-            // re-matching every catalog record against every query string. The
-            // catalog is a union of the member stores, and stores only grow
-            // between the hello snapshot and this phase, so membership of a
-            // catalog URI in the union of lookups is exactly "some member holds
-            // a record whose tokens satisfy the query".
-            let matched: Vec<BTreeSet<Uri>> = snapshots
-                .iter()
-                .map(|s| {
-                    let mut set = BTreeSet::new();
-                    for q in &s.relevant_queries {
-                        for &idx in members {
-                            report.index_lookups += 1;
-                            for uri in nodes[idx].metadata.matching_uris(q) {
-                                set.insert(uri.clone());
-                            }
+    let metadata_phase = |transport: &mut dyn Transport,
+                          nodes: &mut [MbtNode],
+                          report: &mut ContactReport| {
+        if !protocol.distributes_metadata() {
+            return;
+        }
+        // Index-backed requester matching (the §IV-A hot loop): probe each
+        // member store's inverted index once per relevant query instead of
+        // re-matching every catalog record against every query string. The
+        // catalog is a union of the member stores, and stores only grow
+        // between the hello snapshot and this phase, so membership of a
+        // catalog URI in the union of lookups is exactly "some member holds
+        // a record whose tokens satisfy the query".
+        //
+        // A member's relevant queries are its own plus those it carries
+        // for its frequent contacts, and each is one probe per member
+        // store. The probes are counted here; with nothing in the catalog
+        // there is nothing to find requesters for, and none is made.
+        let relevant = |s: &HelloFrame| s.own_queries.len() + s.foreign_queries.len();
+        report.index_lookups += snapshots.iter().map(relevant).sum::<usize>() * members.len();
+        if metadata_catalog.is_empty() {
+            return;
+        }
+        let matched: Vec<BTreeSet<Uri>> = snapshots
+            .iter()
+            .map(|s| {
+                let own = s.own_queries.iter().map(|(q, _)| q);
+                let mut set = BTreeSet::new();
+                for q in own.chain(&s.foreign_queries) {
+                    for &idx in members {
+                        for uri in nodes[idx].metadata.matching_uris(q) {
+                            set.insert(uri.clone());
                         }
                     }
-                    set
-                })
-                .collect();
-            let offers: Vec<Offer<Uri>> = metadata_catalog
-                .iter()
-                .filter(|(uri, (_, _, holders))| {
-                    // Skip metadata every member already holds or has rejected.
-                    // A member holds a catalog record iff it is listed as a
-                    // holder, so the probe is a scan of at most `members` ids.
-                    snapshots
-                        .iter()
-                        .any(|s| !holders.contains(&s.id) && !s.rejected.contains(uri))
-                })
-                .map(|(uri, (_, pop, holders))| {
-                    let requesters: Vec<NodeId> = snapshots
-                        .iter()
-                        .zip(&matched)
-                        .filter(|(s, m)| {
-                            m.contains(uri) && !holders.contains(&s.id) && !s.rejected.contains(uri)
-                        })
-                        .map(|(s, _)| s.id)
-                        .collect();
-                    Offer::new(uri.clone(), *pop, requesters, holders.clone())
-                })
-                .collect();
-            let schedule =
-                schedule_broadcasts(&config, &member_ids, &snapshots, offers, metadata_slots);
-            for b in &schedule {
-                let (meta, pop, _) = &metadata_catalog[&b.item];
-                report.metadata_broadcasts += 1;
-                for &idx in members {
-                    let receiver_id = nodes[idx].id;
-                    if receiver_id == b.sender {
-                        continue;
-                    }
-                    if frame_lost(b.sender, receiver_id, &b.item) {
+                }
+                set
+            })
+            .collect();
+        let offers: Vec<Offer<Uri>> = metadata_catalog
+            .iter()
+            .filter(|(uri, (_, _, holders))| {
+                // Skip metadata every member already holds or has rejected.
+                // A member holds a catalog record iff it is listed as a
+                // holder, so the probe is a scan of at most `members` ids.
+                snapshots
+                    .iter()
+                    .any(|s| !holders.contains(&s.sender) && !s.rejected.contains(uri))
+            })
+            .map(|(uri, (_, pop, holders))| {
+                let requesters: Vec<NodeId> = snapshots
+                    .iter()
+                    .zip(&matched)
+                    .filter(|(s, m)| {
+                        m.contains(uri) && !holders.contains(&s.sender) && !s.rejected.contains(uri)
+                    })
+                    .map(|(s, _)| s.sender)
+                    .collect();
+                Offer::new(uri.clone(), *pop, requesters, holders.clone())
+            })
+            .collect();
+        let schedule =
+            schedule_broadcasts(&config, &member_ids, &snapshots, offers, metadata_slots);
+        for b in &schedule {
+            let (meta, pop, _) = &metadata_catalog[&b.item];
+            report.metadata_broadcasts += 1;
+            for &idx in members {
+                let receiver_id = nodes[idx].id;
+                if receiver_id == b.sender {
+                    continue;
+                }
+                if frame_lost(b.sender, receiver_id, &b.item) {
+                    report.frames_lost += 1;
+                    continue;
+                }
+                let carried = transport.carry(
+                    now,
+                    b.sender,
+                    receiver_id,
+                    WireMessage::Metadata {
+                        metadata: meta.clone(),
+                        popularity: *pop,
+                    },
+                );
+                let (metadata, popularity) = match carried {
+                    Carried::Delivered(WireMessage::Metadata {
+                        metadata,
+                        popularity,
+                    }) => (metadata, popularity),
+                    Carried::Delivered(_) => continue,
+                    Carried::Dropped => {
                         report.frames_lost += 1;
                         continue;
                     }
-                    let carried = transport.carry(
-                        now,
-                        b.sender,
-                        receiver_id,
-                        WireMessage::Metadata {
-                            metadata: meta.clone(),
-                            popularity: *pop,
-                        },
-                    );
-                    let (metadata, popularity) = match carried {
-                        Carried::Delivered(WireMessage::Metadata {
-                            metadata,
-                            popularity,
-                        }) => (metadata, popularity),
-                        Carried::Delivered(_) => continue,
-                        Carried::Dropped => {
-                            report.frames_lost += 1;
-                            continue;
-                        }
-                    };
-                    let receiver = &mut nodes[idx];
-                    if !receiver.accepts_metadata(&metadata) {
-                        // Fake-publisher rejection (§III-B item f): blacklist the
-                        // URI so it is never requested again.
-                        receiver.reject(&metadata);
-                        continue;
-                    }
-                    receiver.note_popularity_until(metadata.uri(), popularity, metadata.expires());
-                    report.bytes_moved += frame_bytes(metadata.wire_size() as u64);
-                    let own = receiver.own_queries();
-                    let outcome = receive_metadata(
-                        &mut receiver.metadata,
-                        &own,
-                        &metadata,
-                        popularity,
-                        b.sender,
-                        Some(&mut receiver.credits),
-                    );
-                    if outcome != crate::discovery::ReceiveOutcome::Duplicate {
-                        report.metadata_received += 1;
-                        receiver.events.push(NodeEvent::MetadataStored {
-                            uri: metadata.uri().clone(),
-                            from: Source::Peer(b.sender),
-                        });
-                    }
+                };
+                let receiver = &mut nodes[idx];
+                if !receiver.accepts_metadata(&metadata) {
+                    // Fake-publisher rejection (§III-B item f): blacklist the
+                    // URI so it is never requested again.
+                    receiver.reject(&metadata);
+                    continue;
+                }
+                receiver.note_popularity_until(metadata.uri(), popularity, metadata.expires());
+                report.bytes_moved += frame_bytes(metadata.wire_size() as u64);
+                let outcome = receive_metadata(
+                    &mut receiver.metadata,
+                    receiver.queries.own().iter().map(|(q, _)| q),
+                    &metadata,
+                    popularity,
+                    b.sender,
+                    Some(&mut receiver.credits),
+                );
+                if outcome != crate::discovery::ReceiveOutcome::Duplicate {
+                    report.metadata_received += 1;
+                    receiver.events.push(NodeEvent::MetadataStored {
+                        uri: metadata.uri().clone(),
+                        from: Source::Peer(b.sender),
+                    });
                 }
             }
-        };
+        }
+    };
 
     let file_phase = |transport: &mut dyn Transport,
                       nodes: &mut [MbtNode],
@@ -1068,7 +1113,7 @@ pub fn run_contact_via(
                 // lists play the role the hello's URI inventory used to).
                 snapshots
                     .iter()
-                    .any(|s| !holders.contains(&s.id) && !s.rejected.contains(uri))
+                    .any(|s| !holders.contains(&s.sender) && !s.rejected.contains(uri))
             })
             .map(|(uri, holders)| {
                 // A member requests a file it wants (announced as a
@@ -1078,8 +1123,8 @@ pub fn run_contact_via(
                 let mut requesters: Vec<NodeId> = if protocol.distributes_metadata() {
                     snapshots
                         .iter()
-                        .filter(|s| s.wanted.contains(uri) && !holders.contains(&s.id))
-                        .map(|s| s.id)
+                        .filter(|s| s.wanted.contains(uri) && !holders.contains(&s.sender))
+                        .map(|s| s.sender)
                         .collect()
                 } else {
                     Vec::new()
@@ -1168,14 +1213,7 @@ pub fn run_contact_via(
                         });
                     }
                 }
-                let wanted = {
-                    let own = receiver.own_queries();
-                    receiver
-                        .metadata
-                        .get(&uri)
-                        .map(|m| own.iter().any(|q| q.matches_token_set(m.token_set())))
-                        .unwrap_or(false)
-                };
+                let wanted = receiver.matches_own_query(&uri);
                 if receiver.try_store_file(uri.clone(), expires) {
                     let (pieces, content_bytes) = riding
                         .as_ref()
@@ -1221,13 +1259,9 @@ pub fn run_contact_via(
 }
 
 /// Builds one member's hello frame, charging the wanted-set lookup to the
-/// report exactly as the pre-seam snapshot did.
+/// report. The own-query list and frequent set are shared, not copied.
 fn build_hello(n: &MbtNode, protocol: ProtocolSpec, report: &mut ContactReport) -> HelloFrame {
-    let own_queries: Vec<(Query, Option<SimTime>)> = n
-        .queries
-        .own()
-        .map(|e| (e.query().clone(), e.expires()))
-        .collect();
+    let own_queries: Arc<[OwnQuery]> = n.queries.own().clone();
     let foreign_queries: Vec<Query> = if protocol.distributes_queries() {
         n.queries
             .foreign()
@@ -1246,35 +1280,10 @@ fn build_hello(n: &MbtNode, protocol: ProtocolSpec, report: &mut ContactReport) 
         sender: n.id,
         own_queries,
         foreign_queries,
-        wanted: wanted.into_iter().collect(),
+        wanted,
         rejected: n.rejected.keys().cloned().collect(),
         frequent: n.frequent_contacts.clone(),
         credits: n.credits.entries().collect(),
-    }
-}
-
-/// Rebuilds the contact-time view of a member from its (possibly decoded)
-/// hello frame.
-fn snapshot_from_hello(hello: HelloFrame) -> MemberSnapshot {
-    let HelloFrame {
-        sender,
-        own_queries,
-        foreign_queries,
-        wanted,
-        rejected,
-        frequent,
-        credits,
-    } = hello;
-    let mut relevant: Vec<Query> = own_queries.iter().map(|(q, _)| q.clone()).collect();
-    relevant.extend(foreign_queries);
-    MemberSnapshot {
-        id: sender,
-        own_queries,
-        relevant_queries: relevant,
-        wanted,
-        rejected,
-        frequent,
-        ledger: CreditLedger::from_entries(credits),
     }
 }
 
@@ -1282,10 +1291,13 @@ fn snapshot_from_hello(hello: HelloFrame) -> MemberSnapshot {
 fn schedule_broadcasts(
     config: &MbtConfig,
     member_ids: &[NodeId],
-    snapshots: &[MemberSnapshot],
+    snapshots: &[HelloFrame],
     offers: Vec<Offer<Uri>>,
     slots: usize,
 ) -> Vec<Broadcast<Uri>> {
+    if offers.is_empty() {
+        return Vec::new();
+    }
     match config.cooperation_value() {
         CooperationMode::Cooperative => match config.ordering_value() {
             crate::config::BroadcastOrdering::TwoPhase => dl_coop::schedule(offers, slots),
@@ -1294,9 +1306,15 @@ fn schedule_broadcasts(
             }
         },
         CooperationMode::TitForTat => {
-            let ledgers: BTreeMap<NodeId, &CreditLedger> =
-                snapshots.iter().map(|s| (s.id, &s.ledger)).collect();
-            dl_tft::schedule(member_ids, offers, |id| ledgers[&id], slots)
+            // Only this scheduler reads the start-of-contact ledgers.
+            let ledgers: BTreeMap<NodeId, CreditLedger> = snapshots
+                .iter()
+                .map(|s| {
+                    let ledger = CreditLedger::from_entries(s.credits.iter().copied());
+                    (s.sender, ledger)
+                })
+                .collect();
+            dl_tft::schedule(member_ids, offers, |id| &ledgers[&id], slots)
         }
     }
 }
@@ -1494,6 +1512,84 @@ mod tests {
         assert_eq!(nodes[0].query_count(), 1);
         // Not symmetric: node 1 did not list node 0 as frequent.
         assert_eq!(nodes[1].query_count(), 1); // its own query only
+    }
+
+    #[test]
+    fn an_in_sync_pair_restores_a_query_the_receiver_lost() {
+        // The receiver's copy can outlive or die before the owner's entry
+        // of the same text (dedup keeps the first expiry). Skipping the
+        // re-store of an unchanged list must not outlast such a loss.
+        let at = |secs| SimTime::from_secs(secs);
+        let contact = |nodes: &mut Vec<MbtNode>, secs| {
+            run_pairwise_contact(nodes, 0, 1, at(secs), SimDuration::from_secs(60))
+        };
+        let mut nodes = vec![node(0, ProtocolKind::Mbt), node(1, ProtocolKind::Mbt)];
+        nodes[0].set_frequent_contacts([NodeId::new(1)]);
+        nodes[1].add_query(Query::new("fox news").unwrap(), Some(at(10)));
+        assert_eq!(contact(&mut nodes, 0).queries_distributed, 1);
+
+        // The owner replaces its entry with a longer-lived one; the
+        // receiver keeps the copy it has, expiring at 10.
+        nodes[1].queries.remove_own("fox news");
+        nodes[1].add_query(Query::new("fox news").unwrap(), Some(at(20)));
+        assert_eq!(contact(&mut nodes, 5).queries_distributed, 0);
+        assert_eq!(contact(&mut nodes, 6).queries_distributed, 0, "in sync");
+
+        // At 10 the receiver's copy expires; the unchanged list is stored
+        // again, as it would be without the skip.
+        assert_eq!(contact(&mut nodes, 12).queries_distributed, 1);
+        assert_eq!(nodes[0].query_count(), 1);
+        assert_eq!(contact(&mut nodes, 13).queries_distributed, 0);
+    }
+
+    #[test]
+    fn frequent_contacts_are_kept_ascending_and_distinct() {
+        let mut n = node(0, ProtocolKind::Mbt);
+        n.set_frequent_contacts([NodeId::new(5), NodeId::new(2), NodeId::new(5)]);
+        assert_eq!(n.frequent_contacts(), [NodeId::new(2), NodeId::new(5)]);
+        let shared: Arc<[NodeId]> = Arc::from([NodeId::new(1), NodeId::new(3)]);
+        n.set_frequent_contacts(Arc::clone(&shared));
+        assert!(Arc::ptr_eq(&n.frequent_contacts, &shared), "shared as is");
+    }
+
+    #[test]
+    fn prune_keeps_working_behind_the_expiry_watermarks() {
+        let at = SimTime::from_secs;
+        let expiring = |u: &str, secs| {
+            Metadata::builder("x", "FOX", uri(u))
+                .ttl(SimDuration::from_secs(secs))
+                .build()
+        };
+        let mut n = node(0, ProtocolKind::Mbt);
+        n.seed_content(expiring("mbt://early", 10), Popularity::new(0.5), true);
+        n.seed_content(expiring("mbt://late", 30), Popularity::new(0.5), true);
+        n.add_query(Query::new("fox").unwrap(), Some(at(20)));
+        n.reject(&expiring("mbt://fake", 25));
+
+        n.prune(at(9));
+        assert_eq!(
+            (n.metadata_count(), n.file_count(), n.query_count()),
+            (2, 2, 1)
+        );
+        n.prune(at(10));
+        assert_eq!(
+            (n.metadata_count(), n.file_count(), n.query_count()),
+            (1, 1, 1)
+        );
+        assert_eq!(n.known_popularity(&uri("mbt://early")), Popularity::MIN);
+        n.prune(at(20));
+        assert_eq!(n.query_count(), 0);
+        assert!(n.has_rejected(&uri("mbt://fake")));
+        n.prune(at(25));
+        assert!(!n.has_rejected(&uri("mbt://fake")));
+        // An entry added after a pass is still seen by the next one.
+        n.add_query(Query::new("abc").unwrap(), Some(at(27)));
+        n.prune(at(30));
+        assert_eq!(
+            (n.metadata_count(), n.file_count(), n.query_count()),
+            (0, 0, 0)
+        );
+        assert_eq!(n.known_popularity(&uri("mbt://late")), Popularity::MIN);
     }
 
     #[test]

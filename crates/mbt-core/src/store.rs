@@ -16,6 +16,36 @@ use crate::metadata::Metadata;
 use crate::query::Query;
 use crate::uri::Uri;
 
+/// A lower bound on the earliest expiry a TTL'd store holds. Contacts prune
+/// every member on entry and almost never drop anything, so each store keeps
+/// one of these and its prune is O(1) until `now` reaches the bound; the
+/// pass that then runs recomputes it from the survivors.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct NextExpiry(Option<SimTime>);
+
+impl NextExpiry {
+    /// An entry expiring at `expires` entered the store.
+    pub(crate) fn note(&mut self, expires: Option<SimTime>) {
+        if let Some(e) = expires {
+            self.0 = Some(self.0.map_or(e, |bound| bound.min(e)));
+        }
+    }
+
+    /// True if something may have expired at `now`.
+    pub(crate) fn due(&self, now: SimTime) -> bool {
+        self.0.is_some_and(|bound| now >= bound)
+    }
+
+    /// Sets the bound to the earliest of the surviving entries' expiries.
+    pub(crate) fn reset(&mut self, survivors: impl IntoIterator<Item = Option<SimTime>>) {
+        self.0 = survivors.into_iter().flatten().min();
+    }
+}
+
+pub(crate) fn is_expired(expires: Option<SimTime>, now: SimTime) -> bool {
+    expires.is_some_and(|e| now >= e)
+}
+
 /// A node's local metadata collection.
 ///
 /// Records are mirrored into an [`InvertedIndex`] maintained incrementally on
@@ -44,6 +74,7 @@ pub struct MetadataStore {
     /// replication) shares the index until the clone next mutates.
     index: Arc<InvertedIndex>,
     version: u64,
+    next_expiry: NextExpiry,
 }
 
 impl MetadataStore {
@@ -60,6 +91,7 @@ impl MetadataStore {
                 Arc::make_mut(&mut self.index)
                     .insert_tokens(metadata.uri(), metadata.token_set().iter());
                 self.version += 1;
+                self.next_expiry.note(metadata.expires());
                 v.insert(metadata);
                 true
             }
@@ -118,6 +150,9 @@ impl MetadataStore {
 
     /// Removes records expired at `now`; returns how many were dropped.
     pub fn prune_expired(&mut self, now: SimTime) -> usize {
+        if !self.next_expiry.due(now) {
+            return 0;
+        }
         let expired: Vec<Uri> = self
             .map
             .values()
@@ -132,6 +167,8 @@ impl MetadataStore {
             }
             self.version += 1;
         }
+        self.next_expiry
+            .reset(self.map.values().map(Metadata::expires));
         expired.len()
     }
 
@@ -177,13 +214,24 @@ impl QueryEntry {
 
     /// True if expired at `now`.
     pub fn is_expired(&self, now: SimTime) -> bool {
-        self.expires.is_some_and(|e| now >= e)
+        is_expired(self.expires, now)
     }
 }
+
+/// One of a node's own queries with its optional expiry — the element of the
+/// list a hello carries.
+pub type OwnQuery = (Query, Option<SimTime>);
 
 /// A node's query collection: its user's own queries plus queries collected
 /// on behalf of other nodes (frequent contacts under MBT; currently-connected
 /// peers during a contact).
+///
+/// The own list is an immutable shared slice, replaced on every change: a
+/// hello carries a reference to it instead of a copy, and a peer that has
+/// stored every entry of one such list remembers it
+/// ([`mark_synced`](QueryStore::mark_synced)) so the next contact between
+/// the two — the common one, in which neither side's queries changed —
+/// re-stores nothing.
 ///
 /// # Example
 ///
@@ -194,23 +242,28 @@ impl QueryEntry {
 /// let mut store = QueryStore::new();
 /// store.add_own(Query::new("fox news")?, None);
 /// store.add_foreign(NodeId::new(7), Query::new("abc comedy")?, None);
-/// assert_eq!(store.own().count(), 1);
+/// assert_eq!(store.own().len(), 1);
 /// assert_eq!(store.foreign().count(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct QueryStore {
-    own: Vec<QueryEntry>,
+    /// Insertion-ordered, deduplicated by text (a scan: a user holds a
+    /// handful of live queries).
+    own: Arc<[OwnQuery]>,
     foreign: Vec<(NodeId, QueryEntry)>,
-    /// Dedup keys for `own`, so `add_own` is a set probe instead of an
-    /// O(n) text scan. Iteration still goes through the insertion-ordered
-    /// vectors.
-    own_texts: BTreeSet<Box<str>>,
     /// Dedup keys for `foreign`. `Query` equality is by text (tokens are a
     /// pure function of it) and cloning is a reference-count bump, so the
     /// probe allocates nothing.
     foreign_keys: BTreeSet<(NodeId, Query)>,
+    /// Per owner, the own list of theirs whose every entry is in `foreign`
+    /// — in the simulator the owner's very allocation, so the usual
+    /// comparison with a later hello's list is one pointer. Probed by owner
+    /// only and cleared whenever a foreign entry is dropped; never iterated
+    /// into results.
+    synced: Vec<(NodeId, Arc<[OwnQuery]>)>,
     own_version: u64,
+    next_expiry: NextExpiry,
 }
 
 impl QueryStore {
@@ -222,11 +275,11 @@ impl QueryStore {
     /// Adds one of the user's own queries (deduplicated by text).
     /// Returns `true` if it was new.
     pub fn add_own(&mut self, query: Query, expires: Option<SimTime>) -> bool {
-        if self.own_texts.contains(query.text()) {
+        if self.own.iter().any(|(held, _)| *held == query) {
             return false;
         }
-        self.own_texts.insert(query.text().into());
-        self.own.push(QueryEntry::new(query, expires));
+        self.next_expiry.note(expires);
+        self.own = self.own.iter().cloned().chain([(query, expires)]).collect();
         self.own_version += 1;
         true
     }
@@ -237,13 +290,36 @@ impl QueryStore {
         if !self.foreign_keys.insert((owner, query.clone())) {
             return false;
         }
+        self.next_expiry.note(expires);
         self.foreign.push((owner, QueryEntry::new(query, expires)));
         true
     }
 
-    /// The user's own queries.
-    pub fn own(&self) -> impl Iterator<Item = &QueryEntry> {
-        self.own.iter()
+    /// True if `list` equals the own-query list of `owner` that
+    /// [`mark_synced`](Self::mark_synced) recorded and no foreign query has
+    /// been dropped since — so [`add_foreign`](Self::add_foreign) would
+    /// return `false` for every entry of it.
+    pub fn is_synced(&self, owner: NodeId, list: &Arc<[OwnQuery]>) -> bool {
+        list.is_empty()
+            || self
+                .synced
+                .iter()
+                // `Arc<T: Eq>` equality tries the pointers first.
+                .any(|(o, held)| *o == owner && held == list)
+    }
+
+    /// Records that every entry of `owner`'s own-query `list` has been
+    /// offered to [`add_foreign`](Self::add_foreign).
+    pub fn mark_synced(&mut self, owner: NodeId, list: Arc<[OwnQuery]>) {
+        match self.synced.iter_mut().find(|(o, _)| *o == owner) {
+            Some((_, held)) => *held = list,
+            None => self.synced.push((owner, list)),
+        }
+    }
+
+    /// The user's own queries, in insertion order.
+    pub fn own(&self) -> &Arc<[OwnQuery]> {
+        &self.own
     }
 
     /// Queries held for other nodes.
@@ -254,35 +330,33 @@ impl QueryStore {
     /// All queries with their owners; `me` is reported as the owner of own
     /// queries.
     pub fn all_with_owner(&self, me: NodeId) -> Vec<(NodeId, &Query)> {
-        let mut out: Vec<(NodeId, &Query)> = self.own.iter().map(|e| (me, &e.query)).collect();
+        let mut out: Vec<(NodeId, &Query)> = self.own.iter().map(|(q, _)| (me, q)).collect();
         out.extend(self.foreign.iter().map(|(o, e)| (*o, &e.query)));
         out
     }
 
     /// Removes a satisfied own query by text; returns `true` if found.
     pub fn remove_own(&mut self, text: &str) -> bool {
-        let before = self.own.len();
-        self.own.retain(|e| e.query.text() != text);
-        let found = self.own.len() != before;
-        if found {
-            self.own_texts.remove(text);
-            self.own_version += 1;
+        self.retain_own(|(q, _)| q.text() != text)
+    }
+
+    fn retain_own(&mut self, keep: impl Fn(&OwnQuery) -> bool) -> bool {
+        if self.own.iter().all(&keep) {
+            return false;
         }
-        found
+        self.own = self.own.iter().filter(|e| keep(e)).cloned().collect();
+        self.own_version += 1;
+        true
     }
 
     /// Drops expired queries; returns how many were dropped.
     pub fn prune_expired(&mut self, now: SimTime) -> usize {
-        let before = self.own.len() + self.foreign.len();
-        let own_before = self.own.len();
-        let own_texts = &mut self.own_texts;
-        self.own.retain(|e| {
-            let keep = !e.is_expired(now);
-            if !keep {
-                own_texts.remove(e.query.text());
-            }
-            keep
-        });
+        if !self.next_expiry.due(now) {
+            return 0;
+        }
+        let before = self.len();
+        self.retain_own(|(_, expires)| !is_expired(*expires, now));
+        let foreign_before = self.foreign.len();
         let foreign_keys = &mut self.foreign_keys;
         self.foreign.retain(|(o, e)| {
             let keep = !e.is_expired(now);
@@ -291,10 +365,13 @@ impl QueryStore {
             }
             keep
         });
-        if self.own.len() != own_before {
-            self.own_version += 1;
+        if self.foreign.len() != foreign_before {
+            self.synced.clear();
         }
-        before - (self.own.len() + self.foreign.len())
+        let own = self.own.iter().map(|(_, expires)| *expires);
+        self.next_expiry
+            .reset(own.chain(self.foreign.iter().map(|(_, e)| e.expires)));
+        before - self.len()
     }
 
     /// Monotonic mutation counter for the **own** query set (the input to
@@ -320,6 +397,7 @@ impl QueryStore {
 pub struct FileStore {
     files: BTreeMap<Uri, Option<SimTime>>,
     version: u64,
+    next_expiry: NextExpiry,
 }
 
 impl FileStore {
@@ -332,6 +410,7 @@ impl FileStore {
     /// `expires`. Returns `true` if it was new.
     pub fn insert(&mut self, uri: Uri, expires: Option<SimTime>) -> bool {
         self.version += 1;
+        self.next_expiry.note(expires);
         self.files.insert(uri, expires).is_none()
     }
 
@@ -357,9 +436,12 @@ impl FileStore {
 
     /// Drops expired files; returns how many were dropped.
     pub fn prune_expired(&mut self, now: SimTime) -> usize {
+        if !self.next_expiry.due(now) {
+            return 0;
+        }
         let before = self.files.len();
-        self.files
-            .retain(|_, expires| !expires.is_some_and(|e| now >= e));
+        self.files.retain(|_, expires| !is_expired(*expires, now));
+        self.next_expiry.reset(self.files.values().copied());
         let dropped = before - self.files.len();
         if dropped > 0 {
             self.version += 1;
@@ -451,6 +533,52 @@ mod tests {
         assert!(!s.add_foreign(NodeId::new(1), q.clone(), None));
         assert!(s.add_foreign(NodeId::new(2), q, None));
         assert_eq!(s.foreign().count(), 2);
+    }
+
+    #[test]
+    fn query_store_sync_memo_follows_content_and_foreign_drops() {
+        let owner = NodeId::new(1);
+        let mut theirs = QueryStore::new();
+        theirs.add_own(Query::new("x").unwrap(), Some(SimTime::from_secs(10)));
+        let mut mine = QueryStore::new();
+        assert!(
+            mine.is_synced(owner, QueryStore::new().own()),
+            "nothing to store"
+        );
+        assert!(!mine.is_synced(owner, theirs.own()));
+
+        for (q, expires) in theirs.own().iter() {
+            mine.add_foreign(owner, q.clone(), *expires);
+        }
+        mine.mark_synced(owner, theirs.own().clone());
+        assert!(mine.is_synced(owner, theirs.own()));
+        assert!(!mine.is_synced(NodeId::new(2), theirs.own()), "per owner");
+        // An equal list in another allocation (a decoded hello) still counts.
+        let decoded: Arc<[OwnQuery]> = theirs.own().iter().cloned().collect();
+        assert!(mine.is_synced(owner, &decoded));
+
+        theirs.add_own(Query::new("y").unwrap(), None);
+        assert!(!mine.is_synced(owner, theirs.own()), "the list changed");
+        assert!(mine.is_synced(owner, &decoded));
+        mine.prune_expired(SimTime::from_secs(10));
+        assert!(
+            !mine.is_synced(owner, &decoded),
+            "a foreign query was dropped"
+        );
+    }
+
+    #[test]
+    fn query_store_shares_its_own_list_until_it_changes() {
+        let mut s = QueryStore::new();
+        s.add_own(Query::new("a").unwrap(), None);
+        let before = s.own().clone();
+        assert!(!s.add_own(Query::new("a").unwrap(), None));
+        assert!(!s.remove_own("missing"));
+        assert_eq!(s.prune_expired(SimTime::from_secs(99)), 0);
+        assert!(Arc::ptr_eq(&before, s.own()), "no change, same allocation");
+        s.add_own(Query::new("b").unwrap(), None);
+        assert_eq!(before.len(), 1, "a carried hello keeps the list it took");
+        assert_eq!(s.own().len(), 2);
     }
 
     #[test]

@@ -27,6 +27,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use dtn_trace::{NodeId, SimTime};
 
@@ -35,6 +36,7 @@ use crate::metadata::Metadata;
 use crate::piece::{Piece, PieceId};
 use crate::popularity::Popularity;
 use crate::query::Query;
+use crate::store::OwnQuery;
 use crate::uri::Uri;
 
 /// Leading magic bytes of every frame.
@@ -108,22 +110,35 @@ impl fmt::Display for FrameKind {
 
 /// The hello beacon a member serializes at contact start: its advertised
 /// state, addressed to the clique coordinator (paper §III-B).
+///
+/// The two lists a contact never changes — the own queries and the frequent
+/// set — are shared slices, so building a hello from a node copies neither.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HelloFrame {
     /// The advertising node.
     pub sender: NodeId,
     /// The node's own active queries with their expiries.
-    pub own_queries: Vec<(Query, Option<SimTime>)>,
+    pub own_queries: Arc<[OwnQuery]>,
     /// Queries carried on behalf of frequent contacts (full MBT only).
     pub foreign_queries: Vec<Query>,
     /// URIs the node wants to download (§III-B "downloading files").
     pub wanted: BTreeSet<Uri>,
     /// URIs the node blacklisted after authentication failures.
     pub rejected: BTreeSet<Uri>,
-    /// The node's frequent contacting nodes.
-    pub frequent: BTreeSet<NodeId>,
+    /// The node's frequent contacting nodes, ascending and distinct.
+    pub frequent: Arc<[NodeId]>,
     /// The node's tit-for-tat ledger as raw `(peer, credit)` entries.
     pub credits: Vec<(NodeId, f64)>,
+}
+
+/// `ids` as an ascending, duplicate-free shared slice — the very allocation
+/// handed in when it already is one.
+pub(crate) fn ascending(ids: Arc<[NodeId]>) -> Arc<[NodeId]> {
+    if ids.windows(2).all(|w| w[0] < w[1]) {
+        return ids;
+    }
+    let sorted: BTreeSet<NodeId> = ids.iter().copied().collect();
+    sorted.into_iter().collect()
 }
 
 /// One contact-phase message, as carried by a
@@ -516,7 +531,7 @@ fn encode_payload(message: &WireMessage, out: &mut Vec<u8>) {
         WireMessage::Hello(h) => {
             put_u32(out, h.sender.raw());
             put_u32(out, h.own_queries.len() as u32);
-            for (q, expires) in &h.own_queries {
+            for (q, expires) in h.own_queries.iter() {
                 put_str(out, q.text());
                 put_opt_time(out, *expires);
             }
@@ -533,7 +548,7 @@ fn encode_payload(message: &WireMessage, out: &mut Vec<u8>) {
                 put_str(out, uri.as_str());
             }
             put_u32(out, h.frequent.len() as u32);
-            for id in &h.frequent {
+            for id in h.frequent.iter() {
                 put_u32(out, id.raw());
             }
             put_u32(out, h.credits.len() as u32);
@@ -598,6 +613,7 @@ fn decode_payload(kind: FrameKind, r: &mut Reader<'_>) -> Result<WireMessage, Fr
                 let q = r.query()?;
                 own_queries.push((q, r.opt_time()?));
             }
+            let own_queries = own_queries.into();
             let n_foreign = r.count(4)?;
             let mut foreign_queries = Vec::with_capacity(n_foreign);
             for _ in 0..n_foreign {
@@ -611,10 +627,12 @@ fn decode_payload(kind: FrameKind, r: &mut Reader<'_>) -> Result<WireMessage, Fr
             for _ in 0..r.count(4)? {
                 rejected.insert(r.uri()?);
             }
-            let mut frequent = BTreeSet::new();
-            for _ in 0..r.count(4)? {
-                frequent.insert(r.node()?);
+            let n_frequent = r.count(4)?;
+            let mut frequent = Vec::with_capacity(n_frequent);
+            for _ in 0..n_frequent {
+                frequent.push(r.node()?);
             }
+            let frequent = ascending(frequent.into());
             let n_credits = r.count(12)?;
             let mut credits = Vec::with_capacity(n_credits);
             for _ in 0..n_credits {
@@ -747,7 +765,8 @@ mod tests {
                         Query::new("abc comedy").unwrap(),
                         Some(SimTime::from_secs(500)),
                     ),
-                ],
+                ]
+                .into(),
                 foreign_queries: vec![Query::new("cbs sports").unwrap()],
                 wanted: [uri("mbt://a"), uri("mbt://b")].into_iter().collect(),
                 rejected: [uri("mbt://fake")].into_iter().collect(),
@@ -933,7 +952,12 @@ mod tests {
                     .map(|s| Uri::new(format!("mbt://w/{s}")).unwrap())
                     .collect(),
                 rejected: BTreeSet::new(),
-                frequent: peers.iter().map(|&i| n(i)).collect(),
+                frequent: peers
+                    .iter()
+                    .map(|&i| n(i))
+                    .collect::<BTreeSet<_>>()
+                    .into_iter()
+                    .collect(),
                 credits: credit_bits
                     .iter()
                     .map(|&(i, c)| (n(i), f64::from(c) * 0.25))

@@ -306,7 +306,7 @@ impl NodeState {
             foreign_queries: Vec::new(),
             wanted: self.assembling.keys().cloned().collect(),
             rejected: BTreeSet::new(),
-            frequent: BTreeSet::new(),
+            frequent: Arc::default(),
             credits: Vec::new(),
         }
     }
@@ -316,8 +316,8 @@ impl NodeState {
     fn serve_hello(&mut self, bus: &LiveBus, peer: NodeId, hello: HelloFrame) {
         let queries: Vec<Query> = hello
             .own_queries
-            .into_iter()
-            .map(|(q, _)| q)
+            .iter()
+            .map(|(q, _)| q.clone())
             .chain(hello.foreign_queries)
             .collect();
         self.interests.insert(peer, (queries, hello.wanted));
@@ -475,7 +475,7 @@ pub fn run_gateway(spec: LiveGatewaySpec, bus: LiveBus) {
         };
         match message {
             WireMessage::Hello(hello) => {
-                for (query, _) in &hello.own_queries {
+                for (query, _) in hello.own_queries.iter() {
                     bus.send(id, from, &results_for(query, GATEWAY_SEARCH_LIMIT));
                 }
                 for uri in &hello.wanted {

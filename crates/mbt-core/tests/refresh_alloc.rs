@@ -4,72 +4,20 @@
 //! plus a multi-megabyte scratch vector per daily refresh on a large server.
 //! The sharded server walks each shard's records in place instead.
 //!
-//! A counting global allocator (counting per thread, so the two tests can
-//! run in parallel) measures the bytes allocated *during* the refresh on a
-//! 10⁵-record server. The old implementation allocated at
-//! least `100_000 × size_of::<Uri>()` (1.6 MB) for the keyspace clone
-//! alone; the rewrite stays within a small fixed budget that only covers
+//! The shared counting global allocator (`tests/support/counting_alloc.rs`;
+//! per thread, so the two tests can run in parallel) measures the bytes
+//! allocated *during* the refresh on a 10⁵-record server. The old
+//! implementation allocated at least `100_000 × size_of::<Uri>()` (1.6 MB)
+//! for the keyspace clone alone; the rewrite stays within a small fixed budget that only covers
 //! the estimator's per-requested-URI scratch — proving URIs are neither
 //! cloned wholesale nor re-interned.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
 use dtn_trace::{NodeId, SimTime};
 use mbt_core::{Metadata, MetadataServer, Popularity, Uri};
 
-struct CountingAllocator;
-
-// Per thread, so each test measures only its own thread while the other
-// builds its server in parallel. `const` initialisers over `Cell<u64>` need
-// no lazy initialisation and no destructor, so touching them from inside
-// the allocator never allocates.
-thread_local! {
-    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
-    static ALLOCATION_COUNT: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Counts one allocation of `bytes` on the calling thread. `try_with`
-/// because the allocator also runs while a thread's TLS is being set up or
-/// torn down, where `with` would panic; those allocations go uncounted.
-fn count(bytes: usize) {
-    let _ = ALLOCATED_BYTES.try_with(|b| b.set(b.get() + bytes as u64));
-    let _ = ALLOCATION_COUNT.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, so
-// `System`'s guarantees are this allocator's; `count` neither allocates nor
-// panics (see above).
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-/// Runs `f` and returns (bytes, allocations) the calling thread performed.
-fn allocation_of<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
-    let bytes_before = ALLOCATED_BYTES.get();
-    let count_before = ALLOCATION_COUNT.get();
-    let out = f();
-    (
-        ALLOCATED_BYTES.get() - bytes_before,
-        ALLOCATION_COUNT.get() - count_before,
-        out,
-    )
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocation_of;
 
 const RECORDS: usize = 100_000;
 const REQUESTED: usize = 8;

@@ -6,6 +6,7 @@
 //! performance metric.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 use dtn_sim::engine::{SimCtx, SimHandler, StreamSimulator};
@@ -360,7 +361,7 @@ fn add_daily(into: &mut Vec<u64>, from: &[u64]) {
 /// collects always-on counters (contacts, hello exchanges, clique
 /// formations, frames, metadata/piece transfers, bytes moved, shard loads,
 /// peak resident contacts) and wall-clock spans for the trace-load,
-/// contact-processing, discovery and download phases. The [`SimResult`] is
+/// contact-processing, discovery, download and day-tick phases. The [`SimResult`] is
 /// byte-identical either way — telemetry is observational only and never
 /// feeds back into the simulation. Counters are a pure function of the
 /// deterministic event stream; only the phase timings vary run to run.
@@ -481,9 +482,9 @@ pub fn run_simulation(
         arena,
         server: MetadataServer::new(internet.len().max(1) as u32),
         stats: DeliveryStats::new(measured),
-        wanted: BTreeMap::new(),
-        delivered_meta: BTreeSet::new(),
-        delivered_file: BTreeSet::new(),
+        published: BTreeMap::new(),
+        next_file_id: 0,
+        wants: BTreeMap::new(),
         meta_delay: DelaySum::default(),
         file_delay: DelaySum::default(),
         daily_meta: vec![0; params.days as usize],
@@ -567,7 +568,10 @@ struct NodeArena {
     /// Publisher registry installed into honest nodes on materialization
     /// (`Some` only when the run verifies metadata).
     registry: Option<KeyRegistry>,
-    freq_map: BTreeMap<NodeId, Vec<NodeId>>,
+    /// Each node's frequent contacts (ascending; nodes with none are
+    /// absent): one allocation per node, shared with its resident
+    /// [`MbtNode`] and every hello it sends.
+    freq_map: BTreeMap<NodeId, Arc<[NodeId]>>,
     /// Node index → arena slot, or [`DORMANT`].
     slot_of: Vec<u32>,
     /// The resident nodes, dense; order is materialization order with
@@ -599,7 +603,11 @@ impl NodeArena {
             internet,
             polluters,
             registry,
-            freq_map,
+            freq_map: freq_map
+                .into_iter()
+                .filter(|(_, peers)| !peers.is_empty())
+                .map(|(id, peers)| (id, peers.into()))
+                .collect(),
             slot_of: vec![DORMANT; id_space],
             nodes: Vec::new(),
             pending: ResidueStore::new(id_space),
@@ -639,7 +647,7 @@ impl NodeArena {
         let mut node = MbtNode::new(id, self.protocol, self.config.clone());
         node.set_internet_access(self.internet.contains(&id));
         if let Some(freq) = self.freq_map.get(&id) {
-            node.set_frequent_contacts(freq.iter().copied());
+            node.set_frequent_contacts(Arc::clone(freq));
         }
         if let Some(registry) = &self.registry {
             if !self.polluters.contains(&id) {
@@ -682,7 +690,7 @@ impl NodeArena {
         while slot < self.nodes.len() {
             self.nodes[slot].prune(now);
             let id = self.nodes[slot].id();
-            if self.internet.contains(&id) {
+            if self.nodes[slot].is_internet_access() {
                 slot += 1;
                 continue;
             }
@@ -748,14 +756,34 @@ impl DelaySum {
     }
 }
 
+/// A published file as the delivery books see it. Every query for it is
+/// drawn at the publish instant and expires with the file.
+struct Published {
+    /// Dense id in publish order (so ids and expiries grow together).
+    id: u32,
+    asked_at: SimTime,
+    expires: SimTime,
+}
+
+/// What of a wanted file has reached the wanting node.
+#[derive(Default)]
+struct Delivered {
+    metadata: bool,
+    file: bool,
+}
+
 struct Harness<'a> {
     arena: NodeArena,
     server: MetadataServer,
     stats: DeliveryStats,
-    /// (node, uri) → (expiry, query time); present while the node wants it.
-    wanted: BTreeMap<(NodeId, Uri), (Option<SimTime>, SimTime)>,
-    delivered_meta: BTreeSet<(NodeId, Uri)>,
-    delivered_file: BTreeSet<(NodeId, Uri)>,
+    /// The delivery books' file table: every live published file. Node
+    /// events name a file by URI; this is the one place that string is
+    /// looked up.
+    published: BTreeMap<Uri, Published>,
+    next_file_id: u32,
+    /// (file id, node) → what has reached the node; present while the node
+    /// wants the file. File-major, so a day's expired files are a prefix.
+    wants: BTreeMap<(u32, NodeId), Delivered>,
     meta_delay: DelaySum,
     file_delay: DelaySum,
     daily_meta: Vec<u64>,
@@ -794,43 +822,37 @@ impl Harness<'_> {
                 .is_none_or(|&(start, end)| now < start || now >= end)
     }
 
-    fn record_meta(&mut self, node: NodeId, uri: &Uri, now: SimTime) {
-        let key = (node, uri.clone());
-        let Some(&(expires, asked_at)) = self.wanted.get(&key) else {
+    /// Books the arrival of `uri`'s metadata (or, with `file`, the complete
+    /// file) at `node` — once, and only while the node's query for it lives.
+    fn record_delivery(&mut self, node: NodeId, uri: &Uri, now: SimTime, file: bool) {
+        let Some(published) = self.published.get(uri) else {
             return;
         };
-        if expires.is_some_and(|e| now >= e) {
-            return;
-        }
-        if self.delivered_meta.insert(key) {
-            self.stats.record_metadata_delivery(node, now);
-            self.meta_delay.push_secs(
-                now.checked_duration_since(asked_at)
-                    .map_or(0, |d| d.as_secs()),
-            );
-            if let Some(slot) = self.daily_meta.get_mut(now.day() as usize) {
-                *slot += 1;
-            }
-        }
-    }
-
-    fn record_file(&mut self, node: NodeId, uri: &Uri, now: SimTime) {
-        let key = (node, uri.clone());
-        let Some(&(expires, asked_at)) = self.wanted.get(&key) else {
+        let Some(got) = self.wants.get_mut(&(published.id, node)) else {
             return;
         };
-        if expires.is_some_and(|e| now >= e) {
+        let seen = if file {
+            &mut got.file
+        } else {
+            &mut got.metadata
+        };
+        if now >= published.expires || std::mem::replace(seen, true) {
             return;
         }
-        if self.delivered_file.insert(key) {
+        let delay = now
+            .checked_duration_since(published.asked_at)
+            .map_or(0, |d| d.as_secs());
+        let daily = if file {
             self.stats.record_file_delivery(node, now);
-            self.file_delay.push_secs(
-                now.checked_duration_since(asked_at)
-                    .map_or(0, |d| d.as_secs()),
-            );
-            if let Some(slot) = self.daily_file.get_mut(now.day() as usize) {
-                *slot += 1;
-            }
+            self.file_delay.push_secs(delay);
+            &mut self.daily_file
+        } else {
+            self.stats.record_metadata_delivery(node, now);
+            self.meta_delay.push_secs(delay);
+            &mut self.daily_meta
+        };
+        if let Some(slot) = daily.get_mut(now.day() as usize) {
+            *slot += 1;
         }
     }
 
@@ -839,42 +861,50 @@ impl Harness<'_> {
         let id = self.arena.nodes[idx].id();
         for event in self.arena.nodes[idx].drain_events() {
             match event {
-                NodeEvent::MetadataStored { uri, .. } => self.record_meta(id, &uri, now),
-                NodeEvent::FileCompleted { uri, .. } => self.record_file(id, &uri, now),
+                NodeEvent::MetadataStored { uri, .. } => self.record_delivery(id, &uri, now, false),
+                NodeEvent::FileCompleted { uri, .. } => self.record_delivery(id, &uri, now, true),
             }
         }
     }
 }
 
-impl SimHandler for Harness<'_> {
-    fn on_scheduled(&mut self, ctx: &mut SimCtx<'_>, day: u64) {
-        let now = ctx.now();
-        // Day boundary: decay the arena before today's workload. Eviction
-        // is observationally a no-op (see [`NodeArena`]); it only keeps the
+impl Harness<'_> {
+    /// The scheduled day boundary: decay, publish, draw, seed, sync.
+    fn day_tick(&mut self, now: SimTime, day: u64) {
+        // Decay the arena before today's workload. Eviction is
+        // observationally a no-op (see [`NodeArena`]); it only keeps the
         // resident population tracking the nodes that hold state.
         self.arena.evict_cold(now);
         self.arena.prune_pending(now);
         self.server.expire(now);
-        // Expired queries can never be satisfied again (`record_meta`/
-        // `record_file` early-return on them), so their accounting entries
-        // — and the delivery dedup keys that pointed at them — are dead
-        // weight; dropping them keeps the books bounded by *live* queries.
-        self.wanted
-            .retain(|_, &mut (expires, _)| expires.is_none_or(|e| now < e));
-        let wanted = &self.wanted;
-        self.delivered_meta.retain(|key| wanted.contains_key(key));
-        self.delivered_file.retain(|key| wanted.contains_key(key));
+        // Expired queries can never be satisfied again (`record_delivery`
+        // returns early on them), so their rows are dead weight; dropping
+        // them keeps the books bounded by *live* queries. Ids grow with
+        // expiries, so everything below the first live file goes at once.
+        self.published.retain(|_, file| now < file.expires);
+        let first_live = self.published.values().map(|file| file.id).min();
+        self.wants = self
+            .wants
+            .split_off(&(first_live.unwrap_or(self.next_file_id), NodeId::new(0)));
 
         // Publish today's files.
         let batch = workload::generate_batch(&self.workload, day, &mut self.workload_rng);
+        let expires = batch.at + self.workload.ttl();
+        let first_id = self.next_file_id;
         for f in &batch.files {
             self.server.publish(f.metadata.clone(), f.popularity);
+            let row = Published {
+                id: self.next_file_id,
+                asked_at: now,
+                expires,
+            };
+            self.published.insert(f.uri.clone(), row);
+            self.next_file_id += 1;
         }
 
         // Every present, alive node draws its queries for the new files.
         // (The RNG is advanced for dead nodes too, so churn does not perturb
         // the workload of survivors.)
-        let expires = Some(batch.at + self.workload.ttl());
         let ids: Vec<NodeId> = self.present.iter().copied().collect();
         for id in ids {
             let picks = workload::draw_queries(&batch, id, &mut self.workload_rng);
@@ -882,20 +912,26 @@ impl SimHandler for Harness<'_> {
                 continue;
             }
             for (file_idx, query) in picks {
-                let uri = batch.files[file_idx].uri.clone();
                 // Dormant nodes just buffer the query — materializing here
                 // would pull the whole population resident on day one.
-                self.arena.add_query(id, query, expires);
+                self.arena.add_query(id, query, Some(expires));
                 if self.stats.measures(id) {
                     self.stats.record_query(id, now);
-                    self.wanted.insert((id, uri.clone()), (expires, now));
+                    self.wants
+                        .entry((first_id + file_idx as u32, id))
+                        .or_default();
                     // Pushed metadata / files may already satisfy the query
                     // (a dormant node holds neither).
-                    if self.arena.get(id).is_some_and(|n| n.has_metadata(&uri)) {
-                        self.record_meta(id, &uri, now);
+                    let uri = &batch.files[file_idx].uri;
+                    let (metadata, file) = self
+                        .arena
+                        .get(id)
+                        .map_or((false, false), |n| (n.has_metadata(uri), n.has_file(uri)));
+                    if metadata {
+                        self.record_delivery(id, uri, now, false);
                     }
-                    if self.arena.get(id).is_some_and(|n| n.has_file(&uri)) {
-                        self.record_file(id, &uri, now);
+                    if file {
+                        self.record_delivery(id, uri, now, true);
                     }
                 }
             }
@@ -934,6 +970,16 @@ impl SimHandler for Harness<'_> {
                 self.arena.nodes[slot].internet_session(&mut self.server, now);
                 self.drain_node_events(slot, now);
             }
+        }
+    }
+}
+
+impl SimHandler for Harness<'_> {
+    fn on_scheduled(&mut self, ctx: &mut SimCtx<'_>, day: u64) {
+        let started = self.telemetry.is_some().then(Instant::now);
+        self.day_tick(ctx.now(), day);
+        if let (Some(tel), Some(started)) = (self.telemetry.as_deref_mut(), started) {
+            tel.phases.add(Phase::DayTick, started.elapsed());
         }
     }
 

@@ -8,7 +8,10 @@
 //! directly as well, and the telemetry counters the three sweeps accumulate
 //! are pinned exactly (`quick_counters.txt`): they are a pure function of the
 //! event stream, so any drift there is a behaviour change even when the
-//! figures happen not to move.
+//! figures happen not to move. That sweep is dense (30 nodes, catalogs never
+//! empty); `sparse_counters.txt` pins the opposite regime — a 2 000-bus city
+//! where almost every contact moves nothing — result fields and counters,
+//! under the triad and under the faulted bus.
 //!
 //! To update the fixtures after an *intentional* change:
 //!
@@ -18,11 +21,15 @@
 //!
 //! and commit the resulting `tests/fixtures/*` alongside the change.
 
-use mbt_core::ProtocolKind;
+use dtn_sim::{FaultPlan, Telemetry};
+use mbt_core::{ProtocolKind, ProtocolSpec, TransportKind};
 use mbt_experiments::figures::{fault_sweep, fig2a, fig3a, RunContext};
 use mbt_experiments::report::figure_csv;
 use mbt_experiments::sweep::Figure;
-use mbt_experiments::{ExecConfig, Scale};
+use mbt_experiments::{run_simulation, ExecConfig, Scale, SimParams};
+
+#[path = "support/sparse.rs"]
+mod sparse;
 
 fn fixture_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -190,4 +197,34 @@ fn quick_sweep_counters_match_golden() {
         .map(|(name, value)| format!("{name} {value}\n"))
         .collect();
     assert_text_matches_golden(&counters, "quick-sweep counters", "quick_counters.txt");
+}
+
+#[test]
+fn sparse_regime_results_and_counters_match_golden() {
+    let trace = sparse::trace();
+    // MBT again with every message framed through the bus under an active
+    // loss / truncation / corruption plan.
+    let bus_faulted = SimParams {
+        transport: TransportKind::Bus,
+        faults: FaultPlan::none()
+            .loss(0.1)
+            .truncate(0.1)
+            .corruption(0.05)
+            .seed(7),
+        ..sparse::params(ProtocolSpec::MBT)
+    };
+    let cells = ProtocolSpec::TRIAD
+        .map(|spec| (spec.name().to_string(), sparse::params(spec)))
+        .into_iter()
+        .chain([("MBT bus faulted".to_string(), bus_faulted)]);
+    let mut text = String::new();
+    for (label, params) in cells {
+        let mut telemetry = Telemetry::default();
+        let result = run_simulation(&trace, &params, Some(&mut telemetry));
+        text += &format!("# {label}\n{result:#?}\n");
+        for (name, value) in telemetry.counters.entries() {
+            text += &format!("{name} {value}\n");
+        }
+    }
+    assert_text_matches_golden(&text, "sparse-regime results", "sparse_counters.txt");
 }
