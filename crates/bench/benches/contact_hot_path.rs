@@ -6,7 +6,7 @@
 //! {64, 512, 4096} stored records × {2, 8} members — entirely
 //! single-threaded, so the measured speedup reflects the matching pipeline
 //! itself (cached token sets, index-backed lookups, interned URIs) rather
-//! than core count, unlike `sweep_throughput`.
+//! than core count.
 //!
 //! Each iteration clones the prepared clique before running the contact;
 //! snapshot cloning is part of the hot path being measured (the per-contact

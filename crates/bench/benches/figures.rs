@@ -3,7 +3,7 @@
 //! experiment: Fig 2(a)–(e), Fig 3(a)–(f), and the §V capacity analysis.
 //!
 //! The full-scale series behind `EXPERIMENTS.md` come from
-//! `cargo run -p mbt-experiments --bin all_experiments --release`.
+//! `mbt experiment all`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mbt_experiments::capacity::capacity_table;

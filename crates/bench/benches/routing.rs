@@ -7,7 +7,7 @@ use dtn_routing::sim::{uniform_messages, RoutingSim};
 use dtn_trace::generators::DieselNetConfig;
 use dtn_trace::{SimDuration, SimTime};
 use mbt_experiments::routing::dissemination_bound;
-use mbt_experiments::Scale;
+use mbt_experiments::{RunContext, Scale};
 use std::hint::black_box;
 
 fn bench_protocols(c: &mut Criterion) {
@@ -48,7 +48,7 @@ fn bench_dissemination_bound(c: &mut Criterion) {
     let mut group = c.benchmark_group("dissemination_bound");
     group.sample_size(10);
     group.bench_function("oracle_bound_quick", |b| {
-        b.iter(|| black_box(dissemination_bound(Scale::Quick)));
+        b.iter(|| black_box(dissemination_bound(&mut RunContext::new(Scale::Quick))));
     });
     group.finish();
 }

@@ -1,39 +1,11 @@
-//! Substrate benchmarks: clique detection, event queue, trace generation,
-//! space-time reachability.
+//! Substrate benchmarks: event queue, trace generation, space-time
+//! reachability.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dtn_sim::{Event, EventQueue, NeighborGraph};
+use criterion::{criterion_group, criterion_main, Criterion};
+use dtn_sim::{Event, EventQueue};
 use dtn_trace::generators::{DieselNetConfig, NusConfig};
 use dtn_trace::{NodeId, SimTime, SpaceTimeGraph, TraceStats};
 use std::hint::black_box;
-
-fn bench_clique_detection(c: &mut Criterion) {
-    let mut group = c.benchmark_group("clique_detection");
-    for &n in &[8usize, 16, 24] {
-        // A dense-ish graph: ring + chords, where maximal cliques are small.
-        let mut g = NeighborGraph::new();
-        for i in 0..n as u32 {
-            let next = (i + 1) % n as u32;
-            let chord = (i + 2) % n as u32;
-            g.connect(NodeId::new(i), NodeId::new(next));
-            g.connect(NodeId::new(i), NodeId::new(chord));
-        }
-        group.bench_with_input(BenchmarkId::new("ring_with_chords", n), &g, |b, g| {
-            b.iter(|| black_box(g.maximal_cliques()));
-        });
-        // Complete graph: single big clique (the classroom case).
-        let mut k = NeighborGraph::new();
-        for i in 0..n as u32 {
-            for j in (i + 1)..n as u32 {
-                k.connect(NodeId::new(i), NodeId::new(j));
-            }
-        }
-        group.bench_with_input(BenchmarkId::new("complete", n), &k, |b, k| {
-            b.iter(|| black_box(k.maximal_cliques()));
-        });
-    }
-    group.finish();
-}
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_push_pop_10k", |b| {
@@ -86,7 +58,6 @@ fn bench_space_time(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_clique_detection,
     bench_event_queue,
     bench_trace_generation,
     bench_trace_stats,

@@ -17,7 +17,8 @@
 //! - [`protocols::SprayAndWait`] — bounded-copy spraying (binary variant).
 //!
 //! [`sim::RoutingSim`] drives any of them over a
-//! [`dtn_trace::ContactTrace`] and reports delivery ratio, delay, and
+//! [`dtn_trace::TraceSource`] (an in-memory trace or a shard directory) on
+//! [`dtn_sim::StreamSimulator`] and reports delivery ratio, delay, and
 //! transmission overhead.
 //!
 //! # Example

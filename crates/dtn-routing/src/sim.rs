@@ -1,8 +1,10 @@
-//! Routing simulation over a contact trace.
+//! Routing simulation over a contact trace, hosted on `dtn_sim`'s engine.
 
 use std::collections::BTreeMap;
+use std::iter::Peekable;
 
-use dtn_trace::{ContactTrace, NodeId, SimDuration, SimTime};
+use dtn_sim::{SimCtx, SimHandler, StreamSimulator};
+use dtn_trace::{Contact, NodeId, SimDuration, SimTime, TraceSource};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -32,14 +34,15 @@ pub struct RoutingReport {
     pub overhead: Option<f64>,
 }
 
-/// Drives a [`RoutingProtocol`] over a [`ContactTrace`].
+/// Drives a [`RoutingProtocol`] over any [`TraceSource`] on the shared
+/// [`StreamSimulator`] engine.
 ///
 /// Clique contacts are decomposed into their node pairs (in deterministic
 /// order); messages are injected at their creation times; expired messages
 /// are pruned from buffers as the clock advances.
 #[derive(Debug)]
 pub struct RoutingSim<'a, P> {
-    trace: &'a ContactTrace,
+    trace: &'a dyn TraceSource,
     protocol: P,
     buffer_capacity: Option<usize>,
     drop_policy: DropPolicy,
@@ -49,7 +52,7 @@ pub struct RoutingSim<'a, P> {
 impl<'a, P: RoutingProtocol> RoutingSim<'a, P> {
     /// Creates a simulation of `protocol` over `trace` with unbounded
     /// buffers and unbounded per-contact transfers.
-    pub fn new(trace: &'a ContactTrace, protocol: P) -> Self {
+    pub fn new(trace: &'a dyn TraceSource, protocol: P) -> Self {
         RoutingSim {
             trace,
             protocol,
@@ -79,85 +82,59 @@ impl<'a, P: RoutingProtocol> RoutingSim<'a, P> {
     }
 
     /// Runs the simulation with the given messages; returns the report.
-    pub fn run(mut self, mut messages: Vec<Message>) -> RoutingReport {
+    pub fn run(self, mut messages: Vec<Message>) -> RoutingReport {
         messages.sort_by_key(|m| (m.created(), m.id()));
-        let id_space = self.trace.id_space();
         let mk_buffer = || match self.buffer_capacity {
             Some(cap) => Buffer::new(cap, self.drop_policy),
             None => Buffer::unbounded(),
         };
-        let mut buffers: Vec<Buffer> = (0..id_space).map(|_| mk_buffer()).collect();
-        let mut delivered_at: BTreeMap<MessageId, SimTime> = BTreeMap::new();
-        let mut created_time: BTreeMap<MessageId, SimTime> = BTreeMap::new();
-        let mut transmissions = 0u64;
-        let initial_tokens = self.protocol.initial_tokens();
+        let mut run = Run {
+            buffers: (0..self.trace.id_space()).map(|_| mk_buffer()).collect(),
+            protocol: self.protocol,
+            transfer_limit: self.transfers_per_contact.unwrap_or(usize::MAX),
+            pending: messages.into_iter().peekable(),
+            created_time: BTreeMap::new(),
+            delivered_at: BTreeMap::new(),
+            transmissions: 0,
+        };
+        StreamSimulator::new(self.trace.stream()).run(&mut run);
+        run.report()
+    }
+}
 
-        let mut pending = messages.into_iter().peekable();
-        let inject =
-            |buffers: &mut Vec<Buffer>,
-             created_time: &mut BTreeMap<MessageId, SimTime>,
-             delivered_at: &mut BTreeMap<MessageId, SimTime>,
-             now: SimTime,
-             pending: &mut std::iter::Peekable<std::vec::IntoIter<Message>>| {
-                while pending.peek().is_some_and(|m| m.created() <= now) {
-                    let m = pending.next().expect("peeked");
-                    created_time.insert(m.id(), m.created());
-                    if m.src() == m.dst() {
-                        delivered_at.insert(m.id(), m.created());
-                        continue;
-                    }
-                    if m.src().index() < buffers.len() {
-                        buffers[m.src().index()].insert(m.clone(), initial_tokens);
-                    }
-                }
-            };
+/// The state of one run: the [`SimHandler`] the engine drives.
+struct Run<P> {
+    protocol: P,
+    transfer_limit: usize,
+    buffers: Vec<Buffer>,
+    pending: Peekable<std::vec::IntoIter<Message>>,
+    created_time: BTreeMap<MessageId, SimTime>,
+    delivered_at: BTreeMap<MessageId, SimTime>,
+    transmissions: u64,
+}
 
-        for contact in self.trace.iter() {
-            let now = contact.start();
-            inject(
-                &mut buffers,
-                &mut created_time,
-                &mut delivered_at,
-                now,
-                &mut pending,
-            );
-            for pair in contact.pairs() {
-                let (a, b) = pair;
-                if a.index() >= buffers.len() || b.index() >= buffers.len() {
-                    continue;
-                }
-                buffers[a.index()].prune_expired(now);
-                buffers[b.index()].prune_expired(now);
-                let actions = {
-                    let view = ContactView {
-                        a: &buffers[a.index()],
-                        b: &buffers[b.index()],
-                    };
-                    self.protocol.on_contact(a, b, &view, now)
-                };
-                let limit = self.transfers_per_contact.unwrap_or(usize::MAX);
-                for action in actions.into_iter().take(limit) {
-                    transmissions +=
-                        apply_action(&mut buffers, a, b, action, now, &mut delivered_at);
-                }
+impl<P: RoutingProtocol> Run<P> {
+    /// Injects every pending message created at or before `now`.
+    fn inject(&mut self, now: SimTime) {
+        let tokens = self.protocol.initial_tokens();
+        while let Some(m) = self.pending.next_if(|m| m.created() <= now) {
+            self.created_time.insert(m.id(), m.created());
+            if m.src() == m.dst() {
+                self.delivered_at.insert(m.id(), m.created());
+            } else if let Some(buffer) = self.buffers.get_mut(m.src().index()) {
+                buffer.insert(m, tokens);
             }
         }
-        // Messages created after the last contact still count as created.
-        let horizon = self.trace.end_time().unwrap_or(SimTime::ZERO);
-        inject(
-            &mut buffers,
-            &mut created_time,
-            &mut delivered_at,
-            horizon.saturating_add(SimDuration::from_days(10_000)),
-            &mut pending,
-        );
+    }
 
-        let created = created_time.len() as u64;
-        let delivered = delivered_at.len() as u64;
-        let mut delays: dtn_sim::histogram::DelayHistogram = delivered_at
+    fn report(self) -> RoutingReport {
+        let created = self.created_time.len() as u64;
+        let delivered = self.delivered_at.len() as u64;
+        let mut delays: dtn_sim::histogram::DelayHistogram = self
+            .delivered_at
             .iter()
             .filter_map(|(id, &at)| {
-                created_time
+                self.created_time
                     .get(id)
                     .and_then(|&c| at.checked_duration_since(c))
             })
@@ -173,13 +150,43 @@ impl<'a, P: RoutingProtocol> RoutingSim<'a, P> {
             },
             mean_delay_secs: delays.mean_secs(),
             median_delay_secs: delays.median().map(|d| d.as_secs() as f64),
-            transmissions,
+            transmissions: self.transmissions,
             overhead: if delivered == 0 {
                 None
             } else {
-                Some(transmissions as f64 / delivered as f64)
+                Some(self.transmissions as f64 / delivered as f64)
             },
         }
+    }
+}
+
+impl<P: RoutingProtocol> SimHandler for Run<P> {
+    fn on_contact_start(&mut self, ctx: &mut SimCtx<'_>, contact: &Contact) {
+        let now = ctx.now();
+        self.inject(now);
+        for (a, b) in contact.pairs() {
+            if a.index() >= self.buffers.len() || b.index() >= self.buffers.len() {
+                continue;
+            }
+            self.buffers[a.index()].prune_expired(now);
+            self.buffers[b.index()].prune_expired(now);
+            let actions = {
+                let view = ContactView {
+                    a: &self.buffers[a.index()],
+                    b: &self.buffers[b.index()],
+                };
+                self.protocol.on_contact(a, b, &view, now)
+            };
+            for action in actions.into_iter().take(self.transfer_limit) {
+                self.transmissions +=
+                    apply_action(&mut self.buffers, a, b, action, now, &mut self.delivered_at);
+            }
+        }
+    }
+
+    /// Messages created after the last contact still count as created.
+    fn on_finish(&mut self, now: SimTime) {
+        self.inject(now.saturating_add(SimDuration::from_days(10_000)));
     }
 }
 
@@ -259,7 +266,7 @@ pub fn uniform_messages<R: Rng>(
 mod tests {
     use super::*;
     use crate::protocols::{DirectDelivery, Epidemic, Prophet, SprayAndWait};
-    use dtn_trace::Contact;
+    use dtn_trace::ContactTrace;
 
     fn pc(a: u32, b: u32, start: u64, end: u64) -> Contact {
         Contact::pairwise(

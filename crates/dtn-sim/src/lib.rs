@@ -3,14 +3,13 @@
 //! This crate provides the machinery the MBT protocols run on:
 //!
 //! - a deterministic discrete-event [`engine`] that drives a handler over a
-//!   [`dtn_trace::ContactTrace`] interleaved with user-scheduled events,
-//! - [`clique`] detection (Bron–Kerbosch maximal cliques over a neighbor
-//!   graph built from hello messages) as required by the paper's
-//!   broadcast-based file download (§V),
+//!   stream of contacts (any [`dtn_trace::TraceSource`]) interleaved with
+//!   user-scheduled events — the one engine under both the MBT runner and
+//!   the `dtn-routing` baselines,
 //! - the [`channel`] capacity models contrasting broadcast and pair-wise
 //!   transmission, plus per-contact transfer budgets,
-//! - [`hello`]-message bookkeeping (§III-B),
-//! - delivery-ratio [`metrics`] and deterministic [`rng`] utilities,
+//! - delivery-ratio [`metrics`], delay [`histogram`]s and deterministic
+//!   [`rng`] utilities,
 //! - deterministic fault injection ([`faults`]) for robustness experiments,
 //!   and
 //! - always-on observability counters and phase spans ([`telemetry`]) that
@@ -45,21 +44,17 @@
 #![warn(missing_debug_implementations)]
 
 pub mod channel;
-pub mod clique;
 pub mod engine;
 pub mod event;
 pub mod faults;
-pub mod hello;
 pub mod histogram;
 pub mod metrics;
 pub mod rng;
 pub mod telemetry;
 
 pub use channel::{broadcast_per_node_capacity, pairwise_per_node_capacity, ContactBudget};
-pub use clique::NeighborGraph;
 pub use engine::{SimCtx, SimHandler, StreamSimulator};
 pub use event::{Event, EventQueue};
 pub use faults::{FaultKind, FaultPlan};
-pub use hello::{HelloBeacon, NeighborTable};
 pub use metrics::DeliveryStats;
 pub use telemetry::{Counters, Phase, PhaseTimes, Telemetry};

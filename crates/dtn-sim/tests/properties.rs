@@ -4,12 +4,8 @@ use proptest::prelude::*;
 
 use dtn_sim::channel::{broadcast_per_node_capacity, pairwise_per_node_capacity, ContactBudget};
 use dtn_sim::rng::cyclic_order;
-use dtn_sim::{Event, EventQueue, NeighborGraph};
+use dtn_sim::{Event, EventQueue};
 use dtn_trace::{NodeId, SimTime};
-
-fn arb_edges() -> impl Strategy<Value = Vec<(u32, u32)>> {
-    proptest::collection::vec((0u32..20, 0u32..20), 0..60)
-}
 
 proptest! {
     #[test]
@@ -54,49 +50,6 @@ proptest! {
     }
 
     #[test]
-    fn maximal_cliques_are_cliques_and_maximal(edges in arb_edges()) {
-        let g: NeighborGraph = edges
-            .into_iter()
-            .filter(|(a, b)| a != b)
-            .map(|(a, b)| (NodeId::new(a), NodeId::new(b)))
-            .collect();
-        let cliques = g.maximal_cliques();
-        let nodes = g.nodes();
-        for clique in &cliques {
-            // Every pair inside is connected.
-            for (i, &a) in clique.iter().enumerate() {
-                for &b in &clique[i + 1..] {
-                    prop_assert!(g.connected(a, b), "clique not complete: {a} {b}");
-                }
-            }
-            // No outside vertex extends it.
-            for &v in &nodes {
-                if clique.contains(&v) {
-                    continue;
-                }
-                let extends = clique.iter().all(|&c| g.connected(v, c));
-                prop_assert!(!extends, "clique not maximal: {v} extends {clique:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn every_edge_is_covered_by_some_clique(edges in arb_edges()) {
-        let g: NeighborGraph = edges
-            .into_iter()
-            .filter(|(a, b)| a != b)
-            .map(|(a, b)| (NodeId::new(a), NodeId::new(b)))
-            .collect();
-        let cliques = g.maximal_cliques();
-        for &a in &g.nodes() {
-            for b in g.neighbors(a) {
-                let covered = cliques.iter().any(|c| c.contains(&a) && c.contains(&b));
-                prop_assert!(covered, "edge ({a},{b}) not in any maximal clique");
-            }
-        }
-    }
-
-    #[test]
     fn cyclic_order_is_permutation_and_member_order_free(
         ids in proptest::collection::btree_set(0u32..1_000, 0..30)
     ) {
@@ -138,33 +91,5 @@ proptest! {
         budget.reset();
         prop_assert_eq!(budget.metadata_left(), meta);
         prop_assert_eq!(budget.files_left(), files);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn neighbor_table_graph_edges_only_among_live(
-        beacons in proptest::collection::vec((1u32..15, proptest::collection::vec(0u32..15, 0..5), 0u64..100), 0..30),
-        at in 0u64..120
-    ) {
-        use dtn_sim::{HelloBeacon, NeighborTable};
-        let me = NodeId::new(0);
-        let mut table = NeighborTable::new(me);
-        for (sender, heard, t) in &beacons {
-            let beacon = HelloBeacon::new(
-                NodeId::new(*sender),
-                heard.iter().copied().map(NodeId::new).collect(),
-                (),
-            );
-            table.record(&beacon, SimTime::from_secs(*t));
-        }
-        let now = SimTime::from_secs(at);
-        let live = table.neighbors(now);
-        let g = table.local_graph(now);
-        for n in g.nodes() {
-            prop_assert!(n == me || live.contains(&n), "dead node {n} in local graph");
-        }
     }
 }

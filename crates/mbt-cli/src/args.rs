@@ -1,19 +1,24 @@
-//! A small, dependency-free argument parser: positional arguments plus
-//! `--key value` and `--flag` options.
+//! A small, dependency-free, *strict* argument parser: positional
+//! arguments plus `--key value` and `--flag` options, checked against the
+//! [`Command`] row they are parsed for. Anything the row does not declare
+//! is an [`ArgError`], never a silent default.
 
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
+use crate::Command;
+
 /// Parsed arguments: positionals in order, options by name.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Args {
+    command: &'static Command,
     positional: Vec<String>,
     options: BTreeMap<String, String>,
     flags: Vec<String>,
 }
 
-/// Error produced when an argument is missing or malformed.
+/// Error produced when an argument is missing, malformed or not accepted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgError {
     /// A required positional argument was not supplied.
@@ -31,6 +36,12 @@ pub enum ArgError {
     },
     /// `--option` appeared with no following value.
     DanglingOption(String),
+    /// `--option` is not one the command accepts.
+    UnknownOption(String),
+    /// `--option` appeared more than once.
+    RepeatedOption(String),
+    /// A positional argument beyond those the command accepts.
+    SurplusPositional(String),
 }
 
 impl fmt::Display for ArgError {
@@ -44,51 +55,63 @@ impl fmt::Display for ArgError {
                 expected,
             } => write!(f, "--{option} expects {expected}, got `{value}`"),
             ArgError::DanglingOption(name) => write!(f, "--{name} needs a value"),
+            ArgError::UnknownOption(name) => write!(f, "unknown option `--{name}`"),
+            ArgError::RepeatedOption(name) => write!(f, "`--{name}` given more than once"),
+            ArgError::SurplusPositional(tok) => write!(f, "unexpected argument `{tok}`"),
         }
     }
 }
 
 impl Error for ArgError {}
 
-/// Option names that are flags (take no value).
-const FLAGS: &[&str] = &[
-    "tft",
-    "rarest-first",
-    "quick",
-    "help",
-    "weekends",
-    "verify",
-    "server",
-    "city",
-    "csv",
-    "delay-csv",
-];
-
 impl Args {
-    /// Parses raw arguments (without the program/subcommand names).
+    /// Parses raw arguments (without the program/subcommand names) against
+    /// what `command` declares. `--help` is accepted by every command.
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError::DanglingOption`] if a value-taking option ends
-    /// the argument list.
-    pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Self, ArgError> {
-        let mut args = Args::default();
-        let mut iter = raw.into_iter().peekable();
+    /// An option or flag the command does not declare, one given twice, a
+    /// value-taking option that ends the argument list, or more positionals
+    /// than the command takes.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        command: &'static Command,
+        raw: I,
+    ) -> Result<Self, ArgError> {
+        let mut args = Args {
+            command,
+            positional: Vec::new(),
+            options: BTreeMap::new(),
+            flags: Vec::new(),
+        };
+        let mut iter = raw.into_iter();
         while let Some(tok) = iter.next() {
-            if let Some(name) = tok.strip_prefix("--") {
-                if FLAGS.contains(&name) {
-                    args.flags.push(name.to_string());
-                } else {
-                    let value = iter
-                        .next()
-                        .ok_or_else(|| ArgError::DanglingOption(name.to_string()))?;
-                    args.options.insert(name.to_string(), value);
+            let Some(name) = tok.strip_prefix("--") else {
+                if args.positional.len() == command.positionals {
+                    return Err(ArgError::SurplusPositional(tok));
                 }
-            } else {
                 args.positional.push(tok);
+                continue;
+            };
+            if args.flags.iter().any(|f| f == name) || args.options.contains_key(name) {
+                return Err(ArgError::RepeatedOption(name.to_string()));
+            }
+            if name == "help" || command.flags.contains(&name) {
+                args.flags.push(name.to_string());
+            } else if command.options.contains(&name) {
+                let value = iter
+                    .next()
+                    .ok_or_else(|| ArgError::DanglingOption(name.to_string()))?;
+                args.options.insert(name.to_string(), value);
+            } else {
+                return Err(ArgError::UnknownOption(name.to_string()));
             }
         }
         Ok(args)
+    }
+
+    /// Every positional argument, in order.
+    pub fn positionals(&self) -> &[String] {
+        &self.positional
     }
 
     /// The `i`-th positional argument.
@@ -101,12 +124,38 @@ impl Args {
 
     /// An optional string option.
     pub fn opt_str(&self, name: &str) -> Option<&str> {
+        debug_assert!(
+            self.command.options.contains(&name),
+            "`{}` reads --{name} but does not declare it",
+            self.command.name
+        );
         self.options.get(name).map(String::as_str)
     }
 
     /// A string option with a default.
     pub fn str_or<'a>(&'a self, name: &str, default: &'a str) -> &'a str {
         self.opt_str(name).unwrap_or(default)
+    }
+
+    /// A parsed option, `None` when it was not given.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::BadValue`] if the supplied value fails to parse.
+    pub fn parse_opt<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        expected: &'static str,
+    ) -> Result<Option<T>, ArgError> {
+        self.opt_str(name)
+            .map(|v| {
+                v.parse().map_err(|_| ArgError::BadValue {
+                    option: name.to_string(),
+                    value: v.to_string(),
+                    expected,
+                })
+            })
+            .transpose()
     }
 
     /// A parsed option with a default.
@@ -120,18 +169,16 @@ impl Args {
         default: T,
         expected: &'static str,
     ) -> Result<T, ArgError> {
-        match self.options.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::BadValue {
-                option: name.to_string(),
-                value: v.clone(),
-                expected,
-            }),
-        }
+        Ok(self.parse_opt(name, expected)?.unwrap_or(default))
     }
 
     /// True if the flag was given.
     pub fn flag(&self, name: &str) -> bool {
+        debug_assert!(
+            name == "help" || self.command.flags.contains(&name),
+            "`{}` reads --{name} but does not declare it",
+            self.command.name
+        );
         self.flags.iter().any(|f| f == name)
     }
 }
@@ -139,9 +186,27 @@ impl Args {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CliError;
+
+    fn unreachable_run(_: &Args) -> Result<String, CliError> {
+        unreachable!("parser tests never dispatch")
+    }
+
+    static DEMO: Command = Command {
+        name: "demo",
+        usage: "mbt demo <trace> [--seed N] [--model M] [--days N] [--tft]",
+        positionals: 1,
+        options: &["seed", "model", "days"],
+        flags: &["tft"],
+        run: unreachable_run,
+    };
+
+    fn try_parse(s: &str) -> Result<Args, ArgError> {
+        Args::parse(&DEMO, s.split_whitespace().map(String::from))
+    }
 
     fn parse(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from)).unwrap()
+        try_parse(s).unwrap()
     }
 
     #[test]
@@ -163,7 +228,7 @@ mod tests {
     fn flags_take_no_value() {
         let a = parse("--tft trace.txt --seed 7");
         assert!(a.flag("tft"));
-        assert!(!a.flag("quick"));
+        assert!(!a.flag("help"));
         assert_eq!(a.positional(0, "trace").unwrap(), "trace.txt");
         assert_eq!(a.parse_or("seed", 0u64, "an integer").unwrap(), 7);
     }
@@ -183,11 +248,50 @@ mod tests {
         let err = a.parse_or("seed", 0u64, "an integer").unwrap_err();
         assert!(matches!(err, ArgError::BadValue { .. }));
         assert!(err.to_string().contains("banana"));
+        // A negative count is a value (not an option) and a bad one.
+        let err = parse("--days -1")
+            .parse_or("days", 1u32, "an integer")
+            .unwrap_err();
+        assert!(err.to_string().contains("`-1`"), "{err}");
     }
 
     #[test]
     fn dangling_option_errors() {
-        let err = Args::parse(vec!["--seed".to_string()]).unwrap_err();
-        assert_eq!(err, ArgError::DanglingOption("seed".to_string()));
+        assert_eq!(
+            try_parse("--seed").unwrap_err(),
+            ArgError::DanglingOption("seed".to_string())
+        );
+    }
+
+    #[test]
+    fn undeclared_repeated_and_surplus_arguments_are_errors() {
+        assert_eq!(
+            try_parse("x --bogus 7").unwrap_err(),
+            ArgError::UnknownOption("bogus".to_string())
+        );
+        // A misspelt flag is as unknown as a misspelt option.
+        assert_eq!(
+            try_parse("x --tfft").unwrap_err(),
+            ArgError::UnknownOption("tfft".to_string())
+        );
+        assert_eq!(
+            try_parse("x --seed 1 --seed 2").unwrap_err(),
+            ArgError::RepeatedOption("seed".to_string())
+        );
+        assert_eq!(
+            try_parse("--tft x --tft").unwrap_err(),
+            ArgError::RepeatedOption("tft".to_string())
+        );
+        assert_eq!(
+            try_parse("x y").unwrap_err(),
+            ArgError::SurplusPositional("y".to_string())
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not declare it")]
+    fn reading_an_undeclared_option_is_a_bug() {
+        let _ = parse("x").opt_str("nodes");
     }
 }

@@ -118,7 +118,7 @@ mod tests {
     use super::*;
 
     fn args(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from)).unwrap()
+        crate::parse_line("node", s)
     }
 
     #[test]

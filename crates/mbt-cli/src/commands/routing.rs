@@ -1,25 +1,27 @@
-//! `mbt routing` — run a store-carry-forward routing protocol over a trace.
+//! `mbt routing` — run a store-carry-forward routing protocol over a trace
+//! file or a sharded trace directory.
 
 use std::fmt::Write as _;
-use std::fs::File;
 
 use dtn_routing::protocols::{DirectDelivery, Epidemic, Prophet, SprayAndWait};
 use dtn_routing::sim::{uniform_messages, RoutingReport, RoutingSim};
-use dtn_trace::{read_trace, SimDuration, SimTime};
+use dtn_trace::{SimDuration, SimTime};
 
 use crate::args::Args;
+use crate::commands::open_source;
 use crate::CliError;
 
 /// Usage text for the subcommand.
-pub const USAGE: &str = "mbt routing <trace-file> [--protocol epidemic|prophet|spray|direct] \
+pub const USAGE: &str =
+    "mbt routing <trace-file|shard-dir> [--protocol epidemic|prophet|spray|direct] \
 [--messages N] [--ttl-days N] [--copies N] [--seed N]";
 
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let path = args.positional(0, "trace-file")?.to_string();
-    let file = File::open(&path).map_err(|e| CliError::Io(path.clone(), e))?;
-    let trace = read_trace(file).map_err(|e| CliError::Usage(e.to_string()))?;
-    if trace.node_count() < 2 {
+    let trace = open_source(&path)?;
+    let nodes = trace.nodes();
+    if nodes.len() < 2 {
         return Err(CliError::Usage(
             "trace has fewer than two nodes".to_string(),
         ));
@@ -29,7 +31,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let ttl_days = args.parse_or("ttl-days", 2u64, "an integer")?;
     let copies = args.parse_or("copies", 8u32, "an integer")?;
     let seed = args.parse_or("seed", 42u64, "an integer")?;
-    let nodes = trace.nodes();
     let horizon = trace.end_time().unwrap_or(SimTime::from_secs(1));
     let mut rng = dtn_sim::rng::stream(seed, "cli-routing");
     let msgs = uniform_messages(
@@ -41,10 +42,10 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     );
 
     let report: RoutingReport = match args.str_or("protocol", "epidemic") {
-        "epidemic" => RoutingSim::new(&trace, Epidemic::new()).run(msgs),
-        "prophet" => RoutingSim::new(&trace, Prophet::new()).run(msgs),
-        "spray" => RoutingSim::new(&trace, SprayAndWait::new(copies.max(1))).run(msgs),
-        "direct" => RoutingSim::new(&trace, DirectDelivery::new()).run(msgs),
+        "epidemic" => RoutingSim::new(trace.as_ref(), Epidemic::new()).run(msgs),
+        "prophet" => RoutingSim::new(trace.as_ref(), Prophet::new()).run(msgs),
+        "spray" => RoutingSim::new(trace.as_ref(), SprayAndWait::new(copies.max(1))).run(msgs),
+        "direct" => RoutingSim::new(trace.as_ref(), DirectDelivery::new()).run(msgs),
         other => {
             return Err(CliError::Usage(format!(
                 "unknown protocol `{other}` (expected epidemic, prophet, spray, or direct)"
@@ -87,7 +88,7 @@ mod tests {
     }
 
     fn args(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from)).unwrap()
+        crate::parse_line("routing", s)
     }
 
     #[test]
@@ -101,6 +102,21 @@ mod tests {
             .unwrap();
             assert!(out.contains("delivered:"), "{p}: {out}");
         }
+    }
+
+    #[test]
+    fn shard_directory_input_matches_file_input() {
+        let path = trace_file("shard-src");
+        let shard_dir = path.with_extension("shards");
+        let _ = std::fs::remove_dir_all(&shard_dir);
+        let reshard = format!("--from {} --out {}", path.display(), shard_dir.display());
+        crate::commands::shard::run(&crate::parse_line("shard", &reshard)).unwrap();
+        // The first line names the input path; the report must not differ.
+        let report = |input: &std::path::Path| {
+            let out = run(&args(&format!("{} --protocol prophet", input.display()))).unwrap();
+            out.split_once('\n').unwrap().1.to_string()
+        };
+        assert_eq!(report(&path), report(&shard_dir));
     }
 
     #[test]

@@ -31,11 +31,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         .opt_str("out")
         .ok_or(crate::args::ArgError::MissingOption("out"))?
         .to_string();
-    let window = if let Some(secs) = args.opt_str("window-secs") {
-        SimDuration::from_secs(
-            secs.parse()
-                .map_err(|_| CliError::Usage("--window-secs expects an integer".to_string()))?,
-        )
+    let window = if let Some(secs) = args.parse_opt("window-secs", "an integer")? {
+        SimDuration::from_secs(secs)
     } else {
         SimDuration::from_days(args.parse_or("window-days", 1u64, "an integer")?)
     };
@@ -60,10 +57,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         match model.as_str() {
             "dieselnet" => {
                 let mut cfg = DieselNetConfig::new(nodes, days).seed(seed);
-                if let Some(routes) = args.opt_str("routes") {
-                    let routes = routes
-                        .parse()
-                        .map_err(|_| CliError::Usage("--routes expects an integer".to_string()))?;
+                if let Some(routes) = args.parse_opt("routes", "an integer")? {
                     cfg = cfg.routes(routes);
                 }
                 cfg.generate_into(&mut writer)
@@ -114,7 +108,7 @@ mod tests {
     use dtn_trace::{ShardedTrace, TraceSource};
 
     fn args(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from)).unwrap()
+        crate::parse_line("shard", s)
     }
 
     fn out_dir(name: &str) -> std::path::PathBuf {

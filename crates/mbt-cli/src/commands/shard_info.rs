@@ -80,7 +80,7 @@ mod tests {
             .seed(1)
             .generate_into(&mut writer);
         let sharded = writer.finish().unwrap();
-        let args = Args::parse(vec![dir.display().to_string()]).unwrap();
+        let args = crate::parse_line("shard-info", &dir.display().to_string());
         let out = run(&args).unwrap();
         assert!(
             out.contains(&format!("contacts:      {}", sharded.len())),
@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn missing_directory_is_a_usage_error() {
-        let args = Args::parse(vec!["/nonexistent/shards".to_string()]).unwrap();
+        let args = crate::parse_line("shard-info", "/nonexistent/shards");
         assert!(matches!(run(&args), Err(CliError::Usage(_))));
     }
 
@@ -111,7 +111,7 @@ mod tests {
     #[test]
     fn verify_flag_checks_every_shard() {
         let dir = verify_dir("verify-ok");
-        let args = Args::parse(vec![dir.display().to_string(), "--verify".to_string()]).unwrap();
+        let args = crate::parse_line("shard-info", &format!("{} --verify", dir.display()));
         let out = run(&args).unwrap();
         assert!(out.contains("verified: all"), "{out}");
     }
@@ -124,7 +124,7 @@ mod tests {
         let text = std::fs::read_to_string(&shard).unwrap();
         let truncated: Vec<&str> = text.lines().collect();
         std::fs::write(&shard, truncated[..truncated.len() - 1].join("\n")).unwrap();
-        let args = Args::parse(vec![dir.display().to_string(), "--verify".to_string()]).unwrap();
+        let args = crate::parse_line("shard-info", &format!("{} --verify", dir.display()));
         let err = run(&args).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "{err}");
         assert!(err.to_string().contains("disagrees with manifest"), "{err}");
@@ -137,7 +137,7 @@ mod tests {
         let text = std::fs::read_to_string(&shard).unwrap();
         let truncated: Vec<&str> = text.lines().collect();
         std::fs::write(&shard, truncated[..truncated.len() - 1].join("\n")).unwrap();
-        let args = Args::parse(vec![dir.display().to_string()]).unwrap();
+        let args = crate::parse_line("shard-info", &dir.display().to_string());
         assert!(
             run(&args).is_ok(),
             "manifest-only path must not read shards"

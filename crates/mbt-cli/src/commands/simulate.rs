@@ -2,15 +2,15 @@
 //! or a sharded trace directory.
 
 use std::fmt::Write as _;
-use std::fs::File;
 use std::time::Instant;
 
 use dtn_sim::{FaultPlan, Telemetry};
-use dtn_trace::{read_trace, ShardedTrace, SimDuration, TraceSource};
+use dtn_trace::SimDuration;
 use mbt_core::{BroadcastOrdering, CooperationMode, MbtConfig, ProtocolSpec, TransportKind};
 use mbt_experiments::runner::{run_simulation, SimParams};
 
 use crate::args::Args;
+use crate::commands::open_source;
 use crate::CliError;
 
 /// Usage text for the subcommand.
@@ -31,14 +31,7 @@ in-memory traces ignore it); results are identical at every depth.";
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let path = args.positional(0, "trace-file")?.to_string();
-    // A directory is a sharded trace (replayed with bounded memory), a file
-    // a fully resident one. The simulation cannot tell them apart.
-    let source: Box<dyn TraceSource> = if std::path::Path::new(&path).is_dir() {
-        Box::new(ShardedTrace::open(&path).map_err(|e| CliError::Usage(e.to_string()))?)
-    } else {
-        let file = File::open(&path).map_err(|e| CliError::Io(path.clone(), e))?;
-        Box::new(read_trace(file).map_err(|e| CliError::Usage(e.to_string()))?)
-    };
+    let source = open_source(&path)?;
 
     let protocol = ProtocolSpec::by_name(args.str_or("protocol", "mbt"))
         .map_err(|e| CliError::Usage(e.to_string()))?;
@@ -179,7 +172,7 @@ mod tests {
     }
 
     fn args(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from)).unwrap()
+        crate::parse_line("simulate", s)
     }
 
     #[test]

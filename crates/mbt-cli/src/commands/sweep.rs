@@ -7,16 +7,14 @@
 //! variants (PopCache, DiffuseRep) line up next to the paper's triad with
 //! one flag.
 
-use std::fs::File;
-use std::sync::Arc;
-
-use dtn_trace::{read_trace, ShardedTrace, SimDuration, TraceSource};
+use dtn_trace::SimDuration;
 use mbt_core::ProtocolSpec;
 use mbt_experiments::report::{figure_csv, figure_delay_csv, figure_table};
 use mbt_experiments::runner::SimParams;
 use mbt_experiments::{ExecConfig, ParallelRunner};
 
 use crate::args::Args;
+use crate::commands::open_source;
 use crate::CliError;
 
 /// Usage text for the subcommand.
@@ -36,12 +34,7 @@ any --jobs value.";
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let path = args.positional(0, "trace-file")?.to_string();
-    let source: Arc<dyn TraceSource> = if std::path::Path::new(&path).is_dir() {
-        Arc::new(ShardedTrace::open(&path).map_err(|e| CliError::Usage(e.to_string()))?)
-    } else {
-        let file = File::open(&path).map_err(|e| CliError::Io(path.clone(), e))?;
-        Arc::new(read_trace(file).map_err(|e| CliError::Usage(e.to_string()))?)
-    };
+    let source = open_source(&path)?;
 
     let protocols: Vec<ProtocolSpec> = args
         .str_or("protocols", "mbt,mbt-q,mbt-qm")
@@ -133,7 +126,7 @@ mod tests {
     }
 
     fn args(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from)).unwrap()
+        crate::parse_line("sweep", s)
     }
 
     #[test]

@@ -83,7 +83,7 @@ mod tests {
         let path = dir.join("t.trace");
         let trace = NusConfig::new(20, 5).seed(3).generate();
         write_trace(std::fs::File::create(&path).unwrap(), &trace).unwrap();
-        let args = Args::parse(vec![path.display().to_string()]).unwrap();
+        let args = crate::parse_line("trace-stats", &path.display().to_string());
         let out = run(&args).unwrap();
         assert!(out.contains("contacts:"));
         assert!(out.contains("mean clique:"));
@@ -91,7 +91,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_an_io_error() {
-        let args = Args::parse(vec!["/nonexistent/nope.trace".to_string()]).unwrap();
+        let args = crate::parse_line("trace-stats", "/nonexistent/nope.trace");
         assert!(matches!(run(&args), Err(CliError::Io(..))));
     }
 }

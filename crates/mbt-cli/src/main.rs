@@ -2,6 +2,7 @@
 //! reproduction.
 //!
 //! ```text
+//! mbt experiment   regenerate any figure, table or ablation of the evaluation
 //! mbt gen-trace    generate a synthetic contact trace (dieselnet | nus | rwp)
 //! mbt shard        write a trace as time-windowed on-disk shards
 //! mbt shard-info   inspect a sharded trace's manifest
@@ -9,7 +10,6 @@
 //! mbt simulate     run a protocol variant over a trace or shard dir
 //! mbt sweep        sweep a parameter over named protocol variants
 //! mbt routing      run a routing baseline (epidemic | prophet | spray | direct)
-//! mbt capacity     print the §V broadcast vs pair-wise capacity table
 //! mbt node         run live nodes + a gateway on the threaded frame bus
 //! mbt gateway      stand up a live gateway and probe it with a search
 //! ```
@@ -52,85 +52,196 @@ impl From<ArgError> for CliError {
 const TOP_USAGE: &str = "usage: mbt <command> [options]
 
 commands:
+  experiment   regenerate the paper's figures, tables and ablations by name
   gen-trace    generate a synthetic contact trace
   shard        write a trace as time-windowed on-disk shards
   shard-info   inspect a sharded trace's manifest
   trace-stats  inspect a contact trace
   simulate     run the MBT file-sharing simulation (trace file or shard dir)
   sweep        sweep a parameter over named protocol variants (table/CSV)
-  routing      run a store-carry-forward routing baseline
-  capacity     print the broadcast vs pair-wise capacity table
+  routing      run a store-carry-forward routing baseline (file or shard dir)
   node         run live nodes + a gateway on the threaded frame bus
   gateway      stand up a live gateway and probe it with a search
 
-run `mbt <command> --help` for command options.";
+run `mbt <command> --help` for command options; `mbt experiment list` names
+every experiment.";
 
-fn dispatch(command: &str, args: &Args) -> Result<String, CliError> {
-    match command {
-        "gen-trace" => {
-            if args.flag("help") {
-                return Ok(commands::gen_trace::USAGE.to_string());
-            }
-            commands::gen_trace::run(args)
-        }
-        "shard" => {
-            if args.flag("help") {
-                return Ok(commands::shard::USAGE.to_string());
-            }
-            commands::shard::run(args)
-        }
-        "shard-info" => {
-            if args.flag("help") {
-                return Ok(commands::shard_info::USAGE.to_string());
-            }
-            commands::shard_info::run(args)
-        }
-        "trace-stats" => {
-            if args.flag("help") {
-                return Ok(commands::trace_stats::USAGE.to_string());
-            }
-            commands::trace_stats::run(args)
-        }
-        "simulate" => {
-            if args.flag("help") {
-                return Ok(commands::simulate::USAGE.to_string());
-            }
-            commands::simulate::run(args)
-        }
-        "sweep" => {
-            if args.flag("help") {
-                return Ok(commands::sweep::USAGE.to_string());
-            }
-            commands::sweep::run(args)
-        }
-        "routing" => {
-            if args.flag("help") {
-                return Ok(commands::routing::USAGE.to_string());
-            }
-            commands::routing::run(args)
-        }
-        "capacity" => {
-            if args.flag("help") {
-                return Ok(commands::capacity::USAGE.to_string());
-            }
-            commands::capacity::run(args)
-        }
-        "node" => {
-            if args.flag("help") {
-                return Ok(commands::node::USAGE.to_string());
-            }
-            commands::node::run(args)
-        }
-        "gateway" => {
-            if args.flag("help") {
-                return Ok(commands::gateway::USAGE.to_string());
-            }
-            commands::gateway::run(args)
-        }
-        other => Err(CliError::Usage(format!(
-            "unknown command `{other}`\n\n{TOP_USAGE}"
-        ))),
+/// One subcommand: everything `mbt` knows about it. [`Args::parse`] rejects
+/// whatever a row does not declare, and `Args` debug-asserts that `run`
+/// reads only what its row declares.
+#[derive(Debug)]
+pub struct Command {
+    /// The subcommand name.
+    pub name: &'static str,
+    /// What `--help` prints.
+    pub usage: &'static str,
+    /// How many positional arguments it takes at most.
+    pub positionals: usize,
+    /// Options that take a value (`--name value`).
+    pub options: &'static [&'static str],
+    /// Options that take none (`--name`).
+    pub flags: &'static [&'static str],
+    /// Runs it, returning what to print.
+    pub run: fn(&Args) -> Result<String, CliError>,
+}
+
+/// Every subcommand: the one place a command, its options and its flags
+/// are declared.
+static COMMANDS: [Command; 10] = {
+    use commands::*;
+    [
+        Command {
+            name: "experiment",
+            usage: experiment::USAGE,
+            positionals: usize::MAX,
+            options: &["jobs", "replicates", "csv-dir"],
+            flags: &["quick"],
+            run: experiment::run,
+        },
+        Command {
+            name: "gen-trace",
+            usage: gen_trace::USAGE,
+            positionals: 0,
+            options: &[
+                "out",
+                "model",
+                "nodes",
+                "days",
+                "seed",
+                "attendance",
+                "drop",
+                "truncate",
+            ],
+            flags: &["weekends"],
+            run: gen_trace::run,
+        },
+        Command {
+            name: "shard",
+            usage: shard::USAGE,
+            positionals: 0,
+            options: &[
+                "out",
+                "model",
+                "nodes",
+                "days",
+                "seed",
+                "routes",
+                "attendance",
+                "window-days",
+                "window-secs",
+                "jobs",
+                "from",
+            ],
+            flags: &["weekends"],
+            run: shard::run,
+        },
+        Command {
+            name: "shard-info",
+            usage: shard_info::USAGE,
+            positionals: 1,
+            options: &[],
+            flags: &["verify"],
+            run: shard_info::run,
+        },
+        Command {
+            name: "trace-stats",
+            usage: trace_stats::USAGE,
+            positionals: 1,
+            options: &["frequent-days"],
+            flags: &[],
+            run: trace_stats::run,
+        },
+        Command {
+            name: "simulate",
+            usage: simulate::USAGE,
+            positionals: 1,
+            options: &[
+                "protocol",
+                "internet",
+                "files-per-day",
+                "ttl",
+                "days",
+                "seed",
+                "metadata-per-contact",
+                "files-per-contact",
+                "frequent-days",
+                "loss",
+                "churn",
+                "truncate",
+                "corrupt",
+                "polluters",
+                "fakes-per-day",
+                "transport",
+                "prefetch",
+                "perf-report",
+            ],
+            flags: &["tft", "rarest-first", "verify"],
+            run: simulate::run,
+        },
+        Command {
+            name: "sweep",
+            usage: sweep::USAGE,
+            positionals: 1,
+            options: &[
+                "protocols",
+                "param",
+                "xs",
+                "jobs",
+                "replicates",
+                "seed",
+                "days",
+                "files-per-day",
+                "frequent-days",
+            ],
+            flags: &["csv", "delay-csv"],
+            run: sweep::run,
+        },
+        Command {
+            name: "routing",
+            usage: routing::USAGE,
+            positionals: 1,
+            options: &["protocol", "messages", "ttl-days", "copies", "seed"],
+            flags: &[],
+            run: routing::run,
+        },
+        Command {
+            name: "node",
+            usage: node::USAGE,
+            positionals: 0,
+            options: &[
+                "nodes",
+                "files",
+                "file-bytes",
+                "piece-size",
+                "seed",
+                "settle-ms",
+            ],
+            flags: &[],
+            run: node::run,
+        },
+        Command {
+            name: "gateway",
+            usage: gateway::USAGE,
+            positionals: 0,
+            options: &["query", "limit", "catalog"],
+            flags: &[],
+            run: gateway::run,
+        },
+    ]
+};
+
+fn dispatch(command: &str, raw: impl IntoIterator<Item = String>) -> Result<String, CliError> {
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == command) else {
+        return Err(CliError::Usage(format!(
+            "unknown command `{command}`\n\n{TOP_USAGE}"
+        )));
+    };
+    let args =
+        Args::parse(cmd, raw).map_err(|e| CliError::Usage(format!("{e}\n\n{}", cmd.usage)))?;
+    if args.flag("help") {
+        return Ok(cmd.usage.to_string());
     }
+    (cmd.run)(&args)
 }
 
 fn main() -> ExitCode {
@@ -143,14 +254,7 @@ fn main() -> ExitCode {
         println!("{TOP_USAGE}");
         return ExitCode::SUCCESS;
     }
-    let args = match Args::parse(raw) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match dispatch(&command, &args) {
+    match dispatch(&command, raw) {
         Ok(output) => {
             if output.ends_with('\n') {
                 print!("{output}");
@@ -166,16 +270,28 @@ fn main() -> ExitCode {
     }
 }
 
+/// Parses `line` for `command` the way `main` would (command unit tests).
+#[cfg(test)]
+pub(crate) fn parse_line(command: &str, line: &str) -> Args {
+    let cmd = COMMANDS.iter().find(|c| c.name == command).unwrap();
+    Args::parse(cmd, line.split_whitespace().map(String::from)).unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
+
+    fn strings(items: &[&str]) -> Vec<String> {
+        items.iter().map(|s| s.to_string()).collect()
+    }
 
     #[test]
     fn unknown_command_mentions_usage() {
-        let args = Args::parse(Vec::new()).unwrap();
-        // `bench` was a subcommand once; the benchmark is `ledger` now.
-        for cmd in ["teleport", "bench"] {
-            let err = dispatch(cmd, &args).unwrap_err();
+        // `bench` and `capacity` were subcommands once; the benchmark is
+        // `ledger` and the table is `mbt experiment capacity` now.
+        for cmd in ["teleport", "bench", "capacity"] {
+            let err = dispatch(cmd, Vec::new()).unwrap_err();
             assert!(err.to_string().contains("unknown command"));
             assert!(err.to_string().contains("gen-trace"));
         }
@@ -183,28 +299,92 @@ mod tests {
 
     #[test]
     fn help_flags_print_usage() {
-        let args = Args::parse(vec!["--help".to_string()]).unwrap();
-        for cmd in [
-            "gen-trace",
-            "shard",
-            "shard-info",
-            "trace-stats",
-            "simulate",
-            "sweep",
-            "routing",
-            "capacity",
-            "node",
-            "gateway",
-        ] {
-            let out = dispatch(cmd, &args).unwrap();
-            assert!(out.contains("mbt"), "{cmd} help: {out}");
+        for cmd in &COMMANDS {
+            let out = dispatch(cmd.name, strings(&["--help"])).unwrap();
+            assert_eq!(out, cmd.usage);
+            assert!(out.starts_with(&format!("mbt {}", cmd.name)), "{out}");
+            assert!(TOP_USAGE.contains(&format!("\n  {} ", cmd.name)));
+        }
+    }
+
+    /// The `--name` tokens of a usage string.
+    fn usage_options(usage: &str) -> Vec<&str> {
+        let mut names: Vec<&str> = usage
+            .split("--")
+            .skip(1)
+            .map(|rest| {
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .unwrap_or(rest.len());
+                &rest[..end]
+            })
+            .filter(|name| !name.is_empty())
+            .collect();
+        names.sort_unstable();
+        names.dedup();
+        names
+    }
+
+    #[test]
+    fn table_and_usage_text_declare_the_same_options() {
+        for cmd in &COMMANDS {
+            let mut declared: Vec<&str> = cmd.options.iter().chain(cmd.flags).copied().collect();
+            declared.sort_unstable();
+            assert_eq!(declared, usage_options(cmd.usage), "{}", cmd.name);
+        }
+    }
+
+    /// Minimal arguments under which `command` succeeds (filling every
+    /// positional it takes), given a trace file and a shard directory
+    /// under `dir`.
+    fn base_args(command: &str, dir: &Path) -> Vec<String> {
+        let trace = dir.join("t.trace").display().to_string();
+        let shards = dir.join("shards").display().to_string();
+        match command {
+            "experiment" => strings(&["capacity"]),
+            "gen-trace" => strings(&["--out", &trace, "--nodes", "8", "--days", "2"]),
+            "shard" => strings(&["--out", &shards, "--nodes", "8", "--days", "2"]),
+            "shard-info" => vec![shards],
+            "trace-stats" => vec![trace],
+            "simulate" => strings(&[&trace, "--files-per-day", "4"]),
+            "sweep" => strings(&[&trace, "--xs", "0.5", "--files-per-day", "4"]),
+            "routing" => strings(&[&trace, "--messages", "10"]),
+            "gateway" => strings(&["--query", "news"]),
+            _ => Vec::new(),
         }
     }
 
     #[test]
-    fn capacity_command_works_end_to_end() {
-        let args = Args::parse(vec!["--max-n".to_string(), "4".to_string()]).unwrap();
-        let out = dispatch("capacity", &args).unwrap();
-        assert!(out.contains("HOLDS"));
+    fn every_command_rejects_what_it_does_not_declare() {
+        let dir = std::env::temp_dir().join("mbt-cli-test-strict");
+        std::fs::create_dir_all(&dir).unwrap();
+        // `gen-trace` and `shard` precede the commands that read what
+        // their base runs write.
+        for cmd in &COMMANDS {
+            let base = base_args(cmd.name, &dir);
+            let run =
+                |extra: &[&str]| dispatch(cmd.name, base.iter().cloned().chain(strings(extra)));
+            let rejected = |extra: &[&str], token: &str| {
+                let err = run(extra).unwrap_err().to_string();
+                assert!(err.contains(token), "{} {extra:?}: {err}", cmd.name);
+            };
+            run(&[]).unwrap_or_else(|e| panic!("{} {base:?}: {e}", cmd.name));
+
+            rejected(&["--bogus", "7"], "`--bogus`");
+            let (twice, value): (_, &[&str]) = match cmd.options.first() {
+                Some(option) => (format!("--{option}"), &["1"]),
+                None => (format!("--{}", cmd.flags[0]), &[]),
+            };
+            let once = [&[twice.as_str()], value].concat();
+            rejected(&[&once[..], &once[..]].concat(), &format!("`{twice}`"));
+            for (option, bad) in [("--jobs", "banana"), ("--replicates", "-1")] {
+                let declared = cmd.options.contains(&&option[2..]);
+                let token = if declared { bad } else { option };
+                rejected(&[option, bad], &format!("`{token}`"));
+            }
+            if cmd.positionals < usize::MAX {
+                rejected(&["3"], "`3`");
+            }
+        }
     }
 }

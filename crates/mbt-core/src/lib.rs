@@ -68,7 +68,6 @@ pub mod discovery;
 pub mod download;
 pub mod file;
 pub mod keyword;
-pub mod messages;
 pub mod metadata;
 pub mod node;
 pub mod piece;

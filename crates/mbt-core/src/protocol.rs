@@ -304,7 +304,7 @@ impl Default for ProtocolSpec {
 
 impl fmt::Display for ProtocolSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name)
+        f.pad(self.name)
     }
 }
 
@@ -390,6 +390,13 @@ mod tests {
         assert_eq!(ProtocolKind::Mbt.to_string(), "MBT");
         assert_eq!(ProtocolKind::MbtQ.to_string(), "MBT-Q");
         assert_eq!(ProtocolKind::MbtQm.to_string(), "MBT-QM");
+    }
+
+    #[test]
+    fn spec_display_honours_width() {
+        assert_eq!(format!("{:>9}", ProtocolSpec::MBT), "      MBT");
+        assert_eq!(format!("{:<8}|", ProtocolSpec::MBT_QM), "MBT-QM  |");
+        assert_eq!(format!("{}", ProtocolSpec::MBT_Q), "MBT-Q");
     }
 
     #[test]

@@ -12,8 +12,7 @@ use dtn_trace::generators::NusConfig;
 use dtn_trace::ContactTrace;
 use mbt_core::{BroadcastOrdering, CooperationMode, MbtConfig, ProtocolSpec};
 
-use crate::exec::{ExecConfig, ParallelRunner};
-use crate::figures::Scale;
+use crate::figures::{RunContext, Scale};
 use crate::runner::{run_simulation, SimParams, SimResult};
 
 /// One ablation configuration and its outcome.
@@ -33,18 +32,18 @@ fn scale_trace(scale: Scale) -> ContactTrace {
     NusConfig::new(students, days).seed(42).generate()
 }
 
-/// Runs every labelled configuration against `trace` on the runner's pool,
-/// preserving input order.
+/// Runs every labelled configuration against `trace` on the context's
+/// pool, preserving input order.
 fn run_rows(
     trace: &ContactTrace,
     configs: Vec<(String, SimParams)>,
-    exec: &ExecConfig,
+    ctx: &RunContext,
 ) -> Vec<AblationRow> {
-    let runner = ParallelRunner::new(*exec);
-    runner.run_all(&configs, |(label, params)| AblationRow {
-        label: label.clone(),
-        result: run_simulation(trace, params, None),
-    })
+    ctx.runner()
+        .run_all(&configs, |(label, params)| AblationRow {
+            label: label.clone(),
+            result: run_simulation(trace, params, None),
+        })
 }
 
 fn scale_params(scale: Scale) -> SimParams {
@@ -59,12 +58,8 @@ fn scale_params(scale: Scale) -> SimParams {
 }
 
 /// Cooperative vs tit-for-tat scheduling, full MBT.
-pub fn cooperation_ablation(scale: Scale) -> Vec<AblationRow> {
-    cooperation_ablation_with(scale, &ExecConfig::default())
-}
-
-/// [`cooperation_ablation`] with explicit execution.
-pub fn cooperation_ablation_with(scale: Scale, exec: &ExecConfig) -> Vec<AblationRow> {
+pub fn cooperation_ablation(ctx: &mut RunContext) -> Vec<AblationRow> {
+    let scale = ctx.scale();
     let trace = scale_trace(scale);
     let configs = [CooperationMode::Cooperative, CooperationMode::TitForTat]
         .into_iter()
@@ -79,16 +74,12 @@ pub fn cooperation_ablation_with(scale: Scale, exec: &ExecConfig) -> Vec<Ablatio
             )
         })
         .collect();
-    run_rows(&trace, configs, exec)
+    run_rows(&trace, configs, ctx)
 }
 
 /// Discovery-first vs download-first contact ordering.
-pub fn discovery_first_ablation(scale: Scale) -> Vec<AblationRow> {
-    discovery_first_ablation_with(scale, &ExecConfig::default())
-}
-
-/// [`discovery_first_ablation`] with explicit execution.
-pub fn discovery_first_ablation_with(scale: Scale, exec: &ExecConfig) -> Vec<AblationRow> {
+pub fn discovery_first_ablation(ctx: &mut RunContext) -> Vec<AblationRow> {
+    let scale = ctx.scale();
     let trace = scale_trace(scale);
     let configs = [true, false]
         .into_iter()
@@ -102,17 +93,13 @@ pub fn discovery_first_ablation_with(scale: Scale, exec: &ExecConfig) -> Vec<Abl
             )
         })
         .collect();
-    run_rows(&trace, configs, exec)
+    run_rows(&trace, configs, ctx)
 }
 
 /// Two-phase (paper §V-A) vs rarest-first (BitTorrent-style) broadcast
 /// ordering, cooperative mode.
-pub fn ordering_ablation(scale: Scale) -> Vec<AblationRow> {
-    ordering_ablation_with(scale, &ExecConfig::default())
-}
-
-/// [`ordering_ablation`] with explicit execution.
-pub fn ordering_ablation_with(scale: Scale, exec: &ExecConfig) -> Vec<AblationRow> {
+pub fn ordering_ablation(ctx: &mut RunContext) -> Vec<AblationRow> {
+    let scale = ctx.scale();
     let trace = scale_trace(scale);
     let configs = [BroadcastOrdering::TwoPhase, BroadcastOrdering::RarestFirst]
         .into_iter()
@@ -126,16 +113,12 @@ pub fn ordering_ablation_with(scale: Scale, exec: &ExecConfig) -> Vec<AblationRo
             )
         })
         .collect();
-    run_rows(&trace, configs, exec)
+    run_rows(&trace, configs, ctx)
 }
 
 /// Gating the file phase on minimum contact length (0 s, 60 s, 600 s).
-pub fn short_contact_ablation(scale: Scale) -> Vec<AblationRow> {
-    short_contact_ablation_with(scale, &ExecConfig::default())
-}
-
-/// [`short_contact_ablation`] with explicit execution.
-pub fn short_contact_ablation_with(scale: Scale, exec: &ExecConfig) -> Vec<AblationRow> {
+pub fn short_contact_ablation(ctx: &mut RunContext) -> Vec<AblationRow> {
+    let scale = ctx.scale();
     let trace = scale_trace(scale);
     let configs = [0u64, 60, 600]
         .into_iter()
@@ -149,17 +132,13 @@ pub fn short_contact_ablation_with(scale: Scale, exec: &ExecConfig) -> Vec<Ablat
             )
         })
         .collect();
-    run_rows(&trace, configs, exec)
+    run_rows(&trace, configs, ctx)
 }
 
 /// Failure injection: broadcast frame loss (0 %, 10 %, 30 %) and node churn
 /// (0 %, 20 % of measured nodes dying mid-run), full MBT.
-pub fn failure_ablation(scale: Scale) -> Vec<AblationRow> {
-    failure_ablation_with(scale, &ExecConfig::default())
-}
-
-/// [`failure_ablation`] with explicit execution.
-pub fn failure_ablation_with(scale: Scale, exec: &ExecConfig) -> Vec<AblationRow> {
+pub fn failure_ablation(ctx: &mut RunContext) -> Vec<AblationRow> {
+    let scale = ctx.scale();
     let trace = scale_trace(scale);
     let mut configs: Vec<(String, SimParams)> = Vec::new();
     for loss in [0.0, 0.1, 0.3] {
@@ -179,17 +158,13 @@ pub fn failure_ablation_with(scale: Scale, exec: &ExecConfig) -> Vec<AblationRow
             ..scale_params(scale)
         },
     ));
-    run_rows(&trace, configs, exec)
+    run_rows(&trace, configs, ctx)
 }
 
 /// Metadata pollution (§I "fake files" / §III-B item f): no adversary vs a
 /// 20 % polluter population, with and without publisher authentication.
-pub fn pollution_ablation(scale: Scale) -> Vec<AblationRow> {
-    pollution_ablation_with(scale, &ExecConfig::default())
-}
-
-/// [`pollution_ablation`] with explicit execution.
-pub fn pollution_ablation_with(scale: Scale, exec: &ExecConfig) -> Vec<AblationRow> {
+pub fn pollution_ablation(ctx: &mut RunContext) -> Vec<AblationRow> {
+    let scale = ctx.scale();
     let trace = scale_trace(scale);
     let configs = [
         ("clean", 0.0, false),
@@ -209,7 +184,7 @@ pub fn pollution_ablation_with(scale: Scale, exec: &ExecConfig) -> Vec<AblationR
         )
     })
     .collect();
-    run_rows(&trace, configs, exec)
+    run_rows(&trace, configs, ctx)
 }
 
 /// Renders ablation rows as an aligned text table.
@@ -243,7 +218,7 @@ mod tests {
 
     #[test]
     fn cooperation_ablation_runs_both_modes() {
-        let rows = cooperation_ablation(Scale::Quick);
+        let rows = cooperation_ablation(&mut RunContext::new(Scale::Quick));
         assert_eq!(rows.len(), 2);
         assert!(rows[0].label.contains("cooperative"));
         assert!(rows[1].label.contains("tit-for-tat"));
@@ -254,7 +229,7 @@ mod tests {
 
     #[test]
     fn short_contact_gating_reduces_file_broadcasts() {
-        let rows = short_contact_ablation(Scale::Quick);
+        let rows = short_contact_ablation(&mut RunContext::new(Scale::Quick));
         let open = &rows[0].result;
         let gated = &rows[2].result;
         assert!(
@@ -265,7 +240,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let rows = discovery_first_ablation(Scale::Quick);
+        let rows = discovery_first_ablation(&mut RunContext::new(Scale::Quick));
         let t = ablation_table("discovery-first", &rows);
         assert!(t.contains("discovery_first=true"));
         assert!(t.contains("discovery_first=false"));
@@ -273,7 +248,7 @@ mod tests {
 
     #[test]
     fn authentication_recovers_polluted_delivery() {
-        let rows = pollution_ablation(Scale::Quick);
+        let rows = pollution_ablation(&mut RunContext::new(Scale::Quick));
         let clean = &rows[0].result;
         let polluted = &rows[1].result;
         let defended = &rows[2].result;
@@ -295,7 +270,7 @@ mod tests {
 
     #[test]
     fn loss_degrades_delivery_monotonically_ish() {
-        let rows = failure_ablation(Scale::Quick);
+        let rows = failure_ablation(&mut RunContext::new(Scale::Quick));
         let no_loss = &rows[0].result;
         let heavy_loss = &rows[2].result;
         assert!(
@@ -314,7 +289,7 @@ mod tests {
 
     #[test]
     fn churn_reduces_queries_and_runs_clean() {
-        let rows = failure_ablation(Scale::Quick);
+        let rows = failure_ablation(&mut RunContext::new(Scale::Quick));
         let baseline = &rows[0].result;
         let churned = rows.last().unwrap();
         assert!(churned.label.contains("churn"));
@@ -326,7 +301,7 @@ mod tests {
 
     #[test]
     fn ordering_ablation_runs_both_policies() {
-        let rows = ordering_ablation(Scale::Quick);
+        let rows = ordering_ablation(&mut RunContext::new(Scale::Quick));
         assert_eq!(rows.len(), 2);
         assert!(rows[0].label.contains("two-phase"));
         assert!(rows[1].label.contains("rarest-first"));

@@ -156,40 +156,10 @@ impl ParallelRunner {
         self.pool.install(|| items.par_iter().map(f).collect())
     }
 
-    /// Runs a sweep: `setup` produces the trace and base parameters per x
-    /// value (serially, in x order, charged to the trace-load span when
+    /// Runs a sweep: `setup` produces the [`TraceSource`] and base parameters
+    /// per x value (serially, in x order, charged to the trace-load span when
     /// observed), then every *(point × protocol × replicate)* cell is
-    /// simulated on the pool. Each trace is generated once and shared across
-    /// its cells via [`Arc`].
-    pub fn sweep<F>(
-        &self,
-        id: &str,
-        title: &str,
-        x_label: &str,
-        xs: &[f64],
-        mut setup: F,
-        mut telemetry: Option<&mut Telemetry>,
-    ) -> Figure
-    where
-        F: FnMut(f64) -> (ContactTrace, SimParams),
-    {
-        let started = Instant::now();
-        let prepared: Vec<(Arc<dyn TraceSource>, SimParams)> = xs
-            .iter()
-            .map(|&x| {
-                let (trace, params) = setup(x);
-                (Arc::new(trace) as Arc<dyn TraceSource>, params)
-            })
-            .collect();
-        if let Some(tel) = telemetry.as_deref_mut() {
-            tel.phases.add(Phase::TraceLoad, started.elapsed());
-        }
-        self.run_prepared(id, title, x_label, xs, &prepared, telemetry)
-    }
-
-    /// Like [`ParallelRunner::sweep`] but `setup` hands back an arbitrary
-    /// [`TraceSource`] per x value — the entry point for sweeps over
-    /// on-disk sharded traces (or a mix of backings).
+    /// simulated on the pool, each source shared across its cells.
     pub fn sweep_sources<F>(
         &self,
         id: &str,
@@ -211,10 +181,10 @@ impl ParallelRunner {
         self.run_prepared(id, title, x_label, xs, &prepared, telemetry)
     }
 
-    /// Like [`ParallelRunner::sweep`] but with one fixed [`TraceSource`]
-    /// shared by every x value — the common case when the swept parameter
+    /// Like [`ParallelRunner::sweep_sources`] but with one fixed
+    /// [`TraceSource`] shared by every x value — the common case when the swept parameter
     /// does not affect mobility.
-    #[allow(clippy::too_many_arguments)] // mirrors sweep()'s figure-metadata prefix
+    #[allow(clippy::too_many_arguments)] // mirrors sweep_sources()'s figure-metadata prefix
     pub fn sweep_shared_source<F>(
         &self,
         id: &str,
@@ -238,7 +208,7 @@ impl ParallelRunner {
     /// Convenience wrapper over [`ParallelRunner::sweep_shared_source`] for
     /// an in-memory trace: the trace is cloned once into an [`Arc`], never
     /// per cell.
-    #[allow(clippy::too_many_arguments)] // mirrors sweep()'s figure-metadata prefix
+    #[allow(clippy::too_many_arguments)] // mirrors sweep_sources()'s figure-metadata prefix
     pub fn sweep_shared_trace<F>(
         &self,
         id: &str,

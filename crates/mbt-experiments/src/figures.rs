@@ -93,7 +93,6 @@ pub struct RunContext {
     scale: Scale,
     exec: ExecConfig,
     shard_dir: Option<PathBuf>,
-    shard_window: SimDuration,
     prefetch: usize,
     collect_telemetry: bool,
     telemetry: Telemetry,
@@ -109,7 +108,6 @@ impl RunContext {
             scale,
             exec: ExecConfig::default(),
             shard_dir: None,
-            shard_window: SimDuration::from_days(1),
             prefetch: 0,
             collect_telemetry: false,
             telemetry: Telemetry::default(),
@@ -133,18 +131,11 @@ impl RunContext {
         self
     }
 
-    /// Spills every generated trace into time-windowed shards under
+    /// Spills every generated trace into one-day shards under
     /// `dir/<figure-id>` and replays the sweep from disk with bounded
     /// memory. Figures are byte-identical to the in-memory backing.
     pub fn sharded(mut self, dir: impl Into<PathBuf>) -> RunContext {
         self.shard_dir = Some(dir.into());
-        self
-    }
-
-    /// Sets the shard time-window (default one day). Only meaningful after
-    /// [`RunContext::sharded`].
-    pub fn shard_window(mut self, window: SimDuration) -> RunContext {
-        self.shard_window = window;
         self
     }
 
@@ -192,7 +183,7 @@ impl RunContext {
     }
 
     /// A sweep runner for this context's execution config and protocol list.
-    fn runner(&self) -> ParallelRunner {
+    pub(crate) fn runner(&self) -> ParallelRunner {
         ParallelRunner::new(self.exec).with_protocols(self.protocols.clone())
     }
 
@@ -221,7 +212,7 @@ impl RunContext {
                 Arc::new(builder.build())
             }
             Some(dir) => {
-                let mut writer = ShardWriter::create(dir.join(name), self.shard_window)
+                let mut writer = ShardWriter::create(dir.join(name), SimDuration::from_days(1))
                     .unwrap_or_else(|e| panic!("creating shard directory for {name}: {e}"));
                 fill(&mut writer);
                 let sharded = writer
@@ -615,23 +606,6 @@ pub fn fault_sweep_variants(ctx: &mut RunContext) -> Figure {
         },
         ctx.telemetry_sink(),
     )
-}
-
-/// Every Figure-2 experiment in order.
-pub fn all_fig2(ctx: &mut RunContext) -> Vec<Figure> {
-    vec![fig2a(ctx), fig2b(ctx), fig2c(ctx), fig2d(ctx), fig2e(ctx)]
-}
-
-/// Every Figure-3 experiment in order.
-pub fn all_fig3(ctx: &mut RunContext) -> Vec<Figure> {
-    vec![
-        fig3a(ctx),
-        fig3b(ctx),
-        fig3c(ctx),
-        fig3d(ctx),
-        fig3e(ctx),
-        fig3f(ctx),
-    ]
 }
 
 #[cfg(test)]

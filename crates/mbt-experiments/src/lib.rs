@@ -4,14 +4,13 @@
 //! - [`workload`] — the paper's daily file/query workload (§VI-A),
 //! - [`runner`] — the end-to-end simulation measuring delivery ratios among
 //!   non-Internet-access nodes,
-//! - [`sweep`] / [`figures`] — parameter sweeps regenerating every panel of
-//!   Figures 2 and 3,
+//! - [`exec`] / [`figures`] — parameter sweeps regenerating every panel of
+//!   Figures 2 and 3 ([`sweep`] holds the series types they return),
 //! - [`capacity`] — the §V broadcast-vs-pair-wise capacity analysis,
 //! - [`ablations`] — cooperation-mode and contact-ordering ablations,
-//! - [`report`] — text/CSV rendering.
-//!
-//! Binaries: `fig2`, `fig3`, `capacity`, `ablations`, `all_experiments`
-//! (each accepts `--quick`).
+//! - [`report`] — text/CSV rendering,
+//! - [`catalogue`] — every experiment above as one named row; the crate has
+//!   no binaries, `mbt experiment <name|group|all|list>` runs the rows.
 //!
 //! # Example
 //!
@@ -45,6 +44,7 @@
 
 pub mod ablations;
 pub mod capacity;
+pub mod catalogue;
 pub mod exec;
 pub mod figures;
 pub mod mobility;
@@ -61,53 +61,3 @@ pub use figures::{RunContext, Scale};
 pub use residue::ResidueStore;
 pub use runner::{run_simulation, SimParams, SimResult};
 pub use sweep::{Figure, ProtocolSeries, RatioSummary, SeriesPoint};
-
-/// Parses the common `--quick` flag from argv.
-pub fn scale_from_args() -> Scale {
-    if std::env::args().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    }
-}
-
-/// Parses the common execution flags from argv: `--jobs N` (worker threads,
-/// 0 = one per core) and `--replicates R` (independent runs per sweep
-/// cell). Unrecognised or malformed values fall back to the defaults.
-pub fn exec_from_args() -> ExecConfig {
-    let mut cfg = ExecConfig::default();
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--jobs" => {
-                if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                    cfg.jobs = n;
-                }
-            }
-            "--replicates" => {
-                if let Some(r) = args.next().and_then(|v| v.parse().ok()) {
-                    cfg.replicates = r;
-                }
-            }
-            _ => {}
-        }
-    }
-    cfg
-}
-
-/// Writes a CSV string to `results/<name>.csv` (creating the directory),
-/// returning the path written. I/O errors are reported, not fatal.
-pub fn write_csv(name: &str, csv: &str) -> Option<std::path::PathBuf> {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return None;
-    }
-    let path = dir.join(format!("{name}.csv"));
-    match std::fs::write(&path, csv) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("warning: could not write {}: {e}", path.display());
-            None
-        }
-    }
-}

@@ -11,7 +11,7 @@ use dtn_trace::generators::{CommunityConfig, DieselNetConfig, NusConfig, RandomW
 use dtn_trace::{AggregateGraph, ContactTrace, SimDuration, SECONDS_PER_DAY};
 use mbt_core::ProtocolSpec;
 
-use crate::figures::Scale;
+use crate::figures::{RunContext, Scale};
 use crate::runner::{run_simulation, SimParams, SimResult};
 
 /// One row: a mobility model × protocol result, with trace shape context.
@@ -64,7 +64,8 @@ fn models(scale: Scale) -> Vec<(&'static str, ContactTrace, u64)> {
 }
 
 /// Runs every protocol over every mobility model.
-pub fn mobility_comparison(scale: Scale) -> Vec<MobilityRow> {
+pub fn mobility_comparison(ctx: &mut RunContext) -> Vec<MobilityRow> {
+    let scale = ctx.scale();
     let days = match scale {
         Scale::Quick => 6,
         Scale::Full => 12,
@@ -129,7 +130,7 @@ mod tests {
 
     #[test]
     fn covers_all_models_and_protocols() {
-        let rows = mobility_comparison(Scale::Quick);
+        let rows = mobility_comparison(&mut RunContext::new(Scale::Quick));
         let models: std::collections::BTreeSet<&str> = rows.iter().map(|r| r.model).collect();
         assert!(models.len() >= 3, "models: {models:?}");
         for model in &models {
@@ -140,7 +141,7 @@ mod tests {
 
     #[test]
     fn mbt_never_loses_to_mbtqm_on_metadata() {
-        let rows = mobility_comparison(Scale::Quick);
+        let rows = mobility_comparison(&mut RunContext::new(Scale::Quick));
         let models: std::collections::BTreeSet<&str> = rows.iter().map(|r| r.model).collect();
         for model in models {
             let get = |p: ProtocolSpec| {
@@ -161,7 +162,7 @@ mod tests {
 
     #[test]
     fn table_renders_all_rows() {
-        let rows = mobility_comparison(Scale::Quick);
+        let rows = mobility_comparison(&mut RunContext::new(Scale::Quick));
         let t = mobility_table(&rows);
         assert_eq!(t.lines().count(), rows.len() + 1);
         assert!(t.contains("community"));

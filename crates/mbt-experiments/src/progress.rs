@@ -8,8 +8,7 @@
 use dtn_trace::generators::NusConfig;
 use mbt_core::ProtocolSpec;
 
-use crate::exec::{ExecConfig, ParallelRunner};
-use crate::figures::Scale;
+use crate::figures::{RunContext, Scale};
 use crate::runner::{run_simulation, SimParams};
 
 /// One protocol's cumulative daily trajectory.
@@ -25,21 +24,16 @@ pub struct ProgressSeries {
     pub cumulative_files: Vec<u64>,
 }
 
-/// Runs the progression experiment on the NUS-style trace.
-pub fn delivery_progress(scale: Scale) -> Vec<ProgressSeries> {
-    delivery_progress_with(scale, &ExecConfig::default())
-}
-
-/// [`delivery_progress`] with explicit execution: the three protocol runs
-/// execute on the runner's pool, with results collected in protocol order.
-pub fn delivery_progress_with(scale: Scale, exec: &ExecConfig) -> Vec<ProgressSeries> {
-    let (students, days) = match scale {
+/// Runs the progression experiment on the NUS-style trace: the three
+/// protocol runs execute on the context's pool, with results collected in
+/// protocol order.
+pub fn delivery_progress(ctx: &mut RunContext) -> Vec<ProgressSeries> {
+    let (students, days) = match ctx.scale() {
         Scale::Quick => (30, 6),
         Scale::Full => (80, 15),
     };
     let trace = NusConfig::new(students, days).seed(42).generate();
-    let runner = ParallelRunner::new(*exec);
-    runner.run_all(&ProtocolSpec::TRIAD, |&protocol| {
+    ctx.runner().run_all(&ProtocolSpec::TRIAD, |&protocol| {
         let r = run_simulation(
             &trace,
             &SimParams::builder()
@@ -96,7 +90,7 @@ mod tests {
 
     #[test]
     fn trajectories_are_monotone_nondecreasing() {
-        for s in delivery_progress(Scale::Quick) {
+        for s in delivery_progress(&mut RunContext::new(Scale::Quick)) {
             for w in s.cumulative_metadata.windows(2) {
                 assert!(w[1] >= w[0], "{}: metadata trajectory dipped", s.protocol);
             }
@@ -108,7 +102,7 @@ mod tests {
 
     #[test]
     fn metadata_leads_files_every_day() {
-        for s in delivery_progress(Scale::Quick) {
+        for s in delivery_progress(&mut RunContext::new(Scale::Quick)) {
             for (m, f) in s.cumulative_metadata.iter().zip(&s.cumulative_files) {
                 assert!(m >= f, "{}: files outran metadata", s.protocol);
             }
@@ -117,7 +111,7 @@ mod tests {
 
     #[test]
     fn table_has_one_row_per_day() {
-        let series = delivery_progress(Scale::Quick);
+        let series = delivery_progress(&mut RunContext::new(Scale::Quick));
         let t = progress_table(&series);
         assert_eq!(t.lines().count(), 7); // header + 6 days
     }

@@ -154,6 +154,32 @@ mod tests {
     }
 
     #[test]
+    fn table_columns_line_up() {
+        let mut fig = tiny_figure();
+        let points = fig.series[0].points.clone();
+        for protocol in [ProtocolSpec::MBT_Q, ProtocolSpec::MBT_QM] {
+            fig.series.push(ProtocolSeries {
+                protocol,
+                points: points.clone(),
+            });
+        }
+        let offsets = |line: &str| -> Vec<usize> {
+            line.char_indices()
+                .filter(|&(_, c)| c == '|')
+                .map(|(i, _)| i)
+                .collect()
+        };
+        let table = figure_table(&fig);
+        let mut lines = table.lines().skip(1); // title
+        let header = lines.next().unwrap();
+        assert_eq!(offsets(header).len(), 3);
+        for row in lines {
+            assert_eq!(offsets(row), offsets(header), "{table}");
+            assert_eq!(row.len(), header.len(), "{table}");
+        }
+    }
+
+    #[test]
     fn csv_has_header_and_rows() {
         let csv = figure_csv(&tiny_figure());
         let lines: Vec<&str> = csv.lines().collect();

@@ -1,9 +1,9 @@
-//! Parameter sweeps producing paper-style series.
+//! The series and figure types a parameter sweep produces
+//! ([`crate::exec::ParallelRunner`] is the executor).
 
-use dtn_trace::ContactTrace;
 use mbt_core::ProtocolSpec;
 
-use crate::runner::{run_simulation, SimParams, SimResult};
+use crate::runner::SimResult;
 
 /// Summary statistics of one delivery ratio across replicate runs.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -133,74 +133,34 @@ impl Figure {
     }
 }
 
-/// Runs a sweep: for each x value, `setup` produces the trace and parameters
-/// (protocol is overridden per series), and every triad spec
-/// ([`ProtocolSpec::TRIAD`]) is simulated.
-///
-/// `setup` is called once per (x, protocol) pair; returning the same trace
-/// for every protocol at a given x is the caller's responsibility if trace
-/// reuse matters (see [`sweep_shared_trace`] for the common case).
-pub fn sweep<F>(id: &str, title: &str, x_label: &str, xs: &[f64], mut setup: F) -> Figure
-where
-    F: FnMut(f64) -> (ContactTrace, SimParams),
-{
-    let mut series: Vec<ProtocolSeries> = ProtocolSpec::TRIAD
-        .iter()
-        .map(|&p| ProtocolSeries {
-            protocol: p,
-            points: Vec::with_capacity(xs.len()),
-        })
-        .collect();
-    for &x in xs {
-        let (trace, params) = setup(x);
-        for s in series.iter_mut() {
-            let mut p = params.clone();
-            p.protocol = s.protocol;
-            let result = run_simulation(&trace, &p, None);
-            s.points.push(SeriesPoint::single(x, result));
-        }
-    }
-    Figure {
-        id: id.to_string(),
-        title: title.to_string(),
-        x_label: x_label.to_string(),
-        series,
-    }
-}
-
-/// Like [`sweep`] but with one fixed trace shared by every x value — the
-/// common case when the swept parameter does not affect mobility.
-pub fn sweep_shared_trace<F>(
-    id: &str,
-    title: &str,
-    x_label: &str,
-    xs: &[f64],
-    trace: &ContactTrace,
-    mut params_for: F,
-) -> Figure
-where
-    F: FnMut(f64) -> SimParams,
-{
-    sweep(id, title, x_label, xs, |x| (trace.clone(), params_for(x)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{ExecConfig, ParallelRunner};
+    use crate::runner::SimParams;
     use dtn_trace::generators::NusConfig;
 
-    #[test]
-    fn sweep_produces_full_grid() {
+    fn quick_sweep(xs: &[f64]) -> Figure {
         let trace = NusConfig::new(20, 5).seed(3).generate();
-        let fig = sweep_shared_trace("test", "test sweep", "x", &[0.2, 0.6], &trace, |x| {
-            SimParams {
+        ParallelRunner::new(ExecConfig::serial()).sweep_shared_trace(
+            "test",
+            "test sweep",
+            "x",
+            xs,
+            &trace,
+            |x| SimParams {
                 internet_fraction: x,
                 files_per_day: 5,
                 days: 5,
-                seed: 1,
                 ..SimParams::default()
-            }
-        });
+            },
+            None,
+        )
+    }
+
+    #[test]
+    fn sweep_produces_full_grid() {
+        let fig = quick_sweep(&[0.2, 0.6]);
         assert_eq!(fig.series.len(), 3);
         for s in &fig.series {
             assert_eq!(s.points.len(), 2);
@@ -218,13 +178,7 @@ mod tests {
 
     #[test]
     fn ratios_copied_from_results() {
-        let trace = NusConfig::new(20, 5).seed(3).generate();
-        let fig = sweep_shared_trace("t", "t", "x", &[0.5], &trace, |x| SimParams {
-            internet_fraction: x,
-            files_per_day: 5,
-            days: 5,
-            ..SimParams::default()
-        });
+        let fig = quick_sweep(&[0.5]);
         for s in &fig.series {
             for p in &s.points {
                 assert_eq!(p.metadata_ratio, p.result.metadata_ratio);

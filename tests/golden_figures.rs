@@ -28,44 +28,16 @@ use mbt_experiments::report::figure_csv;
 use mbt_experiments::sweep::Figure;
 use mbt_experiments::{run_simulation, ExecConfig, Scale, SimParams};
 
+#[path = "support/golden.rs"]
+mod golden;
 #[path = "support/sparse.rs"]
 mod sparse;
 
-fn fixture_path(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/fixtures")
-        .join(name)
-}
+use golden::assert_text_matches_golden;
 
-/// Compares `fig`'s CSV against the named fixture; with `UPDATE_GOLDEN=1`
-/// rewrites the fixture instead.
+/// Compares `fig`'s CSV against the named fixture.
 fn assert_matches_golden(fig: &Figure, name: &str) {
     assert_text_matches_golden(&figure_csv(fig), &fig.id, name);
-}
-
-/// Compares `text` (describing `what`) against the named fixture; with
-/// `UPDATE_GOLDEN=1` rewrites the fixture instead.
-fn assert_text_matches_golden(text: &str, what: &str, name: &str) {
-    let path = fixture_path(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, text).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); run UPDATE_GOLDEN=1 cargo test \
-             -p mbt-experiments --test golden_figures to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        text,
-        golden,
-        "{what} drifted from its golden fixture {}; if the change is intentional, \
-         regenerate with UPDATE_GOLDEN=1 and commit the fixture",
-        path.display()
-    );
 }
 
 fn series_mean(fig: &Figure, protocol: ProtocolKind) -> f64 {

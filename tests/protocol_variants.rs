@@ -22,36 +22,8 @@ use dtn_trace::generators::NusConfig;
 use dtn_trace::TraceSource;
 use std::sync::Arc;
 
-fn fixture_path(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/fixtures")
-        .join(name)
-}
-
-fn assert_matches_golden(fig: &Figure, name: &str) {
-    let csv = figure_csv(fig);
-    let path = fixture_path(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &csv).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); run UPDATE_GOLDEN=1 cargo test \
-             -p mbt-experiments --test protocol_variants to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        csv,
-        golden,
-        "{} drifted from its golden fixture {}; if the change is intentional, \
-         regenerate with UPDATE_GOLDEN=1 and commit the fixture",
-        fig.id,
-        path.display()
-    );
-}
+#[path = "support/golden.rs"]
+mod golden;
 
 fn sweep_with(protocols: Vec<ProtocolSpec>, jobs: usize) -> Figure {
     let source: Arc<dyn TraceSource> = Arc::new(NusConfig::new(24, 5).seed(11).generate());
@@ -118,5 +90,5 @@ fn head_to_head_nus_quick_matches_golden() {
     for (series, spec) in fig.series.iter().zip(ProtocolSpec::builtin()) {
         assert_eq!(series.protocol, spec, "registry order must be preserved");
     }
-    assert_matches_golden(&fig, "h2h_nus_quick.csv");
+    golden::assert_text_matches_golden(&figure_csv(&fig), &fig.id, "h2h_nus_quick.csv");
 }
