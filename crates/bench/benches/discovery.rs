@@ -1,11 +1,12 @@
-//! Discovery benchmarks: keyword search, metadata send-ordering
-//! (cooperative and tit-for-tat), server search.
+//! Discovery benchmarks: keyword search and metadata send-ordering
+//! (cooperative and tit-for-tat). Server search is the ledger's
+//! `server.search.*`, on a corpus 200 times the size the bench here used.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dtn_trace::NodeId;
 use mbt_core::discovery::{cooperative, tft, MetadataOffer};
 use mbt_core::keyword::{tokenize, InvertedIndex};
-use mbt_core::{CreditLedger, Metadata, MetadataServer, Popularity, Query, Uri};
+use mbt_core::{CreditLedger, Metadata, Popularity, Query, Uri};
 use std::hint::black_box;
 
 fn corpus(n: usize) -> Vec<Metadata> {
@@ -38,18 +39,6 @@ fn bench_inverted_index(c: &mut Criterion) {
     let tokens: Vec<String> = vec!["show42".into(), "episode".into()];
     c.bench_function("inverted_index_lookup_1k", |b| {
         b.iter(|| black_box(index.lookup_ranked(&tokens)));
-    });
-}
-
-fn bench_server_search(c: &mut Criterion) {
-    let metas = corpus(1_000);
-    let mut server = MetadataServer::new(10);
-    for (i, m) in metas.into_iter().enumerate() {
-        server.publish(m, Popularity::new((i % 100) as f64 / 100.0));
-    }
-    let query = Query::new("episode 12").unwrap();
-    c.bench_function("server_search_1k_records", |b| {
-        b.iter(|| black_box(server.search(&query, 10)));
     });
 }
 
@@ -119,7 +108,6 @@ criterion_group!(
     benches,
     bench_tokenize,
     bench_inverted_index,
-    bench_server_search,
     bench_send_order
 );
 criterion_main!(benches);

@@ -282,6 +282,54 @@ mod tests {
     }
 
     #[test]
+    fn rejects_an_id_space_out_of_proportion_to_the_nodes_named() {
+        // Two lines that would size every dense per-id table at 4·10⁹
+        // entries: refused where the trace is opened, naming the id.
+        let dir = std::env::temp_dir().join("mbt-cli-test-sim");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("hostile-ids.trace");
+        std::fs::write(&path, "contact 0 10 1 2\ncontact 20 30 2 4000000000\n").unwrap();
+        let err = run(&args(&path.display().to_string())).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+        assert!(err.to_string().contains("node id 4000000000"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_manifest_whose_id_space_was_edited_up_or_down() {
+        use dtn_trace::ContactSink as _;
+        let path = trace_file("id-space-src");
+        let trace = dtn_trace::read_trace(std::fs::File::open(&path).unwrap()).unwrap();
+        let honest = format!("id-space {}\n", trace.id_space());
+        for (name, tampered, names) in [
+            ("up", "id-space 16000000000\n", "id space 16000000000"),
+            (
+                "down",
+                "id-space 5\n",
+                "id space 5 does not cover node id 19",
+            ),
+        ] {
+            let shard_dir = std::env::temp_dir().join(format!("mbt-cli-test-sim/id-space-{name}"));
+            let _ = std::fs::remove_dir_all(&shard_dir);
+            let mut writer =
+                dtn_trace::ShardWriter::create(&shard_dir, SimDuration::from_days(1)).unwrap();
+            for c in trace.iter() {
+                writer.push_contact(c.clone());
+            }
+            writer.finish().unwrap();
+            let line = format!("{} --files-per-day 8", shard_dir.display());
+            run(&args(&line)).expect("the untouched manifest opens");
+
+            let manifest = shard_dir.join("manifest.txt");
+            let text = std::fs::read_to_string(&manifest).unwrap();
+            assert!(text.contains(&honest), "{text}");
+            std::fs::write(&manifest, text.replace(&honest, tampered)).unwrap();
+            let err = run(&args(&line)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+            assert!(err.to_string().contains(names), "{err}");
+        }
+    }
+
+    #[test]
     fn bus_transport_matches_sim_transport() {
         let path = trace_file("transport");
         let sim = run(&args(&format!(

@@ -86,6 +86,54 @@ impl TokenSet {
     }
 }
 
+/// The elements common to every posting list, in ascending order.
+///
+/// One `lists` item per query token, `None` where the index has no list for
+/// it — which, like an empty `lists`, makes the answer empty. Walks the
+/// smallest list and probes the others for membership, so the cost is
+/// proportional to the rarest token's postings rather than to the lists'
+/// union. Nothing is allocated unless more than four lists are given.
+///
+/// The one intersection routine of the crate: the node-local
+/// [`InvertedIndex`] runs it over URIs, the metadata
+/// [`server`](crate::server) over integer record ids.
+pub(crate) fn intersect_rarest_first<'a, T: Ord + 'a>(
+    lists: impl IntoIterator<Item = Option<&'a BTreeSet<T>>>,
+) -> impl Iterator<Item = &'a T> {
+    // Posting lists for the common short query stay on the stack.
+    const INLINE: usize = 4;
+    let mut inline: [Option<&'a BTreeSet<T>>; INLINE] = [None; INLINE];
+    let mut spilled: Vec<&'a BTreeSet<T>> = Vec::new();
+    for (i, list) in lists.into_iter().enumerate() {
+        let Some(set) = list else {
+            // A token nothing carries: no list left to walk, no answer.
+            inline = [None; INLINE];
+            spilled.clear();
+            break;
+        };
+        match inline.get_mut(i) {
+            Some(slot) => *slot = Some(set),
+            None => spilled.push(set),
+        }
+    }
+    let (smallest, rarest) = inline
+        .iter()
+        .flatten()
+        .chain(&spilled)
+        .copied()
+        .enumerate()
+        .min_by_key(|(_, set)| set.len())
+        .unzip();
+    rarest.into_iter().flatten().filter(move |item| {
+        inline
+            .iter()
+            .flatten()
+            .chain(&spilled)
+            .enumerate()
+            .all(|(i, set)| Some(i) == smallest || set.contains(item))
+    })
+}
+
 /// An inverted index from tokens to the URIs of metadata containing them.
 ///
 /// # Example
@@ -166,40 +214,8 @@ impl InvertedIndex {
     /// Borrowing variant of [`lookup_all`](Self::lookup_all): the only
     /// allocation is the result vector, and a lookup that matches nothing —
     /// an empty index, an absent token — allocates nothing at all.
-    ///
-    /// Walks the smallest posting list and probes the others for membership,
-    /// so the cost is proportional to the rarest token's postings rather
-    /// than to set intersections.
     pub fn lookup_all_ref(&self, tokens: &[String]) -> Vec<&Uri> {
-        if self.by_token.is_empty() {
-            return Vec::new();
-        }
-        // Posting lists for the common short query stay on the stack.
-        const INLINE: usize = 4;
-        let mut inline: [Option<&BTreeSet<Uri>>; INLINE] = [None; INLINE];
-        let mut spilled = Vec::new();
-        for (i, token) in tokens.iter().enumerate() {
-            let Some(set) = self.by_token.get(token) else {
-                return Vec::new();
-            };
-            match inline.get_mut(i) {
-                Some(slot) => *slot = Some(set),
-                None => spilled.push(set),
-            }
-        }
-        let postings = || inline.iter().flatten().chain(&spilled).copied();
-        let Some((smallest, rarest)) = postings().enumerate().min_by_key(|(_, set)| set.len())
-        else {
-            return Vec::new();
-        };
-        rarest
-            .iter()
-            .filter(|uri| {
-                postings()
-                    .enumerate()
-                    .all(|(i, set)| i == smallest || set.contains(uri))
-            })
-            .collect()
+        intersect_rarest_first(tokens.iter().map(|token| self.by_token.get(token))).collect()
     }
 
     /// URIs matching at least one token, with their match counts, sorted by

@@ -144,16 +144,39 @@ impl PopularityEstimator {
     /// The estimated popularity of `uri` at `now`: distinct requesters within
     /// the window divided by the population.
     pub fn popularity(&self, uri: &Uri, now: SimTime) -> Popularity {
-        let Some(reqs) = self.requests.get(uri) else {
-            return Popularity::MIN;
-        };
-        let cutoff = now.saturating_sub(self.window);
-        let distinct: std::collections::BTreeSet<NodeId> = reqs
+        self.requests.get(uri).map_or(Popularity::MIN, |reqs| {
+            self.estimate(reqs, now, &mut Vec::new())
+        })
+    }
+
+    /// Every URI with recorded requests beside its estimated popularity at
+    /// `now`, in URI order. Any URI not yielded has popularity
+    /// [`Popularity::MIN`], so a refresh visits these instead of probing
+    /// [`popularity`](Self::popularity) once per published record.
+    pub fn popularities(&self, now: SimTime) -> impl Iterator<Item = (&Uri, Popularity)> {
+        let mut requesters = Vec::new(); // one scratch for the whole pass
+        self.requests
             .iter()
-            .filter(|&&(t, _)| t >= cutoff && t <= now)
-            .map(|&(_, n)| n)
-            .collect();
-        Popularity::new(distinct.len() as f64 / f64::from(self.population))
+            .map(move |(uri, reqs)| (uri, self.estimate(reqs, now, &mut requesters)))
+    }
+
+    /// Counts the distinct in-window requesters of `reqs` in `requesters`.
+    fn estimate(
+        &self,
+        reqs: &VecDeque<(SimTime, NodeId)>,
+        now: SimTime,
+        requesters: &mut Vec<NodeId>,
+    ) -> Popularity {
+        let cutoff = now.saturating_sub(self.window);
+        requesters.clear();
+        requesters.extend(
+            reqs.iter()
+                .filter(|&&(t, _)| t >= cutoff && t <= now)
+                .map(|&(_, n)| n),
+        );
+        requesters.sort_unstable();
+        requesters.dedup();
+        Popularity::new(requesters.len() as f64 / f64::from(self.population))
     }
 
     /// Drops request records older than the window relative to `now`.
@@ -255,6 +278,23 @@ mod tests {
         let est = PopularityEstimator::new(10);
         let uri = Uri::new("mbt://nope").unwrap();
         assert_eq!(est.popularity(&uri, SimTime::ZERO), Popularity::MIN);
+    }
+
+    #[test]
+    fn popularities_yields_exactly_the_requested_uris_with_their_estimates() {
+        let mut est = PopularityEstimator::new(10);
+        let (a, b) = (Uri::new("mbt://a").unwrap(), Uri::new("mbt://b").unwrap());
+        let t = SimTime::from_secs(1000);
+        est.record_request(&b, NodeId::new(1), t);
+        est.record_request(&a, NodeId::new(1), SimTime::ZERO);
+        est.record_request(&a, NodeId::new(2), t);
+        let now = SimTime::from_secs(24 * 3600 + 500); // the request at 0 has aged out
+        let all: Vec<(&Uri, Popularity)> = est.popularities(now).collect();
+        assert_eq!(
+            all,
+            vec![(&a, est.popularity(&a, now)), (&b, est.popularity(&b, now))]
+        );
+        assert_eq!(all[0].1, Popularity::new(0.1), "the window applies");
     }
 
     #[test]

@@ -7,28 +7,30 @@
 //! which returns the best-matched metadata; the server also tracks request
 //! popularity over a 24-hour window.
 //!
-//! The module tree separates the production server from its proof machinery:
+//! The module tree:
 //!
 //! - [`shard`] — the partitioning primitives: stable FNV-1a placement of
-//!   tokens and URIs onto `N` ring shards, and the shared rank-merge query
-//!   core both the live server and its snapshots call;
+//!   tokens and URIs onto `N` ring shards, the slab each URI shard keeps its
+//!   records in, the integer posting lists, and the shared rarest-first
+//!   query core both the live server and its snapshots call;
 //! - [`ShardedMetadataServer`] — the mutable server itself, every shard
 //!   behind a copy-on-write `Arc`;
-//! - [`ServerSnapshot`] — a frozen, lock-free view for concurrent readers;
-//! - [`ReferenceServer`] — the original single-registry implementation,
-//!   kept verbatim as the equivalence oracle for the property suite.
+//! - [`ServerSnapshot`] — a frozen, lock-free view for concurrent readers.
+//!
+//! The proof machinery lives with the tests: the original single-registry
+//! implementation is kept verbatim as `tests/support/reference_server.rs`,
+//! the oracle `tests/server_equivalence.rs` and `tests/query_storm.rs` hold
+//! every answer to.
 //!
 //! [`MetadataServer`] remains the name the rest of the system uses; it is
-//! the sharded server, which with the default single shard is byte-identical
-//! to the reference.
+//! the sharded server, whose answers are byte-identical to the reference
+//! for every shard count.
 
 pub mod shard;
 
-mod reference;
 mod sharded;
 mod snapshot;
 
-pub use reference::ReferenceServer;
 pub use sharded::ShardedMetadataServer;
 pub use snapshot::ServerSnapshot;
 

@@ -4,23 +4,34 @@
 //! token-sharded keyword indexes and ID-space partitioning of Grunthal's
 //! *Efficient Indexing of the BitTorrent DHT*:
 //!
-//! - the **keyword index** is split by token hash: a token's full posting
-//!   list lives in exactly one `TokenShard`, so a query fans out to at most
-//!   one shard per query token;
 //! - the **URI space** (metadata records and their popularities) is
 //!   ring-partitioned by URI hash: each `UriShard` owns a contiguous arc of
-//!   the `u64` hash ring, so record lookups, expiry passes, and popularity
-//!   refreshes are independent per-shard walks.
+//!   the `u64` hash ring and keeps its records in a *slab* — a `Uri → slot`
+//!   map beside parallel `metadata`, `popularity` and `expires` columns and a
+//!   free list — so a record is addressed by one integer, its `RecordId`
+//!   `(uri shard, slot)`, which a republish keeps;
+//! - the **keyword index** is split by token hash: a token's full posting
+//!   list — an ordered set of `RecordId`s, the compact integer postings of
+//!   the same paper — lives in exactly one `TokenShard`, so a query fans out
+//!   to at most one shard per query token.
 //!
 //! Both use the same stable FNV-1a hash — deterministic across processes and
 //! toolchains, unlike `std`'s seeded `RandomState` — so a shard layout is a
 //! pure function of `(key, shard count)` and committed bench digests never
-//! drift.
+//! drift. The `Uri → slot` map does use `RandomState` (URIs come from
+//! publishers, who must not be able to craft collisions), but it is only
+//! ever probed by key: its iteration order reaches no answer.
+//!
+//! Every operation costs what it touches: a search walks the rarest query
+//! token's postings and resolves survivors by slab index, a refresh or
+//! expiry pass scans a column, and no per-record operation is linear in the
+//! length of a posting list.
 //!
 //! The query core (`ranked_matches`, `top_popular`) operates on slices of
 //! `Arc`-held shards so the mutable [`ShardedMetadataServer`] and its
 //! immutable [`ServerSnapshot`] share one implementation — and one proof of
-//! equivalence with the linear reference scan.
+//! equivalence with the linear reference scan
+//! (`tests/server_equivalence.rs`).
 //!
 //! [`ShardedMetadataServer`]: super::ShardedMetadataServer
 //! [`ServerSnapshot`]: super::ServerSnapshot
@@ -30,6 +41,7 @@ use std::sync::Arc;
 
 use dtn_trace::SimTime;
 
+use crate::keyword::intersect_rarest_first;
 use crate::metadata::Metadata;
 use crate::popularity::{cmp_popularity, Popularity};
 use crate::query::Query;
@@ -76,19 +88,152 @@ pub fn shard_of_uri(uri: &Uri, shards: usize) -> usize {
     ring_index(stable_hash(uri.as_str().as_bytes()), shards)
 }
 
-/// One record of the URI space: the published metadata and its assigned
-/// popularity, stored together so a popularity refresh is an in-place value
-/// walk that never touches (or re-interns) the key set.
-#[derive(Debug, Clone)]
-pub(crate) struct UriRecord {
-    pub metadata: Metadata,
-    pub popularity: Popularity,
+/// The address of one record: its URI shard and its slot in that shard's
+/// slab, packed into one integer (shard in the high half). Postings hold
+/// these instead of URIs; ordering is by shard, then slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct RecordId(u64);
+
+impl RecordId {
+    pub fn new(shard: usize, slot: u32) -> Self {
+        let shard = u32::try_from(shard).expect("the shard count fits 32 bits");
+        RecordId(u64::from(shard) << 32 | u64::from(slot))
+    }
+
+    fn shard(self) -> usize {
+        (self.0 >> 32) as usize
+    }
+
+    fn slot(self) -> u32 {
+        self.0 as u32 // the low half
+    }
 }
 
-/// One arc of the URI ring: every record whose URI hashes into this shard.
+/// One arc of the URI ring: every record whose URI hashes into this shard,
+/// stored as a slab.
+///
+/// Slot `i` of every column describes one record; a freed slot holds `None`
+/// in `metadata` and waits on the `free` list for the next new URI. Storing
+/// popularity and expiry beside, not inside, the record makes a popularity
+/// refresh a `fill` plus a few writes and an expiry pass one scan of
+/// integers.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct UriShard {
-    pub records: BTreeMap<Uri, UriRecord>,
+    slots: HashMap<Uri, u32>,
+    metadata: Vec<Option<Metadata>>,
+    popularity: Vec<Popularity>,
+    /// Expiry instant in seconds; `u64::MAX` = no TTL (or a free slot).
+    expires: Vec<u64>,
+    free: Vec<u32>,
+}
+
+impl UriShard {
+    /// Number of records in the shard.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The slot holding `uri`'s record.
+    pub fn slot_of(&self, uri: &Uri) -> Option<u32> {
+        self.slots.get(uri).copied()
+    }
+
+    /// The record in `slot`, which must be occupied.
+    pub fn metadata(&self, slot: u32) -> &Metadata {
+        self.metadata[slot as usize]
+            .as_ref()
+            .expect("the slot holds a record")
+    }
+
+    /// `uri`'s record, if published.
+    pub fn metadata_of(&self, uri: &Uri) -> Option<&Metadata> {
+        self.slot_of(uri).map(|slot| self.metadata(slot))
+    }
+
+    /// The assigned popularity of `uri` (0 if unknown).
+    pub fn popularity_of(&self, uri: &Uri) -> Popularity {
+        self.slot_of(uri)
+            .map_or(Popularity::MIN, |slot| self.popularity[slot as usize])
+    }
+
+    /// Sets the popularity of the record in `slot`.
+    pub fn set_popularity(&mut self, slot: u32, popularity: Popularity) {
+        self.popularity[slot as usize] = popularity;
+    }
+
+    /// Sets every record's popularity to [`Popularity::MIN`].
+    pub fn reset_popularities(&mut self) {
+        self.popularity.fill(Popularity::MIN);
+    }
+
+    /// Stores `metadata` in the slot its URI already occupies, else in a
+    /// free one; returns the slot and the record it replaced.
+    pub fn insert(
+        &mut self,
+        metadata: Metadata,
+        popularity: Popularity,
+    ) -> (u32, Option<Metadata>) {
+        let expires = metadata.expires().map_or(u64::MAX, SimTime::as_secs);
+        let slot = *self.slots.entry(metadata.uri().clone()).or_insert_with(|| {
+            self.free.pop().unwrap_or_else(|| {
+                let slot = u32::try_from(self.metadata.len())
+                    .expect("a shard holds fewer than 2^32 records");
+                self.metadata.push(None);
+                self.popularity.push(Popularity::MIN);
+                self.expires.push(u64::MAX);
+                slot
+            })
+        });
+        self.popularity[slot as usize] = popularity;
+        self.expires[slot as usize] = expires;
+        (slot, self.metadata[slot as usize].replace(metadata))
+    }
+
+    /// Frees `slot`, which must be occupied, and returns its record.
+    pub fn remove(&mut self, slot: u32) -> Metadata {
+        let metadata = self.metadata[slot as usize]
+            .take()
+            .expect("the slot holds a record");
+        self.slots.remove(metadata.uri());
+        self.expires[slot as usize] = u64::MAX;
+        self.free.push(slot);
+        metadata
+    }
+
+    /// True if `slot` holds a record expired at `now`. The integer column
+    /// answers "no" alone; the record is consulted only for a slot the
+    /// column flags, which keeps the no-TTL sentinel exact even at
+    /// `now = u64::MAX` seconds.
+    fn is_expired(&self, slot: usize, now: SimTime) -> bool {
+        self.expires[slot] <= now.as_secs()
+            && self.metadata[slot]
+                .as_ref()
+                .is_some_and(|m| m.is_expired(now))
+    }
+
+    /// The slots whose records have expired at `now`, ascending: one scan
+    /// of the `expires` column.
+    pub fn expired_slots(&self, now: SimTime) -> impl Iterator<Item = u32> + '_ {
+        (0..self.expires.len())
+            .filter(move |&slot| self.is_expired(slot, now))
+            .map(|slot| slot as u32)
+    }
+
+    /// Every record in slot order (not URI order).
+    fn records(&self) -> impl Iterator<Item = &Metadata> {
+        self.metadata.iter().flatten()
+    }
+
+    /// Every record unexpired at `now` beside its popularity, in slot order.
+    fn unexpired(&self, now: SimTime) -> impl Iterator<Item = (Popularity, &Metadata)> {
+        self.metadata
+            .iter()
+            .enumerate()
+            .filter_map(move |(slot, m)| {
+                let m = m.as_ref()?;
+                (!self.is_expired(slot, now)).then_some((self.popularity[slot], m))
+            })
+    }
 }
 
 /// One slice of the keyword index: the full posting lists of every token
@@ -97,31 +242,39 @@ pub(crate) struct UriShard {
 /// Unlike [`InvertedIndex`](crate::keyword::InvertedIndex) there is no
 /// reverse `tokens_of` map — the publisher removes a record's postings from
 /// the record's own cached [`TokenSet`](crate::keyword::TokenSet), so each
-/// token string is stored exactly once per shard.
+/// token string is stored exactly once per shard. A posting list is an
+/// ordered set, so adding or removing one record is logarithmic even in the
+/// list every record is on (the publisher's name).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TokenShard {
-    pub postings: BTreeMap<Box<str>, BTreeSet<Uri>>,
+    postings: BTreeMap<Box<str>, BTreeSet<RecordId>>,
 }
 
 impl TokenShard {
-    /// Adds `uri` to `token`'s posting list.
-    pub fn insert_posting(&mut self, token: &str, uri: &Uri) {
+    /// `token`'s posting list, if any record carries the token.
+    pub fn postings(&self, token: &str) -> Option<&BTreeSet<RecordId>> {
+        self.postings.get(token)
+    }
+
+    /// Adds `id` to `token`'s posting list.
+    pub fn insert_posting(&mut self, token: &str, id: RecordId) {
         match self.postings.get_mut(token) {
             Some(set) => {
-                set.insert(uri.clone());
+                set.insert(id);
             }
             None => {
-                self.postings
-                    .insert(Box::from(token), BTreeSet::from([uri.clone()]));
+                self.postings.insert(Box::from(token), BTreeSet::from([id]));
             }
         }
     }
 
-    /// Removes `uri` from `token`'s posting list, dropping the list when it
-    /// empties.
-    pub fn remove_posting(&mut self, token: &str, uri: &Uri) {
+    /// Removes `ids` from `token`'s posting list — one look-up of the list
+    /// however many ids go — dropping the list when it empties.
+    pub fn remove_postings(&mut self, token: &str, ids: impl IntoIterator<Item = RecordId>) {
         if let Some(set) = self.postings.get_mut(token) {
-            set.remove(uri);
+            for id in ids {
+                set.remove(&id);
+            }
             if set.is_empty() {
                 self.postings.remove(token);
             }
@@ -129,96 +282,72 @@ impl TokenShard {
     }
 }
 
+/// The best `limit` of `candidates` in rank order: popularity descending,
+/// then URI ascending. URIs are unique, so the order is total and neither
+/// the candidates' incoming order nor the unstable selection can reach the
+/// result. Selects before sorting: only the head that is returned is sorted.
+fn top_k(mut candidates: Vec<(Popularity, &Metadata)>, limit: usize) -> Vec<&Metadata> {
+    let by_rank = |a: &(Popularity, &Metadata), b: &(Popularity, &Metadata)| {
+        cmp_popularity(b.0, a.0).then_with(|| a.1.uri().cmp(b.1.uri()))
+    };
+    if limit < candidates.len() {
+        candidates.select_nth_unstable_by(limit, by_rank);
+        candidates.truncate(limit);
+    }
+    candidates.sort_unstable_by(by_rank);
+    candidates.into_iter().map(|(_, m)| m).collect()
+}
+
 /// Best-matched metadata for `query` across all shards, at most `limit`.
 ///
-/// Accumulates per-URI match counts from each query token's (single) owning
-/// token shard, filters to records containing **every** query token, and
-/// rank-merges with the exact deterministic ordering of the reference linear
-/// scan: match count descending, then popularity descending, then URI
-/// ascending. Accumulation order cannot leak into the result — the final
-/// comparator is total (URIs are unique) — so a `HashMap` scratch is safe.
+/// Fetches each query token's posting list from its (single) owning token
+/// shard, intersects them rarest-first — a token no record carries ends the
+/// search before anything is allocated — resolves each survivor by direct
+/// slab index, and keeps the top `limit`. Query tokens are deduplicated and
+/// every survivor carries all of them, so the reference scan's leading
+/// "match count" key is the same for all and the rank order is popularity
+/// descending, then URI ascending.
 pub(crate) fn ranked_matches<'a>(
     uri_shards: &'a [Arc<UriShard>],
     token_shards: &'a [Arc<TokenShard>],
     query: &Query,
     limit: usize,
 ) -> Vec<&'a Metadata> {
-    let mut counts: HashMap<&'a Uri, usize> = HashMap::new();
-    for token in query.tokens() {
-        let shard = &token_shards[shard_of_token(token, token_shards.len())];
-        if let Some(postings) = shard.postings.get(token.as_str()) {
-            for uri in postings {
-                *counts.entry(uri).or_insert(0) += 1;
-            }
-        }
-    }
-    let mut ranked: Vec<(&'a Uri, &'a UriRecord, usize)> = counts
-        .into_iter()
-        .filter_map(|(uri, hits)| {
-            let shard = &uri_shards[shard_of_uri(uri, uri_shards.len())];
-            let record = shard.records.get(uri)?;
-            record
-                .metadata
-                .matches_query(query)
-                .then_some((uri, record, hits))
+    let lists = query
+        .tokens()
+        .iter()
+        .map(|token| token_shards[shard_of_token(token, token_shards.len())].postings(token));
+    let survivors = intersect_rarest_first(lists)
+        .map(|id| {
+            let shard = &uri_shards[id.shard()];
+            let record = shard.metadata(id.slot());
+            debug_assert!(record.matches_query(query), "postings and token sets agree");
+            (shard.popularity[id.slot() as usize], record)
         })
         .collect();
-    ranked.sort_by(|a, b| {
-        b.2.cmp(&a.2)
-            .then_with(|| cmp_popularity(b.1.popularity, a.1.popularity))
-            .then_with(|| a.0.cmp(b.0))
-    });
-    ranked
-        .into_iter()
-        .take(limit)
-        .map(|(_, record, _)| &record.metadata)
-        .collect()
+    top_k(survivors, limit)
 }
 
-/// The `limit` most popular unexpired records at `now`.
-///
-/// Each URI shard contributes its own top `limit` (popularity descending,
-/// URI ascending); the per-shard winners are rank-merged under the same
-/// total order, which provably equals the reference full sort truncated to
-/// `limit`.
-pub(crate) fn top_popular<'a>(
-    uri_shards: &'a [Arc<UriShard>],
+/// The `limit` most popular unexpired records at `now`, popularity
+/// descending then URI ascending.
+pub(crate) fn top_popular(
+    uri_shards: &[Arc<UriShard>],
     limit: usize,
     now: SimTime,
-) -> Vec<&'a Metadata> {
-    let by_rank = |a: &(&'a Uri, &'a UriRecord), b: &(&'a Uri, &'a UriRecord)| {
-        cmp_popularity(b.1.popularity, a.1.popularity).then_with(|| a.0.cmp(b.0))
-    };
-    let mut merged: Vec<(&'a Uri, &'a UriRecord)> = Vec::new();
-    for shard in uri_shards {
-        let mut local: Vec<(&'a Uri, &'a UriRecord)> = shard
-            .records
-            .iter()
-            .filter(|(_, r)| !r.metadata.is_expired(now))
-            .collect();
-        local.sort_by(by_rank);
-        local.truncate(limit);
-        merged.extend(local);
-    }
-    merged.sort_by(by_rank);
-    merged
-        .into_iter()
-        .take(limit)
-        .map(|(_, record)| &record.metadata)
-        .collect()
+) -> Vec<&Metadata> {
+    let unexpired = uri_shards
+        .iter()
+        .flat_map(|shard| shard.unexpired(now))
+        .collect();
+    top_k(unexpired, limit)
 }
 
 /// All records across shards in global URI order (the public iteration
 /// contract inherited from the reference registry).
-pub(crate) fn iter_uri_order<'a>(
-    uri_shards: &'a [Arc<UriShard>],
-) -> impl Iterator<Item = &'a Metadata> {
-    let mut all: Vec<(&'a Uri, &'a Metadata)> = uri_shards
-        .iter()
-        .flat_map(|s| s.records.iter().map(|(u, r)| (u, &r.metadata)))
-        .collect();
-    all.sort_by(|a, b| a.0.cmp(b.0));
-    all.into_iter().map(|(_, m)| m)
+pub(crate) fn iter_uri_order(uri_shards: &[Arc<UriShard>]) -> impl Iterator<Item = &Metadata> {
+    let mut all: Vec<&Metadata> = uri_shards.iter().flat_map(|s| s.records()).collect();
+    all.sort_unstable_by(|a, b| a.uri().cmp(b.uri()));
+    all.into_iter()
 }
 
 #[cfg(test)]
@@ -256,15 +385,55 @@ mod tests {
     #[test]
     fn posting_lists_insert_and_remove() {
         let mut shard = TokenShard::default();
-        let a = Uri::new("mbt://a").unwrap();
-        let b = Uri::new("mbt://b").unwrap();
-        shard.insert_posting("fox", &a);
-        shard.insert_posting("fox", &b);
-        assert_eq!(shard.postings["fox"].len(), 2);
-        shard.remove_posting("fox", &a);
-        assert_eq!(shard.postings["fox"].len(), 1);
-        shard.remove_posting("fox", &b);
-        assert!(!shard.postings.contains_key("fox"), "empty list dropped");
-        shard.remove_posting("gone", &a); // no-op on absent token
+        let (a, b) = (RecordId::new(0, 0), RecordId::new(3, 1));
+        shard.insert_posting("fox", a);
+        shard.insert_posting("fox", b);
+        assert_eq!(shard.postings("fox").unwrap().len(), 2);
+        shard.remove_postings("fox", [a]);
+        assert_eq!(shard.postings("fox").unwrap().len(), 1);
+        shard.remove_postings("fox", [a, b]); // `a` is already gone
+        assert!(shard.postings("fox").is_none(), "empty list dropped");
+        shard.remove_postings("gone", [a]); // no-op on absent token
+    }
+
+    #[test]
+    fn record_id_packs_shard_and_slot_and_orders_by_them() {
+        let id = RecordId::new(7, u32::MAX);
+        assert_eq!((id.shard(), id.slot()), (7, u32::MAX));
+        assert!(RecordId::new(0, u32::MAX) < RecordId::new(1, 0));
+        assert!(RecordId::new(1, 0) < RecordId::new(1, 1));
+    }
+
+    #[test]
+    fn slab_reuses_a_freed_slot_and_keeps_a_republished_one() {
+        let meta = |uri: &str, ttl: Option<u64>| {
+            let mut b = Metadata::builder("x", "p", Uri::new(uri).unwrap());
+            if let Some(secs) = ttl {
+                b = b.ttl(dtn_trace::SimDuration::from_secs(secs));
+            }
+            b.build()
+        };
+        let mut shard = UriShard::default();
+        let (a, replaced) = shard.insert(meta("mbt://a", Some(10)), Popularity::MAX);
+        assert!(replaced.is_none());
+        let (b, _) = shard.insert(meta("mbt://b", None), Popularity::MIN);
+        assert_eq!((a, b), (0, 1));
+        // A republish keeps the slot and hands the old record back.
+        let (again, replaced) = shard.insert(meta("mbt://a", Some(20)), Popularity::MIN);
+        assert_eq!(again, a);
+        assert_eq!(replaced.unwrap().expires(), Some(SimTime::from_secs(10)));
+
+        assert_eq!(shard.expired_slots(SimTime::from_secs(19)).count(), 0);
+        let expired: Vec<u32> = shard.expired_slots(SimTime::from_secs(20)).collect();
+        assert_eq!(expired, vec![a]);
+        assert_eq!(shard.remove(a).uri().as_str(), "mbt://a");
+        assert_eq!(shard.len(), 1);
+        assert!(shard.metadata_of(&Uri::new("mbt://a").unwrap()).is_none());
+        // The freed slot goes to the next new URI; its expiry went with it.
+        let (c, replaced) = shard.insert(meta("mbt://c", None), Popularity::MAX);
+        assert_eq!(c, a);
+        assert!(replaced.is_none());
+        assert_eq!(shard.expired_slots(SimTime::from_secs(u64::MAX)).count(), 0);
+        assert_eq!(shard.records().count(), 2);
     }
 }

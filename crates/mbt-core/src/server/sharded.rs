@@ -4,14 +4,15 @@ use std::sync::Arc;
 
 use dtn_trace::{NodeId, SimTime};
 
+use crate::keyword::TokenSet;
 use crate::metadata::Metadata;
 use crate::popularity::{Popularity, PopularityEstimator};
 use crate::query::Query;
 use crate::uri::Uri;
 
 use super::shard::{
-    iter_uri_order, ranked_matches, shard_of_token, shard_of_uri, top_popular, TokenShard,
-    UriRecord, UriShard,
+    iter_uri_order, ranked_matches, shard_of_token, shard_of_uri, top_popular, RecordId,
+    TokenShard, UriShard,
 };
 use super::snapshot::ServerSnapshot;
 
@@ -85,32 +86,35 @@ impl ShardedMetadataServer {
 
     /// Publishes metadata with an assigned popularity (the workload's ground
     /// truth). Re-publishing a URI replaces the record.
+    ///
+    /// A republished record keeps its slot, so only the *difference* of the
+    /// old and new token sets reaches the keyword index: a token both carry
+    /// (the publisher's name is on every record) costs nothing.
     pub fn publish(&mut self, metadata: Metadata, popularity: Popularity) {
-        let uri = metadata.uri().clone();
-        let shards = self.token_shards.len();
-        let uri_shard = Arc::make_mut(&mut self.uri_shards[shard_of_uri(&uri, shards)]);
-        if let Some(old) = uri_shard.records.get(&uri) {
-            // Replacement: drop the old record's postings first, from its
-            // own cached token set.
-            let old_tokens = old.metadata.token_set().clone();
-            for token in old_tokens.iter() {
-                Arc::make_mut(&mut self.token_shards[shard_of_token(token, shards)])
-                    .remove_posting(token, &uri);
-            }
-        } else {
-            self.len += 1;
+        let ShardedMetadataServer {
+            uri_shards,
+            token_shards,
+            len,
+            ..
+        } = self;
+        let shards = token_shards.len();
+        let shard = shard_of_uri(metadata.uri(), shards);
+        let (slot, replaced) = Arc::make_mut(&mut uri_shards[shard]).insert(metadata, popularity);
+        let id = RecordId::new(shard, slot);
+        let new = uri_shards[shard].metadata(slot).token_set();
+        let no_tokens = TokenSet::default();
+        let old = replaced.as_ref().map_or(&no_tokens, Metadata::token_set);
+        for token in old.iter().filter(|token| !new.contains(token)) {
+            Arc::make_mut(&mut token_shards[shard_of_token(token, shards)])
+                .remove_postings(token, [id]);
         }
-        for token in metadata.token_set().iter() {
-            Arc::make_mut(&mut self.token_shards[shard_of_token(token, shards)])
-                .insert_posting(token, &uri);
+        for token in new.iter().filter(|token| !old.contains(token)) {
+            Arc::make_mut(&mut token_shards[shard_of_token(token, shards)])
+                .insert_posting(token, id);
         }
-        uri_shard.records.insert(
-            uri,
-            UriRecord {
-                metadata,
-                popularity,
-            },
-        );
+        if replaced.is_none() {
+            *len += 1;
+        }
     }
 
     /// Number of published records.
@@ -125,34 +129,26 @@ impl ShardedMetadataServer {
 
     /// Looks up metadata by URI.
     pub fn metadata_of(&self, uri: &Uri) -> Option<&Metadata> {
-        self.uri_shards[shard_of_uri(uri, self.uri_shards.len())]
-            .records
-            .get(uri)
-            .map(|r| &r.metadata)
+        self.uri_shards[shard_of_uri(uri, self.uri_shards.len())].metadata_of(uri)
     }
 
     /// The assigned popularity of `uri` (0 if unknown).
     pub fn popularity_of(&self, uri: &Uri) -> Popularity {
-        self.uri_shards[shard_of_uri(uri, self.uri_shards.len())]
-            .records
-            .get(uri)
-            .map_or(Popularity::MIN, |r| r.popularity)
+        self.uri_shards[shard_of_uri(uri, self.uri_shards.len())].popularity_of(uri)
     }
 
     /// Updates the assigned popularity (e.g. daily refresh from the
     /// estimator). URIs with no published record are ignored.
     pub fn set_popularity(&mut self, uri: &Uri, popularity: Popularity) {
-        let idx = shard_of_uri(uri, self.uri_shards.len());
-        if self.uri_shards[idx].records.contains_key(uri) {
-            let shard = Arc::make_mut(&mut self.uri_shards[idx]);
-            if let Some(record) = shard.records.get_mut(uri) {
-                record.popularity = popularity;
-            }
+        let shard = shard_of_uri(uri, self.uri_shards.len());
+        let shard = &mut self.uri_shards[shard];
+        if let Some(slot) = shard.slot_of(uri) {
+            Arc::make_mut(shard).set_popularity(slot, popularity);
         }
     }
 
-    /// Best-matched metadata for `query`, at most `limit`, ranked by match
-    /// count then popularity then URI (all descending except URI).
+    /// The records carrying every token of `query`, at most `limit`, ranked
+    /// by popularity descending, then URI ascending.
     pub fn search(&self, query: &Query, limit: usize) -> Vec<&Metadata> {
         ranked_matches(&self.uri_shards, &self.token_shards, query, limit)
     }
@@ -181,19 +177,25 @@ impl ShardedMetadataServer {
     /// Refreshes every assigned popularity from the estimator (the paper's
     /// daily popularity update).
     ///
-    /// A per-shard in-place value walk: no clone of the URI keyspace, no
-    /// re-interned keys, no allocation for records the estimator has never
-    /// seen (`tests/refresh_alloc.rs` pins this).
+    /// Fills each shard's popularity column with [`Popularity::MIN`] — what
+    /// the estimator answers for a URI nobody requested — then visits only
+    /// the URIs the estimator holds: no per-record probe, no clone of the
+    /// URI keyspace, no allocation for records the estimator has never seen
+    /// (`tests/refresh_alloc.rs` pins this).
     pub fn refresh_popularities(&mut self, now: SimTime) {
         let ShardedMetadataServer {
             uri_shards,
             estimator,
             ..
         } = self;
-        for shard in uri_shards {
-            let shard = Arc::make_mut(shard);
-            for (uri, record) in shard.records.iter_mut() {
-                record.popularity = estimator.popularity(uri, now);
+        for shard in uri_shards.iter_mut() {
+            Arc::make_mut(shard).reset_popularities();
+        }
+        let shards = uri_shards.len();
+        for (uri, popularity) in estimator.popularities(now) {
+            let shard = &mut uri_shards[shard_of_uri(uri, shards)];
+            if let Some(slot) = shard.slot_of(uri) {
+                Arc::make_mut(shard).set_popularity(slot, popularity);
             }
         }
         estimator.prune(now);
@@ -201,37 +203,43 @@ impl ShardedMetadataServer {
 
     /// Removes metadata expired at `now`; returns how many were dropped.
     ///
-    /// A per-shard pass: only expired URIs are ever collected, and each
-    /// shard is copied (if shared) at most once.
+    /// One scan of each shard's expiry column; a shard with nothing expired
+    /// stays shared with outstanding snapshots. The dropped records'
+    /// postings are removed batched per list — one look-up of each affected
+    /// token, not one per (record, token) pair.
     pub fn expire(&mut self, now: SimTime) -> usize {
-        let shards = self.token_shards.len();
-        let mut dropped = 0usize;
-        for idx in 0..self.uri_shards.len() {
-            if !self.uri_shards[idx]
-                .records
-                .values()
-                .any(|r| r.metadata.is_expired(now))
-            {
+        let ShardedMetadataServer {
+            uri_shards,
+            token_shards,
+            len,
+            ..
+        } = self;
+        let mut expired: Vec<(RecordId, Metadata)> = Vec::new();
+        for (idx, shard) in uri_shards.iter_mut().enumerate() {
+            let slots: Vec<u32> = shard.expired_slots(now).collect();
+            if slots.is_empty() {
                 continue; // nothing expired: leave the shard shared
             }
-            let shard = Arc::make_mut(&mut self.uri_shards[idx]);
-            let expired: Vec<Uri> = shard
-                .records
-                .iter()
-                .filter(|(_, r)| r.metadata.is_expired(now))
-                .map(|(u, _)| u.clone())
-                .collect();
-            for uri in &expired {
-                let record = shard.records.remove(uri).expect("collected above");
-                for token in record.metadata.token_set().iter() {
-                    Arc::make_mut(&mut self.token_shards[shard_of_token(token, shards)])
-                        .remove_posting(token, uri);
-                }
-            }
-            dropped += expired.len();
+            let shard = Arc::make_mut(shard);
+            expired.extend(
+                slots
+                    .into_iter()
+                    .map(|slot| (RecordId::new(idx, slot), shard.remove(slot))),
+            );
         }
-        self.len -= dropped;
-        dropped
+        let mut removals: Vec<(&str, RecordId)> = expired
+            .iter()
+            .flat_map(|(id, metadata)| metadata.token_set().iter().map(move |token| (token, *id)))
+            .collect();
+        removals.sort_unstable();
+        let shards = token_shards.len();
+        for list in removals.chunk_by(|a, b| a.0 == b.0) {
+            let token = list[0].0;
+            Arc::make_mut(&mut token_shards[shard_of_token(token, shards)])
+                .remove_postings(token, list.iter().map(|&(_, id)| id));
+        }
+        *len -= expired.len();
+        expired.len()
     }
 
     /// Iterates over all published metadata in URI order (rank-merged

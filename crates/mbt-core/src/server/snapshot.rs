@@ -57,28 +57,24 @@ impl ServerSnapshot {
 
     /// Number of records in the snapshot.
     pub fn len(&self) -> usize {
-        self.uri_shards.iter().map(|s| s.records.len()).sum()
+        self.uri_shards.iter().map(|s| s.len()).sum()
     }
 
     /// True if the snapshot holds no records.
     pub fn is_empty(&self) -> bool {
-        self.uri_shards.iter().all(|s| s.records.is_empty())
+        self.len() == 0
     }
 
     /// Looks up metadata by URI.
     pub fn metadata_of(&self, uri: &Uri) -> Option<Metadata> {
         self.uri_shards[shard_of_uri(uri, self.uri_shards.len())]
-            .records
-            .get(uri)
-            .map(|r| r.metadata.clone())
+            .metadata_of(uri)
+            .cloned()
     }
 
     /// The assigned popularity of `uri` (0 if unknown).
     pub fn popularity_of(&self, uri: &Uri) -> Popularity {
-        self.uri_shards[shard_of_uri(uri, self.uri_shards.len())]
-            .records
-            .get(uri)
-            .map_or(Popularity::MIN, |r| r.popularity)
+        self.uri_shards[shard_of_uri(uri, self.uri_shards.len())].popularity_of(uri)
     }
 
     /// Best-matched metadata for `query`, at most `limit`, in exactly the

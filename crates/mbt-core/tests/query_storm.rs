@@ -17,8 +17,14 @@ use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 
 use dtn_trace::{NodeId, SimDuration, SimTime};
-use mbt_core::server::{ReferenceServer, ShardedMetadataServer};
+use mbt_core::server::ShardedMetadataServer;
 use mbt_core::{Metadata, Popularity, Query, Uri};
+
+// The storm drives only the oracle's mutating surface and `search`.
+#[allow(dead_code)]
+#[path = "support/reference_server.rs"]
+mod reference_server;
+use reference_server::ReferenceServer;
 
 const ROUNDS: usize = 10;
 const QUERIES_PER_ROUND: usize = 1_000; // 10⁴ concurrent searches per storm

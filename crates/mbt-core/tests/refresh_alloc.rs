@@ -11,9 +11,13 @@
 //! for the keyspace clone alone; the rewrite stays within a small fixed budget that only covers
 //! the estimator's per-requested-URI scratch — proving URIs are neither
 //! cloned wholesale nor re-interned.
+//!
+//! The same allocator holds `search` to the work it returns: every record
+//! here carries `file`, `news` and `fox`, so a query naming one of them and
+//! one rare token must not touch — let alone copy — a 10⁵-entry list.
 
 use dtn_trace::{NodeId, SimTime};
-use mbt_core::{Metadata, MetadataServer, Popularity, Uri};
+use mbt_core::{Metadata, MetadataServer, Popularity, Query, Uri};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -92,4 +96,33 @@ fn expire_with_nothing_expired_allocates_nothing_per_record() {
         "no-op expire allocated {bytes} bytes on a {RECORDS}-record server"
     );
     assert_eq!(server.len(), RECORDS);
+}
+
+#[test]
+fn search_allocates_for_what_it_returns_not_for_the_lists_it_names() {
+    for shards in [1, 8] {
+        let server = build_server(shards);
+        // Rarest list one entry, commonest 10⁵: only the survivor is ever
+        // resolved, ranked and returned.
+        let rare_and_common = Query::new("7 news").unwrap();
+        let (bytes, allocs, hits) = allocation_of(|| server.search(&rare_and_common, 10));
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].uri().as_str(), "mbt://alloc/file-7");
+        assert!(
+            bytes < 1024,
+            "a one-hit search with {shards} shards allocated {bytes} bytes \
+             ({allocs} allocations); the common token's postings are being gathered"
+        );
+
+        // One token no record carries: the answer is known before anything
+        // is allocated, whatever the other token's list holds.
+        let absent = Query::new("news zzz").unwrap();
+        let (bytes, allocs, hits) = allocation_of(|| server.search(&absent, 10));
+        assert!(hits.is_empty());
+        assert_eq!(
+            (bytes, allocs),
+            (0, 0),
+            "a search for an absent token allocated with {shards} shards"
+        );
+    }
 }

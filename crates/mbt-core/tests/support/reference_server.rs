@@ -6,8 +6,12 @@
 //! full-keyspace popularity refresh. It is deliberately simple and obviously
 //! correct; the property suite (`tests/server_equivalence.rs`) replays
 //! arbitrary operation sequences against it and the sharded
-//! [`ShardedMetadataServer`](super::ShardedMetadataServer) and requires
-//! byte-identical answers for every shard count.
+//! [`ShardedMetadataServer`](mbt_core::server::ShardedMetadataServer) and
+//! requires byte-identical answers for every shard count.
+//!
+//! Shared by path (`#[path = "support/reference_server.rs"] mod
+//! reference_server;`) between `server_equivalence.rs` and `query_storm.rs`;
+//! it uses only `mbt_core`'s public API.
 //!
 //! Do not optimise this type — its value is that it never changes.
 
@@ -16,29 +20,13 @@ use std::collections::BTreeMap;
 
 use dtn_trace::{NodeId, SimTime};
 
-use crate::keyword::InvertedIndex;
-use crate::metadata::Metadata;
-use crate::popularity::{cmp_popularity, Popularity, PopularityEstimator};
-use crate::query::Query;
-use crate::uri::Uri;
+use mbt_core::keyword::InvertedIndex;
+use mbt_core::metadata::Metadata;
+use mbt_core::popularity::{cmp_popularity, Popularity, PopularityEstimator};
+use mbt_core::query::Query;
+use mbt_core::uri::Uri;
 
 /// The reference single-registry metadata server (test oracle).
-///
-/// # Example
-///
-/// ```
-/// use mbt_core::server::ReferenceServer;
-/// use mbt_core::{Metadata, Popularity, Query, Uri};
-///
-/// let mut server = ReferenceServer::new(10);
-/// let uri = Uri::new("mbt://fox/news-1")?;
-/// server.publish(
-///     Metadata::builder("FOX Evening News", "FOX", uri).build(),
-///     Popularity::new(0.3),
-/// );
-/// assert_eq!(server.search(&Query::new("evening news")?, 5).len(), 1);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
 #[derive(Debug, Clone)]
 pub struct ReferenceServer {
     metadata: BTreeMap<Uri, Metadata>,
@@ -189,5 +177,22 @@ impl ReferenceServer {
 
     fn cmp_by_popularity(&self, a: &Uri, b: &Uri) -> Ordering {
         cmp_popularity(self.popularity_of(a), self.popularity_of(b))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn publish_then_search() {
+        let mut server = ReferenceServer::new(10);
+        let uri = Uri::new("mbt://fox/news-1").unwrap();
+        server.publish(
+            Metadata::builder("FOX Evening News", "FOX", uri).build(),
+            Popularity::new(0.3),
+        );
+        let query = Query::new("evening news").unwrap();
+        assert_eq!(server.search(&query, 5).len(), 1);
     }
 }
