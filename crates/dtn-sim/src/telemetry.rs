@@ -142,6 +142,13 @@ counters! {
     /// sizes, but a deterministic one: it is a pure function of the event
     /// stream. Merges by **maximum**.
     residue_bytes_est: max,
+    /// Frames the bus transport carried — encoded, moved across a link and
+    /// decoded: hellos, query shares, metadata and file broadcasts alike.
+    /// Zero under the in-process simulator transport.
+    bus_frames_carried: sum,
+    /// Encoded bytes the bus transport moved across links, headers
+    /// included. Zero under the in-process simulator transport.
+    bus_bytes_on_wire: sum,
 }
 
 impl Counters {
@@ -282,7 +289,7 @@ impl Telemetry {
     /// let json = t.to_json(Duration::from_millis(1500));
     /// assert!(json.starts_with("{\n  \"wall_secs\": 1.500000,\n  \"phases\": {\n"));
     /// assert!(json.contains("    \"contacts\": 3,\n"));
-    /// assert!(json.ends_with("    \"residue_bytes_est\": 0\n  }\n}\n"));
+    /// assert!(json.ends_with("    \"bus_bytes_on_wire\": 0\n  }\n}\n"));
     /// ```
     pub fn to_json(&self, wall: Duration) -> String {
         let secs = |d: Duration| format!("{:.6}", d.as_secs_f64());
@@ -354,6 +361,8 @@ mod tests {
             peak_resident_nodes: 16,
             peak_residue_nodes: 17,
             residue_bytes_est: 18,
+            bus_frames_carried: 19,
+            bus_bytes_on_wire: 20,
         }
     }
 

@@ -64,6 +64,23 @@ impl fmt::Display for ArgError {
 
 impl Error for ArgError {}
 
+/// Parses `token`, given for `--option`, as a rate.
+///
+/// # Errors
+///
+/// Returns [`ArgError::BadValue`] naming the option and the token unless the
+/// token is a finite number in `[0, 1]` — never a clamped or NaN rate.
+pub fn rate(option: &str, token: &str) -> Result<f64, ArgError> {
+    match token.parse::<f64>() {
+        Ok(rate) if (0.0..=1.0).contains(&rate) => Ok(rate),
+        _ => Err(ArgError::BadValue {
+            option: option.to_string(),
+            value: token.to_string(),
+            expected: "a number in [0,1]",
+        }),
+    }
+}
+
 impl Args {
     /// Parses raw arguments (without the program/subcommand names) against
     /// what `command` declares. `--help` is accepted by every command.
@@ -172,6 +189,17 @@ impl Args {
         Ok(self.parse_opt(name, expected)?.unwrap_or(default))
     }
 
+    /// A [`rate`] option with a default.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::BadValue`] if the supplied value is not a number
+    /// in `[0, 1]`.
+    pub fn rate_or(&self, name: &str, default: f64) -> Result<f64, ArgError> {
+        self.opt_str(name)
+            .map_or(Ok(default), |token| rate(name, token))
+    }
+
     /// True if the flag was given.
     pub fn flag(&self, name: &str) -> bool {
         debug_assert!(
@@ -253,6 +281,22 @@ mod tests {
             .parse_or("days", 1u32, "an integer")
             .unwrap_err();
         assert!(err.to_string().contains("`-1`"), "{err}");
+    }
+
+    #[test]
+    fn rates_outside_the_unit_interval_are_bad_values() {
+        assert_eq!(parse("x").rate_or("seed", 0.25).unwrap(), 0.25);
+        assert_eq!(parse("--seed 1").rate_or("seed", 0.0).unwrap(), 1.0);
+        assert_eq!(parse("--seed -0").rate_or("seed", 0.5).unwrap(), 0.0);
+        for bad in [
+            "7", "1.0001", "-0.1", "nan", "NaN", "inf", "-inf", "half", "",
+        ] {
+            let err = rate("seed", bad).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("--seed expects a number in [0,1], got `{bad}`")
+            );
+        }
     }
 
     #[test]

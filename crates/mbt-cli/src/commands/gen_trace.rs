@@ -27,14 +27,11 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 
     let mut trace: ContactTrace = match model.as_str() {
         "dieselnet" => DieselNetConfig::new(nodes, days).seed(seed).generate(),
-        "nus" => {
-            let attendance = args.parse_or("attendance", 1.0f64, "a number in [0,1]")?;
-            NusConfig::new(nodes, days)
-                .seed(seed)
-                .attendance_rate(attendance.clamp(0.0, 1.0))
-                .weekends_off(!args.flag("weekends"))
-                .generate()
-        }
+        "nus" => NusConfig::new(nodes, days)
+            .seed(seed)
+            .attendance_rate(args.rate_or("attendance", 1.0)?)
+            .weekends_off(!args.flag("weekends"))
+            .generate(),
         "rwp" => RandomWaypointConfig::new(nodes, days * dtn_trace::SECONDS_PER_DAY)
             .seed(seed)
             .generate(),
@@ -47,12 +44,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 
     // Optional degradation: drop contacts and truncate windows before
     // writing, so the file itself records the perturbed mobility.
-    let drop = args
-        .parse_or("drop", 0.0f64, "a number in [0,1]")?
-        .clamp(0.0, 1.0);
-    let truncate = args
-        .parse_or("truncate", 0.0f64, "a number in [0,1]")?
-        .clamp(0.0, 1.0);
+    let drop = args.rate_or("drop", 0.0)?;
+    let truncate = args.rate_or("truncate", 0.0)?;
     let perturbation = Perturbation::new()
         .drop_rate(drop)
         .truncate_rate(truncate)
@@ -120,6 +113,19 @@ mod tests {
         let full = dtn_trace::read_trace(std::fs::File::open(&clean).unwrap()).unwrap();
         let thin = dtn_trace::read_trace(std::fs::File::open(&thinned).unwrap()).unwrap();
         assert!(thin.len() < full.len(), "drop 0.5 should remove contacts");
+    }
+
+    #[test]
+    fn rates_outside_the_unit_interval_are_refused() {
+        for (option, bad) in [("attendance", "1.5"), ("drop", "-0.1"), ("truncate", "nan")] {
+            let line =
+                format!("--model nus --nodes 8 --days 2 --out /tmp/x.trace --{option} {bad}");
+            let err = run(&args(&line)).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("--{option}")) && err.contains(&format!("`{bad}`")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -62,14 +62,11 @@ pub fn run(args: &Args) -> Result<String, CliError> {
                 }
                 cfg.generate_into(&mut writer)
             }
-            "nus" => {
-                let attendance = args.parse_or("attendance", 1.0f64, "a number in [0,1]")?;
-                NusConfig::new(nodes, days)
-                    .seed(seed)
-                    .attendance_rate(attendance.clamp(0.0, 1.0))
-                    .weekends_off(!args.flag("weekends"))
-                    .generate_into(&mut writer)
-            }
+            "nus" => NusConfig::new(nodes, days)
+                .seed(seed)
+                .attendance_rate(args.rate_or("attendance", 1.0)?)
+                .weekends_off(!args.flag("weekends"))
+                .generate_into(&mut writer),
             // Random waypoint has no streaming generator; materialize, then
             // spill. The other models never hold the full trace in memory.
             "rwp" => {
@@ -129,6 +126,17 @@ mod tests {
         let sharded = ShardedTrace::open(&dir).unwrap();
         assert!(sharded.len() > 0);
         assert!(sharded.shard_count() > 1, "3 days, 1-day windows");
+    }
+
+    #[test]
+    fn an_attendance_outside_the_unit_interval_is_refused() {
+        let dir = out_dir("attendance");
+        let line = format!("--model nus --attendance 1.5 --out {}", dir.display());
+        let err = run(&args(&line)).unwrap_err().to_string();
+        assert!(
+            err.contains("--attendance") && err.contains("`1.5`"),
+            "{err}"
+        );
     }
 
     #[test]

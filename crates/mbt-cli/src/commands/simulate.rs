@@ -48,11 +48,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     }
 
     let seed = args.parse_or("seed", 42u64, "an integer")?;
-    let rate = |name: &str| -> Result<f64, CliError> {
-        Ok(args
-            .parse_or(name, 0.0f64, "a number in [0,1]")?
-            .clamp(0.0, 1.0))
-    };
+    let rate = |name: &str| args.rate_or(name, 0.0);
     let faults = FaultPlan::none()
         .loss(rate("loss")?)
         .truncate(rate("truncate")?)
@@ -65,10 +61,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let params = SimParams::builder()
         .protocol(protocol)
         .config(config)
-        .internet_fraction(
-            args.parse_or("internet", 0.3f64, "a number in [0,1]")?
-                .clamp(0.0, 1.0),
-        )
+        .internet_fraction(args.rate_or("internet", 0.3)?)
         .files_per_day(args.parse_or("files-per-day", 40u32, "an integer")?)
         .ttl_days(args.parse_or("ttl", 3u64, "an integer")?)
         .days(args.parse_or("days", default_days, "an integer")?)
@@ -79,10 +72,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             "an integer",
         )?))
         .faults(faults)
-        .polluter_fraction(
-            args.parse_or("polluters", 0.0f64, "a number in [0,1]")?
-                .clamp(0.0, 1.0),
-        )
+        .polluter_fraction(rate("polluters")?)
         .fakes_per_day(args.parse_or("fakes-per-day", 4u32, "an integer")?)
         .verify_metadata(args.flag("verify"))
         .prefetch(args.parse_or("prefetch", 0usize, "an integer")?)
@@ -248,6 +238,33 @@ mod tests {
             report.contains(&format!("\"contacts\": {contacts},")),
             "{report}"
         );
+    }
+
+    #[test]
+    fn perf_report_says_what_the_bus_carried() {
+        let path = trace_file("bus-perf");
+        let counter = |transport: &str, name: &str| -> u64 {
+            let report_path =
+                std::env::temp_dir().join(format!("mbt-cli-test-sim/{transport}_report.json"));
+            run(&args(&format!(
+                "{} --files-per-day 8 --transport {transport} --perf-report {}",
+                path.display(),
+                report_path.display()
+            )))
+            .unwrap();
+            let report = std::fs::read_to_string(&report_path).unwrap();
+            let (_, rest) = report.split_once(&format!("\"{name}\": ")).unwrap();
+            let digits = rest.split(|c: char| !c.is_ascii_digit()).next().unwrap();
+            digits.parse().unwrap()
+        };
+        let frames = counter("bus", "bus_frames_carried");
+        assert!(frames > 0);
+        assert!(
+            counter("bus", "bus_bytes_on_wire") > 64 * frames,
+            "headers alone"
+        );
+        assert_eq!(counter("sim", "bus_frames_carried"), 0);
+        assert_eq!(counter("sim", "bus_bytes_on_wire"), 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use mbt_experiments::report::{figure_csv, figure_delay_csv, figure_table};
 use mbt_experiments::runner::SimParams;
 use mbt_experiments::{ExecConfig, ParallelRunner};
 
-use crate::args::Args;
+use crate::args::{rate, Args};
 use crate::commands::open_source;
 use crate::CliError;
 
@@ -42,13 +42,27 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         .map(|name| ProtocolSpec::by_name(name.trim()).map_err(|e| CliError::Usage(e.to_string())))
         .collect::<Result<_, _>>()?;
 
+    let param = args.str_or("param", "internet").to_string();
+    match param.as_str() {
+        "internet" | "files-per-day" | "ttl" => {}
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown sweep parameter `{other}` (expected internet, files-per-day, or ttl)"
+            )))
+        }
+    }
+
     let xs: Vec<f64> = args
         .str_or("xs", "0.1,0.3,0.5,0.7,0.9")
         .split(',')
-        .map(|v| {
-            v.trim()
+        .map(|v| match param.as_str() {
+            // The Internet-access fraction is a rate; the other axes are
+            // counts.
+            "internet" => rate("xs", v.trim()).map_err(CliError::from),
+            _ => v
+                .trim()
                 .parse::<f64>()
-                .map_err(|_| CliError::Usage(format!("bad x value `{v}` (expected a number)")))
+                .map_err(|_| CliError::Usage(format!("bad x value `{v}` (expected a number)"))),
         })
         .collect::<Result<_, _>>()?;
     if xs.is_empty() {
@@ -66,25 +80,15 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         )?))
         .build();
 
-    let param = args.str_or("param", "internet").to_string();
     let params_for = |x: f64| -> SimParams {
         let mut p = base.clone();
         match param.as_str() {
             "files-per-day" => p.files_per_day = x as u32,
             "ttl" => p.ttl_days = x as u64,
-            _ => p.internet_fraction = x.clamp(0.0, 1.0),
+            _ => p.internet_fraction = x,
         }
         p
     };
-    match param.as_str() {
-        "internet" | "files-per-day" | "ttl" => {}
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown sweep parameter `{other}` (expected internet, files-per-day, or ttl)"
-            )))
-        }
-    }
-
     let exec = ExecConfig::default()
         .jobs(args.parse_or("jobs", 0usize, "an integer")?)
         .replicates(args.parse_or("replicates", 1u32, "an integer")?)
@@ -183,6 +187,22 @@ mod tests {
         let serial = run(&args(&format!("{base} --jobs 1"))).unwrap();
         let parallel = run(&args(&format!("{base} --jobs 8"))).unwrap();
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn internet_x_values_are_rates() {
+        let path = trace_file("badrate");
+        for bad in ["1.5", "-0.1", "nan"] {
+            let line = format!("{} --xs 0.5,{bad} --files-per-day 5", path.display());
+            let err = run(&args(&line)).unwrap_err().to_string();
+            assert!(
+                err.contains("--xs") && err.contains(&format!("`{bad}`")),
+                "{err}"
+            );
+        }
+        // The other axes are counts, not rates.
+        let line = format!("{} --param ttl --xs 2 --files-per-day 5", path.display());
+        run(&args(&line)).unwrap();
     }
 
     #[test]

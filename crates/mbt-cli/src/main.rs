@@ -377,7 +377,16 @@ mod tests {
             };
             let once = [&[twice.as_str()], value].concat();
             rejected(&[&once[..], &once[..]].concat(), &format!("`{twice}`"));
-            for (option, bad) in [("--jobs", "banana"), ("--replicates", "-1")] {
+            // A malformed count, and a rate outside [0, 1] or not a number:
+            // named and refused, never defaulted, clamped or panicked on.
+            for (option, bad) in [
+                ("--jobs", "banana"),
+                ("--replicates", "-1"),
+                ("--loss", "1.5"),
+                ("--internet", "-0.1"),
+                ("--loss", "nan"),
+                ("--drop", "7"),
+            ] {
                 let declared = cmd.options.contains(&&option[2..]);
                 let token = if declared { bad } else { option };
                 rejected(&[option, bad], &format!("`{token}`"));

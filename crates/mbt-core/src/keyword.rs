@@ -16,11 +16,26 @@ use crate::uri::Uri;
 /// assert_eq!(tokens, vec!["the", "late", "night", "show", "ep", "3"]);
 /// ```
 pub fn tokenize(text: &str) -> Vec<String> {
-    let mut seen = BTreeSet::new();
-    let mut out = Vec::new();
+    // A short text — a query, a record's nine tokens — is deduplicated by
+    // scanning what is already out, comparing before lower-casing, so only
+    // a new token allocates. Text arrives in frames from outside: past
+    // `SCAN` distinct tokens an ordered set takes over, and a long text
+    // stays O(n log n).
+    const SCAN: usize = 16;
+    let mut out: Vec<String> = Vec::new();
+    let mut seen: BTreeSet<String> = BTreeSet::new();
     for raw in text.split(|c: char| !c.is_ascii_alphanumeric()) {
         if raw.is_empty() {
             continue;
+        }
+        if out.len() < SCAN {
+            if !out.iter().any(|token| token.eq_ignore_ascii_case(raw)) {
+                out.push(raw.to_ascii_lowercase());
+            }
+            continue;
+        }
+        if seen.is_empty() {
+            seen.extend(out.iter().cloned());
         }
         let token = raw.to_ascii_lowercase();
         if seen.insert(token.clone()) {
@@ -267,6 +282,44 @@ mod tests {
     fn tokenize_empty_and_punct() {
         assert!(tokenize("").is_empty());
         assert!(tokenize("!!! --- ???").is_empty());
+    }
+
+    /// `tokenize` as it was: a lowercase copy of every raw token, and a
+    /// second one of each new token in an ordered set.
+    fn tokenize_copying(text: &str) -> Vec<String> {
+        let mut seen = BTreeSet::new();
+        let mut out = Vec::new();
+        for raw in text.split(|c: char| !c.is_ascii_alphanumeric()) {
+            if raw.is_empty() {
+                continue;
+            }
+            let token = raw.to_ascii_lowercase();
+            if seen.insert(token.clone()) {
+                out.push(token);
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// Few distinct tokens in either case, so repeats are common, and
+        /// enough raw ones to cross from the scan to the set.
+        #[test]
+        fn tokenize_equals_the_copying_tokenizer(
+            text in "([a-cA-C]{1,2}[ ,.é-]{0,2}[x-zX-Z0-9]{0,2}[ -]{0,1}){0,60}",
+        ) {
+            proptest::prop_assert_eq!(tokenize(&text), tokenize_copying(&text));
+        }
+    }
+
+    #[test]
+    fn tokenize_dedups_past_the_scan_bound() {
+        let text: String = (0..40)
+            .map(|i| format!("T{} t{} ", i % 25, i % 25))
+            .collect();
+        let tokens = tokenize(&text);
+        assert_eq!(tokens.len(), 25);
+        assert_eq!(tokens, tokenize_copying(&text));
     }
 
     #[test]

@@ -61,6 +61,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod auth;
+mod catalog;
 pub mod checksum;
 pub mod config;
 pub mod credit;

@@ -18,6 +18,7 @@ use dtn_sim::telemetry::{Phase, PhaseTimes};
 use dtn_trace::{NodeId, SimDuration, SimTime};
 
 use crate::auth::KeyRegistry;
+use crate::catalog::{self, Catalog};
 use crate::config::{CooperationMode, MbtConfig};
 use crate::credit::CreditLedger;
 use crate::discovery::receive_metadata;
@@ -91,8 +92,8 @@ pub struct MbtNode {
     /// experiment arena keeps one list per node) and with every hello.
     frequent_contacts: Arc<[NodeId]>,
     queries: QueryStore,
-    metadata: MetadataStore,
-    files: FileStore,
+    pub(crate) metadata: MetadataStore,
+    pub(crate) files: FileStore,
     credits: CreditLedger,
     /// Best popularity observed per URI, with the URI's global expiry when
     /// the observation rode metadata (so dead URIs can be pruned).
@@ -234,7 +235,7 @@ impl MbtNode {
         self.rejected.contains_key(uri)
     }
 
-    fn reject(&mut self, metadata: &Metadata) {
+    pub(crate) fn reject(&mut self, metadata: &Metadata) {
         self.next_expiry.note(metadata.expires());
         self.rejected
             .insert(metadata.uri().clone(), metadata.expires());
@@ -712,33 +713,61 @@ pub fn run_contact_timed(
 /// by [`leave`](Transport::leave).
 ///
 /// Frame emission order is deterministic: every collection iterated on this
-/// path — member snapshots, the metadata/file catalogs, broadcast schedules
-/// — is a `Vec`, slice, `BTreeMap`, or `BTreeSet`, never a hash map, so the
-/// carry sequence is a pure function of member state. (Audited 2026-08 and
-/// again with the cost-model rewrite: no hashed container was introduced;
-/// the only `HashMap` near the contact path is documented scratch space in
-/// `server/shard.rs` that never reaches iteration order into results, and
-/// [`QueryStore`]'s sync memo is probed by key only.)
-/// `tests/transport_equivalence.rs` pins the exact sequence.
+/// path — member snapshots, the catalog's rows, holder lists and sorted
+/// postings, broadcast schedules — is a `Vec`, slice, `BTreeMap`, or
+/// `BTreeSet`, never a hash map, so the carry sequence is a pure function of
+/// member state. (Audited 2026-08, with the cost-model rewrite, and again
+/// with the difference catalog: no hashed container was introduced — the
+/// catalog is a `Vec` of rows filled by an ordered walk over `BTreeMap`
+/// stores and probed through a sorted `Vec`; the only `HashMap` near the
+/// contact path is documented scratch space in `server/shard.rs` that never
+/// reaches iteration order into results, and [`QueryStore`]'s sync memo is
+/// probed by key only.) `tests/transport_equivalence.rs` pins the exact
+/// sequence.
 ///
 /// # Cost model
 ///
-/// A contact costs what its clique *holds and what changed*, not what its
-/// members carry. Each member's hello — which is also its start-of-contact
+/// A contact costs what its members *differ by* and what changed, not what
+/// they carry. Each member's hello — which is also its start-of-contact
 /// snapshot — shares the member's own-query list and frequent set by
 /// reference (neither changes inside a contact) and copies only what the
 /// contact itself mutates: the wanted set, the credit ledger and the
 /// foreign queries, all three usually empty. Pruning on entry is O(1) until
 /// something can have expired; a query share whose receiver already holds
 /// the sender's unchanged list is carried (the wire sequence is the
-/// protocol) but not re-stored; requester matching counts its probes
-/// arithmetically and an empty index answers without looking; empty
-/// catalogs build no offers and no schedule.
+/// protocol) but not re-stored. One ordered walk over the members' stores
+/// keeps a catalog row only for a URI whose metadata or file some members
+/// hold and others lack (every URI under DiffuseRep, which observes them
+/// all); requester matching counts its probes arithmetically and answers
+/// each query with one probe of a token index over the records somebody
+/// lacks; with no such rows there are no offers, no index and no schedule.
 ///
 /// # Panics
 ///
 /// Same conditions as [`run_contact`].
 pub fn run_contact_via(
+    transport: &mut dyn Transport,
+    nodes: &mut [MbtNode],
+    members: &[usize],
+    now: SimTime,
+    duration: SimDuration,
+    phases: &mut PhaseTimes,
+) -> ContactReport {
+    contact_over(
+        Catalog::walk,
+        transport,
+        nodes,
+        members,
+        now,
+        duration,
+        phases,
+    )
+}
+
+/// [`run_contact_via`] with the catalog builder named, so that the catalog's
+/// tests can run whole contacts over the naive union the walk replaced.
+pub(crate) fn contact_over(
+    build: catalog::Build,
     transport: &mut dyn Transport,
     nodes: &mut [MbtNode],
     members: &[usize],
@@ -814,33 +843,13 @@ pub fn run_contact_via(
         return report;
     }
 
-    // Clique-wide catalogs (metadata and complete files), with holders.
-    let mut metadata_catalog: BTreeMap<Uri, (Metadata, Popularity, Vec<NodeId>)> = BTreeMap::new();
-    let mut file_catalog: BTreeMap<Uri, Vec<NodeId>> = BTreeMap::new();
-    for &idx in members {
-        let n = &nodes[idx];
-        for m in n.metadata.iter() {
-            let pop = n.known_popularity(m.uri());
-            let entry = metadata_catalog
-                .entry(m.uri().clone())
-                .or_insert_with(|| (m.clone(), pop, Vec::new()));
-            if pop > entry.1 {
-                entry.1 = pop;
-            }
-            entry.2.push(n.id);
-        }
-        for uri in n.files.iter() {
-            file_catalog.entry(uri.clone()).or_default().push(n.id);
-        }
-    }
+    // What the members differ by, as of now: whichever phase runs first,
+    // both read these start-of-contact rows. DiffuseRep alone observes the
+    // rows every member holds in full as well.
+    let every_row = matches!(protocol.replication(), ReplicationPolicy::Diffusion { .. });
+    let mut catalog = build(nodes, members, every_row);
 
     let member_ids: Vec<NodeId> = snapshots.iter().map(|s| s.sender).collect();
-    let index_of = |id: NodeId| -> usize {
-        members[member_ids
-            .iter()
-            .position(|&m| m == id)
-            .expect("sender is a member")]
-    };
 
     // --- Locally-observed demand (PopCache's Local scope only): each member
     // counts how often the peers it meets announce wanting a URI. On any
@@ -872,7 +881,6 @@ pub fn run_contact_via(
     // existing requested-before-popular scheduler prioritises scarce files
     // with no scheduler changes. Empty on every other replication policy.
     // ---
-    let mut proactive: BTreeMap<Uri, Vec<NodeId>> = BTreeMap::new();
     if let ReplicationPolicy::Diffusion {
         smoothing_pct,
         threshold_pct,
@@ -883,39 +891,35 @@ pub fn run_contact_via(
             f64::from(threshold_pct) / 100.0,
         );
         let clique = members.len() as f64;
-        let observed: Vec<(Uri, f64)> = metadata_catalog
-            .keys()
-            .chain(file_catalog.keys())
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .map(|uri| {
-                let holders = file_catalog.get(uri).map_or(0, Vec::len) as f64;
-                (uri.clone(), holders / clique)
-            })
-            .collect();
         for &idx in members {
-            for (uri, seen) in &observed {
-                let estimate = nodes[idx].availability.entry(uri.clone()).or_insert(0.0);
-                *estimate = diffusion.update(*estimate, *seen);
+            for row in catalog.rows() {
+                let seen = row.file_holders.len() as f64 / clique;
+                let estimate = nodes[idx]
+                    .availability
+                    .entry(row.uri.clone())
+                    .or_insert(0.0);
+                *estimate = diffusion.update(*estimate, seen);
             }
         }
-        for (uri, holders) in &file_catalog {
-            let requesters: Vec<NodeId> = members
+        for row in catalog.rows_mut() {
+            if row.file_holders.is_empty() {
+                continue;
+            }
+            row.proactive = members
                 .iter()
                 .zip(&snapshots)
-                .filter(|(_, s)| !holders.contains(&s.sender) && !s.rejected.contains(uri))
+                .filter(|(_, s)| {
+                    !row.file_holders.contains(&s.sender) && !s.rejected.contains(&row.uri)
+                })
                 .filter(|(&idx, _)| {
-                    let estimate = nodes[idx].availability.get(uri).copied().unwrap_or(0.0);
-                    diffusion.is_scarce(estimate)
+                    let estimate = nodes[idx].availability.get(&row.uri).copied();
+                    diffusion.is_scarce(estimate.unwrap_or(0.0))
                 })
                 .map(|(_, s)| s.sender)
                 .collect();
-            if !requesters.is_empty() {
-                proactive.insert(uri.clone(), requesters);
-            }
         }
     }
-    let proactive = proactive;
+    let catalog = catalog;
 
     // --- Query distribution (full MBT, §IV): frequent contacts store each
     // other's queries so they can collect metadata while apart. ---
@@ -978,127 +982,85 @@ pub fn run_contact_via(
     };
 
     // --- Phase closures. ---
-    let metadata_phase = |transport: &mut dyn Transport,
-                          nodes: &mut [MbtNode],
-                          report: &mut ContactReport| {
-        if !protocol.distributes_metadata() {
-            return;
-        }
-        // Index-backed requester matching (the §IV-A hot loop): probe each
-        // member store's inverted index once per relevant query instead of
-        // re-matching every catalog record against every query string. The
-        // catalog is a union of the member stores, and stores only grow
-        // between the hello snapshot and this phase, so membership of a
-        // catalog URI in the union of lookups is exactly "some member holds
-        // a record whose tokens satisfy the query".
-        //
-        // A member's relevant queries are its own plus those it carries
-        // for its frequent contacts, and each is one probe per member
-        // store. The probes are counted here; with nothing in the catalog
-        // there is nothing to find requesters for, and none is made.
-        let relevant = |s: &HelloFrame| s.own_queries.len() + s.foreign_queries.len();
-        report.index_lookups += snapshots.iter().map(relevant).sum::<usize>() * members.len();
-        if metadata_catalog.is_empty() {
-            return;
-        }
-        let matched: Vec<BTreeSet<Uri>> = snapshots
-            .iter()
-            .map(|s| {
-                let own = s.own_queries.iter().map(|(q, _)| q);
-                let mut set = BTreeSet::new();
-                for q in own.chain(&s.foreign_queries) {
-                    for &idx in members {
-                        for uri in nodes[idx].metadata.matching_uris(q) {
-                            set.insert(uri.clone());
-                        }
-                    }
-                }
-                set
-            })
-            .collect();
-        let offers: Vec<Offer<Uri>> = metadata_catalog
-            .iter()
-            .filter(|(uri, (_, _, holders))| {
-                // Skip metadata every member already holds or has rejected.
-                // A member holds a catalog record iff it is listed as a
-                // holder, so the probe is a scan of at most `members` ids.
-                snapshots
-                    .iter()
-                    .any(|s| !holders.contains(&s.sender) && !s.rejected.contains(uri))
-            })
-            .map(|(uri, (_, pop, holders))| {
-                let requesters: Vec<NodeId> = snapshots
-                    .iter()
-                    .zip(&matched)
-                    .filter(|(s, m)| {
-                        m.contains(uri) && !holders.contains(&s.sender) && !s.rejected.contains(uri)
-                    })
-                    .map(|(s, _)| s.sender)
-                    .collect();
-                Offer::new(uri.clone(), *pop, requesters, holders.clone())
-            })
-            .collect();
-        let schedule =
-            schedule_broadcasts(&config, &member_ids, &snapshots, offers, metadata_slots);
-        for b in &schedule {
-            let (meta, pop, _) = &metadata_catalog[&b.item];
-            report.metadata_broadcasts += 1;
-            for &idx in members {
-                let receiver_id = nodes[idx].id;
-                if receiver_id == b.sender {
-                    continue;
-                }
-                if frame_lost(b.sender, receiver_id, &b.item) {
-                    report.frames_lost += 1;
-                    continue;
-                }
-                let carried = transport.carry(
-                    now,
-                    b.sender,
-                    receiver_id,
-                    WireMessage::Metadata {
-                        metadata: meta.clone(),
-                        popularity: *pop,
-                    },
+    let metadata_phase =
+        |transport: &mut dyn Transport, nodes: &mut [MbtNode], report: &mut ContactReport| {
+            if !protocol.distributes_metadata() {
+                return;
+            }
+            // A member's relevant queries are its own plus those it carries
+            // for its frequent contacts, and requester matching (§IV-A) is
+            // charged one probe per member store for each — the count is
+            // arithmetic: the catalog answers each query from one index over
+            // the records somebody lacks, and looks at nothing when there are
+            // none.
+            let relevant = |s: &HelloFrame| s.own_queries.len() + s.foreign_queries.len();
+            report.index_lookups += snapshots.iter().map(relevant).sum::<usize>() * members.len();
+            let offers = catalog.metadata_offers(&snapshots);
+            let schedule =
+                schedule_broadcasts(&config, &member_ids, &snapshots, offers, metadata_slots);
+            for b in &schedule {
+                let row = catalog.row(&b.item).expect("offers come from rows");
+                let (meta, pop) = (
+                    row.record.as_ref().expect("offered a record"),
+                    row.popularity,
                 );
-                let (metadata, popularity) = match carried {
-                    Carried::Delivered(WireMessage::Metadata {
-                        metadata,
-                        popularity,
-                    }) => (metadata, popularity),
-                    Carried::Delivered(_) => continue,
-                    Carried::Dropped => {
+                report.metadata_broadcasts += 1;
+                for &idx in members {
+                    let receiver_id = nodes[idx].id;
+                    if receiver_id == b.sender {
+                        continue;
+                    }
+                    if frame_lost(b.sender, receiver_id, &b.item) {
                         report.frames_lost += 1;
                         continue;
                     }
-                };
-                let receiver = &mut nodes[idx];
-                if !receiver.accepts_metadata(&metadata) {
-                    // Fake-publisher rejection (§III-B item f): blacklist the
-                    // URI so it is never requested again.
-                    receiver.reject(&metadata);
-                    continue;
-                }
-                receiver.note_popularity_until(metadata.uri(), popularity, metadata.expires());
-                report.bytes_moved += frame_bytes(metadata.wire_size() as u64);
-                let outcome = receive_metadata(
-                    &mut receiver.metadata,
-                    receiver.queries.own().iter().map(|(q, _)| q),
-                    &metadata,
-                    popularity,
-                    b.sender,
-                    Some(&mut receiver.credits),
-                );
-                if outcome != crate::discovery::ReceiveOutcome::Duplicate {
-                    report.metadata_received += 1;
-                    receiver.events.push(NodeEvent::MetadataStored {
-                        uri: metadata.uri().clone(),
-                        from: Source::Peer(b.sender),
-                    });
+                    let carried = transport.carry(
+                        now,
+                        b.sender,
+                        receiver_id,
+                        WireMessage::Metadata {
+                            metadata: meta.clone(),
+                            popularity: pop,
+                        },
+                    );
+                    let (metadata, popularity) = match carried {
+                        Carried::Delivered(WireMessage::Metadata {
+                            metadata,
+                            popularity,
+                        }) => (metadata, popularity),
+                        Carried::Delivered(_) => continue,
+                        Carried::Dropped => {
+                            report.frames_lost += 1;
+                            continue;
+                        }
+                    };
+                    let receiver = &mut nodes[idx];
+                    if !receiver.accepts_metadata(&metadata) {
+                        // Fake-publisher rejection (§III-B item f): blacklist the
+                        // URI so it is never requested again.
+                        receiver.reject(&metadata);
+                        continue;
+                    }
+                    receiver.note_popularity_until(metadata.uri(), popularity, metadata.expires());
+                    report.bytes_moved += frame_bytes(metadata.wire_size() as u64);
+                    let outcome = receive_metadata(
+                        &mut receiver.metadata,
+                        receiver.queries.own().iter().map(|(q, _)| q),
+                        &metadata,
+                        popularity,
+                        b.sender,
+                        Some(&mut receiver.credits),
+                    );
+                    if outcome != crate::discovery::ReceiveOutcome::Duplicate {
+                        report.metadata_received += 1;
+                        receiver.events.push(NodeEvent::MetadataStored {
+                            uri: metadata.uri().clone(),
+                            from: Source::Peer(b.sender),
+                        });
+                    }
                 }
             }
-        }
-    };
+        };
 
     let file_phase = |transport: &mut dyn Transport,
                       nodes: &mut [MbtNode],
@@ -1106,55 +1068,17 @@ pub fn run_contact_via(
         if effective_duration.as_secs() < config.min_download_contact_secs_value() {
             return;
         }
-        let offers: Vec<Offer<Uri>> = file_catalog
-            .iter()
-            .filter(|(uri, holders)| {
-                // Skip files every member already holds or refuses (holder
-                // lists play the role the hello's URI inventory used to).
-                snapshots
-                    .iter()
-                    .any(|s| !holders.contains(&s.sender) && !s.rejected.contains(uri))
-            })
-            .map(|(uri, holders)| {
-                // A member requests a file it wants (announced as a
-                // "downloading URI" in its hello) and does not hold. Under
-                // MBT-QM nobody can announce wants — nodes have no standalone
-                // metadata — so all offers fall to the popularity phase.
-                let mut requesters: Vec<NodeId> = if protocol.distributes_metadata() {
-                    snapshots
-                        .iter()
-                        .filter(|s| s.wanted.contains(uri) && !holders.contains(&s.sender))
-                        .map(|s| s.sender)
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                if requesters.is_empty() {
-                    // Diffusion seeding: scarce files nobody asked for are
-                    // still pulled by the members estimating them scarce.
-                    if let Some(extra) = proactive.get(uri) {
-                        requesters = extra.clone();
-                    }
-                }
-                let pop = metadata_catalog
-                    .get(uri)
-                    .map(|(_, p, _)| *p)
-                    .unwrap_or(Popularity::MIN);
-                Offer::new(uri.clone(), pop, requesters, holders.clone())
-            })
-            .collect();
+        // A member requests a file it wants (announced as a "downloading
+        // URI" in its hello) and does not hold. Under MBT-QM nobody can
+        // announce wants — nodes have no standalone metadata — so all
+        // offers fall to the popularity phase.
+        let offers = catalog.file_offers(&snapshots, protocol.distributes_metadata());
         let schedule = schedule_broadcasts(&config, &member_ids, &snapshots, offers, file_slots);
         for b in &schedule {
             report.file_broadcasts += 1;
             // The file's metadata rides along with the file (as in prior
             // content-distribution systems, and necessary for verification).
-            let meta_entry = metadata_catalog.get(&b.item).cloned().or_else(|| {
-                let holder = &nodes[index_of(b.sender)];
-                holder
-                    .metadata
-                    .get(&b.item)
-                    .map(|m| (m.clone(), holder.known_popularity(&b.item), Vec::new()))
-            });
+            let row = catalog.row(&b.item).expect("offers come from rows");
             for &idx in members {
                 let receiver_id = nodes[idx].id;
                 if receiver_id == b.sender || nodes[idx].files.contains(&b.item) {
@@ -1178,7 +1102,7 @@ pub fn run_contact_via(
                     receiver_id,
                     WireMessage::FileBroadcast {
                         uri: b.item.clone(),
-                        metadata: meta_entry.as_ref().map(|(m, p, _)| (m.clone(), *p)),
+                        metadata: row.record.clone().map(|m| (m, row.popularity)),
                     },
                 );
                 let (uri, riding) = match carried {
@@ -1260,7 +1184,11 @@ pub fn run_contact_via(
 
 /// Builds one member's hello frame, charging the wanted-set lookup to the
 /// report. The own-query list and frequent set are shared, not copied.
-fn build_hello(n: &MbtNode, protocol: ProtocolSpec, report: &mut ContactReport) -> HelloFrame {
+pub(crate) fn build_hello(
+    n: &MbtNode,
+    protocol: ProtocolSpec,
+    report: &mut ContactReport,
+) -> HelloFrame {
     let own_queries: Arc<[OwnQuery]> = n.queries.own().clone();
     let foreign_queries: Vec<Query> = if protocol.distributes_queries() {
         n.queries

@@ -532,8 +532,11 @@ pub fn run_simulation(
         harness.arena.pending.peak_nodes(),
         harness.arena.pending.peak_bytes_est(),
     );
+    let (bus_frames, bus_bytes) = (harness.bus.frames_carried(), harness.bus.bytes_on_wire());
     drop(harness);
     if let Some(tel) = telemetry.as_deref_mut() {
+        tel.counters.bus_frames_carried += bus_frames;
+        tel.counters.bus_bytes_on_wire += bus_bytes;
         tel.counters.nodes_instantiated += instantiated;
         tel.counters.peak_resident_nodes = tel.counters.peak_resident_nodes.max(peak_resident);
         tel.counters.peak_residue_nodes = tel.counters.peak_residue_nodes.max(peak_residue_nodes);

@@ -9,8 +9,9 @@
 use dtn_sim::telemetry::PhaseTimes;
 use dtn_trace::{NodeId, SimDuration, SimTime};
 use mbt_core::node::run_contact_via;
+use mbt_core::node::ContactReport;
 use mbt_core::transport::SimTransport;
-use mbt_core::{MbtConfig, MbtNode, ProtocolSpec, Query};
+use mbt_core::{MbtConfig, MbtNode, Metadata, Popularity, ProtocolSpec, Query, Uri};
 use mbt_experiments::run_simulation;
 
 #[path = "support/counting_alloc.rs"]
@@ -19,15 +20,10 @@ mod counting_alloc;
 mod sparse;
 use counting_alloc::allocation_of;
 
-/// Two mutually frequent nodes with three own queries each and empty
-/// metadata/file stores, already in sync (each holds the other's queries),
-/// meet over `SimTransport`. Before the contact kernel was made
-/// content-proportional this contact performed 40 allocations; it performs
-/// 6: the member-id, alive-index, snapshot and second member-id vectors,
-/// and each member's start-of-contact copy of the foreign queries it
-/// carries.
-#[test]
-fn an_idle_contact_allocates_almost_nothing() {
+/// Two mutually frequent nodes with three own queries each, both holding the
+/// same `shared` seeded records and their files, already in sync (each
+/// holds the other's queries after one contact).
+fn in_sync_pair(shared: usize) -> Vec<MbtNode> {
     let mut nodes: Vec<MbtNode> = (0..2u32)
         .map(|i| {
             let mut node = MbtNode::new(NodeId::new(i), ProtocolSpec::MBT, MbtConfig::new());
@@ -35,22 +31,42 @@ fn an_idle_contact_allocates_almost_nothing() {
             for q in 0..3 {
                 node.add_query(Query::new(format!("n{i}q{q} daily")).unwrap(), None);
             }
+            for r in 0..shared {
+                node.seed_content(record(r), Popularity::new(0.5), true);
+            }
+            node.drain_events();
             node
         })
         .collect();
-    let mut contact = |at: u64| {
-        run_contact_via(
-            &mut SimTransport::new(),
-            &mut nodes,
-            &[0, 1],
-            SimTime::from_secs(at),
-            SimDuration::from_secs(300),
-            &mut PhaseTimes::default(),
-        )
-    };
-    assert_eq!(contact(100).queries_distributed, 6, "first contact syncs");
+    assert_eq!(contact(&mut nodes, 100).queries_distributed, 6, "syncs");
+    nodes
+}
 
-    let (_, allocations, report) = allocation_of(|| contact(200));
+fn record(r: usize) -> Metadata {
+    let uri = Uri::new(format!("mbt://show/{r:03}")).unwrap();
+    Metadata::builder(format!("show {r} evening edition"), "FOX", uri).build()
+}
+
+fn contact(nodes: &mut [MbtNode], at: u64) -> ContactReport {
+    run_contact_via(
+        &mut SimTransport::new(),
+        nodes,
+        &[0, 1],
+        SimTime::from_secs(at),
+        SimDuration::from_secs(300),
+        &mut PhaseTimes::default(),
+    )
+}
+
+/// An in-sync pair with empty metadata/file stores meets over
+/// `SimTransport`. Before the contact kernel was made content-proportional
+/// this contact performed 40 allocations; it performs 6: the member-id,
+/// alive-index, snapshot and second member-id vectors, and each member's
+/// start-of-contact copy of the foreign queries it carries.
+#[test]
+fn an_idle_contact_allocates_almost_nothing() {
+    let mut nodes = in_sync_pair(0);
+    let (_, allocations, report) = allocation_of(|| contact(&mut nodes, 200));
     assert_eq!(report.queries_distributed, 0, "already in sync");
     assert_eq!(report.hello_exchanges, 2);
     // Requester matching: 2 members x 6 relevant queries (3 own, 3 carried)
@@ -60,6 +76,42 @@ fn an_idle_contact_allocates_almost_nothing() {
     assert!(
         allocations <= 8,
         "an idle contact performed {allocations} allocations"
+    );
+}
+
+/// A contact costs what its members *differ by*: the same pair holding the
+/// same 80 records and files moves nothing and — where copying both stores
+/// into a union catalog took 191 allocations — adds to the idle contact's 6
+/// only the walk's cursors and its scratch. One record apart, the contact
+/// costs that record, however much the two share.
+#[test]
+fn a_dense_contact_allocates_for_what_its_members_differ_by() {
+    let mut nodes = in_sync_pair(80);
+    let (_, allocations, report) = allocation_of(|| contact(&mut nodes, 200));
+    assert_eq!((report.frames_sent(), report.hello_exchanges), (0, 2));
+    assert!(
+        allocations <= 12,
+        "a contact between equal stores performed {allocations} allocations"
+    );
+
+    let one_apart = |shared: usize| {
+        let mut nodes = in_sync_pair(shared);
+        nodes[0].seed_content(record(999), Popularity::new(0.5), false);
+        let (_, allocations, report) = allocation_of(|| contact(&mut nodes, 200));
+        assert_eq!(
+            (report.metadata_broadcasts, report.file_broadcasts),
+            (1, 0),
+            "sharing {shared}"
+        );
+        assert_eq!(report.metadata_received, 1);
+        allocations
+    };
+    let (sharing_80, sharing_160) = (one_apart(80), one_apart(160));
+    // The receiver's store and index take the record in: a B-tree node may
+    // split in one store and not in the other.
+    assert!(
+        sharing_80.abs_diff(sharing_160) <= 4,
+        "{sharing_80} allocations sharing 80 records, {sharing_160} sharing 160"
     );
 }
 
