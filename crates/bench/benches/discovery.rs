@@ -1,11 +1,11 @@
-//! Discovery benchmarks: keyword search and metadata send-ordering
+//! Discovery benchmarks: tokenization and metadata send-ordering
 //! (cooperative and tit-for-tat). Server search is the ledger's
 //! `server.search.*`, on a corpus 200 times the size the bench here used.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dtn_trace::NodeId;
 use mbt_core::discovery::{cooperative, tft, MetadataOffer};
-use mbt_core::keyword::{tokenize, InvertedIndex};
+use mbt_core::keyword::tokenize;
 use mbt_core::{CreditLedger, Metadata, Popularity, Query, Uri};
 use std::hint::black_box;
 
@@ -27,18 +27,6 @@ fn bench_tokenize(c: &mut Criterion) {
     let text = "The Late-Night Show, season 4 episode 12: a very special guest appears";
     c.bench_function("tokenize_sentence", |b| {
         b.iter(|| black_box(tokenize(black_box(text))));
-    });
-}
-
-fn bench_inverted_index(c: &mut Criterion) {
-    let metas = corpus(1_000);
-    let mut index = InvertedIndex::new();
-    for m in &metas {
-        index.insert(m.uri(), &m.search_text());
-    }
-    let tokens: Vec<String> = vec!["show42".into(), "episode".into()];
-    c.bench_function("inverted_index_lookup_1k", |b| {
-        b.iter(|| black_box(index.lookup_ranked(&tokens)));
     });
 }
 
@@ -104,10 +92,5 @@ fn bench_send_order(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_tokenize,
-    bench_inverted_index,
-    bench_send_order
-);
+criterion_group!(benches, bench_tokenize, bench_send_order);
 criterion_main!(benches);

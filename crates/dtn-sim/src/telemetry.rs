@@ -105,12 +105,18 @@ counters! {
     /// File receptions discarded by checksum verification after injected
     /// piece corruption.
     corrupt_receptions: sum,
-    /// Hello snapshots whose wanted-URI list was served from the node's
-    /// memoized cache (no recomputation). Deterministic: the hit/miss
+    /// Hellos built with none of the node's metadata, file and own-query
+    /// stores changed since its previous hello. An arithmetic charge, not a
+    /// cache: the node maintains its wanted set as the stores change, and
+    /// the count keeps the definition it had when a hello recomputed the
+    /// set unless a memo was still valid. Deterministic: the hit/miss
     /// pattern is a pure function of the event stream.
     wanted_cache_hits: sum,
-    /// Inverted-index lookups performed to (re)compute wanted-URI lists on
-    /// cache misses (one per own query per miss).
+    /// One per own query for every hello that is not a `wanted_cache_hits`
+    /// hit, plus one per relevant query per member store for a contact's
+    /// metadata-requester matching. Arithmetic too — what per-store index
+    /// probes cost when there were per-store indexes — so it moves only
+    /// with behaviour.
     index_lookups: sum,
     /// On-disk trace shards loaded by streaming replay. Zero for fully
     /// in-memory runs. Additive on merge: total shard loads across all

@@ -64,6 +64,24 @@ impl fmt::Display for ArgError {
 
 impl Error for ArgError {}
 
+/// Parses `token`, given for `--option`, as a `T`.
+///
+/// # Errors
+///
+/// Returns [`ArgError::BadValue`] naming the option, the token and what was
+/// `expected` if the token does not parse.
+pub fn value<T: std::str::FromStr>(
+    option: &str,
+    token: &str,
+    expected: &'static str,
+) -> Result<T, ArgError> {
+    token.parse().map_err(|_| ArgError::BadValue {
+        option: option.to_string(),
+        value: token.to_string(),
+        expected,
+    })
+}
+
 /// Parses `token`, given for `--option`, as a rate.
 ///
 /// # Errors
@@ -165,13 +183,7 @@ impl Args {
         expected: &'static str,
     ) -> Result<Option<T>, ArgError> {
         self.opt_str(name)
-            .map(|v| {
-                v.parse().map_err(|_| ArgError::BadValue {
-                    option: name.to_string(),
-                    value: v.to_string(),
-                    expected,
-                })
-            })
+            .map(|token| value(name, token, expected))
             .transpose()
     }
 

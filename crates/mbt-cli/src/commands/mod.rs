@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use dtn_trace::{read_trace, ShardedTrace, TraceSource};
 
+use crate::args::{ArgError, Args};
 use crate::CliError;
 
 pub mod experiment;
@@ -27,6 +28,58 @@ pub mod trace_stats;
 /// few KB per real node, the order of a node's own state, and still opens a
 /// hand-written trace whose few ids run into the hundreds.
 const MAX_IDS_PER_NODE: usize = 1024;
+
+/// The most days a run may last for each day its trace spans. The runner
+/// sizes its per-day delivery tallies by `--days` and publishes a batch on
+/// every one of them, contacts or not — right for the few days past the last
+/// contact in which stored files age out, an 800 GB allocation for
+/// `--days 99999999999`. 1024 lets a hand-written trace of a few minutes run
+/// for years and keeps the tallies within a few KB per day of trace.
+const MAX_DAYS_PER_TRACE_DAY: u64 = 1024;
+
+/// The most files one day may publish (`--files-per-day`, and the x values
+/// of `sweep --param files-per-day`): each day's batch is allocated for this
+/// many files up front. The paper publishes 40 a day and its sweeps stop in
+/// the hundreds; 100 000 is a 6 MB batch, where the `u32` the count is parsed
+/// as would ask for 256 GB.
+const MAX_FILES_PER_DAY: u32 = 100_000;
+
+/// Parses `token`, given for `--option`, as a count of files per day.
+///
+/// # Errors
+///
+/// Returns [`ArgError::BadValue`] naming the option and the token unless the
+/// token is an integer in `[0, MAX_FILES_PER_DAY]`.
+pub fn files_per_day(option: &str, token: &str) -> Result<u32, ArgError> {
+    match token.parse::<u32>() {
+        Ok(n) if n <= MAX_FILES_PER_DAY => Ok(n),
+        _ => Err(ArgError::BadValue {
+            option: option.to_string(),
+            value: token.to_string(),
+            expected: "an integer up to 100000",
+        }),
+    }
+}
+
+/// The `--days` and `--files-per-day` of a run over `source` (default: the
+/// days the trace spans, rounded up, and 40), for `simulate` and `sweep`
+/// alike. Both size tables before the first contact is read, so both are
+/// bounded here, where the flags are parsed.
+pub fn run_size(args: &Args, source: &dyn TraceSource) -> Result<(u64, u32), CliError> {
+    let span_days = source.span().as_days_f64().ceil().max(1.0) as u64;
+    let days = args.parse_or("days", span_days, "an integer")?;
+    let most = span_days.saturating_mul(MAX_DAYS_PER_TRACE_DAY);
+    if days > most {
+        return Err(CliError::Usage(format!(
+            "--days {days} is more than {MAX_DAYS_PER_TRACE_DAY} times the {span_days} days \
+             the trace spans (at most {most})"
+        )));
+    }
+    let files = args
+        .opt_str("files-per-day")
+        .map_or(Ok(40), |token| files_per_day("files-per-day", token))?;
+    Ok((days, files))
+}
 
 /// Opens `path` as a trace: a directory is a sharded trace (see
 /// `mbt shard`), replayed shard by shard with bounded memory; a file is read

@@ -10,7 +10,7 @@ use mbt_core::{BroadcastOrdering, CooperationMode, MbtConfig, ProtocolSpec, Tran
 use mbt_experiments::runner::{run_simulation, SimParams};
 
 use crate::args::Args;
-use crate::commands::open_source;
+use crate::commands::{open_source, run_size};
 use crate::CliError;
 
 /// Usage text for the subcommand.
@@ -36,7 +36,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let protocol = ProtocolSpec::by_name(args.str_or("protocol", "mbt"))
         .map_err(|e| CliError::Usage(e.to_string()))?;
 
-    let default_days = source.span().as_days_f64().ceil().max(1.0) as u64;
+    let (days, files) = run_size(args, source.as_ref())?;
     let mut config = MbtConfig::new()
         .metadata_per_contact(args.parse_or("metadata-per-contact", 20u32, "an integer")?)
         .files_per_contact(args.parse_or("files-per-contact", 4u32, "an integer")?);
@@ -62,9 +62,9 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         .protocol(protocol)
         .config(config)
         .internet_fraction(args.rate_or("internet", 0.3)?)
-        .files_per_day(args.parse_or("files-per-day", 40u32, "an integer")?)
+        .files_per_day(files)
         .ttl_days(args.parse_or("ttl", 3u64, "an integer")?)
-        .days(args.parse_or("days", default_days, "an integer")?)
+        .days(days)
         .seed(seed)
         .frequent_window(SimDuration::from_days(args.parse_or(
             "frequent-days",
@@ -309,6 +309,32 @@ mod tests {
         let err = run(&args(&path.display().to_string())).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "{err:?}");
         assert!(err.to_string().contains("node id 4000000000"), "{err}");
+    }
+
+    #[test]
+    fn rejects_days_and_files_per_day_out_of_proportion_to_the_trace() {
+        // Either flag sizes a table before the first contact is read: 800 GB
+        // of daily tallies, a 256 GB batch of files.
+        let path = trace_file("hostile-sizes");
+        let run_with = |flags: &str| run(&args(&format!("{} {flags}", path.display())));
+        let err = run_with("--days 99999999999").unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+        let err = err.to_string();
+        assert!(err.contains("--days 99999999999"), "{err}");
+        assert!(
+            err.contains("1024 times the 5 days the trace spans"),
+            "{err}"
+        );
+        assert!(err.contains("at most 5120"), "{err}");
+        for bad in ["4000000000", "100001"] {
+            let err = run_with(&format!("--files-per-day {bad}")).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("--files-per-day expects an integer up to 100000, got `{bad}`")
+            );
+        }
+        // Past the trace's last contact, within the bound: a run.
+        run_with("--days 12 --files-per-day 2").unwrap();
     }
 
     #[test]

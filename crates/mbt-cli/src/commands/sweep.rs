@@ -13,8 +13,8 @@ use mbt_experiments::report::{figure_csv, figure_delay_csv, figure_table};
 use mbt_experiments::runner::SimParams;
 use mbt_experiments::{ExecConfig, ParallelRunner};
 
-use crate::args::{rate, Args};
-use crate::commands::open_source;
+use crate::args::{rate, value, ArgError, Args};
+use crate::commands::{files_per_day, open_source, run_size};
 use crate::CliError;
 
 /// Usage text for the subcommand.
@@ -27,7 +27,8 @@ Expands the (x value x protocol x replicate) grid over the trace and prints
 one series per selected protocol. --protocols picks registry names
 (default: mbt,mbt-q,mbt-qm; also popcache, diffuserep — see
 `mbt simulate`). --param chooses the swept axis (default: internet, the
-Internet-access fraction). Output is an aligned table, `--csv` the legacy
+Internet-access fraction; files-per-day and ttl take whole numbers and have
+no default --xs). Output is an aligned table, `--csv` the legacy
 ratio CSV, `--delay-csv` the ratio+delay CSV. Results are bit-identical for
 any --jobs value.";
 
@@ -43,36 +44,35 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         .collect::<Result<_, _>>()?;
 
     let param = args.str_or("param", "internet").to_string();
-    match param.as_str() {
-        "internet" | "files-per-day" | "ttl" => {}
+    // The Internet-access fraction is a rate; the other axes are counts,
+    // which have no default (the default x values are fractions).
+    let x_value: fn(&str) -> Result<f64, ArgError> = match param.as_str() {
+        "internet" => |v| rate("xs", v),
+        "files-per-day" => |v| files_per_day("xs", v).map(f64::from),
+        "ttl" => |v| value::<u32>("xs", v, "a non-negative integer").map(f64::from),
         other => {
             return Err(CliError::Usage(format!(
                 "unknown sweep parameter `{other}` (expected internet, files-per-day, or ttl)"
             )))
         }
+    };
+    let xs: Vec<f64> = match args.opt_str("xs") {
+        Some(xs) => xs,
+        None if param == "internet" => "0.1,0.3,0.5,0.7,0.9",
+        None => {
+            return Err(CliError::Usage(format!(
+                "--param {param} needs --xs: the default x values are Internet-access fractions"
+            )))
+        }
     }
+    .split(',')
+    .map(|v| x_value(v.trim()))
+    .collect::<Result<_, _>>()?;
 
-    let xs: Vec<f64> = args
-        .str_or("xs", "0.1,0.3,0.5,0.7,0.9")
-        .split(',')
-        .map(|v| match param.as_str() {
-            // The Internet-access fraction is a rate; the other axes are
-            // counts.
-            "internet" => rate("xs", v.trim()).map_err(CliError::from),
-            _ => v
-                .trim()
-                .parse::<f64>()
-                .map_err(|_| CliError::Usage(format!("bad x value `{v}` (expected a number)"))),
-        })
-        .collect::<Result<_, _>>()?;
-    if xs.is_empty() {
-        return Err(CliError::Usage("need at least one x value".to_string()));
-    }
-
-    let default_days = source.span().as_days_f64().ceil().max(1.0) as u64;
+    let (days, files) = run_size(args, source.as_ref())?;
     let base = SimParams::builder()
-        .days(args.parse_or("days", default_days, "an integer")?)
-        .files_per_day(args.parse_or("files-per-day", 40u32, "an integer")?)
+        .days(days)
+        .files_per_day(files)
         .frequent_window(SimDuration::from_days(args.parse_or(
             "frequent-days",
             1u64,
@@ -83,6 +83,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let params_for = |x: f64| -> SimParams {
         let mut p = base.clone();
         match param.as_str() {
+            // Exact: a count axis holds what `x_value` read as a `u32`.
             "files-per-day" => p.files_per_day = x as u32,
             "ttl" => p.ttl_days = x as u64,
             _ => p.internet_fraction = x,
@@ -203,6 +204,53 @@ mod tests {
         // The other axes are counts, not rates.
         let line = format!("{} --param ttl --xs 2 --files-per-day 5", path.display());
         run(&args(&line)).unwrap();
+    }
+
+    #[test]
+    fn count_axes_take_whole_numbers_in_range_and_have_no_default() {
+        let path = trace_file("counts");
+        let sweep = |rest: &str| run(&args(&format!("{} --days 2 {rest}", path.display())));
+        for (param, bad) in [
+            ("files-per-day", "2.7"),
+            ("files-per-day", "1e30"),
+            ("files-per-day", "100001"),
+            ("ttl", "-1"),
+            ("ttl", "0.5"),
+            ("ttl", "4294967296"),
+        ] {
+            let err = sweep(&format!("--param {param} --xs 2,{bad}")).unwrap_err();
+            let err = err.to_string();
+            assert!(
+                err.contains("--xs") && err.contains(&format!("`{bad}`")),
+                "{err}"
+            );
+        }
+        // The default x values are fractions: not a default for a count.
+        for param in ["files-per-day", "ttl"] {
+            let err = sweep(&format!("--param {param}")).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("--param {param} needs --xs")),
+                "{err}"
+            );
+        }
+        // A row is labelled with the count it ran.
+        let out = sweep("--param files-per-day --xs 2,3 --protocols mbt --csv").unwrap();
+        assert!(
+            out.contains("\n2,MBT,") && out.contains("\n3,MBT,"),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn days_and_files_per_day_are_bounded_as_in_simulate() {
+        let path = trace_file("sizes");
+        for (flags, names) in [
+            ("--days 99999999999", "--days 99999999999"),
+            ("--files-per-day 4000000000", "`4000000000`"),
+        ] {
+            let err = run(&args(&format!("{} --xs 0.5 {flags}", path.display()))).unwrap_err();
+            assert!(err.to_string().contains(names), "{err}");
+        }
     }
 
     #[test]

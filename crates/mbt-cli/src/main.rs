@@ -394,6 +394,15 @@ mod tests {
             if cmd.positionals < usize::MAX {
                 rejected(&["3"], "`3`");
             }
+            // A count out of proportion to the trace, and a fractional x on
+            // a count axis (the base's `--xs 0.5`): refused, never cast.
+            if ["simulate", "sweep"].contains(&cmd.name) {
+                rejected(&["--days", "99999999999"], "--days 99999999999");
+            }
+            if cmd.name == "sweep" {
+                rejected(&["--param", "ttl"], "`0.5`");
+                rejected(&["--param", "files-per-day"], "`0.5`");
+            }
         }
     }
 }

@@ -121,7 +121,7 @@ impl Catalog {
     pub(crate) fn walk(nodes: &[MbtNode], members: &[usize], every_row: bool) -> Catalog {
         let holds_nothing = |&idx: &usize| {
             let n = &nodes[idx];
-            n.metadata.is_empty() && n.files.is_empty()
+            n.metadata().is_empty() && n.files().is_empty()
         };
         if members.iter().all(holds_nothing) {
             return Catalog::default();
@@ -131,7 +131,11 @@ impl Catalog {
             .iter()
             .map(|&idx| {
                 let n = &nodes[idx];
-                (n, n.metadata.iter().peekable(), n.files.iter().peekable())
+                (
+                    n,
+                    n.metadata().iter().peekable(),
+                    n.files().iter().peekable(),
+                )
             })
             .collect();
         // The cursors standing at the smallest URI: (member position, is the
@@ -206,8 +210,8 @@ impl Catalog {
     ///
     /// The candidate rows are indexed by token once; each query then probes
     /// that index once — the rows of its rarest token, confirmed against
-    /// every record held under the URI — which answers exactly what a probe
-    /// of every member store's inverted index did.
+    /// every record held under the URI — which answers exactly what a search
+    /// of every member's store did.
     pub(crate) fn metadata_offers(&self, members: &[HelloFrame]) -> Vec<Offer<Uri>> {
         let lacking = |row: &Row, m: &HelloFrame| row.open_to(&row.metadata_holders, m);
         let candidates: Vec<&Row> = self
@@ -322,7 +326,7 @@ mod tests {
         let mut file_catalog = FileUnion::new();
         for &idx in members {
             let n = &nodes[idx];
-            for m in n.metadata.iter() {
+            for m in n.metadata().iter() {
                 let pop = n.known_popularity(m.uri());
                 let entry = metadata_catalog
                     .entry(m.uri().clone())
@@ -332,7 +336,7 @@ mod tests {
                 }
                 entry.2.push(n.id());
             }
-            for uri in n.files.iter() {
+            for uri in n.files().iter() {
                 file_catalog.entry(uri.clone()).or_default().push(n.id());
             }
         }
@@ -354,7 +358,7 @@ mod tests {
                     row.metadata_holders = holders.clone();
                     row.variants = members
                         .iter()
-                        .filter_map(|&idx| nodes[idx].metadata.get(uri).cloned())
+                        .filter_map(|&idx| nodes[idx].metadata().get(uri).cloned())
                         .collect();
                 }
                 row.file_holders = file_catalog.get(uri).cloned().unwrap_or_default();
@@ -365,7 +369,7 @@ mod tests {
     }
 
     /// The metadata offers as the deleted block computed them: every member
-    /// store's inverted index probed with every member's relevant queries.
+    /// store searched with every member's relevant queries.
     fn naive_metadata_offers(
         nodes: &[MbtNode],
         members: &[usize],
@@ -379,7 +383,8 @@ mod tests {
                 let mut set = BTreeSet::new();
                 for q in own.chain(&s.foreign_queries) {
                     for &idx in members {
-                        set.extend(nodes[idx].metadata.matching_uris(q).into_iter().cloned());
+                        let matching = nodes[idx].metadata().matching(q);
+                        set.extend(matching.into_iter().map(|m| m.uri().clone()));
                     }
                 }
                 set
@@ -450,11 +455,19 @@ mod tests {
         MbtNode::new(NodeId::new(i), protocol, config.clone())
     }
 
+    /// Building a hello records the store versions it announced, which the
+    /// next contact reports on: build from a copy.
     fn hellos(nodes: &[MbtNode], members: &[usize]) -> Vec<HelloFrame> {
         let protocol = nodes[members[0]].protocol();
         members
             .iter()
-            .map(|&idx| build_hello(&nodes[idx], protocol, &mut ContactReport::default()))
+            .map(|&idx| {
+                build_hello(
+                    &mut nodes[idx].clone(),
+                    protocol,
+                    &mut ContactReport::default(),
+                )
+            })
             .collect()
     }
 
@@ -476,19 +489,16 @@ mod tests {
         let announces_wants = nodes[0].protocol().distributes_metadata();
         let (mut walked, mut unioned) = (nodes.to_vec(), nodes.to_vec());
         for (round, members) in contacts.iter().enumerate() {
-            // Building a hello fills its node's wanted-set memo, which the
-            // contact reports on: look at a copy.
-            let before = walked.clone();
-            let snapshots = hellos(&before, members);
-            let catalog = Catalog::walk(&before, members, false);
+            let snapshots = hellos(&walked, members);
+            let catalog = Catalog::walk(&walked, members, false);
             assert_eq!(
                 catalog.metadata_offers(&snapshots),
-                naive_metadata_offers(&before, members, &snapshots),
+                naive_metadata_offers(&walked, members, &snapshots),
                 "metadata offers, members {members:?}"
             );
             assert_eq!(
                 catalog.file_offers(&snapshots, announces_wants),
-                naive_file_offers(&before, members, &snapshots, announces_wants),
+                naive_file_offers(&walked, members, &snapshots, announces_wants),
                 "file offers, members {members:?}"
             );
             let at = 1_000 * (round as u64 + 1);
@@ -612,7 +622,10 @@ mod tests {
         assert_walk_equals_union(&nodes, &[members.to_vec()]);
         // ... and what it is sent is the first holder's record.
         contact(Catalog::walk, &mut nodes, &members, 10);
-        assert_eq!(nodes[2].metadata.get(&uri(0)), Some(&record("fox news", 0)));
+        assert_eq!(
+            nodes[2].metadata().get(&uri(0)),
+            Some(&record("fox news", 0))
+        );
     }
 
     #[test]

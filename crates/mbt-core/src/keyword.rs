@@ -1,8 +1,7 @@
-//! Keyword tokenization and the inverted index used for metadata search.
+//! Keyword tokenization, cached token sets and the posting-list intersection
+//! used for metadata search.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use crate::uri::Uri;
+use std::collections::BTreeSet;
 
 /// Splits text into lowercase alphanumeric tokens.
 ///
@@ -109,9 +108,9 @@ impl TokenSet {
 /// proportional to the rarest token's postings rather than to the lists'
 /// union. Nothing is allocated unless more than four lists are given.
 ///
-/// The one intersection routine of the crate: the node-local
-/// [`InvertedIndex`] runs it over URIs, the metadata
-/// [`server`](crate::server) over integer record ids.
+/// The one intersection routine of the crate: the metadata
+/// [`server`](crate::server) runs it over integer record ids. (A node's own
+/// store is not indexed — see [`MetadataStore`](crate::store::MetadataStore).)
 pub(crate) fn intersect_rarest_first<'a, T: Ord + 'a>(
     lists: impl IntoIterator<Item = Option<&'a BTreeSet<T>>>,
 ) -> impl Iterator<Item = &'a T> {
@@ -149,124 +148,9 @@ pub(crate) fn intersect_rarest_first<'a, T: Ord + 'a>(
     })
 }
 
-/// An inverted index from tokens to the URIs of metadata containing them.
-///
-/// # Example
-///
-/// ```
-/// use mbt_core::keyword::InvertedIndex;
-/// use mbt_core::Uri;
-///
-/// let mut index = InvertedIndex::new();
-/// let uri = Uri::new("mbt://fox/news")?;
-/// index.insert(&uri, "FOX evening news");
-/// let hits = index.lookup_all(&["fox".into(), "news".into()]);
-/// assert_eq!(hits, vec![uri]);
-/// # Ok::<(), mbt_core::uri::InvalidUri>(())
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct InvertedIndex {
-    by_token: BTreeMap<String, BTreeSet<Uri>>,
-    tokens_of: BTreeMap<Uri, BTreeSet<String>>,
-}
-
-impl InvertedIndex {
-    /// Creates an empty index.
-    pub fn new() -> Self {
-        InvertedIndex::default()
-    }
-
-    /// Indexes `text` under `uri` (adds to any existing tokens for the URI).
-    pub fn insert(&mut self, uri: &Uri, text: &str) {
-        for token in tokenize(text) {
-            self.insert_one(uri, token);
-        }
-    }
-
-    /// Indexes pre-computed `tokens` under `uri`, skipping re-tokenization.
-    ///
-    /// Used by [`MetadataStore`](crate::store::MetadataStore) and
-    /// [`MetadataServer`](crate::server::MetadataServer) to index a record
-    /// from its cached [`TokenSet`] rather than its raw text.
-    pub fn insert_tokens<'a, I>(&mut self, uri: &Uri, tokens: I)
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        for token in tokens {
-            self.insert_one(uri, token.to_owned());
-        }
-    }
-
-    fn insert_one(&mut self, uri: &Uri, token: String) {
-        self.by_token
-            .entry(token.clone())
-            .or_default()
-            .insert(uri.clone());
-        self.tokens_of.entry(uri.clone()).or_default().insert(token);
-    }
-
-    /// Removes all tokens for `uri`.
-    pub fn remove(&mut self, uri: &Uri) {
-        if let Some(tokens) = self.tokens_of.remove(uri) {
-            for token in tokens {
-                if let Some(set) = self.by_token.get_mut(&token) {
-                    set.remove(uri);
-                    if set.is_empty() {
-                        self.by_token.remove(&token);
-                    }
-                }
-            }
-        }
-    }
-
-    /// URIs whose indexed text contains **all** the given tokens (sorted).
-    ///
-    /// An empty token list matches nothing.
-    pub fn lookup_all(&self, tokens: &[String]) -> Vec<Uri> {
-        self.lookup_all_ref(tokens).into_iter().cloned().collect()
-    }
-
-    /// Borrowing variant of [`lookup_all`](Self::lookup_all): the only
-    /// allocation is the result vector, and a lookup that matches nothing —
-    /// an empty index, an absent token — allocates nothing at all.
-    pub fn lookup_all_ref(&self, tokens: &[String]) -> Vec<&Uri> {
-        intersect_rarest_first(tokens.iter().map(|token| self.by_token.get(token))).collect()
-    }
-
-    /// URIs matching at least one token, with their match counts, sorted by
-    /// count descending then URI ascending.
-    pub fn lookup_ranked(&self, tokens: &[String]) -> Vec<(Uri, usize)> {
-        let mut counts: BTreeMap<Uri, usize> = BTreeMap::new();
-        for token in tokens {
-            if let Some(set) = self.by_token.get(token) {
-                for uri in set {
-                    *counts.entry(uri.clone()).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut out: Vec<(Uri, usize)> = counts.into_iter().collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out
-    }
-
-    /// Number of indexed URIs.
-    pub fn len(&self) -> usize {
-        self.tokens_of.len()
-    }
-
-    /// True if nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.tokens_of.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn uri(s: &str) -> Uri {
-        Uri::new(s).unwrap()
-    }
 
     #[test]
     fn tokenize_splits_and_lowercases() {
@@ -327,64 +211,32 @@ mod tests {
         assert_eq!(tokenize("ep3 s01"), vec!["ep3", "s01"]);
     }
 
-    #[test]
-    fn lookup_all_requires_every_token() {
-        let mut idx = InvertedIndex::new();
-        idx.insert(&uri("mbt://a"), "fox evening news");
-        idx.insert(&uri("mbt://b"), "fox comedy show");
-        assert_eq!(
-            idx.lookup_all(&["fox".into(), "news".into()]),
-            vec![uri("mbt://a")]
-        );
-        assert_eq!(idx.lookup_all(&["fox".into()]).len(), 2);
-        assert!(idx.lookup_all(&["cnn".into()]).is_empty());
-        assert!(idx.lookup_all(&[]).is_empty());
+    fn intersect(lists: &[Option<&BTreeSet<u32>>]) -> Vec<u32> {
+        intersect_rarest_first(lists.iter().copied())
+            .copied()
+            .collect()
     }
 
     #[test]
-    fn lookup_all_handles_queries_longer_than_the_inline_scratch() {
-        let mut idx = InvertedIndex::new();
-        idx.insert(&uri("mbt://a"), "one two three four five six");
-        idx.insert(&uri("mbt://b"), "one two three four five");
-        let tokens = |text: &str| tokenize(text);
-        assert_eq!(
-            idx.lookup_all(&tokens("one two three four five six")),
-            vec![uri("mbt://a")]
-        );
-        assert_eq!(idx.lookup_all(&tokens("five four three two one")).len(), 2);
-        assert!(idx
-            .lookup_all(&tokens("one two three four five seven"))
-            .is_empty());
-        assert!(InvertedIndex::new().lookup_all(&tokens("one")).is_empty());
+    fn intersection_requires_every_list() {
+        let (a, b) = (BTreeSet::from([1, 2, 3]), BTreeSet::from([2, 3, 4]));
+        assert_eq!(intersect(&[Some(&a), Some(&b)]), [2, 3]);
+        assert_eq!(intersect(&[Some(&a)]), [1, 2, 3]);
+        assert_eq!(intersect(&[Some(&a), None]), [], "a token nothing carries");
+        assert_eq!(intersect(&[]), [], "no token matches nothing");
     }
 
     #[test]
-    fn lookup_ranked_orders_by_hits() {
-        let mut idx = InvertedIndex::new();
-        idx.insert(&uri("mbt://a"), "fox evening news");
-        idx.insert(&uri("mbt://b"), "fox news tonight special news");
-        let ranked = idx.lookup_ranked(&["fox".into(), "news".into(), "special".into()]);
-        assert_eq!(ranked[0].0, uri("mbt://b"));
-        assert_eq!(ranked[0].1, 3);
-        assert_eq!(ranked[1], (uri("mbt://a"), 2));
-    }
-
-    #[test]
-    fn remove_clears_uri() {
-        let mut idx = InvertedIndex::new();
-        idx.insert(&uri("mbt://a"), "fox news");
-        idx.remove(&uri("mbt://a"));
-        assert!(idx.is_empty());
-        assert!(idx.lookup_all(&["fox".into()]).is_empty());
-    }
-
-    #[test]
-    fn insert_accumulates_tokens() {
-        let mut idx = InvertedIndex::new();
-        idx.insert(&uri("mbt://a"), "fox");
-        idx.insert(&uri("mbt://a"), "news");
-        assert_eq!(idx.lookup_all(&["fox".into()]), vec![uri("mbt://a")]);
-        assert_eq!(idx.lookup_all(&["news".into()]), vec![uri("mbt://a")]);
-        assert_eq!(idx.len(), 1);
+    fn intersection_handles_more_lists_than_the_inline_scratch() {
+        // Six lists: four inline, two spilled; the rarest is a spilled one.
+        let wide: BTreeSet<u32> = (0..10).collect();
+        let (rare, other) = (BTreeSet::from([3, 7]), BTreeSet::from([7, 9]));
+        let six = [&wide, &wide, &wide, &wide, &wide, &rare].map(Some);
+        assert_eq!(intersect(&six), [3, 7]);
+        let mut with_other = six;
+        with_other[4] = Some(&other);
+        assert_eq!(intersect(&with_other), [7]);
+        with_other[5] = None;
+        assert_eq!(intersect(&with_other), []);
     }
 }

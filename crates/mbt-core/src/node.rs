@@ -8,7 +8,6 @@
 //! metadata broadcast (§IV), and the two-phase file broadcast (§V), under
 //! either the cooperative or the tit-for-tat scheduler.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -21,7 +20,7 @@ use crate::auth::KeyRegistry;
 use crate::catalog::{self, Catalog};
 use crate::config::{CooperationMode, MbtConfig};
 use crate::credit::CreditLedger;
-use crate::discovery::receive_metadata;
+use crate::discovery::{receive_metadata, ReceiveOutcome};
 use crate::download::{cooperative as dl_coop, tft as dl_tft, Broadcast, Offer};
 use crate::metadata::Metadata;
 use crate::popularity::Popularity;
@@ -91,9 +90,20 @@ pub struct MbtNode {
     /// Ascending and distinct; shared with whoever declared it (the
     /// experiment arena keeps one list per node) and with every hello.
     frequent_contacts: Arc<[NodeId]>,
+    /// The three stores and the set derived from them. Written only by
+    /// [`add_query`](Self::add_query), `store_record`,
+    /// [`try_store_file`](Self::try_store_file) and [`prune`](Self::prune),
+    /// which keep `wanted` equal to its definition; everything else reads.
     queries: QueryStore,
-    pub(crate) metadata: MetadataStore,
-    pub(crate) files: FileStore,
+    metadata: MetadataStore,
+    files: FileStore,
+    /// URIs whose stored record matches an own query and whose file is not
+    /// held — the hello's "downloading files" (§III-B), maintained as the
+    /// stores change rather than recomputed per hello.
+    wanted: BTreeSet<Uri>,
+    /// The store versions the last hello was built from (see
+    /// [`ContactReport::wanted_cache_hits`]).
+    announced: Option<(u64, u64, u64)>,
     credits: CreditLedger,
     /// Best popularity observed per URI, with the URI's global expiry when
     /// the observation rode metadata (so dead URIs can be pruned).
@@ -115,19 +125,6 @@ pub struct MbtNode {
     /// keep their own).
     next_expiry: NextExpiry,
     events: Vec<NodeEvent>,
-    /// Memoized [`wanted_uris`](MbtNode::wanted_uris) result, keyed by the
-    /// store versions it was computed from. `RefCell` so reads stay `&self`;
-    /// the node is never shared across threads while a contact mutates it.
-    wanted_cache: RefCell<WantedCache>,
-}
-
-/// Cache cell for [`MbtNode::wanted_uris`]: valid while the metadata, file,
-/// and own-query store versions all still match.
-#[derive(Debug, Clone, Default)]
-struct WantedCache {
-    valid: bool,
-    versions: (u64, u64, u64),
-    uris: BTreeSet<Uri>,
 }
 
 /// The compact residue of a node whose stores have fully decayed — see
@@ -158,6 +155,8 @@ impl MbtNode {
             queries: QueryStore::new(),
             metadata: MetadataStore::new(),
             files: FileStore::new(),
+            wanted: BTreeSet::new(),
+            announced: None,
             credits: CreditLedger::new(),
             popularity: BTreeMap::new(),
             local_demand: BTreeMap::new(),
@@ -166,7 +165,6 @@ impl MbtNode {
             rejected: BTreeMap::new(),
             next_expiry: NextExpiry::default(),
             events: Vec::new(),
-            wanted_cache: RefCell::new(WantedCache::default()),
         }
     }
 
@@ -248,13 +246,7 @@ impl MbtNode {
     pub fn seed_content(&mut self, metadata: Metadata, popularity: Popularity, with_file: bool) {
         let uri = metadata.uri().clone();
         let expires = metadata.expires();
-        self.note_popularity_until(&uri, popularity, expires);
-        if self.metadata.insert(metadata) {
-            self.events.push(NodeEvent::MetadataStored {
-                uri: uri.clone(),
-                from: Source::Internet,
-            });
-        }
+        self.store_record(&metadata, popularity, Source::Internet, false);
         if with_file && self.try_store_file(uri.clone(), expires) {
             self.events.push(NodeEvent::FileCompleted {
                 uri,
@@ -264,8 +256,19 @@ impl MbtNode {
     }
 
     /// Adds a user query with an optional expiry; returns `true` if new.
+    ///
+    /// A new query scans the store once for the records it matches: O(store),
+    /// the one place a standing query meets records that arrived before it.
     pub fn add_query(&mut self, query: Query, expires: Option<SimTime>) -> bool {
-        self.queries.add_own(query, expires)
+        if !self.queries.add_own(query.clone(), expires) {
+            return false;
+        }
+        for record in self.metadata.iter() {
+            if record.matches_query(&query) && !self.files.contains(record.uri()) {
+                self.wanted.insert(record.uri().clone());
+            }
+        }
+        true
     }
 
     /// The node's own active query strings.
@@ -276,6 +279,18 @@ impl MbtNode {
     /// Number of stored queries (own + collected for others).
     pub fn query_count(&self) -> usize {
         self.queries.len()
+    }
+
+    /// The stored metadata records (read-only: records enter through
+    /// contacts, Internet sessions and [`seed_content`](Self::seed_content)).
+    pub fn metadata(&self) -> &MetadataStore {
+        &self.metadata
+    }
+
+    /// The complete files held (read-only: files enter through
+    /// [`try_store_file`](Self::try_store_file)).
+    pub fn files(&self) -> &FileStore {
+        &self.files
     }
 
     /// True if metadata for `uri` is stored.
@@ -343,50 +358,39 @@ impl MbtNode {
         self.next_expiry.note(lifetime);
     }
 
-    /// URIs the node wants to download: it has metadata matching one of its
-    /// own queries but not the file (the "downloading files" of the hello
-    /// message, §III-B).
+    /// URIs the node wants to download, ascending: it has metadata matching
+    /// one of its own queries but not the file (the "downloading files" of
+    /// the hello message, §III-B).
     ///
-    /// Answered from a memoized cache that stays valid until one of the
-    /// metadata, file, or own-query stores mutates; a recompute is one
-    /// inverted-index lookup per own query instead of a full-store scan.
+    /// The set is maintained, not computed: a record is matched against the
+    /// own queries once, when it is stored (O(own queries)); a stored file
+    /// leaves the set; [`add_query`](Self::add_query) and
+    /// [`prune`](Self::prune) account for what they add and drop.
     pub fn wanted_uris(&self) -> Vec<Uri> {
-        self.wanted_uris_cached().0.into_iter().collect()
-    }
-
-    /// [`wanted_uris`](Self::wanted_uris) plus whether the memoized list was
-    /// served without recomputation (the contact loop counts hits).
-    fn wanted_uris_cached(&self) -> (BTreeSet<Uri>, bool) {
-        let versions = (
-            self.metadata.version(),
-            self.files.version(),
-            self.queries.own_version(),
-        );
-        let mut cache = self.wanted_cache.borrow_mut();
-        if cache.valid && cache.versions == versions {
-            return (cache.uris.clone(), true);
-        }
-        let mut wanted: BTreeSet<Uri> = BTreeSet::new();
-        for (query, _) in self.queries.own().iter() {
-            for uri in self.metadata.matching_uris(query) {
-                if !self.files.contains(uri) {
-                    wanted.insert(uri.clone());
-                }
-            }
-        }
-        cache.uris = wanted;
-        cache.versions = versions;
-        cache.valid = true;
-        (cache.uris.clone(), false)
+        self.wanted.iter().cloned().collect()
     }
 
     /// Drops expired metadata, files, queries, popularity observations, and
     /// rejection records. O(1) until something can have expired: each store
     /// tracks its earliest expiry.
     pub fn prune(&mut self, now: SimTime) {
-        self.metadata.prune_expired(now);
-        self.files.prune_expired(now);
+        // The wanted set follows what each store drops: an expired record
+        // leaves it and an expired own query releases the URIs nothing else
+        // asks for (one pass over the set for both), and a file that expires
+        // before its record is wanted again.
+        let records_dropped = self.metadata.prune_expired(now) > 0;
+        let own_before = self.queries.own_version();
         self.queries.prune_expired(now);
+        if records_dropped || self.queries.own_version() != own_before {
+            let (metadata, own) = (&self.metadata, self.queries.own());
+            self.wanted
+                .retain(|uri| metadata.get(uri).is_some_and(|m| matches_any(own, m)));
+        }
+        for uri in self.files.prune_expired(now) {
+            if self.matches_own_query(&uri) {
+                self.wanted.insert(uri);
+            }
+        }
         if self.next_expiry.due(now) {
             self.popularity
                 .retain(|_, &mut (_, expires)| !is_expired(expires, now));
@@ -444,12 +448,9 @@ impl MbtNode {
     /// queries — such a file is *protected*: a bounded cache never evicts it
     /// and always admits it.
     fn matches_own_query(&self, uri: &Uri) -> bool {
-        self.metadata.get(uri).is_some_and(|m| {
-            self.queries
-                .own()
-                .iter()
-                .any(|(q, _)| q.matches_token_set(m.token_set()))
-        })
+        self.metadata
+            .get(uri)
+            .is_some_and(|m| matches_any(self.queries.own(), m))
     }
 
     /// The ranking score a bounded cache uses for `uri` under `scope`.
@@ -490,28 +491,54 @@ impl MbtNode {
                         return false;
                     }
                 }
+                // The victim matches no own query, so it was not wanted
+                // before it was held and is not wanted now.
                 self.files.remove(&victim);
             }
         }
+        self.wanted.remove(&uri);
         self.files.insert(uri, expires)
     }
 
-    /// Stores metadata received from the Internet; returns `true` if new.
-    fn store_metadata_from_internet(
+    /// Takes in a record that arrived with a `popularity` observation: notes
+    /// the observation, and stores the record unless one is already held
+    /// under its URI; returns `true` if it was new. Every record enters the
+    /// store here, where it is matched against the own queries once — which
+    /// both picks the credit rule (§IV-B: with `credited`, a new record
+    /// rewards the peer it came `from`) and decides whether its file is now
+    /// wanted.
+    fn store_record(
         &mut self,
         metadata: &Metadata,
         popularity: Popularity,
+        from: Source,
+        credited: bool,
     ) -> bool {
         self.note_popularity_until(metadata.uri(), popularity, metadata.expires());
-        if self.metadata.insert(metadata.clone()) {
-            self.events.push(NodeEvent::MetadataStored {
-                uri: metadata.uri().clone(),
-                from: Source::Internet,
-            });
-            true
-        } else {
-            false
+        let sender = match from {
+            Source::Peer(peer) => peer,
+            Source::Internet => self.id,
+        };
+        let outcome = receive_metadata(
+            &mut self.metadata,
+            self.queries.own().iter().map(|(q, _)| q),
+            metadata,
+            popularity,
+            sender,
+            credited.then_some(&mut self.credits),
+        );
+        if outcome == ReceiveOutcome::Duplicate {
+            return false;
         }
+        let uri = metadata.uri();
+        if outcome == ReceiveOutcome::NewMatched && !self.files.contains(uri) {
+            self.wanted.insert(uri.clone());
+        }
+        self.events.push(NodeEvent::MetadataStored {
+            uri: uri.clone(),
+            from,
+        });
+        true
     }
 
     /// Runs one Internet session (paper §III-A, §IV): the node connects —
@@ -539,7 +566,7 @@ impl MbtNode {
                 .map(|m| (m.clone(), server.popularity_of(m.uri())))
                 .collect();
             for (meta, pop) in &matches {
-                self.store_metadata_from_internet(meta, *pop);
+                self.store_record(meta, *pop, Source::Internet, false);
             }
             // The user selects the best match and downloads it; the request
             // feeds the server's popularity estimator.
@@ -572,7 +599,7 @@ impl MbtNode {
                     .map(|m| (m.clone(), server.popularity_of(m.uri())))
                     .collect();
                 for (meta, pop) in &matches {
-                    self.store_metadata_from_internet(meta, *pop);
+                    self.store_record(meta, *pop, Source::Internet, false);
                 }
             }
         }
@@ -585,7 +612,7 @@ impl MbtNode {
                 .map(|m| (m.clone(), server.popularity_of(m.uri())))
                 .collect();
             for (meta, pop) in &popular {
-                self.store_metadata_from_internet(meta, *pop);
+                self.store_record(meta, *pop, Source::Internet, false);
             }
         }
 
@@ -634,15 +661,17 @@ pub struct ContactReport {
     /// Application bytes successfully moved to receivers (metadata wire
     /// bytes plus file content bytes, plus per-frame overhead).
     pub bytes_moved: u64,
-    /// Hello snapshots whose wanted-URI list was served from the node's
-    /// memoized cache without recomputation. Purely observational: the list
-    /// itself is identical either way.
+    /// Hellos built with none of the sender's metadata, file and own-query
+    /// stores changed since its previous hello. An arithmetic charge: the
+    /// wanted set is maintained, never recomputed, and the count keeps the
+    /// definition it had when a hello recomputed it unless a memo was valid.
     pub wanted_cache_hits: usize,
-    /// Inverted-index lookups performed during the contact: one per own
-    /// query when a wanted-URI list is recomputed on a cache miss, plus one
-    /// per (member store, relevant query) pair when the metadata phase
-    /// resolves requesters. Deterministic — a pure function of the contact's
-    /// inputs, never of timing.
+    /// One per own query for every hello that is not a
+    /// [`wanted_cache_hits`](Self::wanted_cache_hits) hit, plus one per
+    /// (member store, relevant query) pair when the metadata phase resolves
+    /// requesters. Arithmetic too: no store has an index to probe.
+    /// Deterministic — a pure function of the contact's inputs, never of
+    /// timing.
     pub index_lookups: usize,
 }
 
@@ -810,7 +839,7 @@ pub(crate) fn contact_over(
     let mut alive: Vec<usize> = Vec::with_capacity(members.len());
     let mut snapshots: Vec<HelloFrame> = Vec::with_capacity(members.len());
     for &idx in members {
-        let hello = build_hello(&nodes[idx], protocol, &mut report);
+        let hello = build_hello(&mut nodes[idx], protocol, &mut report);
         let sender = nodes[idx].id;
         let delivered = if sender == coordinator {
             Some(hello)
@@ -1041,22 +1070,9 @@ pub(crate) fn contact_over(
                         receiver.reject(&metadata);
                         continue;
                     }
-                    receiver.note_popularity_until(metadata.uri(), popularity, metadata.expires());
                     report.bytes_moved += frame_bytes(metadata.wire_size() as u64);
-                    let outcome = receive_metadata(
-                        &mut receiver.metadata,
-                        receiver.queries.own().iter().map(|(q, _)| q),
-                        &metadata,
-                        popularity,
-                        b.sender,
-                        Some(&mut receiver.credits),
-                    );
-                    if outcome != crate::discovery::ReceiveOutcome::Duplicate {
+                    if receiver.store_record(&metadata, popularity, Source::Peer(b.sender), true) {
                         report.metadata_received += 1;
-                        receiver.events.push(NodeEvent::MetadataStored {
-                            uri: metadata.uri().clone(),
-                            from: Source::Peer(b.sender),
-                        });
                     }
                 }
             }
@@ -1125,16 +1141,11 @@ pub(crate) fn contact_over(
                         continue;
                     }
                     expires = meta.expires();
-                    receiver.note_popularity_until(&uri, *pop, expires);
-                    if receiver.metadata.insert(meta.clone()) {
+                    if receiver.store_record(meta, *pop, Source::Peer(b.sender), false) {
                         // Metadata riding a file frame: no extra frame
                         // header, just its wire bytes.
                         report.metadata_received += 1;
                         report.bytes_moved += meta.wire_size() as u64;
-                        receiver.events.push(NodeEvent::MetadataStored {
-                            uri: uri.clone(),
-                            from: Source::Peer(b.sender),
-                        });
                     }
                 }
                 let wanted = receiver.matches_own_query(&uri);
@@ -1182,10 +1193,11 @@ pub(crate) fn contact_over(
     report
 }
 
-/// Builds one member's hello frame, charging the wanted-set lookup to the
-/// report. The own-query list and frequent set are shared, not copied.
+/// Builds one member's hello frame, charging the wanted set to the report as
+/// the memoized lookup it replaced would have been. The own-query list and
+/// frequent set are shared, not copied; the wanted set is the maintained one.
 pub(crate) fn build_hello(
-    n: &MbtNode,
+    n: &mut MbtNode,
     protocol: ProtocolSpec,
     report: &mut ContactReport,
 ) -> HelloFrame {
@@ -1198,8 +1210,21 @@ pub(crate) fn build_hello(
     } else {
         Vec::new()
     };
-    let (wanted, cache_hit) = n.wanted_uris_cached();
-    if cache_hit {
+    debug_assert!(
+        n.wanted.iter().eq(n
+            .metadata
+            .iter()
+            .filter(|m| matches_any(&own_queries, m) && !n.files.contains(m.uri()))
+            .map(Metadata::uri)),
+        "node {}: the maintained wanted set left its definition",
+        n.id
+    );
+    let versions = (
+        n.metadata.version(),
+        n.files.version(),
+        n.queries.own_version(),
+    );
+    if n.announced.replace(versions) == Some(versions) {
         report.wanted_cache_hits += 1;
     } else {
         report.index_lookups += own_queries.len();
@@ -1208,11 +1233,16 @@ pub(crate) fn build_hello(
         sender: n.id,
         own_queries,
         foreign_queries,
-        wanted,
+        wanted: n.wanted.clone(),
         rejected: n.rejected.keys().cloned().collect(),
         frequent: n.frequent_contacts.clone(),
         credits: n.credits.entries().collect(),
     }
+}
+
+/// True if any of the `own` queries matches `record`.
+fn matches_any(own: &[OwnQuery], record: &Metadata) -> bool {
+    own.iter().any(|(q, _)| record.matches_query(q))
 }
 
 /// Dispatches to the cooperative or tit-for-tat scheduler.
@@ -1281,6 +1311,11 @@ mod tests {
 
     fn node(i: u32, protocol: ProtocolKind) -> MbtNode {
         MbtNode::new(NodeId::new(i), protocol, MbtConfig::new())
+    }
+
+    /// Seeds the record alone, at the lowest popularity.
+    fn hold(n: &mut MbtNode, m: Metadata) {
+        n.seed_content(m, Popularity::MIN, false);
     }
 
     #[test]
@@ -1535,7 +1570,7 @@ mod tests {
     fn contact_transfers_requested_metadata() {
         let mut nodes = vec![node(0, ProtocolKind::Mbt), node(1, ProtocolKind::Mbt)];
         let m = meta("fox evening news", "mbt://a");
-        nodes[0].metadata.insert(m);
+        hold(&mut nodes[0], m);
         nodes[0].note_popularity(&uri("mbt://a"), Popularity::new(0.4));
         nodes[1].add_query(Query::new("evening news").unwrap(), None);
         let report =
@@ -1554,7 +1589,7 @@ mod tests {
     #[test]
     fn mbtqm_contact_sends_no_standalone_metadata() {
         let mut nodes = vec![node(0, ProtocolKind::MbtQm), node(1, ProtocolKind::MbtQm)];
-        nodes[0].metadata.insert(meta("fox news", "mbt://a"));
+        hold(&mut nodes[0], meta("fox news", "mbt://a"));
         nodes[1].add_query(Query::new("fox news").unwrap(), None);
         let report =
             run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
@@ -1565,8 +1600,8 @@ mod tests {
     #[test]
     fn contact_transfers_files_with_metadata_riding_along() {
         let mut nodes = vec![node(0, ProtocolKind::Mbt), node(1, ProtocolKind::Mbt)];
-        nodes[0].metadata.insert(meta("fox news", "mbt://a"));
-        nodes[0].files.insert(uri("mbt://a"), None);
+        hold(&mut nodes[0], meta("fox news", "mbt://a"));
+        nodes[0].try_store_file(uri("mbt://a"), None);
         nodes[0].note_popularity(&uri("mbt://a"), Popularity::new(0.8));
         let report =
             run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
@@ -1581,10 +1616,10 @@ mod tests {
     #[test]
     fn mbtqm_receives_files_by_popularity() {
         let mut nodes = vec![node(0, ProtocolKind::MbtQm), node(1, ProtocolKind::MbtQm)];
-        nodes[0].metadata.insert(meta("hot show", "mbt://hot"));
-        nodes[0].metadata.insert(meta("cold show", "mbt://cold"));
+        hold(&mut nodes[0], meta("hot show", "mbt://hot"));
+        hold(&mut nodes[0], meta("cold show", "mbt://cold"));
         for (u, p) in [("mbt://hot", 0.9), ("mbt://cold", 0.1)] {
-            nodes[0].files.insert(uri(u), None);
+            nodes[0].try_store_file(uri(u), None);
             nodes[0].note_popularity(&uri(u), Popularity::new(p));
         }
         // Budget of 1 file per contact: the popular one must win.
@@ -1599,8 +1634,8 @@ mod tests {
     #[test]
     fn clique_broadcast_reaches_all_members() {
         let mut nodes: Vec<MbtNode> = (0..4).map(|i| node(i, ProtocolKind::Mbt)).collect();
-        nodes[0].metadata.insert(meta("fox news", "mbt://a"));
-        nodes[0].files.insert(uri("mbt://a"), None);
+        hold(&mut nodes[0], meta("fox news", "mbt://a"));
+        nodes[0].try_store_file(uri("mbt://a"), None);
         let report = run_contact(
             &mut nodes,
             &[0, 1, 2, 3],
@@ -1621,8 +1656,8 @@ mod tests {
         for n in nodes.iter_mut() {
             n.config = MbtConfig::new().min_download_contact_secs(120);
         }
-        nodes[0].metadata.insert(meta("fox news", "mbt://a"));
-        nodes[0].files.insert(uri("mbt://a"), None);
+        hold(&mut nodes[0], meta("fox news", "mbt://a"));
+        nodes[0].try_store_file(uri("mbt://a"), None);
         let report =
             run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(30));
         assert!(report.metadata_broadcasts > 0, "metadata still flows");
@@ -1634,7 +1669,7 @@ mod tests {
         let mut nodes = vec![node(0, ProtocolKind::Mbt), node(1, ProtocolKind::Mbt)];
         for i in 0..50 {
             let u = format!("mbt://f{i:02}");
-            nodes[0].metadata.insert(meta(&format!("show {i}"), &u));
+            hold(&mut nodes[0], meta(&format!("show {i}"), &u));
         }
         for n in nodes.iter_mut() {
             n.config = MbtConfig::new().metadata_per_contact(5);
@@ -1651,7 +1686,7 @@ mod tests {
         let m = Metadata::builder("old news", "FOX", uri("mbt://old"))
             .ttl(SimDuration::from_secs(10))
             .build();
-        nodes[0].metadata.insert(m);
+        hold(&mut nodes[0], m);
         run_pairwise_contact(
             &mut nodes,
             0,
@@ -1669,7 +1704,7 @@ mod tests {
         for n in nodes.iter_mut() {
             n.config = MbtConfig::new().cooperation(CooperationMode::TitForTat);
         }
-        nodes[0].metadata.insert(meta("fox news", "mbt://a"));
+        hold(&mut nodes[0], meta("fox news", "mbt://a"));
         nodes[1].add_query(Query::new("fox news").unwrap(), None);
         let report =
             run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
@@ -1755,8 +1790,8 @@ mod tests {
         for n in nodes.iter_mut() {
             n.config = MbtConfig::new().broadcast_loss_rate(1.0);
         }
-        nodes[0].metadata.insert(meta("fox news", "mbt://a"));
-        nodes[0].files.insert(uri("mbt://a"), None);
+        hold(&mut nodes[0], meta("fox news", "mbt://a"));
+        nodes[0].try_store_file(uri("mbt://a"), None);
         nodes[1].add_query(Query::new("fox news").unwrap(), None);
         run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
         assert!(!nodes[1].has_metadata(&uri("mbt://a")));
@@ -1772,8 +1807,8 @@ mod tests {
             }
             for i in 0..10 {
                 let u = format!("mbt://f{i}");
-                nodes[0].metadata.insert(meta(&format!("show {i}"), &u));
-                nodes[0].files.insert(uri(&u), None);
+                hold(&mut nodes[0], meta(&format!("show {i}"), &u));
+                nodes[0].try_store_file(uri(&u), None);
             }
             run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
             nodes[1].file_count()
@@ -1799,14 +1834,12 @@ mod tests {
         };
         let mut nodes = vec![mk(0), mk(1), mk(2)];
         for idx in [0usize, 1] {
-            nodes[idx]
-                .metadata
-                .insert(meta("common show", "mbt://common"));
-            nodes[idx].files.insert(uri("mbt://common"), None);
+            hold(&mut nodes[idx], meta("common show", "mbt://common"));
+            nodes[idx].try_store_file(uri("mbt://common"), None);
             nodes[idx].note_popularity(&uri("mbt://common"), Popularity::new(0.9));
         }
-        nodes[0].metadata.insert(meta("rare show", "mbt://rare"));
-        nodes[0].files.insert(uri("mbt://rare"), None);
+        hold(&mut nodes[0], meta("rare show", "mbt://rare"));
+        nodes[0].try_store_file(uri("mbt://rare"), None);
         nodes[0].note_popularity(&uri("mbt://rare"), Popularity::new(0.1));
         run_contact(
             &mut nodes,
@@ -1992,14 +2025,45 @@ mod tests {
     #[test]
     fn wanted_uris_reflect_query_matches() {
         let mut n = node(0, ProtocolKind::Mbt);
-        n.metadata.insert(meta("fox news", "mbt://a"));
-        n.metadata.insert(meta("abc comedy", "mbt://b"));
+        hold(&mut n, meta("fox news", "mbt://a"));
+        hold(&mut n, meta("abc comedy", "mbt://b"));
         n.add_query(Query::new("fox news").unwrap(), None);
         assert_eq!(n.wanted_uris(), vec![uri("mbt://a")]);
-        n.files.insert(uri("mbt://a"), None);
+        n.try_store_file(uri("mbt://a"), None);
         assert!(
             n.wanted_uris().is_empty(),
             "held files are no longer wanted"
         );
+    }
+
+    #[test]
+    fn wanted_uris_follow_what_prune_drops() {
+        let at = SimTime::from_secs;
+        let expiring = |name: &str, u: &str, secs| {
+            Metadata::builder(name, "pub", uri(u))
+                .expires_at(Some(at(secs)))
+                .build()
+        };
+        let mut n = node(0, ProtocolKind::Mbt);
+        n.add_query(Query::new("news").unwrap(), Some(at(30)));
+        n.add_query(Query::new("fox").unwrap(), None);
+        hold(&mut n, expiring("fox news", "mbt://a", 40));
+        hold(&mut n, expiring("abc news", "mbt://b", 40));
+        hold(&mut n, expiring("fox show", "mbt://c", 20));
+        assert_eq!(n.wanted_uris().len(), 3);
+
+        // A file that expires before its record is wanted again.
+        n.try_store_file(uri("mbt://a"), Some(at(10)));
+        assert_eq!(n.wanted_uris(), [uri("mbt://b"), uri("mbt://c")]);
+        n.prune(at(10));
+        assert_eq!(n.wanted_uris().len(), 3, "the file expired, not the want");
+        // An expired record is no longer wanted.
+        n.prune(at(20));
+        assert_eq!(n.wanted_uris(), [uri("mbt://a"), uri("mbt://b")]);
+        // An expired query releases the URI no other query asks for.
+        n.prune(at(30));
+        assert_eq!(n.wanted_uris(), [uri("mbt://a")], "\"fox\" still asks");
+        n.prune(at(40));
+        assert!(n.wanted_uris().is_empty());
     }
 }

@@ -239,8 +239,8 @@ impl UriShard {
 /// One slice of the keyword index: the full posting lists of every token
 /// that hashes into this shard.
 ///
-/// Unlike [`InvertedIndex`](crate::keyword::InvertedIndex) there is no
-/// reverse `tokens_of` map — the publisher removes a record's postings from
+/// There is no reverse record → tokens map (the reference server's index in
+/// `tests/support/` keeps one) — the publisher removes a record's postings from
 /// the record's own cached [`TokenSet`](crate::keyword::TokenSet), so each
 /// token string is stored exactly once per shard. A posting list is an
 /// ordered set, so adding or removing one record is logarithmic even in the

@@ -11,7 +11,6 @@ use std::sync::Arc;
 
 use dtn_trace::{NodeId, SimTime};
 
-use crate::keyword::InvertedIndex;
 use crate::metadata::Metadata;
 use crate::query::Query;
 use crate::uri::Uri;
@@ -46,14 +45,15 @@ pub(crate) fn is_expired(expires: Option<SimTime>, now: SimTime) -> bool {
     expires.is_some_and(|e| now >= e)
 }
 
-/// A node's local metadata collection.
+/// A node's local metadata collection: one URI-ordered map and its expiry
+/// watermark.
 ///
-/// Records are mirrored into an [`InvertedIndex`] maintained incrementally on
-/// insert/remove/prune, so [`matching`](MetadataStore::matching) is a posting
-/// -list intersection instead of a full-store scan. A monotonic
-/// [`version`](MetadataStore::version) counter bumps on every mutation;
-/// [`MbtNode`](crate::MbtNode) uses it to invalidate its cached wanted-URI
-/// list.
+/// Nobody searches a node's store — the node matches each arriving record
+/// against its own standing queries once, when it is stored
+/// ([`MbtNode::wanted_uris`](crate::MbtNode::wanted_uris)) — so the store
+/// keeps no index: [`matching`](MetadataStore::matching) is a linear scan. A
+/// monotonic [`version`](MetadataStore::version) counter bumps on every
+/// mutation.
 ///
 /// # Example
 ///
@@ -70,9 +70,6 @@ pub(crate) fn is_expired(expires: Option<SimTime>, now: SimTime) -> bool {
 #[derive(Debug, Clone, Default)]
 pub struct MetadataStore {
     map: BTreeMap<Uri, Metadata>,
-    /// Copy-on-write: cloning a store (benchmark fixtures, experiment
-    /// replication) shares the index until the clone next mutates.
-    index: Arc<InvertedIndex>,
     version: u64,
     next_expiry: NextExpiry,
 }
@@ -88,8 +85,6 @@ impl MetadataStore {
     pub fn insert(&mut self, metadata: Metadata) -> bool {
         match self.map.entry(metadata.uri().clone()) {
             std::collections::btree_map::Entry::Vacant(v) => {
-                Arc::make_mut(&mut self.index)
-                    .insert_tokens(metadata.uri(), metadata.token_set().iter());
                 self.version += 1;
                 self.next_expiry.note(metadata.expires());
                 v.insert(metadata);
@@ -124,28 +119,10 @@ impl MetadataStore {
         self.map.values()
     }
 
-    /// All stored metadata matching `query`, in URI order.
-    ///
-    /// Answered from the inverted index; returns exactly the records whose
-    /// token set contains every query token, like the linear
-    /// `matches_query` scan it replaced (the property suite checks the
-    /// equivalence).
+    /// All stored metadata matching `query`, in URI order: a linear
+    /// [`matches_query`](Metadata::matches_query) scan of the store.
     pub fn matching(&self, query: &Query) -> Vec<&Metadata> {
-        self.index
-            .lookup_all_ref(query.tokens())
-            .into_iter()
-            .map(|uri| {
-                self.map
-                    .get(uri)
-                    .expect("index entry without a stored record")
-            })
-            .collect()
-    }
-
-    /// URIs of stored metadata matching `query`, in URI order (index-only;
-    /// no record lookups).
-    pub fn matching_uris(&self, query: &Query) -> Vec<&Uri> {
-        self.index.lookup_all_ref(query.tokens())
+        self.iter().filter(|m| m.matches_query(query)).collect()
     }
 
     /// Removes records expired at `now`; returns how many were dropped.
@@ -153,30 +130,21 @@ impl MetadataStore {
         if !self.next_expiry.due(now) {
             return 0;
         }
-        let expired: Vec<Uri> = self
-            .map
-            .values()
-            .filter(|m| m.is_expired(now))
-            .map(|m| m.uri().clone())
-            .collect();
-        if !expired.is_empty() {
-            let index = Arc::make_mut(&mut self.index);
-            for uri in &expired {
-                self.map.remove(uri);
-                index.remove(uri);
-            }
-            self.version += 1;
-        }
+        let before = self.map.len();
+        self.map.retain(|_, m| !m.is_expired(now));
         self.next_expiry
             .reset(self.map.values().map(Metadata::expires));
-        expired.len()
+        let dropped = before - self.map.len();
+        if dropped > 0 {
+            self.version += 1;
+        }
+        dropped
     }
 
     /// Removes a record by URI; returns it if present.
     pub fn remove(&mut self, uri: &Uri) -> Option<Metadata> {
         let removed = self.map.remove(uri);
         if removed.is_some() {
-            Arc::make_mut(&mut self.index).remove(uri);
             self.version += 1;
         }
         removed
@@ -374,8 +342,9 @@ impl QueryStore {
         before - self.len()
     }
 
-    /// Monotonic mutation counter for the **own** query set (the input to
-    /// wanted-URI computation); foreign-query changes do not bump it.
+    /// Monotonic mutation counter for the **own** query set (one of the
+    /// three inputs of a node's wanted set); foreign-query changes do not
+    /// bump it.
     pub fn own_version(&self) -> u64 {
         self.own_version
     }
@@ -434,16 +403,22 @@ impl FileStore {
         self.files.is_empty()
     }
 
-    /// Drops expired files; returns how many were dropped.
-    pub fn prune_expired(&mut self, now: SimTime) -> usize {
+    /// Drops expired files; returns the URIs dropped, in order (a file can
+    /// expire before its metadata, which makes it wanted again).
+    pub fn prune_expired(&mut self, now: SimTime) -> Vec<Uri> {
+        let mut dropped = Vec::new();
         if !self.next_expiry.due(now) {
-            return 0;
+            return dropped;
         }
-        let before = self.files.len();
-        self.files.retain(|_, expires| !is_expired(*expires, now));
+        self.files.retain(|uri, expires| {
+            let keep = !is_expired(*expires, now);
+            if !keep {
+                dropped.push(uri.clone());
+            }
+            keep
+        });
         self.next_expiry.reset(self.files.values().copied());
-        let dropped = before - self.files.len();
-        if dropped > 0 {
+        if !dropped.is_empty() {
             self.version += 1;
         }
         dropped
@@ -644,7 +619,8 @@ mod tests {
         let mut s = FileStore::new();
         s.insert(Uri::new("mbt://old").unwrap(), Some(SimTime::from_secs(10)));
         s.insert(Uri::new("mbt://keep").unwrap(), None);
-        assert_eq!(s.prune_expired(SimTime::from_secs(10)), 1);
+        let old = Uri::new("mbt://old").unwrap();
+        assert_eq!(s.prune_expired(SimTime::from_secs(10)), [old]);
         assert_eq!(s.iter().next().unwrap().as_str(), "mbt://keep");
     }
 

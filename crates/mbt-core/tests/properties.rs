@@ -125,52 +125,6 @@ proptest! {
     }
 
     #[test]
-    fn index_backed_matching_equals_linear_scan(
-        metas in proptest::collection::vec(arb_meta(), 0..20),
-        text in "[a-z]{1,6}( [a-z]{1,6}){0,2}",
-        victim in any::<prop::sample::Index>()
-    ) {
-        use mbt_core::MetadataStore;
-        fn both(store: &MetadataStore, q: &Query) -> (Vec<Uri>, Vec<Uri>, Vec<Uri>) {
-            let indexed = store.matching(q).into_iter().map(|m| m.uri().clone()).collect();
-            let uris = store.matching_uris(q).into_iter().cloned().collect();
-            let scanned = store
-                .iter()
-                .filter(|m| m.matches_query(q))
-                .map(|m| m.uri().clone())
-                .collect();
-            (indexed, uris, scanned)
-        }
-        let mut store = MetadataStore::new();
-        for m in &metas {
-            store.insert(m.clone());
-        }
-        let queries: Vec<Query> = std::iter::once(Query::new(text).unwrap())
-            .chain(metas.iter().filter_map(|m| {
-                // A query drawn from a stored record's name exercises the
-                // non-empty result path.
-                Query::new(tokenize(m.name()).into_iter().next()?).ok()
-            }))
-            .collect();
-        for q in &queries {
-            let (indexed, uris, scanned) = both(&store, q);
-            prop_assert_eq!(&indexed, &scanned, "index vs scan diverged");
-            prop_assert_eq!(&uris, &scanned, "matching_uris vs scan diverged");
-        }
-        // Index maintenance: after a removal the index and scan still agree.
-        if !metas.is_empty() {
-            let gone = metas[victim.index(metas.len())].uri().clone();
-            store.remove(&gone);
-            for q in &queries {
-                let (indexed, uris, scanned) = both(&store, q);
-                prop_assert!(!indexed.contains(&gone));
-                prop_assert_eq!(&indexed, &scanned, "index stale after removal");
-                prop_assert_eq!(&uris, &scanned, "matching_uris stale after removal");
-            }
-        }
-    }
-
-    #[test]
     fn canonical_bytes_distinct_for_distinct_names(a in "[a-z]{1,20}", b in "[a-z]{1,20}") {
         prop_assume!(a != b);
         let uri = Uri::new("mbt://p/x").unwrap();
@@ -475,6 +429,179 @@ proptest! {
             let offer = MetadataOffer::build(m, Popularity::MIN, &queries);
             for r in &offer.requesters {
                 prop_assert!(queriers.contains(r));
+            }
+        }
+    }
+}
+
+// ---- the maintained wanted set ----
+
+mod wanted_set {
+    use proptest::prelude::*;
+
+    use dtn_trace::{NodeId, SimDuration, SimTime};
+    use mbt_core::node::run_contact;
+    use mbt_core::{
+        CachePolicy, MbtConfig, MbtNode, Metadata, MetadataServer, Popularity, PopularityScope,
+        ProtocolSpec, Query, Uri,
+    };
+
+    const NODES: usize = 3;
+    const RECORDS: usize = 12;
+    const WORDS: [&str; 4] = ["fox", "news", "abc", "show"];
+    /// The last matches no record.
+    const QUERIES: [&str; 6] = ["fox", "news", "abc", "show", "fox news", "late"];
+
+    fn uri(i: usize) -> Uri {
+        Uri::new(format!("mbt://w/{i:02}")).unwrap()
+    }
+
+    /// Record `i`: two words of [`WORDS`], expiring between 100 and 300 s.
+    fn record_expiry(i: usize) -> SimTime {
+        SimTime::from_secs(100 + 50 * (i as u64 % 5))
+    }
+
+    fn record(i: usize) -> Metadata {
+        let name = format!("{} {}", WORDS[i % 4], WORDS[(i / 4 + i) % 4]);
+        Metadata::builder(name, "pub", uri(i))
+            .expires_at(Some(record_expiry(i)))
+            .build()
+    }
+
+    fn popularity(i: usize) -> Popularity {
+        Popularity::new((i % 5) as f64 / 4.0)
+    }
+
+    /// The definition, from scratch and by the uncached matching path: the
+    /// stored records matching an own query whose file is not held,
+    /// ascending.
+    fn wanted_by_definition(n: &MbtNode) -> Vec<Uri> {
+        let own = n.own_queries();
+        n.metadata()
+            .iter()
+            .filter(|m| own.iter().any(|q| q.matches_text(&m.search_text())))
+            .filter(|m| !n.files().contains(m.uri()))
+            .map(|m| m.uri().clone())
+            .collect()
+    }
+
+    fn fresh(i: usize, spec: ProtocolSpec, config: &MbtConfig) -> MbtNode {
+        let mut n = MbtNode::new(NodeId::new(i as u32), spec, config.clone());
+        n.set_internet_access(true);
+        let others: Vec<NodeId> = (0..NODES as u32)
+            .filter(|&j| j != i as u32)
+            .map(NodeId::new)
+            .collect();
+        n.set_frequent_contacts(others);
+        n
+    }
+
+    /// One step of the walk: `(kind, a, b, flag)` decoded against the clock.
+    fn step(
+        nodes: &mut [MbtNode],
+        server: &mut MetadataServer,
+        now: &mut u64,
+        (kind, a, b, flag): (u8, usize, usize, bool),
+    ) {
+        let who = a % NODES;
+        let at = SimTime::from_secs;
+        match kind {
+            // A new query, a repeated text, or one that matches nothing.
+            0 | 1 => {
+                let expires = match b % 8 {
+                    0 => None,
+                    1..=4 => Some(at(*now + 80)),
+                    _ => Some(at(*now + 250)),
+                };
+                nodes[who].add_query(Query::new(QUERIES[a / NODES % 6]).unwrap(), expires);
+            }
+            2 => nodes[who].seed_content(record(b % RECORDS), popularity(b), flag),
+            3 => nodes[who].internet_session(server, at(*now)),
+            // Metadata phase, file phase and riding metadata, pair or clique.
+            4 | 5 => {
+                let members: Vec<usize> = if flag {
+                    (0..NODES).collect()
+                } else {
+                    vec![who, (who + 1 + b % (NODES - 1)) % NODES]
+                };
+                run_contact(nodes, &members, at(*now), SimDuration::from_secs(600));
+            }
+            // A file, with or without a record, that may expire before it.
+            6 => {
+                let i = b % RECORDS;
+                let expires = if flag {
+                    at(*now + 25)
+                } else {
+                    record_expiry(i)
+                };
+                nodes[who].try_store_file(uri(i), Some(expires));
+            }
+            7 => {
+                *now += 10 * (1 + b as u64 % 6);
+                nodes[who].prune(at(*now));
+            }
+            // Everything with a lifetime decays; whoever went cold is
+            // evicted and rebuilt from its residue.
+            _ => {
+                *now += 300;
+                for n in nodes.iter_mut() {
+                    n.prune(at(*now));
+                    n.drain_events();
+                    let Some(cold) = n.extract_cold_state() else {
+                        continue;
+                    };
+                    let mut rebuilt = fresh(n.id().index(), n.protocol(), n.config());
+                    for (query, expires) in cold.queries {
+                        rebuilt.add_query(query, expires);
+                    }
+                    rebuilt.restore_credits(cold.credits);
+                    *n = rebuilt;
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Whatever sequence of mutators a node goes through, the wanted set
+        /// it maintains is the one a scan of its stores would compute.
+        #[test]
+        fn the_maintained_wanted_set_equals_its_definition(
+            steps in prop::collection::vec((0u8..9, 0usize..36, 0usize..60, any::<bool>()), 1..70),
+            discovery_first in any::<bool>(),
+        ) {
+            // The five built-ins, and a PopCache tight enough that most
+            // admissions evict a victim.
+            let tight = ProtocolSpec::POP_CACHE.with_cache(
+                "PopCache-2",
+                CachePolicy::PopularityRanked { capacity: 2, scope: PopularityScope::Local },
+            );
+            for spec in ProtocolSpec::builtin().into_iter().chain([tight]) {
+                let config = MbtConfig::new()
+                    .discovery_first(discovery_first)
+                    .metadata_per_contact(4)
+                    .files_per_contact(2)
+                    .internet_search_limit(2)
+                    .internet_push_metadata(3);
+                let mut nodes: Vec<MbtNode> =
+                    (0..NODES).map(|i| fresh(i, spec, &config)).collect();
+                let mut server = MetadataServer::new(NODES as u32);
+                for i in 0..RECORDS {
+                    server.publish(record(i), popularity(i));
+                }
+                let mut now = 0u64;
+                for (at, &op) in steps.iter().enumerate() {
+                    step(&mut nodes, &mut server, &mut now, op);
+                    for n in &nodes {
+                        prop_assert_eq!(
+                            n.wanted_uris(),
+                            wanted_by_definition(n),
+                            "{} node {} after step {} {:?} of {:?}",
+                            spec.name(), n.id(), at, op, steps
+                        );
+                    }
+                }
             }
         }
     }

@@ -10,8 +10,9 @@
 //! requires byte-identical answers for every shard count.
 //!
 //! Shared by path (`#[path = "support/reference_server.rs"] mod
-//! reference_server;`) between `server_equivalence.rs` and `query_storm.rs`;
-//! it uses only `mbt_core`'s public API.
+//! reference_server;`) between `server_equivalence.rs` and `query_storm.rs`,
+//! and brings its index (`inverted_index.rs`, beside it) along the same way;
+//! both use only `mbt_core`'s public API.
 //!
 //! Do not optimise this type — its value is that it never changes.
 
@@ -20,11 +21,14 @@ use std::collections::BTreeMap;
 
 use dtn_trace::{NodeId, SimTime};
 
-use mbt_core::keyword::InvertedIndex;
 use mbt_core::metadata::Metadata;
 use mbt_core::popularity::{cmp_popularity, Popularity, PopularityEstimator};
 use mbt_core::query::Query;
 use mbt_core::uri::Uri;
+
+#[path = "inverted_index.rs"]
+mod inverted_index;
+use inverted_index::InvertedIndex;
 
 /// The reference single-registry metadata server (test oracle).
 #[derive(Debug, Clone)]
