@@ -131,22 +131,22 @@ counters! {
     /// is concurrent state, so the sweep-wide figure is the worst single
     /// run, which keeps the value independent of `--jobs` and cell count.
     peak_resident_contacts: max,
-    /// Node states materialized by the lazy node arena: one per node that
-    /// actually appeared in a contact, an Internet session, or seeded
-    /// content. Additive on merge.
+    /// Node states built by the runner's node table: one per node, the
+    /// first time anything addresses it — a drawn query, a contact, an
+    /// Internet session, seeded content. Additive on merge.
     nodes_instantiated: sum,
-    /// Peak number of node states resident in the arena at once (lazy
-    /// instantiation minus cold-node eviction). Merges by **maximum**, like
+    /// Peak number of node states resident at once. A row is never dropped,
+    /// so within one run this equals
+    /// [`Counters::nodes_instantiated`]. Merges by **maximum**, like
     /// [`Counters::peak_resident_contacts`].
     peak_resident_nodes: max,
-    /// Peak number of evicted (cold) nodes holding residue in the arena's
-    /// residue store at once. Merges by **maximum** — residency, not a
-    /// total.
+    /// A structural zero: the runner evicts nothing (a node is built once),
+    /// so there is no residue of evicted nodes to hold. The field stays
+    /// because the perf-report keys and the benchmark's `residue.peak_nodes`
+    /// layer are read by name. Merges by **maximum**.
     peak_residue_nodes: max,
-    /// Estimated peak bytes held by the residue store (packed entries plus
-    /// the interned query-text pool). An estimate from data-structure
-    /// sizes, but a deterministic one: it is a pure function of the event
-    /// stream. Merges by **maximum**.
+    /// A structural zero, like [`Counters::peak_residue_nodes`]: the
+    /// estimated peak bytes of that store. Merges by **maximum**.
     residue_bytes_est: max,
     /// Frames the bus transport carried — encoded, moved across a link and
     /// decoded: hellos, query shares, metadata and file broadcasts alike.
@@ -181,8 +181,9 @@ pub enum Phase {
     Download,
     /// Merging per-cell results in grid order.
     Reduction,
-    /// The runner's scheduled day boundary: cold-node eviction, expiry of
-    /// the delivery books, publishing, query draws and Internet sessions.
+    /// The runner's scheduled day boundary: expiry of the server and the
+    /// delivery books, publishing, the one pass over the nodes that decays
+    /// each row and draws its queries, and Internet sessions.
     DayTick,
 }
 

@@ -4,7 +4,7 @@ use std::fs::File;
 use std::path::Path;
 use std::sync::Arc;
 
-use dtn_trace::{read_trace, ShardedTrace, TraceSource};
+use dtn_trace::{read_trace, ShardedTrace, TraceSource, SECONDS_PER_DAY};
 
 use crate::args::{ArgError, Args};
 use crate::CliError;
@@ -21,20 +21,23 @@ pub mod sweep;
 pub mod trace_stats;
 
 /// The most ids a trace may address for each node it names. The simulator
-/// indexes dense per-id tables (`NodeArena::slot_of`, `ResidueStore`, the
-/// delivery books) by [`TraceSource::id_space`] — right when ids are dense
+/// indexes a dense per-id table (`NodeTable::slot_of`) by
+/// [`TraceSource::id_space`] — right when ids are dense
 /// (the 10⁶-node city trace has id space = nodes), a 16 GB allocation when a
-/// two-line file names node 4 000 000 000. 1024 keeps those tables within a
+/// two-line file names node 4 000 000 000. 1024 keeps that table within a
 /// few KB per real node, the order of a node's own state, and still opens a
 /// hand-written trace whose few ids run into the hundreds.
 const MAX_IDS_PER_NODE: usize = 1024;
 
-/// The most days a run may last for each day its trace spans. The runner
-/// sizes its per-day delivery tallies by `--days` and publishes a batch on
-/// every one of them, contacts or not — right for the few days past the last
-/// contact in which stored files age out, an 800 GB allocation for
-/// `--days 99999999999`. 1024 lets a hand-written trace of a few minutes run
-/// for years and keeps the tallies within a few KB per day of trace.
+/// The most days a run — or anything else a flag counts in days: a file's
+/// TTL, the frequent-contact window — may last for each day its trace spans.
+/// The runner sizes its per-day delivery tallies by `--days` and publishes a
+/// batch on every one of them, contacts or not — right for the few days past
+/// the last contact in which stored files age out, an 800 GB allocation for
+/// `--days 99999999999`; and a count of days becomes seconds by an unchecked
+/// multiplication, which wraps from 2⁶⁴ ÷ 86 400 on. 1024 lets a hand-written
+/// trace of a few minutes run for years and keeps the tallies within a few
+/// KB per day of trace.
 const MAX_DAYS_PER_TRACE_DAY: u64 = 1024;
 
 /// The most files one day may publish (`--files-per-day`, and the x values
@@ -61,12 +64,48 @@ pub fn files_per_day(option: &str, token: &str) -> Result<u32, ArgError> {
     }
 }
 
+/// The days `source` spans, rounded up; at least one.
+fn span_days(source: &dyn TraceSource) -> u64 {
+    source.span().as_days_f64().ceil().max(1.0) as u64
+}
+
+/// Parses `token`, given for `--option`, as a count of days — a TTL, a
+/// frequent-contact window — in a run over `source`.
+///
+/// # Errors
+///
+/// Returns [`ArgError::BadValue`] naming the option and the token unless the
+/// token is an integer within [`MAX_DAYS_PER_TRACE_DAY`] times the days the
+/// trace spans, the bound [`run_size`] holds `--days` to.
+pub fn days_of(option: &str, token: &str, source: &dyn TraceSource) -> Result<u64, ArgError> {
+    let most = span_days(source).saturating_mul(MAX_DAYS_PER_TRACE_DAY);
+    match token.parse::<u64>() {
+        Ok(days) if days <= most => Ok(days),
+        _ => Err(ArgError::BadValue {
+            option: option.to_string(),
+            value: token.to_string(),
+            expected: "a number of days up to 1024 times the days the trace spans",
+        }),
+    }
+}
+
+/// `--option` as a count of days through [`days_of`], or `default`.
+pub fn days_or(
+    args: &Args,
+    option: &str,
+    default: u64,
+    source: &dyn TraceSource,
+) -> Result<u64, ArgError> {
+    args.opt_str(option)
+        .map_or(Ok(default), |token| days_of(option, token, source))
+}
+
 /// The `--days` and `--files-per-day` of a run over `source` (default: the
 /// days the trace spans, rounded up, and 40), for `simulate` and `sweep`
 /// alike. Both size tables before the first contact is read, so both are
 /// bounded here, where the flags are parsed.
 pub fn run_size(args: &Args, source: &dyn TraceSource) -> Result<(u64, u32), CliError> {
-    let span_days = source.span().as_days_f64().ceil().max(1.0) as u64;
+    let span_days = span_days(source);
     let days = args.parse_or("days", span_days, "an integer")?;
     let most = span_days.saturating_mul(MAX_DAYS_PER_TRACE_DAY);
     if days > most {
@@ -87,16 +126,44 @@ pub fn run_size(args: &Args, source: &dyn TraceSource) -> Result<(u64, u32), Cli
 ///
 /// Either way the id space — the largest id in a file, a free-standing
 /// field of a shard manifest — is checked here, once, against the nodes the
-/// input names, before anything is sized by it.
+/// input names, before anything is sized by it; and so is the span a
+/// manifest claims, against the windows its shards cover.
 pub fn open_source(path: &str) -> Result<Arc<dyn TraceSource>, CliError> {
     let source: Arc<dyn TraceSource> = if Path::new(path).is_dir() {
-        Arc::new(ShardedTrace::open(path).map_err(|e| CliError::Usage(e.to_string()))?)
+        let trace = ShardedTrace::open(path).map_err(|e| CliError::Usage(e.to_string()))?;
+        check_span(&trace).map_err(|e| CliError::Usage(format!("{path}: {e}")))?;
+        Arc::new(trace)
     } else {
         let file = File::open(path).map_err(|e| CliError::Io(path.to_string(), e))?;
         Arc::new(read_trace(file).map_err(|e| CliError::Usage(e.to_string()))?)
     };
     check_id_space(source.as_ref()).map_err(|e| CliError::Usage(format!("{path}: {e}")))?;
     Ok(source)
+}
+
+/// A manifest's span is a free-standing pair of fields, and the default
+/// `--days` — which sizes the run's per-day tallies — and the bound on every
+/// flag counted in days are read off it. It must stay within
+/// [`MAX_DAYS_PER_TRACE_DAY`] of the days the shard windows cover, from the
+/// first that holds a contact to the last (a contact may end after its
+/// window does, so the two need not be equal).
+fn check_span(trace: &ShardedTrace) -> Result<(), String> {
+    let windows = trace.shards().iter().map(|s| s.window_index);
+    let covered = match (windows.clone().min(), windows.max()) {
+        (Some(first), Some(last)) => (last - first)
+            .saturating_add(1)
+            .saturating_mul(trace.window().as_secs()),
+        _ => 0,
+    };
+    let covered_days = covered.div_ceil(SECONDS_PER_DAY).max(1);
+    let claimed_days = span_days(trace);
+    if claimed_days > covered_days.saturating_mul(MAX_DAYS_PER_TRACE_DAY) {
+        return Err(format!(
+            "the manifest claims a span of {claimed_days} days, more than \
+             {MAX_DAYS_PER_TRACE_DAY} times the {covered_days} its shard windows cover"
+        ));
+    }
+    Ok(())
 }
 
 /// The id space must exceed every named node (or dense tables are indexed

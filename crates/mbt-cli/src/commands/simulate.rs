@@ -10,7 +10,7 @@ use mbt_core::{BroadcastOrdering, CooperationMode, MbtConfig, ProtocolSpec, Tran
 use mbt_experiments::runner::{run_simulation, SimParams};
 
 use crate::args::Args;
-use crate::commands::{open_source, run_size};
+use crate::commands::{days_or, open_source, run_size};
 use crate::CliError;
 
 /// Usage text for the subcommand.
@@ -63,13 +63,14 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         .config(config)
         .internet_fraction(args.rate_or("internet", 0.3)?)
         .files_per_day(files)
-        .ttl_days(args.parse_or("ttl", 3u64, "an integer")?)
+        .ttl_days(days_or(args, "ttl", 3, source.as_ref())?)
         .days(days)
         .seed(seed)
-        .frequent_window(SimDuration::from_days(args.parse_or(
+        .frequent_window(SimDuration::from_days(days_or(
+            args,
             "frequent-days",
-            1u64,
-            "an integer",
+            1,
+            source.as_ref(),
         )?))
         .faults(faults)
         .polluter_fraction(rate("polluters")?)
@@ -335,6 +336,68 @@ mod tests {
         }
         // Past the trace's last contact, within the bound: a run.
         run_with("--days 12 --files-per-day 2").unwrap();
+    }
+
+    #[test]
+    fn rejects_a_ttl_or_frequent_window_out_of_proportion_to_the_trace() {
+        // A count of days becomes seconds by multiplication: 10¹⁸ days wraps
+        // in release (a TTL of some hours, exit 0) and panics in debug.
+        let path = trace_file("hostile-days");
+        let run_with = |flags: &str| run(&args(&format!("{} {flags}", path.display())));
+        for option in ["--ttl", "--frequent-days"] {
+            for bad in ["999999999999999999", "5121", "-1", "1.5"] {
+                let err = run_with(&format!("{option} {bad}")).unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    format!(
+                        "{option} expects a number of days up to 1024 times the days the \
+                         trace spans, got `{bad}`"
+                    )
+                );
+            }
+        }
+        // The trace spans 5 days: 5120 is the most either may be.
+        run_with("--ttl 5120 --frequent-days 5120 --files-per-day 2").unwrap();
+    }
+
+    #[test]
+    fn rejects_a_manifest_whose_span_its_shard_windows_do_not_bear_out() {
+        use dtn_trace::ContactSink as _;
+        let path = trace_file("span-src");
+        let trace = dtn_trace::read_trace(std::fs::File::open(&path).unwrap()).unwrap();
+        let shard_dir = std::env::temp_dir().join("mbt-cli-test-sim/span-claimed");
+        let _ = std::fs::remove_dir_all(&shard_dir);
+        let mut writer =
+            dtn_trace::ShardWriter::create(&shard_dir, SimDuration::from_days(1)).unwrap();
+        for c in trace.iter() {
+            writer.push_contact(c.clone());
+        }
+        writer.finish().unwrap();
+        let line = format!("{} --files-per-day 8", shard_dir.display());
+        run(&args(&line)).expect("the untouched manifest opens");
+
+        // 10¹⁵ s is 11.6 billion days: the default `--days`, and with it the
+        // length of the per-day tallies.
+        let manifest = shard_dir.join("manifest.txt");
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        let honest = text
+            .lines()
+            .find(|l| l.starts_with("span-end "))
+            .expect("a span-end line")
+            .to_string();
+        std::fs::write(
+            &manifest,
+            text.replace(&honest, "span-end 1000000000000000"),
+        )
+        .unwrap();
+        let err = run(&args(&line)).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+        let err = err.to_string();
+        assert!(err.contains("claims a span of 11574074074 days"), "{err}");
+        assert!(
+            err.contains("1024 times the 5 its shard windows cover"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -13,8 +13,8 @@ use mbt_experiments::report::{figure_csv, figure_delay_csv, figure_table};
 use mbt_experiments::runner::SimParams;
 use mbt_experiments::{ExecConfig, ParallelRunner};
 
-use crate::args::{rate, value, ArgError, Args};
-use crate::commands::{files_per_day, open_source, run_size};
+use crate::args::{rate, ArgError, Args};
+use crate::commands::{days_of, days_or, files_per_day, open_source, run_size};
 use crate::CliError;
 
 /// Usage text for the subcommand.
@@ -44,16 +44,19 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         .collect::<Result<_, _>>()?;
 
     let param = args.str_or("param", "internet").to_string();
+    if !["internet", "files-per-day", "ttl"].contains(&param.as_str()) {
+        return Err(CliError::Usage(format!(
+            "unknown sweep parameter `{param}` (expected internet, files-per-day, or ttl)"
+        )));
+    }
     // The Internet-access fraction is a rate; the other axes are counts,
-    // which have no default (the default x values are fractions).
-    let x_value: fn(&str) -> Result<f64, ArgError> = match param.as_str() {
-        "internet" => |v| rate("xs", v),
-        "files-per-day" => |v| files_per_day("xs", v).map(f64::from),
-        "ttl" => |v| value::<u32>("xs", v, "a non-negative integer").map(f64::from),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown sweep parameter `{other}` (expected internet, files-per-day, or ttl)"
-            )))
+    // which have no default (the default x values are fractions) and the
+    // bounds of the flags they stand for.
+    let x_value = |v: &str| -> Result<f64, ArgError> {
+        match param.as_str() {
+            "internet" => rate("xs", v),
+            "files-per-day" => files_per_day("xs", v).map(f64::from),
+            _ => days_of("xs", v, source.as_ref()).map(|days| days as f64),
         }
     };
     let xs: Vec<f64> = match args.opt_str("xs") {
@@ -73,17 +76,19 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let base = SimParams::builder()
         .days(days)
         .files_per_day(files)
-        .frequent_window(SimDuration::from_days(args.parse_or(
+        .frequent_window(SimDuration::from_days(days_or(
+            args,
             "frequent-days",
-            1u64,
-            "an integer",
+            1,
+            source.as_ref(),
         )?))
         .build();
 
     let params_for = |x: f64| -> SimParams {
         let mut p = base.clone();
         match param.as_str() {
-            // Exact: a count axis holds what `x_value` read as a `u32`.
+            // Exact: a count axis holds what `x_value` read as an integer
+            // far below 2⁵³.
             "files-per-day" => p.files_per_day = x as u32,
             "ttl" => p.ttl_days = x as u64,
             _ => p.internet_fraction = x,
@@ -217,6 +222,8 @@ mod tests {
             ("ttl", "-1"),
             ("ttl", "0.5"),
             ("ttl", "4294967296"),
+            ("ttl", "999999999999999999"),
+            ("ttl", "5121"),
         ] {
             let err = sweep(&format!("--param {param} --xs 2,{bad}")).unwrap_err();
             let err = err.to_string();

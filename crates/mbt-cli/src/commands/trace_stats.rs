@@ -6,6 +6,7 @@ use std::fs::File;
 use dtn_trace::{read_trace, AggregateGraph, SimDuration, TraceStats};
 
 use crate::args::Args;
+use crate::commands::days_or;
 use crate::CliError;
 
 /// Usage text for the subcommand.
@@ -14,9 +15,9 @@ pub const USAGE: &str = "mbt trace-stats <trace-file> [--frequent-days N]";
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let path = args.positional(0, "trace-file")?.to_string();
-    let frequent_days = args.parse_or("frequent-days", 1u64, "an integer")?;
     let file = File::open(&path).map_err(|e| CliError::Io(path.clone(), e))?;
     let trace = read_trace(file).map_err(|e| CliError::Usage(e.to_string()))?;
+    let frequent_days = days_or(args, "frequent-days", 1, &trace)?;
     let stats = TraceStats::compute(&trace);
 
     let mut out = String::new();

@@ -386,6 +386,9 @@ mod tests {
                 ("--internet", "-0.1"),
                 ("--loss", "nan"),
                 ("--drop", "7"),
+                // A count of days whose seconds overflow.
+                ("--ttl", "999999999999999999"),
+                ("--frequent-days", "999999999999999999"),
             ] {
                 let declared = cmd.options.contains(&&option[2..]);
                 let token = if declared { bad } else { option };

@@ -303,7 +303,6 @@ impl Catalog {
 mod tests {
     use std::collections::{BTreeMap, BTreeSet};
 
-    use dtn_sim::telemetry::PhaseTimes;
     use dtn_trace::{SimDuration, SimTime};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -311,7 +310,7 @@ mod tests {
 
     use super::*;
     use crate::config::MbtConfig;
-    use crate::node::{build_hello, contact_over, ContactReport};
+    use crate::node::{build_hello, contact_over, ContactReport, ContactScratch};
     use crate::protocol::ProtocolSpec;
     use crate::transport::SimTransport;
 
@@ -479,7 +478,8 @@ mod tests {
             members,
             SimTime::from_secs(at),
             SimDuration::from_secs(600),
-            &mut PhaseTimes::default(),
+            None,
+            &mut ContactScratch::default(),
         )
     }
 

@@ -88,7 +88,7 @@ pub struct MbtNode {
     config: MbtConfig,
     internet_access: bool,
     /// Ascending and distinct; shared with whoever declared it (the
-    /// experiment arena keeps one list per node) and with every hello.
+    /// experiment runner keeps one list per node) and with every hello.
     frequent_contacts: Arc<[NodeId]>,
     /// The three stores and the set derived from them. Written only by
     /// [`add_query`](Self::add_query), `store_record`,
@@ -127,10 +127,10 @@ pub struct MbtNode {
     events: Vec<NodeEvent>,
 }
 
-/// The compact residue of a node whose stores have fully decayed — see
-/// [`MbtNode::extract_cold_state`]. A few dozen bytes instead of a resident
-/// [`MbtNode`], which is what lets city-scale simulations keep only active
-/// nodes in memory.
+/// The compact residue of a node whose stores have fully decayed: its own
+/// queries and its credit history. No node produces one: the experiment
+/// runner builds a node once and keeps it. The type remains as the element
+/// of `mbt_experiments::ResidueStore`, which the benchmark still probes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColdNodeState {
     /// The node's own queries, in insertion order, with their expiries.
@@ -256,19 +256,30 @@ impl MbtNode {
     }
 
     /// Adds a user query with an optional expiry; returns `true` if new.
-    ///
-    /// A new query scans the store once for the records it matches: O(store),
-    /// the one place a standing query meets records that arrived before it.
     pub fn add_query(&mut self, query: Query, expires: Option<SimTime>) -> bool {
-        if !self.queries.add_own(query.clone(), expires) {
-            return false;
-        }
-        for record in self.metadata.iter() {
-            if record.matches_query(&query) && !self.files.contains(record.uri()) {
-                self.wanted.insert(record.uri().clone());
+        self.add_queries([(query, expires)]) == 1
+    }
+
+    /// Adds several user queries at once — a day's draws — and returns how
+    /// many were new. Observably the same as [`add_query`](Self::add_query)
+    /// on each in order (a text already held, or repeated in the batch, keeps
+    /// its first entry), but the shared own-query list is rebuilt once.
+    ///
+    /// The new queries scan the store once for the records they match:
+    /// O(store), the one place a standing query meets records that arrived
+    /// before it.
+    pub fn add_queries(&mut self, batch: impl IntoIterator<Item = OwnQuery>) -> usize {
+        let added = self.queries.add_own_batch(batch);
+        let own = self.queries.own();
+        let fresh = &own[own.len() - added..];
+        if !fresh.is_empty() {
+            for record in self.metadata.iter() {
+                if matches_any(fresh, record) && !self.files.contains(record.uri()) {
+                    self.wanted.insert(record.uri().clone());
+                }
             }
         }
-        true
+        added
     }
 
     /// The node's own active query strings.
@@ -339,8 +350,8 @@ impl MbtNode {
     /// seen. Once every observation's expiry has passed,
     /// [`prune`](Self::prune) drops the entry: an expired URI is never advertised,
     /// requested, or ranked again, so forgetting its popularity is
-    /// unobservable — and it is what lets long simulations evict nodes
-    /// whose state has fully decayed.
+    /// unobservable — and it is what keeps a node's footprint bounded by
+    /// what is live over a long simulation.
     pub fn note_popularity_until(&mut self, uri: &Uri, p: Popularity, expires: Option<SimTime>) {
         let entry = self
             .popularity
@@ -405,43 +416,6 @@ impl MbtNode {
     /// Drains accumulated [`NodeEvent`]s.
     pub fn drain_events(&mut self) -> Vec<NodeEvent> {
         std::mem::take(&mut self.events)
-    }
-
-    /// If the node's state has decayed to nothing beyond its own queries
-    /// and credit history — no stored metadata or files, no popularity
-    /// observations, no rejection records, no collected foreign queries, no
-    /// undrained events — returns that compact residue; otherwise `None`.
-    ///
-    /// A cold node is behaviourally identical to a fresh [`MbtNode`] (with
-    /// the same access flag, frequent contacts, and key registry) that
-    /// re-adds the returned queries in order and restores the ledger via
-    /// [`restore_credits`](Self::restore_credits): construction draws no
-    /// randomness, [`add_query`](Self::add_query) dedups by text keeping
-    /// the first entry, [`CreditLedger::from_entries`] round-trips
-    /// [`CreditLedger::entries`] exactly, and both contacts and Internet
-    /// sessions prune before acting, so even an expired entry is dropped at
-    /// the same observable instant either way. Large simulations rely on
-    /// this to evict cold nodes (keeping only this residue) and rebuild
-    /// them on demand.
-    pub fn extract_cold_state(&self) -> Option<ColdNodeState> {
-        let cold = self.metadata.is_empty()
-            && self.files.is_empty()
-            && self.popularity.is_empty()
-            && self.local_demand.is_empty()
-            && self.availability.is_empty()
-            && self.rejected.is_empty()
-            && self.events.is_empty()
-            && self.queries.foreign().next().is_none();
-        cold.then(|| ColdNodeState {
-            queries: self.queries.own().to_vec(),
-            credits: self.credits.entries().collect(),
-        })
-    }
-
-    /// Overwrites the credit ledger — the restore half of the
-    /// [`extract_cold_state`](Self::extract_cold_state) contract.
-    pub fn restore_credits(&mut self, entries: Vec<(NodeId, f64)>) {
-        self.credits = CreditLedger::from_entries(entries);
     }
 
     /// True if the node holds metadata for `uri` matching one of its own
@@ -704,8 +678,17 @@ pub fn run_contact(
     now: SimTime,
     duration: SimDuration,
 ) -> ContactReport {
-    let mut scratch = PhaseTimes::default();
-    run_contact_timed(nodes, members, now, duration, &mut scratch)
+    let mut transport = SimTransport::new();
+    let mut scratch = ContactScratch::default();
+    run_contact_via(
+        &mut transport,
+        nodes,
+        members,
+        now,
+        duration,
+        None,
+        &mut scratch,
+    )
 }
 
 /// [`run_contact`] with phase timing: the metadata-broadcast phase is charged
@@ -725,10 +708,33 @@ pub fn run_contact_timed(
     phases: &mut PhaseTimes,
 ) -> ContactReport {
     let mut transport = SimTransport::new();
-    run_contact_via(&mut transport, nodes, members, now, duration, phases)
+    let mut scratch = ContactScratch::default();
+    run_contact_via(
+        &mut transport,
+        nodes,
+        members,
+        now,
+        duration,
+        Some(phases),
+        &mut scratch,
+    )
 }
 
-/// [`run_contact_timed`] over an explicit [`Transport`] backend.
+/// The vectors a contact fills and empties — member ids, the members whose
+/// hello arrived, their hellos — kept by the caller so that a run of
+/// contacts allocates them once, not once each. Holds nothing a later
+/// contact reads: every contact starts by clearing it.
+#[derive(Debug, Default)]
+pub struct ContactScratch {
+    all_ids: Vec<NodeId>,
+    alive: Vec<usize>,
+    snapshots: Vec<HelloFrame>,
+    member_ids: Vec<NodeId>,
+}
+
+/// [`run_contact_timed`] over an explicit [`Transport`] backend, with the
+/// phase spans optional — with `spans` `None` the contact reads no clock —
+/// and the caller's [`ContactScratch`].
 ///
 /// The contact's message flow — hello exchange to the clique coordinator
 /// (§V elects one; the lowest id here), query shares, metadata broadcasts,
@@ -780,7 +786,8 @@ pub fn run_contact_via(
     members: &[usize],
     now: SimTime,
     duration: SimDuration,
-    phases: &mut PhaseTimes,
+    spans: Option<&mut PhaseTimes>,
+    scratch: &mut ContactScratch,
 ) -> ContactReport {
     contact_over(
         Catalog::walk,
@@ -789,12 +796,14 @@ pub fn run_contact_via(
         members,
         now,
         duration,
-        phases,
+        spans,
+        scratch,
     )
 }
 
 /// [`run_contact_via`] with the catalog builder named, so that the catalog's
 /// tests can run whole contacts over the naive union the walk replaced.
+#[allow(clippy::too_many_arguments)] // run_contact_via's, plus the builder
 pub(crate) fn contact_over(
     build: catalog::Build,
     transport: &mut dyn Transport,
@@ -802,7 +811,8 @@ pub(crate) fn contact_over(
     members: &[usize],
     now: SimTime,
     duration: SimDuration,
-    phases: &mut PhaseTimes,
+    mut spans: Option<&mut PhaseTimes>,
+    scratch: &mut ContactScratch,
 ) -> ContactReport {
     let mut report = ContactReport::default();
     if members.len() < 2 {
@@ -831,13 +841,20 @@ pub(crate) fn contact_over(
     // coordinator (§V: the lowest id). The coordinator's own hello is
     // local; every other member's is carried as a frame, and a dropped
     // hello removes that member from the contact. ---
-    let all_ids: Vec<NodeId> = members.iter().map(|&idx| nodes[idx].id).collect();
-    transport.join(now, &all_ids);
+    let ContactScratch {
+        all_ids,
+        alive,
+        snapshots,
+        member_ids,
+    } = scratch;
+    all_ids.clear();
+    all_ids.extend(members.iter().map(|&idx| nodes[idx].id));
+    transport.join(now, all_ids);
     let coordinator = *all_ids.iter().min().expect("members is non-empty");
 
     // A delivered hello doubles as that member's start-of-contact snapshot.
-    let mut alive: Vec<usize> = Vec::with_capacity(members.len());
-    let mut snapshots: Vec<HelloFrame> = Vec::with_capacity(members.len());
+    alive.clear();
+    snapshots.clear();
     for &idx in members {
         let hello = build_hello(&mut nodes[idx], protocol, &mut report);
         let sender = nodes[idx].id;
@@ -865,10 +882,10 @@ pub(crate) fn contact_over(
             None => report.frames_lost += 1,
         }
     }
-    let members = &alive[..];
+    let (members, snapshots) = (&alive[..], &snapshots[..]);
     report.hello_exchanges = snapshots.len();
     if members.len() < 2 {
-        report.frames_lost += transport.leave(now, &all_ids);
+        report.frames_lost += transport.leave(now, all_ids);
         return report;
     }
 
@@ -878,7 +895,9 @@ pub(crate) fn contact_over(
     let every_row = matches!(protocol.replication(), ReplicationPolicy::Diffusion { .. });
     let mut catalog = build(nodes, members, every_row);
 
-    let member_ids: Vec<NodeId> = snapshots.iter().map(|s| s.sender).collect();
+    member_ids.clear();
+    member_ids.extend(snapshots.iter().map(|s| s.sender));
+    let member_ids = &member_ids[..];
 
     // --- Locally-observed demand (PopCache's Local scope only): each member
     // counts how often the peers it meets announce wanting a URI. On any
@@ -891,7 +910,7 @@ pub(crate) fn contact_over(
     {
         for &idx in members {
             let me = nodes[idx].id;
-            for snap in &snapshots {
+            for snap in snapshots {
                 if snap.sender == me {
                     continue;
                 }
@@ -936,7 +955,7 @@ pub(crate) fn contact_over(
             }
             row.proactive = members
                 .iter()
-                .zip(&snapshots)
+                .zip(snapshots)
                 .filter(|(_, s)| {
                     !row.file_holders.contains(&s.sender) && !s.rejected.contains(&row.uri)
                 })
@@ -1000,8 +1019,8 @@ pub(crate) fn contact_over(
     // and its transfer budgets by the same surviving fraction; a plan with
     // truncation off keeps both exactly as configured.
     let faults = config.faults_value();
-    let keep = faults.contact_keep(now, &member_ids);
-    let effective_duration = faults.truncated_duration(now, &member_ids, duration);
+    let keep = faults.contact_keep(now, member_ids);
+    let effective_duration = faults.truncated_duration(now, member_ids, duration);
     let metadata_slots =
         dtn_sim::channel::truncated_budget(config.metadata_per_contact_value(), keep) as usize;
     let file_slots =
@@ -1011,120 +1030,52 @@ pub(crate) fn contact_over(
     };
 
     // --- Phase closures. ---
-    let metadata_phase =
-        |transport: &mut dyn Transport, nodes: &mut [MbtNode], report: &mut ContactReport| {
-            if !protocol.distributes_metadata() {
-                return;
-            }
-            // A member's relevant queries are its own plus those it carries
-            // for its frequent contacts, and requester matching (§IV-A) is
-            // charged one probe per member store for each — the count is
-            // arithmetic: the catalog answers each query from one index over
-            // the records somebody lacks, and looks at nothing when there are
-            // none.
-            let relevant = |s: &HelloFrame| s.own_queries.len() + s.foreign_queries.len();
-            report.index_lookups += snapshots.iter().map(relevant).sum::<usize>() * members.len();
-            let offers = catalog.metadata_offers(&snapshots);
-            let schedule =
-                schedule_broadcasts(&config, &member_ids, &snapshots, offers, metadata_slots);
-            for b in &schedule {
-                let row = catalog.row(&b.item).expect("offers come from rows");
-                let (meta, pop) = (
-                    row.record.as_ref().expect("offered a record"),
-                    row.popularity,
-                );
-                report.metadata_broadcasts += 1;
-                for &idx in members {
-                    let receiver_id = nodes[idx].id;
-                    if receiver_id == b.sender {
-                        continue;
-                    }
-                    if frame_lost(b.sender, receiver_id, &b.item) {
-                        report.frames_lost += 1;
-                        continue;
-                    }
-                    let carried = transport.carry(
-                        now,
-                        b.sender,
-                        receiver_id,
-                        WireMessage::Metadata {
-                            metadata: meta.clone(),
-                            popularity: pop,
-                        },
-                    );
-                    let (metadata, popularity) = match carried {
-                        Carried::Delivered(WireMessage::Metadata {
-                            metadata,
-                            popularity,
-                        }) => (metadata, popularity),
-                        Carried::Delivered(_) => continue,
-                        Carried::Dropped => {
-                            report.frames_lost += 1;
-                            continue;
-                        }
-                    };
-                    let receiver = &mut nodes[idx];
-                    if !receiver.accepts_metadata(&metadata) {
-                        // Fake-publisher rejection (§III-B item f): blacklist the
-                        // URI so it is never requested again.
-                        receiver.reject(&metadata);
-                        continue;
-                    }
-                    report.bytes_moved += frame_bytes(metadata.wire_size() as u64);
-                    if receiver.store_record(&metadata, popularity, Source::Peer(b.sender), true) {
-                        report.metadata_received += 1;
-                    }
-                }
-            }
-        };
-
-    let file_phase = |transport: &mut dyn Transport,
-                      nodes: &mut [MbtNode],
-                      report: &mut ContactReport| {
-        if effective_duration.as_secs() < config.min_download_contact_secs_value() {
+    let metadata_phase = |transport: &mut dyn Transport,
+                          nodes: &mut [MbtNode],
+                          report: &mut ContactReport| {
+        if !protocol.distributes_metadata() {
             return;
         }
-        // A member requests a file it wants (announced as a "downloading
-        // URI" in its hello) and does not hold. Under MBT-QM nobody can
-        // announce wants — nodes have no standalone metadata — so all
-        // offers fall to the popularity phase.
-        let offers = catalog.file_offers(&snapshots, protocol.distributes_metadata());
-        let schedule = schedule_broadcasts(&config, &member_ids, &snapshots, offers, file_slots);
+        // A member's relevant queries are its own plus those it carries
+        // for its frequent contacts, and requester matching (§IV-A) is
+        // charged one probe per member store for each — the count is
+        // arithmetic: the catalog answers each query from one index over
+        // the records somebody lacks, and looks at nothing when there are
+        // none.
+        let relevant = |s: &HelloFrame| s.own_queries.len() + s.foreign_queries.len();
+        report.index_lookups += snapshots.iter().map(relevant).sum::<usize>() * members.len();
+        let offers = catalog.metadata_offers(snapshots);
+        let schedule = schedule_broadcasts(&config, member_ids, snapshots, offers, metadata_slots);
         for b in &schedule {
-            report.file_broadcasts += 1;
-            // The file's metadata rides along with the file (as in prior
-            // content-distribution systems, and necessary for verification).
             let row = catalog.row(&b.item).expect("offers come from rows");
+            let (meta, pop) = (
+                row.record.as_ref().expect("offered a record"),
+                row.popularity,
+            );
+            report.metadata_broadcasts += 1;
             for &idx in members {
                 let receiver_id = nodes[idx].id;
-                if receiver_id == b.sender || nodes[idx].files.contains(&b.item) {
+                if receiver_id == b.sender {
                     continue;
                 }
                 if frame_lost(b.sender, receiver_id, &b.item) {
                     report.frames_lost += 1;
                     continue;
                 }
-                if faults.corrupts(now, b.sender, receiver_id, b.item.as_str()) {
-                    // The pieces arrived mangled: checksum verification (see
-                    // `Metadata::verify_piece`) catches them, nothing is
-                    // stored, and no credit is awarded — the file stays
-                    // wanted and is re-fetched at a later contact.
-                    report.corrupt_receptions += 1;
-                    continue;
-                }
                 let carried = transport.carry(
                     now,
                     b.sender,
                     receiver_id,
-                    WireMessage::FileBroadcast {
-                        uri: b.item.clone(),
-                        metadata: row.record.clone().map(|m| (m, row.popularity)),
+                    WireMessage::Metadata {
+                        metadata: meta.clone(),
+                        popularity: pop,
                     },
                 );
-                let (uri, riding) = match carried {
-                    Carried::Delivered(WireMessage::FileBroadcast { uri, metadata }) => {
-                        (uri, metadata)
-                    }
+                let (metadata, popularity) = match carried {
+                    Carried::Delivered(WireMessage::Metadata {
+                        metadata,
+                        popularity,
+                    }) => (metadata, popularity),
                     Carried::Delivered(_) => continue,
                     Carried::Dropped => {
                         report.frames_lost += 1;
@@ -1132,64 +1083,131 @@ pub(crate) fn contact_over(
                     }
                 };
                 let receiver = &mut nodes[idx];
-                let mut expires = None;
-                if let Some((meta, pop)) = &riding {
-                    if !receiver.accepts_metadata(meta) {
-                        // A file whose riding metadata fails authentication
-                        // is an unverifiable fake: refuse it and blacklist.
-                        receiver.reject(meta);
-                        continue;
-                    }
-                    expires = meta.expires();
-                    if receiver.store_record(meta, *pop, Source::Peer(b.sender), false) {
-                        // Metadata riding a file frame: no extra frame
-                        // header, just its wire bytes.
-                        report.metadata_received += 1;
-                        report.bytes_moved += meta.wire_size() as u64;
-                    }
+                if !receiver.accepts_metadata(&metadata) {
+                    // Fake-publisher rejection (§III-B item f): blacklist the
+                    // URI so it is never requested again.
+                    receiver.reject(&metadata);
+                    continue;
                 }
-                let wanted = receiver.matches_own_query(&uri);
-                if receiver.try_store_file(uri.clone(), expires) {
-                    let (pieces, content_bytes) = riding
-                        .as_ref()
-                        .map(|(m, _)| (m.piece_count() as usize, m.size()))
-                        .unwrap_or((1, 0));
-                    report.pieces_received += pieces;
-                    report.bytes_moved += frame_bytes(content_bytes);
-                    receiver.events.push(NodeEvent::FileCompleted {
-                        uri: uri.clone(),
-                        from: Source::Peer(b.sender),
-                    });
-                    // §V-B: file download reuses the metadata credit rule.
-                    if wanted {
-                        receiver.credits.reward_matched(b.sender);
-                    } else {
-                        let pop = receiver.known_popularity(&uri);
-                        receiver.credits.reward_unmatched(b.sender, pop);
-                    }
+                report.bytes_moved += frame_bytes(metadata.wire_size() as u64);
+                if receiver.store_record(&metadata, popularity, Source::Peer(b.sender), true) {
+                    report.metadata_received += 1;
                 }
             }
         }
     };
 
+    let file_phase =
+        |transport: &mut dyn Transport, nodes: &mut [MbtNode], report: &mut ContactReport| {
+            if effective_duration.as_secs() < config.min_download_contact_secs_value() {
+                return;
+            }
+            // A member requests a file it wants (announced as a "downloading
+            // URI" in its hello) and does not hold. Under MBT-QM nobody can
+            // announce wants — nodes have no standalone metadata — so all
+            // offers fall to the popularity phase.
+            let offers = catalog.file_offers(snapshots, protocol.distributes_metadata());
+            let schedule = schedule_broadcasts(&config, member_ids, snapshots, offers, file_slots);
+            for b in &schedule {
+                report.file_broadcasts += 1;
+                // The file's metadata rides along with the file (as in prior
+                // content-distribution systems, and necessary for verification).
+                let row = catalog.row(&b.item).expect("offers come from rows");
+                for &idx in members {
+                    let receiver_id = nodes[idx].id;
+                    if receiver_id == b.sender || nodes[idx].files.contains(&b.item) {
+                        continue;
+                    }
+                    if frame_lost(b.sender, receiver_id, &b.item) {
+                        report.frames_lost += 1;
+                        continue;
+                    }
+                    if faults.corrupts(now, b.sender, receiver_id, b.item.as_str()) {
+                        // The pieces arrived mangled: checksum verification (see
+                        // `Metadata::verify_piece`) catches them, nothing is
+                        // stored, and no credit is awarded — the file stays
+                        // wanted and is re-fetched at a later contact.
+                        report.corrupt_receptions += 1;
+                        continue;
+                    }
+                    let carried = transport.carry(
+                        now,
+                        b.sender,
+                        receiver_id,
+                        WireMessage::FileBroadcast {
+                            uri: b.item.clone(),
+                            metadata: row.record.clone().map(|m| (m, row.popularity)),
+                        },
+                    );
+                    let (uri, riding) = match carried {
+                        Carried::Delivered(WireMessage::FileBroadcast { uri, metadata }) => {
+                            (uri, metadata)
+                        }
+                        Carried::Delivered(_) => continue,
+                        Carried::Dropped => {
+                            report.frames_lost += 1;
+                            continue;
+                        }
+                    };
+                    let receiver = &mut nodes[idx];
+                    let mut expires = None;
+                    if let Some((meta, pop)) = &riding {
+                        if !receiver.accepts_metadata(meta) {
+                            // A file whose riding metadata fails authentication
+                            // is an unverifiable fake: refuse it and blacklist.
+                            receiver.reject(meta);
+                            continue;
+                        }
+                        expires = meta.expires();
+                        if receiver.store_record(meta, *pop, Source::Peer(b.sender), false) {
+                            // Metadata riding a file frame: no extra frame
+                            // header, just its wire bytes.
+                            report.metadata_received += 1;
+                            report.bytes_moved += meta.wire_size() as u64;
+                        }
+                    }
+                    let wanted = receiver.matches_own_query(&uri);
+                    if receiver.try_store_file(uri.clone(), expires) {
+                        let (pieces, content_bytes) = riding
+                            .as_ref()
+                            .map(|(m, _)| (m.piece_count() as usize, m.size()))
+                            .unwrap_or((1, 0));
+                        report.pieces_received += pieces;
+                        report.bytes_moved += frame_bytes(content_bytes);
+                        receiver.events.push(NodeEvent::FileCompleted {
+                            uri: uri.clone(),
+                            from: Source::Peer(b.sender),
+                        });
+                        // §V-B: file download reuses the metadata credit rule.
+                        if wanted {
+                            receiver.credits.reward_matched(b.sender);
+                        } else {
+                            let pop = receiver.known_popularity(&uri);
+                            receiver.credits.reward_unmatched(b.sender, pop);
+                        }
+                    }
+                }
+            }
+        };
+
     // Wall-clock spans are observational: they are charged to the caller's
-    // `phases` and never read back, so timing cannot perturb the contact.
-    if config.discovery_first_value() {
-        phases.time(Phase::Discovery, || {
-            metadata_phase(&mut *transport, nodes, &mut report)
-        });
-        phases.time(Phase::Download, || {
-            file_phase(&mut *transport, nodes, &mut report)
-        });
+    // `spans` and never read back, so timing cannot perturb the contact.
+    let order = if config.discovery_first_value() {
+        [Phase::Discovery, Phase::Download]
     } else {
-        phases.time(Phase::Download, || {
-            file_phase(&mut *transport, nodes, &mut report)
-        });
-        phases.time(Phase::Discovery, || {
-            metadata_phase(&mut *transport, nodes, &mut report)
-        });
+        [Phase::Download, Phase::Discovery]
+    };
+    for phase in order {
+        let mut run = || match phase {
+            Phase::Discovery => metadata_phase(&mut *transport, nodes, &mut report),
+            _ => file_phase(&mut *transport, nodes, &mut report),
+        };
+        match spans.as_deref_mut() {
+            Some(spans) => spans.time(phase, run),
+            None => run(),
+        }
     }
-    report.frames_lost += transport.leave(now, &all_ids);
+    report.frames_lost += transport.leave(now, all_ids);
     report
 }
 
@@ -1319,54 +1337,7 @@ mod tests {
     }
 
     #[test]
-    fn extract_cold_state_returns_own_queries_only_when_cold() {
-        let mut n = node(0, ProtocolKind::Mbt);
-        let expires = Some(SimTime::from_secs(500));
-        n.add_query(Query::new("fox news").unwrap(), expires);
-        n.add_query(Query::new("abc show").unwrap(), None);
-        n.credits.reward_matched(NodeId::new(7));
-        let cold = n
-            .extract_cold_state()
-            .expect("fresh node + queries is cold");
-        assert_eq!(cold.queries.len(), 2);
-        assert_eq!(cold.queries[0].0.text(), "fox news");
-        assert_eq!(cold.queries[0].1, expires);
-        assert_eq!(cold.credits.len(), 1, "credit history rides along");
-
-        // Replaying into a fresh node reproduces the query + credit state.
-        let mut rebuilt = node(0, ProtocolKind::Mbt);
-        for (q, e) in cold.queries {
-            rebuilt.add_query(q, e);
-        }
-        rebuilt.restore_credits(cold.credits);
-        assert_eq!(rebuilt.own_queries(), n.own_queries());
-        assert_eq!(rebuilt.query_count(), n.query_count());
-        assert_eq!(
-            rebuilt.credits().entries().collect::<Vec<_>>(),
-            n.credits().entries().collect::<Vec<_>>()
-        );
-
-        // Any store content, foreign query, or undrained event is warmth.
-        let mut warm = node(1, ProtocolKind::Mbt);
-        warm.seed_content(meta("fox news", "mbt://a"), Popularity::new(0.5), false);
-        assert!(warm.extract_cold_state().is_none(), "metadata + event");
-        let _ = warm.drain_events();
-        assert!(warm.extract_cold_state().is_none(), "metadata remains");
-        warm.prune(SimTime::from_secs(1));
-        assert!(
-            warm.extract_cold_state().is_none(),
-            "unexpired metadata and popularity observations survive pruning"
-        );
-
-        let mut foreign = node(2, ProtocolKind::Mbt);
-        foreign
-            .queries
-            .add_foreign(NodeId::new(9), Query::new("abc show").unwrap(), None);
-        assert!(foreign.extract_cold_state().is_none(), "foreign queries");
-    }
-
-    #[test]
-    fn pruning_expired_popularity_lets_a_node_go_cold() {
+    fn prune_forgets_expired_popularity_and_keeps_unbounded_observations() {
         let mut n = node(0, ProtocolKind::Mbt);
         let expiring = Metadata::builder("fox news", "FOX", uri("mbt://a"))
             .expires_at(Some(SimTime::from_secs(100)))
@@ -1376,17 +1347,15 @@ mod tests {
         assert_eq!(n.known_popularity(&uri("mbt://a")).value(), 0.5);
 
         // Past the URI's lifetime, metadata AND its popularity observation
-        // decay, so the node is cold again.
+        // decay: the node holds nothing of the URI.
         n.prune(SimTime::from_secs(100));
         assert_eq!(
             n.known_popularity(&uri("mbt://a")),
             Popularity::MIN,
             "expired URIs are never ranked again, so the observation goes"
         );
-        assert!(
-            n.extract_cold_state().is_some(),
-            "fully-decayed node must be evictable"
-        );
+        assert_eq!(n.metadata_count(), 0);
+        assert!(n.popularity.is_empty(), "the entry itself is dropped");
 
         // An expiry-free observation (no metadata lifetime known) pins the
         // entry forever, even when a bounded observation merges into it.
@@ -1399,7 +1368,6 @@ mod tests {
         );
         pinned.prune(SimTime::from_secs(1_000_000));
         assert_eq!(pinned.known_popularity(&uri("mbt://b")).value(), 0.7);
-        assert!(pinned.extract_cold_state().is_none());
     }
 
     #[test]
@@ -1868,6 +1836,51 @@ mod tests {
             SimTime::ZERO,
             SimDuration::from_secs(60),
         );
+    }
+
+    #[test]
+    fn a_contact_without_spans_is_the_contact_with_them() {
+        // Both phase orders; a clique that moves metadata and a file.
+        for discovery_first in [true, false] {
+            let mut timed: Vec<MbtNode> = (0..3).map(|i| node(i, ProtocolKind::Mbt)).collect();
+            for n in timed.iter_mut() {
+                n.config = MbtConfig::new().discovery_first(discovery_first);
+            }
+            timed[0].seed_content(meta("fox news", "mbt://a"), Popularity::new(0.8), true);
+            timed[1].add_query(Query::new("fox news").unwrap(), None);
+            timed[1].set_frequent_contacts([NodeId::new(2)]);
+            let mut plain = timed.clone();
+
+            let (at, duration) = (SimTime::from_secs(10), SimDuration::from_secs(600));
+            let mut scratch = ContactScratch::default();
+            let mut spans = PhaseTimes::default();
+            let with = run_contact_via(
+                &mut SimTransport::new(),
+                &mut timed,
+                &[0, 1, 2],
+                at,
+                duration,
+                Some(&mut spans),
+                &mut scratch,
+            );
+            // The same scratch, as a run's next contact finds it.
+            let without = run_contact_via(
+                &mut SimTransport::new(),
+                &mut plain,
+                &[0, 1, 2],
+                at,
+                duration,
+                None,
+                &mut scratch,
+            );
+            assert!(with.metadata_received > 0 && with.file_broadcasts > 0);
+            assert_eq!(with, without, "discovery_first {discovery_first}");
+            for (a, b) in timed.iter_mut().zip(plain.iter_mut()) {
+                assert_eq!(a.drain_events(), b.drain_events());
+                assert_eq!(a.wanted_uris(), b.wanted_uris());
+                assert_eq!(a.query_count(), b.query_count());
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! have completed. Everything here is TTL-aware: expired entries are pruned
 //! so stale advertisements do not circulate forever.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dtn_trace::{NodeId, SimTime};
@@ -219,11 +219,11 @@ pub struct QueryStore {
     /// Insertion-ordered, deduplicated by text (a scan: a user holds a
     /// handful of live queries).
     own: Arc<[OwnQuery]>,
+    /// Insertion-ordered, deduplicated by owner + text — a scan too: a node
+    /// carries a few queries for each of its frequent contacts, the owner
+    /// ids tell most entries apart, and `Query` equality (by text; tokens
+    /// are a pure function of it) starts at the shared allocation.
     foreign: Vec<(NodeId, QueryEntry)>,
-    /// Dedup keys for `foreign`. `Query` equality is by text (tokens are a
-    /// pure function of it) and cloning is a reference-count bump, so the
-    /// probe allocates nothing.
-    foreign_keys: BTreeSet<(NodeId, Query)>,
     /// Per owner, the own list of theirs whose every entry is in `foreign`
     /// — in the simulator the owner's very allocation, so the usual
     /// comparison with a later hello's list is one pointer. Probed by owner
@@ -243,19 +243,34 @@ impl QueryStore {
     /// Adds one of the user's own queries (deduplicated by text).
     /// Returns `true` if it was new.
     pub fn add_own(&mut self, query: Query, expires: Option<SimTime>) -> bool {
-        if self.own.iter().any(|(held, _)| *held == query) {
-            return false;
+        self.add_own_batch([(query, expires)]) == 1
+    }
+
+    /// Adds several of the user's own queries at once, in order and
+    /// deduplicated by text (against the held ones and inside the batch, the
+    /// first entry of a text winning — as repeated
+    /// [`add_own`](Self::add_own) would); returns how many were new. The
+    /// shared list is rebuilt once, and only if something was.
+    pub fn add_own_batch(&mut self, batch: impl IntoIterator<Item = OwnQuery>) -> usize {
+        let mut fresh: Vec<OwnQuery> = Vec::new();
+        for (query, expires) in batch {
+            if !self.own.iter().chain(&fresh).any(|(q, _)| *q == query) {
+                self.next_expiry.note(expires);
+                fresh.push((query, expires));
+            }
         }
-        self.next_expiry.note(expires);
-        self.own = self.own.iter().cloned().chain([(query, expires)]).collect();
-        self.own_version += 1;
-        true
+        let added = fresh.len();
+        if added > 0 {
+            self.own = self.own.iter().cloned().chain(fresh).collect();
+            self.own_version += 1;
+        }
+        added
     }
 
     /// Adds a query on behalf of `owner` (deduplicated by owner + text).
     /// Returns `true` if it was new.
     pub fn add_foreign(&mut self, owner: NodeId, query: Query, expires: Option<SimTime>) -> bool {
-        if !self.foreign_keys.insert((owner, query.clone())) {
+        if (self.foreign.iter()).any(|(o, held)| *o == owner && held.query == query) {
             return false;
         }
         self.next_expiry.note(expires);
@@ -325,14 +340,7 @@ impl QueryStore {
         let before = self.len();
         self.retain_own(|(_, expires)| !is_expired(*expires, now));
         let foreign_before = self.foreign.len();
-        let foreign_keys = &mut self.foreign_keys;
-        self.foreign.retain(|(o, e)| {
-            let keep = !e.is_expired(now);
-            if !keep {
-                foreign_keys.remove(&(*o, e.query.clone()));
-            }
-            keep
-        });
+        self.foreign.retain(|(_, e)| !e.is_expired(now));
         if self.foreign.len() != foreign_before {
             self.synced.clear();
         }

@@ -540,25 +540,31 @@ mod wanted_set {
                 *now += 10 * (1 + b as u64 % 6);
                 nodes[who].prune(at(*now));
             }
-            // Everything with a lifetime decays; whoever went cold is
-            // evicted and rebuilt from its residue.
-            _ => {
+            // Everything with a lifetime decays.
+            8 => {
                 *now += 300;
                 for n in nodes.iter_mut() {
                     n.prune(at(*now));
                     n.drain_events();
-                    let Some(cold) = n.extract_cold_state() else {
-                        continue;
-                    };
-                    let mut rebuilt = fresh(n.id().index(), n.protocol(), n.config());
-                    for (query, expires) in cold.queries {
-                        rebuilt.add_query(query, expires);
-                    }
-                    rebuilt.restore_credits(cold.credits);
-                    *n = rebuilt;
                 }
             }
+            // A day's draws at once: repeats inside the batch and of texts
+            // already held.
+            _ => {
+                nodes[who].add_queries(batch(a, b, *now));
+            }
         }
+    }
+
+    /// One to four queries of [`QUERIES`], repeats likely, mixed lifetimes.
+    fn batch(a: usize, b: usize, now: u64) -> Vec<(Query, Option<SimTime>)> {
+        [a, b, a / 6, a + b][..1 + b % 4]
+            .iter()
+            .map(|&i| {
+                let expires = (i % 3 > 0).then(|| SimTime::from_secs(now + 80 * (i % 3) as u64));
+                (Query::new(QUERIES[i % 6]).unwrap(), expires)
+            })
+            .collect()
     }
 
     proptest! {
@@ -568,7 +574,7 @@ mod wanted_set {
         /// it maintains is the one a scan of its stores would compute.
         #[test]
         fn the_maintained_wanted_set_equals_its_definition(
-            steps in prop::collection::vec((0u8..9, 0usize..36, 0usize..60, any::<bool>()), 1..70),
+            steps in prop::collection::vec((0u8..10, 0usize..36, 0usize..60, any::<bool>()), 1..70),
             discovery_first in any::<bool>(),
         ) {
             // The five built-ins, and a PopCache tight enough that most
@@ -602,6 +608,69 @@ mod wanted_set {
                         );
                     }
                 }
+            }
+        }
+
+        /// A batch through `add_queries` is the same queries through
+        /// `add_query` one by one: the same own list and wanted set, and the
+        /// same hellos counted as unchanged — the next hello is one exactly
+        /// when the batch held no text that was new.
+        #[test]
+        fn a_batch_of_queries_is_its_queries_one_by_one(
+            held in prop::collection::vec((0usize..6, 0usize..3), 0..3),
+            draws in prop::collection::vec((0usize..36, 0usize..60), 1..4),
+            stored in prop::collection::vec(0usize..RECORDS, 0..8),
+            filed in prop::collection::vec(0usize..RECORDS, 0..3),
+        ) {
+            // Both nodes hold the same records and files, so no contact moves
+            // anything and only the queries added between two contacts can
+            // change a store.
+            let config = MbtConfig::new();
+            let build = || {
+                let mut nodes: Vec<MbtNode> =
+                    (0..2).map(|i| fresh(i, ProtocolSpec::MBT, &config)).collect();
+                for &(q, life) in &held {
+                    let expires = (life > 0).then(|| SimTime::from_secs(80 * life as u64));
+                    nodes[0].add_query(Query::new(QUERIES[q]).unwrap(), expires);
+                }
+                for n in nodes.iter_mut() {
+                    for &i in &stored {
+                        n.seed_content(record(i), popularity(i), filed.contains(&i));
+                    }
+                    n.drain_events();
+                }
+                nodes
+            };
+            let meet = |nodes: &mut [MbtNode], at: u64| {
+                let report =
+                    run_contact(nodes, &[0, 1], SimTime::from_secs(at), SimDuration::from_secs(60));
+                assert_eq!(report.frames_sent(), 0, "nothing to move");
+                (report.wanted_cache_hits, report.index_lookups)
+            };
+            let (mut batched, mut single) = (build(), build());
+            prop_assert_eq!(meet(&mut batched, 1), meet(&mut single, 1));
+            for (round, &(a, b)) in draws.iter().enumerate() {
+                let at = 2 + round as u64;
+                let queries = batch(a, b, at);
+                let own = batched[0].own_queries();
+                let new_texts: std::collections::BTreeSet<&str> = queries
+                    .iter()
+                    .map(|(q, _)| q.text())
+                    .filter(|text| own.iter().all(|held| held.text() != *text))
+                    .collect();
+                prop_assert_eq!(batched[0].add_queries(queries.clone()), new_texts.len());
+                for (query, expires) in queries.iter().cloned() {
+                    single[0].add_query(query, expires);
+                }
+                prop_assert_eq!(batched[0].own_queries(), single[0].own_queries());
+                prop_assert_eq!(batched[0].wanted_uris(), single[0].wanted_uris());
+                prop_assert_eq!(batched[0].wanted_uris(), wanted_by_definition(&batched[0]));
+                // The peer's stores never change; this node's did if a text
+                // was new.
+                let hits = 1 + usize::from(new_texts.is_empty());
+                let after = meet(&mut batched, at);
+                prop_assert_eq!(after.0, hits, "round {}: {:?}", round, queries);
+                prop_assert_eq!(after, meet(&mut single, at));
             }
         }
     }

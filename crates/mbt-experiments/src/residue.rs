@@ -1,6 +1,14 @@
 //! Compact residue storage for dormant (cold) nodes — the second
 //! city-scale memory seam, behind the lazy arena.
 //!
+//! **The runner no longer uses this module**: it builds a node once and
+//! evicts nothing (eviction never lowered the peak it existed for). The
+//! module, its re-export and `mbt_core::ColdNodeState` remain because the
+//! benchmark's `residue.absorb_take.ns_per_op` probe compiles against
+//! [`ResidueStore::new`], [`absorb`](ResidueStore::absorb) and
+//! [`take`](ResidueStore::take), and a change that claims a gain may not
+//! edit the benchmark; ROADMAP "Ledger v2" records the order of deletion.
+//!
 //! A million-node month keeps only the *active* population resident as
 //! [`MbtNode`](mbt_core::MbtNode)s, but every dormant node still owns a
 //! residue: buffered `(query, expiry)` pairs awaiting materialization and a

@@ -10,7 +10,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dtn_sim::engine::{SimCtx, SimHandler, StreamSimulator};
-use dtn_sim::metrics::DeliveryStats;
 use dtn_sim::rng::stream;
 use dtn_sim::telemetry::{Phase, PhaseTimes, Telemetry};
 use dtn_sim::FaultPlan;
@@ -18,14 +17,12 @@ use dtn_trace::{
     Contact, FrequentScan, NodeId, SimDuration, SimTime, StreamStats, TraceSource, SECONDS_PER_DAY,
 };
 use mbt_core::auth::KeyRegistry;
-use mbt_core::transport::{BusTransport, SimTransport};
-use mbt_core::{
-    MbtConfig, MbtNode, MetadataServer, NodeEvent, ProtocolSpec, Query, TransportKind, Uri,
-};
+use mbt_core::node::ContactScratch;
+use mbt_core::transport::{BusTransport, SimTransport, Transport};
+use mbt_core::{MbtConfig, MbtNode, MetadataServer, NodeEvent, ProtocolSpec, TransportKind, Uri};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
-use crate::residue::ResidueStore;
 use crate::workload::{self, WorkloadConfig};
 
 /// Parameters of one simulation run. A passive configuration struct — all
@@ -357,12 +354,12 @@ fn add_daily(into: &mut Vec<u64>, from: &[u64]) {
 /// fall back to a separate streaming statistics pass first.
 ///
 /// `telemetry` is an optional observability sink. `None` skips every
-/// telemetry branch so the plain path pays nothing for the feature. `Some`
-/// collects always-on counters (contacts, hello exchanges, clique
-/// formations, frames, metadata/piece transfers, bytes moved, shard loads,
-/// peak resident contacts) and wall-clock spans for the trace-load,
-/// contact-processing, discovery, download and day-tick phases. The [`SimResult`] is
-/// byte-identical either way — telemetry is observational only and never
+/// telemetry branch — the clock is never read — so the plain path pays
+/// nothing for the feature. `Some` collects always-on counters (contacts,
+/// hello exchanges, clique formations, frames, metadata/piece transfers,
+/// bytes moved, shard loads, peak resident contacts) and wall-clock spans
+/// for the trace-load, contact-processing, discovery, download and day-tick
+/// phases. The [`SimResult`] is byte-identical either way — telemetry is observational only and never
 /// feeds back into the simulation. Counters are a pure function of the
 /// deterministic event stream; only the phase timings vary run to run.
 ///
@@ -397,7 +394,7 @@ pub fn run_simulation(
     // map straight from their manifest — no contact decoding at all;
     // otherwise a streaming windowed scan makes the one extra pass. Either
     // way the map is byte-identical (pinned by the dtn-trace unit suite).
-    let started = Instant::now();
+    let started = telemetry.is_some().then(Instant::now);
     let freq_map = match source.frequent_map(params.frequent_window) {
         Some(map) => map,
         None => {
@@ -410,7 +407,7 @@ pub fn run_simulation(
             scan.finish()
         }
     };
-    if let Some(tel) = telemetry.as_deref_mut() {
+    if let (Some(tel), Some(started)) = (telemetry.as_deref_mut(), started) {
         tel.phases.add(Phase::TraceLoad, started.elapsed());
     }
 
@@ -428,21 +425,6 @@ pub fn run_simulation(
         let count = ((candidates.len() as f64) * params.polluter_fraction).round() as usize;
         polluters = candidates.into_iter().take(count).collect();
     }
-
-    // Nodes materialize lazily: the arena holds everything needed to build
-    // one on first touch (honest nodes install the publisher registry when
-    // verification is on) and evicts nodes whose state decays back to
-    // nothing, so peak memory tracks the *active* population.
-    let registry = params.verify_metadata.then(workload::publisher_registry);
-    let arena = NodeArena::new(
-        params.protocol,
-        node_config,
-        id_space,
-        internet.clone(),
-        polluters.clone(),
-        registry,
-        freq_map,
-    );
 
     let measured: Vec<NodeId> = node_ids
         .iter()
@@ -478,29 +460,46 @@ pub fn run_simulation(
         }
     }
 
+    // A source's node list is outside input (a shard manifest's node lines):
+    // the day tick walks it in ascending order, each node once.
+    let mut present = node_ids;
+    present.sort_unstable();
+    present.dedup();
+
+    // One row per node, built the first time anything addresses the node
+    // (honest nodes install the publisher registry when verification is on).
+    let registry = params.verify_metadata.then(workload::publisher_registry);
     let mut harness = Harness {
-        arena,
         server: MetadataServer::new(internet.len().max(1) as u32),
-        stats: DeliveryStats::new(measured),
+        internet: internet.iter().copied().collect(),
+        polluters: polluters.iter().copied().collect(),
+        table: NodeTable::new(
+            params.protocol,
+            node_config,
+            id_space,
+            internet,
+            polluters,
+            registry,
+            freq_map,
+        ),
         published: BTreeMap::new(),
-        next_file_id: 0,
-        wants: BTreeMap::new(),
-        meta_delay: DelaySum::default(),
-        file_delay: DelaySum::default(),
-        daily_meta: vec![0; params.days as usize],
-        daily_file: vec![0; params.days as usize],
+        books: Books {
+            daily_meta: vec![0; params.days as usize],
+            daily_file: vec![0; params.days as usize],
+            ..Books::default()
+        },
         workload: WorkloadConfig::new(params.files_per_day, params.ttl_days),
         workload_rng: stream(params.seed, "workload"),
-        internet: internet.clone(),
-        present: node_ids.iter().copied().collect(),
+        present,
         dead_after,
         down,
-        polluters,
         fakes_per_day: params.fakes_per_day,
         result: SimResult::default(),
         telemetry: telemetry.as_deref_mut(),
         transport: params.transport,
         bus: BusTransport::new(),
+        members: Vec::new(),
+        scratch: ContactScratch::default(),
     };
 
     // The simulation pass: the event loop itself, optionally pipelined so
@@ -517,80 +516,68 @@ pub fn run_simulation(
     }
     sim.run(&mut harness);
 
-    let mut result = harness.result.clone();
-    result.queries = harness.stats.queries();
-    result.metadata_delivered = harness.stats.metadata_delivered();
-    result.files_delivered = harness.stats.files_delivered();
-    result.metadata_ratio = harness.stats.metadata_delivery_ratio();
-    result.file_ratio = harness.stats.file_delivery_ratio();
-    result.mean_metadata_delay_hours = harness.meta_delay.mean_hours();
-    result.mean_file_delay_hours = harness.file_delay.mean_hours();
-    result.daily_metadata_delivered = harness.daily_meta.clone();
-    result.daily_files_delivered = harness.daily_file.clone();
-    let (instantiated, peak_resident) = (harness.arena.instantiated, harness.arena.peak_resident);
-    let (peak_residue_nodes, residue_bytes) = (
-        harness.arena.pending.peak_nodes(),
-        harness.arena.pending.peak_bytes_est(),
-    );
-    let (bus_frames, bus_bytes) = (harness.bus.frames_carried(), harness.bus.bytes_on_wire());
-    drop(harness);
+    let Harness {
+        table,
+        books,
+        bus,
+        mut result,
+        ..
+    } = harness;
+    result.queries = books.queries;
+    result.metadata_delivered = books.metadata_delivered;
+    result.files_delivered = books.files_delivered;
+    result.metadata_ratio = pooled_ratio(books.metadata_delivered, books.queries);
+    result.file_ratio = pooled_ratio(books.files_delivered, books.queries);
+    result.mean_metadata_delay_hours = books.meta_delay.mean_hours();
+    result.mean_file_delay_hours = books.file_delay.mean_hours();
+    result.daily_metadata_delivered = books.daily_meta;
+    result.daily_files_delivered = books.daily_file;
     if let Some(tel) = telemetry.as_deref_mut() {
-        tel.counters.bus_frames_carried += bus_frames;
-        tel.counters.bus_bytes_on_wire += bus_bytes;
-        tel.counters.nodes_instantiated += instantiated;
-        tel.counters.peak_resident_nodes = tel.counters.peak_resident_nodes.max(peak_resident);
-        tel.counters.peak_residue_nodes = tel.counters.peak_residue_nodes.max(peak_residue_nodes);
-        tel.counters.residue_bytes_est = tel.counters.residue_bytes_est.max(residue_bytes);
+        tel.counters.bus_frames_carried += bus.frames_carried();
+        tel.counters.bus_bytes_on_wire += bus.bytes_on_wire();
+        // A row is never dropped, so the rows built are the rows resident at
+        // the end, which is the peak.
+        let rows = table.nodes.len() as u64;
+        tel.counters.nodes_instantiated += rows;
+        tel.counters.peak_resident_nodes = tel.counters.peak_resident_nodes.max(rows);
     }
     absorb_stream_stats(telemetry, contacts.stream_stats());
     result
 }
 
-/// Sentinel in [`NodeArena::slot_of`] for a node with no materialized state.
-const DORMANT: u32 = u32::MAX;
+/// Sentinel in [`NodeTable::slot_of`] for a node nothing has addressed yet.
+const ABSENT: u32 = u32::MAX;
 
-/// Lazily materialized node population — the city-scale memory seam.
-///
-/// A node begins *dormant*: no [`MbtNode`] exists for it, and queries
-/// addressed to it are buffered as `(query, expiry)` pairs. The first event
-/// that can give the node observable state — a contact, an Internet
-/// session, adversarial seeding — materializes it into the dense `nodes`
-/// arena, replaying the buffered queries. At every daily tick, resident
-/// nodes whose state has decayed back to nothing (everything expired,
-/// nothing collected) are evicted back to dormancy via
-/// [`MbtNode::extract_cold_state`], which proves the round-trip is
-/// behaviourally identical to keeping the node resident: construction draws
-/// no randomness and both contacts and Internet sessions prune before
-/// acting. Peak resident count therefore tracks the nodes that actually
-/// hold state, not the id space.
-struct NodeArena {
+/// The node population: one row per node, built the first time anything
+/// addresses the node — a drawn query, a contact, an Internet session,
+/// adversarial seeding — and kept to the end of the run. A node that has
+/// decayed back to nothing stays where it is: its stores prune themselves in
+/// O(1) until something can have expired, and dropping the row only to
+/// rebuild it at the node's next contact never lowered the peak population
+/// (nearly every node is addressed on the first day). Ids nothing names cost
+/// one `u32` each.
+struct NodeTable {
     protocol: ProtocolSpec,
     config: MbtConfig,
     internet: BTreeSet<NodeId>,
     polluters: BTreeSet<NodeId>,
-    /// Publisher registry installed into honest nodes on materialization
-    /// (`Some` only when the run verifies metadata).
+    /// Publisher registry installed into honest nodes (`Some` only when the
+    /// run verifies metadata).
     registry: Option<KeyRegistry>,
     /// Each node's frequent contacts (ascending; nodes with none are
-    /// absent): one allocation per node, shared with its resident
-    /// [`MbtNode`] and every hello it sends.
+    /// absent): one allocation per node, shared with its row and every
+    /// hello it sends.
     freq_map: BTreeMap<NodeId, Arc<[NodeId]>>,
-    /// Node index → arena slot, or [`DORMANT`].
+    /// Node index → row, or [`ABSENT`].
     slot_of: Vec<u32>,
-    /// The resident nodes, dense; order is materialization order with
-    /// swap-remove holes, never meaningful.
+    /// The rows, in the order they were first addressed.
     nodes: Vec<MbtNode>,
-    /// Compact residue of dormant nodes — buffered `(query, expiry)` pairs
-    /// (replayed in order on materialization) plus spilled credit ledgers,
-    /// packed and text-interned (see [`ResidueStore`]).
-    pending: ResidueStore,
-    /// Total materializations (telemetry: `nodes_instantiated`).
-    instantiated: u64,
-    /// High-water resident count (telemetry: `peak_resident_nodes`).
-    peak_resident: u64,
+    /// Row → whether the delivery books count the node (neither
+    /// Internet-access nor polluter).
+    measured: Vec<bool>,
 }
 
-impl NodeArena {
+impl NodeTable {
     fn new(
         protocol: ProtocolSpec,
         config: MbtConfig,
@@ -600,7 +587,7 @@ impl NodeArena {
         registry: Option<KeyRegistry>,
         freq_map: BTreeMap<NodeId, Vec<NodeId>>,
     ) -> Self {
-        NodeArena {
+        NodeTable {
             protocol,
             config,
             internet,
@@ -611,114 +598,41 @@ impl NodeArena {
                 .filter(|(_, peers)| !peers.is_empty())
                 .map(|(id, peers)| (id, peers.into()))
                 .collect(),
-            slot_of: vec![DORMANT; id_space],
+            slot_of: vec![ABSENT; id_space],
             nodes: Vec::new(),
-            pending: ResidueStore::new(id_space),
-            instantiated: 0,
-            peak_resident: 0,
+            measured: Vec::new(),
         }
     }
 
-    /// Number of addressable node ids.
-    fn id_space(&self) -> usize {
-        self.slot_of.len()
-    }
-
-    /// The resident node for `id`, if materialized.
-    fn get(&self, id: NodeId) -> Option<&MbtNode> {
+    /// The row of `id`, if anything has addressed it.
+    fn slot(&self, id: NodeId) -> Option<usize> {
         match self.slot_of.get(id.index()) {
-            Some(&slot) if slot != DORMANT => Some(&self.nodes[slot as usize]),
+            Some(&slot) if slot != ABSENT => Some(slot as usize),
             _ => None,
         }
     }
 
-    /// The resident node for `id`, if materialized.
-    fn get_mut(&mut self, id: NodeId) -> Option<&mut MbtNode> {
-        match self.slot_of.get(id.index()) {
-            Some(&slot) if slot != DORMANT => Some(&mut self.nodes[slot as usize]),
-            _ => None,
-        }
-    }
-
-    /// Ensures `id` is resident and returns its arena slot.
+    /// The row of `id`, built now if this is the first time it is addressed.
     fn materialize(&mut self, id: NodeId) -> usize {
-        let idx = id.index();
-        let slot = self.slot_of[idx];
-        if slot != DORMANT {
-            return slot as usize;
+        if let Some(slot) = self.slot(id) {
+            return slot;
         }
+        let (internet, polluter) = (self.internet.contains(&id), self.polluters.contains(&id));
         let mut node = MbtNode::new(id, self.protocol, self.config.clone());
-        node.set_internet_access(self.internet.contains(&id));
+        node.set_internet_access(internet);
         if let Some(freq) = self.freq_map.get(&id) {
             node.set_frequent_contacts(Arc::clone(freq));
         }
         if let Some(registry) = &self.registry {
-            if !self.polluters.contains(&id) {
+            if !polluter {
                 node.set_key_registry(registry.clone());
             }
         }
-        if let Some(residue) = self.pending.take(id) {
-            for (query, expires) in residue.queries {
-                node.add_query(query, expires);
-            }
-            if !residue.credits.is_empty() {
-                node.restore_credits(residue.credits);
-            }
-        }
         let slot = self.nodes.len();
-        self.slot_of[idx] = slot as u32;
+        self.slot_of[id.index()] = slot as u32;
         self.nodes.push(node);
-        self.instantiated += 1;
-        self.peak_resident = self.peak_resident.max(self.nodes.len() as u64);
+        self.measured.push(!internet && !polluter);
         slot
-    }
-
-    /// Records a query for `id` without materializing it: buffered if
-    /// dormant, added directly if resident.
-    fn add_query(&mut self, id: NodeId, query: Query, expires: Option<SimTime>) {
-        match self.get_mut(id) {
-            Some(node) => {
-                node.add_query(query, expires);
-            }
-            None => self.pending.add_query(id, query, expires),
-        }
-    }
-
-    /// Daily decay: prunes every resident node and evicts the cold ones
-    /// (their remaining own queries go back to the pending buffer).
-    /// Internet-access nodes stay resident — the next tick's session would
-    /// re-materialize them immediately anyway.
-    fn evict_cold(&mut self, now: SimTime) {
-        let mut slot = 0;
-        while slot < self.nodes.len() {
-            self.nodes[slot].prune(now);
-            let id = self.nodes[slot].id();
-            if self.nodes[slot].is_internet_access() {
-                slot += 1;
-                continue;
-            }
-            match self.nodes[slot].extract_cold_state() {
-                Some(residue) => {
-                    if !residue.queries.is_empty() || !residue.credits.is_empty() {
-                        self.pending.absorb(id, residue);
-                    }
-                    self.slot_of[id.index()] = DORMANT;
-                    self.nodes.swap_remove(slot);
-                    if let Some(moved) = self.nodes.get(slot) {
-                        self.slot_of[moved.id().index()] = slot as u32;
-                    }
-                }
-                None => slot += 1,
-            }
-        }
-    }
-
-    /// Drops expired buffered queries — the same `now >= expiry` rule node
-    /// stores prune by, applied before any of them could be observed.
-    /// Residues holding credit history stay (credits never decay). The
-    /// store compacts itself in the process.
-    fn prune_pending(&mut self, now: SimTime) {
-        self.pending.prune(now);
     }
 }
 
@@ -760,12 +674,14 @@ impl DelaySum {
 }
 
 /// A published file as the delivery books see it. Every query for it is
-/// drawn at the publish instant and expires with the file.
+/// drawn at the publish instant and expires with the file, so the file's row
+/// carries them and takes them with it when it expires.
 struct Published {
-    /// Dense id in publish order (so ids and expiries grow together).
-    id: u32,
     asked_at: SimTime,
     expires: SimTime,
+    /// The measured nodes that want the file and what has reached each, in
+    /// ascending node order (the order the day tick draws in).
+    wants: Vec<(NodeId, Delivered)>,
 }
 
 /// What of a wanted file has reached the wanting node.
@@ -775,65 +691,28 @@ struct Delivered {
     file: bool,
 }
 
-struct Harness<'a> {
-    arena: NodeArena,
-    server: MetadataServer,
-    stats: DeliveryStats,
-    /// The delivery books' file table: every live published file. Node
-    /// events name a file by URI; this is the one place that string is
-    /// looked up.
-    published: BTreeMap<Uri, Published>,
-    next_file_id: u32,
-    /// (file id, node) → what has reached the node; present while the node
-    /// wants the file. File-major, so a day's expired files are a prefix.
-    wants: BTreeMap<(u32, NodeId), Delivered>,
+/// The delivery books' totals: the paper's metric (§VI-B) is deliveries over
+/// queries among the measured nodes.
+#[derive(Default)]
+struct Books {
+    queries: u64,
+    metadata_delivered: u64,
+    files_delivered: u64,
     meta_delay: DelaySum,
     file_delay: DelaySum,
     daily_meta: Vec<u64>,
     daily_file: Vec<u64>,
-    workload: WorkloadConfig,
-    workload_rng: StdRng,
-    internet: BTreeSet<NodeId>,
-    /// Nodes that actually appear in the trace (others never meet anyone).
-    present: BTreeSet<NodeId>,
-    /// Failure injection: instants after which a node no longer participates.
-    dead_after: BTreeMap<NodeId, SimTime>,
-    /// Fault-plan churn: per-node `[start, end)` down intervals during which
-    /// the node neither meets anyone nor queries nor syncs.
-    down: BTreeMap<NodeId, (SimTime, SimTime)>,
-    /// Adversarial nodes planting forged metadata.
-    polluters: BTreeSet<NodeId>,
-    /// Forgeries planted per polluter per day.
-    fakes_per_day: u32,
-    result: SimResult,
-    /// Observability sink; `None` skips all telemetry work so the plain
-    /// [`run_simulation`] path pays nothing for the feature.
-    telemetry: Option<&'a mut Telemetry>,
-    /// Which transport backend carries contact-phase messages.
-    transport: TransportKind,
-    /// The bus backend, persistent across contacts so its frame counters
-    /// accumulate over the run (unused under [`TransportKind::Sim`]).
-    bus: BusTransport,
 }
 
-impl Harness<'_> {
-    fn is_alive(&self, node: NodeId, now: SimTime) -> bool {
-        self.dead_after.get(&node).is_none_or(|&at| now < at)
-            && self
-                .down
-                .get(&node)
-                .is_none_or(|&(start, end)| now < start || now >= end)
-    }
-
-    /// Books the arrival of `uri`'s metadata (or, with `file`, the complete
-    /// file) at `node` — once, and only while the node's query for it lives.
-    fn record_delivery(&mut self, node: NodeId, uri: &Uri, now: SimTime, file: bool) {
-        let Some(published) = self.published.get(uri) else {
+impl Books {
+    /// Books the arrival of `published`'s metadata (or, with `file`, the
+    /// complete file) at `node` — once, and only while the node's query for
+    /// it lives.
+    fn deliver(&mut self, published: &mut Published, node: NodeId, now: SimTime, file: bool) {
+        let Ok(at) = published.wants.binary_search_by_key(&node, |&(id, _)| id) else {
             return;
         };
-        let Some(got) = self.wants.get_mut(&(published.id, node)) else {
-            return;
-        };
+        let got = &mut published.wants[at].1;
         let seen = if file {
             &mut got.file
         } else {
@@ -846,11 +725,11 @@ impl Harness<'_> {
             .checked_duration_since(published.asked_at)
             .map_or(0, |d| d.as_secs());
         let daily = if file {
-            self.stats.record_file_delivery(node, now);
+            self.files_delivered += 1;
             self.file_delay.push_secs(delay);
             &mut self.daily_file
         } else {
-            self.stats.record_metadata_delivery(node, now);
+            self.metadata_delivered += 1;
             self.meta_delay.push_secs(delay);
             &mut self.daily_meta
         };
@@ -858,86 +737,134 @@ impl Harness<'_> {
             *slot += 1;
         }
     }
+}
 
-    /// Drains events from the resident node at arena slot `idx`.
-    fn drain_node_events(&mut self, idx: usize, now: SimTime) {
-        let id = self.arena.nodes[idx].id();
-        for event in self.arena.nodes[idx].drain_events() {
-            match event {
-                NodeEvent::MetadataStored { uri, .. } => self.record_delivery(id, &uri, now, false),
-                NodeEvent::FileCompleted { uri, .. } => self.record_delivery(id, &uri, now, true),
-            }
-        }
-    }
+struct Harness<'a> {
+    table: NodeTable,
+    server: MetadataServer,
+    /// The delivery books' file table: every live published file. Node
+    /// events name a file by URI; this is the one place that string is
+    /// looked up.
+    published: BTreeMap<Uri, Published>,
+    books: Books,
+    workload: WorkloadConfig,
+    workload_rng: StdRng,
+    /// Internet-access nodes, ascending.
+    internet: Vec<NodeId>,
+    /// Nodes that actually appear in the trace (others never meet anyone),
+    /// ascending.
+    present: Vec<NodeId>,
+    /// Failure injection: instants after which a node no longer participates.
+    dead_after: BTreeMap<NodeId, SimTime>,
+    /// Fault-plan churn: per-node `[start, end)` down intervals during which
+    /// the node neither meets anyone nor queries nor syncs.
+    down: BTreeMap<NodeId, (SimTime, SimTime)>,
+    /// Adversarial nodes planting forged metadata, ascending.
+    polluters: Vec<NodeId>,
+    /// Forgeries planted per polluter per day.
+    fakes_per_day: u32,
+    result: SimResult,
+    /// Observability sink; `None` skips all telemetry work — clock reads
+    /// included — so the plain [`run_simulation`] path pays nothing for the
+    /// feature.
+    telemetry: Option<&'a mut Telemetry>,
+    /// Which transport backend carries contact-phase messages.
+    transport: TransportKind,
+    /// The bus backend, persistent across contacts so its frame counters
+    /// accumulate over the run (unused under [`TransportKind::Sim`]).
+    bus: BusTransport,
+    /// A contact's member rows, and the contact loop's own vectors: filled
+    /// and emptied by every contact, allocated once.
+    members: Vec<usize>,
+    scratch: ContactScratch,
 }
 
 impl Harness<'_> {
+    fn is_alive(&self, node: NodeId, now: SimTime) -> bool {
+        self.dead_after.get(&node).is_none_or(|&at| now < at)
+            && self
+                .down
+                .get(&node)
+                .is_none_or(|&(start, end)| now < start || now >= end)
+    }
+
+    /// Drains the events of the node at row `slot` into the delivery books.
+    fn drain_node_events(&mut self, slot: usize, now: SimTime) {
+        let node = &mut self.table.nodes[slot];
+        let id = node.id();
+        for event in node.drain_events() {
+            let (uri, file) = match event {
+                NodeEvent::MetadataStored { uri, .. } => (uri, false),
+                NodeEvent::FileCompleted { uri, .. } => (uri, true),
+            };
+            if let Some(published) = self.published.get_mut(&uri) {
+                self.books.deliver(published, id, now, file);
+            }
+        }
+    }
+
     /// The scheduled day boundary: decay, publish, draw, seed, sync.
     fn day_tick(&mut self, now: SimTime, day: u64) {
-        // Decay the arena before today's workload. Eviction is
-        // observationally a no-op (see [`NodeArena`]); it only keeps the
-        // resident population tracking the nodes that hold state.
-        self.arena.evict_cold(now);
-        self.arena.prune_pending(now);
         self.server.expire(now);
-        // Expired queries can never be satisfied again (`record_delivery`
-        // returns early on them), so their rows are dead weight; dropping
-        // them keeps the books bounded by *live* queries. Ids grow with
-        // expiries, so everything below the first live file goes at once.
+        // An expired query can never be satisfied again, and every query for
+        // a file expires with it: the file's row goes, wants and all, which
+        // keeps the books bounded by *live* queries.
         self.published.retain(|_, file| now < file.expires);
-        let first_live = self.published.values().map(|file| file.id).min();
-        self.wants = self
-            .wants
-            .split_off(&(first_live.unwrap_or(self.next_file_id), NodeId::new(0)));
 
         // Publish today's files.
         let batch = workload::generate_batch(&self.workload, day, &mut self.workload_rng);
         let expires = batch.at + self.workload.ttl();
-        let first_id = self.next_file_id;
         for f in &batch.files {
             self.server.publish(f.metadata.clone(), f.popularity);
-            let row = Published {
-                id: self.next_file_id,
+        }
+        let mut today: Vec<Published> = (batch.files.iter())
+            .map(|_| Published {
                 asked_at: now,
                 expires,
-            };
-            self.published.insert(f.uri.clone(), row);
-            self.next_file_id += 1;
-        }
+                wants: Vec::new(),
+            })
+            .collect();
 
-        // Every present, alive node draws its queries for the new files.
-        // (The RNG is advanced for dead nodes too, so churn does not perturb
-        // the workload of survivors.)
-        let ids: Vec<NodeId> = self.present.iter().copied().collect();
-        for id in ids {
+        // One pass over the nodes of the trace: every row decays, and every
+        // alive node draws its queries for the new files. (The RNG is
+        // advanced for dead nodes too, so churn does not perturb the
+        // workload of survivors.) A node nothing has addressed yet gets its
+        // row with its first query.
+        for i in 0..self.present.len() {
+            let id = self.present[i];
             let picks = workload::draw_queries(&batch, id, &mut self.workload_rng);
-            if !self.is_alive(id, now) {
+            let asks = !picks.is_empty() && self.is_alive(id, now);
+            let slot = if asks {
+                self.table.materialize(id)
+            } else if let Some(slot) = self.table.slot(id) {
+                slot
+            } else {
+                continue;
+            };
+            let node = &mut self.table.nodes[slot];
+            node.prune(now);
+            if !asks {
                 continue;
             }
-            for (file_idx, query) in picks {
-                // Dormant nodes just buffer the query — materializing here
-                // would pull the whole population resident on day one.
-                self.arena.add_query(id, query, Some(expires));
-                if self.stats.measures(id) {
-                    self.stats.record_query(id, now);
-                    self.wants
-                        .entry((first_id + file_idx as u32, id))
-                        .or_default();
-                    // Pushed metadata / files may already satisfy the query
-                    // (a dormant node holds neither).
+            node.add_queries(picks.iter().map(|(_, q)| (q.clone(), Some(expires))));
+            if self.table.measured[slot] {
+                for &(file_idx, _) in &picks {
+                    self.books.queries += 1;
+                    let file = &mut today[file_idx];
+                    file.wants.push((id, Delivered::default()));
+                    // Pushed metadata / files may already satisfy the query.
                     let uri = &batch.files[file_idx].uri;
-                    let (metadata, file) = self
-                        .arena
-                        .get(id)
-                        .map_or((false, false), |n| (n.has_metadata(uri), n.has_file(uri)));
-                    if metadata {
-                        self.record_delivery(id, uri, now, false);
+                    if node.has_metadata(uri) {
+                        self.books.deliver(file, id, now, false);
                     }
-                    if file {
-                        self.record_delivery(id, uri, now, true);
+                    if node.has_file(uri) {
+                        self.books.deliver(file, id, now, true);
                     }
                 }
             }
+        }
+        for (f, row) in batch.files.iter().zip(today) {
+            self.published.insert(f.uri.clone(), row);
         }
 
         // Polluters plant forged advertisements (and junk files) for the
@@ -950,27 +877,27 @@ impl Harness<'_> {
                     batch.files[a].popularity,
                 )
             });
-            let polluters: Vec<NodeId> = self.polluters.iter().copied().collect();
-            for id in polluters {
+            for i in 0..self.polluters.len() {
+                let id = self.polluters[i];
                 if !self.is_alive(id, now) {
                     continue;
                 }
-                let slot = self.arena.materialize(id);
+                let slot = self.table.materialize(id);
                 for (v, &t) in targets.iter().take(self.fakes_per_day as usize).enumerate() {
                     let fake = workload::forge_fake(&batch.files[t], id.raw() * 101 + v as u32);
-                    self.arena.nodes[slot].seed_content(fake.metadata, fake.popularity, true);
+                    self.table.nodes[slot].seed_content(fake.metadata, fake.popularity, true);
                 }
                 // Ignore the seeding events; fakes never count as deliveries.
-                let _ = self.arena.nodes[slot].drain_events();
+                let _ = self.table.nodes[slot].drain_events();
             }
         }
 
         // Internet-access nodes synchronize with the server (unless down).
-        let internet: Vec<NodeId> = self.internet.iter().copied().collect();
-        for id in internet {
-            if id.index() < self.arena.id_space() && self.is_alive(id, now) {
-                let slot = self.arena.materialize(id);
-                self.arena.nodes[slot].internet_session(&mut self.server, now);
+        for i in 0..self.internet.len() {
+            let id = self.internet[i];
+            if id.index() < self.table.slot_of.len() && self.is_alive(id, now) {
+                let slot = self.table.materialize(id);
+                self.table.nodes[slot].internet_session(&mut self.server, now);
                 self.drain_node_events(slot, now);
             }
         }
@@ -988,44 +915,36 @@ impl SimHandler for Harness<'_> {
 
     fn on_contact_start(&mut self, ctx: &mut SimCtx<'_>, contact: &Contact) {
         let now = ctx.now();
-        let alive: Vec<NodeId> = contact
-            .participants()
-            .iter()
-            .copied()
-            .filter(|n| self.is_alive(*n, now))
-            .collect();
-        if alive.len() < 2 {
+        let alive = |n: &&NodeId| self.is_alive(**n, now);
+        if contact.participants().iter().filter(alive).count() < 2 {
             return;
         }
-        // Arena slots in participant order: the contact loop only indexes
-        // the slice with them, so slot values are interchangeable with the
-        // id-ordered indices the eager population used.
-        let members: Vec<usize> = alive.iter().map(|&id| self.arena.materialize(id)).collect();
+        // Rows in participant order: the contact loop only indexes the slice
+        // with them.
+        let mut members = std::mem::take(&mut self.members);
+        members.clear();
+        for &id in contact.participants() {
+            if self.is_alive(id, now) {
+                members.push(self.table.materialize(id));
+            }
+        }
         let started = self.telemetry.is_some().then(Instant::now);
         let mut inner = PhaseTimes::default();
-        let duration = contact.duration();
-        let report = match self.transport {
-            TransportKind::Sim => mbt_core::node::run_contact_via(
-                &mut SimTransport::new(),
-                &mut self.arena.nodes,
-                &members,
-                now,
-                duration,
-                &mut inner,
-            ),
-            TransportKind::Bus => mbt_core::node::run_contact_via(
-                &mut self.bus,
-                &mut self.arena.nodes,
-                &members,
-                now,
-                duration,
-                &mut inner,
-            ),
+        let transport: &mut dyn Transport = match self.transport {
+            TransportKind::Sim => &mut SimTransport::new(),
+            TransportKind::Bus => &mut self.bus,
         };
-        if let Some(tel) = self.telemetry.as_deref_mut() {
-            if let Some(started) = started {
-                tel.phases.add(Phase::ContactProcessing, started.elapsed());
-            }
+        let report = mbt_core::node::run_contact_via(
+            transport,
+            &mut self.table.nodes,
+            &members,
+            now,
+            contact.duration(),
+            started.is_some().then_some(&mut inner),
+            &mut self.scratch,
+        );
+        if let (Some(tel), Some(started)) = (self.telemetry.as_deref_mut(), started) {
+            tel.phases.add(Phase::ContactProcessing, started.elapsed());
             tel.phases.merge(&inner);
             let c = &mut tel.counters;
             c.contacts += 1;
@@ -1046,9 +965,10 @@ impl SimHandler for Harness<'_> {
         self.result.queries_distributed += report.queries_distributed as u64;
         self.result.frames_lost += report.frames_lost as u64;
         self.result.corrupt_receptions += report.corrupt_receptions as u64;
-        for idx in members {
-            self.drain_node_events(idx, now);
+        for &slot in &members {
+            self.drain_node_events(slot, now);
         }
+        self.members = members;
     }
 }
 
@@ -1071,6 +991,71 @@ mod tests {
             .internet_fraction(0.3)
             .seed(5)
             .build()
+    }
+
+    #[test]
+    fn the_wants_vector_books_deliveries_like_the_map_it_replaced() {
+        let at = SimTime::from_secs;
+        // Nodes 2, 3 and 5 drew nothing, were dead or are not measured: the
+        // draw loop passed over them mid-order, and they get no entry.
+        let wanting = [1, 4, 9].map(NodeId::new);
+        let mut published = Published {
+            asked_at: at(100),
+            expires: at(1_000),
+            wants: wanting.map(|id| (id, Delivered::default())).into(),
+        };
+        // The books this replaced: (file, node) → (metadata, file) seen.
+        let mut oracle: BTreeMap<(u32, NodeId), (bool, bool)> = wanting
+            .iter()
+            .map(|&id| ((0, id), (false, false)))
+            .collect();
+        let mut books = Books {
+            daily_meta: vec![0; 1],
+            daily_file: vec![0; 1],
+            ..Books::default()
+        };
+        let (mut metadata, mut files, mut delays) = (0, 0, 0);
+        for (node, when, file) in [
+            (4, 200, false),
+            (4, 300, false), // a second copy is not a second delivery
+            (2, 300, true),  // skipped mid-order
+            (9, 400, true),  // a file before its metadata
+            (9, 400, false),
+            (0, 500, true),  // below the first entry
+            (10, 500, true), // above the last
+            (5, 500, false),
+            (1, 1_000, false), // the query expired with the file
+            (1, 999, true),
+        ] {
+            let id = NodeId::new(node);
+            let counted = match oracle.get_mut(&(0, id)) {
+                Some(got) if when < 1_000 => {
+                    let seen = if file { &mut got.1 } else { &mut got.0 };
+                    !std::mem::replace(seen, true)
+                }
+                _ => false,
+            };
+            if counted {
+                *(if file { &mut files } else { &mut metadata }) += 1;
+                delays += when - 100;
+            }
+            books.deliver(&mut published, id, at(when), file);
+            assert_eq!(
+                (books.metadata_delivered, books.files_delivered),
+                (metadata, files),
+                "after node {node} at {when}"
+            );
+        }
+        assert_eq!((metadata, files), (2, 2));
+        assert_eq!(
+            books.meta_delay.total_secs + books.file_delay.total_secs,
+            delays
+        );
+        assert_eq!((books.daily_meta[0], books.daily_file[0]), (2, 2));
+        let seen: Vec<(bool, bool)> = (published.wants.iter())
+            .map(|(_, got)| (got.metadata, got.file))
+            .collect();
+        assert_eq!(seen, oracle.into_values().collect::<Vec<_>>());
     }
 
     #[test]

@@ -28,8 +28,10 @@ fn shard_dir(name: &str) -> std::path::PathBuf {
 }
 
 /// The simulation-visible counters: everything except the backing-dependent
-/// shard counters. The residue counters stay in — cold-node residue is a
-/// pure function of the contact sequence, identical across backings.
+/// shard counters. The node-table counters stay in — which nodes get a row
+/// is a pure function of the contact sequence, identical across backings —
+/// and so do the two residue counters, structural zeros since the runner
+/// builds a node once.
 fn sim_counters(c: &Counters) -> Counters {
     Counters {
         shards_loaded: 0,

@@ -10,11 +10,11 @@
 
 use std::sync::Arc;
 
-use dtn_sim::telemetry::{Counters, PhaseTimes};
+use dtn_sim::telemetry::Counters;
 use dtn_sim::{FaultPlan, Telemetry};
 use dtn_trace::generators::DieselNetConfig;
 use dtn_trace::{NodeId, SimDuration, SimTime, TraceSource};
-use mbt_core::node::{run_contact, run_contact_via, ContactReport};
+use mbt_core::node::{run_contact, run_contact_via, ContactReport, ContactScratch};
 use mbt_core::transport::{
     BusTransport, Carried, SimTransport, Transport, TransportKind, WireMessage,
 };
@@ -144,14 +144,14 @@ fn seeded_clique() -> Vec<MbtNode> {
 }
 
 fn run_clique_via(transport: &mut dyn Transport, nodes: &mut [MbtNode]) -> ContactReport {
-    let mut phases = PhaseTimes::default();
     run_contact_via(
         transport,
         nodes,
         &[0, 1, 2, 3],
         SimTime::from_secs(3_600),
         SimDuration::from_secs(900),
-        &mut phases,
+        None,
+        &mut ContactScratch::default(),
     )
 }
 
@@ -258,14 +258,14 @@ fn pairwise_frame_emission_order_is_pinned() {
     nodes[0].internet_session(&mut server, SimTime::ZERO);
 
     let mut recorder = RecordingTransport::default();
-    let mut phases = PhaseTimes::default();
     run_contact_via(
         &mut recorder,
         &mut nodes,
         &[0, 1],
         SimTime::from_secs(60),
         SimDuration::from_secs(600),
-        &mut phases,
+        None,
+        &mut ContactScratch::default(),
     );
     assert_eq!(
         recorder.log,
