@@ -2,7 +2,7 @@
 //! reachability.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dtn_sim::{Event, EventQueue};
+use dtn_sim::EventQueue;
 use dtn_trace::generators::{DieselNetConfig, NusConfig};
 use dtn_trace::{NodeId, SimTime, SpaceTimeGraph, TraceStats};
 use std::hint::black_box;
@@ -12,10 +12,7 @@ fn bench_event_queue(c: &mut Criterion) {
         b.iter(|| {
             let mut q = EventQueue::new();
             for i in 0..10_000u64 {
-                q.push(
-                    SimTime::from_secs((i * 7919) % 100_000),
-                    Event::Scheduled { tag: i },
-                );
+                q.push(SimTime::from_secs((i * 7919) % 100_000), i);
             }
             let mut count = 0;
             while q.pop().is_some() {

@@ -2,7 +2,7 @@
 
 use dtn_trace::{Contact, SimTime};
 
-use crate::event::{Event, EventQueue};
+use crate::event::EventQueue;
 
 /// Context handed to [`SimHandler`] callbacks: the current clock plus the
 /// ability to schedule future events.
@@ -19,7 +19,7 @@ impl SimCtx<'_> {
         self.now
     }
 
-    /// Schedules a [`Event::Scheduled`] with `tag` at absolute time `at`.
+    /// Schedules an event with `tag` at absolute time `at`.
     ///
     /// Events scheduled in the past fire immediately after the current event
     /// (at the current clock). Events beyond the simulation horizon are
@@ -31,14 +31,16 @@ impl SimCtx<'_> {
                 return;
             }
         }
-        self.queue.push(at, Event::Scheduled { tag });
+        self.queue.push(at, tag);
     }
 }
 
 /// Callbacks invoked by the [`StreamSimulator`].
 ///
 /// All methods have empty default implementations so handlers implement only
-/// what they need.
+/// what they need. There is no contact-end callback: a handler is told a
+/// contact's whole interval when it starts, and one that needs to act at the
+/// end schedules an event for [`Contact::end`].
 pub trait SimHandler {
     /// Called once before the first event.
     fn on_start(&mut self, ctx: &mut SimCtx<'_>) {
@@ -47,11 +49,6 @@ pub trait SimHandler {
 
     /// A contact begins.
     fn on_contact_start(&mut self, ctx: &mut SimCtx<'_>, contact: &Contact) {
-        let _ = (ctx, contact);
-    }
-
-    /// A contact ends.
-    fn on_contact_end(&mut self, ctx: &mut SimCtx<'_>, contact: &Contact) {
         let _ = (ctx, contact);
     }
 
@@ -67,7 +64,7 @@ pub trait SimHandler {
 }
 
 /// Drives a [`SimHandler`] through a *stream* of contacts in event order,
-/// holding only the contacts that are currently open.
+/// holding one contact at a time.
 ///
 /// The stream must yield contacts sorted by start time (the canonical
 /// [`dtn_trace::ContactTrace`] order — both in-memory traces and sharded
@@ -76,15 +73,19 @@ pub trait SimHandler {
 /// [`StreamSimulator::schedule`] to pre-register scheduled events (e.g. a
 /// daily workload tick) before running.
 ///
-/// Determinism: given the same contact sequence, pre-scheduled events, and
-/// a deterministic handler, two runs produce identical event sequences (see
-/// [`EventQueue`] for the tie-breaking rules) — the same sequence as if
-/// every contact had been queued up front: contact events can never tie
-/// with each other on `(time, rank, key)` (the stream position is the key
-/// and is unique), so feeding the queue lazily cannot change the pop order.
+/// Order: the run is a merge of the contact stream with the queue of
+/// scheduled events. Before a contact starting at `s` fires, every queued
+/// event with time ≤ `s` fires — so at one instant scheduled events come
+/// before contact starts, and an event a handler schedules at `now` fires
+/// before the next contact; contacts starting together fire in stream order,
+/// scheduled events at one instant in [`EventQueue`] order. Given the same
+/// contact sequence, pre-scheduled events and a deterministic handler, two
+/// runs therefore produce identical event sequences — the sequence a queue
+/// holding every contact start up front would pop
+/// (`tests/properties.rs` holds the merge to that model).
 ///
-/// Memory: the event queue and the open-contact table hold only contacts
-/// whose end has not fired yet — simulation state, not the trace.
+/// Memory: the queue holds scheduled events only — a handful of ticks,
+/// whatever the number of contacts open at once.
 #[derive(Debug)]
 pub struct StreamSimulator<I> {
     contacts: I,
@@ -110,120 +111,48 @@ impl<I: Iterator<Item = Contact>> StreamSimulator<I> {
 
     /// Pre-registers a scheduled event before the run starts.
     pub fn schedule(mut self, at: SimTime, tag: u64) -> Self {
-        self.queue.push(at, Event::Scheduled { tag });
+        self.queue.push(at, tag);
         self
     }
 
-    /// Runs the simulation to completion, returning the final clock value.
+    /// Runs the simulation to completion, returning the final clock value:
+    /// the instant of the last event that fired.
     pub fn run<H: SimHandler>(self, handler: &mut H) -> SimTime {
-        run_streaming(self.contacts, self.queue, self.horizon, handler)
-    }
-}
-
-/// The event pump behind [`StreamSimulator::run`].
-///
-/// Before each pop, contacts are admitted from the stream while their start
-/// time is at or before the queue's next event (or the queue is empty) —
-/// exactly the set whose events could sort ahead of anything already
-/// queued. Once a contact starts beyond the horizon the stream is dropped
-/// entirely (starts are sorted, nothing later can fire).
-fn run_streaming<I, H>(
-    contacts: I,
-    mut queue: EventQueue,
-    horizon: Option<SimTime>,
-    handler: &mut H,
-) -> SimTime
-where
-    I: Iterator<Item = Contact>,
-    H: SimHandler,
-{
-    use std::collections::BTreeMap;
-
-    let mut contacts = contacts.enumerate();
-    // The next contact pulled from the stream but not yet admitted, and the
-    // open contacts (admitted, end event not dispatched yet). The `bool`
-    // records whether an end event was enqueued — ends beyond the horizon
-    // are not, so those contacts retire right after their start fires.
-    let mut pending: Option<(usize, Contact)> = None;
-    let mut exhausted = false;
-    let mut open: BTreeMap<usize, (Contact, bool)> = BTreeMap::new();
-
-    let mut now = SimTime::ZERO;
-    {
+        let StreamSimulator {
+            contacts,
+            mut queue,
+            horizon,
+        } = self;
+        let mut contacts = contacts.peekable();
+        let within = |t: SimTime| horizon.is_none_or(|h| t <= h);
         let mut ctx = SimCtx {
-            now,
+            now: SimTime::ZERO,
             queue: &mut queue,
             horizon,
         };
         handler.on_start(&mut ctx);
-    }
-    loop {
-        // Admit contacts that could sort ahead of the queue's next event.
         loop {
-            if pending.is_none() {
-                if exhausted {
-                    break;
+            // Starts are sorted: once one lies beyond the horizon so does
+            // every later one, and the stream is not pulled again.
+            let start = contacts.peek().map(Contact::start).filter(|&s| within(s));
+            match ctx.queue.peek_time().filter(|&t| within(t)) {
+                Some(t) if start.is_none_or(|s| t <= s) => {
+                    let (_, tag) = ctx.queue.pop().expect("peeked");
+                    ctx.now = t;
+                    handler.on_scheduled(&mut ctx, tag);
                 }
-                match contacts.next() {
-                    Some(entry) => pending = Some(entry),
-                    None => {
-                        exhausted = true;
+                _ => {
+                    let Some(contact) = start.and_then(|_| contacts.next()) else {
                         break;
-                    }
+                    };
+                    ctx.now = contact.start();
+                    handler.on_contact_start(&mut ctx, &contact);
                 }
             }
-            let (idx, contact) = pending.as_ref().expect("pending was just filled");
-            if horizon.is_some_and(|h| contact.start() > h) {
-                // Sorted starts: every remaining contact is beyond the
-                // horizon too.
-                pending = None;
-                exhausted = true;
-                break;
-            }
-            if queue.peek_time().is_some_and(|t| contact.start() > t) {
-                break;
-            }
-            let (idx, contact) = (*idx, pending.take().expect("pending is live").1);
-            queue.push(contact.start(), Event::ContactStart { contact: idx });
-            let end_within = horizon.is_none_or(|h| contact.end() <= h);
-            if end_within {
-                queue.push(contact.end(), Event::ContactEnd { contact: idx });
-            }
-            open.insert(idx, (contact, end_within));
         }
-
-        let Some((time, event)) = queue.pop() else {
-            break;
-        };
-        if let Some(h) = horizon {
-            if time > h {
-                break;
-            }
-        }
-        now = time;
-        let mut ctx = SimCtx {
-            now,
-            queue: &mut queue,
-            horizon,
-        };
-        match event {
-            Event::ContactStart { contact } => {
-                let (c, end_within) = open.get(&contact).expect("start of an admitted contact");
-                let end_within = *end_within;
-                handler.on_contact_start(&mut ctx, c);
-                if !end_within {
-                    open.remove(&contact);
-                }
-            }
-            Event::ContactEnd { contact } => {
-                let (c, _) = open.remove(&contact).expect("end of an open contact");
-                handler.on_contact_end(&mut ctx, &c);
-            }
-            Event::Scheduled { tag } => handler.on_scheduled(&mut ctx, tag),
-        }
+        handler.on_finish(ctx.now);
+        ctx.now
     }
-    handler.on_finish(now);
-    now
 }
 
 #[cfg(test)]
@@ -257,13 +186,6 @@ mod tests {
                 c.participants()[0]
             ));
         }
-        fn on_contact_end(&mut self, ctx: &mut SimCtx<'_>, c: &Contact) {
-            self.log.push(format!(
-                "ce@{}:{}",
-                ctx.now().as_secs(),
-                c.participants()[0]
-            ));
-        }
         fn on_scheduled(&mut self, ctx: &mut SimCtx<'_>, tag: u64) {
             self.log.push(format!("ev{tag}@{}", ctx.now().as_secs()));
         }
@@ -279,17 +201,10 @@ mod tests {
             .collect();
         let mut rec = Recorder::default();
         let end = StreamSimulator::new(trace.iter().cloned()).run(&mut rec);
-        assert_eq!(end, SimTime::from_secs(30));
+        assert_eq!(end, SimTime::from_secs(15), "the last event to fire");
         assert_eq!(
             rec.log,
-            vec![
-                "start@0",
-                "cs@10:n0",
-                "cs@15:n2",
-                "ce@20:n0",
-                "ce@30:n2",
-                "finish@30"
-            ]
+            vec!["start@0", "cs@10:n0", "cs@15:n2", "finish@15"]
         );
     }
 
@@ -359,15 +274,59 @@ mod tests {
     }
 
     #[test]
-    fn end_start_same_instant_runs_end_first() {
-        let trace: ContactTrace = vec![pc(0, 1, 10, 20), pc(2, 3, 20, 25)]
+    fn scheduled_fires_before_a_start_at_the_same_instant() {
+        let trace: ContactTrace = vec![pc(0, 1, 10, 20), pc(2, 3, 20, 25), pc(4, 5, 20, 30)]
             .into_iter()
             .collect();
         let mut rec = Recorder::default();
-        StreamSimulator::new(trace.iter().cloned()).run(&mut rec);
-        let pos_end = rec.log.iter().position(|l| l == "ce@20:n0").unwrap();
-        let pos_start = rec.log.iter().position(|l| l == "cs@20:n2").unwrap();
-        assert!(pos_end < pos_start);
+        StreamSimulator::new(trace.iter().cloned())
+            .schedule(SimTime::from_secs(20), 9)
+            .run(&mut rec);
+        assert_eq!(
+            rec.log[2..],
+            ["ev9@20", "cs@20:n2", "cs@20:n4", "finish@20"],
+            "the tick, then the two starts in stream order"
+        );
+    }
+
+    #[test]
+    fn an_event_scheduled_at_now_fires_before_the_next_contact() {
+        struct Echo {
+            log: Vec<String>,
+        }
+        impl SimHandler for Echo {
+            fn on_contact_start(&mut self, ctx: &mut SimCtx<'_>, c: &Contact) {
+                self.log.push(format!("cs:{}", c.participants()[0]));
+                ctx.schedule(ctx.now(), u64::from(c.participants()[0].raw()));
+            }
+            fn on_scheduled(&mut self, _ctx: &mut SimCtx<'_>, tag: u64) {
+                self.log.push(format!("ev{tag}"));
+            }
+        }
+        let trace: ContactTrace = vec![pc(0, 1, 10, 20), pc(2, 3, 10, 25)]
+            .into_iter()
+            .collect();
+        let mut h = Echo { log: vec![] };
+        StreamSimulator::new(trace.iter().cloned()).run(&mut h);
+        assert_eq!(h.log, ["cs:n0", "ev0", "cs:n2", "ev2"]);
+    }
+
+    #[test]
+    fn the_horizon_admits_its_own_instant_and_stops_the_stream() {
+        // The stream is not pulled past the first start beyond the horizon.
+        let mut pulled = 0;
+        let contacts = [pc(0, 1, 50, 60), pc(2, 3, 51, 60), pc(4, 5, 52, 60)]
+            .into_iter()
+            .inspect(|_| pulled += 1);
+        let mut rec = Recorder::default();
+        let end = StreamSimulator::new(contacts)
+            .horizon(SimTime::from_secs(50))
+            .schedule(SimTime::from_secs(50), 1)
+            .schedule(SimTime::from_secs(51), 2)
+            .run(&mut rec);
+        assert_eq!(end, SimTime::from_secs(50));
+        assert_eq!(rec.log, ["start@0", "ev1@50", "cs@50:n0", "finish@50"]);
+        assert_eq!(pulled, 2);
     }
 
     #[test]

@@ -1,105 +1,35 @@
-//! Simulation events and the deterministic event queue.
+//! The deterministic queue of scheduled events.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use dtn_trace::SimTime;
 
-/// A simulation event.
+/// A deterministic time-ordered queue of scheduled events.
 ///
-/// Contact events are injected by the
-/// [`StreamSimulator`](crate::StreamSimulator) from the contact stream;
-/// [`Event::Scheduled`] events are created by handlers via
-/// [`SimCtx::schedule`](crate::SimCtx::schedule) and carry a user-chosen tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Event {
-    /// A contact (identified by its index in the trace) begins.
-    ContactStart {
-        /// Index into the trace's contact slice.
-        contact: usize,
-    },
-    /// A contact (identified by its index in the trace) ends.
-    ContactEnd {
-        /// Index into the trace's contact slice.
-        contact: usize,
-    },
-    /// A user-scheduled event with an opaque tag.
-    Scheduled {
-        /// Handler-defined discriminator (e.g. "daily noon tick").
-        tag: u64,
-    },
-}
-
-impl Event {
-    /// Rank used for same-instant ordering: contact ends fire first (so state
-    /// from a closing contact is torn down), then scheduled events, then
-    /// contact starts.
-    fn rank(&self) -> u8 {
-        match self {
-            Event::ContactEnd { .. } => 0,
-            Event::Scheduled { .. } => 1,
-            Event::ContactStart { .. } => 2,
-        }
-    }
-
-    /// Secondary key for deterministic ordering among same-rank events.
-    fn key(&self) -> u64 {
-        match self {
-            Event::ContactStart { contact } | Event::ContactEnd { contact } => *contact as u64,
-            Event::Scheduled { tag } => *tag,
-        }
-    }
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct QueuedEvent {
-    time: SimTime,
-    rank: u8,
-    key: u64,
-    seq: u64,
-    event: Event,
-}
-
-impl Ord for QueuedEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event is on top.
-        other
-            .time
-            .cmp(&self.time)
-            .then(other.rank.cmp(&self.rank))
-            .then(other.key.cmp(&self.key))
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A deterministic time-ordered event queue.
-///
-/// Ties at the same instant are broken by event kind (ends before scheduled
-/// before starts), then by a stable key, then by insertion order — so two
-/// runs over the same inputs pop events in exactly the same order.
+/// An event is an instant and a handler-chosen tag (e.g. "the noon tick of
+/// day 3"), created by
+/// [`StreamSimulator::schedule`](crate::StreamSimulator::schedule) or
+/// [`SimCtx::schedule`](crate::SimCtx::schedule). Contacts are not events:
+/// they arrive sorted, and the engine merges their stream with this queue.
+/// Ties at the same instant are broken by tag, then by insertion order — so
+/// two runs over the same inputs pop events in exactly the same order.
 ///
 /// # Example
 ///
 /// ```
-/// use dtn_sim::{Event, EventQueue};
+/// use dtn_sim::EventQueue;
 /// use dtn_trace::SimTime;
 ///
 /// let mut q = EventQueue::new();
-/// q.push(SimTime::from_secs(10), Event::Scheduled { tag: 1 });
-/// q.push(SimTime::from_secs(5), Event::Scheduled { tag: 2 });
-/// let (t, e) = q.pop().unwrap();
-/// assert_eq!(t, SimTime::from_secs(5));
-/// assert_eq!(e, Event::Scheduled { tag: 2 });
+/// q.push(SimTime::from_secs(10), 1);
+/// q.push(SimTime::from_secs(5), 2);
+/// assert_eq!(q.pop(), Some((SimTime::from_secs(5), 2)));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<QueuedEvent>,
+    /// `(time, tag, insertion number)`, earliest on top.
+    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
     next_seq: u64,
 }
 
@@ -109,27 +39,20 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    /// Schedules `event` at `time`.
-    pub fn push(&mut self, time: SimTime, event: Event) {
-        let q = QueuedEvent {
-            time,
-            rank: event.rank(),
-            key: event.key(),
-            seq: self.next_seq,
-            event,
-        };
+    /// Schedules an event tagged `tag` at `time`.
+    pub fn push(&mut self, time: SimTime, tag: u64) {
+        self.heap.push(Reverse((time, tag, self.next_seq)));
         self.next_seq += 1;
-        self.heap.push(q);
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.heap.pop().map(|q| (q.time, q.event))
+    pub fn pop(&mut self) -> Option<(SimTime, u64)> {
+        self.heap.pop().map(|Reverse((time, tag, _))| (time, tag))
     }
 
     /// The time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|q| q.time)
+        self.heap.peek().map(|Reverse((time, ..))| *time)
     }
 
     /// Number of pending events.
@@ -154,51 +77,19 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(t(30), Event::Scheduled { tag: 3 });
-        q.push(t(10), Event::Scheduled { tag: 1 });
-        q.push(t(20), Event::Scheduled { tag: 2 });
-        let tags: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| match e {
-                Event::Scheduled { tag } => tag,
-                _ => unreachable!(),
-            })
-            .collect();
+        q.push(t(30), 3);
+        q.push(t(10), 1);
+        q.push(t(20), 2);
+        let tags: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, tag)| tag).collect();
         assert_eq!(tags, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn ends_fire_before_starts_at_same_instant() {
-        let mut q = EventQueue::new();
-        q.push(t(10), Event::ContactStart { contact: 0 });
-        q.push(t(10), Event::ContactEnd { contact: 1 });
-        let (_, first) = q.pop().unwrap();
-        assert_eq!(first, Event::ContactEnd { contact: 1 });
-    }
-
-    #[test]
-    fn scheduled_fires_between_ends_and_starts() {
-        let mut q = EventQueue::new();
-        q.push(t(10), Event::ContactStart { contact: 0 });
-        q.push(t(10), Event::Scheduled { tag: 9 });
-        q.push(t(10), Event::ContactEnd { contact: 1 });
-        let order: Vec<Event> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(
-            order,
-            vec![
-                Event::ContactEnd { contact: 1 },
-                Event::Scheduled { tag: 9 },
-                Event::ContactStart { contact: 0 },
-            ]
-        );
     }
 
     #[test]
     fn same_kind_ties_broken_by_key_then_insertion() {
         let mut q = EventQueue::new();
-        q.push(t(10), Event::ContactStart { contact: 5 });
-        q.push(t(10), Event::ContactStart { contact: 2 });
-        let (_, first) = q.pop().unwrap();
-        assert_eq!(first, Event::ContactStart { contact: 2 });
+        q.push(t(10), 5);
+        q.push(t(10), 2);
+        assert_eq!(q.pop(), Some((t(10), 2)));
     }
 
     #[test]
@@ -206,7 +97,7 @@ mod tests {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-        q.push(t(4), Event::Scheduled { tag: 0 });
+        q.push(t(4), 0);
         assert_eq!(q.len(), 1);
         assert_eq!(q.peek_time(), Some(t(4)));
     }
@@ -214,9 +105,9 @@ mod tests {
     #[test]
     fn identical_events_pop_in_insertion_order() {
         let mut q = EventQueue::new();
-        q.push(t(1), Event::Scheduled { tag: 7 });
-        q.push(t(1), Event::Scheduled { tag: 7 });
-        assert_eq!(q.pop().unwrap().1, Event::Scheduled { tag: 7 });
+        q.push(t(1), 7);
+        q.push(t(1), 7);
+        assert_eq!(q.pop(), Some((t(1), 7)));
         assert_eq!(q.len(), 1);
     }
 }

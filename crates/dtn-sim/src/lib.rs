@@ -3,9 +3,9 @@
 //! This crate provides the machinery the MBT protocols run on:
 //!
 //! - a deterministic discrete-event [`engine`] that drives a handler over a
-//!   stream of contacts (any [`dtn_trace::TraceSource`]) interleaved with
-//!   user-scheduled events — the one engine under both the MBT runner and
-//!   the `dtn-routing` baselines,
+//!   sorted stream of contacts (any [`dtn_trace::TraceSource`]) merged with
+//!   the [`event`] queue of user-scheduled events — the one engine under both
+//!   the MBT runner and the `dtn-routing` baselines,
 //! - the [`channel`] capacity models contrasting broadcast and pair-wise
 //!   transmission, plus per-contact transfer budgets,
 //! - delivery-ratio [`metrics`], delay [`histogram`]s and deterministic
@@ -54,7 +54,7 @@ pub mod telemetry;
 
 pub use channel::{broadcast_per_node_capacity, pairwise_per_node_capacity, ContactBudget};
 pub use engine::{SimCtx, SimHandler, StreamSimulator};
-pub use event::{Event, EventQueue};
+pub use event::EventQueue;
 pub use faults::{FaultKind, FaultPlan};
 pub use metrics::DeliveryStats;
 pub use telemetry::{Counters, Phase, PhaseTimes, Telemetry};

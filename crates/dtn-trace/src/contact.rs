@@ -82,9 +82,19 @@ impl Error for ContactError {}
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Contact {
-    participants: Vec<NodeId>,
+    participants: Participants,
     start: SimTime,
     end: SimTime,
+}
+
+/// A contact's members, ascending. Every vehicular contact is a pair, so a
+/// pair lives inside the contact and only a clique owns a heap block; the
+/// constructors never put two members in a `Clique`, which is what lets the
+/// derived equality and hash see one representation per member set.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Participants {
+    Pair([NodeId; 2]),
+    Clique(Vec<NodeId>),
 }
 
 impl Contact {
@@ -103,7 +113,28 @@ impl Contact {
         if a == b {
             return Err(ContactError::DuplicateParticipant(a));
         }
-        Self::clique(vec![a, b], start, end)
+        Self::pair(a, b, start, end)
+    }
+
+    /// [`Contact::clique`] for exactly two members — the same checks in the
+    /// same order — without the `Vec`.
+    pub(crate) fn pair(
+        a: NodeId,
+        b: NodeId,
+        start: SimTime,
+        end: SimTime,
+    ) -> Result<Self, ContactError> {
+        if end <= start {
+            return Err(ContactError::EmptyInterval { start, end });
+        }
+        if a == b {
+            return Err(ContactError::DuplicateParticipant(a));
+        }
+        Ok(Contact {
+            participants: Participants::Pair([a.min(b), a.max(b)]),
+            start,
+            end,
+        })
     }
 
     /// Creates a contact among the given participants over `[start, end)`.
@@ -120,6 +151,9 @@ impl Contact {
         start: SimTime,
         end: SimTime,
     ) -> Result<Self, ContactError> {
+        if let [a, b] = participants[..] {
+            return Self::pair(a, b, start, end);
+        }
         if end <= start {
             return Err(ContactError::EmptyInterval { start, end });
         }
@@ -133,7 +167,7 @@ impl Contact {
             });
         }
         Ok(Contact {
-            participants,
+            participants: Participants::Clique(participants),
             start,
             end,
         })
@@ -141,21 +175,23 @@ impl Contact {
 
     /// The contact kind, derived from the participant count.
     pub fn kind(&self) -> ContactKind {
-        if self.participants.len() == 2 {
-            ContactKind::Pairwise
-        } else {
-            ContactKind::Clique
+        match self.participants {
+            Participants::Pair(_) => ContactKind::Pairwise,
+            Participants::Clique(_) => ContactKind::Clique,
         }
     }
 
     /// The participants, sorted by node id.
     pub fn participants(&self) -> &[NodeId] {
-        &self.participants
+        match &self.participants {
+            Participants::Pair(pair) => pair,
+            Participants::Clique(members) => members,
+        }
     }
 
     /// Number of participants.
     pub fn size(&self) -> usize {
-        self.participants.len()
+        self.participants().len()
     }
 
     /// Start instant (inclusive).
@@ -175,7 +211,7 @@ impl Contact {
 
     /// True if `node` participates in this contact.
     pub fn involves(&self, node: NodeId) -> bool {
-        self.participants.binary_search(&node).is_ok()
+        self.participants().binary_search(&node).is_ok()
     }
 
     /// The participants other than `node`.
@@ -185,7 +221,7 @@ impl Contact {
         if !self.involves(node) {
             return Vec::new();
         }
-        self.participants
+        self.participants()
             .iter()
             .copied()
             .filter(|&p| p != node)
@@ -203,8 +239,9 @@ impl Contact {
     /// `n * (n - 1) / 2`.
     pub fn pairs(&self) -> Vec<(NodeId, NodeId)> {
         let mut out = Vec::with_capacity(self.size() * (self.size() - 1) / 2);
-        for (i, &a) in self.participants.iter().enumerate() {
-            for &b in &self.participants[i + 1..] {
+        let members = self.participants();
+        for (i, &a) in members.iter().enumerate() {
+            for &b in &members[i + 1..] {
                 out.push((a, b));
             }
         }
@@ -215,7 +252,7 @@ impl Contact {
 impl fmt::Display for Contact {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "contact[{}..{}](", self.start, self.end)?;
-        for (i, p) in self.participants.iter().enumerate() {
+        for (i, p) in self.participants().iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
@@ -336,6 +373,28 @@ mod tests {
         let a = Contact::clique(vec![NodeId::new(0), NodeId::new(1)], t(0), t(5)).unwrap();
         let b = Contact::clique(vec![NodeId::new(1), NodeId::new(0)], t(0), t(5)).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_two_member_contact_is_always_the_inline_pair() {
+        use std::hash::{BuildHasher, RandomState};
+        let (n0, n1) = (NodeId::new(0), NodeId::new(1));
+        let built = [
+            Contact::pairwise(n1, n0, t(0), t(5)).unwrap(),
+            Contact::clique(vec![n0, n1], t(0), t(5)).unwrap(),
+            Contact::clique(vec![n1, n0], t(0), t(5)).unwrap(),
+        ];
+        let hasher = RandomState::new();
+        for c in &built {
+            assert!(matches!(c.participants, Participants::Pair(_)));
+            assert_eq!(c.kind(), ContactKind::Pairwise);
+            assert_eq!(c.participants(), &[n0, n1]);
+            assert_eq!(c, &built[0]);
+            assert_eq!(hasher.hash_one(c), hasher.hash_one(&built[0]));
+        }
+        // Inline members cost the contact nothing: it is no larger than
+        // when every contact owned a `Vec`.
+        assert!(std::mem::size_of::<Contact>() <= 40);
     }
 
     #[test]

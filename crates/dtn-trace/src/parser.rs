@@ -128,12 +128,14 @@ pub fn read_trace<R: Read>(reader: R) -> Result<ContactTrace, ParseTraceError> {
 }
 
 /// Streaming reader over the text format: yields one [`Contact`] at a time
-/// without buffering the whole trace. Comments and blank lines are skipped;
-/// errors carry 1-based line numbers. After the first error the iterator
-/// is exhausted.
+/// without buffering the whole trace — every line is read into the one
+/// buffer the reader owns. Comments and blank lines are skipped; errors
+/// carry 1-based line numbers. After the first error the iterator is
+/// exhausted.
 #[derive(Debug)]
 pub struct ContactReader<R> {
-    lines: std::io::Lines<BufReader<R>>,
+    reader: BufReader<R>,
+    line: String,
     line_no: usize,
     failed: bool,
 }
@@ -142,41 +144,47 @@ impl<R: Read> ContactReader<R> {
     /// Wraps `reader` for streaming parsing.
     pub fn new(reader: R) -> Self {
         ContactReader {
-            lines: BufReader::new(reader).lines(),
+            reader: BufReader::new(reader),
+            line: String::new(),
             line_no: 0,
             failed: false,
         }
     }
+}
 
-    fn parse_line(&self, trimmed: &str) -> Result<Contact, ParseTraceError> {
-        let line_no = self.line_no;
-        let mut fields = trimmed.split_ascii_whitespace();
-        let keyword = fields.next().expect("non-empty line has a first token");
-        if keyword != "contact" {
-            return Err(ParseTraceError::Syntax {
-                line: line_no,
-                message: format!("expected `contact`, found `{keyword}`"),
-            });
-        }
-        let start = parse_u64(fields.next(), line_no, "start time")?;
-        let end = parse_u64(fields.next(), line_no, "end time")?;
-        let nodes: Vec<NodeId> = fields
-            .map(|tok| {
-                tok.parse::<u32>()
-                    .map(NodeId::new)
-                    .map_err(|_| ParseTraceError::Syntax {
-                        line: line_no,
-                        message: format!("invalid node id `{tok}`"),
-                    })
-            })
-            .collect::<Result<_, _>>()?;
-        Contact::clique(nodes, SimTime::from_secs(start), SimTime::from_secs(end)).map_err(
-            |source| ParseTraceError::InvalidContact {
-                line: line_no,
-                source,
-            },
-        )
+/// Parses one non-blank, non-comment line. A line naming exactly two nodes
+/// — every line of a vehicular trace — becomes a contact without a `Vec`;
+/// [`Contact::pair`] holds it to the checks [`Contact::clique`] makes.
+fn parse_line(trimmed: &str, line_no: usize) -> Result<Contact, ParseTraceError> {
+    let mut fields = trimmed.split_ascii_whitespace();
+    let keyword = fields.next().unwrap_or_default();
+    if keyword != "contact" {
+        return Err(ParseTraceError::Syntax {
+            line: line_no,
+            message: format!("expected `contact`, found `{keyword}`"),
+        });
     }
+    let start = SimTime::from_secs(parse_u64(fields.next(), line_no, "start time")?);
+    let end = SimTime::from_secs(parse_u64(fields.next(), line_no, "end time")?);
+    let node = |tok: &str| {
+        tok.parse::<u32>()
+            .map(NodeId::new)
+            .map_err(|_| ParseTraceError::Syntax {
+                line: line_no,
+                message: format!("invalid node id `{tok}`"),
+            })
+    };
+    let contact = match (fields.next(), fields.next(), fields.next()) {
+        (Some(a), Some(b), None) => Contact::pair(node(a)?, node(b)?, start, end),
+        (a, b, c) => {
+            let tokens = a.into_iter().chain(b).chain(c).chain(fields);
+            Contact::clique(tokens.map(node).collect::<Result<_, _>>()?, start, end)
+        }
+    };
+    contact.map_err(|source| ParseTraceError::InvalidContact {
+        line: line_no,
+        source,
+    })
 }
 
 impl<R: Read> Iterator for ContactReader<R> {
@@ -187,19 +195,21 @@ impl<R: Read> Iterator for ContactReader<R> {
             return None;
         }
         loop {
-            let line = match self.lines.next()? {
-                Ok(line) => line,
+            self.line.clear();
+            match self.reader.read_line(&mut self.line) {
+                Ok(0) => return None,
+                Ok(_) => {}
                 Err(e) => {
                     self.failed = true;
                     return Some(Err(e.into()));
                 }
-            };
+            }
             self.line_no += 1;
-            let trimmed = line.trim();
+            let trimmed = self.line.trim();
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
             }
-            let result = self.parse_line(trimmed);
+            let result = parse_line(trimmed, self.line_no);
             if result.is_err() {
                 self.failed = true;
             }
@@ -285,6 +295,39 @@ mod tests {
             ParseTraceError::InvalidContact { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    /// The two-node fast path reports what the general path reports.
+    #[test]
+    fn a_malformed_pair_line_keeps_its_error() {
+        let error_of = |line: &str| match read_trace(line.as_bytes()).unwrap_err() {
+            ParseTraceError::InvalidContact { line: 1, source } => source,
+            other => panic!("unexpected error {other:?}"),
+        };
+        let (at, n) = (SimTime::from_secs, NodeId::new);
+        let empty = ContactError::EmptyInterval {
+            start: at(5),
+            end: at(5),
+        };
+        assert_eq!(error_of("contact 5 5 1 2"), empty);
+        assert_eq!(
+            error_of("contact 0 9 3 3"),
+            ContactError::DuplicateParticipant(n(3))
+        );
+        assert_eq!(
+            error_of("contact 0 9 7"),
+            ContactError::TooFewParticipants { distinct: 1 }
+        );
+        assert_eq!(
+            error_of("contact 0 9"),
+            ContactError::TooFewParticipants { distinct: 0 }
+        );
+        let both = Contact::clique(vec![n(3), n(3)], at(5), at(5)).unwrap_err();
+        assert_eq!(error_of("contact 5 5 3 3"), both);
+        assert_eq!(both, empty, "the interval is checked first");
+        // A bad token is a syntax error before either node is looked at.
+        let err = read_trace("contact 5 5 3 x".as_bytes()).unwrap_err();
+        assert!(matches!(err, ParseTraceError::Syntax { line: 1, .. }));
     }
 
     #[test]

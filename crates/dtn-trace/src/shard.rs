@@ -367,10 +367,7 @@ fn sort_one_shard(dir: &Path, window_index: u64, count: u64) -> Result<ShardMeta
     // The shard is already resident, so collecting its distinct pairs here
     // is free of extra I/O; the sidecar is what lets `frequent_map` skip
     // the pre-simulation statistics pass entirely.
-    let mut pairs: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-    for contact in &contacts {
-        pairs.extend(contact.pairs());
-    }
+    let pairs = distinct_pairs(&contacts);
     let pairs_path = dir.join(pairs_file_name(window_index));
     let sidecar = File::create(&pairs_path)
         .map_err(io_err(format!("creating `{}`", pairs_path.display())))?;
@@ -654,10 +651,7 @@ impl ShardedTrace {
             let Some(declared_pairs) = meta.pairs else {
                 continue;
             };
-            let mut pairs: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-            for contact in &contacts {
-                pairs.extend(contact.pairs());
-            }
+            let pairs = distinct_pairs(&contacts);
             if pairs.len() as u64 != declared_pairs {
                 return Err(ShardError::Corrupt {
                     file: meta.file.clone(),
@@ -687,12 +681,13 @@ impl ShardedTrace {
         Ok(())
     }
 
-    /// Reads one shard's pair sidecar, returning `None` when the manifest
-    /// carries no pair count for it or the sidecar is missing, malformed,
-    /// or disagrees with the declared count. `frequent_map` treats `None`
-    /// as "derivation unavailable" and callers fall back to a streaming
-    /// statistics pass, which is always correct.
-    fn read_pairs_sidecar(&self, meta: &ShardMeta) -> Option<BTreeSet<(NodeId, NodeId)>> {
+    /// Reads one shard's pair sidecar — its distinct pairs, ascending —
+    /// returning `None` when the manifest carries no pair count for it or
+    /// the sidecar is missing, malformed, or disagrees with the declared
+    /// count. `frequent_map` treats `None` as "derivation unavailable" and
+    /// callers fall back to a streaming statistics pass, which is always
+    /// correct.
+    fn read_pairs_sidecar(&self, meta: &ShardMeta) -> Option<Vec<(NodeId, NodeId)>> {
         let declared = meta.pairs?;
         let path = self.dir.join(pairs_file_name(meta.window_index));
         let text = fs::read_to_string(&path).ok()?;
@@ -700,7 +695,7 @@ impl ShardedTrace {
         if lines.next()?.trim() != PAIRS_HEADER {
             return None;
         }
-        let mut pairs = BTreeSet::new();
+        let mut pairs = Vec::new();
         for line in lines {
             let trimmed = line.trim();
             if trimmed.is_empty() || trimmed.starts_with('#') {
@@ -709,10 +704,29 @@ impl ShardedTrace {
             let mut fields = trimmed.split_ascii_whitespace();
             let a: u32 = fields.next()?.parse().ok()?;
             let b: u32 = fields.next()?.parse().ok()?;
-            pairs.insert((NodeId::new(a), NodeId::new(b)));
+            pairs.push((NodeId::new(a), NodeId::new(b)));
         }
+        // The writer lists a sidecar ascending; one that something else
+        // reordered still names the same set.
+        sort_dedup(&mut pairs);
         (pairs.len() as u64 == declared).then_some(pairs)
     }
+}
+
+/// Sorts `pairs` ascending and drops repeats. The inputs are ascending
+/// lists or a few of them end to end, which the stable sort merges.
+fn sort_dedup(pairs: &mut Vec<(NodeId, NodeId)>) {
+    if !pairs.windows(2).all(|w| w[0] < w[1]) {
+        pairs.sort();
+        pairs.dedup();
+    }
+}
+
+/// The distinct participant pairs of `contacts`, ascending.
+fn distinct_pairs(contacts: &[Contact]) -> Vec<(NodeId, NodeId)> {
+    let mut pairs: Vec<(NodeId, NodeId)> = contacts.iter().flat_map(Contact::pairs).collect();
+    sort_dedup(&mut pairs);
+    pairs
 }
 
 impl TraceSource for ShardedTrace {
@@ -775,37 +789,46 @@ impl TraceSource for ShardedTrace {
             return None;
         }
         let ratio = every_secs / self.manifest.window_secs;
-        let mut per_window: BTreeMap<u64, BTreeSet<(NodeId, NodeId)>> = BTreeMap::new();
-        let mut union: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
+        // Each rule window's distinct pairs, ascending: the sidecars of the
+        // shard windows nested in it, merged.
+        let mut per_window: BTreeMap<u64, Vec<(NodeId, NodeId)>> = BTreeMap::new();
         for meta in &self.manifest.shards {
             let pairs = self.read_pairs_sidecar(meta)?;
-            union.extend(pairs.iter().copied());
-            per_window
-                .entry(meta.window_index / ratio)
-                .or_default()
-                .extend(pairs);
+            let window = per_window.entry(meta.window_index / ratio).or_default();
+            window.extend(pairs);
+            sort_dedup(window);
         }
         // The rule enumerates windows whose start lies inside the span and
         // exempts idle ones (no shard => no contacts => never enumerated);
         // the frequent set is the intersection over the enumerated windows,
         // or — when none qualifies — vacuously every pair seen.
-        let mut frequent: Option<BTreeSet<(NodeId, NodeId)>> = None;
+        let mut frequent: Option<Vec<(NodeId, NodeId)>> = None;
+        let mut unenumerated: Vec<(NodeId, NodeId)> = Vec::new();
         for (window, pairs) in per_window {
             let valid = window
                 .checked_mul(every_secs)
                 .is_some_and(|start| start < span_secs);
             if !valid {
+                unenumerated.extend(pairs);
                 continue;
             }
             frequent = Some(match frequent {
                 None => pairs,
                 Some(mut prev) => {
-                    prev.retain(|pair| pairs.contains(pair));
+                    // Both ascending: one walk of `pairs` serves every probe.
+                    let mut rest = pairs.iter().peekable();
+                    prev.retain(|pair| {
+                        while rest.next_if(|other| *other < pair).is_some() {}
+                        rest.peek() == Some(&pair)
+                    });
                     prev
                 }
             });
         }
-        let frequent = frequent.unwrap_or(union);
+        let frequent = frequent.unwrap_or_else(|| {
+            sort_dedup(&mut unenumerated);
+            unenumerated
+        });
         let mut map: BTreeMap<NodeId, Vec<NodeId>> = self
             .manifest
             .nodes
@@ -1287,6 +1310,50 @@ mod tests {
             TraceSource::frequent_map(&sharded, SimDuration::from_secs(150)),
             None
         );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn frequent_map_survives_a_late_start_and_a_reordered_sidecar() {
+        let dir = temp_dir("freq-late");
+        let mut writer = ShardWriter::create(&dir, SimDuration::from_secs(100)).unwrap();
+        for c in sample_contacts() {
+            let [a, b] = c.participants() else {
+                unreachable!("the sample is pair-wise")
+            };
+            let (start, end) = (c.start().as_secs() + 1_000, c.end().as_secs() + 1_000);
+            writer.push_contact(pc(a.raw(), b.raw(), start, end));
+        }
+        let sharded = writer.finish().unwrap();
+        let agrees_with_the_scan = |sharded: &ShardedTrace| {
+            // Windows 10–12 against a 390 s span: at 100 s none starts inside
+            // it and every pair seen is vacuously frequent; at 1 200 s one does.
+            for every_secs in [100u64, 200, 1_200] {
+                let every = SimDuration::from_secs(every_secs);
+                let mut scan = crate::stats::FrequentScan::new(every);
+                for contact in TraceSource::stream(sharded) {
+                    scan.observe(&contact);
+                }
+                let derived = TraceSource::frequent_map(sharded, every);
+                assert_eq!(derived, Some(scan.finish()), "every={every_secs}s");
+            }
+        };
+        agrees_with_the_scan(&sharded);
+        let vacuous = TraceSource::frequent_map(&sharded, SimDuration::from_secs(100)).unwrap();
+        assert_eq!(vacuous.values().map(Vec::len).sum::<usize>(), 2 * 5);
+        // A sidecar lists a set: one that lost its order names the same one.
+        let two_pairs = sharded
+            .shards()
+            .iter()
+            .find(|s| s.pairs == Some(2))
+            .unwrap();
+        let sidecar = dir.join(pairs_file_name(two_pairs.window_index));
+        let text = fs::read_to_string(&sidecar).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines[1..].reverse();
+        fs::write(&sidecar, lines.join("\n")).unwrap();
+        agrees_with_the_scan(&sharded);
+        sharded.verify().unwrap();
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,7 +2,10 @@
 
 use proptest::prelude::*;
 
-use dtn_trace::{read_trace, write_trace, Contact, ContactTrace, NodeId, SimDuration, SimTime};
+use dtn_trace::{
+    read_trace, write_trace, Contact, ContactReader, ContactTrace, NodeId, ParseTraceError,
+    SimDuration, SimTime,
+};
 
 /// Strategy: a valid contact with 2..=6 distinct participants.
 fn arb_contact() -> impl Strategy<Value = Contact> {
@@ -297,6 +300,103 @@ proptest! {
                 let back = stats.frequent_contacts(v, every);
                 prop_assert!(back.contains(&u), "{u} frequent with {v} but not vice versa");
             }
+        }
+    }
+}
+
+/// Drains a reader over `bytes`: it must end within one item a line, every
+/// contact must hold the type's invariants, and nothing follows an error.
+fn drain_reader(bytes: &[u8]) -> Vec<Result<Contact, ParseTraceError>> {
+    let lines = bytes.split(|&b| b == b'\n').count();
+    let items: Vec<_> = ContactReader::new(bytes).take(lines + 1).collect();
+    assert!(items.len() <= lines, "more items than lines");
+    for (i, item) in items.iter().enumerate() {
+        match item {
+            Ok(contact) => {
+                let members = contact.participants();
+                assert!(members.len() >= 2 && members.windows(2).all(|w| w[0] < w[1]));
+                assert!(contact.start() < contact.end());
+            }
+            Err(_) => assert_eq!(i + 1, items.len(), "the reader went on after an error"),
+        }
+    }
+    items
+}
+
+/// What a line's fields may be: numbers at and beyond the `u32`/`u64`
+/// limits, signs, repeats, the keyword itself, a comment mark, non-ASCII
+/// space, nothing.
+const TOKENS: [&str; 16] = [
+    "0",
+    "3",
+    "5",
+    "7",
+    "9",
+    "4294967295",
+    "4294967296",
+    "18446744073709551615",
+    "18446744073709551616",
+    "-1",
+    "+5",
+    "1e3",
+    "x",
+    "contact",
+    "#",
+    "\u{a0}",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The parser boundary: whatever the bytes — most are not UTF-8 — the
+    /// reader yields contacts or one error, never a panic or a hang.
+    #[test]
+    fn the_reader_survives_arbitrary_bytes(
+        raw in proptest::collection::vec(any::<u8>(), 0..120),
+        shaped in proptest::collection::vec(0usize..24, 0..120),
+    ) {
+        drain_reader(&raw);
+        // The same over the format's own alphabet, where lines get further.
+        let alphabet = b"contact 0123456789 \n\t\r#";
+        let shaped: Vec<u8> = shaped.iter().map(|&i| alphabet[i % alphabet.len()]).collect();
+        drain_reader(&shaped);
+    }
+
+    /// Any fields after a valid `contact` keyword: the line is a syntax
+    /// error, or — the two-node fast path included — exactly what
+    /// `Contact::clique` makes of its numbers.
+    #[test]
+    fn the_reader_survives_token_soup(
+        fields in proptest::collection::vec(0usize..TOKENS.len(), 0..7),
+        tabs in proptest::bool::ANY,
+    ) {
+        let fields: Vec<&str> = fields.iter().map(|&i| TOKENS[i]).collect();
+        let line = format!("contact {}\n", fields.join(if tabs { "\t" } else { "  " }));
+        let items = drain_reader(line.as_bytes());
+        let numbers = |tokens: &[&str]| -> Option<(u64, u64, Vec<NodeId>)> {
+            // Trailing non-ASCII space is trimmed with the line; elsewhere
+            // it is a field like any other.
+            let kept = tokens.iter().rposition(|tok| *tok != "\u{a0}").map_or(0, |at| at + 1);
+            let mut tokens = tokens[..kept].iter();
+            let start = tokens.next()?.parse().ok()?;
+            let end = tokens.next()?.parse().ok()?;
+            let nodes = tokens.map(|tok| tok.parse().ok().map(NodeId::new)).collect::<Option<_>>()?;
+            Some((start, end, nodes))
+        };
+        prop_assert_eq!(items.len(), 1);
+        match (&items[0], numbers(&fields)) {
+            (Err(ParseTraceError::Syntax { line: 1, .. }), None) => {}
+            (got, Some((start, end, nodes))) => {
+                let expected = Contact::clique(nodes, SimTime::from_secs(start), SimTime::from_secs(end));
+                match (got, expected) {
+                    (Ok(got), Ok(expected)) => prop_assert_eq!(got, &expected),
+                    (Err(ParseTraceError::InvalidContact { line: 1, source }), Err(expected)) => {
+                        prop_assert_eq!(source, &expected)
+                    }
+                    (got, expected) => panic!("{line:?}: read {got:?}, expected {expected:?}"),
+                }
+            }
+            (got, None) => panic!("{line:?}: read {got:?}, expected a syntax error"),
         }
     }
 }

@@ -8,7 +8,7 @@ use dtn_routing::sim::{uniform_messages, RoutingReport, RoutingSim};
 use dtn_trace::{SimDuration, SimTime};
 
 use crate::args::Args;
-use crate::commands::open_source;
+use crate::commands::{days_or, open_source};
 use crate::CliError;
 
 /// Usage text for the subcommand.
@@ -28,7 +28,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     }
 
     let count = args.parse_or("messages", 200u64, "an integer")?;
-    let ttl_days = args.parse_or("ttl-days", 2u64, "an integer")?;
+    let ttl_days = days_or(args, "ttl-days", 2, trace.as_ref())?;
     let copies = args.parse_or("copies", 8u32, "an integer")?;
     let seed = args.parse_or("seed", 42u64, "an integer")?;
     let horizon = trace.end_time().unwrap_or(SimTime::from_secs(1));

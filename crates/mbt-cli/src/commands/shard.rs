@@ -9,8 +9,13 @@ use std::fs::File;
 use dtn_trace::generators::{DieselNetConfig, NusConfig, RandomWaypointConfig};
 use dtn_trace::{ContactReader, ContactSink as _, ShardWriter, SimDuration};
 
-use crate::args::Args;
+use crate::args::{ArgError, Args};
 use crate::CliError;
+
+/// The widest window `--window-days` may ask for: a century. No trace spans
+/// more, and a count of days becomes seconds by an unchecked multiplication,
+/// which wraps from 2⁶⁴ ÷ 86 400 on.
+const MAX_WINDOW_DAYS: u64 = 36_500;
 
 /// Usage text for the subcommand.
 pub const USAGE: &str = "mbt shard --out <dir> [--model dieselnet|nus|rwp] \
@@ -29,12 +34,20 @@ identical for every job count.";
 pub fn run(args: &Args) -> Result<String, CliError> {
     let out = args
         .opt_str("out")
-        .ok_or(crate::args::ArgError::MissingOption("out"))?
+        .ok_or(ArgError::MissingOption("out"))?
         .to_string();
     let window = if let Some(secs) = args.parse_opt("window-secs", "an integer")? {
         SimDuration::from_secs(secs)
     } else {
-        SimDuration::from_days(args.parse_or("window-days", 1u64, "an integer")?)
+        let days = args.opt_str("window-days").map_or(Ok(1), |token| {
+            let days = token.parse().ok().filter(|&days| days <= MAX_WINDOW_DAYS);
+            days.ok_or_else(|| ArgError::BadValue {
+                option: "window-days".to_string(),
+                value: token.to_string(),
+                expected: "a number of days up to 36500",
+            })
+        })?;
+        SimDuration::from_days(days)
     };
 
     let jobs = args.parse_or("jobs", 0usize, "an integer")?;

@@ -389,6 +389,8 @@ mod tests {
                 // A count of days whose seconds overflow.
                 ("--ttl", "999999999999999999"),
                 ("--frequent-days", "999999999999999999"),
+                ("--ttl-days", "999999999999999999"),
+                ("--window-days", "999999999999999999"),
             ] {
                 let declared = cmd.options.contains(&&option[2..]);
                 let token = if declared { bad } else { option };

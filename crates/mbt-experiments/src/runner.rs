@@ -915,18 +915,25 @@ impl SimHandler for Harness<'_> {
 
     fn on_contact_start(&mut self, ctx: &mut SimCtx<'_>, contact: &Contact) {
         let now = ctx.now();
-        let alive = |n: &&NodeId| self.is_alive(**n, now);
-        if contact.participants().iter().filter(alive).count() < 2 {
-            return;
-        }
-        // Rows in participant order: the contact loop only indexes the slice
-        // with them.
+        // Who takes part, decided once a participant — and not at all in a
+        // run where nobody dies or powers off (none without `--churn` or a
+        // fault plan's churn).
+        let everyone = self.dead_after.is_empty() && self.down.is_empty();
         let mut members = std::mem::take(&mut self.members);
         members.clear();
         for &id in contact.participants() {
-            if self.is_alive(id, now) {
-                members.push(self.table.materialize(id));
+            if everyone || self.is_alive(id, now) {
+                members.push(id.index());
             }
+        }
+        if members.len() < 2 {
+            self.members = members;
+            return;
+        }
+        // Rows in participant order: the contact loop only indexes the slice
+        // with them. A row is built only for a contact that takes place.
+        for member in &mut members {
+            *member = self.table.materialize(NodeId::new(*member as u32));
         }
         let started = self.telemetry.is_some().then(Instant::now);
         let mut inner = PhaseTimes::default();
@@ -965,8 +972,12 @@ impl SimHandler for Harness<'_> {
         self.result.queries_distributed += report.queries_distributed as u64;
         self.result.frames_lost += report.frames_lost as u64;
         self.result.corrupt_receptions += report.corrupt_receptions as u64;
-        for &slot in &members {
-            self.drain_node_events(slot, now);
+        // A node event is a record or a file arriving; a contact that
+        // delivered neither leaves its members' rows alone.
+        if report.metadata_received > 0 || report.file_broadcasts > 0 {
+            for &slot in &members {
+                self.drain_node_events(slot, now);
+            }
         }
         self.members = members;
     }
