@@ -40,7 +40,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     };
     let exec = ExecConfig::default()
         .jobs(args.parse_or("jobs", 0usize, "an integer")?)
-        .replicates(args.parse_or("replicates", 1u32, "an integer")?);
+        .replicates(super::replicates(args)?);
     let csv_dir = args.opt_str("csv-dir").map(Path::new);
     if let Some(dir) = csv_dir {
         std::fs::create_dir_all(dir).map_err(|e| CliError::Io(dir.display().to_string(), e))?;

@@ -64,6 +64,21 @@ pub fn files_per_day(option: &str, token: &str) -> Result<u32, ArgError> {
     }
 }
 
+/// `--replicates` (default 1). The cell grid — points × protocols ×
+/// replicates — is allocated up front, so a count outside `1..=10 000` is an
+/// [`ArgError::BadValue`] naming option and token: zero is not read as one.
+pub fn replicates(args: &Args) -> Result<u32, ArgError> {
+    let token = args.opt_str("replicates").unwrap_or("1");
+    match token.parse() {
+        Ok(n @ 1..=10_000) => Ok(n),
+        _ => Err(ArgError::BadValue {
+            option: "replicates".to_string(),
+            value: token.to_string(),
+            expected: "an integer from 1 to 10000",
+        }),
+    }
+}
+
 /// The days `source` spans, rounded up; at least one.
 fn span_days(source: &dyn TraceSource) -> u64 {
     source.span().as_days_f64().ceil().max(1.0) as u64

@@ -97,7 +97,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     };
     let exec = ExecConfig::default()
         .jobs(args.parse_or("jobs", 0usize, "an integer")?)
-        .replicates(args.parse_or("replicates", 1u32, "an integer")?)
+        .replicates(super::replicates(args)?)
         .master_seed(args.parse_or("seed", 42u64, "an integer")?);
     let fig = ParallelRunner::new(exec)
         .with_protocols(protocols)

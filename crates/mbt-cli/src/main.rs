@@ -382,6 +382,9 @@ mod tests {
             for (option, bad) in [
                 ("--jobs", "banana"),
                 ("--replicates", "-1"),
+                // Neither read as one nor sized a grid for.
+                ("--replicates", "0"),
+                ("--replicates", "4000000000"),
                 ("--loss", "1.5"),
                 ("--internet", "-0.1"),
                 ("--loss", "nan"),

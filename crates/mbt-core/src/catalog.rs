@@ -24,6 +24,7 @@ use crate::metadata::Metadata;
 use crate::node::MbtNode;
 use crate::popularity::Popularity;
 use crate::query::Query;
+use crate::server::shard::stable_hash;
 use crate::transport::HelloFrame;
 use crate::uri::Uri;
 
@@ -208,10 +209,10 @@ impl Catalog {
     /// query — own, or carried for a frequent contact — that matches a
     /// record held under the URI.
     ///
-    /// The candidate rows are indexed by token once; each query then probes
-    /// that index once — the rows of its rarest token, confirmed against
-    /// every record held under the URI — which answers exactly what a search
-    /// of every member's store did.
+    /// The candidate rows are indexed by token hash once; each query
+    /// then probes that index once — the rows of its rarest token, confirmed
+    /// against every record held under the URI — which answers exactly what
+    /// a search of every member's store did.
     pub(crate) fn metadata_offers(&self, members: &[HelloFrame]) -> Vec<Offer<Uri>> {
         let lacking = |row: &Row, m: &HelloFrame| row.open_to(&row.metadata_holders, m);
         let candidates: Vec<&Row> = self
@@ -222,18 +223,22 @@ impl Catalog {
         if candidates.is_empty() {
             return Vec::new();
         }
-        let mut postings: Vec<(&str, usize)> = Vec::new();
+        // Keyed by the token's stable hash: integers sort in a cycle a compare,
+        // and two tokens sharing one only add rows for `Row::matches` to refuse.
+        let mut postings: Vec<(u64, usize)> = Vec::new();
         for (at, row) in candidates.iter().enumerate() {
             for record in row.record.iter().chain(&row.variants) {
-                postings.extend(record.token_set().iter().map(|token| (token, at)));
+                let tokens = record.token_set().iter();
+                postings.extend(tokens.map(|t| (stable_hash(t.as_bytes()), at)));
             }
         }
         postings.sort_unstable();
         // A variant shares most of its tokens with the first record.
         postings.dedup();
         let rows_with = |token: &str| {
-            let from = postings.partition_point(|&(t, _)| t < token);
-            let len = postings[from..].partition_point(|&(t, _)| t == token);
+            let key = stable_hash(token.as_bytes());
+            let from = postings.partition_point(|&(k, _)| k < key);
+            let len = postings[from..].partition_point(|&(k, _)| k == key);
             &postings[from..from + len]
         };
 

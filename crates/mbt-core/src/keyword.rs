@@ -3,6 +3,8 @@
 
 use std::collections::BTreeSet;
 
+use crate::server::shard::stable_hash;
+
 /// Splits text into lowercase alphanumeric tokens.
 ///
 /// Anything that is not ASCII-alphanumeric separates tokens; tokens are
@@ -44,6 +46,14 @@ pub fn tokenize(text: &str) -> Vec<String> {
     out
 }
 
+/// The OR of one bit a token, the bit picked by the token's [`stable_hash`],
+/// which no platform changes: a set holding every token of another has every
+/// bit of the other's, so `a & !b != 0` proves a token of `a` missing from `b`.
+pub(crate) fn signature<'a>(tokens: impl IntoIterator<Item = &'a str>) -> u64 {
+    let bit = |token: &str| 1 << (stable_hash(token.as_bytes()) >> 58);
+    tokens.into_iter().fold(0, |bits, token| bits | bit(token))
+}
+
 /// An immutable, sorted, deduplicated token set built once and probed many
 /// times.
 ///
@@ -64,6 +74,7 @@ pub fn tokenize(text: &str) -> Vec<String> {
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct TokenSet {
     sorted: Box<[Box<str>]>,
+    signature: u64,
 }
 
 impl TokenSet {
@@ -75,8 +86,14 @@ impl TokenSet {
             .collect();
         tokens.sort_unstable();
         TokenSet {
+            signature: signature(tokens.iter().map(|t| &**t)),
             sorted: tokens.into_boxed_slice(),
         }
+    }
+
+    /// One bit a token, ORed (what [`Query::matches_token_set`](crate::Query) tests).
+    pub fn signature(&self) -> u64 {
+        self.signature
     }
 
     /// True if `token` is in the set. Allocation-free.

@@ -252,10 +252,7 @@ impl Metadata {
     /// [`token_set`](Self::token_set) instead. The property suite checks
     /// that the two always agree.
     pub fn tokens(&self) -> Vec<String> {
-        tokenize(&format!(
-            "{} {} {}",
-            self.inner.name, self.inner.publisher, self.inner.description
-        ))
+        tokenize(&self.search_text())
     }
 
     /// The cached, sorted token set computed once at build time.

@@ -353,10 +353,16 @@ impl MbtNode {
     /// unobservable — and it is what keeps a node's footprint bounded by
     /// what is live over a long simulation.
     pub fn note_popularity_until(&mut self, uri: &Uri, p: Popularity, expires: Option<SimTime>) {
-        let entry = self
-            .popularity
-            .entry(uri.clone())
-            .or_insert((Popularity::MIN, expires));
+        // Most observations repeat a known URI: look it up before cloning it.
+        let Some(entry) = self.popularity.get_mut(uri) else {
+            let first = if p > Popularity::MIN {
+                p
+            } else {
+                Popularity::MIN
+            };
+            self.popularity.insert(uri.clone(), (first, expires));
+            return self.next_expiry.note(expires);
+        };
         if p > entry.0 {
             entry.0 = p;
         }

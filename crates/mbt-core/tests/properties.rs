@@ -675,3 +675,145 @@ mod wanted_set {
         }
     }
 }
+
+// ---- token-set and query signatures ----
+
+mod signatures {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+
+    use proptest::prelude::*;
+
+    use dtn_trace::{NodeId, SimTime};
+    use mbt_core::keyword::{tokenize, TokenSet};
+    use mbt_core::transport::{decode_frame, encode_frame, WireMessage};
+    use mbt_core::{Metadata, Popularity, Query, Uri};
+
+    /// Up to twelve words of a forty-word vocabulary, in either case and
+    /// between assorted separators: a query of one to three of them matches
+    /// such a text about as often as not.
+    const RECORD_TEXT: &str = "([wW][0-3][0-9][ ,.-]{1,2}){0,12}";
+    const QUERY_TEXT: &str = "[wW][0-3][0-9]([ ,-][wW][0-3][0-9]){0,2}";
+
+    fn record(name: &str, description: &str) -> Metadata {
+        Metadata::builder(name, "FOX", Uri::new("mbt://p/sig").unwrap())
+            .description(description)
+            .build()
+    }
+
+    fn hash_of(q: &Query) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        q.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// The message as the peer decodes it.
+    fn over_the_wire(message: &WireMessage) -> WireMessage {
+        let frame = encode_frame(NodeId::new(1), NodeId::new(2), 7, message);
+        decode_frame(&frame)
+            .expect("an encoded frame decodes")
+            .message
+    }
+
+    proptest! {
+        #[test]
+        fn matching_equals_the_fresh_tokenize_oracle(
+            name in RECORD_TEXT,
+            description in RECORD_TEXT,
+            query_text in QUERY_TEXT,
+        ) {
+            let m = record(&name, &description);
+            let q = Query::new(query_text.clone()).unwrap();
+            let fresh = tokenize(&format!("{name} FOX {description}"));
+            let expected = q.tokens().iter().all(|t| fresh.contains(t));
+            prop_assert_eq!(q.matches_token_set(m.token_set()), expected);
+            prop_assert_eq!(q.matches_text(&m.search_text()), expected);
+            // No false negatives: a match is a subset, token by token and
+            // therefore bit by bit.
+            if expected {
+                prop_assert_eq!(q.signature() & !m.token_set().signature(), 0);
+            }
+            // A signature is the OR of one bit a token, however the tokens
+            // were reached.
+            let one_bit = |token: &String| {
+                let bit = TokenSet::from_text(token).signature();
+                assert_eq!(bit.count_ones(), 1, "{token}");
+                bit
+            };
+            prop_assert_eq!(
+                m.token_set().signature(),
+                fresh.iter().map(one_bit).fold(0, |bits, bit| bits | bit)
+            );
+            prop_assert_eq!(q.signature(), TokenSet::from_text(&query_text).signature());
+        }
+
+        #[test]
+        fn decoded_queries_and_records_carry_the_signatures_they_left_with(
+            name in RECORD_TEXT,
+            description in RECORD_TEXT,
+            query_text in QUERY_TEXT,
+        ) {
+            let (m, q) = (record(&name, &description), Query::new(query_text).unwrap());
+            let share = WireMessage::QueryShare {
+                owner: NodeId::new(1),
+                query: q.clone(),
+                expires: Some(SimTime::from_secs(9)),
+            };
+            let WireMessage::QueryShare { query: q_back, .. } = over_the_wire(&share) else {
+                panic!("a query share decodes as one");
+            };
+            prop_assert_eq!(&q_back, &q);
+            prop_assert_eq!(q_back.signature(), q.signature());
+            let broadcast = WireMessage::Metadata {
+                metadata: m.clone(),
+                popularity: Popularity::new(0.5),
+            };
+            let WireMessage::Metadata { metadata: m_back, .. } = over_the_wire(&broadcast) else {
+                panic!("a metadata broadcast decodes as one");
+            };
+            prop_assert_eq!(&m_back, &m);
+            prop_assert_eq!(m_back.token_set(), m.token_set());
+            prop_assert_eq!(m_back.token_set().signature(), m.token_set().signature());
+            prop_assert_eq!(m_back.matches_query(&q_back), m.matches_query(&q));
+        }
+
+        /// `W01` and `w01` tokenize alike and are different queries: what
+        /// `Query` derives compares the text first, and the tokens and the
+        /// signature after it are functions of the text.
+        #[test]
+        fn query_comparisons_are_functions_of_the_text(a in QUERY_TEXT, b in QUERY_TEXT) {
+            let (qa, qb) = (Query::new(a.clone()).unwrap(), Query::new(b.clone()).unwrap());
+            prop_assert_eq!(qa == qb, a == b);
+            prop_assert_eq!(qa.cmp(&qb), a.cmp(&b));
+            prop_assert_eq!(hash_of(&qa), hash_of(&Query::new(a.clone()).unwrap()));
+            prop_assert_eq!(hash_of(&qa) == hash_of(&qb), a == b);
+        }
+    }
+
+    /// Sixty-four bits and four hundred tokens: most tokens share their bit
+    /// with several others, and for each such pair the signature test passes
+    /// and the string probe must say no.
+    #[test]
+    fn tokens_sharing_a_signature_bit_do_not_match_each_others_records() {
+        let tokens: Vec<String> = (0..400)
+            .map(|i| format!("fd{}n{}", i / 20, i % 20))
+            .collect();
+        let bit_of = |token: &String| TokenSet::from_text(token).signature();
+        let mut sharing = 0;
+        for (at, a) in tokens.iter().enumerate() {
+            for b in tokens[..at].iter().filter(|b| bit_of(b) == bit_of(a)) {
+                sharing += 1;
+                let (qa, qb) = (
+                    Query::new(a.clone()).unwrap(),
+                    Query::new(b.clone()).unwrap(),
+                );
+                let (ma, mb) = (record(a, "daily release"), record(b, "daily release"));
+                assert_eq!(qa.signature() & !mb.token_set().signature(), 0);
+                assert!(!qa.matches_token_set(mb.token_set()), "{a} vs {b}");
+                assert!(!qb.matches_token_set(ma.token_set()), "{b} vs {a}");
+                assert!(qa.matches_token_set(ma.token_set()) && mb.matches_query(&qb));
+            }
+        }
+        assert!(sharing >= 400 - 64, "the pigeonhole bound: {sharing}");
+    }
+}

@@ -38,7 +38,7 @@ use mbt_core::ProtocolSpec;
 use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 
-use crate::runner::{run_simulation, SimParams, SimResult};
+use crate::runner::{frequent_contacts, simulate, FrequentMap, SimParams, SimResult};
 use crate::sweep::{Figure, ProtocolSeries, SeriesPoint};
 
 /// How a sweep executes: worker count, replicate count, and the master seed
@@ -47,8 +47,9 @@ use crate::sweep::{Figure, ProtocolSeries, SeriesPoint};
 pub struct ExecConfig {
     /// Worker threads; `0` means one per available core.
     pub jobs: usize,
-    /// Independent replicate runs per (point, protocol) cell; clamped to at
-    /// least 1.
+    /// Independent replicate runs per (point, protocol) cell, read through
+    /// [`ParallelRunner::replicates`]: `0` runs one. The grid is allocated up
+    /// front; `mbt` refuses `0` and anything past 10 000 where it parses it.
     pub replicates: u32,
     /// Master seed: cell seeds are
     /// `derive_seed(&[master_seed, point_idx, protocol_idx, replicate_idx])`.
@@ -80,7 +81,7 @@ impl ExecConfig {
         self
     }
 
-    /// Sets the replicate count (clamped to ≥ 1 at execution time).
+    /// Sets the replicate count ([`ParallelRunner::replicates`] reads `0` as 1).
     pub fn replicates(mut self, replicates: u32) -> ExecConfig {
         self.replicates = replicates;
         self
@@ -237,58 +238,56 @@ impl ParallelRunner {
         x_label: &str,
         xs: &[f64],
         prepared: &[(Arc<dyn TraceSource>, SimParams)],
-        telemetry: Option<&mut Telemetry>,
+        mut telemetry: Option<&mut Telemetry>,
     ) -> Figure {
         let cells = self.build_cells(prepared);
-        match telemetry {
-            None => {
-                let results: Vec<SimResult> = self.run_all(&cells, |cell| {
-                    run_simulation(cell.source.as_ref(), &cell.params, None)
-                });
-                reduce(
-                    id,
-                    title,
-                    x_label,
-                    xs,
-                    &self.protocols,
-                    self.replicates(),
-                    &cells,
-                    &results,
-                )
-            }
-            Some(telemetry) => {
-                let observed: Vec<(SimResult, Telemetry)> = self.run_all(&cells, |cell| {
-                    let mut cell_telemetry = Telemetry::default();
-                    let result = run_simulation(
-                        cell.source.as_ref(),
-                        &cell.params,
-                        Some(&mut cell_telemetry),
-                    );
-                    (result, cell_telemetry)
-                });
-                // run_all returns results in input (= grid) order, so
-                // merging here keeps the counters bit-identical for any
-                // worker count; only the wall-clock spans vary run to run.
-                let mut results: Vec<SimResult> = Vec::with_capacity(observed.len());
-                for (result, cell_telemetry) in observed {
-                    telemetry.merge(&cell_telemetry);
-                    results.push(result);
+        // The frequent-contact map is a function of (source, window) alone:
+        // one a distinct pair, derived before the fan-out, for all its cells.
+        let mut maps: Vec<Arc<FrequentMap>> = Vec::with_capacity(prepared.len());
+        for (source, params) in prepared {
+            let window = params.frequent_window;
+            let same =
+                |(s, p): &(_, SimParams)| Arc::ptr_eq(s, source) && p.frequent_window == window;
+            maps.push(match prepared[..maps.len()].iter().position(same) {
+                Some(earlier) => Arc::clone(&maps[earlier]),
+                None => {
+                    let sink = telemetry.as_deref_mut();
+                    Arc::new(frequent_contacts(source.as_ref(), window, sink))
                 }
-                let started = Instant::now();
-                let fig = reduce(
-                    id,
-                    title,
-                    x_label,
-                    xs,
-                    &self.protocols,
-                    self.replicates(),
-                    &cells,
-                    &results,
-                );
-                telemetry.phases.add(Phase::Reduction, started.elapsed());
-                fig
-            }
+            });
         }
+        let traced = telemetry.is_some();
+        let observed: Vec<(SimResult, Option<Telemetry>)> = self.run_all(&cells, |cell| {
+            let mut cell_telemetry = traced.then(Telemetry::default);
+            let (source, frequent) = (cell.source.as_ref(), &maps[cell.point_idx]);
+            let result = simulate(source, &cell.params, frequent, cell_telemetry.as_mut());
+            (result, cell_telemetry)
+        });
+        // run_all returns results in input (= grid) order, so merging here
+        // keeps the counters bit-identical for any worker count; only the
+        // wall-clock spans vary run to run.
+        let mut results: Vec<SimResult> = Vec::with_capacity(observed.len());
+        for (result, cell_telemetry) in observed {
+            if let (Some(sink), Some(cell_telemetry)) = (telemetry.as_deref_mut(), cell_telemetry) {
+                sink.merge(&cell_telemetry);
+            }
+            results.push(result);
+        }
+        let started = traced.then(Instant::now);
+        let fig = reduce(
+            id,
+            title,
+            x_label,
+            xs,
+            &self.protocols,
+            self.replicates(),
+            &cells,
+            &results,
+        );
+        if let (Some(sink), Some(started)) = (telemetry, started) {
+            sink.phases.add(Phase::Reduction, started.elapsed());
+        }
+        fig
     }
 
     /// Expands the prepared per-point inputs into the flat cell grid.

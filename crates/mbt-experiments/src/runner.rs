@@ -370,6 +370,48 @@ pub fn run_simulation(
     params: &SimParams,
     mut telemetry: Option<&mut Telemetry>,
 ) -> SimResult {
+    let freq_map = frequent_contacts(source, params.frequent_window, telemetry.as_deref_mut());
+    simulate(source, params, &freq_map, telemetry)
+}
+
+/// Each node's frequent contacts (ascending; nodes with none are absent): one
+/// allocation per node, shared by its row, its hellos and a sweep's cells.
+pub(crate) type FrequentMap = BTreeMap<NodeId, Arc<[NodeId]>>;
+
+/// The pre-simulation statistics of [`run_simulation`] (§VI-A): byte-identical
+/// from pair aggregates or a scan, a function of `(source, window)` alone.
+pub(crate) fn frequent_contacts(
+    source: &dyn TraceSource,
+    window: SimDuration,
+    mut telemetry: Option<&mut Telemetry>,
+) -> FrequentMap {
+    let started = telemetry.is_some().then(Instant::now);
+    let freq_map = match source.frequent_map(window) {
+        Some(map) => map,
+        None => {
+            let mut contacts = source.stream();
+            let mut scan = FrequentScan::new(window);
+            for contact in &mut *contacts {
+                scan.observe(&contact);
+            }
+            absorb_stream_stats(telemetry.as_deref_mut(), contacts.stream_stats());
+            scan.finish()
+        }
+    };
+    if let (Some(tel), Some(started)) = (telemetry, started) {
+        tel.phases.add(Phase::TraceLoad, started.elapsed());
+    }
+    let listed = freq_map.into_iter().filter(|(_, peers)| !peers.is_empty());
+    listed.map(|(id, peers)| (id, peers.into())).collect()
+}
+
+/// [`run_simulation`] past the frequent-contact map.
+pub(crate) fn simulate(
+    source: &dyn TraceSource,
+    params: &SimParams,
+    freq_map: &FrequentMap,
+    mut telemetry: Option<&mut Telemetry>,
+) -> SimResult {
     let node_ids = source.nodes();
     let id_space = source.id_space();
 
@@ -388,28 +430,6 @@ pub fn run_simulation(
     } else {
         params.config.clone().faults(params.faults)
     };
-
-    // Frequent contacts come from trace statistics (§VI-A). Sources with
-    // precomputed pair aggregates (sharded traces with sidecars) derive the
-    // map straight from their manifest — no contact decoding at all;
-    // otherwise a streaming windowed scan makes the one extra pass. Either
-    // way the map is byte-identical (pinned by the dtn-trace unit suite).
-    let started = telemetry.is_some().then(Instant::now);
-    let freq_map = match source.frequent_map(params.frequent_window) {
-        Some(map) => map,
-        None => {
-            let mut contacts = source.stream();
-            let mut scan = FrequentScan::new(params.frequent_window);
-            for contact in &mut *contacts {
-                scan.observe(&contact);
-            }
-            absorb_stream_stats(telemetry.as_deref_mut(), contacts.stream_stats());
-            scan.finish()
-        }
-    };
-    if let (Some(tel), Some(started)) = (telemetry.as_deref_mut(), started) {
-        tel.phases.add(Phase::TraceLoad, started.elapsed());
-    }
 
     // Polluters: adversarial devices among the non-Internet nodes; they
     // plant forged metadata and are excluded from measurement.
@@ -556,7 +576,7 @@ const ABSENT: u32 = u32::MAX;
 /// rebuild it at the node's next contact never lowered the peak population
 /// (nearly every node is addressed on the first day). Ids nothing names cost
 /// one `u32` each.
-struct NodeTable {
+struct NodeTable<'a> {
     protocol: ProtocolSpec,
     config: MbtConfig,
     internet: BTreeSet<NodeId>,
@@ -564,10 +584,7 @@ struct NodeTable {
     /// Publisher registry installed into honest nodes (`Some` only when the
     /// run verifies metadata).
     registry: Option<KeyRegistry>,
-    /// Each node's frequent contacts (ascending; nodes with none are
-    /// absent): one allocation per node, shared with its row and every
-    /// hello it sends.
-    freq_map: BTreeMap<NodeId, Arc<[NodeId]>>,
+    freq_map: &'a FrequentMap,
     /// Node index → row, or [`ABSENT`].
     slot_of: Vec<u32>,
     /// The rows, in the order they were first addressed.
@@ -577,7 +594,7 @@ struct NodeTable {
     measured: Vec<bool>,
 }
 
-impl NodeTable {
+impl<'a> NodeTable<'a> {
     fn new(
         protocol: ProtocolSpec,
         config: MbtConfig,
@@ -585,7 +602,7 @@ impl NodeTable {
         internet: BTreeSet<NodeId>,
         polluters: BTreeSet<NodeId>,
         registry: Option<KeyRegistry>,
-        freq_map: BTreeMap<NodeId, Vec<NodeId>>,
+        freq_map: &'a FrequentMap,
     ) -> Self {
         NodeTable {
             protocol,
@@ -593,11 +610,7 @@ impl NodeTable {
             internet,
             polluters,
             registry,
-            freq_map: freq_map
-                .into_iter()
-                .filter(|(_, peers)| !peers.is_empty())
-                .map(|(id, peers)| (id, peers.into()))
-                .collect(),
+            freq_map,
             slot_of: vec![ABSENT; id_space],
             nodes: Vec::new(),
             measured: Vec::new(),
@@ -739,8 +752,8 @@ impl Books {
     }
 }
 
-struct Harness<'a> {
-    table: NodeTable,
+struct Harness<'a, 'f> {
+    table: NodeTable<'f>,
     server: MetadataServer,
     /// The delivery books' file table: every live published file. Node
     /// events name a file by URI; this is the one place that string is
@@ -779,7 +792,7 @@ struct Harness<'a> {
     scratch: ContactScratch,
 }
 
-impl Harness<'_> {
+impl Harness<'_, '_> {
     fn is_alive(&self, node: NodeId, now: SimTime) -> bool {
         self.dead_after.get(&node).is_none_or(|&at| now < at)
             && self
@@ -904,7 +917,7 @@ impl Harness<'_> {
     }
 }
 
-impl SimHandler for Harness<'_> {
+impl SimHandler for Harness<'_, '_> {
     fn on_scheduled(&mut self, ctx: &mut SimCtx<'_>, day: u64) {
         let started = self.telemetry.is_some().then(Instant::now);
         self.day_tick(ctx.now(), day);
