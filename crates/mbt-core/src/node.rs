@@ -748,10 +748,10 @@ pub struct ContactScratch {
 /// [`SimTransport`] every carry is an in-process move and this function is
 /// byte-identical to the pre-seam contact loop; with
 /// [`BusTransport`](crate::transport::BusTransport) every message
-/// round-trips its serialized frame. A [`Carried::Dropped`] outcome counts
-/// as a lost frame (a dropped hello removes that member from the contact),
-/// and frames left in flight at contact close are added to the same counter
-/// by [`leave`](Transport::leave).
+/// round-trips its serialized frame, and a frame that decodes equal to what
+/// was sent delivers the sender's value, so receivers share its allocations
+/// under either backend. A [`Carried::Dropped`] outcome counts as a lost
+/// frame (a dropped hello removes that member from the contact).
 ///
 /// Frame emission order is deterministic: every collection iterated on this
 /// path — member snapshots, the catalog's rows, holder lists and sorted
@@ -867,16 +867,8 @@ pub(crate) fn contact_over(
         let delivered = if sender == coordinator {
             Some(hello)
         } else {
-            // A list that arrives as it left is the sender's list: keep
-            // pointing at that one allocation rather than at a decoded copy.
-            let sent = Arc::clone(&hello.own_queries);
             match transport.carry(now, sender, coordinator, WireMessage::Hello(hello)) {
-                Carried::Delivered(WireMessage::Hello(mut h)) => {
-                    if h.own_queries == sent {
-                        h.own_queries = sent;
-                    }
-                    Some(h)
-                }
+                Carried::Delivered(WireMessage::Hello(h)) => Some(h),
                 Carried::Delivered(_) | Carried::Dropped => None,
             }
         };
@@ -891,7 +883,7 @@ pub(crate) fn contact_over(
     let (members, snapshots) = (&alive[..], &snapshots[..]);
     report.hello_exchanges = snapshots.len();
     if members.len() < 2 {
-        report.frames_lost += transport.leave(now, all_ids);
+        transport.leave(now, all_ids);
         return report;
     }
 
@@ -1213,7 +1205,7 @@ pub(crate) fn contact_over(
             None => run(),
         }
     }
-    report.frames_lost += transport.leave(now, all_ids);
+    transport.leave(now, all_ids);
     report
 }
 

@@ -1,11 +1,11 @@
 //! The bus backend: every message round-trips its frame encoding over a
 //! link-scheduled in-process bus.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 use dtn_trace::{NodeId, SimTime};
 
-use super::frame::{decode_frame, encode_frame};
+use super::frame::{decode_frame, encode_frame_into};
 use super::{Carried, Transport, WireMessage};
 
 /// Normalized undirected link key.
@@ -17,21 +17,33 @@ fn link(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     }
 }
 
+/// What the receiver of `sent` is given once its frame decoded to `decoded`:
+/// the sender's own value when the two are equal — the round trip proved it
+/// — and otherwise the decoded one.
+fn proven(sent: WireMessage, decoded: WireMessage) -> WireMessage {
+    if decoded == sent {
+        sent
+    } else {
+        decoded
+    }
+}
+
 /// An in-process message bus driven by the contact trace as a connectivity
 /// schedule.
 ///
 /// [`join`](Transport::join) opens a link between every pair of contact
 /// members and [`leave`](Transport::leave) closes them again. Carrying a
-/// message serializes it into its wire frame, moves the bytes across the
-/// link's queue, and decodes them on the far side — so the simulator state a
-/// receiver builds has provably survived the codec. Within a simulated
-/// contact the exchange is lock-step (each frame is consumed before the next
-/// is sent), which keeps delivery order identical to
-/// [`SimTransport`](super::SimTransport); the differential suite pins the
-/// two backends byte-identical. Frames still queued when their link closes
-/// are dropped
-/// and reported through [`leave`](Transport::leave) into the contact's
-/// fault counters.
+/// message serializes it into its wire frame, checksums it, and fully decodes
+/// and validates the bytes on the far side. A frame that decodes to a value
+/// equal to the message handed in has proven the codec carries it intact,
+/// and the receiver is given the sender's value itself — sharing its `Arc`s
+/// exactly as under [`SimTransport`](super::SimTransport); one that decodes
+/// to anything else is delivered as decoded, so a codec defect still
+/// surfaces as a state divergence. Carrying is lock-step — each frame is
+/// sent and received in one call — so nothing is ever in flight, no frame is
+/// kept, and the bus's one encode buffer is reused by every frame. Delivery
+/// order is identical to [`SimTransport`](super::SimTransport); the
+/// differential suite pins the two backends byte-identical.
 ///
 /// Carrying across a closed link returns [`Carried::Dropped`] — links only
 /// exist while the connectivity schedule says the two nodes can hear each
@@ -40,8 +52,8 @@ fn link(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
 pub struct BusTransport {
     /// Open undirected links, keyed `(min, max)`.
     links: BTreeSet<(NodeId, NodeId)>,
-    /// Directed in-flight frame queues, keyed `(sender, receiver)`.
-    queues: BTreeMap<(NodeId, NodeId), VecDeque<Vec<u8>>>,
+    /// The frame being carried; its capacity outlives the frame.
+    wire: Vec<u8>,
     seq: u64,
     frames_carried: u64,
     bytes_on_wire: u64,
@@ -64,8 +76,7 @@ impl BusTransport {
         self.bytes_on_wire
     }
 
-    /// Frames dropped: sent on closed links, undecodable, or still in
-    /// flight at link close.
+    /// Frames dropped: sent on closed links, or undecodable.
     pub fn frames_dropped(&self) -> u64 {
         self.frames_dropped
     }
@@ -98,19 +109,13 @@ impl Transport for BusTransport {
             self.frames_dropped += 1;
             return Carried::Dropped;
         }
-        let bytes = encode_frame(sender, receiver, self.seq, &message);
+        encode_frame_into(&mut self.wire, sender, receiver, self.seq, &message);
         self.seq += 1;
-        self.bytes_on_wire += bytes.len() as u64;
-        // Lock-step: the frame enters the link's queue and the receiver
-        // drains it immediately. The queue matters at link close, when
-        // whatever a non-lock-step user left in flight gets dropped.
-        let queue = self.queues.entry((sender, receiver)).or_default();
-        queue.push_back(bytes);
-        let bytes = queue.pop_front().expect("frame was just queued");
-        match decode_frame(&bytes) {
+        self.bytes_on_wire += self.wire.len() as u64;
+        match decode_frame(&self.wire) {
             Ok(frame) => {
                 self.frames_carried += 1;
-                Carried::Delivered(frame.message)
+                Carried::Delivered(proven(message, frame.message))
             }
             Err(_) => {
                 self.frames_dropped += 1;
@@ -119,23 +124,12 @@ impl Transport for BusTransport {
         }
     }
 
-    fn leave(&mut self, _now: SimTime, members: &[NodeId]) -> usize {
-        let mut dropped = 0;
+    fn leave(&mut self, _now: SimTime, members: &[NodeId]) {
         for (i, &a) in members.iter().enumerate() {
             for &b in &members[i + 1..] {
-                if a == b {
-                    continue;
-                }
                 self.links.remove(&link(a, b));
-                for key in [(a, b), (b, a)] {
-                    if let Some(queue) = self.queues.remove(&key) {
-                        dropped += queue.len();
-                    }
-                }
             }
         }
-        self.frames_dropped += dropped as u64;
-        dropped
     }
 }
 
@@ -143,7 +137,9 @@ impl Transport for BusTransport {
 mod tests {
     use super::*;
     use crate::query::Query;
+    use crate::transport::HelloFrame;
     use crate::uri::Uri;
+    use std::sync::Arc;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -153,6 +149,21 @@ mod tests {
         WireMessage::Search {
             query: Query::new("fox news").unwrap(),
             limit: 4,
+        }
+    }
+
+    fn hello(own: &[&str], credit: f64) -> HelloFrame {
+        HelloFrame {
+            sender: n(1),
+            own_queries: own
+                .iter()
+                .map(|t| (Query::new(*t).unwrap(), None))
+                .collect(),
+            foreign_queries: Vec::new(),
+            wanted: BTreeSet::new(),
+            rejected: BTreeSet::new(),
+            frequent: [n(0)].into_iter().collect(),
+            credits: vec![(n(0), credit)],
         }
     }
 
@@ -167,7 +178,9 @@ mod tests {
         );
         assert_eq!(bus.frames_carried(), 1);
         assert!(bus.bytes_on_wire() > super::super::FRAME_HEADER_BYTES as u64);
-        assert_eq!(bus.leave(SimTime::ZERO, &[n(0), n(1), n(2)]), 0);
+        bus.leave(SimTime::ZERO, &[n(0), n(1), n(2)]);
+        assert!(!bus.is_open(n(0), n(2)));
+        assert_eq!(bus.frames_dropped(), 0);
     }
 
     #[test]
@@ -200,6 +213,48 @@ mod tests {
         match bus.carry(SimTime::ZERO, n(0), n(1), WireMessage::Piece(piece.clone())) {
             Carried::Delivered(WireMessage::Piece(back)) => assert_eq!(back, piece),
             other => panic!("expected delivered piece, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_message_that_decodes_equal_is_delivered_as_the_senders_value() {
+        let mut bus = BusTransport::new();
+        bus.join(SimTime::ZERO, &[n(0), n(1)]);
+        let sent = hello(&["fox news", "abc comedy"], 2.5);
+        let own = Arc::clone(&sent.own_queries);
+        match bus.carry(SimTime::ZERO, n(1), n(0), WireMessage::Hello(sent)) {
+            Carried::Delivered(WireMessage::Hello(h)) => {
+                assert!(Arc::ptr_eq(&h.own_queries, &own), "a decoded copy");
+            }
+            other => panic!("expected a delivered hello, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_message_that_decodes_different_is_delivered_as_decoded() {
+        let sent = || WireMessage::Hello(hello(&["fox news", "abc comedy"], 2.5));
+        let credit_bit = WireMessage::Hello(hello(
+            &["fox news", "abc comedy"],
+            f64::from_bits(2.5f64.to_bits() ^ 1),
+        ));
+        let query_text = WireMessage::Hello(hello(&["fox news", "abc drama"], 2.5));
+        for decoded in [credit_bit, query_text] {
+            assert_eq!(proven(sent(), decoded.clone()), decoded);
+        }
+
+        // A NaN credit keeps its bits on the wire but equals nothing, so a
+        // carried one arrives as the decoded copy, not the sender's lists.
+        let mut bus = BusTransport::new();
+        bus.join(SimTime::ZERO, &[n(0), n(1)]);
+        let sent = hello(&["fox news"], f64::NAN);
+        let own = Arc::clone(&sent.own_queries);
+        match bus.carry(SimTime::ZERO, n(1), n(0), WireMessage::Hello(sent)) {
+            Carried::Delivered(WireMessage::Hello(h)) => {
+                assert!(!Arc::ptr_eq(&h.own_queries, &own));
+                assert_eq!(h.own_queries, own);
+                assert!(h.credits[0].1.is_nan());
+            }
+            other => panic!("expected a delivered hello, got {other:?}"),
         }
     }
 }

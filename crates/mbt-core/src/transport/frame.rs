@@ -12,13 +12,13 @@
 //! 0       4     magic  "MBTF"
 //! 4       2     version (big-endian u16, currently 1)
 //! 6       1     message kind (see [`FrameKind`])
-//! 7       1     flags (reserved, 0)
+//! 7       1     flags (reserved, must be 0)
 //! 8       4     sender node id (big-endian u32)
 //! 12      4     receiver node id (big-endian u32)
 //! 16      8     sequence number (big-endian u64)
 //! 24      8     payload length in bytes (big-endian u64)
 //! 32      8     FNV-1a 64 checksum of the payload (big-endian u64)
-//! 40      24    reserved (zero)
+//! 40      24    reserved (must be zero)
 //! 64      ...   payload
 //! ```
 //!
@@ -276,9 +276,23 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Serializes `message` into a complete frame addressed
 /// `sender → receiver`.
 pub fn encode_frame(sender: NodeId, receiver: NodeId, seq: u64, message: &WireMessage) -> Vec<u8> {
-    let mut payload = Vec::new();
-    encode_payload(message, &mut payload);
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    let mut out = Vec::with_capacity(2 * FRAME_HEADER_BYTES);
+    encode_frame_into(&mut out, sender, receiver, seq, message);
+    out
+}
+
+/// [`encode_frame`] into `out`, replacing its contents, so a caller that
+/// keeps one buffer allocates only when a frame outgrows it: the header is
+/// written with its length and checksum zeroed, the payload after it, and
+/// the two fields patched in last.
+pub(crate) fn encode_frame_into(
+    out: &mut Vec<u8>,
+    sender: NodeId,
+    receiver: NodeId,
+    seq: u64,
+    message: &WireMessage,
+) {
+    out.clear();
     out.extend_from_slice(&FRAME_MAGIC);
     out.extend_from_slice(&FRAME_VERSION.to_be_bytes());
     out.push(message.kind() as u8);
@@ -286,12 +300,12 @@ pub fn encode_frame(sender: NodeId, receiver: NodeId, seq: u64, message: &WireMe
     out.extend_from_slice(&sender.raw().to_be_bytes());
     out.extend_from_slice(&receiver.raw().to_be_bytes());
     out.extend_from_slice(&seq.to_be_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_be_bytes());
-    out.extend_from_slice(&fnv1a(&payload).to_be_bytes());
-    out.extend_from_slice(&[0u8; 24]); // reserved
-    debug_assert_eq!(out.len(), FRAME_HEADER_BYTES);
-    out.extend_from_slice(&payload);
-    out
+    out.resize(FRAME_HEADER_BYTES, 0); // length, checksum, reserved
+    encode_payload(message, out);
+    let payload = &out[FRAME_HEADER_BYTES..];
+    let (len, checksum) = (payload.len() as u64, fnv1a(payload));
+    out[24..32].copy_from_slice(&len.to_be_bytes());
+    out[32..40].copy_from_slice(&checksum.to_be_bytes());
 }
 
 /// Parses a complete frame from `bytes`.
@@ -315,6 +329,9 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, FrameError> {
         return Err(FrameError::BadVersion(version));
     }
     let kind = FrameKind::from_u8(bytes[6]).ok_or(FrameError::UnknownKind(bytes[6]))?;
+    if bytes[7] != 0 || bytes[40..FRAME_HEADER_BYTES].iter().any(|&b| b != 0) {
+        return Err(FrameError::Malformed("non-zero flags or reserved bytes"));
+    }
     let sender = NodeId::new(u32::from_be_bytes(bytes[8..12].try_into().unwrap()));
     let receiver = NodeId::new(u32::from_be_bytes(bytes[12..16].try_into().unwrap()));
     let seq = u64::from_be_bytes(bytes[16..24].try_into().unwrap());
@@ -899,6 +916,43 @@ mod tests {
     }
 
     #[test]
+    fn non_zero_flags_and_reserved_bytes_are_rejected() {
+        let good = encode_frame(
+            n(0),
+            n(1),
+            0,
+            &WireMessage::PieceRequest {
+                uri: uri("mbt://a"),
+                index: 0,
+            },
+        );
+        for at in [7, 40, FRAME_HEADER_BYTES - 1] {
+            let mut bad = good.clone();
+            bad[at] = 1;
+            assert!(
+                matches!(decode_frame(&bad).unwrap_err(), FrameError::Malformed(_)),
+                "byte {at}"
+            );
+        }
+    }
+
+    #[test]
+    fn encoding_into_a_used_buffer_replaces_it() {
+        let msg = WireMessage::Search {
+            query: Query::new("fox news").unwrap(),
+            limit: 4,
+        };
+        let mut buf = encode_frame(
+            n(9),
+            n(8),
+            1,
+            &WireMessage::Piece(Piece::new(PieceId::new(uri("mbt://big"), 0), vec![5; 500])),
+        );
+        encode_frame_into(&mut buf, n(3), n(4), 5, &msg);
+        assert_eq!(buf, encode_frame(n(3), n(4), 5, &msg));
+    }
+
+    #[test]
     fn trailing_bytes_are_rejected() {
         let mut bytes = encode_frame(
             n(0),
@@ -988,9 +1042,10 @@ mod tests {
             let at = flip_at % bytes.len();
             bytes[at] ^= xor;
             // Header mutations that only touch routing fields (sender,
-            // receiver, seq, reserved) still decode — the payload is
-            // intact. Anything else must error, not panic.
+            // receiver, seq) still decode — the payload is intact. Anything
+            // else must error, not panic.
             if let Ok(frame) = decode_frame(&bytes) {
+                prop_assert!((8..24).contains(&at), "a flip at byte {} decoded", at);
                 prop_assert_eq!(frame.message, msg);
             }
         }

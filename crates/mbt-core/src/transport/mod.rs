@@ -13,10 +13,9 @@
 //! * [`BusTransport`] — an in-process message bus. The contact trace acts as
 //!   a connectivity schedule (links open at contact start, close at contact
 //!   end); every carry round-trips the message through its serialized
-//!   [`frame`] encoding, and frames still queued when a link closes are
-//!   dropped into the existing fault counters. The differential suite
-//!   (`tests/transport_equivalence.rs`) pins this backend byte-identical to
-//!   [`SimTransport`].
+//!   [`frame`] encoding and delivers the sender's value once the decoded
+//!   frame equals it. The differential suite (`tests/transport_equivalence.rs`)
+//!   pins this backend byte-identical to [`SimTransport`].
 //! * [`live`] — a threaded bus runtime on the same frame codec, where nodes
 //!   and a [`ServerSnapshot`](crate::server::ServerSnapshot)-backed gateway
 //!   run as real tasks (the `mbt node` / `mbt gateway` CLI modes).
@@ -43,9 +42,10 @@ pub use sim::SimTransport;
 /// The outcome of carrying one message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Carried {
-    /// The message reached the receiver; this is what it saw. For a
-    /// serializing backend the value has been through encode + decode, so
-    /// any codec defect surfaces as a state divergence, not silently.
+    /// The message reached the receiver; this is what it saw. A serializing
+    /// backend has encoded and decoded it: the value handed in when the
+    /// decoded frame equals it, else the decoded value — so any codec defect
+    /// surfaces as a state divergence, not silently.
     Delivered(WireMessage),
     /// The link was closed (or the frame failed in flight); the receiver
     /// saw nothing. The contact loop counts these as lost frames.
@@ -72,9 +72,8 @@ pub trait Transport {
         message: WireMessage,
     ) -> Carried;
 
-    /// The contact among `members` has ended; close their links and return
-    /// how many frames were still in flight (dropped).
-    fn leave(&mut self, now: SimTime, members: &[NodeId]) -> usize;
+    /// The contact among `members` has ended; close their links.
+    fn leave(&mut self, now: SimTime, members: &[NodeId]);
 }
 
 /// Which [`Transport`] backend a simulation run uses.

@@ -34,9 +34,7 @@ impl Transport for SimTransport {
         Carried::Delivered(message)
     }
 
-    fn leave(&mut self, _now: SimTime, _members: &[NodeId]) -> usize {
-        0
-    }
+    fn leave(&mut self, _now: SimTime, _members: &[NodeId]) {}
 }
 
 #[cfg(test)]
@@ -58,6 +56,6 @@ mod tests {
             t.carry(SimTime::ZERO, a, b, msg.clone()),
             Carried::Delivered(msg)
         );
-        assert_eq!(t.leave(SimTime::ZERO, &[a, b]), 0);
+        t.leave(SimTime::ZERO, &[a, b]);
     }
 }

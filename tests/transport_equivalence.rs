@@ -19,7 +19,8 @@ use mbt_core::transport::{
     BusTransport, Carried, SimTransport, Transport, TransportKind, WireMessage,
 };
 use mbt_core::{
-    MbtConfig, MbtNode, Metadata, MetadataServer, Popularity, ProtocolKind, Query, Uri,
+    CooperationMode, MbtConfig, MbtNode, Metadata, MetadataServer, Popularity, ProtocolKind, Query,
+    Uri,
 };
 use mbt_experiments::report::figure_csv;
 use mbt_experiments::{run_simulation, ExecConfig, ParallelRunner, SimParams, SimResult};
@@ -70,9 +71,10 @@ fn quick_sweep_is_byte_identical_across_backends_and_job_counts() {
 
 /// One observed run under an active fault plan (loss + truncation + churn +
 /// corruption all rolling).
-fn faulty_run(kind: TransportKind) -> (SimResult, Telemetry) {
+fn faulty_run(kind: TransportKind, cooperation: CooperationMode) -> (SimResult, Telemetry) {
     let trace = DieselNetConfig::new(14, 5).seed(9).generate();
     let params = SimParams {
+        config: MbtConfig::new().cooperation(cooperation),
         days: 5,
         seed: 9,
         faults: FaultPlan::none()
@@ -89,11 +91,22 @@ fn faulty_run(kind: TransportKind) -> (SimResult, Telemetry) {
     (result, telemetry)
 }
 
+/// Under tit-for-tat the scheduler reads every member's hello credits, so
+/// the bus's credit encoding is on the path as well.
 #[test]
 fn active_fault_plan_is_byte_identical_across_backends() {
-    let (sim_result, sim_tel) = faulty_run(TransportKind::Sim);
-    let (bus_result, bus_tel) = faulty_run(TransportKind::Bus);
-    assert_eq!(sim_result, bus_result, "fault-plan results diverged");
+    for cooperation in [CooperationMode::Cooperative, CooperationMode::TitForTat] {
+        faulty_runs_agree(cooperation);
+    }
+}
+
+fn faulty_runs_agree(cooperation: CooperationMode) {
+    let (sim_result, sim_tel) = faulty_run(TransportKind::Sim, cooperation);
+    let (bus_result, bus_tel) = faulty_run(TransportKind::Bus, cooperation);
+    assert_eq!(
+        sim_result, bus_result,
+        "{cooperation:?} fault-plan results diverged"
+    );
     // The bus's own two figures — what it carried — are the one thing the
     // backends report differently; every simulation counter must agree.
     let carried = bus_tel.counters.bus_frames_carried;
@@ -197,6 +210,23 @@ fn direct_contact_matches_across_backends_and_bus_carries_frames() {
     assert!(sim_report.queries_distributed > 0);
 }
 
+/// A frame that decodes equal to what was sent delivers the sender's value:
+/// after a bus contact the receivers hold the very record the sender holds,
+/// one allocation shared as under `SimTransport`, not a decoded copy each.
+#[test]
+fn bus_receivers_share_the_senders_record() {
+    let mut nodes = seeded_clique();
+    run_clique_via(&mut BusTransport::new(), &mut nodes);
+    let news = uri("mbt://news");
+    let name_at = |n: &MbtNode| n.metadata().get(&news).map(|m| m.name().as_ptr());
+    let sent = name_at(&nodes[0]).expect("node 0 fetched the record");
+    let holders: Vec<usize> = (1..4).filter(|&i| name_at(&nodes[i]).is_some()).collect();
+    assert!(!holders.is_empty(), "the record was never broadcast");
+    for i in holders {
+        assert_eq!(name_at(&nodes[i]), Some(sent), "node {i} holds a copy");
+    }
+}
+
 /// Records every carried frame as `sender->receiver kind(item)` while
 /// behaving exactly like [`SimTransport`].
 #[derive(Default)]
@@ -233,8 +263,8 @@ impl Transport for RecordingTransport {
         self.inner.carry(now, sender, receiver, message)
     }
 
-    fn leave(&mut self, now: SimTime, members: &[NodeId]) -> usize {
-        self.inner.leave(now, members)
+    fn leave(&mut self, now: SimTime, members: &[NodeId]) {
+        self.inner.leave(now, members);
     }
 }
 
