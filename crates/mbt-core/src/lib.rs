@@ -29,7 +29,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use mbt_core::{MbtConfig, MbtNode, MetadataServer, Metadata, Popularity, ProtocolKind, Query, Uri};
+//! use mbt_core::{MbtConfig, MbtNode, MetadataServer, Metadata, Popularity, ProtocolSpec, Query, Uri};
 //! use mbt_core::node::run_pairwise_contact;
 //! use dtn_trace::{NodeId, SimDuration, SimTime};
 //!
@@ -43,8 +43,8 @@
 //!
 //! // Node 0 has Internet access and queries for the file; node 1 does not.
 //! let mut nodes = vec![
-//!     MbtNode::new(NodeId::new(0), ProtocolKind::Mbt, MbtConfig::new()),
-//!     MbtNode::new(NodeId::new(1), ProtocolKind::Mbt, MbtConfig::new()),
+//!     MbtNode::new(NodeId::new(0), ProtocolSpec::MBT, MbtConfig::new()),
+//!     MbtNode::new(NodeId::new(1), ProtocolSpec::MBT, MbtConfig::new()),
 //! ];
 //! nodes[0].set_internet_access(true);
 //! nodes[0].add_query(Query::new("evening news")?, None);
@@ -89,7 +89,7 @@ pub use node::{ColdNodeState, MbtNode, NodeEvent, Source};
 pub use piece::{Piece, PieceId};
 pub use popularity::Popularity;
 pub use protocol::{
-    CachePolicy, PopularityScope, ProtocolKind, ProtocolSpec, ReplicationPolicy, UnknownProtocol,
+    CachePolicy, PopularityScope, ProtocolSpec, ReplicationPolicy, UnknownProtocol,
 };
 pub use query::Query;
 pub use server::MetadataServer;

@@ -66,14 +66,14 @@ pub enum NodeEvent {
 /// # Example
 ///
 /// ```
-/// use mbt_core::{MbtConfig, MbtNode, MetadataServer, Metadata, Popularity, ProtocolKind, Query, Uri};
+/// use mbt_core::{MbtConfig, MbtNode, MetadataServer, Metadata, Popularity, ProtocolSpec, Query, Uri};
 /// use dtn_trace::{NodeId, SimTime};
 ///
 /// let mut server = MetadataServer::new(1);
 /// let uri = Uri::new("mbt://fox/news")?;
 /// server.publish(Metadata::builder("FOX News", "FOX", uri.clone()).build(), Popularity::new(0.5));
 ///
-/// let mut node = MbtNode::new(NodeId::new(0), ProtocolKind::Mbt, MbtConfig::new());
+/// let mut node = MbtNode::new(NodeId::new(0), ProtocolSpec::MBT, MbtConfig::new());
 /// node.set_internet_access(true);
 /// node.add_query(Query::new("fox news")?, None);
 /// node.internet_session(&mut server, SimTime::ZERO);
@@ -141,14 +141,10 @@ pub struct ColdNodeState {
 
 impl MbtNode {
     /// Creates a node without Internet access.
-    ///
-    /// `protocol` takes anything convertible to a [`ProtocolSpec`] — a spec
-    /// itself, or a legacy [`ProtocolKind`](crate::ProtocolKind) (mapped to
-    /// its canned spec).
-    pub fn new(id: NodeId, protocol: impl Into<ProtocolSpec>, config: MbtConfig) -> Self {
+    pub fn new(id: NodeId, protocol: ProtocolSpec, config: MbtConfig) -> Self {
         MbtNode {
             id,
-            protocol: protocol.into(),
+            protocol,
             config,
             internet_access: false,
             frequent_contacts: Arc::default(),
@@ -697,35 +693,6 @@ pub fn run_contact(
     )
 }
 
-/// [`run_contact`] with phase timing: the metadata-broadcast phase is charged
-/// to [`Phase::Discovery`] and the file-broadcast phase to
-/// [`Phase::Download`] in `phases`. Timing is observational only — the
-/// returned report and every node's state are byte-identical to an untimed
-/// [`run_contact`].
-///
-/// # Panics
-///
-/// Same conditions as [`run_contact`].
-pub fn run_contact_timed(
-    nodes: &mut [MbtNode],
-    members: &[usize],
-    now: SimTime,
-    duration: SimDuration,
-    phases: &mut PhaseTimes,
-) -> ContactReport {
-    let mut transport = SimTransport::new();
-    let mut scratch = ContactScratch::default();
-    run_contact_via(
-        &mut transport,
-        nodes,
-        members,
-        now,
-        duration,
-        Some(phases),
-        &mut scratch,
-    )
-}
-
 /// The vectors a contact fills and empties — member ids, the members whose
 /// hello arrived, their hellos — kept by the caller so that a run of
 /// contacts allocates them once, not once each. Holds nothing a later
@@ -738,9 +705,12 @@ pub struct ContactScratch {
     member_ids: Vec<NodeId>,
 }
 
-/// [`run_contact_timed`] over an explicit [`Transport`] backend, with the
-/// phase spans optional — with `spans` `None` the contact reads no clock —
-/// and the caller's [`ContactScratch`].
+/// [`run_contact`] over an explicit [`Transport`] backend, with optional
+/// phase spans and the caller's [`ContactScratch`]. With `spans` set, the
+/// metadata-broadcast phase is charged to [`Phase::Discovery`] and the
+/// file-broadcast phase to [`Phase::Download`]; timing is observational only
+/// (the report and every node's state are those of an untimed contact), and
+/// with `spans` `None` the contact reads no clock.
 ///
 /// The contact's message flow — hello exchange to the clique coordinator
 /// (§V elects one; the lowest id here), query shares, metadata broadcasts,
@@ -1307,7 +1277,6 @@ pub fn run_pairwise_contact(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ProtocolKind;
 
     fn uri(s: &str) -> Uri {
         Uri::new(s).unwrap()
@@ -1325,7 +1294,7 @@ mod tests {
         s
     }
 
-    fn node(i: u32, protocol: ProtocolKind) -> MbtNode {
+    fn node(i: u32, protocol: ProtocolSpec) -> MbtNode {
         MbtNode::new(NodeId::new(i), protocol, MbtConfig::new())
     }
 
@@ -1336,7 +1305,7 @@ mod tests {
 
     #[test]
     fn prune_forgets_expired_popularity_and_keeps_unbounded_observations() {
-        let mut n = node(0, ProtocolKind::Mbt);
+        let mut n = node(0, ProtocolSpec::MBT);
         let expiring = Metadata::builder("fox news", "FOX", uri("mbt://a"))
             .expires_at(Some(SimTime::from_secs(100)))
             .build();
@@ -1357,7 +1326,7 @@ mod tests {
 
         // An expiry-free observation (no metadata lifetime known) pins the
         // entry forever, even when a bounded observation merges into it.
-        let mut pinned = node(1, ProtocolKind::Mbt);
+        let mut pinned = node(1, ProtocolSpec::MBT);
         pinned.note_popularity(&uri("mbt://b"), Popularity::new(0.3));
         pinned.note_popularity_until(
             &uri("mbt://b"),
@@ -1371,7 +1340,7 @@ mod tests {
     #[test]
     fn internet_session_requires_access() {
         let mut server = server_with(&[("fox news", "mbt://a", 0.5)]);
-        let mut n = node(0, ProtocolKind::Mbt);
+        let mut n = node(0, ProtocolSpec::MBT);
         n.add_query(Query::new("fox news").unwrap(), None);
         n.internet_session(&mut server, SimTime::ZERO);
         assert!(!n.has_metadata(&uri("mbt://a")), "no access, no download");
@@ -1380,7 +1349,7 @@ mod tests {
     #[test]
     fn internet_session_downloads_queried_files() {
         let mut server = server_with(&[("fox news", "mbt://a", 0.5), ("abc show", "mbt://b", 0.9)]);
-        let mut n = node(0, ProtocolKind::Mbt);
+        let mut n = node(0, ProtocolSpec::MBT);
         n.set_internet_access(true);
         n.add_query(Query::new("fox news").unwrap(), None);
         n.internet_session(&mut server, SimTime::ZERO);
@@ -1402,7 +1371,7 @@ mod tests {
     #[test]
     fn mbtqm_internet_session_skips_push_metadata() {
         let mut server = server_with(&[("fox news", "mbt://a", 0.5), ("abc show", "mbt://b", 0.9)]);
-        let mut n = node(0, ProtocolKind::MbtQm);
+        let mut n = node(0, ProtocolSpec::MBT_QM);
         n.set_internet_access(true);
         n.add_query(Query::new("fox news").unwrap(), None);
         n.internet_session(&mut server, SimTime::ZERO);
@@ -1416,7 +1385,7 @@ mod tests {
     #[test]
     fn internet_session_serves_foreign_queries_under_mbt_only() {
         let mut server = server_with(&[("abc comedy", "mbt://c", 0.2)]);
-        for (protocol, expect) in [(ProtocolKind::Mbt, true), (ProtocolKind::MbtQ, false)] {
+        for (protocol, expect) in [(ProtocolSpec::MBT, true), (ProtocolSpec::MBT_Q, false)] {
             let mut n = node(0, protocol);
             // Disable the popularity push so only foreign-query service can
             // fetch the metadata.
@@ -1432,7 +1401,7 @@ mod tests {
 
     #[test]
     fn contact_distributes_queries_to_frequent_contacts() {
-        let mut nodes = vec![node(0, ProtocolKind::Mbt), node(1, ProtocolKind::Mbt)];
+        let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
         nodes[0].set_frequent_contacts([NodeId::new(1)]);
         nodes[1].add_query(Query::new("fox news").unwrap(), None);
         let report =
@@ -1452,7 +1421,7 @@ mod tests {
         let contact = |nodes: &mut Vec<MbtNode>, secs| {
             run_pairwise_contact(nodes, 0, 1, at(secs), SimDuration::from_secs(60))
         };
-        let mut nodes = vec![node(0, ProtocolKind::Mbt), node(1, ProtocolKind::Mbt)];
+        let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
         nodes[0].set_frequent_contacts([NodeId::new(1)]);
         nodes[1].add_query(Query::new("fox news").unwrap(), Some(at(10)));
         assert_eq!(contact(&mut nodes, 0).queries_distributed, 1);
@@ -1473,7 +1442,7 @@ mod tests {
 
     #[test]
     fn frequent_contacts_are_kept_ascending_and_distinct() {
-        let mut n = node(0, ProtocolKind::Mbt);
+        let mut n = node(0, ProtocolSpec::MBT);
         n.set_frequent_contacts([NodeId::new(5), NodeId::new(2), NodeId::new(5)]);
         assert_eq!(n.frequent_contacts(), [NodeId::new(2), NodeId::new(5)]);
         let shared: Arc<[NodeId]> = Arc::from([NodeId::new(1), NodeId::new(3)]);
@@ -1489,7 +1458,7 @@ mod tests {
                 .ttl(SimDuration::from_secs(secs))
                 .build()
         };
-        let mut n = node(0, ProtocolKind::Mbt);
+        let mut n = node(0, ProtocolSpec::MBT);
         n.seed_content(expiring("mbt://early", 10), Popularity::new(0.5), true);
         n.seed_content(expiring("mbt://late", 30), Popularity::new(0.5), true);
         n.add_query(Query::new("fox").unwrap(), Some(at(20)));
@@ -1523,7 +1492,7 @@ mod tests {
 
     #[test]
     fn mbtq_contact_never_distributes_queries() {
-        let mut nodes = vec![node(0, ProtocolKind::MbtQ), node(1, ProtocolKind::MbtQ)];
+        let mut nodes = vec![node(0, ProtocolSpec::MBT_Q), node(1, ProtocolSpec::MBT_Q)];
         nodes[0].set_frequent_contacts([NodeId::new(1)]);
         nodes[1].add_query(Query::new("fox news").unwrap(), None);
         let report =
@@ -1534,7 +1503,7 @@ mod tests {
 
     #[test]
     fn contact_transfers_requested_metadata() {
-        let mut nodes = vec![node(0, ProtocolKind::Mbt), node(1, ProtocolKind::Mbt)];
+        let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
         let m = meta("fox evening news", "mbt://a");
         hold(&mut nodes[0], m);
         nodes[0].note_popularity(&uri("mbt://a"), Popularity::new(0.4));
@@ -1554,7 +1523,7 @@ mod tests {
 
     #[test]
     fn mbtqm_contact_sends_no_standalone_metadata() {
-        let mut nodes = vec![node(0, ProtocolKind::MbtQm), node(1, ProtocolKind::MbtQm)];
+        let mut nodes = vec![node(0, ProtocolSpec::MBT_QM), node(1, ProtocolSpec::MBT_QM)];
         hold(&mut nodes[0], meta("fox news", "mbt://a"));
         nodes[1].add_query(Query::new("fox news").unwrap(), None);
         let report =
@@ -1565,7 +1534,7 @@ mod tests {
 
     #[test]
     fn contact_transfers_files_with_metadata_riding_along() {
-        let mut nodes = vec![node(0, ProtocolKind::Mbt), node(1, ProtocolKind::Mbt)];
+        let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
         hold(&mut nodes[0], meta("fox news", "mbt://a"));
         nodes[0].try_store_file(uri("mbt://a"), None);
         nodes[0].note_popularity(&uri("mbt://a"), Popularity::new(0.8));
@@ -1581,7 +1550,7 @@ mod tests {
 
     #[test]
     fn mbtqm_receives_files_by_popularity() {
-        let mut nodes = vec![node(0, ProtocolKind::MbtQm), node(1, ProtocolKind::MbtQm)];
+        let mut nodes = vec![node(0, ProtocolSpec::MBT_QM), node(1, ProtocolSpec::MBT_QM)];
         hold(&mut nodes[0], meta("hot show", "mbt://hot"));
         hold(&mut nodes[0], meta("cold show", "mbt://cold"));
         for (u, p) in [("mbt://hot", 0.9), ("mbt://cold", 0.1)] {
@@ -1599,7 +1568,7 @@ mod tests {
 
     #[test]
     fn clique_broadcast_reaches_all_members() {
-        let mut nodes: Vec<MbtNode> = (0..4).map(|i| node(i, ProtocolKind::Mbt)).collect();
+        let mut nodes: Vec<MbtNode> = (0..4).map(|i| node(i, ProtocolSpec::MBT)).collect();
         hold(&mut nodes[0], meta("fox news", "mbt://a"));
         nodes[0].try_store_file(uri("mbt://a"), None);
         let report = run_contact(
@@ -1618,7 +1587,7 @@ mod tests {
 
     #[test]
     fn short_contact_skips_file_phase_when_configured() {
-        let mut nodes = vec![node(0, ProtocolKind::Mbt), node(1, ProtocolKind::Mbt)];
+        let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
         for n in nodes.iter_mut() {
             n.config = MbtConfig::new().min_download_contact_secs(120);
         }
@@ -1632,7 +1601,7 @@ mod tests {
 
     #[test]
     fn metadata_budget_respected() {
-        let mut nodes = vec![node(0, ProtocolKind::Mbt), node(1, ProtocolKind::Mbt)];
+        let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
         for i in 0..50 {
             let u = format!("mbt://f{i:02}");
             hold(&mut nodes[0], meta(&format!("show {i}"), &u));
@@ -1648,7 +1617,7 @@ mod tests {
 
     #[test]
     fn expired_content_dropped_before_exchange() {
-        let mut nodes = vec![node(0, ProtocolKind::Mbt), node(1, ProtocolKind::Mbt)];
+        let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
         let m = Metadata::builder("old news", "FOX", uri("mbt://old"))
             .ttl(SimDuration::from_secs(10))
             .build();
@@ -1666,7 +1635,7 @@ mod tests {
 
     #[test]
     fn tit_for_tat_mode_runs() {
-        let mut nodes = vec![node(0, ProtocolKind::Mbt), node(1, ProtocolKind::Mbt)];
+        let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
         for n in nodes.iter_mut() {
             n.config = MbtConfig::new().cooperation(CooperationMode::TitForTat);
         }
@@ -1686,7 +1655,7 @@ mod tests {
             r.register("FOX", PublisherKey::derive(b"master", "FOX"));
             r
         };
-        let mut nodes = vec![node(0, ProtocolKind::Mbt), node(1, ProtocolKind::Mbt)];
+        let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
         nodes[1].set_key_registry(registry);
 
         // Node 0 (no registry — could itself be the adversary) carries a
@@ -1724,7 +1693,7 @@ mod tests {
             r.register("FOX", key.clone());
             r
         };
-        let mut nodes = vec![node(0, ProtocolKind::Mbt), node(1, ProtocolKind::Mbt)];
+        let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
         nodes[1].set_key_registry(registry);
         let mut real = meta("fox breaking news", "mbt://real");
         sign(&mut real, &key);
@@ -1739,7 +1708,7 @@ mod tests {
 
     #[test]
     fn seed_content_populates_stores_and_events() {
-        let mut n0 = node(0, ProtocolKind::Mbt);
+        let mut n0 = node(0, ProtocolSpec::MBT);
         n0.seed_content(meta("x", "mbt://x"), Popularity::new(0.7), true);
         assert!(n0.has_metadata(&uri("mbt://x")));
         assert!(n0.has_file(&uri("mbt://x")));
@@ -1752,7 +1721,7 @@ mod tests {
 
     #[test]
     fn total_loss_blocks_all_transfers() {
-        let mut nodes = vec![node(0, ProtocolKind::Mbt), node(1, ProtocolKind::Mbt)];
+        let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
         for n in nodes.iter_mut() {
             n.config = MbtConfig::new().broadcast_loss_rate(1.0);
         }
@@ -1767,7 +1736,7 @@ mod tests {
     #[test]
     fn zero_loss_is_lossless_and_rolls_are_deterministic() {
         let run_once = |loss: f64, seed: u64| {
-            let mut nodes = vec![node(0, ProtocolKind::Mbt), node(1, ProtocolKind::Mbt)];
+            let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
             for n in nodes.iter_mut() {
                 n.config = MbtConfig::new().broadcast_loss_rate(loss).loss_seed(seed);
             }
@@ -1792,7 +1761,7 @@ mod tests {
         // With one file slot, rarest-first broadcasts "rare" even though
         // "common" is more popular — two-phase would pick by popularity.
         let mk = |i: u32| {
-            let mut n = node(i, ProtocolKind::MbtQm);
+            let mut n = node(i, ProtocolSpec::MBT_QM);
             n.config = MbtConfig::new()
                 .files_per_contact(1)
                 .ordering(crate::config::BroadcastOrdering::RarestFirst);
@@ -1820,14 +1789,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "mixed protocols")]
     fn mixed_protocols_panic() {
-        let mut nodes = vec![node(0, ProtocolKind::Mbt), node(1, ProtocolKind::MbtQ)];
+        let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT_Q)];
         run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
     }
 
     #[test]
     #[should_panic(expected = "duplicate member")]
     fn duplicate_member_panics() {
-        let mut nodes = vec![node(0, ProtocolKind::Mbt), node(1, ProtocolKind::Mbt)];
+        let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
         run_contact(
             &mut nodes,
             &[0, 0],
@@ -1840,7 +1809,7 @@ mod tests {
     fn a_contact_without_spans_is_the_contact_with_them() {
         // Both phase orders; a clique that moves metadata and a file.
         for discovery_first in [true, false] {
-            let mut timed: Vec<MbtNode> = (0..3).map(|i| node(i, ProtocolKind::Mbt)).collect();
+            let mut timed: Vec<MbtNode> = (0..3).map(|i| node(i, ProtocolSpec::MBT)).collect();
             for n in timed.iter_mut() {
                 n.config = MbtConfig::new().discovery_first(discovery_first);
             }
@@ -1883,7 +1852,7 @@ mod tests {
 
     #[test]
     fn single_member_contact_is_noop() {
-        let mut nodes = vec![node(0, ProtocolKind::Mbt)];
+        let mut nodes = vec![node(0, ProtocolSpec::MBT)];
         let report = run_contact(&mut nodes, &[0], SimTime::ZERO, SimDuration::from_secs(60));
         assert_eq!(report, ContactReport::default());
     }
@@ -2020,7 +1989,7 @@ mod tests {
 
     #[test]
     fn triad_spec_nodes_leave_new_state_empty() {
-        let mut nodes = vec![node(0, ProtocolKind::Mbt), node(1, ProtocolKind::Mbt)];
+        let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
         nodes[0].seed_content(meta("fox news", "mbt://a"), Popularity::new(0.8), true);
         nodes[1].add_query(Query::new("fox news").unwrap(), None);
         run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(600));
@@ -2035,7 +2004,7 @@ mod tests {
 
     #[test]
     fn wanted_uris_reflect_query_matches() {
-        let mut n = node(0, ProtocolKind::Mbt);
+        let mut n = node(0, ProtocolSpec::MBT);
         hold(&mut n, meta("fox news", "mbt://a"));
         hold(&mut n, meta("abc comedy", "mbt://b"));
         n.add_query(Query::new("fox news").unwrap(), None);
@@ -2055,7 +2024,7 @@ mod tests {
                 .expires_at(Some(at(secs)))
                 .build()
         };
-        let mut n = node(0, ProtocolKind::Mbt);
+        let mut n = node(0, ProtocolSpec::MBT);
         n.add_query(Query::new("news").unwrap(), Some(at(30)));
         n.add_query(Query::new("fox").unwrap(), None);
         hold(&mut n, expiring("fox news", "mbt://a", 40));

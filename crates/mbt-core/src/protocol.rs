@@ -1,13 +1,23 @@
 //! Protocol variants: the paper's MBT triad (§VI-A) plus an open
 //! [`ProtocolSpec`] API for new variants.
 //!
-//! The paper compares three closed variants ([`ProtocolKind`]). Everything
-//! else in the crate now runs on [`ProtocolSpec`], an open description of a
-//! variant: the two behaviour flags the triad toggles, plus pluggable
-//! [`CachePolicy`] and [`ReplicationPolicy`] seams. The triad maps onto specs
-//! with the default (no-op) policies — those paths are byte-identical to the
-//! old enum dispatch — while two new variants slot in without touching any
-//! match arm:
+//! A [`ProtocolSpec`] is an open description of a variant: the two
+//! behaviour flags the paper's triad toggles, plus pluggable
+//! [`CachePolicy`] and [`ReplicationPolicy`] seams. The triad is three
+//! canned specs with the default (no-op) policies:
+//!
+//! - [`ProtocolSpec::MBT`] — the full protocol: queries are distributed to
+//!   frequent contacting nodes, metadata are distributed standalone, files
+//!   are downloaded by request and popularity.
+//! - [`ProtocolSpec::MBT_Q`] — "without distribution of queries": a node can
+//!   only pull metadata from currently-connected peers; it cannot ask its
+//!   frequent contacting nodes to collect metadata it is interested in.
+//! - [`ProtocolSpec::MBT_QM`] — "without distribution of both queries and
+//!   metadata": a node can only pull files from other nodes; metadata travel
+//!   only together with their files (as in prior content-distribution
+//!   systems) and file selection is purely popularity-driven.
+//!
+//! Two further variants change only the policy fields:
 //!
 //! - [`ProtocolSpec::POP_CACHE`] — cooperative cache eviction ranked by file
 //!   popularity under a bounded per-node file buffer, after Wang & Kulkarni,
@@ -17,61 +27,6 @@
 //!   availability for BitTorrent using a diffusion model*.
 
 use std::fmt;
-
-/// Which MBT variant a node runs.
-///
-/// - [`ProtocolKind::Mbt`] — the full protocol: queries are distributed to
-///   frequent contacting nodes, metadata are distributed standalone, files
-///   are downloaded by request and popularity.
-/// - [`ProtocolKind::MbtQ`] — "without distribution of queries": a node can
-///   only pull metadata from currently-connected peers; it cannot ask its
-///   frequent contacting nodes to collect metadata it is interested in.
-/// - [`ProtocolKind::MbtQm`] — "without distribution of both queries and
-///   metadata": a node can only pull files from other nodes; metadata travel
-///   only together with their files (as in prior content-distribution
-///   systems) and file selection is purely popularity-driven.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ProtocolKind {
-    /// Full mobile BitTorrent.
-    #[default]
-    Mbt,
-    /// MBT without query distribution.
-    MbtQ,
-    /// MBT without query and metadata distribution.
-    MbtQm,
-}
-
-impl ProtocolKind {
-    /// All variants, in the order the paper's figures list them.
-    pub const ALL: [ProtocolKind; 3] = [ProtocolKind::Mbt, ProtocolKind::MbtQ, ProtocolKind::MbtQm];
-
-    /// True if nodes store and serve the queries of their frequent
-    /// contacting nodes (MBT only).
-    pub fn distributes_queries(self) -> bool {
-        matches!(self, ProtocolKind::Mbt)
-    }
-
-    /// True if metadata circulate standalone, ahead of files (MBT and
-    /// MBT-Q).
-    pub fn distributes_metadata(self) -> bool {
-        !matches!(self, ProtocolKind::MbtQm)
-    }
-
-    /// Short label used in experiment output ("MBT", "MBT-Q", "MBT-QM").
-    pub fn label(self) -> &'static str {
-        match self {
-            ProtocolKind::Mbt => "MBT",
-            ProtocolKind::MbtQ => "MBT-Q",
-            ProtocolKind::MbtQm => "MBT-QM",
-        }
-    }
-}
-
-impl fmt::Display for ProtocolKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// Whose observations rank a file's popularity under
 /// [`CachePolicy::PopularityRanked`].
@@ -127,16 +82,15 @@ pub enum ReplicationPolicy {
 ///
 /// A spec is plain data: two behaviour flags (the axes the paper's triad
 /// toggles) plus a [`CachePolicy`] and a [`ReplicationPolicy`]. The canned
-/// triad specs use the default policies and are byte-identical to the
-/// [`ProtocolKind`] paths they replace (pinned by the repo's equivalence
-/// tests); new variants change only the policy fields.
+/// triad specs use the default policies; new variants change only the
+/// policy fields.
 ///
 /// # Example
 ///
 /// ```
-/// use mbt_core::{ProtocolKind, ProtocolSpec};
+/// use mbt_core::ProtocolSpec;
 ///
-/// assert_eq!(ProtocolSpec::from(ProtocolKind::Mbt), ProtocolSpec::MBT);
+/// assert_eq!(ProtocolSpec::by_name("mbt-q").unwrap(), ProtocolSpec::MBT_Q);
 /// assert_eq!(ProtocolSpec::by_name("popcache").unwrap().name(), "PopCache");
 /// assert!(ProtocolSpec::by_name("carrier-pigeon").is_err());
 /// ```
@@ -150,7 +104,7 @@ pub struct ProtocolSpec {
 }
 
 impl ProtocolSpec {
-    /// The full protocol (canned spec for [`ProtocolKind::Mbt`]).
+    /// Full mobile BitTorrent.
     pub const MBT: ProtocolSpec = ProtocolSpec {
         name: "MBT",
         distributes_queries: true,
@@ -159,8 +113,7 @@ impl ProtocolSpec {
         replication: ReplicationPolicy::None,
     };
 
-    /// MBT without query distribution (canned spec for
-    /// [`ProtocolKind::MbtQ`]).
+    /// MBT without query distribution.
     pub const MBT_Q: ProtocolSpec = ProtocolSpec {
         name: "MBT-Q",
         distributes_queries: false,
@@ -169,8 +122,7 @@ impl ProtocolSpec {
         replication: ReplicationPolicy::None,
     };
 
-    /// MBT without query and metadata distribution (canned spec for
-    /// [`ProtocolKind::MbtQm`]).
+    /// MBT without query and metadata distribution.
     pub const MBT_QM: ProtocolSpec = ProtocolSpec {
         name: "MBT-QM",
         distributes_queries: false,
@@ -206,8 +158,7 @@ impl ProtocolSpec {
     };
 
     /// The paper's triad, in figure order — the default sweep-grid protocol
-    /// list (grid positions, and therefore derived per-cell seeds, match the
-    /// old `ProtocolKind::ALL` exactly).
+    /// list (a cell's grid position seeds it, so this order is pinned).
     pub const TRIAD: [ProtocolSpec; 3] =
         [ProtocolSpec::MBT, ProtocolSpec::MBT_Q, ProtocolSpec::MBT_QM];
 
@@ -308,16 +259,6 @@ impl fmt::Display for ProtocolSpec {
     }
 }
 
-impl From<ProtocolKind> for ProtocolSpec {
-    fn from(kind: ProtocolKind) -> Self {
-        match kind {
-            ProtocolKind::Mbt => ProtocolSpec::MBT,
-            ProtocolKind::MbtQ => ProtocolSpec::MBT_Q,
-            ProtocolKind::MbtQm => ProtocolSpec::MBT_QM,
-        }
-    }
-}
-
 /// Error returned by [`ProtocolSpec::by_name`] for an unregistered name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownProtocol {
@@ -377,19 +318,23 @@ mod tests {
 
     #[test]
     fn capability_matrix() {
-        assert!(ProtocolKind::Mbt.distributes_queries());
-        assert!(ProtocolKind::Mbt.distributes_metadata());
-        assert!(!ProtocolKind::MbtQ.distributes_queries());
-        assert!(ProtocolKind::MbtQ.distributes_metadata());
-        assert!(!ProtocolKind::MbtQm.distributes_queries());
-        assert!(!ProtocolKind::MbtQm.distributes_metadata());
+        assert!(ProtocolSpec::MBT.distributes_queries());
+        assert!(ProtocolSpec::MBT.distributes_metadata());
+        assert!(!ProtocolSpec::MBT_Q.distributes_queries());
+        assert!(ProtocolSpec::MBT_Q.distributes_metadata());
+        assert!(!ProtocolSpec::MBT_QM.distributes_queries());
+        assert!(!ProtocolSpec::MBT_QM.distributes_metadata());
+        for spec in ProtocolSpec::TRIAD {
+            assert_eq!(spec.cache(), CachePolicy::Unbounded);
+            assert_eq!(spec.replication(), ReplicationPolicy::None);
+        }
     }
 
     #[test]
     fn labels() {
-        assert_eq!(ProtocolKind::Mbt.to_string(), "MBT");
-        assert_eq!(ProtocolKind::MbtQ.to_string(), "MBT-Q");
-        assert_eq!(ProtocolKind::MbtQm.to_string(), "MBT-QM");
+        assert_eq!(ProtocolSpec::MBT.to_string(), "MBT");
+        assert_eq!(ProtocolSpec::MBT_Q.to_string(), "MBT-Q");
+        assert_eq!(ProtocolSpec::MBT_QM.to_string(), "MBT-QM");
     }
 
     #[test]
@@ -401,20 +346,11 @@ mod tests {
 
     #[test]
     fn all_lists_three() {
-        assert_eq!(ProtocolKind::ALL.len(), 3);
-        assert_eq!(ProtocolKind::default(), ProtocolKind::Mbt);
-    }
-
-    #[test]
-    fn triad_specs_mirror_kinds() {
-        for (kind, spec) in ProtocolKind::ALL.iter().zip(ProtocolSpec::TRIAD) {
-            assert_eq!(ProtocolSpec::from(*kind), spec);
-            assert_eq!(kind.label(), spec.name());
-            assert_eq!(kind.distributes_queries(), spec.distributes_queries());
-            assert_eq!(kind.distributes_metadata(), spec.distributes_metadata());
-            assert_eq!(spec.cache(), CachePolicy::Unbounded);
-            assert_eq!(spec.replication(), ReplicationPolicy::None);
-        }
+        assert_eq!(
+            ProtocolSpec::TRIAD,
+            [ProtocolSpec::MBT, ProtocolSpec::MBT_Q, ProtocolSpec::MBT_QM]
+        );
+        assert_eq!(ProtocolSpec::builtin()[..3], ProtocolSpec::TRIAD);
         assert_eq!(ProtocolSpec::default(), ProtocolSpec::MBT);
     }
 

@@ -109,9 +109,9 @@ pub struct ParallelRunner {
     cfg: ExecConfig,
     pool: ThreadPool,
     /// The protocol list every sweep expands its grid over, in series (and
-    /// grid-index) order. Defaults to the paper's triad, whose grid indices
-    /// — and therefore derived per-cell seeds — match the closed
-    /// `ProtocolKind::ALL` era byte for byte.
+    /// grid-index) order. Defaults to the paper's triad; a cell's grid
+    /// indices derive its seed, so the triad keeps indices 0–2 in every
+    /// grid.
     protocols: Vec<ProtocolSpec>,
 }
 

@@ -611,13 +611,12 @@ pub fn fault_sweep_variants(ctx: &mut RunContext) -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbt_core::ProtocolKind;
 
     #[test]
     fn quick_fig2a_has_expected_shape() {
         let fig = fig2a(&mut RunContext::new(Scale::Quick));
         assert_eq!(fig.series.len(), 3);
-        let mbt = fig.series_for(ProtocolKind::Mbt).unwrap();
+        let mbt = fig.series_for(ProtocolSpec::MBT).unwrap();
         assert_eq!(mbt.points.len(), 3);
         // Delivery grows with Internet access for the full protocol.
         assert!(
@@ -629,8 +628,8 @@ mod tests {
     #[test]
     fn quick_fig3a_mbtqm_flat_without_discovery() {
         let fig = fig3a(&mut RunContext::new(Scale::Quick));
-        let mbt = fig.series_for(ProtocolKind::Mbt).unwrap();
-        let qm = fig.series_for(ProtocolKind::MbtQm).unwrap();
+        let mbt = fig.series_for(ProtocolSpec::MBT).unwrap();
+        let qm = fig.series_for(ProtocolSpec::MBT_QM).unwrap();
         // At high internet fraction MBT should clearly beat MBT-QM on files.
         let last = mbt.points.len() - 1;
         assert!(
@@ -645,7 +644,7 @@ mod tests {
     fn quick_fault_sweep_loses_delivery_at_high_loss() {
         let fig = fault_sweep(&mut RunContext::new(Scale::Quick));
         assert_eq!(fig.series.len(), 3);
-        let mbt = fig.series_for(ProtocolKind::Mbt).unwrap();
+        let mbt = fig.series_for(ProtocolSpec::MBT).unwrap();
         assert_eq!(mbt.points[0].x, 0.0);
         let clean = mbt.points.first().unwrap();
         let lossy = mbt.points.last().unwrap();
@@ -662,7 +661,7 @@ mod tests {
     #[test]
     fn quick_fig3f_attendance_helps() {
         let fig = fig3f(&mut RunContext::new(Scale::Quick));
-        let mbt = fig.series_for(ProtocolKind::Mbt).unwrap();
+        let mbt = fig.series_for(ProtocolSpec::MBT).unwrap();
         assert!(
             mbt.points.last().unwrap().file_ratio >= mbt.points[0].file_ratio,
             "full attendance should deliver at least as much"

@@ -137,10 +137,9 @@ pub struct SimParamsBuilder {
 }
 
 impl SimParamsBuilder {
-    /// Sets the protocol variant every node runs. Accepts a
-    /// [`ProtocolSpec`] or a legacy [`mbt_core::ProtocolKind`].
-    pub fn protocol(mut self, protocol: impl Into<ProtocolSpec>) -> Self {
-        self.params.protocol = protocol.into();
+    /// Sets the protocol variant every node runs.
+    pub fn protocol(mut self, protocol: ProtocolSpec) -> Self {
+        self.params.protocol = protocol;
         self
     }
 
@@ -1001,13 +1000,12 @@ mod tests {
     use super::*;
     use dtn_trace::generators::NusConfig;
     use dtn_trace::ContactTrace;
-    use mbt_core::ProtocolKind;
 
     fn small_trace() -> ContactTrace {
         NusConfig::new(30, 7).seed(11).generate()
     }
 
-    fn params(protocol: impl Into<ProtocolSpec>) -> SimParams {
+    fn params(protocol: ProtocolSpec) -> SimParams {
         SimParams::builder()
             .protocol(protocol)
             .files_per_day(10)
@@ -1085,15 +1083,15 @@ mod tests {
     #[test]
     fn simulation_is_deterministic() {
         let trace = small_trace();
-        let a = run_simulation(&trace, &params(ProtocolKind::Mbt), None);
-        let b = run_simulation(&trace, &params(ProtocolKind::Mbt), None);
+        let a = run_simulation(&trace, &params(ProtocolSpec::MBT), None);
+        let b = run_simulation(&trace, &params(ProtocolSpec::MBT), None);
         assert_eq!(a, b);
     }
 
     #[test]
     fn queries_are_generated_and_some_delivered() {
         let trace = small_trace();
-        let r = run_simulation(&trace, &params(ProtocolKind::Mbt), None);
+        let r = run_simulation(&trace, &params(ProtocolSpec::MBT), None);
         assert!(r.queries > 0, "no queries generated");
         assert!(r.contacts > 0, "no contacts processed");
         assert!(r.metadata_delivered > 0, "nothing discovered");
@@ -1115,19 +1113,9 @@ mod tests {
     }
 
     #[test]
-    fn legacy_kind_params_match_triad_specs() {
-        let trace = small_trace();
-        for (kind, spec) in ProtocolKind::ALL.into_iter().zip(ProtocolSpec::TRIAD) {
-            let by_kind = run_simulation(&trace, &params(kind), None);
-            let by_spec = run_simulation(&trace, &params(spec), None);
-            assert_eq!(by_kind, by_spec, "{spec}: spec diverged from kind");
-        }
-    }
-
-    #[test]
     fn mbtqm_sends_no_standalone_metadata() {
         let trace = small_trace();
-        let r = run_simulation(&trace, &params(ProtocolKind::MbtQm), None);
+        let r = run_simulation(&trace, &params(ProtocolSpec::MBT_QM), None);
         assert_eq!(r.metadata_broadcasts, 0);
         assert_eq!(r.queries_distributed, 0);
     }
@@ -1135,7 +1123,7 @@ mod tests {
     #[test]
     fn mbtq_distributes_no_queries() {
         let trace = small_trace();
-        let r = run_simulation(&trace, &params(ProtocolKind::MbtQ), None);
+        let r = run_simulation(&trace, &params(ProtocolSpec::MBT_Q), None);
         assert_eq!(r.queries_distributed, 0);
         assert!(r.metadata_broadcasts > 0);
     }
@@ -1143,7 +1131,7 @@ mod tests {
     #[test]
     fn zero_internet_fraction_delivers_nothing() {
         let trace = small_trace();
-        let mut p = params(ProtocolKind::Mbt);
+        let mut p = params(ProtocolSpec::MBT);
         p.internet_fraction = 0.0;
         let r = run_simulation(&trace, &p, None);
         assert_eq!(r.files_delivered, 0, "no source of files at all");
@@ -1152,7 +1140,7 @@ mod tests {
     #[test]
     fn full_internet_fraction_measures_nobody() {
         let trace = small_trace();
-        let mut p = params(ProtocolKind::Mbt);
+        let mut p = params(ProtocolSpec::MBT);
         p.internet_fraction = 1.0;
         let r = run_simulation(&trace, &p, None);
         assert_eq!(r.queries, 0, "every node is an unmeasured Internet node");
@@ -1161,7 +1149,7 @@ mod tests {
     #[test]
     fn daily_series_sum_to_totals() {
         let trace = small_trace();
-        let r = run_simulation(&trace, &params(ProtocolKind::Mbt), None);
+        let r = run_simulation(&trace, &params(ProtocolSpec::MBT), None);
         assert_eq!(r.daily_metadata_delivered.len(), 7);
         assert_eq!(
             r.daily_metadata_delivered.iter().sum::<u64>(),
@@ -1176,7 +1164,7 @@ mod tests {
     #[test]
     fn delays_reported_when_deliveries_happen() {
         let trace = small_trace();
-        let r = run_simulation(&trace, &params(ProtocolKind::Mbt), None);
+        let r = run_simulation(&trace, &params(ProtocolSpec::MBT), None);
         assert!(r.metadata_delivered == 0 || r.mean_metadata_delay_hours.is_some());
         if let Some(d) = r.mean_file_delay_hours {
             assert!(d >= 0.0);
@@ -1186,8 +1174,8 @@ mod tests {
     #[test]
     fn noop_fault_plan_is_byte_identical_to_no_plan() {
         let trace = small_trace();
-        let clean = run_simulation(&trace, &params(ProtocolKind::Mbt), None);
-        let mut p = params(ProtocolKind::Mbt);
+        let clean = run_simulation(&trace, &params(ProtocolSpec::MBT), None);
+        let mut p = params(ProtocolSpec::MBT);
         p.faults = FaultPlan::none().seed(123); // seed alone must change nothing
         let seeded = run_simulation(&trace, &p, None);
         assert_eq!(clean, seeded);
@@ -1198,7 +1186,7 @@ mod tests {
     #[test]
     fn total_loss_plan_delivers_nothing_to_measured_nodes() {
         let trace = small_trace();
-        let mut p = params(ProtocolKind::Mbt);
+        let mut p = params(ProtocolSpec::MBT);
         p.faults = FaultPlan::none().loss(1.0);
         let r = run_simulation(&trace, &p, None);
         assert!(r.queries > 0);
@@ -1210,8 +1198,8 @@ mod tests {
     #[test]
     fn corruption_discards_receptions_and_is_recoverable() {
         let trace = small_trace();
-        let clean = run_simulation(&trace, &params(ProtocolKind::Mbt), None);
-        let mut p = params(ProtocolKind::Mbt);
+        let clean = run_simulation(&trace, &params(ProtocolSpec::MBT), None);
+        let mut p = params(ProtocolSpec::MBT);
         p.faults = FaultPlan::none().corruption(0.5).seed(7);
         let r = run_simulation(&trace, &p, None);
         assert!(r.corrupt_receptions > 0, "corruption should trigger");
@@ -1228,8 +1216,8 @@ mod tests {
         let trace = dtn_trace::generators::DieselNetConfig::new(16, 7)
             .seed(11)
             .generate();
-        let clean = run_simulation(&trace, &params(ProtocolKind::Mbt), None);
-        let mut p = params(ProtocolKind::Mbt);
+        let clean = run_simulation(&trace, &params(ProtocolSpec::MBT), None);
+        let mut p = params(ProtocolSpec::MBT);
         p.faults = FaultPlan::none().churn(1.0).seed(3);
         let churned = run_simulation(&trace, &p, None);
         assert!(
@@ -1243,9 +1231,9 @@ mod tests {
     #[test]
     fn more_internet_nodes_deliver_more() {
         let trace = small_trace();
-        let mut lo = params(ProtocolKind::Mbt);
+        let mut lo = params(ProtocolSpec::MBT);
         lo.internet_fraction = 0.1;
-        let mut hi = params(ProtocolKind::Mbt);
+        let mut hi = params(ProtocolSpec::MBT);
         hi.internet_fraction = 0.7;
         let r_lo = run_simulation(&trace, &lo, None);
         let r_hi = run_simulation(&trace, &hi, None);

@@ -125,10 +125,8 @@ pub struct Figure {
 }
 
 impl Figure {
-    /// The series for `protocol`, if present. Accepts a [`ProtocolSpec`] or
-    /// a legacy [`mbt_core::ProtocolKind`].
-    pub fn series_for(&self, protocol: impl Into<ProtocolSpec>) -> Option<&ProtocolSeries> {
-        let protocol = protocol.into();
+    /// The series for `protocol`, if present.
+    pub fn series_for(&self, protocol: ProtocolSpec) -> Option<&ProtocolSeries> {
         self.series.iter().find(|s| s.protocol == protocol)
     }
 }

@@ -8,7 +8,7 @@ use dtn_trace::{NodeId, SimDuration, SimTime};
 use mbt_core::node::run_contact;
 use mbt_core::piece::{split_into_pieces, Piece};
 use mbt_core::{
-    CooperationMode, FileAssembler, MbtConfig, MbtNode, Metadata, Popularity, ProtocolKind, Query,
+    CooperationMode, FileAssembler, MbtConfig, MbtNode, Metadata, Popularity, ProtocolSpec, Query,
     Uri,
 };
 
@@ -60,7 +60,7 @@ fn corrupted_piece_is_caught_and_refetch_matches_clean_digest() {
 }
 
 fn node(i: u32, config: &MbtConfig) -> MbtNode {
-    MbtNode::new(NodeId::new(i), ProtocolKind::Mbt, config.clone())
+    MbtNode::new(NodeId::new(i), ProtocolSpec::MBT, config.clone())
 }
 
 /// Contact level: a corrupted file reception stores nothing, charges no

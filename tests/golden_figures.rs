@@ -22,7 +22,7 @@
 //! and commit the resulting `tests/fixtures/*` alongside the change.
 
 use dtn_sim::{FaultPlan, Telemetry};
-use mbt_core::{ProtocolKind, ProtocolSpec, TransportKind};
+use mbt_core::{ProtocolSpec, TransportKind};
 use mbt_experiments::figures::{fault_sweep, fig2a, fig3a, RunContext};
 use mbt_experiments::report::figure_csv;
 use mbt_experiments::sweep::Figure;
@@ -40,7 +40,7 @@ fn assert_matches_golden(fig: &Figure, name: &str) {
     assert_text_matches_golden(&figure_csv(fig), &fig.id, name);
 }
 
-fn series_mean(fig: &Figure, protocol: ProtocolKind) -> f64 {
+fn series_mean(fig: &Figure, protocol: ProtocolSpec) -> f64 {
     let s = fig.series_for(protocol).expect("series present");
     s.points.iter().map(|p| p.metadata_ratio).sum::<f64>() / s.points.len() as f64
 }
@@ -59,18 +59,18 @@ fn slack(a: &mbt_experiments::SeriesPoint, b: &mbt_experiments::SeriesPoint) -> 
 /// The paper's §VI-B ordering: MBT ≥ MBT-Q ≥ MBT-QM on metadata delivery —
 /// strictly on the series means, within [`slack`] per point.
 fn assert_protocol_ordering(fig: &Figure) {
-    let mean_mbt = series_mean(fig, ProtocolKind::Mbt);
-    let mean_q = series_mean(fig, ProtocolKind::MbtQ);
-    let mean_qm = series_mean(fig, ProtocolKind::MbtQm);
+    let mean_mbt = series_mean(fig, ProtocolSpec::MBT);
+    let mean_q = series_mean(fig, ProtocolSpec::MBT_Q);
+    let mean_qm = series_mean(fig, ProtocolSpec::MBT_QM);
     assert!(
         mean_mbt >= mean_q && mean_q >= mean_qm,
         "{}: mean metadata ordering violated: MBT {mean_mbt} / MBT-Q {mean_q} / MBT-QM {mean_qm}",
         fig.id
     );
 
-    let mbt = fig.series_for(ProtocolKind::Mbt).expect("MBT series");
-    let q = fig.series_for(ProtocolKind::MbtQ).expect("MBT-Q series");
-    let qm = fig.series_for(ProtocolKind::MbtQm).expect("MBT-QM series");
+    let mbt = fig.series_for(ProtocolSpec::MBT).expect("MBT series");
+    let q = fig.series_for(ProtocolSpec::MBT_Q).expect("MBT-Q series");
+    let qm = fig.series_for(ProtocolSpec::MBT_QM).expect("MBT-QM series");
     for ((pm, pq), pqm) in mbt.points.iter().zip(&q.points).zip(&qm.points) {
         assert!(
             pm.metadata_ratio >= pq.metadata_ratio - slack(pm, pq),
@@ -103,9 +103,9 @@ fn golden_exec() -> ExecConfig {
 /// beyond that every variant converges toward zero and the comparison is
 /// pure noise. Same per-point [`slack`] as the clean figures.
 fn assert_protocol_ordering_up_to(fig: &Figure, max_x: f64) {
-    let mbt = fig.series_for(ProtocolKind::Mbt).expect("MBT series");
-    let q = fig.series_for(ProtocolKind::MbtQ).expect("MBT-Q series");
-    let qm = fig.series_for(ProtocolKind::MbtQm).expect("MBT-QM series");
+    let mbt = fig.series_for(ProtocolSpec::MBT).expect("MBT series");
+    let q = fig.series_for(ProtocolSpec::MBT_Q).expect("MBT-Q series");
+    let qm = fig.series_for(ProtocolSpec::MBT_QM).expect("MBT-QM series");
     let mut checked = 0;
     for ((pm, pq), pqm) in mbt.points.iter().zip(&q.points).zip(&qm.points) {
         if pm.x > max_x {

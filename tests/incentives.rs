@@ -6,7 +6,7 @@ use dtn_trace::{NodeId, SimDuration, SimTime};
 use mbt_core::discovery::{tft, MetadataOffer};
 use mbt_core::node::run_contact;
 use mbt_core::{
-    CooperationMode, CreditLedger, MbtConfig, MbtNode, Metadata, Popularity, ProtocolKind, Query,
+    CooperationMode, CreditLedger, MbtConfig, MbtNode, Metadata, Popularity, ProtocolSpec, Query,
     Uri,
 };
 
@@ -17,7 +17,7 @@ fn meta(name: &str, uri: &str) -> Metadata {
 fn tft_node(i: u32) -> MbtNode {
     MbtNode::new(
         NodeId::new(i),
-        ProtocolKind::Mbt,
+        ProtocolSpec::MBT,
         MbtConfig::new().cooperation(CooperationMode::TitForTat),
     )
 }
@@ -123,7 +123,7 @@ fn tft_and_cooperative_agree_when_everyone_is_equal() {
             .map(|i| {
                 MbtNode::new(
                     NodeId::new(i),
-                    ProtocolKind::Mbt,
+                    ProtocolSpec::MBT,
                     MbtConfig::new().cooperation(mode).metadata_per_contact(50),
                 )
             })

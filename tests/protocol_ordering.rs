@@ -4,14 +4,14 @@
 
 use dtn_trace::generators::NusConfig;
 use dtn_trace::ContactTrace;
-use mbt_core::ProtocolKind;
+use mbt_core::ProtocolSpec;
 use mbt_experiments::runner::{run_simulation, SimParams, SimResult};
 
 fn trace() -> ContactTrace {
     NusConfig::new(40, 8).seed(21).generate()
 }
 
-fn run(protocol: ProtocolKind, internet_fraction: f64) -> SimResult {
+fn run(protocol: ProtocolSpec, internet_fraction: f64) -> SimResult {
     run_simulation(
         &trace(),
         &SimParams::builder()
@@ -27,9 +27,9 @@ fn run(protocol: ProtocolKind, internet_fraction: f64) -> SimResult {
 
 #[test]
 fn mbt_dominates_on_metadata_delivery() {
-    let mbt = run(ProtocolKind::Mbt, 0.3);
-    let q = run(ProtocolKind::MbtQ, 0.3);
-    let qm = run(ProtocolKind::MbtQm, 0.3);
+    let mbt = run(ProtocolSpec::MBT, 0.3);
+    let q = run(ProtocolSpec::MBT_Q, 0.3);
+    let qm = run(ProtocolSpec::MBT_QM, 0.3);
     assert!(
         mbt.metadata_ratio >= q.metadata_ratio,
         "MBT {} < MBT-Q {}",
@@ -46,8 +46,8 @@ fn mbt_dominates_on_metadata_delivery() {
 
 #[test]
 fn mbt_dominates_on_file_delivery() {
-    let mbt = run(ProtocolKind::Mbt, 0.3);
-    let qm = run(ProtocolKind::MbtQm, 0.3);
+    let mbt = run(ProtocolSpec::MBT, 0.3);
+    let qm = run(ProtocolSpec::MBT_QM, 0.3);
     assert!(
         mbt.file_ratio >= qm.file_ratio,
         "MBT {} < MBT-QM {}",
@@ -60,10 +60,10 @@ fn mbt_dominates_on_file_delivery() {
 fn discovery_driven_protocols_benefit_from_internet_access() {
     // Fig 3(a): MBT's file ratio rises quickly with Internet access; MBT-QM
     // shows (much) less improvement because it cannot discover.
-    let mbt_lo = run(ProtocolKind::Mbt, 0.1);
-    let mbt_hi = run(ProtocolKind::Mbt, 0.8);
-    let qm_lo = run(ProtocolKind::MbtQm, 0.1);
-    let qm_hi = run(ProtocolKind::MbtQm, 0.8);
+    let mbt_lo = run(ProtocolSpec::MBT, 0.1);
+    let mbt_hi = run(ProtocolSpec::MBT, 0.8);
+    let qm_lo = run(ProtocolSpec::MBT_QM, 0.1);
+    let qm_hi = run(ProtocolSpec::MBT_QM, 0.8);
     let mbt_gain = mbt_hi.file_ratio - mbt_lo.file_ratio;
     let qm_gain = qm_hi.file_ratio - qm_lo.file_ratio;
     assert!(
@@ -74,9 +74,9 @@ fn discovery_driven_protocols_benefit_from_internet_access() {
 
 #[test]
 fn variants_differ_in_mechanism_counters() {
-    let mbt = run(ProtocolKind::Mbt, 0.3);
-    let q = run(ProtocolKind::MbtQ, 0.3);
-    let qm = run(ProtocolKind::MbtQm, 0.3);
+    let mbt = run(ProtocolSpec::MBT, 0.3);
+    let q = run(ProtocolSpec::MBT_Q, 0.3);
+    let qm = run(ProtocolSpec::MBT_QM, 0.3);
     assert!(mbt.queries_distributed > 0, "MBT distributes queries");
     assert_eq!(q.queries_distributed, 0);
     assert_eq!(qm.queries_distributed, 0);

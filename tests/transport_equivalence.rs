@@ -19,7 +19,7 @@ use mbt_core::transport::{
     BusTransport, Carried, SimTransport, Transport, TransportKind, WireMessage,
 };
 use mbt_core::{
-    CooperationMode, MbtConfig, MbtNode, Metadata, MetadataServer, Popularity, ProtocolKind, Query,
+    CooperationMode, MbtConfig, MbtNode, Metadata, MetadataServer, Popularity, ProtocolSpec, Query,
     Uri,
 };
 use mbt_experiments::report::figure_csv;
@@ -141,7 +141,7 @@ fn seeded_clique() -> Vec<MbtNode> {
         Popularity::new(0.4),
     );
     let mut nodes: Vec<MbtNode> = (0..4)
-        .map(|i| MbtNode::new(NodeId::new(i), ProtocolKind::Mbt, MbtConfig::new()))
+        .map(|i| MbtNode::new(NodeId::new(i), ProtocolSpec::MBT, MbtConfig::new()))
         .collect();
     nodes[0].set_internet_access(true);
     nodes[0].add_query(Query::new("evening news").unwrap(), None);
@@ -280,7 +280,7 @@ fn pairwise_frame_emission_order_is_pinned() {
         Popularity::new(0.6),
     );
     let mut nodes: Vec<MbtNode> = (0..2)
-        .map(|i| MbtNode::new(NodeId::new(i), ProtocolKind::Mbt, MbtConfig::new()))
+        .map(|i| MbtNode::new(NodeId::new(i), ProtocolSpec::MBT, MbtConfig::new()))
         .collect();
     nodes[0].set_internet_access(true);
     nodes[0].add_query(Query::new("evening news").unwrap(), None);
