@@ -155,6 +155,10 @@ counters! {
     /// Encoded bytes the bus transport moved across links, headers
     /// included. Zero under the in-process simulator transport.
     bus_bytes_on_wire: sum,
+    /// Frames the bus transport carried whose check against the sender's
+    /// message found a difference, and which it therefore decoded in full.
+    /// Zero for a sound codec, and under the simulator transport.
+    bus_frames_rebuilt: sum,
 }
 
 impl Counters {
@@ -296,7 +300,7 @@ impl Telemetry {
     /// let json = t.to_json(Duration::from_millis(1500));
     /// assert!(json.starts_with("{\n  \"wall_secs\": 1.500000,\n  \"phases\": {\n"));
     /// assert!(json.contains("    \"contacts\": 3,\n"));
-    /// assert!(json.ends_with("    \"bus_bytes_on_wire\": 0\n  }\n}\n"));
+    /// assert!(json.ends_with("    \"bus_frames_rebuilt\": 0\n  }\n}\n"));
     /// ```
     pub fn to_json(&self, wall: Duration) -> String {
         let secs = |d: Duration| format!("{:.6}", d.as_secs_f64());
@@ -370,6 +374,7 @@ mod tests {
             residue_bytes_est: 18,
             bus_frames_carried: 19,
             bus_bytes_on_wire: 20,
+            bus_frames_rebuilt: 21,
         }
     }
 

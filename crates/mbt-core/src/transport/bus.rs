@@ -1,11 +1,13 @@
 //! The bus backend: every message round-trips its frame encoding over a
-//! link-scheduled in-process bus.
+//! link-scheduled in-process bus. A frame costs one encode into a reused
+//! buffer, two FNV-1a passes over its payload and one walk of its fields
+//! against the sender's value, and allocates only when a field differs.
 
 use std::collections::BTreeSet;
 
 use dtn_trace::{NodeId, SimTime};
 
-use super::frame::{decode_frame, encode_frame_into};
+use super::frame::{check_frame, encode_frame_into};
 use super::{Carried, Transport, WireMessage};
 
 /// Normalized undirected link key.
@@ -17,33 +19,22 @@ fn link(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     }
 }
 
-/// What the receiver of `sent` is given once its frame decoded to `decoded`:
-/// the sender's own value when the two are equal — the round trip proved it
-/// — and otherwise the decoded one.
-fn proven(sent: WireMessage, decoded: WireMessage) -> WireMessage {
-    if decoded == sent {
-        sent
-    } else {
-        decoded
-    }
-}
-
 /// An in-process message bus driven by the contact trace as a connectivity
 /// schedule.
 ///
 /// [`join`](Transport::join) opens a link between every pair of contact
 /// members and [`leave`](Transport::leave) closes them again. Carrying a
-/// message serializes it into its wire frame, checksums it, and fully decodes
-/// and validates the bytes on the far side. A frame that decodes to a value
-/// equal to the message handed in has proven the codec carries it intact,
-/// and the receiver is given the sender's value itself — sharing its `Arc`s
-/// exactly as under [`SimTransport`](super::SimTransport); one that decodes
-/// to anything else is delivered as decoded, so a codec defect still
-/// surfaces as a state divergence. Carrying is lock-step — each frame is
-/// sent and received in one call — so nothing is ever in flight, no frame is
-/// kept, and the bus's one encode buffer is reused by every frame. Delivery
-/// order is identical to [`SimTransport`](super::SimTransport); the
-/// differential suite pins the two backends byte-identical.
+/// message serializes it into its wire frame, checksums it, and on the far
+/// side validates the bytes and checks every field against the message
+/// handed in. A frame whose fields all equal the sender's has proven the
+/// codec carries it intact, and the receiver is given the sender's value
+/// itself — sharing its `Arc`s exactly as under
+/// [`SimTransport`](super::SimTransport); one that differs is decoded in full
+/// and delivered as decoded, so a codec defect still surfaces as a state
+/// divergence. Carrying is lock-step, so nothing is ever in flight and no
+/// frame is kept. Delivery order is identical to
+/// [`SimTransport`](super::SimTransport); the differential suite pins the two
+/// backends byte-identical.
 ///
 /// Carrying across a closed link returns [`Carried::Dropped`] — links only
 /// exist while the connectivity schedule says the two nodes can hear each
@@ -58,6 +49,7 @@ pub struct BusTransport {
     frames_carried: u64,
     bytes_on_wire: u64,
     frames_dropped: u64,
+    frames_rebuilt: u64,
 }
 
 impl BusTransport {
@@ -66,7 +58,7 @@ impl BusTransport {
         BusTransport::default()
     }
 
-    /// Frames successfully carried (encoded, moved, decoded) so far.
+    /// Frames successfully carried (encoded, moved, checked) so far.
     pub fn frames_carried(&self) -> u64 {
         self.frames_carried
     }
@@ -81,9 +73,27 @@ impl BusTransport {
         self.frames_dropped
     }
 
+    /// Carried frames whose check found a field that differs from the
+    /// sender's, so they were decoded in full (zero for a sound codec).
+    pub fn frames_rebuilt(&self) -> u64 {
+        self.frames_rebuilt
+    }
+
     /// True if `a` and `b` currently share an open link.
     pub fn is_open(&self, a: NodeId, b: NodeId) -> bool {
         self.links.contains(&link(a, b))
+    }
+
+    /// Delivers `sent` once [`wire`](Self::wire) holds its frame.
+    fn deliver(&mut self, sent: WireMessage) -> Carried {
+        self.bytes_on_wire += self.wire.len() as u64;
+        let Ok(rebuilt) = check_frame(&self.wire, &sent) else {
+            self.frames_dropped += 1;
+            return Carried::Dropped;
+        };
+        self.frames_carried += 1;
+        self.frames_rebuilt += u64::from(rebuilt.is_some());
+        Carried::Delivered(rebuilt.unwrap_or(sent))
     }
 }
 
@@ -111,17 +121,7 @@ impl Transport for BusTransport {
         }
         encode_frame_into(&mut self.wire, sender, receiver, self.seq, &message);
         self.seq += 1;
-        self.bytes_on_wire += self.wire.len() as u64;
-        match decode_frame(&self.wire) {
-            Ok(frame) => {
-                self.frames_carried += 1;
-                Carried::Delivered(proven(message, frame.message))
-            }
-            Err(_) => {
-                self.frames_dropped += 1;
-                Carried::Dropped
-            }
-        }
+        self.deliver(message)
     }
 
     fn leave(&mut self, _now: SimTime, members: &[NodeId]) {
@@ -137,7 +137,7 @@ impl Transport for BusTransport {
 mod tests {
     use super::*;
     use crate::query::Query;
-    use crate::transport::HelloFrame;
+    use crate::transport::{HelloFrame, FRAME_HEADER_BYTES};
     use crate::uri::Uri;
     use std::sync::Arc;
 
@@ -167,6 +167,15 @@ mod tests {
         }
     }
 
+    /// A bus with the link 0–1 open and `on_wire` encoded in its buffer, as
+    /// a codec that mangled the frame of some other message would leave it.
+    fn bus_holding(on_wire: &WireMessage) -> BusTransport {
+        let mut bus = BusTransport::new();
+        bus.join(SimTime::ZERO, &[n(0), n(1)]);
+        encode_frame_into(&mut bus.wire, n(1), n(0), 0, on_wire);
+        bus
+    }
+
     #[test]
     fn carry_round_trips_through_the_codec() {
         let mut bus = BusTransport::new();
@@ -177,7 +186,7 @@ mod tests {
             Carried::Delivered(msg())
         );
         assert_eq!(bus.frames_carried(), 1);
-        assert!(bus.bytes_on_wire() > super::super::FRAME_HEADER_BYTES as u64);
+        assert!(bus.bytes_on_wire() > FRAME_HEADER_BYTES as u64);
         bus.leave(SimTime::ZERO, &[n(0), n(1), n(2)]);
         assert!(!bus.is_open(n(0), n(2)));
         assert_eq!(bus.frames_dropped(), 0);
@@ -228,6 +237,7 @@ mod tests {
             }
             other => panic!("expected a delivered hello, got {other:?}"),
         }
+        assert_eq!((bus.frames_carried(), bus.frames_rebuilt()), (1, 0));
     }
 
     #[test]
@@ -238,8 +248,10 @@ mod tests {
             f64::from_bits(2.5f64.to_bits() ^ 1),
         ));
         let query_text = WireMessage::Hello(hello(&["fox news", "abc drama"], 2.5));
-        for decoded in [credit_bit, query_text] {
-            assert_eq!(proven(sent(), decoded.clone()), decoded);
+        for on_wire in [credit_bit, query_text] {
+            let mut bus = bus_holding(&on_wire);
+            assert_eq!(bus.deliver(sent()), Carried::Delivered(on_wire));
+            assert_eq!((bus.frames_carried(), bus.frames_rebuilt()), (1, 1));
         }
 
         // A NaN credit keeps its bits on the wire but equals nothing, so a
@@ -255,6 +267,27 @@ mod tests {
                 assert!(h.credits[0].1.is_nan());
             }
             other => panic!("expected a delivered hello, got {other:?}"),
+        }
+        assert_eq!(bus.frames_rebuilt(), 1);
+    }
+
+    #[test]
+    fn a_damaged_frame_is_dropped() {
+        let sent = WireMessage::Hello(hello(&["fox news"], 2.5));
+        // A flipped payload bit fails the checksum; a set reserved byte is
+        // malformed.
+        for at in [FRAME_HEADER_BYTES + 9, 50] {
+            let mut bus = bus_holding(&sent);
+            bus.wire[at] ^= 1;
+            assert_eq!(bus.deliver(sent.clone()), Carried::Dropped, "byte {at}");
+            assert_eq!(
+                (
+                    bus.frames_dropped(),
+                    bus.frames_carried(),
+                    bus.frames_rebuilt()
+                ),
+                (1, 0, 0)
+            );
         }
     }
 }

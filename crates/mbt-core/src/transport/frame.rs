@@ -315,59 +315,67 @@ pub(crate) fn encode_frame_into(
 /// Returns a [`FrameError`] describing the first defect found; arbitrary
 /// input never panics.
 pub fn decode_frame(bytes: &[u8]) -> Result<Frame, FrameError> {
-    if bytes.len() < FRAME_HEADER_BYTES {
-        return Err(FrameError::Truncated {
-            needed: FRAME_HEADER_BYTES,
-            have: bytes.len(),
-        });
+    match walk_frame(bytes, Sink::Build) {
+        Ok(Some(frame)) => Ok(frame),
+        Err(Stop::Bad(e)) => Err(e),
+        Ok(None) | Err(Stop::Differs) => unreachable!("a walk that builds compares nothing"),
     }
+}
+
+/// Checks that `bytes` carry `sent`: reads every byte [`decode_frame`] reads,
+/// allocating nothing while the fields agree. Errs exactly as `decode_frame`
+/// does; answers `None` only when `decode_frame` yields `sent` (a hello's
+/// `frequent` ascending, as documented), else the decoded message.
+pub(crate) fn check_frame(
+    bytes: &[u8],
+    sent: &WireMessage,
+) -> Result<Option<WireMessage>, FrameError> {
+    match walk_frame(bytes, Sink::Expect(sent)) {
+        Ok(_) => Ok(None),
+        Err(Stop::Differs) => decode_frame(bytes).map(|frame| Some(frame.message)),
+        Err(Stop::Bad(e)) => Err(e),
+    }
+}
+
+/// The one frame walk: every check on the header, length and checksum, then
+/// the payload's fields into `sink`, and nothing left over.
+fn walk_frame(bytes: &[u8], sink: Sink<'_>) -> Result<Option<Frame>, Stop> {
+    let mut frame = Reader::new(bytes);
+    frame.take(FRAME_HEADER_BYTES)?;
     if bytes[0..4] != FRAME_MAGIC {
-        return Err(FrameError::BadMagic);
+        return Err(FrameError::BadMagic.into());
     }
     let version = u16::from_be_bytes([bytes[4], bytes[5]]);
     if version != FRAME_VERSION {
-        return Err(FrameError::BadVersion(version));
+        return Err(FrameError::BadVersion(version).into());
     }
     let kind = FrameKind::from_u8(bytes[6]).ok_or(FrameError::UnknownKind(bytes[6]))?;
     if bytes[7] != 0 || bytes[40..FRAME_HEADER_BYTES].iter().any(|&b| b != 0) {
-        return Err(FrameError::Malformed("non-zero flags or reserved bytes"));
+        return Err(FrameError::Malformed("non-zero flags or reserved bytes").into());
     }
     let sender = NodeId::new(u32::from_be_bytes(bytes[8..12].try_into().unwrap()));
     let receiver = NodeId::new(u32::from_be_bytes(bytes[12..16].try_into().unwrap()));
     let seq = u64::from_be_bytes(bytes[16..24].try_into().unwrap());
     let payload_len = u64::from_be_bytes(bytes[24..32].try_into().unwrap());
     let checksum = u64::from_be_bytes(bytes[32..40].try_into().unwrap());
-    let Ok(payload_len) = usize::try_from(payload_len) else {
-        return Err(FrameError::Truncated {
-            needed: usize::MAX,
-            have: bytes.len(),
-        });
-    };
-    let needed = FRAME_HEADER_BYTES.saturating_add(payload_len);
-    if bytes.len() < needed {
-        return Err(FrameError::Truncated {
-            needed,
-            have: bytes.len(),
-        });
+    let payload = frame.take(usize::try_from(payload_len).unwrap_or(usize::MAX))?;
+    if frame.remaining() != 0 {
+        return Err(FrameError::Malformed("trailing bytes after payload").into());
     }
-    if bytes.len() > needed {
-        return Err(FrameError::Malformed("trailing bytes after payload"));
-    }
-    let payload = &bytes[FRAME_HEADER_BYTES..];
     if fnv1a(payload) != checksum {
-        return Err(FrameError::BadChecksum);
+        return Err(FrameError::BadChecksum.into());
     }
     let mut r = Reader::new(payload);
-    let message = decode_payload(kind, &mut r)?;
+    let message = decode_payload(kind, &mut r, sink)?;
     if r.remaining() != 0 {
-        return Err(FrameError::Malformed("unconsumed payload bytes"));
+        return Err(FrameError::Malformed("unconsumed payload bytes").into());
     }
-    Ok(Frame {
+    Ok(message.map(|message| Frame {
         sender,
         receiver,
         seq,
         message,
-    })
+    }))
 }
 
 // --- Payload primitives. ---
@@ -387,6 +395,18 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
+}
+
+/// A u32 count, then each item as `put` writes it.
+fn put_list<T>(
+    out: &mut Vec<u8>,
+    items: impl ExactSizeIterator<Item = T>,
+    mut put: impl FnMut(&mut Vec<u8>, T),
+) {
+    put_u32(out, items.len() as u32);
+    for item in items {
+        put(out, item);
+    }
 }
 
 fn put_opt_time(out: &mut Vec<u8>, t: Option<SimTime>) {
@@ -416,7 +436,7 @@ impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
         if self.remaining() < n {
             return Err(FrameError::Truncated {
-                needed: self.pos + n,
+                needed: self.pos.saturating_add(n),
                 have: self.buf.len(),
             });
         }
@@ -454,14 +474,6 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(bytes).map_err(|_| FrameError::Malformed("invalid UTF-8"))
     }
 
-    fn uri(&mut self) -> Result<Uri, FrameError> {
-        Uri::new(self.str()?).map_err(|_| FrameError::Malformed("invalid uri"))
-    }
-
-    fn query(&mut self) -> Result<Query, FrameError> {
-        Query::new(self.str()?).map_err(|_| FrameError::Malformed("tokenless query"))
-    }
-
     fn node(&mut self) -> Result<NodeId, FrameError> {
         Ok(NodeId::new(self.u32()?))
     }
@@ -477,6 +489,91 @@ impl<'a> Reader<'a> {
     fn digest(&mut self) -> Result<Digest, FrameError> {
         Ok(Digest(self.take(20)?.try_into().unwrap()))
     }
+
+    fn uri(&mut self, sent: Option<&Uri>) -> Result<Option<Uri>, Stop> {
+        field(self.str()?, sent.map(Uri::as_str), |s| {
+            Uri::new(s).map_err(|_| FrameError::Malformed("invalid uri"))
+        })
+    }
+
+    fn query(&mut self, sent: Option<&Query>) -> Result<Option<Query>, Stop> {
+        field(self.str()?, sent.map(Query::text), |s| {
+            Query::new(s).map_err(|_| FrameError::Malformed("tokenless query"))
+        })
+    }
+}
+
+/// What [`decode_payload`] does with each field it reads. A text is compared
+/// as it came off the wire, so checking tokenizes nothing; one equal to the
+/// sender's passed its constructor, so building would accept it too.
+#[derive(Clone, Copy)]
+enum Sink<'e> {
+    /// Materialise the message.
+    Build,
+    /// Compare each field with the sender's message; build nothing.
+    Expect(&'e WireMessage),
+}
+
+/// Why a payload walk stopped before its end.
+enum Stop {
+    Bad(FrameError),
+    /// A field differs from the sender's (only when checking).
+    Differs,
+}
+
+impl From<FrameError> for Stop {
+    fn from(e: FrameError) -> Stop {
+        Stop::Bad(e)
+    }
+}
+
+/// When checking, `Some` of the sender's fields as `$variant` binds them (a
+/// message of another kind differs); `None` when building.
+macro_rules! pick {
+    ($sink:expr, $variant:pat => $fields:expr) => {
+        match $sink {
+            Sink::Build => None,
+            Sink::Expect($variant) => Some($fields),
+            Sink::Expect(_) => return Err(Stop::Differs),
+        }
+    };
+}
+
+/// A field read as `got`: made by `make` when building (`sent` is `None`),
+/// compared with the sender's `sent` when checking.
+fn field<R: PartialEq, T>(
+    got: R,
+    sent: Option<R>,
+    make: impl FnOnce(R) -> Result<T, FrameError>,
+) -> Result<Option<T>, Stop> {
+    match sent {
+        None => Ok(Some(make(got)?)),
+        Some(sent) if sent == got => Ok(None),
+        Some(_) => Err(Stop::Differs),
+    }
+}
+
+/// A plain-value [`field`], which building and checking both keep.
+fn same<T: PartialEq + Copy>(got: T, sent: Option<T>) -> Result<T, Stop> {
+    field(got, sent, Ok)?;
+    Ok(got)
+}
+
+/// `n` items read by `item`, each against the sender's item when checking (a
+/// list of another length differs); what building reads is collected.
+fn list<'e, E: 'e, T, C: Default + Extend<T>>(
+    n: usize,
+    mut sent: Option<impl ExactSizeIterator<Item = &'e E>>,
+    mut item: impl FnMut(Option<&'e E>) -> Result<Option<T>, Stop>,
+) -> Result<C, Stop> {
+    if sent.as_ref().is_some_and(|sent| sent.len() != n) {
+        return Err(Stop::Differs);
+    }
+    let mut built = C::default();
+    for _ in 0..n {
+        built.extend(item(sent.as_mut().and_then(Iterator::next))?);
+    }
+    Ok(built)
 }
 
 fn put_metadata(out: &mut Vec<u8>, m: &Metadata) {
@@ -486,10 +583,9 @@ fn put_metadata(out: &mut Vec<u8>, m: &Metadata) {
     put_str(out, m.uri().as_str());
     put_u64(out, m.size());
     put_u64(out, m.piece_size());
-    put_u32(out, m.piece_checksums().len() as u32);
-    for d in m.piece_checksums() {
-        out.extend_from_slice(d.as_bytes());
-    }
+    put_list(out, m.piece_checksums().iter(), |out, d| {
+        out.extend_from_slice(d.as_bytes())
+    });
     put_u64(out, m.created().as_secs());
     put_opt_time(out, m.expires());
     match m.auth_tag() {
@@ -501,24 +597,40 @@ fn put_metadata(out: &mut Vec<u8>, m: &Metadata) {
     }
 }
 
-fn read_metadata(r: &mut Reader<'_>) -> Result<Metadata, FrameError> {
-    let name = r.str()?.to_string();
-    let publisher = r.str()?.to_string();
-    let description = r.str()?.to_string();
-    let uri = r.uri()?;
-    let size = r.u64()?;
-    let piece_size = r.u64()?;
-    let n_checksums = r.count(20)?;
-    let mut checksums = Vec::with_capacity(n_checksums);
-    for _ in 0..n_checksums {
-        checksums.push(r.digest()?);
-    }
-    let created = SimTime::from_secs(r.u64()?);
-    let expires = r.opt_time()?;
+fn put_meta_pop(out: &mut Vec<u8>, m: &Metadata, p: Popularity) {
+    put_metadata(out, m);
+    put_u64(out, p.value().to_bits());
+}
+
+/// A metadata record and its popularity, against the sender's when checking.
+fn read_meta_pop(
+    r: &mut Reader<'_>,
+    sent: Option<(&Metadata, Popularity)>,
+) -> Result<Option<(Metadata, Popularity)>, Stop> {
+    let m = sent.map(|(m, _)| m);
+    let name = same(r.str()?, m.map(Metadata::name))?;
+    let publisher = same(r.str()?, m.map(Metadata::publisher))?;
+    let description = same(r.str()?, m.map(Metadata::description))?;
+    let uri = r.uri(m.map(Metadata::uri))?;
+    let size = same(r.u64()?, m.map(Metadata::size))?;
+    // The builder raises a zero piece size to 1.
+    let piece_size = same(r.u64()?.max(1), m.map(Metadata::piece_size))?;
+    let sums = m.map(|m| m.piece_checksums().iter());
+    let checksums = list(r.count(20)?, sums, |d| field(r.digest()?, d.copied(), Ok))?;
+    let created = same(SimTime::from_secs(r.u64()?), m.map(Metadata::created))?;
+    let expires = same(r.opt_time()?, m.map(Metadata::expires))?;
     let auth_tag = match r.u8()? {
         0 => None,
         1 => Some(r.digest()?),
-        _ => return Err(FrameError::Malformed("bad option tag")),
+        _ => return Err(FrameError::Malformed("bad option tag").into()),
+    };
+    let auth_tag = same(auth_tag, m.map(Metadata::auth_tag))?;
+    let popularity = same(
+        Popularity::new(f64::from_bits(r.u64()?)),
+        sent.map(|(_, p)| p),
+    )?;
+    let Some(uri) = uri else {
+        return Ok(None);
     };
     let mut meta = Metadata::builder(name, publisher, uri)
         .description(description)
@@ -529,50 +641,29 @@ fn read_metadata(r: &mut Reader<'_>) -> Result<Metadata, FrameError> {
     if let Some(tag) = auth_tag {
         meta.set_auth_tag(tag);
     }
-    Ok(meta)
-}
-
-fn put_meta_pop(out: &mut Vec<u8>, m: &Metadata, p: Popularity) {
-    put_metadata(out, m);
-    put_u64(out, p.value().to_bits());
-}
-
-fn read_meta_pop(r: &mut Reader<'_>) -> Result<(Metadata, Popularity), FrameError> {
-    let m = read_metadata(r)?;
-    let p = Popularity::new(f64::from_bits(r.u64()?));
-    Ok((m, p))
+    Ok(Some((meta, popularity)))
 }
 
 fn encode_payload(message: &WireMessage, out: &mut Vec<u8>) {
     match message {
         WireMessage::Hello(h) => {
             put_u32(out, h.sender.raw());
-            put_u32(out, h.own_queries.len() as u32);
-            for (q, expires) in h.own_queries.iter() {
+            put_list(out, h.own_queries.iter(), |out, (q, expires)| {
                 put_str(out, q.text());
                 put_opt_time(out, *expires);
-            }
-            put_u32(out, h.foreign_queries.len() as u32);
-            for q in &h.foreign_queries {
-                put_str(out, q.text());
-            }
-            put_u32(out, h.wanted.len() as u32);
-            for uri in &h.wanted {
-                put_str(out, uri.as_str());
-            }
-            put_u32(out, h.rejected.len() as u32);
-            for uri in &h.rejected {
-                put_str(out, uri.as_str());
-            }
-            put_u32(out, h.frequent.len() as u32);
-            for id in h.frequent.iter() {
-                put_u32(out, id.raw());
-            }
-            put_u32(out, h.credits.len() as u32);
-            for (id, credit) in &h.credits {
+            });
+            put_list(out, h.foreign_queries.iter(), |out, q| {
+                put_str(out, q.text())
+            });
+            put_list(out, h.wanted.iter(), |out, uri| put_str(out, uri.as_str()));
+            put_list(out, h.rejected.iter(), |out, uri| {
+                put_str(out, uri.as_str())
+            });
+            put_list(out, h.frequent.iter(), |out, id| put_u32(out, id.raw()));
+            put_list(out, h.credits.iter(), |out, (id, credit)| {
                 put_u32(out, id.raw());
                 put_u64(out, credit.to_bits());
-            }
+            });
         }
         WireMessage::QueryShare {
             owner,
@@ -612,103 +703,110 @@ fn encode_payload(message: &WireMessage, out: &mut Vec<u8>) {
             put_u32(out, *limit);
         }
         WireMessage::SearchResults { results } => {
-            put_u32(out, results.len() as u32);
-            for (m, p) in results {
-                put_meta_pop(out, m, *p);
-            }
+            put_list(out, results.iter(), |out, (m, p)| put_meta_pop(out, m, *p));
         }
     }
 }
 
-fn decode_payload(kind: FrameKind, r: &mut Reader<'_>) -> Result<WireMessage, FrameError> {
+/// Reads a `kind` payload field by field into `sink`: the message when
+/// building, `None` once every field matched when checking.
+fn decode_payload(
+    kind: FrameKind,
+    r: &mut Reader<'_>,
+    sink: Sink<'_>,
+) -> Result<Option<WireMessage>, Stop> {
     Ok(match kind {
         FrameKind::Hello => {
-            let sender = r.node()?;
-            let n_own = r.count(5)?;
-            let mut own_queries = Vec::with_capacity(n_own);
-            for _ in 0..n_own {
-                let q = r.query()?;
-                own_queries.push((q, r.opt_time()?));
-            }
-            let own_queries = own_queries.into();
-            let n_foreign = r.count(4)?;
-            let mut foreign_queries = Vec::with_capacity(n_foreign);
-            for _ in 0..n_foreign {
-                foreign_queries.push(r.query()?);
-            }
-            let mut wanted = BTreeSet::new();
-            for _ in 0..r.count(4)? {
-                wanted.insert(r.uri()?);
-            }
-            let mut rejected = BTreeSet::new();
-            for _ in 0..r.count(4)? {
-                rejected.insert(r.uri()?);
-            }
-            let n_frequent = r.count(4)?;
-            let mut frequent = Vec::with_capacity(n_frequent);
-            for _ in 0..n_frequent {
-                frequent.push(r.node()?);
-            }
-            let frequent = ascending(frequent.into());
-            let n_credits = r.count(12)?;
-            let mut credits = Vec::with_capacity(n_credits);
-            for _ in 0..n_credits {
-                let id = r.node()?;
-                credits.push((id, f64::from_bits(r.u64()?)));
-            }
-            WireMessage::Hello(HelloFrame {
-                sender,
-                own_queries,
-                foreign_queries,
-                wanted,
-                rejected,
-                frequent,
-                credits,
+            let h = pick!(sink, WireMessage::Hello(h) => h);
+            let sender = same(r.node()?, h.map(|h| h.sender))?;
+            let own = h.map(|h| h.own_queries.iter());
+            let own_queries: Vec<OwnQuery> = list(r.count(5)?, own, |sent| {
+                let query = r.query(sent.map(|(q, _)| q))?;
+                let expires = same(r.opt_time()?, sent.map(|&(_, e)| e))?;
+                Ok(query.map(|q| (q, expires)))
+            })?;
+            let foreign = h.map(|h| h.foreign_queries.iter());
+            let foreign_queries = list(r.count(4)?, foreign, |q| r.query(q))?;
+            let wanted = list(r.count(4)?, h.map(|h| h.wanted.iter()), |u| r.uri(u))?;
+            let rejected = list(r.count(4)?, h.map(|h| h.rejected.iter()), |u| r.uri(u))?;
+            let frequent: Vec<NodeId> = list(r.count(4)?, h.map(|h| h.frequent.iter()), |id| {
+                field(r.node()?, id.copied(), Ok)
+            })?;
+            let credits = list(r.count(12)?, h.map(|h| h.credits.iter()), |c| {
+                let id = same(r.node()?, c.map(|c| c.0))?;
+                let credit = field(f64::from_bits(r.u64()?), c.map(|c| c.1), Ok)?;
+                Ok(credit.map(|credit| (id, credit)))
+            })?;
+            h.is_none().then(|| {
+                WireMessage::Hello(HelloFrame {
+                    sender,
+                    own_queries: own_queries.into(),
+                    foreign_queries,
+                    wanted,
+                    rejected,
+                    frequent: ascending(frequent.into()),
+                    credits,
+                })
             })
         }
-        FrameKind::QueryShare => WireMessage::QueryShare {
-            owner: r.node()?,
-            query: r.query()?,
-            expires: r.opt_time()?,
-        },
+        FrameKind::QueryShare => {
+            let s = pick!(sink, WireMessage::QueryShare { owner, query, expires } =>
+                (*owner, query, *expires));
+            let owner = same(r.node()?, s.map(|s| s.0))?;
+            let query = r.query(s.map(|s| s.1))?;
+            let expires = same(r.opt_time()?, s.map(|s| s.2))?;
+            query.map(|query| WireMessage::QueryShare {
+                owner,
+                query,
+                expires,
+            })
+        }
         FrameKind::Metadata => {
-            let (metadata, popularity) = read_meta_pop(r)?;
-            WireMessage::Metadata {
+            let s = pick!(sink, WireMessage::Metadata { metadata, popularity } =>
+                (metadata, *popularity));
+            read_meta_pop(r, s)?.map(|(metadata, popularity)| WireMessage::Metadata {
                 metadata,
                 popularity,
-            }
+            })
         }
         FrameKind::FileBroadcast => {
-            let uri = r.uri()?;
-            let metadata = match r.u8()? {
+            let s = pick!(sink, WireMessage::FileBroadcast { uri, metadata } =>
+                (uri, metadata.as_ref().map(|(m, p)| (m, *p))));
+            let uri = r.uri(s.map(|s| s.0))?;
+            let riding = s.map(|s| s.1);
+            let metadata = match same(r.u8()?, riding.map(|m| u8::from(m.is_some())))? {
                 0 => None,
-                1 => Some(read_meta_pop(r)?),
-                _ => return Err(FrameError::Malformed("bad option tag")),
+                1 => read_meta_pop(r, riding.flatten())?,
+                _ => return Err(FrameError::Malformed("bad option tag").into()),
             };
-            WireMessage::FileBroadcast { uri, metadata }
+            uri.map(|uri| WireMessage::FileBroadcast { uri, metadata })
         }
-        FrameKind::PieceRequest => WireMessage::PieceRequest {
-            uri: r.uri()?,
-            index: r.u32()?,
-        },
+        FrameKind::PieceRequest => {
+            let s = pick!(sink, WireMessage::PieceRequest { uri, index } => (uri, *index));
+            let uri = r.uri(s.map(|s| s.0))?;
+            let index = same(r.u32()?, s.map(|s| s.1))?;
+            uri.map(|uri| WireMessage::PieceRequest { uri, index })
+        }
         FrameKind::Piece => {
-            let uri = r.uri()?;
-            let index = r.u32()?;
+            let p = pick!(sink, WireMessage::Piece(p) => p);
+            let uri = r.uri(p.map(|p| p.id().uri()))?;
+            let index = same(r.u32()?, p.map(|p| p.id().index()))?;
             let len = r.count(1)?;
-            let data = r.take(len)?.to_vec();
-            WireMessage::Piece(Piece::new(PieceId::new(uri, index), data))
+            let data = same(r.take(len)?, p.map(Piece::data))?;
+            uri.map(|uri| WireMessage::Piece(Piece::new(PieceId::new(uri, index), data.to_vec())))
         }
-        FrameKind::Search => WireMessage::Search {
-            query: r.query()?,
-            limit: r.u32()?,
-        },
+        FrameKind::Search => {
+            let s = pick!(sink, WireMessage::Search { query, limit } => (query, *limit));
+            let query = r.query(s.map(|s| s.0))?;
+            let limit = same(r.u32()?, s.map(|s| s.1))?;
+            query.map(|query| WireMessage::Search { query, limit })
+        }
         FrameKind::SearchResults => {
-            let n = r.count(1)?;
-            let mut results = Vec::with_capacity(n);
-            for _ in 0..n {
-                results.push(read_meta_pop(r)?);
-            }
-            WireMessage::SearchResults { results }
+            let s = pick!(sink, WireMessage::SearchResults { results } => results);
+            let results = list(r.count(1)?, s.map(|s| s.iter()), |mp| {
+                read_meta_pop(r, mp.map(|(m, p)| (m, *p)))
+            })?;
+            s.is_none().then_some(WireMessage::SearchResults { results })
         }
     })
 }
@@ -952,6 +1050,159 @@ mod tests {
         assert_eq!(buf, encode_frame(n(3), n(4), 5, &msg));
     }
 
+    /// An arbitrary message, of kind `seed % 8`, every list, text, time and
+    /// number in it drawn from `seed`; a credit is NaN or −0 now and then.
+    fn arbitrary_message(seed: u64) -> WireMessage {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const WORDS: [&str; 8] = [
+            "fox", "News", "abc", "comedy", "evening", "42", "a-b", "café",
+        ];
+        fn text(rng: &mut StdRng) -> String {
+            let n = rng.gen_range(1..4);
+            let words: Vec<&str> = (0..n).map(|_| WORDS[rng.gen_range(0..8usize)]).collect();
+            words.join(" ")
+        }
+        fn query(rng: &mut StdRng) -> Query {
+            Query::new(text(rng)).unwrap()
+        }
+        fn uri(rng: &mut StdRng) -> Uri {
+            Uri::new(format!(
+                "mbt://{}/{}",
+                WORDS[rng.gen_range(0..6usize)],
+                rng.gen::<u8>()
+            ))
+            .unwrap()
+        }
+        fn time(rng: &mut StdRng) -> Option<SimTime> {
+            rng.gen_bool(0.5)
+                .then(|| SimTime::from_secs(rng.gen_range(0..1u64 << 40)))
+        }
+        fn meta_pop(rng: &mut StdRng) -> (Metadata, Popularity) {
+            let sums = (0..rng.gen_range(0..3))
+                .map(|_| crate::checksum::sha1(&rng.gen::<u64>().to_be_bytes()))
+                .collect();
+            let mut m = Metadata::builder(text(rng), text(rng), uri(rng))
+                .description(if rng.gen_bool(0.5) {
+                    text(rng)
+                } else {
+                    String::new()
+                })
+                .sized(rng.gen(), rng.gen_range(1..1u64 << 20), sums)
+                .created(SimTime::from_secs(rng.gen_range(0..1u64 << 40)))
+                .expires_at(time(rng))
+                .build();
+            if rng.gen_bool(0.5) {
+                m.set_auth_tag(crate::checksum::sha1(&rng.gen::<u64>().to_be_bytes()));
+            }
+            (m, Popularity::new(f64::from_bits(rng.gen())))
+        }
+        fn many<T>(rng: &mut StdRng, most: usize, item: fn(&mut StdRng) -> T) -> Vec<T> {
+            (0..rng.gen_range(0..=most)).map(|_| item(rng)).collect()
+        }
+        let rng = &mut StdRng::seed_from_u64(seed);
+        match seed % 8 {
+            0 => WireMessage::Hello(HelloFrame {
+                sender: n(rng.gen()),
+                own_queries: many(rng, 3, |rng| (query(rng), time(rng))).into(),
+                foreign_queries: many(rng, 3, query),
+                wanted: many(rng, 3, uri).into_iter().collect(),
+                rejected: many(rng, 2, uri).into_iter().collect(),
+                frequent: many(rng, 4, |rng| n(rng.gen_range(0..64)))
+                    .into_iter()
+                    .collect::<BTreeSet<_>>()
+                    .into_iter()
+                    .collect(),
+                credits: many(rng, 3, |rng| {
+                    let credit = match rng.gen_range(0..8) {
+                        0 => f64::NAN,
+                        1 => -0.0,
+                        _ => f64::from(rng.gen::<u32>()) / 8.0,
+                    };
+                    (n(rng.gen_range(0..64)), credit)
+                }),
+            }),
+            1 => WireMessage::QueryShare {
+                owner: n(rng.gen()),
+                query: query(rng),
+                expires: time(rng),
+            },
+            2 => {
+                let (metadata, popularity) = meta_pop(rng);
+                WireMessage::Metadata {
+                    metadata,
+                    popularity,
+                }
+            }
+            3 => WireMessage::FileBroadcast {
+                uri: uri(rng),
+                metadata: rng.gen_bool(0.5).then(|| meta_pop(rng)),
+            },
+            4 => WireMessage::PieceRequest {
+                uri: uri(rng),
+                index: rng.gen(),
+            },
+            5 => WireMessage::Piece(Piece::new(
+                PieceId::new(uri(rng), rng.gen()),
+                many(rng, 40, |rng| rng.gen()),
+            )),
+            6 => WireMessage::Search {
+                query: query(rng),
+                limit: rng.gen(),
+            },
+            _ => WireMessage::SearchResults {
+                results: many(rng, 2, meta_pop),
+            },
+        }
+    }
+
+    fn carries_nan(message: &WireMessage) -> bool {
+        matches!(message, WireMessage::Hello(h) if h.credits.iter().any(|c| c.1.is_nan()))
+    }
+
+    /// Rewrites the header checksum to vouch for the payload as it now is.
+    fn reseal(bytes: &mut [u8]) {
+        let sum = fnv1a(&bytes[FRAME_HEADER_BYTES..]);
+        bytes[32..40].copy_from_slice(&sum.to_be_bytes());
+    }
+
+    /// The check's contract against the decoder on the same bytes: the same
+    /// error, "carries `sent`" only for a frame that decodes to `sent`, and
+    /// otherwise the decoded message (compared by its encoding, as a NaN
+    /// credit equals nothing).
+    fn assert_check_agrees(bytes: &[u8], sent: &WireMessage) {
+        let encoded = |m: &WireMessage| encode_frame(n(0), n(0), 0, m);
+        match (check_frame(bytes, sent), decode_frame(bytes)) {
+            (Err(checked), Err(decoded)) => assert_eq!(checked, decoded),
+            (Ok(None), Ok(frame)) => {
+                assert_eq!(&frame.message, sent, "checked equal, decodes different")
+            }
+            (Ok(Some(rebuilt)), Ok(frame)) => {
+                assert_eq!(encoded(&rebuilt), encoded(&frame.message))
+            }
+            (checked, decoded) => panic!("check gave {checked:?}, decode {decoded:?}"),
+        }
+    }
+
+    /// Every one-bit change to a payload that the checksum still vouches
+    /// for — in a credit, an expiry, a letter of a query — is seen: the
+    /// check calls no frame the sender's message unless it decodes to it.
+    #[test]
+    fn no_changed_field_checks_as_sent() {
+        for seed in 0..64 {
+            let sent = arbitrary_message(seed);
+            let good = encode_frame(n(1), n(2), 3, &sent);
+            for at in FRAME_HEADER_BYTES..good.len() {
+                for bit in [0, 5, 7] {
+                    let mut bytes = good.clone();
+                    bytes[at] ^= 1 << bit;
+                    reseal(&mut bytes);
+                    assert_check_agrees(&bytes, &sent);
+                }
+            }
+        }
+    }
+
     #[test]
     fn trailing_bytes_are_rejected() {
         let mut bytes = encode_frame(
@@ -1048,6 +1299,50 @@ mod tests {
                 prop_assert!((8..24).contains(&at), "a flip at byte {} decoded", at);
                 prop_assert_eq!(frame.message, msg);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn every_kind_checks_as_sent_unless_it_carries_nan(seed in any::<u64>()) {
+            let sent = arbitrary_message(seed);
+            let bytes = encode_frame(n(1), n(2), seed, &sent);
+            let checked = check_frame(&bytes, &sent).unwrap();
+            if carries_nan(&sent) {
+                // A NaN equals nothing, so the frame is rebuilt — to the
+                // sender's bits.
+                let rebuilt = checked.expect("a NaN credit checked equal");
+                prop_assert_eq!(encode_frame(n(1), n(2), seed, &rebuilt), bytes);
+            } else {
+                prop_assert_eq!(&decode_frame(&bytes).unwrap().message, &sent);
+                prop_assert_eq!(checked, None);
+            }
+        }
+
+        #[test]
+        fn check_agrees_with_decode_on_mutated_frames(
+            seed in any::<u64>(),
+            how in 0u8..6,
+            at in any::<usize>(),
+            xor in 1u8..=255,
+        ) {
+            let sent = arbitrary_message(seed);
+            let mut bytes = encode_frame(n(1), n(2), 3, &sent);
+            let payload = bytes.len() - FRAME_HEADER_BYTES;
+            match how {
+                0 => bytes[at % FRAME_HEADER_BYTES] ^= xor,
+                1 => bytes[40 + at % 24] ^= xor, // reserved
+                2 => bytes[FRAME_HEADER_BYTES + at % payload] ^= xor,
+                3 => {
+                    bytes[FRAME_HEADER_BYTES + at % payload] ^= xor;
+                    reseal(&mut bytes);
+                }
+                4 => bytes.truncate(at % bytes.len()),
+                _ => bytes.push(xor),
+            }
+            assert_check_agrees(&bytes, &sent);
         }
     }
 }

@@ -12,10 +12,13 @@
 //!   golden CSVs.
 //! * [`BusTransport`] — an in-process message bus. The contact trace acts as
 //!   a connectivity schedule (links open at contact start, close at contact
-//!   end); every carry round-trips the message through its serialized
-//!   [`frame`] encoding and delivers the sender's value once the decoded
-//!   frame equals it. The differential suite (`tests/transport_equivalence.rs`)
-//!   pins this backend byte-identical to [`SimTransport`].
+//!   end); every carry encodes the message into its serialized [`frame`],
+//!   validates the bytes and checks each field against the sender's value,
+//!   and delivers that value when all of them match. A frame costs one
+//!   encode, two FNV-1a passes over its payload and one walk of its fields;
+//!   it allocates only when a field differs and the frame is decoded in
+//!   full. The differential suite (`tests/transport_equivalence.rs`) pins
+//!   this backend byte-identical to [`SimTransport`].
 //! * [`live`] — a threaded bus runtime on the same frame codec, where nodes
 //!   and a [`ServerSnapshot`](crate::server::ServerSnapshot)-backed gateway
 //!   run as real tasks (the `mbt node` / `mbt gateway` CLI modes).
@@ -43,9 +46,9 @@ pub use sim::SimTransport;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Carried {
     /// The message reached the receiver; this is what it saw. A serializing
-    /// backend has encoded and decoded it: the value handed in when the
-    /// decoded frame equals it, else the decoded value — so any codec defect
-    /// surfaces as a state divergence, not silently.
+    /// backend has encoded it and checked the frame: the value handed in
+    /// when every field equals it, else the frame decoded in full — so any
+    /// codec defect surfaces as a state divergence, not silently.
     Delivered(WireMessage),
     /// The link was closed (or the frame failed in flight); the receiver
     /// saw nothing. The contact loop counts these as lost frames.

@@ -554,6 +554,7 @@ pub(crate) fn simulate(
     if let Some(tel) = telemetry.as_deref_mut() {
         tel.counters.bus_frames_carried += bus.frames_carried();
         tel.counters.bus_bytes_on_wire += bus.bytes_on_wire();
+        tel.counters.bus_frames_rebuilt += bus.frames_rebuilt();
         // A row is never dropped, so the rows built are the rows resident at
         // the end, which is the peak.
         let rows = table.nodes.len() as u64;

@@ -107,15 +107,18 @@ fn faulty_runs_agree(cooperation: CooperationMode) {
         sim_result, bus_result,
         "{cooperation:?} fault-plan results diverged"
     );
-    // The bus's own two figures — what it carried — are the one thing the
-    // backends report differently; every simulation counter must agree.
+    // The bus's own three figures — what it carried, and what it had to
+    // decode in full — are the one thing the backends report differently;
+    // every simulation counter must agree. A sound codec rebuilds nothing.
     let carried = bus_tel.counters.bus_frames_carried;
     assert!(carried > 0 && bus_tel.counters.bus_bytes_on_wire > 64 * carried);
+    assert_eq!(bus_tel.counters.bus_frames_rebuilt, 0);
     assert_eq!(
         sim_tel.counters,
         Counters {
             bus_frames_carried: 0,
             bus_bytes_on_wire: 0,
+            bus_frames_rebuilt: 0,
             ..bus_tel.counters
         },
         "fault-plan telemetry counters diverged"
