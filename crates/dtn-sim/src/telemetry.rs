@@ -122,10 +122,6 @@ counters! {
     /// in-memory runs. Additive on merge: total shard loads across all
     /// streaming passes.
     shards_loaded: sum,
-    /// Shards whose decode was started ahead of consumption by pipelined
-    /// streaming replay. Zero for in-memory runs and serial streams.
-    /// Additive on merge, like [`Counters::shards_loaded`].
-    shards_prefetched: sum,
     /// Peak number of trace contacts resident in memory at once across the
     /// runs merged so far. Merges by **maximum**, not addition — residency
     /// is concurrent state, so the sweep-wide figure is the worst single
@@ -301,6 +297,7 @@ impl Telemetry {
     /// assert!(json.starts_with("{\n  \"wall_secs\": 1.500000,\n  \"phases\": {\n"));
     /// assert!(json.contains("    \"contacts\": 3,\n"));
     /// assert!(json.ends_with("    \"bus_frames_rebuilt\": 0\n  }\n}\n"));
+    /// assert_eq!(json.matches("\n    \"").count(), 6 + 20, "six phases, twenty counters");
     /// ```
     pub fn to_json(&self, wall: Duration) -> String {
         let secs = |d: Duration| format!("{:.6}", d.as_secs_f64());
@@ -366,15 +363,14 @@ mod tests {
             wanted_cache_hits: 10,
             index_lookups: 11,
             shards_loaded: 12,
-            shards_prefetched: 13,
-            peak_resident_contacts: 14,
-            nodes_instantiated: 15,
-            peak_resident_nodes: 16,
-            peak_residue_nodes: 17,
-            residue_bytes_est: 18,
-            bus_frames_carried: 19,
-            bus_bytes_on_wire: 20,
-            bus_frames_rebuilt: 21,
+            peak_resident_contacts: 13,
+            nodes_instantiated: 14,
+            peak_resident_nodes: 15,
+            peak_residue_nodes: 16,
+            residue_bytes_est: 17,
+            bus_frames_carried: 18,
+            bus_bytes_on_wire: 19,
+            bus_frames_rebuilt: 20,
         }
     }
 

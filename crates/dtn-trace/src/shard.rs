@@ -20,9 +20,7 @@
 //! The manifest carries everything a run needs without touching shard
 //! files: contact count, id space, node set, span, and per-shard contact
 //! counts. [`ShardedTrace::stream`] then faults shards in one at a time, so
-//! peak memory is bounded by the largest single shard;
-//! [`TraceSource::stream_prefetch`] decodes the next shard on a background
-//! worker while the previous one is being consumed.
+//! peak memory is bounded by the largest single shard.
 //!
 //! Alongside each shard the writer emits a `pairs-NNNNN.txt` sidecar listing
 //! the shard's distinct participant pairs, and the manifest `shard` lines
@@ -51,8 +49,6 @@ use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
-use std::thread;
 
 use crate::contact::Contact;
 use crate::node::NodeId;
@@ -759,13 +755,6 @@ impl TraceSource for ShardedTrace {
         })
     }
 
-    fn stream_prefetch(&self, depth: usize) -> Box<dyn ContactStream + '_> {
-        if depth == 0 || self.manifest.shards.is_empty() {
-            return self.stream();
-        }
-        Box::new(PrefetchStream::spawn(self, depth))
-    }
-
     fn frequent_map(&self, every: SimDuration) -> Option<BTreeMap<NodeId, Vec<NodeId>>> {
         let every_secs = every.as_secs();
         let span_secs = TraceSource::span(self).as_secs();
@@ -896,146 +885,6 @@ impl Iterator for ShardStream<'_> {
 impl ContactStream for ShardStream<'_> {
     fn stream_stats(&self) -> StreamStats {
         self.stats
-    }
-}
-
-/// Pipelined streaming iterator over a [`ShardedTrace`]: a background
-/// worker decodes up to `depth` shards ahead of the one being consumed.
-///
-/// The worker walks the manifest index in window order and ships each
-/// decoded shard over a bounded channel, so the contact sequence is exactly
-/// the serial [`ShardStream`] sequence — prefetching changes *when* shards
-/// decode, never what is yielded. Decode failures travel over the channel
-/// and panic at the consumption point, preserving the replay path's
-/// fail-loud contract (a silently short trace would corrupt results).
-///
-/// Stats are modeled deterministically from the manifest rather than
-/// measured from thread timing, so they are reproducible bit-for-bit:
-/// after the k-th shard is taken, `shards_prefetched` is the number of
-/// shards whose decode the worker is allowed to have started
-/// (`min(k + depth, total)`), and `peak_resident_contacts` charges the
-/// consumed shard plus every decode-ahead slot
-/// (`contacts[k] + contacts[k+1..=k+depth]`) — the worst-case concurrent
-/// residency the pipeline permits.
-struct PrefetchStream {
-    /// Per-shard contact counts from the manifest, for the residency model.
-    counts: Vec<u64>,
-    depth: usize,
-    next_shard: usize,
-    current: std::vec::IntoIter<Contact>,
-    stats: StreamStats,
-    rx: Option<mpsc::Receiver<Result<Vec<Contact>, String>>>,
-    worker: Option<thread::JoinHandle<()>>,
-}
-
-impl fmt::Debug for PrefetchStream {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PrefetchStream")
-            .field("depth", &self.depth)
-            .field("next_shard", &self.next_shard)
-            .field("stats", &self.stats)
-            .finish_non_exhaustive()
-    }
-}
-
-impl PrefetchStream {
-    fn spawn(trace: &ShardedTrace, depth: usize) -> PrefetchStream {
-        debug_assert!(depth > 0, "depth 0 is the serial stream");
-        // Channel capacity depth-1 plus the send the worker blocks in keeps
-        // at most `depth` decoded-but-unconsumed shards alive.
-        let (tx, rx) = mpsc::sync_channel(depth.saturating_sub(1));
-        let dir = trace.dir.clone();
-        let metas = trace.manifest.shards.clone();
-        let worker = thread::spawn(move || {
-            for meta in &metas {
-                let path = dir.join(&meta.file);
-                let result = File::open(&path)
-                    .map_err(|e| format!("cannot open shard `{}`: {e}", path.display()))
-                    .and_then(|file| {
-                        ContactReader::new(file)
-                            .collect::<Result<Vec<Contact>, _>>()
-                            .map_err(|e| format!("cannot parse shard `{}`: {e}", path.display()))
-                    });
-                let failed = result.is_err();
-                if tx.send(result).is_err() {
-                    return; // Receiver dropped: stream abandoned mid-replay.
-                }
-                if failed {
-                    return;
-                }
-            }
-        });
-        PrefetchStream {
-            counts: trace.manifest.shards.iter().map(|s| s.contacts).collect(),
-            depth,
-            next_shard: 0,
-            current: Vec::new().into_iter(),
-            stats: StreamStats::default(),
-            rx: Some(rx),
-            worker: Some(worker),
-        }
-    }
-
-    fn load_next_shard(&mut self) -> bool {
-        let total = self.counts.len();
-        if self.next_shard >= total {
-            return false;
-        }
-        let rx = self
-            .rx
-            .as_ref()
-            .expect("receiver lives until the index is drained");
-        let contacts = match rx.recv() {
-            Ok(Ok(contacts)) => contacts,
-            Ok(Err(message)) => panic!("{message}"),
-            Err(_) => panic!("prefetch worker exited before draining the shard index"),
-        };
-        let k = self.next_shard;
-        self.next_shard += 1;
-        self.stats.shards_loaded += 1;
-        self.stats.shards_prefetched = (k + 1 + self.depth).min(total) as u64;
-        let decoded_ahead: u64 = self.counts[k + 1..(k + 1 + self.depth).min(total)]
-            .iter()
-            .sum();
-        self.stats.peak_resident_contacts = self
-            .stats
-            .peak_resident_contacts
-            .max(self.counts[k] + decoded_ahead);
-        self.current = contacts.into_iter();
-        true
-    }
-}
-
-impl Iterator for PrefetchStream {
-    type Item = Contact;
-
-    fn next(&mut self) -> Option<Contact> {
-        loop {
-            if let Some(contact) = self.current.next() {
-                return Some(contact);
-            }
-            if !self.load_next_shard() {
-                return None;
-            }
-        }
-    }
-}
-
-impl ContactStream for PrefetchStream {
-    fn stream_stats(&self) -> StreamStats {
-        self.stats
-    }
-}
-
-impl Drop for PrefetchStream {
-    fn drop(&mut self) {
-        // Closing the channel makes the worker's next send fail, which is
-        // its exit signal; joining then bounds the worker's lifetime by the
-        // stream's.
-        drop(self.rx.take());
-        if let Some(worker) = self.worker.take() {
-            worker.join().ok();
-        }
     }
 }
 
@@ -1187,10 +1036,6 @@ mod tests {
         assert!(stream.next().is_some(), "first contact comes from shard 0");
         let stats = stream.stream_stats();
         assert_eq!(stats.shards_loaded, 1, "only one shard was faulted in");
-        assert_eq!(
-            stats.shards_prefetched, 0,
-            "the serial stream never decodes ahead"
-        );
         assert!(stats.peak_resident_contacts >= 1);
         assert!((stats.shards_loaded as usize) < sharded.shard_count());
         // Draining the rest brings the count up to the full index.
@@ -1199,61 +1044,6 @@ mod tests {
             stream.stream_stats().shards_loaded,
             sharded.shard_count() as u64
         );
-
-        // Prefetch mode: same one-load partial accounting, plus the
-        // decode-ahead model — depth 1 means shard 1 is charged as resident
-        // alongside shard 0 and counted as prefetched.
-        let mut stream = sharded.stream_prefetch(1);
-        assert!(stream.next().is_some());
-        let stats = stream.stream_stats();
-        assert_eq!(stats.shards_loaded, 1);
-        assert_eq!(
-            stats.shards_prefetched, 2,
-            "shard 0 taken + shard 1 decoding ahead"
-        );
-        let counts: Vec<u64> = sharded.shards().iter().map(|s| s.contacts).collect();
-        assert_eq!(
-            stats.peak_resident_contacts,
-            counts[0] + counts[1],
-            "both resident shards are charged"
-        );
-        while stream.next().is_some() {}
-        let stats = stream.stream_stats();
-        assert_eq!(stats.shards_loaded, sharded.shard_count() as u64);
-        assert_eq!(
-            stats.shards_prefetched,
-            sharded.shard_count() as u64,
-            "a drained pipeline prefetched exactly the whole index"
-        );
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn prefetch_yields_the_exact_serial_sequence_at_any_depth() {
-        let dir = temp_dir("prefetch-eq");
-        let sharded = write_sample(&dir);
-        let serial: Vec<Contact> = TraceSource::stream(&sharded).collect();
-        for depth in [0usize, 1, 2, 10] {
-            let prefetched: Vec<Contact> = sharded.stream_prefetch(depth).collect();
-            assert_eq!(prefetched, serial, "depth {depth} changed the sequence");
-        }
-        // Depth beyond the index caps the model at the index size.
-        let mut stream = sharded.stream_prefetch(10);
-        assert!(stream.next().is_some());
-        assert_eq!(
-            stream.stream_stats().shards_prefetched,
-            sharded.shard_count() as u64
-        );
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn dropping_a_partially_consumed_prefetch_stream_joins_the_worker() {
-        let dir = temp_dir("prefetch-drop");
-        let sharded = write_sample(&dir);
-        let mut stream = sharded.stream_prefetch(2);
-        assert!(stream.next().is_some());
-        drop(stream); // Must not hang or leak the worker thread.
         fs::remove_dir_all(&dir).ok();
     }
 

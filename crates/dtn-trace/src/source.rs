@@ -25,23 +25,17 @@ use crate::trace::ContactTrace;
 pub struct StreamStats {
     /// Number of on-disk shards loaded. Zero for in-memory sources.
     pub shards_loaded: u64,
-    /// Number of shards whose decode was started ahead of consumption by a
-    /// pipelined stream. Zero for in-memory and serial sharded streams.
-    pub shards_prefetched: u64,
     /// Peak number of contacts resident in the stream's buffer at once.
-    /// For in-memory sources this is the full trace length; for serial
-    /// sharded sources it is bounded by the largest single shard; a
-    /// pipelined stream counts every decoded-ahead shard as resident too.
+    /// For in-memory sources this is the full trace length; for sharded
+    /// sources it is bounded by the largest single shard.
     pub peak_resident_contacts: u64,
 }
 
 impl StreamStats {
-    /// Combines observations from several streams: shard loads and prefetches
-    /// add, peaks take the maximum (they describe concurrent residency, not
-    /// totals).
+    /// Combines observations from several streams: shard loads add, peaks
+    /// take the maximum (they describe concurrent residency, not totals).
     pub fn absorb(&mut self, other: StreamStats) {
         self.shards_loaded += other.shards_loaded;
-        self.shards_prefetched += other.shards_prefetched;
         self.peak_resident_contacts = self
             .peak_resident_contacts
             .max(other.peak_resident_contacts);
@@ -101,12 +95,11 @@ pub trait TraceSource: Send + Sync + fmt::Debug {
     /// returned `None`) opens one extra stream for it.
     fn stream(&self) -> Box<dyn ContactStream + '_>;
 
-    /// Opens a stream that may decode ahead of consumption by up to `depth`
-    /// units (shards, for on-disk sources). `depth == 0` means strictly
-    /// serial. Sources without a pipelined implementation fall back to
-    /// [`TraceSource::stream`]; the contact sequence is identical either
-    /// way — prefetching only changes *when* decoding happens, never what
-    /// is yielded.
+    /// [`TraceSource::stream`], whatever `depth` says.
+    ///
+    /// No workspace code calls it. The benchmark's `TimedSource` still
+    /// overrides it with a forward, and ROADMAP's ledger v2 item (e)
+    /// retires the method together with that forward.
     fn stream_prefetch(&self, depth: usize) -> Box<dyn ContactStream + '_> {
         let _ = depth;
         self.stream()
@@ -152,7 +145,6 @@ impl ContactStream for MemoryStream<'_> {
     fn stream_stats(&self) -> StreamStats {
         StreamStats {
             shards_loaded: 0,
-            shards_prefetched: 0,
             peak_resident_contacts: self.len,
         }
     }
@@ -236,32 +228,25 @@ mod tests {
     fn absorb_adds_loads_and_maxes_peaks() {
         let mut a = StreamStats {
             shards_loaded: 2,
-            shards_prefetched: 1,
             peak_resident_contacts: 100,
         };
         a.absorb(StreamStats {
             shards_loaded: 3,
-            shards_prefetched: 4,
             peak_resident_contacts: 40,
         });
         assert_eq!(a.shards_loaded, 5);
-        assert_eq!(a.shards_prefetched, 5, "prefetch counts add like loads");
         assert_eq!(a.peak_resident_contacts, 100);
     }
 
     #[test]
-    fn default_stream_prefetch_falls_back_to_serial() {
+    fn default_methods_forward_to_stream_and_derive_nothing() {
         let trace: ContactTrace = vec![pc(0, 1, 50, 60), pc(1, 2, 10, 20)]
             .into_iter()
             .collect();
         let source: &dyn TraceSource = &trace;
         let serial: Vec<Contact> = source.stream().collect();
-        let prefetched: Vec<Contact> = source.stream_prefetch(4).collect();
-        assert_eq!(serial, prefetched);
-        assert_eq!(
-            source.stream_prefetch(4).stream_stats().shards_prefetched,
-            0
-        );
+        let forwarded: Vec<Contact> = source.stream_prefetch(4).collect();
+        assert_eq!(serial, forwarded);
         assert_eq!(
             source.frequent_map(SimDuration::from_secs(60)),
             None,

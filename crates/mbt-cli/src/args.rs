@@ -6,6 +6,7 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::RangeInclusive;
 
 use crate::Command;
 
@@ -201,6 +202,32 @@ impl Args {
         Ok(self.parse_opt(name, expected)?.unwrap_or(default))
     }
 
+    /// A parsed option with a default, held to `range`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::BadValue`] if the supplied value fails to parse or
+    /// falls outside `range`: it is refused, never clamped into it.
+    pub fn parse_in<T: std::str::FromStr + PartialOrd>(
+        &self,
+        name: &str,
+        default: T,
+        range: RangeInclusive<T>,
+        expected: &'static str,
+    ) -> Result<T, ArgError> {
+        let Some(token) = self.opt_str(name) else {
+            return Ok(default);
+        };
+        value(name, token, expected)
+            .ok()
+            .filter(|v| range.contains(v))
+            .ok_or_else(|| ArgError::BadValue {
+                option: name.to_string(),
+                value: token.to_string(),
+                expected,
+            })
+    }
+
     /// A [`rate`] option with a default.
     ///
     /// # Errors
@@ -307,6 +334,21 @@ mod tests {
             assert_eq!(
                 err.to_string(),
                 format!("--seed expects a number in [0,1], got `{bad}`")
+            );
+        }
+    }
+
+    #[test]
+    fn values_outside_their_range_are_bad_values() {
+        let days =
+            |line: &str| parse(line).parse_in("days", 3u32, 1..=64, "an integer from 1 to 64");
+        assert_eq!(days("x").unwrap(), 3);
+        assert_eq!(days("--days 64").unwrap(), 64);
+        for bad in ["0", "65", "-1", "many"] {
+            let err = days(&format!("--days {bad}")).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("--days expects an integer from 1 to 64, got `{bad}`")
             );
         }
     }

@@ -19,7 +19,8 @@ Starts a gateway thread answering from a ServerSnapshot over the live frame
 bus, sends it one Search frame from a probe node, and prints the
 SearchResults frame that comes back. The catalog is N built-in demo
 entries. Demonstrates the `mbt node` / gateway wire protocol without a
-full session.";
+full session. --limit takes 1 to 64 and --catalog 1 to 5; a value outside
+is an error, not clamped.";
 
 /// The built-in demo catalog: (name, publisher, popularity).
 const DEMO: &[(&str, &str, f64)] = &[
@@ -37,10 +38,13 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         .ok_or_else(|| CliError::Usage(format!("--query is required\n\n{USAGE}")))?;
     let query = Query::new(query_text)
         .map_err(|_| CliError::Usage("--query needs at least one word".to_string()))?;
-    let limit = args.parse_or("limit", 8usize, "an integer")?.clamp(1, 64);
-    let catalog = args
-        .parse_or("catalog", DEMO.len(), "an integer")?
-        .clamp(1, DEMO.len());
+    let limit = args.parse_in("limit", 8usize, 1..=64, "an integer from 1 to 64")?;
+    let catalog = args.parse_in(
+        "catalog",
+        DEMO.len(),
+        1..=DEMO.len(),
+        "an integer from 1 to 5",
+    )?;
 
     let mut server = MetadataServer::new(1);
     for (i, &(name, publisher, pop)) in DEMO.iter().take(catalog).enumerate() {
@@ -136,6 +140,20 @@ mod tests {
     fn limit_caps_results() {
         let out = run(&args("--query news --limit 1")).unwrap();
         assert!(out.contains("1 result(s)"), "{out}");
+    }
+
+    #[test]
+    fn catalog_is_at_most_the_demo_entries() {
+        let out = run(&args("--query news --catalog 5")).unwrap();
+        assert!(out.contains("open source radio news"), "{out}");
+        let err = run(&args("--query news --catalog 6")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "--catalog expects an integer from 1 to {}, got `6`",
+                DEMO.len()
+            )
+        );
     }
 
     #[test]

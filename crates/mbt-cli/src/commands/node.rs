@@ -20,7 +20,9 @@ frame bus, over a synthetic two-contact schedule. In contact 1 node 0 meets
 the gateway and pulls every queried file (search -> metadata -> piece
 requests -> pieces); in contact 2 all nodes meet and node 0 serves the rest
 peer-to-peer. Prints per-node deliveries with SHA-1 digests and the bus
-frame counters.";
+frame counters. --nodes and --files take 1 to 64, --file-bytes and
+--piece-size 1 to 1048576, --settle-ms at least 10; a value outside is an
+error, not clamped.";
 
 /// Deterministic pseudo-random content (xorshift64*), so runs with the same
 /// seed publish byte-identical files.
@@ -38,16 +40,19 @@ fn content_bytes(seed: u64, len: usize) -> Vec<u8> {
 
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<String, CliError> {
-    let nodes = args.parse_or("nodes", 3usize, "an integer")?.clamp(1, 64);
-    let files = args.parse_or("files", 2usize, "an integer")?.clamp(1, 64);
-    let file_bytes = args
-        .parse_or("file-bytes", 1536usize, "an integer")?
-        .clamp(1, 1 << 20);
-    let piece_size = args
-        .parse_or("piece-size", 256usize, "an integer")?
-        .clamp(1, 1 << 20);
+    const UP_TO_64: &str = "an integer from 1 to 64";
+    const UP_TO_1_MIB: &str = "an integer from 1 to 1048576";
+    let nodes = args.parse_in("nodes", 3usize, 1..=64, UP_TO_64)?;
+    let files = args.parse_in("files", 2usize, 1..=64, UP_TO_64)?;
+    let file_bytes = args.parse_in("file-bytes", 1536usize, 1..=1 << 20, UP_TO_1_MIB)?;
+    let piece_size = args.parse_in("piece-size", 256usize, 1..=1 << 20, UP_TO_1_MIB)?;
     let seed = args.parse_or("seed", 42u64, "an integer")?;
-    let settle_ms = args.parse_or("settle-ms", 60u64, "an integer")?.max(10);
+    let settle_ms = args.parse_in(
+        "settle-ms",
+        60u64,
+        10..=u64::MAX,
+        "an integer of at least 10",
+    )?;
 
     let mut server = MetadataServer::new(1);
     let mut contents: BTreeMap<Uri, Vec<u8>> = BTreeMap::new();

@@ -20,13 +20,11 @@ pub const USAGE: &str = "mbt simulate <trace-file|shard-dir> \
 [--metadata-per-contact N] [--files-per-contact N] [--frequent-days N] \
 [--loss 0..1] [--churn 0..1] [--truncate 0..1] [--corrupt 0..1] \
 [--polluters 0..1] [--fakes-per-day N] [--tft] [--rarest-first] [--verify] \
-[--transport sim|bus] [--prefetch N] [--perf-report PATH]
+[--transport sim|bus] [--perf-report PATH]
 
 A directory argument is opened as a sharded trace (see `mbt shard`) and
 replayed shard by shard with bounded memory; a file argument is read fully
-into memory. Results are identical either way. --prefetch N decodes up to
-N shards ahead of the simulation on a background worker (0 = serial;
-in-memory traces ignore it); results are identical at every depth.";
+into memory. Results are identical either way.";
 
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<String, CliError> {
@@ -76,7 +74,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         .polluter_fraction(rate("polluters")?)
         .fakes_per_day(args.parse_or("fakes-per-day", 4u32, "an integer")?)
         .verify_metadata(args.flag("verify"))
-        .prefetch(args.parse_or("prefetch", 0usize, "an integer")?)
         .transport(
             args.str_or("transport", "sim")
                 .parse::<TransportKind>()
@@ -289,15 +286,6 @@ mod tests {
         // byte-identical across the two backings.
         let tail = |s: &str| s.split_once('\n').unwrap().1.to_string();
         assert_eq!(tail(&from_file), tail(&from_shards));
-        // And prefetch must not change a byte either.
-        for depth in [1, 3] {
-            let prefetched = run(&args(&format!(
-                "{} --files-per-day 8 --prefetch {depth}",
-                shard_dir.display()
-            )))
-            .unwrap();
-            assert_eq!(tail(&from_shards), tail(&prefetched), "depth {depth}");
-        }
     }
 
     #[test]

@@ -172,7 +172,6 @@ static COMMANDS: [Command; 10] = {
                 "polluters",
                 "fakes-per-day",
                 "transport",
-                "prefetch",
                 "perf-report",
             ],
             flags: &["tft", "rarest-first", "verify"],
@@ -394,6 +393,13 @@ mod tests {
                 ("--frequent-days", "999999999999999999"),
                 ("--ttl-days", "999999999999999999"),
                 ("--window-days", "999999999999999999"),
+                // Live-session sizes outside what the command runs.
+                ("--files", "0"),
+                ("--settle-ms", "0"),
+                ("--limit", "0"),
+                ("--catalog", "99"),
+                // An option no command declares any more.
+                ("--prefetch", "1"),
             ] {
                 let declared = cmd.options.contains(&&option[2..]);
                 let token = if declared { bad } else { option };
@@ -410,6 +416,16 @@ mod tests {
             if cmd.name == "sweep" {
                 rejected(&["--param", "ttl"], "`0.5`");
                 rejected(&["--param", "files-per-day"], "`0.5`");
+            }
+            // `--nodes` sizes a trace for `gen-trace` and `shard`, but a
+            // live session of threads for `node`: 1 to 64, ends included.
+            if cmd.name == "node" {
+                rejected(&["--nodes", "0"], "`0`");
+                rejected(&["--nodes", "500"], "`500`");
+                run(&["--nodes", "64"]).unwrap();
+            }
+            if cmd.name == "gateway" {
+                run(&["--limit", "64"]).unwrap();
             }
         }
     }

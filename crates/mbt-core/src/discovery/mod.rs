@@ -13,11 +13,19 @@
 //!    first), and
 //! 2. the remaining metadata in order of decreasing popularity.
 //!
-//! [`cooperative`] implements the altruistic ordering; [`tft`] weighs
-//! requesters by tit-for-tat credits.
-
-pub mod cooperative;
-pub mod tft;
+//! That ordering has one implementation, the one a contact runs: the
+//! node's catalog (`Catalog::metadata_offers`) annotates each record with
+//! its requesters and popularity as an [`Offer`](crate::download::Offer),
+//! and the metadata phase orders those offers with the download
+//! schedulers — [`download::cooperative`] for the altruistic two-phase
+//! order, [`download::tft`] when requesters are weighed by tit-for-tat
+//! credits (§IV-B).
+//!
+//! This module holds the receiving side: [`receive_metadata`] stores a
+//! record and credits its sender.
+//!
+//! [`download::cooperative`]: crate::download::cooperative
+//! [`download::tft`]: crate::download::tft
 
 use dtn_trace::NodeId;
 
@@ -26,47 +34,6 @@ use crate::metadata::Metadata;
 use crate::popularity::Popularity;
 use crate::query::Query;
 use crate::store::MetadataStore;
-
-/// A metadata record offered for transmission during a contact, annotated
-/// with the connected nodes whose queries it matches and its popularity.
-#[derive(Debug, Clone)]
-pub struct MetadataOffer<'a> {
-    /// The metadata under consideration.
-    pub metadata: &'a Metadata,
-    /// Popularity as known to the sender.
-    pub popularity: Popularity,
-    /// Connected nodes with at least one query this metadata matches.
-    pub requesters: Vec<NodeId>,
-}
-
-impl<'a> MetadataOffer<'a> {
-    /// Builds an offer by matching `metadata` against the queries of the
-    /// connected nodes.
-    pub fn build(
-        metadata: &'a Metadata,
-        popularity: Popularity,
-        peer_queries: &[(NodeId, Query)],
-    ) -> Self {
-        let tokens = metadata.token_set();
-        let mut requesters: Vec<NodeId> = peer_queries
-            .iter()
-            .filter(|(_, q)| q.matches_token_set(tokens))
-            .map(|(n, _)| *n)
-            .collect();
-        requesters.sort_unstable();
-        requesters.dedup();
-        MetadataOffer {
-            metadata,
-            popularity,
-            requesters,
-        }
-    }
-
-    /// Number of distinct requesters.
-    pub fn request_count(&self) -> usize {
-        self.requesters.len()
-    }
-}
 
 /// Outcome of receiving one metadata record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,20 +90,6 @@ mod tests {
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
-    }
-
-    #[test]
-    fn offer_collects_requesters() {
-        let m = meta("fox news", "mbt://a");
-        let queries = vec![
-            (n(1), Query::new("news").unwrap()),
-            (n(2), Query::new("comedy").unwrap()),
-            (n(3), Query::new("fox").unwrap()),
-            (n(1), Query::new("fox news").unwrap()), // duplicate requester
-        ];
-        let offer = MetadataOffer::build(&m, Popularity::new(0.5), &queries);
-        assert_eq!(offer.requesters, vec![n(1), n(3)]);
-        assert_eq!(offer.request_count(), 2);
     }
 
     #[test]

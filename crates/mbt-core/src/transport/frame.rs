@@ -806,7 +806,8 @@ fn decode_payload(
             let results = list(r.count(1)?, s.map(|s| s.iter()), |mp| {
                 read_meta_pop(r, mp.map(|(m, p)| (m, *p)))
             })?;
-            s.is_none().then_some(WireMessage::SearchResults { results })
+            s.is_none()
+                .then_some(WireMessage::SearchResults { results })
         }
     })
 }

@@ -5,7 +5,6 @@ use proptest::prelude::*;
 
 use dtn_trace::NodeId;
 use mbt_core::checksum::{sha1, Sha1};
-use mbt_core::discovery::{cooperative as disc_coop, tft as disc_tft, MetadataOffer};
 use mbt_core::download::{cooperative as dl_coop, tft as dl_tft, Offer};
 use mbt_core::keyword::tokenize;
 use mbt_core::piece::split_into_pieces;
@@ -253,59 +252,6 @@ proptest! {
     }
 
     #[test]
-    fn discovery_orders_respect_budget_and_phases(
-        names in proptest::collection::btree_set("[a-z]{3,8}", 0..15),
-        budget in 0usize..20,
-        credit_seed in 0u32..5
-    ) {
-        let metas: Vec<Metadata> = names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                Metadata::builder(n.clone(), "FOX", Uri::new(format!("mbt://m/{i}")).unwrap()).build()
-            })
-            .collect();
-        // Half the metadata get a requester.
-        let queries: Vec<(NodeId, Query)> = names
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % 2 == 0)
-            .map(|(i, n)| (NodeId::new(i as u32), Query::new(n.clone()).unwrap()))
-            .collect();
-        let offers: Vec<MetadataOffer<'_>> = metas
-            .iter()
-            .enumerate()
-            .map(|(i, m)| MetadataOffer::build(m, Popularity::new((i % 10) as f64 / 10.0), &queries))
-            .collect();
-        let requested: std::collections::BTreeSet<&Uri> = offers
-            .iter()
-            .filter(|o| o.request_count() > 0)
-            .map(|o| o.metadata.uri())
-            .collect();
-
-        let coop = disc_coop::send_order(offers.clone(), budget);
-        prop_assert!(coop.len() <= budget);
-        let mut ledger = CreditLedger::new();
-        for i in 0..credit_seed {
-            ledger.reward_matched(NodeId::new(i));
-        }
-        let tft = disc_tft::send_order(offers, &ledger, budget);
-        prop_assert!(tft.len() <= budget);
-        for order in [&coop, &tft] {
-            let mut seen_unrequested = false;
-            let mut seen_set = std::collections::BTreeSet::new();
-            for m in order.iter() {
-                prop_assert!(seen_set.insert(m.uri().clone()), "duplicate metadata in order");
-                if requested.contains(m.uri()) {
-                    prop_assert!(!seen_unrequested, "requested after unrequested");
-                } else {
-                    seen_unrequested = true;
-                }
-            }
-        }
-    }
-
-    #[test]
     fn credit_ledger_total_is_sum_of_rewards(
         events in proptest::collection::vec((0u32..6, prop::bool::ANY, 0.0f64..1.0), 0..50)
     ) {
@@ -414,24 +360,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn offer_metadata_requesters_subset_of_queriers(metas in proptest::collection::vec(arb_meta(), 1..6)) {
-        let queries: Vec<(NodeId, Query)> = metas
-            .iter()
-            .enumerate()
-            .filter_map(|(i, m)| {
-                let token = tokenize(m.name()).into_iter().next()?;
-                Some((NodeId::new(i as u32), Query::new(token).ok()?))
-            })
-            .collect();
-        let queriers: std::collections::BTreeSet<NodeId> = queries.iter().map(|(n, _)| *n).collect();
-        for m in &metas {
-            let offer = MetadataOffer::build(m, Popularity::MIN, &queries);
-            for r in &offer.requesters {
-                prop_assert!(queriers.contains(r));
-            }
-        }
-    }
 }
 
 // ---- the maintained wanted set ----

@@ -93,7 +93,6 @@ pub struct RunContext {
     scale: Scale,
     exec: ExecConfig,
     shard_dir: Option<PathBuf>,
-    prefetch: usize,
     collect_telemetry: bool,
     telemetry: Telemetry,
     xs_override: Option<Vec<f64>>,
@@ -108,7 +107,6 @@ impl RunContext {
             scale,
             exec: ExecConfig::default(),
             shard_dir: None,
-            prefetch: 0,
             collect_telemetry: false,
             telemetry: Telemetry::default(),
             xs_override: None,
@@ -136,16 +134,6 @@ impl RunContext {
     /// memory. Figures are byte-identical to the in-memory backing.
     pub fn sharded(mut self, dir: impl Into<PathBuf>) -> RunContext {
         self.shard_dir = Some(dir.into());
-        self
-    }
-
-    /// Sets the shard prefetch depth threaded into every figure's
-    /// [`SimParams`]: the replay decodes up to `depth` shards ahead of the
-    /// simulation on a background worker. Only meaningful after
-    /// [`RunContext::sharded`] (in-memory traces ignore it). Figures are
-    /// byte-identical at any depth.
-    pub fn prefetch(mut self, depth: usize) -> RunContext {
-        self.prefetch = depth;
         self
     }
 
@@ -240,22 +228,21 @@ fn nus_cfg(scale: Scale, attendance: f64) -> NusConfig {
         .attendance_rate(attendance)
 }
 
-fn base_params(scale: Scale, frequent_days: u64, prefetch: usize) -> SimParams {
+fn base_params(scale: Scale, frequent_days: u64) -> SimParams {
     SimParams {
         days: scale.days(),
         seed: SEED,
         frequent_window: SimDuration::from_days(frequent_days),
-        prefetch,
         ..SimParams::default()
     }
 }
 
-fn dieselnet_params(scale: Scale, prefetch: usize) -> SimParams {
-    base_params(scale, 3, prefetch)
+fn dieselnet_params(scale: Scale) -> SimParams {
+    base_params(scale, 3)
 }
 
-fn nus_params(scale: Scale, prefetch: usize) -> SimParams {
-    base_params(scale, 1, prefetch)
+fn nus_params(scale: Scale) -> SimParams {
+    base_params(scale, 1)
 }
 
 fn dieselnet_source(ctx: &mut RunContext, name: &str) -> Arc<dyn TraceSource> {
@@ -273,7 +260,6 @@ fn nus_source(ctx: &mut RunContext, name: &str) -> Arc<dyn TraceSource> {
 /// Fig 2(a): delivery ratios vs percentage of Internet-access nodes.
 pub fn fig2a(ctx: &mut RunContext) -> Figure {
     let scale = ctx.scale;
-    let prefetch = ctx.prefetch;
     let xs = ctx.xs_for(scale.xs(&[0.1, 0.3, 0.5, 0.7, 0.9], &[0.1, 0.5, 0.9]));
     let source = dieselnet_source(ctx, "fig2a");
     ctx.runner().sweep_shared_source(
@@ -284,7 +270,7 @@ pub fn fig2a(ctx: &mut RunContext) -> Figure {
         source,
         |x| SimParams {
             internet_fraction: x,
-            ..dieselnet_params(scale, prefetch)
+            ..dieselnet_params(scale)
         },
         ctx.telemetry_sink(),
     )
@@ -293,7 +279,6 @@ pub fn fig2a(ctx: &mut RunContext) -> Figure {
 /// Fig 2(b): delivery ratios vs number of new files per day.
 pub fn fig2b(ctx: &mut RunContext) -> Figure {
     let scale = ctx.scale;
-    let prefetch = ctx.prefetch;
     let xs = ctx.xs_for(scale.xs(&[10.0, 25.0, 50.0, 75.0, 100.0], &[10.0, 50.0]));
     let source = dieselnet_source(ctx, "fig2b");
     ctx.runner().sweep_shared_source(
@@ -304,7 +289,7 @@ pub fn fig2b(ctx: &mut RunContext) -> Figure {
         source,
         |x| SimParams {
             files_per_day: x as u32,
-            ..dieselnet_params(scale, prefetch)
+            ..dieselnet_params(scale)
         },
         ctx.telemetry_sink(),
     )
@@ -313,7 +298,6 @@ pub fn fig2b(ctx: &mut RunContext) -> Figure {
 /// Fig 2(c): delivery ratios vs file time-to-live.
 pub fn fig2c(ctx: &mut RunContext) -> Figure {
     let scale = ctx.scale;
-    let prefetch = ctx.prefetch;
     let xs = ctx.xs_for(scale.xs(&[1.0, 2.0, 3.0, 4.0, 5.0], &[1.0, 3.0, 5.0]));
     let source = dieselnet_source(ctx, "fig2c");
     ctx.runner().sweep_shared_source(
@@ -324,7 +308,7 @@ pub fn fig2c(ctx: &mut RunContext) -> Figure {
         source,
         |x| SimParams {
             ttl_days: x as u64,
-            ..dieselnet_params(scale, prefetch)
+            ..dieselnet_params(scale)
         },
         ctx.telemetry_sink(),
     )
@@ -336,7 +320,6 @@ pub fn fig2c(ctx: &mut RunContext) -> Figure {
 /// biased.
 pub fn fig2d(ctx: &mut RunContext) -> Figure {
     let scale = ctx.scale;
-    let prefetch = ctx.prefetch;
     let xs = ctx.xs_for(scale.xs(&[1.0, 5.0, 10.0, 20.0, 40.0], &[1.0, 20.0]));
     let source = dieselnet_source(ctx, "fig2d");
     ctx.runner().sweep_shared_source(
@@ -347,7 +330,7 @@ pub fn fig2d(ctx: &mut RunContext) -> Figure {
         source,
         |x| SimParams {
             config: MbtConfig::new().metadata_per_contact(x as u32),
-            ..dieselnet_params(scale, prefetch)
+            ..dieselnet_params(scale)
         },
         ctx.telemetry_sink(),
     )
@@ -356,7 +339,6 @@ pub fn fig2d(ctx: &mut RunContext) -> Figure {
 /// Fig 2(e): delivery ratios vs files exchanged per contact.
 pub fn fig2e(ctx: &mut RunContext) -> Figure {
     let scale = ctx.scale;
-    let prefetch = ctx.prefetch;
     let xs = ctx.xs_for(scale.xs(&[1.0, 2.0, 4.0, 6.0, 10.0], &[1.0, 4.0]));
     let source = dieselnet_source(ctx, "fig2e");
     ctx.runner().sweep_shared_source(
@@ -367,7 +349,7 @@ pub fn fig2e(ctx: &mut RunContext) -> Figure {
         source,
         |x| SimParams {
             config: MbtConfig::new().files_per_contact(x as u32),
-            ..dieselnet_params(scale, prefetch)
+            ..dieselnet_params(scale)
         },
         ctx.telemetry_sink(),
     )
@@ -380,7 +362,6 @@ pub fn fig2e(ctx: &mut RunContext) -> Figure {
 /// stays flat (it has no file discovery process).
 pub fn fig3a(ctx: &mut RunContext) -> Figure {
     let scale = ctx.scale;
-    let prefetch = ctx.prefetch;
     let xs = ctx.xs_for(scale.xs(&[0.1, 0.3, 0.5, 0.7, 0.9], &[0.1, 0.5, 0.9]));
     let source = nus_source(ctx, "fig3a");
     ctx.runner().sweep_shared_source(
@@ -391,7 +372,7 @@ pub fn fig3a(ctx: &mut RunContext) -> Figure {
         source,
         |x| SimParams {
             internet_fraction: x,
-            ..nus_params(scale, prefetch)
+            ..nus_params(scale)
         },
         ctx.telemetry_sink(),
     )
@@ -400,7 +381,6 @@ pub fn fig3a(ctx: &mut RunContext) -> Figure {
 /// Fig 3(b): delivery ratios vs number of new files per day.
 pub fn fig3b(ctx: &mut RunContext) -> Figure {
     let scale = ctx.scale;
-    let prefetch = ctx.prefetch;
     let xs = ctx.xs_for(scale.xs(&[10.0, 25.0, 50.0, 75.0, 100.0], &[10.0, 50.0]));
     let source = nus_source(ctx, "fig3b");
     ctx.runner().sweep_shared_source(
@@ -411,7 +391,7 @@ pub fn fig3b(ctx: &mut RunContext) -> Figure {
         source,
         |x| SimParams {
             files_per_day: x as u32,
-            ..nus_params(scale, prefetch)
+            ..nus_params(scale)
         },
         ctx.telemetry_sink(),
     )
@@ -420,7 +400,6 @@ pub fn fig3b(ctx: &mut RunContext) -> Figure {
 /// Fig 3(c): delivery ratios vs file time-to-live.
 pub fn fig3c(ctx: &mut RunContext) -> Figure {
     let scale = ctx.scale;
-    let prefetch = ctx.prefetch;
     let xs = ctx.xs_for(scale.xs(&[1.0, 2.0, 3.0, 4.0, 5.0], &[1.0, 3.0, 5.0]));
     let source = nus_source(ctx, "fig3c");
     ctx.runner().sweep_shared_source(
@@ -431,7 +410,7 @@ pub fn fig3c(ctx: &mut RunContext) -> Figure {
         source,
         |x| SimParams {
             ttl_days: x as u64,
-            ..nus_params(scale, prefetch)
+            ..nus_params(scale)
         },
         ctx.telemetry_sink(),
     )
@@ -440,7 +419,6 @@ pub fn fig3c(ctx: &mut RunContext) -> Figure {
 /// Fig 3(d): delivery ratios vs metadata exchanged per contact.
 pub fn fig3d(ctx: &mut RunContext) -> Figure {
     let scale = ctx.scale;
-    let prefetch = ctx.prefetch;
     let xs = ctx.xs_for(scale.xs(&[1.0, 5.0, 10.0, 20.0, 40.0], &[1.0, 20.0]));
     let source = nus_source(ctx, "fig3d");
     ctx.runner().sweep_shared_source(
@@ -451,7 +429,7 @@ pub fn fig3d(ctx: &mut RunContext) -> Figure {
         source,
         |x| SimParams {
             config: MbtConfig::new().metadata_per_contact(x as u32),
-            ..nus_params(scale, prefetch)
+            ..nus_params(scale)
         },
         ctx.telemetry_sink(),
     )
@@ -460,7 +438,6 @@ pub fn fig3d(ctx: &mut RunContext) -> Figure {
 /// Fig 3(e): delivery ratios vs files exchanged per contact.
 pub fn fig3e(ctx: &mut RunContext) -> Figure {
     let scale = ctx.scale;
-    let prefetch = ctx.prefetch;
     let xs = ctx.xs_for(scale.xs(&[1.0, 2.0, 4.0, 6.0, 10.0], &[1.0, 4.0]));
     let source = nus_source(ctx, "fig3e");
     ctx.runner().sweep_shared_source(
@@ -471,7 +448,7 @@ pub fn fig3e(ctx: &mut RunContext) -> Figure {
         source,
         |x| SimParams {
             config: MbtConfig::new().files_per_contact(x as u32),
-            ..nus_params(scale, prefetch)
+            ..nus_params(scale)
         },
         ctx.telemetry_sink(),
     )
@@ -483,7 +460,6 @@ pub fn fig3e(ctx: &mut RunContext) -> Figure {
 /// `fig3f/x<i>` under a sharded context).
 pub fn fig3f(ctx: &mut RunContext) -> Figure {
     let scale = ctx.scale;
-    let prefetch = ctx.prefetch;
     let xs = ctx.xs_for(scale.xs(&[0.5, 0.6, 0.7, 0.8, 0.9, 1.0], &[0.5, 1.0]));
     let sources: Vec<Arc<dyn TraceSource>> = xs
         .iter()
@@ -499,12 +475,7 @@ pub fn fig3f(ctx: &mut RunContext) -> Figure {
         "NUS: delivery ratio vs attendance rate",
         "attendance rate",
         &xs,
-        |_| {
-            (
-                sources.next().expect("one source per x"),
-                nus_params(scale, prefetch),
-            )
-        },
+        |_| (sources.next().expect("one source per x"), nus_params(scale)),
         ctx.telemetry_sink(),
     )
 }
@@ -519,7 +490,6 @@ pub fn fig3f(ctx: &mut RunContext) -> Figure {
 /// Override the loss rates with [`RunContext::set_xs`].
 pub fn fault_sweep(ctx: &mut RunContext) -> Figure {
     let scale = ctx.scale;
-    let prefetch = ctx.prefetch;
     let xs = ctx.xs_for(scale.xs(&[0.0, 0.1, 0.2, 0.3, 0.4, 0.5], &[0.0, 0.25, 0.5]));
     let source = nus_source(ctx, "fault_sweep");
     ctx.runner().sweep_shared_source(
@@ -530,7 +500,7 @@ pub fn fault_sweep(ctx: &mut RunContext) -> Figure {
         source,
         |x| SimParams {
             faults: FaultPlan::none().loss(x),
-            ..nus_params(scale, prefetch)
+            ..nus_params(scale)
         },
         ctx.telemetry_sink(),
     )
@@ -546,7 +516,6 @@ pub fn fault_sweep(ctx: &mut RunContext) -> Figure {
 /// [`crate::report::figure_delay_csv`].
 pub fn head_to_head_dieselnet(ctx: &mut RunContext) -> Figure {
     let scale = ctx.scale;
-    let prefetch = ctx.prefetch;
     let xs = ctx.xs_for(scale.xs(&[0.1, 0.3, 0.5, 0.7, 0.9], &[0.1, 0.5, 0.9]));
     let source = dieselnet_source(ctx, "h2h_dieselnet");
     ctx.registry_runner().sweep_shared_source(
@@ -557,7 +526,7 @@ pub fn head_to_head_dieselnet(ctx: &mut RunContext) -> Figure {
         source,
         |x| SimParams {
             internet_fraction: x,
-            ..dieselnet_params(scale, prefetch)
+            ..dieselnet_params(scale)
         },
         ctx.telemetry_sink(),
     )
@@ -568,7 +537,6 @@ pub fn head_to_head_dieselnet(ctx: &mut RunContext) -> Figure {
 /// [`head_to_head_dieselnet`]).
 pub fn head_to_head_nus(ctx: &mut RunContext) -> Figure {
     let scale = ctx.scale;
-    let prefetch = ctx.prefetch;
     let xs = ctx.xs_for(scale.xs(&[0.1, 0.3, 0.5, 0.7, 0.9], &[0.1, 0.5, 0.9]));
     let source = nus_source(ctx, "h2h_nus");
     ctx.registry_runner().sweep_shared_source(
@@ -579,7 +547,7 @@ pub fn head_to_head_nus(ctx: &mut RunContext) -> Figure {
         source,
         |x| SimParams {
             internet_fraction: x,
-            ..nus_params(scale, prefetch)
+            ..nus_params(scale)
         },
         ctx.telemetry_sink(),
     )
@@ -591,7 +559,6 @@ pub fn head_to_head_nus(ctx: &mut RunContext) -> Figure {
 /// three-series `fault_sweep` output.
 pub fn fault_sweep_variants(ctx: &mut RunContext) -> Figure {
     let scale = ctx.scale;
-    let prefetch = ctx.prefetch;
     let xs = ctx.xs_for(scale.xs(&[0.0, 0.1, 0.2, 0.3, 0.4, 0.5], &[0.0, 0.25, 0.5]));
     let source = nus_source(ctx, "fault_sweep_variants");
     ctx.registry_runner().sweep_shared_source(
@@ -602,7 +569,7 @@ pub fn fault_sweep_variants(ctx: &mut RunContext) -> Figure {
         source,
         |x| SimParams {
             faults: FaultPlan::none().loss(x),
-            ..nus_params(scale, prefetch)
+            ..nus_params(scale)
         },
         ctx.telemetry_sink(),
     )

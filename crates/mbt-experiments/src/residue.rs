@@ -45,8 +45,8 @@
 //! dedups by text keeping the first occurrence, so replay order is
 //! observable). The intern pool is a hash map but is only ever probed by
 //! key — nothing iterates it — so its order cannot leak into behaviour.
-//! `tests/prefetch_equivalence.rs` and the golden figure suites pin the
-//! store byte-identical to the `BTreeMap` representation it replaced.
+//! `randomized_operations_match_the_btreemap_oracle` holds the store to the
+//! `BTreeMap` representation it replaced.
 
 use std::collections::HashMap;
 use std::mem::size_of;

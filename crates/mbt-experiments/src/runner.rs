@@ -72,20 +72,13 @@ pub struct SimParams {
     /// round-trips every message through its serialized wire frame (and is
     /// pinned byte-identical to `Sim` by `tests/transport_equivalence.rs`).
     pub transport: TransportKind,
-    /// Shard prefetch depth for the simulation pass: how many shards the
-    /// trace source may decode ahead of the one being consumed
-    /// ([`TraceSource::stream_prefetch`]). `0` (the default) streams
-    /// serially. The contact sequence — and therefore the [`SimResult`] —
-    /// is byte-identical at any depth (`tests/prefetch_equivalence.rs`);
-    /// only decode timing and the residency telemetry change.
-    pub prefetch: usize,
 }
 
 impl SimParams {
     /// A builder seeded with the defaults — the one construction path for
     /// run parameters. Prefer this over positional construction or bare
-    /// struct literals in new code: it owns the protocol, fault, prefetch
-    /// and transport knobs by name, so call sites stay readable as fields
+    /// struct literals in new code: it owns the protocol, fault and
+    /// transport knobs by name, so call sites stay readable as fields
     /// accrete.
     ///
     /// ```
@@ -123,7 +116,6 @@ impl Default for SimParams {
             fakes_per_day: 0,
             verify_metadata: false,
             transport: TransportKind::default(),
-            prefetch: 0,
         }
     }
 }
@@ -218,12 +210,6 @@ impl SimParamsBuilder {
     /// Sets the transport backend carrying contact-phase messages.
     pub fn transport(mut self, transport: TransportKind) -> Self {
         self.params.transport = transport;
-        self
-    }
-
-    /// Sets the shard prefetch depth for the simulation pass.
-    pub fn prefetch(mut self, depth: usize) -> Self {
-        self.params.prefetch = depth;
         self
     }
 
@@ -345,12 +331,12 @@ fn add_daily(into: &mut Vec<u64>, from: &[u64]) {
 /// `source` is any [`TraceSource`] — an in-memory
 /// [`dtn_trace::ContactTrace`] or an on-disk [`dtn_trace::ShardedTrace`].
 /// Peak memory is bounded by the source's streaming granularity (a single
-/// shard for sharded traces, times `1 + prefetch` when pipelined), not the
-/// trace size. Sources that carry precomputed pair aggregates (sharded
-/// traces written with sidecars) answer the pre-simulation statistics from
-/// their manifest via [`TraceSource::frequent_map`], so the contacts are
-/// decoded exactly once — for the event loop; sources without aggregates
-/// fall back to a separate streaming statistics pass first.
+/// shard for sharded traces), not the trace size. Sources that carry
+/// precomputed pair aggregates (sharded traces written with sidecars)
+/// answer the pre-simulation statistics from their manifest via
+/// [`TraceSource::frequent_map`], so the contacts are decoded exactly
+/// once — for the event loop; sources without aggregates fall back to a
+/// separate streaming statistics pass first.
 ///
 /// `telemetry` is an optional observability sink. `None` skips every
 /// telemetry branch — the clock is never read — so the plain path pays
@@ -521,14 +507,9 @@ pub(crate) fn simulate(
         scratch: ContactScratch::default(),
     };
 
-    // The simulation pass: the event loop itself, optionally pipelined so
-    // the next shard decodes while this one is being consumed.
+    // The simulation pass: the event loop itself.
     let horizon = SimTime::from_secs(params.days * SECONDS_PER_DAY);
-    let mut contacts = if params.prefetch > 0 {
-        source.stream_prefetch(params.prefetch)
-    } else {
-        source.stream()
-    };
+    let mut contacts = source.stream();
     let mut sim = StreamSimulator::new(&mut *contacts).horizon(horizon);
     for day in 0..params.days {
         sim = sim.schedule(workload::publish_time(day), day);
@@ -655,7 +636,6 @@ impl<'a> NodeTable<'a> {
 fn absorb_stream_stats(telemetry: Option<&mut Telemetry>, stats: StreamStats) {
     if let Some(tel) = telemetry {
         tel.counters.shards_loaded += stats.shards_loaded;
-        tel.counters.shards_prefetched += stats.shards_prefetched;
         tel.counters.peak_resident_contacts = tel
             .counters
             .peak_resident_contacts

@@ -10,8 +10,8 @@
 //! Run with: `cargo run -p mbt-experiments --example free_rider`
 
 use dtn_trace::NodeId;
-use mbt_core::discovery::{tft, MetadataOffer};
-use mbt_core::{CreditLedger, Metadata, Popularity, Query, Uri};
+use mbt_core::download::{tft, Offer};
+use mbt_core::{CreditLedger, Metadata, Popularity, Uri};
 
 fn meta(name: &str, uri: &str) -> Metadata {
     Metadata::builder(name, "FOX", Uri::new(uri).unwrap()).build()
@@ -19,6 +19,7 @@ fn meta(name: &str, uri: &str) -> Metadata {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let alice = NodeId::new(0);
+    let bob = NodeId::new(1);
     let carol = NodeId::new(2);
 
     // Bob's view of the world after a week of contacts: Alice repeatedly
@@ -38,31 +39,50 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Bob now holds two metadata: one Alice asked for, one Carol asked for.
-    // His contact is short — the budget allows only ONE metadata.
+    // His contact is short — the budget allows only ONE metadata. The
+    // metadata phase orders its offers with the tit-for-tat scheduler.
     let for_alice = meta("jazz festival recap", "mbt://jazz");
     let for_carol = meta("cooking show finale", "mbt://cooking");
-    let queries = vec![
-        (alice, Query::new("jazz festival")?),
-        (carol, Query::new("cooking show")?),
-    ];
     let offers = vec![
-        MetadataOffer::build(&for_carol, Popularity::MAX, &queries),
-        MetadataOffer::build(&for_alice, Popularity::MIN, &queries),
+        Offer::new(
+            for_carol.uri().clone(),
+            Popularity::MAX,
+            vec![carol],
+            vec![bob],
+        ),
+        Offer::new(
+            for_alice.uri().clone(),
+            Popularity::MIN,
+            vec![alice],
+            vec![bob],
+        ),
     ];
+    let members = [alice, bob, carol];
+    let empty = CreditLedger::new();
+    let ledger_of = |id: NodeId| if id == bob { &bob_ledger } else { &empty };
+    let name_of = |uri: &Uri| {
+        [&for_alice, &for_carol]
+            .into_iter()
+            .find(|m| m.uri() == uri)
+            .map_or("?", |m| m.name())
+    };
 
-    let order = tft::send_order(offers.clone(), &bob_ledger, 1);
-    println!("budget = 1 metadata; Bob broadcasts: {}", order[0].name());
-    assert_eq!(order[0].uri().as_str(), "mbt://jazz");
+    let order = tft::schedule(&members, offers.clone(), ledger_of, 1);
+    println!(
+        "budget = 1 metadata; Bob broadcasts: {}",
+        name_of(&order[0].item)
+    );
+    assert_eq!(order[0].item.as_str(), "mbt://jazz");
     println!("  -> the contributor's request wins, despite lower popularity\n");
 
     // With a budget of 2, Carol still gets served — free-riders are not
     // completely inhibited, broadcast reaches them; they just wait longer.
-    let order = tft::send_order(offers, &bob_ledger, 2);
+    let order = tft::schedule(&members, offers, ledger_of, 2);
     println!("budget = 2 metadata; broadcast order:");
-    for (i, m) in order.iter().enumerate() {
-        println!("  {}. {}", i + 1, m.name());
+    for (i, b) in order.iter().enumerate() {
+        println!("  {}. {}", i + 1, name_of(&b.item));
     }
-    assert_eq!(order[1].uri().as_str(), "mbt://cooking");
+    assert_eq!(order[1].item.as_str(), "mbt://cooking");
     println!("  -> Carol is served second: deprioritized, not excluded.");
     Ok(())
 }

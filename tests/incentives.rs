@@ -3,7 +3,7 @@
 //! (broadcast reaches them) but rank behind contributors.
 
 use dtn_trace::{NodeId, SimDuration, SimTime};
-use mbt_core::discovery::{tft, MetadataOffer};
+use mbt_core::download::{tft, Broadcast, Offer};
 use mbt_core::node::run_contact;
 use mbt_core::{
     CooperationMode, CreditLedger, MbtConfig, MbtNode, Metadata, Popularity, ProtocolSpec, Query,
@@ -12,6 +12,10 @@ use mbt_core::{
 
 fn meta(name: &str, uri: &str) -> Metadata {
     Metadata::builder(name, "FOX", Uri::new(uri).unwrap()).build()
+}
+
+fn uri(s: &str) -> Uri {
+    Uri::new(s).unwrap()
 }
 
 fn tft_node(i: u32) -> MbtNode {
@@ -67,24 +71,26 @@ fn credits_accumulate_through_contacts() {
 
 #[test]
 fn contributor_queries_outrank_free_rider_queries() {
-    // A sender holding two metadata, requested by a contributor (credit 5)
-    // and a free-rider (credit 0) respectively, serves the contributor first
-    // when the budget only allows one.
-    let mut ledger = CreditLedger::new();
-    ledger.reward_matched(NodeId::new(1)); // contributor
-    let m_contrib = meta("for contributor", "mbt://c");
-    let m_free = meta("for freerider", "mbt://f");
-    let queries = vec![
-        (NodeId::new(1), Query::new("contributor").unwrap()),
-        (NodeId::new(2), Query::new("freerider").unwrap()),
-    ];
+    // Bob holds two records, one requested by a contributor (credit 5 in
+    // his ledger) and one by a free-rider (credit 0). The free-rider's is
+    // the more popular, yet with one slot Bob sends the contributor's.
+    let (alice, bob, carol) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+    let mut bob_ledger = CreditLedger::new();
+    bob_ledger.reward_matched(alice);
     let offers = vec![
-        MetadataOffer::build(&m_free, Popularity::MAX, &queries),
-        MetadataOffer::build(&m_contrib, Popularity::MIN, &queries),
+        Offer::new(uri("mbt://f"), Popularity::MAX, vec![carol], vec![bob]),
+        Offer::new(uri("mbt://c"), Popularity::MIN, vec![alice], vec![bob]),
     ];
-    let order = tft::send_order(offers, &ledger, 1);
-    assert_eq!(order.len(), 1);
-    assert_eq!(order[0].uri().as_str(), "mbt://c");
+    let empty = CreditLedger::new();
+    let ledger_of = |id: NodeId| if id == bob { &bob_ledger } else { &empty };
+    let schedule = tft::schedule(&[alice, bob, carol], offers, ledger_of, 1);
+    assert_eq!(
+        schedule,
+        [Broadcast {
+            sender: bob,
+            item: uri("mbt://c")
+        }]
+    );
 }
 
 #[test]
