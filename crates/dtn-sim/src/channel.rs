@@ -1,4 +1,4 @@
-//! Wireless channel capacity models and per-contact transfer budgets.
+//! Wireless channel capacity models.
 //!
 //! Paper §V: for a clique of `n` mutually-reachable nodes,
 //!
@@ -10,12 +10,10 @@
 //!   `1 / n` — *decreasing* in `n`.
 //!
 //! [`simulate_receptions`] complements the closed forms with a slot-level
-//! counting simulation used by the `capacity` experiment, and
-//! [`ContactBudget`] implements the evaluation model's fixed number of
-//! metadata and files exchanged per contact (§VI-A).
-
-use std::error::Error;
-use std::fmt;
+//! counting simulation used by the `capacity` experiment. The evaluation
+//! model's fixed number of metadata and files exchanged per contact (§VI-A)
+//! is `MbtConfig`'s pair of per-contact values; [`truncated_budget`] scales
+//! them to what a truncated contact leaves.
 
 /// Per-node useful bandwidth share under broadcast in a clique of `n` nodes:
 /// `(n - 1) / n`. Returns 0 for `n < 2`.
@@ -49,22 +47,6 @@ pub fn pairwise_per_node_capacity(n: usize) -> f64 {
         return 0.0;
     }
     1.0 / n as f64
-}
-
-/// Expected per-node useful bandwidth under broadcast when each frame is
-/// independently lost with probability `loss`: `(1 - loss) * (n - 1) / n`.
-/// Returns 0 for `n < 2`; `loss` is clamped to `[0, 1]`.
-///
-/// # Example
-///
-/// ```
-/// let clean = dtn_sim::channel::lossy_broadcast_capacity(8, 0.0);
-/// let degraded = dtn_sim::channel::lossy_broadcast_capacity(8, 0.25);
-/// assert_eq!(clean, dtn_sim::broadcast_per_node_capacity(8));
-/// assert!(degraded < clean);
-/// ```
-pub fn lossy_broadcast_capacity(n: usize, loss: f64) -> f64 {
-    broadcast_per_node_capacity(n) * (1.0 - loss.clamp(0.0, 1.0))
 }
 
 /// Nominal per-frame link-layer overhead in bytes (MAC + network headers),
@@ -111,121 +93,6 @@ pub fn simulate_receptions(mode: TransmissionMode, n: usize, slots: u64) -> u64 
     match mode {
         TransmissionMode::Broadcast => slots * (n as u64 - 1),
         TransmissionMode::Pairwise => slots,
-    }
-}
-
-/// Error returned when drawing from an exhausted [`ContactBudget`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetExhausted {
-    /// Which resource ran out.
-    pub resource: BudgetResource,
-}
-
-/// The two budgeted resources of the paper's per-contact transfer model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BudgetResource {
-    /// Metadata slots.
-    Metadata,
-    /// File(-piece) slots.
-    Files,
-}
-
-impl fmt::Display for BudgetExhausted {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.resource {
-            BudgetResource::Metadata => write!(f, "metadata budget exhausted for this contact"),
-            BudgetResource::Files => write!(f, "file budget exhausted for this contact"),
-        }
-    }
-}
-
-impl Error for BudgetExhausted {}
-
-/// The fixed per-contact transfer allowance of the paper's simulation model:
-/// "in each contact, nodes can send or receive a fixed number of metadata and
-/// files" (§VI-A).
-///
-/// # Example
-///
-/// ```
-/// use dtn_sim::ContactBudget;
-///
-/// let mut budget = ContactBudget::new(2, 1);
-/// assert!(budget.try_send_metadata().is_ok());
-/// assert!(budget.try_send_metadata().is_ok());
-/// assert!(budget.try_send_metadata().is_err());
-/// assert!(budget.try_send_file().is_ok());
-/// assert!(budget.try_send_file().is_err());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ContactBudget {
-    metadata_left: u32,
-    files_left: u32,
-    metadata_cap: u32,
-    files_cap: u32,
-}
-
-impl ContactBudget {
-    /// Creates a budget of `metadata` metadata slots and `files` file slots.
-    pub fn new(metadata: u32, files: u32) -> Self {
-        ContactBudget {
-            metadata_left: metadata,
-            files_left: files,
-            metadata_cap: metadata,
-            files_cap: files,
-        }
-    }
-
-    /// Remaining metadata slots.
-    pub fn metadata_left(&self) -> u32 {
-        self.metadata_left
-    }
-
-    /// Remaining file slots.
-    pub fn files_left(&self) -> u32 {
-        self.files_left
-    }
-
-    /// Consumes one metadata slot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BudgetExhausted`] when no metadata slots remain.
-    pub fn try_send_metadata(&mut self) -> Result<(), BudgetExhausted> {
-        if self.metadata_left == 0 {
-            return Err(BudgetExhausted {
-                resource: BudgetResource::Metadata,
-            });
-        }
-        self.metadata_left -= 1;
-        Ok(())
-    }
-
-    /// Consumes one file slot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BudgetExhausted`] when no file slots remain.
-    pub fn try_send_file(&mut self) -> Result<(), BudgetExhausted> {
-        if self.files_left == 0 {
-            return Err(BudgetExhausted {
-                resource: BudgetResource::Files,
-            });
-        }
-        self.files_left -= 1;
-        Ok(())
-    }
-
-    /// Restores the budget to its initial allowance (for reuse across
-    /// contacts).
-    pub fn reset(&mut self) {
-        self.metadata_left = self.metadata_cap;
-        self.files_left = self.files_cap;
-    }
-
-    /// True if both resources are exhausted.
-    pub fn is_exhausted(&self) -> bool {
-        self.metadata_left == 0 && self.files_left == 0
     }
 }
 
@@ -284,19 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn lossy_capacity_interpolates_to_zero() {
-        assert_eq!(
-            lossy_broadcast_capacity(8, 0.0),
-            broadcast_per_node_capacity(8)
-        );
-        assert_eq!(lossy_broadcast_capacity(8, 1.0), 0.0);
-        let half = lossy_broadcast_capacity(8, 0.5);
-        assert!((half - broadcast_per_node_capacity(8) / 2.0).abs() < 1e-12);
-        // Out-of-range losses clamp instead of producing negative capacity.
-        assert_eq!(lossy_broadcast_capacity(8, 2.0), 0.0);
-    }
-
-    #[test]
     fn frame_bytes_add_header_and_saturate() {
         assert_eq!(frame_bytes(0), FRAME_HEADER_BYTES);
         assert_eq!(frame_bytes(1000), 1000 + FRAME_HEADER_BYTES);
@@ -310,42 +164,5 @@ mod tests {
         assert_eq!(truncated_budget(20, 0.0), 0);
         assert_eq!(truncated_budget(3, 0.9), 2);
         assert_eq!(truncated_budget(20, 1.5), 20);
-    }
-
-    #[test]
-    fn budget_tracks_both_resources() {
-        let mut b = ContactBudget::new(1, 2);
-        assert_eq!(b.metadata_left(), 1);
-        b.try_send_metadata().unwrap();
-        let err = b.try_send_metadata().unwrap_err();
-        assert_eq!(err.resource, BudgetResource::Metadata);
-        b.try_send_file().unwrap();
-        b.try_send_file().unwrap();
-        assert!(b.is_exhausted());
-    }
-
-    #[test]
-    fn budget_reset_restores_allowance() {
-        let mut b = ContactBudget::new(1, 1);
-        b.try_send_metadata().unwrap();
-        b.try_send_file().unwrap();
-        b.reset();
-        assert_eq!(b.metadata_left(), 1);
-        assert_eq!(b.files_left(), 1);
-    }
-
-    #[test]
-    fn zero_budget_rejects_immediately() {
-        let mut b = ContactBudget::new(0, 0);
-        assert!(b.try_send_metadata().is_err());
-        assert!(b.try_send_file().is_err());
-        assert!(b.is_exhausted());
-    }
-
-    #[test]
-    fn error_display_names_resource() {
-        let mut b = ContactBudget::new(0, 0);
-        let e = b.try_send_file().unwrap_err();
-        assert!(e.to_string().contains("file"));
     }
 }

@@ -7,9 +7,9 @@
 //!   the [`event`] queue of user-scheduled events — the one engine under both
 //!   the MBT runner and the `dtn-routing` baselines,
 //! - the [`channel`] capacity models contrasting broadcast and pair-wise
-//!   transmission, plus per-contact transfer budgets,
-//! - delivery-ratio [`metrics`], delay [`histogram`]s and deterministic
-//!   [`rng`] utilities,
+//!   transmission (§V), plus the scaling of a per-contact allowance by a
+//!   truncated contact's surviving fraction,
+//! - delay [`histogram`]s and deterministic [`rng`] utilities,
 //! - deterministic fault injection ([`faults`]) for robustness experiments,
 //!   and
 //! - always-on observability counters and phase spans ([`telemetry`]) that
@@ -48,13 +48,11 @@ pub mod engine;
 pub mod event;
 pub mod faults;
 pub mod histogram;
-pub mod metrics;
 pub mod rng;
 pub mod telemetry;
 
-pub use channel::{broadcast_per_node_capacity, pairwise_per_node_capacity, ContactBudget};
+pub use channel::{broadcast_per_node_capacity, pairwise_per_node_capacity};
 pub use engine::{SimCtx, SimHandler, StreamSimulator};
 pub use event::EventQueue;
 pub use faults::{FaultKind, FaultPlan};
-pub use metrics::DeliveryStats;
 pub use telemetry::{Counters, Phase, PhaseTimes, Telemetry};

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use dtn_sim::channel::{broadcast_per_node_capacity, pairwise_per_node_capacity, ContactBudget};
+use dtn_sim::channel::{broadcast_per_node_capacity, pairwise_per_node_capacity};
 use dtn_sim::rng::cyclic_order;
 use dtn_sim::{EventQueue, SimCtx, SimHandler, StreamSimulator};
 use dtn_trace::{Contact, NodeId, SimTime};
@@ -164,25 +164,6 @@ proptest! {
         prop_assert!((b * n as f64 - (n as f64 - 1.0)).abs() < 1e-9);
         prop_assert!((p * n as f64 - 1.0).abs() < 1e-9);
         prop_assert!(b >= p);
-    }
-
-    #[test]
-    fn budget_accounting_is_exact(meta in 0u32..50, files in 0u32..50) {
-        let mut budget = ContactBudget::new(meta, files);
-        let mut sent_meta = 0u32;
-        while budget.try_send_metadata().is_ok() {
-            sent_meta += 1;
-        }
-        let mut sent_files = 0u32;
-        while budget.try_send_file().is_ok() {
-            sent_files += 1;
-        }
-        prop_assert_eq!(sent_meta, meta);
-        prop_assert_eq!(sent_files, files);
-        prop_assert!(budget.is_exhausted() || (meta == 0 && files == 0));
-        budget.reset();
-        prop_assert_eq!(budget.metadata_left(), meta);
-        prop_assert_eq!(budget.files_left(), files);
     }
 }
 

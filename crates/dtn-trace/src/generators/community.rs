@@ -138,7 +138,8 @@ impl CommunityConfig {
     /// Attendance is bucketed per community (never node × node) and the
     /// per-slot venue buckets are reused across slots, so steady-state cost
     /// is O(attendance draws + clique members). Output is byte-identical to
-    /// [`CommunityConfig::generate_into_all_pairs`].
+    /// the fresh-allocation loop it replaced, which the unit tests keep as
+    /// their oracle.
     pub fn generate_into<S: ContactSink + ?Sized>(&self, sink: &mut S) {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xC033_7411);
         // Travelers are the lowest-indexed members of each community slot.
@@ -190,55 +191,6 @@ impl CommunityConfig {
         }
     }
 
-    /// The original per-slot fresh-allocation loop, retained as the
-    /// equivalence oracle for the bucket-reusing path in
-    /// [`CommunityConfig::generate_into`]. Test use only.
-    #[doc(hidden)]
-    pub fn generate_into_all_pairs<S: ContactSink + ?Sized>(&self, sink: &mut S) {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xC033_7411);
-        let traveler_count = ((self.nodes as f64) * self.traveler_fraction).round() as u32;
-        let is_traveler = |n: u32| n < traveler_count;
-
-        let slot_gap = (12 * 3_600) / u64::from(self.gatherings_per_day).max(1);
-        for day in 0..self.days {
-            for slot in 0..self.gatherings_per_day {
-                let start_secs = day * SECONDS_PER_DAY + 8 * 3_600 + u64::from(slot) * slot_gap;
-                let mut attendees: Vec<Vec<NodeId>> = vec![Vec::new(); self.communities as usize];
-                for n in 0..self.nodes {
-                    if self.attendance < 1.0 && rng.gen::<f64>() >= self.attendance {
-                        continue;
-                    }
-                    let home = n % self.communities;
-                    let venue = if is_traveler(n)
-                        && self.communities > 1
-                        && rng.gen::<f64>() < self.travel_probability
-                    {
-                        let mut v = rng.gen_range(0..self.communities - 1);
-                        if v >= home {
-                            v += 1;
-                        }
-                        v
-                    } else {
-                        home
-                    };
-                    attendees[venue as usize].push(NodeId::new(n));
-                }
-                for members in attendees {
-                    if members.len() < 2 {
-                        continue;
-                    }
-                    let contact = Contact::clique(
-                        members,
-                        SimTime::from_secs(start_secs),
-                        SimTime::from_secs(start_secs + self.gathering_secs),
-                    )
-                    .expect("generator produces valid cliques");
-                    sink.push_contact(contact);
-                }
-            }
-        }
-    }
-
     /// A reasonable frequent-contact window for this model: one day.
     pub fn frequent_contact_window(&self) -> SimDuration {
         SimDuration::from_days(1)
@@ -249,6 +201,57 @@ impl CommunityConfig {
 mod tests {
     use super::*;
     use crate::stats::TraceStats;
+    use proptest::prelude::*;
+
+    impl CommunityConfig {
+        /// The original per-slot fresh-allocation loop, the equivalence oracle
+        /// for the bucket-reusing path in [`CommunityConfig::generate_into`].
+        fn generate_into_all_pairs<S: ContactSink + ?Sized>(&self, sink: &mut S) {
+            let mut rng = StdRng::seed_from_u64(self.seed ^ 0xC033_7411);
+            let traveler_count = ((self.nodes as f64) * self.traveler_fraction).round() as u32;
+            let is_traveler = |n: u32| n < traveler_count;
+
+            let slot_gap = (12 * 3_600) / u64::from(self.gatherings_per_day).max(1);
+            for day in 0..self.days {
+                for slot in 0..self.gatherings_per_day {
+                    let start_secs = day * SECONDS_PER_DAY + 8 * 3_600 + u64::from(slot) * slot_gap;
+                    let mut attendees: Vec<Vec<NodeId>> =
+                        vec![Vec::new(); self.communities as usize];
+                    for n in 0..self.nodes {
+                        if self.attendance < 1.0 && rng.gen::<f64>() >= self.attendance {
+                            continue;
+                        }
+                        let home = n % self.communities;
+                        let venue = if is_traveler(n)
+                            && self.communities > 1
+                            && rng.gen::<f64>() < self.travel_probability
+                        {
+                            let mut v = rng.gen_range(0..self.communities - 1);
+                            if v >= home {
+                                v += 1;
+                            }
+                            v
+                        } else {
+                            home
+                        };
+                        attendees[venue as usize].push(NodeId::new(n));
+                    }
+                    for members in attendees {
+                        if members.len() < 2 {
+                            continue;
+                        }
+                        let contact = Contact::clique(
+                            members,
+                            SimTime::from_secs(start_secs),
+                            SimTime::from_secs(start_secs + self.gathering_secs),
+                        )
+                        .expect("generator produces valid cliques");
+                        sink.push_contact(contact);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn deterministic_for_seed() {
@@ -274,6 +277,26 @@ mod tests {
                 oracle.build(),
                 "attendance={attendance} travelers={travelers}"
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn community_streaming_path_equals_oracle(
+            nodes in 2u32..=256, days in 1u64..5, seed in 0u64..1_000,
+            communities in 1u32..8, attendance in 0.3f64..1.0
+        ) {
+            let cfg = CommunityConfig::new(nodes, days)
+                .communities(communities)
+                .attendance(attendance)
+                .seed(seed);
+            let mut streamed = ContactTrace::builder();
+            cfg.generate_into(&mut streamed);
+            let mut oracle = ContactTrace::builder();
+            cfg.generate_into_all_pairs(&mut oracle);
+            prop_assert_eq!(streamed.build(), oracle.build());
         }
     }
 

@@ -150,8 +150,8 @@ impl DieselNetConfig {
     /// configurations keep routes proportional to buses) that is
     /// O(contacts). RNG draws happen only for positive-rate pairs, in
     /// ascending `(a, b)` order — exactly the draws the all-pairs loop
-    /// makes — so the output is byte-identical to
-    /// [`DieselNetConfig::generate_into_all_pairs`].
+    /// makes — so the output is byte-identical to that loop, which the unit
+    /// tests keep as their oracle.
     pub fn generate_into<S: ContactSink + ?Sized>(&self, sink: &mut S) {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xD1E5_E1DE);
         let window_secs = (self.service_end_hour - self.service_start_hour) * 3_600;
@@ -225,44 +225,6 @@ impl DieselNetConfig {
                 } else {
                     self.crossing_route_rate_per_day
                 };
-                self.emit_pair(&mut rng, a, b, rate, window_secs, sink);
-            }
-        }
-    }
-
-    /// The original all-pairs enumeration, retained as the equivalence
-    /// oracle for the indexed sweep in [`DieselNetConfig::generate_into`].
-    /// O(buses²) — test use only.
-    #[doc(hidden)]
-    pub fn generate_into_all_pairs<S: ContactSink + ?Sized>(&self, sink: &mut S) {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xD1E5_E1DE);
-        let route_of: Vec<u32> = (0..self.buses).map(|b| b % self.routes).collect();
-
-        // Routes cross if adjacent in a ring layout (route r crosses r±1) or
-        // share the downtown hub (routes 0 and routes/2).
-        let crosses = |ra: u32, rb: u32| -> bool {
-            if ra == rb {
-                return true;
-            }
-            let d = ra.abs_diff(rb);
-            d == 1 || d == self.routes - 1 || (ra.min(rb) == 0 && ra.max(rb) == self.routes / 2)
-        };
-
-        let window_secs = (self.service_end_hour - self.service_start_hour) * 3_600;
-
-        for a in 0..self.buses {
-            for b in (a + 1)..self.buses {
-                let (ra, rb) = (route_of[a as usize], route_of[b as usize]);
-                let rate = if ra == rb {
-                    self.same_route_rate_per_day
-                } else if crosses(ra, rb) {
-                    self.crossing_route_rate_per_day
-                } else {
-                    0.0
-                };
-                if rate <= 0.0 {
-                    continue;
-                }
                 self.emit_pair(&mut rng, a, b, rate, window_secs, sink);
             }
         }
@@ -346,6 +308,45 @@ mod tests {
     use super::*;
     use crate::contact::ContactKind;
     use crate::stats::TraceStats;
+    use proptest::prelude::*;
+
+    impl DieselNetConfig {
+        /// The original all-pairs enumeration, the equivalence oracle for the
+        /// indexed sweep in [`DieselNetConfig::generate_into`]. O(buses²).
+        fn generate_into_all_pairs<S: ContactSink + ?Sized>(&self, sink: &mut S) {
+            let mut rng = StdRng::seed_from_u64(self.seed ^ 0xD1E5_E1DE);
+            let route_of: Vec<u32> = (0..self.buses).map(|b| b % self.routes).collect();
+
+            // Routes cross if adjacent in a ring layout (route r crosses r±1) or
+            // share the downtown hub (routes 0 and routes/2).
+            let crosses = |ra: u32, rb: u32| -> bool {
+                if ra == rb {
+                    return true;
+                }
+                let d = ra.abs_diff(rb);
+                d == 1 || d == self.routes - 1 || (ra.min(rb) == 0 && ra.max(rb) == self.routes / 2)
+            };
+
+            let window_secs = (self.service_end_hour - self.service_start_hour) * 3_600;
+
+            for a in 0..self.buses {
+                for b in (a + 1)..self.buses {
+                    let (ra, rb) = (route_of[a as usize], route_of[b as usize]);
+                    let rate = if ra == rb {
+                        self.same_route_rate_per_day
+                    } else if crosses(ra, rb) {
+                        self.crossing_route_rate_per_day
+                    } else {
+                        0.0
+                    };
+                    if rate <= 0.0 {
+                        continue;
+                    }
+                    self.emit_pair(&mut rng, a, b, rate, window_secs, sink);
+                }
+            }
+        }
+    }
 
     #[test]
     fn deterministic_for_seed() {
@@ -384,6 +385,22 @@ mod tests {
                     "routes={routes} same={same} crossing={crossing}"
                 );
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn dieselnet_indexed_sweep_equals_oracle(
+            buses in 2u32..=256, days in 1u64..5, seed in 0u64..1_000, routes in 1u32..16
+        ) {
+            let cfg = DieselNetConfig::new(buses, days).seed(seed).routes(routes);
+            let mut indexed = ContactTrace::builder();
+            cfg.generate_into(&mut indexed);
+            let mut oracle = ContactTrace::builder();
+            cfg.generate_into_all_pairs(&mut oracle);
+            prop_assert_eq!(indexed.build(), oracle.build());
         }
     }
 

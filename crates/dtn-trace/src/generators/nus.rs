@@ -158,7 +158,8 @@ impl NusConfig {
     /// student) and the per-day occupancy table is one flat day-stamped
     /// array allocated once, so the per-day cost is O(sessions + roster
     /// sizes) — no O(students) allocation churn per simulated day. Output
-    /// is byte-identical to [`NusConfig::generate_into_all_pairs`].
+    /// is byte-identical to the fresh-table loop it replaced, which the unit
+    /// tests keep as their oracle.
     pub fn generate_into<S: ContactSink + ?Sized>(&self, sink: &mut S) {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x0005_CAFE);
         let (roster, timetable, slots_per_day) = self.build_schedule(&mut rng);
@@ -211,62 +212,8 @@ impl NusConfig {
         }
     }
 
-    /// The original emission loop with a fresh per-day `Vec<Vec<bool>>`
-    /// occupancy table, retained as the equivalence oracle for the stamped
-    /// flat table in [`NusConfig::generate_into`]. Test use only.
-    #[doc(hidden)]
-    pub fn generate_into_all_pairs<S: ContactSink + ?Sized>(&self, sink: &mut S) {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x0005_CAFE);
-        let (roster, timetable, slots_per_day) = self.build_schedule(&mut rng);
-
-        for day in 0..self.days {
-            let weekday = (day % 7) as u32;
-            if self.weekends_off && weekday >= 5 {
-                continue;
-            }
-            // Track which slot each student already occupies today so
-            // overlapping enrollments never produce overlapping cliques.
-            let mut busy: Vec<Vec<bool>> =
-                vec![vec![false; slots_per_day as usize]; self.students as usize];
-            for (course, cells) in timetable.iter().enumerate() {
-                for &cell in cells {
-                    let cell_day = cell / slots_per_day;
-                    let slot = cell % slots_per_day;
-                    if cell_day != weekday {
-                        continue;
-                    }
-                    let start_secs =
-                        day * SECONDS_PER_DAY + 9 * 3_600 + slot as u64 * self.session_secs;
-                    let end_secs = start_secs + self.session_secs;
-                    let mut attendees: Vec<NodeId> = Vec::new();
-                    for &student in &roster[course] {
-                        if busy[student.index()][slot as usize] {
-                            continue;
-                        }
-                        if self.attendance_rate >= 1.0 || rng.gen::<f64>() < self.attendance_rate {
-                            attendees.push(student);
-                        }
-                    }
-                    if attendees.len() < 2 {
-                        continue;
-                    }
-                    for &student in &attendees {
-                        busy[student.index()][slot as usize] = true;
-                    }
-                    let contact = Contact::clique(
-                        attendees,
-                        SimTime::from_secs(start_secs),
-                        SimTime::from_secs(end_secs),
-                    )
-                    .expect("generator produces valid cliques");
-                    sink.push_contact(contact);
-                }
-            }
-        }
-    }
-
     /// Draws the enrollment and builds the course rosters and weekly
-    /// timetable. Shared by the streaming path and the oracle so both
+    /// timetable. Shared by the streaming path and the tests' oracle so both
     /// consume the identical RNG prefix.
     #[allow(clippy::type_complexity)]
     fn build_schedule(&self, rng: &mut StdRng) -> (Vec<Vec<NodeId>>, Vec<Vec<u32>>, u32) {
@@ -329,7 +276,65 @@ impl NusConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::HashMap;
+
+    impl NusConfig {
+        /// The original emission loop with a fresh per-day `Vec<Vec<bool>>`
+        /// occupancy table, the equivalence oracle for the stamped flat table in
+        /// [`NusConfig::generate_into`].
+        fn generate_into_all_pairs<S: ContactSink + ?Sized>(&self, sink: &mut S) {
+            let mut rng = StdRng::seed_from_u64(self.seed ^ 0x0005_CAFE);
+            let (roster, timetable, slots_per_day) = self.build_schedule(&mut rng);
+
+            for day in 0..self.days {
+                let weekday = (day % 7) as u32;
+                if self.weekends_off && weekday >= 5 {
+                    continue;
+                }
+                // Track which slot each student already occupies today so
+                // overlapping enrollments never produce overlapping cliques.
+                let mut busy: Vec<Vec<bool>> =
+                    vec![vec![false; slots_per_day as usize]; self.students as usize];
+                for (course, cells) in timetable.iter().enumerate() {
+                    for &cell in cells {
+                        let cell_day = cell / slots_per_day;
+                        let slot = cell % slots_per_day;
+                        if cell_day != weekday {
+                            continue;
+                        }
+                        let start_secs =
+                            day * SECONDS_PER_DAY + 9 * 3_600 + slot as u64 * self.session_secs;
+                        let end_secs = start_secs + self.session_secs;
+                        let mut attendees: Vec<NodeId> = Vec::new();
+                        for &student in &roster[course] {
+                            if busy[student.index()][slot as usize] {
+                                continue;
+                            }
+                            if self.attendance_rate >= 1.0
+                                || rng.gen::<f64>() < self.attendance_rate
+                            {
+                                attendees.push(student);
+                            }
+                        }
+                        if attendees.len() < 2 {
+                            continue;
+                        }
+                        for &student in &attendees {
+                            busy[student.index()][slot as usize] = true;
+                        }
+                        let contact = Contact::clique(
+                            attendees,
+                            SimTime::from_secs(start_secs),
+                            SimTime::from_secs(end_secs),
+                        )
+                        .expect("generator produces valid cliques");
+                        sink.push_contact(contact);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn deterministic_for_seed() {
@@ -364,6 +369,23 @@ mod tests {
                     "attendance={attendance} weekends_off={weekends}"
                 );
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn nus_streaming_path_equals_oracle(
+            students in 2u32..=256, days in 1u64..8, seed in 0u64..1_000,
+            attendance in 0.2f64..1.0
+        ) {
+            let cfg = NusConfig::new(students, days).seed(seed).attendance_rate(attendance);
+            let mut streamed = ContactTrace::builder();
+            cfg.generate_into(&mut streamed);
+            let mut oracle = ContactTrace::builder();
+            cfg.generate_into_all_pairs(&mut oracle);
+            prop_assert_eq!(streamed.build(), oracle.build());
         }
     }
 

@@ -15,7 +15,9 @@
 //! participants). Because a given start time lands in exactly one window,
 //! concatenating shards in window order reproduces the exact global sort an
 //! in-memory [`ContactTrace`](crate::ContactTrace) would produce — sharded replay is
-//! byte-identical to in-memory replay by construction.
+//! byte-identical to in-memory replay by construction. A manifest whose
+//! `shard` lines do not list strictly ascending windows, or name a file
+//! outside the directory, does not open.
 //!
 //! The manifest carries everything a run needs without touching shard
 //! files: contact count, id space, node set, span, and per-shard contact
@@ -48,7 +50,7 @@ use std::error::Error;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::{Component, Path, PathBuf};
 
 use crate::contact::Contact;
 use crate::node::NodeId;
@@ -460,6 +462,11 @@ impl Manifest {
             span_end: None,
             shards: Vec::new(),
         };
+        // Each span bound with the line that set it, and the running sum of
+        // the shard counts with the line that would overflow it.
+        let mut span_start: Option<(usize, SimTime)> = None;
+        let mut span_end: Option<(usize, SimTime)> = None;
+        let mut shard_total = 0u64;
         for (idx, line) in lines {
             let line_no = idx + 1;
             let trimmed = line.trim();
@@ -491,18 +498,12 @@ impl Manifest {
                     manifest.id_space = next_num(&mut fields, line_no, "id space")? as usize
                 }
                 "span-start" => {
-                    manifest.span_start = Some(SimTime::from_secs(next_num(
-                        &mut fields,
-                        line_no,
-                        "span start",
-                    )?))
+                    let secs = next_num(&mut fields, line_no, "span start")?;
+                    span_start = Some((line_no, SimTime::from_secs(secs)));
                 }
                 "span-end" => {
-                    manifest.span_end = Some(SimTime::from_secs(next_num(
-                        &mut fields,
-                        line_no,
-                        "span end",
-                    )?))
+                    let secs = next_num(&mut fields, line_no, "span end")?;
+                    span_end = Some((line_no, SimTime::from_secs(secs)));
                 }
                 "nodes" => {
                     for tok in fields {
@@ -517,8 +518,40 @@ impl Manifest {
                         .next()
                         .ok_or_else(|| bad(line_no, "missing shard file".to_string()))?
                         .to_string();
+                    if !is_bare_file_name(&file) {
+                        return Err(bad(
+                            line_no,
+                            format!(
+                                "shard file `{file}` is not a file name in the trace directory"
+                            ),
+                        ));
+                    }
                     let window_index = next_num(&mut fields, line_no, "window index")?;
+                    // Replay concatenates shards in the order listed, which is
+                    // the global event order only when windows ascend.
+                    if let Some(previous) = manifest.shards.last() {
+                        if window_index <= previous.window_index {
+                            return Err(bad(
+                                line_no,
+                                format!(
+                                    "shard window {window_index} does not follow window {}: \
+                                     shard lines must list windows in ascending order",
+                                    previous.window_index
+                                ),
+                            ));
+                        }
+                    }
                     let contacts = next_num(&mut fields, line_no, "shard contact count")?;
+                    shard_total = shard_total.checked_add(contacts).ok_or_else(|| {
+                        bad(
+                            line_no,
+                            format!(
+                                "shard contact count {contacts} takes the sum of shard counts \
+                                 past {}",
+                                u64::MAX
+                            ),
+                        )
+                    })?;
                     // Fourth token (distinct pair count) is optional:
                     // manifests written before the pair sidecars existed
                     // omit it and still open.
@@ -541,7 +574,27 @@ impl Manifest {
         if manifest.window_secs == 0 {
             return Err(ShardError::ZeroWindow);
         }
-        let shard_total: u64 = manifest.shards.iter().map(|s| s.contacts).sum();
+        match (span_start, span_end) {
+            (Some((_, start)), Some((end_line, end))) if end < start => {
+                return Err(bad(
+                    end_line,
+                    format!(
+                        "span-end {} precedes span-start {}",
+                        end.as_secs(),
+                        start.as_secs()
+                    ),
+                ))
+            }
+            (Some((line, _)), None) => {
+                return Err(bad(line, "span-start without a span-end".to_string()))
+            }
+            (None, Some((line, _))) => {
+                return Err(bad(line, "span-end without a span-start".to_string()))
+            }
+            _ => {}
+        }
+        manifest.span_start = span_start.map(|(_, at)| at);
+        manifest.span_end = span_end.map(|(_, at)| at);
         if shard_total != manifest.contacts {
             return Err(bad(
                 1,
@@ -707,6 +760,16 @@ impl ShardedTrace {
         sort_dedup(&mut pairs);
         (pairs.len() as u64 == declared).then_some(pairs)
     }
+}
+
+/// True if `name` is a file directly inside the trace directory: one plain
+/// path component, so no separator, no `.` or `..` and no root.
+fn is_bare_file_name(name: &str) -> bool {
+    let mut parts = Path::new(name).components();
+    matches!(
+        (parts.next(), parts.next()),
+        (Some(Component::Normal(part)), None) if part == name
+    )
 }
 
 /// Sorts `pairs` ascending and drops repeats. The inputs are ascending
@@ -1230,6 +1293,67 @@ mod tests {
         let text = "# dtn-shard v1\nwindow-secs 60\nwarp 9\n";
         let err = Manifest::parse(text).unwrap_err();
         assert!(matches!(err, ShardError::Manifest { line: 3, .. }));
+    }
+
+    /// The line a manifest of `lines` (after the header and a one-minute
+    /// window, so the first of them is line 3) is refused on, and why.
+    fn refused_on(lines: &str) -> (usize, String) {
+        match Manifest::parse(&format!("{MANIFEST_HEADER}\nwindow-secs 60\n{lines}")) {
+            Err(ShardError::Manifest { line, message }) => (line, message),
+            other => panic!("expected a manifest error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn manifest_rejects_a_span_that_ends_before_it_starts_or_lacks_a_bound() {
+        let (line, message) = refused_on("contacts 0\nspan-start 500\nspan-end 100\n");
+        assert_eq!(line, 5);
+        assert_eq!(message, "span-end 100 precedes span-start 500");
+        assert_eq!(refused_on("contacts 0\nspan-start 500\n").0, 4);
+        assert_eq!(refused_on("span-end 100\ncontacts 0\n").0, 3);
+        let empty_span = format!("{MANIFEST_HEADER}\nwindow-secs 60\nspan-start 7\nspan-end 7\n");
+        Manifest::parse(&empty_span).unwrap();
+    }
+
+    #[test]
+    fn manifest_rejects_shard_lines_out_of_window_order() {
+        let (line, message) =
+            refused_on("contacts 3\nshard shard-00002.txt 2 1\nshard shard-00001.txt 1 2\n");
+        assert_eq!(line, 5);
+        assert!(message.contains("ascending"), "{message}");
+        let repeated = "contacts 3\nshard shard-00001.txt 1 1\nshard shard-00001.txt 1 2\n";
+        assert_eq!(refused_on(repeated).0, 5);
+        let gapped = "contacts 3\nshard shard-00001.txt 1 1\nshard shard-00007.txt 7 2\n";
+        Manifest::parse(&format!("{MANIFEST_HEADER}\nwindow-secs 60\n{gapped}")).unwrap();
+    }
+
+    #[test]
+    fn manifest_rejects_shard_files_outside_the_directory() {
+        for file in [
+            "../outside.txt",
+            "/etc/hosts",
+            "sub/shard-00000.txt",
+            "./shard-00000.txt",
+            "shard-00000.txt/",
+            "..",
+            ".",
+        ] {
+            let (line, message) = refused_on(&format!("contacts 1\nshard {file} 0 1\n"));
+            assert_eq!(line, 4, "{file}");
+            assert!(message.contains(&format!("`{file}`")), "{message}");
+        }
+    }
+
+    #[test]
+    fn manifest_rejects_shard_counts_whose_sum_overflows() {
+        // 2⁶⁴ − 1 + 10 wraps to 9, which unchecked addition would accept.
+        let lines = format!(
+            "contacts 9\nshard shard-00000.txt 0 {}\nshard shard-00001.txt 1 10\n",
+            u64::MAX
+        );
+        let (line, message) = refused_on(&lines);
+        assert_eq!(line, 5);
+        assert!(message.contains("past 18446744073709551615"), "{message}");
     }
 
     #[test]

@@ -196,58 +196,6 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    // The indexed/streaming generator paths must reproduce the retained
-    // all-pairs oracles exactly: same contacts, same multiplicities, same
-    // order — the city-scale sweep is a pure enumeration change.
-
-    #[test]
-    fn dieselnet_indexed_sweep_equals_oracle(
-        buses in 2u32..=256, days in 1u64..5, seed in 0u64..1_000, routes in 1u32..16
-    ) {
-        use dtn_trace::generators::DieselNetConfig;
-        let cfg = DieselNetConfig::new(buses, days).seed(seed).routes(routes);
-        let mut indexed = ContactTrace::builder();
-        cfg.generate_into(&mut indexed);
-        let mut oracle = ContactTrace::builder();
-        cfg.generate_into_all_pairs(&mut oracle);
-        prop_assert_eq!(indexed.build(), oracle.build());
-    }
-
-    #[test]
-    fn nus_streaming_path_equals_oracle(
-        students in 2u32..=256, days in 1u64..8, seed in 0u64..1_000,
-        attendance in 0.2f64..1.0
-    ) {
-        use dtn_trace::generators::NusConfig;
-        let cfg = NusConfig::new(students, days).seed(seed).attendance_rate(attendance);
-        let mut streamed = ContactTrace::builder();
-        cfg.generate_into(&mut streamed);
-        let mut oracle = ContactTrace::builder();
-        cfg.generate_into_all_pairs(&mut oracle);
-        prop_assert_eq!(streamed.build(), oracle.build());
-    }
-
-    #[test]
-    fn community_streaming_path_equals_oracle(
-        nodes in 2u32..=256, days in 1u64..5, seed in 0u64..1_000,
-        communities in 1u32..8, attendance in 0.3f64..1.0
-    ) {
-        use dtn_trace::generators::CommunityConfig;
-        let cfg = CommunityConfig::new(nodes, days)
-            .communities(communities)
-            .attendance(attendance)
-            .seed(seed);
-        let mut streamed = ContactTrace::builder();
-        cfg.generate_into(&mut streamed);
-        let mut oracle = ContactTrace::builder();
-        cfg.generate_into_all_pairs(&mut oracle);
-        prop_assert_eq!(streamed.build(), oracle.build());
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]

@@ -163,9 +163,9 @@ pub fn open_source(path: &str) -> Result<Arc<dyn TraceSource>, CliError> {
 /// first that holds a contact to the last (a contact may end after its
 /// window does, so the two need not be equal).
 fn check_span(trace: &ShardedTrace) -> Result<(), String> {
-    let windows = trace.shards().iter().map(|s| s.window_index);
-    let covered = match (windows.clone().min(), windows.max()) {
-        (Some(first), Some(last)) => (last - first)
+    // The manifest lists its windows ascending (or it would not have opened).
+    let covered = match (trace.shards().first(), trace.shards().last()) {
+        (Some(first), Some(last)) => (last.window_index - first.window_index)
             .saturating_add(1)
             .saturating_mul(trace.window().as_secs()),
         _ => 0,

@@ -390,6 +390,44 @@ mod tests {
     }
 
     #[test]
+    fn rejects_a_manifest_whose_span_ends_before_it_starts() {
+        use dtn_trace::ContactSink as _;
+        let path = trace_file("span-reversed-src");
+        let trace = dtn_trace::read_trace(std::fs::File::open(&path).unwrap()).unwrap();
+        let shard_dir = std::env::temp_dir().join("mbt-cli-test-sim/span-reversed");
+        let _ = std::fs::remove_dir_all(&shard_dir);
+        let mut writer =
+            dtn_trace::ShardWriter::create(&shard_dir, SimDuration::from_days(1)).unwrap();
+        for c in trace.iter() {
+            writer.push_contact(c.clone());
+        }
+        writer.finish().unwrap();
+
+        // Swap the two bounds: the span's length would be computed as a
+        // negative duration.
+        let manifest = shard_dir.join("manifest.txt");
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        let value = |key: &str| {
+            let line = text.lines().find(|l| l.starts_with(key)).unwrap();
+            line.split_once(' ').unwrap().1.to_string()
+        };
+        let (start, end) = (value("span-start "), value("span-end "));
+        let reversed = text
+            .replace(
+                &format!("span-start {start}\n"),
+                &format!("span-start {end}\n"),
+            )
+            .replace(&format!("span-end {end}\n"), &format!("span-end {start}\n"));
+        std::fs::write(&manifest, reversed).unwrap();
+        let err = run(&args(&shard_dir.display().to_string())).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            format!("manifest error on line 6: span-end {start} precedes span-start {end}")
+        );
+    }
+
+    #[test]
     fn rejects_a_manifest_whose_id_space_was_edited_up_or_down() {
         use dtn_trace::ContactSink as _;
         let path = trace_file("id-space-src");

@@ -148,30 +148,10 @@ impl MbtConfig {
         self
     }
 
-    /// Installs a complete fault-injection plan (loss, truncation, churn,
-    /// corruption). Replaces any previously-set plan.
+    /// Installs the fault-injection plan (loss, truncation, churn,
+    /// corruption) — the one way to set any of them.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
-        self
-    }
-
-    /// Per-receiver probability that a broadcast frame is lost (failure
-    /// injection; default 0). Each (contact instant, sender, receiver, item)
-    /// draws independently and deterministically from the fault seed.
-    /// Shorthand for adjusting the loss rate of the [`FaultPlan`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `rate` ∈ [0, 1].
-    pub fn broadcast_loss_rate(mut self, rate: f64) -> Self {
-        self.faults = self.faults.loss(rate);
-        self
-    }
-
-    /// Seed for the deterministic fault rolls (default 0). Shorthand for
-    /// adjusting the seed of the [`FaultPlan`].
-    pub fn loss_seed(mut self, seed: u64) -> Self {
-        self.faults = self.faults.seed(seed);
         self
     }
 
@@ -219,16 +199,6 @@ impl MbtConfig {
     pub fn faults_value(&self) -> FaultPlan {
         self.faults
     }
-
-    /// The broadcast loss probability.
-    pub fn broadcast_loss_rate_value(&self) -> f64 {
-        self.faults.loss_rate
-    }
-
-    /// The fault-roll seed.
-    pub fn loss_seed_value(&self) -> u64 {
-        self.faults.seed
-    }
 }
 
 #[cfg(test)]
@@ -272,14 +242,6 @@ mod tests {
                 .internet_search_limit_value(),
             1
         );
-    }
-
-    #[test]
-    fn loss_builders_delegate_to_the_fault_plan() {
-        let c = MbtConfig::new().broadcast_loss_rate(0.3).loss_seed(9);
-        assert_eq!(c.broadcast_loss_rate_value(), 0.3);
-        assert_eq!(c.loss_seed_value(), 9);
-        assert_eq!(c.faults_value(), FaultPlan::none().loss(0.3).seed(9));
     }
 
     #[test]

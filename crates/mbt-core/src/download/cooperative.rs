@@ -8,16 +8,8 @@
 //! in decreasing file popularity. In the second phase, other file pieces are
 //! sent in decreasing popularity."
 
-use dtn_trace::NodeId;
-
 use crate::download::{Broadcast, Offer};
 use crate::popularity::cmp_popularity;
-
-/// Elects the clique coordinator: the lowest node ID, so every member agrees
-/// without communication. Returns `None` for an empty clique.
-pub fn elect_coordinator(members: &[NodeId]) -> Option<NodeId> {
-    members.iter().copied().min()
-}
 
 /// Produces the coordinator's broadcast schedule, at most `slots` entries.
 ///
@@ -79,6 +71,7 @@ mod tests {
     use super::*;
     use crate::popularity::Popularity;
     use crate::uri::Uri;
+    use dtn_trace::NodeId;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -86,12 +79,6 @@ mod tests {
 
     fn uri(s: &str) -> Uri {
         Uri::new(s).unwrap()
-    }
-
-    #[test]
-    fn coordinator_is_lowest_id() {
-        assert_eq!(elect_coordinator(&[n(4), n(2), n(9)]), Some(n(2)));
-        assert_eq!(elect_coordinator(&[]), None);
     }
 
     #[test]

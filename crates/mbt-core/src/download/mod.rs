@@ -20,7 +20,6 @@
 
 pub mod cooperative;
 pub mod strategy;
-pub mod swarm;
 pub mod tft;
 
 use dtn_trace::NodeId;

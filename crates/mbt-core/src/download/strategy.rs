@@ -4,55 +4,10 @@
 //! BitTorrent — the system MBT adapts (§II-B) — instead transmits the
 //! *rarest* block first, maximizing swarm diversity. This module provides a
 //! rarest-first scheduler over the same [`Offer`] type so the two policies
-//! can be compared head-to-head (see the `ablations` experiment), plus the
-//! availability bookkeeping it relies on.
-
-use std::collections::BTreeMap;
+//! can be compared head-to-head (see the `ablations` experiment).
 
 use crate::download::{Broadcast, Offer};
 use crate::popularity::cmp_popularity;
-
-/// Holder counts per item within a clique — the "availability" a
-/// rarest-first policy minimizes on.
-#[derive(Debug, Clone, Default)]
-pub struct Availability<I> {
-    counts: BTreeMap<I, usize>,
-}
-
-impl<I: Clone + Ord> Availability<I> {
-    /// Creates empty availability.
-    pub fn new() -> Self {
-        Availability {
-            counts: BTreeMap::new(),
-        }
-    }
-
-    /// Builds availability from a set of offers.
-    pub fn from_offers(offers: &[Offer<I>]) -> Self {
-        let mut a = Availability::new();
-        for o in offers {
-            a.counts.insert(o.item.clone(), o.holders.len());
-        }
-        a
-    }
-
-    /// Records that one more clique member holds `item`.
-    pub fn add_holder(&mut self, item: &I) {
-        *self.counts.entry(item.clone()).or_insert(0) += 1;
-    }
-
-    /// The number of holders of `item` (0 if unknown).
-    pub fn holders_of(&self, item: &I) -> usize {
-        self.counts.get(item).copied().unwrap_or(0)
-    }
-
-    /// Items sorted rarest-first (ties by item order).
-    pub fn rarest_first(&self) -> Vec<I> {
-        let mut items: Vec<(&I, usize)> = self.counts.iter().map(|(i, &c)| (i, c)).collect();
-        items.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
-        items.into_iter().map(|(i, _)| i.clone()).collect()
-    }
-}
 
 /// Schedules broadcasts rarest-first: fewest holders first, ties broken by
 /// request count (descending), popularity (descending), then item order.
@@ -171,22 +126,6 @@ mod tests {
         );
         assert_eq!(s.len(), 1);
         assert_ne!(s[0].item, uri("mbt://ghost"));
-    }
-
-    #[test]
-    fn availability_tracks_holders() {
-        let offers = vec![
-            offer("mbt://a", 0.5, &[], &[0, 1]),
-            offer("mbt://b", 0.5, &[], &[0]),
-        ];
-        let mut a = Availability::from_offers(&offers);
-        assert_eq!(a.holders_of(&uri("mbt://a")), 2);
-        assert_eq!(a.holders_of(&uri("mbt://b")), 1);
-        assert_eq!(a.holders_of(&uri("mbt://c")), 0);
-        assert_eq!(a.rarest_first()[0], uri("mbt://b"));
-        a.add_holder(&uri("mbt://b"));
-        a.add_holder(&uri("mbt://b"));
-        assert_eq!(a.rarest_first()[0], uri("mbt://a"));
     }
 
     #[test]

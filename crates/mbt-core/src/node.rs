@@ -1723,7 +1723,7 @@ mod tests {
     fn total_loss_blocks_all_transfers() {
         let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
         for n in nodes.iter_mut() {
-            n.config = MbtConfig::new().broadcast_loss_rate(1.0);
+            n.config = MbtConfig::new().faults(dtn_sim::FaultPlan::none().loss(1.0));
         }
         hold(&mut nodes[0], meta("fox news", "mbt://a"));
         nodes[0].try_store_file(uri("mbt://a"), None);
@@ -1738,7 +1738,8 @@ mod tests {
         let run_once = |loss: f64, seed: u64| {
             let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
             for n in nodes.iter_mut() {
-                n.config = MbtConfig::new().broadcast_loss_rate(loss).loss_seed(seed);
+                n.config =
+                    MbtConfig::new().faults(dtn_sim::FaultPlan::none().loss(loss).seed(seed));
             }
             for i in 0..10 {
                 let u = format!("mbt://f{i}");

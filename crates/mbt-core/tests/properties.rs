@@ -278,45 +278,6 @@ proptest! {
     }
 
     #[test]
-    fn swarm_completes_whenever_every_piece_exists_somewhere(
-        members in 2u32..6,
-        pieces in 1u64..10,
-        seed in any::<u64>(),
-        ordering_rarest in any::<bool>()
-    ) {
-        use mbt_core::download::swarm::Swarm;
-        use mbt_core::BroadcastOrdering;
-        use rand::{Rng as _, SeedableRng as _};
-        let meta = Metadata::builder("f", "FOX", Uri::new("mbt://swarm").unwrap())
-            .sized(pieces * 256 * 1024, 256 * 1024, vec![])
-            .build();
-        let ids: Vec<NodeId> = (0..members).map(NodeId::new).collect();
-        let mut swarm = Swarm::new(meta, ids.clone());
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        // Random holdings, then force global coverage via member 0.
-        for m in &ids {
-            for p in 0..pieces as u32 {
-                if rng.gen::<bool>() {
-                    swarm.grant(*m, p);
-                }
-            }
-        }
-        for p in 0..pieces as u32 {
-            swarm.grant(NodeId::new(0), p);
-        }
-        let ordering = if ordering_rarest {
-            BroadcastOrdering::RarestFirst
-        } else {
-            BroadcastOrdering::TwoPhase
-        };
-        let rounds = swarm.run_to_completion(ordering, (pieces as usize) * members as usize + 1);
-        prop_assert!(rounds.is_some(), "coverage guarantees completion");
-        // One broadcast serves everyone: never more rounds than pieces.
-        prop_assert!(rounds.unwrap() <= pieces as usize);
-        prop_assert!(swarm.all_complete());
-    }
-
-    #[test]
     fn selection_rank_is_sorted_and_policy_consistent(
         pops in proptest::collection::vec(0.0f64..1.0, 1..8)
     ) {

@@ -8,6 +8,7 @@
 //! - **Short-contact gating** (§V): skipping the file phase on contacts too
 //!   short to be worth bulk transfer.
 
+use dtn_sim::FaultPlan;
 use dtn_trace::generators::NusConfig;
 use dtn_trace::ContactTrace;
 use mbt_core::{BroadcastOrdering, CooperationMode, MbtConfig, ProtocolSpec};
@@ -145,7 +146,7 @@ pub fn failure_ablation(ctx: &mut RunContext) -> Vec<AblationRow> {
         configs.push((
             format!("broadcast_loss={loss:.1}"),
             SimParams {
-                config: MbtConfig::new().broadcast_loss_rate(loss),
+                faults: FaultPlan::none().loss(loss),
                 ..scale_params(scale)
             },
         ));

@@ -260,8 +260,11 @@ impl SimResult {
     /// are recomputed from the pooled numerators and denominators, delay
     /// means are combined weighted by their delivery counts, and the daily
     /// series are added element-wise (padding the shorter). Merging a
-    /// `SimResult::default()` in either direction is an identity, and the
-    /// pooled counts make the operation commutative and associative.
+    /// `SimResult::default()` in either direction is an identity and the
+    /// operation is commutative, both bit for bit. It is associative bit for
+    /// bit on counts, ratios and daily series; the two delay means are
+    /// weighted f64 means, associative only to rounding (1e-12 relative).
+    /// `tests/properties.rs` holds all four laws.
     pub fn merge(&mut self, other: &SimResult) {
         self.mean_metadata_delay_hours = merge_weighted_mean(
             self.mean_metadata_delay_hours,
