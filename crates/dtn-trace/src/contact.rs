@@ -236,16 +236,13 @@ impl Contact {
     /// All unordered participant pairs `(a, b)` with `a < b`.
     ///
     /// A pair-wise contact yields one pair; a clique of size `n` yields
-    /// `n * (n - 1) / 2`.
-    pub fn pairs(&self) -> Vec<(NodeId, NodeId)> {
-        let mut out = Vec::with_capacity(self.size() * (self.size() - 1) / 2);
+    /// `n * (n - 1) / 2`, ascending.
+    pub fn pairs(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         let members = self.participants();
-        for (i, &a) in members.iter().enumerate() {
-            for &b in &members[i + 1..] {
-                out.push((a, b));
-            }
-        }
-        out
+        members
+            .iter()
+            .enumerate()
+            .flat_map(move |(i, &a)| members[i + 1..].iter().map(move |&b| (a, b)))
     }
 }
 
@@ -364,8 +361,10 @@ mod tests {
             t(10),
         )
         .unwrap();
-        assert_eq!(c.pairs().len(), 6);
-        assert!(c.pairs().contains(&(NodeId::new(1), NodeId::new(3))));
+        assert_eq!(c.pairs().count(), 6);
+        assert!(c
+            .pairs()
+            .any(|pair| pair == (NodeId::new(1), NodeId::new(3))));
     }
 
     #[test]

@@ -94,21 +94,89 @@ impl From<io::Error> for ParseTraceError {
 /// assert_eq!(round_tripped, trace);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn write_trace<W: Write>(mut writer: W, trace: &ContactTrace) -> io::Result<()> {
-    writeln!(writer, "# dtn-trace v1")?;
+pub fn write_trace<W: Write>(writer: W, trace: &ContactTrace) -> io::Result<()> {
+    let mut out = LineFormatter::new(writer, TRACE_HEADER);
     for contact in trace.iter() {
-        write!(
-            writer,
-            "contact {} {}",
-            contact.start().as_secs(),
-            contact.end().as_secs()
-        )?;
-        for node in contact.participants() {
-            write!(writer, " {}", node.raw())?;
-        }
-        writeln!(writer)?;
+        out.contact(contact)?;
     }
-    Ok(())
+    out.finish().map(drop)
+}
+
+/// The first line of a trace file.
+pub(crate) const TRACE_HEADER: &str = "# dtn-trace v1";
+
+/// Bytes a [`LineFormatter`] gathers before it hands them to its writer.
+const FORMAT_CHUNK: usize = 64 * 1024;
+
+/// The one formatter of trace text: [`write_trace`], the shard files and
+/// their pair sidecars all write through it. It formats numbers by hand —
+/// the same digits `{}` prints — into a buffer it hands to the writer
+/// [`FORMAT_CHUNK`] bytes at a time.
+pub(crate) struct LineFormatter<W: Write> {
+    out: W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> LineFormatter<W> {
+    /// A formatter whose first line is `header`.
+    pub(crate) fn new(out: W, header: &str) -> Self {
+        let mut buf = Vec::with_capacity(FORMAT_CHUNK + 128);
+        buf.extend_from_slice(header.as_bytes());
+        buf.push(b'\n');
+        LineFormatter { out, buf }
+    }
+
+    /// Writes `contact <start> <end> <node> <node> ...`.
+    pub(crate) fn contact(&mut self, contact: &Contact) -> io::Result<()> {
+        self.buf.extend_from_slice(b"contact ");
+        put_decimal(&mut self.buf, contact.start().as_secs());
+        self.buf.push(b' ');
+        put_decimal(&mut self.buf, contact.end().as_secs());
+        for node in contact.participants() {
+            self.buf.push(b' ');
+            put_decimal(&mut self.buf, node.raw().into());
+        }
+        self.end_line()
+    }
+
+    /// Writes `<a> <b>`, a pair sidecar's line.
+    pub(crate) fn pair(&mut self, a: NodeId, b: NodeId) -> io::Result<()> {
+        put_decimal(&mut self.buf, a.raw().into());
+        self.buf.push(b' ');
+        put_decimal(&mut self.buf, b.raw().into());
+        self.end_line()
+    }
+
+    fn end_line(&mut self) -> io::Result<()> {
+        self.buf.push(b'\n');
+        if self.buf.len() >= FORMAT_CHUNK {
+            self.out.write_all(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+
+    /// Hands the writer what is left and flushes it.
+    pub(crate) fn finish(mut self) -> io::Result<W> {
+        self.out.write_all(&self.buf)?;
+        self.out.flush()?;
+        Ok(self.out)
+    }
+}
+
+/// Appends `n` in decimal, as `{}` formats it.
+fn put_decimal(buf: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[at..]);
 }
 
 /// Reads a trace in the text format.
@@ -232,6 +300,7 @@ fn parse_u64(tok: Option<&str>, line: usize, what: &str) -> Result<u64, ParseTra
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_trace() -> ContactTrace {
         vec![
@@ -353,6 +422,70 @@ mod tests {
         // File order, not sorted order — sorting is the caller's job.
         assert_eq!(contacts[0].start().as_secs(), 10);
         assert_eq!(contacts[1].start().as_secs(), 0);
+    }
+
+    /// A number of any magnitude: a uniform `u64` shifted right by 0–63 bits.
+    fn magnitude() -> impl Strategy<Value = u64> {
+        (any::<u64>(), 0u32..64).prop_map(|(n, shift)| n >> shift)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The hand-rolled formatter prints what `format!` prints, and what
+        /// it prints reads back as the contact it was given.
+        #[test]
+        fn the_formatter_prints_what_format_prints(
+            (a, b) in (magnitude(), magnitude()),
+            ids in proptest::collection::btree_set(
+                (any::<u32>(), 0u32..32).prop_map(|(n, shift)| n >> shift),
+                2..9,
+            ),
+        ) {
+            prop_assume!(a != b && ids.len() >= 2);
+            let (start, end) = (a.min(b), a.max(b));
+            let ids: Vec<NodeId> = ids.into_iter().map(NodeId::new).collect();
+            let contact =
+                Contact::clique(ids.clone(), SimTime::from_secs(start), SimTime::from_secs(end))
+                    .unwrap();
+            let mut out = LineFormatter::new(Vec::new(), "# head");
+            out.contact(&contact).unwrap();
+            out.pair(ids[0], ids[1]).unwrap();
+            let text = String::from_utf8(out.finish().unwrap()).unwrap();
+            let members: String = ids.iter().map(|id| format!(" {}", id.raw())).collect();
+            let expected = format!(
+                "# head\ncontact {start} {end}{members}\n{} {}\n",
+                ids[0].raw(),
+                ids[1].raw()
+            );
+            prop_assert_eq!(&text, &expected);
+            let contact_line = text.lines().nth(1).unwrap();
+            let read: Vec<Contact> =
+                ContactReader::new(contact_line.as_bytes()).collect::<Result<_, _>>().unwrap();
+            prop_assert_eq!(read, vec![contact]);
+        }
+    }
+
+    #[test]
+    fn the_formatter_hands_over_long_output_whole() {
+        let contact = Contact::pairwise(
+            NodeId::new(u32::MAX),
+            NodeId::new(0),
+            SimTime::from_secs(0),
+            SimTime::from_secs(u64::MAX),
+        )
+        .unwrap();
+        let mut out = LineFormatter::new(Vec::new(), TRACE_HEADER);
+        let lines = 3 * FORMAT_CHUNK / 20;
+        for _ in 0..lines {
+            out.contact(&contact).unwrap();
+        }
+        let text = out.finish().unwrap();
+        let line = "contact 0 18446744073709551615 0 4294967295\n";
+        assert_eq!(text.len(), TRACE_HEADER.len() + 1 + lines * line.len());
+        assert!(text.ends_with(line.as_bytes()));
+        let read = read_trace(text.as_slice()).unwrap();
+        assert_eq!(read.len(), lines);
     }
 
     #[test]

@@ -17,12 +17,21 @@
 //! in-memory [`ContactTrace`](crate::ContactTrace) would produce — sharded replay is
 //! byte-identical to in-memory replay by construction. A manifest whose
 //! `shard` lines do not list strictly ascending windows, or name a file
-//! outside the directory, does not open.
+//! outside the directory, does not open; a shard whose contacts break its
+//! `shard` line — a count other than the declared one, a start outside the
+//! line's window, or contacts out of event order — is refused by
+//! [`ShardedTrace::verify`] and stops a replay.
 //!
 //! The manifest carries everything a run needs without touching shard
 //! files: contact count, id space, node set, span, and per-shard contact
 //! counts. [`ShardedTrace::stream`] then faults shards in one at a time, so
 //! peak memory is bounded by the largest single shard.
+//!
+//! [`ShardWriter`] formats each contact once. While contacts arrive it
+//! appends each to its window's `spill-NNNNN.bin` as a binary record;
+//! `finish` reads a spill back, sorts it, writes the text shard and its
+//! sidecar, and deletes the spill, so a finished directory holds only the
+//! manifest, the shards and their sidecars.
 //!
 //! Alongside each shard the writer emits a `pairs-NNNNN.txt` sidecar listing
 //! the shard's distinct participant pairs, and the manifest `shard` lines
@@ -45,19 +54,20 @@
 //! shard shard-00001.txt 1 195 58
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Component, Path, PathBuf};
 
-use crate::contact::Contact;
+use crate::contact::{Contact, ContactError};
 use crate::node::NodeId;
-use crate::parser::{ContactReader, ParseTraceError};
+use crate::parser::{ContactReader, LineFormatter, ParseTraceError, TRACE_HEADER};
 use crate::source::{ContactStream, StreamStats, TraceSource};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{sort_contacts, ContactSink};
+use crate::trace::{event_order, sort_contacts, ContactSink};
 
 /// Name of the manifest file inside a shard directory.
 pub const MANIFEST_FILE: &str = "manifest.txt";
@@ -158,9 +168,10 @@ pub struct ShardMeta {
 /// trace in memory.
 ///
 /// Accepts contacts in **any order** through [`ContactSink`] — each one is
-/// appended to its window's file as it arrives. [`ShardWriter::finish`]
-/// then sorts each shard (one shard resident at a time), writes the
-/// manifest, and opens the result for reading.
+/// appended to its window's spill file as a binary record as it arrives.
+/// [`ShardWriter::finish`] then reads each spill back, sorts it, writes the
+/// text shard and its pair sidecar, deletes the spill (one shard resident
+/// per worker), writes the manifest, and opens the result for reading.
 ///
 /// `push_contact` is infallible per the [`ContactSink`] contract, so I/O
 /// errors are buffered: after the first failure further pushes are dropped
@@ -169,9 +180,7 @@ pub struct ShardMeta {
 pub struct ShardWriter {
     dir: PathBuf,
     window_secs: u64,
-    shards: BTreeMap<u64, (BufWriter<File>, u64)>,
-    nodes: BTreeSet<NodeId>,
-    id_space: usize,
+    spills: BTreeMap<u64, (BufWriter<File>, u64)>,
     contacts: u64,
     min_start: Option<SimTime>,
     max_end: Option<SimTime>,
@@ -189,17 +198,64 @@ fn pairs_file_name(window_index: u64) -> String {
     format!("pairs-{window_index:05}.txt")
 }
 
-fn write_contact_line<W: Write>(writer: &mut W, contact: &Contact) -> io::Result<()> {
-    write!(
-        writer,
-        "contact {} {}",
-        contact.start().as_secs(),
-        contact.end().as_secs()
-    )?;
-    for node in contact.participants() {
-        write!(writer, " {}", node.raw())?;
+/// File name of the writer's spill for `window_index`, gone once it finishes.
+fn spill_file_name(window_index: u64) -> String {
+    format!("spill-{window_index:05}.bin")
+}
+
+/// Appends `contact` to a spill as one record: start and end as `u64`, the
+/// participant count and then each participant id as `u32`, little-endian.
+fn spill_record<W: Write>(out: &mut W, contact: &Contact) -> io::Result<()> {
+    let members = contact.participants();
+    let count = u32::try_from(members.len())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "a contact of 2³² members"))?;
+    out.write_all(&contact.start().as_secs().to_le_bytes())?;
+    out.write_all(&contact.end().as_secs().to_le_bytes())?;
+    out.write_all(&count.to_le_bytes())?;
+    for node in members {
+        out.write_all(&node.raw().to_le_bytes())?;
     }
-    writeln!(writer)
+    Ok(())
+}
+
+/// Reads the `count` records [`spill_record`] appended to `path`. A spill
+/// that ends early, runs on, or holds a record no contact could have written
+/// is an error.
+fn read_spill(path: &Path, count: u64) -> Result<Vec<Contact>, ShardError> {
+    fn take<const N: usize>(input: &mut impl Read) -> io::Result<[u8; N]> {
+        let mut bytes = [0; N];
+        input.read_exact(&mut bytes)?;
+        Ok(bytes)
+    }
+    /// One record, or why its fields make no contact.
+    fn record(input: &mut impl Read) -> io::Result<Result<Contact, ContactError>> {
+        let start = SimTime::from_secs(u64::from_le_bytes(take(input)?));
+        let end = SimTime::from_secs(u64::from_le_bytes(take(input)?));
+        let members = u32::from_le_bytes(take(input)?);
+        let mut node = || take(input).map(|id| NodeId::new(u32::from_le_bytes(id)));
+        Ok(match members {
+            2 => Contact::pair(node()?, node()?, start, end),
+            // Grown as ids arrive: a corrupt count cannot size a buffer.
+            _ => Contact::clique(
+                (0..members).map(|_| node()).collect::<io::Result<_>>()?,
+                start,
+                end,
+            ),
+        })
+    }
+    let invalid = |message: String| io::Error::new(io::ErrorKind::InvalidData, message);
+    let read = || -> io::Result<Vec<Contact>> {
+        let mut input = BufReader::new(File::open(path)?);
+        let mut contacts = Vec::with_capacity(count as usize);
+        for n in 1..=count {
+            contacts.push(record(&mut input)?.map_err(|e| invalid(format!("record {n}: {e}")))?);
+        }
+        if !input.fill_buf()?.is_empty() {
+            return Err(invalid(format!("bytes follow its {count} records")));
+        }
+        Ok(contacts)
+    };
+    read().map_err(io_err(format!("reading `{}`", path.display())))
 }
 
 impl ShardWriter {
@@ -219,9 +275,7 @@ impl ShardWriter {
         Ok(ShardWriter {
             dir,
             window_secs: window.as_secs(),
-            shards: BTreeMap::new(),
-            nodes: BTreeSet::new(),
-            id_space: 0,
+            spills: BTreeMap::new(),
             contacts: 0,
             min_start: None,
             max_end: None,
@@ -231,7 +285,7 @@ impl ShardWriter {
     }
 
     /// Sets how many worker threads [`ShardWriter::finish`] uses to sort
-    /// and rewrite shard files; `0` (the default) means one per available
+    /// and write shard files; `0` (the default) means one per available
     /// core. Shards are independent and the manifest collects them in
     /// window order, so the finished trace is byte-identical for any job
     /// count.
@@ -252,25 +306,21 @@ impl ShardWriter {
 
     fn append(&mut self, contact: &Contact) -> Result<(), ShardError> {
         let window_index = contact.start().as_secs() / self.window_secs;
-        let (writer, count) = match self.shards.entry(window_index) {
+        let (spill, count) = match self.spills.entry(window_index) {
             std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::btree_map::Entry::Vacant(e) => {
-                let path = self.dir.join(shard_file_name(window_index));
+                let path = self.dir.join(spill_file_name(window_index));
                 let file = File::create(&path)
                     .map_err(io_err(format!("creating `{}`", path.display())))?;
-                let mut writer = BufWriter::new(file);
-                writeln!(writer, "# dtn-trace v1")
-                    .map_err(io_err(format!("writing `{}`", path.display())))?;
-                e.insert((writer, 0))
+                e.insert((BufWriter::new(file), 0))
             }
         };
-        write_contact_line(writer, contact).map_err(io_err("writing shard"))?;
+        spill_record(spill, contact).map_err(|source| ShardError::Io {
+            context: format!("writing `{}`", spill_file_name(window_index)),
+            source,
+        })?;
         *count += 1;
         self.contacts += 1;
-        for node in contact.participants() {
-            self.nodes.insert(*node);
-            self.id_space = self.id_space.max(node.index() + 1);
-        }
         self.min_start = Some(
             self.min_start
                 .map_or(contact.start(), |t| t.min(contact.start())),
@@ -279,58 +329,60 @@ impl ShardWriter {
         Ok(())
     }
 
-    /// Sorts every shard into event order (one shard in memory at a time),
-    /// writes the manifest, and opens the finished trace.
+    /// Turns every spill into its sorted shard and sidecar, writes the
+    /// manifest, and opens the finished trace.
     ///
     /// # Errors
     ///
-    /// The first error buffered during writing, or any I/O / parse error
-    /// during the sort and manifest pass.
+    /// The first error buffered during writing, any I/O error, or a spill
+    /// that no longer holds the records appended to it.
     pub fn finish(mut self) -> Result<ShardedTrace, ShardError> {
         if let Some(error) = self.error.take() {
             return Err(error);
         }
-        let mut windows = Vec::with_capacity(self.shards.len());
-        for (window_index, (writer, count)) in std::mem::take(&mut self.shards) {
-            writer
-                .into_inner()
-                .map_err(|e| ShardError::Io {
-                    context: "flushing shard".to_string(),
-                    source: e.into_error(),
-                })?
-                .sync_data()
-                .ok();
+        let mut windows = Vec::with_capacity(self.spills.len());
+        for (window_index, (spill, count)) in std::mem::take(&mut self.spills) {
+            spill.into_inner().map_err(|e| ShardError::Io {
+                context: format!("flushing `{}`", spill_file_name(window_index)),
+                source: e.into_error(),
+            })?;
             windows.push((window_index, count));
         }
-        // Sort and rewrite every shard, fanned out over the configured
-        // jobs. Each worker touches only its own shard file and results
-        // collect in window order, so the finished trace is byte-identical
-        // for any job count; memory stays bounded by `jobs` concurrent
-        // shards (one shard per worker — the invariant the reader relies
-        // on, scaled by the explicit thread count).
-        let dir = self.dir.clone();
+        // Finish the shards `threads` at a time: each worker reads, sorts and
+        // writes only its own window, so at most one shard per worker is
+        // resident (the bound the reader relies on, scaled by the explicit
+        // thread count). Results come back in window order, and each batch's
+        // participants merge into the node list before the next batch
+        // starts, so the finished trace is byte-identical for any job count.
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(self.jobs)
             .build()
             .expect("thread pool construction is infallible");
-        let metas: Vec<ShardMeta> = pool
-            .install(|| {
+        let mut shards = Vec::with_capacity(windows.len());
+        let mut nodes: Vec<NodeId> = Vec::new();
+        for batch in windows.chunks(pool.current_num_threads()) {
+            let finished: Vec<Result<(ShardMeta, Vec<NodeId>), ShardError>> = pool.install(|| {
                 use rayon::prelude::*;
-                windows
+                batch
                     .par_iter()
-                    .map(|&(window_index, count)| sort_one_shard(&dir, window_index, count))
-                    .collect::<Vec<Result<ShardMeta, ShardError>>>()
-            })
-            .into_iter()
-            .collect::<Result<_, _>>()?;
+                    .map(|&(window_index, count)| finish_shard(&self.dir, window_index, count))
+                    .collect()
+            });
+            for result in finished {
+                let (meta, participants) = result?;
+                nodes.extend(participants);
+                sort_dedup(&mut nodes);
+                shards.push(meta);
+            }
+        }
         let manifest = Manifest {
             window_secs: self.window_secs,
             contacts: self.contacts,
-            id_space: self.id_space,
-            nodes: self.nodes.iter().copied().collect(),
+            id_space: nodes.last().map_or(0, |node| node.index() + 1),
+            nodes,
             span_start: self.min_start,
             span_end: self.max_end,
-            shards: metas,
+            shards,
         };
         let path = self.dir.join(MANIFEST_FILE);
         let file = File::create(&path).map_err(io_err(format!("creating `{}`", path.display())))?;
@@ -346,41 +398,67 @@ impl ShardWriter {
     }
 }
 
-/// Re-reads one appended shard, sorts it into canonical event order, and
-/// rewrites it in place alongside its pair-aggregate sidecar, returning the
-/// shard's manifest entry.
-fn sort_one_shard(dir: &Path, window_index: u64, count: u64) -> Result<ShardMeta, ShardError> {
-    let file = shard_file_name(window_index);
-    let path = dir.join(&file);
-    let handle = File::open(&path).map_err(io_err(format!("reopening `{}`", path.display())))?;
-    let mut contacts: Vec<Contact> = ContactReader::new(handle).collect::<Result<_, _>>()?;
+/// Turns one window's spill into its shard: reads the records back, sorts
+/// them into event order, writes the text shard and its pair sidecar, and
+/// deletes the spill. Returns the shard's manifest entry and its
+/// participants, ascending.
+fn finish_shard(
+    dir: &Path,
+    window_index: u64,
+    count: u64,
+) -> Result<(ShardMeta, Vec<NodeId>), ShardError> {
+    let spill = dir.join(spill_file_name(window_index));
+    let mut contacts = read_spill(&spill, count)?;
     sort_contacts(&mut contacts);
-    let out = File::create(&path).map_err(io_err(format!("rewriting `{}`", path.display())))?;
-    let mut out = BufWriter::new(out);
-    writeln!(out, "# dtn-trace v1").map_err(io_err("writing shard header"))?;
-    for contact in &contacts {
-        write_contact_line(&mut out, contact).map_err(io_err("writing shard"))?;
-    }
-    out.flush().map_err(io_err("flushing shard"))?;
+    let file = shard_file_name(window_index);
+    write_text(&dir.join(&file), TRACE_HEADER, |out| {
+        contacts.iter().try_for_each(|contact| out.contact(contact))
+    })?;
     // The shard is already resident, so collecting its distinct pairs here
     // is free of extra I/O; the sidecar is what lets `frequent_map` skip
     // the pre-simulation statistics pass entirely.
     let pairs = distinct_pairs(&contacts);
-    let pairs_path = dir.join(pairs_file_name(window_index));
-    let sidecar = File::create(&pairs_path)
-        .map_err(io_err(format!("creating `{}`", pairs_path.display())))?;
-    let mut sidecar = BufWriter::new(sidecar);
-    writeln!(sidecar, "{PAIRS_HEADER}").map_err(io_err("writing pairs header"))?;
-    for (a, b) in &pairs {
-        writeln!(sidecar, "{} {}", a.raw(), b.raw()).map_err(io_err("writing pairs"))?;
-    }
-    sidecar.flush().map_err(io_err("flushing pairs"))?;
-    Ok(ShardMeta {
+    drop(contacts);
+    write_text(
+        &dir.join(pairs_file_name(window_index)),
+        PAIRS_HEADER,
+        |out| {
+            pairs.iter().try_for_each(|&pair| {
+                let (a, b) = unpack(pair);
+                out.pair(a, b)
+            })
+        },
+    )?;
+    fs::remove_file(&spill).map_err(io_err(format!("removing `{}`", spill.display())))?;
+    // Every participant pairs with another, so the pairs name them all.
+    let mut participants: Vec<NodeId> = pairs
+        .iter()
+        .flat_map(|&pair| <[NodeId; 2]>::from(unpack(pair)))
+        .collect();
+    participants.sort_unstable();
+    participants.dedup();
+    let meta = ShardMeta {
         file,
         window_index,
         contacts: count,
         pairs: Some(pairs.len() as u64),
-    })
+    };
+    Ok((meta, participants))
+}
+
+/// Creates the text file `path` and writes `header` and then `body`
+/// through one [`LineFormatter`].
+fn write_text(
+    path: &Path,
+    header: &str,
+    body: impl FnOnce(&mut LineFormatter<File>) -> io::Result<()>,
+) -> Result<(), ShardError> {
+    let file = File::create(path).map_err(io_err(format!("creating `{}`", path.display())))?;
+    let mut out = LineFormatter::new(file, header);
+    body(&mut out)
+        .and_then(|()| out.finish())
+        .map(drop)
+        .map_err(io_err(format!("writing `{}`", path.display())))
 }
 
 impl ContactSink for ShardWriter {
@@ -667,14 +745,15 @@ impl ShardedTrace {
     }
 
     /// Re-reads every shard file and checks its contents against the
-    /// manifest index: contact counts always, and distinct-pair counts
-    /// (recomputed from the contacts and cross-checked against the sidecar
-    /// file) whenever the manifest carries them.
+    /// manifest index: each shard's contract (its declared contact count,
+    /// every start inside its window, event order) always, and
+    /// distinct-pair counts (recomputed from the contacts and cross-checked
+    /// against the sidecar file) whenever the manifest carries them.
     ///
-    /// The streaming replay path deliberately trusts shards once the
-    /// manifest opened cleanly and panics on a mid-stream failure; this is
-    /// the up-front alternative for tooling (`mbt shard-info --verify`)
-    /// that wants a structured error instead.
+    /// The streaming replay holds each shard to the same contract as it
+    /// loads it and panics on a breach mid-stream; this is the up-front
+    /// alternative for tooling (`mbt shard-info --verify`) that wants a
+    /// structured error instead.
     ///
     /// # Errors
     ///
@@ -687,28 +766,20 @@ impl ShardedTrace {
             let file =
                 File::open(&path).map_err(io_err(format!("opening `{}`", path.display())))?;
             let contacts: Vec<Contact> = ContactReader::new(file).collect::<Result<_, _>>()?;
-            if contacts.len() as u64 != meta.contacts {
-                return Err(ShardError::Corrupt {
-                    file: meta.file.clone(),
-                    message: format!(
-                        "holds {} contacts but manifest declares {}",
-                        contacts.len(),
-                        meta.contacts
-                    ),
-                });
-            }
+            let corrupt = |message| ShardError::Corrupt {
+                file: meta.file.clone(),
+                message,
+            };
+            check_shard(meta, self.manifest.window_secs, &contacts).map_err(corrupt)?;
             let Some(declared_pairs) = meta.pairs else {
                 continue;
             };
             let pairs = distinct_pairs(&contacts);
             if pairs.len() as u64 != declared_pairs {
-                return Err(ShardError::Corrupt {
-                    file: meta.file.clone(),
-                    message: format!(
-                        "holds {} distinct pairs but manifest declares {declared_pairs}",
-                        pairs.len()
-                    ),
-                });
+                return Err(corrupt(format!(
+                    "holds {} distinct pairs but manifest declares {declared_pairs}",
+                    pairs.len()
+                )));
             }
             let sidecar = pairs_file_name(meta.window_index);
             match self.read_pairs_sidecar(meta) {
@@ -730,13 +801,13 @@ impl ShardedTrace {
         Ok(())
     }
 
-    /// Reads one shard's pair sidecar — its distinct pairs, ascending —
-    /// returning `None` when the manifest carries no pair count for it or
-    /// the sidecar is missing, malformed, or disagrees with the declared
-    /// count. `frequent_map` treats `None` as "derivation unavailable" and
-    /// callers fall back to a streaming statistics pass, which is always
-    /// correct.
-    fn read_pairs_sidecar(&self, meta: &ShardMeta) -> Option<Vec<(NodeId, NodeId)>> {
+    /// Reads one shard's pair sidecar — its distinct pairs, ascending and
+    /// packed by [`pack`] — returning `None` when the manifest carries no
+    /// pair count for it or the sidecar is missing, malformed, or disagrees
+    /// with the declared count. `frequent_map` treats `None` as "derivation
+    /// unavailable" and callers fall back to a streaming statistics pass,
+    /// which is always correct.
+    fn read_pairs_sidecar(&self, meta: &ShardMeta) -> Option<Vec<u64>> {
         let declared = meta.pairs?;
         let path = self.dir.join(pairs_file_name(meta.window_index));
         let text = fs::read_to_string(&path).ok()?;
@@ -753,13 +824,46 @@ impl ShardedTrace {
             let mut fields = trimmed.split_ascii_whitespace();
             let a: u32 = fields.next()?.parse().ok()?;
             let b: u32 = fields.next()?.parse().ok()?;
-            pairs.push((NodeId::new(a), NodeId::new(b)));
+            pairs.push(pack((NodeId::new(a), NodeId::new(b))));
         }
         // The writer lists a sidecar ascending; one that something else
         // reordered still names the same set.
         sort_dedup(&mut pairs);
         (pairs.len() as u64 == declared).then_some(pairs)
     }
+}
+
+/// Holds a resident shard to the contract its manifest line makes: the
+/// declared contact count, every start inside the line's window of
+/// `window_secs`, and [`event_order`] (equal neighbours allowed). Names the
+/// first property broken.
+fn check_shard(meta: &ShardMeta, window_secs: u64, contacts: &[Contact]) -> Result<(), String> {
+    if contacts.len() as u64 != meta.contacts {
+        return Err(format!(
+            "holds {} contacts but manifest declares {}",
+            contacts.len(),
+            meta.contacts
+        ));
+    }
+    for (at, contact) in contacts.iter().enumerate() {
+        let start = contact.start().as_secs();
+        if start / window_secs != meta.window_index {
+            return Err(format!(
+                "contact {} starts at {start} s, in window {} of {window_secs} s, \
+                 not the shard's window {}",
+                at + 1,
+                start / window_secs,
+                meta.window_index
+            ));
+        }
+        if at > 0 && event_order(&contacts[at - 1], contact) == Ordering::Greater {
+            return Err(format!(
+                "contact {} sorts before contact {at}: contacts are not in event order",
+                at + 1
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// True if `name` is a file directly inside the trace directory: one plain
@@ -772,19 +876,31 @@ fn is_bare_file_name(name: &str) -> bool {
     )
 }
 
-/// Sorts `pairs` ascending and drops repeats. The inputs are ascending
+/// Sorts `items` ascending and drops repeats. The inputs are ascending
 /// lists or a few of them end to end, which the stable sort merges.
-fn sort_dedup(pairs: &mut Vec<(NodeId, NodeId)>) {
-    if !pairs.windows(2).all(|w| w[0] < w[1]) {
-        pairs.sort();
-        pairs.dedup();
+fn sort_dedup<T: Ord>(items: &mut Vec<T>) {
+    if !items.windows(2).all(|w| w[0] < w[1]) {
+        items.sort();
+        items.dedup();
     }
 }
 
-/// The distinct participant pairs of `contacts`, ascending.
-fn distinct_pairs(contacts: &[Contact]) -> Vec<(NodeId, NodeId)> {
-    let mut pairs: Vec<(NodeId, NodeId)> = contacts.iter().flat_map(Contact::pairs).collect();
-    sort_dedup(&mut pairs);
+/// A pair `(a, b)` as one integer whose order is the pair's order.
+fn pack((a, b): (NodeId, NodeId)) -> u64 {
+    u64::from(a.raw()) << 32 | u64::from(b.raw())
+}
+
+/// The pair [`pack`] made `pair` of.
+fn unpack(pair: u64) -> (NodeId, NodeId) {
+    (NodeId::new((pair >> 32) as u32), NodeId::new(pair as u32))
+}
+
+/// The distinct participant pairs of `contacts`, packed and ascending.
+fn distinct_pairs(contacts: &[Contact]) -> Vec<u64> {
+    let mut pairs = Vec::with_capacity(contacts.len());
+    pairs.extend(contacts.iter().flat_map(Contact::pairs).map(pack));
+    pairs.sort_unstable();
+    pairs.dedup();
     pairs
 }
 
@@ -841,9 +957,9 @@ impl TraceSource for ShardedTrace {
             return None;
         }
         let ratio = every_secs / self.manifest.window_secs;
-        // Each rule window's distinct pairs, ascending: the sidecars of the
-        // shard windows nested in it, merged.
-        let mut per_window: BTreeMap<u64, Vec<(NodeId, NodeId)>> = BTreeMap::new();
+        // Each rule window's distinct pairs, packed and ascending: the
+        // sidecars of the shard windows nested in it, merged.
+        let mut per_window: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         for meta in &self.manifest.shards {
             let pairs = self.read_pairs_sidecar(meta)?;
             let window = per_window.entry(meta.window_index / ratio).or_default();
@@ -854,8 +970,8 @@ impl TraceSource for ShardedTrace {
         // exempts idle ones (no shard => no contacts => never enumerated);
         // the frequent set is the intersection over the enumerated windows,
         // or — when none qualifies — vacuously every pair seen.
-        let mut frequent: Option<Vec<(NodeId, NodeId)>> = None;
-        let mut unenumerated: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut frequent: Option<Vec<u64>> = None;
+        let mut unenumerated: Vec<u64> = Vec::new();
         for (window, pairs) in per_window {
             let valid = window
                 .checked_mul(every_secs)
@@ -887,7 +1003,7 @@ impl TraceSource for ShardedTrace {
             .iter()
             .map(|&n| (n, Vec::new()))
             .collect();
-        for (a, b) in frequent {
+        for (a, b) in frequent.into_iter().map(unpack) {
             // Pairs iterate sorted with a < b, so peer lists come out
             // sorted, matching `FrequentScan::finish`.
             map.get_mut(&a)?.push(b);
@@ -899,9 +1015,11 @@ impl TraceSource for ShardedTrace {
 
 /// Streaming iterator over a [`ShardedTrace`]: loads one shard at a time.
 ///
-/// Shard files are trusted once the manifest opened cleanly; a shard that
-/// fails to read mid-stream panics rather than silently truncating the
-/// replay (a short trace would corrupt results downstream).
+/// Shard files are trusted once the manifest opened cleanly, as far as the
+/// manifest can vouch for them: a shard that fails to read mid-stream, or
+/// breaks the contract of its manifest line (the one [`check_shard`]
+/// holds), panics naming the file rather than replaying a short or
+/// misordered trace (which would corrupt results downstream).
 #[derive(Debug)]
 struct ShardStream<'a> {
     trace: &'a ShardedTrace,
@@ -922,6 +1040,9 @@ impl ShardStream<'_> {
         let contacts: Vec<Contact> = ContactReader::new(file)
             .collect::<Result<_, _>>()
             .unwrap_or_else(|e| panic!("cannot parse shard `{}`: {e}", path.display()));
+        if let Err(message) = check_shard(meta, self.trace.manifest.window_secs, &contacts) {
+            panic!("cannot replay shard `{}`: {message}", path.display());
+        }
         self.stats.shards_loaded += 1;
         self.stats.peak_resident_contacts =
             self.stats.peak_resident_contacts.max(contacts.len() as u64);
@@ -1139,6 +1260,99 @@ mod tests {
         );
         assert!(err.to_string().contains("manifest declares"));
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Edits the contact lines of the sample's `shard-00001.txt` (window 1:
+    /// `contact 115 300 0 3`, `contact 120 130 2 3`) and returns why
+    /// `verify` refuses the shard and what a replay panics with.
+    fn refused_shard(tag: &str, edit: impl FnOnce(&mut Vec<String>)) -> (String, String) {
+        let dir = temp_dir(tag);
+        let sharded = write_sample(&dir);
+        let path = dir.join("shard-00001.txt");
+        let text = fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<String> = text.lines().skip(1).map(str::to_string).collect();
+        assert_eq!(lines, ["contact 115 300 0 3", "contact 120 130 2 3"]);
+        edit(&mut lines);
+        fs::write(&path, format!("# dtn-trace v1\n{}\n", lines.join("\n"))).unwrap();
+        let verified = match sharded.verify() {
+            Err(ShardError::Corrupt { file, message }) => {
+                assert_eq!(file, "shard-00001.txt");
+                message
+            }
+            other => panic!("expected a corrupt shard, got {other:?}"),
+        };
+        let replay = std::panic::catch_unwind(|| TraceSource::stream(&sharded).count());
+        let payload = replay.expect_err("the replay went on past a broken shard");
+        let replayed = payload.downcast_ref::<String>().unwrap().clone();
+        assert!(replayed.contains("shard-00001.txt"), "{replayed}");
+        assert!(replayed.ends_with(&verified), "{replayed} / {verified}");
+        fs::remove_dir_all(&dir).ok();
+        (verified, replayed)
+    }
+
+    #[test]
+    fn a_shard_whose_contacts_were_reversed_is_refused() {
+        let (verified, _) = refused_shard("reversed", |lines| lines.reverse());
+        assert_eq!(
+            verified,
+            "contact 2 sorts before contact 1: contacts are not in event order"
+        );
+    }
+
+    #[test]
+    fn a_shard_holding_a_start_of_another_window_is_refused() {
+        let (verified, _) = refused_shard("moved", |lines| {
+            lines[0] = "contact 250 300 0 3".to_string();
+        });
+        assert_eq!(
+            verified,
+            "contact 1 starts at 250 s, in window 2 of 100 s, not the shard's window 1"
+        );
+    }
+
+    #[test]
+    fn a_shard_with_a_contact_its_manifest_does_not_count_is_refused() {
+        let (verified, _) = refused_shard("extra", |lines| {
+            lines.push("contact 150 160 5 6".to_string());
+        });
+        assert_eq!(verified, "holds 3 contacts but manifest declares 2");
+    }
+
+    #[test]
+    fn a_spill_changed_behind_the_writers_back_is_an_error_not_a_panic() {
+        // 2 000 records of 28 bytes: more than the spill's buffer holds, so
+        // most are on disk before `finish` flushes the rest at its offset.
+        type Edit = fn(&Path);
+        let edits: [(&str, Edit); 4] = [
+            ("emptied", |spill| fs::write(spill, b"").unwrap()),
+            ("cut mid-record", |spill| {
+                let bytes = fs::read(spill).unwrap();
+                fs::write(spill, &bytes[..bytes.len() / 2 + 3]).unwrap();
+            }),
+            ("overwritten", |spill| {
+                let len = fs::metadata(spill).unwrap().len() as usize;
+                fs::write(spill, vec![0xff; len]).unwrap();
+            }),
+            ("extended", |spill| {
+                let mut file = fs::OpenOptions::new().append(true).open(spill).unwrap();
+                file.write_all(&[7; 16 * 1024]).unwrap();
+            }),
+        ];
+        for (tag, edit) in edits {
+            let dir = temp_dir(tag);
+            let mut writer = ShardWriter::create(&dir, SimDuration::from_secs(100)).unwrap();
+            for i in 0..2_000u32 {
+                writer.push_contact(pc(i, i + 1, 10 + u64::from(i % 50), 99));
+            }
+            edit(&dir.join("spill-00000.bin"));
+            match writer.finish() {
+                Err(ShardError::Io { context, .. }) => {
+                    assert!(context.contains("spill-00000.bin"), "{tag}: {context}")
+                }
+                other => panic!("{tag}: expected an i/o error, got {other:?}"),
+            }
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -357,9 +357,8 @@ impl FrequentScan {
             "FrequentScan requires nondecreasing contact starts \
              (window {window} is already folded)"
         );
-        let pairs = contact.pairs();
         if self.frequent.is_none() {
-            self.union.extend(pairs.iter().copied());
+            self.union.extend(contact.pairs());
         }
         let slot = match self.pending.binary_search_by_key(&window, |&(w, _)| w) {
             Ok(i) => i,
@@ -368,7 +367,7 @@ impl FrequentScan {
                 i
             }
         };
-        self.pending[slot].1.extend(pairs);
+        self.pending[slot].1.extend(contact.pairs());
         self.fold_ready();
     }
 

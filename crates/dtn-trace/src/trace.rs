@@ -1,5 +1,6 @@
 //! Time-sorted contact containers.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -108,16 +109,21 @@ impl ContactSink for TraceBuilder {
     }
 }
 
-/// Sorts contacts into event order: start time, then end time, then
-/// participants. This is the one canonical order — shard files use it too,
-/// so concatenating time-windowed shards reproduces the in-memory order.
+/// The event order: start time, then end time, then participants. This is
+/// the one canonical order — shard files use it too, so concatenating
+/// time-windowed shards reproduces the in-memory order. The key is the
+/// whole contact, so contacts that compare equal are equal.
+pub(crate) fn event_order(a: &Contact, b: &Contact) -> Ordering {
+    a.start()
+        .cmp(&b.start())
+        .then(a.end().cmp(&b.end()))
+        .then_with(|| a.participants().cmp(b.participants()))
+}
+
+/// Sorts contacts into [`event_order`]. Equal keys are equal contacts, so
+/// an unstable sort yields the same sequence a stable one would.
 pub(crate) fn sort_contacts(contacts: &mut [Contact]) {
-    contacts.sort_by(|a, b| {
-        a.start()
-            .cmp(&b.start())
-            .then(a.end().cmp(&b.end()))
-            .then_with(|| a.participants().cmp(b.participants()))
-    });
+    contacts.sort_unstable_by(event_order);
 }
 
 impl ContactTrace {

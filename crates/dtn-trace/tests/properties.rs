@@ -86,7 +86,7 @@ proptest! {
     #[test]
     fn contact_pairs_count_is_choose_two(contact in arb_contact()) {
         let n = contact.size();
-        prop_assert_eq!(contact.pairs().len(), n * (n - 1) / 2);
+        prop_assert_eq!(contact.pairs().count(), n * (n - 1) / 2);
         // Every pair is ordered and involves real participants.
         for (x, y) in contact.pairs() {
             prop_assert!(x < y);
@@ -248,6 +248,106 @@ proptest! {
                 let back = stats.frequent_contacts(v, every);
                 prop_assert!(back.contains(&u), "{u} frequent with {v} but not vice versa");
             }
+        }
+    }
+}
+
+/// Strategy: a pair or clique contact starting within 20 000 s whose ids
+/// reach `u32::MAX` (half of them a uniform `u32` shifted right by 0–31
+/// bits) and often repeat a pair (the other half drawn from six).
+fn arb_wide_contact() -> impl Strategy<Value = Contact> {
+    let id =
+        (any::<u32>(), 0u32..64).prop_map(|(n, shift)| if shift < 32 { n >> shift } else { n % 6 });
+    (
+        proptest::collection::btree_set(id, 2..6),
+        0u64..20_000,
+        1u64..5_000,
+    )
+        .prop_map(|(ids, start, len)| {
+            let mut ids: Vec<NodeId> = ids.into_iter().map(NodeId::new).collect();
+            if ids.len() < 2 {
+                ids = vec![NodeId::new(0), NodeId::new(u32::MAX)];
+            }
+            Contact::clique(
+                ids,
+                SimTime::from_secs(start),
+                SimTime::from_secs(start + len),
+            )
+            .expect("constructed contacts are valid")
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The shard writer against what the test computes on its own: each
+    /// shard is `write_trace` of its window's contacts, each sidecar lists
+    /// the window's pairs, the manifest lists every participant, and no
+    /// spill outlives `finish` — whatever the arrival order, window width
+    /// or job count.
+    #[test]
+    fn the_shard_writer_agrees_with_an_independent_oracle(
+        contacts in proptest::collection::vec(arb_wide_contact(), 0..40),
+        widths in proptest::collection::vec(1u64..8_000, 1..4),
+        jobs in 1usize..3,
+    ) {
+        use std::collections::{BTreeMap, BTreeSet};
+        use dtn_trace::{ContactSink as _, ShardWriter, TraceSource as _};
+        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        for width in widths {
+            let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let dir = std::env::temp_dir()
+                .join(format!("dtn-trace-writer-oracle-{}-{case}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut writer = ShardWriter::create(&dir, SimDuration::from_secs(width))
+                .unwrap()
+                .jobs(jobs);
+            for contact in &contacts {
+                writer.push_contact(contact.clone());
+            }
+            let sharded = writer.finish().unwrap();
+
+            let mut windows: BTreeMap<u64, Vec<Contact>> = BTreeMap::new();
+            for contact in &contacts {
+                windows.entry(contact.start().as_secs() / width).or_default().push(contact.clone());
+            }
+            let listed: Vec<u64> = sharded.shards().iter().map(|s| s.window_index).collect();
+            prop_assert_eq!(listed, windows.keys().copied().collect::<Vec<_>>());
+            for (window, members) in &windows {
+                let trace: ContactTrace = members.iter().cloned().collect();
+                let mut shard = Vec::new();
+                write_trace(&mut shard, &trace).unwrap();
+                let written = std::fs::read(dir.join(format!("shard-{window:05}.txt"))).unwrap();
+                prop_assert_eq!(written, shard);
+                let mut pairs = BTreeSet::new();
+                for contact in members {
+                    let ids = contact.participants();
+                    for (i, a) in ids.iter().enumerate() {
+                        for b in &ids[i + 1..] {
+                            pairs.insert((a.raw().min(b.raw()), a.raw().max(b.raw())));
+                        }
+                    }
+                }
+                let sidecar: String = std::iter::once("# dtn-pairs v1\n".to_string())
+                    .chain(pairs.iter().map(|(a, b)| format!("{a} {b}\n")))
+                    .collect();
+                let written = std::fs::read_to_string(dir.join(format!("pairs-{window:05}.txt")));
+                prop_assert_eq!(written.unwrap(), sidecar);
+            }
+            let nodes: BTreeSet<NodeId> = contacts
+                .iter()
+                .flat_map(|c| c.participants().iter().copied())
+                .collect();
+            prop_assert_eq!(sharded.id_space(), nodes.last().map_or(0, |n| n.raw() as usize + 1));
+            prop_assert_eq!(sharded.nodes(), nodes.into_iter().collect::<Vec<_>>());
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let name = entry.unwrap().file_name().into_string().unwrap();
+                prop_assert!(
+                    name == "manifest.txt" || name.starts_with("shard-") || name.starts_with("pairs-"),
+                    "`{}` left in the directory", name
+                );
+            }
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }
