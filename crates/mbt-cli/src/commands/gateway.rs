@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use dtn_trace::NodeId;
-use mbt_core::transport::live::{run_gateway, LiveBus, LiveGatewaySpec};
+use mbt_core::transport::live::{LiveBus, LiveGatewaySpec};
 use mbt_core::transport::WireMessage;
 use mbt_core::{Metadata, MetadataServer, Popularity, Query, Uri};
 
@@ -15,8 +15,8 @@ use crate::CliError;
 /// Usage text for the subcommand.
 pub const USAGE: &str = "mbt gateway --query TEXT [--limit N] [--catalog N]
 
-Starts a gateway thread answering from a ServerSnapshot over the live frame
-bus, sends it one Search frame from a probe node, and prints the
+Stands up a gateway answering from a ServerSnapshot on the live frame bus,
+sends it one Search frame from a probe node, lets it answer, and prints the
 SearchResults frame that comes back. The catalog is N built-in demo
 entries. Demonstrates the `mbt node` / gateway wire protocol without a
 full session. --limit takes 1 to 64 and --catalog 1 to 5; a value outside
@@ -55,34 +55,26 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         );
     }
 
-    let gateway_id = NodeId::new(100);
+    let gateway = LiveGatewaySpec {
+        id: NodeId::new(100),
+        snapshot: server.snapshot(),
+        content: BTreeMap::new(),
+    };
     let probe_id = NodeId::new(0);
     let bus = LiveBus::new();
-    let gateway_bus = bus.clone();
-    let gateway = std::thread::spawn(move || {
-        run_gateway(
-            LiveGatewaySpec {
-                id: gateway_id,
-                snapshot: server.snapshot(),
-                content: BTreeMap::new(),
-            },
-            gateway_bus,
-        )
-    });
-
-    bus.open(probe_id, gateway_id);
+    bus.open(probe_id, gateway.id);
     bus.send(
         probe_id,
-        gateway_id,
+        gateway.id,
         &WireMessage::Search {
             query: query.clone(),
             limit: limit as u32,
         },
     );
-    let reply = bus.recv(probe_id, Duration::from_secs(5));
-    bus.close(probe_id, gateway_id);
-    bus.shutdown();
-    gateway.join().expect("gateway thread panicked");
+    gateway.serve_queued(&bus);
+    // The answer is already queued, so this returns it without waiting.
+    let reply = bus.recv(probe_id, Duration::ZERO);
+    bus.close(probe_id, gateway.id);
 
     let mut out = String::new();
     let _ = writeln!(out, "search `{}` (limit {limit})", query.text());

@@ -1,8 +1,7 @@
-//! `mbt node` — run live nodes and a gateway on the threaded frame bus.
+//! `mbt node` — run live nodes and a gateway over the in-process frame bus.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::time::Duration;
 
 use dtn_trace::NodeId;
 use mbt_core::transport::live::{run_live_session, LiveGatewaySpec, LiveNodeSpec, LiveSessionSpec};
@@ -13,16 +12,16 @@ use crate::CliError;
 
 /// Usage text for the subcommand.
 pub const USAGE: &str = "mbt node [--nodes N] [--files N] [--file-bytes N] \
-[--piece-size N] [--seed N] [--settle-ms N]
+[--piece-size N] [--seed N]
 
-Runs an in-process live session: N nodes (threads) and one gateway on the
-frame bus, over a synthetic two-contact schedule. In contact 1 node 0 meets
-the gateway and pulls every queried file (search -> metadata -> piece
-requests -> pieces); in contact 2 all nodes meet and node 0 serves the rest
-peer-to-peer. Prints per-node deliveries with SHA-1 digests and the bus
-frame counters. --nodes and --files take 1 to 64, --file-bytes and
---piece-size 1 to 1048576, --settle-ms at least 10; a value outside is an
-error, not clamped.";
+Runs an in-process live session: N nodes and one gateway on the frame bus,
+over a synthetic two-contact schedule. In contact 1 node 0 meets the
+gateway and pulls every queried file (search -> metadata -> piece requests
+-> pieces); in contact 2 all nodes meet and node 0 serves the rest
+peer-to-peer. A contact ends when no frame is left to deliver. Prints
+per-node deliveries with SHA-1 digests and the bus frame counters. --nodes
+and --files take 1 to 64, --file-bytes and --piece-size 1 to 1048576; a
+value outside is an error, not clamped.";
 
 /// Deterministic pseudo-random content (xorshift64*), so runs with the same
 /// seed publish byte-identical files.
@@ -47,12 +46,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let file_bytes = args.parse_in("file-bytes", 1536usize, 1..=1 << 20, UP_TO_1_MIB)?;
     let piece_size = args.parse_in("piece-size", 256usize, 1..=1 << 20, UP_TO_1_MIB)?;
     let seed = args.parse_or("seed", 42u64, "an integer")?;
-    let settle_ms = args.parse_in(
-        "settle-ms",
-        60u64,
-        10..=u64::MAX,
-        "an integer of at least 10",
-    )?;
 
     let mut server = MetadataServer::new(1);
     let mut contents: BTreeMap<Uri, Vec<u8>> = BTreeMap::new();
@@ -85,7 +78,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             content: contents,
         }),
         schedule: vec![vec![all_nodes[0], gateway_id], all_nodes.clone()],
-        settle: Duration::from_millis(settle_ms),
     };
     let report = run_live_session(spec);
 
@@ -136,9 +128,41 @@ mod tests {
     }
 
     #[test]
-    fn same_seed_prints_identical_output() {
-        let first = run(&args("--nodes 2 --files 1 --seed 7")).unwrap();
-        let second = run(&args("--nodes 2 --files 1 --seed 7")).unwrap();
-        assert_eq!(first, second);
+    fn seed_42_prints_the_pinned_session() {
+        const PINNED: &str = "\
+live session: 3 node(s) + gateway, 2 file(s) x 1536 B (pieces of 256 B), seed 42
+  node 0: 2 file(s) delivered
+    mbt://live/feed0 sha1=3f473a8945773de90d2d5326948cc205a1afc333
+    mbt://live/feed1 sha1=4c018735b197d929edcc4ced4029ebf5994d3347
+  node 1: 2 file(s) delivered
+    mbt://live/feed0 sha1=3f473a8945773de90d2d5326948cc205a1afc333
+    mbt://live/feed1 sha1=4c018735b197d929edcc4ced4029ebf5994d3347
+  node 2: 2 file(s) delivered
+    mbt://live/feed0 sha1=3f473a8945773de90d2d5326948cc205a1afc333
+    mbt://live/feed1 sha1=4c018735b197d929edcc4ced4029ebf5994d3347
+  frames on the wire:
+    hello                7
+    metadata            12
+    piece               36
+    piece-request       36
+    search-results       2
+  bytes on wire: 20366  dropped frames: 0
+";
+        assert_eq!(run(&args("--nodes 3 --files 2 --seed 42")).unwrap(), PINNED);
+    }
+
+    #[test]
+    fn a_mebibyte_in_64_byte_pieces_reaches_every_node() {
+        let out = run(&args(
+            "--nodes 3 --files 1 --file-bytes 1048576 --piece-size 64",
+        ))
+        .unwrap();
+        for node in 0..3 {
+            assert!(
+                out.contains(&format!("node {node}: 1 file(s) delivered")),
+                "{out}"
+            );
+        }
+        assert!(out.contains("dropped frames: 0"), "{out}");
     }
 }

@@ -207,14 +207,7 @@ static COMMANDS: [Command; 10] = {
             name: "node",
             usage: node::USAGE,
             positionals: 0,
-            options: &[
-                "nodes",
-                "files",
-                "file-bytes",
-                "piece-size",
-                "seed",
-                "settle-ms",
-            ],
+            options: &["nodes", "files", "file-bytes", "piece-size", "seed"],
             flags: &[],
             run: node::run,
         },
@@ -395,11 +388,11 @@ mod tests {
                 ("--window-days", "999999999999999999"),
                 // Live-session sizes outside what the command runs.
                 ("--files", "0"),
-                ("--settle-ms", "0"),
                 ("--limit", "0"),
                 ("--catalog", "99"),
-                // An option no command declares any more.
+                // Options no command declares any more.
                 ("--prefetch", "1"),
+                ("--settle-ms", "60"),
             ] {
                 let declared = cmd.options.contains(&&option[2..]);
                 let token = if declared { bad } else { option };
@@ -418,7 +411,7 @@ mod tests {
                 rejected(&["--param", "files-per-day"], "`0.5`");
             }
             // `--nodes` sizes a trace for `gen-trace` and `shard`, but a
-            // live session of threads for `node`: 1 to 64, ends included.
+            // live session of nodes for `node`: 1 to 64, ends included.
             if cmd.name == "node" {
                 rejected(&["--nodes", "0"], "`0`");
                 rejected(&["--nodes", "500"], "`500`");

@@ -1,28 +1,32 @@
-//! A threaded bus runtime: nodes and a gateway as real tasks.
+//! A live session on one thread: nodes and a gateway as frame handlers.
 //!
 //! The trace-driven backends ([`SimTransport`](super::SimTransport),
 //! [`BusTransport`](super::BusTransport)) run the contact loop's lock-step
-//! exchange. This module runs the *same frame codec* asynchronously: each
-//! node is an OS thread blocked on a [`LiveBus`] receive, a gateway answers
-//! searches from a [`ServerSnapshot`], and a connectivity schedule opens and
-//! closes links the way a contact trace would. Frames still queued when a
-//! link closes are dropped and counted — the live analogue of the
+//! exchange. This module runs the *same frame codec* one message at a time:
+//! a node and the gateway are handlers that own no loop and never block, the
+//! gateway answers searches from a [`ServerSnapshot`], and
+//! [`run_live_session`] hands every frame queued on a [`LiveBus`] to its
+//! receiver's handler while a connectivity schedule opens and closes links
+//! the way a contact trace would. A contact ends when no frame is queued for
+//! any handler, so nothing a handler could answer is in flight when its links
+//! close. Frames sent on a closed link, or still queued at close for an id no
+//! handler answers for, are dropped and counted — the live analogue of the
 //! simulator's lost-frame faults.
 //!
-//! [`run_live_session`] drives a complete scripted session and is what the
-//! `mbt node` CLI mode and the wall-clock soak test build on; the `mbt
-//! gateway` mode uses [`LiveBus`] directly with a probe node.
+//! [`run_live_session`] is what the `mbt node` CLI mode and the soak test
+//! build on; the `mbt gateway` mode sends one search over a [`LiveBus`] and
+//! lets [`LiveGatewaySpec::serve_queued`] answer it.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use dtn_trace::NodeId;
 
 use crate::checksum::{sha1, Digest};
 use crate::file::FileAssembler;
 use crate::metadata::Metadata;
-use crate::piece::split_into_pieces;
+use crate::piece::{Piece, PieceId};
 use crate::popularity::Popularity;
 use crate::query::Query;
 use crate::server::ServerSnapshot;
@@ -32,9 +36,6 @@ use super::frame::{decode_frame, encode_frame, HelloFrame, WireMessage};
 
 /// How many search results a gateway returns per query.
 const GATEWAY_SEARCH_LIMIT: usize = 16;
-
-/// How long a node blocks on one receive before re-checking peers/shutdown.
-const RECV_POLL: Duration = Duration::from_millis(5);
 
 fn link(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     if a <= b {
@@ -48,16 +49,32 @@ fn link(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
 struct BusState {
     /// Open undirected links, keyed `(min, max)`.
     links: BTreeSet<(NodeId, NodeId)>,
-    /// Directed in-flight encoded frames, keyed `(sender, receiver)`.
+    /// Directed in-flight encoded frames, keyed `(receiver, sender)` so the
+    /// map's order is delivery order. A queue is removed once it empties.
     queues: BTreeMap<(NodeId, NodeId), VecDeque<Vec<u8>>>,
     seq: u64,
     frames_by_kind: BTreeMap<&'static str, u64>,
     frames_dropped: u64,
     bytes_on_wire: u64,
-    /// Bumped on every send and every delivered receive; the session driver
-    /// watches it to detect quiescence.
-    activity: u64,
-    shutdown: bool,
+}
+
+impl BusState {
+    /// Pops the next decodable frame addressed to `me` — lowest sender
+    /// first, FIFO per sender — dropping and counting undecodable ones.
+    fn pop(&mut self, me: NodeId) -> Option<(NodeId, WireMessage)> {
+        let mine = (me, NodeId::new(0))..=(me, NodeId::new(u32::MAX));
+        while let Some((&(_, from), queue)) = self.queues.range_mut(mine.clone()).next() {
+            let bytes = queue.pop_front().expect("an empty queue is removed");
+            if queue.is_empty() {
+                self.queues.remove(&(me, from));
+            }
+            match decode_frame(&bytes) {
+                Ok(frame) => return Some((from, frame.message)),
+                Err(_) => self.frames_dropped += 1,
+            }
+        }
+        None
+    }
 }
 
 /// Counters a [`LiveBus`] has accumulated.
@@ -81,7 +98,7 @@ pub struct LiveStats {
 /// close are dropped and counted.
 #[derive(Debug, Clone, Default)]
 pub struct LiveBus {
-    inner: Arc<(Mutex<BusState>, Condvar)>,
+    inner: Arc<Mutex<BusState>>,
 }
 
 impl LiveBus {
@@ -91,17 +108,15 @@ impl LiveBus {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, BusState> {
-        self.inner.0.lock().expect("bus lock poisoned")
+        self.inner.lock().expect("bus lock poisoned")
     }
 
-    /// Opens the link between `a` and `b`; wakes blocked receivers so they
-    /// notice the new peer.
+    /// Opens the link between `a` and `b`.
     pub fn open(&self, a: NodeId, b: NodeId) {
         if a == b {
             return;
         }
         self.lock().links.insert(link(a, b));
-        self.inner.1.notify_all();
     }
 
     /// Closes the link between `a` and `b`, dropping (and counting) any
@@ -114,24 +129,6 @@ impl LiveBus {
                 state.frames_dropped += queue.len() as u64;
             }
         }
-        self.inner.1.notify_all();
-    }
-
-    /// The peers `me` currently shares an open link with, ascending.
-    pub fn peers(&self, me: NodeId) -> Vec<NodeId> {
-        self.lock()
-            .links
-            .iter()
-            .filter_map(|&(a, b)| {
-                if a == me {
-                    Some(b)
-                } else if b == me {
-                    Some(a)
-                } else {
-                    None
-                }
-            })
-            .collect()
     }
 
     /// Sends `message` from `from` to `to`. Returns `false` (and counts a
@@ -149,72 +146,25 @@ impl LiveBus {
             .frames_by_kind
             .entry(message.kind().name())
             .or_insert(0) += 1;
-        state.activity += 1;
-        state.queues.entry((from, to)).or_default().push_back(bytes);
-        drop(state);
-        self.inner.1.notify_all();
+        state.queues.entry((to, from)).or_default().push_back(bytes);
         true
     }
 
-    /// Receives the next frame addressed to `me`, blocking up to `timeout`.
+    /// Receives the next frame queued for `me`, or `None` if there is none.
     ///
-    /// Frames are drained lowest sender id first, FIFO per sender. Returns
-    /// `None` on timeout or shutdown. Undecodable frames are dropped,
-    /// counted, and skipped.
-    pub fn recv(&self, me: NodeId, timeout: Duration) -> Option<(NodeId, WireMessage)> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.lock();
-        loop {
-            if state.shutdown {
-                return None;
-            }
-            let key = state
-                .queues
-                .iter()
-                .find(|((_, to), queue)| *to == me && !queue.is_empty())
-                .map(|(&key, _)| key);
-            if let Some(key @ (from, _)) = key {
-                let bytes = state
-                    .queues
-                    .get_mut(&key)
-                    .and_then(VecDeque::pop_front)
-                    .expect("queue was non-empty under the lock");
-                match decode_frame(&bytes) {
-                    Ok(frame) => {
-                        state.activity += 1;
-                        return Some((from, frame.message));
-                    }
-                    Err(_) => {
-                        state.frames_dropped += 1;
-                        continue;
-                    }
-                }
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (next, timed_out) = self
-                .inner
-                .1
-                .wait_timeout(state, deadline - now)
-                .expect("bus lock poisoned");
-            state = next;
-            if timed_out.timed_out() && state.shutdown {
-                return None;
-            }
-        }
+    /// Frames are drained lowest sender id first, FIFO per sender.
+    /// Undecodable frames are dropped, counted, and skipped. Every sender
+    /// runs on the caller's thread, so there is nothing to wait for:
+    /// `_timeout` is unused and kept only for the signature's callers.
+    pub fn recv(&self, me: NodeId, _timeout: Duration) -> Option<(NodeId, WireMessage)> {
+        self.lock().pop(me)
     }
 
-    /// Signals every thread on the bus to exit.
-    pub fn shutdown(&self) {
-        self.lock().shutdown = true;
-        self.inner.1.notify_all();
-    }
-
-    /// True once [`shutdown`](Self::shutdown) has been called.
-    pub fn is_shutdown(&self) -> bool {
-        self.lock().shutdown
+    /// The ids with at least one frame queued for them, ascending.
+    fn receivers(&self) -> Vec<NodeId> {
+        let mut ids: Vec<NodeId> = self.lock().queues.keys().map(|&(to, _)| to).collect();
+        ids.dedup();
+        ids
     }
 
     /// Snapshot of the bus counters.
@@ -225,14 +175,6 @@ impl LiveBus {
             frames_dropped: state.frames_dropped,
             bytes_on_wire: state.bytes_on_wire,
         }
-    }
-
-    /// `(activity, all queues empty)` — the quiescence probe the session
-    /// driver polls between schedule steps.
-    fn quiescence(&self) -> (u64, bool) {
-        let state = self.lock();
-        let empty = state.queues.values().all(VecDeque::is_empty);
-        (state.activity, empty)
     }
 }
 
@@ -265,12 +207,10 @@ pub struct LiveSessionSpec {
     pub nodes: Vec<LiveNodeSpec>,
     /// The gateway, if the session has one.
     pub gateway: Option<LiveGatewaySpec>,
-    /// Contacts in order: each entry's members get pairwise links until the
-    /// bus settles, then the links close (the contact ends).
+    /// Contacts in order: each entry's members get pairwise links and greet
+    /// each other, frames flow until none is queued, then the links close
+    /// (the contact ends).
     pub schedule: Vec<Vec<NodeId>>,
-    /// How long the bus must stay quiet before a contact is considered
-    /// settled and its links close.
-    pub settle: Duration,
 }
 
 /// What a live session produced.
@@ -282,18 +222,27 @@ pub struct LiveReport {
     pub stats: LiveStats,
 }
 
-/// What one node thread knows.
+/// Piece `index` of a file whose bytes are `content`, cut at `piece_size`.
+/// It copies that one chunk, so serving a whole file costs its size, not
+/// its size times its piece count.
+fn piece_of(uri: &Uri, content: &[u8], piece_size: u64, index: u32) -> Option<Piece> {
+    let piece_size = usize::try_from(piece_size).ok()?;
+    let chunk = content.chunks(piece_size).nth(index as usize)?;
+    Some(Piece::new(PieceId::new(uri.clone(), index), chunk.to_vec()))
+}
+
+/// What one node knows.
+#[derive(Default)]
 struct NodeState {
     id: NodeId,
     queries: Vec<Query>,
     metadata: BTreeMap<Uri, Metadata>,
     content: BTreeMap<Uri, Vec<u8>>,
-    assembling: BTreeMap<Uri, (FileAssembler, NodeId)>,
+    assembling: BTreeMap<Uri, FileAssembler>,
     deliveries: BTreeMap<Uri, Digest>,
-    greeted: BTreeSet<NodeId>,
-    /// What each greeted peer asked for in its hello. Kept so a file
-    /// completed *after* the hello is still served — which makes the frame
-    /// counts a function of the spec, not of thread timing.
+    /// What each peer asked for in its hello. Kept so a file completed
+    /// *after* the hello is still served — which makes the frame counts a
+    /// function of the spec, not of delivery order.
     interests: BTreeMap<NodeId, (Vec<Query>, BTreeSet<Uri>)>,
     sent_meta: BTreeSet<(NodeId, Uri)>,
 }
@@ -384,7 +333,7 @@ impl NodeState {
                 },
             );
         }
-        self.assembling.insert(uri, (assembler, from));
+        self.assembling.insert(uri, assembler);
     }
 
     fn handle(&mut self, bus: &LiveBus, from: NodeId, message: WireMessage) {
@@ -398,10 +347,7 @@ impl NodeState {
             }
             WireMessage::PieceRequest { uri, index } => {
                 let piece = self.metadata.get(&uri).and_then(|meta| {
-                    let data = self.content.get(&uri)?;
-                    split_into_pieces(&uri, data, meta.piece_size() as usize)
-                        .into_iter()
-                        .nth(index as usize)
+                    piece_of(&uri, self.content.get(&uri)?, meta.piece_size(), index)
                 });
                 if let Some(piece) = piece {
                     bus.send(self.id, from, &WireMessage::Piece(piece));
@@ -409,7 +355,7 @@ impl NodeState {
             }
             WireMessage::Piece(piece) => {
                 let uri = piece.id().uri().clone();
-                let Some((assembler, _)) = self.assembling.get_mut(&uri) else {
+                let Some(assembler) = self.assembling.get_mut(&uri) else {
                     return;
                 };
                 if assembler.add_piece(piece).is_ok() && assembler.is_complete() {
@@ -432,55 +378,43 @@ impl NodeState {
             | WireMessage::FileBroadcast { .. } => {}
         }
     }
-
-    fn run(mut self, bus: LiveBus) -> BTreeMap<Uri, Digest> {
-        while !bus.is_shutdown() {
-            for peer in bus.peers(self.id) {
-                if self.greeted.insert(peer) {
-                    bus.send(self.id, peer, &WireMessage::Hello(self.hello()));
-                }
-            }
-            if let Some((from, message)) = bus.recv(self.id, RECV_POLL) {
-                self.handle(&bus, from, message);
-            }
-        }
-        self.deliveries
-    }
 }
 
-/// The gateway task: answers hellos and searches from its snapshot and
-/// serves pieces of the files it holds. Blocks until the bus shuts down —
-/// run it on its own thread (as [`run_live_session`] and the `mbt gateway`
-/// CLI mode do).
-pub fn run_gateway(spec: LiveGatewaySpec, bus: LiveBus) {
-    let LiveGatewaySpec {
-        id,
-        snapshot,
-        content,
-    } = spec;
-    let results_for = |query: &Query, limit: usize| -> WireMessage {
-        let results = snapshot
+impl LiveGatewaySpec {
+    /// Answers every frame queued for the gateway, then returns. A session
+    /// interleaves the gateway with its nodes; `mbt gateway` sends one probe
+    /// search and calls this instead.
+    pub fn serve_queued(&self, bus: &LiveBus) {
+        while let Some((from, message)) = bus.recv(self.id, Duration::ZERO) {
+            self.handle(bus, from, message);
+        }
+    }
+
+    fn results(&self, query: &Query, limit: usize) -> WireMessage {
+        let results = self
+            .snapshot
             .search(query, limit.clamp(1, GATEWAY_SEARCH_LIMIT))
             .into_iter()
             .map(|meta| {
-                let pop = snapshot.popularity_of(meta.uri());
+                let pop = self.snapshot.popularity_of(meta.uri());
                 (meta, pop)
             })
             .collect();
         WireMessage::SearchResults { results }
-    };
-    while !bus.is_shutdown() {
-        let Some((from, message)) = bus.recv(id, RECV_POLL) else {
-            continue;
-        };
+    }
+
+    /// Answers hellos and searches from the snapshot and serves pieces of
+    /// the files the gateway holds.
+    fn handle(&self, bus: &LiveBus, from: NodeId, message: WireMessage) {
+        let id = self.id;
         match message {
             WireMessage::Hello(hello) => {
                 for (query, _) in hello.own_queries.iter() {
-                    bus.send(id, from, &results_for(query, GATEWAY_SEARCH_LIMIT));
+                    bus.send(id, from, &self.results(query, GATEWAY_SEARCH_LIMIT));
                 }
                 for uri in &hello.wanted {
-                    if let Some(metadata) = snapshot.metadata_of(uri) {
-                        let popularity = snapshot.popularity_of(uri);
+                    if let Some(metadata) = self.snapshot.metadata_of(uri) {
+                        let popularity = self.snapshot.popularity_of(uri);
                         bus.send(
                             id,
                             from,
@@ -493,14 +427,11 @@ pub fn run_gateway(spec: LiveGatewaySpec, bus: LiveBus) {
                 }
             }
             WireMessage::Search { query, limit } => {
-                bus.send(id, from, &results_for(&query, limit as usize));
+                bus.send(id, from, &self.results(&query, limit as usize));
             }
             WireMessage::PieceRequest { uri, index } => {
-                let piece = snapshot.metadata_of(&uri).and_then(|meta| {
-                    let data = content.get(&uri)?;
-                    split_into_pieces(&uri, data, meta.piece_size() as usize)
-                        .into_iter()
-                        .nth(index as usize)
+                let piece = self.snapshot.metadata_of(&uri).and_then(|meta| {
+                    piece_of(&uri, self.content.get(&uri)?, meta.piece_size(), index)
                 });
                 if let Some(piece) = piece {
                     bus.send(id, from, &WireMessage::Piece(piece));
@@ -514,75 +445,85 @@ pub fn run_gateway(spec: LiveGatewaySpec, bus: LiveBus) {
 /// Runs a scripted live session to completion and reports what each node
 /// delivered.
 ///
-/// Each contact in the schedule opens pairwise links among its members, the
-/// driver waits for the bus to stay quiet for `spec.settle` (capped at ten
-/// seconds per contact), then the links close. After the last contact every
-/// thread is shut down and joined. The outcome — which files each node
-/// assembled, and their digests — is deterministic for a given spec; so are
-/// the frame counts, because every send in the node protocol is deduplicated
-/// per (peer, item).
+/// Each contact in the schedule opens pairwise links among its members, and
+/// every member node greets every peer it is linked to — on every contact,
+/// so a pair that meets again re-announces its queries and wanted files and
+/// the gateway answers those queries again. Then every queued
+/// frame goes to its receiver's handler — lowest receiver first, then lowest
+/// sender, FIFO — until none is queued for any handler, and the links close.
+/// The report is a function of the spec alone: every send in the node
+/// protocol is deduplicated per (peer, item) and every hello is sent before
+/// any frame is handled, so no delivery order changes a delivery, a digest
+/// or a frame count.
 pub fn run_live_session(spec: LiveSessionSpec) -> LiveReport {
+    run_session(spec, |_| 0)
+}
+
+/// [`run_live_session`], with `pick` choosing which of the receivers that
+/// have a frame queued (ascending) handles its next one.
+fn run_session(spec: LiveSessionSpec, mut pick: impl FnMut(&[NodeId]) -> usize) -> LiveReport {
     let bus = LiveBus::new();
-    let mut handles = Vec::new();
-    for node in &spec.nodes {
-        let state = NodeState {
-            id: node.id,
-            queries: node.queries.clone(),
-            metadata: BTreeMap::new(),
-            content: BTreeMap::new(),
-            assembling: BTreeMap::new(),
-            deliveries: BTreeMap::new(),
-            greeted: BTreeSet::new(),
-            interests: BTreeMap::new(),
-            sent_meta: BTreeSet::new(),
-        };
-        let bus = bus.clone();
-        handles.push((node.id, std::thread::spawn(move || state.run(bus))));
-    }
-    let gateway = spec.gateway.map(|g| {
-        let bus = bus.clone();
-        std::thread::spawn(move || run_gateway(g, bus))
-    });
+    let mut nodes: BTreeMap<NodeId, NodeState> = spec
+        .nodes
+        .into_iter()
+        .map(|node| {
+            let state = NodeState {
+                id: node.id,
+                queries: node.queries,
+                ..NodeState::default()
+            };
+            (node.id, state)
+        })
+        .collect();
+    let gateway = spec.gateway;
+    let handlers: BTreeSet<NodeId> = nodes
+        .keys()
+        .copied()
+        .chain(gateway.as_ref().map(|g| g.id))
+        .collect();
 
     for members in &spec.schedule {
-        for (i, &a) in members.iter().enumerate() {
-            for &b in &members[i + 1..] {
-                bus.open(a, b);
+        let links: BTreeSet<(NodeId, NodeId)> = members
+            .iter()
+            .flat_map(|&a| members.iter().map(move |&b| (a, b)))
+            .filter(|(a, b)| a < b)
+            .collect();
+        for &(a, b) in &links {
+            bus.open(a, b);
+        }
+        for &(a, b) in &links {
+            for (me, peer) in [(a, b), (b, a)] {
+                if let Some(node) = nodes.get(&me) {
+                    bus.send(me, peer, &WireMessage::Hello(node.hello()));
+                }
             }
         }
-        // A contact ends when the bus has been quiet for the settle window.
-        let cap = Instant::now() + Duration::from_secs(10);
-        let (mut last_activity, _) = bus.quiescence();
-        let mut quiet_since = Instant::now();
         loop {
-            std::thread::sleep(Duration::from_millis(5));
-            let (activity, empty) = bus.quiescence();
-            let now = Instant::now();
-            if activity != last_activity || !empty {
-                last_activity = activity;
-                quiet_since = now;
-            }
-            if now.duration_since(quiet_since) >= spec.settle || now >= cap {
+            let mut ready = bus.receivers();
+            ready.retain(|id| handlers.contains(id));
+            if ready.is_empty() {
                 break;
             }
-        }
-        for (i, &a) in members.iter().enumerate() {
-            for &b in &members[i + 1..] {
-                bus.close(a, b);
+            let to = ready[pick(&ready)];
+            let Some((from, message)) = bus.recv(to, Duration::ZERO) else {
+                continue;
+            };
+            if let Some(node) = nodes.get_mut(&to) {
+                node.handle(&bus, from, message);
+            } else if let Some(gateway) = &gateway {
+                gateway.handle(&bus, from, message);
             }
+        }
+        for &(a, b) in &links {
+            bus.close(a, b);
         }
     }
 
-    bus.shutdown();
-    let mut deliveries = BTreeMap::new();
-    for (id, handle) in handles {
-        deliveries.insert(id, handle.join().expect("node thread panicked"));
-    }
-    if let Some(handle) = gateway {
-        handle.join().expect("gateway thread panicked");
-    }
     LiveReport {
-        deliveries,
+        deliveries: nodes
+            .into_iter()
+            .map(|(id, node)| (id, node.deliveries))
+            .collect(),
         stats: bus.stats(),
     }
 }
@@ -590,6 +531,9 @@ pub fn run_live_session(spec: LiveSessionSpec) -> LiveReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::MetadataServer;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -604,10 +548,7 @@ mod tests {
             limit: 1,
         };
         assert!(bus.send(n(0), n(1), &msg));
-        assert_eq!(
-            bus.recv(n(1), Duration::from_millis(100)),
-            Some((n(0), msg.clone()))
-        );
+        assert_eq!(bus.recv(n(1), Duration::ZERO), Some((n(0), msg.clone())));
         // Queued frame dropped at close.
         assert!(bus.send(n(0), n(1), &msg));
         bus.close(n(0), n(1));
@@ -615,8 +556,7 @@ mod tests {
         let stats = bus.stats();
         assert_eq!(stats.frames_dropped, 2);
         assert_eq!(stats.frames_by_kind["search"], 2);
-        bus.shutdown();
-        assert_eq!(bus.recv(n(1), Duration::from_millis(100)), None);
+        assert_eq!(bus.recv(n(1), Duration::ZERO), None);
     }
 
     #[test]
@@ -634,13 +574,104 @@ mod tests {
         };
         bus.send(n(2), n(5), &from_two);
         bus.send(n(1), n(5), &from_one);
+        assert_eq!(bus.recv(n(5), Duration::ZERO), Some((n(1), from_one)));
+        assert_eq!(bus.recv(n(5), Duration::ZERO), Some((n(2), from_two)));
+    }
+
+    #[test]
+    fn a_piece_is_one_chunk_of_the_file() {
+        let uri = Uri::new("mbt://x").unwrap();
+        let content: Vec<u8> = (0..600u32).map(|i| i as u8).collect();
+        let last = piece_of(&uri, &content, 256, 2).unwrap();
+        assert_eq!(*last.id(), PieceId::new(uri.clone(), 2));
+        assert_eq!(last.data(), &content[512..]);
         assert_eq!(
-            bus.recv(n(5), Duration::from_millis(100)),
-            Some((n(1), from_one))
+            piece_of(&uri, &content, 256, 0).unwrap().data(),
+            &content[..256]
         );
-        assert_eq!(
-            bus.recv(n(5), Duration::from_millis(100)),
-            Some((n(2), from_two))
-        );
+        assert_eq!(piece_of(&uri, &content, 256, 3), None);
+    }
+
+    /// Three nodes and a gateway holding one 1 536-byte file per name, in
+    /// 256-byte pieces; every node asks every query. Node 0 meets the
+    /// gateway, then the three nodes meet.
+    fn session(names: &[&str], queries: &[&str], gateway: u32) -> LiveSessionSpec {
+        let mut server = MetadataServer::new(1);
+        let mut content = BTreeMap::new();
+        for (i, name) in names.iter().enumerate() {
+            let uri = Uri::new(format!("mbt://live/{i}")).unwrap();
+            let bytes: Vec<u8> = (0..1536).map(|b| (b * (i + 1) % 251) as u8).collect();
+            let metadata = Metadata::builder(*name, "FOX", uri.clone())
+                .content(&bytes, 256)
+                .build();
+            server.publish(metadata, Popularity::new(0.8));
+            content.insert(uri, bytes);
+        }
+        let queries: Vec<Query> = queries.iter().map(|q| Query::new(*q).unwrap()).collect();
+        LiveSessionSpec {
+            nodes: (0..3)
+                .map(|i| LiveNodeSpec {
+                    id: n(i),
+                    queries: queries.clone(),
+                })
+                .collect(),
+            gateway: Some(LiveGatewaySpec {
+                id: n(gateway),
+                snapshot: server.snapshot(),
+                content,
+            }),
+            schedule: vec![vec![n(0), n(gateway)], vec![n(0), n(1), n(2)]],
+        }
+    }
+
+    #[test]
+    fn any_delivery_order_gives_the_same_report() {
+        let soak = || session(&["fox evening news"], &["evening news"], 100);
+        // Node 0 meets the gateway twice: it greets again, and the gateway
+        // answers its query again, before the three nodes meet.
+        let mut repeat = soak();
+        repeat.schedule.insert(0, vec![n(0), n(100)]);
+        let shapes = [
+            // `tests/transport_soak.rs`: one file, one query.
+            (soak(), 1, [7, 1, 6, 18, 18]),
+            (repeat, 1, [8, 2, 6, 18, 18]),
+            // `mbt node`'s default: two files, a query for each.
+            (
+                session(
+                    &["live news feed0", "live news feed1"],
+                    &["news feed0", "news feed1"],
+                    103,
+                ),
+                2,
+                [7, 2, 12, 36, 36],
+            ),
+        ];
+        for (spec, files, frames) in shapes {
+            let fixed = run_live_session(spec.clone());
+            assert_eq!(fixed.stats.frames_dropped, 0);
+            assert!(fixed.deliveries.values().all(|d| d.len() == files));
+            let kinds = [
+                "hello",
+                "search-results",
+                "metadata",
+                "piece-request",
+                "piece",
+            ];
+            assert_eq!(
+                fixed.stats.frames_by_kind,
+                kinds.into_iter().zip(frames).collect::<BTreeMap<_, _>>()
+            );
+            let mut reordered = 0;
+            for seed in 0..64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let report = run_session(spec.clone(), |ready| {
+                    let i = rng.gen_range(0..ready.len());
+                    reordered += usize::from(i != 0);
+                    i
+                });
+                assert_eq!(report, fixed, "seed {seed} changed the report");
+            }
+            assert!(reordered > 0, "no seed reordered delivery");
+        }
     }
 }
