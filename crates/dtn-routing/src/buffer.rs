@@ -4,10 +4,9 @@
 //! drop policy decides which copy to evict. Copy counts (for spray-and-wait)
 //! are stored alongside each message.
 //!
-//! This module is also the home of the *shared* eviction seam
-//! ([`EvictionPolicy`]) that higher layers plug protocol-specific rankings
-//! into — `mbt-core`'s popularity-ranked bounded file cache picks its
-//! victims through [`EvictLowestScore`].
+//! This module is also the home of the shared eviction choice
+//! ([`evict_lowest_score`]): `mbt-core`'s popularity-ranked bounded file
+//! cache ranks its candidates and picks its victims through it.
 
 use std::collections::BTreeMap;
 
@@ -25,40 +24,30 @@ pub enum DropPolicy {
     Oldest,
 }
 
-/// A pluggable victim-selection policy for capacity eviction.
+/// Picks the capacity-eviction victim: the lowest-scored of the `(key,
+/// score)` candidates, score ties broken by key order so the choice is
+/// deterministic regardless of candidate ordering.
 ///
 /// Callers present the *evictable* candidates (items protected by the
 /// protocol — e.g. files a node's own user still wants — are simply not
-/// offered) together with a ranking score; the policy names the victim, or
-/// `None` to refuse eviction (the incoming item is rejected instead).
-pub trait EvictionPolicy<K> {
-    /// Picks the victim among `(key, score)` candidates.
-    fn pick_victim(&self, candidates: &[(K, f64)]) -> Option<K>;
-}
-
-/// Evicts the lowest-scored candidate, breaking score ties by key order so
-/// the choice is deterministic regardless of candidate ordering.
+/// offered); `None` means there is nothing to evict, and the incoming item
+/// is rejected instead.
 ///
 /// # Example
 ///
 /// ```
-/// use dtn_routing::{EvictLowestScore, EvictionPolicy};
+/// use dtn_routing::evict_lowest_score;
 ///
 /// let candidates = vec![("b", 2.0), ("a", 1.0), ("c", 1.0)];
-/// assert_eq!(EvictLowestScore.pick_victim(&candidates), Some("a"));
+/// assert_eq!(evict_lowest_score(&candidates), Some("a"));
 /// let empty: Vec<(&str, f64)> = Vec::new();
-/// assert_eq!(EvictLowestScore.pick_victim(&empty), None);
+/// assert_eq!(evict_lowest_score(&empty), None);
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EvictLowestScore;
-
-impl<K: Ord + Clone> EvictionPolicy<K> for EvictLowestScore {
-    fn pick_victim(&self, candidates: &[(K, f64)]) -> Option<K> {
-        candidates
-            .iter()
-            .min_by(|x, y| x.1.total_cmp(&y.1).then_with(|| x.0.cmp(&y.0)))
-            .map(|(k, _)| k.clone())
-    }
+pub fn evict_lowest_score<K: Ord + Clone>(candidates: &[(K, f64)]) -> Option<K> {
+    candidates
+        .iter()
+        .min_by(|x, y| x.1.total_cmp(&y.1).then_with(|| x.0.cmp(&y.0)))
+        .map(|(k, _)| k.clone())
 }
 
 /// One stored copy: the message plus protocol state (remaining copy tokens).
@@ -272,13 +261,13 @@ mod tests {
         let fwd = vec![(1u32, 0.5), (2, 0.25), (3, 0.25)];
         let mut rev = fwd.clone();
         rev.reverse();
-        assert_eq!(EvictLowestScore.pick_victim(&fwd), Some(2));
-        assert_eq!(EvictLowestScore.pick_victim(&rev), Some(2), "ties by key");
+        assert_eq!(evict_lowest_score(&fwd), Some(2));
+        assert_eq!(evict_lowest_score(&rev), Some(2), "ties by key");
     }
 
     #[test]
     fn evict_lowest_score_refuses_without_candidates() {
         let empty: Vec<(u32, f64)> = Vec::new();
-        assert_eq!(EvictLowestScore.pick_victim(&empty), None);
+        assert_eq!(evict_lowest_score(&empty), None);
     }
 }

@@ -48,7 +48,7 @@ pub mod message;
 pub mod protocols;
 pub mod sim;
 
-pub use buffer::{Buffer, DropPolicy, EvictLowestScore, EvictionPolicy};
+pub use buffer::{evict_lowest_score, Buffer, DropPolicy};
 pub use message::{Message, MessageId};
 pub use protocols::{AvailabilityDiffusion, RoutingProtocol};
 pub use sim::{RoutingReport, RoutingSim};

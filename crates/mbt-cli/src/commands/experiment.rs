@@ -46,8 +46,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         std::fs::create_dir_all(dir).map_err(|e| CliError::Io(dir.display().to_string(), e))?;
     }
 
-    let mut ctx = RunContext::new(scale).exec(exec);
-    let report = catalogue::run(&selectors.join(", "), &rows, &mut ctx);
+    let ctx = RunContext::new(scale).exec(exec);
+    let report = catalogue::run(&selectors.join(", "), &rows, &ctx);
     let mut out = report.text;
     if let Some(dir) = csv_dir {
         out.push('\n');
@@ -79,8 +79,8 @@ mod tests {
     #[test]
     fn list_names_every_experiment() {
         let out = run_line("list").unwrap();
-        for e in catalogue::CATALOGUE {
-            assert!(out.contains(e.name), "{} missing: {out}", e.name);
+        for e in catalogue::catalogue() {
+            assert!(out.contains(e.name()), "{} missing: {out}", e.name());
         }
     }
 

@@ -75,7 +75,6 @@ pub mod piece;
 pub mod popularity;
 pub mod protocol;
 pub mod query;
-pub mod selection;
 pub mod server;
 pub mod store;
 pub mod transport;

@@ -11,7 +11,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dtn_routing::{AvailabilityDiffusion, EvictLowestScore, EvictionPolicy};
+use dtn_routing::{evict_lowest_score, AvailabilityDiffusion};
 use dtn_sim::channel::frame_bytes;
 use dtn_sim::telemetry::{Phase, PhaseTimes};
 use dtn_trace::{NodeId, SimDuration, SimTime};
@@ -443,7 +443,7 @@ impl MbtNode {
     /// Under [`CachePolicy::Unbounded`] this is exactly a
     /// [`FileStore::insert`]. Under [`CachePolicy::PopularityRanked`] a full
     /// buffer first picks a victim (via the shared
-    /// [`dtn_routing::EvictLowestScore`] seam) among the held files *not*
+    /// [`dtn_routing::evict_lowest_score`]) among the held files *not*
     /// matching the node's own queries: if there is none, or the incoming
     /// file is unwanted and scores no higher than the victim, the incoming
     /// file is refused instead. A file the node's own user wants is always
@@ -458,7 +458,7 @@ impl MbtNode {
                     .filter(|held| !self.matches_own_query(held))
                     .map(|held| (held.clone(), self.cache_score(held, scope)))
                     .collect();
-                let Some(victim) = EvictLowestScore.pick_victim(&candidates) else {
+                let Some(victim) = evict_lowest_score(&candidates) else {
                     return false;
                 };
                 if !self.matches_own_query(&uri) {

@@ -19,9 +19,11 @@
 //!   it allocates only when a field differs and the frame is decoded in
 //!   full. The differential suite (`tests/transport_equivalence.rs`) pins
 //!   this backend byte-identical to [`SimTransport`].
-//! * [`live`] — a threaded bus runtime on the same frame codec, where nodes
-//!   and a [`ServerSnapshot`](crate::server::ServerSnapshot)-backed gateway
-//!   run as real tasks (the `mbt node` / `mbt gateway` CLI modes).
+//! * [`live`] — a session runtime on the same frame codec (the `mbt node` /
+//!   `mbt gateway` CLI modes): nodes and a
+//!   [`ServerSnapshot`](crate::server::ServerSnapshot)-backed gateway are
+//!   frame handlers, and one thread pumps each contact's queued frames to
+//!   their receivers until none is left.
 //!
 //! The frame format (64-byte versioned header, length-prefixed checksummed
 //! payload) deliberately matches `dtn_sim::channel::frame_bytes`'s 64-byte

@@ -278,40 +278,6 @@ proptest! {
     }
 
     #[test]
-    fn selection_rank_is_sorted_and_policy_consistent(
-        pops in proptest::collection::vec(0.0f64..1.0, 1..8)
-    ) {
-        use mbt_core::selection::{rank, select, SelectionPolicy};
-        let metas: Vec<Metadata> = pops
-            .iter()
-            .enumerate()
-            .map(|(i, _)| {
-                Metadata::builder("common token", "FOX", Uri::new(format!("mbt://s/{i}")).unwrap())
-                    .build()
-            })
-            .collect();
-        let q = Query::new("common token").unwrap();
-        let pop_of = |m: &Metadata| {
-            let idx: usize = m.uri().as_str().rsplit('/').next().unwrap().parse().unwrap();
-            Popularity::new(pops[idx])
-        };
-        let ranked = rank(metas.iter(), &q, pop_of, None);
-        prop_assert_eq!(ranked.len(), metas.len());
-        for w in ranked.windows(2) {
-            prop_assert!(w[0].popularity >= w[1].popularity, "rank not sorted");
-        }
-        // BestRanked picks the head; MostPopular agrees when scores tie.
-        let best = select(&ranked, SelectionPolicy::BestRanked).unwrap();
-        let most = select(&ranked, SelectionPolicy::MostPopular).unwrap();
-        prop_assert_eq!(best.uri(), ranked[0].metadata.uri());
-        prop_assert_eq!(
-            pop_of(most).value(),
-            ranked[0].popularity.value(),
-            "most-popular must match the top popularity"
-        );
-    }
-
-    #[test]
     fn popularity_sampling_always_in_unit_interval(seed in any::<u64>(), lambda in 0.1f64..100.0) {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);

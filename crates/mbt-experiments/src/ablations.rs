@@ -1,12 +1,16 @@
 //! Ablations of the design choices called out in `DESIGN.md`.
 //!
-//! - **Cooperation mode** (§IV-B/§V-B): cooperative vs tit-for-tat vs
-//!   tit-for-tat with a free-rider population — measuring how much the
-//!   credit mechanism costs/protects.
+//! - **Cooperation mode** (§IV-B/§V-B): cooperative vs tit-for-tat, every
+//!   node honest — measuring what the credit mechanism costs. No simulated
+//!   node is selfish, so what it protects is not measured here.
 //! - **Discovery-first contact ordering** (§V): metadata before files within
 //!   a contact vs the reverse.
 //! - **Short-contact gating** (§V): skipping the file phase on contacts too
 //!   short to be worth bulk transfer.
+//! - **Broadcast ordering** (§V-A): two-phase vs BitTorrent's rarest-first.
+//! - **Failure injection**: broadcast frame loss and node churn.
+//! - **Metadata pollution** (§I, §III-B item f): fake publishers, with and
+//!   without publisher authentication.
 
 use dtn_sim::FaultPlan;
 use dtn_trace::generators::NusConfig;
@@ -59,7 +63,7 @@ fn scale_params(scale: Scale) -> SimParams {
 }
 
 /// Cooperative vs tit-for-tat scheduling, full MBT.
-pub fn cooperation_ablation(ctx: &mut RunContext) -> Vec<AblationRow> {
+pub fn cooperation_ablation(ctx: &RunContext) -> Vec<AblationRow> {
     let scale = ctx.scale();
     let trace = scale_trace(scale);
     let configs = [CooperationMode::Cooperative, CooperationMode::TitForTat]
@@ -79,7 +83,7 @@ pub fn cooperation_ablation(ctx: &mut RunContext) -> Vec<AblationRow> {
 }
 
 /// Discovery-first vs download-first contact ordering.
-pub fn discovery_first_ablation(ctx: &mut RunContext) -> Vec<AblationRow> {
+pub fn discovery_first_ablation(ctx: &RunContext) -> Vec<AblationRow> {
     let scale = ctx.scale();
     let trace = scale_trace(scale);
     let configs = [true, false]
@@ -99,7 +103,7 @@ pub fn discovery_first_ablation(ctx: &mut RunContext) -> Vec<AblationRow> {
 
 /// Two-phase (paper §V-A) vs rarest-first (BitTorrent-style) broadcast
 /// ordering, cooperative mode.
-pub fn ordering_ablation(ctx: &mut RunContext) -> Vec<AblationRow> {
+pub fn ordering_ablation(ctx: &RunContext) -> Vec<AblationRow> {
     let scale = ctx.scale();
     let trace = scale_trace(scale);
     let configs = [BroadcastOrdering::TwoPhase, BroadcastOrdering::RarestFirst]
@@ -118,7 +122,7 @@ pub fn ordering_ablation(ctx: &mut RunContext) -> Vec<AblationRow> {
 }
 
 /// Gating the file phase on minimum contact length (0 s, 60 s, 600 s).
-pub fn short_contact_ablation(ctx: &mut RunContext) -> Vec<AblationRow> {
+pub fn short_contact_ablation(ctx: &RunContext) -> Vec<AblationRow> {
     let scale = ctx.scale();
     let trace = scale_trace(scale);
     let configs = [0u64, 60, 600]
@@ -138,7 +142,7 @@ pub fn short_contact_ablation(ctx: &mut RunContext) -> Vec<AblationRow> {
 
 /// Failure injection: broadcast frame loss (0 %, 10 %, 30 %) and node churn
 /// (0 %, 20 % of measured nodes dying mid-run), full MBT.
-pub fn failure_ablation(ctx: &mut RunContext) -> Vec<AblationRow> {
+pub fn failure_ablation(ctx: &RunContext) -> Vec<AblationRow> {
     let scale = ctx.scale();
     let trace = scale_trace(scale);
     let mut configs: Vec<(String, SimParams)> = Vec::new();
@@ -164,7 +168,7 @@ pub fn failure_ablation(ctx: &mut RunContext) -> Vec<AblationRow> {
 
 /// Metadata pollution (§I "fake files" / §III-B item f): no adversary vs a
 /// 20 % polluter population, with and without publisher authentication.
-pub fn pollution_ablation(ctx: &mut RunContext) -> Vec<AblationRow> {
+pub fn pollution_ablation(ctx: &RunContext) -> Vec<AblationRow> {
     let scale = ctx.scale();
     let trace = scale_trace(scale);
     let configs = [
@@ -219,7 +223,7 @@ mod tests {
 
     #[test]
     fn cooperation_ablation_runs_both_modes() {
-        let rows = cooperation_ablation(&mut RunContext::new(Scale::Quick));
+        let rows = cooperation_ablation(&RunContext::new(Scale::Quick));
         assert_eq!(rows.len(), 2);
         assert!(rows[0].label.contains("cooperative"));
         assert!(rows[1].label.contains("tit-for-tat"));
@@ -230,7 +234,7 @@ mod tests {
 
     #[test]
     fn short_contact_gating_reduces_file_broadcasts() {
-        let rows = short_contact_ablation(&mut RunContext::new(Scale::Quick));
+        let rows = short_contact_ablation(&RunContext::new(Scale::Quick));
         let open = &rows[0].result;
         let gated = &rows[2].result;
         assert!(
@@ -241,7 +245,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let rows = discovery_first_ablation(&mut RunContext::new(Scale::Quick));
+        let rows = discovery_first_ablation(&RunContext::new(Scale::Quick));
         let t = ablation_table("discovery-first", &rows);
         assert!(t.contains("discovery_first=true"));
         assert!(t.contains("discovery_first=false"));
@@ -249,7 +253,7 @@ mod tests {
 
     #[test]
     fn authentication_recovers_polluted_delivery() {
-        let rows = pollution_ablation(&mut RunContext::new(Scale::Quick));
+        let rows = pollution_ablation(&RunContext::new(Scale::Quick));
         let clean = &rows[0].result;
         let polluted = &rows[1].result;
         let defended = &rows[2].result;
@@ -271,7 +275,7 @@ mod tests {
 
     #[test]
     fn loss_degrades_delivery_monotonically_ish() {
-        let rows = failure_ablation(&mut RunContext::new(Scale::Quick));
+        let rows = failure_ablation(&RunContext::new(Scale::Quick));
         let no_loss = &rows[0].result;
         let heavy_loss = &rows[2].result;
         assert!(
@@ -290,7 +294,7 @@ mod tests {
 
     #[test]
     fn churn_reduces_queries_and_runs_clean() {
-        let rows = failure_ablation(&mut RunContext::new(Scale::Quick));
+        let rows = failure_ablation(&RunContext::new(Scale::Quick));
         let baseline = &rows[0].result;
         let churned = rows.last().unwrap();
         assert!(churned.label.contains("churn"));
@@ -302,7 +306,7 @@ mod tests {
 
     #[test]
     fn ordering_ablation_runs_both_policies() {
-        let rows = ordering_ablation(&mut RunContext::new(Scale::Quick));
+        let rows = ordering_ablation(&RunContext::new(Scale::Quick));
         assert_eq!(rows.len(), 2);
         assert!(rows[0].label.contains("two-phase"));
         assert!(rows[1].label.contains("rarest-first"));

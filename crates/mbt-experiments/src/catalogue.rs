@@ -1,13 +1,14 @@
 //! The one catalogue of experiments: every figure, table and ablation this
-//! repository can regenerate is a row here, and `mbt experiment` is the one
-//! command that runs rows.
+//! repository can regenerate is a row — a figure is its row of [`FIGURES`],
+//! anything else a table row here — and `mbt experiment` is the one command
+//! that runs rows.
 //!
 //! ```
 //! use mbt_experiments::catalogue::{run, select};
 //! use mbt_experiments::{RunContext, Scale};
 //!
 //! let rows = select(&["capacity"]).unwrap();
-//! let report = run("capacity", &rows, &mut RunContext::new(Scale::Quick));
+//! let report = run("capacity", &rows, &RunContext::new(Scale::Quick));
 //! assert!(report.text.contains("crossover statement: HOLDS"));
 //! assert!(select(&["fig9"]).is_err());
 //! ```
@@ -19,12 +20,11 @@ use crate::ablations::{
     ordering_ablation, pollution_ablation, short_contact_ablation, AblationRow,
 };
 use crate::capacity::{capacity_table, crossover_holds};
-use crate::figures::{self, RunContext};
+use crate::figures::{FigureSpec, RunContext, FIGURES};
 use crate::mobility::{mobility_comparison, mobility_table};
 use crate::progress::{delivery_progress, progress_table};
 use crate::report::{capacity_table_text, figure_csv, figure_table};
 use crate::routing::{bound_table, dissemination_bound, routing_comparison, routing_table};
-use crate::sweep::Figure;
 
 /// What one experiment produced: the text it prints (ending in a newline)
 /// and, for figures, the CSV behind the table as `(file stem, contents)`.
@@ -38,28 +38,58 @@ pub struct Rendered {
 
 /// One runnable experiment.
 #[derive(Debug, Clone, Copy)]
-pub struct Experiment {
+pub enum Experiment {
+    /// A row of [`FIGURES`]: its table, and the CSV behind it.
+    Figure(&'static FigureSpec),
+    /// Any other experiment.
+    Table {
+        /// Unique name (`mbt experiment <name>`).
+        name: &'static str,
+        /// The group it runs with (`mbt experiment <group>`).
+        group: &'static str,
+        /// Runs it under a context.
+        run: fn(&RunContext) -> Rendered,
+    },
+}
+
+impl Experiment {
     /// Unique name (`mbt experiment <name>`).
-    pub name: &'static str,
+    pub fn name(&self) -> &'static str {
+        match *self {
+            Experiment::Figure(spec) => spec.id,
+            Experiment::Table { name, .. } => name,
+        }
+    }
+
     /// The group it runs with (`mbt experiment <group>`).
-    pub group: &'static str,
-    /// Runs it under a context.
-    pub run: fn(&mut RunContext) -> Rendered,
+    pub fn group(&self) -> &'static str {
+        match *self {
+            Experiment::Figure(spec) => spec.group,
+            Experiment::Table { group, .. } => group,
+        }
+    }
+
+    /// Runs it under `ctx`.
+    pub fn run(&self, ctx: &RunContext) -> Rendered {
+        match *self {
+            Experiment::Figure(spec) => {
+                let fig = spec.run(ctx, None);
+                Rendered {
+                    text: figure_table(&fig),
+                    csv: Some((fig.id.clone(), figure_csv(&fig))),
+                }
+            }
+            Experiment::Table { run, .. } => run(ctx),
+        }
+    }
 }
 
 const fn row(
     name: &'static str,
     group: &'static str,
-    run: fn(&mut RunContext) -> Rendered,
+    run: fn(&RunContext) -> Rendered,
 ) -> Experiment {
-    Experiment { name, group, run }
-}
-
-fn figure(fig: Figure) -> Rendered {
-    Rendered {
-        text: figure_table(&fig),
-        csv: Some((fig.id.clone(), figure_csv(&fig))),
-    }
+    Experiment::Table { name, group, run }
 }
 
 fn titled(title: &str, table: String) -> Rendered {
@@ -76,7 +106,7 @@ fn ablation(title: &str, rows: Vec<AblationRow>) -> Rendered {
     }
 }
 
-fn capacity(_: &mut RunContext) -> Rendered {
+fn capacity(_: &RunContext) -> Rendered {
     let rows = capacity_table(20, 10_000);
     let verdict = if crossover_holds(&rows) {
         "HOLDS"
@@ -92,22 +122,9 @@ fn capacity(_: &mut RunContext) -> Rendered {
     )
 }
 
-/// Every experiment, in the order `all` runs them: the paper's Fig 2 and
-/// Fig 3 panels, the §V capacity analysis, the design ablations, the
-/// routing substrate, the two extensions, then the fault and
-/// protocol-variant figures.
-pub const CATALOGUE: &[Experiment] = &[
-    row("fig2a", "fig2", |ctx| figure(figures::fig2a(ctx))),
-    row("fig2b", "fig2", |ctx| figure(figures::fig2b(ctx))),
-    row("fig2c", "fig2", |ctx| figure(figures::fig2c(ctx))),
-    row("fig2d", "fig2", |ctx| figure(figures::fig2d(ctx))),
-    row("fig2e", "fig2", |ctx| figure(figures::fig2e(ctx))),
-    row("fig3a", "fig3", |ctx| figure(figures::fig3a(ctx))),
-    row("fig3b", "fig3", |ctx| figure(figures::fig3b(ctx))),
-    row("fig3c", "fig3", |ctx| figure(figures::fig3c(ctx))),
-    row("fig3d", "fig3", |ctx| figure(figures::fig3d(ctx))),
-    row("fig3e", "fig3", |ctx| figure(figures::fig3e(ctx))),
-    row("fig3f", "fig3", |ctx| figure(figures::fig3f(ctx))),
+/// The experiments that are not figures: the §V capacity analysis, the
+/// design ablations, the routing substrate and the two extensions.
+const TABLES: &[Experiment] = &[
     row("capacity", "capacity", capacity),
     row("cooperation", "ablations", |ctx| {
         ablation("cooperation mode (§IV-B/§V-B)", cooperation_ablation(ctx))
@@ -160,19 +177,23 @@ pub const CATALOGUE: &[Experiment] = &[
             table,
         )
     }),
-    row("fault_sweep", "faults", |ctx| {
-        figure(figures::fault_sweep(ctx))
-    }),
-    row("fault_sweep_variants", "faults", |ctx| {
-        figure(figures::fault_sweep_variants(ctx))
-    }),
-    row("h2h_dieselnet", "h2h", |ctx| {
-        figure(figures::head_to_head_dieselnet(ctx))
-    }),
-    row("h2h_nus", "h2h", |ctx| {
-        figure(figures::head_to_head_nus(ctx))
-    }),
 ];
+
+/// Every experiment, in the order `all` runs them: the paper's Fig 2 and
+/// Fig 3 panels, the tables (capacity, ablations, routing, extensions),
+/// then the fault and protocol-variant figures.
+pub fn catalogue() -> impl Iterator<Item = Experiment> {
+    let paper = |spec: &&FigureSpec| matches!(spec.group, "fig2" | "fig3");
+    let figures = |in_paper: bool| {
+        FIGURES
+            .iter()
+            .filter(move |spec| paper(spec) == in_paper)
+            .map(Experiment::Figure)
+    };
+    figures(true)
+        .chain(TABLES.iter().copied())
+        .chain(figures(false))
+}
 
 /// A selector that names no experiment, no group and is not `all`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -197,16 +218,15 @@ impl std::error::Error for UnknownExperiment {}
 /// # Errors
 ///
 /// Returns the first selector that matches nothing.
-pub fn select(selectors: &[&str]) -> Result<Vec<&'static Experiment>, UnknownExperiment> {
-    let hits = |sel: &str, e: &Experiment| sel == "all" || sel == e.name || sel == e.group;
+pub fn select(selectors: &[&str]) -> Result<Vec<Experiment>, UnknownExperiment> {
+    let hits = |sel: &str, e: &Experiment| sel == "all" || sel == e.name() || sel == e.group();
     if let Some(bad) = selectors
         .iter()
-        .find(|sel| !CATALOGUE.iter().any(|e| hits(sel, e)))
+        .find(|sel| !catalogue().any(|e| hits(sel, &e)))
     {
         return Err(UnknownExperiment(bad.to_string()));
     }
-    Ok(CATALOGUE
-        .iter()
+    Ok(catalogue()
         .filter(|e| selectors.iter().any(|sel| hits(sel, e)))
         .collect())
 }
@@ -215,16 +235,16 @@ pub fn select(selectors: &[&str]) -> Result<Vec<&'static Experiment>, UnknownExp
 pub fn list() -> String {
     let mut out = String::new();
     let mut group = "";
-    for e in CATALOGUE {
-        if e.group != group {
+    for e in catalogue() {
+        if e.group() != group {
             if !group.is_empty() {
                 out.push('\n');
             }
-            group = e.group;
+            group = e.group();
             out.push_str(&format!("  {group}:"));
         }
         out.push(' ');
-        out.push_str(e.name);
+        out.push_str(e.name());
     }
     out.push('\n');
     out
@@ -241,14 +261,14 @@ pub struct Report {
 
 /// Runs `rows` in order under `ctx`; `what` names the selection in the
 /// banner.
-pub fn run(what: &str, rows: &[&Experiment], ctx: &mut RunContext) -> Report {
+pub fn run(what: &str, rows: &[Experiment], ctx: &RunContext) -> Report {
     let mut text = format!(
         "=== MBT reproduction: {what} experiments (scale {:?}) ===\n",
         ctx.scale()
     );
     let mut csvs = Vec::new();
     for row in rows {
-        let rendered = (row.run)(ctx);
+        let rendered = row.run(ctx);
         text.push('\n');
         text.push_str(&rendered.text);
         csvs.extend(rendered.csv);
@@ -263,14 +283,15 @@ mod tests {
 
     #[test]
     fn names_are_unique_and_groups_contiguous() {
-        let names: BTreeSet<&str> = CATALOGUE.iter().map(|e| e.name).collect();
-        assert_eq!(names.len(), CATALOGUE.len());
+        let names: BTreeSet<&str> = catalogue().map(|e| e.name()).collect();
+        assert_eq!(names.len(), catalogue().count());
+        assert_eq!(names.len(), FIGURES.len() + TABLES.len());
         assert!(!names.contains("all") && !names.contains("list"));
         let mut seen = Vec::new();
-        for e in CATALOGUE {
-            if seen.last() != Some(&e.group) {
-                assert!(!seen.contains(&e.group), "group {} is split", e.group);
-                seen.push(e.group);
+        for e in catalogue() {
+            if seen.last() != Some(&e.group()) {
+                assert!(!seen.contains(&e.group()), "group {} is split", e.group());
+                seen.push(e.group());
             }
         }
     }
@@ -278,10 +299,10 @@ mod tests {
     #[test]
     fn select_by_name_group_and_all() {
         let names =
-            |sel: &[&str]| -> Vec<&str> { select(sel).unwrap().iter().map(|e| e.name).collect() };
+            |sel: &[&str]| -> Vec<&str> { select(sel).unwrap().iter().map(|e| e.name()).collect() };
         assert_eq!(names(&["fig3f"]), ["fig3f"]);
         assert_eq!(names(&["fig2"]).len(), 5);
-        assert_eq!(names(&["all"]).len(), CATALOGUE.len());
+        assert_eq!(names(&["all"]).len(), catalogue().count());
         // Catalogue order, each row once, whatever the argument order.
         assert_eq!(
             names(&["h2h_nus", "routing", "oracle_bound"]),
@@ -293,8 +314,8 @@ mod tests {
     fn unknown_selector_lists_valid_names() {
         let err = select(&["fig2", "nope"]).unwrap_err().to_string();
         assert!(err.contains("`nope`"), "{err}");
-        for e in CATALOGUE {
-            assert!(err.contains(e.name), "{} missing from: {err}", e.name);
+        for e in catalogue() {
+            assert!(err.contains(e.name()), "{} missing from: {err}", e.name());
         }
     }
 }

@@ -23,8 +23,10 @@
 //! `tests/parallel_determinism.rs` pins this contract: the same figure run
 //! with `--jobs 1` and `--jobs 8` must render byte-identical CSV.
 //!
-//! Every sweep entry point takes an optional [`Telemetry`] sink as its last
-//! argument: `None` runs the plain path (no telemetry work at all), `Some`
+//! Both sweep entry points — [`ParallelRunner::run_prepared`], one `(source,
+//! params)` per x, and its wrapper [`ParallelRunner::sweep_shared_source`] —
+//! take an optional [`Telemetry`] sink as their last argument: `None` runs
+//! the plain path (no telemetry work at all), `Some`
 //! merges per-cell counters and phase spans **in grid order** so the
 //! counters too are bit-identical for any worker count.
 
@@ -33,7 +35,7 @@ use std::time::Instant;
 
 use dtn_sim::rng::derive_seed;
 use dtn_sim::telemetry::{Phase, Telemetry};
-use dtn_trace::{ContactTrace, TraceSource};
+use dtn_trace::TraceSource;
 use mbt_core::ProtocolSpec;
 use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
@@ -157,35 +159,10 @@ impl ParallelRunner {
         self.pool.install(|| items.par_iter().map(f).collect())
     }
 
-    /// Runs a sweep: `setup` produces the [`TraceSource`] and base parameters
-    /// per x value (serially, in x order, charged to the trace-load span when
-    /// observed), then every *(point × protocol × replicate)* cell is
-    /// simulated on the pool, each source shared across its cells.
-    pub fn sweep_sources<F>(
-        &self,
-        id: &str,
-        title: &str,
-        x_label: &str,
-        xs: &[f64],
-        mut setup: F,
-        mut telemetry: Option<&mut Telemetry>,
-    ) -> Figure
-    where
-        F: FnMut(f64) -> (Arc<dyn TraceSource>, SimParams),
-    {
-        let started = Instant::now();
-        let prepared: Vec<(Arc<dyn TraceSource>, SimParams)> =
-            xs.iter().map(|&x| setup(x)).collect();
-        if let Some(tel) = telemetry.as_deref_mut() {
-            tel.phases.add(Phase::TraceLoad, started.elapsed());
-        }
-        self.run_prepared(id, title, x_label, xs, &prepared, telemetry)
-    }
-
-    /// Like [`ParallelRunner::sweep_sources`] but with one fixed
-    /// [`TraceSource`] shared by every x value — the common case when the swept parameter
-    /// does not affect mobility.
-    #[allow(clippy::too_many_arguments)] // mirrors sweep_sources()'s figure-metadata prefix
+    /// [`ParallelRunner::run_prepared`] with one fixed [`TraceSource`] shared
+    /// by every x value — the common case when the swept parameter does not
+    /// affect mobility.
+    #[allow(clippy::too_many_arguments)] // mirrors run_prepared()'s figure-metadata prefix
     pub fn sweep_shared_source<F>(
         &self,
         id: &str,
@@ -206,32 +183,11 @@ impl ParallelRunner {
         self.run_prepared(id, title, x_label, xs, &prepared, telemetry)
     }
 
-    /// Convenience wrapper over [`ParallelRunner::sweep_shared_source`] for
-    /// an in-memory trace: the trace is cloned once into an [`Arc`], never
-    /// per cell.
-    #[allow(clippy::too_many_arguments)] // mirrors sweep_sources()'s figure-metadata prefix
-    pub fn sweep_shared_trace<F>(
-        &self,
-        id: &str,
-        title: &str,
-        x_label: &str,
-        xs: &[f64],
-        trace: &ContactTrace,
-        params_for: F,
-        mut telemetry: Option<&mut Telemetry>,
-    ) -> Figure
-    where
-        F: FnMut(f64) -> SimParams,
-    {
-        let started = Instant::now();
-        let shared: Arc<dyn TraceSource> = Arc::new(trace.clone());
-        if let Some(tel) = telemetry.as_deref_mut() {
-            tel.phases.add(Phase::TraceLoad, started.elapsed());
-        }
-        self.sweep_shared_source(id, title, x_label, xs, shared, params_for, telemetry)
-    }
-
-    fn run_prepared(
+    /// Runs a sweep over one prepared `(source, params)` per x value, in x
+    /// order: every *(point × protocol × replicate)* cell is simulated on
+    /// the pool, each source shared across its cells and each distinct
+    /// *(source, frequent window)* scanned once.
+    pub fn run_prepared(
         &self,
         id: &str,
         title: &str,
@@ -383,6 +339,7 @@ fn reduce(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtn_sim::FaultPlan;
     use dtn_trace::generators::NusConfig;
 
     fn quick_params(days: u64) -> SimParams {
@@ -393,20 +350,26 @@ mod tests {
         }
     }
 
+    /// `runner` over the shared test trace, x on `axis`.
+    fn sweep(
+        runner: ParallelRunner,
+        xs: &[f64],
+        axis: fn(f64) -> SimParams,
+        telemetry: Option<&mut Telemetry>,
+    ) -> Figure {
+        let trace: Arc<dyn TraceSource> = Arc::new(NusConfig::new(20, 5).seed(3).generate());
+        runner.sweep_shared_source("t", "t", "x", xs, trace, axis, telemetry)
+    }
+
+    fn internet(x: f64) -> SimParams {
+        SimParams {
+            internet_fraction: x,
+            ..quick_params(5)
+        }
+    }
+
     fn run_with(cfg: ExecConfig) -> Figure {
-        let trace = NusConfig::new(20, 5).seed(3).generate();
-        ParallelRunner::new(cfg).sweep_shared_trace(
-            "t",
-            "t",
-            "x",
-            &[0.2, 0.6],
-            &trace,
-            |x| SimParams {
-                internet_fraction: x,
-                ..quick_params(5)
-            },
-            None,
-        )
+        sweep(ParallelRunner::new(cfg), &[0.2, 0.6], internet, None)
     }
 
     #[test]
@@ -422,22 +385,9 @@ mod tests {
 
     #[test]
     fn custom_protocol_list_expands_the_grid() {
-        let trace = NusConfig::new(20, 5).seed(3).generate();
         let run = |cfg: ExecConfig| {
-            ParallelRunner::new(cfg)
-                .with_protocols(ProtocolSpec::builtin())
-                .sweep_shared_trace(
-                    "t",
-                    "t",
-                    "x",
-                    &[0.3],
-                    &trace,
-                    |x| SimParams {
-                        internet_fraction: x,
-                        ..quick_params(5)
-                    },
-                    None,
-                )
+            let runner = ParallelRunner::new(cfg).with_protocols(ProtocolSpec::builtin());
+            sweep(runner, &[0.3], internet, None)
         };
         let fig = run(ExecConfig::serial());
         assert_eq!(fig.series.len(), ProtocolSpec::builtin().len());
@@ -452,21 +402,9 @@ mod tests {
         // Extending the protocol list appends series without disturbing the
         // triad's grid indices, so every legacy cell keeps its derived seed.
         let triad = run_with(ExecConfig::default());
-        let trace = NusConfig::new(20, 5).seed(3).generate();
-        let wide = ParallelRunner::new(ExecConfig::default())
-            .with_protocols(ProtocolSpec::builtin())
-            .sweep_shared_trace(
-                "t",
-                "t",
-                "x",
-                &[0.2, 0.6],
-                &trace,
-                |x| SimParams {
-                    internet_fraction: x,
-                    ..quick_params(5)
-                },
-                None,
-            );
+        let runner =
+            ParallelRunner::new(ExecConfig::default()).with_protocols(ProtocolSpec::builtin());
+        let wide = sweep(runner, &[0.2, 0.6], internet, None);
         assert_eq!(triad.series, wide.series[..3]);
     }
 
@@ -480,40 +418,13 @@ mod tests {
     #[test]
     fn telemetry_sink_does_not_change_the_figure() {
         let plain = run_with(ExecConfig::serial());
-        let trace = NusConfig::new(20, 5).seed(3).generate();
         let mut telemetry = Telemetry::default();
-        let observed = ParallelRunner::new(ExecConfig::serial()).sweep_shared_trace(
-            "t",
-            "t",
-            "x",
-            &[0.2, 0.6],
-            &trace,
-            |x| SimParams {
-                internet_fraction: x,
-                ..quick_params(5)
-            },
-            Some(&mut telemetry),
-        );
+        let runner = ParallelRunner::new(ExecConfig::serial());
+        let observed = sweep(runner, &[0.2, 0.6], internet, Some(&mut telemetry));
         assert_eq!(plain, observed);
         assert!(telemetry.counters.contacts > 0);
         assert_eq!(telemetry.counters.shards_loaded, 0, "in-memory source");
         assert!(telemetry.counters.peak_resident_contacts > 0);
-    }
-
-    #[test]
-    fn shared_source_matches_shared_trace() {
-        let trace = NusConfig::new(20, 5).seed(3).generate();
-        let runner = ParallelRunner::new(ExecConfig::serial());
-        let params_for = |x| SimParams {
-            internet_fraction: x,
-            ..quick_params(5)
-        };
-        let by_trace =
-            runner.sweep_shared_trace("t", "t", "x", &[0.2, 0.6], &trace, params_for, None);
-        let shared: Arc<dyn TraceSource> = Arc::new(trace);
-        let by_source =
-            runner.sweep_shared_source("t", "t", "x", &[0.2, 0.6], shared, params_for, None);
-        assert_eq!(by_trace, by_source);
     }
 
     #[test]
@@ -534,22 +445,11 @@ mod tests {
 
     #[test]
     fn faulty_cells_get_grid_derived_seeds_and_stay_deterministic() {
-        use dtn_sim::FaultPlan;
-        let trace = NusConfig::new(20, 5).seed(3).generate();
-        let run = |cfg: ExecConfig| {
-            ParallelRunner::new(cfg).sweep_shared_trace(
-                "t",
-                "t",
-                "loss",
-                &[0.25],
-                &trace,
-                |x| SimParams {
-                    faults: FaultPlan::none().loss(x),
-                    ..quick_params(5)
-                },
-                None,
-            )
+        let loss = |x| SimParams {
+            faults: FaultPlan::none().loss(x),
+            ..quick_params(5)
         };
+        let run = |cfg: ExecConfig| sweep(ParallelRunner::new(cfg), &[0.25], loss, None);
         let serial = run(ExecConfig::serial());
         let parallel = run(ExecConfig::default().jobs(8));
         assert_eq!(serial, parallel);

@@ -1,35 +1,36 @@
-//! The experiment registry: one function per figure of the paper's
-//! evaluation (§VI-B).
+//! The figure table: every figure of the paper's evaluation (§VI-B), and
+//! the fault and head-to-head figures that extend it, is a row of
+//! [`FIGURES`], and [`FigureSpec::run`] is the one function that runs a row.
 //!
 //! Figure 2 (a)–(e) sweep five parameters on the DieselNet-style pair-wise
-//! bus trace; Figure 3 (a)–(f) sweeps the same five plus attendance rate on
-//! the NUS-style classroom clique trace. Each function takes a mutable
-//! [`RunContext`] — the one knob bundle for scale, execution, trace backing
-//! and telemetry — and returns a [`Figure`] holding one series per protocol
-//! (MBT, MBT-Q, MBT-QM).
+//! bus trace; Figure 3 (a)–(f) sweep the same five plus attendance rate on
+//! the NUS-style classroom clique trace. A row names its trace, its x values
+//! at each [`Scale`], its protocols and the axis that writes x into
+//! [`SimParams`]; running it returns a [`Figure`] holding one series per
+//! protocol.
 //!
 //! ```no_run
-//! use mbt_experiments::figures::{fig2a, RunContext, Scale};
+//! use mbt_experiments::figures::{RunContext, Scale, FIGURES};
 //!
-//! let mut ctx = RunContext::new(Scale::Quick);
-//! let fig = fig2a(&mut ctx);
+//! let fig2a = &FIGURES[0];
+//! let fig = fig2a.run(&RunContext::new(Scale::Quick), None);
 //! assert_eq!(fig.id, "fig2a");
 //! ```
 //!
-//! The context decides *where the contacts live*: by default every figure
-//! generates its trace in memory; [`RunContext::sharded`] redirects
-//! generation into on-disk time-windowed shards which the sweep then
-//! replays with bounded memory. The resulting figures are byte-identical
-//! either way — the backing store is invisible to the simulation.
+//! A run that needs other xs or another protocol list runs a modified row
+//! (`FigureSpec { quick_xs: &[0.5], ..*row }`). One that needs another trace
+//! backing — the row's traces replayed from on-disk shards, say — takes the
+//! row's [`FigureSpec::points`], swaps the sources and sweeps them with
+//! [`ParallelRunner::run_prepared`](crate::exec::ParallelRunner::run_prepared).
+//! Either way the figure is byte-identical to the in-memory run.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 use dtn_sim::telemetry::{Phase, Telemetry};
 use dtn_sim::FaultPlan;
 use dtn_trace::generators::{DieselNetConfig, NusConfig};
-use dtn_trace::{ContactSink, ShardWriter, SimDuration, TraceBuilder, TraceSource};
+use dtn_trace::{ContactTrace, SimDuration, TraceSource};
 use mbt_core::{MbtConfig, ProtocolSpec};
 
 use crate::exec::{ExecConfig, ParallelRunner};
@@ -67,60 +68,26 @@ impl Scale {
             Scale::Full => 80,
         }
     }
-
-    fn xs(self, full: &[f64], quick: &[f64]) -> Vec<f64> {
-        match self {
-            Scale::Quick => quick.to_vec(),
-            Scale::Full => full.to_vec(),
-        }
-    }
 }
 
 const SEED: u64 = 42;
 
-/// Everything a figure run needs beyond its identity: the [`Scale`], the
-/// execution config (jobs/replicates/master seed), where the generated
-/// trace lives (in memory, or spilled to on-disk shards), and whether to
-/// collect [`Telemetry`].
-///
-/// One context serves many figure calls; the accumulated telemetry is
-/// merged across them and retrieved with [`RunContext::take_telemetry`].
-///
-/// The figure output is a pure function of `(scale, exec, xs)` — the trace
-/// backing and the telemetry flag never change a single byte of it.
+/// What every experiment runs under: the [`Scale`] and the execution config
+/// (jobs/replicates/master seed). Every output is a pure function of the
+/// two, and the worker count never changes a byte of it.
 #[derive(Debug)]
 pub struct RunContext {
     scale: Scale,
     exec: ExecConfig,
-    shard_dir: Option<PathBuf>,
-    collect_telemetry: bool,
-    telemetry: Telemetry,
-    xs_override: Option<Vec<f64>>,
-    protocols: Vec<ProtocolSpec>,
 }
 
 impl RunContext {
-    /// A context at `scale` with default execution, in-memory traces and no
-    /// telemetry.
+    /// A context at `scale` with default execution.
     pub fn new(scale: Scale) -> RunContext {
         RunContext {
             scale,
             exec: ExecConfig::default(),
-            shard_dir: None,
-            collect_telemetry: false,
-            telemetry: Telemetry::default(),
-            xs_override: None,
-            protocols: ProtocolSpec::TRIAD.to_vec(),
         }
-    }
-
-    /// Replaces the protocol list every subsequent figure sweeps over (one
-    /// series per spec, in list order). Defaults to the paper's triad; the
-    /// head-to-head figures override it with the full
-    /// [`ProtocolSpec::builtin`] registry regardless.
-    pub fn protocols(mut self, protocols: impl Into<Vec<ProtocolSpec>>) -> RunContext {
-        self.protocols = protocols.into();
-        self
     }
 
     /// Sets the execution config (jobs/replicates/master seed).
@@ -129,459 +96,342 @@ impl RunContext {
         self
     }
 
-    /// Spills every generated trace into one-day shards under
-    /// `dir/<figure-id>` and replays the sweep from disk with bounded
-    /// memory. Figures are byte-identical to the in-memory backing.
-    pub fn sharded(mut self, dir: impl Into<PathBuf>) -> RunContext {
-        self.shard_dir = Some(dir.into());
-        self
-    }
-
-    /// Turns on telemetry collection: counters and phase spans of every
-    /// subsequent figure call are merged into the context, to be claimed
-    /// with [`RunContext::take_telemetry`].
-    pub fn observed(mut self) -> RunContext {
-        self.collect_telemetry = true;
-        self
-    }
-
     /// The context's scale.
     pub fn scale(&self) -> Scale {
         self.scale
     }
 
-    /// Overrides the x values of the *next* figure call (consumed by it).
-    /// The determinism tests use this to pin e.g. the loss=0 point of
-    /// [`fault_sweep`] against the fault-free path.
-    pub fn set_xs(&mut self, xs: Vec<f64>) {
-        self.xs_override = Some(xs);
-    }
-
-    /// Claims the telemetry merged so far, leaving an empty sink behind.
-    pub fn take_telemetry(&mut self) -> Telemetry {
-        std::mem::take(&mut self.telemetry)
-    }
-
-    fn xs_for(&mut self, default: Vec<f64>) -> Vec<f64> {
-        self.xs_override.take().unwrap_or(default)
-    }
-
-    fn telemetry_sink(&mut self) -> Option<&mut Telemetry> {
-        self.collect_telemetry.then_some(&mut self.telemetry)
-    }
-
-    /// A sweep runner for this context's execution config and protocol list.
+    /// A sweep runner for this context's execution config, over the triad.
     pub(crate) fn runner(&self) -> ParallelRunner {
-        ParallelRunner::new(self.exec).with_protocols(self.protocols.clone())
+        ParallelRunner::new(self.exec)
     }
+}
 
-    /// A runner pinned to the full built-in registry (the head-to-head
-    /// figures compare every variant whatever the context's default list).
-    fn registry_runner(&self) -> ParallelRunner {
-        ParallelRunner::new(self.exec).with_protocols(ProtocolSpec::builtin())
-    }
+/// The trace a figure sweeps over, generated at the run's [`Scale`] with
+/// seed 42.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FigureTrace {
+    /// The DieselNet-style pair-wise bus trace; frequent contacts are
+    /// counted over three days.
+    DieselNet,
+    /// The NUS-style classroom trace at attendance 0.8; frequent contacts
+    /// are counted over one day.
+    Nus,
+    /// The NUS-style trace at attendance x. Mobility itself changes with x,
+    /// so every point has its own trace.
+    NusAttendance,
+}
 
-    /// Materializes one figure's trace through the configured backing:
-    /// straight into a [`TraceBuilder`] (in memory) or through a
-    /// [`ShardWriter`] under `shard_dir/<name>`. Generation is charged to
-    /// the trace-load span when observed.
-    ///
-    /// Panics on shard I/O errors — an experiment cannot meaningfully
-    /// continue on a half-written trace.
-    fn source<F>(&mut self, name: &str, fill: F) -> Arc<dyn TraceSource>
-    where
-        F: FnOnce(&mut dyn ContactSink),
-    {
-        let started = Instant::now();
-        let source: Arc<dyn TraceSource> = match &self.shard_dir {
-            None => {
-                let mut builder = TraceBuilder::new();
-                fill(&mut builder);
-                Arc::new(builder.build())
-            }
-            Some(dir) => {
-                let mut writer = ShardWriter::create(dir.join(name), SimDuration::from_days(1))
-                    .unwrap_or_else(|e| panic!("creating shard directory for {name}: {e}"));
-                fill(&mut writer);
-                let sharded = writer
-                    .finish()
-                    .unwrap_or_else(|e| panic!("writing shards for {name}: {e}"));
-                Arc::new(sharded)
-            }
+impl FigureTrace {
+    fn generate(self, scale: Scale, x: f64) -> ContactTrace {
+        let nus = |attendance| {
+            NusConfig::new(scale.students(), scale.days())
+                .seed(SEED)
+                .attendance_rate(attendance)
+                .generate()
         };
-        if self.collect_telemetry {
-            self.telemetry
-                .phases
-                .add(Phase::TraceLoad, started.elapsed());
+        match self {
+            FigureTrace::DieselNet => DieselNetConfig::new(scale.buses(), scale.days())
+                .seed(SEED)
+                .generate(),
+            FigureTrace::Nus => nus(0.8),
+            FigureTrace::NusAttendance => nus(x),
         }
-        source
+    }
+
+    fn frequent_days(self) -> u64 {
+        match self {
+            FigureTrace::DieselNet => 3,
+            FigureTrace::Nus | FigureTrace::NusAttendance => 1,
+        }
     }
 }
 
-fn dieselnet_cfg(scale: Scale) -> DieselNetConfig {
-    DieselNetConfig::new(scale.buses(), scale.days()).seed(SEED)
+/// One figure: what [`FigureSpec::run`] sweeps and how its table is
+/// labelled.
+#[derive(Debug, Clone, Copy)]
+pub struct FigureSpec {
+    /// Unique id: the `mbt experiment` name and the CSV file stem.
+    pub id: &'static str,
+    /// The catalogue group it runs with (`mbt experiment <group>`).
+    pub group: &'static str,
+    /// The table title.
+    pub title: &'static str,
+    /// The x-axis label.
+    pub x_label: &'static str,
+    /// The trace every point is simulated on.
+    pub trace: FigureTrace,
+    /// The x values at [`Scale::Full`].
+    pub full_xs: &'static [f64],
+    /// The x values at [`Scale::Quick`].
+    pub quick_xs: &'static [f64],
+    /// One series per protocol, in this order.
+    pub protocols: &'static [ProtocolSpec],
+    /// Writes x into the point's parameters.
+    pub axis: fn(&mut SimParams, f64),
 }
 
-fn nus_cfg(scale: Scale, attendance: f64) -> NusConfig {
-    NusConfig::new(scale.students(), scale.days())
-        .seed(SEED)
-        .attendance_rate(attendance)
-}
+impl FigureSpec {
+    fn xs(&self, scale: Scale) -> &'static [f64] {
+        match scale {
+            Scale::Quick => self.quick_xs,
+            Scale::Full => self.full_xs,
+        }
+    }
 
-fn base_params(scale: Scale, frequent_days: u64) -> SimParams {
-    SimParams {
-        days: scale.days(),
-        seed: SEED,
-        frequent_window: SimDuration::from_days(frequent_days),
-        ..SimParams::default()
+    /// The sweep's inputs at `scale`: one `(source, params)` per x, in x
+    /// order, each trace in memory. A trace that does not change with x is
+    /// generated once and shared by every point.
+    pub fn points(&self, scale: Scale) -> Vec<(Arc<dyn TraceSource>, SimParams)> {
+        let mut shared: Option<Arc<dyn TraceSource>> = None;
+        let mut source = |x| -> Arc<dyn TraceSource> {
+            if self.trace == FigureTrace::NusAttendance {
+                return Arc::new(self.trace.generate(scale, x));
+            }
+            let trace = shared.get_or_insert_with(|| Arc::new(self.trace.generate(scale, x)));
+            Arc::clone(trace)
+        };
+        self.xs(scale)
+            .iter()
+            .map(|&x| {
+                let mut params = SimParams {
+                    days: scale.days(),
+                    seed: SEED,
+                    frequent_window: SimDuration::from_days(self.trace.frequent_days()),
+                    ..SimParams::default()
+                };
+                (self.axis)(&mut params, x);
+                (source(x), params)
+            })
+            .collect()
+    }
+
+    /// Runs the row under `ctx`: builds its [`points`](FigureSpec::points)
+    /// (charged to [`Phase::TraceLoad`] when `telemetry` is given) and
+    /// sweeps every *(point × protocol × replicate)* cell. Telemetry is
+    /// merged into `telemetry` in grid order and never changes the figure.
+    pub fn run(&self, ctx: &RunContext, mut telemetry: Option<&mut Telemetry>) -> Figure {
+        let started = telemetry.is_some().then(Instant::now);
+        let points = self.points(ctx.scale);
+        if let (Some(tel), Some(started)) = (telemetry.as_deref_mut(), started) {
+            tel.phases.add(Phase::TraceLoad, started.elapsed());
+        }
+        ctx.runner().with_protocols(self.protocols).run_prepared(
+            self.id,
+            self.title,
+            self.x_label,
+            self.xs(ctx.scale),
+            &points,
+            telemetry,
+        )
     }
 }
 
-fn dieselnet_params(scale: Scale) -> SimParams {
-    base_params(scale, 3)
-}
-
-fn nus_params(scale: Scale) -> SimParams {
-    base_params(scale, 1)
-}
-
-fn dieselnet_source(ctx: &mut RunContext, name: &str) -> Arc<dyn TraceSource> {
-    let cfg = dieselnet_cfg(ctx.scale);
-    ctx.source(name, |sink| cfg.generate_into(sink))
-}
-
-fn nus_source(ctx: &mut RunContext, name: &str) -> Arc<dyn TraceSource> {
-    let cfg = nus_cfg(ctx.scale, 0.8);
-    ctx.source(name, |sink| cfg.generate_into(sink))
-}
-
-// ----- Figure 2: UMassDieselNet-style trace -----
-
-/// Fig 2(a): delivery ratios vs percentage of Internet-access nodes.
-pub fn fig2a(ctx: &mut RunContext) -> Figure {
-    let scale = ctx.scale;
-    let xs = ctx.xs_for(scale.xs(&[0.1, 0.3, 0.5, 0.7, 0.9], &[0.1, 0.5, 0.9]));
-    let source = dieselnet_source(ctx, "fig2a");
-    ctx.runner().sweep_shared_source(
-        "fig2a",
-        "DieselNet: delivery ratio vs % Internet-access nodes",
-        "internet-access fraction",
-        &xs,
-        source,
-        |x| SimParams {
-            internet_fraction: x,
-            ..dieselnet_params(scale)
-        },
-        ctx.telemetry_sink(),
-    )
-}
-
-/// Fig 2(b): delivery ratios vs number of new files per day.
-pub fn fig2b(ctx: &mut RunContext) -> Figure {
-    let scale = ctx.scale;
-    let xs = ctx.xs_for(scale.xs(&[10.0, 25.0, 50.0, 75.0, 100.0], &[10.0, 50.0]));
-    let source = dieselnet_source(ctx, "fig2b");
-    ctx.runner().sweep_shared_source(
-        "fig2b",
-        "DieselNet: delivery ratio vs new files per day",
-        "new files per day",
-        &xs,
-        source,
-        |x| SimParams {
-            files_per_day: x as u32,
-            ..dieselnet_params(scale)
-        },
-        ctx.telemetry_sink(),
-    )
-}
-
-/// Fig 2(c): delivery ratios vs file time-to-live.
-pub fn fig2c(ctx: &mut RunContext) -> Figure {
-    let scale = ctx.scale;
-    let xs = ctx.xs_for(scale.xs(&[1.0, 2.0, 3.0, 4.0, 5.0], &[1.0, 3.0, 5.0]));
-    let source = dieselnet_source(ctx, "fig2c");
-    ctx.runner().sweep_shared_source(
-        "fig2c",
-        "DieselNet: delivery ratio vs TTL of file (days)",
-        "TTL (days)",
-        &xs,
-        source,
-        |x| SimParams {
-            ttl_days: x as u64,
-            ..dieselnet_params(scale)
-        },
-        ctx.telemetry_sink(),
-    )
-}
-
-/// Fig 2(d): delivery ratios vs metadata exchanged per contact. Captures the
-/// paper's exception: at very small metadata budgets, MBT-QM's file ratio and
-/// MBT-Q's metadata ratio can win because the few circulating metadata are
-/// biased.
-pub fn fig2d(ctx: &mut RunContext) -> Figure {
-    let scale = ctx.scale;
-    let xs = ctx.xs_for(scale.xs(&[1.0, 5.0, 10.0, 20.0, 40.0], &[1.0, 20.0]));
-    let source = dieselnet_source(ctx, "fig2d");
-    ctx.runner().sweep_shared_source(
-        "fig2d",
-        "DieselNet: delivery ratio vs metadata per contact",
-        "metadata per contact",
-        &xs,
-        source,
-        |x| SimParams {
-            config: MbtConfig::new().metadata_per_contact(x as u32),
-            ..dieselnet_params(scale)
-        },
-        ctx.telemetry_sink(),
-    )
-}
-
-/// Fig 2(e): delivery ratios vs files exchanged per contact.
-pub fn fig2e(ctx: &mut RunContext) -> Figure {
-    let scale = ctx.scale;
-    let xs = ctx.xs_for(scale.xs(&[1.0, 2.0, 4.0, 6.0, 10.0], &[1.0, 4.0]));
-    let source = dieselnet_source(ctx, "fig2e");
-    ctx.runner().sweep_shared_source(
-        "fig2e",
-        "DieselNet: delivery ratio vs files per contact",
-        "files per contact",
-        &xs,
-        source,
-        |x| SimParams {
-            config: MbtConfig::new().files_per_contact(x as u32),
-            ..dieselnet_params(scale)
-        },
-        ctx.telemetry_sink(),
-    )
-}
-
-// ----- Figure 3: NUS-style student trace -----
-
-/// Fig 3(a): delivery ratios vs percentage of Internet-access nodes. The
-/// paper highlights that MBT/MBT-Q file ratios rise quickly while MBT-QM
-/// stays flat (it has no file discovery process).
-pub fn fig3a(ctx: &mut RunContext) -> Figure {
-    let scale = ctx.scale;
-    let xs = ctx.xs_for(scale.xs(&[0.1, 0.3, 0.5, 0.7, 0.9], &[0.1, 0.5, 0.9]));
-    let source = nus_source(ctx, "fig3a");
-    ctx.runner().sweep_shared_source(
-        "fig3a",
-        "NUS: delivery ratio vs % Internet-access nodes",
-        "internet-access fraction",
-        &xs,
-        source,
-        |x| SimParams {
-            internet_fraction: x,
-            ..nus_params(scale)
-        },
-        ctx.telemetry_sink(),
-    )
-}
-
-/// Fig 3(b): delivery ratios vs number of new files per day.
-pub fn fig3b(ctx: &mut RunContext) -> Figure {
-    let scale = ctx.scale;
-    let xs = ctx.xs_for(scale.xs(&[10.0, 25.0, 50.0, 75.0, 100.0], &[10.0, 50.0]));
-    let source = nus_source(ctx, "fig3b");
-    ctx.runner().sweep_shared_source(
-        "fig3b",
-        "NUS: delivery ratio vs new files per day",
-        "new files per day",
-        &xs,
-        source,
-        |x| SimParams {
-            files_per_day: x as u32,
-            ..nus_params(scale)
-        },
-        ctx.telemetry_sink(),
-    )
-}
-
-/// Fig 3(c): delivery ratios vs file time-to-live.
-pub fn fig3c(ctx: &mut RunContext) -> Figure {
-    let scale = ctx.scale;
-    let xs = ctx.xs_for(scale.xs(&[1.0, 2.0, 3.0, 4.0, 5.0], &[1.0, 3.0, 5.0]));
-    let source = nus_source(ctx, "fig3c");
-    ctx.runner().sweep_shared_source(
-        "fig3c",
-        "NUS: delivery ratio vs TTL of file (days)",
-        "TTL (days)",
-        &xs,
-        source,
-        |x| SimParams {
-            ttl_days: x as u64,
-            ..nus_params(scale)
-        },
-        ctx.telemetry_sink(),
-    )
-}
-
-/// Fig 3(d): delivery ratios vs metadata exchanged per contact.
-pub fn fig3d(ctx: &mut RunContext) -> Figure {
-    let scale = ctx.scale;
-    let xs = ctx.xs_for(scale.xs(&[1.0, 5.0, 10.0, 20.0, 40.0], &[1.0, 20.0]));
-    let source = nus_source(ctx, "fig3d");
-    ctx.runner().sweep_shared_source(
-        "fig3d",
-        "NUS: delivery ratio vs metadata per contact",
-        "metadata per contact",
-        &xs,
-        source,
-        |x| SimParams {
-            config: MbtConfig::new().metadata_per_contact(x as u32),
-            ..nus_params(scale)
-        },
-        ctx.telemetry_sink(),
-    )
-}
-
-/// Fig 3(e): delivery ratios vs files exchanged per contact.
-pub fn fig3e(ctx: &mut RunContext) -> Figure {
-    let scale = ctx.scale;
-    let xs = ctx.xs_for(scale.xs(&[1.0, 2.0, 4.0, 6.0, 10.0], &[1.0, 4.0]));
-    let source = nus_source(ctx, "fig3e");
-    ctx.runner().sweep_shared_source(
-        "fig3e",
-        "NUS: delivery ratio vs files per contact",
-        "files per contact",
-        &xs,
-        source,
-        |x| SimParams {
-            config: MbtConfig::new().files_per_contact(x as u32),
-            ..nus_params(scale)
-        },
-        ctx.telemetry_sink(),
-    )
-}
-
-/// Fig 3(f): delivery ratios vs attendance rate — the probability an
-/// enrolled student actually attends a class session. Mobility itself changes
-/// with x, so each x generates its own trace (its own shard directory
-/// `fig3f/x<i>` under a sharded context).
-pub fn fig3f(ctx: &mut RunContext) -> Figure {
-    let scale = ctx.scale;
-    let xs = ctx.xs_for(scale.xs(&[0.5, 0.6, 0.7, 0.8, 0.9, 1.0], &[0.5, 1.0]));
-    let sources: Vec<Arc<dyn TraceSource>> = xs
-        .iter()
-        .enumerate()
-        .map(|(i, &x)| {
-            let cfg = nus_cfg(scale, x);
-            ctx.source(&format!("fig3f/x{i}"), |sink| cfg.generate_into(sink))
-        })
-        .collect();
-    let mut sources = sources.into_iter();
-    ctx.runner().sweep_sources(
-        "fig3f",
-        "NUS: delivery ratio vs attendance rate",
-        "attendance rate",
-        &xs,
-        |_| (sources.next().expect("one source per x"), nus_params(scale)),
-        ctx.telemetry_sink(),
-    )
-}
-
-// ----- Fault injection -----
-
-/// Robustness sweep (not in the paper): delivery ratios vs broadcast
-/// frame-loss rate on the NUS trace, across all three protocol variants.
-/// Loss 0 is the clean baseline — a noop plan, byte-identical to the
-/// fault-free sweep; for lossy cells the executor derives the fault seed
-/// from the cell's grid coordinates, so `--jobs N` runs stay bit-identical.
-/// Override the loss rates with [`RunContext::set_xs`].
-pub fn fault_sweep(ctx: &mut RunContext) -> Figure {
-    let scale = ctx.scale;
-    let xs = ctx.xs_for(scale.xs(&[0.0, 0.1, 0.2, 0.3, 0.4, 0.5], &[0.0, 0.25, 0.5]));
-    let source = nus_source(ctx, "fault_sweep");
-    ctx.runner().sweep_shared_source(
-        "fault_sweep",
-        "NUS: delivery ratio vs broadcast loss rate",
-        "loss rate",
-        &xs,
-        source,
-        |x| SimParams {
-            faults: FaultPlan::none().loss(x),
-            ..nus_params(scale)
-        },
-        ctx.telemetry_sink(),
-    )
-}
-
-// ----- Protocol-variant head-to-head (extension) -----
-
-/// Head-to-head on the DieselNet-style trace: every built-in protocol
-/// variant ([`ProtocolSpec::builtin`] — the triad plus PopCache and
-/// DiffuseRep) swept over the Internet-access fraction. Delivery ratios sit
-/// in the series points; per-point delivery *delays* ride along in each
-/// point's pooled [`crate::runner::SimResult`] and are rendered by
-/// [`crate::report::figure_delay_csv`].
-pub fn head_to_head_dieselnet(ctx: &mut RunContext) -> Figure {
-    let scale = ctx.scale;
-    let xs = ctx.xs_for(scale.xs(&[0.1, 0.3, 0.5, 0.7, 0.9], &[0.1, 0.5, 0.9]));
-    let source = dieselnet_source(ctx, "h2h_dieselnet");
-    ctx.registry_runner().sweep_shared_source(
-        "h2h_dieselnet",
-        "DieselNet: protocol variants head-to-head",
-        "internet-access fraction",
-        &xs,
-        source,
-        |x| SimParams {
-            internet_fraction: x,
-            ..dieselnet_params(scale)
-        },
-        ctx.telemetry_sink(),
-    )
-}
-
-/// Head-to-head on the NUS-style trace: every built-in protocol variant
-/// swept over the Internet-access fraction (see
-/// [`head_to_head_dieselnet`]).
-pub fn head_to_head_nus(ctx: &mut RunContext) -> Figure {
-    let scale = ctx.scale;
-    let xs = ctx.xs_for(scale.xs(&[0.1, 0.3, 0.5, 0.7, 0.9], &[0.1, 0.5, 0.9]));
-    let source = nus_source(ctx, "h2h_nus");
-    ctx.registry_runner().sweep_shared_source(
-        "h2h_nus",
-        "NUS: protocol variants head-to-head",
-        "internet-access fraction",
-        &xs,
-        source,
-        |x| SimParams {
-            internet_fraction: x,
-            ..nus_params(scale)
-        },
-        ctx.telemetry_sink(),
-    )
-}
-
-/// [`fault_sweep`] extended to every built-in variant: delivery ratios vs
-/// broadcast frame-loss rate with PopCache and DiffuseRep alongside the
-/// triad. A distinct figure id keeps its CSV separate from the legacy
-/// three-series `fault_sweep` output.
-pub fn fault_sweep_variants(ctx: &mut RunContext) -> Figure {
-    let scale = ctx.scale;
-    let xs = ctx.xs_for(scale.xs(&[0.0, 0.1, 0.2, 0.3, 0.4, 0.5], &[0.0, 0.25, 0.5]));
-    let source = nus_source(ctx, "fault_sweep_variants");
-    ctx.registry_runner().sweep_shared_source(
-        "fault_sweep_variants",
-        "NUS: delivery ratio vs loss rate, all protocol variants",
-        "loss rate",
-        &xs,
-        source,
-        |x| SimParams {
-            faults: FaultPlan::none().loss(x),
-            ..nus_params(scale)
-        },
-        ctx.telemetry_sink(),
-    )
-}
+/// Every figure, in catalogue order: Figure 2 on the DieselNet-style trace,
+/// Figure 3 on the NUS-style trace, then the fault sweeps and the
+/// protocol-variant head-to-heads (extensions, not in the paper).
+pub const FIGURES: &[FigureSpec] = &[
+    FigureSpec {
+        id: "fig2a",
+        group: "fig2",
+        title: "DieselNet: delivery ratio vs % Internet-access nodes",
+        x_label: "internet-access fraction",
+        trace: FigureTrace::DieselNet,
+        full_xs: &[0.1, 0.3, 0.5, 0.7, 0.9],
+        quick_xs: &[0.1, 0.5, 0.9],
+        protocols: &ProtocolSpec::TRIAD,
+        axis: |p, x| p.internet_fraction = x,
+    },
+    FigureSpec {
+        id: "fig2b",
+        group: "fig2",
+        title: "DieselNet: delivery ratio vs new files per day",
+        x_label: "new files per day",
+        trace: FigureTrace::DieselNet,
+        full_xs: &[10.0, 25.0, 50.0, 75.0, 100.0],
+        quick_xs: &[10.0, 50.0],
+        protocols: &ProtocolSpec::TRIAD,
+        axis: |p, x| p.files_per_day = x as u32,
+    },
+    FigureSpec {
+        id: "fig2c",
+        group: "fig2",
+        title: "DieselNet: delivery ratio vs TTL of file (days)",
+        x_label: "TTL (days)",
+        trace: FigureTrace::DieselNet,
+        full_xs: &[1.0, 2.0, 3.0, 4.0, 5.0],
+        quick_xs: &[1.0, 3.0, 5.0],
+        protocols: &ProtocolSpec::TRIAD,
+        axis: |p, x| p.ttl_days = x as u64,
+    },
+    // The paper's exception: at very small metadata budgets, MBT-QM's file
+    // ratio and MBT-Q's metadata ratio can win because the few circulating
+    // metadata are biased.
+    FigureSpec {
+        id: "fig2d",
+        group: "fig2",
+        title: "DieselNet: delivery ratio vs metadata per contact",
+        x_label: "metadata per contact",
+        trace: FigureTrace::DieselNet,
+        full_xs: &[1.0, 5.0, 10.0, 20.0, 40.0],
+        quick_xs: &[1.0, 20.0],
+        protocols: &ProtocolSpec::TRIAD,
+        axis: |p, x| p.config = MbtConfig::new().metadata_per_contact(x as u32),
+    },
+    FigureSpec {
+        id: "fig2e",
+        group: "fig2",
+        title: "DieselNet: delivery ratio vs files per contact",
+        x_label: "files per contact",
+        trace: FigureTrace::DieselNet,
+        full_xs: &[1.0, 2.0, 4.0, 6.0, 10.0],
+        quick_xs: &[1.0, 4.0],
+        protocols: &ProtocolSpec::TRIAD,
+        axis: |p, x| p.config = MbtConfig::new().files_per_contact(x as u32),
+    },
+    // The paper highlights that MBT/MBT-Q file ratios rise quickly while
+    // MBT-QM stays flat (it has no file discovery process).
+    FigureSpec {
+        id: "fig3a",
+        group: "fig3",
+        title: "NUS: delivery ratio vs % Internet-access nodes",
+        x_label: "internet-access fraction",
+        trace: FigureTrace::Nus,
+        full_xs: &[0.1, 0.3, 0.5, 0.7, 0.9],
+        quick_xs: &[0.1, 0.5, 0.9],
+        protocols: &ProtocolSpec::TRIAD,
+        axis: |p, x| p.internet_fraction = x,
+    },
+    FigureSpec {
+        id: "fig3b",
+        group: "fig3",
+        title: "NUS: delivery ratio vs new files per day",
+        x_label: "new files per day",
+        trace: FigureTrace::Nus,
+        full_xs: &[10.0, 25.0, 50.0, 75.0, 100.0],
+        quick_xs: &[10.0, 50.0],
+        protocols: &ProtocolSpec::TRIAD,
+        axis: |p, x| p.files_per_day = x as u32,
+    },
+    FigureSpec {
+        id: "fig3c",
+        group: "fig3",
+        title: "NUS: delivery ratio vs TTL of file (days)",
+        x_label: "TTL (days)",
+        trace: FigureTrace::Nus,
+        full_xs: &[1.0, 2.0, 3.0, 4.0, 5.0],
+        quick_xs: &[1.0, 3.0, 5.0],
+        protocols: &ProtocolSpec::TRIAD,
+        axis: |p, x| p.ttl_days = x as u64,
+    },
+    FigureSpec {
+        id: "fig3d",
+        group: "fig3",
+        title: "NUS: delivery ratio vs metadata per contact",
+        x_label: "metadata per contact",
+        trace: FigureTrace::Nus,
+        full_xs: &[1.0, 5.0, 10.0, 20.0, 40.0],
+        quick_xs: &[1.0, 20.0],
+        protocols: &ProtocolSpec::TRIAD,
+        axis: |p, x| p.config = MbtConfig::new().metadata_per_contact(x as u32),
+    },
+    FigureSpec {
+        id: "fig3e",
+        group: "fig3",
+        title: "NUS: delivery ratio vs files per contact",
+        x_label: "files per contact",
+        trace: FigureTrace::Nus,
+        full_xs: &[1.0, 2.0, 4.0, 6.0, 10.0],
+        quick_xs: &[1.0, 4.0],
+        protocols: &ProtocolSpec::TRIAD,
+        axis: |p, x| p.config = MbtConfig::new().files_per_contact(x as u32),
+    },
+    // Attendance rate: the probability an enrolled student actually attends
+    // a class session. x lives in the trace, not in the parameters.
+    FigureSpec {
+        id: "fig3f",
+        group: "fig3",
+        title: "NUS: delivery ratio vs attendance rate",
+        x_label: "attendance rate",
+        trace: FigureTrace::NusAttendance,
+        full_xs: &[0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
+        quick_xs: &[0.5, 1.0],
+        protocols: &ProtocolSpec::TRIAD,
+        axis: |_, _| {},
+    },
+    // Robustness (not in the paper): loss 0 is the clean baseline — a noop
+    // plan, byte-identical to the fault-free sweep; for lossy cells the
+    // executor derives the fault seed from the cell's grid coordinates, so
+    // `--jobs N` runs stay bit-identical.
+    FigureSpec {
+        id: "fault_sweep",
+        group: "faults",
+        title: "NUS: delivery ratio vs broadcast loss rate",
+        x_label: "loss rate",
+        trace: FigureTrace::Nus,
+        full_xs: &[0.0, 0.1, 0.2, 0.3, 0.4, 0.5],
+        quick_xs: &[0.0, 0.25, 0.5],
+        protocols: &ProtocolSpec::TRIAD,
+        axis: |p, x| p.faults = FaultPlan::none().loss(x),
+    },
+    // `fault_sweep` with PopCache and DiffuseRep alongside the triad; its own
+    // id keeps its CSV apart from the three-series `fault_sweep`.
+    FigureSpec {
+        id: "fault_sweep_variants",
+        group: "faults",
+        title: "NUS: delivery ratio vs loss rate, all protocol variants",
+        x_label: "loss rate",
+        trace: FigureTrace::Nus,
+        full_xs: &[0.0, 0.1, 0.2, 0.3, 0.4, 0.5],
+        quick_xs: &[0.0, 0.25, 0.5],
+        protocols: &ProtocolSpec::builtin(),
+        axis: |p, x| p.faults = FaultPlan::none().loss(x),
+    },
+    // Head-to-heads: every built-in variant over the Internet-access
+    // fraction. Per-point delivery delays ride along in each point's pooled
+    // `SimResult` and are rendered by `report::figure_delay_csv`.
+    FigureSpec {
+        id: "h2h_dieselnet",
+        group: "h2h",
+        title: "DieselNet: protocol variants head-to-head",
+        x_label: "internet-access fraction",
+        trace: FigureTrace::DieselNet,
+        full_xs: &[0.1, 0.3, 0.5, 0.7, 0.9],
+        quick_xs: &[0.1, 0.5, 0.9],
+        protocols: &ProtocolSpec::builtin(),
+        axis: |p, x| p.internet_fraction = x,
+    },
+    FigureSpec {
+        id: "h2h_nus",
+        group: "h2h",
+        title: "NUS: protocol variants head-to-head",
+        x_label: "internet-access fraction",
+        trace: FigureTrace::Nus,
+        full_xs: &[0.1, 0.3, 0.5, 0.7, 0.9],
+        quick_xs: &[0.1, 0.5, 0.9],
+        protocols: &ProtocolSpec::builtin(),
+        axis: |p, x| p.internet_fraction = x,
+    },
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn row(id: &str) -> &'static FigureSpec {
+        FIGURES
+            .iter()
+            .find(|f| f.id == id)
+            .expect("a row of FIGURES")
+    }
+
+    fn quick(spec: &FigureSpec) -> Figure {
+        spec.run(&RunContext::new(Scale::Quick), None)
+    }
+
     #[test]
     fn quick_fig2a_has_expected_shape() {
-        let fig = fig2a(&mut RunContext::new(Scale::Quick));
+        let fig = quick(row("fig2a"));
         assert_eq!(fig.series.len(), 3);
         let mbt = fig.series_for(ProtocolSpec::MBT).unwrap();
         assert_eq!(mbt.points.len(), 3);
@@ -594,7 +444,7 @@ mod tests {
 
     #[test]
     fn quick_fig3a_mbtqm_flat_without_discovery() {
-        let fig = fig3a(&mut RunContext::new(Scale::Quick));
+        let fig = quick(row("fig3a"));
         let mbt = fig.series_for(ProtocolSpec::MBT).unwrap();
         let qm = fig.series_for(ProtocolSpec::MBT_QM).unwrap();
         // At high internet fraction MBT should clearly beat MBT-QM on files.
@@ -609,7 +459,7 @@ mod tests {
 
     #[test]
     fn quick_fault_sweep_loses_delivery_at_high_loss() {
-        let fig = fault_sweep(&mut RunContext::new(Scale::Quick));
+        let fig = quick(row("fault_sweep"));
         assert_eq!(fig.series.len(), 3);
         let mbt = fig.series_for(ProtocolSpec::MBT).unwrap();
         assert_eq!(mbt.points[0].x, 0.0);
@@ -627,7 +477,7 @@ mod tests {
 
     #[test]
     fn quick_fig3f_attendance_helps() {
-        let fig = fig3f(&mut RunContext::new(Scale::Quick));
+        let fig = quick(row("fig3f"));
         let mbt = fig.series_for(ProtocolSpec::MBT).unwrap();
         assert!(
             mbt.points.last().unwrap().file_ratio >= mbt.points[0].file_ratio,
@@ -637,9 +487,10 @@ mod tests {
 
     #[test]
     fn quick_head_to_head_covers_every_builtin_variant() {
-        let mut ctx = RunContext::new(Scale::Quick);
-        ctx.set_xs(vec![0.5]);
-        let fig = head_to_head_nus(&mut ctx);
+        let fig = quick(&FigureSpec {
+            quick_xs: &[0.5],
+            ..*row("h2h_nus")
+        });
         assert_eq!(fig.series.len(), ProtocolSpec::builtin().len());
         for (series, spec) in fig.series.iter().zip(ProtocolSpec::builtin()) {
             assert_eq!(series.protocol, spec);
@@ -648,20 +499,22 @@ mod tests {
     }
 
     #[test]
-    fn context_protocol_list_widens_standard_figures() {
-        let mut ctx = RunContext::new(Scale::Quick)
-            .protocols(vec![ProtocolSpec::MBT, ProtocolSpec::POP_CACHE]);
-        ctx.set_xs(vec![0.5]);
-        let fig = fig3a(&mut ctx);
+    fn a_row_with_another_protocol_list_widens_the_figure() {
+        let fig = quick(&FigureSpec {
+            quick_xs: &[0.5],
+            protocols: &[ProtocolSpec::MBT, ProtocolSpec::POP_CACHE],
+            ..*row("fig3a")
+        });
         assert_eq!(fig.series.len(), 2);
         assert!(fig.series_for(ProtocolSpec::POP_CACHE).is_some());
     }
 
     #[test]
     fn quick_fault_sweep_variants_has_five_series() {
-        let mut ctx = RunContext::new(Scale::Quick);
-        ctx.set_xs(vec![0.0, 0.5]);
-        let fig = fault_sweep_variants(&mut ctx);
+        let fig = quick(&FigureSpec {
+            quick_xs: &[0.0, 0.5],
+            ..*row("fault_sweep_variants")
+        });
         assert_eq!(fig.series.len(), 5);
         for s in &fig.series {
             assert_eq!(s.points.len(), 2);
@@ -669,24 +522,27 @@ mod tests {
     }
 
     #[test]
-    fn set_xs_overrides_next_figure_only() {
-        let mut ctx = RunContext::new(Scale::Quick);
-        ctx.set_xs(vec![0.0]);
-        let pinned = fault_sweep(&mut ctx);
-        assert_eq!(pinned.series[0].points.len(), 1);
-        assert_eq!(pinned.series[0].points[0].x, 0.0);
-        let default = fault_sweep(&mut ctx);
-        assert_eq!(default.series[0].points.len(), 3, "override was consumed");
+    fn observed_context_accumulates_telemetry_without_changing_figures() {
+        let plain = quick(row("fig2a"));
+        let mut telemetry = Telemetry::default();
+        let observed = row("fig2a").run(&RunContext::new(Scale::Quick), Some(&mut telemetry));
+        assert_eq!(plain, observed);
+        assert!(telemetry.counters.contacts > 0);
+        assert_eq!(telemetry.counters.shards_loaded, 0, "in-memory backing");
     }
 
     #[test]
-    fn observed_context_accumulates_telemetry_without_changing_figures() {
-        let plain = fig2a(&mut RunContext::new(Scale::Quick));
-        let mut ctx = RunContext::new(Scale::Quick).observed();
-        let observed = fig2a(&mut ctx);
-        assert_eq!(plain, observed);
-        let telemetry = ctx.take_telemetry();
-        assert!(telemetry.counters.contacts > 0);
-        assert_eq!(telemetry.counters.shards_loaded, 0, "in-memory backing");
+    fn a_trace_that_does_not_change_with_x_is_generated_once() {
+        for spec in FIGURES {
+            let points = spec.points(Scale::Quick);
+            assert_eq!(points.len(), spec.quick_xs.len());
+            let shared = points.iter().all(|(s, _)| Arc::ptr_eq(s, &points[0].0));
+            assert_eq!(
+                shared,
+                spec.trace != FigureTrace::NusAttendance,
+                "{}",
+                spec.id
+            );
+        }
     }
 }

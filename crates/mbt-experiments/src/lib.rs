@@ -5,7 +5,8 @@
 //! - [`runner`] — the end-to-end simulation measuring delivery ratios among
 //!   non-Internet-access nodes,
 //! - [`exec`] / [`figures`] — parameter sweeps regenerating every panel of
-//!   Figures 2 and 3 ([`sweep`] holds the series types they return),
+//!   Figures 2 and 3, one table row each ([`sweep`] holds the series types
+//!   they return),
 //! - [`capacity`] — the §V broadcast-vs-pair-wise capacity analysis,
 //! - [`ablations`] — cooperation-mode and contact-ordering ablations,
 //! - [`report`] — text/CSV rendering,
@@ -25,18 +26,35 @@
 //!
 //! The trace argument is any [`dtn_trace::TraceSource`] — an in-memory
 //! [`dtn_trace::ContactTrace`] as above, or an on-disk
-//! [`dtn_trace::ShardedTrace`] replayed with bounded memory. Figure sweeps
-//! take a [`figures::RunContext`] bundling scale, execution, trace backing
-//! and telemetry:
+//! [`dtn_trace::ShardedTrace`] replayed with bounded memory, whose loads the
+//! telemetry counts:
 //!
 //! ```no_run
-//! use mbt_experiments::figures::{fig2a, RunContext, Scale};
+//! use dtn_sim::Telemetry;
+//! use dtn_trace::ShardedTrace;
+//! use mbt_experiments::runner::{run_simulation, SimParams};
 //!
-//! let mut ctx = RunContext::new(Scale::Quick).sharded("shards").observed();
-//! let fig = fig2a(&mut ctx);
-//! let telemetry = ctx.take_telemetry();
+//! let trace = ShardedTrace::open("shards").unwrap();
+//! let mut telemetry = Telemetry::default();
+//! run_simulation(&trace, &SimParams::default(), Some(&mut telemetry));
 //! assert!(telemetry.counters.shards_loaded > 0);
-//! # let _ = fig;
+//! ```
+//!
+//! Every figure is a row of [`figures::FIGURES`]; a run takes a
+//! [`RunContext`] (scale and execution) and an optional telemetry sink, and a
+//! modified row changes its xs or protocols:
+//!
+//! ```
+//! use dtn_sim::Telemetry;
+//! use mbt_experiments::figures::{FigureSpec, FIGURES};
+//! use mbt_experiments::{RunContext, Scale};
+//!
+//! let fig3a = FIGURES.iter().find(|f| f.id == "fig3a").unwrap();
+//! let one_point = FigureSpec { quick_xs: &[0.5], ..*fig3a };
+//! let mut telemetry = Telemetry::default();
+//! let fig = one_point.run(&RunContext::new(Scale::Quick), Some(&mut telemetry));
+//! assert_eq!(fig.series.len(), 3);
+//! assert!(telemetry.counters.contacts > 0);
 //! ```
 
 #![warn(missing_docs)]

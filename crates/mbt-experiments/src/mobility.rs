@@ -64,7 +64,7 @@ fn models(scale: Scale) -> Vec<(&'static str, ContactTrace, u64)> {
 }
 
 /// Runs every protocol over every mobility model.
-pub fn mobility_comparison(ctx: &mut RunContext) -> Vec<MobilityRow> {
+pub fn mobility_comparison(ctx: &RunContext) -> Vec<MobilityRow> {
     let scale = ctx.scale();
     let days = match scale {
         Scale::Quick => 6,
@@ -130,7 +130,7 @@ mod tests {
 
     #[test]
     fn covers_all_models_and_protocols() {
-        let rows = mobility_comparison(&mut RunContext::new(Scale::Quick));
+        let rows = mobility_comparison(&RunContext::new(Scale::Quick));
         let models: std::collections::BTreeSet<&str> = rows.iter().map(|r| r.model).collect();
         assert!(models.len() >= 3, "models: {models:?}");
         for model in &models {
@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn mbt_never_loses_to_mbtqm_on_metadata() {
-        let rows = mobility_comparison(&mut RunContext::new(Scale::Quick));
+        let rows = mobility_comparison(&RunContext::new(Scale::Quick));
         let models: std::collections::BTreeSet<&str> = rows.iter().map(|r| r.model).collect();
         for model in models {
             let get = |p: ProtocolSpec| {
@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn table_renders_all_rows() {
-        let rows = mobility_comparison(&mut RunContext::new(Scale::Quick));
+        let rows = mobility_comparison(&RunContext::new(Scale::Quick));
         let t = mobility_table(&rows);
         assert_eq!(t.lines().count(), rows.len() + 1);
         assert!(t.contains("community"));

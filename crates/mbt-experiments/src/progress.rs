@@ -27,7 +27,7 @@ pub struct ProgressSeries {
 /// Runs the progression experiment on the NUS-style trace: the three
 /// protocol runs execute on the context's pool, with results collected in
 /// protocol order.
-pub fn delivery_progress(ctx: &mut RunContext) -> Vec<ProgressSeries> {
+pub fn delivery_progress(ctx: &RunContext) -> Vec<ProgressSeries> {
     let (students, days) = match ctx.scale() {
         Scale::Quick => (30, 6),
         Scale::Full => (80, 15),
@@ -90,7 +90,7 @@ mod tests {
 
     #[test]
     fn trajectories_are_monotone_nondecreasing() {
-        for s in delivery_progress(&mut RunContext::new(Scale::Quick)) {
+        for s in delivery_progress(&RunContext::new(Scale::Quick)) {
             for w in s.cumulative_metadata.windows(2) {
                 assert!(w[1] >= w[0], "{}: metadata trajectory dipped", s.protocol);
             }
@@ -102,7 +102,7 @@ mod tests {
 
     #[test]
     fn metadata_leads_files_every_day() {
-        for s in delivery_progress(&mut RunContext::new(Scale::Quick)) {
+        for s in delivery_progress(&RunContext::new(Scale::Quick)) {
             for (m, f) in s.cumulative_metadata.iter().zip(&s.cumulative_files) {
                 assert!(m >= f, "{}: files outran metadata", s.protocol);
             }
@@ -111,7 +111,7 @@ mod tests {
 
     #[test]
     fn table_has_one_row_per_day() {
-        let series = delivery_progress(&mut RunContext::new(Scale::Quick));
+        let series = delivery_progress(&RunContext::new(Scale::Quick));
         let t = progress_table(&series);
         assert_eq!(t.lines().count(), 7); // header + 6 days
     }

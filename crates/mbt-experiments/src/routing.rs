@@ -55,7 +55,7 @@ fn traces(scale: Scale) -> Vec<(&'static str, ContactTrace)> {
 
 /// Runs all four routing protocols over both traces with a uniform unicast
 /// workload (200 messages, 2-day TTL at full scale).
-pub fn routing_comparison(ctx: &mut RunContext) -> Vec<RoutingRow> {
+pub fn routing_comparison(ctx: &RunContext) -> Vec<RoutingRow> {
     let scale = ctx.scale();
     let count = match scale {
         Scale::Quick => 60,
@@ -148,7 +148,7 @@ pub struct BoundRow {
 /// store-carry-forward path exists from any Internet-access node between the
 /// file's noon publication and its expiry, and compares against the measured
 /// MBT metadata deliveries.
-pub fn dissemination_bound(ctx: &mut RunContext) -> Vec<BoundRow> {
+pub fn dissemination_bound(ctx: &RunContext) -> Vec<BoundRow> {
     let scale = ctx.scale();
     let days = match scale {
         Scale::Quick => 6,
@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn comparison_produces_rows_for_both_traces() {
-        let rows = routing_comparison(&mut RunContext::new(Scale::Quick));
+        let rows = routing_comparison(&RunContext::new(Scale::Quick));
         assert_eq!(rows.len(), 8);
         let dieselnet: Vec<&RoutingRow> = rows.iter().filter(|r| r.trace == "dieselnet").collect();
         assert_eq!(dieselnet.len(), 4);
@@ -269,7 +269,7 @@ mod tests {
 
     #[test]
     fn bound_is_a_true_upper_bound() {
-        for row in dissemination_bound(&mut RunContext::new(Scale::Quick)) {
+        for row in dissemination_bound(&RunContext::new(Scale::Quick)) {
             assert!(
                 row.mbt_delivered <= row.oracle_deliverable,
                 "{}: MBT {} exceeds oracle {}",
@@ -284,7 +284,7 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let rows = routing_comparison(&mut RunContext::new(Scale::Quick));
+        let rows = routing_comparison(&RunContext::new(Scale::Quick));
         let t = routing_table(&rows);
         assert!(t.contains("epidemic"));
         assert!(t.contains("spray-and-wait"));

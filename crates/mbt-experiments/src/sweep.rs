@@ -140,12 +140,12 @@ mod tests {
 
     fn quick_sweep(xs: &[f64]) -> Figure {
         let trace = NusConfig::new(20, 5).seed(3).generate();
-        ParallelRunner::new(ExecConfig::serial()).sweep_shared_trace(
+        ParallelRunner::new(ExecConfig::serial()).sweep_shared_source(
             "test",
             "test sweep",
             "x",
             xs,
-            &trace,
+            std::sync::Arc::new(trace),
             |x| SimParams {
                 internet_fraction: x,
                 files_per_day: 5,

@@ -19,8 +19,8 @@ mod golden;
 fn all_experiments_quick_match_golden_for_any_job_count() {
     let rows = select(&["all"]).unwrap();
     for jobs in [1, 8] {
-        let mut ctx = RunContext::new(Scale::Quick).exec(ExecConfig::default().jobs(jobs));
-        let report = run("all", &rows, &mut ctx);
+        let ctx = RunContext::new(Scale::Quick).exec(ExecConfig::default().jobs(jobs));
+        let report = run("all", &rows, &ctx);
         golden::assert_text_matches_golden(
             &report.text,
             &format!("`experiment all --quick --jobs {jobs}`"),

@@ -23,10 +23,10 @@
 
 use dtn_sim::{FaultPlan, Telemetry};
 use mbt_core::{ProtocolSpec, TransportKind};
-use mbt_experiments::figures::{fault_sweep, fig2a, fig3a, RunContext};
+use mbt_experiments::figures::FIGURES;
 use mbt_experiments::report::figure_csv;
 use mbt_experiments::sweep::Figure;
-use mbt_experiments::{run_simulation, ExecConfig, Scale, SimParams};
+use mbt_experiments::{run_simulation, ExecConfig, RunContext, Scale, SimParams};
 
 #[path = "support/golden.rs"]
 mod golden;
@@ -98,6 +98,15 @@ fn golden_exec() -> ExecConfig {
     ExecConfig::default().replicates(3)
 }
 
+/// Row `id` of the figure table at quick scale under `exec`.
+fn quick(id: &str, exec: ExecConfig, telemetry: Option<&mut Telemetry>) -> Figure {
+    let row = FIGURES
+        .iter()
+        .find(|f| f.id == id)
+        .expect("a row of FIGURES");
+    row.run(&RunContext::new(Scale::Quick).exec(exec), telemetry)
+}
+
 /// The fault sweep keeps the paper's per-point ordering only while the
 /// channel still works: at loss ≤ 25% the protocols' mechanisms dominate,
 /// beyond that every variant converges toward zero and the comparison is
@@ -134,21 +143,21 @@ fn assert_protocol_ordering_up_to(fig: &Figure, max_x: f64) {
 
 #[test]
 fn fault_sweep_quick_matches_golden() {
-    let fig = fault_sweep(&mut RunContext::new(Scale::Quick).exec(golden_exec()));
+    let fig = quick("fault_sweep", golden_exec(), None);
     assert_protocol_ordering_up_to(&fig, 0.25);
     assert_matches_golden(&fig, "fault_sweep_quick.csv");
 }
 
 #[test]
 fn fig2a_quick_matches_golden() {
-    let fig = fig2a(&mut RunContext::new(Scale::Quick).exec(golden_exec()));
+    let fig = quick("fig2a", golden_exec(), None);
     assert_protocol_ordering(&fig);
     assert_matches_golden(&fig, "fig2a_quick.csv");
 }
 
 #[test]
 fn fig3a_quick_matches_golden() {
-    let fig = fig3a(&mut RunContext::new(Scale::Quick).exec(golden_exec()));
+    let fig = quick("fig3a", golden_exec(), None);
     assert_protocol_ordering(&fig);
     assert_matches_golden(&fig, "fig3a_quick.csv");
 }
@@ -157,12 +166,11 @@ fn fig3a_quick_matches_golden() {
 fn quick_sweep_counters_match_golden() {
     // One replicate, default jobs: counters merge in grid order, so the
     // totals do not depend on the worker count.
-    let mut ctx = RunContext::new(Scale::Quick).observed();
-    fig2a(&mut ctx);
-    fig3a(&mut ctx);
-    fault_sweep(&mut ctx);
-    let counters: String = ctx
-        .take_telemetry()
+    let mut telemetry = Telemetry::default();
+    for id in ["fig2a", "fig3a", "fault_sweep"] {
+        quick(id, ExecConfig::default(), Some(&mut telemetry));
+    }
+    let counters: String = telemetry
         .counters
         .entries()
         .iter()

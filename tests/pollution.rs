@@ -2,10 +2,7 @@
 //! the §III-B item-f authentication defense.
 
 use dtn_trace::generators::NusConfig;
-use mbt_core::selection::{rank, select, SelectionPolicy};
-use mbt_core::{Popularity, Query};
 use mbt_experiments::runner::{run_simulation, SimParams};
-use mbt_experiments::workload::{forge_fake, generate_batch, publisher_registry, WorkloadConfig};
 
 #[test]
 fn pollution_attack_and_defense_shapes() {
@@ -80,42 +77,4 @@ fn verification_is_free_without_an_adversary() {
         "signed genuine metadata must never be rejected"
     );
     assert_eq!(clean.files_delivered, verified.files_delivered);
-}
-
-#[test]
-fn user_selection_layer_also_filters_fakes() {
-    // Even a node without receive-time filtering can defend at selection
-    // time: the ranked-results + AuthenticatedOnly policy path.
-    let cfg = WorkloadConfig::new(6, 3);
-    let mut rng = dtn_sim::rng::stream(35, "workload");
-    let batch = generate_batch(&cfg, 0, &mut rng);
-    let real = &batch.files[0];
-    let fake = forge_fake(real, 0);
-    let registry = publisher_registry();
-
-    let q = Query::new(real.query_text.clone()).unwrap();
-    let candidates = [real.metadata.clone(), fake.metadata.clone()];
-    let ranked = rank(
-        candidates.iter(),
-        &q,
-        |m| {
-            if m.uri() == &fake.uri {
-                Popularity::MAX // the forgery lies about popularity
-            } else {
-                real.popularity
-            }
-        },
-        Some(&registry),
-    );
-    // Naive policy falls for the louder fake; the authenticated policy does not.
-    assert_eq!(
-        select(&ranked, SelectionPolicy::BestRanked).unwrap().uri(),
-        &fake.uri
-    );
-    assert_eq!(
-        select(&ranked, SelectionPolicy::AuthenticatedOnly)
-            .unwrap()
-            .uri(),
-        &real.uri
-    );
 }

@@ -12,11 +12,11 @@
 //! ```
 
 use mbt_core::ProtocolSpec;
-use mbt_experiments::figures::{head_to_head_nus, RunContext};
+use mbt_experiments::figures::FIGURES;
 use mbt_experiments::report::figure_csv;
 use mbt_experiments::runner::SimParams;
 use mbt_experiments::sweep::Figure;
-use mbt_experiments::{ExecConfig, ParallelRunner, Scale};
+use mbt_experiments::{ExecConfig, ParallelRunner, RunContext, Scale};
 
 use dtn_trace::generators::NusConfig;
 use dtn_trace::TraceSource;
@@ -83,9 +83,9 @@ fn widened_grid_preserves_legacy_triad_rows() {
 /// fixture exactly like the legacy figures.
 #[test]
 fn head_to_head_nus_quick_matches_golden() {
-    let fig = head_to_head_nus(
-        &mut RunContext::new(Scale::Quick).exec(ExecConfig::default().replicates(3)),
-    );
+    let row = FIGURES.iter().find(|f| f.id == "h2h_nus").unwrap();
+    let ctx = RunContext::new(Scale::Quick).exec(ExecConfig::default().replicates(3));
+    let fig = row.run(&ctx, None);
     assert_eq!(fig.series.len(), 5, "head-to-head must cover every builtin");
     for (series, spec) in fig.series.iter().zip(ProtocolSpec::builtin()) {
         assert_eq!(series.protocol, spec, "registry order must be preserved");

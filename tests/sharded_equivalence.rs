@@ -9,14 +9,16 @@
 //! Those counters are themselves pinned: deterministic across repeat runs
 //! and worker counts per backing.
 
+use std::sync::Arc;
+
 use dtn_sim::telemetry::Counters;
 use dtn_sim::{FaultPlan, Telemetry};
 use dtn_trace::generators::DieselNetConfig;
 use dtn_trace::{ContactSink as _, ShardWriter, ShardedTrace, SimDuration, TraceSource};
-use mbt_experiments::figures::{fault_sweep, fig2a, RunContext};
+use mbt_experiments::figures::FIGURES;
 use mbt_experiments::report::figure_csv;
 use mbt_experiments::runner::{run_simulation, SimParams};
-use mbt_experiments::{ExecConfig, Scale};
+use mbt_experiments::{ExecConfig, ParallelRunner, RunContext, Scale};
 
 /// Fresh per-test shard directory (tests run concurrently).
 fn shard_dir(name: &str) -> std::path::PathBuf {
@@ -40,17 +42,56 @@ fn sim_counters(c: &Counters) -> Counters {
     }
 }
 
+/// Row `id` at quick scale on `jobs` workers, rendered twice: run from the
+/// table in memory, and swept over the same points with every distinct
+/// trace written to a shard directory of one-day windows and replayed from
+/// there.
+fn both_backings(id: &str, jobs: usize) -> [String; 2] {
+    let row = FIGURES
+        .iter()
+        .find(|f| f.id == id)
+        .expect("a row of FIGURES");
+    let exec = ExecConfig::default().jobs(jobs);
+    let memory = row.run(&RunContext::new(Scale::Quick).exec(exec), None);
+
+    let mut written: Vec<(Arc<dyn TraceSource>, Arc<dyn TraceSource>)> = Vec::new();
+    let mut points = Vec::new();
+    for (i, (resident, params)) in row.points(Scale::Quick).into_iter().enumerate() {
+        let sharded = match written.iter().find(|(r, _)| Arc::ptr_eq(r, &resident)) {
+            Some((_, sharded)) => Arc::clone(sharded),
+            None => {
+                let dir = shard_dir(&format!("{id}-jobs{jobs}-x{i}"));
+                let mut writer = ShardWriter::create(dir, SimDuration::from_days(1)).unwrap();
+                for contact in resident.stream() {
+                    writer.push_contact(contact);
+                }
+                let sharded: Arc<dyn TraceSource> = Arc::new(writer.finish().unwrap());
+                written.push((resident, Arc::clone(&sharded)));
+                sharded
+            }
+        };
+        points.push((sharded, params));
+    }
+    let mut telemetry = Telemetry::default();
+    let runner = ParallelRunner::new(exec).with_protocols(row.protocols);
+    let from_shards = runner.run_prepared(
+        row.id,
+        row.title,
+        row.x_label,
+        row.quick_xs,
+        &points,
+        Some(&mut telemetry),
+    );
+    assert!(
+        telemetry.counters.shards_loaded > 0,
+        "{id}: no shard was read"
+    );
+    [figure_csv(&memory), figure_csv(&from_shards)]
+}
+
 #[test]
 fn figure_csv_is_byte_identical_across_backings_and_jobs() {
-    let mut renders = Vec::new();
-    for jobs in [1, 8] {
-        let mut memory = RunContext::new(Scale::Quick).exec(ExecConfig::default().jobs(jobs));
-        renders.push(figure_csv(&fig2a(&mut memory)));
-        let mut sharded = RunContext::new(Scale::Quick)
-            .exec(ExecConfig::default().jobs(jobs))
-            .sharded(shard_dir(&format!("fig2a-jobs{jobs}")));
-        renders.push(figure_csv(&fig2a(&mut sharded)));
-    }
+    let renders = [both_backings("fig2a", 1), both_backings("fig2a", 8)].concat();
     for render in &renders[1..] {
         assert_eq!(
             &renders[0], render,
@@ -64,15 +105,21 @@ fn fault_sweep_with_active_plan_is_byte_identical_across_backings() {
     // The fault sweep exercises non-noop fault plans (per-cell FAULT_STREAM
     // seeds), so this pins that injected faults replay identically when the
     // contacts arrive from disk shards.
-    let mut memory = RunContext::new(Scale::Quick).exec(ExecConfig::default().jobs(2));
-    let from_memory = figure_csv(&fault_sweep(&mut memory));
-    let mut sharded = RunContext::new(Scale::Quick)
-        .exec(ExecConfig::default().jobs(2))
-        .sharded(shard_dir("fault-sweep"));
-    let from_shards = figure_csv(&fault_sweep(&mut sharded));
+    let [from_memory, from_shards] = both_backings("fault_sweep", 2);
     assert_eq!(
         from_memory, from_shards,
         "sharded backing changed fault-sweep CSV bytes"
+    );
+}
+
+#[test]
+fn a_trace_per_point_is_byte_identical_across_backings() {
+    // fig3f's attendance rate changes mobility, so each point replays its
+    // own shard directory.
+    let [from_memory, from_shards] = both_backings("fig3f", 2);
+    assert_eq!(
+        from_memory, from_shards,
+        "sharded backing changed fig3f CSV bytes"
     );
 }
 
