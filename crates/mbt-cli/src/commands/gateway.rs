@@ -1,6 +1,5 @@
 //! `mbt gateway` — stand up a live gateway and probe it with a search.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -18,9 +17,9 @@ pub const USAGE: &str = "mbt gateway --query TEXT [--limit N] [--catalog N]
 Stands up a gateway answering from a ServerSnapshot on the live frame bus,
 sends it one Search frame from a probe node, lets it answer, and prints the
 SearchResults frame that comes back. The catalog is N built-in demo
-entries. Demonstrates the `mbt node` / gateway wire protocol without a
-full session. --limit takes 1 to 64 and --catalog 1 to 5; a value outside
-is an error, not clamped.";
+entries. Demonstrates the Search / SearchResults frames on the live bus
+without a session. --limit takes 1 to 64 and --catalog 1 to 5; a value
+outside is an error, not clamped.";
 
 /// The built-in demo catalog: (name, publisher, popularity).
 const DEMO: &[(&str, &str, f64)] = &[
@@ -58,7 +57,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let gateway = LiveGatewaySpec {
         id: NodeId::new(100),
         snapshot: server.snapshot(),
-        content: BTreeMap::new(),
     };
     let probe_id = NodeId::new(0);
     let bus = LiveBus::new();

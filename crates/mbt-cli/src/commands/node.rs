@@ -4,8 +4,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use dtn_trace::NodeId;
-use mbt_core::transport::live::{run_live_session, LiveGatewaySpec, LiveNodeSpec, LiveSessionSpec};
-use mbt_core::{Metadata, MetadataServer, Popularity, Query, Uri};
+use mbt_core::transport::live::{run_live_session, LiveSessionSpec};
+use mbt_core::{MbtConfig, MbtNode, Metadata, Popularity, ProtocolSpec, Query, Uri};
 
 use crate::args::Args;
 use crate::CliError;
@@ -14,14 +14,15 @@ use crate::CliError;
 pub const USAGE: &str = "mbt node [--nodes N] [--files N] [--file-bytes N] \
 [--piece-size N] [--seed N]
 
-Runs an in-process live session: N nodes and one gateway on the frame bus,
-over a synthetic two-contact schedule. In contact 1 node 0 meets the
-gateway and pulls every queried file (search -> metadata -> piece requests
--> pieces); in contact 2 all nodes meet and node 0 serves the rest
-peer-to-peer. A contact ends when no frame is left to deliver. Prints
-per-node deliveries with SHA-1 digests and the bus frame counters. --nodes
-and --files take 1 to 64, --file-bytes and --piece-size 1 to 1048576; a
-value outside is an error, not clamped.";
+Runs an in-process live session: N MBT nodes, each querying every file, and
+a gateway node holding the files, on the frame bus, over a synthetic
+two-contact schedule. In contact 1 node 0 meets the gateway; in contact 2
+all nodes meet. Each contact is the simulator's (hello -> metadata
+broadcasts -> file broadcasts, with every message a frame and every file
+sent as checksummed pieces), with budgets of --files a contact, so every
+file reaches every node. Prints per-node deliveries with SHA-1 digests and
+the bus frame counters. --nodes and --files take 1 to 64, --file-bytes and
+--piece-size 1 to 1048576; a value outside is an error, not clamped.";
 
 /// Deterministic pseudo-random content (xorshift64*), so runs with the same
 /// seed publish byte-identical files.
@@ -47,8 +48,13 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let piece_size = args.parse_in("piece-size", 256usize, 1..=1 << 20, UP_TO_1_MIB)?;
     let seed = args.parse_or("seed", 42u64, "an integer")?;
 
-    let mut server = MetadataServer::new(1);
-    let mut contents: BTreeMap<Uri, Vec<u8>> = BTreeMap::new();
+    let config = MbtConfig::new()
+        .metadata_per_contact(files as u32)
+        .files_per_contact(files as u32);
+    let node = |id: NodeId| MbtNode::new(id, ProtocolSpec::MBT, config.clone());
+    let gateway_id = NodeId::new(nodes as u32 + 100);
+    let mut gateway = node(gateway_id);
+    let mut content: BTreeMap<Uri, Vec<u8>> = BTreeMap::new();
     let mut queries = Vec::new();
     for i in 0..files {
         let uri =
@@ -57,29 +63,26 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         let metadata = Metadata::builder(format!("live news feed{i}"), "FOX", uri.clone())
             .content(&bytes, piece_size)
             .build();
-        server.publish(metadata, Popularity::new(0.8));
-        contents.insert(uri, bytes);
+        gateway.seed_content(metadata, Popularity::new(0.8), true);
+        content.insert(uri, bytes);
         queries.push(Query::new(format!("news feed{i}")).expect("non-empty query"));
     }
 
-    let gateway_id = NodeId::new(nodes as u32 + 100);
     let all_nodes: Vec<NodeId> = (0..nodes as u32).map(NodeId::new).collect();
-    let spec = LiveSessionSpec {
-        nodes: all_nodes
-            .iter()
-            .map(|&id| LiveNodeSpec {
-                id,
-                queries: queries.clone(),
-            })
-            .collect(),
-        gateway: Some(LiveGatewaySpec {
-            id: gateway_id,
-            snapshot: server.snapshot(),
-            content: contents,
-        }),
+    let mut members: Vec<MbtNode> = all_nodes
+        .iter()
+        .map(|&id| {
+            let mut member = node(id);
+            member.add_queries(queries.iter().map(|q| (q.clone(), None)));
+            member
+        })
+        .collect();
+    members.push(gateway);
+    let report = run_live_session(LiveSessionSpec {
+        nodes: members,
+        content,
         schedule: vec![vec![all_nodes[0], gateway_id], all_nodes.clone()],
-    };
-    let report = run_live_session(spec);
+    });
 
     let mut out = String::new();
     let _ = writeln!(
@@ -87,7 +90,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         "live session: {nodes} node(s) + gateway, {files} file(s) x {file_bytes} B \
          (pieces of {piece_size} B), seed {seed}"
     );
-    for (&id, delivered) in &report.deliveries {
+    for (&id, delivered) in report.deliveries.range(..gateway_id) {
         let _ = writeln!(
             out,
             "  node {}: {} file(s) delivered",
@@ -141,12 +144,11 @@ live session: 3 node(s) + gateway, 2 file(s) x 1536 B (pieces of 256 B), seed 42
     mbt://live/feed0 sha1=3f473a8945773de90d2d5326948cc205a1afc333
     mbt://live/feed1 sha1=4c018735b197d929edcc4ced4029ebf5994d3347
   frames on the wire:
-    hello                7
-    metadata            12
+    file-broadcast       6
+    hello                3
+    metadata             6
     piece               36
-    piece-request       36
-    search-results       2
-  bytes on wire: 20366  dropped frames: 0
+  bytes on wire: 16254  dropped frames: 0
 ";
         assert_eq!(run(&args("--nodes 3 --files 2 --seed 42")).unwrap(), PINNED);
     }

@@ -10,7 +10,7 @@
 //! mbt simulate     run a protocol variant over a trace or shard dir
 //! mbt sweep        sweep a parameter over named protocol variants
 //! mbt routing      run a routing baseline (epidemic | prophet | spray | direct)
-//! mbt node         run live nodes + a gateway on the threaded frame bus
+//! mbt node         run live MBT nodes + a gateway over the in-process frame bus
 //! mbt gateway      stand up a live gateway and probe it with a search
 //! ```
 
@@ -60,7 +60,7 @@ commands:
   simulate     run the MBT file-sharing simulation (trace file or shard dir)
   sweep        sweep a parameter over named protocol variants (table/CSV)
   routing      run a store-carry-forward routing baseline (file or shard dir)
-  node         run live nodes + a gateway on the threaded frame bus
+  node         run live MBT nodes + a gateway over the in-process frame bus
   gateway      stand up a live gateway and probe it with a search
 
 run `mbt <command> --help` for command options; `mbt experiment list` names

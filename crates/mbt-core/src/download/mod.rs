@@ -8,9 +8,11 @@
 //! per-node capacity `(n-1)/n` instead of `1/n` (see
 //! [`dtn_sim::channel`]).
 //!
-//! The schedulers here are generic over the broadcast *item*: [`crate::piece::PieceId`]
-//! for real piece-level transfers, or [`crate::uri::Uri`] for the
-//! file-level granularity of the paper's evaluation model.
+//! The schedulers here are generic over the broadcast *item*: a contact,
+//! simulated or live, schedules [`crate::uri::Uri`]s — the file-level
+//! granularity of the paper's evaluation model, whose broadcast the live
+//! transport sends as piece frames — and a piece-level swarm can schedule
+//! [`crate::piece::PieceId`]s (`examples/piece_swarm.rs`).
 //!
 //! - [`cooperative`]: a coordinator (deterministically elected) orders the
 //!   broadcasts — requested items first, most-requested first (§V-A);

@@ -825,7 +825,7 @@ pub(crate) fn contact_over(
     } = scratch;
     all_ids.clear();
     all_ids.extend(members.iter().map(|&idx| nodes[idx].id));
-    transport.join(now, all_ids);
+    transport.join(all_ids);
     let coordinator = *all_ids.iter().min().expect("members is non-empty");
 
     // A delivered hello doubles as that member's start-of-contact snapshot.
@@ -837,7 +837,7 @@ pub(crate) fn contact_over(
         let delivered = if sender == coordinator {
             Some(hello)
         } else {
-            match transport.carry(now, sender, coordinator, WireMessage::Hello(hello)) {
+            match transport.carry(sender, coordinator, WireMessage::Hello(hello)) {
                 Carried::Delivered(WireMessage::Hello(h)) => Some(h),
                 Carried::Delivered(_) | Carried::Dropped => None,
             }
@@ -853,7 +853,7 @@ pub(crate) fn contact_over(
     let (members, snapshots) = (&alive[..], &snapshots[..]);
     report.hello_exchanges = snapshots.len();
     if members.len() < 2 {
-        transport.leave(now, all_ids);
+        transport.leave(all_ids);
         return report;
     }
 
@@ -957,7 +957,7 @@ pub(crate) fn contact_over(
                         query: query.clone(),
                         expires: *expires,
                     };
-                    match transport.carry(now, snap.sender, snapshots[i].sender, share) {
+                    match transport.carry(snap.sender, snapshots[i].sender, share) {
                         Carried::Delivered(WireMessage::QueryShare {
                             owner,
                             query,
@@ -1031,7 +1031,6 @@ pub(crate) fn contact_over(
                     continue;
                 }
                 let carried = transport.carry(
-                    now,
                     b.sender,
                     receiver_id,
                     WireMessage::Metadata {
@@ -1099,7 +1098,6 @@ pub(crate) fn contact_over(
                         continue;
                     }
                     let carried = transport.carry(
-                        now,
                         b.sender,
                         receiver_id,
                         WireMessage::FileBroadcast {
@@ -1175,7 +1173,7 @@ pub(crate) fn contact_over(
             None => run(),
         }
     }
-    transport.leave(now, all_ids);
+    transport.leave(all_ids);
     report
 }
 

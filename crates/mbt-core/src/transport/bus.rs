@@ -5,7 +5,7 @@
 
 use std::collections::BTreeSet;
 
-use dtn_trace::{NodeId, SimTime};
+use dtn_trace::NodeId;
 
 use super::frame::{check_frame, encode_frame_into};
 use super::{Carried, Transport, WireMessage};
@@ -98,7 +98,7 @@ impl BusTransport {
 }
 
 impl Transport for BusTransport {
-    fn join(&mut self, _now: SimTime, members: &[NodeId]) {
+    fn join(&mut self, members: &[NodeId]) {
         for (i, &a) in members.iter().enumerate() {
             for &b in &members[i + 1..] {
                 if a != b {
@@ -108,13 +108,7 @@ impl Transport for BusTransport {
         }
     }
 
-    fn carry(
-        &mut self,
-        _now: SimTime,
-        sender: NodeId,
-        receiver: NodeId,
-        message: WireMessage,
-    ) -> Carried {
+    fn carry(&mut self, sender: NodeId, receiver: NodeId, message: WireMessage) -> Carried {
         if !self.links.contains(&link(sender, receiver)) {
             self.frames_dropped += 1;
             return Carried::Dropped;
@@ -124,7 +118,7 @@ impl Transport for BusTransport {
         self.deliver(message)
     }
 
-    fn leave(&mut self, _now: SimTime, members: &[NodeId]) {
+    fn leave(&mut self, members: &[NodeId]) {
         for (i, &a) in members.iter().enumerate() {
             for &b in &members[i + 1..] {
                 self.links.remove(&link(a, b));
@@ -171,7 +165,7 @@ mod tests {
     /// a codec that mangled the frame of some other message would leave it.
     fn bus_holding(on_wire: &WireMessage) -> BusTransport {
         let mut bus = BusTransport::new();
-        bus.join(SimTime::ZERO, &[n(0), n(1)]);
+        bus.join(&[n(0), n(1)]);
         encode_frame_into(&mut bus.wire, n(1), n(0), 0, on_wire);
         bus
     }
@@ -179,15 +173,12 @@ mod tests {
     #[test]
     fn carry_round_trips_through_the_codec() {
         let mut bus = BusTransport::new();
-        bus.join(SimTime::ZERO, &[n(0), n(1), n(2)]);
+        bus.join(&[n(0), n(1), n(2)]);
         assert!(bus.is_open(n(0), n(2)));
-        assert_eq!(
-            bus.carry(SimTime::ZERO, n(0), n(2), msg()),
-            Carried::Delivered(msg())
-        );
+        assert_eq!(bus.carry(n(0), n(2), msg()), Carried::Delivered(msg()));
         assert_eq!(bus.frames_carried(), 1);
         assert!(bus.bytes_on_wire() > FRAME_HEADER_BYTES as u64);
-        bus.leave(SimTime::ZERO, &[n(0), n(1), n(2)]);
+        bus.leave(&[n(0), n(1), n(2)]);
         assert!(!bus.is_open(n(0), n(2)));
         assert_eq!(bus.frames_dropped(), 0);
     }
@@ -195,17 +186,14 @@ mod tests {
     #[test]
     fn closed_links_drop_frames() {
         let mut bus = BusTransport::new();
-        bus.join(SimTime::ZERO, &[n(0), n(1)]);
+        bus.join(&[n(0), n(1)]);
         assert_eq!(
-            bus.carry(SimTime::ZERO, n(0), n(2), msg()),
+            bus.carry(n(0), n(2), msg()),
             Carried::Dropped,
             "no contact, no link"
         );
-        bus.leave(SimTime::ZERO, &[n(0), n(1)]);
-        assert_eq!(
-            bus.carry(SimTime::ZERO, n(0), n(1), msg()),
-            Carried::Dropped
-        );
+        bus.leave(&[n(0), n(1)]);
+        assert_eq!(bus.carry(n(0), n(1), msg()), Carried::Dropped);
         assert_eq!(bus.frames_dropped(), 2);
         assert_eq!(bus.frames_carried(), 0);
     }
@@ -214,12 +202,12 @@ mod tests {
     fn piece_payloads_survive_the_wire() {
         use crate::piece::{Piece, PieceId};
         let mut bus = BusTransport::new();
-        bus.join(SimTime::ZERO, &[n(0), n(1)]);
+        bus.join(&[n(0), n(1)]);
         let piece = Piece::new(
             PieceId::new(Uri::new("mbt://f").unwrap(), 1),
             (0..=255).collect(),
         );
-        match bus.carry(SimTime::ZERO, n(0), n(1), WireMessage::Piece(piece.clone())) {
+        match bus.carry(n(0), n(1), WireMessage::Piece(piece.clone())) {
             Carried::Delivered(WireMessage::Piece(back)) => assert_eq!(back, piece),
             other => panic!("expected delivered piece, got {other:?}"),
         }
@@ -228,10 +216,10 @@ mod tests {
     #[test]
     fn a_message_that_decodes_equal_is_delivered_as_the_senders_value() {
         let mut bus = BusTransport::new();
-        bus.join(SimTime::ZERO, &[n(0), n(1)]);
+        bus.join(&[n(0), n(1)]);
         let sent = hello(&["fox news", "abc comedy"], 2.5);
         let own = Arc::clone(&sent.own_queries);
-        match bus.carry(SimTime::ZERO, n(1), n(0), WireMessage::Hello(sent)) {
+        match bus.carry(n(1), n(0), WireMessage::Hello(sent)) {
             Carried::Delivered(WireMessage::Hello(h)) => {
                 assert!(Arc::ptr_eq(&h.own_queries, &own), "a decoded copy");
             }
@@ -257,10 +245,10 @@ mod tests {
         // A NaN credit keeps its bits on the wire but equals nothing, so a
         // carried one arrives as the decoded copy, not the sender's lists.
         let mut bus = BusTransport::new();
-        bus.join(SimTime::ZERO, &[n(0), n(1)]);
+        bus.join(&[n(0), n(1)]);
         let sent = hello(&["fox news"], f64::NAN);
         let own = Arc::clone(&sent.own_queries);
-        match bus.carry(SimTime::ZERO, n(1), n(0), WireMessage::Hello(sent)) {
+        match bus.carry(n(1), n(0), WireMessage::Hello(sent)) {
             Carried::Delivered(WireMessage::Hello(h)) => {
                 assert!(!Arc::ptr_eq(&h.own_queries, &own));
                 assert_eq!(h.own_queries, own);

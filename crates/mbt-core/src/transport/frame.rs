@@ -62,9 +62,8 @@ pub enum FrameKind {
     Metadata = 2,
     /// A file broadcast with its metadata riding along (§V).
     FileBroadcast = 3,
-    /// Request for one piece of a file.
-    PieceRequest = 4,
-    /// One piece of a file's content.
+    /// One piece of a file's content. Kind 4 is unassigned, so a frame
+    /// carrying it decodes as [`FrameError::UnknownKind`].
     Piece = 5,
     /// A keyword search sent to a gateway.
     Search = 6,
@@ -79,7 +78,6 @@ impl FrameKind {
             1 => FrameKind::QueryShare,
             2 => FrameKind::Metadata,
             3 => FrameKind::FileBroadcast,
-            4 => FrameKind::PieceRequest,
             5 => FrameKind::Piece,
             6 => FrameKind::Search,
             7 => FrameKind::SearchResults,
@@ -94,7 +92,6 @@ impl FrameKind {
             FrameKind::QueryShare => "query-share",
             FrameKind::Metadata => "metadata",
             FrameKind::FileBroadcast => "file-broadcast",
-            FrameKind::PieceRequest => "piece-request",
             FrameKind::Piece => "piece",
             FrameKind::Search => "search",
             FrameKind::SearchResults => "search-results",
@@ -170,14 +167,8 @@ pub enum WireMessage {
         /// Riding metadata and its popularity, when the sender holds it.
         metadata: Option<(Metadata, Popularity)>,
     },
-    /// Request for one piece of a file (live/bus runtime).
-    PieceRequest {
-        /// The wanted file.
-        uri: Uri,
-        /// Zero-based piece index.
-        index: u32,
-    },
-    /// One piece of a file's content (live/bus runtime).
+    /// One piece of a file's content (the live runtime sends a file
+    /// broadcast's bytes as these).
     Piece(Piece),
     /// A keyword search sent to a gateway (live/bus runtime).
     Search {
@@ -201,7 +192,6 @@ impl WireMessage {
             WireMessage::QueryShare { .. } => FrameKind::QueryShare,
             WireMessage::Metadata { .. } => FrameKind::Metadata,
             WireMessage::FileBroadcast { .. } => FrameKind::FileBroadcast,
-            WireMessage::PieceRequest { .. } => FrameKind::PieceRequest,
             WireMessage::Piece(_) => FrameKind::Piece,
             WireMessage::Search { .. } => FrameKind::Search,
             WireMessage::SearchResults { .. } => FrameKind::SearchResults,
@@ -688,10 +678,6 @@ fn encode_payload(message: &WireMessage, out: &mut Vec<u8>) {
                 }
             }
         }
-        WireMessage::PieceRequest { uri, index } => {
-            put_str(out, uri.as_str());
-            put_u32(out, *index);
-        }
         WireMessage::Piece(piece) => {
             put_str(out, piece.id().uri().as_str());
             put_u32(out, piece.id().index());
@@ -781,12 +767,6 @@ fn decode_payload(
             };
             uri.map(|uri| WireMessage::FileBroadcast { uri, metadata })
         }
-        FrameKind::PieceRequest => {
-            let s = pick!(sink, WireMessage::PieceRequest { uri, index } => (uri, *index));
-            let uri = r.uri(s.map(|s| s.0))?;
-            let index = same(r.u32()?, s.map(|s| s.1))?;
-            uri.map(|uri| WireMessage::PieceRequest { uri, index })
-        }
         FrameKind::Piece => {
             let p = pick!(sink, WireMessage::Piece(p) => p);
             let uri = r.uri(p.map(|p| p.id().uri()))?;
@@ -857,9 +837,9 @@ mod tests {
             n(0),
             n(1),
             0,
-            &WireMessage::PieceRequest {
+            &WireMessage::FileBroadcast {
                 uri: uri("mbt://a"),
-                index: 0,
+                metadata: None,
             },
         );
         // frame_bytes(payload) must describe the real encoding.
@@ -906,10 +886,6 @@ mod tests {
                 uri: uri("mbt://bare"),
                 metadata: None,
             },
-            WireMessage::PieceRequest {
-                uri: uri("mbt://fox/news"),
-                index: 2,
-            },
             WireMessage::Piece(Piece::new(
                 PieceId::new(uri("mbt://fox/news"), 2),
                 vec![1, 2, 3, 4],
@@ -924,7 +900,7 @@ mod tests {
         ];
         // One message of every kind — keep this list exhaustive.
         let kinds: BTreeSet<u8> = messages.iter().map(|m| m.kind() as u8).collect();
-        assert_eq!(kinds.len(), 8, "every frame kind must be covered");
+        assert_eq!(kinds.len(), 7, "every frame kind must be covered");
         for msg in messages {
             round_trip(msg);
         }
@@ -959,9 +935,9 @@ mod tests {
             n(0),
             n(1),
             7,
-            &WireMessage::PieceRequest {
+            &WireMessage::FileBroadcast {
                 uri: uri("mbt://a"),
-                index: 1,
+                metadata: None,
             },
         );
         for cut in 0..bytes.len() {
@@ -995,9 +971,9 @@ mod tests {
             n(0),
             n(1),
             0,
-            &WireMessage::PieceRequest {
+            &WireMessage::FileBroadcast {
                 uri: uri("mbt://a"),
-                index: 0,
+                metadata: None,
             },
         );
         let mut bad = good.clone();
@@ -1006,12 +982,14 @@ mod tests {
         let mut bad = good.clone();
         bad[5] = 99;
         assert_eq!(decode_frame(&bad).unwrap_err(), FrameError::BadVersion(99));
-        let mut bad = good.clone();
-        bad[6] = 200;
-        assert_eq!(
-            decode_frame(&bad).unwrap_err(),
-            FrameError::UnknownKind(200)
-        );
+        for kind in [4, 200] {
+            let mut bad = good.clone();
+            bad[6] = kind;
+            assert_eq!(
+                decode_frame(&bad).unwrap_err(),
+                FrameError::UnknownKind(kind)
+            );
+        }
     }
 
     #[test]
@@ -1020,9 +998,9 @@ mod tests {
             n(0),
             n(1),
             0,
-            &WireMessage::PieceRequest {
+            &WireMessage::FileBroadcast {
                 uri: uri("mbt://a"),
-                index: 0,
+                metadata: None,
             },
         );
         for at in [7, 40, FRAME_HEADER_BYTES - 1] {
@@ -1051,7 +1029,7 @@ mod tests {
         assert_eq!(buf, encode_frame(n(3), n(4), 5, &msg));
     }
 
-    /// An arbitrary message, of kind `seed % 8`, every list, text, time and
+    /// An arbitrary message, of the `seed % 7`th kind, every list, text, time and
     /// number in it drawn from `seed`; a credit is NaN or −0 now and then.
     fn arbitrary_message(seed: u64) -> WireMessage {
         use rand::rngs::StdRng;
@@ -1102,7 +1080,7 @@ mod tests {
             (0..rng.gen_range(0..=most)).map(|_| item(rng)).collect()
         }
         let rng = &mut StdRng::seed_from_u64(seed);
-        match seed % 8 {
+        match seed % 7 {
             0 => WireMessage::Hello(HelloFrame {
                 sender: n(rng.gen()),
                 own_queries: many(rng, 3, |rng| (query(rng), time(rng))).into(),
@@ -1139,15 +1117,11 @@ mod tests {
                 uri: uri(rng),
                 metadata: rng.gen_bool(0.5).then(|| meta_pop(rng)),
             },
-            4 => WireMessage::PieceRequest {
-                uri: uri(rng),
-                index: rng.gen(),
-            },
-            5 => WireMessage::Piece(Piece::new(
+            4 => WireMessage::Piece(Piece::new(
                 PieceId::new(uri(rng), rng.gen()),
                 many(rng, 40, |rng| rng.gen()),
             )),
-            6 => WireMessage::Search {
+            5 => WireMessage::Search {
                 query: query(rng),
                 limit: rng.gen(),
             },
@@ -1210,9 +1184,9 @@ mod tests {
             n(0),
             n(1),
             0,
-            &WireMessage::PieceRequest {
+            &WireMessage::FileBroadcast {
                 uri: uri("mbt://a"),
-                index: 0,
+                metadata: None,
             },
         );
         bytes.push(0);

@@ -1,17 +1,18 @@
-//! A live session on one thread: nodes and a gateway as frame handlers.
+//! The live runtime: a session of [`MbtNode`] contacts whose messages cross a
+//! [`LiveBus`] as frames.
 //!
 //! The trace-driven backends ([`SimTransport`](super::SimTransport),
-//! [`BusTransport`](super::BusTransport)) run the contact loop's lock-step
-//! exchange. This module runs the *same frame codec* one message at a time:
-//! a node and the gateway are handlers that own no loop and never block, the
-//! gateway answers searches from a [`ServerSnapshot`], and
-//! [`run_live_session`] hands every frame queued on a [`LiveBus`] to its
-//! receiver's handler while a connectivity schedule opens and closes links
-//! the way a contact trace would. A contact ends when no frame is queued for
-//! any handler, so nothing a handler could answer is in flight when its links
-//! close. Frames sent on a closed link, or still queued at close for an id no
-//! handler answers for, are dropped and counted — the live analogue of the
-//! simulator's lost-frame faults.
+//! [`BusTransport`](super::BusTransport)) carry a contact's messages in lock
+//! step and keep no frame. [`LiveTransport`] is the third backend: each
+//! message is sent onto a [`LiveBus`] link as an encoded frame and received
+//! off the receiver's queue, and a file broadcast also sends the file's bytes
+//! as [`Piece`](crate::piece::Piece) frames that the receiver reassembles
+//! and checks against the riding metadata. [`run_live_session`] runs a
+//! scripted schedule of contacts through [`run_contact_via`] over that
+//! backend, so a live node *is* the simulator's node: the same hello,
+//! metadata and file phases (§III–V), the same protocol variants, credits
+//! and fault plans. A frame sent on a closed link or that fails to decode is
+//! dropped and counted.
 //!
 //! [`run_live_session`] is what the `mbt node` CLI mode and the soak test
 //! build on; the `mbt gateway` mode sends one search over a [`LiveBus`] and
@@ -21,21 +22,25 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use dtn_trace::NodeId;
+use dtn_trace::{NodeId, SimDuration, SimTime};
 
 use crate::checksum::{sha1, Digest};
 use crate::file::FileAssembler;
 use crate::metadata::Metadata;
-use crate::piece::{Piece, PieceId};
-use crate::popularity::Popularity;
-use crate::query::Query;
+use crate::node::{run_contact_via, ContactScratch, MbtNode, NodeEvent, Source};
+use crate::piece::split_into_pieces;
 use crate::server::ServerSnapshot;
 use crate::uri::Uri;
 
-use super::frame::{decode_frame, encode_frame, HelloFrame, WireMessage};
+use super::frame::{decode_frame, encode_frame, WireMessage};
+use super::{Carried, Transport};
 
 /// How many search results a gateway returns per query.
 const GATEWAY_SEARCH_LIMIT: usize = 16;
+
+/// How long each scheduled contact of a live session lasts; contact `k`
+/// opens at `k` times this.
+const CONTACT: SimDuration = SimDuration::from_hours(1);
 
 fn link(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     if a <= b {
@@ -160,13 +165,6 @@ impl LiveBus {
         self.lock().pop(me)
     }
 
-    /// The ids with at least one frame queued for them, ascending.
-    fn receivers(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = self.lock().queues.keys().map(|&(to, _)| to).collect();
-        ids.dedup();
-        ids
-    }
-
     /// Snapshot of the bus counters.
     pub fn stats(&self) -> LiveStats {
         let state = self.lock();
@@ -178,362 +176,235 @@ impl LiveBus {
     }
 }
 
-/// A participant node in a live session: an id plus the queries it wants
-/// answered.
-#[derive(Debug, Clone)]
-pub struct LiveNodeSpec {
-    /// The node's identity on the bus.
-    pub id: NodeId,
-    /// Queries this node tries to resolve into complete files.
-    pub queries: Vec<Query>,
+/// The live [`Transport`]: every carried message crosses a [`LiveBus`].
+///
+/// [`join`](Transport::join) opens a link between every pair of contact
+/// members and [`leave`](Transport::leave) closes them. Carrying a message
+/// sends its frame and receives it off the receiver's queue, delivering the
+/// decoded value. A file broadcast is followed by the file's published bytes
+/// as [`Piece`](crate::piece::Piece) frames, cut at the riding metadata's
+/// piece size; the receiver's [`FileAssembler`] checks each against the
+/// metadata's checksums, and the SHA-1 of the reassembled bytes is the
+/// delivery's digest. A broadcast whose pieces cannot be cut (no riding metadata, no
+/// published bytes) or fail to check is [`Carried::Dropped`].
+///
+/// A node broadcasts only a file it holds, and in a live session it holds
+/// one only if it was seeded with it or reassembled it here — so the
+/// published bytes are the sender's bytes.
+#[derive(Debug, Default)]
+pub struct LiveTransport {
+    bus: LiveBus,
+    /// The published bytes of each file.
+    content: BTreeMap<Uri, Vec<u8>>,
+    /// The digest of each file a receiver reassembled, by (receiver, URI).
+    assembled: BTreeMap<(NodeId, Uri), Digest>,
 }
 
-/// The gateway in a live session: answers searches from a server snapshot
-/// and serves pieces of the files it holds.
+impl LiveTransport {
+    /// A transport on a fresh bus, serving the published `content` of each
+    /// file by URI.
+    pub fn new(content: BTreeMap<Uri, Vec<u8>>) -> Self {
+        LiveTransport {
+            content,
+            ..LiveTransport::default()
+        }
+    }
+
+    /// Snapshot of the bus counters.
+    pub fn stats(&self) -> LiveStats {
+        self.bus.stats()
+    }
+
+    /// Sends `message` and receives it at `receiver`: the decoded value, or
+    /// `None` if the link is closed or the frame did not decode.
+    fn hop(&self, sender: NodeId, receiver: NodeId, message: &WireMessage) -> Option<WireMessage> {
+        if !self.bus.send(sender, receiver, message) {
+            return None;
+        }
+        self.bus.recv(receiver, Duration::ZERO).map(|(_, m)| m)
+    }
+
+    /// Sends the bytes of `uri` as pieces and reassembles them at `receiver`
+    /// against `metadata`: the SHA-1 of the file, or `None` if a piece
+    /// cannot be cut, does not arrive or fails its checksum.
+    fn send_file(
+        &self,
+        sender: NodeId,
+        receiver: NodeId,
+        uri: &Uri,
+        metadata: Option<&Metadata>,
+    ) -> Option<Digest> {
+        let (metadata, bytes) = (metadata?, self.content.get(uri)?);
+        let piece_size = usize::try_from(metadata.piece_size()).ok()?;
+        let mut assembler = FileAssembler::new(metadata.clone());
+        for piece in split_into_pieces(uri, bytes, piece_size) {
+            let WireMessage::Piece(piece) =
+                self.hop(sender, receiver, &WireMessage::Piece(piece))?
+            else {
+                return None;
+            };
+            assembler.add_piece(piece).ok()?;
+        }
+        assembler.assemble().map(|file| sha1(&file))
+    }
+}
+
+impl Transport for LiveTransport {
+    fn join(&mut self, members: &[NodeId]) {
+        for (i, &a) in members.iter().enumerate() {
+            for &b in &members[i + 1..] {
+                self.bus.open(a, b);
+            }
+        }
+    }
+
+    fn carry(&mut self, sender: NodeId, receiver: NodeId, message: WireMessage) -> Carried {
+        let Some(delivered) = self.hop(sender, receiver, &message) else {
+            return Carried::Dropped;
+        };
+        if let WireMessage::FileBroadcast { uri, metadata } = &delivered {
+            let riding = metadata.as_ref().map(|(m, _)| m);
+            let Some(digest) = self.send_file(sender, receiver, uri, riding) else {
+                return Carried::Dropped;
+            };
+            self.assembled.insert((receiver, uri.clone()), digest);
+        }
+        Carried::Delivered(delivered)
+    }
+
+    fn leave(&mut self, members: &[NodeId]) {
+        for (i, &a) in members.iter().enumerate() {
+            for &b in &members[i + 1..] {
+                self.bus.close(a, b);
+            }
+        }
+    }
+}
+
+/// A gateway that answers searches from a server snapshot (`mbt gateway`).
 #[derive(Debug, Clone)]
 pub struct LiveGatewaySpec {
     /// The gateway's identity on the bus.
     pub id: NodeId,
     /// The metadata catalogue it answers searches from.
     pub snapshot: ServerSnapshot,
-    /// Full file contents it can serve pieces of, by URI.
-    pub content: BTreeMap<Uri, Vec<u8>>,
 }
 
-/// A scripted live session: who participates and which contacts happen.
+impl LiveGatewaySpec {
+    /// Answers every search queued for the gateway with its ranked results,
+    /// skips any other frame, then returns.
+    pub fn serve_queued(&self, bus: &LiveBus) {
+        while let Some((from, message)) = bus.recv(self.id, Duration::ZERO) {
+            let WireMessage::Search { query, limit } = message else {
+                continue;
+            };
+            let results = self
+                .snapshot
+                .search(&query, (limit as usize).clamp(1, GATEWAY_SEARCH_LIMIT))
+                .into_iter()
+                .map(|meta| {
+                    let pop = self.snapshot.popularity_of(meta.uri());
+                    (meta, pop)
+                })
+                .collect();
+            bus.send(self.id, from, &WireMessage::SearchResults { results });
+        }
+    }
+}
+
+/// A scripted live session: the nodes, the bytes of the files they serve,
+/// and which contacts happen.
 #[derive(Debug, Clone)]
 pub struct LiveSessionSpec {
-    /// The participating nodes.
-    pub nodes: Vec<LiveNodeSpec>,
-    /// The gateway, if the session has one.
-    pub gateway: Option<LiveGatewaySpec>,
-    /// Contacts in order: each entry's members get pairwise links and greet
-    /// each other, frames flow until none is queued, then the links close
-    /// (the contact ends).
+    /// The participating nodes, all on one protocol and cooperation mode. A
+    /// node seeded with a file (`seed_content(.., true)`) serves it: seeded
+    /// with every file, it is the session's gateway.
+    pub nodes: Vec<MbtNode>,
+    /// The published bytes of every file a node is seeded with, by URI.
+    pub content: BTreeMap<Uri, Vec<u8>>,
+    /// Contacts in order, each a list of distinct node ids: contact `k`
+    /// opens at hour `k` and lasts an hour, and its members run one
+    /// [`run_contact_via`] over the bus.
     pub schedule: Vec<Vec<NodeId>>,
 }
 
 /// What a live session produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LiveReport {
-    /// Per node, the files it fully assembled and their SHA-1 digests.
+    /// Per node, the files it completed from a peer in the session and the
+    /// SHA-1 digests of the bytes it reassembled.
     pub deliveries: BTreeMap<NodeId, BTreeMap<Uri, Digest>>,
     /// Bus counters at session end.
     pub stats: LiveStats,
 }
 
-/// Piece `index` of a file whose bytes are `content`, cut at `piece_size`.
-/// It copies that one chunk, so serving a whole file costs its size, not
-/// its size times its piece count.
-fn piece_of(uri: &Uri, content: &[u8], piece_size: u64, index: u32) -> Option<Piece> {
-    let piece_size = usize::try_from(piece_size).ok()?;
-    let chunk = content.chunks(piece_size).nth(index as usize)?;
-    Some(Piece::new(PieceId::new(uri.clone(), index), chunk.to_vec()))
-}
-
-/// What one node knows.
-#[derive(Default)]
-struct NodeState {
-    id: NodeId,
-    queries: Vec<Query>,
-    metadata: BTreeMap<Uri, Metadata>,
-    content: BTreeMap<Uri, Vec<u8>>,
-    assembling: BTreeMap<Uri, FileAssembler>,
-    deliveries: BTreeMap<Uri, Digest>,
-    /// What each peer asked for in its hello. Kept so a file completed
-    /// *after* the hello is still served — which makes the frame counts a
-    /// function of the spec, not of delivery order.
-    interests: BTreeMap<NodeId, (Vec<Query>, BTreeSet<Uri>)>,
-    sent_meta: BTreeSet<(NodeId, Uri)>,
-}
-
-impl NodeState {
-    fn hello(&self) -> HelloFrame {
-        HelloFrame {
-            sender: self.id,
-            own_queries: self.queries.iter().map(|q| (q.clone(), None)).collect(),
-            foreign_queries: Vec::new(),
-            wanted: self.assembling.keys().cloned().collect(),
-            rejected: BTreeSet::new(),
-            frequent: Arc::default(),
-            credits: Vec::new(),
-        }
-    }
-
-    /// Records what `peer` asked for in its hello and serves every held
-    /// match right away.
-    fn serve_hello(&mut self, bus: &LiveBus, peer: NodeId, hello: HelloFrame) {
-        let queries: Vec<Query> = hello
-            .own_queries
-            .iter()
-            .map(|(q, _)| q.clone())
-            .chain(hello.foreign_queries)
-            .collect();
-        self.interests.insert(peer, (queries, hello.wanted));
-        self.serve_matches(bus, peer);
-    }
-
-    /// Sends `peer` the metadata of every held file matching its recorded
-    /// interest, at most once per (peer, uri).
-    fn serve_matches(&mut self, bus: &LiveBus, peer: NodeId) {
-        let Some((queries, wanted)) = self.interests.get(&peer) else {
-            return;
-        };
-        let mut offers: Vec<Uri> = Vec::new();
-        for (uri, meta) in &self.metadata {
-            if !self.content.contains_key(uri) {
-                continue;
-            }
-            let queried = queries
-                .iter()
-                .any(|q| q.matches_token_set(meta.token_set()));
-            if queried || wanted.contains(uri) {
-                offers.push(uri.clone());
-            }
-        }
-        for uri in offers {
-            if !self.sent_meta.insert((peer, uri.clone())) {
-                continue;
-            }
-            let metadata = self.metadata[&uri].clone();
-            bus.send(
-                self.id,
-                peer,
-                &WireMessage::Metadata {
-                    metadata,
-                    popularity: Popularity::MIN,
-                },
-            );
-        }
-    }
-
-    /// Considers a received metadata: store it, and if it matches one of our
-    /// queries and we lack the file, start assembling by requesting every
-    /// missing piece from `from`.
-    fn consider(&mut self, bus: &LiveBus, from: NodeId, metadata: Metadata) {
-        let uri = metadata.uri().clone();
-        self.metadata
-            .entry(uri.clone())
-            .or_insert_with(|| metadata.clone());
-        let wanted = self
-            .queries
-            .iter()
-            .any(|q| q.matches_token_set(metadata.token_set()));
-        if !wanted || self.content.contains_key(&uri) || self.assembling.contains_key(&uri) {
-            return;
-        }
-        let assembler = FileAssembler::new(metadata);
-        for index in assembler.missing() {
-            bus.send(
-                self.id,
-                from,
-                &WireMessage::PieceRequest {
-                    uri: uri.clone(),
-                    index,
-                },
-            );
-        }
-        self.assembling.insert(uri, assembler);
-    }
-
-    fn handle(&mut self, bus: &LiveBus, from: NodeId, message: WireMessage) {
-        match message {
-            WireMessage::Hello(hello) => self.serve_hello(bus, from, hello),
-            WireMessage::Metadata { metadata, .. } => self.consider(bus, from, metadata),
-            WireMessage::SearchResults { results } => {
-                for (metadata, _) in results {
-                    self.consider(bus, from, metadata);
-                }
-            }
-            WireMessage::PieceRequest { uri, index } => {
-                let piece = self.metadata.get(&uri).and_then(|meta| {
-                    piece_of(&uri, self.content.get(&uri)?, meta.piece_size(), index)
-                });
-                if let Some(piece) = piece {
-                    bus.send(self.id, from, &WireMessage::Piece(piece));
-                }
-            }
-            WireMessage::Piece(piece) => {
-                let uri = piece.id().uri().clone();
-                let Some(assembler) = self.assembling.get_mut(&uri) else {
-                    return;
-                };
-                if assembler.add_piece(piece).is_ok() && assembler.is_complete() {
-                    let bytes = assembler.assemble().expect("complete file assembles");
-                    self.deliveries.insert(uri.clone(), sha1(&bytes));
-                    self.content.insert(uri.clone(), bytes);
-                    self.assembling.remove(&uri);
-                    // A freshly completed file may satisfy an interest a
-                    // peer declared before we held it.
-                    let peers: Vec<NodeId> = self.interests.keys().copied().collect();
-                    for peer in peers {
-                        self.serve_matches(bus, peer);
-                    }
-                }
-            }
-            // Nodes neither answer searches nor act on the trace-driven
-            // broadcast kinds.
-            WireMessage::Search { .. }
-            | WireMessage::QueryShare { .. }
-            | WireMessage::FileBroadcast { .. } => {}
-        }
-    }
-}
-
-impl LiveGatewaySpec {
-    /// Answers every frame queued for the gateway, then returns. A session
-    /// interleaves the gateway with its nodes; `mbt gateway` sends one probe
-    /// search and calls this instead.
-    pub fn serve_queued(&self, bus: &LiveBus) {
-        while let Some((from, message)) = bus.recv(self.id, Duration::ZERO) {
-            self.handle(bus, from, message);
-        }
-    }
-
-    fn results(&self, query: &Query, limit: usize) -> WireMessage {
-        let results = self
-            .snapshot
-            .search(query, limit.clamp(1, GATEWAY_SEARCH_LIMIT))
-            .into_iter()
-            .map(|meta| {
-                let pop = self.snapshot.popularity_of(meta.uri());
-                (meta, pop)
-            })
-            .collect();
-        WireMessage::SearchResults { results }
-    }
-
-    /// Answers hellos and searches from the snapshot and serves pieces of
-    /// the files the gateway holds.
-    fn handle(&self, bus: &LiveBus, from: NodeId, message: WireMessage) {
-        let id = self.id;
-        match message {
-            WireMessage::Hello(hello) => {
-                for (query, _) in hello.own_queries.iter() {
-                    bus.send(id, from, &self.results(query, GATEWAY_SEARCH_LIMIT));
-                }
-                for uri in &hello.wanted {
-                    if let Some(metadata) = self.snapshot.metadata_of(uri) {
-                        let popularity = self.snapshot.popularity_of(uri);
-                        bus.send(
-                            id,
-                            from,
-                            &WireMessage::Metadata {
-                                metadata,
-                                popularity,
-                            },
-                        );
-                    }
-                }
-            }
-            WireMessage::Search { query, limit } => {
-                bus.send(id, from, &self.results(&query, limit as usize));
-            }
-            WireMessage::PieceRequest { uri, index } => {
-                let piece = self.snapshot.metadata_of(&uri).and_then(|meta| {
-                    piece_of(&uri, self.content.get(&uri)?, meta.piece_size(), index)
-                });
-                if let Some(piece) = piece {
-                    bus.send(id, from, &WireMessage::Piece(piece));
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Runs a scripted live session to completion and reports what each node
-/// delivered.
+/// delivered. Every step is a function of the spec, so two runs of one spec
+/// give the same report.
 ///
-/// Each contact in the schedule opens pairwise links among its members, and
-/// every member node greets every peer it is linked to — on every contact,
-/// so a pair that meets again re-announces its queries and wanted files and
-/// the gateway answers those queries again. Then every queued
-/// frame goes to its receiver's handler — lowest receiver first, then lowest
-/// sender, FIFO — until none is queued for any handler, and the links close.
-/// The report is a function of the spec alone: every send in the node
-/// protocol is deduplicated per (peer, item) and every hello is sent before
-/// any frame is handled, so no delivery order changes a delivery, a digest
-/// or a frame count.
+/// # Panics
+///
+/// Panics if the schedule names a node not in `nodes` or one twice in a
+/// contact, or if a contact mixes protocols (see [`run_contact_via`]).
 pub fn run_live_session(spec: LiveSessionSpec) -> LiveReport {
-    run_session(spec, |_| 0)
-}
-
-/// [`run_live_session`], with `pick` choosing which of the receivers that
-/// have a frame queued (ascending) handles its next one.
-fn run_session(spec: LiveSessionSpec, mut pick: impl FnMut(&[NodeId]) -> usize) -> LiveReport {
-    let bus = LiveBus::new();
-    let mut nodes: BTreeMap<NodeId, NodeState> = spec
-        .nodes
-        .into_iter()
+    let LiveSessionSpec {
+        mut nodes,
+        content,
+        schedule,
+    } = spec;
+    let mut transport = LiveTransport::new(content);
+    run_schedule(&mut transport, &mut nodes, &schedule);
+    let deliveries = nodes
+        .iter_mut()
         .map(|node| {
-            let state = NodeState {
-                id: node.id,
-                queries: node.queries,
-                ..NodeState::default()
-            };
-            (node.id, state)
+            let id = node.id();
+            let files = node
+                .drain_events()
+                .into_iter()
+                .filter_map(|event| match event {
+                    NodeEvent::FileCompleted {
+                        uri,
+                        from: Source::Peer(_),
+                    } => {
+                        let digest = transport.assembled[&(id, uri.clone())];
+                        Some((uri, digest))
+                    }
+                    _ => None,
+                })
+                .collect();
+            (id, files)
         })
         .collect();
-    let gateway = spec.gateway;
-    let handlers: BTreeSet<NodeId> = nodes
-        .keys()
-        .copied()
-        .chain(gateway.as_ref().map(|g| g.id))
-        .collect();
-
-    for members in &spec.schedule {
-        let links: BTreeSet<(NodeId, NodeId)> = members
-            .iter()
-            .flat_map(|&a| members.iter().map(move |&b| (a, b)))
-            .filter(|(a, b)| a < b)
-            .collect();
-        for &(a, b) in &links {
-            bus.open(a, b);
-        }
-        for &(a, b) in &links {
-            for (me, peer) in [(a, b), (b, a)] {
-                if let Some(node) = nodes.get(&me) {
-                    bus.send(me, peer, &WireMessage::Hello(node.hello()));
-                }
-            }
-        }
-        loop {
-            let mut ready = bus.receivers();
-            ready.retain(|id| handlers.contains(id));
-            if ready.is_empty() {
-                break;
-            }
-            let to = ready[pick(&ready)];
-            let Some((from, message)) = bus.recv(to, Duration::ZERO) else {
-                continue;
-            };
-            if let Some(node) = nodes.get_mut(&to) {
-                node.handle(&bus, from, message);
-            } else if let Some(gateway) = &gateway {
-                gateway.handle(&bus, from, message);
-            }
-        }
-        for &(a, b) in &links {
-            bus.close(a, b);
-        }
-    }
-
     LiveReport {
-        deliveries: nodes
-            .into_iter()
-            .map(|(id, node)| (id, node.deliveries))
-            .collect(),
-        stats: bus.stats(),
+        deliveries,
+        stats: transport.stats(),
+    }
+}
+
+/// Runs each scheduled contact through [`run_contact_via`] over `transport`.
+fn run_schedule(transport: &mut dyn Transport, nodes: &mut [MbtNode], schedule: &[Vec<NodeId>]) {
+    let index: BTreeMap<NodeId, usize> = nodes
+        .iter()
+        .enumerate()
+        .map(|(i, node)| (node.id(), i))
+        .collect();
+    let mut scratch = ContactScratch::default();
+    for (k, contact) in schedule.iter().enumerate() {
+        let members: Vec<usize> = contact.iter().map(|id| index[id]).collect();
+        let now = SimTime::from_secs(k as u64 * CONTACT.as_secs());
+        run_contact_via(transport, nodes, &members, now, CONTACT, None, &mut scratch);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::MetadataServer;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use crate::config::MbtConfig;
+    use crate::popularity::Popularity;
+    use crate::protocol::ProtocolSpec;
+    use crate::query::Query;
+    use crate::transport::SimTransport;
+    use dtn_sim::FaultPlan;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -564,13 +435,13 @@ mod tests {
         let bus = LiveBus::new();
         bus.open(n(2), n(5));
         bus.open(n(1), n(5));
-        let from_two = WireMessage::PieceRequest {
+        let from_two = WireMessage::FileBroadcast {
             uri: Uri::new("mbt://a").unwrap(),
-            index: 0,
+            metadata: None,
         };
-        let from_one = WireMessage::PieceRequest {
+        let from_one = WireMessage::FileBroadcast {
             uri: Uri::new("mbt://b").unwrap(),
-            index: 1,
+            metadata: None,
         };
         bus.send(n(2), n(5), &from_two);
         bus.send(n(1), n(5), &from_one);
@@ -578,100 +449,128 @@ mod tests {
         assert_eq!(bus.recv(n(5), Duration::ZERO), Some((n(2), from_two)));
     }
 
-    #[test]
-    fn a_piece_is_one_chunk_of_the_file() {
-        let uri = Uri::new("mbt://x").unwrap();
-        let content: Vec<u8> = (0..600u32).map(|i| i as u8).collect();
-        let last = piece_of(&uri, &content, 256, 2).unwrap();
-        assert_eq!(*last.id(), PieceId::new(uri.clone(), 2));
-        assert_eq!(last.data(), &content[512..]);
-        assert_eq!(
-            piece_of(&uri, &content, 256, 0).unwrap().data(),
-            &content[..256]
-        );
-        assert_eq!(piece_of(&uri, &content, 256, 3), None);
-    }
-
-    /// Three nodes and a gateway holding one 1 536-byte file per name, in
-    /// 256-byte pieces; every node asks every query. Node 0 meets the
-    /// gateway, then the three nodes meet.
-    fn session(names: &[&str], queries: &[&str], gateway: u32) -> LiveSessionSpec {
-        let mut server = MetadataServer::new(1);
+    /// Two 1 536-byte files in 256-byte pieces held by gateway 100; nodes 0,
+    /// 1 and 2 query one each and nodes 1 and 2 are each other's frequent
+    /// contacts. Node 0 meets the gateway, the three nodes meet, node 2
+    /// meets the gateway and then node 1.
+    fn session(protocol: ProtocolSpec, faults: FaultPlan) -> LiveSessionSpec {
+        let config = MbtConfig::new().faults(faults);
+        let mut gateway = MbtNode::new(n(100), protocol, config.clone());
         let mut content = BTreeMap::new();
-        for (i, name) in names.iter().enumerate() {
+        for (i, name) in ["fox evening news", "abc morning show"].iter().enumerate() {
             let uri = Uri::new(format!("mbt://live/{i}")).unwrap();
             let bytes: Vec<u8> = (0..1536).map(|b| (b * (i + 1) % 251) as u8).collect();
             let metadata = Metadata::builder(*name, "FOX", uri.clone())
                 .content(&bytes, 256)
                 .build();
-            server.publish(metadata, Popularity::new(0.8));
+            gateway.seed_content(metadata, Popularity::new(0.8 - 0.2 * i as f64), true);
             content.insert(uri, bytes);
         }
-        let queries: Vec<Query> = queries.iter().map(|q| Query::new(*q).unwrap()).collect();
+        let mut nodes: Vec<MbtNode> = (0..3)
+            .map(|i| MbtNode::new(n(i), protocol, config.clone()))
+            .collect();
+        for (node, query) in nodes
+            .iter_mut()
+            .zip(["evening news", "morning show", "news"])
+        {
+            node.add_query(Query::new(query).unwrap(), None);
+        }
+        nodes[1].set_frequent_contacts([n(2)]);
+        nodes[2].set_frequent_contacts([n(1)]);
+        nodes.push(gateway);
         LiveSessionSpec {
-            nodes: (0..3)
-                .map(|i| LiveNodeSpec {
-                    id: n(i),
-                    queries: queries.clone(),
-                })
-                .collect(),
-            gateway: Some(LiveGatewaySpec {
-                id: n(gateway),
-                snapshot: server.snapshot(),
-                content,
-            }),
-            schedule: vec![vec![n(0), n(gateway)], vec![n(0), n(1), n(2)]],
+            nodes,
+            content,
+            schedule: vec![
+                vec![n(0), n(100)],
+                vec![n(0), n(1), n(2)],
+                vec![n(2), n(100)],
+                vec![n(1), n(2)],
+            ],
+        }
+    }
+
+    /// A live session's nodes go through exactly what the simulator's do —
+    /// for every built-in protocol, with and without a fault plan — and what
+    /// they completed arrived as the published bytes.
+    #[test]
+    fn a_live_session_is_the_simulators_contacts() {
+        let faulty = FaultPlan::none()
+            .loss(0.2)
+            .truncate(0.2)
+            .corruption(0.2)
+            .seed(7);
+        for protocol in ProtocolSpec::builtin() {
+            for faults in [FaultPlan::none(), faulty] {
+                let spec = session(protocol, faults);
+                let mut live_nodes = spec.nodes.clone();
+                let mut sim_nodes = spec.nodes.clone();
+                let mut live = LiveTransport::new(spec.content.clone());
+                run_schedule(&mut live, &mut live_nodes, &spec.schedule);
+                run_schedule(&mut SimTransport::new(), &mut sim_nodes, &spec.schedule);
+                let events = |nodes: &mut [MbtNode]| -> Vec<Vec<NodeEvent>> {
+                    nodes.iter_mut().map(MbtNode::drain_events).collect()
+                };
+                let name = protocol.name();
+                assert_eq!(
+                    events(&mut live_nodes),
+                    events(&mut sim_nodes),
+                    "{name} under {faults:?}"
+                );
+                assert_eq!(live.stats().frames_dropped, 0, "{name}");
+
+                let report = run_live_session(spec.clone());
+                let delivered: usize = report.deliveries.values().map(BTreeMap::len).sum();
+                if faults.is_noop() {
+                    assert!(delivered > 0, "{name} delivered nothing");
+                }
+                for files in report.deliveries.values() {
+                    for (uri, digest) in files {
+                        assert_eq!(*digest, sha1(&spec.content[uri]), "{name}: {uri}");
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn any_delivery_order_gives_the_same_report() {
-        let soak = || session(&["fox evening news"], &["evening news"], 100);
-        // Node 0 meets the gateway twice: it greets again, and the gateway
-        // answers its query again, before the three nodes meet.
-        let mut repeat = soak();
-        repeat.schedule.insert(0, vec![n(0), n(100)]);
-        let shapes = [
-            // `tests/transport_soak.rs`: one file, one query.
-            (soak(), 1, [7, 1, 6, 18, 18]),
-            (repeat, 1, [8, 2, 6, 18, 18]),
-            // `mbt node`'s default: two files, a query for each.
-            (
-                session(
-                    &["live news feed0", "live news feed1"],
-                    &["news feed0", "news feed1"],
-                    103,
-                ),
-                2,
-                [7, 2, 12, 36, 36],
-            ),
-        ];
-        for (spec, files, frames) in shapes {
-            let fixed = run_live_session(spec.clone());
-            assert_eq!(fixed.stats.frames_dropped, 0);
-            assert!(fixed.deliveries.values().all(|d| d.len() == files));
-            let kinds = [
-                "hello",
-                "search-results",
-                "metadata",
-                "piece-request",
-                "piece",
-            ];
-            assert_eq!(
-                fixed.stats.frames_by_kind,
-                kinds.into_iter().zip(frames).collect::<BTreeMap<_, _>>()
-            );
-            let mut reordered = 0;
-            for seed in 0..64 {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let report = run_session(spec.clone(), |ready| {
-                    let i = rng.gen_range(0..ready.len());
-                    reordered += usize::from(i != 0);
-                    i
-                });
-                assert_eq!(report, fixed, "seed {seed} changed the report");
-            }
-            assert!(reordered > 0, "no seed reordered delivery");
+    fn a_broadcast_without_checkable_pieces_is_dropped() {
+        let uri = Uri::new("mbt://x").unwrap();
+        let bytes = vec![7u8; 600];
+        let metadata = Metadata::builder("x", "FOX", uri.clone())
+            .content(&bytes, 256)
+            .build();
+        let broadcast = |riding: Option<Metadata>| WireMessage::FileBroadcast {
+            uri: uri.clone(),
+            metadata: riding.map(|m| (m, Popularity::MIN)),
+        };
+        let mut tampered = bytes.clone();
+        tampered[300] ^= 1;
+        // Piece 1 of the tampered bytes fails its checksum: nothing after it
+        // is sent. Without bytes or riding metadata no piece is cut.
+        for (content, riding, pieces_sent) in [
+            (Some(tampered), Some(metadata.clone()), Some(&2)),
+            (None, Some(metadata.clone()), None),
+            (Some(bytes.clone()), None, None),
+        ] {
+            let content = content.map(|c| (uri.clone(), c)).into_iter().collect();
+            let mut live = LiveTransport::new(content);
+            live.join(&[n(0), n(1)]);
+            assert_eq!(live.carry(n(0), n(1), broadcast(riding)), Carried::Dropped);
+            assert!(live.assembled.is_empty());
+            assert_eq!(live.stats().frames_by_kind.get("piece"), pieces_sent);
         }
+        let mut live = LiveTransport::new(BTreeMap::from([(uri.clone(), bytes.clone())]));
+        live.join(&[n(0), n(1)]);
+        let sent = broadcast(Some(metadata));
+        assert_eq!(
+            live.carry(n(0), n(1), sent.clone()),
+            Carried::Delivered(sent)
+        );
+        assert_eq!(live.assembled[&(n(1), uri.clone())], sha1(&bytes));
+        assert_eq!(live.stats().frames_by_kind["piece"], 3);
+        live.leave(&[n(0), n(1)]);
+        assert_eq!(live.carry(n(0), n(1), broadcast(None)), Carried::Dropped);
+        assert_eq!(live.stats().frames_dropped, 1);
     }
 }

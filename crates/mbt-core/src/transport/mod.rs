@@ -3,7 +3,7 @@
 //! The paper's contact behaviour — hello exchange, query/metadata
 //! distribution, file broadcasts (§III–V) — is a message flow. This module
 //! makes that flow explicit: every message is a [`WireMessage`], every
-//! transfer goes through a [`Transport`], and two backends interpret the
+//! transfer goes through a [`Transport`], and three backends interpret the
 //! same flow differently:
 //!
 //! * [`SimTransport`] — the simulator path. Carrying a message is an
@@ -19,17 +19,20 @@
 //!   it allocates only when a field differs and the frame is decoded in
 //!   full. The differential suite (`tests/transport_equivalence.rs`) pins
 //!   this backend byte-identical to [`SimTransport`].
-//! * [`live`] — a session runtime on the same frame codec (the `mbt node` /
-//!   `mbt gateway` CLI modes): nodes and a
-//!   [`ServerSnapshot`](crate::server::ServerSnapshot)-backed gateway are
-//!   frame handlers, and one thread pumps each contact's queued frames to
-//!   their receivers until none is left.
+//! * [`LiveTransport`] — the [`live`] runtime (the `mbt node` CLI mode):
+//!   every carry sends the message's frame over a
+//!   [`LiveBus`](live::LiveBus) link and delivers what the receiver decodes,
+//!   and a file broadcast also sends the file's bytes as piece frames that
+//!   the receiver reassembles against the riding metadata's checksums. A
+//!   live session is a schedule of
+//!   [`run_contact_via`](crate::node::run_contact_via) contacts over it, so
+//!   its nodes are the simulator's `MbtNode`s.
 //!
 //! The frame format (64-byte versioned header, length-prefixed checksummed
 //! payload) deliberately matches `dtn_sim::channel::frame_bytes`'s 64-byte
 //! overhead model, so the simulator's byte accounting describes real frames.
 
-use dtn_trace::{NodeId, SimTime};
+use dtn_trace::NodeId;
 
 pub mod frame;
 pub mod live;
@@ -42,6 +45,7 @@ pub use frame::{
     decode_frame, encode_frame, Frame, FrameError, FrameKind, HelloFrame, WireMessage,
     FRAME_HEADER_BYTES, FRAME_MAGIC, FRAME_VERSION,
 };
+pub use live::LiveTransport;
 pub use sim::SimTransport;
 
 /// The outcome of carrying one message.
@@ -66,19 +70,13 @@ pub enum Carried {
 /// be deterministic: the same call sequence must produce the same outcomes.
 pub trait Transport {
     /// A contact among `members` has started; open their links.
-    fn join(&mut self, now: SimTime, members: &[NodeId]);
+    fn join(&mut self, members: &[NodeId]);
 
     /// Carries one message from `sender` to `receiver`.
-    fn carry(
-        &mut self,
-        now: SimTime,
-        sender: NodeId,
-        receiver: NodeId,
-        message: WireMessage,
-    ) -> Carried;
+    fn carry(&mut self, sender: NodeId, receiver: NodeId, message: WireMessage) -> Carried;
 
     /// The contact among `members` has ended; close their links.
-    fn leave(&mut self, now: SimTime, members: &[NodeId]);
+    fn leave(&mut self, members: &[NodeId]);
 }
 
 /// Which [`Transport`] backend a simulation run uses.

@@ -1,6 +1,6 @@
 //! The simulator backend: carrying a message is an in-process move.
 
-use dtn_trace::{NodeId, SimTime};
+use dtn_trace::NodeId;
 
 use super::{Carried, Transport, WireMessage};
 
@@ -22,40 +22,31 @@ impl SimTransport {
 }
 
 impl Transport for SimTransport {
-    fn join(&mut self, _now: SimTime, _members: &[NodeId]) {}
+    fn join(&mut self, _members: &[NodeId]) {}
 
-    fn carry(
-        &mut self,
-        _now: SimTime,
-        _sender: NodeId,
-        _receiver: NodeId,
-        message: WireMessage,
-    ) -> Carried {
+    fn carry(&mut self, _sender: NodeId, _receiver: NodeId, message: WireMessage) -> Carried {
         Carried::Delivered(message)
     }
 
-    fn leave(&mut self, _now: SimTime, _members: &[NodeId]) {}
+    fn leave(&mut self, _members: &[NodeId]) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::uri::Uri;
+    use crate::query::Query;
 
     #[test]
     fn sim_transport_is_identity() {
         let mut t = SimTransport::new();
         let a = NodeId::new(0);
         let b = NodeId::new(1);
-        t.join(SimTime::ZERO, &[a, b]);
-        let msg = WireMessage::PieceRequest {
-            uri: Uri::new("mbt://a").unwrap(),
-            index: 3,
+        t.join(&[a, b]);
+        let msg = WireMessage::Search {
+            query: Query::new("fox news").unwrap(),
+            limit: 3,
         };
-        assert_eq!(
-            t.carry(SimTime::ZERO, a, b, msg.clone()),
-            Carried::Delivered(msg)
-        );
-        t.leave(SimTime::ZERO, &[a, b]);
+        assert_eq!(t.carry(a, b, msg.clone()), Carried::Delivered(msg));
+        t.leave(&[a, b]);
     }
 }

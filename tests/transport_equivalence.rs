@@ -1,4 +1,5 @@
-//! Differential suite: `BusTransport` is byte-identical to `SimTransport`.
+//! Differential suite: `BusTransport` is byte-identical to `SimTransport`,
+//! and a `LiveTransport` contact leaves the same report and node events.
 //!
 //! The transport seam's contract is that serializing every contact-phase
 //! message into its wire frame and decoding it on the far side changes
@@ -8,6 +9,7 @@
 //! traces through both backends and compare bytes, and pin the exact frame
 //! emission order of a contact so reordering regressions surface here.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dtn_sim::telemetry::Counters;
@@ -16,7 +18,7 @@ use dtn_trace::generators::DieselNetConfig;
 use dtn_trace::{NodeId, SimDuration, SimTime, TraceSource};
 use mbt_core::node::{run_contact, run_contact_via, ContactReport, ContactScratch};
 use mbt_core::transport::{
-    BusTransport, Carried, SimTransport, Transport, TransportKind, WireMessage,
+    BusTransport, Carried, LiveTransport, SimTransport, Transport, TransportKind, WireMessage,
 };
 use mbt_core::{
     CooperationMode, MbtConfig, MbtNode, Metadata, MetadataServer, Popularity, ProtocolSpec, Query,
@@ -175,11 +177,16 @@ fn run_clique_via(transport: &mut dyn Transport, nodes: &mut [MbtNode]) -> Conta
 fn direct_contact_matches_across_backends_and_bus_carries_frames() {
     let mut via_sim = seeded_clique();
     let mut via_bus = seeded_clique();
+    let mut via_live = seeded_clique();
     let mut plain = seeded_clique();
 
     let sim_report = run_clique_via(&mut SimTransport::new(), &mut via_sim);
     let mut bus = BusTransport::new();
     let bus_report = run_clique_via(&mut bus, &mut via_bus);
+    // The clique's records declare no content, so the one file node 0 holds
+    // is published as zero bytes: its broadcast is one frame and no pieces.
+    let mut live = LiveTransport::new(BTreeMap::from([(uri("mbt://news"), Vec::new())]));
+    let live_report = run_clique_via(&mut live, &mut via_live);
     let plain_report = run_contact(
         &mut plain,
         &[0, 1, 2, 3],
@@ -195,16 +202,33 @@ fn direct_contact_matches_across_backends_and_bus_carries_frames() {
     );
     assert_eq!(bus.frames_dropped(), 0);
     assert!(bus.bytes_on_wire() > 0);
+    assert_eq!(sim_report, live_report, "live backend changed the report");
+    let live_frames = live.stats();
+    assert_eq!(live_frames.frames_dropped, 0);
+    assert_eq!(
+        live_frames.frames_by_kind.values().sum::<u64>(),
+        bus.frames_carried(),
+        "the live bus carried other frames than the bus backend"
+    );
 
     // Node state (not just counters) must agree: same events in the same
     // order, same stores.
-    for ((s, b), p) in via_sim.iter_mut().zip(&mut via_bus).zip(&mut plain) {
+    for (((s, b), l), p) in via_sim
+        .iter_mut()
+        .zip(&mut via_bus)
+        .zip(&mut via_live)
+        .zip(&mut plain)
+    {
         let se = s.drain_events();
         assert_eq!(se, b.drain_events(), "bus produced different node events");
+        assert_eq!(se, l.drain_events(), "live produced different node events");
         assert_eq!(se, p.drain_events(), "seam produced different node events");
         assert_eq!(s.metadata_count(), b.metadata_count());
         assert_eq!(s.file_count(), b.file_count());
         assert_eq!(s.query_count(), b.query_count());
+        assert_eq!(s.metadata_count(), l.metadata_count());
+        assert_eq!(s.file_count(), l.file_count());
+        assert_eq!(s.query_count(), l.query_count());
     }
     assert!(
         sim_report.metadata_broadcasts > 0 && sim_report.file_broadcasts > 0,
@@ -239,17 +263,11 @@ struct RecordingTransport {
 }
 
 impl Transport for RecordingTransport {
-    fn join(&mut self, now: SimTime, members: &[NodeId]) {
-        self.inner.join(now, members);
+    fn join(&mut self, members: &[NodeId]) {
+        self.inner.join(members);
     }
 
-    fn carry(
-        &mut self,
-        now: SimTime,
-        sender: NodeId,
-        receiver: NodeId,
-        message: WireMessage,
-    ) -> Carried {
+    fn carry(&mut self, sender: NodeId, receiver: NodeId, message: WireMessage) -> Carried {
         let item = match &message {
             WireMessage::Hello(h) => format!("hello({})", h.sender.index()),
             WireMessage::QueryShare { query, .. } => format!("query-share({})", query.text()),
@@ -263,11 +281,11 @@ impl Transport for RecordingTransport {
         };
         self.log
             .push(format!("{}->{} {item}", sender.index(), receiver.index()));
-        self.inner.carry(now, sender, receiver, message)
+        self.inner.carry(sender, receiver, message)
     }
 
-    fn leave(&mut self, now: SimTime, members: &[NodeId]) {
-        self.inner.leave(now, members);
+    fn leave(&mut self, members: &[NodeId]) {
+        self.inner.leave(members);
     }
 }
 

@@ -1,25 +1,23 @@
 //! Soak: live nodes on the frame bus deliver a real file.
 //!
-//! Three nodes and a `ServerSnapshot`-backed gateway exchange frames over
-//! [`LiveBus`], with a synthetic 2-contact schedule playing the role of a
-//! contact trace: first one node meets the gateway and pulls the file it
-//! queried (search → metadata → piece requests → pieces), then the three
-//! nodes meet and the holder serves the other two peer-to-peer. Every
-//! message crosses the wire as an encoded frame, every piece is checksum
-//! verified by the assembler, and the reassembled bytes must hash to the
-//! published content's digest — the same digest the simulator's stores are
-//! keyed on. Each contact runs until no frame is left to deliver, so no
-//! frame is dropped and the frame counts are exact; two executions of the
-//! same spec must produce identical reports.
+//! Three MBT nodes and a gateway node seeded with the file exchange frames
+//! over a `LiveBus`, with a synthetic 2-contact schedule playing the role of
+//! a contact trace: first one node meets the gateway and receives the file
+//! it queried (hello → metadata broadcast → file broadcast and its pieces),
+//! then the three nodes meet and the new holder broadcasts it to the other
+//! two. Every message crosses the wire as an encoded frame, every piece is
+//! checksum verified by the assembler, and the reassembled bytes must hash
+//! to the published content's digest — the same digest the simulator's
+//! stores are keyed on. Each contact is the simulator's, so no frame is
+//! dropped and the frame counts are exact; two executions of the same spec
+//! must produce identical reports.
 
 use std::collections::BTreeMap;
 
 use dtn_trace::NodeId;
 use mbt_core::checksum::sha1;
-use mbt_core::transport::live::{
-    run_live_session, LiveGatewaySpec, LiveNodeSpec, LiveReport, LiveSessionSpec,
-};
-use mbt_core::{Metadata, MetadataServer, Popularity, Query, Uri};
+use mbt_core::transport::live::{run_live_session, LiveReport, LiveSessionSpec};
+use mbt_core::{MbtConfig, MbtNode, Metadata, Popularity, ProtocolSpec, Query, Uri};
 
 const PIECE_SIZE: u64 = 256;
 const FILE_BYTES: usize = 1536; // 6 pieces of 256 bytes
@@ -39,27 +37,25 @@ fn session_spec() -> LiveSessionSpec {
         .build();
     assert_eq!(metadata.piece_count(), 6, "fixture drifted");
 
-    let mut server = MetadataServer::new(1);
-    server.publish(metadata, Popularity::new(0.8));
-
-    let gateway_id = NodeId::new(100);
+    let node = |i: u32| MbtNode::new(NodeId::new(i), ProtocolSpec::MBT, MbtConfig::new());
+    let mut gateway = node(100);
+    gateway.seed_content(metadata, Popularity::new(0.8), true);
     let query = Query::new("evening news").unwrap();
+    let mut nodes: Vec<MbtNode> = (0..3)
+        .map(|i| {
+            let mut n = node(i);
+            n.add_query(query.clone(), None);
+            n
+        })
+        .collect();
+    nodes.push(gateway);
     LiveSessionSpec {
-        nodes: (0..3)
-            .map(|i| LiveNodeSpec {
-                id: NodeId::new(i),
-                queries: vec![query.clone()],
-            })
-            .collect(),
-        gateway: Some(LiveGatewaySpec {
-            id: gateway_id,
-            snapshot: server.snapshot(),
-            content: BTreeMap::from([(file_uri(), content)]),
-        }),
+        nodes,
+        content: BTreeMap::from([(file_uri(), content)]),
         // Contact 1: node 0 meets the gateway. Contact 2: the three nodes
-        // meet and node 0 (now a holder) serves nodes 1 and 2.
+        // meet and node 0 (now a holder) broadcasts to nodes 1 and 2.
         schedule: vec![
-            vec![NodeId::new(0), gateway_id],
+            vec![NodeId::new(0), NodeId::new(100)],
             vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)],
         ],
     }
@@ -87,14 +83,18 @@ fn three_nodes_and_a_gateway_deliver_a_full_file() {
     let report = run_live_session(session_spec());
     assert_full_delivery(&report);
 
-    // The session exercised the full message flow on the wire.
+    // The session exercised the full message flow on the wire: one file
+    // broadcast from the gateway to node 0 and one from node 0 to each of
+    // nodes 1 and 2, each followed by the file's 6 pieces. Nobody requests
+    // a piece or searches.
     let frames = &report.stats.frames_by_kind;
     assert!(frames.get("hello").copied().unwrap_or(0) > 0);
-    assert!(frames.get("search-results").copied().unwrap_or(0) > 0);
     assert!(frames.get("metadata").copied().unwrap_or(0) > 0);
-    // 6 pieces to node 0 from the gateway, 6 to each of nodes 1 and 2.
-    assert_eq!(frames.get("piece-request").copied().unwrap_or(0), 18);
-    assert_eq!(frames.get("piece").copied().unwrap_or(0), 18);
+    assert_eq!(frames.get("file-broadcast").copied(), Some(3));
+    assert_eq!(frames.get("piece").copied(), Some(18));
+    for kind in ["piece-request", "search-results"] {
+        assert!(!frames.contains_key(kind), "{kind} on the wire: {frames:?}");
+    }
     assert!(report.stats.bytes_on_wire > FILE_BYTES as u64 * 3);
     assert_eq!(report.stats.frames_dropped, 0);
 }
