@@ -200,7 +200,7 @@ impl CommunityConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::TraceStats;
+    use crate::aggregate::AggregateGraph;
     use proptest::prelude::*;
 
     impl CommunityConfig {
@@ -313,11 +313,11 @@ mod tests {
     fn home_community_members_meet_often() {
         let cfg = CommunityConfig::new(40, 10).seed(2).communities(4);
         let t = cfg.generate();
-        let stats = TraceStats::compute(&t);
+        let graph = AggregateGraph::from_trace(&t);
         // Nodes 4 and 8 share home community 0 (n % 4); nodes 5 and 6 do not.
         // (Use non-travelers: with 20% travelers, nodes 0..8 are travelers.)
-        let same = stats.pair_contact_count(NodeId::new(12), NodeId::new(16));
-        let diff = stats.pair_contact_count(NodeId::new(13), NodeId::new(16));
+        let same = graph.meeting_count(NodeId::new(12), NodeId::new(16));
+        let diff = graph.meeting_count(NodeId::new(13), NodeId::new(16));
         assert!(same > diff, "same-community {same} vs cross {diff}");
     }
 
@@ -329,10 +329,10 @@ mod tests {
             .traveler_fraction(0.0)
             .attendance(1.0);
         let t = cfg.generate();
-        let stats = TraceStats::compute(&t);
+        let graph = AggregateGraph::from_trace(&t);
         // Any cross-community pair never meets.
-        assert_eq!(stats.pair_contact_count(NodeId::new(0), NodeId::new(1)), 0);
-        assert!(stats.pair_contact_count(NodeId::new(0), NodeId::new(4)) > 0);
+        assert_eq!(graph.meeting_count(NodeId::new(0), NodeId::new(1)), 0);
+        assert!(graph.meeting_count(NodeId::new(0), NodeId::new(4)) > 0);
     }
 
     #[test]
@@ -344,9 +344,9 @@ mod tests {
             .travel_probability(0.5)
             .attendance(1.0);
         let t = cfg.generate();
-        let stats = TraceStats::compute(&t);
+        let graph = AggregateGraph::from_trace(&t);
         // Node 0 (traveler, home 0) should eventually meet node 1 (home 1).
-        assert!(stats.pair_contact_count(NodeId::new(0), NodeId::new(1)) > 0);
+        assert!(graph.meeting_count(NodeId::new(0), NodeId::new(1)) > 0);
     }
 
     #[test]

@@ -306,8 +306,9 @@ pub(crate) fn sample_exponential<R: Rng>(rng: &mut R, mean: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::AggregateGraph;
     use crate::contact::ContactKind;
-    use crate::stats::TraceStats;
+    use crate::stats::{FrequentScan, TraceStats};
     use proptest::prelude::*;
 
     impl DieselNetConfig {
@@ -454,9 +455,9 @@ mod tests {
         // Buses 0 and 8 share route 0 (with 8 routes and `b % routes`);
         // buses 0 and 4 are on crossing-but-different routes (0 and 4 = hub).
         let t = DieselNetConfig::new(16, 30).seed(11).generate();
-        let stats = TraceStats::compute(&t);
-        let same = stats.pair_contact_count(NodeId::new(0), NodeId::new(8));
-        let cross = stats.pair_contact_count(NodeId::new(0), NodeId::new(4));
+        let graph = AggregateGraph::from_trace(&t);
+        let same = graph.meeting_count(NodeId::new(0), NodeId::new(8));
+        let cross = graph.meeting_count(NodeId::new(0), NodeId::new(4));
         assert!(
             same > cross,
             "same-route pair ({same}) should out-meet crossing pair ({cross})"
@@ -467,20 +468,19 @@ mod tests {
     fn unrelated_routes_never_meet() {
         // Routes 2 and 5 neither adjacent nor the hub pair (0, 4) with 8 routes.
         let t = DieselNetConfig::new(16, 30).seed(13).generate();
-        let stats = TraceStats::compute(&t);
-        assert_eq!(stats.pair_contact_count(NodeId::new(2), NodeId::new(5)), 0);
+        let graph = AggregateGraph::from_trace(&t);
+        assert_eq!(graph.meeting_count(NodeId::new(2), NodeId::new(5)), 0);
     }
 
     #[test]
     fn frequent_contacts_exist_with_default_rates() {
         let cfg = DieselNetConfig::new(16, 9).seed(17);
         let t = cfg.generate();
-        let stats = TraceStats::compute(&t);
-        let any_frequent = t.nodes().iter().any(|&n| {
-            !stats
-                .frequent_contacts(n, cfg.frequent_contact_window())
-                .is_empty()
-        });
+        let mut scan = FrequentScan::new(cfg.frequent_contact_window());
+        for contact in t.iter() {
+            scan.observe(contact);
+        }
+        let any_frequent = scan.finish().values().any(|peers| !peers.is_empty());
         assert!(
             any_frequent,
             "expected at least one frequent pair over 9 days"

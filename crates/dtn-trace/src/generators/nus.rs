@@ -472,14 +472,13 @@ mod tests {
     fn students_meet_classmates_daily_ish() {
         let cfg = NusConfig::new(60, 14).seed(7);
         let t = cfg.generate();
-        let stats = crate::stats::TraceStats::compute(&t);
         // With 5 courses x 2 sessions/week each, most students have some
         // recurring classmate; just require the mechanism produces contacts
         // on most weekdays.
         let days_with_contacts: std::collections::HashSet<u64> =
             t.iter().map(|c| c.start().day()).collect();
         assert!(days_with_contacts.len() >= 8, "got {days_with_contacts:?}");
-        assert!(stats.contact_count() > 50);
+        assert!(t.len() > 50);
     }
 
     #[test]

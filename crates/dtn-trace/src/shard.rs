@@ -36,11 +36,12 @@
 //! Alongside each shard the writer emits a `pairs-NNNNN.txt` sidecar listing
 //! the shard's distinct participant pairs, and the manifest `shard` lines
 //! carry the pair count as an optional fourth token. Those aggregates let
-//! [`TraceSource::frequent_map`] derive the frequent-contact map straight
-//! from the manifest — no second streaming pass over the shards. Manifests
-//! without the fourth token (written before the sidecars existed) still
-//! open; the derivation just reports "unavailable" and callers fall back to
-//! a streaming statistics pass.
+//! [`TraceSource::frequent_map`] feed the frequent-contact rule's window
+//! fold — the one [`FrequentScan`](crate::FrequentScan) feeds from contacts
+//! — straight from the sidecars, with no second streaming pass over the
+//! shards. Manifests without the fourth token (written before the sidecars
+//! existed) still open; the derivation just reports "unavailable" and
+//! callers fall back to a `FrequentScan` pass.
 //!
 //! ```text
 //! # dtn-shard v1
@@ -66,6 +67,7 @@ use crate::contact::{Contact, ContactError};
 use crate::node::NodeId;
 use crate::parser::{ContactReader, LineFormatter, ParseTraceError, TRACE_HEADER};
 use crate::source::{ContactStream, StreamStats, TraceSource};
+use crate::stats::{pack, unpack, WindowFold};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{event_order, sort_contacts, ContactSink};
 
@@ -805,8 +807,7 @@ impl ShardedTrace {
     /// packed by [`pack`] — returning `None` when the manifest carries no
     /// pair count for it or the sidecar is missing, malformed, or disagrees
     /// with the declared count. `frequent_map` treats `None` as "derivation
-    /// unavailable" and callers fall back to a streaming statistics pass,
-    /// which is always correct.
+    /// unavailable" and callers fall back to a `FrequentScan` pass.
     fn read_pairs_sidecar(&self, meta: &ShardMeta) -> Option<Vec<u64>> {
         let declared = meta.pairs?;
         let path = self.dir.join(pairs_file_name(meta.window_index));
@@ -885,16 +886,6 @@ fn sort_dedup<T: Ord>(items: &mut Vec<T>) {
     }
 }
 
-/// A pair `(a, b)` as one integer whose order is the pair's order.
-fn pack((a, b): (NodeId, NodeId)) -> u64 {
-    u64::from(a.raw()) << 32 | u64::from(b.raw())
-}
-
-/// The pair [`pack`] made `pair` of.
-fn unpack(pair: u64) -> (NodeId, NodeId) {
-    (NodeId::new((pair >> 32) as u32), NodeId::new(pair as u32))
-}
-
 /// The distinct participant pairs of `contacts`, packed and ascending.
 fn distinct_pairs(contacts: &[Contact]) -> Vec<u64> {
     let mut pairs = Vec::with_capacity(contacts.len());
@@ -936,80 +927,32 @@ impl TraceSource for ShardedTrace {
 
     fn frequent_map(&self, every: SimDuration) -> Option<BTreeMap<NodeId, Vec<NodeId>>> {
         let every_secs = every.as_secs();
-        let span_secs = TraceSource::span(self).as_secs();
-        let empty_map = || {
-            Some(
-                self.manifest
-                    .nodes
-                    .iter()
-                    .map(|&n| (n, Vec::new()))
-                    .collect(),
-            )
-        };
-        // A zero-length rule window or a zero-length trace yields the
-        // all-empty map, exactly as `FrequentScan::finish` does.
-        if every_secs == 0 || span_secs == 0 {
-            return empty_map();
-        }
-        // The derivation needs shard windows to nest inside rule windows:
-        // floor(floor(t/w)/r) == floor(t/every) exactly when every = r*w.
-        if !every_secs.is_multiple_of(self.manifest.window_secs) {
-            return None;
-        }
-        let ratio = every_secs / self.manifest.window_secs;
-        // Each rule window's distinct pairs, packed and ascending: the
-        // sidecars of the shard windows nested in it, merged.
-        let mut per_window: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        for meta in &self.manifest.shards {
-            let pairs = self.read_pairs_sidecar(meta)?;
-            let window = per_window.entry(meta.window_index / ratio).or_default();
-            window.extend(pairs);
-            sort_dedup(window);
-        }
-        // The rule enumerates windows whose start lies inside the span and
-        // exempts idle ones (no shard => no contacts => never enumerated);
-        // the frequent set is the intersection over the enumerated windows,
-        // or — when none qualifies — vacuously every pair seen.
-        let mut frequent: Option<Vec<u64>> = None;
-        let mut unenumerated: Vec<u64> = Vec::new();
-        for (window, pairs) in per_window {
-            let valid = window
-                .checked_mul(every_secs)
-                .is_some_and(|start| start < span_secs);
-            if !valid {
-                unenumerated.extend(pairs);
-                continue;
+        let mut fold = WindowFold::default();
+        // A zero-length rule window holds no contact: nothing is frequent.
+        if every_secs != 0 {
+            // The sidecars answer only when shard windows nest inside rule
+            // windows: floor(floor(t/w)/r) == floor(t/every) when every = r*w.
+            if !every_secs.is_multiple_of(self.manifest.window_secs) {
+                return None;
             }
-            frequent = Some(match frequent {
-                None => pairs,
-                Some(mut prev) => {
-                    // Both ascending: one walk of `pairs` serves every probe.
-                    let mut rest = pairs.iter().peekable();
-                    prev.retain(|pair| {
-                        while rest.next_if(|other| *other < pair).is_some() {}
-                        rest.peek() == Some(&pair)
-                    });
-                    prev
+            let ratio = every_secs / self.manifest.window_secs;
+            // Shards are listed by ascending window, so a rule window's
+            // shards are neighbours; their sidecars merged are its pairs.
+            let rule_window = |meta: &ShardMeta| meta.window_index / ratio;
+            for shards in self
+                .manifest
+                .shards
+                .chunk_by(|a, b| rule_window(a) == rule_window(b))
+            {
+                let mut pairs = Vec::new();
+                for meta in shards {
+                    pairs.extend(self.read_pairs_sidecar(meta)?);
                 }
-            });
+                sort_dedup(&mut pairs);
+                fold.window(pairs);
+            }
         }
-        let frequent = frequent.unwrap_or_else(|| {
-            sort_dedup(&mut unenumerated);
-            unenumerated
-        });
-        let mut map: BTreeMap<NodeId, Vec<NodeId>> = self
-            .manifest
-            .nodes
-            .iter()
-            .map(|&n| (n, Vec::new()))
-            .collect();
-        for (a, b) in frequent.into_iter().map(unpack) {
-            // Pairs iterate sorted with a < b, so peer lists come out
-            // sorted, matching `FrequentScan::finish`.
-            map.get_mut(&a)?.push(b);
-            map.get_mut(&b)?.push(a);
-        }
-        Some(map)
+        fold.finish(self.manifest.nodes.iter().copied())
     }
 }
 
@@ -1393,9 +1336,8 @@ mod tests {
         }
         let sharded = writer.finish().unwrap();
         let agrees_with_the_scan = |sharded: &ShardedTrace| {
-            // Windows 10–12 against a 390 s span: at 100 s none starts inside
-            // it and every pair seen is vacuously frequent; at 1 200 s one does.
-            for every_secs in [100u64, 200, 1_200] {
+            // Windows 10–12 at 100 s, 5–6 at 200 s, 0–1 at 1 200 s, 0 at 2 000 s.
+            for every_secs in [100u64, 200, 1_200, 2_000] {
                 let every = SimDuration::from_secs(every_secs);
                 let mut scan = crate::stats::FrequentScan::new(every);
                 for contact in TraceSource::stream(sharded) {
@@ -1406,8 +1348,14 @@ mod tests {
             }
         };
         agrees_with_the_scan(&sharded);
-        let vacuous = TraceSource::frequent_map(&sharded, SimDuration::from_secs(100)).unwrap();
-        assert_eq!(vacuous.values().map(Vec::len).sum::<usize>(), 2 * 5);
+        // Windows 10, 11 and 12 share no pair, so none is frequent, however
+        // late the trace starts; one 2 000 s window makes all five frequent.
+        let peers = |every_secs| {
+            let map = TraceSource::frequent_map(&sharded, SimDuration::from_secs(every_secs));
+            map.unwrap().values().map(Vec::len).sum::<usize>()
+        };
+        assert_eq!(peers(100), 0);
+        assert_eq!(peers(2_000), 2 * 5);
         // A sidecar lists a set: one that lost its order names the same one.
         let two_pairs = sharded
             .shards()

@@ -98,8 +98,8 @@ pub trait TraceSource: Send + Sync + fmt::Debug {
     /// [`TraceSource::stream`], whatever `depth` says.
     ///
     /// No workspace code calls it. The benchmark's `TimedSource` still
-    /// overrides it with a forward, and ROADMAP's ledger v2 item (e)
-    /// retires the method together with that forward.
+    /// overrides it with a forward, and ROADMAP's ledger v2a item retires
+    /// the method together with that forward.
     fn stream_prefetch(&self, depth: usize) -> Box<dyn ContactStream + '_> {
         let _ = depth;
         self.stream()
@@ -110,10 +110,12 @@ pub trait TraceSource: Send + Sync + fmt::Debug {
     ///
     /// Returns `None` when the source cannot derive the map without a full
     /// contact pass (the in-memory backing, old shard manifests without
-    /// pair aggregates, or an `every` that does not align with the shard
-    /// window); callers then fall back to streaming a
-    /// [`FrequentScan`](crate::stats::FrequentScan) pass. When `Some`, the
-    /// result is byte-identical to what that fallback pass would produce.
+    /// pair aggregates, a missing or malformed pair sidecar, or an `every`
+    /// that is not a whole number of shard windows); callers then stream a
+    /// [`FrequentScan`](crate::stats::FrequentScan) pass. Both feed the
+    /// rule's one window fold, the aggregates a rule window's distinct pairs
+    /// and the scan the same pairs gathered from its contacts, so a `Some`
+    /// is the map that pass would produce.
     fn frequent_map(&self, every: SimDuration) -> Option<BTreeMap<NodeId, Vec<NodeId>>> {
         let _ = every;
         None

@@ -3,44 +3,28 @@
 use std::fs::File;
 use std::io::BufWriter;
 
-use dtn_trace::generators::{DieselNetConfig, NusConfig, RandomWaypointConfig};
 use dtn_trace::{write_trace, ContactTrace, Perturbation};
 
 use crate::args::Args;
+use crate::commands::{generate_into, Generated};
 use crate::CliError;
 
 /// Usage text for the subcommand.
 pub const USAGE: &str = "mbt gen-trace --out <file> [--model dieselnet|nus|rwp] \
-[--nodes N] [--days N] [--seed N] [--attendance 0..1] [--weekends] \
+[--nodes N] [--days N] [--seed N] [--routes N] [--attendance 0..1] [--weekends] \
 [--drop 0..1] [--truncate 0..1]";
 
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<String, CliError> {
-    let model = args.str_or("model", "dieselnet").to_string();
-    let nodes = args.parse_or("nodes", 40u32, "an integer")?;
-    let days = args.parse_or("days", 15u64, "an integer")?;
-    let seed = args.parse_or("seed", 42u64, "an integer")?;
     let out = args
         .opt_str("out")
         .ok_or(crate::args::ArgError::MissingOption("out"))?
         .to_string();
-
-    let mut trace: ContactTrace = match model.as_str() {
-        "dieselnet" => DieselNetConfig::new(nodes, days).seed(seed).generate(),
-        "nus" => NusConfig::new(nodes, days)
-            .seed(seed)
-            .attendance_rate(args.rate_or("attendance", 1.0)?)
-            .weekends_off(!args.flag("weekends"))
-            .generate(),
-        "rwp" => RandomWaypointConfig::new(nodes, days * dtn_trace::SECONDS_PER_DAY)
-            .seed(seed)
-            .generate(),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown model `{other}` (expected dieselnet, nus, or rwp)"
-            )))
-        }
-    };
+    let mut builder = ContactTrace::builder();
+    let Generated {
+        model, days, seed, ..
+    } = generate_into(args, &mut builder)?;
+    let mut trace = builder.build();
 
     // Optional degradation: drop contacts and truncate windows before
     // writing, so the file itself records the perturbed mobility.
@@ -91,6 +75,22 @@ mod tests {
         assert!(msg.contains("wrote"));
         let trace = dtn_trace::read_trace(std::fs::File::open(&path).unwrap()).unwrap();
         assert!(!trace.is_empty());
+    }
+
+    #[test]
+    fn routes_sets_the_dieselnet_route_count() {
+        let dir = std::env::temp_dir().join("mbt-cli-test-gen");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("routes.trace");
+        run(&args(&format!(
+            "--model dieselnet --nodes 20 --days 2 --seed 3 --routes 10 --out {}",
+            path.display()
+        )))
+        .unwrap();
+        let written = dtn_trace::read_trace(std::fs::File::open(&path).unwrap()).unwrap();
+        let config = dtn_trace::generators::DieselNetConfig::new(20, 2).seed(3);
+        assert_eq!(written, config.clone().routes(10).generate());
+        assert_ne!(written, config.generate(), "the default is 8 routes");
     }
 
     #[test]

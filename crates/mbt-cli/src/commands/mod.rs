@@ -4,7 +4,8 @@ use std::fs::File;
 use std::path::Path;
 use std::sync::Arc;
 
-use dtn_trace::{read_trace, ShardedTrace, TraceSource, SECONDS_PER_DAY};
+use dtn_trace::generators::{DieselNetConfig, NusConfig, RandomWaypointConfig};
+use dtn_trace::{read_trace, ContactSink, ShardedTrace, TraceSource, SECONDS_PER_DAY};
 
 use crate::args::{ArgError, Args};
 use crate::CliError;
@@ -77,6 +78,69 @@ pub fn replicates(args: &Args) -> Result<u32, ArgError> {
             expected: "an integer from 1 to 10000",
         }),
     }
+}
+
+/// The generator options a [`generate_into`] run was given.
+pub struct Generated {
+    /// `--model`.
+    pub model: String,
+    /// `--nodes`.
+    pub nodes: u32,
+    /// `--days`.
+    pub days: u64,
+    /// `--seed`.
+    pub seed: u64,
+}
+
+/// Sends the trace `--model` names (`dieselnet`, the default, `nus` or
+/// `rwp`) into `sink`, sized by `--nodes --days --seed`; `--routes` applies
+/// to dieselnet, `--attendance` and `--weekends` to nus. `gen-trace` and
+/// `shard` both generate through here, so they take the same options.
+///
+/// # Errors
+///
+/// Returns [`CliError::Usage`] for an unknown model and the option's error
+/// for a malformed value, before any contact is generated.
+pub fn generate_into(args: &Args, sink: &mut dyn ContactSink) -> Result<Generated, CliError> {
+    let model = args.str_or("model", "dieselnet").to_string();
+    let nodes = args.parse_or("nodes", 40u32, "an integer")?;
+    let days = args.parse_or("days", 15u64, "an integer")?;
+    let seed = args.parse_or("seed", 42u64, "an integer")?;
+    match model.as_str() {
+        "dieselnet" => {
+            let mut cfg = DieselNetConfig::new(nodes, days).seed(seed);
+            if let Some(routes) = args.parse_opt("routes", "an integer")? {
+                cfg = cfg.routes(routes);
+            }
+            cfg.generate_into(sink);
+        }
+        "nus" => NusConfig::new(nodes, days)
+            .seed(seed)
+            .attendance_rate(args.rate_or("attendance", 1.0)?)
+            .weekends_off(!args.flag("weekends"))
+            .generate_into(sink),
+        // Random waypoint has no streaming generator: it materializes the
+        // trace, which is then pushed on.
+        "rwp" => {
+            let trace = RandomWaypointConfig::new(nodes, days * SECONDS_PER_DAY)
+                .seed(seed)
+                .generate();
+            for contact in trace.iter() {
+                sink.push_contact(contact.clone());
+            }
+        }
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown model `{other}` (expected dieselnet, nus, or rwp)"
+            )))
+        }
+    }
+    Ok(Generated {
+        model,
+        nodes,
+        days,
+        seed,
+    })
 }
 
 /// The days `source` spans, rounded up; at least one.

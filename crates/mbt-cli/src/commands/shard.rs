@@ -6,10 +6,10 @@
 
 use std::fs::File;
 
-use dtn_trace::generators::{DieselNetConfig, NusConfig, RandomWaypointConfig};
 use dtn_trace::{ContactReader, ContactSink as _, ShardWriter, SimDuration};
 
 use crate::args::{ArgError, Args};
+use crate::commands::{generate_into, Generated};
 use crate::CliError;
 
 /// The widest window `--window-days` may ask for: a century. No trace spans
@@ -24,11 +24,12 @@ pub const USAGE: &str = "mbt shard --out <dir> [--model dieselnet|nus|rwp] \
 
 Writes time-windowed shards plus a manifest under <dir>. With --from, an
 existing trace file is streamed into shards instead of generating one.
-The dieselnet and nus models emit directly into the shard writer, so the
-full trace is never resident; feed the result to `mbt simulate <dir>` or
-inspect it with `mbt shard-info <dir>`. --jobs bounds the worker threads
-used to sort finished shards (0 = one per core); output bytes are
-identical for every job count.";
+The generator options are `mbt gen-trace`'s (--routes sets the dieselnet
+route count). The dieselnet and nus models emit directly into the shard
+writer, so the full trace is never resident; feed the result to
+`mbt simulate <dir>` or inspect it with `mbt shard-info <dir>`. --jobs
+bounds the worker threads used to sort finished shards (0 = one per core);
+output bytes are identical for every job count.";
 
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<String, CliError> {
@@ -63,39 +64,9 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         }
         described = format!("from {from}");
     } else {
-        let model = args.str_or("model", "dieselnet").to_string();
-        let nodes = args.parse_or("nodes", 40u32, "an integer")?;
-        let days = args.parse_or("days", 15u64, "an integer")?;
-        let seed = args.parse_or("seed", 42u64, "an integer")?;
-        match model.as_str() {
-            "dieselnet" => {
-                let mut cfg = DieselNetConfig::new(nodes, days).seed(seed);
-                if let Some(routes) = args.parse_opt("routes", "an integer")? {
-                    cfg = cfg.routes(routes);
-                }
-                cfg.generate_into(&mut writer)
-            }
-            "nus" => NusConfig::new(nodes, days)
-                .seed(seed)
-                .attendance_rate(args.rate_or("attendance", 1.0)?)
-                .weekends_off(!args.flag("weekends"))
-                .generate_into(&mut writer),
-            // Random waypoint has no streaming generator; materialize, then
-            // spill. The other models never hold the full trace in memory.
-            "rwp" => {
-                let trace = RandomWaypointConfig::new(nodes, days * dtn_trace::SECONDS_PER_DAY)
-                    .seed(seed)
-                    .generate();
-                for c in trace.iter() {
-                    writer.push_contact(c.clone());
-                }
-            }
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown model `{other}` (expected dieselnet, nus, or rwp)"
-                )))
-            }
-        }
+        let Generated {
+            model, nodes, days, ..
+        } = generate_into(args, &mut writer)?;
         described = format!("model {model}, {nodes} nodes, {days} days");
     }
 

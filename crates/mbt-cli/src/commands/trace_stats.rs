@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 use std::fs::File;
 
-use dtn_trace::{read_trace, AggregateGraph, SimDuration, TraceStats};
+use dtn_trace::{read_trace, AggregateGraph, FrequentScan, SimDuration, TraceStats};
 
 use crate::args::Args;
 use crate::commands::days_or;
@@ -32,7 +32,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     if let Some(mean) = stats.mean_contact_duration_secs() {
         let _ = writeln!(out, "  mean duration:   {mean:.0} s");
     }
-    if let Some(size) = stats.mean_contact_size(&trace) {
+    if let Some(size) = stats.mean_contact_size() {
         let _ = writeln!(out, "  mean clique:     {size:.1} nodes");
     }
     let pooled = stats.pooled_inter_contact_times();
@@ -44,8 +44,11 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             median.as_secs() as f64 / 3600.0
         );
     }
-    let freq = stats.frequent_contact_map(SimDuration::from_days(frequent_days));
-    let with_frequent = freq.values().filter(|v| !v.is_empty()).count();
+    let mut scan = FrequentScan::new(SimDuration::from_days(frequent_days));
+    for contact in trace.iter() {
+        scan.observe(contact);
+    }
+    let with_frequent = scan.finish().values().filter(|v| !v.is_empty()).count();
     let _ = writeln!(
         out,
         "  nodes with frequent contacts (every {frequent_days}d): {with_frequent} / {}",

@@ -108,6 +108,7 @@ static COMMANDS: [Command; 10] = {
                 "nodes",
                 "days",
                 "seed",
+                "routes",
                 "attendance",
                 "drop",
                 "truncate",

@@ -46,16 +46,18 @@ pub struct SimParams {
     /// Window for frequent-contact detection (3 days for DieselNet, 1 day
     /// for NUS — paper §VI-A).
     pub frequent_window: SimDuration,
-    /// Failure injection: fraction of non-Internet nodes that die (stop
-    /// participating in contacts and generating queries) at a uniformly
-    /// random instant within the horizon. Default 0.
+    /// Failure injection: fraction of measured nodes (neither Internet nodes
+    /// nor polluters) that die — stop participating in contacts and
+    /// generating queries — at a uniformly random instant within the
+    /// horizon. Default 0.
     pub churn: f64,
     /// Structured fault injection (frame loss, contact truncation, temporary
-    /// down intervals, piece corruption). A non-noop plan is installed into
-    /// every node's [`MbtConfig`] (replacing any plan already set there) and
-    /// its churn component gates contact participation, query generation and
-    /// Internet sessions. Default [`FaultPlan::none`], which changes nothing
-    /// — a zero-rate plan is byte-identical to the fault-free path.
+    /// down intervals, piece corruption): the run's only fault plan. It is
+    /// installed into every node's [`MbtConfig`], whose own plan must be
+    /// noop, and its churn component gates contact participation, query
+    /// generation and Internet sessions. Default [`FaultPlan::none`], which
+    /// changes nothing — a zero-rate plan is byte-identical to the
+    /// fault-free path.
     pub faults: FaultPlan,
     /// Adversary: fraction of non-Internet nodes that are *polluters*,
     /// planting forged fake-publisher metadata (and junk files) that match
@@ -353,6 +355,11 @@ fn add_daily(into: &mut Vec<u64>, from: &[u64]) {
 ///
 /// Deterministic: the same contacts and params produce the same result,
 /// whatever the backing store.
+///
+/// # Panics
+///
+/// Panics if `params.config` carries a non-noop fault plan: a run's plan is
+/// [`SimParams::faults`].
 pub fn run_simulation(
     source: &dyn TraceSource,
     params: &SimParams,
@@ -394,6 +401,12 @@ pub(crate) fn frequent_contacts(
 }
 
 /// [`run_simulation`] past the frequent-contact map.
+///
+/// # Panics
+///
+/// Panics if `params.config` carries a non-noop fault plan: only
+/// [`SimParams::faults`] is re-seeded per cell and read for churn, so a plan
+/// set on the config would be half obeyed.
 pub(crate) fn simulate(
     source: &dyn TraceSource,
     params: &SimParams,
@@ -410,14 +423,12 @@ pub(crate) fn simulate(
     let internet_count = ((node_ids.len() as f64) * params.internet_fraction).round() as usize;
     let internet: BTreeSet<NodeId> = shuffled.into_iter().take(internet_count).collect();
 
-    // Install a non-noop fault plan into every node's config so contacts
-    // see the same loss/truncation/corruption rolls; a noop plan leaves the
-    // caller's config untouched (byte-identical to the fault-free path).
-    let node_config = if params.faults.is_noop() {
-        params.config.clone()
-    } else {
-        params.config.clone().faults(params.faults)
-    };
+    assert!(
+        params.config.faults_value().is_noop(),
+        "a run's fault plan is SimParams::faults, not a plan set on SimParams::config"
+    );
+    // Every node's contacts roll the run's loss, truncation and corruption.
+    let node_config = params.config.clone().faults(params.faults);
 
     // Polluters: adversarial devices among the non-Internet nodes; they
     // plant forged metadata and are excluded from measurement.
@@ -1165,6 +1176,14 @@ mod tests {
         assert_eq!(clean, seeded);
         assert_eq!(clean.frames_lost, 0);
         assert_eq!(clean.corrupt_receptions, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a run's fault plan is SimParams::faults")]
+    fn a_fault_plan_on_the_node_config_is_refused() {
+        let mut p = params(ProtocolSpec::MBT);
+        p.config = p.config.faults(FaultPlan::none().churn(0.5));
+        run_simulation(&small_trace(), &p, None);
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn main() {
     println!(
         "  {} classroom sessions, mean room size {:.1} students\n",
         trace.len(),
-        stats.mean_contact_size(&trace).unwrap_or(0.0)
+        stats.mean_contact_size().unwrap_or(0.0)
     );
 
     println!("running every registered protocol variant (30% of students have campus WiFi):");
