@@ -29,7 +29,12 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 
     let count = args.parse_or("messages", 200u64, "an integer")?;
     let ttl_days = days_or(args, "ttl-days", 2, trace.as_ref())?;
-    let copies = args.parse_or("copies", 8u32, "an integer")?;
+    let copies = args.parse_in(
+        "copies",
+        8u32,
+        1..=u32::MAX,
+        "an integer from 1 to 4294967295",
+    )?;
     let seed = args.parse_or("seed", 42u64, "an integer")?;
     let horizon = trace.end_time().unwrap_or(SimTime::from_secs(1));
     let mut rng = dtn_sim::rng::stream(seed, "cli-routing");
@@ -44,7 +49,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let report: RoutingReport = match args.str_or("protocol", "epidemic") {
         "epidemic" => RoutingSim::new(trace.as_ref(), Epidemic::new()).run(msgs),
         "prophet" => RoutingSim::new(trace.as_ref(), Prophet::new()).run(msgs),
-        "spray" => RoutingSim::new(trace.as_ref(), SprayAndWait::new(copies.max(1))).run(msgs),
+        "spray" => RoutingSim::new(trace.as_ref(), SprayAndWait::new(copies)).run(msgs),
         "direct" => RoutingSim::new(trace.as_ref(), DirectDelivery::new()).run(msgs),
         other => {
             return Err(CliError::Usage(format!(
@@ -117,6 +122,19 @@ mod tests {
             out.split_once('\n').unwrap().1.to_string()
         };
         assert_eq!(report(&path), report(&shard_dir));
+    }
+
+    #[test]
+    fn zero_copies_is_refused_not_run_as_one() {
+        let path = trace_file("copies");
+        let line = format!("{} --protocol spray --copies 0", path.display());
+        let err = run(&args(&line)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "--copies expects an integer from 1 to 4294967295, got `0`"
+        );
+        let one = format!("{} --protocol spray --copies 1", path.display());
+        assert!(run(&args(&one)).unwrap().contains("delivered:"));
     }
 
     #[test]

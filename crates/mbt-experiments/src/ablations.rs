@@ -12,231 +12,175 @@
 //! - **Metadata pollution** (§I, §III-B item f): fake publishers, with and
 //!   without publisher authentication.
 
+use std::fmt::Display;
+
 use dtn_sim::FaultPlan;
-use dtn_trace::generators::NusConfig;
-use dtn_trace::ContactTrace;
-use mbt_core::{BroadcastOrdering, CooperationMode, MbtConfig, ProtocolSpec};
+use mbt_core::{BroadcastOrdering, CooperationMode, MbtConfig};
 
 use crate::figures::{RunContext, Scale};
+use crate::report::{aligned_table, Column};
 use crate::runner::{run_simulation, SimParams, SimResult};
 
-/// One ablation configuration and its outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AblationRow {
-    /// Human-readable configuration label.
-    pub label: String,
-    /// The result of the run.
-    pub result: SimResult,
+/// One ablation: the labelled configurations it compares, each run once on
+/// the seed-42 NUS-style trace at full attendance.
+#[derive(Debug, Clone, Copy)]
+pub struct Ablation {
+    /// Unique name: the `mbt experiment` name.
+    pub name: &'static str,
+    /// The table title.
+    pub title: &'static str,
+    /// The `(label, params)` of each configuration at a scale, in table
+    /// order.
+    pub configs: fn(Scale) -> Vec<(String, SimParams)>,
 }
 
-fn scale_trace(scale: Scale) -> ContactTrace {
-    let (students, days) = match scale {
-        Scale::Quick => (30, 6),
-        Scale::Full => (80, 15),
+impl Ablation {
+    /// Runs every configuration at the context's scale on its pool, and
+    /// returns `(label, result)` in configuration order.
+    pub fn run(&self, ctx: &RunContext) -> Vec<(String, SimResult)> {
+        let trace = ctx.scale().nus(1.0);
+        let configs = (self.configs)(ctx.scale());
+        ctx.runner().run_all(&configs, |(label, params)| {
+            (label.clone(), run_simulation(&trace, params, None))
+        })
+    }
+}
+
+/// Renders an ablation's `(label, result)`s as an aligned text table.
+pub(crate) fn ablation_table(results: &[(String, SimResult)]) -> String {
+    let columns: [Column<(String, SimResult)>; 6] = [
+        ("configuration", 36, |c| c.0.clone()),
+        ("meta ratio", 12, |c| format!("{:.4}", c.1.metadata_ratio)),
+        ("file ratio", 12, |c| format!("{:.4}", c.1.file_ratio)),
+        ("queries", 10, |c| c.1.queries.to_string()),
+        ("meta bcasts", 12, |c| c.1.metadata_broadcasts.to_string()),
+        ("file bcasts", 12, |c| c.1.file_broadcasts.to_string()),
+    ];
+    aligned_table(&columns, results)
+}
+
+/// The configuration `label`: the scale's parameters with `set` applied.
+fn config(scale: Scale, label: String, set: impl FnOnce(&mut SimParams)) -> (String, SimParams) {
+    let mut params = scale.params();
+    set(&mut params);
+    (label, params)
+}
+
+/// One configuration for each of `values`, labelled `name=value`, whose
+/// protocol config is the default with `set` applied to the value.
+fn knob<T: Display + Copy>(
+    scale: Scale,
+    name: &str,
+    values: &[T],
+    set: fn(MbtConfig, T) -> MbtConfig,
+) -> Vec<(String, SimParams)> {
+    let labelled = |&v| {
+        config(scale, format!("{name}={v}"), |p| {
+            p.config = set(MbtConfig::new(), v)
+        })
     };
-    NusConfig::new(students, days).seed(42).generate()
+    values.iter().map(labelled).collect()
 }
 
-/// Runs every labelled configuration against `trace` on the context's
-/// pool, preserving input order.
-fn run_rows(
-    trace: &ContactTrace,
-    configs: Vec<(String, SimParams)>,
-    ctx: &RunContext,
-) -> Vec<AblationRow> {
-    ctx.runner()
-        .run_all(&configs, |(label, params)| AblationRow {
-            label: label.clone(),
-            result: run_simulation(trace, params, None),
-        })
-}
-
-fn scale_params(scale: Scale) -> SimParams {
-    SimParams {
-        days: match scale {
-            Scale::Quick => 6,
-            Scale::Full => 15,
+/// Every ablation, in catalogue order. Each configuration is the scale's
+/// seed-42 parameters, full MBT, with one knob changed.
+pub const ABLATIONS: &[Ablation] = &[
+    Ablation {
+        name: "cooperation",
+        title: "cooperation mode (§IV-B/§V-B)",
+        configs: |scale| {
+            let modes = [CooperationMode::Cooperative, CooperationMode::TitForTat];
+            knob(scale, "cooperation", &modes, MbtConfig::cooperation)
         },
-        seed: 42,
-        ..SimParams::default()
-    }
-}
-
-/// Cooperative vs tit-for-tat scheduling, full MBT.
-pub fn cooperation_ablation(ctx: &RunContext) -> Vec<AblationRow> {
-    let scale = ctx.scale();
-    let trace = scale_trace(scale);
-    let configs = [CooperationMode::Cooperative, CooperationMode::TitForTat]
-        .into_iter()
-        .map(|mode| {
-            (
-                format!("cooperation={mode}"),
-                SimParams {
-                    protocol: ProtocolSpec::MBT,
-                    config: MbtConfig::new().cooperation(mode),
-                    ..scale_params(scale)
-                },
-            )
-        })
-        .collect();
-    run_rows(&trace, configs, ctx)
-}
-
-/// Discovery-first vs download-first contact ordering.
-pub fn discovery_first_ablation(ctx: &RunContext) -> Vec<AblationRow> {
-    let scale = ctx.scale();
-    let trace = scale_trace(scale);
-    let configs = [true, false]
-        .into_iter()
-        .map(|first| {
-            (
-                format!("discovery_first={first}"),
-                SimParams {
-                    config: MbtConfig::new().discovery_first(first),
-                    ..scale_params(scale)
-                },
-            )
-        })
-        .collect();
-    run_rows(&trace, configs, ctx)
-}
-
-/// Two-phase (paper §V-A) vs rarest-first (BitTorrent-style) broadcast
-/// ordering, cooperative mode.
-pub fn ordering_ablation(ctx: &RunContext) -> Vec<AblationRow> {
-    let scale = ctx.scale();
-    let trace = scale_trace(scale);
-    let configs = [BroadcastOrdering::TwoPhase, BroadcastOrdering::RarestFirst]
-        .into_iter()
-        .map(|ordering| {
-            (
-                format!("ordering={ordering}"),
-                SimParams {
-                    config: MbtConfig::new().ordering(ordering),
-                    ..scale_params(scale)
-                },
-            )
-        })
-        .collect();
-    run_rows(&trace, configs, ctx)
-}
-
-/// Gating the file phase on minimum contact length (0 s, 60 s, 600 s).
-pub fn short_contact_ablation(ctx: &RunContext) -> Vec<AblationRow> {
-    let scale = ctx.scale();
-    let trace = scale_trace(scale);
-    let configs = [0u64, 60, 600]
-        .into_iter()
-        .map(|min_secs| {
-            (
-                format!("min_download_contact_secs={min_secs}"),
-                SimParams {
-                    config: MbtConfig::new().min_download_contact_secs(min_secs),
-                    ..scale_params(scale)
-                },
-            )
-        })
-        .collect();
-    run_rows(&trace, configs, ctx)
-}
-
-/// Failure injection: broadcast frame loss (0 %, 10 %, 30 %) and node churn
-/// (0 %, 20 % of measured nodes dying mid-run), full MBT.
-pub fn failure_ablation(ctx: &RunContext) -> Vec<AblationRow> {
-    let scale = ctx.scale();
-    let trace = scale_trace(scale);
-    let mut configs: Vec<(String, SimParams)> = Vec::new();
-    for loss in [0.0, 0.1, 0.3] {
-        configs.push((
-            format!("broadcast_loss={loss:.1}"),
-            SimParams {
-                faults: FaultPlan::none().loss(loss),
-                ..scale_params(scale)
-            },
-        ));
-    }
-    let churn = 0.2;
-    configs.push((
-        format!("node_churn={churn:.1}"),
-        SimParams {
-            churn,
-            ..scale_params(scale)
+    },
+    Ablation {
+        name: "discovery_first",
+        title: "discovery-first contact ordering (§V)",
+        configs: |scale| {
+            let first = MbtConfig::discovery_first;
+            knob(scale, "discovery_first", &[true, false], first)
         },
-    ));
-    run_rows(&trace, configs, ctx)
-}
-
-/// Metadata pollution (§I "fake files" / §III-B item f): no adversary vs a
-/// 20 % polluter population, with and without publisher authentication.
-pub fn pollution_ablation(ctx: &RunContext) -> Vec<AblationRow> {
-    let scale = ctx.scale();
-    let trace = scale_trace(scale);
-    let configs = [
-        ("clean", 0.0, false),
-        ("polluted, no auth", 0.2, false),
-        ("polluted, auth on", 0.2, true),
-    ]
-    .into_iter()
-    .map(|(label, polluter_fraction, verify_metadata)| {
-        (
-            label.to_string(),
-            SimParams {
-                polluter_fraction,
-                fakes_per_day: 4,
-                verify_metadata,
-                ..scale_params(scale)
-            },
-        )
-    })
-    .collect();
-    run_rows(&trace, configs, ctx)
-}
-
-/// Renders ablation rows as an aligned text table.
-pub fn ablation_table(title: &str, rows: &[AblationRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "== {title} ==");
-    let _ = writeln!(
-        out,
-        "{:>36} {:>12} {:>12} {:>10} {:>12} {:>12}",
-        "configuration", "meta ratio", "file ratio", "queries", "meta bcasts", "file bcasts"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>36} {:>12.4} {:>12.4} {:>10} {:>12} {:>12}",
-            r.label,
-            r.result.metadata_ratio,
-            r.result.file_ratio,
-            r.result.queries,
-            r.result.metadata_broadcasts,
-            r.result.file_broadcasts
-        );
-    }
-    out
-}
+    },
+    // Gating the file phase on minimum contact length.
+    Ablation {
+        name: "short_contact",
+        title: "short-contact file-phase gating (§V)",
+        configs: |scale| {
+            let gate = MbtConfig::min_download_contact_secs;
+            knob(scale, "min_download_contact_secs", &[0, 60, 600], gate)
+        },
+    },
+    Ablation {
+        name: "ordering",
+        title: "broadcast ordering: two-phase (§V-A) vs rarest-first (BitTorrent)",
+        configs: |scale| {
+            let orderings = [BroadcastOrdering::TwoPhase, BroadcastOrdering::RarestFirst];
+            knob(scale, "ordering", &orderings, MbtConfig::ordering)
+        },
+    },
+    // Broadcast frame loss, then 20 % of measured nodes dying mid-run.
+    Ablation {
+        name: "failure",
+        title: "failure injection: broadcast loss and node churn",
+        configs: |scale| {
+            let loss = |loss: f64| {
+                let faults = FaultPlan::none().loss(loss);
+                config(scale, format!("broadcast_loss={loss:.1}"), |p| {
+                    p.faults = faults
+                })
+            };
+            let churn = config(scale, "node_churn=0.2".into(), |p| p.churn = 0.2);
+            vec![loss(0.0), loss(0.1), loss(0.3), churn]
+        },
+    },
+    // No adversary vs a 20 % polluter population, with and without
+    // publisher authentication.
+    Ablation {
+        name: "pollution",
+        title: "metadata pollution: fake publishers vs authentication (§I, §III-B.f)",
+        configs: |scale| {
+            let polluted = |label: &str, fraction, verify| {
+                config(scale, label.into(), |p| {
+                    p.polluter_fraction = fraction;
+                    p.fakes_per_day = 4;
+                    p.verify_metadata = verify;
+                })
+            };
+            vec![
+                polluted("clean", 0.0, false),
+                polluted("polluted, no auth", 0.2, false),
+                polluted("polluted, auth on", 0.2, true),
+            ]
+        },
+    },
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn quick(name: &str) -> Vec<(String, SimResult)> {
+        let row = ABLATIONS.iter().find(|a| a.name == name);
+        row.expect("a row of ABLATIONS")
+            .run(&RunContext::new(Scale::Quick))
+    }
+
     #[test]
     fn cooperation_ablation_runs_both_modes() {
-        let rows = cooperation_ablation(&RunContext::new(Scale::Quick));
+        let rows = quick("cooperation");
         assert_eq!(rows.len(), 2);
-        assert!(rows[0].label.contains("cooperative"));
-        assert!(rows[1].label.contains("tit-for-tat"));
+        assert!(rows[0].0.contains("cooperative"));
+        assert!(rows[1].0.contains("tit-for-tat"));
         for r in &rows {
-            assert!(r.result.queries > 0);
+            assert!(r.1.queries > 0);
         }
     }
 
     #[test]
     fn short_contact_gating_reduces_file_broadcasts() {
-        let rows = short_contact_ablation(&RunContext::new(Scale::Quick));
-        let open = &rows[0].result;
-        let gated = &rows[2].result;
+        let rows = quick("short_contact");
+        let open = &rows[0].1;
+        let gated = &rows[2].1;
         assert!(
             gated.file_broadcasts <= open.file_broadcasts,
             "gating cannot increase file broadcasts"
@@ -245,18 +189,18 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let rows = discovery_first_ablation(&RunContext::new(Scale::Quick));
-        let t = ablation_table("discovery-first", &rows);
+        let rows = quick("discovery_first");
+        let t = ablation_table(&rows);
         assert!(t.contains("discovery_first=true"));
         assert!(t.contains("discovery_first=false"));
     }
 
     #[test]
     fn authentication_recovers_polluted_delivery() {
-        let rows = pollution_ablation(&RunContext::new(Scale::Quick));
-        let clean = &rows[0].result;
-        let polluted = &rows[1].result;
-        let defended = &rows[2].result;
+        let rows = quick("pollution");
+        let clean = &rows[0].1;
+        let polluted = &rows[1].1;
+        let defended = &rows[2].1;
         // Pollution cannot help, and authentication cannot hurt relative to
         // being polluted without it.
         assert!(
@@ -275,9 +219,9 @@ mod tests {
 
     #[test]
     fn loss_degrades_delivery_monotonically_ish() {
-        let rows = failure_ablation(&RunContext::new(Scale::Quick));
-        let no_loss = &rows[0].result;
-        let heavy_loss = &rows[2].result;
+        let rows = quick("failure");
+        let no_loss = &rows[0].1;
+        let heavy_loss = &rows[2].1;
         assert!(
             heavy_loss.file_ratio <= no_loss.file_ratio,
             "30% loss should not beat lossless: {} vs {}",
@@ -294,24 +238,24 @@ mod tests {
 
     #[test]
     fn churn_reduces_queries_and_runs_clean() {
-        let rows = failure_ablation(&RunContext::new(Scale::Quick));
-        let baseline = &rows[0].result;
+        let rows = quick("failure");
+        let baseline = &rows[0].1;
         let churned = rows.last().unwrap();
-        assert!(churned.label.contains("churn"));
+        assert!(churned.0.contains("churn"));
         assert!(
-            churned.result.queries <= baseline.queries,
+            churned.1.queries <= baseline.queries,
             "dead nodes must stop generating queries"
         );
     }
 
     #[test]
     fn ordering_ablation_runs_both_policies() {
-        let rows = ordering_ablation(&RunContext::new(Scale::Quick));
+        let rows = quick("ordering");
         assert_eq!(rows.len(), 2);
-        assert!(rows[0].label.contains("two-phase"));
-        assert!(rows[1].label.contains("rarest-first"));
+        assert!(rows[0].0.contains("two-phase"));
+        assert!(rows[1].0.contains("rarest-first"));
         for r in &rows {
-            assert!(r.result.file_broadcasts > 0);
+            assert!(r.1.file_broadcasts > 0);
         }
     }
 }

@@ -11,27 +11,29 @@ use dtn_sim::channel::{
     broadcast_per_node_capacity, pairwise_per_node_capacity, simulate_receptions, TransmissionMode,
 };
 
+use crate::report::{aligned_table, Column};
+
 /// One row of the capacity table.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CapacityRow {
+struct CapacityRow {
     /// Clique size.
-    pub n: usize,
+    n: usize,
     /// Analytic per-node broadcast capacity `(n-1)/n`.
-    pub broadcast: f64,
+    broadcast: f64,
     /// Analytic per-node pair-wise capacity `1/n`.
-    pub pairwise: f64,
+    pairwise: f64,
     /// Simulated per-node per-slot reception rate under broadcast.
-    pub broadcast_sim: f64,
+    broadcast_sim: f64,
     /// Simulated per-node per-slot reception rate under pair-wise.
-    pub pairwise_sim: f64,
+    pairwise_sim: f64,
     /// Slots to give every member one copy of a file, broadcasting.
-    pub slots_broadcast: u64,
+    slots_broadcast: u64,
     /// Slots to give every member one copy of a file, pair-wise.
-    pub slots_pairwise: u64,
+    slots_pairwise: u64,
 }
 
 /// Computes the capacity table for clique sizes `2..=max_n`.
-pub fn capacity_table(max_n: usize, slots: u64) -> Vec<CapacityRow> {
+fn capacity_table(max_n: usize, slots: u64) -> Vec<CapacityRow> {
     (2..=max_n)
         .map(|n| {
             let b = simulate_receptions(TransmissionMode::Broadcast, n, slots);
@@ -53,7 +55,7 @@ pub fn capacity_table(max_n: usize, slots: u64) -> Vec<CapacityRow> {
 
 /// The crossover statement of §V: broadcast strictly beats pair-wise for all
 /// `n > 2`, and they tie at `n = 2`.
-pub fn crossover_holds(rows: &[CapacityRow]) -> bool {
+fn crossover_holds(rows: &[CapacityRow]) -> bool {
     rows.iter().all(|r| {
         if r.n == 2 {
             (r.broadcast - r.pairwise).abs() < 1e-12
@@ -61,6 +63,28 @@ pub fn crossover_holds(rows: &[CapacityRow]) -> bool {
             r.broadcast > r.pairwise
         }
     })
+}
+
+/// The capacity table for cliques of `2..=max_n` over `slots` slots, then
+/// whether the crossover statement holds.
+pub(crate) fn capacity_report(max_n: usize, slots: u64) -> String {
+    let rows = capacity_table(max_n, slots);
+    let columns: [Column<CapacityRow>; 7] = [
+        ("n", 4, |r| r.n.to_string()),
+        ("bcast (n-1)/n", 12, |r| format!("{:.4}", r.broadcast)),
+        ("pair 1/n", 12, |r| format!("{:.4}", r.pairwise)),
+        ("bcast (sim)", 14, |r| format!("{:.4}", r.broadcast_sim)),
+        ("pair (sim)", 14, |r| format!("{:.4}", r.pairwise_sim)),
+        ("slots bcast", 14, |r| r.slots_broadcast.to_string()),
+        ("slots pair", 14, |r| r.slots_pairwise.to_string()),
+    ];
+    let verdict = if crossover_holds(&rows) {
+        "HOLDS"
+    } else {
+        "VIOLATED"
+    };
+    let table = aligned_table(&columns, &rows);
+    format!("{table}crossover statement: {verdict}\n")
 }
 
 #[cfg(test)]
@@ -103,6 +127,14 @@ mod tests {
     #[test]
     fn crossover_statement_holds() {
         assert!(crossover_holds(&capacity_table(20, 10)));
+    }
+
+    #[test]
+    fn capacity_text_renders_rows() {
+        let text = capacity_report(4, 10);
+        assert_eq!(text.lines().count(), 5); // header + n=2,3,4 + verdict
+        assert!(text.contains("0.5000"));
+        assert!(text.ends_with("crossover statement: HOLDS\n"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The one catalogue of experiments: every figure, table and ablation this
 //! repository can regenerate is a row — a figure is its row of [`FIGURES`],
-//! anything else a table row here — and `mbt experiment` is the one command
-//! that runs rows.
+//! an ablation its row of [`ABLATIONS`], anything else a [`Table`] row
+//! here — and `mbt experiment` is the one command that runs rows.
 //!
 //! ```
 //! use mbt_experiments::catalogue::{run, select};
@@ -15,16 +15,11 @@
 
 use std::fmt;
 
-use crate::ablations::{
-    ablation_table, cooperation_ablation, discovery_first_ablation, failure_ablation,
-    ordering_ablation, pollution_ablation, short_contact_ablation, AblationRow,
-};
-use crate::capacity::{capacity_table, crossover_holds};
+use crate::ablations::{ablation_table, Ablation, ABLATIONS};
+use crate::capacity::capacity_report;
 use crate::figures::{FigureSpec, RunContext, FIGURES};
-use crate::mobility::{mobility_comparison, mobility_table};
-use crate::progress::{delivery_progress, progress_table};
-use crate::report::{capacity_table_text, figure_csv, figure_table};
-use crate::routing::{bound_table, dissemination_bound, routing_comparison, routing_table};
+use crate::report::{figure_csv, figure_table};
+use crate::{mobility, progress, routing};
 
 /// What one experiment produced: the text it prints (ending in a newline)
 /// and, for figures, the CSV behind the table as `(file stem, contents)`.
@@ -36,20 +31,28 @@ pub struct Rendered {
     pub csv: Option<(String, String)>,
 }
 
+/// An experiment that is neither a figure nor an ablation.
+#[derive(Debug, Clone, Copy)]
+pub struct Table {
+    /// Unique name (`mbt experiment <name>`).
+    pub name: &'static str,
+    /// The group it runs with (`mbt experiment <group>`).
+    pub group: &'static str,
+    /// The table title.
+    pub title: &'static str,
+    /// Runs it under a context and renders the table below the title.
+    pub run: fn(&RunContext) -> String,
+}
+
 /// One runnable experiment.
 #[derive(Debug, Clone, Copy)]
 pub enum Experiment {
     /// A row of [`FIGURES`]: its table, and the CSV behind it.
     Figure(&'static FigureSpec),
+    /// A row of [`ABLATIONS`], in group `ablations`.
+    Ablation(&'static Ablation),
     /// Any other experiment.
-    Table {
-        /// Unique name (`mbt experiment <name>`).
-        name: &'static str,
-        /// The group it runs with (`mbt experiment <group>`).
-        group: &'static str,
-        /// Runs it under a context.
-        run: fn(&RunContext) -> Rendered,
-    },
+    Table(&'static Table),
 }
 
 impl Experiment {
@@ -57,7 +60,8 @@ impl Experiment {
     pub fn name(&self) -> &'static str {
         match *self {
             Experiment::Figure(spec) => spec.id,
-            Experiment::Table { name, .. } => name,
+            Experiment::Ablation(row) => row.name,
+            Experiment::Table(row) => row.name,
         }
     }
 
@@ -65,123 +69,71 @@ impl Experiment {
     pub fn group(&self) -> &'static str {
         match *self {
             Experiment::Figure(spec) => spec.group,
-            Experiment::Table { group, .. } => group,
+            Experiment::Ablation(_) => "ablations",
+            Experiment::Table(row) => row.group,
         }
     }
 
     /// Runs it under `ctx`.
     pub fn run(&self, ctx: &RunContext) -> Rendered {
-        match *self {
+        let (title, table) = match *self {
             Experiment::Figure(spec) => {
                 let fig = spec.run(ctx, None);
-                Rendered {
+                return Rendered {
                     text: figure_table(&fig),
                     csv: Some((fig.id.clone(), figure_csv(&fig))),
-                }
+                };
             }
-            Experiment::Table { run, .. } => run(ctx),
+            Experiment::Ablation(row) => (row.title, ablation_table(&row.run(ctx))),
+            Experiment::Table(row) => (row.title, (row.run)(ctx)),
+        };
+        Rendered {
+            text: format!("== {title} ==\n{table}"),
+            csv: None,
         }
     }
 }
 
-const fn row(
-    name: &'static str,
-    group: &'static str,
-    run: fn(&RunContext) -> Rendered,
-) -> Experiment {
-    Experiment::Table { name, group, run }
-}
+/// The §V capacity analysis, which runs before the ablations.
+const CAPACITY: Table = Table {
+    name: "capacity",
+    group: "capacity",
+    title: "capacity analysis (§V)",
+    run: |_| capacity_report(20, 10_000),
+};
 
-fn titled(title: &str, table: String) -> Rendered {
-    Rendered {
-        text: format!("== {title} ==\n{table}"),
-        csv: None,
-    }
-}
-
-fn ablation(title: &str, rows: Vec<AblationRow>) -> Rendered {
-    Rendered {
-        text: ablation_table(title, &rows),
-        csv: None,
-    }
-}
-
-fn capacity(_: &RunContext) -> Rendered {
-    let rows = capacity_table(20, 10_000);
-    let verdict = if crossover_holds(&rows) {
-        "HOLDS"
-    } else {
-        "VIOLATED"
-    };
-    titled(
-        "capacity analysis (§V)",
-        format!(
-            "{}crossover statement: {verdict}\n",
-            capacity_table_text(&rows)
-        ),
-    )
-}
-
-/// The experiments that are not figures: the §V capacity analysis, the
-/// design ablations, the routing substrate and the two extensions.
-const TABLES: &[Experiment] = &[
-    row("capacity", "capacity", capacity),
-    row("cooperation", "ablations", |ctx| {
-        ablation("cooperation mode (§IV-B/§V-B)", cooperation_ablation(ctx))
-    }),
-    row("discovery_first", "ablations", |ctx| {
-        let rows = discovery_first_ablation(ctx);
-        ablation("discovery-first contact ordering (§V)", rows)
-    }),
-    row("short_contact", "ablations", |ctx| {
-        let rows = short_contact_ablation(ctx);
-        ablation("short-contact file-phase gating (§V)", rows)
-    }),
-    row("ordering", "ablations", |ctx| {
-        let rows = ordering_ablation(ctx);
-        ablation(
-            "broadcast ordering: two-phase (§V-A) vs rarest-first (BitTorrent)",
-            rows,
-        )
-    }),
-    row("failure", "ablations", |ctx| {
-        let rows = failure_ablation(ctx);
-        ablation("failure injection: broadcast loss and node churn", rows)
-    }),
-    row("pollution", "ablations", |ctx| {
-        let rows = pollution_ablation(ctx);
-        ablation(
-            "metadata pollution: fake publishers vs authentication (§I, §III-B.f)",
-            rows,
-        )
-    }),
-    row("routing_baselines", "routing", |ctx| {
-        let table = routing_table(&routing_comparison(ctx));
-        titled("routing baselines (§II-A substrate)", table)
-    }),
-    row("oracle_bound", "routing", |ctx| {
-        let table = bound_table(&dissemination_bound(ctx));
-        titled(
-            "metadata dissemination: MBT vs space-time oracle bound",
-            table,
-        )
-    }),
-    row("mobility", "extensions", |ctx| {
-        let table = mobility_table(&mobility_comparison(ctx));
-        titled("protocols across mobility models (extension)", table)
-    }),
-    row("progress", "extensions", |ctx| {
-        let table = progress_table(&delivery_progress(ctx));
-        titled(
-            "cumulative delivery progression, NUS trace (extension)",
-            table,
-        )
-    }),
+/// The tables after the ablations: the routing substrate and the two
+/// extensions.
+const TABLES: &[Table] = &[
+    Table {
+        name: "routing_baselines",
+        group: "routing",
+        title: "routing baselines (§II-A substrate)",
+        run: routing::baselines_table,
+    },
+    Table {
+        name: "oracle_bound",
+        group: "routing",
+        title: "metadata dissemination: MBT vs space-time oracle bound",
+        run: routing::bound_table,
+    },
+    Table {
+        name: "mobility",
+        group: "extensions",
+        title: "protocols across mobility models (extension)",
+        run: mobility::mobility_table,
+    },
+    Table {
+        name: "progress",
+        group: "extensions",
+        title: "cumulative delivery progression, NUS trace (extension)",
+        run: progress::progress_table,
+    },
 ];
 
 /// Every experiment, in the order `all` runs them: the paper's Fig 2 and
-/// Fig 3 panels, the tables (capacity, ablations, routing, extensions),
-/// then the fault and protocol-variant figures.
+/// Fig 3 panels, the capacity analysis, the ablations, the routing and
+/// extension tables, then the fault and protocol-variant figures.
 pub fn catalogue() -> impl Iterator<Item = Experiment> {
     let paper = |spec: &&FigureSpec| matches!(spec.group, "fig2" | "fig3");
     let figures = |in_paper: bool| {
@@ -191,7 +143,9 @@ pub fn catalogue() -> impl Iterator<Item = Experiment> {
             .map(Experiment::Figure)
     };
     figures(true)
-        .chain(TABLES.iter().copied())
+        .chain([Experiment::Table(&CAPACITY)])
+        .chain(ABLATIONS.iter().map(Experiment::Ablation))
+        .chain(TABLES.iter().map(Experiment::Table))
         .chain(figures(false))
 }
 
@@ -285,7 +239,10 @@ mod tests {
     fn names_are_unique_and_groups_contiguous() {
         let names: BTreeSet<&str> = catalogue().map(|e| e.name()).collect();
         assert_eq!(names.len(), catalogue().count());
-        assert_eq!(names.len(), FIGURES.len() + TABLES.len());
+        assert_eq!(
+            names.len(),
+            FIGURES.len() + 1 + ABLATIONS.len() + TABLES.len()
+        );
         assert!(!names.contains("all") && !names.contains("list"));
         let mut seen = Vec::new();
         for e in catalogue() {
@@ -294,6 +251,22 @@ mod tests {
                 seen.push(e.group());
             }
         }
+    }
+
+    #[test]
+    fn list_pins_every_name_and_group() {
+        assert_eq!(
+            list(),
+            "  fig2: fig2a fig2b fig2c fig2d fig2e
+  fig3: fig3a fig3b fig3c fig3d fig3e fig3f
+  capacity: capacity
+  ablations: cooperation discovery_first short_contact ordering failure pollution
+  routing: routing_baselines oracle_bound
+  extensions: mobility progress
+  faults: fault_sweep fault_sweep_variants
+  h2h: h2h_dieselnet h2h_nus
+"
+        );
     }
 
     #[test]

@@ -154,7 +154,8 @@ impl ParallelRunner {
 
     /// Runs `f` over `items` on this runner's pool, returning results in
     /// input order. The generic escape hatch for non-sweep workloads
-    /// (ablations, progression) that still want deterministic parallelism.
+    /// (the catalogue's table rows) that still want deterministic
+    /// parallelism.
     pub fn run_all<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
         self.pool.install(|| items.par_iter().map(f).collect())
     }

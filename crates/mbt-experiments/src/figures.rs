@@ -48,7 +48,8 @@ pub enum Scale {
 }
 
 impl Scale {
-    fn days(self) -> u64 {
+    /// The days every experiment but the mobility comparison simulates.
+    pub(crate) fn days(self) -> u64 {
         match self {
             Scale::Quick => 6,
             Scale::Full => 15,
@@ -66,6 +67,39 @@ impl Scale {
         match self {
             Scale::Quick => 30,
             Scale::Full => 80,
+        }
+    }
+
+    /// The unicast messages of the routing-baseline workload.
+    pub(crate) fn messages(self) -> u64 {
+        match self {
+            Scale::Quick => 60,
+            Scale::Full => 200,
+        }
+    }
+
+    /// The seed-42 DieselNet-style bus trace at this scale.
+    pub(crate) fn dieselnet(self) -> ContactTrace {
+        DieselNetConfig::new(self.buses(), self.days())
+            .seed(SEED)
+            .generate()
+    }
+
+    /// The seed-42 NUS-style classroom trace at this scale, at `attendance`.
+    pub(crate) fn nus(self, attendance: f64) -> ContactTrace {
+        NusConfig::new(self.students(), self.days())
+            .seed(SEED)
+            .attendance_rate(attendance)
+            .generate()
+    }
+
+    /// The seed-42 parameters at this scale, every other field at its
+    /// default.
+    pub(crate) fn params(self) -> SimParams {
+        SimParams {
+            days: self.days(),
+            seed: SEED,
+            ..SimParams::default()
         }
     }
 }
@@ -124,18 +158,10 @@ pub enum FigureTrace {
 
 impl FigureTrace {
     fn generate(self, scale: Scale, x: f64) -> ContactTrace {
-        let nus = |attendance| {
-            NusConfig::new(scale.students(), scale.days())
-                .seed(SEED)
-                .attendance_rate(attendance)
-                .generate()
-        };
         match self {
-            FigureTrace::DieselNet => DieselNetConfig::new(scale.buses(), scale.days())
-                .seed(SEED)
-                .generate(),
-            FigureTrace::Nus => nus(0.8),
-            FigureTrace::NusAttendance => nus(x),
+            FigureTrace::DieselNet => scale.dieselnet(),
+            FigureTrace::Nus => scale.nus(0.8),
+            FigureTrace::NusAttendance => scale.nus(x),
         }
     }
 
@@ -195,10 +221,8 @@ impl FigureSpec {
             .iter()
             .map(|&x| {
                 let mut params = SimParams {
-                    days: scale.days(),
-                    seed: SEED,
                     frequent_window: SimDuration::from_days(self.trace.frequent_days()),
-                    ..SimParams::default()
+                    ..scale.params()
                 };
                 (self.axis)(&mut params, x);
                 (source(x), params)

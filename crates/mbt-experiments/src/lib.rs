@@ -6,10 +6,16 @@
 //!   non-Internet-access nodes,
 //! - [`exec`] / [`figures`] — parameter sweeps regenerating every panel of
 //!   Figures 2 and 3, one table row each ([`sweep`] holds the series types
-//!   they return),
-//! - [`capacity`] — the §V broadcast-vs-pair-wise capacity analysis,
-//! - [`ablations`] — cooperation-mode and contact-ordering ablations,
-//! - [`report`] — text/CSV rendering,
+//!   they return), and [`Scale`], which holds the per-scale sizes and
+//!   builds the seed-42 traces,
+//! - [`ablations`] — the six design ablations, one table row each,
+//! - [`residue`] — a compact store for the state of cold nodes, which the
+//!   runner no longer uses and the benchmark still probes,
+//! - [`report`] — text/CSV rendering: the figure tables and CSVs, and the
+//!   aligned and grouped tables every other experiment prints,
+//! - private modules for the other tables: the §V broadcast-vs-pair-wise
+//!   capacity analysis, the routing baselines and oracle bound, and the
+//!   mobility and delivery-progress extensions,
 //! - [`catalogue`] — every experiment above as one named row; the crate has
 //!   no binaries, `mbt experiment <name|group|all|list>` runs the rows.
 //!
@@ -61,15 +67,15 @@
 #![warn(missing_debug_implementations)]
 
 pub mod ablations;
-pub mod capacity;
+mod capacity;
 pub mod catalogue;
 pub mod exec;
 pub mod figures;
-pub mod mobility;
-pub mod progress;
+mod mobility;
+mod progress;
 pub mod report;
 pub mod residue;
-pub mod routing;
+mod routing;
 pub mod runner;
 pub mod sweep;
 pub mod workload;

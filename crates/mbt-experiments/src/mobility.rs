@@ -12,35 +12,36 @@ use dtn_trace::{AggregateGraph, ContactTrace, SimDuration, SECONDS_PER_DAY};
 use mbt_core::ProtocolSpec;
 
 use crate::figures::{RunContext, Scale};
+use crate::report::{aligned_table, Column};
 use crate::runner::{run_simulation, SimParams, SimResult};
 
 /// One row: a mobility model × protocol result, with trace shape context.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MobilityRow {
+struct MobilityRow {
     /// Mobility model name.
-    pub model: &'static str,
+    model: &'static str,
     /// Protocol variant.
-    pub protocol: ProtocolSpec,
+    protocol: ProtocolSpec,
     /// Contacts in the trace.
-    pub contacts: usize,
+    contacts: usize,
     /// Mean clique size of the trace.
-    pub mean_clique: f64,
+    mean_clique: f64,
     /// Aggregate-graph density.
-    pub density: f64,
+    density: f64,
     /// The simulation result.
-    pub result: SimResult,
+    result: SimResult,
 }
 
-fn models(scale: Scale) -> Vec<(&'static str, ContactTrace, u64)> {
-    let days = match scale {
-        Scale::Quick => 6,
-        Scale::Full => 12,
+/// Runs every protocol over every mobility model, each run on the
+/// context's pool.
+fn mobility_comparison(ctx: &RunContext) -> Vec<MobilityRow> {
+    // The four models are sized apart from the other experiments.
+    let (n, days) = match ctx.scale() {
+        Scale::Quick => (24, 6),
+        Scale::Full => (48, 12),
     };
-    let n = match scale {
-        Scale::Quick => 24,
-        Scale::Full => 48,
-    };
-    vec![
+    let rwp_secs = days.min(2) * SECONDS_PER_DAY;
+    let models: [(&'static str, ContactTrace, u64); 4] = [
         (
             "dieselnet",
             DieselNetConfig::new(n, days).seed(42).generate(),
@@ -54,31 +55,18 @@ fn models(scale: Scale) -> Vec<(&'static str, ContactTrace, u64)> {
         ),
         (
             "rwp",
-            RandomWaypointConfig::new(n.min(24), days.min(2) * SECONDS_PER_DAY)
+            RandomWaypointConfig::new(n.min(24), rwp_secs)
                 .seed(42)
                 .arena_m(800.0)
                 .generate(),
             1,
         ),
-    ]
-}
-
-/// Runs every protocol over every mobility model.
-pub fn mobility_comparison(ctx: &RunContext) -> Vec<MobilityRow> {
-    let scale = ctx.scale();
-    let days = match scale {
-        Scale::Quick => 6,
-        Scale::Full => 12,
-    };
-    let mut rows = Vec::new();
-    for (model, trace, frequent_days) in models(scale) {
-        if trace.node_count() < 2 {
-            continue;
-        }
-        let graph = AggregateGraph::from_trace(&trace);
-        let mean_clique =
-            trace.iter().map(|c| c.size()).sum::<usize>() as f64 / trace.len().max(1) as f64;
-        for protocol in ProtocolSpec::TRIAD {
+    ];
+    let runs: Vec<_> = (models.iter())
+        .flat_map(|model| ProtocolSpec::TRIAD.map(|protocol| (model, protocol)))
+        .collect();
+    ctx.runner()
+        .run_all(&runs, |&(&(model, ref trace, frequent_days), protocol)| {
             let params = SimParams::builder()
                 .protocol(protocol)
                 .days(days)
@@ -86,42 +74,32 @@ pub fn mobility_comparison(ctx: &RunContext) -> Vec<MobilityRow> {
                 .files_per_day(20)
                 .frequent_window(SimDuration::from_days(frequent_days))
                 .build();
-            rows.push(MobilityRow {
+            let cliques = trace.iter().map(|c| c.size()).sum::<usize>();
+            MobilityRow {
                 model,
                 protocol,
                 contacts: trace.len(),
-                mean_clique,
-                density: graph.density(),
-                result: run_simulation(&trace, &params, None),
-            });
-        }
-    }
-    rows
+                mean_clique: cliques as f64 / trace.len().max(1) as f64,
+                density: AggregateGraph::from_trace(trace).density(),
+                result: run_simulation(trace, &params, None),
+            }
+        })
 }
 
-/// Renders the comparison as a table.
-pub fn mobility_table(rows: &[MobilityRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:>11} {:>8} {:>9} {:>8} {:>8} {:>11} {:>11}",
-        "model", "protocol", "contacts", "clique", "density", "meta ratio", "file ratio"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>11} {:>8} {:>9} {:>8.1} {:>8.3} {:>11.4} {:>11.4}",
-            r.model,
-            r.protocol,
-            r.contacts,
-            r.mean_clique,
-            r.density,
-            r.result.metadata_ratio,
-            r.result.file_ratio
-        );
-    }
-    out
+/// The comparison under `ctx`, rendered as a table.
+pub(crate) fn mobility_table(ctx: &RunContext) -> String {
+    let columns: [Column<MobilityRow>; 7] = [
+        ("model", 11, |r| r.model.to_string()),
+        ("protocol", 8, |r| r.protocol.to_string()),
+        ("contacts", 9, |r| r.contacts.to_string()),
+        ("clique", 8, |r| format!("{:.1}", r.mean_clique)),
+        ("density", 8, |r| format!("{:.3}", r.density)),
+        ("meta ratio", 11, |r| {
+            format!("{:.4}", r.result.metadata_ratio)
+        }),
+        ("file ratio", 11, |r| format!("{:.4}", r.result.file_ratio)),
+    ];
+    aligned_table(&columns, &mobility_comparison(ctx))
 }
 
 #[cfg(test)]
@@ -162,9 +140,8 @@ mod tests {
 
     #[test]
     fn table_renders_all_rows() {
-        let rows = mobility_comparison(&RunContext::new(Scale::Quick));
-        let t = mobility_table(&rows);
-        assert_eq!(t.lines().count(), rows.len() + 1);
+        let t = mobility_table(&RunContext::new(Scale::Quick));
+        assert_eq!(t.lines().count(), 4 * 3 + 1);
         assert!(t.contains("community"));
     }
 }

@@ -1,32 +1,75 @@
-//! Text and CSV rendering of reproduced figures.
+//! Text and CSV rendering of every experiment's output.
 
 use std::fmt::Write as _;
 
-use crate::capacity::CapacityRow;
-use crate::sweep::Figure;
+use mbt_core::ProtocolSpec;
+
+use crate::sweep::{Figure, SeriesPoint};
+
+/// One column of an [`aligned_table`]: its header, its width, and the cell
+/// a row renders in it.
+pub(crate) type Column<R> = (&'static str, usize, fn(&R) -> String);
+
+/// Renders `rows` as an aligned text table: the header line, then one line
+/// a row.
+pub(crate) fn aligned_table<R>(columns: &[Column<R>], rows: &[R]) -> String {
+    let widths: Vec<usize> = columns.iter().map(|&(_, width, _)| width).collect();
+    let header = columns.iter().map(|(name, ..)| name.to_string()).collect();
+    let cells = (rows.iter()).map(|row| columns.iter().map(|(.., cell)| cell(row)).collect());
+    lines(&widths, std::iter::once(header).chain(cells))
+}
+
+/// Renders a first column (`first` is its header and width), then a `|`
+/// and a `.meta`/`.file` column pair for each of `protocols`. A row is its
+/// first cell and one `[meta, file]` pair a protocol.
+pub(crate) fn grouped_table(
+    first: (&str, usize),
+    protocols: &[ProtocolSpec],
+    rows: impl Iterator<Item = (String, Vec<[String; 2]>)>,
+) -> String {
+    let names = protocols
+        .iter()
+        .map(|p| [format!("{p}.meta"), format!("{p}.file")]);
+    let header = (first.0.to_string(), names.collect());
+    let widths: Vec<usize> = std::iter::once(first.1)
+        .chain(protocols.iter().flat_map(|_| [1, 14, 14]))
+        .collect();
+    let cells = std::iter::once(header).chain(rows).map(|(first, pairs)| {
+        let groups = pairs
+            .into_iter()
+            .flat_map(|[meta, file]| ["|".to_string(), meta, file]);
+        std::iter::once(first).chain(groups).collect()
+    });
+    lines(&widths, cells)
+}
+
+/// Writes each line's cells right-aligned to `widths`, one space apart.
+fn lines(widths: &[usize], rows: impl Iterator<Item = Vec<String>>) -> String {
+    let mut out = String::new();
+    for cells in rows {
+        debug_assert_eq!(cells.len(), widths.len(), "one cell a column");
+        let padded: Vec<String> = (cells.iter().zip(widths))
+            .map(|(cell, &width)| format!("{cell:>width$}"))
+            .collect();
+        out.push_str(&padded.join(" "));
+        out.push('\n');
+    }
+    out
+}
 
 /// Renders a figure as an aligned text table with one column pair
 /// (metadata ratio, file ratio) per protocol — the rows/series the paper's
 /// plots report.
 pub fn figure_table(fig: &Figure) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== {} ({}) ==", fig.title, fig.id);
-    let mut header = format!("{:>22}", fig.x_label);
-    for s in &fig.series {
-        let _ = write!(header, " | {:>9}.meta {:>9}.file", s.protocol, s.protocol);
-    }
-    let _ = writeln!(out, "{header}");
+    let protocols: Vec<ProtocolSpec> = fig.series.iter().map(|s| s.protocol).collect();
     let n_points = fig.series.first().map_or(0, |s| s.points.len());
-    for i in 0..n_points {
-        let x = fig.series[0].points[i].x;
-        let mut row = format!("{x:>22.3}");
-        for s in &fig.series {
-            let p = &s.points[i];
-            let _ = write!(row, " | {:>14.4} {:>14.4}", p.metadata_ratio, p.file_ratio);
-        }
-        let _ = writeln!(out, "{row}");
-    }
-    out
+    let ratios = |p: &SeriesPoint| [p.metadata_ratio, p.file_ratio].map(|r| format!("{r:.4}"));
+    let rows = (0..n_points).map(|i| {
+        let pairs = fig.series.iter().map(|s| ratios(&s.points[i])).collect();
+        (format!("{:.3}", fig.series[0].points[i].x), pairs)
+    });
+    let table = grouped_table((fig.x_label.as_str(), 22), &protocols, rows);
+    format!("== {} ({}) ==\n{table}", fig.title, fig.id)
 }
 
 /// Renders a figure as CSV: `x,protocol,metadata_ratio,file_ratio,
@@ -92,37 +135,11 @@ pub fn figure_delay_csv(fig: &Figure) -> String {
     out
 }
 
-/// Renders the §V capacity table.
-pub fn capacity_table_text(rows: &[CapacityRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:>4} {:>12} {:>12} {:>14} {:>14} {:>14} {:>14}",
-        "n", "bcast (n-1)/n", "pair 1/n", "bcast (sim)", "pair (sim)", "slots bcast", "slots pair"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>4} {:>12.4} {:>12.4} {:>14.4} {:>14.4} {:>14} {:>14}",
-            r.n,
-            r.broadcast,
-            r.pairwise,
-            r.broadcast_sim,
-            r.pairwise_sim,
-            r.slots_broadcast,
-            r.slots_pairwise
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capacity::capacity_table;
     use crate::runner::SimResult;
-    use crate::sweep::{ProtocolSeries, SeriesPoint};
-    use mbt_core::ProtocolSpec;
+    use crate::sweep::ProtocolSeries;
 
     fn tiny_figure() -> Figure {
         Figure {
@@ -201,12 +218,5 @@ mod tests {
             "{}",
             lines[1]
         );
-    }
-
-    #[test]
-    fn capacity_text_renders_rows() {
-        let text = capacity_table_text(&capacity_table(4, 10));
-        assert_eq!(text.lines().count(), 4); // header + n=2,3,4
-        assert!(text.contains("0.5000"));
     }
 }

@@ -400,6 +400,16 @@ pub(crate) fn frequent_contacts(
     listed.map(|(id, peers)| (id, peers.into())).collect()
 }
 
+/// A run's Internet-access nodes: `params.internet_fraction` of `node_ids`,
+/// rounded, drawn deterministically from `params.seed`.
+pub(crate) fn internet_nodes(node_ids: &[NodeId], params: &SimParams) -> BTreeSet<NodeId> {
+    let mut shuffled = node_ids.to_vec();
+    let mut pick_rng: StdRng = stream(params.seed, "internet-selection");
+    shuffled.shuffle(&mut pick_rng);
+    let internet_count = ((node_ids.len() as f64) * params.internet_fraction).round() as usize;
+    shuffled.into_iter().take(internet_count).collect()
+}
+
 /// [`run_simulation`] past the frequent-contact map.
 ///
 /// # Panics
@@ -415,13 +425,7 @@ pub(crate) fn simulate(
 ) -> SimResult {
     let node_ids = source.nodes();
     let id_space = source.id_space();
-
-    // Pick Internet-access nodes deterministically.
-    let mut shuffled = node_ids.clone();
-    let mut pick_rng: StdRng = stream(params.seed, "internet-selection");
-    shuffled.shuffle(&mut pick_rng);
-    let internet_count = ((node_ids.len() as f64) * params.internet_fraction).round() as usize;
-    let internet: BTreeSet<NodeId> = shuffled.into_iter().take(internet_count).collect();
+    let internet = internet_nodes(&node_ids, params);
 
     assert!(
         params.config.faults_value().is_noop(),
@@ -839,7 +843,7 @@ impl Harness<'_, '_> {
         // row with its first query.
         for i in 0..self.present.len() {
             let id = self.present[i];
-            let picks = workload::draw_queries(&batch, id, &mut self.workload_rng);
+            let picks = workload::draw_queries(&batch, &mut self.workload_rng);
             let asks = !picks.is_empty() && self.is_alive(id, now);
             let slot = if asks {
                 self.table.materialize(id)

@@ -8,7 +8,7 @@
 //! truncated-exponential density `λe^{-λx}` with `λ = n/2`, so each node
 //! generates about two queries per day.
 
-use dtn_trace::{NodeId, SimDuration, SimTime, SECONDS_PER_DAY};
+use dtn_trace::{SimDuration, SimTime, SECONDS_PER_DAY};
 use mbt_core::auth::{sign, KeyRegistry, PublisherKey};
 use mbt_core::popularity::{lambda_for_files_per_day, sample_popularity};
 use mbt_core::{Metadata, Popularity, Query, Uri};
@@ -190,11 +190,11 @@ pub fn forge_fake(real: &GeneratedFile, variant: u32) -> GeneratedFile {
     }
 }
 
-/// Draws which of the batch's files `node` queries for: each file is queried
-/// with probability equal to its popularity. Returns `(file index, query)`
-/// pairs.
-pub fn draw_queries(batch: &DailyBatch, node: NodeId, rng: &mut StdRng) -> Vec<(usize, Query)> {
-    let _ = node; // draws are per-(node, file) via the shared stream order
+/// Draws which of the batch's files one node queries for: each file is
+/// queried with probability equal to its popularity. Returns `(file index,
+/// query)` pairs. Nodes draw in turn from the one shared stream, so a
+/// node's draws are fixed by its place in that order.
+pub fn draw_queries(batch: &DailyBatch, rng: &mut StdRng) -> Vec<(usize, Query)> {
     batch
         .files
         .iter()
@@ -261,8 +261,8 @@ mod tests {
         let batch = generate_batch(&cfg, 0, &mut rng);
         let mut total = 0usize;
         let trials = 400;
-        for t in 0..trials {
-            total += draw_queries(&batch, NodeId::new(t), &mut rng).len();
+        for _ in 0..trials {
+            total += draw_queries(&batch, &mut rng).len();
         }
         let mean = total as f64 / trials as f64;
         // λ = 25 ⇒ ≈ 2 queries/node/day.
@@ -275,7 +275,7 @@ mod tests {
         let mut rng = stream(6, "workload");
         let batch = generate_batch(&cfg, 0, &mut rng);
         let picks: Vec<(usize, Query)> = (0..40)
-            .flat_map(|n| draw_queries(&batch, NodeId::new(n), &mut rng))
+            .flat_map(|_| draw_queries(&batch, &mut rng))
             .collect();
         assert!(!picks.is_empty());
         for (i, query) in picks {

@@ -79,7 +79,7 @@ proptest! {
         let cfg = WorkloadConfig::new(files, 3);
         let mut rng = dtn_sim::rng::stream(seed, "workload");
         let batch = generate_batch(&cfg, 0, &mut rng);
-        let picks = draw_queries(&batch, dtn_trace::NodeId::new(0), &mut rng);
+        let picks = draw_queries(&batch, &mut rng);
         for (idx, query) in picks {
             prop_assert!(idx < batch.files.len());
             prop_assert!(batch.files[idx].metadata.matches_query(&query));
