@@ -16,17 +16,18 @@
 //!   ref \[10\]);
 //! - [`protocols::SprayAndWait`] — bounded-copy spraying (binary variant).
 //!
-//! [`sim::RoutingSim`] drives any of them over a
-//! [`dtn_trace::TraceSource`] (an in-memory trace or a shard directory) on
-//! [`dtn_sim::StreamSimulator`] and reports delivery ratio, delay, and
-//! transmission overhead.
+//! [`sim::simulate`] drives any of them over a [`dtn_trace::TraceSource`]
+//! (an in-memory trace or a shard directory) on
+//! [`dtn_sim::StreamSimulator`], with unbounded per-node buffers and every
+//! transfer a protocol asks for applied, and reports delivery ratio, delay,
+//! and transmission overhead.
 //!
 //! # Example
 //!
 //! ```
 //! use dtn_routing::message::Message;
 //! use dtn_routing::protocols::Epidemic;
-//! use dtn_routing::sim::RoutingSim;
+//! use dtn_routing::sim::simulate;
 //! use dtn_trace::{Contact, ContactTrace, NodeId, SimTime};
 //!
 //! let trace: ContactTrace = vec![
@@ -35,7 +36,7 @@
 //! ].into_iter().collect();
 //!
 //! let messages = vec![Message::new(0, NodeId::new(0), NodeId::new(2), SimTime::ZERO, None)];
-//! let report = RoutingSim::new(&trace, Epidemic::new()).run(messages);
+//! let report = simulate(&trace, Epidemic::new(), messages);
 //! assert_eq!(report.delivered, 1, "epidemic reaches n2 through n1");
 //! # Ok::<(), dtn_trace::ContactError>(())
 //! ```
@@ -48,7 +49,7 @@ pub mod message;
 pub mod protocols;
 pub mod sim;
 
-pub use buffer::{evict_lowest_score, Buffer, DropPolicy};
+pub use buffer::Buffer;
 pub use message::{Message, MessageId};
-pub use protocols::{AvailabilityDiffusion, RoutingProtocol};
-pub use sim::{RoutingReport, RoutingSim};
+pub use protocols::RoutingProtocol;
+pub use sim::{simulate, RoutingReport};

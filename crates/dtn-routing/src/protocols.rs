@@ -57,7 +57,7 @@ pub trait RoutingProtocol {
     fn name(&self) -> &'static str;
 
     /// Called when `a` and `b` meet; returns the transfers to apply, in
-    /// order (the simulator may truncate to a per-contact budget).
+    /// order.
     fn on_contact(
         &mut self,
         a: NodeId,
@@ -179,56 +179,24 @@ impl RoutingProtocol for DirectDelivery {
 /// age with time, and transitivity propagates predictability through the
 /// peer. A copy is replicated to the peer when the peer's predictability for
 /// the destination exceeds the carrier's.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Prophet {
-    p_init: f64,
-    beta: f64,
-    gamma: f64,
-    /// Aging time unit in seconds (predictability decays by `gamma` per unit).
-    unit_secs: f64,
     p: BTreeMap<(NodeId, NodeId), f64>,
     last_aged: BTreeMap<NodeId, SimTime>,
 }
 
-impl Default for Prophet {
-    fn default() -> Self {
-        Prophet::new()
-    }
-}
+/// PRoPHET's canonical parameters: a fresh encounter's predictability, the
+/// transitivity weight, and the aging factor per 30-minute unit.
+const P_INIT: f64 = 0.75;
+const BETA: f64 = 0.25;
+const GAMMA: f64 = 0.98;
+const UNIT_SECS: f64 = 1_800.0;
 
 impl Prophet {
     /// Creates PRoPHET with the canonical parameters:
     /// `P_init = 0.75`, `β = 0.25`, `γ = 0.98`, aging unit 30 minutes.
     pub fn new() -> Self {
-        Prophet {
-            p_init: 0.75,
-            beta: 0.25,
-            gamma: 0.98,
-            unit_secs: 1_800.0,
-            p: BTreeMap::new(),
-            last_aged: BTreeMap::new(),
-        }
-    }
-
-    /// Overrides the parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `p_init`, `beta` ∈ (0, 1], `gamma` ∈ (0, 1), and
-    /// `unit_secs > 0`.
-    pub fn with_params(p_init: f64, beta: f64, gamma: f64, unit_secs: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p_init) && p_init > 0.0, "bad p_init");
-        assert!((0.0..=1.0).contains(&beta) && beta > 0.0, "bad beta");
-        assert!(gamma > 0.0 && gamma < 1.0, "bad gamma");
-        assert!(unit_secs > 0.0, "bad unit");
-        Prophet {
-            p_init,
-            beta,
-            gamma,
-            unit_secs,
-            p: BTreeMap::new(),
-            last_aged: BTreeMap::new(),
-        }
+        Prophet::default()
     }
 
     /// The current predictability `P(x, y)`.
@@ -244,8 +212,8 @@ impl Prophet {
         if elapsed.is_zero() {
             return;
         }
-        let k = elapsed.as_secs() as f64 / self.unit_secs;
-        let factor = self.gamma.powf(k);
+        let k = elapsed.as_secs() as f64 / UNIT_SECS;
+        let factor = GAMMA.powf(k);
         for ((x, _), v) in self.p.iter_mut() {
             if *x == node {
                 *v *= factor;
@@ -255,7 +223,7 @@ impl Prophet {
 
     fn reinforce(&mut self, x: NodeId, y: NodeId) {
         let entry = self.p.entry((x, y)).or_insert(0.0);
-        *entry += (1.0 - *entry) * self.p_init;
+        *entry += (1.0 - *entry) * P_INIT;
     }
 
     fn transit(&mut self, x: NodeId, via: NodeId) {
@@ -272,7 +240,7 @@ impl Prophet {
                 continue;
             }
             let entry = self.p.entry((x, d)).or_insert(0.0);
-            *entry += (1.0 - *entry) * p_x_via * p_via_d * self.beta;
+            *entry += (1.0 - *entry) * p_x_via * p_via_d * BETA;
         }
     }
 }
@@ -395,69 +363,6 @@ impl RoutingProtocol for SprayAndWait {
     }
 }
 
-/// An exponentially-smoothed estimator of per-item availability, the model
-/// behind diffusion-driven proactive replication (after Napoli, Anceaume,
-/// et al., *Improving files availability for BitTorrent using a diffusion
-/// model*).
-///
-/// Each observation is the fraction of currently-connected peers holding an
-/// item; the estimate diffuses toward it with weight `alpha`. Items whose
-/// estimate sits below `threshold` are scarce and worth replicating
-/// proactively. The helper is deliberately protocol-agnostic — `mbt-core`'s
-/// `DiffuseRep` variant drives it with clique file catalogs.
-///
-/// # Example
-///
-/// ```
-/// use dtn_routing::AvailabilityDiffusion;
-///
-/// let d = AvailabilityDiffusion::new(0.5, 0.35);
-/// let estimate = d.update(0.0, 1.0); // first sighting: everyone has it
-/// assert!((estimate - 0.5).abs() < 1e-12);
-/// assert!(!d.is_scarce(estimate));
-/// assert!(d.is_scarce(d.update(estimate, 0.0)));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AvailabilityDiffusion {
-    alpha: f64,
-    threshold: f64,
-}
-
-impl AvailabilityDiffusion {
-    /// Creates the estimator with smoothing weight `alpha` and scarcity
-    /// `threshold`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `alpha` ∈ (0, 1] and `threshold` ∈ [0, 1].
-    pub fn new(alpha: f64, threshold: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "bad alpha");
-        assert!((0.0..=1.0).contains(&threshold), "bad threshold");
-        AvailabilityDiffusion { alpha, threshold }
-    }
-
-    /// The smoothing weight of the newest observation.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// The scarcity threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Diffuses `estimate` toward the newly `observed` availability.
-    pub fn update(&self, estimate: f64, observed: f64) -> f64 {
-        estimate + self.alpha * (observed - estimate)
-    }
-
-    /// True if an item with this availability estimate should be replicated
-    /// proactively.
-    pub fn is_scarce(&self, estimate: f64) -> bool {
-        estimate < self.threshold
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,7 +377,7 @@ mod tests {
     }
 
     fn buf_with(messages: &[(u64, u32, u32, u32)]) -> Buffer {
-        let mut b = Buffer::unbounded();
+        let mut b = Buffer::default();
         for &(id, src, dst, tokens) in messages {
             b.insert(msg(id, src, dst), tokens);
         }
@@ -503,7 +408,7 @@ mod tests {
     #[test]
     fn direct_delivery_only_to_destination() {
         let a = buf_with(&[(1, 0, 1, 1), (2, 0, 9, 1)]);
-        let b = Buffer::unbounded();
+        let b = Buffer::default();
         let mut p = DirectDelivery::new();
         let actions = p.on_contact(n(0), n(1), &ContactView { a: &a, b: &b }, SimTime::ZERO);
         assert_eq!(
@@ -518,7 +423,7 @@ mod tests {
     #[test]
     fn prophet_reinforces_and_ages() {
         let mut p = Prophet::new();
-        let empty = Buffer::unbounded();
+        let empty = Buffer::default();
         p.on_contact(
             n(0),
             n(1),
@@ -551,7 +456,7 @@ mod tests {
     #[test]
     fn prophet_transitivity_builds_indirect_predictability() {
         let mut p = Prophet::new();
-        let empty = Buffer::unbounded();
+        let empty = Buffer::default();
         // b meets dst often, then a meets b: a gains predictability for dst.
         for t in 0..3 {
             p.on_contact(
@@ -580,7 +485,7 @@ mod tests {
     #[test]
     fn prophet_forwards_to_better_carrier() {
         let mut p = Prophet::new();
-        let empty = Buffer::unbounded();
+        let empty = Buffer::default();
         // b frequently meets node 5.
         for t in 0..3 {
             p.on_contact(
@@ -594,7 +499,7 @@ mod tests {
             );
         }
         let a = buf_with(&[(1, 0, 5, 1)]);
-        let b = Buffer::unbounded();
+        let b = Buffer::default();
         let actions = p.on_contact(
             n(0),
             n(1),
@@ -610,7 +515,7 @@ mod tests {
     #[test]
     fn prophet_keeps_message_when_self_is_better() {
         let mut p = Prophet::new();
-        let empty = Buffer::unbounded();
+        let empty = Buffer::default();
         // a (node 0) frequently meets the destination, b never has.
         for t in 0..3 {
             p.on_contact(
@@ -624,7 +529,7 @@ mod tests {
             );
         }
         let a = buf_with(&[(1, 0, 5, 1)]);
-        let b = Buffer::unbounded();
+        let b = Buffer::default();
         let actions = p.on_contact(
             n(0),
             n(1),
@@ -637,7 +542,7 @@ mod tests {
     #[test]
     fn spray_splits_tokens_binary() {
         let a = buf_with(&[(1, 0, 9, 8)]);
-        let b = Buffer::unbounded();
+        let b = Buffer::default();
         let mut p = SprayAndWait::new(8);
         let actions = p.on_contact(n(0), n(1), &ContactView { a: &a, b: &b }, SimTime::ZERO);
         assert_eq!(
@@ -654,7 +559,7 @@ mod tests {
     #[test]
     fn spray_waits_with_single_token() {
         let a = buf_with(&[(1, 0, 9, 1)]);
-        let b = Buffer::unbounded();
+        let b = Buffer::default();
         let mut p = SprayAndWait::new(8);
         let actions = p.on_contact(n(0), n(1), &ContactView { a: &a, b: &b }, SimTime::ZERO);
         assert!(
@@ -666,7 +571,7 @@ mod tests {
     #[test]
     fn spray_always_delivers_to_destination() {
         let a = buf_with(&[(1, 0, 1, 1)]);
-        let b = Buffer::unbounded();
+        let b = Buffer::default();
         let mut p = SprayAndWait::new(8);
         let actions = p.on_contact(n(0), n(1), &ContactView { a: &a, b: &b }, SimTime::ZERO);
         assert_eq!(
@@ -688,29 +593,5 @@ mod tests {
     #[should_panic(expected = "at least one copy")]
     fn spray_rejects_zero_copies() {
         let _ = SprayAndWait::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad gamma")]
-    fn prophet_rejects_bad_gamma() {
-        let _ = Prophet::with_params(0.75, 0.25, 1.5, 30.0);
-    }
-
-    #[test]
-    fn diffusion_converges_to_observation() {
-        let d = AvailabilityDiffusion::new(0.5, 0.35);
-        let mut estimate = 0.0;
-        for _ in 0..20 {
-            estimate = d.update(estimate, 0.8);
-        }
-        assert!((estimate - 0.8).abs() < 1e-3, "{estimate}");
-        assert!(!d.is_scarce(estimate));
-        assert!(d.is_scarce(0.3));
-    }
-
-    #[test]
-    #[should_panic(expected = "bad alpha")]
-    fn diffusion_rejects_zero_alpha() {
-        let _ = AvailabilityDiffusion::new(0.0, 0.5);
     }
 }

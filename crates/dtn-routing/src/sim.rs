@@ -8,7 +8,7 @@ use dtn_trace::{Contact, NodeId, SimDuration, SimTime, TraceSource};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::buffer::{Buffer, DropPolicy};
+use crate::buffer::Buffer;
 use crate::message::{Message, MessageId};
 use crate::protocols::{Action, ContactView, RoutingProtocol};
 
@@ -34,78 +34,34 @@ pub struct RoutingReport {
     pub overhead: Option<f64>,
 }
 
-/// Drives a [`RoutingProtocol`] over any [`TraceSource`] on the shared
-/// [`StreamSimulator`] engine.
+/// Runs `protocol` over any [`TraceSource`] on the shared
+/// [`StreamSimulator`] engine with the given messages; returns the report.
 ///
 /// Clique contacts are decomposed into their node pairs (in deterministic
 /// order); messages are injected at their creation times; expired messages
-/// are pruned from buffers as the clock advances.
-#[derive(Debug)]
-pub struct RoutingSim<'a, P> {
-    trace: &'a dyn TraceSource,
+/// are pruned from buffers as the clock advances. Buffers are unbounded and
+/// every transfer a protocol asks for in a contact is applied.
+pub fn simulate<P: RoutingProtocol>(
+    trace: &dyn TraceSource,
     protocol: P,
-    buffer_capacity: Option<usize>,
-    drop_policy: DropPolicy,
-    transfers_per_contact: Option<usize>,
-}
-
-impl<'a, P: RoutingProtocol> RoutingSim<'a, P> {
-    /// Creates a simulation of `protocol` over `trace` with unbounded
-    /// buffers and unbounded per-contact transfers.
-    pub fn new(trace: &'a dyn TraceSource, protocol: P) -> Self {
-        RoutingSim {
-            trace,
-            protocol,
-            buffer_capacity: None,
-            drop_policy: DropPolicy::Oldest,
-            transfers_per_contact: None,
-        }
-    }
-
-    /// Bounds every node's buffer to `capacity` messages.
-    pub fn buffer_capacity(mut self, capacity: usize) -> Self {
-        self.buffer_capacity = Some(capacity);
-        self
-    }
-
-    /// Sets the drop policy used with bounded buffers (default: drop-oldest).
-    pub fn drop_policy(mut self, policy: DropPolicy) -> Self {
-        self.drop_policy = policy;
-        self
-    }
-
-    /// Bounds the number of transfers applied per contact (models contact
-    /// length), truncating the protocol's action list.
-    pub fn transfers_per_contact(mut self, n: usize) -> Self {
-        self.transfers_per_contact = Some(n);
-        self
-    }
-
-    /// Runs the simulation with the given messages; returns the report.
-    pub fn run(self, mut messages: Vec<Message>) -> RoutingReport {
-        messages.sort_by_key(|m| (m.created(), m.id()));
-        let mk_buffer = || match self.buffer_capacity {
-            Some(cap) => Buffer::new(cap, self.drop_policy),
-            None => Buffer::unbounded(),
-        };
-        let mut run = Run {
-            buffers: (0..self.trace.id_space()).map(|_| mk_buffer()).collect(),
-            protocol: self.protocol,
-            transfer_limit: self.transfers_per_contact.unwrap_or(usize::MAX),
-            pending: messages.into_iter().peekable(),
-            created_time: BTreeMap::new(),
-            delivered_at: BTreeMap::new(),
-            transmissions: 0,
-        };
-        StreamSimulator::new(self.trace.stream()).run(&mut run);
-        run.report()
-    }
+    mut messages: Vec<Message>,
+) -> RoutingReport {
+    messages.sort_by_key(|m| (m.created(), m.id()));
+    let mut run = Run {
+        buffers: vec![Buffer::default(); trace.id_space()],
+        protocol,
+        pending: messages.into_iter().peekable(),
+        created_time: BTreeMap::new(),
+        delivered_at: BTreeMap::new(),
+        transmissions: 0,
+    };
+    StreamSimulator::new(trace.stream()).run(&mut run);
+    run.report()
 }
 
 /// The state of one run: the [`SimHandler`] the engine drives.
 struct Run<P> {
     protocol: P,
-    transfer_limit: usize,
     buffers: Vec<Buffer>,
     pending: Peekable<std::vec::IntoIter<Message>>,
     created_time: BTreeMap<MessageId, SimTime>,
@@ -177,7 +133,7 @@ impl<P: RoutingProtocol> SimHandler for Run<P> {
                 };
                 self.protocol.on_contact(a, b, &view, now)
             };
-            for action in actions.into_iter().take(self.transfer_limit) {
+            for action in actions {
                 self.transmissions +=
                     apply_action(&mut self.buffers, a, b, action, now, &mut self.delivered_at);
             }
@@ -298,7 +254,7 @@ mod tests {
     #[test]
     fn epidemic_delivers_along_chain() {
         let trace = chain_trace();
-        let r = RoutingSim::new(&trace, Epidemic::new()).run(msg_0_to_3());
+        let r = simulate(&trace, Epidemic::new(), msg_0_to_3());
         assert_eq!(r.delivered, 1);
         assert_eq!(r.delivery_ratio, 1.0);
         assert_eq!(r.mean_delay_secs, Some(30.0));
@@ -309,11 +265,11 @@ mod tests {
     #[test]
     fn direct_delivery_needs_a_direct_contact() {
         let trace = chain_trace();
-        let r = RoutingSim::new(&trace, DirectDelivery::new()).run(msg_0_to_3());
+        let r = simulate(&trace, DirectDelivery::new(), msg_0_to_3());
         assert_eq!(r.delivered, 0, "0 never meets 3 directly");
         // With a direct contact it works, with exactly one transmission.
         let trace2: ContactTrace = vec![pc(0, 3, 40, 50)].into_iter().collect();
-        let r2 = RoutingSim::new(&trace2, DirectDelivery::new()).run(msg_0_to_3());
+        let r2 = simulate(&trace2, DirectDelivery::new(), msg_0_to_3());
         assert_eq!(r2.delivered, 1);
         assert_eq!(r2.transmissions, 1);
         assert_eq!(r2.overhead, Some(1.0));
@@ -333,7 +289,7 @@ mod tests {
             SimTime::ZERO,
             None,
         )];
-        let r = RoutingSim::new(&trace, SprayAndWait::new(4)).run(msgs);
+        let r = simulate(&trace, SprayAndWait::new(4), msgs);
         assert_eq!(r.delivered, 1);
         // Tokens 4: gives 2, then 1; then wait-phase; plus the final direct
         // delivery ⇒ at most 4 transmissions, far fewer than epidemic's.
@@ -356,8 +312,19 @@ mod tests {
             SimTime::from_secs(120),
             None,
         )];
-        let r = RoutingSim::new(&trace, Prophet::new()).run(msgs);
+        let r = simulate(&trace, Prophet::new(), msgs);
         assert_eq!(r.delivered, 1, "prophet should route through the shuttle");
+    }
+
+    #[test]
+    fn a_contact_carries_every_transfer_asked_for() {
+        let trace: ContactTrace = vec![pc(0, 1, 10, 20)].into_iter().collect();
+        let msgs: Vec<Message> = (0..10)
+            .map(|i| Message::new(i, NodeId::new(0), NodeId::new(1), SimTime::ZERO, None))
+            .collect();
+        let r = simulate(&trace, Epidemic::new(), msgs);
+        assert_eq!(r.transmissions, 10);
+        assert_eq!(r.delivered, 10);
     }
 
     #[test]
@@ -370,34 +337,8 @@ mod tests {
             SimTime::ZERO,
             Some(SimTime::from_secs(25)), // expires before the 2-3 contact
         )];
-        let r = RoutingSim::new(&trace, Epidemic::new()).run(msgs);
+        let r = simulate(&trace, Epidemic::new(), msgs);
         assert_eq!(r.delivered, 0);
-    }
-
-    #[test]
-    fn transfer_budget_limits_transmissions() {
-        let trace: ContactTrace = vec![pc(0, 1, 10, 20)].into_iter().collect();
-        let msgs: Vec<Message> = (0..10)
-            .map(|i| Message::new(i, NodeId::new(0), NodeId::new(1), SimTime::ZERO, None))
-            .collect();
-        let r = RoutingSim::new(&trace, Epidemic::new())
-            .transfers_per_contact(3)
-            .run(msgs);
-        assert_eq!(r.transmissions, 3);
-        assert_eq!(r.delivered, 3);
-    }
-
-    #[test]
-    fn bounded_buffers_cap_copies() {
-        let trace: ContactTrace = vec![pc(0, 1, 10, 20)].into_iter().collect();
-        let msgs: Vec<Message> = (0..10)
-            .map(|i| Message::new(i, NodeId::new(0), NodeId::new(9), SimTime::ZERO, None))
-            .collect();
-        let r = RoutingSim::new(&trace, Epidemic::new())
-            .buffer_capacity(4)
-            .run(msgs);
-        // Node 0's own buffer held at most 4, so at most 4 transfers.
-        assert!(r.transmissions <= 4);
     }
 
     #[test]
@@ -416,7 +357,7 @@ mod tests {
             SimTime::ZERO,
             None,
         )];
-        let r = RoutingSim::new(&trace, Epidemic::new()).run(msgs);
+        let r = simulate(&trace, Epidemic::new(), msgs);
         assert_eq!(r.delivered, 1);
     }
 
@@ -430,7 +371,7 @@ mod tests {
             SimTime::ZERO,
             None,
         )];
-        let r = RoutingSim::new(&trace, Epidemic::new()).run(msgs);
+        let r = simulate(&trace, Epidemic::new(), msgs);
         assert_eq!(r.delivered, 1);
         assert_eq!(r.transmissions, 0);
     }
@@ -461,7 +402,7 @@ mod tests {
     #[test]
     fn report_with_no_messages() {
         let trace = chain_trace();
-        let r = RoutingSim::new(&trace, Epidemic::new()).run(Vec::new());
+        let r = simulate(&trace, Epidemic::new(), Vec::new());
         assert_eq!(r.created, 0);
         assert_eq!(r.delivery_ratio, 0.0);
         assert_eq!(r.overhead, None);

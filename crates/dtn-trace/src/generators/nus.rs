@@ -24,6 +24,15 @@ use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime, SECONDS_PER_DAY};
 use crate::trace::{ContactSink, ContactTrace};
 
+/// How many courses each student enrolls in (at most the number of courses).
+const COURSES_PER_STUDENT: u32 = 5;
+/// Weekly sessions per course.
+const SESSIONS_PER_COURSE_PER_WEEK: u32 = 2;
+/// The length of a session: two hours.
+const SESSION_SECS: u64 = 2 * 3_600;
+/// Session slots on a 9:00–17:00 teaching day.
+const SLOTS_PER_DAY: u32 = (8 * 3_600 / SESSION_SECS) as u32;
+
 /// Configuration for the NUS-style campus generator.
 ///
 /// # Example
@@ -39,10 +48,6 @@ use crate::trace::{ContactSink, ContactTrace};
 pub struct NusConfig {
     students: u32,
     days: u64,
-    courses: u32,
-    courses_per_student: u32,
-    sessions_per_course_per_week: u32,
-    session_secs: u64,
     attendance_rate: f64,
     weekends_off: bool,
     seed: u64,
@@ -57,10 +62,6 @@ impl NusConfig {
         NusConfig {
             students,
             days,
-            courses: (students / 4).max(1),
-            courses_per_student: 5,
-            sessions_per_course_per_week: 2,
-            session_secs: 2 * 3_600,
             attendance_rate: 1.0,
             weekends_off: true,
             seed: 0,
@@ -71,36 +72,6 @@ impl NusConfig {
     /// attendance draws.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the number of distinct courses (default `students / 4`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `courses == 0`.
-    pub fn courses(mut self, courses: u32) -> Self {
-        assert!(courses > 0, "at least one course is required");
-        self.courses = courses;
-        self
-    }
-
-    /// Sets how many courses each student enrolls in (default 5, clamped to
-    /// the number of courses).
-    pub fn courses_per_student(mut self, k: u32) -> Self {
-        self.courses_per_student = k.max(1);
-        self
-    }
-
-    /// Sets weekly sessions per course (default 2).
-    pub fn sessions_per_course_per_week(mut self, k: u32) -> Self {
-        self.sessions_per_course_per_week = k.max(1);
-        self
-    }
-
-    /// Sets the session length in seconds (default 2 hours).
-    pub fn session_secs(mut self, secs: u64) -> Self {
-        self.session_secs = secs.max(60);
         self
     }
 
@@ -123,16 +94,6 @@ impl NusConfig {
     pub fn weekends_off(mut self, off: bool) -> Self {
         self.weekends_off = off;
         self
-    }
-
-    /// Number of students.
-    pub fn student_count(&self) -> u32 {
-        self.students
-    }
-
-    /// Number of simulated days.
-    pub fn day_count(&self) -> u64 {
-        self.days
     }
 
     /// Generates the clique contact trace.
@@ -162,12 +123,12 @@ impl NusConfig {
     /// tests keep as their oracle.
     pub fn generate_into<S: ContactSink + ?Sized>(&self, sink: &mut S) {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x0005_CAFE);
-        let (roster, timetable, slots_per_day) = self.build_schedule(&mut rng);
+        let (roster, timetable) = self.build_schedule(&mut rng);
 
         // Flat (student, slot) occupancy, stamped with `day + 1`: a cell is
         // busy today iff its stamp equals today's marker, so the table never
         // needs clearing between days.
-        let mut busy: Vec<u64> = vec![0; self.students as usize * slots_per_day as usize];
+        let mut busy: Vec<u64> = vec![0; self.students as usize * SLOTS_PER_DAY as usize];
         for day in 0..self.days {
             let weekday = (day % 7) as u32;
             if self.weekends_off && weekday >= 5 {
@@ -176,17 +137,16 @@ impl NusConfig {
             let marker = day + 1;
             for (course, cells) in timetable.iter().enumerate() {
                 for &cell in cells {
-                    let cell_day = cell / slots_per_day;
-                    let slot = cell % slots_per_day;
+                    let cell_day = cell / SLOTS_PER_DAY;
+                    let slot = cell % SLOTS_PER_DAY;
                     if cell_day != weekday {
                         continue;
                     }
-                    let start_secs =
-                        day * SECONDS_PER_DAY + 9 * 3_600 + slot as u64 * self.session_secs;
-                    let end_secs = start_secs + self.session_secs;
+                    let start_secs = day * SECONDS_PER_DAY + 9 * 3_600 + slot as u64 * SESSION_SECS;
+                    let end_secs = start_secs + SESSION_SECS;
                     let mut attendees: Vec<NodeId> = Vec::new();
                     for &student in &roster[course] {
-                        if busy[student.index() * slots_per_day as usize + slot as usize] == marker
+                        if busy[student.index() * SLOTS_PER_DAY as usize + slot as usize] == marker
                         {
                             continue;
                         }
@@ -198,7 +158,7 @@ impl NusConfig {
                         continue;
                     }
                     for &student in &attendees {
-                        busy[student.index() * slots_per_day as usize + slot as usize] = marker;
+                        busy[student.index() * SLOTS_PER_DAY as usize + slot as usize] = marker;
                     }
                     let contact = Contact::clique(
                         attendees,
@@ -213,17 +173,18 @@ impl NusConfig {
     }
 
     /// Draws the enrollment and builds the course rosters and weekly
-    /// timetable. Shared by the streaming path and the tests' oracle so both
-    /// consume the identical RNG prefix.
-    #[allow(clippy::type_complexity)]
-    fn build_schedule(&self, rng: &mut StdRng) -> (Vec<Vec<NodeId>>, Vec<Vec<u32>>, u32) {
-        let courses_per_student = self.courses_per_student.min(self.courses);
+    /// timetable over `students / 4` courses (at least one). Shared by the
+    /// streaming path and the tests' oracle so both consume the identical
+    /// RNG prefix.
+    fn build_schedule(&self, rng: &mut StdRng) -> (Vec<Vec<NodeId>>, Vec<Vec<u32>>) {
+        let courses = (self.students / 4).max(1);
+        let courses_per_student = COURSES_PER_STUDENT.min(courses);
 
         // Enrollment: each student picks distinct courses, weighted toward
         // low-numbered ("large intro") courses by sampling from a shuffled
         // deck with two copies of the first half.
         let mut enrollment: Vec<Vec<u32>> = Vec::with_capacity(self.students as usize);
-        let mut deck: Vec<u32> = (0..self.courses).chain(0..self.courses / 2).collect();
+        let mut deck: Vec<u32> = (0..courses).chain(0..courses / 2).collect();
         for _ in 0..self.students {
             deck.shuffle(rng);
             let mut picked: Vec<u32> = Vec::with_capacity(courses_per_student as usize);
@@ -241,14 +202,13 @@ impl NusConfig {
 
         // Timetable: assign each course session to a (weekday, hour-slot)
         // cell. 5 weekdays x 4 two-hour slots (9-11, 11-13, 13-15, 15-17).
-        let slots_per_day = (8 * 3_600 / self.session_secs).max(1) as u32;
         let weekdays: u32 = if self.weekends_off { 5 } else { 7 };
-        let total_cells = weekdays * slots_per_day;
-        let mut timetable: Vec<Vec<u32>> = Vec::with_capacity(self.courses as usize);
+        let total_cells = weekdays * SLOTS_PER_DAY;
+        let mut timetable: Vec<Vec<u32>> = Vec::with_capacity(courses as usize);
         let mut next_cell = 0u32;
-        for _ in 0..self.courses {
-            let mut cells = Vec::with_capacity(self.sessions_per_course_per_week as usize);
-            for _ in 0..self.sessions_per_course_per_week {
+        for _ in 0..courses {
+            let mut cells = Vec::with_capacity(SESSIONS_PER_COURSE_PER_WEEK as usize);
+            for _ in 0..SESSIONS_PER_COURSE_PER_WEEK {
                 cells.push(next_cell % total_cells);
                 // A large odd stride spreads a course's sessions across the week
                 // and staggers different courses.
@@ -258,13 +218,13 @@ impl NusConfig {
         }
 
         // Roster per course.
-        let mut roster: Vec<Vec<NodeId>> = vec![Vec::new(); self.courses as usize];
+        let mut roster: Vec<Vec<NodeId>> = vec![Vec::new(); courses as usize];
         for (student, courses) in enrollment.iter().enumerate() {
             for &c in courses {
                 roster[c as usize].push(NodeId::new(student as u32));
             }
         }
-        (roster, timetable, slots_per_day)
+        (roster, timetable)
     }
 
     /// The paper's frequent-contact window for this trace: one day.
@@ -285,7 +245,7 @@ mod tests {
         /// [`NusConfig::generate_into`].
         fn generate_into_all_pairs<S: ContactSink + ?Sized>(&self, sink: &mut S) {
             let mut rng = StdRng::seed_from_u64(self.seed ^ 0x0005_CAFE);
-            let (roster, timetable, slots_per_day) = self.build_schedule(&mut rng);
+            let (roster, timetable) = self.build_schedule(&mut rng);
 
             for day in 0..self.days {
                 let weekday = (day % 7) as u32;
@@ -295,17 +255,17 @@ mod tests {
                 // Track which slot each student already occupies today so
                 // overlapping enrollments never produce overlapping cliques.
                 let mut busy: Vec<Vec<bool>> =
-                    vec![vec![false; slots_per_day as usize]; self.students as usize];
+                    vec![vec![false; SLOTS_PER_DAY as usize]; self.students as usize];
                 for (course, cells) in timetable.iter().enumerate() {
                     for &cell in cells {
-                        let cell_day = cell / slots_per_day;
-                        let slot = cell % slots_per_day;
+                        let cell_day = cell / SLOTS_PER_DAY;
+                        let slot = cell % SLOTS_PER_DAY;
                         if cell_day != weekday {
                             continue;
                         }
                         let start_secs =
-                            day * SECONDS_PER_DAY + 9 * 3_600 + slot as u64 * self.session_secs;
-                        let end_secs = start_secs + self.session_secs;
+                            day * SECONDS_PER_DAY + 9 * 3_600 + slot as u64 * SESSION_SECS;
+                        let end_secs = start_secs + SESSION_SECS;
                         let mut attendees: Vec<NodeId> = Vec::new();
                         for &student in &roster[course] {
                             if busy[student.index()][slot as usize] {
@@ -386,6 +346,18 @@ mod tests {
             let mut oracle = ContactTrace::builder();
             cfg.generate_into_all_pairs(&mut oracle);
             prop_assert_eq!(streamed.build(), oracle.build());
+        }
+    }
+
+    #[test]
+    fn fewer_than_four_students_share_one_course() {
+        // A course for every four students, at least one: three students all
+        // take it, and it meets twice a week for two hours.
+        let t = NusConfig::new(3, 7).seed(1).generate();
+        assert_eq!(t.len(), 2);
+        for c in t.iter() {
+            assert_eq!(c.size(), 3);
+            assert_eq!(c.duration(), SimDuration::from_hours(2));
         }
     }
 
@@ -485,15 +457,5 @@ mod tests {
     #[should_panic(expected = "attendance rate")]
     fn rejects_bad_attendance() {
         let _ = NusConfig::new(10, 1).attendance_rate(1.5);
-    }
-
-    #[test]
-    fn respects_course_count() {
-        let t = NusConfig::new(30, 7)
-            .seed(8)
-            .courses(3)
-            .courses_per_student(2)
-            .generate();
-        assert!(!t.is_empty());
     }
 }

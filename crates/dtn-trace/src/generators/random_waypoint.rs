@@ -15,6 +15,16 @@ use crate::node::NodeId;
 use crate::time::SimTime;
 use crate::trace::ContactTrace;
 
+/// Radio range in meters.
+const RANGE_M: f64 = 50.0;
+/// Pedestrian speeds in meters/second, drawn uniformly per leg.
+const MIN_SPEED_MPS: f64 = 0.5;
+const MAX_SPEED_MPS: f64 = 2.0;
+/// The pause at each waypoint.
+const PAUSE_SECS: u64 = 60;
+/// The sampling step. Contacts shorter than one step may be missed.
+const STEP_SECS: u64 = 10;
+
 /// Configuration for the random-waypoint generator.
 ///
 /// # Example
@@ -30,11 +40,6 @@ pub struct RandomWaypointConfig {
     nodes: u32,
     duration_secs: u64,
     arena_m: f64,
-    range_m: f64,
-    min_speed_mps: f64,
-    max_speed_mps: f64,
-    pause_secs: u64,
-    step_secs: u64,
     seed: u64,
 }
 
@@ -47,11 +52,6 @@ impl RandomWaypointConfig {
             nodes,
             duration_secs,
             arena_m: 1_000.0,
-            range_m: 50.0,
-            min_speed_mps: 0.5,
-            max_speed_mps: 2.0,
-            pause_secs: 60,
-            step_secs: 10,
             seed: 0,
         }
     }
@@ -70,36 +70,6 @@ impl RandomWaypointConfig {
     pub fn arena_m(mut self, side: f64) -> Self {
         assert!(side > 0.0, "arena side must be positive");
         self.arena_m = side;
-        self
-    }
-
-    /// Sets the radio range in meters (default 50).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range <= 0`.
-    pub fn range_m(mut self, range: f64) -> Self {
-        assert!(range > 0.0, "radio range must be positive");
-        self.range_m = range;
-        self
-    }
-
-    /// Sets the sampling step in seconds (default 10). Contacts shorter than
-    /// one step may be missed — smaller steps are more accurate but slower.
-    pub fn step_secs(mut self, step: u64) -> Self {
-        self.step_secs = step.max(1);
-        self
-    }
-
-    /// Sets the speed range in meters/second (default 0.5–2.0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or non-positive.
-    pub fn speed_mps(mut self, min: f64, max: f64) -> Self {
-        assert!(min > 0.0 && max >= min, "invalid speed range");
-        self.min_speed_mps = min;
-        self.max_speed_mps = max;
         self
     }
 
@@ -127,7 +97,7 @@ impl RandomWaypointConfig {
                     y,
                     tx: rng.gen_range(0.0..self.arena_m),
                     ty: rng.gen_range(0.0..self.arena_m),
-                    speed: rng.gen_range(self.min_speed_mps..=self.max_speed_mps),
+                    speed: rng.gen_range(MIN_SPEED_MPS..=MAX_SPEED_MPS),
                     pause_left: 0.0,
                 }
             })
@@ -136,7 +106,7 @@ impl RandomWaypointConfig {
         // open_since[i][j] = Some(start) while pair is currently in range.
         let mut open_since: Vec<Vec<Option<u64>>> = vec![vec![None; n]; n];
         let mut builder = ContactTrace::builder();
-        let range_sq = self.range_m * self.range_m;
+        let range_sq = RANGE_M * RANGE_M;
 
         let mut t = 0u64;
         while t <= self.duration_secs {
@@ -158,7 +128,7 @@ impl RandomWaypointConfig {
                 }
             }
             // Advance walkers.
-            let dt = self.step_secs as f64;
+            let dt = STEP_SECS as f64;
             for w in walkers.iter_mut() {
                 if w.pause_left > 0.0 {
                     w.pause_left -= dt;
@@ -171,29 +141,23 @@ impl RandomWaypointConfig {
                 if dist <= step {
                     w.x = w.tx;
                     w.y = w.ty;
-                    w.pause_left = self.pause_secs as f64;
+                    w.pause_left = PAUSE_SECS as f64;
                     w.tx = rng.gen_range(0.0..self.arena_m);
                     w.ty = rng.gen_range(0.0..self.arena_m);
-                    w.speed = rng.gen_range(self.min_speed_mps..=self.max_speed_mps);
+                    w.speed = rng.gen_range(MIN_SPEED_MPS..=MAX_SPEED_MPS);
                 } else {
                     w.x += dx / dist * step;
                     w.y += dy / dist * step;
                 }
             }
-            t += self.step_secs;
+            t += STEP_SECS;
         }
         // Close any still-open contacts at the end of the run.
         #[allow(clippy::needless_range_loop)] // paired index access
         for i in 0..n {
             for j in (i + 1)..n {
                 if let Some(start) = open_since[i][j] {
-                    push_pair(
-                        &mut builder,
-                        i,
-                        j,
-                        start,
-                        self.duration_secs + self.step_secs,
-                    );
+                    push_pair(&mut builder, i, j, start, self.duration_secs + STEP_SECS);
                 }
             }
         }
@@ -245,6 +209,16 @@ mod tests {
     }
 
     #[test]
+    fn contacts_open_and_close_on_the_sampling_grid() {
+        let t = RandomWaypointConfig::new(10, 3_600).seed(4).generate();
+        assert!(!t.is_empty());
+        for c in t.iter() {
+            assert_eq!(c.start().as_secs() % 10, 0, "{c:?}");
+            assert_eq!(c.end().as_secs() % 10, 0, "{c:?}");
+        }
+    }
+
+    #[test]
     fn contacts_are_pairwise_and_in_horizon() {
         let cfg = RandomWaypointConfig::new(6, 1_200).seed(2);
         let t = cfg.generate();
@@ -252,25 +226,5 @@ mod tests {
             assert_eq!(c.size(), 2);
             assert!(c.end().as_secs() <= 1_200 + 10);
         }
-    }
-
-    #[test]
-    fn wider_range_more_contact_time() {
-        let narrow = RandomWaypointConfig::new(10, 3_600)
-            .seed(4)
-            .range_m(20.0)
-            .generate();
-        let wide = RandomWaypointConfig::new(10, 3_600)
-            .seed(4)
-            .range_m(150.0)
-            .generate();
-        let total = |t: &ContactTrace| -> u64 { t.iter().map(|c| c.duration().as_secs()).sum() };
-        assert!(total(&wide) > total(&narrow));
-    }
-
-    #[test]
-    #[should_panic(expected = "radio range")]
-    fn rejects_bad_range() {
-        let _ = RandomWaypointConfig::new(2, 10).range_m(0.0);
     }
 }

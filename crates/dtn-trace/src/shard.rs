@@ -34,14 +34,14 @@
 //! manifest, the shards and their sidecars.
 //!
 //! Alongside each shard the writer emits a `pairs-NNNNN.txt` sidecar listing
-//! the shard's distinct participant pairs, and the manifest `shard` lines
-//! carry the pair count as an optional fourth token. Those aggregates let
-//! [`TraceSource::frequent_map`] feed the frequent-contact rule's window
-//! fold — the one [`FrequentScan`](crate::FrequentScan) feeds from contacts
-//! — straight from the sidecars, with no second streaming pass over the
-//! shards. Manifests without the fourth token (written before the sidecars
-//! existed) still open; the derivation just reports "unavailable" and
-//! callers fall back to a `FrequentScan` pass.
+//! the shard's distinct participant pairs, and each manifest `shard` line
+//! carries the pair count as its fourth token; a line without it does not
+//! open. Those aggregates let [`TraceSource::frequent_map`] feed the
+//! frequent-contact rule's window fold — the one
+//! [`FrequentScan`](crate::FrequentScan) feeds from contacts — straight from
+//! the sidecars, with no second streaming pass over the shards. A missing or
+//! unreadable sidecar makes the derivation report "unavailable", and callers
+//! fall back to a `FrequentScan` pass.
 //!
 //! ```text
 //! # dtn-shard v1
@@ -161,9 +161,8 @@ pub struct ShardMeta {
     /// Number of contacts in the shard.
     pub contacts: u64,
     /// Number of distinct participant pairs in the shard, listed in the
-    /// `pairs-NNNNN.txt` sidecar. `None` for manifests written before the
-    /// sidecars existed.
-    pub pairs: Option<u64>,
+    /// `pairs-NNNNN.txt` sidecar.
+    pub pairs: u64,
 }
 
 /// Streams contacts into time-windowed shard files, never holding the whole
@@ -443,7 +442,7 @@ fn finish_shard(
         file,
         window_index,
         contacts: count,
-        pairs: Some(pairs.len() as u64),
+        pairs: pairs.len() as u64,
     };
     Ok((meta, participants))
 }
@@ -504,18 +503,11 @@ impl Manifest {
             writeln!(writer)?;
         }
         for shard in &self.shards {
-            match shard.pairs {
-                Some(pairs) => writeln!(
-                    writer,
-                    "shard {} {} {} {}",
-                    shard.file, shard.window_index, shard.contacts, pairs
-                )?,
-                None => writeln!(
-                    writer,
-                    "shard {} {} {}",
-                    shard.file, shard.window_index, shard.contacts
-                )?,
-            }
+            writeln!(
+                writer,
+                "shard {} {} {} {}",
+                shard.file, shard.window_index, shard.contacts, shard.pairs
+            )?;
         }
         Ok(())
     }
@@ -632,15 +624,7 @@ impl Manifest {
                             ),
                         )
                     })?;
-                    // Fourth token (distinct pair count) is optional:
-                    // manifests written before the pair sidecars existed
-                    // omit it and still open.
-                    let pairs = match fields.next() {
-                        Some(tok) => Some(tok.parse::<u64>().map_err(|_| {
-                            bad(line_no, format!("invalid shard pair count `{tok}`"))
-                        })?),
-                        None => None,
-                    };
+                    let pairs = next_num(&mut fields, line_no, "shard pair count")?;
                     manifest.shards.push(ShardMeta {
                         file,
                         window_index,
@@ -773,14 +757,12 @@ impl ShardedTrace {
                 message,
             };
             check_shard(meta, self.manifest.window_secs, &contacts).map_err(corrupt)?;
-            let Some(declared_pairs) = meta.pairs else {
-                continue;
-            };
             let pairs = distinct_pairs(&contacts);
-            if pairs.len() as u64 != declared_pairs {
+            if pairs.len() as u64 != meta.pairs {
                 return Err(corrupt(format!(
-                    "holds {} distinct pairs but manifest declares {declared_pairs}",
-                    pairs.len()
+                    "holds {} distinct pairs but manifest declares {}",
+                    pairs.len(),
+                    meta.pairs
                 )));
             }
             let sidecar = pairs_file_name(meta.window_index);
@@ -804,12 +786,11 @@ impl ShardedTrace {
     }
 
     /// Reads one shard's pair sidecar — its distinct pairs, ascending and
-    /// packed by [`pack`] — returning `None` when the manifest carries no
-    /// pair count for it or the sidecar is missing, malformed, or disagrees
-    /// with the declared count. `frequent_map` treats `None` as "derivation
-    /// unavailable" and callers fall back to a `FrequentScan` pass.
+    /// packed by [`pack`] — returning `None` when the sidecar is missing,
+    /// malformed, or disagrees with the declared count. `frequent_map` treats
+    /// `None` as "derivation unavailable" and callers fall back to a
+    /// `FrequentScan` pass.
     fn read_pairs_sidecar(&self, meta: &ShardMeta) -> Option<Vec<u64>> {
-        let declared = meta.pairs?;
         let path = self.dir.join(pairs_file_name(meta.window_index));
         let text = fs::read_to_string(&path).ok()?;
         let mut lines = text.lines();
@@ -830,7 +811,7 @@ impl ShardedTrace {
         // The writer lists a sidecar ascending; one that something else
         // reordered still names the same set.
         sort_dedup(&mut pairs);
-        (pairs.len() as u64 == declared).then_some(pairs)
+        (pairs.len() as u64 == meta.pairs).then_some(pairs)
     }
 }
 
@@ -1179,7 +1160,7 @@ mod tests {
         let dir = temp_dir("pairs");
         let sharded = write_sample(&dir);
         for meta in sharded.shards() {
-            let pairs = meta.pairs.expect("writer records pair counts");
+            let pairs = meta.pairs;
             let text = fs::read_to_string(dir.join(pairs_file_name(meta.window_index))).unwrap();
             let mut lines = text.lines();
             assert_eq!(lines.next().unwrap(), PAIRS_HEADER);
@@ -1357,11 +1338,7 @@ mod tests {
         assert_eq!(peers(100), 0);
         assert_eq!(peers(2_000), 2 * 5);
         // A sidecar lists a set: one that lost its order names the same one.
-        let two_pairs = sharded
-            .shards()
-            .iter()
-            .find(|s| s.pairs == Some(2))
-            .unwrap();
+        let two_pairs = sharded.shards().iter().find(|s| s.pairs == 2).unwrap();
         let sidecar = dir.join(pairs_file_name(two_pairs.window_index));
         let text = fs::read_to_string(&sidecar).unwrap();
         let mut lines: Vec<&str> = text.lines().collect();
@@ -1373,35 +1350,24 @@ mod tests {
     }
 
     #[test]
-    fn manifests_without_pair_counts_still_open_but_skip_derivation() {
-        let dir = temp_dir("legacy-manifest");
+    fn a_missing_sidecar_skips_derivation() {
+        let dir = temp_dir("missing-sidecar");
         let sharded = write_sample(&dir);
-        // Rewrite the manifest the way the pre-sidecar writer did: drop the
-        // fourth shard-line token.
-        let manifest_path = dir.join(MANIFEST_FILE);
-        let stripped: String = fs::read_to_string(&manifest_path)
-            .unwrap()
-            .lines()
-            .map(|line| {
-                if line.starts_with("shard ") {
-                    let fields: Vec<&str> = line.split_ascii_whitespace().collect();
-                    format!("{} {} {} {}\n", fields[0], fields[1], fields[2], fields[3])
-                } else {
-                    format!("{line}\n")
-                }
-            })
-            .collect();
-        fs::write(&manifest_path, stripped).unwrap();
-        let legacy = ShardedTrace::open(&dir).unwrap();
-        assert!(legacy.shards().iter().all(|s| s.pairs.is_none()));
+        let window_index = sharded.shards()[0].window_index;
+        fs::remove_file(dir.join(pairs_file_name(window_index))).unwrap();
         assert_eq!(
-            TraceSource::frequent_map(&legacy, SimDuration::from_secs(100)),
+            TraceSource::frequent_map(&sharded, SimDuration::from_secs(100)),
             None
         );
-        // Verification still checks what the manifest does declare.
-        assert!(legacy.verify().is_ok());
+        match sharded.verify() {
+            Err(ShardError::Corrupt { file, message }) => {
+                assert_eq!(file, pairs_file_name(window_index));
+                assert_eq!(message, "pair sidecar missing or unreadable");
+            }
+            other => panic!("expected a corrupt sidecar, got {other:?}"),
+        }
         // And the degenerate rule needs no aggregates at all.
-        let empty = TraceSource::frequent_map(&legacy, SimDuration::ZERO).unwrap();
+        let empty = TraceSource::frequent_map(&sharded, SimDuration::ZERO).unwrap();
         assert!(empty.values().all(|peers| peers.is_empty()));
         assert_eq!(empty.len(), TraceSource::nodes(&sharded).len());
         fs::remove_dir_all(&dir).ok();
@@ -1445,9 +1411,19 @@ mod tests {
         assert!(matches!(err, ShardError::Manifest { line: 1, .. }));
 
         let text = "# dtn-shard v1\nwindow-secs 60\ncontacts 5\n\
-                    shard shard-00000.txt 0 2\n";
+                    shard shard-00000.txt 0 2 1\n";
         let err = Manifest::parse(text).unwrap_err();
         assert!(err.to_string().contains("sum to 2"));
+    }
+
+    #[test]
+    fn manifest_rejects_a_shard_line_without_its_pair_count() {
+        let (line, message) = refused_on("contacts 2\nshard shard-00000.txt 0 2\n");
+        assert_eq!(line, 4);
+        assert_eq!(message, "missing shard pair count");
+        let (line, message) = refused_on("contacts 2\nshard shard-00000.txt 0 2 many\n");
+        assert_eq!(line, 4);
+        assert_eq!(message, "invalid shard pair count `many`");
     }
 
     #[test]
@@ -1480,12 +1456,12 @@ mod tests {
     #[test]
     fn manifest_rejects_shard_lines_out_of_window_order() {
         let (line, message) =
-            refused_on("contacts 3\nshard shard-00002.txt 2 1\nshard shard-00001.txt 1 2\n");
+            refused_on("contacts 3\nshard shard-00002.txt 2 1 1\nshard shard-00001.txt 1 2 1\n");
         assert_eq!(line, 5);
         assert!(message.contains("ascending"), "{message}");
-        let repeated = "contacts 3\nshard shard-00001.txt 1 1\nshard shard-00001.txt 1 2\n";
+        let repeated = "contacts 3\nshard shard-00001.txt 1 1 1\nshard shard-00001.txt 1 2 1\n";
         assert_eq!(refused_on(repeated).0, 5);
-        let gapped = "contacts 3\nshard shard-00001.txt 1 1\nshard shard-00007.txt 7 2\n";
+        let gapped = "contacts 3\nshard shard-00001.txt 1 1 1\nshard shard-00007.txt 7 2 1\n";
         Manifest::parse(&format!("{MANIFEST_HEADER}\nwindow-secs 60\n{gapped}")).unwrap();
     }
 
@@ -1500,7 +1476,7 @@ mod tests {
             "..",
             ".",
         ] {
-            let (line, message) = refused_on(&format!("contacts 1\nshard {file} 0 1\n"));
+            let (line, message) = refused_on(&format!("contacts 1\nshard {file} 0 1 1\n"));
             assert_eq!(line, 4, "{file}");
             assert!(message.contains(&format!("`{file}`")), "{message}");
         }
@@ -1510,7 +1486,7 @@ mod tests {
     fn manifest_rejects_shard_counts_whose_sum_overflows() {
         // 2⁶⁴ − 1 + 10 wraps to 9, which unchecked addition would accept.
         let lines = format!(
-            "contacts 9\nshard shard-00000.txt 0 {}\nshard shard-00001.txt 1 10\n",
+            "contacts 9\nshard shard-00000.txt 0 {} 1\nshard shard-00001.txt 1 10 1\n",
             u64::MAX
         );
         let (line, message) = refused_on(&lines);

@@ -187,14 +187,10 @@ proptest! {
 
     #[test]
     fn community_generator_invariants(
-        nodes in 4u32..40, days in 1u64..6, seed in 0u64..1_000,
-        communities in 1u32..6, attendance in 0.3f64..1.0
+        nodes in 4u32..40, days in 1u64..6, seed in 0u64..1_000
     ) {
         use dtn_trace::generators::CommunityConfig;
-        let cfg = CommunityConfig::new(nodes, days)
-            .communities(communities)
-            .attendance(attendance)
-            .seed(seed);
+        let cfg = CommunityConfig::new(nodes, days).seed(seed);
         let t = cfg.generate();
         for c in t.iter() {
             prop_assert!(c.size() >= 2);

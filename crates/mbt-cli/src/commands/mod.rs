@@ -41,6 +41,12 @@ const MAX_IDS_PER_NODE: usize = 1024;
 /// KB per day of trace.
 const MAX_DAYS_PER_TRACE_DAY: u64 = 1024;
 
+/// The longest span a count of days given outright may ask for: a century —
+/// a generated trace's `--days`, a shard's `--window-days`. No trace spans
+/// more, and a count of days becomes seconds by an unchecked multiplication,
+/// which wraps from 2⁶⁴ ÷ 86 400 on.
+pub const MAX_SPAN_DAYS: u64 = 36_500;
+
 /// The most files one day may publish (`--files-per-day`, and the x values
 /// of `sweep --param files-per-day`): each day's batch is allocated for this
 /// many files up front. The paper publishes 40 a day and its sweeps stop in
@@ -100,20 +106,23 @@ pub struct Generated {
 /// # Errors
 ///
 /// Returns [`CliError::Usage`] for an unknown model and the option's error
-/// for a malformed value, before any contact is generated.
+/// for a malformed value — among them `--days` past [`MAX_SPAN_DAYS`] and
+/// `--routes 0` — before any contact is generated.
 pub fn generate_into(args: &Args, sink: &mut dyn ContactSink) -> Result<Generated, CliError> {
     let model = args.str_or("model", "dieselnet").to_string();
     let nodes = args.parse_or("nodes", 40u32, "an integer")?;
-    let days = args.parse_or("days", 15u64, "an integer")?;
+    let days = args.parse_in(
+        "days",
+        15u64,
+        0..=MAX_SPAN_DAYS,
+        "a number of days up to 36500",
+    )?;
     let seed = args.parse_or("seed", 42u64, "an integer")?;
     match model.as_str() {
-        "dieselnet" => {
-            let mut cfg = DieselNetConfig::new(nodes, days).seed(seed);
-            if let Some(routes) = args.parse_opt("routes", "an integer")? {
-                cfg = cfg.routes(routes);
-            }
-            cfg.generate_into(sink);
-        }
+        "dieselnet" => DieselNetConfig::new(nodes, days)
+            .seed(seed)
+            .routes(args.parse_in("routes", 8, 1..=u32::MAX, "an integer from 1 to 4294967295")?)
+            .generate_into(sink),
         "nus" => NusConfig::new(nodes, days)
             .seed(seed)
             .attendance_rate(args.rate_or("attendance", 1.0)?)

@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 
 use dtn_routing::protocols::{DirectDelivery, Epidemic, Prophet, SprayAndWait};
-use dtn_routing::sim::{uniform_messages, RoutingReport, RoutingSim};
+use dtn_routing::sim::{simulate, uniform_messages, RoutingReport};
 use dtn_trace::{SimDuration, SimTime};
 
 use crate::args::Args;
@@ -47,10 +47,10 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     );
 
     let report: RoutingReport = match args.str_or("protocol", "epidemic") {
-        "epidemic" => RoutingSim::new(trace.as_ref(), Epidemic::new()).run(msgs),
-        "prophet" => RoutingSim::new(trace.as_ref(), Prophet::new()).run(msgs),
-        "spray" => RoutingSim::new(trace.as_ref(), SprayAndWait::new(copies)).run(msgs),
-        "direct" => RoutingSim::new(trace.as_ref(), DirectDelivery::new()).run(msgs),
+        "epidemic" => simulate(trace.as_ref(), Epidemic::new(), msgs),
+        "prophet" => simulate(trace.as_ref(), Prophet::new(), msgs),
+        "spray" => simulate(trace.as_ref(), SprayAndWait::new(copies), msgs),
+        "direct" => simulate(trace.as_ref(), DirectDelivery::new(), msgs),
         other => {
             return Err(CliError::Usage(format!(
                 "unknown protocol `{other}` (expected epidemic, prophet, spray, or direct)"

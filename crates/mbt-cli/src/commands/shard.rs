@@ -9,13 +9,8 @@ use std::fs::File;
 use dtn_trace::{ContactReader, ContactSink as _, ShardWriter, SimDuration};
 
 use crate::args::{ArgError, Args};
-use crate::commands::{generate_into, Generated};
+use crate::commands::{generate_into, Generated, MAX_SPAN_DAYS};
 use crate::CliError;
-
-/// The widest window `--window-days` may ask for: a century. No trace spans
-/// more, and a count of days becomes seconds by an unchecked multiplication,
-/// which wraps from 2⁶⁴ ÷ 86 400 on.
-const MAX_WINDOW_DAYS: u64 = 36_500;
 
 /// Usage text for the subcommand.
 pub const USAGE: &str = "mbt shard --out <dir> [--model dieselnet|nus|rwp] \
@@ -40,15 +35,12 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let window = if let Some(secs) = args.parse_opt("window-secs", "an integer")? {
         SimDuration::from_secs(secs)
     } else {
-        let days = args.opt_str("window-days").map_or(Ok(1), |token| {
-            let days = token.parse().ok().filter(|&days| days <= MAX_WINDOW_DAYS);
-            days.ok_or_else(|| ArgError::BadValue {
-                option: "window-days".to_string(),
-                value: token.to_string(),
-                expected: "a number of days up to 36500",
-            })
-        })?;
-        SimDuration::from_days(days)
+        SimDuration::from_days(args.parse_in(
+            "window-days",
+            1,
+            0..=MAX_SPAN_DAYS,
+            "a number of days up to 36500",
+        )?)
     };
 
     let jobs = args.parse_or("jobs", 0usize, "an integer")?;
@@ -120,6 +112,31 @@ mod tests {
         assert!(
             err.contains("--attendance") && err.contains("`1.5`"),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn zero_routes_is_refused_not_a_panic() {
+        let dir = out_dir("zero-routes");
+        let line = format!("--nodes 4 --routes 0 --out {}", dir.display());
+        let err = run(&args(&line)).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "--routes expects an integer from 1 to 4294967295, got `0`"
+        );
+    }
+
+    #[test]
+    fn days_past_a_century_are_refused() {
+        let dir = out_dir("century");
+        let line = format!(
+            "--model rwp --nodes 4 --days 213503982334602 --out {}",
+            dir.display()
+        );
+        let err = run(&args(&line)).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "--days expects a number of days up to 36500, got `213503982334602`"
         );
     }
 

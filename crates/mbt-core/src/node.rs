@@ -11,7 +11,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dtn_routing::{evict_lowest_score, AvailabilityDiffusion};
 use dtn_sim::channel::frame_bytes;
 use dtn_sim::telemetry::{Phase, PhaseTimes};
 use dtn_trace::{NodeId, SimDuration, SimTime};
@@ -24,7 +23,10 @@ use crate::discovery::{receive_metadata, ReceiveOutcome};
 use crate::download::{cooperative as dl_coop, tft as dl_tft, Broadcast, Offer};
 use crate::metadata::Metadata;
 use crate::popularity::Popularity;
-use crate::protocol::{CachePolicy, PopularityScope, ProtocolSpec, ReplicationPolicy};
+use crate::protocol::{
+    evict_lowest_score, AvailabilityDiffusion, CachePolicy, PopularityScope, ProtocolSpec,
+    ReplicationPolicy,
+};
 use crate::query::Query;
 use crate::server::MetadataServer;
 use crate::store::{is_expired, FileStore, MetadataStore, NextExpiry, OwnQuery, QueryStore};
@@ -442,11 +444,10 @@ impl MbtNode {
     ///
     /// Under [`CachePolicy::Unbounded`] this is exactly a
     /// [`FileStore::insert`]. Under [`CachePolicy::PopularityRanked`] a full
-    /// buffer first picks a victim (via the shared
-    /// [`dtn_routing::evict_lowest_score`]) among the held files *not*
-    /// matching the node's own queries: if there is none, or the incoming
-    /// file is unwanted and scores no higher than the victim, the incoming
-    /// file is refused instead. A file the node's own user wants is always
+    /// buffer first picks a victim (via `evict_lowest_score`) among the held
+    /// files *not* matching the node's own queries: if there is none, or the
+    /// incoming file is unwanted and scores no higher than the victim, the
+    /// incoming file is refused instead. A file the node's own user wants is always
     /// admitted over the victim; a file being downloaded (wanted) is never
     /// the victim — which is what the crate's proptests pin.
     pub fn try_store_file(&mut self, uri: Uri, expires: Option<SimTime>) -> bool {

@@ -93,8 +93,11 @@ pub fn lambda_for_files_per_day(n: u32) -> f64 {
     f64::from(n.max(1)) / 2.0
 }
 
+/// The popularity estimator's sliding window: the paper's 24 hours.
+const WINDOW: SimDuration = SimDuration::from_hours(24);
+
 /// Server-side popularity estimator: the fraction of distinct Internet-access
-/// nodes that requested a file in a sliding window (default 24 hours).
+/// nodes that requested a file in a sliding 24-hour window.
 ///
 /// # Example
 ///
@@ -113,7 +116,6 @@ pub fn lambda_for_files_per_day(n: u32) -> f64 {
 #[derive(Debug, Clone)]
 pub struct PopularityEstimator {
     population: u32,
-    window: SimDuration,
     requests: BTreeMap<Uri, VecDeque<(SimTime, NodeId)>>,
 }
 
@@ -121,14 +123,8 @@ impl PopularityEstimator {
     /// Creates an estimator over a population of `population` Internet-access
     /// nodes with the paper's 24-hour window.
     pub fn new(population: u32) -> Self {
-        Self::with_window(population, SimDuration::from_hours(24))
-    }
-
-    /// Creates an estimator with a custom sliding window.
-    pub fn with_window(population: u32, window: SimDuration) -> Self {
         PopularityEstimator {
             population: population.max(1),
-            window,
             requests: BTreeMap::new(),
         }
     }
@@ -167,7 +163,7 @@ impl PopularityEstimator {
         now: SimTime,
         requesters: &mut Vec<NodeId>,
     ) -> Popularity {
-        let cutoff = now.saturating_sub(self.window);
+        let cutoff = now.saturating_sub(WINDOW);
         requesters.clear();
         requesters.extend(
             reqs.iter()
@@ -181,7 +177,7 @@ impl PopularityEstimator {
 
     /// Drops request records older than the window relative to `now`.
     pub fn prune(&mut self, now: SimTime) {
-        let cutoff = now.saturating_sub(self.window);
+        let cutoff = now.saturating_sub(WINDOW);
         self.requests.retain(|_, reqs| {
             while reqs.front().is_some_and(|&(t, _)| t < cutoff) {
                 reqs.pop_front();

@@ -59,6 +59,20 @@ pub enum CachePolicy {
     },
 }
 
+/// Picks the [`CachePolicy::PopularityRanked`] eviction victim: the
+/// lowest-scored of the `(key, score)` candidates, score ties broken by key
+/// order so the choice is deterministic regardless of candidate ordering.
+///
+/// Callers present the *evictable* candidates (files a node's own user still
+/// wants are simply not offered); `None` means there is nothing to evict,
+/// and the incoming file is refused instead.
+pub(crate) fn evict_lowest_score<K: Ord + Clone>(candidates: &[(K, f64)]) -> Option<K> {
+    candidates
+        .iter()
+        .min_by(|x, y| x.1.total_cmp(&y.1).then_with(|| x.0.cmp(&y.0)))
+        .map(|(k, _)| k.clone())
+}
+
 /// How a node proactively replicates files beyond request-driven download.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReplicationPolicy {
@@ -76,6 +90,45 @@ pub enum ReplicationPolicy {
         /// and proactively replicated, in percent (0–100).
         threshold_pct: u8,
     },
+}
+
+/// The estimator behind [`ReplicationPolicy::Diffusion`]: an exponentially
+/// smoothed estimate of per-file availability, after Napoli, Anceaume, et
+/// al., *Improving files availability for BitTorrent using a diffusion
+/// model*.
+///
+/// Each observation is the fraction of clique members holding a file; the
+/// estimate diffuses toward it with weight `alpha`. Files whose estimate sits
+/// below `threshold` are scarce and worth replicating proactively.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct AvailabilityDiffusion {
+    alpha: f64,
+    threshold: f64,
+}
+
+impl AvailabilityDiffusion {
+    /// Creates the estimator with smoothing weight `alpha` and scarcity
+    /// `threshold`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `alpha` ∈ (0, 1] and `threshold` ∈ [0, 1].
+    pub(crate) fn new(alpha: f64, threshold: f64) -> Self {
+        assert!(alpha > 0.0 && alpha <= 1.0, "bad alpha");
+        assert!((0.0..=1.0).contains(&threshold), "bad threshold");
+        AvailabilityDiffusion { alpha, threshold }
+    }
+
+    /// Diffuses `estimate` toward the newly `observed` availability.
+    pub(crate) fn update(&self, estimate: f64, observed: f64) -> f64 {
+        estimate + self.alpha * (observed - estimate)
+    }
+
+    /// True if a file with this availability estimate should be replicated
+    /// proactively.
+    pub(crate) fn is_scarce(&self, estimate: f64) -> bool {
+        estimate < self.threshold
+    }
 }
 
 /// An open description of a protocol variant.
@@ -232,19 +285,6 @@ impl ProtocolSpec {
             ..self
         }
     }
-
-    /// Derives a new named spec with a different replication policy.
-    pub fn with_replication(
-        self,
-        name: &'static str,
-        replication: ReplicationPolicy,
-    ) -> ProtocolSpec {
-        ProtocolSpec {
-            name,
-            replication,
-            ..self
-        }
-    }
 }
 
 impl Default for ProtocolSpec {
@@ -315,6 +355,42 @@ fn edit_distance(a: &str, b: &str) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn evict_lowest_score_is_order_independent() {
+        let fwd = vec![(1u32, 0.5), (2, 0.25), (3, 0.25)];
+        let mut rev = fwd.clone();
+        rev.reverse();
+        assert_eq!(evict_lowest_score(&fwd), Some(2));
+        assert_eq!(evict_lowest_score(&rev), Some(2), "ties by key");
+    }
+
+    #[test]
+    fn evict_lowest_score_refuses_without_candidates() {
+        let empty: Vec<(u32, f64)> = Vec::new();
+        assert_eq!(evict_lowest_score(&empty), None);
+    }
+
+    #[test]
+    fn diffusion_converges_to_observation() {
+        let d = AvailabilityDiffusion::new(0.5, 0.35);
+        let estimate = d.update(0.0, 1.0); // first sighting: everyone has it
+        assert!((estimate - 0.5).abs() < 1e-12);
+        assert!(d.is_scarce(d.update(estimate, 0.0)));
+        let mut estimate = 0.0;
+        for _ in 0..20 {
+            estimate = d.update(estimate, 0.8);
+        }
+        assert!((estimate - 0.8).abs() < 1e-3, "{estimate}");
+        assert!(!d.is_scarce(estimate));
+        assert!(d.is_scarce(0.3));
+    }
+
+    #[test]
+    #[should_panic(expected = "bad alpha")]
+    fn diffusion_rejects_zero_alpha() {
+        let _ = AvailabilityDiffusion::new(0.0, 0.5);
+    }
 
     #[test]
     fn capability_matrix() {
