@@ -279,12 +279,6 @@ impl FaultPlan {
             SimTime::from_secs((start + len).min(h)),
         ))
     }
-
-    /// True if `node` is inside its churn down interval at `at`.
-    pub fn is_down(&self, node: NodeId, horizon: SimDuration, at: SimTime) -> bool {
-        self.down_interval(node, horizon)
-            .is_some_and(|(start, end)| start <= at && at < end)
-    }
 }
 
 #[cfg(test)]
@@ -396,12 +390,6 @@ mod tests {
             assert!(start < end, "empty interval");
             assert!(end.as_secs() <= horizon.as_secs());
             assert_eq!(plan.down_interval(n(i), horizon), Some((start, end)));
-            // is_down is exactly the interval membership predicate.
-            assert!(plan.is_down(n(i), horizon, start));
-            assert!(!plan.is_down(n(i), horizon, end));
-            if start.as_secs() > 0 {
-                assert!(!plan.is_down(n(i), horizon, t(start.as_secs() - 1)));
-            }
         }
     }
 

@@ -1,9 +1,8 @@
 //! Simple duration histograms for delay distributions.
 //!
 //! Delivery delays in a DTN are heavy-tailed; means alone mislead. This
-//! histogram records [`SimDuration`] samples and answers quantile and
-//! CDF-style queries, backing the delay reporting of the routing and MBT
-//! simulations.
+//! histogram records [`SimDuration`] samples and answers quantile queries,
+//! backing the delay reporting of the routing and MBT simulations.
 
 use dtn_trace::SimDuration;
 
@@ -24,7 +23,6 @@ use dtn_trace::SimDuration;
 /// }
 /// assert_eq!(h.quantile(0.5), Some(SimDuration::from_secs(30)));
 /// assert_eq!(h.max(), Some(SimDuration::from_secs(50)));
-/// assert!((h.fraction_within(SimDuration::from_secs(25)) - 0.4).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DelayHistogram {
@@ -97,19 +95,6 @@ impl DelayHistogram {
         }
         Some(self.samples.iter().sum::<u64>() as f64 / self.samples.len() as f64)
     }
-
-    /// Fraction of samples ≤ `bound` (a point of the CDF). 0 when empty.
-    pub fn fraction_within(&self, bound: SimDuration) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let within = self
-            .samples
-            .iter()
-            .filter(|&&s| s <= bound.as_secs())
-            .count();
-        within as f64 / self.samples.len() as f64
-    }
 }
 
 impl Extend<SimDuration> for DelayHistogram {
@@ -153,7 +138,6 @@ mod tests {
         assert_eq!(h.median(), None);
         assert_eq!(h.mean_secs(), None);
         assert_eq!(h.max(), None);
-        assert_eq!(h.fraction_within(SimDuration::from_secs(100)), 0.0);
     }
 
     #[test]
@@ -162,14 +146,6 @@ mod tests {
         assert_eq!(h.mean_secs(), Some(30.0));
         assert_eq!(h.max(), Some(SimDuration::from_secs(60)));
         assert_eq!(h.len(), 3);
-    }
-
-    #[test]
-    fn cdf_fractions() {
-        let h = hist(&[10, 20, 30, 40]);
-        assert_eq!(h.fraction_within(SimDuration::from_secs(9)), 0.0);
-        assert_eq!(h.fraction_within(SimDuration::from_secs(20)), 0.5);
-        assert_eq!(h.fraction_within(SimDuration::from_secs(100)), 1.0);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use dtn_trace::hash::seed_hash;
 use dtn_trace::NodeId;
 
 /// Derives an independent RNG for a named stream from a master seed.
@@ -28,7 +29,7 @@ use dtn_trace::NodeId;
 /// assert_eq!(a.gen::<u64>(), b.gen::<u64>());
 /// ```
 pub fn stream(seed: u64, stream: &str) -> StdRng {
-    StdRng::seed_from_u64(seed ^ fnv1a(stream.as_bytes()))
+    StdRng::seed_from_u64(seed ^ seed_hash(stream.as_bytes()))
 }
 
 /// The shared cyclic broadcast order for a clique (paper §V-B): every member
@@ -58,8 +59,8 @@ pub fn cyclic_order(members: &[NodeId]) -> Vec<NodeId> {
     sorted
 }
 
-/// Combines integer parts into one deterministic seed (FNV-1a over the
-/// little-endian bytes). Useful for per-event randomness — e.g. an
+/// Combines integer parts into one deterministic seed ([`seed_hash`] over
+/// the little-endian bytes). Useful for per-event randomness — e.g. an
 /// independent loss roll per (time, sender, receiver) triple — without
 /// threading an RNG through the call stack.
 ///
@@ -77,17 +78,7 @@ pub fn derive_seed(parts: &[u64]) -> u64 {
     for p in parts {
         bytes.extend_from_slice(&p.to_le_bytes());
     }
-    fnv1a(&bytes)
-}
-
-/// FNV-1a hash, used to turn stream names into seed perturbations.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    hash
+    seed_hash(&bytes)
 }
 
 #[cfg(test)]

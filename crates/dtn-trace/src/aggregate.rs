@@ -1,14 +1,13 @@
 //! Aggregated (time-collapsed) contact graphs.
 //!
-//! Collapsing a trace over time yields a weighted graph — total contact time
-//! and meeting count per node pair — the standard first view of a mobility
+//! Collapsing a trace over time yields a weighted graph — the meeting count
+//! per node pair — the standard first view of a mobility
 //! dataset: how clustered is it, is it connected at all, which nodes are
 //! hubs. Used by `mbt trace-stats` and the mobility experiments.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::node::NodeId;
-use crate::time::SimDuration;
 use crate::trace::ContactTrace;
 
 /// The time-collapsed weighted contact graph of a trace.
@@ -25,13 +24,13 @@ use crate::trace::ContactTrace;
 ///
 /// let graph = AggregateGraph::from_trace(&trace);
 /// assert_eq!(graph.components().len(), 2, "two islands");
-/// assert_eq!(graph.total_contact_time(NodeId::new(0), NodeId::new(1)).as_secs(), 60);
+/// assert_eq!(graph.meeting_count(NodeId::new(0), NodeId::new(1)), 1);
 /// # Ok::<(), dtn_trace::ContactError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AggregateGraph {
-    /// Per unordered pair: (meeting count, total contact seconds).
-    edges: BTreeMap<(NodeId, NodeId), (u64, u64)>,
+    /// Per unordered pair: the meeting count.
+    edges: BTreeMap<(NodeId, NodeId), u64>,
     nodes: BTreeSet<NodeId>,
 }
 
@@ -41,14 +40,11 @@ impl AggregateGraph {
     pub fn from_trace(trace: &ContactTrace) -> Self {
         let mut graph = AggregateGraph::default();
         for contact in trace.iter() {
-            let secs = contact.duration().as_secs();
             for &p in contact.participants() {
                 graph.nodes.insert(p);
             }
             for pair in contact.pairs() {
-                let entry = graph.edges.entry(pair).or_insert((0, 0));
-                entry.0 += 1;
-                entry.1 += secs;
+                *graph.edges.entry(pair).or_insert(0) += 1;
             }
         }
         graph
@@ -66,12 +62,7 @@ impl AggregateGraph {
 
     /// How many times the pair met.
     pub fn meeting_count(&self, a: NodeId, b: NodeId) -> u64 {
-        self.edges.get(&ordered(a, b)).map_or(0, |&(c, _)| c)
-    }
-
-    /// Total time the pair spent in contact.
-    pub fn total_contact_time(&self, a: NodeId, b: NodeId) -> SimDuration {
-        SimDuration::from_secs(self.edges.get(&ordered(a, b)).map_or(0, |&(_, s)| s))
+        self.edges.get(&ordered(a, b)).copied().unwrap_or(0)
     }
 
     /// The degree (distinct peers ever met) of each node.
@@ -165,11 +156,7 @@ mod tests {
             .into_iter()
             .collect();
         let g = AggregateGraph::from_trace(&t);
-        assert_eq!(g.meeting_count(NodeId::new(0), NodeId::new(1)), 2);
-        assert_eq!(
-            g.total_contact_time(NodeId::new(1), NodeId::new(0)),
-            SimDuration::from_secs(80)
-        );
+        assert_eq!(g.meeting_count(NodeId::new(1), NodeId::new(0)), 2);
         assert_eq!(g.edge_count(), 1);
     }
 
@@ -228,9 +215,5 @@ mod tests {
         let t: ContactTrace = vec![pc(0, 1, 0, 10)].into_iter().collect();
         let g = AggregateGraph::from_trace(&t);
         assert_eq!(g.meeting_count(NodeId::new(0), NodeId::new(9)), 0);
-        assert_eq!(
-            g.total_contact_time(NodeId::new(0), NodeId::new(9)),
-            SimDuration::ZERO
-        );
     }
 }

@@ -228,11 +228,6 @@ impl Contact {
             .collect()
     }
 
-    /// True if the contact is active at instant `t` (i.e. `start <= t < end`).
-    pub fn active_at(&self, t: SimTime) -> bool {
-        self.start <= t && t < self.end
-    }
-
     /// All unordered participant pairs `(a, b)` with `a < b`.
     ///
     /// A pair-wise contact yields one pair; a clique of size `n` yields
@@ -327,10 +322,6 @@ mod tests {
     fn duration_and_activity() {
         let c = Contact::pairwise(NodeId::new(0), NodeId::new(1), t(10), t(40)).unwrap();
         assert_eq!(c.duration(), SimDuration::from_secs(30));
-        assert!(c.active_at(t(10)));
-        assert!(c.active_at(t(39)));
-        assert!(!c.active_at(t(40)));
-        assert!(!c.active_at(t(9)));
     }
 
     #[test]

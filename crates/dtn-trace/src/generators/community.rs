@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::contact::Contact;
 use crate::node::NodeId;
-use crate::time::{SimDuration, SimTime, SECONDS_PER_DAY};
+use crate::time::{SimTime, SECONDS_PER_DAY};
 use crate::trace::{ContactSink, ContactTrace};
 
 /// Home communities; node `n` lives in community `n % COMMUNITIES`.
@@ -129,17 +129,13 @@ impl CommunityConfig {
             }
         }
     }
-
-    /// A reasonable frequent-contact window for this model: one day.
-    pub fn frequent_contact_window(&self) -> SimDuration {
-        SimDuration::from_days(1)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregate::AggregateGraph;
+    use crate::time::SimDuration;
     use proptest::prelude::*;
 
     impl CommunityConfig {

@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::contact::Contact;
 use crate::node::NodeId;
-use crate::time::{SimDuration, SimTime, SECONDS_PER_DAY};
+use crate::time::{SimTime, SECONDS_PER_DAY};
 use crate::trace::{ContactSink, ContactTrace};
 
 /// Daily service hours `[start, end)`: buses run 06:00–22:00.
@@ -214,11 +214,6 @@ impl DieselNetConfig {
             }
         }
     }
-
-    /// The paper's frequent-contact window for this trace: three days.
-    pub fn frequent_contact_window(&self) -> SimDuration {
-        crate::stats::DIESELNET_FREQUENT_EVERY
-    }
 }
 
 /// Samples a Poisson random variate with the given mean via inversion
@@ -407,7 +402,7 @@ mod tests {
     fn frequent_contacts_exist_with_default_rates() {
         let cfg = DieselNetConfig::new(16, 9).seed(17);
         let t = cfg.generate();
-        let mut scan = FrequentScan::new(cfg.frequent_contact_window());
+        let mut scan = FrequentScan::new(crate::stats::DIESELNET_FREQUENT_EVERY);
         for contact in t.iter() {
             scan.observe(contact);
         }

@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::contact::Contact;
 use crate::node::NodeId;
-use crate::time::{SimDuration, SimTime, SECONDS_PER_DAY};
+use crate::time::{SimTime, SECONDS_PER_DAY};
 use crate::trace::{ContactSink, ContactTrace};
 
 /// How many courses each student enrolls in (at most the number of courses).
@@ -226,16 +226,12 @@ impl NusConfig {
         }
         (roster, timetable)
     }
-
-    /// The paper's frequent-contact window for this trace: one day.
-    pub fn frequent_contact_window(&self) -> SimDuration {
-        crate::stats::NUS_FREQUENT_EVERY
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
     use proptest::prelude::*;
     use std::collections::HashMap;
 

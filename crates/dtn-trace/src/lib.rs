@@ -43,6 +43,7 @@
 pub mod aggregate;
 pub mod contact;
 pub mod generators;
+pub mod hash;
 pub mod node;
 pub mod parser;
 pub mod perturb;

@@ -55,21 +55,6 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Returns the identifiers `0..count` as a vector.
-///
-/// Convenience for tests and generators that work with dense node ranges.
-///
-/// # Example
-///
-/// ```
-/// let ids = dtn_trace::node::dense_ids(3);
-/// assert_eq!(ids.len(), 3);
-/// assert_eq!(ids[2].raw(), 2);
-/// ```
-pub fn dense_ids(count: u32) -> Vec<NodeId> {
-    (0..count).map(NodeId::new).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,17 +85,9 @@ mod tests {
 
     #[test]
     fn usable_in_hash_set() {
-        let set: HashSet<NodeId> = dense_ids(4).into_iter().collect();
+        let set: HashSet<NodeId> = (0..4).map(NodeId::new).collect();
         assert_eq!(set.len(), 4);
         assert!(set.contains(&NodeId::new(3)));
-    }
-
-    #[test]
-    fn dense_ids_are_dense() {
-        let ids = dense_ids(5);
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(id.index(), i);
-        }
     }
 
     #[test]

@@ -13,6 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 
 use crate::contact::Contact;
+use crate::hash::seed_hash;
 use crate::time::SimTime;
 use crate::trace::ContactTrace;
 
@@ -136,19 +137,8 @@ impl Perturbation {
         for node in contact.participants() {
             bytes.extend_from_slice(&u64::from(node.raw()).to_le_bytes());
         }
-        StdRng::seed_from_u64(fnv1a(&bytes))
+        StdRng::seed_from_u64(seed_hash(&bytes))
     }
-}
-
-/// FNV-1a, the same mixing the simulator's seed derivation uses (kept local:
-/// this crate sits below `dtn-sim` in the dependency graph).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

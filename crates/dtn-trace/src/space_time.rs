@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use crate::node::NodeId;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use crate::trace::ContactTrace;
 
 /// Store-carry-forward reachability oracle over a contact trace.
@@ -108,19 +108,6 @@ impl SpaceTimeGraph {
             .map(|(n, _)| n)
             .collect()
     }
-
-    /// Minimum store-carry-forward delay from `source` to `dest` for a
-    /// message created at `created`, or `None` if unreachable.
-    pub fn delivery_delay(
-        &self,
-        source: NodeId,
-        dest: NodeId,
-        created: SimTime,
-    ) -> Option<SimDuration> {
-        self.earliest_delivery(source, created)
-            .get(&dest)
-            .map(|&t| t.duration_since(created))
-    }
 }
 
 #[cfg(test)]
@@ -216,20 +203,6 @@ mod tests {
         assert_eq!(within, vec![NodeId::new(0), NodeId::new(1)]);
         let all = g.reachable(NodeId::new(0), SimTime::ZERO, None);
         assert_eq!(all.len(), 3);
-    }
-
-    #[test]
-    fn delivery_delay_reports_none_when_unreachable() {
-        let t: ContactTrace = vec![pc(0, 1, 10, 15)].into_iter().collect();
-        let g = SpaceTimeGraph::new(&t);
-        assert_eq!(
-            g.delivery_delay(NodeId::new(0), NodeId::new(9), SimTime::ZERO),
-            None
-        );
-        assert_eq!(
-            g.delivery_delay(NodeId::new(0), NodeId::new(1), SimTime::ZERO),
-            Some(SimDuration::from_secs(10))
-        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! seconds* — exact arithmetic keeps simulations deterministic.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Sub};
 
 /// Number of seconds in one simulated day.
 pub const SECONDS_PER_DAY: u64 = 86_400;
@@ -106,11 +106,6 @@ impl SimDuration {
         SimDuration(secs)
     }
 
-    /// Creates a duration from minutes.
-    pub const fn from_mins(mins: u64) -> Self {
-        SimDuration(mins * 60)
-    }
-
     /// Creates a duration from hours.
     pub const fn from_hours(hours: u64) -> Self {
         SimDuration(hours * 3_600)
@@ -181,12 +176,6 @@ impl Sub for SimDuration {
     }
 }
 
-impl SubAssign for SimDuration {
-    fn sub_assign(&mut self, rhs: SimDuration) {
-        self.0 -= rhs.0;
-    }
-}
-
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let day = self.day();
@@ -221,8 +210,7 @@ mod tests {
 
     #[test]
     fn duration_constructors_agree() {
-        assert_eq!(SimDuration::from_mins(2), SimDuration::from_secs(120));
-        assert_eq!(SimDuration::from_hours(1), SimDuration::from_mins(60));
+        assert_eq!(SimDuration::from_hours(1), SimDuration::from_secs(3_600));
         assert_eq!(SimDuration::from_days(1), SimDuration::from_hours(24));
     }
 

@@ -75,21 +75,12 @@ impl TraceBuilder {
     /// Finishes the trace, sorting contacts into event order.
     ///
     /// Consumes the builder so the contact buffer moves into the trace
-    /// without a copy. Use [`TraceBuilder::build_cloned`] to keep the
-    /// builder alive for further pushes.
+    /// without a copy.
     pub fn build(mut self) -> ContactTrace {
         sort_contacts(&mut self.contacts);
         ContactTrace {
             contacts: self.contacts,
         }
-    }
-
-    /// Like [`TraceBuilder::build`] but leaves the builder intact, at the
-    /// cost of cloning the contact buffer.
-    pub fn build_cloned(&self) -> ContactTrace {
-        let mut contacts = self.contacts.clone();
-        sort_contacts(&mut contacts);
-        ContactTrace { contacts }
     }
 }
 
@@ -305,18 +296,6 @@ mod tests {
         let t = b.build();
         let starts: Vec<u64> = t.iter().map(|c| c.start().as_secs()).collect();
         assert_eq!(starts, vec![5, 50, 100]);
-    }
-
-    #[test]
-    fn build_cloned_keeps_builder_usable() {
-        let mut b = ContactTrace::builder();
-        b.push(pc(0, 1, 9, 10));
-        let first = b.build_cloned();
-        assert_eq!(first.len(), 1);
-        b.push(pc(1, 2, 1, 2));
-        let second = b.build();
-        assert_eq!(second.len(), 2);
-        assert_eq!(second.contacts()[0].start().as_secs(), 1);
     }
 
     #[test]

@@ -153,11 +153,6 @@ impl KeyRegistry {
         self.keys.insert(publisher.into(), key);
     }
 
-    /// Looks up a publisher's key.
-    pub fn key_of(&self, publisher: &str) -> Option<&PublisherKey> {
-        self.keys.get(publisher)
-    }
-
     /// Verifies metadata against its claimed publisher's registered key.
     ///
     /// # Errors
@@ -250,7 +245,7 @@ mod tests {
         let mut m = meta("Show", "ABC");
         sign(&mut m, &key);
         assert_eq!(reg.verify(&m), Ok(()));
-        assert!(reg.key_of("ABC").is_some());
+        assert!(reg.keys.contains_key("ABC"));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use std::cmp::Ordering;
 use std::iter::Peekable;
 
+use dtn_trace::hash::stable_hash;
 use dtn_trace::NodeId;
 
 use crate::download::Offer;
@@ -24,7 +25,6 @@ use crate::metadata::Metadata;
 use crate::node::MbtNode;
 use crate::popularity::Popularity;
 use crate::query::Query;
-use crate::server::shard::stable_hash;
 use crate::transport::HelloFrame;
 use crate::uri::Uri;
 

@@ -125,11 +125,6 @@ impl FileAssembler {
         Ok(())
     }
 
-    /// True if the assembler already holds piece `index`.
-    pub fn has_piece(&self, index: u32) -> bool {
-        self.pieces.contains_key(&index)
-    }
-
     /// Indices still missing, ascending.
     pub fn missing(&self) -> Vec<u32> {
         (0..self.metadata.piece_count())
@@ -213,7 +208,7 @@ mod tests {
         let pieces = split_into_pieces(&uri, &data, 64);
         assert_eq!(asm.missing().len(), 5);
         asm.add_piece(pieces[2].clone()).unwrap();
-        assert!(asm.has_piece(2));
+        assert!(asm.pieces.contains_key(&2));
         assert_eq!(asm.missing(), vec![0, 1, 3, 4]);
         assert!((asm.progress() - 0.2).abs() < 1e-12);
         assert_eq!(asm.assemble(), None);

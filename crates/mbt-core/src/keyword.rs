@@ -3,7 +3,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::server::shard::stable_hash;
+use dtn_trace::hash::stable_hash;
 
 /// Splits text into lowercase alphanumeric tokens.
 ///

@@ -129,10 +129,11 @@ pub struct MbtNode {
     events: Vec<NodeEvent>,
 }
 
-/// The compact residue of a node whose stores have fully decayed: its own
-/// queries and its credit history. No node produces one: the experiment
-/// runner builds a node once and keeps it. The type remains as the element
-/// of `mbt_experiments::ResidueStore`, which the benchmark still probes.
+/// A node's own queries and credit history, as a dormant node would keep
+/// them. No node produces one: the experiment runner builds a node once and
+/// keeps it. The type is the element of `mbt_experiments::ResidueStore`,
+/// which exists only for the benchmark's probe; both go with the
+/// benchmark's next version.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColdNodeState {
     /// The node's own queries, in insertion order, with their expiries.
@@ -181,11 +182,6 @@ impl MbtNode {
         &self.config
     }
 
-    /// Whether this node can reach the Internet.
-    pub fn is_internet_access(&self) -> bool {
-        self.internet_access
-    }
-
     /// Marks the node as an Internet-access node.
     pub fn set_internet_access(&mut self, access: bool) {
         self.internet_access = access;
@@ -223,12 +219,6 @@ impl MbtNode {
             None => true,
             Some(registry) => registry.verify(metadata).is_ok(),
         }
-    }
-
-    /// True if the node has blacklisted `uri` after an authentication
-    /// failure.
-    pub fn has_rejected(&self, uri: &Uri) -> bool {
-        self.rejected.contains_key(uri)
     }
 
     pub(crate) fn reject(&mut self, metadata: &Metadata) {
@@ -285,11 +275,6 @@ impl MbtNode {
         self.queries.own().iter().map(|(q, _)| q.clone()).collect()
     }
 
-    /// Number of stored queries (own + collected for others).
-    pub fn query_count(&self) -> usize {
-        self.queries.len()
-    }
-
     /// The stored metadata records (read-only: records enter through
     /// contacts, Internet sessions and [`seed_content`](Self::seed_content)).
     pub fn metadata(&self) -> &MetadataStore {
@@ -312,16 +297,6 @@ impl MbtNode {
         self.files.contains(uri)
     }
 
-    /// Number of stored metadata records.
-    pub fn metadata_count(&self) -> usize {
-        self.metadata.len()
-    }
-
-    /// Number of stored complete files.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
     /// The node's credit ledger (tit-for-tat state).
     pub fn credits(&self) -> &CreditLedger {
         &self.credits
@@ -333,14 +308,6 @@ impl MbtNode {
             .get(uri)
             .map(|&(p, _)| p)
             .unwrap_or(Popularity::MIN)
-    }
-
-    /// Records a popularity observation with no known expiry, keeping the
-    /// maximum seen. The entry is never pruned; prefer
-    /// [`note_popularity_until`](Self::note_popularity_until) when the
-    /// observation rides metadata carrying the URI's lifetime.
-    pub fn note_popularity(&mut self, uri: &Uri, p: Popularity) {
-        self.note_popularity_until(uri, p, None);
     }
 
     /// Records a popularity observation for a URI that expires at
@@ -525,7 +492,8 @@ impl MbtNode {
     /// frequent contacts (full MBT), and pulls popular metadata for later
     /// push-distribution (MBT and MBT-Q).
     ///
-    /// Does nothing unless [`MbtNode::is_internet_access`] is true.
+    /// Does nothing unless the node has Internet access
+    /// ([`set_internet_access`](Self::set_internet_access)).
     pub fn internet_session(&mut self, server: &mut MetadataServer, now: SimTime) {
         if !self.internet_access {
             return;
@@ -1320,13 +1288,13 @@ mod tests {
             Popularity::MIN,
             "expired URIs are never ranked again, so the observation goes"
         );
-        assert_eq!(n.metadata_count(), 0);
+        assert_eq!(n.metadata.len(), 0);
         assert!(n.popularity.is_empty(), "the entry itself is dropped");
 
         // An expiry-free observation (no metadata lifetime known) pins the
         // entry forever, even when a bounded observation merges into it.
         let mut pinned = node(1, ProtocolSpec::MBT);
-        pinned.note_popularity(&uri("mbt://b"), Popularity::new(0.3));
+        pinned.note_popularity_until(&uri("mbt://b"), Popularity::new(0.3), None);
         pinned.note_popularity_until(
             &uri("mbt://b"),
             Popularity::new(0.7),
@@ -1406,9 +1374,9 @@ mod tests {
         let report =
             run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
         assert_eq!(report.queries_distributed, 1);
-        assert_eq!(nodes[0].query_count(), 1);
+        assert_eq!(nodes[0].queries.len(), 1);
         // Not symmetric: node 1 did not list node 0 as frequent.
-        assert_eq!(nodes[1].query_count(), 1); // its own query only
+        assert_eq!(nodes[1].queries.len(), 1); // its own query only
     }
 
     #[test]
@@ -1435,7 +1403,7 @@ mod tests {
         // At 10 the receiver's copy expires; the unchanged list is stored
         // again, as it would be without the skip.
         assert_eq!(contact(&mut nodes, 12).queries_distributed, 1);
-        assert_eq!(nodes[0].query_count(), 1);
+        assert_eq!(nodes[0].queries.len(), 1);
         assert_eq!(contact(&mut nodes, 13).queries_distributed, 0);
     }
 
@@ -1465,25 +1433,25 @@ mod tests {
 
         n.prune(at(9));
         assert_eq!(
-            (n.metadata_count(), n.file_count(), n.query_count()),
+            (n.metadata.len(), n.files.len(), n.queries.len()),
             (2, 2, 1)
         );
         n.prune(at(10));
         assert_eq!(
-            (n.metadata_count(), n.file_count(), n.query_count()),
+            (n.metadata.len(), n.files.len(), n.queries.len()),
             (1, 1, 1)
         );
         assert_eq!(n.known_popularity(&uri("mbt://early")), Popularity::MIN);
         n.prune(at(20));
-        assert_eq!(n.query_count(), 0);
-        assert!(n.has_rejected(&uri("mbt://fake")));
+        assert_eq!(n.queries.len(), 0);
+        assert!(n.rejected.contains_key(&uri("mbt://fake")));
         n.prune(at(25));
-        assert!(!n.has_rejected(&uri("mbt://fake")));
+        assert!(!n.rejected.contains_key(&uri("mbt://fake")));
         // An entry added after a pass is still seen by the next one.
         n.add_query(Query::new("abc").unwrap(), Some(at(27)));
         n.prune(at(30));
         assert_eq!(
-            (n.metadata_count(), n.file_count(), n.query_count()),
+            (n.metadata.len(), n.files.len(), n.queries.len()),
             (0, 0, 0)
         );
         assert_eq!(n.known_popularity(&uri("mbt://late")), Popularity::MIN);
@@ -1497,7 +1465,7 @@ mod tests {
         let report =
             run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
         assert_eq!(report.queries_distributed, 0);
-        assert_eq!(nodes[0].query_count(), 0);
+        assert_eq!(nodes[0].queries.len(), 0);
     }
 
     #[test]
@@ -1505,7 +1473,7 @@ mod tests {
         let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
         let m = meta("fox evening news", "mbt://a");
         hold(&mut nodes[0], m);
-        nodes[0].note_popularity(&uri("mbt://a"), Popularity::new(0.4));
+        nodes[0].note_popularity_until(&uri("mbt://a"), Popularity::new(0.4), None);
         nodes[1].add_query(Query::new("evening news").unwrap(), None);
         let report =
             run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
@@ -1536,7 +1504,7 @@ mod tests {
         let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
         hold(&mut nodes[0], meta("fox news", "mbt://a"));
         nodes[0].try_store_file(uri("mbt://a"), None);
-        nodes[0].note_popularity(&uri("mbt://a"), Popularity::new(0.8));
+        nodes[0].note_popularity_until(&uri("mbt://a"), Popularity::new(0.8), None);
         let report =
             run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
         assert_eq!(report.file_broadcasts, 1);
@@ -1554,7 +1522,7 @@ mod tests {
         hold(&mut nodes[0], meta("cold show", "mbt://cold"));
         for (u, p) in [("mbt://hot", 0.9), ("mbt://cold", 0.1)] {
             nodes[0].try_store_file(uri(u), None);
-            nodes[0].note_popularity(&uri(u), Popularity::new(p));
+            nodes[0].note_popularity_until(&uri(u), Popularity::new(p), None);
         }
         // Budget of 1 file per contact: the popular one must win.
         for n in nodes.iter_mut() {
@@ -1611,7 +1579,7 @@ mod tests {
         let report =
             run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
         assert_eq!(report.metadata_broadcasts, 5);
-        assert_eq!(nodes[1].metadata_count(), 5);
+        assert_eq!(nodes[1].metadata.len(), 5);
     }
 
     #[test]
@@ -1629,7 +1597,7 @@ mod tests {
             SimDuration::from_secs(60),
         );
         assert!(!nodes[1].has_metadata(&uri("mbt://old")));
-        assert_eq!(nodes[0].metadata_count(), 0, "expired metadata pruned");
+        assert_eq!(nodes[0].metadata.len(), 0, "expired metadata pruned");
     }
 
     #[test]
@@ -1668,7 +1636,7 @@ mod tests {
         run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
         assert!(!nodes[1].has_metadata(&uri("mbt://fake")), "forgery stored");
         assert!(
-            nodes[1].has_rejected(&uri("mbt://fake")),
+            nodes[1].rejected.contains_key(&uri("mbt://fake")),
             "forgery not blacklisted"
         );
 
@@ -1702,7 +1670,7 @@ mod tests {
         run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
         assert!(nodes[1].has_metadata(&uri("mbt://real")));
         assert!(nodes[1].has_file(&uri("mbt://real")));
-        assert!(!nodes[1].has_rejected(&uri("mbt://real")));
+        assert!(!nodes[1].rejected.contains_key(&uri("mbt://real")));
     }
 
     #[test]
@@ -1746,7 +1714,7 @@ mod tests {
                 nodes[0].try_store_file(uri(&u), None);
             }
             run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
-            nodes[1].file_count()
+            nodes[1].files.len()
         };
         assert_eq!(run_once(0.0, 0), 4, "default budget of 4 files, no loss");
         let lossy_a = run_once(0.5, 7);
@@ -1771,11 +1739,11 @@ mod tests {
         for idx in [0usize, 1] {
             hold(&mut nodes[idx], meta("common show", "mbt://common"));
             nodes[idx].try_store_file(uri("mbt://common"), None);
-            nodes[idx].note_popularity(&uri("mbt://common"), Popularity::new(0.9));
+            nodes[idx].note_popularity_until(&uri("mbt://common"), Popularity::new(0.9), None);
         }
         hold(&mut nodes[0], meta("rare show", "mbt://rare"));
         nodes[0].try_store_file(uri("mbt://rare"), None);
-        nodes[0].note_popularity(&uri("mbt://rare"), Popularity::new(0.1));
+        nodes[0].note_popularity_until(&uri("mbt://rare"), Popularity::new(0.1), None);
         run_contact(
             &mut nodes,
             &[0, 1, 2],
@@ -1845,7 +1813,7 @@ mod tests {
             for (a, b) in timed.iter_mut().zip(plain.iter_mut()) {
                 assert_eq!(a.drain_events(), b.drain_events());
                 assert_eq!(a.wanted_uris(), b.wanted_uris());
-                assert_eq!(a.query_count(), b.query_count());
+                assert_eq!(a.queries.len(), b.queries.len());
             }
         }
     }
@@ -1873,17 +1841,17 @@ mod tests {
         let mut n = pop_cache_node(0, 2);
         n.seed_content(meta("low show", "mbt://low"), Popularity::new(0.2), true);
         n.seed_content(meta("mid show", "mbt://mid"), Popularity::new(0.5), true);
-        assert_eq!(n.file_count(), 2);
+        assert_eq!(n.files.len(), 2);
         // A more popular file displaces the lowest-ranked one.
         n.seed_content(meta("hot show", "mbt://hot"), Popularity::new(0.9), true);
-        assert_eq!(n.file_count(), 2, "bound holds");
+        assert_eq!(n.files.len(), 2, "bound holds");
         assert!(!n.has_file(&uri("mbt://low")), "lowest-ranked evicted");
         assert!(n.has_file(&uri("mbt://mid")));
         assert!(n.has_file(&uri("mbt://hot")));
         // A less popular file than every resident is refused.
         n.seed_content(meta("dud show", "mbt://dud"), Popularity::new(0.1), true);
         assert!(!n.has_file(&uri("mbt://dud")), "unwanted low-score refused");
-        assert_eq!(n.file_count(), 2);
+        assert_eq!(n.files.len(), 2);
     }
 
     #[test]
@@ -1921,7 +1889,7 @@ mod tests {
         );
         assert!(n.has_file(&uri("mbt://m")));
         assert!(n.has_file(&uri("mbt://e")));
-        assert_eq!(n.file_count(), 2);
+        assert_eq!(n.files.len(), 2);
     }
 
     #[test]
@@ -1935,9 +1903,9 @@ mod tests {
                 true,
             );
         }
-        assert_eq!(nodes[0].file_count(), 3, "seeding already bounded");
+        assert_eq!(nodes[0].files.len(), 3, "seeding already bounded");
         run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(600));
-        assert!(nodes[1].file_count() <= 3, "receiver bound holds");
+        assert!(nodes[1].files.len() <= 3, "receiver bound holds");
     }
 
     #[test]

@@ -98,11 +98,6 @@ impl Piece {
     pub fn checksum(&self) -> Digest {
         sha1(&self.data)
     }
-
-    /// Consumes the piece, returning its payload.
-    pub fn into_data(self) -> Vec<u8> {
-        self.data
-    }
 }
 
 /// Splits `data` into pieces of `piece_size` bytes stamped with `uri`.
@@ -219,11 +214,5 @@ mod tests {
     #[test]
     fn default_piece_size_is_256kb() {
         assert_eq!(PIECE_SIZE, 262_144);
-    }
-
-    #[test]
-    fn into_data_returns_payload() {
-        let p = Piece::new(PieceId::new(uri(), 0), vec![9, 9]);
-        assert_eq!(p.into_data(), vec![9, 9]);
     }
 }

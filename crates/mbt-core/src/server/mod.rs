@@ -103,8 +103,9 @@ mod tests {
     fn search_respects_limit_and_best_match() {
         let s = server_with(&[("news one", "mbt://a", 0.2), ("news two", "mbt://b", 0.8)]);
         let q = Query::new("news").unwrap();
-        assert_eq!(s.search(&q, 1).len(), 1);
-        assert_eq!(s.best_match(&q).unwrap().uri().as_str(), "mbt://b");
+        let best = s.search(&q, 1);
+        assert_eq!(best.len(), 1);
+        assert_eq!(best[0].uri().as_str(), "mbt://b");
     }
 
     #[test]
@@ -235,7 +236,10 @@ mod tests {
             Popularity::new(0.4)
         );
         assert_eq!(
-            frozen.best_match(&q).map(|m| m.uri().as_str().to_owned()),
+            frozen
+                .search(&q, 1)
+                .first()
+                .map(|m| m.uri().as_str().to_owned()),
             Some("mbt://b".to_owned())
         );
         assert_eq!(frozen.most_popular(1, SimTime::ZERO).len(), 1);

@@ -15,7 +15,7 @@
 //!   the same paper — lives in exactly one `TokenShard`, so a query fans out
 //!   to at most one shard per query token.
 //!
-//! Both use the same stable FNV-1a hash — deterministic across processes and
+//! Both use the same [`stable_hash`] (FNV-1a, finalized) — deterministic across processes and
 //! toolchains, unlike `std`'s seeded `RandomState` — so a shard layout is a
 //! pure function of `(key, shard count)` and committed bench digests never
 //! drift. The `Uri → slot` map does use `RandomState` (URIs come from
@@ -39,6 +39,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
+use dtn_trace::hash::stable_hash;
 use dtn_trace::SimTime;
 
 use crate::keyword::intersect_rarest_first;
@@ -46,26 +47,6 @@ use crate::metadata::Metadata;
 use crate::popularity::{cmp_popularity, Popularity};
 use crate::query::Query;
 use crate::uri::Uri;
-
-/// Stable 64-bit hash of `bytes`: FNV-1a with a splitmix64 finalizer.
-///
-/// Used for every shard-placement decision; must never change, or committed
-/// bench baselines and the golden equivalence of re-opened servers would
-/// silently re-partition. The finalizer matters: `ring_index` partitions
-/// on the *high* bits, which raw FNV-1a barely stirs for short or
-/// near-constant keys.
-pub fn stable_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
-}
 
 /// Maps a hash onto one of `shards` equal arcs of the `u64` ring.
 ///
@@ -353,15 +334,6 @@ pub(crate) fn iter_uri_order(uri_shards: &[Arc<UriShard>]) -> impl Iterator<Item
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stable_hash_is_fixed() {
-        // Pinned values: a silent hash change would re-partition every
-        // committed digest.
-        assert_eq!(stable_hash(b""), 0xf52a_15e9_a9b5_e89b);
-        assert_eq!(stable_hash(b"fox"), stable_hash(b"fox"));
-        assert_ne!(stable_hash(b"fox"), stable_hash(b"fax"));
-    }
 
     #[test]
     fn ring_index_covers_all_shards_and_stays_in_range() {

@@ -153,11 +153,6 @@ impl ShardedMetadataServer {
         ranked_matches(&self.uri_shards, &self.token_shards, query, limit)
     }
 
-    /// The single best match for `query`, if any.
-    pub fn best_match(&self, query: &Query) -> Option<&Metadata> {
-        self.search(query, 1).into_iter().next()
-    }
-
     /// The `limit` most popular unexpired metadata at `now` (the push phase
     /// of metadata distribution).
     pub fn most_popular(&self, limit: usize, now: SimTime) -> Vec<&Metadata> {

@@ -38,7 +38,7 @@ use super::shard::{ranked_matches, shard_of_uri, top_popular, TokenShard, UriSha
 /// let frozen = server.snapshot();
 /// server.expire(dtn_trace::SimTime::from_days(400)); // writer moves on…
 /// assert_eq!(frozen.len(), 1); // …the snapshot does not
-/// assert_eq!(frozen.best_match(&Query::new("evening news")?).unwrap().uri(), &uri);
+/// assert_eq!(frozen.search(&Query::new("evening news")?, 1)[0].uri(), &uri);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -84,11 +84,6 @@ impl ServerSnapshot {
             .into_iter()
             .cloned()
             .collect()
-    }
-
-    /// The single best match for `query`, if any.
-    pub fn best_match(&self, query: &Query) -> Option<Metadata> {
-        self.search(query, 1).into_iter().next()
     }
 
     /// The `limit` most popular unexpired metadata at `now`.

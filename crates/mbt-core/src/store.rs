@@ -208,7 +208,7 @@ pub type OwnQuery = (Query, Option<SimTime>);
 /// use dtn_trace::NodeId;
 ///
 /// let mut store = QueryStore::new();
-/// store.add_own(Query::new("fox news")?, None);
+/// store.add_own_batch([(Query::new("fox news")?, None)]);
 /// store.add_foreign(NodeId::new(7), Query::new("abc comedy")?, None);
 /// assert_eq!(store.own().len(), 1);
 /// assert_eq!(store.foreign().count(), 1);
@@ -240,17 +240,10 @@ impl QueryStore {
         QueryStore::default()
     }
 
-    /// Adds one of the user's own queries (deduplicated by text).
-    /// Returns `true` if it was new.
-    pub fn add_own(&mut self, query: Query, expires: Option<SimTime>) -> bool {
-        self.add_own_batch([(query, expires)]) == 1
-    }
-
-    /// Adds several of the user's own queries at once, in order and
-    /// deduplicated by text (against the held ones and inside the batch, the
-    /// first entry of a text winning — as repeated
-    /// [`add_own`](Self::add_own) would); returns how many were new. The
-    /// shared list is rebuilt once, and only if something was.
+    /// Adds the user's own queries, in order and deduplicated by text
+    /// (against the held ones and inside the batch, the first entry of a
+    /// text winning); returns how many were new. The shared list is rebuilt
+    /// once, and only if something was.
     pub fn add_own_batch(&mut self, batch: impl IntoIterator<Item = OwnQuery>) -> usize {
         let mut fresh: Vec<OwnQuery> = Vec::new();
         for (query, expires) in batch {
@@ -308,14 +301,6 @@ impl QueryStore {
     /// Queries held for other nodes.
     pub fn foreign(&self) -> impl Iterator<Item = (NodeId, &QueryEntry)> {
         self.foreign.iter().map(|(o, e)| (*o, e))
-    }
-
-    /// All queries with their owners; `me` is reported as the owner of own
-    /// queries.
-    pub fn all_with_owner(&self, me: NodeId) -> Vec<(NodeId, &Query)> {
-        let mut out: Vec<(NodeId, &Query)> = self.own.iter().map(|(q, _)| (me, q)).collect();
-        out.extend(self.foreign.iter().map(|(o, e)| (*o, &e.query)));
-        out
     }
 
     /// Removes a satisfied own query by text; returns `true` if found.
@@ -503,8 +488,14 @@ mod tests {
     #[test]
     fn query_store_dedups_own_by_text() {
         let mut s = QueryStore::new();
-        assert!(s.add_own(Query::new("fox news").unwrap(), None));
-        assert!(!s.add_own(Query::new("fox news").unwrap(), None));
+        assert_eq!(
+            s.add_own_batch([(Query::new("fox news").unwrap(), None)]),
+            1
+        );
+        assert_eq!(
+            s.add_own_batch([(Query::new("fox news").unwrap(), None)]),
+            0
+        );
         assert_eq!(s.len(), 1);
     }
 
@@ -522,7 +513,7 @@ mod tests {
     fn query_store_sync_memo_follows_content_and_foreign_drops() {
         let owner = NodeId::new(1);
         let mut theirs = QueryStore::new();
-        theirs.add_own(Query::new("x").unwrap(), Some(SimTime::from_secs(10)));
+        theirs.add_own_batch([(Query::new("x").unwrap(), Some(SimTime::from_secs(10)))]);
         let mut mine = QueryStore::new();
         assert!(
             mine.is_synced(owner, QueryStore::new().own()),
@@ -540,7 +531,7 @@ mod tests {
         let decoded: Arc<[OwnQuery]> = theirs.own().iter().cloned().collect();
         assert!(mine.is_synced(owner, &decoded));
 
-        theirs.add_own(Query::new("y").unwrap(), None);
+        theirs.add_own_batch([(Query::new("y").unwrap(), None)]);
         assert!(!mine.is_synced(owner, theirs.own()), "the list changed");
         assert!(mine.is_synced(owner, &decoded));
         mine.prune_expired(SimTime::from_secs(10));
@@ -553,32 +544,21 @@ mod tests {
     #[test]
     fn query_store_shares_its_own_list_until_it_changes() {
         let mut s = QueryStore::new();
-        s.add_own(Query::new("a").unwrap(), None);
+        s.add_own_batch([(Query::new("a").unwrap(), None)]);
         let before = s.own().clone();
-        assert!(!s.add_own(Query::new("a").unwrap(), None));
+        assert_eq!(s.add_own_batch([(Query::new("a").unwrap(), None)]), 0);
         assert!(!s.remove_own("missing"));
         assert_eq!(s.prune_expired(SimTime::from_secs(99)), 0);
         assert!(Arc::ptr_eq(&before, s.own()), "no change, same allocation");
-        s.add_own(Query::new("b").unwrap(), None);
+        s.add_own_batch([(Query::new("b").unwrap(), None)]);
         assert_eq!(before.len(), 1, "a carried hello keeps the list it took");
         assert_eq!(s.own().len(), 2);
     }
 
     #[test]
-    fn query_store_all_with_owner() {
-        let mut s = QueryStore::new();
-        s.add_own(Query::new("mine").unwrap(), None);
-        s.add_foreign(NodeId::new(3), Query::new("theirs").unwrap(), None);
-        let all = s.all_with_owner(NodeId::new(0));
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].0, NodeId::new(0));
-        assert_eq!(all[1].0, NodeId::new(3));
-    }
-
-    #[test]
     fn query_store_remove_own() {
         let mut s = QueryStore::new();
-        s.add_own(Query::new("fox news").unwrap(), None);
+        s.add_own_batch([(Query::new("fox news").unwrap(), None)]);
         assert!(s.remove_own("fox news"));
         assert!(!s.remove_own("fox news"));
         assert!(s.is_empty());
@@ -587,13 +567,13 @@ mod tests {
     #[test]
     fn query_store_prunes_expired() {
         let mut s = QueryStore::new();
-        s.add_own(Query::new("a").unwrap(), Some(SimTime::from_secs(10)));
+        s.add_own_batch([(Query::new("a").unwrap(), Some(SimTime::from_secs(10)))]);
         s.add_foreign(
             NodeId::new(1),
             Query::new("b").unwrap(),
             Some(SimTime::from_secs(5)),
         );
-        s.add_own(Query::new("keep").unwrap(), None);
+        s.add_own_batch([(Query::new("keep").unwrap(), None)]);
         assert_eq!(s.prune_expired(SimTime::from_secs(10)), 2);
         assert_eq!(s.len(), 1);
     }

@@ -79,11 +79,6 @@ impl BusTransport {
         self.frames_rebuilt
     }
 
-    /// True if `a` and `b` currently share an open link.
-    pub fn is_open(&self, a: NodeId, b: NodeId) -> bool {
-        self.links.contains(&link(a, b))
-    }
-
     /// Delivers `sent` once [`wire`](Self::wire) holds its frame.
     fn deliver(&mut self, sent: WireMessage) -> Carried {
         self.bytes_on_wire += self.wire.len() as u64;
@@ -174,12 +169,12 @@ mod tests {
     fn carry_round_trips_through_the_codec() {
         let mut bus = BusTransport::new();
         bus.join(&[n(0), n(1), n(2)]);
-        assert!(bus.is_open(n(0), n(2)));
+        assert!(bus.links.contains(&link(n(0), n(2))));
         assert_eq!(bus.carry(n(0), n(2), msg()), Carried::Delivered(msg()));
         assert_eq!(bus.frames_carried(), 1);
         assert!(bus.bytes_on_wire() > FRAME_HEADER_BYTES as u64);
         bus.leave(&[n(0), n(1), n(2)]);
-        assert!(!bus.is_open(n(0), n(2)));
+        assert!(!bus.links.contains(&link(n(0), n(2))));
         assert_eq!(bus.frames_dropped(), 0);
     }
 

@@ -29,6 +29,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
+use dtn_trace::hash::fnv1a;
 use dtn_trace::{NodeId, SimTime};
 
 use crate::checksum::Digest;
@@ -251,17 +252,6 @@ impl fmt::Display for FrameError {
 }
 
 impl std::error::Error for FrameError {}
-
-/// FNV-1a 64-bit hash — the payload checksum. Cheap, dependency-free, and
-/// plenty for catching truncation and bit rot on an in-process bus.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Serializes `message` into a complete frame addressed
 /// `sender → receiver`.

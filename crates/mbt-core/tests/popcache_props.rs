@@ -64,7 +64,7 @@ proptest! {
                     "wanted file {j} was evicted"
                 );
             }
-            prop_assert!(node.file_count() <= capacity as usize);
+            prop_assert!(node.files().len() <= capacity as usize);
         }
     }
 
@@ -86,7 +86,7 @@ proptest! {
                 node.has_file(&uri(0, true)),
                 "filler {i} (pop {pop}) evicted the downloading file"
             );
-            prop_assert!(node.file_count() <= capacity as usize);
+            prop_assert!(node.files().len() <= capacity as usize);
         }
     }
 
@@ -126,9 +126,9 @@ proptest! {
             );
             for node in &nodes[1..] {
                 prop_assert!(
-                    node.file_count() <= capacity as usize,
+                    node.files().len() <= capacity as usize,
                     "bound {capacity} broken: {} files held",
-                    node.file_count()
+                    node.files().len()
                 );
             }
         }

@@ -272,7 +272,7 @@ fn replay_against_reference(ops: &[Op], uris: usize) -> usize {
             } => {
                 let q = query_of(tok_a, tok_b, tok_c);
                 let expected = render(&reference.search(&q, limit));
-                let expected_best = reference.best_match(&q).map(|m| m.uri().clone());
+                let expected_best = render(&reference.search(&q, 1));
                 for s in &sharded {
                     prop_assert_eq!(
                         &render(&s.search(&q, limit)),
@@ -281,9 +281,9 @@ fn replay_against_reference(ops: &[Op], uris: usize) -> usize {
                         s.shard_count()
                     );
                     prop_assert_eq!(
-                        &s.best_match(&q).map(|m| m.uri().clone()),
+                        &render(&s.search(&q, 1)),
                         &expected_best,
-                        "best_match diverged at {} shards",
+                        "best match diverged at {} shards",
                         s.shard_count()
                     );
                 }

@@ -117,11 +117,6 @@ impl ReferenceServer {
             .collect()
     }
 
-    /// The single best match for `query`, if any.
-    pub fn best_match(&self, query: &Query) -> Option<&Metadata> {
-        self.search(query, 1).into_iter().next()
-    }
-
     /// The `limit` most popular unexpired metadata at `now`.
     pub fn most_popular(&self, limit: usize, now: SimTime) -> Vec<&Metadata> {
         let mut all: Vec<&Uri> = self

@@ -9,8 +9,9 @@
 //!   they return), and [`Scale`], which holds the per-scale sizes and
 //!   builds the seed-42 traces,
 //! - [`ablations`] — the six design ablations, one table row each,
-//! - [`residue`] — a compact store for the state of cold nodes, which the
-//!   runner no longer uses and the benchmark still probes,
+//! - [`residue`] — a per-node map of cold node state that nothing in the
+//!   pipeline uses; it exists only for the benchmark's probe and goes with
+//!   the benchmark's next version,
 //! - [`report`] — text/CSV rendering: the figure tables and CSVs, and the
 //!   aligned and grouped tables every other experiment prints,
 //! - private modules for the other tables: the §V broadcast-vs-pair-wise

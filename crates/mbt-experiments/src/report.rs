@@ -148,14 +148,14 @@ mod tests {
             x_label: "x".into(),
             series: vec![ProtocolSeries {
                 protocol: ProtocolSpec::MBT,
-                points: vec![SeriesPoint::single(
+                points: vec![SeriesPoint::from_replicates(
                     0.5,
-                    SimResult {
+                    vec![SimResult {
                         metadata_ratio: 0.75,
                         file_ratio: 0.5,
                         mean_metadata_delay_hours: Some(2.25),
                         ..SimResult::default()
-                    },
+                    }],
                 )],
             }],
         }

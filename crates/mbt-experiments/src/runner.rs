@@ -525,14 +525,17 @@ pub(crate) fn simulate(
         scratch: ContactScratch::default(),
     };
 
-    // The simulation pass: the event loop itself.
-    let horizon = SimTime::from_secs(params.days * SECONDS_PER_DAY);
+    // The simulation pass: the event loop itself. A run covers
+    // `[0, days × 86 400)`: the engine's horizon is inclusive, so it is the
+    // run's last second, and zero days simulate nothing.
     let mut contacts = source.stream();
-    let mut sim = StreamSimulator::new(&mut *contacts).horizon(horizon);
-    for day in 0..params.days {
-        sim = sim.schedule(workload::publish_time(day), day);
+    if let Some(last) = horizon_secs.checked_sub(1) {
+        let mut sim = StreamSimulator::new(&mut *contacts).horizon(SimTime::from_secs(last));
+        for day in 0..params.days {
+            sim = sim.schedule(workload::publish_time(day), day);
+        }
+        sim.run(&mut harness);
     }
-    sim.run(&mut harness);
 
     let Harness {
         table,
@@ -744,9 +747,7 @@ impl Books {
             self.meta_delay.push_secs(delay);
             &mut self.daily_meta
         };
-        if let Some(slot) = daily.get_mut(now.day() as usize) {
-            *slot += 1;
-        }
+        daily[now.day() as usize] += 1;
     }
 }
 

@@ -69,11 +69,6 @@ pub struct SeriesPoint {
 }
 
 impl SeriesPoint {
-    /// A point backed by one simulation run.
-    pub fn single(x: f64, result: SimResult) -> SeriesPoint {
-        SeriesPoint::from_replicates(x, vec![result])
-    }
-
     /// A point summarising one or more replicate runs: the headline ratios
     /// are means of the per-replicate ratios, and `result` pools counts via
     /// [`SimResult::merge`]. Panics on an empty replicate list.

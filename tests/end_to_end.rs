@@ -2,7 +2,9 @@
 //! manual hybrid-DTN scenario exercising the public API across crates.
 
 use dtn_trace::generators::{DieselNetConfig, NusConfig};
-use dtn_trace::{NodeId, SimDuration, SimTime, SpaceTimeGraph};
+use dtn_trace::{
+    Contact, ContactTrace, NodeId, SimDuration, SimTime, SpaceTimeGraph, SECONDS_PER_DAY,
+};
 use mbt_core::node::run_pairwise_contact;
 use mbt_core::{
     MbtConfig, MbtNode, Metadata, MetadataServer, Popularity, ProtocolSpec, Query, Uri,
@@ -137,4 +139,57 @@ fn simulation_scales_with_contact_budget() {
         r_tight.file_ratio
     );
     assert!(r_roomy.metadata_ratio >= r_tight.metadata_ratio);
+}
+
+/// Every pair of nodes 0–9 × 10–19 meeting for ten minutes from `start`.
+fn all_pairs_meet(start: u64) -> impl Iterator<Item = Contact> {
+    (0..10).flat_map(move |a| {
+        (10..20).map(move |b| {
+            let start = SimTime::from_secs(start);
+            let end = start + SimDuration::from_secs(600);
+            Contact::pairwise(NodeId::new(a), NodeId::new(b), start, end).unwrap()
+        })
+    })
+}
+
+#[test]
+fn a_run_covers_its_days_and_no_contact_after_them() {
+    for days in [1, 2] {
+        let horizon = days * SECONDS_PER_DAY;
+        // The pairs that meet at and after the horizon met before the first
+        // publish, so cutting the late contacts changes neither the node set
+        // nor the frequent pairs.
+        let trace: ContactTrace = all_pairs_meet(1_800)
+            .chain(all_pairs_meet(horizon))
+            .chain(all_pairs_meet(horizon + 1))
+            .collect();
+        let cut: ContactTrace = trace
+            .iter()
+            .filter(|c| c.start().as_secs() < horizon)
+            .cloned()
+            .collect();
+        let params = SimParams {
+            days,
+            internet_fraction: 0.5,
+            ttl_days: 3,
+            ..SimParams::default()
+        };
+        let run = run_simulation(&trace, &params, None);
+        assert_eq!(run, run_simulation(&cut, &params, None), "{days} days");
+        assert_eq!(run.daily_metadata_delivered.len(), days as usize);
+        assert_eq!(
+            run.daily_metadata_delivered.iter().sum::<u64>(),
+            run.metadata_delivered
+        );
+        assert_eq!(
+            run.daily_files_delivered.iter().sum::<u64>(),
+            run.files_delivered
+        );
+    }
+    let at_zero: ContactTrace = all_pairs_meet(0).collect();
+    let nothing = SimParams {
+        days: 0,
+        ..SimParams::default()
+    };
+    assert_eq!(run_simulation(&at_zero, &nothing, None).contacts, 0);
 }

@@ -13,8 +13,11 @@ use std::sync::Arc;
 
 use dtn_sim::telemetry::Counters;
 use dtn_sim::{FaultPlan, Telemetry};
-use dtn_trace::generators::DieselNetConfig;
-use dtn_trace::{ContactSink as _, ShardWriter, ShardedTrace, SimDuration, TraceSource};
+use dtn_trace::generators::{DieselNetConfig, NusConfig};
+use dtn_trace::stats::{DIESELNET_FREQUENT_EVERY, NUS_FREQUENT_EVERY};
+use dtn_trace::{
+    ContactSink as _, ContactTrace, ShardWriter, ShardedTrace, SimDuration, TraceSource,
+};
 use mbt_experiments::figures::FIGURES;
 use mbt_experiments::report::figure_csv;
 use mbt_experiments::runner::{run_simulation, SimParams};
@@ -143,6 +146,69 @@ fn single_simulation_result_is_identical_including_faults() {
     let from_memory = run_simulation(&trace, &params, None);
     let from_shards = run_simulation(&sharded, &params, None);
     assert_eq!(from_memory, from_shards, "backing changed the SimResult");
+}
+
+#[test]
+fn resharding_at_another_window_leaves_a_run_unchanged() {
+    // Each model under its paper rule, sharded at 1 h (several sidecars fold
+    // into one rule window), 1 d, 2 d and 7 d (neither nests in a rule
+    // window, so the runner scans the shards for the frequent pairs first).
+    let models: [(&str, ContactTrace, SimDuration); 2] = [
+        (
+            "dieselnet",
+            DieselNetConfig::new(16, 8).seed(42).generate(),
+            DIESELNET_FREQUENT_EVERY,
+        ),
+        (
+            "nus",
+            NusConfig::new(24, 8).seed(42).generate(),
+            NUS_FREQUENT_EVERY,
+        ),
+    ];
+    for (model, trace, rule) in models {
+        let params = SimParams {
+            days: 8,
+            files_per_day: 10,
+            seed: 7,
+            frequent_window: rule,
+            faults: FaultPlan::none().loss(0.2).churn(0.1).seed(7),
+            ..SimParams::default()
+        };
+        let observe = |source: &dyn TraceSource| {
+            let mut tel = Telemetry::default();
+            let result = run_simulation(source, &params, Some(&mut tel));
+            (result, tel.counters)
+        };
+        let (in_memory, counters) = observe(&trace);
+        for hours in [1, 24, 48, 168] {
+            let window = SimDuration::from_hours(hours);
+            let dir = shard_dir(&format!("reshard-{model}-{hours}h"));
+            let mut writer = ShardWriter::create(&dir, window).unwrap();
+            for c in trace.iter() {
+                writer.push_contact(c.clone());
+            }
+            let sharded = writer.finish().unwrap();
+            let (result, sharded_counters) = observe(&sharded);
+            assert_eq!(result, in_memory, "{model} at {hours} h: SimResult moved");
+            assert_eq!(
+                sim_counters(&sharded_counters),
+                sim_counters(&counters),
+                "{model} at {hours} h: counters moved"
+            );
+            // One decode a shard when the sidecars answer, two when the
+            // frequent pairs needed a scan.
+            let passes = if rule.as_secs().is_multiple_of(window.as_secs()) {
+                1
+            } else {
+                2
+            };
+            assert_eq!(
+                sharded_counters.shards_loaded,
+                passes * sharded.shard_count() as u64,
+                "{model} at {hours} h"
+            );
+        }
+    }
 }
 
 #[test]

@@ -223,12 +223,12 @@ fn direct_contact_matches_across_backends_and_bus_carries_frames() {
         assert_eq!(se, b.drain_events(), "bus produced different node events");
         assert_eq!(se, l.drain_events(), "live produced different node events");
         assert_eq!(se, p.drain_events(), "seam produced different node events");
-        assert_eq!(s.metadata_count(), b.metadata_count());
-        assert_eq!(s.file_count(), b.file_count());
-        assert_eq!(s.query_count(), b.query_count());
-        assert_eq!(s.metadata_count(), l.metadata_count());
-        assert_eq!(s.file_count(), l.file_count());
-        assert_eq!(s.query_count(), l.query_count());
+        assert_eq!(s.metadata().len(), b.metadata().len());
+        assert_eq!(s.files().len(), b.files().len());
+        assert_eq!(s.own_queries().len(), b.own_queries().len());
+        assert_eq!(s.metadata().len(), l.metadata().len());
+        assert_eq!(s.files().len(), l.files().len());
+        assert_eq!(s.own_queries().len(), l.own_queries().len());
     }
     assert!(
         sim_report.metadata_broadcasts > 0 && sim_report.file_broadcasts > 0,
