@@ -65,8 +65,6 @@ impl fmt::Display for BroadcastOrdering {
 pub struct MbtConfig {
     metadata_per_contact: u32,
     files_per_contact: u32,
-    internet_search_limit: u32,
-    internet_push_metadata: u32,
     cooperation: CooperationMode,
     ordering: BroadcastOrdering,
     discovery_first: bool,
@@ -79,8 +77,6 @@ impl Default for MbtConfig {
         MbtConfig {
             metadata_per_contact: 20,
             files_per_contact: 4,
-            internet_search_limit: 5,
-            internet_push_metadata: 20,
             cooperation: CooperationMode::Cooperative,
             ordering: BroadcastOrdering::TwoPhase,
             discovery_first: true,
@@ -105,19 +101,6 @@ impl MbtConfig {
     /// Sets how many files may be broadcast per contact (paper §VI-A).
     pub fn files_per_contact(mut self, n: u32) -> Self {
         self.files_per_contact = n;
-        self
-    }
-
-    /// Sets how many best matches the metadata server returns per query.
-    pub fn internet_search_limit(mut self, n: u32) -> Self {
-        self.internet_search_limit = n.max(1);
-        self
-    }
-
-    /// Sets how many popular metadata an Internet-access node pulls for
-    /// later push-distribution in the DTN.
-    pub fn internet_push_metadata(mut self, n: u32) -> Self {
-        self.internet_push_metadata = n;
         self
     }
 
@@ -165,16 +148,6 @@ impl MbtConfig {
         self.files_per_contact
     }
 
-    /// Server search result limit per query.
-    pub fn internet_search_limit_value(&self) -> u32 {
-        self.internet_search_limit
-    }
-
-    /// Popular-metadata pull count at Internet sessions.
-    pub fn internet_push_metadata_value(&self) -> u32 {
-        self.internet_push_metadata
-    }
-
     /// The cooperation mode.
     pub fn cooperation_value(&self) -> CooperationMode {
         self.cooperation
@@ -220,28 +193,14 @@ mod tests {
         let c = MbtConfig::new()
             .metadata_per_contact(3)
             .files_per_contact(1)
-            .internet_search_limit(2)
-            .internet_push_metadata(7)
             .cooperation(CooperationMode::TitForTat)
             .discovery_first(false)
             .min_download_contact_secs(30);
         assert_eq!(c.metadata_per_contact_value(), 3);
         assert_eq!(c.files_per_contact_value(), 1);
-        assert_eq!(c.internet_search_limit_value(), 2);
-        assert_eq!(c.internet_push_metadata_value(), 7);
         assert_eq!(c.cooperation_value(), CooperationMode::TitForTat);
         assert!(!c.discovery_first_value());
         assert_eq!(c.min_download_contact_secs_value(), 30);
-    }
-
-    #[test]
-    fn search_limit_clamped_to_one() {
-        assert_eq!(
-            MbtConfig::new()
-                .internet_search_limit(0)
-                .internet_search_limit_value(),
-            1
-        );
     }
 
     #[test]

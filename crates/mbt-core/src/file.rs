@@ -125,25 +125,9 @@ impl FileAssembler {
         Ok(())
     }
 
-    /// Indices still missing, ascending.
-    pub fn missing(&self) -> Vec<u32> {
-        (0..self.metadata.piece_count())
-            .filter(|i| !self.pieces.contains_key(i))
-            .collect()
-    }
-
     /// Number of pieces held.
     pub fn have_count(&self) -> u32 {
         self.pieces.len() as u32
-    }
-
-    /// Download progress in `[0, 1]`.
-    pub fn progress(&self) -> f64 {
-        let total = self.metadata.piece_count();
-        if total == 0 {
-            return 1.0;
-        }
-        f64::from(self.have_count()) / f64::from(total)
     }
 
     /// True once every piece is held.
@@ -206,11 +190,12 @@ mod tests {
         let (uri, data, meta) = setup(300);
         let mut asm = FileAssembler::new(meta);
         let pieces = split_into_pieces(&uri, &data, 64);
-        assert_eq!(asm.missing().len(), 5);
+        assert_eq!(pieces.len(), 5);
+        assert_eq!(asm.have_count(), 0);
         asm.add_piece(pieces[2].clone()).unwrap();
-        assert!(asm.pieces.contains_key(&2));
-        assert_eq!(asm.missing(), vec![0, 1, 3, 4]);
-        assert!((asm.progress() - 0.2).abs() < 1e-12);
+        assert_eq!(asm.pieces.keys().copied().collect::<Vec<_>>(), vec![2]);
+        assert_eq!(asm.have_count(), 1);
+        assert!(!asm.is_complete());
         assert_eq!(asm.assemble(), None);
     }
 
@@ -271,6 +256,6 @@ mod tests {
         let asm = FileAssembler::new(meta);
         assert!(asm.is_complete());
         assert_eq!(asm.assemble().unwrap(), Vec::<u8>::new());
-        assert_eq!(asm.progress(), 1.0);
+        assert_eq!(asm.have_count(), 0);
     }
 }

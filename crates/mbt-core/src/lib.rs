@@ -87,9 +87,7 @@ pub use metadata::Metadata;
 pub use node::{ColdNodeState, MbtNode, NodeEvent, Source};
 pub use piece::{Piece, PieceId};
 pub use popularity::Popularity;
-pub use protocol::{
-    CachePolicy, PopularityScope, ProtocolSpec, ReplicationPolicy, UnknownProtocol,
-};
+pub use protocol::{CachePolicy, ProtocolSpec, ReplicationPolicy, UnknownProtocol};
 pub use query::Query;
 pub use server::MetadataServer;
 pub use store::{FileStore, MetadataStore, OwnQuery, QueryStore};

@@ -24,8 +24,8 @@ use crate::download::{cooperative as dl_coop, tft as dl_tft, Broadcast, Offer};
 use crate::metadata::Metadata;
 use crate::popularity::Popularity;
 use crate::protocol::{
-    evict_lowest_score, AvailabilityDiffusion, CachePolicy, PopularityScope, ProtocolSpec,
-    ReplicationPolicy,
+    evict_lowest_score, CachePolicy, ProtocolSpec, ReplicationPolicy, DIFFUSION_SMOOTHING,
+    DIFFUSION_THRESHOLD,
 };
 use crate::query::Query;
 use crate::server::MetadataServer;
@@ -33,6 +33,14 @@ use crate::store::{is_expired, FileStore, MetadataStore, NextExpiry, OwnQuery, Q
 use crate::transport::frame::ascending;
 use crate::transport::{Carried, HelloFrame, SimTransport, Transport, WireMessage};
 use crate::uri::Uri;
+
+/// How many best matches the metadata server returns per query at an
+/// Internet session.
+const INTERNET_SEARCH_LIMIT: usize = 5;
+
+/// How many popular metadata an Internet-access node pulls at a session for
+/// later push-distribution in the DTN.
+const INTERNET_PUSH_METADATA: usize = 20;
 
 /// Where a stored item came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,11 +118,6 @@ pub struct MbtNode {
     /// Best popularity observed per URI, with the URI's global expiry when
     /// the observation rode metadata (so dead URIs can be pruned).
     popularity: BTreeMap<Uri, (Popularity, Option<SimTime>)>,
-    /// Locally-observed demand: how many times peers met in contacts have
-    /// announced wanting each URI. Only populated under
-    /// [`PopularityScope::Local`] cache ranking; always empty on the
-    /// paper's triad.
-    local_demand: BTreeMap<Uri, u32>,
     /// Smoothed per-URI availability estimates. Only populated under
     /// [`ReplicationPolicy::Diffusion`]; always empty on the paper's triad.
     availability: BTreeMap<Uri, f64>,
@@ -158,7 +161,6 @@ impl MbtNode {
             announced: None,
             credits: CreditLedger::new(),
             popularity: BTreeMap::new(),
-            local_demand: BTreeMap::new(),
             availability: BTreeMap::new(),
             key_registry: None,
             rejected: BTreeMap::new(),
@@ -205,11 +207,6 @@ impl MbtNode {
     /// receipt. Metadata from the trusted Internet server is not re-checked.
     pub fn set_key_registry(&mut self, registry: KeyRegistry) {
         self.key_registry = Some(registry);
-    }
-
-    /// The installed key registry, if any.
-    pub fn key_registry(&self) -> Option<&KeyRegistry> {
-        self.key_registry.as_ref()
     }
 
     /// True if `metadata` is acceptable under this node's authentication
@@ -398,14 +395,6 @@ impl MbtNode {
             .is_some_and(|m| matches_any(self.queries.own(), m))
     }
 
-    /// The ranking score a bounded cache uses for `uri` under `scope`.
-    fn cache_score(&self, uri: &Uri, scope: PopularityScope) -> f64 {
-        match scope {
-            PopularityScope::Global => self.known_popularity(uri).value(),
-            PopularityScope::Local => f64::from(self.local_demand.get(uri).copied().unwrap_or(0)),
-        }
-    }
-
     /// Stores a complete file through the cache policy; returns `true` if it
     /// was newly stored.
     ///
@@ -418,20 +407,20 @@ impl MbtNode {
     /// admitted over the victim; a file being downloaded (wanted) is never
     /// the victim — which is what the crate's proptests pin.
     pub fn try_store_file(&mut self, uri: Uri, expires: Option<SimTime>) -> bool {
-        if let CachePolicy::PopularityRanked { capacity, scope } = self.protocol.cache() {
+        if let CachePolicy::PopularityRanked { capacity } = self.protocol.cache() {
             if !self.files.contains(&uri) && self.files.len() >= capacity as usize {
                 let candidates: Vec<(Uri, f64)> = self
                     .files
                     .iter()
                     .filter(|held| !self.matches_own_query(held))
-                    .map(|held| (held.clone(), self.cache_score(held, scope)))
+                    .map(|held| (held.clone(), self.known_popularity(held).value()))
                     .collect();
                 let Some(victim) = evict_lowest_score(&candidates) else {
                     return false;
                 };
                 if !self.matches_own_query(&uri) {
-                    let victim_score = self.cache_score(&victim, scope);
-                    if self.cache_score(&uri, scope) <= victim_score {
+                    let victim_score = self.known_popularity(&victim).value();
+                    if self.known_popularity(&uri).value() <= victim_score {
                         return false;
                     }
                 }
@@ -499,13 +488,12 @@ impl MbtNode {
             return;
         }
         self.prune(now);
-        let limit = self.config.internet_search_limit_value() as usize;
 
         // Own queries: fetch matching metadata, then download the files.
         let own: Vec<Query> = self.own_queries();
         for query in &own {
             let matches: Vec<(Metadata, Popularity)> = server
-                .search(query, limit)
+                .search(query, INTERNET_SEARCH_LIMIT)
                 .into_iter()
                 .filter(|m| !m.is_expired(now))
                 .map(|m| (m.clone(), server.popularity_of(m.uri())))
@@ -538,7 +526,7 @@ impl MbtNode {
                 .collect();
             for query in &foreign {
                 let matches: Vec<(Metadata, Popularity)> = server
-                    .search(query, limit)
+                    .search(query, INTERNET_SEARCH_LIMIT)
                     .into_iter()
                     .filter(|m| !m.is_expired(now))
                     .map(|m| (m.clone(), server.popularity_of(m.uri())))
@@ -552,7 +540,7 @@ impl MbtNode {
         // Push phase: pull the most popular metadata for later distribution.
         if self.protocol.distributes_metadata() {
             let popular: Vec<(Metadata, Popularity)> = server
-                .most_popular(self.config.internet_push_metadata_value() as usize, now)
+                .most_popular(INTERNET_PUSH_METADATA, now)
                 .into_iter()
                 .map(|m| (m.clone(), server.popularity_of(m.uri())))
                 .collect();
@@ -662,13 +650,12 @@ pub fn run_contact(
     )
 }
 
-/// The vectors a contact fills and empties — member ids, the members whose
-/// hello arrived, their hellos — kept by the caller so that a run of
+/// The vectors a contact fills and empties — the members whose hello
+/// arrived, their hellos and their ids — kept by the caller so that a run of
 /// contacts allocates them once, not once each. Holds nothing a later
 /// contact reads: every contact starts by clearing it.
 #[derive(Debug, Default)]
 pub struct ContactScratch {
-    all_ids: Vec<NodeId>,
     alive: Vec<usize>,
     snapshots: Vec<HelloFrame>,
     member_ids: Vec<NodeId>,
@@ -787,15 +774,12 @@ pub(crate) fn contact_over(
     // local; every other member's is carried as a frame, and a dropped
     // hello removes that member from the contact. ---
     let ContactScratch {
-        all_ids,
         alive,
         snapshots,
         member_ids,
     } = scratch;
-    all_ids.clear();
-    all_ids.extend(members.iter().map(|&idx| nodes[idx].id));
-    transport.join(all_ids);
-    let coordinator = *all_ids.iter().min().expect("members is non-empty");
+    let coordinator = members.iter().map(|&idx| nodes[idx].id).min();
+    let coordinator = coordinator.expect("a contact has members");
 
     // A delivered hello doubles as that member's start-of-contact snapshot.
     alive.clear();
@@ -822,41 +806,18 @@ pub(crate) fn contact_over(
     let (members, snapshots) = (&alive[..], &snapshots[..]);
     report.hello_exchanges = snapshots.len();
     if members.len() < 2 {
-        transport.leave(all_ids);
         return report;
     }
 
     // What the members differ by, as of now: whichever phase runs first,
     // both read these start-of-contact rows. DiffuseRep alone observes the
     // rows every member holds in full as well.
-    let every_row = matches!(protocol.replication(), ReplicationPolicy::Diffusion { .. });
-    let mut catalog = build(nodes, members, every_row);
+    let diffuses = protocol.replication() == ReplicationPolicy::Diffusion;
+    let mut catalog = build(nodes, members, diffuses);
 
     member_ids.clear();
     member_ids.extend(snapshots.iter().map(|s| s.sender));
     let member_ids = &member_ids[..];
-
-    // --- Locally-observed demand (PopCache's Local scope only): each member
-    // counts how often the peers it meets announce wanting a URI. On any
-    // other cache policy this block is a no-op, keeping the paper's triad
-    // structurally untouched. ---
-    if let CachePolicy::PopularityRanked {
-        scope: PopularityScope::Local,
-        ..
-    } = protocol.cache()
-    {
-        for &idx in members {
-            let me = nodes[idx].id;
-            for snap in snapshots {
-                if snap.sender == me {
-                    continue;
-                }
-                for uri in &snap.wanted {
-                    *nodes[idx].local_demand.entry(uri.clone()).or_insert(0) += 1;
-                }
-            }
-        }
-    }
 
     // --- Availability diffusion (DiffuseRep only): every member smooths its
     // per-URI availability estimate toward the fraction of clique members
@@ -866,15 +827,7 @@ pub(crate) fn contact_over(
     // existing requested-before-popular scheduler prioritises scarce files
     // with no scheduler changes. Empty on every other replication policy.
     // ---
-    if let ReplicationPolicy::Diffusion {
-        smoothing_pct,
-        threshold_pct,
-    } = protocol.replication()
-    {
-        let diffusion = AvailabilityDiffusion::new(
-            f64::from(smoothing_pct.max(1)) / 100.0,
-            f64::from(threshold_pct) / 100.0,
-        );
+    if diffuses {
         let clique = members.len() as f64;
         for &idx in members {
             for row in catalog.rows() {
@@ -883,7 +836,7 @@ pub(crate) fn contact_over(
                     .availability
                     .entry(row.uri.clone())
                     .or_insert(0.0);
-                *estimate = diffusion.update(*estimate, seen);
+                *estimate += DIFFUSION_SMOOTHING * (seen - *estimate);
             }
         }
         for row in catalog.rows_mut() {
@@ -898,7 +851,7 @@ pub(crate) fn contact_over(
                 })
                 .filter(|(&idx, _)| {
                     let estimate = nodes[idx].availability.get(&row.uri).copied();
-                    diffusion.is_scarce(estimate.unwrap_or(0.0))
+                    estimate.unwrap_or(0.0) < DIFFUSION_THRESHOLD
                 })
                 .map(|(_, s)| s.sender)
                 .collect();
@@ -1142,7 +1095,6 @@ pub(crate) fn contact_over(
             None => run(),
         }
     }
-    transport.leave(all_ids);
     report
 }
 
@@ -1352,11 +1304,14 @@ mod tests {
     #[test]
     fn internet_session_serves_foreign_queries_under_mbt_only() {
         let mut server = server_with(&[("abc comedy", "mbt://c", 0.2)]);
+        // Twenty more popular records fill the popularity push, so only
+        // foreign-query service can fetch `mbt://c`.
+        for i in 0..INTERNET_PUSH_METADATA {
+            let filler = meta(&format!("fox filler {i}"), &format!("mbt://filler/{i}"));
+            server.publish(filler, Popularity::new(0.5));
+        }
         for (protocol, expect) in [(ProtocolSpec::MBT, true), (ProtocolSpec::MBT_Q, false)] {
             let mut n = node(0, protocol);
-            // Disable the popularity push so only foreign-query service can
-            // fetch the metadata.
-            n.config = MbtConfig::new().internet_push_metadata(0);
             n.set_internet_access(true);
             n.queries
                 .add_foreign(NodeId::new(9), Query::new("abc comedy").unwrap(), None);
@@ -1826,13 +1781,8 @@ mod tests {
     }
 
     fn pop_cache_node(i: u32, capacity: u32) -> MbtNode {
-        let spec = ProtocolSpec::POP_CACHE.with_cache(
-            "PopCache-test",
-            CachePolicy::PopularityRanked {
-                capacity,
-                scope: PopularityScope::Global,
-            },
-        );
+        let spec = ProtocolSpec::POP_CACHE
+            .with_cache("PopCache-test", CachePolicy::PopularityRanked { capacity });
         MbtNode::new(NodeId::new(i), spec, MbtConfig::new())
     }
 
@@ -1962,7 +1912,6 @@ mod tests {
         nodes[1].add_query(Query::new("fox news").unwrap(), None);
         run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(600));
         for n in &nodes {
-            assert!(n.local_demand.is_empty(), "triad never tracks demand");
             assert!(
                 n.availability.is_empty(),
                 "triad never estimates availability"

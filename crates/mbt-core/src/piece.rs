@@ -24,7 +24,7 @@ pub const PIECE_SIZE: usize = 256 * 1024;
 ///
 /// let uri = Uri::new("mbt://x/y")?;
 /// let id = PieceId::new(uri.clone(), 3);
-/// assert_eq!(id.offset(mbt_core::piece::PIECE_SIZE as u64), 3 * 256 * 1024);
+/// assert_eq!((id.uri(), id.index()), (&uri, 3));
 /// # Ok::<(), mbt_core::uri::InvalidUri>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -47,11 +47,6 @@ impl PieceId {
     /// The piece index within the file.
     pub fn index(&self) -> u32 {
         self.index
-    }
-
-    /// The byte offset of this piece given a piece size.
-    pub fn offset(&self, piece_size: u64) -> u64 {
-        u64::from(self.index) * piece_size
     }
 }
 
@@ -188,7 +183,7 @@ mod tests {
     #[test]
     fn offset_computation() {
         let id = PieceId::new(uri(), 5);
-        assert_eq!(id.offset(256), 1280);
+        assert_eq!(id.index(), 5);
         assert_eq!(id.uri(), &uri());
     }
 

@@ -1,10 +1,9 @@
-//! Protocol variants: the paper's MBT triad (§VI-A) plus an open
-//! [`ProtocolSpec`] API for new variants.
+//! Protocol variants: the paper's MBT triad (§VI-A) and two variants from
+//! the related literature.
 //!
-//! A [`ProtocolSpec`] is an open description of a variant: the two
-//! behaviour flags the paper's triad toggles, plus pluggable
-//! [`CachePolicy`] and [`ReplicationPolicy`] seams. The triad is three
-//! canned specs with the default (no-op) policies:
+//! A [`ProtocolSpec`] is plain data: the two behaviour flags the paper's
+//! triad toggles, plus a [`CachePolicy`] and a [`ReplicationPolicy`]. The
+//! triad is three canned specs with the default (no-op) policies:
 //!
 //! - [`ProtocolSpec::MBT`] — the full protocol: queries are distributed to
 //!   frequent contacting nodes, metadata are distributed standalone, files
@@ -28,19 +27,6 @@
 
 use std::fmt;
 
-/// Whose observations rank a file's popularity under
-/// [`CachePolicy::PopularityRanked`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PopularityScope {
-    /// Rank by the globally-gossiped popularity counters every node already
-    /// carries (the paper's §IV counters).
-    #[default]
-    Global,
-    /// Rank by locally-observed demand: how often peers met in contacts have
-    /// asked for the file.
-    Local,
-}
-
 /// How a node's bounded file buffer decides what to keep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CachePolicy {
@@ -48,14 +34,13 @@ pub enum CachePolicy {
     /// paper's model; all three MBT variants).
     #[default]
     Unbounded,
-    /// At most `capacity` files; when full, the lowest-ranked *unwanted*
-    /// file (one matching none of the node's own queries) is evicted to
-    /// admit a better one. Files the node itself wants are never evicted.
+    /// At most `capacity` files; when full, the *unwanted* file (one
+    /// matching none of the node's own queries) of lowest known popularity
+    /// (the paper's §IV counters) is evicted to admit a better one. Files
+    /// the node itself wants are never evicted.
     PopularityRanked {
         /// Maximum number of complete files held at once.
         capacity: u32,
-        /// Whether ranking uses global gossip or local observation.
-        scope: PopularityScope,
     },
 }
 
@@ -79,64 +64,29 @@ pub enum ReplicationPolicy {
     /// Request-driven only (the paper's model; all three MBT variants).
     #[default]
     None,
-    /// Availability-diffusion seeding: during a contact, each member keeps an
-    /// exponentially-smoothed estimate of every known file's availability
-    /// (fraction of clique members holding it) and proactively pulls files
-    /// whose estimated availability sits below a threshold.
-    Diffusion {
-        /// Smoothing weight of the newest observation, in percent (0–100).
-        smoothing_pct: u8,
-        /// Availability threshold below which a file is considered scarce
-        /// and proactively replicated, in percent (0–100).
-        threshold_pct: u8,
-    },
+    /// Availability-diffusion seeding, after Napoli, Anceaume, et al.,
+    /// *Improving files availability for BitTorrent using a diffusion
+    /// model*: during a contact, each member diffuses its estimate `e` of
+    /// every known file's availability toward the observed fraction `o` of
+    /// clique members holding it, `e + α·(o − e)` with α = 0.5, and
+    /// proactively pulls files whose estimate sits below 0.35.
+    Diffusion,
 }
 
-/// The estimator behind [`ReplicationPolicy::Diffusion`]: an exponentially
-/// smoothed estimate of per-file availability, after Napoli, Anceaume, et
-/// al., *Improving files availability for BitTorrent using a diffusion
-/// model*.
-///
-/// Each observation is the fraction of clique members holding a file; the
-/// estimate diffuses toward it with weight `alpha`. Files whose estimate sits
-/// below `threshold` are scarce and worth replicating proactively.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct AvailabilityDiffusion {
-    alpha: f64,
-    threshold: f64,
-}
+/// The weight α of the newest availability observation under
+/// [`ReplicationPolicy::Diffusion`].
+pub(crate) const DIFFUSION_SMOOTHING: f64 = 0.5;
 
-impl AvailabilityDiffusion {
-    /// Creates the estimator with smoothing weight `alpha` and scarcity
-    /// `threshold`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `alpha` ∈ (0, 1] and `threshold` ∈ [0, 1].
-    pub(crate) fn new(alpha: f64, threshold: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "bad alpha");
-        assert!((0.0..=1.0).contains(&threshold), "bad threshold");
-        AvailabilityDiffusion { alpha, threshold }
-    }
+/// The availability estimate below which [`ReplicationPolicy::Diffusion`]
+/// counts a file scarce and replicates it proactively.
+pub(crate) const DIFFUSION_THRESHOLD: f64 = 0.35;
 
-    /// Diffuses `estimate` toward the newly `observed` availability.
-    pub(crate) fn update(&self, estimate: f64, observed: f64) -> f64 {
-        estimate + self.alpha * (observed - estimate)
-    }
-
-    /// True if a file with this availability estimate should be replicated
-    /// proactively.
-    pub(crate) fn is_scarce(&self, estimate: f64) -> bool {
-        estimate < self.threshold
-    }
-}
-
-/// An open description of a protocol variant.
+/// A protocol variant.
 ///
 /// A spec is plain data: two behaviour flags (the axes the paper's triad
 /// toggles) plus a [`CachePolicy`] and a [`ReplicationPolicy`]. The canned
-/// triad specs use the default policies; new variants change only the
-/// policy fields.
+/// triad specs use the default policies; the other variants change only
+/// the policy fields.
 ///
 /// # Example
 ///
@@ -185,15 +135,12 @@ impl ProtocolSpec {
     };
 
     /// Full MBT behaviour plus popularity-ranked eviction under a bounded
-    /// per-node file buffer (globally-gossiped ranking, 8 files).
+    /// per-node file buffer of 8 files.
     pub const POP_CACHE: ProtocolSpec = ProtocolSpec {
         name: "PopCache",
         distributes_queries: true,
         distributes_metadata: true,
-        cache: CachePolicy::PopularityRanked {
-            capacity: 8,
-            scope: PopularityScope::Global,
-        },
+        cache: CachePolicy::PopularityRanked { capacity: 8 },
         replication: ReplicationPolicy::None,
     };
 
@@ -204,10 +151,7 @@ impl ProtocolSpec {
         distributes_queries: true,
         distributes_metadata: true,
         cache: CachePolicy::Unbounded,
-        replication: ReplicationPolicy::Diffusion {
-            smoothing_pct: 50,
-            threshold_pct: 35,
-        },
+        replication: ReplicationPolicy::Diffusion,
     };
 
     /// The paper's triad, in figure order — the default sweep-grid protocol
@@ -276,7 +220,7 @@ impl ProtocolSpec {
     }
 
     /// Derives a new named spec with a different cache policy (for sweeps
-    /// over capacities/scopes). The name must be `'static`; use a leaked or
+    /// over capacities). The name must be `'static`; use a leaked or
     /// interned string for dynamic names.
     pub fn with_cache(self, name: &'static str, cache: CachePolicy) -> ProtocolSpec {
         ProtocolSpec {
@@ -372,27 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn diffusion_converges_to_observation() {
-        let d = AvailabilityDiffusion::new(0.5, 0.35);
-        let estimate = d.update(0.0, 1.0); // first sighting: everyone has it
-        assert!((estimate - 0.5).abs() < 1e-12);
-        assert!(d.is_scarce(d.update(estimate, 0.0)));
-        let mut estimate = 0.0;
-        for _ in 0..20 {
-            estimate = d.update(estimate, 0.8);
-        }
-        assert!((estimate - 0.8).abs() < 1e-3, "{estimate}");
-        assert!(!d.is_scarce(estimate));
-        assert!(d.is_scarce(0.3));
-    }
-
-    #[test]
-    #[should_panic(expected = "bad alpha")]
-    fn diffusion_rejects_zero_alpha() {
-        let _ = AvailabilityDiffusion::new(0.0, 0.5);
-    }
-
-    #[test]
     fn capability_matrix() {
         assert!(ProtocolSpec::MBT.distributes_queries());
         assert!(ProtocolSpec::MBT.distributes_metadata());
@@ -467,27 +390,16 @@ mod tests {
     fn new_variants_carry_policies() {
         assert_eq!(
             ProtocolSpec::POP_CACHE.cache(),
-            CachePolicy::PopularityRanked {
-                capacity: 8,
-                scope: PopularityScope::Global
-            }
+            CachePolicy::PopularityRanked { capacity: 8 }
         );
         assert_eq!(
             ProtocolSpec::DIFFUSE_REP.replication(),
-            ReplicationPolicy::Diffusion {
-                smoothing_pct: 50,
-                threshold_pct: 35
-            }
+            ReplicationPolicy::Diffusion
         );
-        let local = ProtocolSpec::POP_CACHE.with_cache(
-            "PopCache-L",
-            CachePolicy::PopularityRanked {
-                capacity: 4,
-                scope: PopularityScope::Local,
-            },
-        );
-        assert_eq!(local.name(), "PopCache-L");
-        assert!(local.distributes_queries());
+        let small = ProtocolSpec::POP_CACHE
+            .with_cache("PopCache-4", CachePolicy::PopularityRanked { capacity: 4 });
+        assert_eq!(small.name(), "PopCache-4");
+        assert!(small.distributes_queries());
     }
 
     #[test]

@@ -1,48 +1,28 @@
-//! The bus backend: every message round-trips its frame encoding over a
-//! link-scheduled in-process bus. A frame costs one encode into a reused
-//! buffer, two FNV-1a passes over its payload and one walk of its fields
-//! against the sender's value, and allocates only when a field differs.
-
-use std::collections::BTreeSet;
+//! The bus backend: every message round-trips its frame encoding over an
+//! in-process bus. A frame costs one encode into a reused buffer, two
+//! FNV-1a passes over its payload and one walk of its fields against the
+//! sender's value, and allocates only when a field differs.
 
 use dtn_trace::NodeId;
 
 use super::frame::{check_frame, encode_frame_into};
 use super::{Carried, Transport, WireMessage};
 
-/// Normalized undirected link key.
-fn link(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// An in-process message bus driven by the contact trace as a connectivity
-/// schedule.
+/// An in-process message bus.
 ///
-/// [`join`](Transport::join) opens a link between every pair of contact
-/// members and [`leave`](Transport::leave) closes them again. Carrying a
-/// message serializes it into its wire frame, checksums it, and on the far
-/// side validates the bytes and checks every field against the message
-/// handed in. A frame whose fields all equal the sender's has proven the
-/// codec carries it intact, and the receiver is given the sender's value
+/// Carrying a message serializes it into its wire frame, checksums it, and
+/// on the far side validates the bytes and checks every field against the
+/// message handed in. A frame whose fields all equal the sender's has proven
+/// the codec carries it intact, and the receiver is given the sender's value
 /// itself — sharing its `Arc`s exactly as under
 /// [`SimTransport`](super::SimTransport); one that differs is decoded in full
 /// and delivered as decoded, so a codec defect still surfaces as a state
-/// divergence. Carrying is lock-step, so nothing is ever in flight and no
-/// frame is kept. Delivery order is identical to
-/// [`SimTransport`](super::SimTransport); the differential suite pins the two
-/// backends byte-identical.
-///
-/// Carrying across a closed link returns [`Carried::Dropped`] — links only
-/// exist while the connectivity schedule says the two nodes can hear each
-/// other.
+/// divergence, and one that fails the check is [`Carried::Dropped`].
+/// Carrying is lock-step, so nothing is ever in flight and no frame is kept.
+/// Delivery order is identical to [`SimTransport`](super::SimTransport); the
+/// differential suite pins the two backends byte-identical.
 #[derive(Debug, Clone, Default)]
 pub struct BusTransport {
-    /// Open undirected links, keyed `(min, max)`.
-    links: BTreeSet<(NodeId, NodeId)>,
     /// The frame being carried; its capacity outlives the frame.
     wire: Vec<u8>,
     seq: u64,
@@ -53,7 +33,7 @@ pub struct BusTransport {
 }
 
 impl BusTransport {
-    /// Creates a bus with no open links.
+    /// Creates a bus that has carried nothing.
     pub fn new() -> Self {
         BusTransport::default()
     }
@@ -63,12 +43,12 @@ impl BusTransport {
         self.frames_carried
     }
 
-    /// Total encoded bytes moved across links (headers included).
+    /// Total encoded bytes put on the bus (headers included).
     pub fn bytes_on_wire(&self) -> u64 {
         self.bytes_on_wire
     }
 
-    /// Frames dropped: sent on closed links, or undecodable.
+    /// Frames dropped because they failed the frame check.
     pub fn frames_dropped(&self) -> u64 {
         self.frames_dropped
     }
@@ -93,32 +73,10 @@ impl BusTransport {
 }
 
 impl Transport for BusTransport {
-    fn join(&mut self, members: &[NodeId]) {
-        for (i, &a) in members.iter().enumerate() {
-            for &b in &members[i + 1..] {
-                if a != b {
-                    self.links.insert(link(a, b));
-                }
-            }
-        }
-    }
-
     fn carry(&mut self, sender: NodeId, receiver: NodeId, message: WireMessage) -> Carried {
-        if !self.links.contains(&link(sender, receiver)) {
-            self.frames_dropped += 1;
-            return Carried::Dropped;
-        }
         encode_frame_into(&mut self.wire, sender, receiver, self.seq, &message);
         self.seq += 1;
         self.deliver(message)
-    }
-
-    fn leave(&mut self, members: &[NodeId]) {
-        for (i, &a) in members.iter().enumerate() {
-            for &b in &members[i + 1..] {
-                self.links.remove(&link(a, b));
-            }
-        }
     }
 }
 
@@ -128,6 +86,7 @@ mod tests {
     use crate::query::Query;
     use crate::transport::{HelloFrame, FRAME_HEADER_BYTES};
     use crate::uri::Uri;
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     fn n(i: u32) -> NodeId {
@@ -156,11 +115,10 @@ mod tests {
         }
     }
 
-    /// A bus with the link 0–1 open and `on_wire` encoded in its buffer, as
-    /// a codec that mangled the frame of some other message would leave it.
+    /// A bus with `on_wire` encoded in its buffer, as a codec that mangled
+    /// the frame of some other message would leave it.
     fn bus_holding(on_wire: &WireMessage) -> BusTransport {
         let mut bus = BusTransport::new();
-        bus.join(&[n(0), n(1)]);
         encode_frame_into(&mut bus.wire, n(1), n(0), 0, on_wire);
         bus
     }
@@ -168,36 +126,16 @@ mod tests {
     #[test]
     fn carry_round_trips_through_the_codec() {
         let mut bus = BusTransport::new();
-        bus.join(&[n(0), n(1), n(2)]);
-        assert!(bus.links.contains(&link(n(0), n(2))));
         assert_eq!(bus.carry(n(0), n(2), msg()), Carried::Delivered(msg()));
         assert_eq!(bus.frames_carried(), 1);
         assert!(bus.bytes_on_wire() > FRAME_HEADER_BYTES as u64);
-        bus.leave(&[n(0), n(1), n(2)]);
-        assert!(!bus.links.contains(&link(n(0), n(2))));
         assert_eq!(bus.frames_dropped(), 0);
-    }
-
-    #[test]
-    fn closed_links_drop_frames() {
-        let mut bus = BusTransport::new();
-        bus.join(&[n(0), n(1)]);
-        assert_eq!(
-            bus.carry(n(0), n(2), msg()),
-            Carried::Dropped,
-            "no contact, no link"
-        );
-        bus.leave(&[n(0), n(1)]);
-        assert_eq!(bus.carry(n(0), n(1), msg()), Carried::Dropped);
-        assert_eq!(bus.frames_dropped(), 2);
-        assert_eq!(bus.frames_carried(), 0);
     }
 
     #[test]
     fn piece_payloads_survive_the_wire() {
         use crate::piece::{Piece, PieceId};
         let mut bus = BusTransport::new();
-        bus.join(&[n(0), n(1)]);
         let piece = Piece::new(
             PieceId::new(Uri::new("mbt://f").unwrap(), 1),
             (0..=255).collect(),
@@ -211,7 +149,6 @@ mod tests {
     #[test]
     fn a_message_that_decodes_equal_is_delivered_as_the_senders_value() {
         let mut bus = BusTransport::new();
-        bus.join(&[n(0), n(1)]);
         let sent = hello(&["fox news", "abc comedy"], 2.5);
         let own = Arc::clone(&sent.own_queries);
         match bus.carry(n(1), n(0), WireMessage::Hello(sent)) {
@@ -240,7 +177,6 @@ mod tests {
         // A NaN credit keeps its bits on the wire but equals nothing, so a
         // carried one arrives as the decoded copy, not the sender's lists.
         let mut bus = BusTransport::new();
-        bus.join(&[n(0), n(1)]);
         let sent = hello(&["fox news"], f64::NAN);
         let own = Arc::clone(&sent.own_queries);
         match bus.carry(n(1), n(0), WireMessage::Hello(sent)) {

@@ -1,18 +1,15 @@
-//! The live runtime: a session of [`MbtNode`] contacts whose messages cross a
-//! [`LiveBus`] as frames.
+//! The live runtime: a session of [`MbtNode`] contacts whose messages cross
+//! a [`BusTransport`] as frames, and a [`LiveBus`] for the gateway.
 //!
-//! The trace-driven backends ([`SimTransport`](super::SimTransport),
-//! [`BusTransport`](super::BusTransport)) carry a contact's messages in lock
-//! step and keep no frame. [`LiveTransport`] is the third backend: each
-//! message is sent onto a [`LiveBus`] link as an encoded frame and received
-//! off the receiver's queue, and a file broadcast also sends the file's bytes
-//! as [`Piece`](crate::piece::Piece) frames that the receiver reassembles
-//! and checks against the riding metadata. [`run_live_session`] runs a
-//! scripted schedule of contacts through [`run_contact_via`] over that
-//! backend, so a live node *is* the simulator's node: the same hello,
-//! metadata and file phases (§III–V), the same protocol variants, credits
-//! and fault plans. A frame sent on a closed link or that fails to decode is
-//! dropped and counted.
+//! [`LiveTransport`] is a [`BusTransport`] plus what a live session adds:
+//! it counts frames by kind, and follows a file broadcast with the file's
+//! bytes as [`Piece`](crate::piece::Piece) frames that the receiver
+//! reassembles and checks against the riding metadata.
+//! [`run_live_session`] runs a scripted schedule of contacts through
+//! [`run_contact_via`] over that backend, so a live node *is* the
+//! simulator's node: the same hello, metadata and file phases (§III–V), the
+//! same protocol variants, credits and fault plans. A frame that fails its
+//! check is dropped and counted.
 //!
 //! [`run_live_session`] is what the `mbt node` CLI mode and the soak test
 //! build on; the `mbt gateway` mode sends one search over a [`LiveBus`] and
@@ -33,7 +30,7 @@ use crate::server::ServerSnapshot;
 use crate::uri::Uri;
 
 use super::frame::{decode_frame, encode_frame, WireMessage};
-use super::{Carried, Transport};
+use super::{BusTransport, Carried, Transport};
 
 /// How many search results a gateway returns per query.
 const GATEWAY_SEARCH_LIMIT: usize = 16;
@@ -82,25 +79,25 @@ impl BusState {
     }
 }
 
-/// Counters a [`LiveBus`] has accumulated.
+/// Counters a [`LiveBus`] or a [`LiveTransport`] has accumulated.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LiveStats {
     /// Frames sent, by frame kind name (`"hello"`, `"piece"`, ...).
     pub frames_by_kind: BTreeMap<&'static str, u64>,
-    /// Frames dropped: sent on closed links, undecodable, or in flight at
-    /// link close.
+    /// Frames dropped: failing their check, or on a [`LiveBus`] also sent
+    /// on a closed link or in flight at link close.
     pub frames_dropped: u64,
-    /// Total encoded bytes accepted onto links (headers included).
+    /// Total encoded bytes sent (headers included).
     pub bytes_on_wire: u64,
 }
 
 /// A cloneable handle to a shared in-process frame bus.
 ///
 /// Every message sent through the bus is encoded into its wire frame and
-/// decoded by the receiver, so the live runtime exercises exactly the codec
-/// the simulator's byte accounting models. Links are opened and closed by
-/// the session driver; sends on closed links and frames still queued at
-/// close are dropped and counted.
+/// decoded by the receiver, so the gateway exercises exactly the codec the
+/// simulator's byte accounting models. Links are opened and closed by the
+/// caller; sends on closed links and frames still queued at close are
+/// dropped and counted.
 #[derive(Debug, Clone, Default)]
 pub struct LiveBus {
     inner: Arc<Mutex<BusState>>,
@@ -176,24 +173,25 @@ impl LiveBus {
     }
 }
 
-/// The live [`Transport`]: every carried message crosses a [`LiveBus`].
+/// The live [`Transport`]: a [`BusTransport`] that counts frames by kind and
+/// sends a broadcast file's bytes.
 ///
-/// [`join`](Transport::join) opens a link between every pair of contact
-/// members and [`leave`](Transport::leave) closes them. Carrying a message
-/// sends its frame and receives it off the receiver's queue, delivering the
-/// decoded value. A file broadcast is followed by the file's published bytes
-/// as [`Piece`](crate::piece::Piece) frames, cut at the riding metadata's
-/// piece size; the receiver's [`FileAssembler`] checks each against the
-/// metadata's checksums, and the SHA-1 of the reassembled bytes is the
-/// delivery's digest. A broadcast whose pieces cannot be cut (no riding metadata, no
-/// published bytes) or fail to check is [`Carried::Dropped`].
+/// Every message, and every piece of a broadcast file, takes the bus's one
+/// encode-and-check path. A file broadcast is followed by the file's
+/// published bytes as [`Piece`](crate::piece::Piece) frames, cut at the
+/// riding metadata's piece size; the receiver's [`FileAssembler`] checks
+/// each against the metadata's checksums, and the SHA-1 of the reassembled
+/// bytes is the delivery's digest. A broadcast whose pieces cannot be cut
+/// (no riding metadata, no published bytes) or fail to check is
+/// [`Carried::Dropped`].
 ///
 /// A node broadcasts only a file it holds, and in a live session it holds
 /// one only if it was seeded with it or reassembled it here — so the
 /// published bytes are the sender's bytes.
 #[derive(Debug, Default)]
 pub struct LiveTransport {
-    bus: LiveBus,
+    bus: BusTransport,
+    frames_by_kind: BTreeMap<&'static str, u64>,
     /// The published bytes of each file.
     content: BTreeMap<Uri, Vec<u8>>,
     /// The digest of each file a receiver reassembled, by (receiver, URI).
@@ -210,36 +208,41 @@ impl LiveTransport {
         }
     }
 
-    /// Snapshot of the bus counters.
+    /// Snapshot of the session's counters.
     pub fn stats(&self) -> LiveStats {
-        self.bus.stats()
+        LiveStats {
+            frames_by_kind: self.frames_by_kind.clone(),
+            frames_dropped: self.bus.frames_dropped(),
+            bytes_on_wire: self.bus.bytes_on_wire(),
+        }
     }
 
-    /// Sends `message` and receives it at `receiver`: the decoded value, or
-    /// `None` if the link is closed or the frame did not decode.
-    fn hop(&self, sender: NodeId, receiver: NodeId, message: &WireMessage) -> Option<WireMessage> {
-        if !self.bus.send(sender, receiver, message) {
-            return None;
-        }
-        self.bus.recv(receiver, Duration::ZERO).map(|(_, m)| m)
+    /// Counts `message`'s frame and carries it over the bus.
+    fn hop(&mut self, sender: NodeId, receiver: NodeId, message: WireMessage) -> Carried {
+        *self
+            .frames_by_kind
+            .entry(message.kind().name())
+            .or_insert(0) += 1;
+        self.bus.carry(sender, receiver, message)
     }
 
     /// Sends the bytes of `uri` as pieces and reassembles them at `receiver`
     /// against `metadata`: the SHA-1 of the file, or `None` if a piece
     /// cannot be cut, does not arrive or fails its checksum.
     fn send_file(
-        &self,
+        &mut self,
         sender: NodeId,
         receiver: NodeId,
         uri: &Uri,
         metadata: Option<&Metadata>,
     ) -> Option<Digest> {
-        let (metadata, bytes) = (metadata?, self.content.get(uri)?);
+        let metadata = metadata?;
         let piece_size = usize::try_from(metadata.piece_size()).ok()?;
+        let pieces = split_into_pieces(uri, self.content.get(uri)?, piece_size);
         let mut assembler = FileAssembler::new(metadata.clone());
-        for piece in split_into_pieces(uri, bytes, piece_size) {
-            let WireMessage::Piece(piece) =
-                self.hop(sender, receiver, &WireMessage::Piece(piece))?
+        for piece in pieces {
+            let Carried::Delivered(WireMessage::Piece(piece)) =
+                self.hop(sender, receiver, WireMessage::Piece(piece))
             else {
                 return None;
             };
@@ -250,16 +253,8 @@ impl LiveTransport {
 }
 
 impl Transport for LiveTransport {
-    fn join(&mut self, members: &[NodeId]) {
-        for (i, &a) in members.iter().enumerate() {
-            for &b in &members[i + 1..] {
-                self.bus.open(a, b);
-            }
-        }
-    }
-
     fn carry(&mut self, sender: NodeId, receiver: NodeId, message: WireMessage) -> Carried {
-        let Some(delivered) = self.hop(sender, receiver, &message) else {
+        let Carried::Delivered(delivered) = self.hop(sender, receiver, message) else {
             return Carried::Dropped;
         };
         if let WireMessage::FileBroadcast { uri, metadata } = &delivered {
@@ -270,14 +265,6 @@ impl Transport for LiveTransport {
             self.assembled.insert((receiver, uri.clone()), digest);
         }
         Carried::Delivered(delivered)
-    }
-
-    fn leave(&mut self, members: &[NodeId]) {
-        for (i, &a) in members.iter().enumerate() {
-            for &b in &members[i + 1..] {
-                self.bus.close(a, b);
-            }
-        }
     }
 }
 
@@ -555,13 +542,11 @@ mod tests {
         ] {
             let content = content.map(|c| (uri.clone(), c)).into_iter().collect();
             let mut live = LiveTransport::new(content);
-            live.join(&[n(0), n(1)]);
             assert_eq!(live.carry(n(0), n(1), broadcast(riding)), Carried::Dropped);
             assert!(live.assembled.is_empty());
             assert_eq!(live.stats().frames_by_kind.get("piece"), pieces_sent);
         }
         let mut live = LiveTransport::new(BTreeMap::from([(uri.clone(), bytes.clone())]));
-        live.join(&[n(0), n(1)]);
         let sent = broadcast(Some(metadata));
         assert_eq!(
             live.carry(n(0), n(1), sent.clone()),
@@ -569,8 +554,6 @@ mod tests {
         );
         assert_eq!(live.assembled[&(n(1), uri.clone())], sha1(&bytes));
         assert_eq!(live.stats().frames_by_kind["piece"], 3);
-        live.leave(&[n(0), n(1)]);
-        assert_eq!(live.carry(n(0), n(1), broadcast(None)), Carried::Dropped);
-        assert_eq!(live.stats().frames_dropped, 1);
+        assert_eq!(live.stats().frames_dropped, 0);
     }
 }

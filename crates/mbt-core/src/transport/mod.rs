@@ -1,32 +1,30 @@
 //! The transport seam: how contact-phase messages travel between nodes.
 //!
 //! The paper's contact behaviour — hello exchange, query/metadata
-//! distribution, file broadcasts (§III–V) — is a message flow. This module
-//! makes that flow explicit: every message is a [`WireMessage`], every
-//! transfer goes through a [`Transport`], and three backends interpret the
-//! same flow differently:
+//! distribution, file broadcasts (§III–V) — is a message flow. Every
+//! message is a [`WireMessage`], every transfer is one
+//! [`carry`](Transport::carry) between two members of the running contact,
+//! and three backends interpret the same flow differently:
 //!
 //! * [`SimTransport`] — the simulator path. Carrying a message is an
-//!   in-process move; nothing is serialized. This is the default backend and
-//!   is byte-identical to the pre-seam contact loop: same counters, same
-//!   golden CSVs.
-//! * [`BusTransport`] — an in-process message bus. The contact trace acts as
-//!   a connectivity schedule (links open at contact start, close at contact
-//!   end); every carry encodes the message into its serialized [`frame`],
-//!   validates the bytes and checks each field against the sender's value,
-//!   and delivers that value when all of them match. A frame costs one
-//!   encode, two FNV-1a passes over its payload and one walk of its fields;
-//!   it allocates only when a field differs and the frame is decoded in
-//!   full. The differential suite (`tests/transport_equivalence.rs`) pins
-//!   this backend byte-identical to [`SimTransport`].
-//! * [`LiveTransport`] — the [`live`] runtime (the `mbt node` CLI mode):
-//!   every carry sends the message's frame over a
-//!   [`LiveBus`](live::LiveBus) link and delivers what the receiver decodes,
-//!   and a file broadcast also sends the file's bytes as piece frames that
-//!   the receiver reassembles against the riding metadata's checksums. A
-//!   live session is a schedule of
-//!   [`run_contact_via`](crate::node::run_contact_via) contacts over it, so
-//!   its nodes are the simulator's `MbtNode`s.
+//!   in-process move; nothing is serialized. This is the default backend.
+//! * [`BusTransport`] — an in-process message bus. Every carry encodes the
+//!   message into its serialized [`frame`], validates the bytes and checks
+//!   each field against the sender's value, and delivers that value when
+//!   all of them match. A frame costs one encode, two FNV-1a passes over
+//!   its payload and one walk of its fields; it allocates only when a field
+//!   differs and the frame is decoded in full. The differential suite
+//!   (`tests/transport_equivalence.rs`) pins this backend byte-identical to
+//!   [`SimTransport`].
+//! * [`LiveTransport`] — the [`live`] runtime (the `mbt node` CLI mode): a
+//!   [`BusTransport`] that counts frames by kind and follows a file
+//!   broadcast with the file's bytes as piece frames, which the receiver
+//!   reassembles against the riding metadata's checksums. A live session is
+//!   a schedule of [`run_contact_via`](crate::node::run_contact_via)
+//!   contacts over it, so its nodes are the simulator's `MbtNode`s.
+//!
+//! A contact is a clique (§V): every member hears every other, so a carry
+//! between two of its members has no link to open or close first.
 //!
 //! The frame format (64-byte versioned header, length-prefixed checksummed
 //! payload) deliberately matches `dtn_sim::channel::frame_bytes`'s 64-byte
@@ -56,27 +54,21 @@ pub enum Carried {
     /// when every field equals it, else the frame decoded in full — so any
     /// codec defect surfaces as a state divergence, not silently.
     Delivered(WireMessage),
-    /// The link was closed (or the frame failed in flight); the receiver
-    /// saw nothing. The contact loop counts these as lost frames.
+    /// The frame failed in flight; the receiver saw nothing. The contact
+    /// loop counts these as lost frames.
     Dropped,
 }
 
 /// Carries contact-phase messages between nodes.
 ///
 /// The contact loop ([`run_contact_via`](crate::node::run_contact_via))
-/// calls [`join`](Transport::join) when a contact opens, one
-/// [`carry`](Transport::carry) per directed message, and
-/// [`leave`](Transport::leave) when the contact closes. Implementations must
-/// be deterministic: the same call sequence must produce the same outcomes.
+/// calls [`carry`](Transport::carry) once per directed message, always
+/// between two distinct members of the contact it is running.
+/// Implementations must be deterministic: the same call sequence must
+/// produce the same outcomes.
 pub trait Transport {
-    /// A contact among `members` has started; open their links.
-    fn join(&mut self, members: &[NodeId]);
-
     /// Carries one message from `sender` to `receiver`.
     fn carry(&mut self, sender: NodeId, receiver: NodeId, message: WireMessage) -> Carried;
-
-    /// The contact among `members` has ended; close their links.
-    fn leave(&mut self, members: &[NodeId]);
 }
 
 /// Which [`Transport`] backend a simulation run uses.
@@ -86,7 +78,7 @@ pub enum TransportKind {
     #[default]
     Sim,
     /// [`BusTransport`]: every message round-trips its frame encoding over
-    /// a link-scheduled in-process bus.
+    /// an in-process bus.
     Bus,
 }
 

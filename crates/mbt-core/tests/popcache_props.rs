@@ -7,19 +7,10 @@ use proptest::prelude::*;
 
 use dtn_trace::{NodeId, SimDuration, SimTime};
 use mbt_core::node::run_pairwise_contact;
-use mbt_core::{
-    CachePolicy, MbtConfig, MbtNode, Metadata, Popularity, PopularityScope, ProtocolSpec, Query,
-    Uri,
-};
+use mbt_core::{CachePolicy, MbtConfig, MbtNode, Metadata, Popularity, ProtocolSpec, Query, Uri};
 
 fn popcache(capacity: u32) -> ProtocolSpec {
-    ProtocolSpec::MBT.with_cache(
-        "PopCache",
-        CachePolicy::PopularityRanked {
-            capacity,
-            scope: PopularityScope::Global,
-        },
-    )
+    ProtocolSpec::MBT.with_cache("PopCache", CachePolicy::PopularityRanked { capacity })
 }
 
 fn uri(i: usize, wanted: bool) -> Uri {

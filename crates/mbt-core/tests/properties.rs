@@ -297,8 +297,8 @@ mod wanted_set {
     use dtn_trace::{NodeId, SimDuration, SimTime};
     use mbt_core::node::run_contact;
     use mbt_core::{
-        CachePolicy, MbtConfig, MbtNode, Metadata, MetadataServer, Popularity, PopularityScope,
-        ProtocolSpec, Query, Uri,
+        CachePolicy, MbtConfig, MbtNode, Metadata, MetadataServer, Popularity, ProtocolSpec, Query,
+        Uri,
     };
 
     const NODES: usize = 3;
@@ -436,15 +436,13 @@ mod wanted_set {
             // admissions evict a victim.
             let tight = ProtocolSpec::POP_CACHE.with_cache(
                 "PopCache-2",
-                CachePolicy::PopularityRanked { capacity: 2, scope: PopularityScope::Local },
+                CachePolicy::PopularityRanked { capacity: 2 },
             );
             for spec in ProtocolSpec::builtin().into_iter().chain([tight]) {
                 let config = MbtConfig::new()
                     .discovery_first(discovery_first)
                     .metadata_per_contact(4)
-                    .files_per_contact(2)
-                    .internet_search_limit(2)
-                    .internet_push_metadata(3);
+                    .files_per_contact(2);
                 let mut nodes: Vec<MbtNode> =
                     (0..NODES).map(|i| fresh(i, spec, &config)).collect();
                 let mut server = MetadataServer::new(NODES as u32);

@@ -80,7 +80,8 @@ fn offsets_stamped_per_the_paper() {
     let pieces = split_into_pieces(&uri, &data, 300);
     for (i, p) in pieces.iter().enumerate() {
         assert_eq!(p.id().uri(), &uri);
-        assert_eq!(p.id().offset(300), (i * 300) as u64);
+        assert_eq!(p.id().index(), i as u32);
+        assert_eq!(p.data(), &data[i * 300..(i + 1) * 300]);
     }
 }
 

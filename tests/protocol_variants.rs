@@ -1,4 +1,4 @@
-//! Equivalence and golden tests for the pluggable protocol-variant API.
+//! Equivalence and golden tests for the protocol-variant API.
 //!
 //! Two contracts are pinned here. First, the `ProtocolSpec` refactor is a
 //! pure re-plumbing for the paper's triad: running the legacy three-protocol

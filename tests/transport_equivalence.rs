@@ -136,6 +136,11 @@ fn faulty_runs_agree(cooperation: CooperationMode) {
 /// the contact exercises hellos, query shares, a metadata broadcast, and a
 /// file broadcast.
 fn seeded_clique() -> Vec<MbtNode> {
+    seeded_clique_of(ProtocolSpec::MBT, MbtConfig::new())
+}
+
+/// [`seeded_clique`] on `protocol` under `config`.
+fn seeded_clique_of(protocol: ProtocolSpec, config: MbtConfig) -> Vec<MbtNode> {
     let mut server = MetadataServer::new(4);
     server.publish(
         Metadata::builder("fox evening news", "FOX", uri("mbt://news")).build(),
@@ -146,7 +151,7 @@ fn seeded_clique() -> Vec<MbtNode> {
         Popularity::new(0.4),
     );
     let mut nodes: Vec<MbtNode> = (0..4)
-        .map(|i| MbtNode::new(NodeId::new(i), ProtocolSpec::MBT, MbtConfig::new()))
+        .map(|i| MbtNode::new(NodeId::new(i), protocol, config.clone()))
         .collect();
     nodes[0].set_internet_access(true);
     nodes[0].add_query(Query::new("evening news").unwrap(), None);
@@ -263,10 +268,6 @@ struct RecordingTransport {
 }
 
 impl Transport for RecordingTransport {
-    fn join(&mut self, members: &[NodeId]) {
-        self.inner.join(members);
-    }
-
     fn carry(&mut self, sender: NodeId, receiver: NodeId, message: WireMessage) -> Carried {
         let item = match &message {
             WireMessage::Hello(h) => format!("hello({})", h.sender.index()),
@@ -282,10 +283,6 @@ impl Transport for RecordingTransport {
         self.log
             .push(format!("{}->{} {item}", sender.index(), receiver.index()));
         self.inner.carry(sender, receiver, message)
-    }
-
-    fn leave(&mut self, members: &[NodeId]) {
-        self.inner.leave(members);
     }
 }
 
@@ -348,4 +345,73 @@ fn clique_frame_emission_order_is_repeatable() {
         &first.log[..3],
         &["1->0 hello(1)", "2->0 hello(2)", "3->0 hello(3)"]
     );
+}
+
+/// Behaves like [`SimTransport`], but panics on a carry that leaves the
+/// contact: one from a member to itself, or to or from a non-member.
+struct ContainedTransport {
+    inner: SimTransport,
+    members: Vec<NodeId>,
+    carries: usize,
+}
+
+impl Transport for ContainedTransport {
+    fn carry(&mut self, sender: NodeId, receiver: NodeId, message: WireMessage) -> Carried {
+        assert_ne!(sender, receiver, "a carry from a member to itself");
+        for id in [sender, receiver] {
+            assert!(
+                self.members.contains(&id),
+                "{id:?} is not a member of {:?}",
+                self.members
+            );
+        }
+        self.carries += 1;
+        self.inner.carry(sender, receiver, message)
+    }
+}
+
+/// Every carry stays inside its contact — what lets a transport carry
+/// without opening links first — for every built-in protocol, with and
+/// without a fault plan, over the seeded clique, its pairs and its triples.
+#[test]
+fn every_carry_stays_inside_its_contact() {
+    let faulty = FaultPlan::none()
+        .loss(0.2)
+        .truncate(0.2)
+        .corruption(0.2)
+        .seed(7);
+    let mut contacts: Vec<Vec<usize>> = vec![vec![0, 1, 2, 3]];
+    for a in 0..4 {
+        for b in a + 1..4 {
+            contacts.push(vec![a, b]);
+        }
+    }
+    for left_out in (0..4).rev() {
+        contacts.push((0..4).filter(|&i| i != left_out).collect());
+    }
+    assert_eq!(contacts.len(), 11);
+    for protocol in ProtocolSpec::builtin() {
+        for faults in [FaultPlan::none(), faulty] {
+            let mut carries = 0;
+            for members in &contacts {
+                let mut nodes = seeded_clique_of(protocol, MbtConfig::new().faults(faults));
+                let mut transport = ContainedTransport {
+                    inner: SimTransport::new(),
+                    members: members.iter().map(|&i| nodes[i].id()).collect(),
+                    carries: 0,
+                };
+                run_contact_via(
+                    &mut transport,
+                    &mut nodes,
+                    members,
+                    SimTime::from_secs(3_600),
+                    SimDuration::from_secs(900),
+                    None,
+                    &mut ContactScratch::default(),
+                );
+                carries += transport.carries;
+            }
+            assert!(carries > 0, "{protocol} under {faults:?} carried nothing");
+        }
+    }
 }

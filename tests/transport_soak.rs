@@ -1,11 +1,11 @@
 //! Soak: live nodes on the frame bus deliver a real file.
 //!
 //! Three MBT nodes and a gateway node seeded with the file exchange frames
-//! over a `LiveBus`, with a synthetic 2-contact schedule playing the role of
-//! a contact trace: first one node meets the gateway and receives the file
-//! it queried (hello → metadata broadcast → file broadcast and its pieces),
-//! then the three nodes meet and the new holder broadcasts it to the other
-//! two. Every message crosses the wire as an encoded frame, every piece is
+//! over a `LiveTransport`, with a synthetic 2-contact schedule playing the
+//! role of a contact trace: first one node meets the gateway and receives
+//! the file it queried (hello → metadata broadcast → file broadcast and its
+//! pieces), then the three nodes meet and the new holder broadcasts it to
+//! the other two. Every message crosses the wire as an encoded frame, every piece is
 //! checksum verified by the assembler, and the reassembled bytes must hash
 //! to the published content's digest — the same digest the simulator's
 //! stores are keyed on. Each contact is the simulator's, so no frame is
