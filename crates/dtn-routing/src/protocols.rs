@@ -443,7 +443,7 @@ mod tests {
                 a: &empty,
                 b: &empty,
             },
-            SimTime::from_days(1),
+            SimTime::from_secs(86_400),
         );
         assert!(p.predictability(n(0), n(1)) < fresh);
         // Repeated encounters push toward 1.

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::iter::Peekable;
 
-use dtn_sim::{SimCtx, SimHandler, StreamSimulator};
+use dtn_sim::{SimHandler, StreamSimulator};
 use dtn_trace::{Contact, NodeId, SimDuration, SimTime, TraceSource};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -117,8 +117,8 @@ impl<P: RoutingProtocol> Run<P> {
 }
 
 impl<P: RoutingProtocol> SimHandler for Run<P> {
-    fn on_contact_start(&mut self, ctx: &mut SimCtx<'_>, contact: &Contact) {
-        let now = ctx.now();
+    fn on_contact(&mut self, contact: &Contact) {
+        let now = contact.start();
         self.inject(now);
         for (a, b) in contact.pairs() {
             if a.index() >= self.buffers.len() || b.index() >= self.buffers.len() {

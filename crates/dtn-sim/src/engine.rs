@@ -2,62 +2,23 @@
 
 use dtn_trace::{Contact, SimTime};
 
-use crate::event::EventQueue;
-
-/// Context handed to [`SimHandler`] callbacks: the current clock plus the
-/// ability to schedule future events.
-#[derive(Debug)]
-pub struct SimCtx<'a> {
-    now: SimTime,
-    queue: &'a mut EventQueue,
-    horizon: Option<SimTime>,
-}
-
-impl SimCtx<'_> {
-    /// The current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules an event with `tag` at absolute time `at`.
-    ///
-    /// Events scheduled in the past fire immediately after the current event
-    /// (at the current clock). Events beyond the simulation horizon are
-    /// silently dropped.
-    pub fn schedule(&mut self, at: SimTime, tag: u64) {
-        let at = at.max(self.now);
-        if let Some(h) = self.horizon {
-            if at > h {
-                return;
-            }
-        }
-        self.queue.push(at, tag);
-    }
-}
-
 /// Callbacks invoked by the [`StreamSimulator`].
 ///
 /// All methods have empty default implementations so handlers implement only
 /// what they need. There is no contact-end callback: a handler is told a
-/// contact's whole interval when it starts, and one that needs to act at the
-/// end schedules an event for [`Contact::end`].
+/// contact's whole interval when it starts.
 pub trait SimHandler {
-    /// Called once before the first event.
-    fn on_start(&mut self, ctx: &mut SimCtx<'_>) {
-        let _ = ctx;
+    /// A contact begins; the clock reads [`Contact::start`].
+    fn on_contact(&mut self, contact: &Contact) {
+        let _ = contact;
     }
 
-    /// A contact begins.
-    fn on_contact_start(&mut self, ctx: &mut SimCtx<'_>, contact: &Contact) {
-        let _ = (ctx, contact);
+    /// A tick registered with [`StreamSimulator::schedule`] fires at `at`.
+    fn on_tick(&mut self, at: SimTime, tag: u64) {
+        let _ = (at, tag);
     }
 
-    /// A user-scheduled event fires.
-    fn on_scheduled(&mut self, ctx: &mut SimCtx<'_>, tag: u64) {
-        let _ = (ctx, tag);
-    }
-
-    /// Called once after the last event.
+    /// Called once after the last event, with that event's instant.
     fn on_finish(&mut self, now: SimTime) {
         let _ = now;
     }
@@ -70,26 +31,24 @@ pub trait SimHandler {
 /// [`dtn_trace::ContactTrace`] order — both in-memory traces and sharded
 /// traces provide it; for the former pass `trace.iter().cloned()`). Use
 /// [`StreamSimulator::horizon`] to cut the run short and
-/// [`StreamSimulator::schedule`] to pre-register scheduled events (e.g. a
-/// daily workload tick) before running.
+/// [`StreamSimulator::schedule`] to register ticks (e.g. a daily workload
+/// tick); every tick is known before the run starts.
 ///
-/// Order: the run is a merge of the contact stream with the queue of
-/// scheduled events. Before a contact starting at `s` fires, every queued
-/// event with time ≤ `s` fires — so at one instant scheduled events come
-/// before contact starts, and an event a handler schedules at `now` fires
-/// before the next contact; contacts starting together fire in stream order,
-/// scheduled events at one instant in [`EventQueue`] order. Given the same
-/// contact sequence, pre-scheduled events and a deterministic handler, two
-/// runs therefore produce identical event sequences — the sequence a queue
-/// holding every contact start up front would pop
-/// (`tests/properties.rs` holds the merge to that model).
+/// Order: the run is a merge of the contact stream with the ticks sorted by
+/// `(time, tag)`, ties in registration order. Before a contact starting at
+/// `s` fires, every tick at or before `s` fires — so at one instant ticks
+/// come before contact starts; contacts starting together fire in stream
+/// order. Given the same contact sequence and ticks, two runs therefore
+/// produce identical event sequences — the sequence a queue holding every
+/// contact start up front would pop (`tests/properties.rs` holds the merge
+/// to that model).
 ///
-/// Memory: the queue holds scheduled events only — a handful of ticks,
-/// whatever the number of contacts open at once.
+/// Memory: the engine holds the ticks registered — a handful, whatever the
+/// number of contacts.
 #[derive(Debug)]
 pub struct StreamSimulator<I> {
     contacts: I,
-    queue: EventQueue,
+    ticks: Vec<(SimTime, u64)>,
     horizon: Option<SimTime>,
 }
 
@@ -98,7 +57,7 @@ impl<I: Iterator<Item = Contact>> StreamSimulator<I> {
     pub fn new(contacts: I) -> Self {
         StreamSimulator {
             contacts,
-            queue: EventQueue::new(),
+            ticks: Vec::new(),
             horizon: None,
         }
     }
@@ -109,9 +68,9 @@ impl<I: Iterator<Item = Contact>> StreamSimulator<I> {
         self
     }
 
-    /// Pre-registers a scheduled event before the run starts.
+    /// Registers a tick tagged `tag` at `at`.
     pub fn schedule(mut self, at: SimTime, tag: u64) -> Self {
-        self.queue.push(at, tag);
+        self.ticks.push((at, tag));
         self
     }
 
@@ -120,38 +79,29 @@ impl<I: Iterator<Item = Contact>> StreamSimulator<I> {
     pub fn run<H: SimHandler>(self, handler: &mut H) -> SimTime {
         let StreamSimulator {
             contacts,
-            mut queue,
+            mut ticks,
             horizon,
         } = self;
-        let mut contacts = contacts.peekable();
         let within = |t: SimTime| horizon.is_none_or(|h| t <= h);
-        let mut ctx = SimCtx {
-            now: SimTime::ZERO,
-            queue: &mut queue,
-            horizon,
-        };
-        handler.on_start(&mut ctx);
-        loop {
-            // Starts are sorted: once one lies beyond the horizon so does
-            // every later one, and the stream is not pulled again.
-            let start = contacts.peek().map(Contact::start).filter(|&s| within(s));
-            match ctx.queue.peek_time().filter(|&t| within(t)) {
-                Some(t) if start.is_none_or(|s| t <= s) => {
-                    let (_, tag) = ctx.queue.pop().expect("peeked");
-                    ctx.now = t;
-                    handler.on_scheduled(&mut ctx, tag);
-                }
-                _ => {
-                    let Some(contact) = start.and_then(|_| contacts.next()) else {
-                        break;
-                    };
-                    ctx.now = contact.start();
-                    handler.on_contact_start(&mut ctx, &contact);
-                }
+        ticks.retain(|&(at, _)| within(at));
+        ticks.sort_by_key(|&tick| tick);
+        let mut ticks = ticks.into_iter().peekable();
+        let mut now = SimTime::ZERO;
+        // Starts are sorted: once one lies beyond the horizon so does every
+        // later one, and the stream is not pulled again.
+        for contact in contacts.take_while(|c| within(c.start())) {
+            while let Some((at, tag)) = ticks.next_if(|&(at, _)| at <= contact.start()) {
+                handler.on_tick(at, tag);
             }
+            now = contact.start();
+            handler.on_contact(&contact);
         }
-        handler.on_finish(ctx.now);
-        ctx.now
+        for (at, tag) in ticks {
+            now = at;
+            handler.on_tick(at, tag);
+        }
+        handler.on_finish(now);
+        now
     }
 }
 
@@ -176,18 +126,15 @@ mod tests {
     }
 
     impl SimHandler for Recorder {
-        fn on_start(&mut self, ctx: &mut SimCtx<'_>) {
-            self.log.push(format!("start@{}", ctx.now().as_secs()));
-        }
-        fn on_contact_start(&mut self, ctx: &mut SimCtx<'_>, c: &Contact) {
+        fn on_contact(&mut self, c: &Contact) {
             self.log.push(format!(
                 "cs@{}:{}",
-                ctx.now().as_secs(),
+                c.start().as_secs(),
                 c.participants()[0]
             ));
         }
-        fn on_scheduled(&mut self, ctx: &mut SimCtx<'_>, tag: u64) {
-            self.log.push(format!("ev{tag}@{}", ctx.now().as_secs()));
+        fn on_tick(&mut self, at: SimTime, tag: u64) {
+            self.log.push(format!("ev{tag}@{}", at.as_secs()));
         }
         fn on_finish(&mut self, now: SimTime) {
             self.log.push(format!("finish@{}", now.as_secs()));
@@ -202,10 +149,7 @@ mod tests {
         let mut rec = Recorder::default();
         let end = StreamSimulator::new(trace.iter().cloned()).run(&mut rec);
         assert_eq!(end, SimTime::from_secs(15), "the last event to fire");
-        assert_eq!(
-            rec.log,
-            vec!["start@0", "cs@10:n0", "cs@15:n2", "finish@15"]
-        );
+        assert_eq!(rec.log, vec!["cs@10:n0", "cs@15:n2", "finish@15"]);
     }
 
     #[test]
@@ -215,28 +159,7 @@ mod tests {
         StreamSimulator::new(trace.iter().cloned())
             .schedule(SimTime::from_secs(15), 7)
             .run(&mut rec);
-        assert_eq!(rec.log[2], "ev7@15");
-    }
-
-    #[test]
-    fn handler_can_self_schedule() {
-        struct Ticker {
-            fired: Vec<u64>,
-        }
-        impl SimHandler for Ticker {
-            fn on_scheduled(&mut self, ctx: &mut SimCtx<'_>, tag: u64) {
-                self.fired.push(ctx.now().as_secs());
-                if tag < 3 {
-                    ctx.schedule(ctx.now() + dtn_trace::SimDuration::from_secs(10), tag + 1);
-                }
-            }
-        }
-        let trace = ContactTrace::new();
-        let mut h = Ticker { fired: vec![] };
-        StreamSimulator::new(trace.iter().cloned())
-            .schedule(SimTime::from_secs(5), 1)
-            .run(&mut h);
-        assert_eq!(h.fired, vec![5, 15, 25]);
+        assert_eq!(rec.log[1], "ev7@15");
     }
 
     #[test]
@@ -254,23 +177,14 @@ mod tests {
 
     #[test]
     fn schedule_beyond_horizon_is_dropped() {
-        struct FarScheduler {
-            fired: usize,
-        }
-        impl SimHandler for FarScheduler {
-            fn on_scheduled(&mut self, ctx: &mut SimCtx<'_>, _tag: u64) {
-                self.fired += 1;
-                // Would loop forever without the horizon drop.
-                ctx.schedule(SimTime::from_secs(10_000), 99);
-            }
-        }
-        let trace = ContactTrace::new();
-        let mut h = FarScheduler { fired: 0 };
-        StreamSimulator::new(trace.iter().cloned())
+        let mut rec = Recorder::default();
+        let end = StreamSimulator::new(std::iter::empty())
             .horizon(SimTime::from_secs(100))
+            .schedule(SimTime::from_secs(10_000), 99)
             .schedule(SimTime::from_secs(5), 1)
-            .run(&mut h);
-        assert_eq!(h.fired, 1);
+            .run(&mut rec);
+        assert_eq!(end, SimTime::from_secs(5));
+        assert_eq!(rec.log, ["ev1@5", "finish@5"]);
     }
 
     #[test]
@@ -283,32 +197,10 @@ mod tests {
             .schedule(SimTime::from_secs(20), 9)
             .run(&mut rec);
         assert_eq!(
-            rec.log[2..],
+            rec.log[1..],
             ["ev9@20", "cs@20:n2", "cs@20:n4", "finish@20"],
             "the tick, then the two starts in stream order"
         );
-    }
-
-    #[test]
-    fn an_event_scheduled_at_now_fires_before_the_next_contact() {
-        struct Echo {
-            log: Vec<String>,
-        }
-        impl SimHandler for Echo {
-            fn on_contact_start(&mut self, ctx: &mut SimCtx<'_>, c: &Contact) {
-                self.log.push(format!("cs:{}", c.participants()[0]));
-                ctx.schedule(ctx.now(), u64::from(c.participants()[0].raw()));
-            }
-            fn on_scheduled(&mut self, _ctx: &mut SimCtx<'_>, tag: u64) {
-                self.log.push(format!("ev{tag}"));
-            }
-        }
-        let trace: ContactTrace = vec![pc(0, 1, 10, 20), pc(2, 3, 10, 25)]
-            .into_iter()
-            .collect();
-        let mut h = Echo { log: vec![] };
-        StreamSimulator::new(trace.iter().cloned()).run(&mut h);
-        assert_eq!(h.log, ["cs:n0", "ev0", "cs:n2", "ev2"]);
     }
 
     #[test]
@@ -325,57 +217,15 @@ mod tests {
             .schedule(SimTime::from_secs(51), 2)
             .run(&mut rec);
         assert_eq!(end, SimTime::from_secs(50));
-        assert_eq!(rec.log, ["start@0", "ev1@50", "cs@50:n0", "finish@50"]);
+        assert_eq!(rec.log, ["ev1@50", "cs@50:n0", "finish@50"]);
         assert_eq!(pulled, 2);
     }
 
     #[test]
-    fn past_schedule_clamps_to_now() {
-        struct PastScheduler {
-            fired_at: Vec<u64>,
-        }
-        impl SimHandler for PastScheduler {
-            fn on_scheduled(&mut self, ctx: &mut SimCtx<'_>, tag: u64) {
-                self.fired_at.push(ctx.now().as_secs());
-                if tag == 1 {
-                    ctx.schedule(SimTime::ZERO, 2); // in the past
-                }
-            }
-        }
-        let mut h = PastScheduler { fired_at: vec![] };
-        let trace = ContactTrace::new();
-        StreamSimulator::new(trace.iter().cloned())
-            .schedule(SimTime::from_secs(50), 1)
-            .run(&mut h);
-        assert_eq!(h.fired_at, vec![50, 50]);
-    }
-
-    #[test]
-    fn empty_trace_still_calls_start_and_finish() {
-        let trace = ContactTrace::new();
+    fn empty_trace_still_calls_finish() {
         let mut rec = Recorder::default();
-        let end = StreamSimulator::new(trace.iter().cloned()).run(&mut rec);
+        let end = StreamSimulator::new(std::iter::empty()).run(&mut rec);
         assert_eq!(end, SimTime::ZERO);
-        assert_eq!(rec.log, vec!["start@0", "finish@0"]);
-    }
-
-    #[test]
-    fn stream_simulator_supports_self_scheduling_handlers() {
-        struct Ticker {
-            fired: Vec<u64>,
-        }
-        impl SimHandler for Ticker {
-            fn on_scheduled(&mut self, ctx: &mut SimCtx<'_>, tag: u64) {
-                self.fired.push(ctx.now().as_secs());
-                if tag < 3 {
-                    ctx.schedule(ctx.now() + dtn_trace::SimDuration::from_secs(10), tag + 1);
-                }
-            }
-        }
-        let mut h = Ticker { fired: vec![] };
-        StreamSimulator::new(std::iter::empty())
-            .schedule(SimTime::from_secs(5), 1)
-            .run(&mut h);
-        assert_eq!(h.fired, vec![5, 15, 25]);
+        assert_eq!(rec.log, vec!["finish@0"]);
     }
 }

@@ -36,7 +36,7 @@ pub const FAULT_STREAM: u64 = 0xFA17;
 /// rolls from its own seed domain, so e.g. enabling corruption never shifts
 /// the loss rolls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     /// A broadcast frame fails to reach one receiver.
     Loss,
     /// A contact ends early, shrinking its transfer budget.
@@ -49,7 +49,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Stable per-kind seed domain (mixed into every derivation).
-    pub fn domain(self) -> u64 {
+    fn domain(self) -> u64 {
         match self {
             FaultKind::Loss => 1,
             FaultKind::Truncate => 2,

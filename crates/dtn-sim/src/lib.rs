@@ -4,8 +4,8 @@
 //!
 //! - a deterministic discrete-event [`engine`] that drives a handler over a
 //!   sorted stream of contacts (any [`dtn_trace::TraceSource`]) merged with
-//!   the [`event`] queue of user-scheduled events — the one engine under both
-//!   the MBT runner and the `dtn-routing` baselines,
+//!   ticks registered before the run — the one engine under both the MBT
+//!   runner and the `dtn-routing` baselines,
 //! - the [`channel`] capacity models contrasting broadcast and pair-wise
 //!   transmission (§V), plus the scaling of a per-contact allowance by a
 //!   truncated contact's surviving fraction,
@@ -19,13 +19,13 @@
 //! # Example
 //!
 //! ```
-//! use dtn_sim::engine::{SimCtx, SimHandler, StreamSimulator};
+//! use dtn_sim::engine::{SimHandler, StreamSimulator};
 //! use dtn_trace::{Contact, ContactTrace, NodeId, SimTime};
 //!
 //! struct CountContacts(usize);
 //!
 //! impl SimHandler for CountContacts {
-//!     fn on_contact_start(&mut self, _ctx: &mut SimCtx<'_>, _contact: &Contact) {
+//!     fn on_contact(&mut self, _contact: &Contact) {
 //!         self.0 += 1;
 //!     }
 //! }
@@ -45,14 +45,12 @@
 
 pub mod channel;
 pub mod engine;
-pub mod event;
 pub mod faults;
 pub mod histogram;
 pub mod rng;
 pub mod telemetry;
 
 pub use channel::{broadcast_per_node_capacity, pairwise_per_node_capacity};
-pub use engine::{SimCtx, SimHandler, StreamSimulator};
-pub use event::EventQueue;
-pub use faults::{FaultKind, FaultPlan};
+pub use engine::{SimHandler, StreamSimulator};
+pub use faults::FaultPlan;
 pub use telemetry::{Counters, Phase, PhaseTimes, Telemetry};

@@ -4,143 +4,50 @@ use proptest::prelude::*;
 
 use dtn_sim::channel::{broadcast_per_node_capacity, pairwise_per_node_capacity};
 use dtn_sim::rng::cyclic_order;
-use dtn_sim::{EventQueue, SimCtx, SimHandler, StreamSimulator};
+use dtn_sim::{SimHandler, StreamSimulator};
 use dtn_trace::{Contact, NodeId, SimTime};
 
-/// What a scripted handler does at its `k`-th dispatch, on both sides of the
-/// ordering property: maybe schedule one event `delta` seconds from `now`
-/// (before it, at it or after it). `left` bounds the schedules of a run, so
-/// one that re-schedules at `now` for ever cannot exist.
-type Script = Vec<(bool, i64, u64)>;
-
-fn react(script: &Script, k: usize, left: &mut u32, now: SimTime) -> Option<(SimTime, u64)> {
-    let &(fires, delta, tag) = script.get(k % script.len().max(1))?;
-    if !fires || *left == 0 {
-        return None;
-    }
-    *left -= 1;
-    let at = now.as_secs().saturating_add_signed(delta);
-    Some((SimTime::from_secs(at), tag))
-}
-
-/// `(seconds, kind, id)`: kind 0 is a scheduled event and `id` its tag, kind
-/// 1 a contact start and `id` the contact's position in the stream.
+/// `(seconds, kind, id)`: kind 0 is a tick and `id` its tag, kind 1 a
+/// contact start and `id` the contact's position in the stream.
 type Dispatch = (u64, u8, u64);
 
-const SCHEDULES: u32 = 24;
-
-/// The engine under a scripted handler. Contact `i` of `n` is the pair
+/// The engine's dispatches, logged. Contact `i` of `n` is the pair
 /// `(2(n-i), 2(n-i)+1)`, so stream order is the reverse of participant
 /// order: a merge that re-sorted equal starts would show.
-struct Scripted<'a> {
-    script: &'a Script,
+struct Logged {
     contacts: u64,
-    left: u32,
     log: Vec<Dispatch>,
 }
 
-impl Scripted<'_> {
-    fn dispatched(&mut self, ctx: &mut SimCtx<'_>, kind: u8, id: u64) {
-        let k = self.log.len();
-        self.log.push((ctx.now().as_secs(), kind, id));
-        if let Some((at, tag)) = react(self.script, k, &mut self.left, ctx.now()) {
-            ctx.schedule(at, tag);
-        }
-    }
-}
-
-impl SimHandler for Scripted<'_> {
-    fn on_contact_start(&mut self, ctx: &mut SimCtx<'_>, contact: &Contact) {
+impl SimHandler for Logged {
+    fn on_contact(&mut self, contact: &Contact) {
         let id = self.contacts - u64::from(contact.participants()[0].raw()) / 2;
-        self.dispatched(ctx, 1, id);
+        self.log.push((contact.start().as_secs(), 1, id));
     }
-    fn on_scheduled(&mut self, ctx: &mut SimCtx<'_>, tag: u64) {
-        self.dispatched(ctx, 0, tag);
+    fn on_tick(&mut self, at: SimTime, tag: u64) {
+        self.log.push((at.as_secs(), 0, tag));
     }
 }
 
 /// The reference the merge replaced: every contact start queued up front
-/// beside the scheduled events in one heap ordered by (time, rank, key,
-/// insertion), rank scheduled < start, key the tag or the stream position.
-fn queue_everything(
-    starts: &[u64],
-    ticks: &[(u64, u64)],
-    horizon: Option<u64>,
-    script: &Script,
-) -> Vec<Dispatch> {
+/// beside the ticks in one heap ordered by (time, rank, key, insertion),
+/// rank tick < start, key the tag or the stream position.
+fn queue_everything(starts: &[u64], ticks: &[(u64, u64)], horizon: Option<u64>) -> Vec<Dispatch> {
     use std::cmp::Reverse;
     let mut heap = std::collections::BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut push = |heap: &mut std::collections::BinaryHeap<_>, entry: (u64, u8, u64)| {
+    let entries = starts.iter().zip(0..).map(|(&start, i)| (start, 1, i));
+    let entries = entries.chain(ticks.iter().map(|&(at, tag)| (at, 0, tag)));
+    for (seq, entry) in entries.enumerate() {
         heap.push(Reverse((entry, seq)));
-        seq += 1;
-    };
-    for (i, &start) in starts.iter().enumerate() {
-        push(&mut heap, (start, 1, i as u64));
-    }
-    for &(at, tag) in ticks {
-        push(&mut heap, (at, 0, tag));
     }
     let within = |t: u64| horizon.is_none_or(|h| t <= h);
-    let (mut log, mut left) = (Vec::new(), SCHEDULES);
-    while let Some(Reverse(((now, kind, id), _))) = heap.pop() {
-        if !within(now) {
-            break;
-        }
-        log.push((now, kind, id));
-        let reaction = react(script, log.len() - 1, &mut left, SimTime::from_secs(now));
-        if let Some((at, tag)) = reaction {
-            let at = at.as_secs().max(now);
-            if within(at) {
-                push(&mut heap, (at, 0, tag));
-            }
-        }
-    }
-    log
+    std::iter::from_fn(|| heap.pop())
+        .map(|Reverse((entry, _))| entry)
+        .take_while(|&(now, ..)| within(now))
+        .collect()
 }
 
 proptest! {
-    #[test]
-    fn event_queue_pops_in_nondecreasing_time(
-        items in proptest::collection::vec((0u64..10_000, 0u64..100), 0..200)
-    ) {
-        let mut q = EventQueue::new();
-        for &(t, tag) in &items {
-            q.push(SimTime::from_secs(t), tag);
-        }
-        prop_assert_eq!(q.len(), items.len());
-        let mut last = SimTime::ZERO;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-        }
-    }
-
-    #[test]
-    fn event_queue_order_is_insertion_order_invariant_for_distinct_keys(
-        mut items in proptest::collection::btree_set((0u64..1_000, 0u64..1_000), 0..100)
-    ) {
-        // Distinct (time, tag) pairs: popping order must not depend on push order.
-        let v: Vec<(u64, u64)> = items.iter().copied().collect();
-        let mut q1 = EventQueue::new();
-        for &(t, tag) in &v {
-            q1.push(SimTime::from_secs(t), tag);
-        }
-        let mut q2 = EventQueue::new();
-        for &(t, tag) in v.iter().rev() {
-            q2.push(SimTime::from_secs(t), tag);
-        }
-        let drain = |mut q: EventQueue| {
-            let mut out = Vec::new();
-            while let Some(e) = q.pop() {
-                out.push(e);
-            }
-            out
-        };
-        prop_assert_eq!(drain(q1), drain(q2));
-        items.clear();
-    }
-
     #[test]
     fn cyclic_order_is_permutation_and_member_order_free(
         ids in proptest::collection::btree_set(0u32..1_000, 0..30)
@@ -171,15 +78,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The engine's merge dispatches exactly what a queue holding every
-    /// contact start up front would: gaps of 0 give equal starts, the small
-    /// time range puts starts on tick instants and on the horizon, and the
-    /// script schedules before, at and after `now`.
+    /// contact start up front would: gaps of 0 give equal starts, and the
+    /// small time and tag ranges put starts on tick instants and on the
+    /// horizon and give ticks equal instants and equal tags, so the
+    /// `(time, tag, registration)` order of the ticks is checked too.
     #[test]
     fn the_merge_dispatches_in_queue_everything_order(
         gaps in proptest::collection::vec(0u64..4, 0..40),
         ticks in proptest::collection::vec((0u64..60, 0u64..4), 0..8),
         (bounded, horizon) in (proptest::bool::ANY, 0u64..70),
-        script in proptest::collection::vec((proptest::bool::ANY, -3i64..4, 0u64..4), 0..6),
     ) {
         let starts: Vec<u64> = gaps
             .iter()
@@ -202,14 +109,9 @@ proptest! {
         for &(at, tag) in &ticks {
             sim = sim.schedule(SimTime::from_secs(at), tag);
         }
-        let mut handler = Scripted {
-            script: &script,
-            contacts: u64::from(n),
-            left: SCHEDULES,
-            log: Vec::new(),
-        };
+        let mut handler = Logged { contacts: u64::from(n), log: Vec::new() };
         let end = sim.run(&mut handler);
-        let expected = queue_everything(&starts, &ticks, horizon, &script);
+        let expected = queue_everything(&starts, &ticks, horizon);
         prop_assert_eq!(end.as_secs(), expected.last().map_or(0, |d| d.0));
         prop_assert_eq!(handler.log, expected);
     }

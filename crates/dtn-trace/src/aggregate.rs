@@ -203,7 +203,7 @@ mod tests {
 
     #[test]
     fn empty_trace_graph() {
-        let g = AggregateGraph::from_trace(&ContactTrace::new());
+        let g = AggregateGraph::from_trace(&ContactTrace::default());
         assert!(g.nodes().is_empty());
         assert_eq!(g.density(), 0.0);
         assert!(g.is_connected(), "vacuously connected");

@@ -12,17 +12,6 @@ use std::fmt;
 use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime};
 
-/// Whether a contact connects exactly two nodes or a full clique.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ContactKind {
-    /// A contact between exactly two nodes (e.g. two buses meeting).
-    Pairwise,
-    /// A contact among three or more mutually-reachable nodes (e.g. one
-    /// classroom session). Every participant can receive broadcasts from
-    /// every other participant.
-    Clique,
-}
-
 /// Error produced when constructing an invalid [`Contact`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ContactError {
@@ -68,14 +57,14 @@ impl Error for ContactError {}
 /// # Example
 ///
 /// ```
-/// use dtn_trace::{Contact, ContactKind, NodeId, SimTime};
+/// use dtn_trace::{Contact, NodeId, SimTime};
 ///
 /// let c = Contact::clique(
 ///     vec![NodeId::new(2), NodeId::new(0), NodeId::new(1)],
 ///     SimTime::from_secs(0),
 ///     SimTime::from_secs(3600),
 /// )?;
-/// assert_eq!(c.kind(), ContactKind::Clique);
+/// assert_eq!(c.size(), 3);
 /// assert_eq!(c.participants()[0], NodeId::new(0));
 /// assert!(c.involves(NodeId::new(2)));
 /// # Ok::<(), dtn_trace::ContactError>(())
@@ -173,14 +162,6 @@ impl Contact {
         })
     }
 
-    /// The contact kind, derived from the participant count.
-    pub fn kind(&self) -> ContactKind {
-        match self.participants {
-            Participants::Pair(_) => ContactKind::Pairwise,
-            Participants::Clique(_) => ContactKind::Clique,
-        }
-    }
-
     /// The participants, sorted by node id.
     pub fn participants(&self) -> &[NodeId] {
         match &self.participants {
@@ -269,7 +250,6 @@ mod tests {
     #[test]
     fn pairwise_contact_is_pairwise() {
         let c = Contact::pairwise(NodeId::new(1), NodeId::new(0), t(0), t(10)).unwrap();
-        assert_eq!(c.kind(), ContactKind::Pairwise);
         assert_eq!(c.size(), 2);
         assert_eq!(c.participants(), &[NodeId::new(0), NodeId::new(1)]);
     }
@@ -282,7 +262,6 @@ mod tests {
             t(10),
         )
         .unwrap();
-        assert_eq!(c.kind(), ContactKind::Clique);
         assert_eq!(c.size(), 3);
     }
 
@@ -377,7 +356,7 @@ mod tests {
         let hasher = RandomState::new();
         for c in &built {
             assert!(matches!(c.participants, Participants::Pair(_)));
-            assert_eq!(c.kind(), ContactKind::Pairwise);
+            assert_eq!(c.size(), 2);
             assert_eq!(c.participants(), &[n0, n1]);
             assert_eq!(c, &built[0]);
             assert_eq!(hasher.hash_one(c), hasher.hash_one(&built[0]));

@@ -66,9 +66,9 @@ impl CommunityConfig {
 
     /// Generates the clique contact trace.
     pub fn generate(&self) -> ContactTrace {
-        let mut builder = ContactTrace::builder();
-        self.generate_into(&mut builder);
-        builder.build()
+        let mut contacts = Vec::new();
+        self.generate_into(&mut contacts);
+        contacts.into_iter().collect()
     }
 
     /// Generates the trace directly into `sink` — e.g. a
@@ -195,11 +195,15 @@ mod tests {
     fn generate_into_matches_all_pairs_oracle() {
         for seed in [31, 32, 33] {
             let cfg = CommunityConfig::new(37, 6).seed(seed);
-            let mut streamed = ContactTrace::builder();
+            let mut streamed = Vec::new();
             cfg.generate_into(&mut streamed);
-            let mut oracle = ContactTrace::builder();
+            let mut oracle = Vec::new();
             cfg.generate_into_all_pairs(&mut oracle);
-            assert_eq!(streamed.build(), oracle.build(), "seed={seed}");
+            assert_eq!(
+                ContactTrace::from_iter(streamed),
+                ContactTrace::from_iter(oracle),
+                "seed={seed}"
+            );
         }
     }
 
@@ -211,11 +215,11 @@ mod tests {
             nodes in 2u32..=256, days in 1u64..5, seed in 0u64..1_000
         ) {
             let cfg = CommunityConfig::new(nodes, days).seed(seed);
-            let mut streamed = ContactTrace::builder();
+            let mut streamed = Vec::new();
             cfg.generate_into(&mut streamed);
-            let mut oracle = ContactTrace::builder();
+            let mut oracle = Vec::new();
             cfg.generate_into_all_pairs(&mut oracle);
-            prop_assert_eq!(streamed.build(), oracle.build());
+            prop_assert_eq!(ContactTrace::from_iter(streamed), ContactTrace::from_iter(oracle));
         }
     }
 

@@ -92,9 +92,9 @@ impl DieselNetConfig {
     /// The output contains only pair-wise contacts, all within service
     /// hours, sorted by start time.
     pub fn generate(&self) -> ContactTrace {
-        let mut builder = ContactTrace::builder();
-        self.generate_into(&mut builder);
-        builder.build()
+        let mut contacts = Vec::new();
+        self.generate_into(&mut contacts);
+        contacts.into_iter().collect()
     }
 
     /// Generates the trace directly into `sink` — e.g. a
@@ -248,7 +248,6 @@ pub(crate) fn sample_exponential<R: Rng>(rng: &mut R, mean: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::aggregate::AggregateGraph;
-    use crate::contact::ContactKind;
     use crate::stats::{FrequentScan, TraceStats};
     use proptest::prelude::*;
 
@@ -295,9 +294,9 @@ mod tests {
     #[test]
     fn generate_into_builder_matches_generate() {
         let cfg = DieselNetConfig::new(12, 4).seed(7);
-        let mut builder = ContactTrace::builder();
+        let mut builder = Vec::new();
         cfg.generate_into(&mut builder);
-        assert_eq!(builder.build(), cfg.generate());
+        assert_eq!(ContactTrace::from_iter(builder), cfg.generate());
     }
 
     #[test]
@@ -307,11 +306,15 @@ mod tests {
         // buses, and the default 8.
         for routes in [1u32, 2, 3, 5, 8, 40] {
             let cfg = DieselNetConfig::new(33, 3).seed(21).routes(routes);
-            let mut indexed = ContactTrace::builder();
+            let mut indexed = Vec::new();
             cfg.generate_into(&mut indexed);
-            let mut all_pairs = ContactTrace::builder();
+            let mut all_pairs = Vec::new();
             cfg.generate_into_all_pairs(&mut all_pairs);
-            assert_eq!(indexed.build(), all_pairs.build(), "routes={routes}");
+            assert_eq!(
+                ContactTrace::from_iter(indexed),
+                ContactTrace::from_iter(all_pairs),
+                "routes={routes}"
+            );
         }
     }
 
@@ -323,11 +326,11 @@ mod tests {
             buses in 2u32..=256, days in 1u64..5, seed in 0u64..1_000, routes in 1u32..16
         ) {
             let cfg = DieselNetConfig::new(buses, days).seed(seed).routes(routes);
-            let mut indexed = ContactTrace::builder();
+            let mut indexed = Vec::new();
             cfg.generate_into(&mut indexed);
-            let mut oracle = ContactTrace::builder();
+            let mut oracle = Vec::new();
             cfg.generate_into_all_pairs(&mut oracle);
-            prop_assert_eq!(indexed.build(), oracle.build());
+            prop_assert_eq!(ContactTrace::from_iter(indexed), ContactTrace::from_iter(oracle));
         }
     }
 
@@ -342,7 +345,7 @@ mod tests {
     fn all_contacts_pairwise() {
         let t = DieselNetConfig::new(20, 5).seed(3).generate();
         assert!(!t.is_empty());
-        assert!(t.iter().all(|c| c.kind() == ContactKind::Pairwise));
+        assert!(t.iter().all(|c| c.size() == 2));
     }
 
     #[test]

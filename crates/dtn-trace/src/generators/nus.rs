@@ -104,9 +104,9 @@ impl NusConfig {
     /// are resolved by dropping attendance of the later course, preserving
     /// the non-overlapping-clique property).
     pub fn generate(&self) -> ContactTrace {
-        let mut builder = ContactTrace::builder();
-        self.generate_into(&mut builder);
-        builder.build()
+        let mut contacts = Vec::new();
+        self.generate_into(&mut contacts);
+        contacts.into_iter().collect()
     }
 
     /// Generates the trace directly into `sink` — e.g. a
@@ -302,9 +302,9 @@ mod tests {
     #[test]
     fn generate_into_builder_matches_generate() {
         let cfg = NusConfig::new(40, 7).seed(5).attendance_rate(0.8);
-        let mut builder = ContactTrace::builder();
+        let mut builder = Vec::new();
         cfg.generate_into(&mut builder);
-        assert_eq!(builder.build(), cfg.generate());
+        assert_eq!(ContactTrace::from_iter(builder), cfg.generate());
     }
 
     #[test]
@@ -315,13 +315,13 @@ mod tests {
                     .seed(23)
                     .attendance_rate(attendance)
                     .weekends_off(weekends);
-                let mut streamed = ContactTrace::builder();
+                let mut streamed = Vec::new();
                 cfg.generate_into(&mut streamed);
-                let mut oracle = ContactTrace::builder();
+                let mut oracle = Vec::new();
                 cfg.generate_into_all_pairs(&mut oracle);
                 assert_eq!(
-                    streamed.build(),
-                    oracle.build(),
+                    ContactTrace::from_iter(streamed),
+                    ContactTrace::from_iter(oracle),
                     "attendance={attendance} weekends_off={weekends}"
                 );
             }
@@ -337,11 +337,11 @@ mod tests {
             attendance in 0.2f64..1.0
         ) {
             let cfg = NusConfig::new(students, days).seed(seed).attendance_rate(attendance);
-            let mut streamed = ContactTrace::builder();
+            let mut streamed = Vec::new();
             cfg.generate_into(&mut streamed);
-            let mut oracle = ContactTrace::builder();
+            let mut oracle = Vec::new();
             cfg.generate_into_all_pairs(&mut oracle);
-            prop_assert_eq!(streamed.build(), oracle.build());
+            prop_assert_eq!(ContactTrace::from_iter(streamed), ContactTrace::from_iter(oracle));
         }
     }
 

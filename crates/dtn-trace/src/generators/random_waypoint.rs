@@ -105,7 +105,7 @@ impl RandomWaypointConfig {
 
         // open_since[i][j] = Some(start) while pair is currently in range.
         let mut open_since: Vec<Vec<Option<u64>>> = vec![vec![None; n]; n];
-        let mut builder = ContactTrace::builder();
+        let mut contacts = Vec::new();
         let range_sq = RANGE_M * RANGE_M;
 
         let mut t = 0u64;
@@ -120,7 +120,7 @@ impl RandomWaypointConfig {
                     match (in_range, open_since[i][j]) {
                         (true, None) => open_since[i][j] = Some(t),
                         (false, Some(start)) => {
-                            push_pair(&mut builder, i, j, start, t);
+                            push_pair(&mut contacts, i, j, start, t);
                             open_since[i][j] = None;
                         }
                         _ => {}
@@ -157,15 +157,15 @@ impl RandomWaypointConfig {
         for i in 0..n {
             for j in (i + 1)..n {
                 if let Some(start) = open_since[i][j] {
-                    push_pair(&mut builder, i, j, start, self.duration_secs + STEP_SECS);
+                    push_pair(&mut contacts, i, j, start, self.duration_secs + STEP_SECS);
                 }
             }
         }
-        builder.build()
+        contacts.into_iter().collect()
     }
 }
 
-fn push_pair(builder: &mut crate::trace::TraceBuilder, i: usize, j: usize, start: u64, end: u64) {
+fn push_pair(contacts: &mut Vec<Contact>, i: usize, j: usize, start: u64, end: u64) {
     if end <= start {
         return;
     }
@@ -176,7 +176,7 @@ fn push_pair(builder: &mut crate::trace::TraceBuilder, i: usize, j: usize, start
         SimTime::from_secs(end),
     )
     .expect("generator produces valid contacts");
-    builder.push(contact);
+    contacts.push(contact);
 }
 
 #[cfg(test)]

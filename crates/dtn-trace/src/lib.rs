@@ -24,14 +24,14 @@
 //! ```
 //! use dtn_trace::{Contact, ContactTrace, NodeId, SimTime};
 //!
-//! let mut builder = ContactTrace::builder();
-//! builder.push(Contact::pairwise(
+//! let trace: ContactTrace = [Contact::pairwise(
 //!     NodeId::new(0),
 //!     NodeId::new(1),
 //!     SimTime::from_secs(10),
 //!     SimTime::from_secs(40),
-//! )?);
-//! let trace = builder.build();
+//! )?]
+//! .into_iter()
+//! .collect();
 //! assert_eq!(trace.len(), 1);
 //! assert_eq!(trace.node_count(), 2);
 //! # Ok::<(), dtn_trace::ContactError>(())
@@ -55,7 +55,7 @@ pub mod time;
 pub mod trace;
 
 pub use aggregate::AggregateGraph;
-pub use contact::{Contact, ContactError, ContactKind};
+pub use contact::{Contact, ContactError};
 pub use node::NodeId;
 pub use parser::{read_trace, write_trace, ContactReader, ParseTraceError};
 pub use perturb::Perturbation;
@@ -64,4 +64,4 @@ pub use source::{ContactStream, StreamStats, TraceSource};
 pub use space_time::SpaceTimeGraph;
 pub use stats::{FrequentScan, TraceStats};
 pub use time::{SimDuration, SimTime, SECONDS_PER_DAY};
-pub use trace::{ContactSink, ContactTrace, TraceBuilder};
+pub use trace::{ContactSink, ContactTrace};

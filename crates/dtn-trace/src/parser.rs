@@ -188,11 +188,7 @@ fn put_decimal(buf: &mut Vec<u8>, mut n: u64) {
 /// Returns [`ParseTraceError`] on I/O failure, malformed lines, or lines
 /// describing invalid contacts (empty interval, duplicate node, singleton).
 pub fn read_trace<R: Read>(reader: R) -> Result<ContactTrace, ParseTraceError> {
-    let mut builder = ContactTrace::builder();
-    for contact in ContactReader::new(reader) {
-        builder.push(contact?);
-    }
-    Ok(builder.build())
+    ContactReader::new(reader).collect()
 }
 
 /// Streaming reader over the text format: yields one [`Contact`] at a time

@@ -102,28 +102,30 @@ impl Perturbation {
         if self.is_noop() {
             return trace.clone();
         }
-        let mut builder = ContactTrace::builder();
-        for contact in trace.iter() {
-            let mut rng = self.contact_rng(contact);
-            if self.drop_rate > 0.0 && rng.gen::<f64>() < self.drop_rate {
-                continue;
-            }
-            if self.truncate_rate > 0.0 {
-                let keep = 1.0 - rng.gen::<f64>() * self.truncate_rate;
-                let kept_secs =
-                    ((contact.duration().as_secs() as f64 * keep).floor() as u64).max(1);
-                let end = SimTime::from_secs(contact.start().as_secs() + kept_secs);
-                if end < contact.end() {
-                    let truncated =
-                        Contact::clique(contact.participants().to_vec(), contact.start(), end)
-                            .expect("kept interval is non-empty with the original participants");
-                    builder.push(truncated);
-                    continue;
+        trace
+            .iter()
+            .filter_map(|contact| {
+                let mut rng = self.contact_rng(contact);
+                if self.drop_rate > 0.0 && rng.gen::<f64>() < self.drop_rate {
+                    return None;
                 }
-            }
-            builder.push(contact.clone());
-        }
-        builder.build()
+                if self.truncate_rate > 0.0 {
+                    let keep = 1.0 - rng.gen::<f64>() * self.truncate_rate;
+                    let kept_secs =
+                        ((contact.duration().as_secs() as f64 * keep).floor() as u64).max(1);
+                    let end = SimTime::from_secs(contact.start().as_secs() + kept_secs);
+                    if end < contact.end() {
+                        let truncated =
+                            Contact::clique(contact.participants().to_vec(), contact.start(), end)
+                                .expect(
+                                    "kept interval is non-empty with the original participants",
+                                );
+                        return Some(truncated);
+                    }
+                }
+                Some(contact.clone())
+            })
+            .collect()
     }
 
     /// A per-contact RNG seeded from the perturbation seed and the contact's
@@ -147,19 +149,17 @@ mod tests {
     use crate::node::NodeId;
 
     fn sample_trace() -> ContactTrace {
-        let mut builder = ContactTrace::builder();
-        for i in 0..40u64 {
-            builder.push(
+        (0..40u64)
+            .map(|i| {
                 Contact::pairwise(
                     NodeId::new((i % 5) as u32),
                     NodeId::new((i % 5) as u32 + 1),
                     SimTime::from_secs(i * 1_000),
                     SimTime::from_secs(i * 1_000 + 120),
                 )
-                .unwrap(),
-            );
-        }
-        builder.build()
+                .unwrap()
+            })
+            .collect()
     }
 
     #[test]

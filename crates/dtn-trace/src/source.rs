@@ -31,17 +31,6 @@ pub struct StreamStats {
     pub peak_resident_contacts: u64,
 }
 
-impl StreamStats {
-    /// Combines observations from several streams: shard loads add, peaks
-    /// take the maximum (they describe concurrent residency, not totals).
-    pub fn absorb(&mut self, other: StreamStats) {
-        self.shards_loaded += other.shards_loaded;
-        self.peak_resident_contacts = self
-            .peak_resident_contacts
-            .max(other.peak_resident_contacts);
-    }
-}
-
 /// A single in-order pass over a trace's contacts.
 ///
 /// The iterator yields contacts in canonical event order (start, end,
@@ -224,20 +213,6 @@ mod tests {
         assert_eq!(source.end_time(), Some(SimTime::from_secs(9)));
         assert_eq!(source.span(), SimDuration::from_secs(8));
         assert_eq!(source.nodes().len(), 4);
-    }
-
-    #[test]
-    fn absorb_adds_loads_and_maxes_peaks() {
-        let mut a = StreamStats {
-            shards_loaded: 2,
-            peak_resident_contacts: 100,
-        };
-        a.absorb(StreamStats {
-            shards_loaded: 3,
-            peak_resident_contacts: 40,
-        });
-        assert_eq!(a.shards_loaded, 5);
-        assert_eq!(a.peak_resident_contacts, 100);
     }
 
     #[test]

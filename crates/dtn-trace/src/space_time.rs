@@ -207,7 +207,7 @@ mod tests {
 
     #[test]
     fn source_always_present_at_creation_time() {
-        let g = SpaceTimeGraph::new(&ContactTrace::new());
+        let g = SpaceTimeGraph::new(&ContactTrace::default());
         let d = g.earliest_delivery(NodeId::new(4), SimTime::from_secs(7));
         assert_eq!(d.len(), 1);
         assert_eq!(d[&NodeId::new(4)], SimTime::from_secs(7));

@@ -32,7 +32,7 @@ use crate::trace::ContactTrace;
 ///
 /// let trace: ContactTrace = vec![
 ///     Contact::pairwise(NodeId::new(0), NodeId::new(1), SimTime::from_secs(0), SimTime::from_secs(60))?,
-///     Contact::pairwise(NodeId::new(0), NodeId::new(1), SimTime::from_days(1), SimTime::from_days(1) + SimDuration::from_secs(60))?,
+///     Contact::pairwise(NodeId::new(0), NodeId::new(1), SimTime::from_secs(86_400), SimTime::from_secs(86_460))?,
 /// ]
 /// .into_iter()
 /// .collect();
@@ -171,7 +171,7 @@ impl WindowFold {
 /// use dtn_trace::{Contact, FrequentScan, NodeId, SimDuration, SimTime};
 ///
 /// let meet = |a, b, day| {
-///     let start = SimTime::from_days(day);
+///     let start = SimTime::ZERO + SimDuration::from_days(day);
 ///     Contact::pairwise(NodeId::new(a), NodeId::new(b), start, start + SimDuration::from_secs(60))
 /// };
 /// // Nodes 0 and 1 meet every day; 0 and 2 on day 1 only.
@@ -311,11 +311,11 @@ mod tests {
 
     #[test]
     fn empty_trace_stats() {
-        let s = TraceStats::compute(&ContactTrace::new());
+        let s = TraceStats::compute(&ContactTrace::default());
         assert_eq!(s.mean_contact_duration_secs(), None);
         assert_eq!(s.mean_contact_size(), None);
         assert!(s.pooled_inter_contact_times().is_empty());
-        assert!(scan_of(&ContactTrace::new(), SimDuration::from_days(1)).is_empty());
+        assert!(scan_of(&ContactTrace::default(), SimDuration::from_days(1)).is_empty());
     }
 
     #[test]
@@ -463,7 +463,7 @@ mod tests {
             &[(0, 1), (2, 3)],
             &[(0, 1), (2, 3)],
         );
-        check(ContactTrace::new(), &[], &[]);
+        check(ContactTrace::default(), &[], &[]);
     }
 
     #[test]

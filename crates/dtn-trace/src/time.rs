@@ -19,7 +19,7 @@ pub const SECONDS_PER_DAY: u64 = 86_400;
 /// ```
 /// use dtn_trace::{SimDuration, SimTime};
 ///
-/// let noon_day_two = SimTime::from_days(2) + SimDuration::from_hours(12);
+/// let noon_day_two = SimTime::ZERO + SimDuration::from_days(2) + SimDuration::from_hours(12);
 /// assert_eq!(noon_day_two.day(), 2);
 /// assert_eq!(noon_day_two.second_of_day(), 12 * 3600);
 /// ```
@@ -46,11 +46,6 @@ impl SimTime {
     /// Creates an instant from seconds since simulation start.
     pub const fn from_secs(secs: u64) -> Self {
         SimTime(secs)
-    }
-
-    /// Creates an instant at midnight of the given day (day 0 = start).
-    pub const fn from_days(days: u64) -> Self {
-        SimTime(days * SECONDS_PER_DAY)
     }
 
     /// Seconds since simulation start.
@@ -203,7 +198,7 @@ mod tests {
 
     #[test]
     fn day_and_second_of_day() {
-        let t = SimTime::from_days(3) + SimDuration::from_hours(5);
+        let t = SimTime::ZERO + SimDuration::from_days(3) + SimDuration::from_hours(5);
         assert_eq!(t.day(), 3);
         assert_eq!(t.second_of_day(), 5 * 3600);
     }
@@ -249,7 +244,9 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        let t = SimTime::from_days(1) + SimDuration::from_secs(3 * 3600 + 4 * 60 + 5);
+        let t = SimTime::ZERO
+            + SimDuration::from_days(1)
+            + SimDuration::from_secs(3 * 3600 + 4 * 60 + 5);
         assert_eq!(t.to_string(), "d1+03:04:05");
         assert_eq!(SimDuration::from_secs(9).to_string(), "9s");
     }

@@ -12,7 +12,9 @@ use crate::time::{SimDuration, SimTime};
 ///
 /// Contacts are sorted by start time (ties broken by end time, then by
 /// participants), which is the order a discrete-event simulator consumes them
-/// in. Build one with [`ContactTrace::builder`] or collect from an iterator.
+/// in. Build one by collecting contacts in any order: collecting sorts them.
+/// A generator fills a `Vec<Contact>` (a [`ContactSink`]) that is then
+/// collected.
 ///
 /// # Example
 ///
@@ -36,65 +38,18 @@ pub struct ContactTrace {
     contacts: Vec<Contact>,
 }
 
-/// Incremental builder for [`ContactTrace`].
-///
-/// Accepts contacts in any order; [`TraceBuilder::build`] sorts them.
-#[derive(Debug, Clone, Default)]
-pub struct TraceBuilder {
-    contacts: Vec<Contact>,
-}
-
-impl TraceBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        TraceBuilder::default()
-    }
-
-    /// Adds one contact.
-    pub fn push(&mut self, contact: Contact) -> &mut Self {
-        self.contacts.push(contact);
-        self
-    }
-
-    /// Adds many contacts.
-    pub fn extend<I: IntoIterator<Item = Contact>>(&mut self, contacts: I) -> &mut Self {
-        self.contacts.extend(contacts);
-        self
-    }
-
-    /// Number of contacts added so far.
-    pub fn len(&self) -> usize {
-        self.contacts.len()
-    }
-
-    /// True if no contacts have been added.
-    pub fn is_empty(&self) -> bool {
-        self.contacts.is_empty()
-    }
-
-    /// Finishes the trace, sorting contacts into event order.
-    ///
-    /// Consumes the builder so the contact buffer moves into the trace
-    /// without a copy.
-    pub fn build(mut self) -> ContactTrace {
-        sort_contacts(&mut self.contacts);
-        ContactTrace {
-            contacts: self.contacts,
-        }
-    }
-}
-
 /// A destination for generated contacts.
 ///
 /// Generators emit through this trait so the same generation code can fill
-/// an in-memory [`TraceBuilder`] or stream straight to on-disk shards
-/// (`ShardWriter`) without ever materializing the full trace.
+/// a `Vec<Contact>`, collected into a [`ContactTrace`], or stream straight
+/// to on-disk shards (`ShardWriter`) without ever materializing the full
+/// trace.
 pub trait ContactSink {
     /// Accepts one contact, in any order.
     fn push_contact(&mut self, contact: Contact);
 }
 
-impl ContactSink for TraceBuilder {
+impl ContactSink for Vec<Contact> {
     fn push_contact(&mut self, contact: Contact) {
         self.push(contact);
     }
@@ -118,16 +73,6 @@ pub(crate) fn sort_contacts(contacts: &mut [Contact]) {
 }
 
 impl ContactTrace {
-    /// Creates an empty trace.
-    pub fn new() -> Self {
-        ContactTrace::default()
-    }
-
-    /// Returns a builder.
-    pub fn builder() -> TraceBuilder {
-        TraceBuilder::new()
-    }
-
     /// The contacts, sorted by start time.
     pub fn contacts(&self) -> &[Contact] {
         &self.contacts
@@ -193,17 +138,6 @@ impl ContactTrace {
         }
     }
 
-    /// Contacts whose start lies in `[from, to)`, preserving order.
-    pub fn window(&self, from: SimTime, to: SimTime) -> ContactTrace {
-        let contacts = self
-            .contacts
-            .iter()
-            .filter(|c| from <= c.start() && c.start() < to)
-            .cloned()
-            .collect();
-        ContactTrace { contacts }
-    }
-
     /// Contacts involving `node`, preserving order.
     pub fn involving(&self, node: NodeId) -> ContactTrace {
         let contacts = self
@@ -214,18 +148,6 @@ impl ContactTrace {
             .collect();
         ContactTrace { contacts }
     }
-
-    /// Merges two traces into one sorted trace.
-    pub fn merge(&self, other: &ContactTrace) -> ContactTrace {
-        let mut contacts: Vec<Contact> = self
-            .contacts
-            .iter()
-            .chain(other.contacts.iter())
-            .cloned()
-            .collect();
-        sort_contacts(&mut contacts);
-        ContactTrace { contacts }
-    }
 }
 
 impl FromIterator<Contact> for ContactTrace {
@@ -233,13 +155,6 @@ impl FromIterator<Contact> for ContactTrace {
         let mut contacts: Vec<Contact> = iter.into_iter().collect();
         sort_contacts(&mut contacts);
         ContactTrace { contacts }
-    }
-}
-
-impl Extend<Contact> for ContactTrace {
-    fn extend<I: IntoIterator<Item = Contact>>(&mut self, iter: I) {
-        self.contacts.extend(iter);
-        sort_contacts(&mut self.contacts);
     }
 }
 
@@ -289,20 +204,13 @@ mod tests {
 
     #[test]
     fn builder_sorts_by_start() {
-        let mut b = ContactTrace::builder();
-        b.push(pc(0, 1, 100, 110));
-        b.push(pc(1, 2, 5, 10));
-        b.push(pc(2, 3, 50, 60));
-        let t = b.build();
+        let mut b = Vec::new();
+        b.push_contact(pc(0, 1, 100, 110));
+        b.push_contact(pc(1, 2, 5, 10));
+        b.push_contact(pc(2, 3, 50, 60));
+        let t = ContactTrace::from_iter(b);
         let starts: Vec<u64> = t.iter().map(|c| c.start().as_secs()).collect();
         assert_eq!(starts, vec![5, 50, 100]);
-    }
-
-    #[test]
-    fn contact_sink_feeds_builder() {
-        let mut b = ContactTrace::builder();
-        ContactSink::push_contact(&mut b, pc(0, 1, 5, 6));
-        assert_eq!(b.len(), 1);
     }
 
     #[test]
@@ -333,7 +241,7 @@ mod tests {
 
     #[test]
     fn empty_trace_properties() {
-        let t = ContactTrace::new();
+        let t = ContactTrace::default();
         assert!(t.is_empty());
         assert_eq!(t.node_count(), 0);
         assert_eq!(t.id_space(), 0);
@@ -351,38 +259,12 @@ mod tests {
     }
 
     #[test]
-    fn window_filters_by_start() {
-        let t: ContactTrace = vec![pc(0, 1, 5, 50), pc(1, 2, 20, 30), pc(2, 3, 40, 45)]
-            .into_iter()
-            .collect();
-        let w = t.window(SimTime::from_secs(10), SimTime::from_secs(40));
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.contacts()[0].start().as_secs(), 20);
-    }
-
-    #[test]
     fn involving_filters_by_node() {
         let t: ContactTrace = vec![pc(0, 1, 0, 1), pc(1, 2, 2, 3), pc(2, 3, 4, 5)]
             .into_iter()
             .collect();
         let sub = t.involving(NodeId::new(1));
         assert_eq!(sub.len(), 2);
-    }
-
-    #[test]
-    fn merge_is_sorted() {
-        let a: ContactTrace = vec![pc(0, 1, 10, 20)].into_iter().collect();
-        let b: ContactTrace = vec![pc(1, 2, 5, 6)].into_iter().collect();
-        let m = a.merge(&b);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.contacts()[0].start().as_secs(), 5);
-    }
-
-    #[test]
-    fn extend_keeps_sorted() {
-        let mut t: ContactTrace = vec![pc(0, 1, 10, 20)].into_iter().collect();
-        t.extend(vec![pc(1, 2, 1, 2)]);
-        assert_eq!(t.contacts()[0].start().as_secs(), 1);
     }
 
     #[test]

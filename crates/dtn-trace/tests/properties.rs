@@ -57,17 +57,6 @@ proptest! {
     }
 
     #[test]
-    fn window_is_subset_and_sorted(trace in arb_trace(), from in 0u64..500_000, len in 0u64..500_000) {
-        let w = trace.window(SimTime::from_secs(from), SimTime::from_secs(from + len));
-        prop_assert!(w.len() <= trace.len());
-        for c in w.iter() {
-            prop_assert!(c.start().as_secs() >= from);
-            prop_assert!(c.start().as_secs() < from + len);
-            prop_assert!(trace.contacts().contains(c));
-        }
-    }
-
-    #[test]
     fn involving_only_contains_node(trace in arb_trace(), id in 0u32..50) {
         let node = NodeId::new(id);
         let sub = trace.involving(node);
@@ -77,12 +66,6 @@ proptest! {
         // Complement check: contacts not in `sub` don't involve the node.
         let sub_count = trace.iter().filter(|c| c.involves(node)).count();
         prop_assert_eq!(sub.len(), sub_count);
-    }
-
-    #[test]
-    fn merge_preserves_total_count(a in arb_trace(), b in arb_trace()) {
-        let merged = a.merge(&b);
-        prop_assert_eq!(merged.len(), a.len() + b.len());
     }
 
     #[test]

@@ -239,6 +239,16 @@ impl Args {
             .map_or(Ok(default), |token| rate(name, token))
     }
 
+    /// True if `--name` was given, as an option or as a flag.
+    pub fn given(&self, name: &str) -> bool {
+        debug_assert!(
+            self.command.options.contains(&name) || self.command.flags.contains(&name),
+            "`{}` reads --{name} but does not declare it",
+            self.command.name
+        );
+        self.options.contains_key(name) || self.flags.iter().any(|f| f == name)
+    }
+
     /// True if the flag was given.
     pub fn flag(&self, name: &str) -> bool {
         debug_assert!(

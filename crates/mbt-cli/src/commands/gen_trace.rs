@@ -6,7 +6,7 @@ use std::io::BufWriter;
 use dtn_trace::{write_trace, ContactTrace, Perturbation};
 
 use crate::args::Args;
-use crate::commands::{generate_into, Generated};
+use crate::commands::{generator, Generated};
 use crate::CliError;
 
 /// Usage text for the subcommand.
@@ -20,11 +20,13 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         .opt_str("out")
         .ok_or(crate::args::ArgError::MissingOption("out"))?
         .to_string();
-    let mut builder = ContactTrace::builder();
+    let generated = generator(args)?;
+    let mut contacts = Vec::new();
+    generated.generate_into(&mut contacts);
+    let mut trace: ContactTrace = contacts.into_iter().collect();
     let Generated {
         model, days, seed, ..
-    } = generate_into(args, &mut builder)?;
-    let mut trace = builder.build();
+    } = generated;
 
     // Optional degradation: drop contacts and truncate windows before
     // writing, so the file itself records the perturbed mobility.

@@ -86,7 +86,36 @@ pub fn replicates(args: &Args) -> Result<u32, ArgError> {
     }
 }
 
-/// The generator options a [`generate_into`] run was given.
+/// The options that pick and size a generated trace (`gen-trace`, `shard`).
+pub const GENERATOR_OPTIONS: [&str; 7] = [
+    "model",
+    "nodes",
+    "days",
+    "seed",
+    "routes",
+    "attendance",
+    "weekends",
+];
+
+/// Refuses `--first` beside `--second`: `why` says what a run would make of
+/// the pair, one of which it would silently ignore.
+///
+/// # Errors
+///
+/// Returns [`CliError::Usage`] naming both options if both were given.
+pub fn refuse_both(args: &Args, first: &str, second: &str, why: &str) -> Result<(), CliError> {
+    if args.given(first) && args.given(second) {
+        return Err(CliError::Usage(format!(
+            "--{first} cannot be combined with --{second}: {why}"
+        )));
+    }
+    Ok(())
+}
+
+/// A trace `--model` names (`dieselnet`, the default, `nus` or `rwp`),
+/// sized by `--nodes --days --seed`; `--routes` applies to dieselnet,
+/// `--attendance` and `--weekends` to nus. `gen-trace` and `shard` both
+/// read it through [`generator`], so they take the same options.
 pub struct Generated {
     /// `--model`.
     pub model: String,
@@ -96,20 +125,58 @@ pub struct Generated {
     pub days: u64,
     /// `--seed`.
     pub seed: u64,
+    config: ModelConfig,
 }
 
-/// Sends the trace `--model` names (`dieselnet`, the default, `nus` or
-/// `rwp`) into `sink`, sized by `--nodes --days --seed`; `--routes` applies
-/// to dieselnet, `--attendance` and `--weekends` to nus. `gen-trace` and
-/// `shard` both generate through here, so they take the same options.
+enum ModelConfig {
+    DieselNet(DieselNetConfig),
+    Nus(NusConfig),
+    Rwp(RandomWaypointConfig),
+}
+
+impl Generated {
+    /// Sends the trace into `sink`.
+    pub fn generate_into(&self, sink: &mut dyn ContactSink) {
+        match &self.config {
+            ModelConfig::DieselNet(config) => config.generate_into(sink),
+            ModelConfig::Nus(config) => config.generate_into(sink),
+            // Random waypoint has no streaming generator: it materializes
+            // the trace, which is then pushed on.
+            ModelConfig::Rwp(config) => {
+                for contact in config.generate() {
+                    sink.push_contact(contact);
+                }
+            }
+        }
+    }
+}
+
+/// Reads the generator options into the trace they describe, generating
+/// nothing.
 ///
 /// # Errors
 ///
-/// Returns [`CliError::Usage`] for an unknown model and the option's error
-/// for a malformed value — among them `--days` past [`MAX_SPAN_DAYS`] and
-/// `--routes 0` — before any contact is generated.
-pub fn generate_into(args: &Args, sink: &mut dyn ContactSink) -> Result<Generated, CliError> {
+/// Returns [`CliError::Usage`] for an unknown model or an option that
+/// belongs to another model, and the option's error for a malformed value —
+/// among them `--days` past [`MAX_SPAN_DAYS`] and `--routes 0`.
+pub fn generator(args: &Args) -> Result<Generated, CliError> {
     let model = args.str_or("model", "dieselnet").to_string();
+    if !["dieselnet", "nus", "rwp"].contains(&model.as_str()) {
+        return Err(CliError::Usage(format!(
+            "unknown model `{model}` (expected dieselnet, nus, or rwp)"
+        )));
+    }
+    for (option, owner) in [
+        ("routes", "dieselnet"),
+        ("attendance", "nus"),
+        ("weekends", "nus"),
+    ] {
+        if args.given(option) && model != owner {
+            return Err(CliError::Usage(format!(
+                "--{option} applies to the {owner} model, not `{model}`"
+            )));
+        }
+    }
     let nodes = args.parse_or("nodes", 40u32, "an integer")?;
     let days = args.parse_in(
         "days",
@@ -118,37 +185,24 @@ pub fn generate_into(args: &Args, sink: &mut dyn ContactSink) -> Result<Generate
         "a number of days up to 36500",
     )?;
     let seed = args.parse_or("seed", 42u64, "an integer")?;
-    match model.as_str() {
-        "dieselnet" => DieselNetConfig::new(nodes, days)
-            .seed(seed)
-            .routes(args.parse_in("routes", 8, 1..=u32::MAX, "an integer from 1 to 4294967295")?)
-            .generate_into(sink),
-        "nus" => NusConfig::new(nodes, days)
-            .seed(seed)
-            .attendance_rate(args.rate_or("attendance", 1.0)?)
-            .weekends_off(!args.flag("weekends"))
-            .generate_into(sink),
-        // Random waypoint has no streaming generator: it materializes the
-        // trace, which is then pushed on.
-        "rwp" => {
-            let trace = RandomWaypointConfig::new(nodes, days * SECONDS_PER_DAY)
+    let config = match model.as_str() {
+        "dieselnet" => ModelConfig::DieselNet(DieselNetConfig::new(nodes, days).seed(seed).routes(
+            args.parse_in("routes", 8, 1..=u32::MAX, "an integer from 1 to 4294967295")?,
+        )),
+        "nus" => ModelConfig::Nus(
+            NusConfig::new(nodes, days)
                 .seed(seed)
-                .generate();
-            for contact in trace.iter() {
-                sink.push_contact(contact.clone());
-            }
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown model `{other}` (expected dieselnet, nus, or rwp)"
-            )))
-        }
-    }
+                .attendance_rate(args.rate_or("attendance", 1.0)?)
+                .weekends_off(!args.flag("weekends")),
+        ),
+        _ => ModelConfig::Rwp(RandomWaypointConfig::new(nodes, days * SECONDS_PER_DAY).seed(seed)),
+    };
     Ok(Generated {
         model,
         nodes,
         days,
         seed,
+        config,
     })
 }
 

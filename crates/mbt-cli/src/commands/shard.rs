@@ -9,7 +9,7 @@ use std::fs::File;
 use dtn_trace::{ContactReader, ContactSink as _, ShardWriter, SimDuration};
 
 use crate::args::{ArgError, Args};
-use crate::commands::{generate_into, Generated, MAX_SPAN_DAYS};
+use crate::commands::{generator, refuse_both, Generated, GENERATOR_OPTIONS, MAX_SPAN_DAYS};
 use crate::CliError;
 
 /// Usage text for the subcommand.
@@ -26,12 +26,24 @@ writer, so the full trace is never resident; feed the result to
 bounds the worker threads used to sort finished shards (0 = one per core);
 output bytes are identical for every job count.";
 
+/// What a run shards: a trace file given with `--from`, or a generated trace.
+enum Input<'a> {
+    File(&'a str),
+    Generated(Generated),
+}
+
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let out = args
         .opt_str("out")
         .ok_or(ArgError::MissingOption("out"))?
         .to_string();
+    refuse_both(
+        args,
+        "window-days",
+        "window-secs",
+        "both set the shard window",
+    )?;
     let window = if let Some(secs) = args.parse_opt("window-secs", "an integer")? {
         SimDuration::from_secs(secs)
     } else {
@@ -42,25 +54,42 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             "a number of days up to 36500",
         )?)
     };
+    let input = match args.opt_str("from") {
+        Some(from) => {
+            for option in GENERATOR_OPTIONS {
+                refuse_both(
+                    args,
+                    "from",
+                    option,
+                    "the trace file is sharded as it is, not generated",
+                )?;
+            }
+            Input::File(from)
+        }
+        None => Input::Generated(generator(args)?),
+    };
 
     let jobs = args.parse_or("jobs", 0usize, "an integer")?;
     let mut writer = ShardWriter::create(&out, window)
         .map_err(|e| CliError::Usage(e.to_string()))?
         .jobs(jobs);
 
-    let described: String;
-    if let Some(from) = args.opt_str("from") {
-        let file = File::open(from).map_err(|e| CliError::Io(from.to_string(), e))?;
-        for contact in ContactReader::new(file) {
-            writer.push_contact(contact.map_err(|e| CliError::Usage(e.to_string()))?);
+    let described = match input {
+        Input::File(from) => {
+            let file = File::open(from).map_err(|e| CliError::Io(from.to_string(), e))?;
+            for contact in ContactReader::new(file) {
+                writer.push_contact(contact.map_err(|e| CliError::Usage(e.to_string()))?);
+            }
+            format!("from {from}")
         }
-        described = format!("from {from}");
-    } else {
-        let Generated {
-            model, nodes, days, ..
-        } = generate_into(args, &mut writer)?;
-        described = format!("model {model}, {nodes} nodes, {days} days");
-    }
+        Input::Generated(generated) => {
+            generated.generate_into(&mut writer);
+            let Generated {
+                model, nodes, days, ..
+            } = generated;
+            format!("model {model}, {nodes} nodes, {days} days")
+        }
+    };
 
     let sharded = writer
         .finish()

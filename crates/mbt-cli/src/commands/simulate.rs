@@ -10,7 +10,7 @@ use mbt_core::{BroadcastOrdering, CooperationMode, MbtConfig, ProtocolSpec, Tran
 use mbt_experiments::runner::{run_simulation, SimParams};
 
 use crate::args::Args;
-use crate::commands::{days_or, open_source, run_size};
+use crate::commands::{days_or, open_source, refuse_both, run_size};
 use crate::CliError;
 
 /// Usage text for the subcommand.
@@ -28,6 +28,12 @@ into memory. Results are identical either way.";
 
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<String, CliError> {
+    refuse_both(
+        args,
+        "tft",
+        "rarest-first",
+        "the tit-for-tat scheduler never reads the broadcast order",
+    )?;
     let path = args.positional(0, "trace-file")?.to_string();
     let source = open_source(&path)?;
 

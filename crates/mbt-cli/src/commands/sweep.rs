@@ -14,7 +14,7 @@ use mbt_experiments::runner::SimParams;
 use mbt_experiments::{ExecConfig, ParallelRunner};
 
 use crate::args::{rate, ArgError, Args};
-use crate::commands::{days_of, days_or, files_per_day, open_source, run_size};
+use crate::commands::{days_of, days_or, files_per_day, open_source, refuse_both, run_size};
 use crate::CliError;
 
 /// Usage text for the subcommand.
@@ -34,6 +34,7 @@ any --jobs value.";
 
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<String, CliError> {
+    refuse_both(args, "csv", "delay-csv", "each picks the one table printed")?;
     let path = args.positional(0, "trace-file")?.to_string();
     let source = open_source(&path)?;
 

@@ -423,4 +423,83 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn options_a_run_would_ignore_are_refused_before_anything_is_written() {
+        let dir = std::env::temp_dir().join("mbt-cli-test-ignored");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("t.trace").display().to_string();
+        dispatch("gen-trace", base_args("gen-trace", &dir)).unwrap();
+        let out = dir.join("out");
+        // `(command, arguments, what the refusal names)`; the model defaults
+        // to dieselnet.
+        for (command, line, named) in [
+            ("shard", "--from {trace} --model nus", ["--from", "--model"]),
+            ("shard", "--from {trace} --nodes 999", ["--from", "--nodes"]),
+            ("shard", "--from {trace} --days 3", ["--from", "--days"]),
+            ("shard", "--from {trace} --seed 7", ["--from", "--seed"]),
+            ("shard", "--from {trace} --routes 5", ["--from", "--routes"]),
+            (
+                "shard",
+                "--from {trace} --attendance 0.3",
+                ["--from", "--attendance"],
+            ),
+            (
+                "shard",
+                "--from {trace} --weekends",
+                ["--from", "--weekends"],
+            ),
+            (
+                "shard",
+                "--window-days 2 --window-secs 60",
+                ["--window-days", "--window-secs"],
+            ),
+            ("shard", "--model nus --routes 5", ["--routes", "nus"]),
+            ("shard", "--attendance 0.3", ["--attendance", "dieselnet"]),
+            ("gen-trace", "--model nus --routes 5", ["--routes", "nus"]),
+            ("gen-trace", "--model rwp --routes 5", ["--routes", "rwp"]),
+            (
+                "gen-trace",
+                "--model rwp --attendance 0.3",
+                ["--attendance", "rwp"],
+            ),
+            ("gen-trace", "--model rwp --weekends", ["--weekends", "rwp"]),
+            ("gen-trace", "--weekends", ["--weekends", "dieselnet"]),
+            (
+                "sweep",
+                "{trace} --csv --delay-csv",
+                ["--csv", "--delay-csv"],
+            ),
+            (
+                "simulate",
+                "{trace} --tft --rarest-first",
+                ["--tft", "--rarest-first"],
+            ),
+        ] {
+            let mut raw: Vec<String> = line
+                .replace("{trace}", &trace)
+                .split_whitespace()
+                .map(String::from)
+                .collect();
+            let target = if command == "simulate" {
+                "--perf-report"
+            } else {
+                "--out"
+            };
+            if command != "sweep" {
+                raw.extend(strings(&[target, &out.display().to_string()]));
+            }
+            let err = dispatch(command, raw).unwrap_err();
+            assert!(
+                matches!(err, CliError::Usage(_)),
+                "{command} {line}: {err:?}"
+            );
+            let err = err.to_string();
+            for name in named {
+                assert!(err.contains(name), "{command} {line}: {err}");
+            }
+            assert!(!out.exists(), "{command} {line} wrote {}", out.display());
+        }
+    }
 }

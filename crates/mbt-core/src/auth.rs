@@ -23,17 +23,6 @@ pub struct PublisherKey {
 }
 
 impl PublisherKey {
-    /// Creates a key from raw bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is empty.
-    pub fn new<B: Into<Vec<u8>>>(bytes: B) -> Self {
-        let bytes = bytes.into();
-        assert!(!bytes.is_empty(), "publisher key must not be empty");
-        PublisherKey { bytes }
-    }
-
     /// Derives a deterministic per-publisher key from a master secret
     /// (convenience for simulations).
     pub fn derive(master: &[u8], publisher: &str) -> Self {
@@ -275,12 +264,6 @@ mod tests {
             PublisherKey::derive(b"m", "FOX"),
             PublisherKey::derive(b"m", "ABC")
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "must not be empty")]
-    fn empty_key_panics() {
-        let _ = PublisherKey::new(Vec::new());
     }
 
     #[test]

@@ -461,8 +461,7 @@ mod tests {
 
     /// Building a hello records the store versions it announced, which the
     /// next contact reports on: build from a copy.
-    fn hellos(nodes: &[MbtNode], members: &[usize]) -> Vec<HelloFrame> {
-        let protocol = nodes[members[0]].protocol();
+    fn hellos(protocol: ProtocolSpec, nodes: &[MbtNode], members: &[usize]) -> Vec<HelloFrame> {
         members
             .iter()
             .map(|&idx| {
@@ -489,12 +488,17 @@ mod tests {
     }
 
     /// Both builders, both offer computations and — over two successive
-    /// contacts — both whole exchanges must agree on `nodes`.
-    fn assert_walk_equals_union(nodes: &[MbtNode], contacts: &[Vec<usize>]) {
-        let announces_wants = nodes[0].protocol().distributes_metadata();
+    /// contacts — both whole exchanges must agree on `nodes`, which run
+    /// `protocol`.
+    fn assert_walk_equals_union(
+        protocol: ProtocolSpec,
+        nodes: &[MbtNode],
+        contacts: &[Vec<usize>],
+    ) {
+        let announces_wants = protocol.distributes_metadata();
         let (mut walked, mut unioned) = (nodes.to_vec(), nodes.to_vec());
         for (round, members) in contacts.iter().enumerate() {
-            let snapshots = hellos(&walked, members);
+            let snapshots = hellos(protocol, &walked, members);
             let catalog = Catalog::walk(&walked, members, false);
             assert_eq!(
                 catalog.metadata_offers(&snapshots),
@@ -597,7 +601,7 @@ mod tests {
                             members
                         })
                         .collect();
-                    assert_walk_equals_union(&nodes, &contacts);
+                    assert_walk_equals_union(protocol, &nodes, &contacts);
                 }
             }
         }
@@ -619,12 +623,15 @@ mod tests {
         nodes[1].seed_content(record("late show", 0), Popularity::new(0.5), false);
         nodes[2].add_query(Query::new("late").unwrap(), None);
         let members = [0, 1, 2];
-        let offers =
-            Catalog::walk(&nodes, &members, false).metadata_offers(&hellos(&nodes, &members));
+        let offers = Catalog::walk(&nodes, &members, false).metadata_offers(&hellos(
+            ProtocolSpec::MBT,
+            &nodes,
+            &members,
+        ));
         assert_eq!(offers.len(), 1);
         assert_eq!(offers[0].requesters, [NodeId::new(2)]);
         assert_eq!(offers[0].holders, [NodeId::new(0), NodeId::new(1)]);
-        assert_walk_equals_union(&nodes, &[members.to_vec()]);
+        assert_walk_equals_union(ProtocolSpec::MBT, &nodes, &[members.to_vec()]);
         // ... and what it is sent is the first holder's record.
         contact(Catalog::walk, &mut nodes, &members, 10);
         assert_eq!(
@@ -644,10 +651,10 @@ mod tests {
         nodes[1].reject(&record("fox news", 0));
         let catalog = Catalog::walk(&nodes, &[0, 1], false);
         assert_eq!(catalog.rows().len(), 1, "node 1 lacks it: a row");
-        let snapshots = hellos(&nodes, &[0, 1]);
+        let snapshots = hellos(ProtocolSpec::MBT, &nodes, &[0, 1]);
         assert_eq!(catalog.metadata_offers(&snapshots), []);
         assert_eq!(catalog.file_offers(&snapshots, true), []);
-        assert_walk_equals_union(&nodes, &[vec![0, 1]]);
+        assert_walk_equals_union(ProtocolSpec::MBT, &nodes, &[vec![0, 1]]);
     }
 
     #[test]
@@ -664,7 +671,7 @@ mod tests {
             .row(&uri(0))
             .expect("the file is held by one of two");
         assert_eq!(row.record, Some(record("fox news", 0)));
-        let snapshots = hellos(&nodes, &[0, 1]);
+        let snapshots = hellos(ProtocolSpec::MBT, &nodes, &[0, 1]);
         assert_eq!(
             catalog.metadata_offers(&snapshots),
             [],
@@ -679,7 +686,7 @@ mod tests {
                 vec![NodeId::new(0)]
             )]
         );
-        assert_walk_equals_union(&nodes, &[vec![0, 1]]);
+        assert_walk_equals_union(ProtocolSpec::MBT, &nodes, &[vec![0, 1]]);
         // What every member holds in full is no row at all — unless asked.
         nodes[1].try_store_file(uri(0), None);
         assert_eq!(Catalog::walk(&nodes, &[0, 1], false).rows(), []);
@@ -694,7 +701,7 @@ mod tests {
             querying(1, "fox", &config),
         ];
         nodes[0].seed_content(record("fox news", 0), Popularity::new(0.5), true);
-        assert_walk_equals_union(&nodes, &[vec![0, 1]]);
+        assert_walk_equals_union(ProtocolSpec::MBT, &nodes, &[vec![0, 1]]);
         let report = contact(Catalog::walk, &mut nodes, &[0, 1], 10);
         // The record rode in with the file; the metadata phase, reading the
         // rows of contact start, broadcasts it to its requester all the same.
@@ -709,7 +716,10 @@ mod tests {
         for every_row in [false, true] {
             let catalog = Catalog::walk(&nodes, &[0, 1], every_row);
             assert_eq!(catalog, Catalog::default());
-            assert_eq!(catalog.metadata_offers(&hellos(&nodes, &[0, 1])), []);
+            assert_eq!(
+                catalog.metadata_offers(&hellos(ProtocolSpec::MBT, &nodes, &[0, 1])),
+                []
+            );
         }
     }
 }

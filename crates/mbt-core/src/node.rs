@@ -174,16 +174,6 @@ impl MbtNode {
         self.id
     }
 
-    /// The protocol variant this node runs.
-    pub fn protocol(&self) -> ProtocolSpec {
-        self.protocol
-    }
-
-    /// The node's configuration.
-    pub fn config(&self) -> &MbtConfig {
-        &self.config
-    }
-
     /// Marks the node as an Internet-access node.
     pub fn set_internet_access(&mut self, access: bool) {
         self.internet_access = access;
@@ -194,11 +184,6 @@ impl MbtNode {
     /// duplicate-free list handed over as an `Arc` is shared, not copied.
     pub fn set_frequent_contacts(&mut self, peers: impl Into<Arc<[NodeId]>>) {
         self.frequent_contacts = ascending(peers.into());
-    }
-
-    /// The node's frequent contacting nodes, ascending.
-    pub fn frequent_contacts(&self) -> &[NodeId] {
-        &self.frequent_contacts
     }
 
     /// Installs a publisher key registry: metadata received from DTN peers
@@ -1366,7 +1351,8 @@ mod tests {
     fn frequent_contacts_are_kept_ascending_and_distinct() {
         let mut n = node(0, ProtocolSpec::MBT);
         n.set_frequent_contacts([NodeId::new(5), NodeId::new(2), NodeId::new(5)]);
-        assert_eq!(n.frequent_contacts(), [NodeId::new(2), NodeId::new(5)]);
+        let hello = build_hello(&mut n, ProtocolSpec::MBT, &mut ContactReport::default());
+        assert_eq!(*hello.frequent, [NodeId::new(2), NodeId::new(5)]);
         let shared: Arc<[NodeId]> = Arc::from([NodeId::new(1), NodeId::new(3)]);
         n.set_frequent_contacts(Arc::clone(&shared));
         assert!(Arc::ptr_eq(&n.frequent_contacts, &shared), "shared as is");

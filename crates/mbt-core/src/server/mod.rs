@@ -225,7 +225,7 @@ mod tests {
         // Writer mutates every shard class after the snapshot was taken.
         s.publish(meta("fox extra", "mbt://c"), Popularity::new(0.9));
         s.set_popularity(&Uri::new("mbt://a").unwrap(), Popularity::MAX);
-        s.expire(SimTime::from_days(9999));
+        s.expire(SimTime::ZERO + SimDuration::from_days(9999));
 
         assert_eq!(frozen.len(), 2);
         let hits = frozen.search(&q, 10);

@@ -36,7 +36,7 @@ use super::shard::{ranked_matches, shard_of_uri, top_popular, TokenShard, UriSha
 /// );
 ///
 /// let frozen = server.snapshot();
-/// server.expire(dtn_trace::SimTime::from_days(400)); // writer moves on…
+/// server.expire(dtn_trace::SimTime::ZERO + dtn_trace::SimDuration::from_days(400)); // writer moves on…
 /// assert_eq!(frozen.len(), 1); // …the snapshot does not
 /// assert_eq!(frozen.search(&Query::new("evening news")?, 1)[0].uri(), &uri);
 /// # Ok::<(), Box<dyn std::error::Error>>(())

@@ -16,7 +16,7 @@
 //! here carries `file`, `news` and `fox`, so a query naming one of them and
 //! one rare token must not touch — let alone copy — a 10⁵-entry list.
 
-use dtn_trace::{NodeId, SimTime};
+use dtn_trace::{NodeId, SimDuration, SimTime};
 use mbt_core::{Metadata, MetadataServer, Popularity, Query, Uri};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
@@ -89,7 +89,8 @@ fn expire_with_nothing_expired_allocates_nothing_per_record() {
     // No record carries a TTL, so the expiry pass must be a read-only scan:
     // no expired-URI vector proportional to the keyspace, no shard copies.
     let mut server = build_server(8);
-    let (bytes, _, dropped) = allocation_of(|| server.expire(SimTime::from_days(3_650)));
+    let (bytes, _, dropped) =
+        allocation_of(|| server.expire(SimTime::ZERO + SimDuration::from_days(3_650)));
     assert_eq!(dropped, 0);
     assert!(
         bytes < 4 * 1024,

@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dtn_sim::engine::{SimCtx, SimHandler, StreamSimulator};
+use dtn_sim::engine::{SimHandler, StreamSimulator};
 use dtn_sim::rng::stream;
 use dtn_sim::telemetry::{Phase, PhaseTimes, Telemetry};
 use dtn_sim::FaultPlan;
@@ -917,16 +917,16 @@ impl Harness<'_, '_> {
 }
 
 impl SimHandler for Harness<'_, '_> {
-    fn on_scheduled(&mut self, ctx: &mut SimCtx<'_>, day: u64) {
+    fn on_tick(&mut self, at: SimTime, day: u64) {
         let started = self.telemetry.is_some().then(Instant::now);
-        self.day_tick(ctx.now(), day);
+        self.day_tick(at, day);
         if let (Some(tel), Some(started)) = (self.telemetry.as_deref_mut(), started) {
             tel.phases.add(Phase::DayTick, started.elapsed());
         }
     }
 
-    fn on_contact_start(&mut self, ctx: &mut SimCtx<'_>, contact: &Contact) {
-        let now = ctx.now();
+    fn on_contact(&mut self, contact: &Contact) {
+        let now = contact.start();
         // Who takes part, decided once a participant — and not at all in a
         // run where nobody dies or powers off (none without `--churn` or a
         // fault plan's churn).

@@ -24,12 +24,13 @@ mod sparse;
 /// `id → 3·id + 7`: order-preserving, and two ids in three name nobody.
 fn relabelled(trace: &ContactTrace) -> ContactTrace {
     let rename = |id: &NodeId| NodeId::new(3 * id.raw() + 7);
-    let mut builder = ContactTrace::builder();
-    for c in trace.iter() {
-        let participants = c.participants().iter().map(rename).collect();
-        builder.push(Contact::clique(participants, c.start(), c.end()).expect("a valid contact"));
-    }
-    builder.build()
+    trace
+        .iter()
+        .map(|c| {
+            let participants = c.participants().iter().map(rename).collect();
+            Contact::clique(participants, c.start(), c.end()).expect("a valid contact")
+        })
+        .collect()
 }
 
 /// `trace` claiming an id space `factor` times the nodes it names.
