@@ -56,11 +56,6 @@ impl Buffer {
         self.copies.contains_key(&id)
     }
 
-    /// The stored copy of `id`, if any.
-    pub fn get(&self, id: MessageId) -> Option<&StoredCopy> {
-        self.copies.get(&id)
-    }
-
     /// Mutable access to the stored copy of `id`.
     pub fn get_mut(&mut self, id: MessageId) -> Option<&mut StoredCopy> {
         self.copies.get_mut(&id)
@@ -132,7 +127,7 @@ mod tests {
         let mut b = Buffer::default();
         b.insert(msg(1, 0), 8);
         b.get_mut(MessageId(1)).unwrap().tokens = 4;
-        assert_eq!(b.get(MessageId(1)).unwrap().tokens, 4);
+        assert_eq!(b.get_mut(MessageId(1)).unwrap().tokens, 4);
     }
 
     #[test]

@@ -16,11 +16,13 @@
 //!   ref \[10\]);
 //! - [`protocols::SprayAndWait`] — bounded-copy spraying (binary variant).
 //!
-//! [`sim::simulate`] drives any of them over a [`dtn_trace::TraceSource`]
-//! (an in-memory trace or a shard directory) on
-//! [`dtn_sim::StreamSimulator`], with unbounded per-node buffers and every
-//! transfer a protocol asks for applied, and reports delivery ratio, delay,
-//! and transmission overhead.
+//! Each is a per-copy rule ([`RoutingProtocol`]): what a carrier does with
+//! one copy when it meets a node that lacks it. [`sim::simulate`] owns the
+//! meeting — it drives any of them over a [`dtn_trace::TraceSource`] (an
+//! in-memory trace or a shard directory) on [`dtn_sim::StreamSimulator`],
+//! asks about every copy one endpoint of a pair holds and the other lacks,
+//! applies every answer to unbounded per-node buffers, and reports delivery
+//! ratio, mean delay, and transmission overhead.
 //!
 //! # Example
 //!

@@ -1,70 +1,58 @@
-//! The routing protocols.
+//! The routing protocols, each a per-copy rule.
 //!
 //! All four follow the store-carry-forward pattern over pair-wise contacts
 //! (clique contacts are decomposed into pairs by the simulator — broadcast
 //! scheduling is the MBT paper's contribution, not the routing baselines').
+//! A protocol answers one question: what a carrier does with one copy when
+//! it meets a node that lacks it. The simulator ([`crate::sim`]) owns the
+//! meeting — both directions, the "peer already holds it" test, and
+//! applying the answers.
 
 use std::collections::BTreeMap;
 
 use dtn_trace::{NodeId, SimTime};
 
-use crate::buffer::Buffer;
-use crate::message::MessageId;
+use crate::buffer::StoredCopy;
 
-/// A read-only view of the two endpoints' buffers during a contact.
-#[derive(Debug)]
-pub struct ContactView<'a> {
-    /// First endpoint's buffer.
-    pub a: &'a Buffer,
-    /// Second endpoint's buffer.
-    pub b: &'a Buffer,
-}
-
-/// A transfer decision returned by a protocol.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Action {
-    /// Copy `id` from `from` to the other endpoint; the receiver's copy gets
-    /// `tokens_to_peer` copy tokens and the sender's copy is updated to
-    /// `tokens_kept` (spray-and-wait splits its tokens this way; epidemic
-    /// uses 1/1).
+/// What a carrier does with a copy its peer lacks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transfer {
+    /// Copy it: the peer's new copy gets `tokens_to_peer` copy tokens and
+    /// the carrier's copy keeps `tokens_kept` (spray-and-wait splits its
+    /// tokens this way; epidemic uses 1/1).
     Replicate {
-        /// The message to copy.
-        id: MessageId,
-        /// The sending endpoint.
-        from: NodeId,
-        /// Tokens granted to the receiver's new copy.
+        /// Tokens granted to the peer's new copy.
         tokens_to_peer: u32,
-        /// Tokens the sender keeps.
+        /// Tokens the carrier keeps.
         tokens_kept: u32,
     },
-    /// Move `id` from `from` to the other endpoint (the sender's copy is
-    /// removed).
-    Forward {
-        /// The message to move.
-        id: MessageId,
-        /// The sending endpoint.
-        from: NodeId,
-    },
+    /// Move it: the peer's copy gets one token and the carrier's is removed.
+    Forward,
 }
 
-/// A store-carry-forward routing protocol.
+/// One more copy for the peer, one kept: the flooding answer.
+const COPY: Transfer = Transfer::Replicate {
+    tokens_to_peer: 1,
+    tokens_kept: 1,
+};
+
+/// A store-carry-forward routing protocol: a rule for one copy.
 ///
-/// Implementations decide, per contact, which messages to replicate or
-/// forward; the simulator applies the actions and tracks deliveries. The
-/// trait is object-safe so simulations can switch protocols at runtime.
+/// The simulator calls [`meet`](RoutingProtocol::meet) once for each pair
+/// of a contact, then [`decide`](RoutingProtocol::decide) for every copy one
+/// endpoint holds and the other lacks, and applies the answers. The trait
+/// is object-safe so simulations can switch protocols at runtime.
 pub trait RoutingProtocol {
     /// A short protocol name for reports.
     fn name(&self) -> &'static str;
 
-    /// Called when `a` and `b` meet; returns the transfers to apply, in
-    /// order.
-    fn on_contact(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        view: &ContactView<'_>,
-        now: SimTime,
-    ) -> Vec<Action>;
+    /// Called when `a` and `b` meet at `now`, before any copy of the pair is
+    /// decided on: where a protocol learns from encounters.
+    fn meet(&mut self, _a: NodeId, _b: NodeId, _now: SimTime) {}
+
+    /// What `carrier` does with `copy` on meeting `peer`, which lacks it:
+    /// `None` keeps the copy where it is.
+    fn decide(&self, copy: &StoredCopy, carrier: NodeId, peer: NodeId) -> Option<Transfer>;
 
     /// Initial copy tokens a freshly created message starts with at its
     /// source (1 for all protocols except spray-and-wait).
@@ -92,35 +80,8 @@ impl RoutingProtocol for Epidemic {
         "epidemic"
     }
 
-    fn on_contact(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        view: &ContactView<'_>,
-        _now: SimTime,
-    ) -> Vec<Action> {
-        let mut actions = Vec::new();
-        for copy in view.a.iter() {
-            if !view.b.contains(copy.message.id()) {
-                actions.push(Action::Replicate {
-                    id: copy.message.id(),
-                    from: a,
-                    tokens_to_peer: 1,
-                    tokens_kept: 1,
-                });
-            }
-        }
-        for copy in view.b.iter() {
-            if !view.a.contains(copy.message.id()) {
-                actions.push(Action::Replicate {
-                    id: copy.message.id(),
-                    from: b,
-                    tokens_to_peer: 1,
-                    tokens_kept: 1,
-                });
-            }
-        }
-        actions
+    fn decide(&self, _copy: &StoredCopy, _carrier: NodeId, _peer: NodeId) -> Option<Transfer> {
+        Some(COPY)
     }
 }
 
@@ -143,31 +104,8 @@ impl RoutingProtocol for DirectDelivery {
         "direct"
     }
 
-    fn on_contact(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        view: &ContactView<'_>,
-        _now: SimTime,
-    ) -> Vec<Action> {
-        let mut actions = Vec::new();
-        for copy in view.a.iter() {
-            if copy.message.dst() == b && !view.b.contains(copy.message.id()) {
-                actions.push(Action::Forward {
-                    id: copy.message.id(),
-                    from: a,
-                });
-            }
-        }
-        for copy in view.b.iter() {
-            if copy.message.dst() == a && !view.a.contains(copy.message.id()) {
-                actions.push(Action::Forward {
-                    id: copy.message.id(),
-                    from: b,
-                });
-            }
-        }
-        actions
+    fn decide(&self, copy: &StoredCopy, _carrier: NodeId, peer: NodeId) -> Option<Transfer> {
+        (copy.message.dst() == peer).then_some(Transfer::Forward)
     }
 }
 
@@ -178,7 +116,7 @@ impl RoutingProtocol for DirectDelivery {
 /// the predictability for the encountered peer is reinforced, all entries
 /// age with time, and transitivity propagates predictability through the
 /// peer. A copy is replicated to the peer when the peer's predictability for
-/// the destination exceeds the carrier's.
+/// the destination exceeds the carrier's, or the peer is the destination.
 #[derive(Debug, Clone, Default)]
 pub struct Prophet {
     p: BTreeMap<(NodeId, NodeId), f64>,
@@ -250,46 +188,20 @@ impl RoutingProtocol for Prophet {
         "prophet"
     }
 
-    fn on_contact(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        view: &ContactView<'_>,
-        now: SimTime,
-    ) -> Vec<Action> {
+    fn meet(&mut self, a: NodeId, b: NodeId, now: SimTime) {
         self.age(a, now);
         self.age(b, now);
         self.reinforce(a, b);
         self.reinforce(b, a);
         self.transit(a, b);
         self.transit(b, a);
+    }
 
-        let mut actions = Vec::new();
-        for copy in view.a.iter() {
-            let dst = copy.message.dst();
-            let better = dst == b || self.predictability(b, dst) > self.predictability(a, dst);
-            if better && !view.b.contains(copy.message.id()) {
-                actions.push(Action::Replicate {
-                    id: copy.message.id(),
-                    from: a,
-                    tokens_to_peer: 1,
-                    tokens_kept: 1,
-                });
-            }
-        }
-        for copy in view.b.iter() {
-            let dst = copy.message.dst();
-            let better = dst == a || self.predictability(a, dst) > self.predictability(b, dst);
-            if better && !view.a.contains(copy.message.id()) {
-                actions.push(Action::Replicate {
-                    id: copy.message.id(),
-                    from: b,
-                    tokens_to_peer: 1,
-                    tokens_kept: 1,
-                });
-            }
-        }
-        actions
+    fn decide(&self, copy: &StoredCopy, carrier: NodeId, peer: NodeId) -> Option<Transfer> {
+        let dst = copy.message.dst();
+        let better =
+            dst == peer || self.predictability(peer, dst) > self.predictability(carrier, dst);
+        better.then_some(COPY)
     }
 }
 
@@ -328,38 +240,18 @@ impl RoutingProtocol for SprayAndWait {
         self.initial_copies
     }
 
-    fn on_contact(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        view: &ContactView<'_>,
-        _now: SimTime,
-    ) -> Vec<Action> {
-        let mut actions = Vec::new();
-        let mut side = |from: NodeId, to: NodeId, mine: &Buffer, theirs: &Buffer| {
-            for copy in mine.iter() {
-                if theirs.contains(copy.message.id()) {
-                    continue;
-                }
-                if copy.message.dst() == to {
-                    actions.push(Action::Forward {
-                        id: copy.message.id(),
-                        from,
-                    });
-                } else if copy.tokens > 1 {
-                    let give = copy.tokens / 2;
-                    actions.push(Action::Replicate {
-                        id: copy.message.id(),
-                        from,
-                        tokens_to_peer: give,
-                        tokens_kept: copy.tokens - give,
-                    });
-                }
-            }
-        };
-        side(a, b, view.a, view.b);
-        side(b, a, view.b, view.a);
-        actions
+    fn decide(&self, copy: &StoredCopy, _carrier: NodeId, peer: NodeId) -> Option<Transfer> {
+        if copy.message.dst() == peer {
+            Some(Transfer::Forward)
+        } else if copy.tokens > 1 {
+            let give = copy.tokens / 2;
+            Some(Transfer::Replicate {
+                tokens_to_peer: give,
+                tokens_kept: copy.tokens - give,
+            })
+        } else {
+            None
+        }
     }
 }
 
@@ -372,79 +264,40 @@ mod tests {
         NodeId::new(i)
     }
 
-    fn msg(id: u64, src: u32, dst: u32) -> Message {
-        Message::new(id, n(src), n(dst), SimTime::ZERO, None)
-    }
-
-    fn buf_with(messages: &[(u64, u32, u32, u32)]) -> Buffer {
-        let mut b = Buffer::default();
-        for &(id, src, dst, tokens) in messages {
-            b.insert(msg(id, src, dst), tokens);
+    fn copy(id: u64, src: u32, dst: u32, tokens: u32) -> StoredCopy {
+        StoredCopy {
+            message: Message::new(id, n(src), n(dst), SimTime::ZERO, None),
+            tokens,
         }
-        b
     }
 
     #[test]
     fn epidemic_copies_everything_missing() {
-        let a = buf_with(&[(1, 0, 5, 1), (2, 0, 6, 1)]);
-        let b = buf_with(&[(2, 0, 6, 1), (3, 1, 7, 1)]);
-        let mut p = Epidemic::new();
-        let actions = p.on_contact(n(0), n(1), &ContactView { a: &a, b: &b }, SimTime::ZERO);
-        assert_eq!(actions.len(), 2); // 1 goes a→b, 3 goes b→a; 2 is shared.
-        assert!(actions.contains(&Action::Replicate {
-            id: MessageId(1),
-            from: n(0),
-            tokens_to_peer: 1,
-            tokens_kept: 1
-        }));
-        assert!(actions.contains(&Action::Replicate {
-            id: MessageId(3),
-            from: n(1),
-            tokens_to_peer: 1,
-            tokens_kept: 1
-        }));
+        // Whatever the copy and whichever way it goes: one more copy.
+        let p = Epidemic::new();
+        assert_eq!(p.decide(&copy(1, 0, 5, 1), n(0), n(1)), Some(COPY));
+        assert_eq!(p.decide(&copy(3, 1, 7, 1), n(1), n(0)), Some(COPY));
+        assert_eq!(p.decide(&copy(4, 0, 1, 1), n(0), n(1)), Some(COPY));
     }
 
     #[test]
     fn direct_delivery_only_to_destination() {
-        let a = buf_with(&[(1, 0, 1, 1), (2, 0, 9, 1)]);
-        let b = Buffer::default();
-        let mut p = DirectDelivery::new();
-        let actions = p.on_contact(n(0), n(1), &ContactView { a: &a, b: &b }, SimTime::ZERO);
+        let p = DirectDelivery::new();
         assert_eq!(
-            actions,
-            vec![Action::Forward {
-                id: MessageId(1),
-                from: n(0)
-            }]
+            p.decide(&copy(1, 0, 1, 1), n(0), n(1)),
+            Some(Transfer::Forward)
         );
+        assert_eq!(p.decide(&copy(2, 0, 9, 1), n(0), n(1)), None);
     }
 
     #[test]
     fn prophet_reinforces_and_ages() {
         let mut p = Prophet::new();
-        let empty = Buffer::default();
-        p.on_contact(
-            n(0),
-            n(1),
-            &ContactView {
-                a: &empty,
-                b: &empty,
-            },
-            SimTime::from_secs(0),
-        );
+        p.meet(n(0), n(1), SimTime::from_secs(0));
         let fresh = p.predictability(n(0), n(1));
         assert!((fresh - 0.75).abs() < 1e-9);
         // A day later the predictability has aged below its fresh value.
-        p.on_contact(
-            n(0),
-            n(2),
-            &ContactView {
-                a: &empty,
-                b: &empty,
-            },
-            SimTime::from_secs(86_400),
-        );
+        p.meet(n(0), n(2), SimTime::from_secs(86_400));
         assert!(p.predictability(n(0), n(1)) < fresh);
         // Repeated encounters push toward 1.
         for _ in 0..10 {
@@ -456,28 +309,11 @@ mod tests {
     #[test]
     fn prophet_transitivity_builds_indirect_predictability() {
         let mut p = Prophet::new();
-        let empty = Buffer::default();
         // b meets dst often, then a meets b: a gains predictability for dst.
         for t in 0..3 {
-            p.on_contact(
-                n(1),
-                n(2),
-                &ContactView {
-                    a: &empty,
-                    b: &empty,
-                },
-                SimTime::from_secs(t * 10),
-            );
+            p.meet(n(1), n(2), SimTime::from_secs(t * 10));
         }
-        p.on_contact(
-            n(0),
-            n(1),
-            &ContactView {
-                a: &empty,
-                b: &empty,
-            },
-            SimTime::from_secs(100),
-        );
+        p.meet(n(0), n(1), SimTime::from_secs(100));
         assert!(p.predictability(n(0), n(2)) > 0.0);
         assert!(p.predictability(n(0), n(2)) < p.predictability(n(1), n(2)));
     }
@@ -485,101 +321,57 @@ mod tests {
     #[test]
     fn prophet_forwards_to_better_carrier() {
         let mut p = Prophet::new();
-        let empty = Buffer::default();
         // b frequently meets node 5.
         for t in 0..3 {
-            p.on_contact(
-                n(1),
-                n(5),
-                &ContactView {
-                    a: &empty,
-                    b: &empty,
-                },
-                SimTime::from_secs(t),
-            );
+            p.meet(n(1), n(5), SimTime::from_secs(t));
         }
-        let a = buf_with(&[(1, 0, 5, 1)]);
-        let b = Buffer::default();
-        let actions = p.on_contact(
-            n(0),
-            n(1),
-            &ContactView { a: &a, b: &b },
-            SimTime::from_secs(10),
-        );
-        assert!(actions.iter().any(|act| matches!(
-            act,
-            Action::Replicate { id: MessageId(1), from, .. } if *from == n(0)
-        )));
+        p.meet(n(0), n(1), SimTime::from_secs(10));
+        assert_eq!(p.decide(&copy(1, 0, 5, 1), n(0), n(1)), Some(COPY));
     }
 
     #[test]
     fn prophet_keeps_message_when_self_is_better() {
         let mut p = Prophet::new();
-        let empty = Buffer::default();
         // a (node 0) frequently meets the destination, b never has.
         for t in 0..3 {
-            p.on_contact(
-                n(0),
-                n(5),
-                &ContactView {
-                    a: &empty,
-                    b: &empty,
-                },
-                SimTime::from_secs(t),
-            );
+            p.meet(n(0), n(5), SimTime::from_secs(t));
         }
-        let a = buf_with(&[(1, 0, 5, 1)]);
-        let b = Buffer::default();
-        let actions = p.on_contact(
-            n(0),
-            n(1),
-            &ContactView { a: &a, b: &b },
-            SimTime::from_secs(10),
+        p.meet(n(0), n(1), SimTime::from_secs(10));
+        assert_eq!(
+            p.decide(&copy(1, 0, 5, 1), n(0), n(1)),
+            None,
+            "worse carrier must not receive a copy"
         );
-        assert!(actions.is_empty(), "worse carrier must not receive a copy");
     }
 
     #[test]
     fn spray_splits_tokens_binary() {
-        let a = buf_with(&[(1, 0, 9, 8)]);
-        let b = Buffer::default();
-        let mut p = SprayAndWait::new(8);
-        let actions = p.on_contact(n(0), n(1), &ContactView { a: &a, b: &b }, SimTime::ZERO);
+        let p = SprayAndWait::new(8);
         assert_eq!(
-            actions,
-            vec![Action::Replicate {
-                id: MessageId(1),
-                from: n(0),
+            p.decide(&copy(1, 0, 9, 8), n(0), n(1)),
+            Some(Transfer::Replicate {
                 tokens_to_peer: 4,
                 tokens_kept: 4
-            }]
+            })
         );
     }
 
     #[test]
     fn spray_waits_with_single_token() {
-        let a = buf_with(&[(1, 0, 9, 1)]);
-        let b = Buffer::default();
-        let mut p = SprayAndWait::new(8);
-        let actions = p.on_contact(n(0), n(1), &ContactView { a: &a, b: &b }, SimTime::ZERO);
-        assert!(
-            actions.is_empty(),
+        let p = SprayAndWait::new(8);
+        assert_eq!(
+            p.decide(&copy(1, 0, 9, 1), n(0), n(1)),
+            None,
             "wait phase: no relay to non-destination"
         );
     }
 
     #[test]
     fn spray_always_delivers_to_destination() {
-        let a = buf_with(&[(1, 0, 1, 1)]);
-        let b = Buffer::default();
-        let mut p = SprayAndWait::new(8);
-        let actions = p.on_contact(n(0), n(1), &ContactView { a: &a, b: &b }, SimTime::ZERO);
+        let p = SprayAndWait::new(8);
         assert_eq!(
-            actions,
-            vec![Action::Forward {
-                id: MessageId(1),
-                from: n(0)
-            }]
+            p.decide(&copy(1, 0, 1, 1), n(0), n(1)),
+            Some(Transfer::Forward)
         );
     }
 

@@ -1,4 +1,9 @@
 //! Routing simulation over a contact trace, hosted on `dtn_sim`'s engine.
+//!
+//! The simulator owns the meeting: for each pair of a contact it prunes
+//! both buffers, lets the protocol [`meet`](RoutingProtocol::meet), asks it
+//! to [`decide`](RoutingProtocol::decide) every copy one endpoint holds and
+//! the other lacks, and applies the answers.
 
 use std::collections::BTreeMap;
 use std::iter::Peekable;
@@ -10,7 +15,7 @@ use rand::Rng;
 
 use crate::buffer::Buffer;
 use crate::message::{Message, MessageId};
-use crate::protocols::{Action, ContactView, RoutingProtocol};
+use crate::protocols::{RoutingProtocol, Transfer};
 
 /// Outcome of a routing simulation.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -25,8 +30,6 @@ pub struct RoutingReport {
     pub delivery_ratio: f64,
     /// Mean delivery delay in seconds over delivered messages.
     pub mean_delay_secs: Option<f64>,
-    /// Median delivery delay in seconds over delivered messages.
-    pub median_delay_secs: Option<f64>,
     /// Total transmissions (replications + forwards).
     pub transmissions: u64,
     /// Transmissions per delivered message (∞-free: `None` when nothing
@@ -40,7 +43,7 @@ pub struct RoutingReport {
 /// Clique contacts are decomposed into their node pairs (in deterministic
 /// order); messages are injected at their creation times; expired messages
 /// are pruned from buffers as the clock advances. Buffers are unbounded and
-/// every transfer a protocol asks for in a contact is applied.
+/// every transfer a protocol decides on in a contact is applied.
 pub fn simulate<P: RoutingProtocol>(
     trace: &dyn TraceSource,
     protocol: P,
@@ -51,8 +54,8 @@ pub fn simulate<P: RoutingProtocol>(
         buffers: vec![Buffer::default(); trace.id_space()],
         protocol,
         pending: messages.into_iter().peekable(),
-        created_time: BTreeMap::new(),
-        delivered_at: BTreeMap::new(),
+        created: 0,
+        delay_secs: BTreeMap::new(),
         transmissions: 0,
     };
     StreamSimulator::new(trace.stream()).run(&mut run);
@@ -64,8 +67,9 @@ struct Run<P> {
     protocol: P,
     buffers: Vec<Buffer>,
     pending: Peekable<std::vec::IntoIter<Message>>,
-    created_time: BTreeMap<MessageId, SimTime>,
-    delivered_at: BTreeMap<MessageId, SimTime>,
+    created: u64,
+    /// Each delivered message's delay, from its first delivery.
+    delay_secs: BTreeMap<MessageId, u64>,
     transmissions: u64,
 }
 
@@ -74,27 +78,67 @@ impl<P: RoutingProtocol> Run<P> {
     fn inject(&mut self, now: SimTime) {
         let tokens = self.protocol.initial_tokens();
         while let Some(m) = self.pending.next_if(|m| m.created() <= now) {
-            self.created_time.insert(m.id(), m.created());
+            self.created += 1;
             if m.src() == m.dst() {
-                self.delivered_at.insert(m.id(), m.created());
+                self.delay_secs.insert(m.id(), 0);
             } else if let Some(buffer) = self.buffers.get_mut(m.src().index()) {
                 buffer.insert(m, tokens);
             }
         }
     }
 
+    /// The meeting of `a` and `b` at `now`.
+    fn meet(&mut self, a: NodeId, b: NodeId, now: SimTime) {
+        self.buffers[a.index()].prune_expired(now);
+        self.buffers[b.index()].prune_expired(now);
+        self.protocol.meet(a, b, now);
+        // Both directions are decided on the buffers as the pair met: a copy
+        // is asked about only if its carrier held it unexpired and its peer
+        // lacked it, and no other transfer of the pair touches that
+        // (carrier, id) or that (peer, id) — so each applies as decided.
+        let mut transfers = Vec::new();
+        for (carrier, peer) in [(a, b), (b, a)] {
+            let (mine, theirs) = (&self.buffers[carrier.index()], &self.buffers[peer.index()]);
+            for copy in mine
+                .iter()
+                .filter(|copy| !theirs.contains(copy.message.id()))
+            {
+                if let Some(transfer) = self.protocol.decide(copy, carrier, peer) {
+                    transfers.push((carrier, peer, copy.message.id(), transfer));
+                }
+            }
+        }
+        for (carrier, peer, id, transfer) in transfers {
+            let mine = &mut self.buffers[carrier.index()];
+            let copy = mine.get_mut(id).expect("a decided copy is held");
+            let message = copy.message.clone();
+            let tokens_to_peer = match transfer {
+                Transfer::Replicate {
+                    tokens_to_peer,
+                    tokens_kept,
+                } => {
+                    copy.tokens = tokens_kept;
+                    tokens_to_peer
+                }
+                Transfer::Forward => {
+                    mine.remove(id);
+                    1
+                }
+            };
+            if message.dst() == peer {
+                let delay = now.as_secs() - message.created().as_secs();
+                self.delay_secs.entry(id).or_insert(delay);
+            }
+            self.buffers[peer.index()].insert(message, tokens_to_peer);
+            self.transmissions += 1;
+        }
+    }
+
     fn report(self) -> RoutingReport {
-        let created = self.created_time.len() as u64;
-        let delivered = self.delivered_at.len() as u64;
-        let mut delays: dtn_sim::histogram::DelayHistogram = self
-            .delivered_at
-            .iter()
-            .filter_map(|(id, &at)| {
-                self.created_time
-                    .get(id)
-                    .and_then(|&c| at.checked_duration_since(c))
-            })
-            .collect();
+        let (created, transmissions) = (self.created, self.transmissions);
+        let delivered = self.delay_secs.len() as u64;
+        let delay_sum: u64 = self.delay_secs.values().sum();
+        let per_delivery = |total: u64| (delivered > 0).then(|| total as f64 / delivered as f64);
         RoutingReport {
             protocol: self.protocol.name(),
             created,
@@ -104,14 +148,9 @@ impl<P: RoutingProtocol> Run<P> {
             } else {
                 delivered as f64 / created as f64
             },
-            mean_delay_secs: delays.mean_secs(),
-            median_delay_secs: delays.median().map(|d| d.as_secs() as f64),
-            transmissions: self.transmissions,
-            overhead: if delivered == 0 {
-                None
-            } else {
-                Some(self.transmissions as f64 / delivered as f64)
-            },
+            mean_delay_secs: per_delivery(delay_sum),
+            transmissions,
+            overhead: per_delivery(transmissions),
         }
     }
 }
@@ -121,21 +160,8 @@ impl<P: RoutingProtocol> SimHandler for Run<P> {
         let now = contact.start();
         self.inject(now);
         for (a, b) in contact.pairs() {
-            if a.index() >= self.buffers.len() || b.index() >= self.buffers.len() {
-                continue;
-            }
-            self.buffers[a.index()].prune_expired(now);
-            self.buffers[b.index()].prune_expired(now);
-            let actions = {
-                let view = ContactView {
-                    a: &self.buffers[a.index()],
-                    b: &self.buffers[b.index()],
-                };
-                self.protocol.on_contact(a, b, &view, now)
-            };
-            for action in actions {
-                self.transmissions +=
-                    apply_action(&mut self.buffers, a, b, action, now, &mut self.delivered_at);
+            if a.index() < self.buffers.len() && b.index() < self.buffers.len() {
+                self.meet(a, b, now);
             }
         }
     }
@@ -144,48 +170,6 @@ impl<P: RoutingProtocol> SimHandler for Run<P> {
     fn on_finish(&mut self, now: SimTime) {
         self.inject(now.saturating_add(SimDuration::from_days(10_000)));
     }
-}
-
-/// Applies one action; returns 1 if a transmission happened, 0 otherwise.
-fn apply_action(
-    buffers: &mut [Buffer],
-    a: NodeId,
-    b: NodeId,
-    action: Action,
-    now: SimTime,
-    delivered_at: &mut BTreeMap<MessageId, SimTime>,
-) -> u64 {
-    let (from, id, forward, tokens_to_peer, tokens_kept) = match action {
-        Action::Replicate {
-            id,
-            from,
-            tokens_to_peer,
-            tokens_kept,
-        } => (from, id, false, tokens_to_peer, tokens_kept),
-        Action::Forward { id, from } => (from, id, true, 1, 0),
-    };
-    let to = if from == a { b } else { a };
-    let Some(copy) = buffers[from.index()].get(id).cloned() else {
-        return 0;
-    };
-    let message = copy.message.clone();
-    if message.is_expired(now) {
-        buffers[from.index()].remove(id);
-        return 0;
-    }
-    let stored = buffers[to.index()].insert(message.clone(), tokens_to_peer);
-    if !stored {
-        return 0;
-    }
-    if forward {
-        buffers[from.index()].remove(id);
-    } else if let Some(mine) = buffers[from.index()].get_mut(id) {
-        mine.tokens = tokens_kept;
-    }
-    if message.dst() == to {
-        delivered_at.entry(id).or_insert(now);
-    }
-    1
 }
 
 /// Generates `count` uniform unicast messages among `nodes`, with creation
@@ -220,7 +204,12 @@ pub fn uniform_messages<R: Rng>(
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::collections::BTreeSet;
+    use std::rc::Rc;
+
     use super::*;
+    use crate::buffer::StoredCopy;
     use crate::protocols::{DirectDelivery, Epidemic, Prophet, SprayAndWait};
     use dtn_trace::ContactTrace;
 
@@ -374,6 +363,97 @@ mod tests {
         let r = simulate(&trace, Epidemic::new(), msgs);
         assert_eq!(r.delivered, 1);
         assert_eq!(r.transmissions, 0);
+    }
+
+    /// What a [`Recording`] protocol was told or asked.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Heard {
+        Meet(NodeId, NodeId),
+        Decide(NodeId, NodeId, MessageId),
+    }
+
+    /// Answers like epidemic and logs each meeting and each question.
+    struct Recording(Rc<RefCell<Vec<Heard>>>);
+
+    impl RoutingProtocol for Recording {
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+
+        fn meet(&mut self, a: NodeId, b: NodeId, _now: SimTime) {
+            self.0.borrow_mut().push(Heard::Meet(a, b));
+        }
+
+        fn decide(&self, copy: &StoredCopy, carrier: NodeId, peer: NodeId) -> Option<Transfer> {
+            let id = copy.message.id();
+            self.0.borrow_mut().push(Heard::Decide(carrier, peer, id));
+            Some(Transfer::Replicate {
+                tokens_to_peer: 1,
+                tokens_kept: 1,
+            })
+        }
+    }
+
+    #[test]
+    fn a_pair_is_asked_once_about_each_copy_one_holds_and_the_other_lacks() {
+        let n = NodeId::new;
+        let clique = Contact::clique(
+            vec![n(0), n(1), n(2)],
+            SimTime::from_secs(10),
+            SimTime::from_secs(20),
+        )
+        .unwrap();
+        let trace: ContactTrace = vec![clique, pc(2, 3, 30, 40)].into_iter().collect();
+        // Nodes 0, 1 and 3 start with one message each, for a node nobody
+        // meets.
+        let sources = [(0, 0), (1, 1), (2, 3)];
+        let messages = sources
+            .iter()
+            .map(|&(id, src)| Message::new(id, n(src), n(9), SimTime::ZERO, None))
+            .collect();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let r = simulate(&trace, Recording(Rc::clone(&log)), messages);
+
+        // Replay the log over a model of who holds what: each meeting with
+        // the buffers as its pair met and the questions it was asked.
+        let mut held: Vec<BTreeSet<MessageId>> = vec![BTreeSet::new(); 4];
+        for &(id, src) in &sources {
+            held[src as usize].insert(MessageId(id));
+        }
+        let mut meetings = Vec::new();
+        for &heard in log.borrow().iter() {
+            match heard {
+                Heard::Meet(a, b) => meetings.push(((a, b), held.clone(), Vec::new())),
+                Heard::Decide(carrier, peer, id) => {
+                    let ((a, b), _, asked) =
+                        meetings.last_mut().expect("`meet` precedes every question");
+                    assert!(
+                        [(*a, *b), (*b, *a)].contains(&(carrier, peer)),
+                        "{carrier}->{peer} asked while {a} met {b}"
+                    );
+                    asked.push((carrier, peer, id));
+                    held[peer.index()].insert(id);
+                }
+            }
+        }
+        assert_eq!(meetings.len(), 4, "the clique's three pairs, then 2-3");
+        for ((a, b), as_met, asked) in &meetings {
+            // a→b, then b→a, each in id order: every copy the carrier held
+            // and the peer lacked, once, and nothing else.
+            let lacking = |carrier: &NodeId, peer: &NodeId| {
+                let theirs = &as_met[peer.index()];
+                as_met[carrier.index()]
+                    .difference(theirs)
+                    .map(|&id| (*carrier, *peer, id))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(*asked, [lacking(a, b), lacking(b, a)].concat(), "{a}-{b}");
+        }
+        // The clique's last pair met with equal buffers and was asked nothing.
+        let ((a, b), as_met, asked) = &meetings[2];
+        assert_eq!(as_met[a.index()], as_met[b.index()]);
+        assert!(asked.is_empty());
+        assert_eq!(r.transmissions, 7);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! - the [`channel`] capacity models contrasting broadcast and pair-wise
 //!   transmission (§V), plus the scaling of a per-contact allowance by a
 //!   truncated contact's surviving fraction,
-//! - delay [`histogram`]s and deterministic [`rng`] utilities,
+//! - deterministic [`rng`] utilities,
 //! - deterministic fault injection ([`faults`]) for robustness experiments,
 //!   and
 //! - always-on observability counters and phase spans ([`telemetry`]) that
@@ -46,7 +46,6 @@
 pub mod channel;
 pub mod engine;
 pub mod faults;
-pub mod histogram;
 pub mod rng;
 pub mod telemetry;
 

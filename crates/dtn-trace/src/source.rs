@@ -98,9 +98,9 @@ pub trait TraceSource: Send + Sync + fmt::Debug {
     /// precomputed aggregates when the source carries them.
     ///
     /// Returns `None` when the source cannot derive the map without a full
-    /// contact pass (the in-memory backing, old shard manifests without
-    /// pair aggregates, a missing or malformed pair sidecar, or an `every`
-    /// that is not a whole number of shard windows); callers then stream a
+    /// contact pass (the in-memory backing, a missing or malformed pair
+    /// sidecar, or an `every` that is not a whole number of shard windows);
+    /// callers then stream a
     /// [`FrequentScan`](crate::stats::FrequentScan) pass. Both feed the
     /// rule's one window fold, the aggregates a rule window's distinct pairs
     /// and the scan the same pairs gathered from its contacts, so a `Some`

@@ -16,8 +16,20 @@ pub const USAGE: &str =
     "mbt routing <trace-file|shard-dir> [--protocol epidemic|prophet|spray|direct] \
 [--messages N] [--ttl-days N] [--copies N] [--seed N]";
 
+/// The most messages one run may route (`--messages`): every message is
+/// generated up front. The paper-scale workload is 200; a count parsed as
+/// `u64` alone would ask for terabytes.
+const MAX_MESSAGES: u64 = 1_000_000;
+
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<String, CliError> {
+    let protocol = args.str_or("protocol", "epidemic");
+    if args.given("copies") && protocol != "spray" {
+        return Err(CliError::Usage(format!(
+            "--copies applies only to --protocol spray, not `{protocol}`: \
+             no other protocol splits copies"
+        )));
+    }
     let path = args.positional(0, "trace-file")?.to_string();
     let trace = open_source(&path)?;
     let nodes = trace.nodes();
@@ -27,7 +39,12 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         ));
     }
 
-    let count = args.parse_or("messages", 200u64, "an integer")?;
+    let count = args.parse_in(
+        "messages",
+        200,
+        0..=MAX_MESSAGES,
+        "an integer up to 1000000",
+    )?;
     let ttl_days = days_or(args, "ttl-days", 2, trace.as_ref())?;
     let copies = args.parse_in(
         "copies",
@@ -46,7 +63,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         &mut rng,
     );
 
-    let report: RoutingReport = match args.str_or("protocol", "epidemic") {
+    let report: RoutingReport = match protocol {
         "epidemic" => simulate(trace.as_ref(), Epidemic::new(), msgs),
         "prophet" => simulate(trace.as_ref(), Prophet::new(), msgs),
         "spray" => simulate(trace.as_ref(), SprayAndWait::new(copies), msgs),

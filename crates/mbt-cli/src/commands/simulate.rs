@@ -34,6 +34,21 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         "rarest-first",
         "the tit-for-tat scheduler never reads the broadcast order",
     )?;
+    // The runner draws polluters only when both counts are positive.
+    let polluters = args.rate_or("polluters", 0.0)?;
+    let fakes_per_day = args.parse_or("fakes-per-day", 4u32, "an integer")?;
+    if polluters == 0.0 && args.given("fakes-per-day") {
+        return Err(CliError::Usage(
+            "--fakes-per-day needs --polluters above 0: nobody is drawn to forge".to_string(),
+        ));
+    }
+    if polluters > 0.0 && fakes_per_day == 0 {
+        return Err(CliError::Usage(
+            "--polluters cannot be combined with --fakes-per-day 0: \
+             no polluter is drawn when none forges"
+                .to_string(),
+        ));
+    }
     let path = args.positional(0, "trace-file")?.to_string();
     let source = open_source(&path)?;
 
@@ -77,8 +92,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             source.as_ref(),
         )?))
         .faults(faults)
-        .polluter_fraction(rate("polluters")?)
-        .fakes_per_day(args.parse_or("fakes-per-day", 4u32, "an integer")?)
+        .polluter_fraction(polluters)
+        .fakes_per_day(fakes_per_day)
         .verify_metadata(args.flag("verify"))
         .transport(
             args.str_or("transport", "sim")

@@ -341,7 +341,7 @@ mod tests {
             "trace-stats" => vec![trace],
             "simulate" => strings(&[&trace, "--files-per-day", "4"]),
             "sweep" => strings(&[&trace, "--xs", "0.5", "--files-per-day", "4"]),
-            "routing" => strings(&[&trace, "--messages", "10"]),
+            "routing" => vec![trace],
             "gateway" => strings(&["--query", "news"]),
             _ => Vec::new(),
         }
@@ -387,6 +387,10 @@ mod tests {
                 ("--frequent-days", "999999999999999999"),
                 ("--ttl-days", "999999999999999999"),
                 ("--window-days", "999999999999999999"),
+                // A message count generated up front: neither a 4 TB
+                // allocation nor a capacity overflow.
+                ("--messages", "100000000000"),
+                ("--messages", "18446744073709551615"),
                 // Live-session sizes outside what the command runs.
                 ("--files", "0"),
                 ("--limit", "0"),
@@ -476,18 +480,40 @@ mod tests {
                 "{trace} --tft --rarest-first",
                 ["--tft", "--rarest-first"],
             ),
+            (
+                "simulate",
+                "{trace} --fakes-per-day 3",
+                ["--fakes-per-day", "--polluters"],
+            ),
+            (
+                "simulate",
+                "{trace} --polluters 0 --fakes-per-day 3",
+                ["--fakes-per-day", "--polluters"],
+            ),
+            (
+                "simulate",
+                "{trace} --polluters 0.2 --fakes-per-day 0",
+                ["--polluters", "--fakes-per-day"],
+            ),
+            ("routing", "{trace} --copies 4", ["--copies", "epidemic"]),
+            (
+                "routing",
+                "{trace} --protocol prophet --copies 4",
+                ["--copies", "prophet"],
+            ),
         ] {
             let mut raw: Vec<String> = line
                 .replace("{trace}", &trace)
                 .split_whitespace()
                 .map(String::from)
                 .collect();
-            let target = if command == "simulate" {
-                "--perf-report"
-            } else {
-                "--out"
+            // `sweep` and `routing` write nothing but their report.
+            let target = match command {
+                "simulate" => Some("--perf-report"),
+                "sweep" | "routing" => None,
+                _ => Some("--out"),
             };
-            if command != "sweep" {
+            if let Some(target) = target {
                 raw.extend(strings(&[target, &out.display().to_string()]));
             }
             let err = dispatch(command, raw).unwrap_err();

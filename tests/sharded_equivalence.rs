@@ -11,6 +11,8 @@
 
 use std::sync::Arc;
 
+use dtn_routing::protocols::{DirectDelivery, Epidemic, Prophet, SprayAndWait};
+use dtn_routing::sim::{simulate, uniform_messages};
 use dtn_sim::telemetry::Counters;
 use dtn_sim::{FaultPlan, Telemetry};
 use dtn_trace::generators::{DieselNetConfig, NusConfig};
@@ -207,6 +209,40 @@ fn resharding_at_another_window_leaves_a_run_unchanged() {
                 passes * sharded.shard_count() as u64,
                 "{model} at {hours} h"
             );
+        }
+    }
+}
+
+#[test]
+fn routing_over_shards_reports_what_it_does_in_memory() {
+    // `mbt routing` takes a shard directory wherever it takes a trace file.
+    let models = [
+        ("dieselnet", DieselNetConfig::new(16, 6).seed(42).generate()),
+        ("nus", NusConfig::new(24, 6).seed(42).generate()),
+    ];
+    for (model, trace) in models {
+        let horizon = trace.end_time().expect("a trace with contacts");
+        let mut rng = dtn_sim::rng::stream(7, "routing-shards");
+        let ttl = Some(SimDuration::from_days(2));
+        let messages = uniform_messages(&trace.nodes(), 100, horizon, ttl, &mut rng);
+        let run = |source: &dyn TraceSource| {
+            [
+                simulate(source, Epidemic::new(), messages.clone()),
+                simulate(source, DirectDelivery::new(), messages.clone()),
+                simulate(source, Prophet::new(), messages.clone()),
+                simulate(source, SprayAndWait::new(4), messages.clone()),
+            ]
+        };
+        let in_memory = run(&trace);
+        assert!(in_memory.iter().all(|r| r.delivered > 0), "{model}");
+        for hours in [1, 24] {
+            let dir = shard_dir(&format!("routing-{model}-{hours}h"));
+            let mut writer = ShardWriter::create(&dir, SimDuration::from_hours(hours)).unwrap();
+            for c in trace.iter() {
+                writer.push_contact(c.clone());
+            }
+            let sharded = writer.finish().unwrap();
+            assert_eq!(run(&sharded), in_memory, "{model} at {hours} h");
         }
     }
 }
