@@ -21,10 +21,9 @@
 # below (an associated function as `Type::name`).
 #
 # Every `pub`/`pub(crate)` field of a struct is likewise read by that code
-# as `.name`. A field is matched by name alone, so one whose name another
-# type's field or method shares — `Frame`'s `sender` and `seq` — counts as
-# read wherever the other is: the hole the field check leaves open. A field
-# only tests read is deleted or listed in ALLOWED_FIELDS.
+# as `.name`, or deleted. A field is matched by name alone, so one whose
+# name another type's field or method shares counts as read wherever the
+# other is: the hole the field check leaves open.
 #
 # Prints each unreached function or field with its file; exits 1 if any is
 # not allowed.
@@ -35,11 +34,6 @@ cd "$(dirname "$0")/.."
 ALLOWED='meeting_count degrees involving peers_of reachable wanted_uris
 remove_own with_cache series_for matches_text estimated_popularity contacts
 credits dir matching'
-
-# Fields that tests outside their module read. A decoded frame's header
-# names its receiver, but the bus delivers by its queue key: only the
-# codec's tests read it.
-ALLOWED_FIELDS='receiver'
 
 corpus=$(mktemp)
 defs=$(mktemp)
@@ -149,7 +143,7 @@ case "$report" in *unreached:*) status=1 ;; esac
 for name in $(cut -f2 "$fields" | sort -u); do
     grep -qE "\.$name\b" "$corpus" && continue
     where=$(awk -F'\t' -v n="$name" '$2 == n { print $1 }' "$fields" | sort -u | xargs)
-    if allowed "$name" "$ALLOWED_FIELDS"; then echo "allowed field: $name ($where)"; else
-        echo "unreached field: $name ($where)"; status=1; fi
+    echo "unreached field: $name ($where)"
+    status=1
 done
 exit $status

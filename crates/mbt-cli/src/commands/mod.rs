@@ -11,7 +11,6 @@ use crate::args::{ArgError, Args};
 use crate::CliError;
 
 pub mod experiment;
-pub mod gateway;
 pub mod gen_trace;
 pub mod node;
 pub mod routing;

@@ -10,8 +10,7 @@
 //! mbt simulate     run a protocol variant over a trace or shard dir
 //! mbt sweep        sweep a parameter over named protocol variants
 //! mbt routing      run a routing baseline (epidemic | prophet | spray | direct)
-//! mbt node         run live MBT nodes + a gateway over the in-process frame bus
-//! mbt gateway      stand up a live gateway and probe it with a search
+//! mbt node         run live MBT nodes and a seeded gateway node on the frame bus
 //! ```
 
 use std::error::Error;
@@ -60,8 +59,7 @@ commands:
   simulate     run the MBT file-sharing simulation (trace file or shard dir)
   sweep        sweep a parameter over named protocol variants (table/CSV)
   routing      run a store-carry-forward routing baseline (file or shard dir)
-  node         run live MBT nodes + a gateway over the in-process frame bus
-  gateway      stand up a live gateway and probe it with a search
+  node         run live MBT nodes and a seeded gateway node on the frame bus
 
 run `mbt <command> --help` for command options; `mbt experiment list` names
 every experiment.";
@@ -87,7 +85,7 @@ pub struct Command {
 
 /// Every subcommand: the one place a command, its options and its flags
 /// are declared.
-static COMMANDS: [Command; 10] = {
+static COMMANDS: [Command; 9] = {
     use commands::*;
     [
         Command {
@@ -212,14 +210,6 @@ static COMMANDS: [Command; 10] = {
             flags: &[],
             run: node::run,
         },
-        Command {
-            name: "gateway",
-            usage: gateway::USAGE,
-            positionals: 0,
-            options: &["query", "limit", "catalog"],
-            flags: &[],
-            run: gateway::run,
-        },
     ]
 };
 
@@ -288,6 +278,12 @@ mod tests {
             assert!(err.to_string().contains("unknown command"));
             assert!(err.to_string().contains("gen-trace"));
         }
+        // The search gateway is gone: no command by that name.
+        let err = dispatch("gateway", strings(&["--query", "news"])).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown command `gateway`"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -342,7 +338,6 @@ mod tests {
             "simulate" => strings(&[&trace, "--files-per-day", "4"]),
             "sweep" => strings(&[&trace, "--xs", "0.5", "--files-per-day", "4"]),
             "routing" => vec![trace],
-            "gateway" => strings(&["--query", "news"]),
             _ => Vec::new(),
         }
     }
@@ -393,9 +388,9 @@ mod tests {
                 ("--messages", "18446744073709551615"),
                 // Live-session sizes outside what the command runs.
                 ("--files", "0"),
+                // Options no command declares any more.
                 ("--limit", "0"),
                 ("--catalog", "99"),
-                // Options no command declares any more.
                 ("--prefetch", "1"),
                 ("--settle-ms", "60"),
             ] {
@@ -421,9 +416,6 @@ mod tests {
                 rejected(&["--nodes", "0"], "`0`");
                 rejected(&["--nodes", "500"], "`500`");
                 run(&["--nodes", "64"]).unwrap();
-            }
-            if cmd.name == "gateway" {
-                run(&["--limit", "64"]).unwrap();
             }
         }
     }

@@ -94,9 +94,10 @@ mod tests {
     }
 
     fn msg() -> WireMessage {
-        WireMessage::Search {
+        WireMessage::QueryShare {
+            owner: n(1),
             query: Query::new("fox news").unwrap(),
-            limit: 4,
+            expires: None,
         }
     }
 

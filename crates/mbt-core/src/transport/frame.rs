@@ -63,13 +63,9 @@ pub enum FrameKind {
     Metadata = 2,
     /// A file broadcast with its metadata riding along (§V).
     FileBroadcast = 3,
-    /// One piece of a file's content. Kind 4 is unassigned, so a frame
-    /// carrying it decodes as [`FrameError::UnknownKind`].
+    /// One piece of a file's content. Kinds 4, 6 and 7 are unassigned, so
+    /// a frame carrying one decodes as [`FrameError::UnknownKind`].
     Piece = 5,
-    /// A keyword search sent to a gateway.
-    Search = 6,
-    /// A gateway's ranked answer to a search.
-    SearchResults = 7,
 }
 
 impl FrameKind {
@@ -80,8 +76,6 @@ impl FrameKind {
             2 => FrameKind::Metadata,
             3 => FrameKind::FileBroadcast,
             5 => FrameKind::Piece,
-            6 => FrameKind::Search,
-            7 => FrameKind::SearchResults,
             _ => return None,
         })
     }
@@ -94,15 +88,7 @@ impl FrameKind {
             FrameKind::Metadata => "metadata",
             FrameKind::FileBroadcast => "file-broadcast",
             FrameKind::Piece => "piece",
-            FrameKind::Search => "search",
-            FrameKind::SearchResults => "search-results",
         }
-    }
-}
-
-impl fmt::Display for FrameKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -171,18 +157,6 @@ pub enum WireMessage {
     /// One piece of a file's content (the live runtime sends a file
     /// broadcast's bytes as these).
     Piece(Piece),
-    /// A keyword search sent to a gateway (live/bus runtime).
-    Search {
-        /// The search query.
-        query: Query,
-        /// Maximum number of results wanted.
-        limit: u32,
-    },
-    /// A gateway's ranked answer to a search.
-    SearchResults {
-        /// Matched records, best first, with server popularity.
-        results: Vec<(Metadata, Popularity)>,
-    },
 }
 
 impl WireMessage {
@@ -194,23 +168,8 @@ impl WireMessage {
             WireMessage::Metadata { .. } => FrameKind::Metadata,
             WireMessage::FileBroadcast { .. } => FrameKind::FileBroadcast,
             WireMessage::Piece(_) => FrameKind::Piece,
-            WireMessage::Search { .. } => FrameKind::Search,
-            WireMessage::SearchResults { .. } => FrameKind::SearchResults,
         }
     }
-}
-
-/// A decoded frame: routing header plus message.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Frame {
-    /// Originating node.
-    pub sender: NodeId,
-    /// Destination node.
-    pub receiver: NodeId,
-    /// Sender-assigned sequence number.
-    pub seq: u64,
-    /// The carried message.
-    pub message: WireMessage,
 }
 
 /// Why a buffer failed to decode as a frame. The decoder returns these for
@@ -288,15 +247,16 @@ pub(crate) fn encode_frame_into(
     out[32..40].copy_from_slice(&checksum.to_be_bytes());
 }
 
-/// Parses a complete frame from `bytes`.
+/// Parses a complete frame from `bytes` into the message it carries; the
+/// routing fields (sender, receiver, sequence) are written but not read.
 ///
 /// # Errors
 ///
 /// Returns a [`FrameError`] describing the first defect found; arbitrary
 /// input never panics.
-pub fn decode_frame(bytes: &[u8]) -> Result<Frame, FrameError> {
+pub fn decode_frame(bytes: &[u8]) -> Result<WireMessage, FrameError> {
     match walk_frame(bytes, Sink::Build) {
-        Ok(Some(frame)) => Ok(frame),
+        Ok(Some(message)) => Ok(message),
         Err(Stop::Bad(e)) => Err(e),
         Ok(None) | Err(Stop::Differs) => unreachable!("a walk that builds compares nothing"),
     }
@@ -312,14 +272,14 @@ pub(crate) fn check_frame(
 ) -> Result<Option<WireMessage>, FrameError> {
     match walk_frame(bytes, Sink::Expect(sent)) {
         Ok(_) => Ok(None),
-        Err(Stop::Differs) => decode_frame(bytes).map(|frame| Some(frame.message)),
+        Err(Stop::Differs) => decode_frame(bytes).map(Some),
         Err(Stop::Bad(e)) => Err(e),
     }
 }
 
 /// The one frame walk: every check on the header, length and checksum, then
 /// the payload's fields into `sink`, and nothing left over.
-fn walk_frame(bytes: &[u8], sink: Sink<'_>) -> Result<Option<Frame>, Stop> {
+fn walk_frame(bytes: &[u8], sink: Sink<'_>) -> Result<Option<WireMessage>, Stop> {
     let mut frame = Reader::new(bytes);
     frame.take(FRAME_HEADER_BYTES)?;
     if bytes[0..4] != FRAME_MAGIC {
@@ -333,9 +293,6 @@ fn walk_frame(bytes: &[u8], sink: Sink<'_>) -> Result<Option<Frame>, Stop> {
     if bytes[7] != 0 || bytes[40..FRAME_HEADER_BYTES].iter().any(|&b| b != 0) {
         return Err(FrameError::Malformed("non-zero flags or reserved bytes").into());
     }
-    let sender = NodeId::new(u32::from_be_bytes(bytes[8..12].try_into().unwrap()));
-    let receiver = NodeId::new(u32::from_be_bytes(bytes[12..16].try_into().unwrap()));
-    let seq = u64::from_be_bytes(bytes[16..24].try_into().unwrap());
     let payload_len = u64::from_be_bytes(bytes[24..32].try_into().unwrap());
     let checksum = u64::from_be_bytes(bytes[32..40].try_into().unwrap());
     let payload = frame.take(usize::try_from(payload_len).unwrap_or(usize::MAX))?;
@@ -350,12 +307,7 @@ fn walk_frame(bytes: &[u8], sink: Sink<'_>) -> Result<Option<Frame>, Stop> {
     if r.remaining() != 0 {
         return Err(FrameError::Malformed("unconsumed payload bytes").into());
     }
-    Ok(message.map(|message| Frame {
-        sender,
-        receiver,
-        seq,
-        message,
-    }))
+    Ok(message)
 }
 
 // --- Payload primitives. ---
@@ -674,13 +626,6 @@ fn encode_payload(message: &WireMessage, out: &mut Vec<u8>) {
             put_u32(out, piece.len() as u32);
             out.extend_from_slice(piece.data());
         }
-        WireMessage::Search { query, limit } => {
-            put_str(out, query.text());
-            put_u32(out, *limit);
-        }
-        WireMessage::SearchResults { results } => {
-            put_list(out, results.iter(), |out, (m, p)| put_meta_pop(out, m, *p));
-        }
     }
 }
 
@@ -765,20 +710,6 @@ fn decode_payload(
             let data = same(r.take(len)?, p.map(Piece::data))?;
             uri.map(|uri| WireMessage::Piece(Piece::new(PieceId::new(uri, index), data.to_vec())))
         }
-        FrameKind::Search => {
-            let s = pick!(sink, WireMessage::Search { query, limit } => (query, *limit));
-            let query = r.query(s.map(|s| s.0))?;
-            let limit = same(r.u32()?, s.map(|s| s.1))?;
-            query.map(|query| WireMessage::Search { query, limit })
-        }
-        FrameKind::SearchResults => {
-            let s = pick!(sink, WireMessage::SearchResults { results } => results);
-            let results = list(r.count(1)?, s.map(|s| s.iter()), |mp| {
-                read_meta_pop(r, mp.map(|(m, p)| (m, *p)))
-            })?;
-            s.is_none()
-                .then_some(WireMessage::SearchResults { results })
-        }
     })
 }
 
@@ -807,14 +738,13 @@ mod tests {
         m
     }
 
-    fn round_trip(msg: WireMessage) -> Frame {
+    fn round_trip(msg: WireMessage) {
         let bytes = encode_frame(n(3), n(9), 42, &msg);
-        let frame = decode_frame(&bytes).expect("valid frame must decode");
-        assert_eq!(frame.sender, n(3));
-        assert_eq!(frame.receiver, n(9));
-        assert_eq!(frame.seq, 42);
-        assert_eq!(frame.message, msg);
-        frame
+        // Sender, receiver and sequence sit at offsets 8..24 (layout table).
+        assert_eq!(bytes[8..12], 3u32.to_be_bytes());
+        assert_eq!(bytes[12..16], 9u32.to_be_bytes());
+        assert_eq!(bytes[16..24], 42u64.to_be_bytes());
+        assert_eq!(decode_frame(&bytes).expect("valid frame must decode"), msg);
     }
 
     #[test]
@@ -870,7 +800,7 @@ mod tests {
             },
             WireMessage::FileBroadcast {
                 uri: uri("mbt://fox/news"),
-                metadata: Some((meta.clone(), Popularity::new(0.5))),
+                metadata: Some((meta, Popularity::new(0.5))),
             },
             WireMessage::FileBroadcast {
                 uri: uri("mbt://bare"),
@@ -880,17 +810,10 @@ mod tests {
                 PieceId::new(uri("mbt://fox/news"), 2),
                 vec![1, 2, 3, 4],
             )),
-            WireMessage::Search {
-                query: Query::new("fox").unwrap(),
-                limit: 5,
-            },
-            WireMessage::SearchResults {
-                results: vec![(meta, Popularity::MAX)],
-            },
         ];
         // One message of every kind — keep this list exhaustive.
         let kinds: BTreeSet<u8> = messages.iter().map(|m| m.kind() as u8).collect();
-        assert_eq!(kinds.len(), 7, "every frame kind must be covered");
+        assert_eq!(kinds.len(), 5, "every frame kind must be covered");
         for msg in messages {
             round_trip(msg);
         }
@@ -908,8 +831,7 @@ mod tests {
                 popularity: Popularity::new(0.3),
             },
         );
-        let WireMessage::Metadata { metadata: back, .. } = decode_frame(&bytes).unwrap().message
-        else {
+        let WireMessage::Metadata { metadata: back, .. } = decode_frame(&bytes).unwrap() else {
             panic!("kind changed in flight");
         };
         assert_eq!(back, meta);
@@ -945,9 +867,10 @@ mod tests {
             n(0),
             n(1),
             7,
-            &WireMessage::Search {
+            &WireMessage::QueryShare {
+                owner: n(0),
                 query: Query::new("fox").unwrap(),
-                limit: 3,
+                expires: None,
             },
         );
         let last = bytes.len() - 1;
@@ -972,7 +895,7 @@ mod tests {
         let mut bad = good.clone();
         bad[5] = 99;
         assert_eq!(decode_frame(&bad).unwrap_err(), FrameError::BadVersion(99));
-        for kind in [4, 200] {
+        for kind in [4, 6, 7, 200] {
             let mut bad = good.clone();
             bad[6] = kind;
             assert_eq!(
@@ -1005,9 +928,10 @@ mod tests {
 
     #[test]
     fn encoding_into_a_used_buffer_replaces_it() {
-        let msg = WireMessage::Search {
+        let msg = WireMessage::QueryShare {
+            owner: n(3),
             query: Query::new("fox news").unwrap(),
-            limit: 4,
+            expires: None,
         };
         let mut buf = encode_frame(
             n(9),
@@ -1019,7 +943,7 @@ mod tests {
         assert_eq!(buf, encode_frame(n(3), n(4), 5, &msg));
     }
 
-    /// An arbitrary message, of the `seed % 7`th kind, every list, text, time and
+    /// An arbitrary message, of the `seed % 5`th kind, every list, text, time and
     /// number in it drawn from `seed`; a credit is NaN or −0 now and then.
     fn arbitrary_message(seed: u64) -> WireMessage {
         use rand::rngs::StdRng;
@@ -1070,7 +994,7 @@ mod tests {
             (0..rng.gen_range(0..=most)).map(|_| item(rng)).collect()
         }
         let rng = &mut StdRng::seed_from_u64(seed);
-        match seed % 7 {
+        match seed % 5 {
             0 => WireMessage::Hello(HelloFrame {
                 sender: n(rng.gen()),
                 own_queries: many(rng, 3, |rng| (query(rng), time(rng))).into(),
@@ -1107,17 +1031,10 @@ mod tests {
                 uri: uri(rng),
                 metadata: rng.gen_bool(0.5).then(|| meta_pop(rng)),
             },
-            4 => WireMessage::Piece(Piece::new(
+            _ => WireMessage::Piece(Piece::new(
                 PieceId::new(uri(rng), rng.gen()),
                 many(rng, 40, |rng| rng.gen()),
             )),
-            5 => WireMessage::Search {
-                query: query(rng),
-                limit: rng.gen(),
-            },
-            _ => WireMessage::SearchResults {
-                results: many(rng, 2, meta_pop),
-            },
         }
     }
 
@@ -1139,12 +1056,10 @@ mod tests {
         let encoded = |m: &WireMessage| encode_frame(n(0), n(0), 0, m);
         match (check_frame(bytes, sent), decode_frame(bytes)) {
             (Err(checked), Err(decoded)) => assert_eq!(checked, decoded),
-            (Ok(None), Ok(frame)) => {
-                assert_eq!(&frame.message, sent, "checked equal, decodes different")
+            (Ok(None), Ok(decoded)) => {
+                assert_eq!(&decoded, sent, "checked equal, decodes different")
             }
-            (Ok(Some(rebuilt)), Ok(frame)) => {
-                assert_eq!(encoded(&rebuilt), encoded(&frame.message))
-            }
+            (Ok(Some(rebuilt)), Ok(decoded)) => assert_eq!(encoded(&rebuilt), encoded(&decoded)),
             (checked, decoded) => panic!("check gave {checked:?}, decode {decoded:?}"),
         }
     }
@@ -1200,7 +1115,7 @@ mod tests {
                 data,
             ));
             let bytes = encode_frame(n(1), n(2), 0, &msg);
-            prop_assert_eq!(decode_frame(&bytes).unwrap().message, msg);
+            prop_assert_eq!(decode_frame(&bytes).unwrap(), msg);
         }
 
         #[test]
@@ -1234,7 +1149,7 @@ mod tests {
                     .collect(),
             });
             let bytes = encode_frame(n(0), n(1), 9, &msg);
-            prop_assert_eq!(decode_frame(&bytes).unwrap().message, msg);
+            prop_assert_eq!(decode_frame(&bytes).unwrap(), msg);
         }
 
         #[test]
@@ -1260,9 +1175,9 @@ mod tests {
             // Header mutations that only touch routing fields (sender,
             // receiver, seq) still decode — the payload is intact. Anything
             // else must error, not panic.
-            if let Ok(frame) = decode_frame(&bytes) {
+            if let Ok(decoded) = decode_frame(&bytes) {
                 prop_assert!((8..24).contains(&at), "a flip at byte {} decoded", at);
-                prop_assert_eq!(frame.message, msg);
+                prop_assert_eq!(decoded, msg);
             }
         }
     }
@@ -1281,7 +1196,7 @@ mod tests {
                 let rebuilt = checked.expect("a NaN credit checked equal");
                 prop_assert_eq!(encode_frame(n(1), n(2), seed, &rebuilt), bytes);
             } else {
-                prop_assert_eq!(&decode_frame(&bytes).unwrap().message, &sent);
+                prop_assert_eq!(&decode_frame(&bytes).unwrap(), &sent);
                 prop_assert_eq!(checked, None);
             }
         }

@@ -1,5 +1,6 @@
 //! The live runtime: a session of [`MbtNode`] contacts whose messages cross
-//! a [`BusTransport`] as frames, and a [`LiveBus`] for the gateway.
+//! a [`BusTransport`] as frames, and a [`LiveBus`] of open links and queued
+//! frames.
 //!
 //! [`LiveTransport`] is a [`BusTransport`] plus what a live session adds:
 //! it counts frames by kind, and follows a file broadcast with the file's
@@ -12,8 +13,7 @@
 //! check is dropped and counted.
 //!
 //! [`run_live_session`] is what the `mbt node` CLI mode and the soak test
-//! build on; the `mbt gateway` mode sends one search over a [`LiveBus`] and
-//! lets [`LiveGatewaySpec::serve_queued`] answer it.
+//! build on; a live session never builds a [`LiveBus`].
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -26,14 +26,10 @@ use crate::file::FileAssembler;
 use crate::metadata::Metadata;
 use crate::node::{run_contact_via, ContactScratch, MbtNode, NodeEvent, Source};
 use crate::piece::split_into_pieces;
-use crate::server::ServerSnapshot;
 use crate::uri::Uri;
 
 use super::frame::{decode_frame, encode_frame, WireMessage};
 use super::{BusTransport, Carried, Transport};
-
-/// How many search results a gateway returns per query.
-const GATEWAY_SEARCH_LIMIT: usize = 16;
 
 /// How long each scheduled contact of a live session lasts; contact `k`
 /// opens at `k` times this.
@@ -55,37 +51,14 @@ struct BusState {
     /// map's order is delivery order. A queue is removed once it empties.
     queues: BTreeMap<(NodeId, NodeId), VecDeque<Vec<u8>>>,
     seq: u64,
-    frames_by_kind: BTreeMap<&'static str, u64>,
-    frames_dropped: u64,
-    bytes_on_wire: u64,
 }
 
-impl BusState {
-    /// Pops the next decodable frame addressed to `me` — lowest sender
-    /// first, FIFO per sender — dropping and counting undecodable ones.
-    fn pop(&mut self, me: NodeId) -> Option<(NodeId, WireMessage)> {
-        let mine = (me, NodeId::new(0))..=(me, NodeId::new(u32::MAX));
-        while let Some((&(_, from), queue)) = self.queues.range_mut(mine.clone()).next() {
-            let bytes = queue.pop_front().expect("an empty queue is removed");
-            if queue.is_empty() {
-                self.queues.remove(&(me, from));
-            }
-            match decode_frame(&bytes) {
-                Ok(frame) => return Some((from, frame.message)),
-                Err(_) => self.frames_dropped += 1,
-            }
-        }
-        None
-    }
-}
-
-/// Counters a [`LiveBus`] or a [`LiveTransport`] has accumulated.
+/// Counters a [`LiveTransport`] has accumulated.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LiveStats {
     /// Frames sent, by frame kind name (`"hello"`, `"piece"`, ...).
     pub frames_by_kind: BTreeMap<&'static str, u64>,
-    /// Frames dropped: failing their check, or on a [`LiveBus`] also sent
-    /// on a closed link or in flight at link close.
+    /// Frames dropped for failing their check.
     pub frames_dropped: u64,
     /// Total encoded bytes sent (headers included).
     pub bytes_on_wire: u64,
@@ -94,10 +67,10 @@ pub struct LiveStats {
 /// A cloneable handle to a shared in-process frame bus.
 ///
 /// Every message sent through the bus is encoded into its wire frame and
-/// decoded by the receiver, so the gateway exercises exactly the codec the
+/// decoded by the receiver, so it exercises exactly the codec the
 /// simulator's byte accounting models. Links are opened and closed by the
 /// caller; sends on closed links and frames still queued at close are
-/// dropped and counted.
+/// dropped.
 #[derive(Debug, Clone, Default)]
 pub struct LiveBus {
     inner: Arc<Mutex<BusState>>,
@@ -121,33 +94,24 @@ impl LiveBus {
         self.lock().links.insert(link(a, b));
     }
 
-    /// Closes the link between `a` and `b`, dropping (and counting) any
-    /// frames still in flight in either direction.
+    /// Closes the link between `a` and `b`, dropping any frames still in
+    /// flight in either direction.
     pub fn close(&self, a: NodeId, b: NodeId) {
         let mut state = self.lock();
         state.links.remove(&link(a, b));
-        for key in [(a, b), (b, a)] {
-            if let Some(queue) = state.queues.remove(&key) {
-                state.frames_dropped += queue.len() as u64;
-            }
-        }
+        state.queues.remove(&(a, b));
+        state.queues.remove(&(b, a));
     }
 
-    /// Sends `message` from `from` to `to`. Returns `false` (and counts a
-    /// drop) if the link is closed.
+    /// Sends `message` from `from` to `to`. Returns `false` (and drops the
+    /// message) if the link is closed.
     pub fn send(&self, from: NodeId, to: NodeId, message: &WireMessage) -> bool {
         let mut state = self.lock();
         if !state.links.contains(&link(from, to)) {
-            state.frames_dropped += 1;
             return false;
         }
         let bytes = encode_frame(from, to, state.seq, message);
         state.seq += 1;
-        state.bytes_on_wire += bytes.len() as u64;
-        *state
-            .frames_by_kind
-            .entry(message.kind().name())
-            .or_insert(0) += 1;
         state.queues.entry((to, from)).or_default().push_back(bytes);
         true
     }
@@ -155,21 +119,22 @@ impl LiveBus {
     /// Receives the next frame queued for `me`, or `None` if there is none.
     ///
     /// Frames are drained lowest sender id first, FIFO per sender.
-    /// Undecodable frames are dropped, counted, and skipped. Every sender
-    /// runs on the caller's thread, so there is nothing to wait for:
-    /// `_timeout` is unused and kept only for the signature's callers.
+    /// Undecodable frames are dropped and skipped. Every sender runs on the
+    /// caller's thread, so there is nothing to wait for: `_timeout` is
+    /// unused and kept only for the signature's callers.
     pub fn recv(&self, me: NodeId, _timeout: Duration) -> Option<(NodeId, WireMessage)> {
-        self.lock().pop(me)
-    }
-
-    /// Snapshot of the bus counters.
-    pub fn stats(&self) -> LiveStats {
-        let state = self.lock();
-        LiveStats {
-            frames_by_kind: state.frames_by_kind.clone(),
-            frames_dropped: state.frames_dropped,
-            bytes_on_wire: state.bytes_on_wire,
+        let mut state = self.lock();
+        let mine = (me, NodeId::new(0))..=(me, NodeId::new(u32::MAX));
+        while let Some((&(_, from), queue)) = state.queues.range_mut(mine.clone()).next() {
+            let bytes = queue.pop_front().expect("an empty queue is removed");
+            if queue.is_empty() {
+                state.queues.remove(&(me, from));
+            }
+            if let Ok(message) = decode_frame(&bytes) {
+                return Some((from, message));
+            }
         }
+        None
     }
 }
 
@@ -265,37 +230,6 @@ impl Transport for LiveTransport {
             self.assembled.insert((receiver, uri.clone()), digest);
         }
         Carried::Delivered(delivered)
-    }
-}
-
-/// A gateway that answers searches from a server snapshot (`mbt gateway`).
-#[derive(Debug, Clone)]
-pub struct LiveGatewaySpec {
-    /// The gateway's identity on the bus.
-    pub id: NodeId,
-    /// The metadata catalogue it answers searches from.
-    pub snapshot: ServerSnapshot,
-}
-
-impl LiveGatewaySpec {
-    /// Answers every search queued for the gateway with its ranked results,
-    /// skips any other frame, then returns.
-    pub fn serve_queued(&self, bus: &LiveBus) {
-        while let Some((from, message)) = bus.recv(self.id, Duration::ZERO) {
-            let WireMessage::Search { query, limit } = message else {
-                continue;
-            };
-            let results = self
-                .snapshot
-                .search(&query, (limit as usize).clamp(1, GATEWAY_SEARCH_LIMIT))
-                .into_iter()
-                .map(|meta| {
-                    let pop = self.snapshot.popularity_of(meta.uri());
-                    (meta, pop)
-                })
-                .collect();
-            bus.send(self.id, from, &WireMessage::SearchResults { results });
-        }
     }
 }
 
@@ -398,12 +332,13 @@ mod tests {
     }
 
     #[test]
-    fn send_recv_and_close_drop_accounting() {
+    fn send_recv_and_close_drop_what_is_in_flight() {
         let bus = LiveBus::new();
         bus.open(n(0), n(1));
-        let msg = WireMessage::Search {
+        let msg = WireMessage::QueryShare {
+            owner: n(0),
             query: Query::new("news").unwrap(),
-            limit: 1,
+            expires: None,
         };
         assert!(bus.send(n(0), n(1), &msg));
         assert_eq!(bus.recv(n(1), Duration::ZERO), Some((n(0), msg.clone())));
@@ -411,9 +346,6 @@ mod tests {
         assert!(bus.send(n(0), n(1), &msg));
         bus.close(n(0), n(1));
         assert!(!bus.send(n(0), n(1), &msg), "closed link refuses sends");
-        let stats = bus.stats();
-        assert_eq!(stats.frames_dropped, 2);
-        assert_eq!(stats.frames_by_kind["search"], 2);
         assert_eq!(bus.recv(n(1), Duration::ZERO), None);
     }
 

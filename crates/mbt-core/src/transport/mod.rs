@@ -40,8 +40,8 @@ mod sim;
 
 pub use bus::BusTransport;
 pub use frame::{
-    decode_frame, encode_frame, Frame, FrameError, FrameKind, HelloFrame, WireMessage,
-    FRAME_HEADER_BYTES, FRAME_MAGIC, FRAME_VERSION,
+    decode_frame, encode_frame, FrameError, FrameKind, HelloFrame, WireMessage, FRAME_HEADER_BYTES,
+    FRAME_MAGIC, FRAME_VERSION,
 };
 pub use live::LiveTransport;
 pub use sim::SimTransport;

@@ -33,9 +33,10 @@ mod tests {
     #[test]
     fn sim_transport_is_identity() {
         let mut t = SimTransport::new();
-        let msg = WireMessage::Search {
+        let msg = WireMessage::QueryShare {
+            owner: NodeId::new(0),
             query: Query::new("fox news").unwrap(),
-            limit: 3,
+            expires: None,
         };
         assert_eq!(
             t.carry(NodeId::new(0), NodeId::new(1), msg.clone()),

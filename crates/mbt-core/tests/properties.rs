@@ -563,9 +563,7 @@ mod signatures {
     /// The message as the peer decodes it.
     fn over_the_wire(message: &WireMessage) -> WireMessage {
         let frame = encode_frame(NodeId::new(1), NodeId::new(2), 7, message);
-        decode_frame(&frame)
-            .expect("an encoded frame decodes")
-            .message
+        decode_frame(&frame).expect("an encoded frame decodes")
     }
 
     proptest! {
