@@ -20,10 +20,14 @@
 # need it as an observer no other public path gives, listed in ALLOWED
 # below (an associated function as `Type::name`).
 #
-# Every `pub`/`pub(crate)` field of a struct is likewise read by that code
-# as `.name`, or deleted. A field is matched by name alone, so one whose
-# name another type's field or method shares counts as read wherever the
-# other is: the hole the field check leaves open.
+# Every `pub`/`pub(crate)` field of a struct is likewise read by that code,
+# or deleted: as `.name` — not `.name(` or `.name::<`, which call a method
+# of that name — or through a struct pattern that binds it
+# (`let Type { .., name, .. } =`, on one line or several). A field is
+# matched by name alone, so one whose name another type's field shares
+# counts as read wherever the other is, and a struct pattern anywhere but
+# a `let` (`if let`, `match`, a parameter) reads nothing: the holes the
+# field check leaves open.
 #
 # Prints each unreached function or field with its file; exits 1 if any is
 # not allowed.
@@ -38,15 +42,17 @@ credits dir matching'
 corpus=$(mktemp)
 defs=$(mktemp)
 fields=$(mktemp)
-trap 'rm -f "$corpus" "$defs" "$fields"' EXIT
+bound=$(mktemp)
+trap 'rm -f "$corpus" "$defs" "$fields" "$bound"' EXIT
 # One line per code line: `file<TAB>line`, test modules and comment lines
 # dropped, each string literal (on one line or several) an `S`. Beside it,
 # one line per `pub`/`pub(crate) fn`: `file<TAB>name<TAB>Type`, the type
 # empty unless the function is associated (in an `impl Type` block, no
-# `self` receiver); and one per `pub`/`pub(crate)` field: `file<TAB>name`.
+# `self` receiver); one per `pub`/`pub(crate)` field: `file<TAB>name`; and
+# one per field a `let` struct pattern binds, in the same form.
 find crates/*/src examples -name '*.rs' -not -path '*/target/*' | sort |
     while read -r f; do
-        awk -v f="$f" -v defs="$defs" -v fields="$fields" '/^#\[cfg\(test\)\]/ { exit }
+        awk -v f="$f" -v defs="$defs" -v fields="$fields" -v bound="$bound" '/^#\[cfg\(test\)\]/ { exit }
             /^[[:space:]]*\/\// { next }
             {
                 line = $0
@@ -95,6 +101,26 @@ find crates/*/src examples -name '*.rs' -not -path '*/target/*' | sort |
                     sub(/[[:space:]]*:.*/, "", field)
                     print f "\t" field >> fields
                 }
+                # A struct pattern `let Type { a, b: c, .. } = …`, on one
+                # line or several, reads each field it names.
+                if (!binding && code ~ /(^|[^A-Za-z0-9_])let[[:space:]]+[A-Z][A-Za-z0-9_:]*[[:space:]]*\{/) {
+                    binding = 1; pattern = ""
+                }
+                if (binding) {
+                    pattern = pattern " " code
+                    if (match(pattern, /\}[[:space:]]*=([^=]|$)/)) {
+                        binding = 0
+                        pattern = substr(pattern, 1, RSTART - 1)
+                        sub(/^[^{]*\{/, "", pattern)
+                        n = split(pattern, parts, ",")
+                        for (k = 1; k <= n; k++) {
+                            part = parts[k]
+                            sub(/^[[:space:]]*((ref|mut)[[:space:]]+)*/, "", part)
+                            if (match(part, /^[a-z_][a-z0-9_]*/))
+                                print f "\t" substr(part, RSTART, RLENGTH) >> bound
+                        }
+                    }
+                }
                 if (collecting) {
                     sig = sig " " code
                     if (code ~ /[{;]/) {
@@ -139,9 +165,10 @@ report=$(awk -F'\t' '$3 != "" { print $3 "\t" $2 "\t" $1 }' "$defs" | sort -u |
     done)
 [ -z "$report" ] || echo "$report"
 case "$report" in *unreached:*) status=1 ;; esac
-# Fields: read as `.name`.
+# Fields: read as `.name` or bound by a `let` struct pattern.
 for name in $(cut -f2 "$fields" | sort -u); do
-    grep -qE "\.$name\b" "$corpus" && continue
+    sed -E "s/\.$name[[:space:]]*(\(|::<)//g" "$corpus" | grep -qE "\.$name\b" && continue
+    cut -f2 "$bound" | grep -qx "$name" && continue
     where=$(awk -F'\t' -v n="$name" '$2 == n { print $1 }' "$fields" | sort -u | xargs)
     echo "unreached field: $name ($where)"
     status=1

@@ -48,7 +48,7 @@
 //! ];
 //! nodes[0].set_internet_access(true);
 //! nodes[0].add_query(Query::new("evening news")?, None);
-//! nodes[0].internet_session(&mut server, SimTime::ZERO);
+//! nodes[0].internet_session(&server, SimTime::ZERO);
 //!
 //! // Node 1 wants the same file but can only get it from node 0, later.
 //! nodes[1].add_query(Query::new("evening news")?, None);

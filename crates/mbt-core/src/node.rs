@@ -86,7 +86,7 @@ pub enum NodeEvent {
 /// let mut node = MbtNode::new(NodeId::new(0), ProtocolSpec::MBT, MbtConfig::new());
 /// node.set_internet_access(true);
 /// node.add_query(Query::new("fox news")?, None);
-/// node.internet_session(&mut server, SimTime::ZERO);
+/// node.internet_session(&server, SimTime::ZERO);
 /// assert!(node.has_metadata(&uri));
 /// assert!(node.has_file(&uri));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -468,31 +468,19 @@ impl MbtNode {
     ///
     /// Does nothing unless the node has Internet access
     /// ([`set_internet_access`](Self::set_internet_access)).
-    pub fn internet_session(&mut self, server: &mut MetadataServer, now: SimTime) {
+    pub fn internet_session(&mut self, server: &MetadataServer, now: SimTime) {
         if !self.internet_access {
             return;
         }
         self.prune(now);
 
-        // Own queries: fetch matching metadata, then download the files.
+        // Own queries: fetch matching metadata, then the user selects the
+        // best match and downloads its file.
         let own: Vec<Query> = self.own_queries();
         for query in &own {
-            let matches: Vec<(Metadata, Popularity)> = server
-                .search(query, INTERNET_SEARCH_LIMIT)
-                .into_iter()
-                .filter(|m| !m.is_expired(now))
-                .map(|m| (m.clone(), server.popularity_of(m.uri())))
-                .collect();
-            for (meta, pop) in &matches {
-                self.store_record(meta, *pop, Source::Internet, false);
-            }
-            // The user selects the best match and downloads it; the request
-            // feeds the server's popularity estimator.
-            if let Some((best, _)) = matches.first() {
+            if let Some(best) = self.fetch_matches(server, query, now) {
                 let uri = best.uri().clone();
-                server.record_request(&uri, self.id, now);
-                let expires = best.expires();
-                if self.try_store_file(uri.clone(), expires) {
+                if self.try_store_file(uri.clone(), best.expires()) {
                     self.events.push(NodeEvent::FileCompleted {
                         uri,
                         from: Source::Internet,
@@ -510,27 +498,15 @@ impl MbtNode {
                 .map(|(_, e)| e.query().clone())
                 .collect();
             for query in &foreign {
-                let matches: Vec<(Metadata, Popularity)> = server
-                    .search(query, INTERNET_SEARCH_LIMIT)
-                    .into_iter()
-                    .filter(|m| !m.is_expired(now))
-                    .map(|m| (m.clone(), server.popularity_of(m.uri())))
-                    .collect();
-                for (meta, pop) in &matches {
-                    self.store_record(meta, *pop, Source::Internet, false);
-                }
+                self.fetch_matches(server, query, now);
             }
         }
 
         // Push phase: pull the most popular metadata for later distribution.
         if self.protocol.distributes_metadata() {
-            let popular: Vec<(Metadata, Popularity)> = server
-                .most_popular(INTERNET_PUSH_METADATA, now)
-                .into_iter()
-                .map(|m| (m.clone(), server.popularity_of(m.uri())))
-                .collect();
-            for (meta, pop) in &popular {
-                self.store_record(meta, *pop, Source::Internet, false);
+            for meta in server.most_popular(INTERNET_PUSH_METADATA, now) {
+                let popularity = server.popularity_of(meta.uri());
+                self.store_record(meta, popularity, Source::Internet, false);
             }
         }
 
@@ -544,6 +520,25 @@ impl MbtNode {
             let p = server.popularity_of(&uri);
             self.note_popularity_until(&uri, p, expires);
         }
+    }
+
+    /// Stores the server's unexpired best matches for `query`, each beside
+    /// its assigned popularity, in rank order; returns the best of them.
+    fn fetch_matches<'s>(
+        &mut self,
+        server: &'s MetadataServer,
+        query: &Query,
+        now: SimTime,
+    ) -> Option<&'s Metadata> {
+        let mut best = None;
+        for meta in server.search(query, INTERNET_SEARCH_LIMIT) {
+            if !meta.is_expired(now) {
+                let popularity = server.popularity_of(meta.uri());
+                self.store_record(meta, popularity, Source::Internet, false);
+                best.get_or_insert(meta);
+            }
+        }
+        best
     }
 }
 
@@ -1243,20 +1238,20 @@ mod tests {
 
     #[test]
     fn internet_session_requires_access() {
-        let mut server = server_with(&[("fox news", "mbt://a", 0.5)]);
+        let server = server_with(&[("fox news", "mbt://a", 0.5)]);
         let mut n = node(0, ProtocolSpec::MBT);
         n.add_query(Query::new("fox news").unwrap(), None);
-        n.internet_session(&mut server, SimTime::ZERO);
+        n.internet_session(&server, SimTime::ZERO);
         assert!(!n.has_metadata(&uri("mbt://a")), "no access, no download");
     }
 
     #[test]
     fn internet_session_downloads_queried_files() {
-        let mut server = server_with(&[("fox news", "mbt://a", 0.5), ("abc show", "mbt://b", 0.9)]);
+        let server = server_with(&[("fox news", "mbt://a", 0.5), ("abc show", "mbt://b", 0.9)]);
         let mut n = node(0, ProtocolSpec::MBT);
         n.set_internet_access(true);
         n.add_query(Query::new("fox news").unwrap(), None);
-        n.internet_session(&mut server, SimTime::ZERO);
+        n.internet_session(&server, SimTime::ZERO);
         assert!(n.has_metadata(&uri("mbt://a")));
         assert!(n.has_file(&uri("mbt://a")));
         assert!(
@@ -1270,15 +1265,20 @@ mod tests {
             e,
             NodeEvent::FileCompleted { uri: u, from: Source::Internet } if u == &uri("mbt://a")
         )));
+        // A session only reads the server: the download feeds no request log.
+        assert_eq!(
+            server.estimated_popularity(&uri("mbt://a"), SimTime::ZERO),
+            Popularity::MIN
+        );
     }
 
     #[test]
     fn mbtqm_internet_session_skips_push_metadata() {
-        let mut server = server_with(&[("fox news", "mbt://a", 0.5), ("abc show", "mbt://b", 0.9)]);
+        let server = server_with(&[("fox news", "mbt://a", 0.5), ("abc show", "mbt://b", 0.9)]);
         let mut n = node(0, ProtocolSpec::MBT_QM);
         n.set_internet_access(true);
         n.add_query(Query::new("fox news").unwrap(), None);
-        n.internet_session(&mut server, SimTime::ZERO);
+        n.internet_session(&server, SimTime::ZERO);
         assert!(n.has_file(&uri("mbt://a")));
         assert!(
             !n.has_metadata(&uri("mbt://b")),
@@ -1300,7 +1300,7 @@ mod tests {
             n.set_internet_access(true);
             n.queries
                 .add_foreign(NodeId::new(9), Query::new("abc comedy").unwrap(), None);
-            n.internet_session(&mut server, SimTime::ZERO);
+            n.internet_session(&server, SimTime::ZERO);
             assert_eq!(n.has_metadata(&uri("mbt://c")), expect, "{protocol}");
             assert!(!n.has_file(&uri("mbt://c")), "no file download for others");
         }

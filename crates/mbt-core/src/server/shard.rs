@@ -26,26 +26,14 @@
 //! token's postings and resolves survivors by slab index, a refresh or
 //! expiry pass scans a column, and no per-record operation is linear in the
 //! length of a posting list.
-//!
-//! The query core (`ranked_matches`, `top_popular`) operates on slices of
-//! `Arc`-held shards so the mutable [`ShardedMetadataServer`] and its
-//! immutable [`ServerSnapshot`] share one implementation — and one proof of
-//! equivalence with the linear reference scan
-//! (`tests/server_equivalence.rs`).
-//!
-//! [`ShardedMetadataServer`]: super::ShardedMetadataServer
-//! [`ServerSnapshot`]: super::ServerSnapshot
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
 
 use dtn_trace::hash::stable_hash;
 use dtn_trace::SimTime;
 
-use crate::keyword::intersect_rarest_first;
 use crate::metadata::Metadata;
-use crate::popularity::{cmp_popularity, Popularity};
-use crate::query::Query;
+use crate::popularity::Popularity;
 use crate::uri::Uri;
 
 /// Maps a hash onto one of `shards` equal arcs of the `u64` ring.
@@ -81,11 +69,11 @@ impl RecordId {
         RecordId(u64::from(shard) << 32 | u64::from(slot))
     }
 
-    fn shard(self) -> usize {
+    pub fn shard(self) -> usize {
         (self.0 >> 32) as usize
     }
 
-    fn slot(self) -> u32 {
+    pub fn slot(self) -> u32 {
         self.0 as u32 // the low half
     }
 }
@@ -109,11 +97,6 @@ pub(crate) struct UriShard {
 }
 
 impl UriShard {
-    /// Number of records in the shard.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
     /// The slot holding `uri`'s record.
     pub fn slot_of(&self, uri: &Uri) -> Option<u32> {
         self.slots.get(uri).copied()
@@ -124,6 +107,11 @@ impl UriShard {
         self.metadata[slot as usize]
             .as_ref()
             .expect("the slot holds a record")
+    }
+
+    /// The popularity and record in `slot`, which must be occupied.
+    pub fn entry(&self, slot: u32) -> (Popularity, &Metadata) {
+        (self.popularity[slot as usize], self.metadata(slot))
     }
 
     /// `uri`'s record, if published.
@@ -201,12 +189,12 @@ impl UriShard {
     }
 
     /// Every record in slot order (not URI order).
-    fn records(&self) -> impl Iterator<Item = &Metadata> {
+    pub fn records(&self) -> impl Iterator<Item = &Metadata> {
         self.metadata.iter().flatten()
     }
 
     /// Every record unexpired at `now` beside its popularity, in slot order.
-    fn unexpired(&self, now: SimTime) -> impl Iterator<Item = (Popularity, &Metadata)> {
+    pub fn unexpired(&self, now: SimTime) -> impl Iterator<Item = (Popularity, &Metadata)> {
         self.metadata
             .iter()
             .enumerate()
@@ -261,74 +249,6 @@ impl TokenShard {
             }
         }
     }
-}
-
-/// The best `limit` of `candidates` in rank order: popularity descending,
-/// then URI ascending. URIs are unique, so the order is total and neither
-/// the candidates' incoming order nor the unstable selection can reach the
-/// result. Selects before sorting: only the head that is returned is sorted.
-fn top_k(mut candidates: Vec<(Popularity, &Metadata)>, limit: usize) -> Vec<&Metadata> {
-    let by_rank = |a: &(Popularity, &Metadata), b: &(Popularity, &Metadata)| {
-        cmp_popularity(b.0, a.0).then_with(|| a.1.uri().cmp(b.1.uri()))
-    };
-    if limit < candidates.len() {
-        candidates.select_nth_unstable_by(limit, by_rank);
-        candidates.truncate(limit);
-    }
-    candidates.sort_unstable_by(by_rank);
-    candidates.into_iter().map(|(_, m)| m).collect()
-}
-
-/// Best-matched metadata for `query` across all shards, at most `limit`.
-///
-/// Fetches each query token's posting list from its (single) owning token
-/// shard, intersects them rarest-first — a token no record carries ends the
-/// search before anything is allocated — resolves each survivor by direct
-/// slab index, and keeps the top `limit`. Query tokens are deduplicated and
-/// every survivor carries all of them, so the reference scan's leading
-/// "match count" key is the same for all and the rank order is popularity
-/// descending, then URI ascending.
-pub(crate) fn ranked_matches<'a>(
-    uri_shards: &'a [Arc<UriShard>],
-    token_shards: &'a [Arc<TokenShard>],
-    query: &Query,
-    limit: usize,
-) -> Vec<&'a Metadata> {
-    let lists = query
-        .tokens()
-        .iter()
-        .map(|token| token_shards[shard_of_token(token, token_shards.len())].postings(token));
-    let survivors = intersect_rarest_first(lists)
-        .map(|id| {
-            let shard = &uri_shards[id.shard()];
-            let record = shard.metadata(id.slot());
-            debug_assert!(record.matches_query(query), "postings and token sets agree");
-            (shard.popularity[id.slot() as usize], record)
-        })
-        .collect();
-    top_k(survivors, limit)
-}
-
-/// The `limit` most popular unexpired records at `now`, popularity
-/// descending then URI ascending.
-pub(crate) fn top_popular(
-    uri_shards: &[Arc<UriShard>],
-    limit: usize,
-    now: SimTime,
-) -> Vec<&Metadata> {
-    let unexpired = uri_shards
-        .iter()
-        .flat_map(|shard| shard.unexpired(now))
-        .collect();
-    top_k(unexpired, limit)
-}
-
-/// All records across shards in global URI order (the public iteration
-/// contract inherited from the reference registry).
-pub(crate) fn iter_uri_order(uri_shards: &[Arc<UriShard>]) -> impl Iterator<Item = &Metadata> {
-    let mut all: Vec<&Metadata> = uri_shards.iter().flat_map(|s| s.records()).collect();
-    all.sort_unstable_by(|a, b| a.uri().cmp(b.uri()));
-    all.into_iter()
 }
 
 #[cfg(test)]
@@ -399,7 +319,7 @@ mod tests {
         let expired: Vec<u32> = shard.expired_slots(SimTime::from_secs(20)).collect();
         assert_eq!(expired, vec![a]);
         assert_eq!(shard.remove(a).uri().as_str(), "mbt://a");
-        assert_eq!(shard.len(), 1);
+        assert_eq!(shard.slots.len(), 1);
         assert!(shard.metadata_of(&Uri::new("mbt://a").unwrap()).is_none());
         // The freed slot goes to the next new URI; its expiry went with it.
         let (c, replaced) = shard.insert(meta("mbt://c", None), Popularity::MAX);

@@ -354,7 +354,7 @@ mod wanted_set {
     /// One step of the walk: `(kind, a, b, flag)` decoded against the clock.
     fn step(
         nodes: &mut [MbtNode],
-        server: &mut MetadataServer,
+        server: &MetadataServer,
         now: &mut u64,
         (kind, a, b, flag): (u8, usize, usize, bool),
     ) {
@@ -451,7 +451,7 @@ mod wanted_set {
                 }
                 let mut now = 0u64;
                 for (at, &op) in steps.iter().enumerate() {
-                    step(&mut nodes, &mut server, &mut now, op);
+                    step(&mut nodes, &server, &mut now, op);
                     for n in &nodes {
                         prop_assert_eq!(
                             n.wanted_uris(),

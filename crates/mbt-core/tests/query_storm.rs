@@ -1,10 +1,11 @@
 //! The concurrency contract of the sharded metadata server: a rayon query
-//! storm — worker threads hammering [`ServerSnapshot`]s with mixed searches
-//! while a writer thread concurrently publishes, re-popularizes, refreshes,
-//! and expires on the live server — produces a **deterministic,
-//! jobs-invariant digest**, and every answer matches a serially-advanced
-//! [`ReferenceServer`] at the snapshot's instant (i.e. no reader ever
-//! observes a torn in-between state).
+//! storm — worker threads hammering a snapshot (a clone of the server,
+//! sharing every shard) with mixed searches while a writer thread
+//! concurrently publishes, re-popularizes, refreshes, and expires on the
+//! live server — produces a **deterministic, jobs-invariant digest**, and
+//! every answer matches a serially-advanced [`ReferenceServer`] at the
+//! snapshot's instant (i.e. no reader ever observes a torn in-between
+//! state).
 //!
 //! The storm is round-structured: round `r` freezes a snapshot, then the
 //! writer applies batch `r` *while* the readers drain the round's queries
@@ -17,8 +18,7 @@ use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 
 use dtn_trace::{NodeId, SimDuration, SimTime};
-use mbt_core::server::ShardedMetadataServer;
-use mbt_core::{Metadata, Popularity, Query, Uri};
+use mbt_core::{Metadata, MetadataServer, Popularity, Query, Uri};
 
 // The storm drives only the oracle's mutating surface and `search`.
 #[allow(dead_code)]
@@ -120,21 +120,21 @@ trait Ops {
     fn expire(&mut self, now: SimTime);
 }
 
-impl Ops for ShardedMetadataServer {
+impl Ops for MetadataServer {
     fn publish(&mut self, m: Metadata, p: Popularity) {
-        ShardedMetadataServer::publish(self, m, p);
+        MetadataServer::publish(self, m, p);
     }
     fn set_popularity(&mut self, uri: &Uri, p: Popularity) {
-        ShardedMetadataServer::set_popularity(self, uri, p);
+        MetadataServer::set_popularity(self, uri, p);
     }
     fn record_request(&mut self, uri: &Uri, node: NodeId, now: SimTime) {
-        ShardedMetadataServer::record_request(self, uri, node, now);
+        MetadataServer::record_request(self, uri, node, now);
     }
     fn refresh(&mut self, now: SimTime) {
         self.refresh_popularities(now);
     }
     fn expire(&mut self, now: SimTime) {
-        ShardedMetadataServer::expire(self, now);
+        MetadataServer::expire(self, now);
     }
 }
 
@@ -156,8 +156,8 @@ impl Ops for ReferenceServer {
     }
 }
 
-fn seeded_server(shards: usize) -> ShardedMetadataServer {
-    let mut s = ShardedMetadataServer::with_shards(9, shards);
+fn seeded_server(shards: usize) -> MetadataServer {
+    let mut s = MetadataServer::with_shards(9, shards);
     for idx in 0..SEED_RECORDS {
         let (m, p) = record(idx);
         s.publish(m, p);

@@ -15,6 +15,9 @@
 //! The same allocator holds `search` to the work it returns: every record
 //! here carries `file`, `news` and `fox`, so a query naming one of them and
 //! one rare token must not touch — let alone copy — a 10⁵-entry list.
+//!
+//! And it holds `snapshot` to a clone that shares every shard and the
+//! request log: its allocation count does not grow with either.
 
 use dtn_trace::{NodeId, SimDuration, SimTime};
 use mbt_core::{Metadata, MetadataServer, Popularity, Query, Uri};
@@ -126,4 +129,32 @@ fn search_allocates_for_what_it_returns_not_for_the_lists_it_names() {
             "a search for an absent token allocated with {shards} shards"
         );
     }
+}
+
+#[test]
+fn a_snapshot_copies_no_record_and_no_request() {
+    let server_of = |records: usize, requests: usize| {
+        let mut server = MetadataServer::with_shards(20, 8);
+        for i in 0..records {
+            let uri = Uri::new(format!("mbt://snap/file-{i}")).unwrap();
+            let meta = Metadata::builder(format!("file {i} news"), "FOX", uri).build();
+            server.publish(meta, Popularity::new((i % 100) as f64 / 100.0));
+        }
+        let t = SimTime::from_secs(1_000);
+        for i in 0..requests {
+            let uri = Uri::new(format!("mbt://snap/file-{}", i % records)).unwrap();
+            server.record_request(&uri, NodeId::new(i as u32), t);
+        }
+        server
+    };
+    let small = server_of(10, 0);
+    let large = server_of(10_000, 10_000);
+    let (_, small_allocs, _) = allocation_of(|| small.snapshot());
+    let (_, large_allocs, snapshot) = allocation_of(|| large.snapshot());
+    assert_eq!(
+        large_allocs, small_allocs,
+        "a snapshot of 10⁴ records and requests allocated more than one of 10 records; \
+         a shard or the request log is being copied"
+    );
+    assert_eq!(snapshot.len(), 10_000);
 }

@@ -1,6 +1,6 @@
 //! The tentpole contract of the sharded metadata server: for **any**
 //! sequence of publish / search / set_popularity / record_request /
-//! refresh / expire operations, a [`ShardedMetadataServer`] with any shard
+//! refresh / expire operations, a [`MetadataServer`] with any shard
 //! count answers **byte-identically** to the [`ReferenceServer`] — the
 //! original single-registry implementation kept verbatim as the oracle.
 //!
@@ -10,8 +10,7 @@
 use proptest::prelude::*;
 
 use dtn_trace::{NodeId, SimDuration, SimTime};
-use mbt_core::server::ShardedMetadataServer;
-use mbt_core::{Metadata, Popularity, Query, Uri};
+use mbt_core::{Metadata, MetadataServer, Popularity, Query, Uri};
 
 #[path = "support/reference_server.rs"]
 mod reference_server;
@@ -246,9 +245,9 @@ fn record_to_publish<'a>(
 /// single-shard server, in a slot an expired record had freed.
 fn replay_against_reference(ops: &[Op], uris: usize) -> usize {
     let mut reference = ReferenceServer::new(10);
-    let mut sharded: Vec<ShardedMetadataServer> = SHARD_COUNTS
+    let mut sharded: Vec<MetadataServer> = SHARD_COUNTS
         .iter()
-        .map(|&n| ShardedMetadataServer::with_shards(10, n))
+        .map(|&n| MetadataServer::with_shards(10, n))
         .collect();
     let (mut most_records, mut reused_slots) = (0, 0);
 
@@ -273,18 +272,16 @@ fn replay_against_reference(ops: &[Op], uris: usize) -> usize {
                 let q = query_of(tok_a, tok_b, tok_c);
                 let expected = render(&reference.search(&q, limit));
                 let expected_best = render(&reference.search(&q, 1));
-                for s in &sharded {
+                for (s, shards) in sharded.iter().zip(SHARD_COUNTS) {
                     prop_assert_eq!(
                         &render(&s.search(&q, limit)),
                         &expected,
-                        "search diverged at {} shards",
-                        s.shard_count()
+                        "search diverged at {shards} shards"
                     );
                     prop_assert_eq!(
                         &render(&s.search(&q, 1)),
                         &expected_best,
-                        "best match diverged at {} shards",
-                        s.shard_count()
+                        "best match diverged at {shards} shards"
                     );
                 }
             }
@@ -318,24 +315,22 @@ fn replay_against_reference(ops: &[Op], uris: usize) -> usize {
             Op::Expire { at_hours } => {
                 let now = at(at_hours);
                 let expected = reference.expire(now);
-                for s in &mut sharded {
+                for (s, shards) in sharded.iter_mut().zip(SHARD_COUNTS) {
                     prop_assert_eq!(
                         s.expire(now),
                         expected,
-                        "expire count diverged at {} shards",
-                        s.shard_count()
+                        "expire count diverged at {shards} shards"
                     );
                 }
             }
             Op::MostPopular { limit, at_hours } => {
                 let now = at(at_hours);
                 let expected = render(&reference.most_popular(limit, now));
-                for s in &sharded {
+                for (s, shards) in sharded.iter().zip(SHARD_COUNTS) {
                     prop_assert_eq!(
                         &render(&s.most_popular(limit, now)),
                         &expected,
-                        "most_popular diverged at {} shards",
-                        s.shard_count()
+                        "most_popular diverged at {shards} shards"
                     );
                 }
             }
@@ -367,14 +362,9 @@ fn replay_against_reference(ops: &[Op], uris: usize) -> usize {
         }
     }
     let expected_iter: Vec<String> = render(&reference.iter().collect::<Vec<_>>());
-    for s in &sharded {
+    for (s, shards) in sharded.iter().zip(SHARD_COUNTS) {
         let got: Vec<String> = render(&s.iter().collect::<Vec<_>>());
-        prop_assert_eq!(
-            &got,
-            &expected_iter,
-            "iter diverged at {} shards",
-            s.shard_count()
-        );
+        prop_assert_eq!(&got, &expected_iter, "iter diverged at {shards} shards");
     }
     reused_slots
 }
@@ -396,7 +386,7 @@ proptest! {
     ) {
         // A snapshot taken after a mutation burst answers the read API
         // exactly like the live server it was taken from.
-        let mut server = ShardedMetadataServer::with_shards(10, SHARD_COUNTS[shards_idx]);
+        let mut server = MetadataServer::with_shards(10, SHARD_COUNTS[shards_idx]);
         for op in &ops {
             let publish = record_to_publish(op, |target| server.metadata_of(target));
             if let Some((meta, p)) = publish {
@@ -419,20 +409,10 @@ proptest! {
         for tok in TOKENS {
             let q = Query::new(tok).unwrap();
             let live: Vec<String> = render(&server.search(&q, 5));
-            let frozen: Vec<String> = snap
-                .search(&q, 5)
-                .iter()
-                .map(|m| format!("{}|{}|{}", m.uri().as_str(), m.name(), m.publisher()))
-                .collect();
-            prop_assert_eq!(&frozen, &live);
+            prop_assert_eq!(&render(&snap.search(&q, 5)), &live);
         }
         let live_top: Vec<String> = render(&server.most_popular(5, now));
-        let frozen_top: Vec<String> = snap
-            .most_popular(5, now)
-            .iter()
-            .map(|m| format!("{}|{}|{}", m.uri().as_str(), m.name(), m.publisher()))
-            .collect();
-        prop_assert_eq!(&frozen_top, &live_top);
+        prop_assert_eq!(&render(&snap.most_popular(5, now)), &live_top);
         for u in 0..14 {
             let target = uri(u);
             prop_assert_eq!(snap.popularity_of(&target), server.popularity_of(&target));
@@ -493,7 +473,7 @@ fn record_b() -> Metadata {
 #[test]
 fn a_record_published_into_an_expired_records_slot_leaves_no_ghost() {
     for shards in [1, 7] {
-        let mut server = ShardedMetadataServer::with_shards(10, shards);
+        let mut server = MetadataServer::with_shards(10, shards);
         server.publish(record_a(), Popularity::MAX);
         assert_eq!(server.expire(at(24)), 1);
         server.publish(record_b(), Popularity::new(0.5));
@@ -521,7 +501,7 @@ fn a_record_published_into_an_expired_records_slot_leaves_no_ghost() {
 #[test]
 fn a_snapshot_from_before_the_expiry_still_answers_the_old_record() {
     for shards in [1, 7] {
-        let mut server = ShardedMetadataServer::with_shards(10, shards);
+        let mut server = MetadataServer::with_shards(10, shards);
         server.publish(record_a(), Popularity::MAX);
         let before = server.snapshot();
         assert_eq!(server.expire(at(24)), 1);

@@ -6,8 +6,8 @@
 //! full-keyspace popularity refresh. It is deliberately simple and obviously
 //! correct; the property suite (`tests/server_equivalence.rs`) replays
 //! arbitrary operation sequences against it and the sharded
-//! [`ShardedMetadataServer`](mbt_core::server::ShardedMetadataServer) and
-//! requires byte-identical answers for every shard count.
+//! [`MetadataServer`](mbt_core::MetadataServer) and requires
+//! byte-identical answers for every shard count.
 //!
 //! Shared by path (`#[path = "support/reference_server.rs"] mod
 //! reference_server;`) between `server_equivalence.rs` and `query_storm.rs`,

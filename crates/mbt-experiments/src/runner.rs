@@ -909,7 +909,7 @@ impl Harness<'_, '_> {
             let id = self.internet[i];
             if id.index() < self.table.slot_of.len() && self.is_alive(id, now) {
                 let slot = self.table.materialize(id);
-                self.table.nodes[slot].internet_session(&mut self.server, now);
+                self.table.nodes[slot].internet_session(&self.server, now);
                 self.drain_node_events(slot, now);
             }
         }

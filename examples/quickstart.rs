@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 3. Node 0 syncs at a WiFi access point: metadata + file downloaded.
-    nodes[0].internet_session(&mut server, SimTime::ZERO);
+    nodes[0].internet_session(&server, SimTime::ZERO);
     println!(
         "node 0 synced with the Internet: has file = {}",
         nodes[0].has_file(&uri)

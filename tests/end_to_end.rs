@@ -69,7 +69,7 @@ fn manual_three_hop_relay_through_the_dtn() {
     nodes[0].add_query(Query::new("breaking story").unwrap(), None);
     nodes[2].add_query(Query::new("breaking story").unwrap(), None);
 
-    nodes[0].internet_session(&mut server, SimTime::ZERO);
+    nodes[0].internet_session(&server, SimTime::ZERO);
     assert!(nodes[0].has_file(&uri));
 
     // Node 0 meets node 1: metadata and file pushed (popularity phase).

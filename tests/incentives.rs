@@ -40,7 +40,7 @@ fn credits_accumulate_through_contacts() {
     let mut server = mbt_core::MetadataServer::new(1);
     server.publish(seeded, Popularity::new(0.5));
     source.add_query(Query::new("evening news").unwrap(), None);
-    source.internet_session(&mut server, SimTime::ZERO);
+    source.internet_session(&server, SimTime::ZERO);
 
     let mut all = vec![nodes.remove(0), nodes.remove(0), source];
     all[1].add_query(Query::new("evening news").unwrap(), None);
@@ -104,7 +104,7 @@ fn free_riders_still_receive_broadcasts() {
     server.publish(meta("hot clip", "mbt://hot"), Popularity::new(0.9));
     nodes[0].set_internet_access(true);
     nodes[0].add_query(Query::new("hot clip").unwrap(), None);
-    nodes[0].internet_session(&mut server, SimTime::ZERO);
+    nodes[0].internet_session(&server, SimTime::ZERO);
 
     run_contact(
         &mut nodes,
@@ -143,7 +143,7 @@ fn tft_and_cooperative_agree_when_everyone_is_equal() {
         }
         nodes[0].set_internet_access(true);
         nodes[0].add_query(Query::new("clip").unwrap(), None);
-        nodes[0].internet_session(&mut server, SimTime::ZERO);
+        nodes[0].internet_session(&server, SimTime::ZERO);
         run_contact(
             &mut nodes,
             &[0, 1, 2],

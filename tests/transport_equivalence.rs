@@ -159,7 +159,7 @@ fn seeded_clique_of(protocol: ProtocolSpec, config: MbtConfig) -> Vec<MbtNode> {
     nodes[2].add_query(Query::new("morning show").unwrap(), None);
     nodes[2].set_frequent_contacts([NodeId::new(1), NodeId::new(3)]);
     nodes[3].set_frequent_contacts([NodeId::new(2)]);
-    nodes[0].internet_session(&mut server, SimTime::ZERO);
+    nodes[0].internet_session(&server, SimTime::ZERO);
     for n in &mut nodes {
         n.drain_events();
     }
@@ -303,7 +303,7 @@ fn pairwise_frame_emission_order_is_pinned() {
     nodes[0].set_internet_access(true);
     nodes[0].add_query(Query::new("evening news").unwrap(), None);
     nodes[1].add_query(Query::new("evening news").unwrap(), None);
-    nodes[0].internet_session(&mut server, SimTime::ZERO);
+    nodes[0].internet_session(&server, SimTime::ZERO);
 
     let mut recorder = RecordingTransport::default();
     run_contact_via(
