@@ -1,9 +1,10 @@
 //! The workspace's one FNV-1a loop, under two multipliers, and the stable
-//! hash built on it. The frame checksum and shard placement use true FNV-1a;
-//! seed derivation (`dtn_sim::rng`, trace perturbation) has always used
-//! another multiplier. Each output must stay byte-for-byte what it is: a
-//! change would move every committed seed-derived result, re-partition the
-//! metadata server, or break frame compatibility.
+//! hash built on it. [`stable_hash`] (the metadata server's shard placement
+//! and keyword signatures) finishes true FNV-1a; [`seed_hash`], the seed mix
+//! (`dtn_sim::rng`, trace perturbation), has always used another
+//! multiplier. Each output must stay byte-for-byte what it is: a change
+//! would move every committed seed-derived result or re-partition the
+//! metadata server.
 
 /// FNV-1a's 64-bit offset basis.
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -25,7 +26,7 @@ fn fnv1a_by(prime: u64, bytes: &[u8]) -> u64 {
 
 /// 64-bit FNV-1a of `bytes`.
 #[inline]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_by(FNV_PRIME, bytes)
 }
 

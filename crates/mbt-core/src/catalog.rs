@@ -112,7 +112,11 @@ pub(crate) struct Catalog {
 impl Catalog {
     /// One ordered k-way walk over the stores of `members` (indices into
     /// `nodes`). Both store iterators are URI-ordered, so every URI of the
-    /// union is visited exactly once, with all its holders known.
+    /// union is visited exactly once, with all its holders known. A cursor's
+    /// head is its store's map key, and heads are compared identity-first:
+    /// members that got a record or file from one another hold one shared
+    /// allocation of its URI, so most heads equal the least without a text
+    /// compare, and no record is read for a URI that makes no row.
     ///
     /// A row is materialised only if its metadata or its file is held by
     /// some members and not by all — otherwise neither phase can offer it —
@@ -134,7 +138,7 @@ impl Catalog {
                 let n = &nodes[idx];
                 (
                     n,
-                    n.metadata().iter().peekable(),
+                    n.metadata().entries().peekable(),
                     n.files().iter().peekable(),
                 )
             })
@@ -147,12 +151,12 @@ impl Catalog {
             let mut next: Option<&Uri> = None;
             for (at, (_, records, files)) in cursors.iter_mut().enumerate() {
                 let heads = [
-                    (records.peek().map(|&m| m.uri()), false),
+                    (records.peek().map(|&(uri, _)| uri), false),
                     (files.peek().copied(), true),
                 ];
                 for (head, is_file) in heads {
                     let Some(uri) = head else { continue };
-                    match next.map_or(Ordering::Less, |least| uri.cmp(least)) {
+                    match next.map_or(Ordering::Less, |least| uri.cmp_identity_first(least)) {
                         Ordering::Less => {
                             next = Some(uri);
                             standing.clear();
@@ -177,7 +181,7 @@ impl Catalog {
                         row.file_holders.push(holder.id());
                     }
                 } else {
-                    let record = records.next().expect("cursor stands at the URI");
+                    let (_, record) = records.next().expect("cursor stands at the URI");
                     if let Some(row) = &mut row {
                         row.add_record(holder, record, lacks_record);
                     }
@@ -212,7 +216,8 @@ impl Catalog {
     /// The candidate rows are indexed by token hash once; each query
     /// then probes that index once — the rows of its rarest token, confirmed
     /// against every record held under the URI — which answers exactly what
-    /// a search of every member's store did.
+    /// a search of every member's store did. A query whose signature has a
+    /// bit no candidate record's has lacks a match and is not probed.
     pub(crate) fn metadata_offers(&self, members: &[HelloFrame]) -> Vec<Offer<Uri>> {
         let lacking = |row: &Row, m: &HelloFrame| row.open_to(&row.metadata_holders, m);
         let candidates: Vec<&Row> = self
@@ -226,8 +231,12 @@ impl Catalog {
         // Keyed by the token's stable hash: integers sort in a cycle a compare,
         // and two tokens sharing one only add rows for `Row::matches` to refuse.
         let mut postings: Vec<(u64, usize)> = Vec::new();
+        // Every candidate token's signature bit: a query with a bit outside
+        // it has a token no candidate holds, so it matches no row.
+        let mut held = 0;
         for (at, row) in candidates.iter().enumerate() {
             for record in row.record.iter().chain(&row.variants) {
+                held |= record.token_set().signature();
                 let tokens = record.token_set().iter();
                 postings.extend(tokens.map(|t| (stable_hash(t.as_bytes()), at)));
             }
@@ -246,6 +255,9 @@ impl Catalog {
         for member in members {
             let own = member.own_queries.iter().map(|(q, _)| q);
             for query in own.chain(&member.foreign_queries) {
+                if query.signature() & !held != 0 {
+                    continue;
+                }
                 let rarest = query
                     .tokens()
                     .iter()
@@ -538,7 +550,15 @@ mod tests {
 
     /// Two to six members with overlapping stores and file sets, differing
     /// records under shared URIs, rejections, and own and carried queries.
-    fn scenario(seed: u64, protocol: ProtocolSpec, discovery_first: bool) -> Vec<MbtNode> {
+    /// Members share one allocation of each record and its URI, except that
+    /// with `fresh_last` the last member's records are built anew from the
+    /// same texts, as records that reached a store over a wire would be.
+    fn scenario(
+        seed: u64,
+        protocol: ProtocolSpec,
+        discovery_first: bool,
+        fresh_last: bool,
+    ) -> Vec<MbtNode> {
         let rng = &mut StdRng::seed_from_u64(seed);
         let config = MbtConfig::new()
             .discovery_first(discovery_first)
@@ -565,10 +585,15 @@ mod tests {
         let records: Vec<[Metadata; 2]> = (0..uris)
             .map(|i| [record(&words(rng, false), i), record(&words(rng, false), i)])
             .collect();
-        for node in &mut nodes {
+        for (at, node) in nodes.iter_mut().enumerate() {
             for (i, variants) in records.iter().enumerate() {
                 let popularity = Popularity::new(rng.gen_range(0..=4) as f64 / 4.0);
                 let variant = &variants[usize::from(rng.gen_bool(0.25))];
+                let variant = &if fresh_last && at == n - 1 {
+                    record(variant.name(), i)
+                } else {
+                    variant.clone()
+                };
                 match rng.gen_range(0..6) {
                     0 | 1 => node.seed_content(variant.clone(), popularity, false),
                     2 | 3 => node.seed_content(variant.clone(), popularity, true),
@@ -589,7 +614,7 @@ mod tests {
         fn the_walk_equals_the_union(seed in any::<u64>()) {
             for protocol in ProtocolSpec::builtin() {
                 for discovery_first in [true, false] {
-                    let nodes = scenario(seed, protocol, discovery_first);
+                    let nodes = scenario(seed, protocol, discovery_first, false);
                     let rng = &mut StdRng::seed_from_u64(!seed);
                     let contacts: Vec<Vec<usize>> = (0..2)
                         .map(|_| {
@@ -602,9 +627,36 @@ mod tests {
                         })
                         .collect();
                     assert_walk_equals_union(protocol, &nodes, &contacts);
+
+                    // A member holding its own allocations of the same URIs
+                    // walks to the same rows, and to the union's.
+                    let fresh = scenario(seed, protocol, discovery_first, true);
+                    let everyone: Vec<usize> = (0..nodes.len()).collect();
+                    for every_row in [false, true] {
+                        prop_assert_eq!(
+                            Catalog::walk(&fresh, &everyone, every_row),
+                            Catalog::walk(&nodes, &everyone, every_row)
+                        );
+                    }
+                    prop_assert_eq!(
+                        without_variants(Catalog::walk(&fresh, &everyone, true)),
+                        without_variants(naive_union(&fresh, &everyone, true))
+                    );
+                    assert_walk_equals_union(protocol, &fresh, &contacts);
                 }
             }
         }
+    }
+
+    /// The rows with their variants dropped: the walk keeps a variant only
+    /// where a member lacks the record, the union always.
+    fn without_variants(catalog: Catalog) -> Vec<Row> {
+        let rows = catalog.rows.into_iter();
+        rows.map(|row| Row {
+            variants: Vec::new(),
+            ..row
+        })
+        .collect()
     }
 
     fn querying(i: u32, text: &str, config: &MbtConfig) -> MbtNode {

@@ -119,6 +119,12 @@ impl MetadataStore {
         self.map.values()
     }
 
+    /// Iterates over `(key, record)` in URI order. The key shares its
+    /// allocation with the record's URI, and reading it touches no record.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&Uri, &Metadata)> {
+        self.map.iter()
+    }
+
     /// All stored metadata matching `query`, in URI order: a linear
     /// [`matches_query`](Metadata::matches_query) scan of the store.
     pub fn matching(&self, query: &Query) -> Vec<&Metadata> {

@@ -1,7 +1,9 @@
 //! The bus backend: every message round-trips its frame encoding over an
 //! in-process bus. A frame costs one encode into a reused buffer, two
-//! FNV-1a passes over its payload and one walk of its fields against the
-//! sender's value, and allocates only when a field differs.
+//! word-at-a-time checksum passes over its payload and one walk of its
+//! fields against the sender's value, which compares each text as bytes and
+//! validates none that equals the sender's; it allocates only when a field
+//! differs.
 
 use dtn_trace::NodeId;
 

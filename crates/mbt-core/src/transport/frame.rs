@@ -10,17 +10,25 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "MBTF"
-//! 4       2     version (big-endian u16, currently 1)
+//! 4       2     version (big-endian u16, currently 2)
 //! 6       1     message kind (see [`FrameKind`])
 //! 7       1     flags (reserved, must be 0)
 //! 8       4     sender node id (big-endian u32)
 //! 12      4     receiver node id (big-endian u32)
 //! 16      8     sequence number (big-endian u64)
 //! 24      8     payload length in bytes (big-endian u64)
-//! 32      8     FNV-1a 64 checksum of the payload (big-endian u64)
+//! 32      8     lane checksum of the payload (big-endian u64)
 //! 40      24    reserved (must be zero)
 //! 64      ...   payload
 //! ```
+//!
+//! The checksum reads the payload as little-endian `u64` words: four
+//! multiply–rotate lanes over each 32-byte block, then the remaining whole
+//! words and a zero-padded tail word carrying the length in its top byte,
+//! folded and finished with a splitmix64 finalizer. Every step is a
+//! bijection of the word it takes in, so a change inside any one 8-byte word
+//! changes the sum. Version 1 frames, which summed the payload byte by byte
+//! with FNV-1a, are refused as [`FrameError::BadVersion`].
 //!
 //! The decoder never panics: truncated buffers, corrupt checksums, unknown
 //! kinds, and malformed payloads all come back as [`FrameError`]s.
@@ -29,7 +37,6 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-use dtn_trace::hash::fnv1a;
 use dtn_trace::{NodeId, SimTime};
 
 use crate::checksum::Digest;
@@ -44,7 +51,7 @@ use crate::uri::Uri;
 pub const FRAME_MAGIC: [u8; 4] = *b"MBTF";
 
 /// Current frame format version.
-pub const FRAME_VERSION: u16 = 1;
+pub const FRAME_VERSION: u16 = 2;
 
 /// Size of the frame header in bytes — deliberately equal to
 /// [`dtn_sim::channel::FRAME_HEADER_BYTES`] so the simulator's byte
@@ -242,7 +249,7 @@ pub(crate) fn encode_frame_into(
     out.resize(FRAME_HEADER_BYTES, 0); // length, checksum, reserved
     encode_payload(message, out);
     let payload = &out[FRAME_HEADER_BYTES..];
-    let (len, checksum) = (payload.len() as u64, fnv1a(payload));
+    let (len, checksum) = (payload.len() as u64, payload_checksum(payload));
     out[24..32].copy_from_slice(&len.to_be_bytes());
     out[32..40].copy_from_slice(&checksum.to_be_bytes());
 }
@@ -299,7 +306,7 @@ fn walk_frame(bytes: &[u8], sink: Sink<'_>) -> Result<Option<WireMessage>, Stop>
     if frame.remaining() != 0 {
         return Err(FrameError::Malformed("trailing bytes after payload").into());
     }
-    if fnv1a(payload) != checksum {
+    if payload_checksum(payload) != checksum {
         return Err(FrameError::BadChecksum.into());
     }
     let mut r = Reader::new(payload);
@@ -308,6 +315,60 @@ fn walk_frame(bytes: &[u8], sink: Sink<'_>) -> Result<Option<WireMessage>, Stop>
         return Err(FrameError::Malformed("unconsumed payload bytes").into());
     }
     Ok(message)
+}
+
+/// Odd multipliers of the checksum rounds (xxHash64's primes).
+const LANE_PRIMES: [u64; 2] = [0x9e37_79b1_85eb_ca87, 0xc2b2_ae3d_27d4_eb4f];
+
+/// One checksum round: takes `word` into `acc`. For a fixed `acc` it is a
+/// bijection of `word`, and for a fixed `word` a bijection of `acc`.
+#[inline(always)]
+fn round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(LANE_PRIMES[1]))
+        .rotate_left(31)
+        .wrapping_mul(LANE_PRIMES[0])
+}
+
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte word"))
+}
+
+/// The header's payload checksum (see the module docs): four independent
+/// lanes over the 32-byte blocks, folded, then the remaining words and the
+/// tail word through the fold, then a splitmix64 finalizer.
+fn payload_checksum(payload: &[u8]) -> u64 {
+    let mut lanes = [
+        LANE_PRIMES[0].wrapping_add(LANE_PRIMES[1]),
+        LANE_PRIMES[1],
+        0,
+        LANE_PRIMES[0].wrapping_neg(),
+    ];
+    let mut blocks = payload.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = round(*lane, le_word(word));
+        }
+    }
+    let [a, b, c, d] = lanes;
+    let mut h = a
+        .rotate_left(1)
+        .wrapping_add(b.rotate_left(7))
+        .wrapping_add(c.rotate_left(12))
+        .wrapping_add(d.rotate_left(18));
+    let mut words = blocks.remainder().chunks_exact(8);
+    for word in &mut words {
+        h = round(h, le_word(word));
+    }
+    let tail = words.remainder();
+    let mut last = [0u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    last[7] = payload.len() as u8;
+    h = round(h, u64::from_le_bytes(last));
+    h ^= h >> 30;
+    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h ^= h >> 27;
+    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
 }
 
 // --- Payload primitives. ---
@@ -400,10 +461,22 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    fn str(&mut self) -> Result<&'a str, FrameError> {
+    /// A text field: the text when building (`sent` is `None`), `None` once
+    /// its bytes equal the sender's text when checking. Bytes equal to a
+    /// `&str` are valid UTF-8, so only bytes that differ are validated, and
+    /// the outcome is what validating first and comparing after gives.
+    fn text(&mut self, sent: Option<&str>) -> Result<Option<&'a str>, Stop> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        std::str::from_utf8(bytes).map_err(|_| FrameError::Malformed("invalid UTF-8"))
+        if sent.is_some_and(|sent| sent.as_bytes() == bytes) {
+            return Ok(None);
+        }
+        let text =
+            std::str::from_utf8(bytes).map_err(|_| FrameError::Malformed("invalid UTF-8"))?;
+        match sent {
+            None => Ok(Some(text)),
+            Some(_) => Err(Stop::Differs),
+        }
     }
 
     fn node(&mut self) -> Result<NodeId, FrameError> {
@@ -423,21 +496,22 @@ impl<'a> Reader<'a> {
     }
 
     fn uri(&mut self, sent: Option<&Uri>) -> Result<Option<Uri>, Stop> {
-        field(self.str()?, sent.map(Uri::as_str), |s| {
-            Uri::new(s).map_err(|_| FrameError::Malformed("invalid uri"))
-        })
+        let text = self.text(sent.map(Uri::as_str))?;
+        let uri = text.map(Uri::new).transpose();
+        Ok(uri.map_err(|_| FrameError::Malformed("invalid uri"))?)
     }
 
     fn query(&mut self, sent: Option<&Query>) -> Result<Option<Query>, Stop> {
-        field(self.str()?, sent.map(Query::text), |s| {
-            Query::new(s).map_err(|_| FrameError::Malformed("tokenless query"))
-        })
+        let text = self.text(sent.map(Query::text))?;
+        let query = text.map(Query::new).transpose();
+        Ok(query.map_err(|_| FrameError::Malformed("tokenless query"))?)
     }
 }
 
 /// What [`decode_payload`] does with each field it reads. A text is compared
-/// as it came off the wire, so checking tokenizes nothing; one equal to the
-/// sender's passed its constructor, so building would accept it too.
+/// as the bytes that came off the wire, so checking tokenizes nothing and
+/// validates no text equal to the sender's; that text passed its
+/// constructor, so building would accept it too.
 #[derive(Clone, Copy)]
 enum Sink<'e> {
     /// Materialise the message.
@@ -540,9 +614,9 @@ fn read_meta_pop(
     sent: Option<(&Metadata, Popularity)>,
 ) -> Result<Option<(Metadata, Popularity)>, Stop> {
     let m = sent.map(|(m, _)| m);
-    let name = same(r.str()?, m.map(Metadata::name))?;
-    let publisher = same(r.str()?, m.map(Metadata::publisher))?;
-    let description = same(r.str()?, m.map(Metadata::description))?;
+    let name = r.text(m.map(Metadata::name))?;
+    let publisher = r.text(m.map(Metadata::publisher))?;
+    let description = r.text(m.map(Metadata::description))?;
     let uri = r.uri(m.map(Metadata::uri))?;
     let size = same(r.u64()?, m.map(Metadata::size))?;
     // The builder raises a zero piece size to 1.
@@ -561,7 +635,10 @@ fn read_meta_pop(
         Popularity::new(f64::from_bits(r.u64()?)),
         sent.map(|(_, p)| p),
     )?;
-    let Some(uri) = uri else {
+    // Building reads every text; checking reads none.
+    let (Some(name), Some(publisher), Some(description), Some(uri)) =
+        (name, publisher, description, uri)
+    else {
         return Ok(None);
     };
     let mut meta = Metadata::builder(name, publisher, uri)
@@ -769,10 +846,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn every_kind_round_trips() {
-        let meta = sample_metadata();
-        let messages = vec![
+    /// One frame of each kind, its texts all distinct.
+    fn one_of_each_kind() -> Vec<WireMessage> {
+        vec![
             WireMessage::Hello(HelloFrame {
                 sender: n(1),
                 own_queries: vec![
@@ -784,7 +860,7 @@ mod tests {
                 ]
                 .into(),
                 foreign_queries: vec![Query::new("cbs sports").unwrap()],
-                wanted: [uri("mbt://a"), uri("mbt://b")].into_iter().collect(),
+                wanted: [uri("mbt://want")].into_iter().collect(),
                 rejected: [uri("mbt://fake")].into_iter().collect(),
                 frequent: [n(2), n(5)].into_iter().collect(),
                 credits: vec![(n(2), 5.0), (n(7), 0.25)],
@@ -795,26 +871,31 @@ mod tests {
                 expires: Some(SimTime::from_secs(777)),
             },
             WireMessage::Metadata {
-                metadata: meta.clone(),
+                metadata: sample_metadata(),
                 popularity: Popularity::new(0.75),
             },
             WireMessage::FileBroadcast {
                 uri: uri("mbt://fox/news"),
-                metadata: Some((meta, Popularity::new(0.5))),
-            },
-            WireMessage::FileBroadcast {
-                uri: uri("mbt://bare"),
-                metadata: None,
+                metadata: Some((sample_metadata(), Popularity::new(0.5))),
             },
             WireMessage::Piece(Piece::new(
-                PieceId::new(uri("mbt://fox/news"), 2),
-                vec![1, 2, 3, 4],
+                PieceId::new(uri("mbt://piece/7"), 2),
+                (0..=90).collect(),
             )),
-        ];
+        ]
+    }
+
+    #[test]
+    fn every_kind_round_trips() {
+        let messages = one_of_each_kind();
         // One message of every kind — keep this list exhaustive.
         let kinds: BTreeSet<u8> = messages.iter().map(|m| m.kind() as u8).collect();
         assert_eq!(kinds.len(), 5, "every frame kind must be covered");
-        for msg in messages {
+        let bare = WireMessage::FileBroadcast {
+            uri: uri("mbt://bare"),
+            metadata: None,
+        };
+        for msg in messages.into_iter().chain([bare]) {
             round_trip(msg);
         }
     }
@@ -1044,7 +1125,7 @@ mod tests {
 
     /// Rewrites the header checksum to vouch for the payload as it now is.
     fn reseal(bytes: &mut [u8]) {
-        let sum = fnv1a(&bytes[FRAME_HEADER_BYTES..]);
+        let sum = payload_checksum(&bytes[FRAME_HEADER_BYTES..]);
         bytes[32..40].copy_from_slice(&sum.to_be_bytes());
     }
 
@@ -1080,6 +1161,117 @@ mod tests {
                     assert_check_agrees(&bytes, &sent);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn every_payload_bit_flip_of_every_kind_fails_the_checksum() {
+        for sent in &one_of_each_kind() {
+            let good = encode_frame(n(1), n(2), 3, sent);
+            for bit in 8 * FRAME_HEADER_BYTES..8 * good.len() {
+                let mut bytes = good.clone();
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                assert_eq!(
+                    decode_frame(&bytes),
+                    Err(FrameError::BadChecksum),
+                    "{:?}, bit {bit}",
+                    sent.kind()
+                );
+                assert_eq!(check_frame(&bytes, sent), Err(FrameError::BadChecksum));
+            }
+        }
+    }
+
+    #[test]
+    fn every_flip_in_the_length_and_checksum_fields_errs() {
+        for sent in &one_of_each_kind() {
+            let good = encode_frame(n(1), n(2), 3, sent);
+            for bit in 8 * 24..8 * 40 {
+                let mut bytes = good.clone();
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                assert!(decode_frame(&bytes).is_err(), "bit {bit}");
+                assert_check_agrees(&bytes, sent);
+            }
+        }
+    }
+
+    #[test]
+    fn a_version_1_frame_is_refused() {
+        for sent in &one_of_each_kind() {
+            let mut bytes = encode_frame(n(1), n(2), 3, sent);
+            bytes[4..6].copy_from_slice(&1u16.to_be_bytes());
+            reseal(&mut bytes);
+            assert_eq!(decode_frame(&bytes), Err(FrameError::BadVersion(1)));
+            assert_eq!(check_frame(&bytes, sent), Err(FrameError::BadVersion(1)));
+        }
+    }
+
+    /// Pinned sums: a change to the checksum must be a deliberate one, with
+    /// a version bump.
+    #[test]
+    fn the_checksum_is_pinned() {
+        let payload: Vec<u8> = (0..100u32).map(|i| (i * 37 + 11) as u8).collect();
+        assert_eq!(payload_checksum(&[]), 0x48cd_7392_3680_19da);
+        assert_eq!(payload_checksum(&payload), 0x9089_8f1f_9e48_917d);
+    }
+
+    /// `text` rewritten in place, byte by byte, by `rewrite`, and resealed;
+    /// `text` must occur once in the payload, after its length prefix.
+    fn rewritten(good: &[u8], text: &str, rewrite: impl Fn(u8) -> u8) -> Vec<u8> {
+        let mut field = (text.len() as u32).to_be_bytes().to_vec();
+        field.extend_from_slice(text.as_bytes());
+        let payload = &good[FRAME_HEADER_BYTES..];
+        let at: Vec<usize> = (0..payload.len())
+            .filter(|&at| payload[at..].starts_with(&field))
+            .collect();
+        assert_eq!(at.len(), 1, "{text:?} must occur once");
+        let from = FRAME_HEADER_BYTES + at[0] + 4;
+        let mut bytes = good.to_vec();
+        for b in &mut bytes[from..from + text.len()] {
+            *b = rewrite(*b);
+        }
+        reseal(&mut bytes);
+        bytes
+    }
+
+    /// Every text field read byte-first: bytes that are not UTF-8 err as the
+    /// decoder errs, and different valid text of the same length decodes.
+    #[test]
+    fn every_text_field_is_compared_as_bytes_and_validated_when_it_differs() {
+        let messages = one_of_each_kind();
+        let (hello, metadata, piece) = (&messages[0], &messages[2], &messages[4]);
+        let fields = [
+            (hello, "fox news"),
+            (hello, "cbs sports"),
+            (hello, "mbt://want"),
+            (hello, "mbt://fake"),
+            (metadata, "FOX Evening News"),
+            (metadata, "FOX"),
+            (metadata, "nightly broadcast"),
+            (metadata, "mbt://fox/news"),
+            (piece, "mbt://piece/7"),
+        ];
+        // The next letter or digit, so a word stays a word.
+        let next = |b: u8| match b {
+            b'z' => b'a',
+            b'Z' => b'A',
+            b'9' => b'0',
+            b if b.is_ascii_alphanumeric() => b + 1,
+            b => b,
+        };
+        for (sent, text) in fields {
+            let good = encode_frame(n(1), n(2), 3, sent);
+            let invalid = rewritten(&good, text, |_| 0xff);
+            let err = FrameError::Malformed("invalid UTF-8");
+            assert_eq!(decode_frame(&invalid), Err(err.clone()), "{text:?}");
+            assert_eq!(check_frame(&invalid, sent), Err(err), "{text:?}");
+            assert_check_agrees(&invalid, sent);
+
+            let other = rewritten(&good, text, next);
+            let decoded = decode_frame(&other).expect("different valid text decodes");
+            assert_ne!(&decoded, sent, "{text:?}");
+            assert_eq!(check_frame(&other, sent), Ok(Some(decoded)), "{text:?}");
+            assert_check_agrees(&other, sent);
         }
     }
 

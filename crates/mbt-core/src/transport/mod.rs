@@ -11,9 +11,10 @@
 //! * [`BusTransport`] — an in-process message bus. Every carry encodes the
 //!   message into its serialized [`frame`], validates the bytes and checks
 //!   each field against the sender's value, and delivers that value when
-//!   all of them match. A frame costs one encode, two FNV-1a passes over
-//!   its payload and one walk of its fields; it allocates only when a field
-//!   differs and the frame is decoded in full. The differential suite
+//!   all of them match. A frame costs one encode, two word-at-a-time
+//!   checksum passes over its payload and one walk of its fields, whose
+//!   texts are compared as bytes and validated only where they differ; it
+//!   allocates only when a field differs and the frame is decoded in full. The differential suite
 //!   (`tests/transport_equivalence.rs`) pins this backend byte-identical to
 //!   [`SimTransport`].
 //! * [`LiveTransport`] — the [`live`] runtime (the `mbt node` CLI mode): a

@@ -1,5 +1,6 @@
 //! Uniform resource identifiers.
 
+use std::cmp::Ordering;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -67,6 +68,16 @@ impl Uri {
     pub fn as_str(&self) -> &str {
         &self.0
     }
+
+    /// [`Ord::cmp`], answered without reading the text when both share one
+    /// allocation, as the URIs of one record held by several stores do.
+    pub(crate) fn cmp_identity_first(&self, other: &Uri) -> Ordering {
+        if Arc::ptr_eq(&self.0, &other.0) {
+            Ordering::Equal
+        } else {
+            self.0.cmp(&other.0)
+        }
+    }
 }
 
 impl AsRef<str> for Uri {
@@ -120,6 +131,24 @@ mod tests {
     #[test]
     fn ordering_is_lexicographic() {
         assert!(Uri::new("a").unwrap() < Uri::new("b").unwrap());
+    }
+
+    #[test]
+    fn identity_first_comparison_agrees_with_cmp() {
+        let shared = Uri::new("mbt://fox/news").unwrap();
+        let copy = shared.clone();
+        let distinct = Uri::new("mbt://fox/news").unwrap();
+        let other = Uri::new("mbt://fox/late").unwrap();
+        assert!(Arc::ptr_eq(&shared.0, &copy.0));
+        assert!(!Arc::ptr_eq(&shared.0, &distinct.0));
+        for (a, b) in [
+            (&shared, &copy),
+            (&shared, &distinct),
+            (&shared, &other),
+            (&other, &shared),
+        ] {
+            assert_eq!(a.cmp_identity_first(b), a.cmp(b), "{a} vs {b}");
+        }
     }
 
     #[test]
