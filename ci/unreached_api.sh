@@ -37,7 +37,7 @@ cd "$(dirname "$0")/.."
 # Observers and references that tests outside their module read.
 ALLOWED='meeting_count degrees involving peers_of reachable wanted_uris
 remove_own with_cache series_for matches_text estimated_popularity contacts
-credits dir matching'
+credits dir'
 
 corpus=$(mktemp)
 defs=$(mktemp)

@@ -13,6 +13,11 @@
 //! Nothing in this module is hashed: rows are in URI order, holder lists in
 //! member order, postings sorted — every answer is a pure function of the
 //! members' state.
+//!
+//! What the rows must answer is the plain union of the members' stores:
+//! `tests/reference_mbt.rs` rebuilds that union at every contact, by linear
+//! scans, in a reference MBT written from the paper, and holds whole
+//! contacts and runs to it.
 
 use std::cmp::Ordering;
 use std::iter::Peekable;
@@ -97,11 +102,6 @@ impl Row {
             .any(|m| query.matches_token_set(m.token_set()))
     }
 }
-
-/// How [`run_contact_via`](crate::node::run_contact_via) obtains its
-/// catalog: always [`Catalog::walk`], except in this module's tests, which
-/// hold the walk to the naive union it replaced.
-pub(crate) type Build = fn(&[MbtNode], &[usize], bool) -> Catalog;
 
 /// The rows of one contact, in URI order.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -318,146 +318,12 @@ impl Catalog {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::{BTreeMap, BTreeSet};
-
     use dtn_trace::{SimDuration, SimTime};
-    use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     use super::*;
     use crate::config::MbtConfig;
-    use crate::node::{build_hello, contact_over, ContactReport, ContactScratch};
+    use crate::node::{build_hello, run_contact, ContactReport};
     use crate::protocol::ProtocolSpec;
-    use crate::transport::SimTransport;
-
-    type MetadataUnion = BTreeMap<Uri, (Metadata, Popularity, Vec<NodeId>)>;
-    type FileUnion = BTreeMap<Uri, Vec<NodeId>>;
-
-    /// The union catalogs the walk replaced, built the way `run_contact_via`
-    /// used to: every record and every file of every member, copied into
-    /// two maps.
-    fn union_of(nodes: &[MbtNode], members: &[usize]) -> (MetadataUnion, FileUnion) {
-        let mut metadata_catalog = MetadataUnion::new();
-        let mut file_catalog = FileUnion::new();
-        for &idx in members {
-            let n = &nodes[idx];
-            for m in n.metadata().iter() {
-                let pop = n.known_popularity(m.uri());
-                let entry = metadata_catalog
-                    .entry(m.uri().clone())
-                    .or_insert_with(|| (m.clone(), pop, Vec::new()));
-                if pop > entry.1 {
-                    entry.1 = pop;
-                }
-                entry.2.push(n.id());
-            }
-            for uri in n.files().iter() {
-                file_catalog.entry(uri.clone()).or_default().push(n.id());
-            }
-        }
-        (metadata_catalog, file_catalog)
-    }
-
-    /// The union as a catalog: a row for every URI, and as variants every
-    /// record any member holds under it.
-    fn naive_union(nodes: &[MbtNode], members: &[usize], _every_row: bool) -> Catalog {
-        let (metadata_catalog, file_catalog) = union_of(nodes, members);
-        let uris: BTreeSet<&Uri> = metadata_catalog.keys().chain(file_catalog.keys()).collect();
-        let rows = uris
-            .into_iter()
-            .map(|uri| {
-                let mut row = Row::new(uri.clone());
-                if let Some((record, popularity, holders)) = metadata_catalog.get(uri) {
-                    row.record = Some(record.clone());
-                    row.popularity = *popularity;
-                    row.metadata_holders = holders.clone();
-                    row.variants = members
-                        .iter()
-                        .filter_map(|&idx| nodes[idx].metadata().get(uri).cloned())
-                        .collect();
-                }
-                row.file_holders = file_catalog.get(uri).cloned().unwrap_or_default();
-                row
-            })
-            .collect();
-        Catalog { rows }
-    }
-
-    /// The metadata offers as the deleted block computed them: every member
-    /// store searched with every member's relevant queries.
-    fn naive_metadata_offers(
-        nodes: &[MbtNode],
-        members: &[usize],
-        snapshots: &[HelloFrame],
-    ) -> Vec<Offer<Uri>> {
-        let (metadata_catalog, _) = union_of(nodes, members);
-        let matched: Vec<BTreeSet<Uri>> = snapshots
-            .iter()
-            .map(|s| {
-                let own = s.own_queries.iter().map(|(q, _)| q);
-                let mut set = BTreeSet::new();
-                for q in own.chain(&s.foreign_queries) {
-                    for &idx in members {
-                        let matching = nodes[idx].metadata().matching(q);
-                        set.extend(matching.into_iter().map(|m| m.uri().clone()));
-                    }
-                }
-                set
-            })
-            .collect();
-        metadata_catalog
-            .iter()
-            .filter(|(uri, (_, _, holders))| {
-                snapshots
-                    .iter()
-                    .any(|s| !holders.contains(&s.sender) && !s.rejected.contains(uri))
-            })
-            .map(|(uri, (_, pop, holders))| {
-                let requesters = snapshots
-                    .iter()
-                    .zip(&matched)
-                    .filter(|(s, m)| {
-                        m.contains(uri) && !holders.contains(&s.sender) && !s.rejected.contains(uri)
-                    })
-                    .map(|(s, _)| s.sender)
-                    .collect();
-                Offer::new(uri.clone(), *pop, requesters, holders.clone())
-            })
-            .collect()
-    }
-
-    /// The file offers as the deleted block computed them (no proactive
-    /// requesters: whole contacts cover DiffuseRep).
-    fn naive_file_offers(
-        nodes: &[MbtNode],
-        members: &[usize],
-        snapshots: &[HelloFrame],
-        announces_wants: bool,
-    ) -> Vec<Offer<Uri>> {
-        let (metadata_catalog, file_catalog) = union_of(nodes, members);
-        file_catalog
-            .iter()
-            .filter(|(uri, holders)| {
-                snapshots
-                    .iter()
-                    .any(|s| !holders.contains(&s.sender) && !s.rejected.contains(uri))
-            })
-            .map(|(uri, holders)| {
-                let requesters = snapshots
-                    .iter()
-                    .filter(|s| {
-                        announces_wants && s.wanted.contains(uri) && !holders.contains(&s.sender)
-                    })
-                    .map(|s| s.sender)
-                    .collect();
-                let pop = metadata_catalog
-                    .get(uri)
-                    .map_or(Popularity::MIN, |(_, p, _)| *p);
-                Offer::new(uri.clone(), pop, requesters, holders.clone())
-            })
-            .collect()
-    }
 
     fn uri(i: usize) -> Uri {
         Uri::new(format!("mbt://u/{i:02}")).unwrap()
@@ -486,177 +352,13 @@ mod tests {
             .collect()
     }
 
-    fn contact(build: Build, nodes: &mut [MbtNode], members: &[usize], at: u64) -> ContactReport {
-        contact_over(
-            build,
-            &mut SimTransport::new(),
+    fn contact(nodes: &mut [MbtNode], members: &[usize], at: u64) -> ContactReport {
+        run_contact(
             nodes,
             members,
             SimTime::from_secs(at),
             SimDuration::from_secs(600),
-            None,
-            &mut ContactScratch::default(),
         )
-    }
-
-    /// Both builders, both offer computations and — over two successive
-    /// contacts — both whole exchanges must agree on `nodes`, which run
-    /// `protocol`.
-    fn assert_walk_equals_union(
-        protocol: ProtocolSpec,
-        nodes: &[MbtNode],
-        contacts: &[Vec<usize>],
-    ) {
-        let announces_wants = protocol.distributes_metadata();
-        let (mut walked, mut unioned) = (nodes.to_vec(), nodes.to_vec());
-        for (round, members) in contacts.iter().enumerate() {
-            let snapshots = hellos(protocol, &walked, members);
-            let catalog = Catalog::walk(&walked, members, false);
-            assert_eq!(
-                catalog.metadata_offers(&snapshots),
-                naive_metadata_offers(&walked, members, &snapshots),
-                "metadata offers, members {members:?}"
-            );
-            assert_eq!(
-                catalog.file_offers(&snapshots, announces_wants),
-                naive_file_offers(&walked, members, &snapshots, announces_wants),
-                "file offers, members {members:?}"
-            );
-            let at = 1_000 * (round as u64 + 1);
-            assert_eq!(
-                contact(Catalog::walk, &mut walked, members, at),
-                contact(naive_union, &mut unioned, members, at),
-                "contact reports, members {members:?}"
-            );
-            assert_eq!(format!("{walked:?}"), format!("{unioned:?}"), "node states");
-        }
-    }
-
-    const VOCABULARY: [&str; 6] = ["fox", "news", "abc", "show", "late", "night"];
-
-    /// One to three words; with `strangers`, sometimes a word no record has.
-    fn words(rng: &mut StdRng, strangers: bool) -> String {
-        let picked: Vec<&str> = (0..rng.gen_range(1..=3))
-            .map(|_| {
-                if strangers && rng.gen_bool(0.15) {
-                    "zebra"
-                } else {
-                    VOCABULARY[rng.gen_range(0..VOCABULARY.len())]
-                }
-            })
-            .collect();
-        picked.join(" ")
-    }
-
-    /// Two to six members with overlapping stores and file sets, differing
-    /// records under shared URIs, rejections, and own and carried queries.
-    /// Members share one allocation of each record and its URI, except that
-    /// with `fresh_last` the last member's records are built anew from the
-    /// same texts, as records that reached a store over a wire would be.
-    fn scenario(
-        seed: u64,
-        protocol: ProtocolSpec,
-        discovery_first: bool,
-        fresh_last: bool,
-    ) -> Vec<MbtNode> {
-        let rng = &mut StdRng::seed_from_u64(seed);
-        let config = MbtConfig::new()
-            .discovery_first(discovery_first)
-            .metadata_per_contact(rng.gen_range(1..=6))
-            .files_per_contact(rng.gen_range(1..=4));
-        let n = rng.gen_range(2..=6usize);
-        let mut nodes: Vec<MbtNode> = (0..n as u32).map(|i| node(i, protocol, &config)).collect();
-        for node in &mut nodes {
-            for _ in 0..rng.gen_range(0..=3) {
-                node.add_query(Query::new(words(rng, true)).unwrap(), None);
-            }
-            let frequent: Vec<NodeId> = (0..n as u32)
-                .filter(|_| rng.gen_bool(0.5))
-                .map(NodeId::new)
-                .collect();
-            node.set_frequent_contacts(frequent);
-        }
-        // Over empty stores a contact moves only queries: under full MBT the
-        // frequent contacts now carry each other's.
-        let everyone: Vec<usize> = (0..n).collect();
-        contact(Catalog::walk, &mut nodes, &everyone, 1);
-
-        let uris = rng.gen_range(1..=12usize);
-        let records: Vec<[Metadata; 2]> = (0..uris)
-            .map(|i| [record(&words(rng, false), i), record(&words(rng, false), i)])
-            .collect();
-        for (at, node) in nodes.iter_mut().enumerate() {
-            for (i, variants) in records.iter().enumerate() {
-                let popularity = Popularity::new(rng.gen_range(0..=4) as f64 / 4.0);
-                let variant = &variants[usize::from(rng.gen_bool(0.25))];
-                let variant = &if fresh_last && at == n - 1 {
-                    record(variant.name(), i)
-                } else {
-                    variant.clone()
-                };
-                match rng.gen_range(0..6) {
-                    0 | 1 => node.seed_content(variant.clone(), popularity, false),
-                    2 | 3 => node.seed_content(variant.clone(), popularity, true),
-                    4 => drop(node.try_store_file(uri(i), None)),
-                    _ if rng.gen_bool(0.3) => node.reject(variant),
-                    _ => {}
-                }
-            }
-            node.drain_events();
-        }
-        nodes
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn the_walk_equals_the_union(seed in any::<u64>()) {
-            for protocol in ProtocolSpec::builtin() {
-                for discovery_first in [true, false] {
-                    let nodes = scenario(seed, protocol, discovery_first, false);
-                    let rng = &mut StdRng::seed_from_u64(!seed);
-                    let contacts: Vec<Vec<usize>> = (0..2)
-                        .map(|_| {
-                            let mut members: Vec<usize> = (0..nodes.len()).collect();
-                            for at in (1..members.len()).rev() {
-                                members.swap(at, rng.gen_range(0..=at));
-                            }
-                            members.truncate(rng.gen_range(2..=nodes.len()));
-                            members
-                        })
-                        .collect();
-                    assert_walk_equals_union(protocol, &nodes, &contacts);
-
-                    // A member holding its own allocations of the same URIs
-                    // walks to the same rows, and to the union's.
-                    let fresh = scenario(seed, protocol, discovery_first, true);
-                    let everyone: Vec<usize> = (0..nodes.len()).collect();
-                    for every_row in [false, true] {
-                        prop_assert_eq!(
-                            Catalog::walk(&fresh, &everyone, every_row),
-                            Catalog::walk(&nodes, &everyone, every_row)
-                        );
-                    }
-                    prop_assert_eq!(
-                        without_variants(Catalog::walk(&fresh, &everyone, true)),
-                        without_variants(naive_union(&fresh, &everyone, true))
-                    );
-                    assert_walk_equals_union(protocol, &fresh, &contacts);
-                }
-            }
-        }
-    }
-
-    /// The rows with their variants dropped: the walk keeps a variant only
-    /// where a member lacks the record, the union always.
-    fn without_variants(catalog: Catalog) -> Vec<Row> {
-        let rows = catalog.rows.into_iter();
-        rows.map(|row| Row {
-            variants: Vec::new(),
-            ..row
-        })
-        .collect()
     }
 
     fn querying(i: u32, text: &str, config: &MbtConfig) -> MbtNode {
@@ -683,9 +385,8 @@ mod tests {
         assert_eq!(offers.len(), 1);
         assert_eq!(offers[0].requesters, [NodeId::new(2)]);
         assert_eq!(offers[0].holders, [NodeId::new(0), NodeId::new(1)]);
-        assert_walk_equals_union(ProtocolSpec::MBT, &nodes, &[members.to_vec()]);
         // ... and what it is sent is the first holder's record.
-        contact(Catalog::walk, &mut nodes, &members, 10);
+        contact(&mut nodes, &members, 10);
         assert_eq!(
             nodes[2].metadata().get(&uri(0)),
             Some(&record("fox news", 0))
@@ -706,7 +407,7 @@ mod tests {
         let snapshots = hellos(ProtocolSpec::MBT, &nodes, &[0, 1]);
         assert_eq!(catalog.metadata_offers(&snapshots), []);
         assert_eq!(catalog.file_offers(&snapshots, true), []);
-        assert_walk_equals_union(ProtocolSpec::MBT, &nodes, &[vec![0, 1]]);
+        assert_eq!(contact(&mut nodes, &[0, 1], 10).frames_sent(), 0);
     }
 
     #[test]
@@ -738,9 +439,9 @@ mod tests {
                 vec![NodeId::new(0)]
             )]
         );
-        assert_walk_equals_union(ProtocolSpec::MBT, &nodes, &[vec![0, 1]]);
-        // What every member holds in full is no row at all — unless asked.
-        nodes[1].try_store_file(uri(0), None);
+        // The contact sends it; what every member then holds in full is no
+        // row at all — unless asked.
+        assert_eq!(contact(&mut nodes, &[0, 1], 10).file_broadcasts, 1);
         assert_eq!(Catalog::walk(&nodes, &[0, 1], false).rows(), []);
         assert_eq!(Catalog::walk(&nodes, &[0, 1], true).rows().len(), 1);
     }
@@ -753,8 +454,7 @@ mod tests {
             querying(1, "fox", &config),
         ];
         nodes[0].seed_content(record("fox news", 0), Popularity::new(0.5), true);
-        assert_walk_equals_union(ProtocolSpec::MBT, &nodes, &[vec![0, 1]]);
-        let report = contact(Catalog::walk, &mut nodes, &[0, 1], 10);
+        let report = contact(&mut nodes, &[0, 1], 10);
         // The record rode in with the file; the metadata phase, reading the
         // rows of contact start, broadcasts it to its requester all the same.
         assert_eq!((report.file_broadcasts, report.metadata_broadcasts), (1, 1));

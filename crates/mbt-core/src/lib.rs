@@ -30,7 +30,7 @@
 //!
 //! ```
 //! use mbt_core::{MbtConfig, MbtNode, MetadataServer, Metadata, Popularity, ProtocolSpec, Query, Uri};
-//! use mbt_core::node::run_pairwise_contact;
+//! use mbt_core::node::run_contact;
 //! use dtn_trace::{NodeId, SimDuration, SimTime};
 //!
 //! // The Internet publishes a file.
@@ -52,7 +52,7 @@
 //!
 //! // Node 1 wants the same file but can only get it from node 0, later.
 //! nodes[1].add_query(Query::new("evening news")?, None);
-//! run_pairwise_contact(&mut nodes, 0, 1, SimTime::from_secs(3600), SimDuration::from_secs(120));
+//! run_contact(&mut nodes, &[0, 1], SimTime::from_secs(3600), SimDuration::from_secs(120));
 //! assert!(nodes[1].has_file(&uri));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

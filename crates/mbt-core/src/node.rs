@@ -7,6 +7,11 @@
 //! a clique of nodes meets: query distribution (full MBT), the two-phase
 //! metadata broadcast (§IV), and the two-phase file broadcast (§V), under
 //! either the cooperative or the tit-for-tat scheduler.
+//!
+//! Its oracle is the reference MBT of `tests/support/reference_mbt.rs`,
+//! written from the paper rather than from this module: `tests/reference_mbt.rs`
+//! runs seeded contacts and small whole runs through both and requires every
+//! report field, node state and run result to agree.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -16,7 +21,7 @@ use dtn_sim::telemetry::{Phase, PhaseTimes};
 use dtn_trace::{NodeId, SimDuration, SimTime};
 
 use crate::auth::KeyRegistry;
-use crate::catalog::{self, Catalog};
+use crate::catalog::Catalog;
 use crate::config::{CooperationMode, MbtConfig};
 use crate::credit::CreditLedger;
 use crate::discovery::{receive_metadata, ReceiveOutcome};
@@ -698,31 +703,6 @@ pub fn run_contact_via(
     members: &[usize],
     now: SimTime,
     duration: SimDuration,
-    spans: Option<&mut PhaseTimes>,
-    scratch: &mut ContactScratch,
-) -> ContactReport {
-    contact_over(
-        Catalog::walk,
-        transport,
-        nodes,
-        members,
-        now,
-        duration,
-        spans,
-        scratch,
-    )
-}
-
-/// [`run_contact_via`] with the catalog builder named, so that the catalog's
-/// tests can run whole contacts over the naive union the walk replaced.
-#[allow(clippy::too_many_arguments)] // run_contact_via's, plus the builder
-pub(crate) fn contact_over(
-    build: catalog::Build,
-    transport: &mut dyn Transport,
-    nodes: &mut [MbtNode],
-    members: &[usize],
-    now: SimTime,
-    duration: SimDuration,
     mut spans: Option<&mut PhaseTimes>,
     scratch: &mut ContactScratch,
 ) -> ContactReport {
@@ -793,7 +773,7 @@ pub(crate) fn contact_over(
     // both read these start-of-contact rows. DiffuseRep alone observes the
     // rows every member holds in full as well.
     let diffuses = protocol.replication() == ReplicationPolicy::Diffusion;
-    let mut catalog = build(nodes, members, diffuses);
+    let mut catalog = Catalog::walk(nodes, members, diffuses);
 
     member_ids.clear();
     member_ids.extend(snapshots.iter().map(|s| s.sender));
@@ -1162,17 +1142,6 @@ fn schedule_broadcasts(
     }
 }
 
-/// Convenience wrapper for a pair-wise contact.
-pub fn run_pairwise_contact(
-    nodes: &mut [MbtNode],
-    a: usize,
-    b: usize,
-    now: SimTime,
-    duration: SimDuration,
-) -> ContactReport {
-    run_contact(nodes, &[a, b], now, duration)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1311,8 +1280,12 @@ mod tests {
         let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
         nodes[0].set_frequent_contacts([NodeId::new(1)]);
         nodes[1].add_query(Query::new("fox news").unwrap(), None);
-        let report =
-            run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
+        let report = run_contact(
+            &mut nodes,
+            &[0, 1],
+            SimTime::ZERO,
+            SimDuration::from_secs(60),
+        );
         assert_eq!(report.queries_distributed, 1);
         assert_eq!(nodes[0].queries.len(), 1);
         // Not symmetric: node 1 did not list node 0 as frequent.
@@ -1326,7 +1299,7 @@ mod tests {
         // re-store of an unchanged list must not outlast such a loss.
         let at = |secs| SimTime::from_secs(secs);
         let contact = |nodes: &mut Vec<MbtNode>, secs| {
-            run_pairwise_contact(nodes, 0, 1, at(secs), SimDuration::from_secs(60))
+            run_contact(nodes, &[0, 1], at(secs), SimDuration::from_secs(60))
         };
         let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
         nodes[0].set_frequent_contacts([NodeId::new(1)]);
@@ -1403,8 +1376,12 @@ mod tests {
         let mut nodes = vec![node(0, ProtocolSpec::MBT_Q), node(1, ProtocolSpec::MBT_Q)];
         nodes[0].set_frequent_contacts([NodeId::new(1)]);
         nodes[1].add_query(Query::new("fox news").unwrap(), None);
-        let report =
-            run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
+        let report = run_contact(
+            &mut nodes,
+            &[0, 1],
+            SimTime::ZERO,
+            SimDuration::from_secs(60),
+        );
         assert_eq!(report.queries_distributed, 0);
         assert_eq!(nodes[0].queries.len(), 0);
     }
@@ -1416,8 +1393,12 @@ mod tests {
         hold(&mut nodes[0], m);
         nodes[0].note_popularity_until(&uri("mbt://a"), Popularity::new(0.4), None);
         nodes[1].add_query(Query::new("evening news").unwrap(), None);
-        let report =
-            run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
+        let report = run_contact(
+            &mut nodes,
+            &[0, 1],
+            SimTime::ZERO,
+            SimDuration::from_secs(60),
+        );
         assert_eq!(report.metadata_broadcasts, 1);
         assert!(nodes[1].has_metadata(&uri("mbt://a")));
         // Tit-for-tat bookkeeping ran on the receiver.
@@ -1434,8 +1415,12 @@ mod tests {
         let mut nodes = vec![node(0, ProtocolSpec::MBT_QM), node(1, ProtocolSpec::MBT_QM)];
         hold(&mut nodes[0], meta("fox news", "mbt://a"));
         nodes[1].add_query(Query::new("fox news").unwrap(), None);
-        let report =
-            run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
+        let report = run_contact(
+            &mut nodes,
+            &[0, 1],
+            SimTime::ZERO,
+            SimDuration::from_secs(60),
+        );
         assert_eq!(report.metadata_broadcasts, 0);
         assert!(!nodes[1].has_metadata(&uri("mbt://a")));
     }
@@ -1446,8 +1431,12 @@ mod tests {
         hold(&mut nodes[0], meta("fox news", "mbt://a"));
         nodes[0].try_store_file(uri("mbt://a"), None);
         nodes[0].note_popularity_until(&uri("mbt://a"), Popularity::new(0.8), None);
-        let report =
-            run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
+        let report = run_contact(
+            &mut nodes,
+            &[0, 1],
+            SimTime::ZERO,
+            SimDuration::from_secs(60),
+        );
         assert_eq!(report.file_broadcasts, 1);
         assert!(nodes[1].has_file(&uri("mbt://a")));
         assert!(
@@ -1469,7 +1458,12 @@ mod tests {
         for n in nodes.iter_mut() {
             n.config = MbtConfig::new().files_per_contact(1);
         }
-        run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
+        run_contact(
+            &mut nodes,
+            &[0, 1],
+            SimTime::ZERO,
+            SimDuration::from_secs(60),
+        );
         assert!(nodes[1].has_file(&uri("mbt://hot")));
         assert!(!nodes[1].has_file(&uri("mbt://cold")));
     }
@@ -1501,8 +1495,12 @@ mod tests {
         }
         hold(&mut nodes[0], meta("fox news", "mbt://a"));
         nodes[0].try_store_file(uri("mbt://a"), None);
-        let report =
-            run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(30));
+        let report = run_contact(
+            &mut nodes,
+            &[0, 1],
+            SimTime::ZERO,
+            SimDuration::from_secs(30),
+        );
         assert!(report.metadata_broadcasts > 0, "metadata still flows");
         assert_eq!(report.file_broadcasts, 0, "file phase skipped");
     }
@@ -1517,8 +1515,12 @@ mod tests {
         for n in nodes.iter_mut() {
             n.config = MbtConfig::new().metadata_per_contact(5);
         }
-        let report =
-            run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
+        let report = run_contact(
+            &mut nodes,
+            &[0, 1],
+            SimTime::ZERO,
+            SimDuration::from_secs(60),
+        );
         assert_eq!(report.metadata_broadcasts, 5);
         assert_eq!(nodes[1].metadata.len(), 5);
     }
@@ -1530,10 +1532,9 @@ mod tests {
             .ttl(SimDuration::from_secs(10))
             .build();
         hold(&mut nodes[0], m);
-        run_pairwise_contact(
+        run_contact(
             &mut nodes,
-            0,
-            1,
+            &[0, 1],
             SimTime::from_secs(100),
             SimDuration::from_secs(60),
         );
@@ -1549,8 +1550,12 @@ mod tests {
         }
         hold(&mut nodes[0], meta("fox news", "mbt://a"));
         nodes[1].add_query(Query::new("fox news").unwrap(), None);
-        let report =
-            run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
+        let report = run_contact(
+            &mut nodes,
+            &[0, 1],
+            SimTime::ZERO,
+            SimDuration::from_secs(60),
+        );
         assert_eq!(report.metadata_broadcasts, 1);
         assert!(nodes[1].has_metadata(&uri("mbt://a")));
     }
@@ -1574,7 +1579,12 @@ mod tests {
         let _ = nodes[0].drain_events();
         nodes[1].add_query(Query::new("breaking news").unwrap(), None);
 
-        run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
+        run_contact(
+            &mut nodes,
+            &[0, 1],
+            SimTime::ZERO,
+            SimDuration::from_secs(60),
+        );
         assert!(!nodes[1].has_metadata(&uri("mbt://fake")), "forgery stored");
         assert!(
             nodes[1].rejected.contains_key(&uri("mbt://fake")),
@@ -1582,10 +1592,9 @@ mod tests {
         );
 
         // A second contact no longer offers the fake: no metadata broadcast.
-        let report = run_pairwise_contact(
+        let report = run_contact(
             &mut nodes,
-            0,
-            1,
+            &[0, 1],
             SimTime::from_secs(100),
             SimDuration::from_secs(60),
         );
@@ -1608,7 +1617,12 @@ mod tests {
         nodes[0].seed_content(real, Popularity::new(0.5), true);
         let _ = nodes[0].drain_events();
         nodes[1].add_query(Query::new("breaking news").unwrap(), None);
-        run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
+        run_contact(
+            &mut nodes,
+            &[0, 1],
+            SimTime::ZERO,
+            SimDuration::from_secs(60),
+        );
         assert!(nodes[1].has_metadata(&uri("mbt://real")));
         assert!(nodes[1].has_file(&uri("mbt://real")));
         assert!(!nodes[1].rejected.contains_key(&uri("mbt://real")));
@@ -1636,7 +1650,12 @@ mod tests {
         hold(&mut nodes[0], meta("fox news", "mbt://a"));
         nodes[0].try_store_file(uri("mbt://a"), None);
         nodes[1].add_query(Query::new("fox news").unwrap(), None);
-        run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
+        run_contact(
+            &mut nodes,
+            &[0, 1],
+            SimTime::ZERO,
+            SimDuration::from_secs(60),
+        );
         assert!(!nodes[1].has_metadata(&uri("mbt://a")));
         assert!(!nodes[1].has_file(&uri("mbt://a")));
     }
@@ -1654,7 +1673,12 @@ mod tests {
                 hold(&mut nodes[0], meta(&format!("show {i}"), &u));
                 nodes[0].try_store_file(uri(&u), None);
             }
-            run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
+            run_contact(
+                &mut nodes,
+                &[0, 1],
+                SimTime::ZERO,
+                SimDuration::from_secs(60),
+            );
             nodes[1].files.len()
         };
         assert_eq!(run_once(0.0, 0), 4, "default budget of 4 files, no loss");
@@ -1699,7 +1723,12 @@ mod tests {
     #[should_panic(expected = "mixed protocols")]
     fn mixed_protocols_panic() {
         let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT_Q)];
-        run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(60));
+        run_contact(
+            &mut nodes,
+            &[0, 1],
+            SimTime::ZERO,
+            SimDuration::from_secs(60),
+        );
     }
 
     #[test]
@@ -1840,7 +1869,12 @@ mod tests {
             );
         }
         assert_eq!(nodes[0].files.len(), 3, "seeding already bounded");
-        run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(600));
+        run_contact(
+            &mut nodes,
+            &[0, 1],
+            SimTime::ZERO,
+            SimDuration::from_secs(600),
+        );
         assert!(nodes[1].files.len() <= 3, "receiver bound holds");
     }
 
@@ -1896,7 +1930,12 @@ mod tests {
         let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
         nodes[0].seed_content(meta("fox news", "mbt://a"), Popularity::new(0.8), true);
         nodes[1].add_query(Query::new("fox news").unwrap(), None);
-        run_pairwise_contact(&mut nodes, 0, 1, SimTime::ZERO, SimDuration::from_secs(600));
+        run_contact(
+            &mut nodes,
+            &[0, 1],
+            SimTime::ZERO,
+            SimDuration::from_secs(600),
+        );
         for n in &nodes {
             assert!(
                 n.availability.is_empty(),

@@ -51,20 +51,18 @@ pub(crate) fn is_expired(expires: Option<SimTime>, now: SimTime) -> bool {
 /// Nobody searches a node's store — the node matches each arriving record
 /// against its own standing queries once, when it is stored
 /// ([`MbtNode::wanted_uris`](crate::MbtNode::wanted_uris)) — so the store
-/// keeps no index: [`matching`](MetadataStore::matching) is a linear scan. A
-/// monotonic [`version`](MetadataStore::version) counter bumps on every
-/// mutation.
+/// keeps no index. A monotonic [`version`](MetadataStore::version) counter
+/// bumps on every mutation.
 ///
 /// # Example
 ///
 /// ```
-/// use mbt_core::{Metadata, MetadataStore, Query, Uri};
+/// use mbt_core::{Metadata, MetadataStore, Uri};
 ///
 /// let mut store = MetadataStore::new();
 /// let meta = Metadata::builder("FOX News", "FOX", Uri::new("mbt://a")?).build();
 /// assert!(store.insert(meta.clone()));
 /// assert!(!store.insert(meta), "duplicates are ignored");
-/// assert_eq!(store.matching(&Query::new("news")?).len(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -123,12 +121,6 @@ impl MetadataStore {
     /// allocation with the record's URI, and reading it touches no record.
     pub(crate) fn entries(&self) -> impl Iterator<Item = (&Uri, &Metadata)> {
         self.map.iter()
-    }
-
-    /// All stored metadata matching `query`, in URI order: a linear
-    /// [`matches_query`](Metadata::matches_query) scan of the store.
-    pub fn matching(&self, query: &Query) -> Vec<&Metadata> {
-        self.iter().filter(|m| m.matches_query(query)).collect()
     }
 
     /// Removes records expired at `now`; returns how many were dropped.
@@ -469,7 +461,10 @@ mod tests {
         s.insert(meta("fox news", "mbt://a"));
         s.insert(meta("abc comedy", "mbt://b"));
         let q = Query::new("news").unwrap();
-        assert_eq!(s.matching(&q).len(), 1);
+        let matching: Vec<&str> = (s.iter().filter(|m| m.matches_query(&q)))
+            .map(Metadata::name)
+            .collect();
+        assert_eq!(matching, ["fox news"]);
     }
 
     #[test]

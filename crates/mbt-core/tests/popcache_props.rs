@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use dtn_trace::{NodeId, SimDuration, SimTime};
-use mbt_core::node::run_pairwise_contact;
+use mbt_core::node::run_contact;
 use mbt_core::{CachePolicy, MbtConfig, MbtNode, Metadata, Popularity, ProtocolSpec, Query, Uri};
 
 fn popcache(capacity: u32) -> ProtocolSpec {
@@ -108,10 +108,7 @@ proptest! {
             if a == b {
                 continue;
             }
-            run_pairwise_contact(
-                &mut nodes,
-                a,
-                b,
+            run_contact(&mut nodes, &[a, b],
                 SimTime::from_secs(t),
                 SimDuration::from_secs(120),
             );

@@ -568,7 +568,7 @@ mod signatures {
 
     proptest! {
         #[test]
-        fn matching_equals_the_fresh_tokenize_oracle(
+        fn token_set_matching_equals_the_fresh_tokenize_oracle(
             name in RECORD_TEXT,
             description in RECORD_TEXT,
             query_text in QUERY_TEXT,

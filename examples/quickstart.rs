@@ -7,7 +7,7 @@
 //! Run with: `cargo run -p mbt-experiments --example quickstart`
 
 use dtn_trace::{NodeId, SimDuration, SimTime};
-use mbt_core::node::{run_contact, run_pairwise_contact};
+use mbt_core::node::run_contact;
 use mbt_core::{
     MbtConfig, MbtNode, Metadata, MetadataServer, Popularity, ProtocolSpec, Query, Uri,
 };
@@ -42,10 +42,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. Node 0 passes node 1 on the street (a short pair-wise contact).
-    run_pairwise_contact(
+    run_contact(
         &mut nodes,
-        0,
-        1,
+        &[0, 1],
         SimTime::from_secs(600),
         SimDuration::from_secs(45),
     );

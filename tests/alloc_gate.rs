@@ -102,7 +102,7 @@ fn an_idle_contact_allocates_almost_nothing() {
 /// to compare the copy (65 of them the decoding), and 99 while every frame
 /// also took a payload `Vec`, an output `Vec` and a queue entry.
 #[test]
-fn an_idle_contact_over_the_bus_allocates_what_sim_does() {
+fn an_idle_bus_contact_allocates_what_sim_does() {
     let (mut nodes, mut scratch) = in_sync_pair(0);
     let mut bus = BusTransport::new();
     contact_via(&mut bus, &mut nodes, &mut scratch, 300); // sizes the buffer

@@ -5,7 +5,7 @@ use dtn_trace::generators::{DieselNetConfig, NusConfig};
 use dtn_trace::{
     Contact, ContactTrace, NodeId, SimDuration, SimTime, SpaceTimeGraph, SECONDS_PER_DAY,
 };
-use mbt_core::node::run_pairwise_contact;
+use mbt_core::node::run_contact;
 use mbt_core::{
     MbtConfig, MbtNode, Metadata, MetadataServer, Popularity, ProtocolSpec, Query, Uri,
 };
@@ -73,10 +73,9 @@ fn manual_three_hop_relay_through_the_dtn() {
     assert!(nodes[0].has_file(&uri));
 
     // Node 0 meets node 1: metadata and file pushed (popularity phase).
-    run_pairwise_contact(
+    run_contact(
         &mut nodes,
-        0,
-        1,
+        &[0, 1],
         SimTime::from_secs(100),
         SimDuration::from_secs(300),
     );
@@ -86,10 +85,9 @@ fn manual_three_hop_relay_through_the_dtn() {
     );
 
     // Node 1 later meets node 2, which actually wants the file.
-    run_pairwise_contact(
+    run_contact(
         &mut nodes,
-        1,
-        2,
+        &[1, 2],
         SimTime::from_secs(5_000),
         SimDuration::from_secs(300),
     );
