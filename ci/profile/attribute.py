@@ -5,7 +5,7 @@ Reads what `sampler.c` wrote, expands every sampled stack through inlined
 frames (`addr2line -i`), keeps the samples inside `run_simulation` (or, in a
 sweep, the two halves the executor calls), and gives each to the innermost
 frame naming one of MARKERS. `-m` puts rows of its own before them — the
-campus sweep wants `-m matches_token_set,matches_any,receive_metadata,
+campus sweep wants `-m matches_token_set,matches_any,store_record,
 metadata_offers,FrequentScan`. `-v` lists each row's commonest leaf
 functions. A libc leaf (malloc, memcpy) keeps no frame pointer, so its
 sample skips its caller and lands one row further out; it is listed as

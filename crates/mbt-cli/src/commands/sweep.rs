@@ -38,11 +38,11 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let path = args.positional(0, "trace-file")?.to_string();
     let source = open_source(&path)?;
 
-    let protocols: Vec<ProtocolSpec> = args
-        .str_or("protocols", "mbt,mbt-q,mbt-qm")
-        .split(',')
-        .map(|name| ProtocolSpec::by_name(name.trim()).map_err(|e| CliError::Usage(e.to_string())))
-        .collect::<Result<_, _>>()?;
+    let protocols = distinct(
+        "protocols",
+        args.str_or("protocols", "mbt,mbt-q,mbt-qm"),
+        |name| ProtocolSpec::by_name(name).map_err(|e| CliError::Usage(e.to_string())),
+    )?;
 
     let param = args.str_or("param", "internet").to_string();
     if !["internet", "files-per-day", "ttl"].contains(&param.as_str()) {
@@ -60,7 +60,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             _ => days_of("xs", v, source.as_ref()).map(|days| days as f64),
         }
     };
-    let xs: Vec<f64> = match args.opt_str("xs") {
+    let xs = match args.opt_str("xs") {
         Some(xs) => xs,
         None if param == "internet" => "0.1,0.3,0.5,0.7,0.9",
         None => {
@@ -68,10 +68,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
                 "--param {param} needs --xs: the default x values are Internet-access fractions"
             )))
         }
-    }
-    .split(',')
-    .map(|v| x_value(v.trim()))
-    .collect::<Result<_, _>>()?;
+    };
+    let xs = distinct("xs", xs, |v| Ok(x_value(v)?))?;
 
     let (days, files) = run_size(args, source.as_ref())?;
     let base = SimParams::builder()
@@ -119,6 +117,28 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     } else {
         Ok(figure_table(&fig))
     }
+}
+
+/// The comma-separated `list` of `--option`, each entry parsed. An entry
+/// equal to an earlier one is refused, naming its token: it would print a
+/// second series or row, with other numbers, that cannot be told from the
+/// first.
+fn distinct<T: PartialEq>(
+    option: &str,
+    list: &str,
+    parse: impl Fn(&str) -> Result<T, CliError>,
+) -> Result<Vec<T>, CliError> {
+    let mut values = Vec::new();
+    for token in list.split(',').map(str::trim) {
+        let value = parse(token)?;
+        if values.contains(&value) {
+            return Err(CliError::Usage(format!(
+                "--{option} repeats `{token}`: its two runs would print under one label"
+            )));
+        }
+        values.push(value);
+    }
+    Ok(values)
 }
 
 #[cfg(test)]

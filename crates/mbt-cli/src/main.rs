@@ -468,6 +468,23 @@ mod tests {
                 ["--csv", "--delay-csv"],
             ),
             (
+                "sweep",
+                "{trace} --protocols mbt,mbt --xs 0.5",
+                ["--protocols", "`mbt`"],
+            ),
+            (
+                "sweep",
+                "{trace} --protocols mbt,popcache,MBT --xs 0.5 --csv",
+                ["--protocols", "`MBT`"],
+            ),
+            ("sweep", "{trace} --xs 0.5,0.5", ["--xs", "`0.5`"]),
+            (
+                "sweep",
+                "{trace} --xs 0.5,0.3,0.50 --csv",
+                ["--xs", "`0.50`"],
+            ),
+            ("sweep", "{trace} --param ttl --xs 2,1,2", ["--xs", "`2`"]),
+            (
                 "simulate",
                 "{trace} --tft --rarest-first",
                 ["--tft", "--rarest-first"],

@@ -1,4 +1,21 @@
-//! The difference catalog of one contact.
+//! Cooperative file discovery (paper §IV) and the difference catalog of
+//! one contact.
+//!
+//! The goal of the file discovery process is to download metadata that
+//! matches the user's query strings — and, probably, metadata that will
+//! match future queries. Discovery separates the distribution of metadata
+//! from the distribution of files: metadata are distributed earlier, in
+//! larger amounts, and are stored for longer durations. During a contact the
+//! clique selects which stored metadata to send, in two phases: metadata
+//! that match the query strings of connected nodes (most-matched first),
+//! then the remaining metadata in order of decreasing popularity. The
+//! catalog annotates each record with its requesters and popularity as an
+//! [`Offer`], and the metadata phase of
+//! [`run_contact_via`](crate::node::run_contact_via) orders those offers
+//! with the download schedulers — [`cooperative`](crate::download::cooperative)
+//! for the altruistic two-phase order, [`tft`](crate::download::tft) when
+//! requesters are weighed by tit-for-tat credits (§IV-B). A received record
+//! enters its node, and credits its sender, in `MbtNode::store_record`.
 //!
 //! What a clique can exchange is what its members *differ by*: a URI whose
 //! metadata and file are each held by every member or by none can be offered
@@ -38,11 +55,9 @@ use crate::uri::Uri;
 pub(crate) struct Row {
     pub(crate) uri: Uri,
     /// The record of the first metadata holder in member order — the one a
-    /// broadcast carries. `None` when members hold only the file.
+    /// broadcast carries, and so the one a query must match to request it.
+    /// `None` when members hold only the file.
     pub(crate) record: Option<Metadata>,
-    /// Records other members hold under the same URI that differ from
-    /// `record`: a query matching any of them makes its owner a requester.
-    pub(crate) variants: Vec<Metadata>,
     /// The highest popularity any metadata holder knows for the URI.
     pub(crate) popularity: Popularity,
     /// Members holding the metadata, in member order.
@@ -59,7 +74,6 @@ impl Row {
         Row {
             uri,
             record: None,
-            variants: Vec::new(),
             popularity: Popularity::MIN,
             metadata_holders: Vec::new(),
             file_holders: Vec::new(),
@@ -67,23 +81,13 @@ impl Row {
         }
     }
 
-    /// `keep_variant` is false where no member lacks the metadata: nobody
-    /// can request it, so nothing will be matched against its variants.
-    fn add_record(&mut self, holder: &MbtNode, record: &Metadata, keep_variant: bool) {
+    fn add_record(&mut self, holder: &MbtNode, record: &Metadata) {
         let popularity = holder.known_popularity(&self.uri);
-        match &self.record {
-            None => {
-                self.record = Some(record.clone());
-                self.popularity = popularity;
-            }
-            Some(first) => {
-                if popularity > self.popularity {
-                    self.popularity = popularity;
-                }
-                if keep_variant && record != first && !self.variants.contains(record) {
-                    self.variants.push(record.clone());
-                }
-            }
+        if self.record.is_none() {
+            self.record = Some(record.clone());
+            self.popularity = popularity;
+        } else if popularity > self.popularity {
+            self.popularity = popularity;
         }
         self.metadata_holders.push(holder.id());
     }
@@ -91,15 +95,12 @@ impl Row {
     /// True if `member` neither holds nor refuses what `holders` hold under
     /// this URI. A member holds a row's metadata (file) iff it is listed, so
     /// the probe is a scan of at most clique-size ids.
-    fn open_to(&self, holders: &[NodeId], member: &HelloFrame) -> bool {
+    pub(crate) fn open_to(&self, holders: &[NodeId], member: &HelloFrame) -> bool {
         !holders.contains(&member.sender) && !member.rejected.contains(&self.uri)
     }
 
     fn matches(&self, query: &Query) -> bool {
-        self.record
-            .iter()
-            .chain(&self.variants)
-            .any(|m| query.matches_token_set(m.token_set()))
+        (self.record.as_ref()).is_some_and(|m| query.matches_token_set(m.token_set()))
     }
 }
 
@@ -170,9 +171,9 @@ impl Catalog {
             let Some(uri) = next else { break };
             let files_held = standing.iter().filter(|&&(_, is_file)| is_file).count();
             let partial = |held: usize| held != 0 && held != members.len();
-            let lacks_record = partial(standing.len() - files_held);
-            let mut row =
-                (every_row || lacks_record || partial(files_held)).then(|| Row::new(uri.clone()));
+            let records_held = standing.len() - files_held;
+            let mut row = (every_row || partial(records_held) || partial(files_held))
+                .then(|| Row::new(uri.clone()));
             for (at, is_file) in standing.drain(..) {
                 let (holder, records, files) = &mut cursors[at];
                 if is_file {
@@ -183,7 +184,7 @@ impl Catalog {
                 } else {
                     let (_, record) = records.next().expect("cursor stands at the URI");
                     if let Some(row) = &mut row {
-                        row.add_record(holder, record, lacks_record);
+                        row.add_record(holder, record);
                     }
                 }
             }
@@ -202,28 +203,21 @@ impl Catalog {
         &mut self.rows
     }
 
-    /// The row for `uri`, by binary search.
-    pub(crate) fn row(&self, uri: &Uri) -> Option<&Row> {
-        let at = self.rows.binary_search_by(|row| row.uri.cmp(uri)).ok()?;
-        Some(&self.rows[at])
-    }
-
-    /// The metadata phase's offers (§IV-A): every record some member neither
-    /// holds nor has rejected, requested by the members with a relevant
-    /// query — own, or carried for a frequent contact — that matches a
-    /// record held under the URI.
+    /// The metadata phase's offers (§IV-A), each naming its row by index:
+    /// every record some member neither holds nor has rejected, requested
+    /// by the members with a relevant query — own, or carried for a
+    /// frequent contact — that matches the record a broadcast would carry.
     ///
     /// The candidate rows are indexed by token hash once; each query
     /// then probes that index once — the rows of its rarest token, confirmed
-    /// against every record held under the URI — which answers exactly what
-    /// a search of every member's store did. A query whose signature has a
-    /// bit no candidate record's has lacks a match and is not probed.
-    pub(crate) fn metadata_offers(&self, members: &[HelloFrame]) -> Vec<Offer<Uri>> {
+    /// against the row's record. A query whose signature has a bit no
+    /// candidate record's has lacks a match and is not probed.
+    pub(crate) fn metadata_offers(&self, members: &[HelloFrame]) -> Vec<Offer<usize>> {
         let lacking = |row: &Row, m: &HelloFrame| row.open_to(&row.metadata_holders, m);
-        let candidates: Vec<&Row> = self
-            .rows
-            .iter()
-            .filter(|row| row.record.is_some() && members.iter().any(|m| lacking(row, m)))
+        // Each with its row index and the record its broadcast carries.
+        let candidates: Vec<(usize, &Row, &Metadata)> = (self.rows.iter().enumerate())
+            .filter_map(|(at, row)| Some((at, row, row.record.as_ref()?)))
+            .filter(|(_, row, _)| members.iter().any(|m| lacking(row, m)))
             .collect();
         if candidates.is_empty() {
             return Vec::new();
@@ -234,16 +228,12 @@ impl Catalog {
         // Every candidate token's signature bit: a query with a bit outside
         // it has a token no candidate holds, so it matches no row.
         let mut held = 0;
-        for (at, row) in candidates.iter().enumerate() {
-            for record in row.record.iter().chain(&row.variants) {
-                held |= record.token_set().signature();
-                let tokens = record.token_set().iter();
-                postings.extend(tokens.map(|t| (stable_hash(t.as_bytes()), at)));
-            }
+        for (at, (_, _, record)) in candidates.iter().enumerate() {
+            held |= record.token_set().signature();
+            let tokens = record.token_set().iter();
+            postings.extend(tokens.map(|t| (stable_hash(t.as_bytes()), at)));
         }
         postings.sort_unstable();
-        // A variant shares most of its tokens with the first record.
-        postings.dedup();
         let rows_with = |token: &str| {
             let key = stable_hash(token.as_bytes());
             let from = postings.partition_point(|&(k, _)| k < key);
@@ -265,7 +255,7 @@ impl Catalog {
                     .min_by_key(|rows| rows.len())
                     .unwrap_or_default();
                 for &(_, at) in rarest {
-                    let row = candidates[at];
+                    let (_, row, _) = candidates[at];
                     if requesters[at].last() != Some(&member.sender)
                         && lacking(row, member)
                         && row.matches(query)
@@ -278,15 +268,16 @@ impl Catalog {
         candidates
             .into_iter()
             .zip(requesters)
-            .map(|(row, requesters)| {
+            .map(|((at, row, _), requesters)| {
                 let holders = row.metadata_holders.clone();
-                Offer::new(row.uri.clone(), row.popularity, requesters, holders)
+                Offer::new(at, row.popularity, requesters, holders)
             })
             .collect()
     }
 
-    /// The file phase's offers (§V): every file some member neither holds
-    /// nor refuses, requested by the members that announced wanting it.
+    /// The file phase's offers (§V), each naming its row by index: every
+    /// file some member neither holds nor refuses, requested by the members
+    /// that announced wanting it.
     /// Without standalone metadata (`announces_wants` false, MBT-QM) nobody
     /// can announce a want, and a file nobody asked for is still pulled by
     /// the row's [`proactive`](Row::proactive) members.
@@ -294,12 +285,15 @@ impl Catalog {
         &self,
         members: &[HelloFrame],
         announces_wants: bool,
-    ) -> Vec<Offer<Uri>> {
+    ) -> Vec<Offer<usize>> {
         let lacking = |row: &Row, m: &HelloFrame| row.open_to(&row.file_holders, m);
         self.rows
             .iter()
-            .filter(|row| !row.file_holders.is_empty() && members.iter().any(|m| lacking(row, m)))
-            .map(|row| {
+            .enumerate()
+            .filter(|(_, row)| {
+                !row.file_holders.is_empty() && members.iter().any(|m| lacking(row, m))
+            })
+            .map(|(at, row)| {
                 let holds = |m: &HelloFrame| row.file_holders.contains(&m.sender);
                 let mut requesters: Vec<NodeId> = members
                     .iter()
@@ -310,7 +304,7 @@ impl Catalog {
                     requesters.clone_from(&row.proactive);
                 }
                 let holders = row.file_holders.clone();
-                Offer::new(row.uri.clone(), row.popularity, requesters, holders)
+                Offer::new(at, row.popularity, requesters, holders)
             })
             .collect()
     }
@@ -368,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn a_query_matching_only_a_later_holders_record_still_requests() {
+    fn a_query_matching_only_a_later_holders_record_does_not_request() {
         let config = MbtConfig::new();
         let mut nodes: Vec<MbtNode> = (0..3)
             .map(|i| node(i, ProtocolSpec::MBT, &config))
@@ -383,9 +377,9 @@ mod tests {
             &members,
         ));
         assert_eq!(offers.len(), 1);
-        assert_eq!(offers[0].requesters, [NodeId::new(2)]);
+        assert_eq!(offers[0].requesters, [], "the broadcast carries `fox news`");
         assert_eq!(offers[0].holders, [NodeId::new(0), NodeId::new(1)]);
-        // ... and what it is sent is the first holder's record.
+        // ... which the popularity phase sends it all the same.
         contact(&mut nodes, &members, 10);
         assert_eq!(
             nodes[2].metadata().get(&uri(0)),
@@ -420,10 +414,8 @@ mod tests {
         nodes[0].seed_content(record("fox news", 0), Popularity::new(0.25), true);
         nodes[1].seed_content(record("fox news", 0), Popularity::new(0.75), false);
         let catalog = Catalog::walk(&nodes, &[0, 1], false);
-        let row = catalog
-            .row(&uri(0))
-            .expect("the file is held by one of two");
-        assert_eq!(row.record, Some(record("fox news", 0)));
+        assert_eq!(catalog.rows().len(), 1, "the file is held by one of two");
+        assert_eq!(catalog.rows()[0].record, Some(record("fox news", 0)));
         let snapshots = hellos(ProtocolSpec::MBT, &nodes, &[0, 1]);
         assert_eq!(
             catalog.metadata_offers(&snapshots),
@@ -433,7 +425,7 @@ mod tests {
         assert_eq!(
             catalog.file_offers(&snapshots, true),
             [Offer::new(
-                uri(0),
+                0,
                 Popularity::new(0.75),
                 vec![NodeId::new(1)],
                 vec![NodeId::new(0)]

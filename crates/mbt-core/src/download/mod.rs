@@ -9,19 +9,20 @@
 //! [`dtn_sim::channel`]).
 //!
 //! The schedulers here are generic over the broadcast *item*: a contact,
-//! simulated or live, schedules [`crate::uri::Uri`]s — the file-level
-//! granularity of the paper's evaluation model, whose broadcast the live
-//! transport sends as piece frames — and a piece-level swarm can schedule
-//! [`crate::piece::PieceId`]s (`examples/piece_swarm.rs`).
+//! simulated or live, schedules the rows of its catalog by index — one row a
+//! URI, in URI order, so an index ties exactly as its URI would — at the
+//! file-level granularity of the paper's evaluation model, whose broadcast
+//! the live transport sends as piece frames; a piece-level swarm can
+//! schedule [`crate::piece::PieceId`]s (`examples/piece_swarm.rs`).
 //!
 //! - [`cooperative`]: a coordinator (deterministically elected) orders the
-//!   broadcasts — requested items first, most-requested first (§V-A);
+//!   broadcasts — requested items first, most-requested first (§V-A), or
+//!   rarest first (BitTorrent, §II-B);
 //! - [`tft`]: no coordinator can be trusted, so members broadcast in an
 //!   agreed-upon cyclic order derived from a PRNG seeded with the sum of
 //!   their IDs, each choosing what to send by credit weight (§V-B).
 
 pub mod cooperative;
-pub mod strategy;
 pub mod tft;
 
 use dtn_trace::NodeId;
@@ -84,7 +85,6 @@ pub struct Broadcast<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::uri::Uri;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -93,7 +93,7 @@ mod tests {
     #[test]
     fn offer_dedups_and_sorts() {
         let o = Offer::new(
-            Uri::new("mbt://a").unwrap(),
+            'a',
             Popularity::new(0.5),
             vec![n(3), n(1), n(3)],
             vec![n(2), n(2)],
@@ -106,12 +106,7 @@ mod tests {
 
     #[test]
     fn offer_without_holders_not_sendable() {
-        let o = Offer::new(
-            Uri::new("mbt://a").unwrap(),
-            Popularity::MIN,
-            vec![n(1)],
-            vec![],
-        );
+        let o = Offer::new('a', Popularity::MIN, vec![n(1)], vec![]);
         assert!(!o.sendable());
     }
 }

@@ -11,7 +11,8 @@
 //!
 //! The two contributions of the paper, and of this crate:
 //!
-//! 1. **Cooperative file discovery** ([`discovery`]): keyword search inside
+//! 1. **Cooperative file discovery** (the metadata phase of
+//!    [`node::run_contact_via`]): keyword search inside
 //!    the DTN via distribution of [`Metadata`] — advertisements carrying
 //!    name, publisher, description, URI, piece checksums, and publisher
 //!    authentication ([`auth`]) — ordered by query matches and
@@ -65,7 +66,6 @@ mod catalog;
 pub mod checksum;
 pub mod config;
 pub mod credit;
-pub mod discovery;
 pub mod download;
 pub mod file;
 pub mod keyword;

@@ -24,7 +24,6 @@ use crate::auth::KeyRegistry;
 use crate::catalog::Catalog;
 use crate::config::{CooperationMode, MbtConfig};
 use crate::credit::CreditLedger;
-use crate::discovery::{receive_metadata, ReceiveOutcome};
 use crate::download::{cooperative as dl_coop, tft as dl_tft, Broadcast, Offer};
 use crate::metadata::Metadata;
 use crate::popularity::Popularity;
@@ -427,9 +426,9 @@ impl MbtNode {
     /// the observation, and stores the record unless one is already held
     /// under its URI; returns `true` if it was new. Every record enters the
     /// store here, where it is matched against the own queries once — which
-    /// both picks the credit rule (§IV-B: with `credited`, a new record
-    /// rewards the peer it came `from`) and decides whether its file is now
-    /// wanted.
+    /// both picks the credit rule (with `credited`, a new record
+    /// [pays](Self::pay) the peer it came `from`) and decides whether its
+    /// file is now wanted.
     fn store_record(
         &mut self,
         metadata: &Metadata,
@@ -438,23 +437,16 @@ impl MbtNode {
         credited: bool,
     ) -> bool {
         self.note_popularity_until(metadata.uri(), popularity, metadata.expires());
-        let sender = match from {
-            Source::Peer(peer) => peer,
-            Source::Internet => self.id,
-        };
-        let outcome = receive_metadata(
-            &mut self.metadata,
-            self.queries.own().iter().map(|(q, _)| q),
-            metadata,
-            popularity,
-            sender,
-            credited.then_some(&mut self.credits),
-        );
-        if outcome == ReceiveOutcome::Duplicate {
+        // A duplicate is not stored and earns its sender nothing.
+        if !self.metadata.insert(metadata.clone()) {
             return false;
         }
+        let matched = matches_any(self.queries.own(), metadata);
+        if let (true, Source::Peer(sender)) = (credited, from) {
+            self.pay(sender, matched, popularity);
+        }
         let uri = metadata.uri();
-        if outcome == ReceiveOutcome::NewMatched && !self.files.contains(uri) {
+        if matched && !self.files.contains(uri) {
             self.wanted.insert(uri.clone());
         }
         self.events.push(NodeEvent::MetadataStored {
@@ -462,6 +454,16 @@ impl MbtNode {
             from,
         });
         true
+    }
+
+    /// The credit rule (§IV-B, reused for files by §V-B): what `sender`
+    /// delivered pays it 5 if it matched an own query, else its popularity.
+    fn pay(&mut self, sender: NodeId, matched: bool, popularity: Popularity) {
+        if matched {
+            self.credits.reward_matched(sender);
+        } else {
+            self.credits.reward_unmatched(sender, popularity);
+        }
     }
 
     /// Runs one Internet session (paper §III-A, §IV): the node connects —
@@ -806,9 +808,7 @@ pub fn run_contact_via(
             row.proactive = members
                 .iter()
                 .zip(snapshots)
-                .filter(|(_, s)| {
-                    !row.file_holders.contains(&s.sender) && !s.rejected.contains(&row.uri)
-                })
+                .filter(|(_, s)| row.open_to(&row.file_holders, s))
                 .filter(|(&idx, _)| {
                     let estimate = nodes[idx].availability.get(&row.uri).copied();
                     estimate.unwrap_or(0.0) < DIFFUSION_THRESHOLD
@@ -897,7 +897,7 @@ pub fn run_contact_via(
         let offers = catalog.metadata_offers(snapshots);
         let schedule = schedule_broadcasts(&config, member_ids, snapshots, offers, metadata_slots);
         for b in &schedule {
-            let row = catalog.row(&b.item).expect("offers come from rows");
+            let row = &catalog.rows()[b.item];
             let (meta, pop) = (
                 row.record.as_ref().expect("offered a record"),
                 row.popularity,
@@ -908,7 +908,7 @@ pub fn run_contact_via(
                 if receiver_id == b.sender {
                     continue;
                 }
-                if frame_lost(b.sender, receiver_id, &b.item) {
+                if frame_lost(b.sender, receiver_id, &row.uri) {
                     report.frames_lost += 1;
                     continue;
                 }
@@ -961,17 +961,17 @@ pub fn run_contact_via(
                 report.file_broadcasts += 1;
                 // The file's metadata rides along with the file (as in prior
                 // content-distribution systems, and necessary for verification).
-                let row = catalog.row(&b.item).expect("offers come from rows");
+                let row = &catalog.rows()[b.item];
                 for &idx in members {
                     let receiver_id = nodes[idx].id;
-                    if receiver_id == b.sender || nodes[idx].files.contains(&b.item) {
+                    if receiver_id == b.sender || nodes[idx].files.contains(&row.uri) {
                         continue;
                     }
-                    if frame_lost(b.sender, receiver_id, &b.item) {
+                    if frame_lost(b.sender, receiver_id, &row.uri) {
                         report.frames_lost += 1;
                         continue;
                     }
-                    if faults.corrupts(now, b.sender, receiver_id, b.item.as_str()) {
+                    if faults.corrupts(now, b.sender, receiver_id, row.uri.as_str()) {
                         // The pieces arrived mangled: checksum verification (see
                         // `Metadata::verify_piece`) catches them, nothing is
                         // stored, and no credit is awarded — the file stays
@@ -983,7 +983,7 @@ pub fn run_contact_via(
                         b.sender,
                         receiver_id,
                         WireMessage::FileBroadcast {
-                            uri: b.item.clone(),
+                            uri: row.uri.clone(),
                             metadata: row.record.clone().map(|m| (m, row.popularity)),
                         },
                     );
@@ -1027,12 +1027,7 @@ pub fn run_contact_via(
                             from: Source::Peer(b.sender),
                         });
                         // §V-B: file download reuses the metadata credit rule.
-                        if wanted {
-                            receiver.credits.reward_matched(b.sender);
-                        } else {
-                            let pop = receiver.known_popularity(&uri);
-                            receiver.credits.reward_unmatched(b.sender, pop);
-                        }
+                        receiver.pay(b.sender, wanted, receiver.known_popularity(&uri));
                     }
                 }
             }
@@ -1115,19 +1110,14 @@ fn schedule_broadcasts(
     config: &MbtConfig,
     member_ids: &[NodeId],
     snapshots: &[HelloFrame],
-    offers: Vec<Offer<Uri>>,
+    offers: Vec<Offer<usize>>,
     slots: usize,
-) -> Vec<Broadcast<Uri>> {
+) -> Vec<Broadcast<usize>> {
     if offers.is_empty() {
         return Vec::new();
     }
     match config.cooperation_value() {
-        CooperationMode::Cooperative => match config.ordering_value() {
-            crate::config::BroadcastOrdering::TwoPhase => dl_coop::schedule(offers, slots),
-            crate::config::BroadcastOrdering::RarestFirst => {
-                crate::download::strategy::rarest_first_schedule(offers, slots)
-            }
-        },
+        CooperationMode::Cooperative => dl_coop::schedule(offers, slots, config.ordering_value()),
         CooperationMode::TitForTat => {
             // Only this scheduler reads the start-of-contact ledgers.
             let ledgers: BTreeMap<NodeId, CreditLedger> = snapshots
@@ -1639,6 +1629,54 @@ mod tests {
         // Idempotent: re-seeding emits nothing new.
         n0.seed_content(meta("x", "mbt://x"), Popularity::new(0.7), true);
         assert!(n0.drain_events().is_empty());
+    }
+
+    /// A node querying "news" that takes in `m` from peer 7.
+    fn receive(m: &Metadata, popularity: f64, credited: bool) -> (MbtNode, bool) {
+        let mut n = node(0, ProtocolSpec::MBT);
+        n.add_query(Query::new("news").unwrap(), None);
+        let peer = Source::Peer(NodeId::new(7));
+        let stored = n.store_record(m, Popularity::new(popularity), peer, credited);
+        (n, stored)
+    }
+
+    #[test]
+    fn a_new_matched_record_pays_its_sender_five_and_is_wanted() {
+        let (n, stored) = receive(&meta("fox news", "mbt://a"), 0.9, true);
+        assert!(stored);
+        assert_eq!(n.credits.credit_of(NodeId::new(7)), 5.0);
+        assert_eq!(n.wanted_uris(), [uri("mbt://a")]);
+    }
+
+    #[test]
+    fn a_new_unmatched_record_pays_its_popularity_and_is_not_wanted() {
+        let (n, stored) = receive(&meta("abc comedy", "mbt://b"), 0.4, true);
+        assert!(stored);
+        assert!((n.credits.credit_of(NodeId::new(7)) - 0.4).abs() < 1e-12);
+        assert!(n.wanted_uris().is_empty());
+    }
+
+    #[test]
+    fn a_duplicate_record_pays_nothing_and_emits_nothing() {
+        let m = meta("fox news", "mbt://a");
+        let (mut n, _) = receive(&m, 0.0, false);
+        n.drain_events();
+        let stored = n.store_record(&m, Popularity::MAX, Source::Peer(NodeId::new(7)), true);
+        assert!(!stored);
+        assert_eq!(n.credits.credit_of(NodeId::new(7)), 0.0);
+        assert!(n.drain_events().is_empty());
+        assert_eq!(n.known_popularity(m.uri()), Popularity::MAX, "still noted");
+    }
+
+    #[test]
+    fn an_uncredited_record_is_stored_without_paying() {
+        let (mut n, stored) = receive(&meta("fox news", "mbt://a"), 0.9, false);
+        assert!(stored);
+        assert_eq!(n.metadata.len(), 1);
+        assert_eq!(n.credits.credit_of(NodeId::new(7)), 0.0);
+        let from = Source::Peer(NodeId::new(7));
+        let uri = uri("mbt://a");
+        assert_eq!(n.drain_events(), [NodeEvent::MetadataStored { uri, from }]);
     }
 
     #[test]

@@ -5,10 +5,10 @@ use proptest::prelude::*;
 
 use dtn_trace::NodeId;
 use mbt_core::checksum::{sha1, Sha1};
-use mbt_core::download::{cooperative as dl_coop, tft as dl_tft, Offer};
+use mbt_core::download::{cooperative as dl_coop, tft as dl_tft, Broadcast, Offer};
 use mbt_core::keyword::tokenize;
 use mbt_core::piece::split_into_pieces;
-use mbt_core::{CreditLedger, FileAssembler, Metadata, Popularity, Query, Uri};
+use mbt_core::{BroadcastOrdering, CreditLedger, FileAssembler, Metadata, Popularity, Query, Uri};
 
 fn arb_uri() -> impl Strategy<Value = Uri> {
     "[a-z0-9]{1,12}".prop_map(|s| Uri::new(format!("mbt://p/{s}")).unwrap())
@@ -172,7 +172,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn cooperative_download_schedule_invariants(raw in arb_offers(), slots in 0usize..30) {
+    fn cooperative_download_schedule_invariants(raw in arb_offers(), slots in 0usize..30, rarest in prop::bool::ANY) {
+        let ordering = if rarest { BroadcastOrdering::RarestFirst } else { BroadcastOrdering::TwoPhase };
         let mut seen = std::collections::BTreeSet::new();
         let offers: Vec<Offer<Uri>> = raw
             .into_iter()
@@ -196,7 +197,7 @@ proptest! {
             .filter(|o| o.sendable() && o.request_count() > 0)
             .map(|o| o.item.clone())
             .collect();
-        let schedule = dl_coop::schedule(offers.clone(), slots);
+        let schedule = dl_coop::schedule(offers.clone(), slots, ordering);
         // Budget respected, no duplicates, senders hold what they send.
         prop_assert!(schedule.len() <= slots);
         let mut scheduled = std::collections::BTreeSet::new();
@@ -206,9 +207,19 @@ proptest! {
             let offer = offers.iter().find(|o| o.item == b.item).unwrap();
             prop_assert!(offer.holders.contains(&b.sender));
         }
-        // Requested items never scheduled after unrequested ones.
+        // Under rarest-first no item is sent before a rarer one.
+        if rarest {
+            let holders = |b: &Broadcast<Uri>| {
+                offers.iter().find(|o| o.item == b.item).unwrap().holders.len()
+            };
+            for pair in schedule.windows(2) {
+                prop_assert!(holders(&pair[0]) <= holders(&pair[1]), "rarity inversion");
+            }
+        }
+        // Under the paper's order, requested items never follow unrequested
+        // ones (rarest-first ranks by holder count before requests).
         let mut seen_unrequested = false;
-        for b in &schedule {
+        for b in schedule.iter().filter(|_| !rarest) {
             if requested.contains(&b.item) {
                 prop_assert!(!seen_unrequested, "phase inversion");
             } else {

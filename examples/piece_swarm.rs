@@ -12,9 +12,9 @@
 use std::collections::BTreeSet;
 
 use dtn_trace::NodeId;
-use mbt_core::download::{strategy, Offer};
+use mbt_core::download::{cooperative, Offer};
 use mbt_core::piece::{split_into_pieces, PieceId};
-use mbt_core::{FileAssembler, Metadata, Popularity, Uri};
+use mbt_core::{BroadcastOrdering, FileAssembler, Metadata, Popularity, Uri};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if offers.is_empty() {
             break;
         }
-        let schedule = strategy::rarest_first_schedule(offers, 1);
+        let schedule = cooperative::schedule(offers, 1, BroadcastOrdering::RarestFirst);
         let broadcast = schedule.into_iter().next().expect("offers were non-empty");
         let idx = broadcast.item.index();
         for m in &members {

@@ -10,12 +10,14 @@
 //!   and 1–3 contacts of shuffled member subsets follow. After each, the
 //!   report and every member's records, files, own queries, credits, known
 //!   popularities, wanted set and events must agree. 500 cases a variant,
-//!   a quarter under each cooperation mode × `discovery_first`.
+//!   a quarter under each cooperation mode × `discovery_first`; a
+//!   cooperative case orders rarest-first or two-phase, one in two.
 //! - **P2, whole run**: a small NUS, DieselNet or community trace (≤ 8
 //!   nodes, ≤ 200 contacts) through `run_simulation` and through the
 //!   reference's own day tick, contact loop and delivery books: every
 //!   `SimResult` field and the contact counters must agree. 200 cases a
-//!   variant, half under each cooperation mode.
+//!   variant, half under each cooperation mode, cooperative ones drawing
+//!   their ordering as P1 does.
 //!
 //! `ContactReport::wanted_cache_hits` and `index_lookups` are not compared:
 //! their docs call them arithmetic charges of retired implementations.
@@ -29,7 +31,10 @@ use dtn_trace::generators::{CommunityConfig, DieselNetConfig, NusConfig};
 use dtn_trace::{ContactTrace, NodeId, SimDuration, SimTime, SECONDS_PER_DAY};
 use mbt_core::node::{run_contact, ContactReport};
 use mbt_core::Uri;
-use mbt_core::{CooperationMode, MbtConfig, MbtNode, Metadata, Popularity, ProtocolSpec, Query};
+use mbt_core::{
+    BroadcastOrdering, CooperationMode, MbtConfig, MbtNode, Metadata, Popularity, ProtocolSpec,
+    Query,
+};
 use mbt_experiments::runner::{run_simulation, SimParams, SimResult};
 use mbt_experiments::workload::{self, DailyBatch, WorkloadConfig};
 use rand::rngs::StdRng;
@@ -253,12 +258,23 @@ fn random_op(rng: &mut StdRng, n: usize, pools: &[Vec<[Metadata; 2]>], tokens: &
     }
 }
 
+/// Rarest-first for one cooperative case in two; tit-for-tat has one order.
+fn ordering(rng: &mut StdRng, mode: CooperationMode) -> BroadcastOrdering {
+    if mode == CooperationMode::Cooperative && rng.gen_bool(0.5) {
+        BroadcastOrdering::RarestFirst
+    } else {
+        BroadcastOrdering::TwoPhase
+    }
+}
+
 fn p1_case(variant: usize, protocol: ProtocolSpec, case: u64) {
     let rng = &mut rng_for(variant, case, 1);
     let mode = [CooperationMode::Cooperative, CooperationMode::TitForTat][(case % 2) as usize];
     let discovery_first = (case / 2).is_multiple_of(2);
+    let ordering = ordering(rng, mode);
     let config = MbtConfig::new()
         .cooperation(mode)
+        .ordering(ordering)
         .discovery_first(discovery_first)
         .metadata_per_contact(rng.gen_range(1..=6))
         .files_per_contact(rng.gen_range(1..=4))
@@ -289,7 +305,7 @@ fn p1_case(variant: usize, protocol: ProtocolSpec, case: u64) {
         })
         .collect();
     let name = format!(
-        "{protocol} {mode:?} discovery_first={discovery_first} case {case} (n={n}, fresh={fresh_last})"
+        "{protocol} {mode:?} {ordering} discovery_first={discovery_first} case {case} (n={n}, fresh={fresh_last})"
     );
 
     let mut cliques = Cliques::new(n, protocol, &config);
@@ -376,6 +392,7 @@ fn p2_case(variant: usize, protocol: ProtocolSpec, case: u64) {
     let (trace, window, days, model) = small_trace((case / 2) % 3, rng);
     let config = MbtConfig::new()
         .cooperation(mode)
+        .ordering(ordering(rng, mode))
         .discovery_first(rng.gen_bool(0.7))
         .metadata_per_contact(rng.gen_range(1..=20))
         .files_per_contact(rng.gen_range(1..=4));

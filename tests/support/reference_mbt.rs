@@ -22,6 +22,7 @@
 //! Included by path from `tests/reference_mbt.rs`. Do not optimise it: its
 //! value is that it is plainly the paper.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
 use dtn_sim::channel::frame_bytes;
@@ -30,8 +31,8 @@ use dtn_trace::{ContactTrace, FrequentScan, NodeId, SimDuration, SimTime, SECOND
 use mbt_core::auth::KeyRegistry;
 use mbt_core::popularity::cmp_popularity;
 use mbt_core::{
-    CachePolicy, CooperationMode, MbtConfig, Metadata, MetadataServer, NodeEvent, Popularity,
-    ProtocolSpec, Query, ReplicationPolicy, Source, Uri,
+    BroadcastOrdering, CachePolicy, CooperationMode, MbtConfig, Metadata, MetadataServer,
+    NodeEvent, Popularity, ProtocolSpec, Query, ReplicationPolicy, Source, Uri,
 };
 use mbt_experiments::workload::{self, WorkloadConfig};
 use rand::seq::SliceRandom;
@@ -354,20 +355,27 @@ fn ascending(ids: impl IntoIterator<Item = NodeId>) -> Vec<NodeId> {
 /// The broadcast order of one phase: `(sender, uri)` for at most `slots`
 /// broadcasts.
 fn order(
-    mode: CooperationMode,
+    config: &MbtConfig,
     ids: &[NodeId],
     hellos: &[Hello],
     mut offers: Vec<Offer>,
     slots: usize,
 ) -> Vec<(NodeId, Uri)> {
-    match mode {
+    match config.cooperation_value() {
         // §V-A (and §IV-A): the coordinator sends what more members request
         // first, equal counts by popularity, then the unrequested by
         // popularity; ties go to the smaller URI. The lowest-id holder sends.
+        // Rarest-first (BitTorrent, §II-B) sends what the fewest members
+        // hold first, and orders equal holder counts as above.
         CooperationMode::Cooperative => {
             offers.sort_by(|a, b| {
+                let rarity = match config.ordering_value() {
+                    BroadcastOrdering::TwoPhase => Ordering::Equal,
+                    BroadcastOrdering::RarestFirst => a.holders.len().cmp(&b.holders.len()),
+                };
                 let (ra, rb) = (a.requesters.len(), b.requesters.len());
-                (rb.min(1).cmp(&ra.min(1)))
+                rarity
+                    .then(rb.min(1).cmp(&ra.min(1)))
                     .then(rb.cmp(&ra))
                     .then(cmp_popularity(b.popularity, a.popularity))
                     .then(a.uri.cmp(&b.uri))
@@ -539,7 +547,6 @@ pub fn contact(
     // Without faults nothing cuts a contact short: the budgets are whole.
     let metadata_slots = config.metadata_per_contact_value() as usize;
     let file_slots = config.files_per_contact_value() as usize;
-    let mode = config.cooperation_value();
     let lacks = |holders: &[NodeId], hello: &Hello, uri: &Uri| {
         !holders.contains(&hello.id) && !hello.rejected.contains(uri)
     };
@@ -548,19 +555,18 @@ pub fn contact(
         if !protocol.distributes_metadata() {
             return;
         }
-        // §IV-A: a record some member lacks is offered; a lacking member
-        // requests it if one of its queries matches any record held under
-        // its URI. A broadcast carries the first holder's record.
+        // §IV-A: a record some member lacks is offered; a broadcast carries
+        // the first holder's record, and a lacking member requests it if one
+        // of its queries matches the record the broadcast carries.
         let mut offers = Vec::new();
         for (uri, holding) in &union {
             let holders: Vec<NodeId> = holding.records.iter().map(|(id, _)| *id).collect();
             if holders.is_empty() || !hellos.iter().any(|h| lacks(&holders, h, uri)) {
                 continue;
             }
+            let carried = &holding.records[0].1;
             let requesters = hellos.iter().filter(|h| {
-                lacks(&holders, h, uri)
-                    && (h.queries.iter())
-                        .any(|q| holding.records.iter().any(|(_, m)| m.matches_query(q)))
+                lacks(&holders, h, uri) && h.queries.iter().any(|q| carried.matches_query(q))
             });
             offers.push(Offer {
                 uri: uri.clone(),
@@ -569,7 +575,7 @@ pub fn contact(
                 holders: ascending(holders),
             });
         }
-        for (sender, uri) in order(mode, &ids, &hellos, offers, metadata_slots) {
+        for (sender, uri) in order(&config, &ids, &hellos, offers, metadata_slots) {
             let holding = &union[&uri];
             let record = &holding.records[0].1;
             tally.metadata_broadcasts += 1;
@@ -620,7 +626,7 @@ pub fn contact(
                 holders: ascending(holders.iter().copied()),
             });
         }
-        for (sender, uri) in order(mode, &ids, &hellos, offers, file_slots) {
+        for (sender, uri) in order(&config, &ids, &hellos, offers, file_slots) {
             let holding = &union[&uri];
             let riding = holding.records.first().map(|(_, m)| m);
             tally.file_broadcasts += 1;
