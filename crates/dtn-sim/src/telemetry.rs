@@ -1,11 +1,11 @@
 //! Always-on observability: cheap event counters and per-phase wall-clock
 //! spans.
 //!
-//! The engine and the MBT contact protocol already compute everything worth
-//! measuring — contacts processed, hello exchanges, clique formations,
-//! broadcast frames sent and lost, metadata and file pieces transferred,
-//! bytes moved — and previously threw it away. [`Counters`] keeps those
-//! totals, [`PhaseTimes`] keeps wall-clock time per [`Phase`], and
+//! [`Counters`] is the one type that counts what a run does — contacts
+//! processed, hello exchanges, clique formations, broadcasts and frames sent
+//! and lost, metadata and file pieces transferred, bytes moved, the bus's
+//! frames: a contact returns one, a run merges them, and the bus keeps its
+//! own in one. [`PhaseTimes`] keeps wall-clock time per [`Phase`], and
 //! [`Telemetry`] bundles both for aggregation up the stack (per simulation
 //! run, then per sweep cell, merged in grid order by the experiment
 //! executor).
@@ -85,12 +85,19 @@ macro_rules! counters {
 counters! {
     /// Contacts processed (at least two alive participants).
     contacts: sum,
-    /// Hello beacons exchanged: one per participant per processed contact.
+    /// Hello beacons exchanged: one per member whose hello reached the
+    /// clique coordinator (the coordinator's own included).
     hello_exchanges: sum,
     /// Contacts that formed a clique of three or more participants.
     clique_formations: sum,
-    /// Broadcast frames transmitted (metadata and file broadcasts).
+    /// Broadcast frames transmitted: one per metadata and file broadcast.
     frames_sent: sum,
+    /// Metadata broadcasts transmitted.
+    metadata_broadcasts: sum,
+    /// File broadcasts transmitted.
+    file_broadcasts: sum,
+    /// Queries newly stored for frequent contacts.
+    queries_distributed: sum,
     /// Receptions dropped by injected frame loss.
     frames_lost: sum,
     /// Metadata records successfully received and stored (non-duplicate),
@@ -155,6 +162,10 @@ counters! {
     /// message found a difference, and which it therefore decoded in full.
     /// Zero for a sound codec, and under the simulator transport.
     bus_frames_rebuilt: sum,
+    /// Frames the bus transport dropped because they failed the frame
+    /// check. Faults are rolled by the node, not the bus, so this is zero
+    /// unless the codec is broken, and under the simulator transport.
+    bus_frames_dropped: sum,
 }
 
 impl Counters {
@@ -296,8 +307,8 @@ impl Telemetry {
     /// let json = t.to_json(Duration::from_millis(1500));
     /// assert!(json.starts_with("{\n  \"wall_secs\": 1.500000,\n  \"phases\": {\n"));
     /// assert!(json.contains("    \"contacts\": 3,\n"));
-    /// assert!(json.ends_with("    \"bus_frames_rebuilt\": 0\n  }\n}\n"));
-    /// assert_eq!(json.matches("\n    \"").count(), 6 + 20, "six phases, twenty counters");
+    /// assert!(json.ends_with("    \"bus_frames_dropped\": 0\n  }\n}\n"));
+    /// assert_eq!(json.matches("\n    \"").count(), 6 + 24, "six phases, 24 counters");
     /// ```
     pub fn to_json(&self, wall: Duration) -> String {
         let secs = |d: Duration| format!("{:.6}", d.as_secs_f64());
@@ -355,6 +366,9 @@ mod tests {
             hello_exchanges: 2,
             clique_formations: 3,
             frames_sent: 4,
+            metadata_broadcasts: 21,
+            file_broadcasts: 22,
+            queries_distributed: 23,
             frames_lost: 5,
             metadata_transferred: 6,
             pieces_transferred: 7,
@@ -371,6 +385,7 @@ mod tests {
             bus_frames_carried: 18,
             bus_bytes_on_wire: 19,
             bus_frames_rebuilt: 20,
+            bus_frames_dropped: 24,
         }
     }
 

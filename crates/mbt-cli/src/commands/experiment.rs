@@ -18,10 +18,10 @@ capacity analysis, the ablations, the routing baselines, the extensions and
 the fault / protocol-variant figures — and prints their tables. Name one or
 more experiments or groups, or `all`; `list` prints every name by group.
 --quick runs the small test scale (seconds) instead of the full one.
---jobs N sets the worker threads (0, the default, = one per core) for every
-experiment, and results are bit-identical for any --jobs. --replicates R
-applies to figure rows: it runs R independently seeded replicates per sweep
-cell, filling the stddev CSV columns. Table rows (capacity, ablations,
+--jobs N sets the worker threads (0, the default, = one per core; at most
+256) for every experiment, and results are bit-identical for any --jobs.
+--replicates R applies to figure rows: it runs R independently seeded
+replicates per sweep cell, filling the stddev CSV columns. Table rows (capacity, ablations,
 routing, extensions) run once at seed 42 whatever R is.
 CSVs are written only with --csv-dir DIR, one <figure>.csv per figure run.";
 
@@ -41,7 +41,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         Scale::Full
     };
     let exec = ExecConfig::default()
-        .jobs(args.parse_or("jobs", 0usize, "an integer")?)
+        .jobs(super::jobs(args)?)
         .replicates(super::replicates(args)?);
     let csv_dir = args.opt_str("csv-dir").map(Path::new);
     if let Some(dir) = csv_dir {

@@ -85,6 +85,19 @@ pub fn replicates(args: &Args) -> Result<u32, ArgError> {
     }
 }
 
+/// `--jobs` (default 0, one worker per core). Workers are operating-system
+/// threads started together, so a count outside `0..=256` is an
+/// [`ArgError::BadValue`] naming option and token, not a request for that
+/// many threads.
+pub fn jobs(args: &Args) -> Result<usize, ArgError> {
+    args.parse_in(
+        "jobs",
+        0,
+        0..=256,
+        "an integer from 0 (one per core) to 256",
+    )
+}
+
 /// The options that pick and size a generated trace (`gen-trace`, `shard`).
 pub const GENERATOR_OPTIONS: [&str; 7] = [
     "model",

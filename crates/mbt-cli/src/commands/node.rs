@@ -22,7 +22,13 @@ broadcasts -> file broadcasts, with every message a frame and every file
 sent as checksummed pieces), with budgets of --files a contact, so every
 file reaches every node. Prints per-node deliveries with SHA-1 digests and
 the bus frame counters. --nodes and --files take 1 to 64, --file-bytes and
---piece-size 1 to 1048576; a value outside is an error, not clamped.";
+--piece-size 1 to 1048576, and a file may be cut into at most 4096 pieces
+(1048576 B at the default 256 B pieces); a value outside is an error, not
+clamped.";
+
+/// The most pieces a file may be cut into. Each piece is a frame, and the
+/// file's metadata carries one SHA-1 a piece.
+const MAX_PIECES: usize = 4096;
 
 /// Deterministic pseudo-random content (xorshift64*), so runs with the same
 /// seed publish byte-identical files.
@@ -47,6 +53,13 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let file_bytes = args.parse_in("file-bytes", 1536usize, 1..=1 << 20, UP_TO_1_MIB)?;
     let piece_size = args.parse_in("piece-size", 256usize, 1..=1 << 20, UP_TO_1_MIB)?;
     let seed = args.parse_or("seed", 42u64, "an integer")?;
+    let pieces = file_bytes.div_ceil(piece_size);
+    if pieces > MAX_PIECES {
+        return Err(CliError::Usage(format!(
+            "--file-bytes {file_bytes} in --piece-size {piece_size} pieces is {pieces} pieces \
+             a file; at most {MAX_PIECES}"
+        )));
+    }
 
     let config = MbtConfig::new()
         .metadata_per_contact(files as u32)
@@ -102,13 +115,13 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         }
     }
     let _ = writeln!(out, "  frames on the wire:");
-    for (kind, count) in &report.stats.frames_by_kind {
+    for (kind, count) in &report.frames_by_kind {
         let _ = writeln!(out, "    {kind:<15} {count:>6}");
     }
     let _ = writeln!(
         out,
         "  bytes on wire: {}  dropped frames: {}",
-        report.stats.bytes_on_wire, report.stats.frames_dropped
+        report.counters.bus_bytes_on_wire, report.counters.bus_frames_dropped
     );
     Ok(out)
 }
@@ -154,9 +167,9 @@ live session: 3 node(s) + gateway, 2 file(s) x 1536 B (pieces of 256 B), seed 42
     }
 
     #[test]
-    fn a_mebibyte_in_64_byte_pieces_reaches_every_node() {
+    fn a_mebibyte_in_256_byte_pieces_reaches_every_node() {
         let out = run(&args(
-            "--nodes 3 --files 1 --file-bytes 1048576 --piece-size 64",
+            "--nodes 3 --files 1 --file-bytes 1048576 --piece-size 256",
         ))
         .unwrap();
         for node in 0..3 {
@@ -166,5 +179,16 @@ live session: 3 node(s) + gateway, 2 file(s) x 1536 B (pieces of 256 B), seed 42
             );
         }
         assert!(out.contains("dropped frames: 0"), "{out}");
+    }
+
+    #[test]
+    fn more_pieces_than_a_session_holds_are_refused() {
+        let err = run(&args("--file-bytes 8192 --piece-size 1"))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("--file-bytes 8192") && err.contains("--piece-size 1 "),
+            "{err}"
+        );
     }
 }

@@ -23,7 +23,8 @@ The generator options are `mbt gen-trace`'s (--routes sets the dieselnet
 route count). The dieselnet and nus models emit directly into the shard
 writer, so the full trace is never resident; feed the result to
 `mbt simulate <dir>` or inspect it with `mbt shard-info <dir>`. --jobs
-bounds the worker threads used to sort finished shards (0 = one per core);
+bounds the worker threads used to sort finished shards (0 = one per core,
+at most 256);
 output bytes are identical for every job count.";
 
 /// What a run shards: a trace file given with `--from`, or a generated trace.
@@ -69,7 +70,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         None => Input::Generated(generator(args)?),
     };
 
-    let jobs = args.parse_or("jobs", 0usize, "an integer")?;
+    let jobs = super::jobs(args)?;
     let mut writer = ShardWriter::create(&out, window)
         .map_err(|e| CliError::Usage(e.to_string()))?
         .jobs(jobs);

@@ -283,6 +283,7 @@ mod tests {
             "headers alone"
         );
         assert_eq!(counter("bus", "bus_frames_rebuilt"), 0);
+        assert_eq!(counter("bus", "bus_frames_dropped"), 0);
         assert_eq!(counter("sim", "bus_frames_carried"), 0);
         assert_eq!(counter("sim", "bus_bytes_on_wire"), 0);
     }

@@ -29,8 +29,9 @@ one series per selected protocol. --protocols picks registry names
 `mbt simulate`). --param chooses the swept axis (default: internet, the
 Internet-access fraction; files-per-day and ttl take whole numbers and have
 no default --xs). Output is an aligned table, `--csv` the legacy
-ratio CSV, `--delay-csv` the ratio+delay CSV. Results are bit-identical for
-any --jobs value.";
+ratio CSV, `--delay-csv` the ratio+delay CSV. --jobs N sets the worker
+threads (0, the default, = one per core; at most 256); results are
+bit-identical for any --jobs value.";
 
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<String, CliError> {
@@ -95,7 +96,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         p
     };
     let exec = ExecConfig::default()
-        .jobs(args.parse_or("jobs", 0usize, "an integer")?)
+        .jobs(super::jobs(args)?)
         .replicates(super::replicates(args)?)
         .master_seed(args.parse_or("seed", 42u64, "an integer")?);
     let fig = ParallelRunner::new(exec)

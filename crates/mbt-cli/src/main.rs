@@ -369,6 +369,8 @@ mod tests {
             // named and refused, never defaulted, clamped or panicked on.
             for (option, bad) in [
                 ("--jobs", "banana"),
+                // Not a request for 257 threads at once.
+                ("--jobs", "257"),
                 ("--replicates", "-1"),
                 // Neither read as one nor sized a grid for.
                 ("--replicates", "0"),

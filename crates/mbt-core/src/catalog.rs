@@ -312,11 +312,12 @@ impl Catalog {
 
 #[cfg(test)]
 mod tests {
+    use dtn_sim::telemetry::Counters;
     use dtn_trace::{SimDuration, SimTime};
 
     use super::*;
     use crate::config::MbtConfig;
-    use crate::node::{build_hello, run_contact, ContactReport};
+    use crate::node::{build_hello, run_contact};
     use crate::protocol::ProtocolSpec;
 
     fn uri(i: usize) -> Uri {
@@ -336,17 +337,11 @@ mod tests {
     fn hellos(protocol: ProtocolSpec, nodes: &[MbtNode], members: &[usize]) -> Vec<HelloFrame> {
         members
             .iter()
-            .map(|&idx| {
-                build_hello(
-                    &mut nodes[idx].clone(),
-                    protocol,
-                    &mut ContactReport::default(),
-                )
-            })
+            .map(|&idx| build_hello(&mut nodes[idx].clone(), protocol, &mut Counters::default()))
             .collect()
     }
 
-    fn contact(nodes: &mut [MbtNode], members: &[usize], at: u64) -> ContactReport {
+    fn contact(nodes: &mut [MbtNode], members: &[usize], at: u64) -> Counters {
         run_contact(
             nodes,
             members,
@@ -401,7 +396,7 @@ mod tests {
         let snapshots = hellos(ProtocolSpec::MBT, &nodes, &[0, 1]);
         assert_eq!(catalog.metadata_offers(&snapshots), []);
         assert_eq!(catalog.file_offers(&snapshots, true), []);
-        assert_eq!(contact(&mut nodes, &[0, 1], 10).frames_sent(), 0);
+        assert_eq!(contact(&mut nodes, &[0, 1], 10).frames_sent, 0);
     }
 
     #[test]
@@ -450,7 +445,7 @@ mod tests {
         // The record rode in with the file; the metadata phase, reading the
         // rows of contact start, broadcasts it to its requester all the same.
         assert_eq!((report.file_broadcasts, report.metadata_broadcasts), (1, 1));
-        assert_eq!(report.metadata_received, 1);
+        assert_eq!(report.metadata_transferred, 1);
     }
 
     #[test]

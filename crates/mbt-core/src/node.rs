@@ -11,13 +11,13 @@
 //! Its oracle is the reference MBT of `tests/support/reference_mbt.rs`,
 //! written from the paper rather than from this module: `tests/reference_mbt.rs`
 //! runs seeded contacts and small whole runs through both and requires every
-//! report field, node state and run result to agree.
+//! contact counter, node state and run result to agree.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use dtn_sim::channel::frame_bytes;
-use dtn_sim::telemetry::{Phase, PhaseTimes};
+use dtn_sim::telemetry::{Counters, Phase, PhaseTimes};
 use dtn_trace::{NodeId, SimDuration, SimTime};
 
 use crate::auth::KeyRegistry;
@@ -116,7 +116,7 @@ pub struct MbtNode {
     /// stores change rather than recomputed per hello.
     wanted: BTreeSet<Uri>,
     /// The store versions the last hello was built from (see
-    /// [`ContactReport::wanted_cache_hits`]).
+    /// [`Counters::wanted_cache_hits`]).
     announced: Option<(u64, u64, u64)>,
     credits: CreditLedger,
     /// Best popularity observed per URI, with the URI's global expiry when
@@ -549,60 +549,6 @@ impl MbtNode {
     }
 }
 
-/// Summary of one contact's broadcasts.
-///
-/// Every field is a deterministic count of the contact's event stream — the
-/// observability layer (`dtn_sim::telemetry`) aggregates these into run- and
-/// sweep-level [`dtn_sim::telemetry::Counters`] without perturbing the
-/// simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ContactReport {
-    /// Metadata broadcasts transmitted.
-    pub metadata_broadcasts: usize,
-    /// File broadcasts transmitted.
-    pub file_broadcasts: usize,
-    /// Queries newly stored for frequent contacts.
-    pub queries_distributed: usize,
-    /// Receptions that failed because the broadcast frame was lost
-    /// (fault injection; 0 without a loss plan).
-    pub frames_lost: usize,
-    /// File receptions discarded because checksum verification caught
-    /// corrupted pieces (fault injection; 0 without a corruption plan).
-    pub corrupt_receptions: usize,
-    /// Hello beacons exchanged: one per participating member (the snapshot
-    /// each member advertises at contact start).
-    pub hello_exchanges: usize,
-    /// Metadata records newly stored by receivers during this contact,
-    /// including metadata riding along with file broadcasts.
-    pub metadata_received: usize,
-    /// File pieces successfully received as parts of completed file
-    /// broadcasts.
-    pub pieces_received: usize,
-    /// Application bytes successfully moved to receivers (metadata wire
-    /// bytes plus file content bytes, plus per-frame overhead).
-    pub bytes_moved: u64,
-    /// Hellos built with none of the sender's metadata, file and own-query
-    /// stores changed since its previous hello. An arithmetic charge: the
-    /// wanted set is maintained, never recomputed, and the count keeps the
-    /// definition it had when a hello recomputed it unless a memo was valid.
-    pub wanted_cache_hits: usize,
-    /// One per own query for every hello that is not a
-    /// [`wanted_cache_hits`](Self::wanted_cache_hits) hit, plus one per
-    /// (member store, relevant query) pair when the metadata phase resolves
-    /// requesters. Arithmetic too: no store has an index to probe.
-    /// Deterministic — a pure function of the contact's inputs, never of
-    /// timing.
-    pub index_lookups: usize,
-}
-
-impl ContactReport {
-    /// Broadcast frames transmitted in this contact (metadata plus file
-    /// broadcasts).
-    pub fn frames_sent(&self) -> usize {
-        self.metadata_broadcasts + self.file_broadcasts
-    }
-}
-
 /// Runs one contact among the nodes at `members` (indices into `nodes`).
 ///
 /// Implements the paper's contact behaviour: hello exchange (implicit in the
@@ -611,6 +557,10 @@ impl ContactReport {
 /// metadata), and the two-phase file broadcast — in that order when
 /// `discovery_first` is set, since short pedestrian contacts should be spent
 /// on small metadata first (§V).
+///
+/// Returns what the contact did as the contact-level fields of
+/// [`Counters`]: `contacts` is 1 and `frames_sent` is one per broadcast. A
+/// call with fewer than two members is no contact and counts nothing.
 ///
 /// All members must run the same protocol variant and cooperation mode.
 ///
@@ -623,7 +573,7 @@ pub fn run_contact(
     members: &[usize],
     now: SimTime,
     duration: SimDuration,
-) -> ContactReport {
+) -> Counters {
     let mut transport = SimTransport::new();
     let mut scratch = ContactScratch::default();
     run_contact_via(
@@ -652,7 +602,7 @@ pub struct ContactScratch {
 /// phase spans and the caller's [`ContactScratch`]. With `spans` set, the
 /// metadata-broadcast phase is charged to [`Phase::Discovery`] and the
 /// file-broadcast phase to [`Phase::Download`]; timing is observational only
-/// (the report and every node's state are those of an untimed contact), and
+/// (the counters and every node's state are those of an untimed contact), and
 /// with `spans` `None` the contact reads no clock.
 ///
 /// The contact's message flow — hello exchange to the clique coordinator
@@ -707,11 +657,15 @@ pub fn run_contact_via(
     duration: SimDuration,
     mut spans: Option<&mut PhaseTimes>,
     scratch: &mut ContactScratch,
-) -> ContactReport {
-    let mut report = ContactReport::default();
+) -> Counters {
     if members.len() < 2 {
-        return report;
+        return Counters::default();
     }
+    let mut counters = Counters {
+        contacts: 1,
+        clique_formations: u64::from(members.len() >= 3),
+        ..Counters::default()
+    };
     for (i, &idx) in members.iter().enumerate() {
         assert!(idx < nodes.len(), "member index {idx} out of range");
         assert!(!members[..i].contains(&idx), "duplicate member index {idx}");
@@ -747,7 +701,7 @@ pub fn run_contact_via(
     alive.clear();
     snapshots.clear();
     for &idx in members {
-        let hello = build_hello(&mut nodes[idx], protocol, &mut report);
+        let hello = build_hello(&mut nodes[idx], protocol, &mut counters);
         let sender = nodes[idx].id;
         let delivered = if sender == coordinator {
             Some(hello)
@@ -762,13 +716,13 @@ pub fn run_contact_via(
                 alive.push(idx);
                 snapshots.push(h);
             }
-            None => report.frames_lost += 1,
+            None => counters.frames_lost += 1,
         }
     }
     let (members, snapshots) = (&alive[..], &snapshots[..]);
-    report.hello_exchanges = snapshots.len();
+    counters.hello_exchanges = snapshots.len() as u64;
     if members.len() < 2 {
-        return report;
+        return counters;
     }
 
     // What the members differ by, as of now: whichever phase runs first,
@@ -846,12 +800,12 @@ pub fn run_contact_via(
                             expires,
                         }) => {
                             if !in_sync && receiver.add_foreign(owner, query, expires) {
-                                report.queries_distributed += 1;
+                                counters.queries_distributed += 1;
                             }
                         }
                         Carried::Delivered(_) => all_arrived = false,
                         Carried::Dropped => {
-                            report.frames_lost += 1;
+                            counters.frames_lost += 1;
                             all_arrived = false;
                         }
                     }
@@ -882,7 +836,7 @@ pub fn run_contact_via(
     // --- Phase closures. ---
     let metadata_phase = |transport: &mut dyn Transport,
                           nodes: &mut [MbtNode],
-                          report: &mut ContactReport| {
+                          counters: &mut Counters| {
         if !protocol.distributes_metadata() {
             return;
         }
@@ -893,7 +847,8 @@ pub fn run_contact_via(
         // the records somebody lacks, and looks at nothing when there are
         // none.
         let relevant = |s: &HelloFrame| s.own_queries.len() + s.foreign_queries.len();
-        report.index_lookups += snapshots.iter().map(relevant).sum::<usize>() * members.len();
+        let lookups = snapshots.iter().map(relevant).sum::<usize>() * members.len();
+        counters.index_lookups += lookups as u64;
         let offers = catalog.metadata_offers(snapshots);
         let schedule = schedule_broadcasts(&config, member_ids, snapshots, offers, metadata_slots);
         for b in &schedule {
@@ -902,14 +857,14 @@ pub fn run_contact_via(
                 row.record.as_ref().expect("offered a record"),
                 row.popularity,
             );
-            report.metadata_broadcasts += 1;
+            counters.metadata_broadcasts += 1;
             for &idx in members {
                 let receiver_id = nodes[idx].id;
                 if receiver_id == b.sender {
                     continue;
                 }
                 if frame_lost(b.sender, receiver_id, &row.uri) {
-                    report.frames_lost += 1;
+                    counters.frames_lost += 1;
                     continue;
                 }
                 let carried = transport.carry(
@@ -927,7 +882,7 @@ pub fn run_contact_via(
                     }) => (metadata, popularity),
                     Carried::Delivered(_) => continue,
                     Carried::Dropped => {
-                        report.frames_lost += 1;
+                        counters.frames_lost += 1;
                         continue;
                     }
                 };
@@ -938,16 +893,16 @@ pub fn run_contact_via(
                     receiver.reject(&metadata);
                     continue;
                 }
-                report.bytes_moved += frame_bytes(metadata.wire_size() as u64);
+                counters.bytes_moved += frame_bytes(metadata.wire_size() as u64);
                 if receiver.store_record(&metadata, popularity, Source::Peer(b.sender), true) {
-                    report.metadata_received += 1;
+                    counters.metadata_transferred += 1;
                 }
             }
         }
     };
 
     let file_phase =
-        |transport: &mut dyn Transport, nodes: &mut [MbtNode], report: &mut ContactReport| {
+        |transport: &mut dyn Transport, nodes: &mut [MbtNode], counters: &mut Counters| {
             if effective_duration.as_secs() < config.min_download_contact_secs_value() {
                 return;
             }
@@ -958,7 +913,7 @@ pub fn run_contact_via(
             let offers = catalog.file_offers(snapshots, protocol.distributes_metadata());
             let schedule = schedule_broadcasts(&config, member_ids, snapshots, offers, file_slots);
             for b in &schedule {
-                report.file_broadcasts += 1;
+                counters.file_broadcasts += 1;
                 // The file's metadata rides along with the file (as in prior
                 // content-distribution systems, and necessary for verification).
                 let row = &catalog.rows()[b.item];
@@ -968,7 +923,7 @@ pub fn run_contact_via(
                         continue;
                     }
                     if frame_lost(b.sender, receiver_id, &row.uri) {
-                        report.frames_lost += 1;
+                        counters.frames_lost += 1;
                         continue;
                     }
                     if faults.corrupts(now, b.sender, receiver_id, row.uri.as_str()) {
@@ -976,7 +931,7 @@ pub fn run_contact_via(
                         // `Metadata::verify_piece`) catches them, nothing is
                         // stored, and no credit is awarded — the file stays
                         // wanted and is re-fetched at a later contact.
-                        report.corrupt_receptions += 1;
+                        counters.corrupt_receptions += 1;
                         continue;
                     }
                     let carried = transport.carry(
@@ -993,7 +948,7 @@ pub fn run_contact_via(
                         }
                         Carried::Delivered(_) => continue,
                         Carried::Dropped => {
-                            report.frames_lost += 1;
+                            counters.frames_lost += 1;
                             continue;
                         }
                     };
@@ -1010,18 +965,18 @@ pub fn run_contact_via(
                         if receiver.store_record(meta, *pop, Source::Peer(b.sender), false) {
                             // Metadata riding a file frame: no extra frame
                             // header, just its wire bytes.
-                            report.metadata_received += 1;
-                            report.bytes_moved += meta.wire_size() as u64;
+                            counters.metadata_transferred += 1;
+                            counters.bytes_moved += meta.wire_size() as u64;
                         }
                     }
                     let wanted = receiver.matches_own_query(&uri);
                     if receiver.try_store_file(uri.clone(), expires) {
                         let (pieces, content_bytes) = riding
                             .as_ref()
-                            .map(|(m, _)| (m.piece_count() as usize, m.size()))
+                            .map(|(m, _)| (u64::from(m.piece_count()), m.size()))
                             .unwrap_or((1, 0));
-                        report.pieces_received += pieces;
-                        report.bytes_moved += frame_bytes(content_bytes);
+                        counters.pieces_transferred += pieces;
+                        counters.bytes_moved += frame_bytes(content_bytes);
                         receiver.events.push(NodeEvent::FileCompleted {
                             uri: uri.clone(),
                             from: Source::Peer(b.sender),
@@ -1042,24 +997,25 @@ pub fn run_contact_via(
     };
     for phase in order {
         let mut run = || match phase {
-            Phase::Discovery => metadata_phase(&mut *transport, nodes, &mut report),
-            _ => file_phase(&mut *transport, nodes, &mut report),
+            Phase::Discovery => metadata_phase(&mut *transport, nodes, &mut counters),
+            _ => file_phase(&mut *transport, nodes, &mut counters),
         };
         match spans.as_deref_mut() {
             Some(spans) => spans.time(phase, run),
             None => run(),
         }
     }
-    report
+    counters.frames_sent = counters.metadata_broadcasts + counters.file_broadcasts;
+    counters
 }
 
-/// Builds one member's hello frame, charging the wanted set to the report as
+/// Builds one member's hello frame, charging the wanted set to the counters as
 /// the memoized lookup it replaced would have been. The own-query list and
 /// frequent set are shared, not copied; the wanted set is the maintained one.
 pub(crate) fn build_hello(
     n: &mut MbtNode,
     protocol: ProtocolSpec,
-    report: &mut ContactReport,
+    counters: &mut Counters,
 ) -> HelloFrame {
     let own_queries: Arc<[OwnQuery]> = n.queries.own().clone();
     let foreign_queries: Vec<Query> = if protocol.distributes_queries() {
@@ -1085,9 +1041,9 @@ pub(crate) fn build_hello(
         n.queries.own_version(),
     );
     if n.announced.replace(versions) == Some(versions) {
-        report.wanted_cache_hits += 1;
+        counters.wanted_cache_hits += 1;
     } else {
-        report.index_lookups += own_queries.len();
+        counters.index_lookups += own_queries.len() as u64;
     }
     HelloFrame {
         sender: n.id,
@@ -1314,7 +1270,7 @@ mod tests {
     fn frequent_contacts_are_kept_ascending_and_distinct() {
         let mut n = node(0, ProtocolSpec::MBT);
         n.set_frequent_contacts([NodeId::new(5), NodeId::new(2), NodeId::new(5)]);
-        let hello = build_hello(&mut n, ProtocolSpec::MBT, &mut ContactReport::default());
+        let hello = build_hello(&mut n, ProtocolSpec::MBT, &mut Counters::default());
         assert_eq!(*hello.frequent, [NodeId::new(2), NodeId::new(5)]);
         let shared: Arc<[NodeId]> = Arc::from([NodeId::new(1), NodeId::new(3)]);
         n.set_frequent_contacts(Arc::clone(&shared));
@@ -1816,7 +1772,7 @@ mod tests {
                 None,
                 &mut scratch,
             );
-            assert!(with.metadata_received > 0 && with.file_broadcasts > 0);
+            assert!(with.metadata_transferred > 0 && with.file_broadcasts > 0);
             assert_eq!(with, without, "discovery_first {discovery_first}");
             for (a, b) in timed.iter_mut().zip(plain.iter_mut()) {
                 assert_eq!(a.drain_events(), b.drain_events());
@@ -1830,7 +1786,7 @@ mod tests {
     fn single_member_contact_is_noop() {
         let mut nodes = vec![node(0, ProtocolSpec::MBT)];
         let report = run_contact(&mut nodes, &[0], SimTime::ZERO, SimDuration::from_secs(60));
-        assert_eq!(report, ContactReport::default());
+        assert!(report.is_zero());
     }
 
     fn pop_cache_node(i: u32, capacity: u32) -> MbtNode {

@@ -5,6 +5,7 @@
 //! validates none that equals the sender's; it allocates only when a field
 //! differs.
 
+use dtn_sim::telemetry::Counters;
 use dtn_trace::NodeId;
 
 use super::frame::{check_frame, encode_frame_into};
@@ -28,10 +29,8 @@ pub struct BusTransport {
     /// The frame being carried; its capacity outlives the frame.
     wire: Vec<u8>,
     seq: u64,
-    frames_carried: u64,
-    bytes_on_wire: u64,
-    frames_dropped: u64,
-    frames_rebuilt: u64,
+    /// Only the `bus_*` fields move.
+    counters: Counters,
 }
 
 impl BusTransport {
@@ -40,36 +39,23 @@ impl BusTransport {
         BusTransport::default()
     }
 
-    /// Frames successfully carried (encoded, moved, checked) so far.
-    pub fn frames_carried(&self) -> u64 {
-        self.frames_carried
-    }
-
-    /// Total encoded bytes put on the bus (headers included).
-    pub fn bytes_on_wire(&self) -> u64 {
-        self.bytes_on_wire
-    }
-
-    /// Frames dropped because they failed the frame check.
-    pub fn frames_dropped(&self) -> u64 {
-        self.frames_dropped
-    }
-
-    /// Carried frames whose check found a field that differs from the
-    /// sender's, so they were decoded in full (zero for a sound codec).
-    pub fn frames_rebuilt(&self) -> u64 {
-        self.frames_rebuilt
+    /// What the bus has done so far: frames carried, dropped and rebuilt,
+    /// and the bytes put on the wire (headers included). Every other field
+    /// is zero.
+    pub fn counters(&self) -> &Counters {
+        &self.counters
     }
 
     /// Delivers `sent` once [`wire`](Self::wire) holds its frame.
     fn deliver(&mut self, sent: WireMessage) -> Carried {
-        self.bytes_on_wire += self.wire.len() as u64;
+        let c = &mut self.counters;
+        c.bus_bytes_on_wire += self.wire.len() as u64;
         let Ok(rebuilt) = check_frame(&self.wire, &sent) else {
-            self.frames_dropped += 1;
+            c.bus_frames_dropped += 1;
             return Carried::Dropped;
         };
-        self.frames_carried += 1;
-        self.frames_rebuilt += u64::from(rebuilt.is_some());
+        c.bus_frames_carried += 1;
+        c.bus_frames_rebuilt += u64::from(rebuilt.is_some());
         Carried::Delivered(rebuilt.unwrap_or(sent))
     }
 }
@@ -118,6 +104,11 @@ mod tests {
         }
     }
 
+    fn carried_rebuilt(bus: &BusTransport) -> (u64, u64) {
+        let c = bus.counters();
+        (c.bus_frames_carried, c.bus_frames_rebuilt)
+    }
+
     /// A bus with `on_wire` encoded in its buffer, as a codec that mangled
     /// the frame of some other message would leave it.
     fn bus_holding(on_wire: &WireMessage) -> BusTransport {
@@ -130,9 +121,9 @@ mod tests {
     fn carry_round_trips_through_the_codec() {
         let mut bus = BusTransport::new();
         assert_eq!(bus.carry(n(0), n(2), msg()), Carried::Delivered(msg()));
-        assert_eq!(bus.frames_carried(), 1);
-        assert!(bus.bytes_on_wire() > FRAME_HEADER_BYTES as u64);
-        assert_eq!(bus.frames_dropped(), 0);
+        let c = bus.counters();
+        assert_eq!((c.bus_frames_carried, c.bus_frames_dropped), (1, 0));
+        assert!(c.bus_bytes_on_wire > FRAME_HEADER_BYTES as u64);
     }
 
     #[test]
@@ -160,7 +151,7 @@ mod tests {
             }
             other => panic!("expected a delivered hello, got {other:?}"),
         }
-        assert_eq!((bus.frames_carried(), bus.frames_rebuilt()), (1, 0));
+        assert_eq!(carried_rebuilt(&bus), (1, 0));
     }
 
     #[test]
@@ -174,7 +165,7 @@ mod tests {
         for on_wire in [credit_bit, query_text] {
             let mut bus = bus_holding(&on_wire);
             assert_eq!(bus.deliver(sent()), Carried::Delivered(on_wire));
-            assert_eq!((bus.frames_carried(), bus.frames_rebuilt()), (1, 1));
+            assert_eq!(carried_rebuilt(&bus), (1, 1));
         }
 
         // A NaN credit keeps its bits on the wire but equals nothing, so a
@@ -190,7 +181,7 @@ mod tests {
             }
             other => panic!("expected a delivered hello, got {other:?}"),
         }
-        assert_eq!(bus.frames_rebuilt(), 1);
+        assert_eq!(bus.counters().bus_frames_rebuilt, 1);
     }
 
     #[test]
@@ -202,14 +193,8 @@ mod tests {
             let mut bus = bus_holding(&sent);
             bus.wire[at] ^= 1;
             assert_eq!(bus.deliver(sent.clone()), Carried::Dropped, "byte {at}");
-            assert_eq!(
-                (
-                    bus.frames_dropped(),
-                    bus.frames_carried(),
-                    bus.frames_rebuilt()
-                ),
-                (1, 0, 0)
-            );
+            assert_eq!(bus.counters().bus_frames_dropped, 1, "byte {at}");
+            assert_eq!(carried_rebuilt(&bus), (0, 0));
         }
     }
 }

@@ -19,6 +19,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use dtn_sim::telemetry::Counters;
 use dtn_trace::{NodeId, SimDuration, SimTime};
 
 use crate::checksum::{sha1, Digest};
@@ -51,17 +52,6 @@ struct BusState {
     /// map's order is delivery order. A queue is removed once it empties.
     queues: BTreeMap<(NodeId, NodeId), VecDeque<Vec<u8>>>,
     seq: u64,
-}
-
-/// Counters a [`LiveTransport`] has accumulated.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LiveStats {
-    /// Frames sent, by frame kind name (`"hello"`, `"piece"`, ...).
-    pub frames_by_kind: BTreeMap<&'static str, u64>,
-    /// Frames dropped for failing their check.
-    pub frames_dropped: u64,
-    /// Total encoded bytes sent (headers included).
-    pub bytes_on_wire: u64,
 }
 
 /// A cloneable handle to a shared in-process frame bus.
@@ -156,6 +146,7 @@ impl LiveBus {
 #[derive(Debug, Default)]
 pub struct LiveTransport {
     bus: BusTransport,
+    /// Frames sent, by frame kind name (`"hello"`, `"piece"`, ...).
     frames_by_kind: BTreeMap<&'static str, u64>,
     /// The published bytes of each file.
     content: BTreeMap<Uri, Vec<u8>>,
@@ -173,13 +164,9 @@ impl LiveTransport {
         }
     }
 
-    /// Snapshot of the session's counters.
-    pub fn stats(&self) -> LiveStats {
-        LiveStats {
-            frames_by_kind: self.frames_by_kind.clone(),
-            frames_dropped: self.bus.frames_dropped(),
-            bytes_on_wire: self.bus.bytes_on_wire(),
-        }
+    /// The bus's counters (see [`BusTransport::counters`]).
+    pub fn counters(&self) -> &Counters {
+        self.bus.counters()
     }
 
     /// Counts `message`'s frame and carries it over the bus.
@@ -255,8 +242,10 @@ pub struct LiveReport {
     /// Per node, the files it completed from a peer in the session and the
     /// SHA-1 digests of the bytes it reassembled.
     pub deliveries: BTreeMap<NodeId, BTreeMap<Uri, Digest>>,
-    /// Bus counters at session end.
-    pub stats: LiveStats,
+    /// Frames sent, by frame kind name (`"hello"`, `"piece"`, ...).
+    pub frames_by_kind: BTreeMap<&'static str, u64>,
+    /// The bus's counters at session end (see [`BusTransport::counters`]).
+    pub counters: Counters,
 }
 
 /// Runs a scripted live session to completion and reports what each node
@@ -298,7 +287,8 @@ pub fn run_live_session(spec: LiveSessionSpec) -> LiveReport {
         .collect();
     LiveReport {
         deliveries,
-        stats: transport.stats(),
+        counters: *transport.counters(),
+        frames_by_kind: transport.frames_by_kind,
     }
 }
 
@@ -436,7 +426,7 @@ mod tests {
                     events(&mut sim_nodes),
                     "{name} under {faults:?}"
                 );
-                assert_eq!(live.stats().frames_dropped, 0, "{name}");
+                assert_eq!(live.counters().bus_frames_dropped, 0, "{name}");
 
                 let report = run_live_session(spec.clone());
                 let delivered: usize = report.deliveries.values().map(BTreeMap::len).sum();
@@ -476,7 +466,7 @@ mod tests {
             let mut live = LiveTransport::new(content);
             assert_eq!(live.carry(n(0), n(1), broadcast(riding)), Carried::Dropped);
             assert!(live.assembled.is_empty());
-            assert_eq!(live.stats().frames_by_kind.get("piece"), pieces_sent);
+            assert_eq!(live.frames_by_kind.get("piece"), pieces_sent);
         }
         let mut live = LiveTransport::new(BTreeMap::from([(uri.clone(), bytes.clone())]));
         let sent = broadcast(Some(metadata));
@@ -485,7 +475,7 @@ mod tests {
             Carried::Delivered(sent)
         );
         assert_eq!(live.assembled[&(n(1), uri.clone())], sha1(&bytes));
-        assert_eq!(live.stats().frames_by_kind["piece"], 3);
-        assert_eq!(live.stats().frames_dropped, 0);
+        assert_eq!(live.frames_by_kind["piece"], 3);
+        assert_eq!(live.counters().bus_frames_dropped, 0);
     }
 }

@@ -508,7 +508,7 @@ mod wanted_set {
             let meet = |nodes: &mut [MbtNode], at: u64| {
                 let report =
                     run_contact(nodes, &[0, 1], SimTime::from_secs(at), SimDuration::from_secs(60));
-                assert_eq!(report.frames_sent(), 0, "nothing to move");
+                assert_eq!(report.frames_sent, 0, "nothing to move");
                 (report.wanted_cache_hits, report.index_lookups)
             };
             let (mut batched, mut single) = (build(), build());
@@ -531,7 +531,7 @@ mod wanted_set {
                 prop_assert_eq!(batched[0].wanted_uris(), wanted_by_definition(&batched[0]));
                 // The peer's stores never change; this node's did if a text
                 // was new.
-                let hits = 1 + usize::from(new_texts.is_empty());
+                let hits = 1 + u64::from(new_texts.is_empty());
                 let after = meet(&mut batched, at);
                 prop_assert_eq!(after.0, hits, "round {}: {:?}", round, queries);
                 prop_assert_eq!(after, meet(&mut single, at));

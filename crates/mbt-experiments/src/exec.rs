@@ -480,8 +480,8 @@ mod tests {
             for (p1, p3) in s1.points.iter().zip(&s3.points) {
                 assert_eq!(p1.metadata.n, 1);
                 assert_eq!(p3.metadata.n, 3);
-                assert!(p3.metadata.min <= p1.metadata_ratio + 1e-12);
-                assert!(p3.metadata.max + 1e-12 >= p1.metadata_ratio);
+                assert!(p3.metadata.min <= p1.metadata.mean + 1e-12);
+                assert!(p3.metadata.max + 1e-12 >= p1.metadata.mean);
             }
         }
     }

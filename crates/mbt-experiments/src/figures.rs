@@ -461,7 +461,7 @@ mod tests {
         assert_eq!(mbt.points.len(), 3);
         // Delivery grows with Internet access for the full protocol.
         assert!(
-            mbt.points.last().unwrap().file_ratio >= mbt.points[0].file_ratio,
+            mbt.points.last().unwrap().file.mean >= mbt.points[0].file.mean,
             "file ratio should not fall as internet access rises"
         );
     }
@@ -474,10 +474,10 @@ mod tests {
         // At high internet fraction MBT should clearly beat MBT-QM on files.
         let last = mbt.points.len() - 1;
         assert!(
-            mbt.points[last].file_ratio >= qm.points[last].file_ratio,
+            mbt.points[last].file.mean >= qm.points[last].file.mean,
             "MBT {} < MBT-QM {}",
-            mbt.points[last].file_ratio,
-            qm.points[last].file_ratio
+            mbt.points[last].file.mean,
+            qm.points[last].file.mean
         );
     }
 
@@ -492,10 +492,10 @@ mod tests {
         assert_eq!(clean.result.frames_lost, 0, "loss 0 drops nothing");
         assert!(lossy.result.frames_lost > 0, "loss 0.5 drops frames");
         assert!(
-            lossy.file_ratio <= clean.file_ratio,
+            lossy.file.mean <= clean.file.mean,
             "heavy loss should not improve delivery ({} > {})",
-            lossy.file_ratio,
-            clean.file_ratio
+            lossy.file.mean,
+            clean.file.mean
         );
     }
 
@@ -504,7 +504,7 @@ mod tests {
         let fig = quick(row("fig3f"));
         let mbt = fig.series_for(ProtocolSpec::MBT).unwrap();
         assert!(
-            mbt.points.last().unwrap().file_ratio >= mbt.points[0].file_ratio,
+            mbt.points.last().unwrap().file.mean >= mbt.points[0].file.mean,
             "full attendance should deliver at least as much"
         );
     }

@@ -63,7 +63,7 @@ fn lines(widths: &[usize], rows: impl Iterator<Item = Vec<String>>) -> String {
 pub fn figure_table(fig: &Figure) -> String {
     let protocols: Vec<ProtocolSpec> = fig.series.iter().map(|s| s.protocol).collect();
     let n_points = fig.series.first().map_or(0, |s| s.points.len());
-    let ratios = |p: &SeriesPoint| [p.metadata_ratio, p.file_ratio].map(|r| format!("{r:.4}"));
+    let ratios = |p: &SeriesPoint| [p.metadata.mean, p.file.mean].map(|r| format!("{r:.4}"));
     let rows = (0..n_points).map(|i| {
         let pairs = fig.series.iter().map(|s| ratios(&s.points[i])).collect();
         (format!("{:.3}", fig.series[0].points[i].x), pairs)
@@ -88,8 +88,8 @@ pub fn figure_csv(fig: &Figure) -> String {
                 "{},{},{:.6},{:.6},{:.6},{:.6},{},{},{},{}",
                 p.x,
                 s.protocol,
-                p.metadata_ratio,
-                p.file_ratio,
+                p.metadata.mean,
+                p.file.mean,
                 p.metadata.stddev,
                 p.file.stddev,
                 p.metadata.n,
@@ -121,8 +121,8 @@ pub fn figure_delay_csv(fig: &Figure) -> String {
                 "{},{},{:.6},{:.6},{},{},{},{},{},{}",
                 p.x,
                 s.protocol,
-                p.metadata_ratio,
-                p.file_ratio,
+                p.metadata.mean,
+                p.file.mean,
                 delay_cell(p.result.mean_metadata_delay_hours),
                 delay_cell(p.result.mean_file_delay_hours),
                 p.metadata.n,

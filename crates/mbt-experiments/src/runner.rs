@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use dtn_sim::engine::{SimHandler, StreamSimulator};
 use dtn_sim::rng::stream;
-use dtn_sim::telemetry::{Phase, PhaseTimes, Telemetry};
+use dtn_sim::telemetry::{Counters, Phase, PhaseTimes, Telemetry};
 use dtn_sim::FaultPlan;
 use dtn_trace::{
     Contact, FrequentScan, NodeId, SimDuration, SimTime, StreamStats, TraceSource, SECONDS_PER_DAY,
@@ -343,15 +343,14 @@ fn add_daily(into: &mut Vec<u64>, from: &[u64]) {
 /// once — for the event loop; sources without aggregates fall back to a
 /// separate streaming statistics pass first.
 ///
-/// `telemetry` is an optional observability sink. `None` skips every
-/// telemetry branch — the clock is never read — so the plain path pays
-/// nothing for the feature. `Some` collects always-on counters (contacts,
-/// hello exchanges, clique formations, frames, metadata/piece transfers,
-/// bytes moved, shard loads, peak resident contacts) and wall-clock spans
-/// for the trace-load, contact-processing, discovery, download and day-tick
-/// phases. The [`SimResult`] is byte-identical either way — telemetry is observational only and never
-/// feeds back into the simulation. Counters are a pure function of the
-/// deterministic event stream; only the phase timings vary run to run.
+/// `telemetry` is an optional observability sink. A run keeps its
+/// [`Counters`] either way — the [`SimResult`]'s counts are read from them —
+/// and `Some` receives them merged, with wall-clock spans for the
+/// trace-load, contact-processing, discovery, download and day-tick phases;
+/// `None` never reads the clock. The [`SimResult`] is byte-identical either
+/// way — telemetry is observational only and never feeds back into the
+/// simulation. Counters are a pure function of the deterministic event
+/// stream; only the phase timings vary run to run.
 ///
 /// Deterministic: the same contacts and params produce the same result,
 /// whatever the backing store.
@@ -389,7 +388,10 @@ pub(crate) fn frequent_contacts(
             for contact in &mut *contacts {
                 scan.observe(&contact);
             }
-            absorb_stream_stats(telemetry.as_deref_mut(), contacts.stream_stats());
+            if let Some(tel) = telemetry.as_deref_mut() {
+                tel.counters
+                    .merge(&stream_counters(contacts.stream_stats()));
+            }
             scan.finish()
         }
     };
@@ -517,7 +519,7 @@ pub(crate) fn simulate(
         dead_after,
         down,
         fakes_per_day: params.fakes_per_day,
-        result: SimResult::default(),
+        counters: Counters::default(),
         telemetry: telemetry.as_deref_mut(),
         transport: params.transport,
         bus: BusTransport::new(),
@@ -541,30 +543,35 @@ pub(crate) fn simulate(
         table,
         books,
         bus,
-        mut result,
+        mut counters,
         ..
     } = harness;
-    result.queries = books.queries;
-    result.metadata_delivered = books.metadata_delivered;
-    result.files_delivered = books.files_delivered;
-    result.metadata_ratio = pooled_ratio(books.metadata_delivered, books.queries);
-    result.file_ratio = pooled_ratio(books.files_delivered, books.queries);
-    result.mean_metadata_delay_hours = books.meta_delay.mean_hours();
-    result.mean_file_delay_hours = books.file_delay.mean_hours();
-    result.daily_metadata_delivered = books.daily_meta;
-    result.daily_files_delivered = books.daily_file;
-    if let Some(tel) = telemetry.as_deref_mut() {
-        tel.counters.bus_frames_carried += bus.frames_carried();
-        tel.counters.bus_bytes_on_wire += bus.bytes_on_wire();
-        tel.counters.bus_frames_rebuilt += bus.frames_rebuilt();
-        // A row is never dropped, so the rows built are the rows resident at
-        // the end, which is the peak.
-        let rows = table.nodes.len() as u64;
-        tel.counters.nodes_instantiated += rows;
-        tel.counters.peak_resident_nodes = tel.counters.peak_resident_nodes.max(rows);
+    counters.merge(bus.counters());
+    counters.merge(&stream_counters(contacts.stream_stats()));
+    // A row is never dropped, so the rows built are the rows resident at the
+    // end, which is the peak.
+    counters.nodes_instantiated = table.nodes.len() as u64;
+    counters.peak_resident_nodes = counters.nodes_instantiated;
+    if let Some(tel) = telemetry {
+        tel.counters.merge(&counters);
     }
-    absorb_stream_stats(telemetry, contacts.stream_stats());
-    result
+    SimResult {
+        queries: books.queries,
+        metadata_delivered: books.metadata_delivered,
+        files_delivered: books.files_delivered,
+        metadata_ratio: pooled_ratio(books.metadata_delivered, books.queries),
+        file_ratio: pooled_ratio(books.files_delivered, books.queries),
+        contacts: counters.contacts,
+        metadata_broadcasts: counters.metadata_broadcasts,
+        file_broadcasts: counters.file_broadcasts,
+        queries_distributed: counters.queries_distributed,
+        frames_lost: counters.frames_lost,
+        corrupt_receptions: counters.corrupt_receptions,
+        mean_metadata_delay_hours: books.meta_delay.mean_hours(),
+        mean_file_delay_hours: books.file_delay.mean_hours(),
+        daily_metadata_delivered: books.daily_meta,
+        daily_files_delivered: books.daily_file,
+    }
 }
 
 /// Sentinel in [`NodeTable::slot_of`] for a node nothing has addressed yet.
@@ -651,16 +658,14 @@ impl<'a> NodeTable<'a> {
     }
 }
 
-/// Folds a contact stream's shard-load and residency facts into the
-/// telemetry counters: loads accumulate, peak residency merges by maximum
-/// (so it stays independent of how many passes or cells contributed).
-fn absorb_stream_stats(telemetry: Option<&mut Telemetry>, stats: StreamStats) {
-    if let Some(tel) = telemetry {
-        tel.counters.shards_loaded += stats.shards_loaded;
-        tel.counters.peak_resident_contacts = tel
-            .counters
-            .peak_resident_contacts
-            .max(stats.peak_resident_contacts);
+/// A contact stream's shard-load and residency facts as counters, to merge:
+/// loads accumulate, peak residency merges by maximum (so it stays
+/// independent of how many passes or cells contributed).
+fn stream_counters(stats: StreamStats) -> Counters {
+    Counters {
+        shards_loaded: stats.shards_loaded,
+        peak_resident_contacts: stats.peak_resident_contacts,
+        ..Counters::default()
     }
 }
 
@@ -775,14 +780,14 @@ struct Harness<'a, 'f> {
     polluters: Vec<NodeId>,
     /// Forgeries planted per polluter per day.
     fakes_per_day: u32,
-    result: SimResult,
-    /// Observability sink; `None` skips all telemetry work — clock reads
-    /// included — so the plain [`run_simulation`] path pays nothing for the
-    /// feature.
+    /// The run's counts, kept with or without a telemetry sink: every
+    /// contact's counters merge in.
+    counters: Counters,
+    /// Observability sink for the phase spans; `None` reads no clock.
     telemetry: Option<&'a mut Telemetry>,
     /// Which transport backend carries contact-phase messages.
     transport: TransportKind,
-    /// The bus backend, persistent across contacts so its frame counters
+    /// The bus backend, persistent across contacts so its counters
     /// accumulate over the run (unused under [`TransportKind::Sim`]).
     bus: BusTransport,
     /// A contact's member rows, and the contact loop's own vectors: filled
@@ -953,7 +958,7 @@ impl SimHandler for Harness<'_, '_> {
             TransportKind::Sim => &mut SimTransport::new(),
             TransportKind::Bus => &mut self.bus,
         };
-        let report = mbt_core::node::run_contact_via(
+        let counters = mbt_core::node::run_contact_via(
             transport,
             &mut self.table.nodes,
             &members,
@@ -965,28 +970,11 @@ impl SimHandler for Harness<'_, '_> {
         if let (Some(tel), Some(started)) = (self.telemetry.as_deref_mut(), started) {
             tel.phases.add(Phase::ContactProcessing, started.elapsed());
             tel.phases.merge(&inner);
-            let c = &mut tel.counters;
-            c.contacts += 1;
-            c.hello_exchanges += report.hello_exchanges as u64;
-            c.clique_formations += u64::from(members.len() >= 3);
-            c.frames_sent += report.frames_sent() as u64;
-            c.frames_lost += report.frames_lost as u64;
-            c.metadata_transferred += report.metadata_received as u64;
-            c.pieces_transferred += report.pieces_received as u64;
-            c.bytes_moved += report.bytes_moved;
-            c.corrupt_receptions += report.corrupt_receptions as u64;
-            c.wanted_cache_hits += report.wanted_cache_hits as u64;
-            c.index_lookups += report.index_lookups as u64;
         }
-        self.result.contacts += 1;
-        self.result.metadata_broadcasts += report.metadata_broadcasts as u64;
-        self.result.file_broadcasts += report.file_broadcasts as u64;
-        self.result.queries_distributed += report.queries_distributed as u64;
-        self.result.frames_lost += report.frames_lost as u64;
-        self.result.corrupt_receptions += report.corrupt_receptions as u64;
+        self.counters.merge(&counters);
         // A node event is a record or a file arriving; a contact that
         // delivered neither leaves its members' rows alone.
-        if report.metadata_received > 0 || report.file_broadcasts > 0 {
+        if counters.metadata_transferred > 0 || counters.file_broadcasts > 0 {
             for &slot in &members {
                 self.drain_node_events(slot, now);
             }

@@ -55,13 +55,11 @@ impl RatioSummary {
 pub struct SeriesPoint {
     /// The swept parameter's value.
     pub x: f64,
-    /// Metadata delivery ratio at this point (mean across replicates).
-    pub metadata_ratio: f64,
-    /// File delivery ratio at this point (mean across replicates).
-    pub file_ratio: f64,
-    /// Replicate spread of the metadata ratio.
+    /// Metadata delivery ratio across replicates: `metadata.mean` is the
+    /// point's ratio.
     pub metadata: RatioSummary,
-    /// Replicate spread of the file ratio.
+    /// File delivery ratio across replicates: `file.mean` is the point's
+    /// ratio.
     pub file: RatioSummary,
     /// The full result: the run itself for a single run, or every
     /// replicate merged (pooled counts) for a replicated point.
@@ -88,8 +86,6 @@ impl SeriesPoint {
         }
         SeriesPoint {
             x,
-            metadata_ratio: metadata.mean,
-            file_ratio: file.mean,
             metadata,
             file,
             result,
@@ -174,8 +170,8 @@ mod tests {
         let fig = quick_sweep(&[0.5]);
         for s in &fig.series {
             for p in &s.points {
-                assert_eq!(p.metadata_ratio, p.result.metadata_ratio);
-                assert_eq!(p.file_ratio, p.result.file_ratio);
+                assert_eq!(p.metadata.mean, p.result.metadata_ratio);
+                assert_eq!(p.file.mean, p.result.file_ratio);
             }
         }
     }

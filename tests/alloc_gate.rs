@@ -6,9 +6,10 @@
 //! `crates/mbt-core/tests/refresh_alloc.rs`, so both tests give the same
 //! numbers under any `--test-threads`.
 
+use dtn_sim::Counters;
 use dtn_trace::generators::DieselNetConfig;
 use dtn_trace::{NodeId, ShardWriter, SimDuration, SimTime, TraceSource};
-use mbt_core::node::{run_contact_via, ContactReport, ContactScratch};
+use mbt_core::node::{run_contact_via, ContactScratch};
 use mbt_core::transport::{BusTransport, SimTransport, Transport};
 use mbt_core::{MbtConfig, MbtNode, Metadata, Popularity, ProtocolSpec, Query, Uri};
 use mbt_experiments::run_simulation;
@@ -51,7 +52,7 @@ fn record(r: usize) -> Metadata {
 
 /// A contact as the untraced runner makes it: no phase spans, so no clock
 /// reads, and the scratch of the contacts before it.
-fn contact(nodes: &mut [MbtNode], scratch: &mut ContactScratch, at: u64) -> ContactReport {
+fn contact(nodes: &mut [MbtNode], scratch: &mut ContactScratch, at: u64) -> Counters {
     contact_via(&mut SimTransport::new(), nodes, scratch, at)
 }
 
@@ -61,7 +62,7 @@ fn contact_via(
     nodes: &mut [MbtNode],
     scratch: &mut ContactScratch,
     at: u64,
-) -> ContactReport {
+) -> Counters {
     run_contact_via(
         transport,
         nodes,
@@ -109,8 +110,9 @@ fn an_idle_bus_contact_allocates_what_sim_does() {
     let (_, allocations, report) =
         allocation_of(|| contact_via(&mut bus, &mut nodes, &mut scratch, 400));
     assert_eq!((report.queries_distributed, report.hello_exchanges), (0, 2));
-    assert_eq!(bus.frames_carried(), 2 * 7);
-    assert_eq!(bus.frames_rebuilt(), 0);
+    let carried = bus.counters();
+    assert_eq!(carried.bus_frames_carried, 2 * 7);
+    assert_eq!(carried.bus_frames_rebuilt, 0);
     assert!(
         allocations <= 2,
         "an idle bus contact performed {allocations} allocations"
@@ -126,7 +128,7 @@ fn an_idle_bus_contact_allocates_what_sim_does() {
 fn a_dense_contact_allocates_for_what_its_members_differ_by() {
     let (mut nodes, mut scratch) = in_sync_pair(80);
     let (_, allocations, report) = allocation_of(|| contact(&mut nodes, &mut scratch, 200));
-    assert_eq!((report.frames_sent(), report.hello_exchanges), (0, 2));
+    assert_eq!((report.frames_sent, report.hello_exchanges), (0, 2));
     assert!(
         allocations <= 4,
         "a contact between equal stores performed {allocations} allocations"
@@ -141,7 +143,7 @@ fn a_dense_contact_allocates_for_what_its_members_differ_by() {
             (1, 0),
             "sharing {shared}"
         );
-        assert_eq!(report.metadata_received, 1);
+        assert_eq!(report.metadata_transferred, 1);
         allocations
     };
     let (sharing_80, sharing_160) = (one_apart(80), one_apart(160));

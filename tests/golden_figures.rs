@@ -26,7 +26,7 @@ use mbt_core::{ProtocolSpec, TransportKind};
 use mbt_experiments::figures::FIGURES;
 use mbt_experiments::report::figure_csv;
 use mbt_experiments::sweep::Figure;
-use mbt_experiments::{run_simulation, ExecConfig, RunContext, Scale, SimParams};
+use mbt_experiments::{run_simulation, ExecConfig, RunContext, Scale, SimParams, SimResult};
 
 #[path = "support/golden.rs"]
 mod golden;
@@ -42,7 +42,7 @@ fn assert_matches_golden(fig: &Figure, name: &str) {
 
 fn series_mean(fig: &Figure, protocol: ProtocolSpec) -> f64 {
     let s = fig.series_for(protocol).expect("series present");
-    s.points.iter().map(|p| p.metadata_ratio).sum::<f64>() / s.points.len() as f64
+    s.points.iter().map(|p| p.metadata.mean).sum::<f64>() / s.points.len() as f64
 }
 
 /// Per-point slack: a floor of 0.02 plus two combined standard errors of the
@@ -67,28 +67,7 @@ fn assert_protocol_ordering(fig: &Figure) {
         "{}: mean metadata ordering violated: MBT {mean_mbt} / MBT-Q {mean_q} / MBT-QM {mean_qm}",
         fig.id
     );
-
-    let mbt = fig.series_for(ProtocolSpec::MBT).expect("MBT series");
-    let q = fig.series_for(ProtocolSpec::MBT_Q).expect("MBT-Q series");
-    let qm = fig.series_for(ProtocolSpec::MBT_QM).expect("MBT-QM series");
-    for ((pm, pq), pqm) in mbt.points.iter().zip(&q.points).zip(&qm.points) {
-        assert!(
-            pm.metadata_ratio >= pq.metadata_ratio - slack(pm, pq),
-            "{}: at x={}, MBT {} < MBT-Q {}",
-            fig.id,
-            pm.x,
-            pm.metadata_ratio,
-            pq.metadata_ratio
-        );
-        assert!(
-            pq.metadata_ratio >= pqm.metadata_ratio - slack(pq, pqm),
-            "{}: at x={}, MBT-Q {} < MBT-QM {}",
-            fig.id,
-            pq.x,
-            pq.metadata_ratio,
-            pqm.metadata_ratio
-        );
-    }
+    assert_protocol_ordering_up_to(fig, f64::INFINITY);
 }
 
 /// Three replicates: deterministic (seeds derive from grid coordinates),
@@ -122,20 +101,20 @@ fn assert_protocol_ordering_up_to(fig: &Figure, max_x: f64) {
         }
         checked += 1;
         assert!(
-            pm.metadata_ratio >= pq.metadata_ratio - slack(pm, pq),
+            pm.metadata.mean >= pq.metadata.mean - slack(pm, pq),
             "{}: at x={}, MBT {} < MBT-Q {}",
             fig.id,
             pm.x,
-            pm.metadata_ratio,
-            pq.metadata_ratio
+            pm.metadata.mean,
+            pq.metadata.mean
         );
         assert!(
-            pq.metadata_ratio >= pqm.metadata_ratio - slack(pq, pqm),
+            pq.metadata.mean >= pqm.metadata.mean - slack(pq, pqm),
             "{}: at x={}, MBT-Q {} < MBT-QM {}",
             fig.id,
             pq.x,
-            pq.metadata_ratio,
-            pqm.metadata_ratio
+            pq.metadata.mean,
+            pqm.metadata.mean
         );
     }
     assert!(checked > 0, "{}: no points at x <= {max_x}", fig.id);
@@ -167,9 +146,33 @@ fn quick_sweep_counters_match_golden() {
     // One replicate, default jobs: counters merge in grid order, so the
     // totals do not depend on the worker count.
     let mut telemetry = Telemetry::default();
+    let mut pooled = SimResult::default();
     for id in ["fig2a", "fig3a", "fault_sweep"] {
-        quick(id, ExecConfig::default(), Some(&mut telemetry));
+        let fig = quick(id, ExecConfig::default(), Some(&mut telemetry));
+        for point in fig.series.iter().flat_map(|s| &s.points) {
+            pooled.merge(&point.result);
+        }
     }
+    // A run's result reads its counts from the run's counters.
+    let c = &telemetry.counters;
+    assert_eq!(
+        [
+            c.contacts,
+            c.metadata_broadcasts,
+            c.file_broadcasts,
+            c.queries_distributed,
+            c.frames_lost,
+            c.corrupt_receptions
+        ],
+        [
+            pooled.contacts,
+            pooled.metadata_broadcasts,
+            pooled.file_broadcasts,
+            pooled.queries_distributed,
+            pooled.frames_lost,
+            pooled.corrupt_receptions
+        ]
+    );
     let counters: String = telemetry
         .counters
         .entries()

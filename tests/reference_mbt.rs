@@ -15,21 +15,23 @@
 //! - **P2, whole run**: a small NUS, DieselNet or community trace (≤ 8
 //!   nodes, ≤ 200 contacts) through `run_simulation` and through the
 //!   reference's own day tick, contact loop and delivery books: every
-//!   `SimResult` field and the contact counters must agree. 200 cases a
+//!   `SimResult` field and the contact-level counters must agree. 200 cases a
 //!   variant, half under each cooperation mode, cooperative ones drawing
 //!   their ordering as P1 does.
 //!
-//! `ContactReport::wanted_cache_hits` and `index_lookups` are not compared:
-//! their docs call them arithmetic charges of retired implementations.
+//! A contact and a run are compared as `Counters`, less what the reference
+//! does not count: `wanted_cache_hits` and `index_lookups`, whose docs call
+//! them arithmetic charges of retired implementations, and what the runner
+//! counts of its trace and node table (`contact_level`).
 
 #[path = "support/reference_mbt.rs"]
 mod reference_mbt;
 
 use dtn_sim::rng::derive_seed;
-use dtn_sim::telemetry::Telemetry;
+use dtn_sim::telemetry::{Counters, Telemetry};
 use dtn_trace::generators::{CommunityConfig, DieselNetConfig, NusConfig};
 use dtn_trace::{ContactTrace, NodeId, SimDuration, SimTime, SECONDS_PER_DAY};
-use mbt_core::node::{run_contact, ContactReport};
+use mbt_core::node::run_contact;
 use mbt_core::Uri;
 use mbt_core::{
     BroadcastOrdering, CooperationMode, MbtConfig, MbtNode, Metadata, Popularity, ProtocolSpec,
@@ -41,7 +43,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use reference_mbt::{ReferenceNode, RunOutcome, RunSpec, Tally};
+use reference_mbt::{ReferenceNode, RunOutcome, RunSpec};
 
 const P1_CASES: u64 = 500;
 const P2_CASES: u64 = 200;
@@ -177,10 +179,10 @@ impl Cliques {
                 self.reference[i].registry = Some(workload::publisher_registry());
             }
             Op::Contact(members, now, duration) => {
-                let report = run_contact(&mut self.nodes, &members, now, duration);
-                let tally = reference_mbt::contact(&mut self.reference, &members, now, duration);
+                let counters = run_contact(&mut self.nodes, &members, now, duration);
+                let expected = reference_mbt::contact(&mut self.reference, &members, now, duration);
                 let case = format!("{case}, contact {members:?} at {now}");
-                assert_eq!(tally_of(&report), tally, "{case}: report");
+                assert_eq!(contact_level(&counters), expected, "{case}: counters");
                 self.assert_same(&case);
             }
         }
@@ -216,32 +218,17 @@ impl Cliques {
     }
 }
 
-/// The report in the reference's terms: every field but the two arithmetic
-/// charges.
-fn tally_of(report: &ContactReport) -> Tally {
-    let ContactReport {
-        metadata_broadcasts,
-        file_broadcasts,
-        queries_distributed,
-        frames_lost,
-        corrupt_receptions,
-        hello_exchanges,
-        metadata_received,
-        pieces_received,
-        bytes_moved,
-        wanted_cache_hits: _,
-        index_lookups: _,
-    } = *report;
-    Tally {
-        metadata_broadcasts,
-        file_broadcasts,
-        queries_distributed,
-        frames_lost,
-        corrupt_receptions,
-        hello_exchanges,
-        metadata_received,
-        pieces_received,
-        bytes_moved,
+/// `c` in the reference's terms: zero where the reference counts nothing —
+/// the two arithmetic charges, and the runner's trace and node-table counts.
+fn contact_level(c: &Counters) -> Counters {
+    Counters {
+        wanted_cache_hits: 0,
+        index_lookups: 0,
+        shards_loaded: 0,
+        peak_resident_contacts: 0,
+        nodes_instantiated: 0,
+        peak_resident_nodes: 0,
+        ..*c
     }
 }
 
@@ -431,32 +418,11 @@ fn p2_case(variant: usize, protocol: ProtocolSpec, case: u64) {
         trace.len()
     );
     assert_eq!(result, sim_result_of(&expected), "{name}: result");
-    let c = &telemetry.counters;
-    let counters = [
-        c.contacts,
-        c.hello_exchanges,
-        c.clique_formations,
-        c.frames_sent,
-        c.frames_lost,
-        c.metadata_transferred,
-        c.pieces_transferred,
-        c.bytes_moved,
-        c.corrupt_receptions,
-    ];
-    let e = &expected;
-    let frames_sent = e.metadata_broadcasts + e.file_broadcasts;
-    let reference = [
-        e.contacts,
-        e.hello_exchanges,
-        e.clique_formations,
-        frames_sent,
-        e.frames_lost,
-        e.metadata_transferred,
-        e.pieces_transferred,
-        e.bytes_moved,
-        e.corrupt_receptions,
-    ];
-    assert_eq!(counters, reference, "{name}: counters");
+    assert_eq!(
+        contact_level(&telemetry.counters),
+        expected.counters,
+        "{name}: counters"
+    );
 }
 
 fn sim_result_of(o: &RunOutcome) -> SimResult {
@@ -466,12 +432,12 @@ fn sim_result_of(o: &RunOutcome) -> SimResult {
         files_delivered: o.files_delivered,
         metadata_ratio: o.metadata_ratio,
         file_ratio: o.file_ratio,
-        contacts: o.contacts,
-        metadata_broadcasts: o.metadata_broadcasts,
-        file_broadcasts: o.file_broadcasts,
-        queries_distributed: o.queries_distributed,
-        frames_lost: o.frames_lost,
-        corrupt_receptions: o.corrupt_receptions,
+        contacts: o.counters.contacts,
+        metadata_broadcasts: o.counters.metadata_broadcasts,
+        file_broadcasts: o.counters.file_broadcasts,
+        queries_distributed: o.counters.queries_distributed,
+        frames_lost: o.counters.frames_lost,
+        corrupt_receptions: o.counters.corrupt_receptions,
         mean_metadata_delay_hours: o.mean_metadata_delay_hours,
         mean_file_delay_hours: o.mean_file_delay_hours,
         daily_metadata_delivered: o.daily_metadata_delivered.clone(),

@@ -27,6 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use dtn_sim::channel::frame_bytes;
 use dtn_sim::rng::{cyclic_order, stream};
+use dtn_sim::telemetry::Counters;
 use dtn_trace::{ContactTrace, FrequentScan, NodeId, SimDuration, SimTime, SECONDS_PER_DAY};
 use mbt_core::auth::KeyRegistry;
 use mbt_core::popularity::cmp_popularity;
@@ -301,20 +302,6 @@ impl ReferenceNode {
     }
 }
 
-/// What one contact did, in the counts `ContactReport` defines.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Tally {
-    pub metadata_broadcasts: usize,
-    pub file_broadcasts: usize,
-    pub queries_distributed: usize,
-    pub frames_lost: usize,
-    pub corrupt_receptions: usize,
-    pub hello_exchanges: usize,
-    pub metadata_received: usize,
-    pub pieces_received: usize,
-    pub bytes_moved: u64,
-}
-
 /// A member's hello: what it announces at contact start.
 struct Hello {
     id: NodeId,
@@ -431,17 +418,21 @@ fn order(
     }
 }
 
-/// One contact among `nodes[members]`, in member order.
+/// One contact among `nodes[members]`, in member order, and what it did.
+/// Nothing charges `wanted_cache_hits` or `index_lookups`: they price
+/// implementations the paper does not have.
 pub fn contact(
     nodes: &mut [ReferenceNode],
     members: &[usize],
     now: SimTime,
     duration: SimDuration,
-) -> Tally {
-    let mut tally = Tally::default();
+) -> Counters {
+    let mut counters = Counters::default();
     if members.len() < 2 {
-        return tally;
+        return counters;
     }
+    counters.contacts = 1;
+    counters.clique_formations = u64::from(members.len() >= 3);
     let protocol = nodes[members[0]].protocol;
     let config = nodes[members[0]].config.clone();
     for &m in members {
@@ -468,7 +459,7 @@ pub fn contact(
             }
         })
         .collect();
-    tally.hello_exchanges = hellos.len();
+    counters.hello_exchanges = hellos.len() as u64;
     let ids: Vec<NodeId> = hellos.iter().map(|h| h.id).collect();
 
     // The union of what the members hold, as of contact start.
@@ -537,7 +528,7 @@ pub fn contact(
                         .any(|(o, q, _)| *o == owner.id && q.text() == query.text());
                     if !held {
                         foreign.push((owner.id, query.clone(), *expires));
-                        tally.queries_distributed += 1;
+                        counters.queries_distributed += 1;
                     }
                 }
             }
@@ -551,7 +542,7 @@ pub fn contact(
         !holders.contains(&hello.id) && !hello.rejected.contains(uri)
     };
 
-    let metadata_phase = |nodes: &mut [ReferenceNode], tally: &mut Tally| {
+    let metadata_phase = |nodes: &mut [ReferenceNode], counters: &mut Counters| {
         if !protocol.distributes_metadata() {
             return;
         }
@@ -578,7 +569,8 @@ pub fn contact(
         for (sender, uri) in order(&config, &ids, &hellos, offers, metadata_slots) {
             let holding = &union[&uri];
             let record = &holding.records[0].1;
-            tally.metadata_broadcasts += 1;
+            counters.metadata_broadcasts += 1;
+            counters.frames_sent += 1;
             for &m in members {
                 let receiver = &mut nodes[m];
                 if receiver.id == sender {
@@ -588,16 +580,16 @@ pub fn contact(
                     receiver.reject(record);
                     continue;
                 }
-                tally.bytes_moved += frame_bytes(record.wire_size() as u64);
+                counters.bytes_moved += frame_bytes(record.wire_size() as u64);
                 let from = Source::Peer(sender);
                 if receiver.store_record(record, holding.popularity, from, true) {
-                    tally.metadata_received += 1;
+                    counters.metadata_transferred += 1;
                 }
             }
         }
     };
 
-    let file_phase = |nodes: &mut [ReferenceNode], tally: &mut Tally| {
+    let file_phase = |nodes: &mut [ReferenceNode], counters: &mut Counters| {
         if duration.as_secs() < config.min_download_contact_secs_value() {
             return;
         }
@@ -629,7 +621,8 @@ pub fn contact(
         for (sender, uri) in order(&config, &ids, &hellos, offers, file_slots) {
             let holding = &union[&uri];
             let riding = holding.records.first().map(|(_, m)| m);
-            tally.file_broadcasts += 1;
+            counters.file_broadcasts += 1;
+            counters.frames_sent += 1;
             for &m in members {
                 let receiver = &mut nodes[m];
                 if receiver.id == sender || receiver.files.contains_key(&uri) {
@@ -645,15 +638,15 @@ pub fn contact(
                     }
                     expires = record.expires();
                     if receiver.store_record(record, holding.popularity, from, false) {
-                        tally.metadata_received += 1;
-                        tally.bytes_moved += record.wire_size() as u64;
+                        counters.metadata_transferred += 1;
+                        counters.bytes_moved += record.wire_size() as u64;
                     }
                 }
                 let matched = receiver.protects(&uri);
                 if receiver.store_file(uri.clone(), expires) {
                     let (pieces, bytes) = riding.map_or((1, 0), |r| (r.piece_count(), r.size()));
-                    tally.pieces_received += pieces as usize;
-                    tally.bytes_moved += frame_bytes(bytes);
+                    counters.pieces_transferred += u64::from(pieces);
+                    counters.bytes_moved += frame_bytes(bytes);
                     // §V-B: a file pays its sender as a record would.
                     let amount = if matched {
                         MATCHED_CREDIT
@@ -669,13 +662,13 @@ pub fn contact(
     };
 
     if config.discovery_first_value() {
-        metadata_phase(nodes, &mut tally);
-        file_phase(nodes, &mut tally);
+        metadata_phase(nodes, &mut counters);
+        file_phase(nodes, &mut counters);
     } else {
-        file_phase(nodes, &mut tally);
-        metadata_phase(nodes, &mut tally);
+        file_phase(nodes, &mut counters);
+        metadata_phase(nodes, &mut counters);
     }
-    tally
+    counters
 }
 
 /// The knobs of one [`run`].
@@ -706,17 +699,8 @@ pub struct RunOutcome {
     pub mean_file_delay_hours: Option<f64>,
     pub daily_metadata_delivered: Vec<u64>,
     pub daily_files_delivered: Vec<u64>,
-    pub contacts: u64,
-    pub hello_exchanges: u64,
-    pub clique_formations: u64,
-    pub metadata_broadcasts: u64,
-    pub file_broadcasts: u64,
-    pub queries_distributed: u64,
-    pub frames_lost: u64,
-    pub corrupt_receptions: u64,
-    pub metadata_transferred: u64,
-    pub pieces_transferred: u64,
-    pub bytes_moved: u64,
+    /// Every contact's counters, merged.
+    pub counters: Counters,
 }
 
 /// A measured node's query for a published file, and what has reached it.
@@ -899,18 +883,8 @@ pub fn run(trace: &ContactTrace, spec: &RunSpec) -> RunOutcome {
         if members.len() < 2 {
             continue;
         }
-        let t = contact(&mut nodes, &members, c.start(), c.duration());
-        out.contacts += 1;
-        out.hello_exchanges += t.hello_exchanges as u64;
-        out.clique_formations += u64::from(members.len() >= 3);
-        out.metadata_broadcasts += t.metadata_broadcasts as u64;
-        out.file_broadcasts += t.file_broadcasts as u64;
-        out.queries_distributed += t.queries_distributed as u64;
-        out.frames_lost += t.frames_lost as u64;
-        out.corrupt_receptions += t.corrupt_receptions as u64;
-        out.metadata_transferred += t.metadata_received as u64;
-        out.pieces_transferred += t.pieces_received as u64;
-        out.bytes_moved += t.bytes_moved;
+        let counters = contact(&mut nodes, &members, c.start(), c.duration());
+        out.counters.merge(&counters);
         for &m in &members {
             books.book_events(&mut nodes[m], c.start());
         }

@@ -87,7 +87,7 @@ fn three_nodes_and_a_gateway_deliver_a_full_file() {
     // broadcast from the gateway to node 0 and one from node 0 to each of
     // nodes 1 and 2, each followed by the file's 6 pieces. Nobody requests
     // a piece or searches.
-    let frames = &report.stats.frames_by_kind;
+    let frames = &report.frames_by_kind;
     assert!(frames.get("hello").copied().unwrap_or(0) > 0);
     assert!(frames.get("metadata").copied().unwrap_or(0) > 0);
     assert_eq!(frames.get("file-broadcast").copied(), Some(3));
@@ -95,8 +95,8 @@ fn three_nodes_and_a_gateway_deliver_a_full_file() {
     for kind in ["piece-request", "search-results"] {
         assert!(!frames.contains_key(kind), "{kind} on the wire: {frames:?}");
     }
-    assert!(report.stats.bytes_on_wire > FILE_BYTES as u64 * 3);
-    assert_eq!(report.stats.frames_dropped, 0);
+    assert!(report.counters.bus_bytes_on_wire > FILE_BYTES as u64 * 3);
+    assert_eq!(report.counters.bus_frames_dropped, 0);
 }
 
 #[test]
