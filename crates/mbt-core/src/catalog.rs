@@ -20,16 +20,18 @@
 //! What a clique can exchange is what its members *differ by*: a URI whose
 //! metadata and file are each held by every member or by none can be offered
 //! in neither phase. [`Catalog::walk`] therefore visits the union of the
-//! members' stores once, in URI order, and keeps a [`Row`] only for the URIs
-//! that can still yield an offer; [`Catalog::metadata_offers`] then resolves
-//! requesters by probing one token index over those rows once per query,
-//! rather than every member store's index once per query. Both broadcast
-//! phases of [`run_contact_via`](crate::node::run_contact_via) read rows
-//! from here and from nowhere else.
+//! members' stores once, in their map order, and keeps a [`Row`] only for
+//! the URIs that can still yield an offer; [`Catalog::metadata_offers`] then
+//! resolves requesters by probing one token index over those rows once per
+//! query, rather than every member store's index once per query. Both
+//! broadcast phases of [`run_contact_via`](crate::node::run_contact_via)
+//! read rows from here and from nowhere else.
 //!
-//! Nothing in this module is hashed: rows are in URI order, holder lists in
-//! member order, postings sorted — every answer is a pure function of the
-//! members' state.
+//! Only fixed functions of the text are hashed — the members' stores are
+//! ordered by each URI's stored [`stable_hash`], and the token postings are
+//! keyed by it — and no answer follows a hash order: rows are in URI order,
+//! holder lists in member order, postings sorted — every answer is a pure
+//! function of the members' state.
 //!
 //! What the rows must answer is the plain union of the members' stores:
 //! `tests/reference_mbt.rs` rebuilds that union at every contact, by linear
@@ -112,12 +114,14 @@ pub(crate) struct Catalog {
 
 impl Catalog {
     /// One ordered k-way walk over the stores of `members` (indices into
-    /// `nodes`). Both store iterators are URI-ordered, so every URI of the
-    /// union is visited exactly once, with all its holders known. A cursor's
-    /// head is its store's map key, and heads are compared identity-first:
-    /// members that got a record or file from one another hold one shared
-    /// allocation of its URI, so most heads equal the least without a text
-    /// compare, and no record is read for a URI that makes no row.
+    /// `nodes`). Both store iterators are in [map order](Uri::map_cmp), so
+    /// every URI of the union is visited exactly once, with all its holders
+    /// known. A cursor's head is its store's map key, compared by stored
+    /// hash and then identity-first: members that got a record or file from
+    /// one another hold one shared allocation of its URI, so heads are told
+    /// apart or found equal without a text compare, and no record is read
+    /// for a URI that makes no row. The rows are then sorted into URI
+    /// order, which every tie-break downstream reads.
     ///
     /// A row is materialised only if its metadata or its file is held by
     /// some members and not by all — otherwise neither phase can offer it —
@@ -157,7 +161,7 @@ impl Catalog {
                 ];
                 for (head, is_file) in heads {
                     let Some(uri) = head else { continue };
-                    match next.map_or(Ordering::Less, |least| uri.cmp_identity_first(least)) {
+                    match next.map_or(Ordering::Less, |least| uri.map_cmp(least)) {
                         Ordering::Less => {
                             next = Some(uri);
                             standing.clear();
@@ -190,6 +194,7 @@ impl Catalog {
             }
             rows.extend(row);
         }
+        rows.sort_unstable_by(|a, b| a.uri.cmp(&b.uri));
         Catalog { rows }
     }
 
@@ -446,6 +451,35 @@ mod tests {
         // rows of contact start, broadcasts it to its requester all the same.
         assert_eq!((report.file_broadcasts, report.metadata_broadcasts), (1, 1));
         assert_eq!(report.metadata_transferred, 1);
+    }
+
+    #[test]
+    fn rows_and_offers_come_in_uri_order_whatever_the_stores_order() {
+        let uris: Vec<Uri> = (0..8).map(uri).collect();
+        let mut by_hash = uris.clone();
+        by_hash.sort_by_key(|u| stable_hash(u.as_str().as_bytes()));
+        assert_ne!(by_hash, uris, "the stores' order differs from URI order");
+
+        let config = MbtConfig::new();
+        let mut nodes = vec![querying(0, "fox", &config), querying(1, "fox", &config)];
+        for i in 0..uris.len() {
+            // Each member holds half the records and files the other lacks.
+            let holder = &mut nodes[i % 2];
+            holder.seed_content(record("fox news", i), Popularity::new(0.5), true);
+        }
+        let catalog = Catalog::walk(&nodes, &[0, 1], false);
+        let rows: Vec<&Uri> = catalog.rows().iter().map(|r| &r.uri).collect();
+        assert_eq!(rows, uris.iter().collect::<Vec<_>>());
+
+        let snapshots = hellos(ProtocolSpec::MBT, &nodes, &[0, 1]);
+        let metadata = catalog.metadata_offers(&snapshots);
+        let files = catalog.file_offers(&snapshots, true);
+        for offers in [metadata, files] {
+            let offered: Vec<&Uri> = (offers.iter())
+                .map(|o| &catalog.rows()[o.item].uri)
+                .collect();
+            assert_eq!(offered, uris.iter().collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::server::MetadataServer;
 use crate::store::{is_expired, FileStore, MetadataStore, NextExpiry, OwnQuery, QueryStore};
 use crate::transport::frame::ascending;
 use crate::transport::{Carried, HelloFrame, SimTransport, Transport, WireMessage};
-use crate::uri::Uri;
+use crate::uri::{Uri, UriMap};
 
 /// How many best matches the metadata server returns per query at an
 /// Internet session.
@@ -121,15 +121,15 @@ pub struct MbtNode {
     credits: CreditLedger,
     /// Best popularity observed per URI, with the URI's global expiry when
     /// the observation rode metadata (so dead URIs can be pruned).
-    popularity: BTreeMap<Uri, (Popularity, Option<SimTime>)>,
+    popularity: UriMap<(Popularity, Option<SimTime>)>,
     /// Smoothed per-URI availability estimates. Only populated under
     /// [`ReplicationPolicy::Diffusion`]; always empty on the paper's triad.
-    availability: BTreeMap<Uri, f64>,
+    availability: UriMap<f64>,
     key_registry: Option<KeyRegistry>,
     /// URIs whose metadata failed authentication, with their claimed expiry:
     /// never re-requested, so fakes cannot burn a broadcast slot at every
     /// contact.
-    rejected: BTreeMap<Uri, Option<SimTime>>,
+    rejected: UriMap<Option<SimTime>>,
     /// Earliest expiry among `popularity` and `rejected` (the three stores
     /// keep their own).
     next_expiry: NextExpiry,
@@ -164,10 +164,10 @@ impl MbtNode {
             wanted: BTreeSet::new(),
             announced: None,
             credits: CreditLedger::new(),
-            popularity: BTreeMap::new(),
-            availability: BTreeMap::new(),
+            popularity: UriMap::default(),
+            availability: UriMap::default(),
             key_registry: None,
-            rejected: BTreeMap::new(),
+            rejected: UriMap::default(),
             next_expiry: NextExpiry::default(),
             events: Vec::new(),
         }
@@ -304,16 +304,16 @@ impl MbtNode {
     /// unobservable — and it is what keeps a node's footprint bounded by
     /// what is live over a long simulation.
     pub fn note_popularity_until(&mut self, uri: &Uri, p: Popularity, expires: Option<SimTime>) {
-        // Most observations repeat a known URI: look it up before cloning it.
-        let Some(entry) = self.popularity.get_mut(uri) else {
-            let first = if p > Popularity::MIN {
-                p
-            } else {
-                Popularity::MIN
-            };
-            self.popularity.insert(uri.clone(), (first, expires));
-            return self.next_expiry.note(expires);
+        // Most observations repeat a known URI, which is cloned only if new.
+        let first = if p > Popularity::MIN {
+            p
+        } else {
+            Popularity::MIN
         };
+        let (entry, fresh) = (self.popularity).get_or_insert_with(uri, || (first, expires));
+        if fresh {
+            return self.next_expiry.note(expires);
+        }
         if p > entry.0 {
             entry.0 = p;
         }
@@ -622,12 +622,16 @@ pub struct ContactScratch {
 /// `BTreeSet`, never a hash map, so the carry sequence is a pure function of
 /// member state. (Audited 2026-08, with the cost-model rewrite, and again
 /// with the difference catalog: no hashed container was introduced — the
-/// catalog is a `Vec` of rows filled by an ordered walk over `BTreeMap`
+/// catalog is a `Vec` of rows filled by an ordered walk over the members'
 /// stores and probed through a sorted `Vec`; the only `HashMap` near the
 /// contact path is documented scratch space in `server/shard.rs` that never
 /// reaches iteration order into results, and [`QueryStore`]'s sync memo is
-/// probed by key only.) `tests/transport_equivalence.rs` pins the exact
-/// sequence.
+/// probed by key only. Audited again when a node's own maps became
+/// `UriMap`s: sorted `Vec`s ordered by each URI's `stable_hash` — a fixed
+/// function of the text, no per-process seed — then by text, so their
+/// order too is a pure function of member state; the walk sorts its rows
+/// back into URI order, and every schedule tie-break reads URI order as
+/// before.) `tests/transport_equivalence.rs` pins the exact sequence.
 ///
 /// # Cost model
 ///
@@ -748,10 +752,8 @@ pub fn run_contact_via(
         for &idx in members {
             for row in catalog.rows() {
                 let seen = row.file_holders.len() as f64 / clique;
-                let estimate = nodes[idx]
-                    .availability
-                    .entry(row.uri.clone())
-                    .or_insert(0.0);
+                let availability = &mut nodes[idx].availability;
+                let (estimate, _) = availability.get_or_insert_with(&row.uri, || 0.0);
                 *estimate += DIFFUSION_SMOOTHING * (seen - *estimate);
             }
         }
@@ -1027,11 +1029,14 @@ pub(crate) fn build_hello(
         Vec::new()
     };
     debug_assert!(
-        n.wanted.iter().eq(n
-            .metadata
-            .iter()
-            .filter(|m| matches_any(&own_queries, m) && !n.files.contains(m.uri()))
-            .map(Metadata::uri)),
+        n.wanted.iter().eq({
+            let mut by_definition: Vec<&Uri> = (n.metadata.iter())
+                .filter(|m| matches_any(&own_queries, m) && !n.files.contains(m.uri()))
+                .map(Metadata::uri)
+                .collect();
+            by_definition.sort_unstable();
+            by_definition
+        }),
         "node {}: the maintained wanted set left its definition",
         n.id
     );
@@ -1304,9 +1309,9 @@ mod tests {
         assert_eq!(n.known_popularity(&uri("mbt://early")), Popularity::MIN);
         n.prune(at(20));
         assert_eq!(n.queries.len(), 0);
-        assert!(n.rejected.contains_key(&uri("mbt://fake")));
+        assert!(n.rejected.contains(&uri("mbt://fake")));
         n.prune(at(25));
-        assert!(!n.rejected.contains_key(&uri("mbt://fake")));
+        assert!(!n.rejected.contains(&uri("mbt://fake")));
         // An entry added after a pass is still seen by the next one.
         n.add_query(Query::new("abc").unwrap(), Some(at(27)));
         n.prune(at(30));
@@ -1533,7 +1538,7 @@ mod tests {
         );
         assert!(!nodes[1].has_metadata(&uri("mbt://fake")), "forgery stored");
         assert!(
-            nodes[1].rejected.contains_key(&uri("mbt://fake")),
+            nodes[1].rejected.contains(&uri("mbt://fake")),
             "forgery not blacklisted"
         );
 
@@ -1571,7 +1576,7 @@ mod tests {
         );
         assert!(nodes[1].has_metadata(&uri("mbt://real")));
         assert!(nodes[1].has_file(&uri("mbt://real")));
-        assert!(!nodes[1].rejected.contains_key(&uri("mbt://real")));
+        assert!(!nodes[1].rejected.contains(&uri("mbt://real")));
     }
 
     #[test]

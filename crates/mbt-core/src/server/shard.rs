@@ -18,9 +18,10 @@
 //! Both use the same [`stable_hash`] (FNV-1a, finalized) — deterministic across processes and
 //! toolchains, unlike `std`'s seeded `RandomState` — so a shard layout is a
 //! pure function of `(key, shard count)` and committed bench digests never
-//! drift. The `Uri → slot` map does use `RandomState` (URIs come from
-//! publishers, who must not be able to craft collisions), but it is only
-//! ever probed by key: its iteration order reaches no answer.
+//! drift. The `Uri → slot` map does use `RandomState` over the URI's text,
+//! not its stored stable hash (URIs come from publishers, who must not be
+//! able to craft collisions), but it is only ever probed by key: its
+//! iteration order reaches no answer.
 //!
 //! Every operation costs what it touches: a search walks the rarest query
 //! token's postings and resolves survivors by slab index, a refresh or
@@ -52,9 +53,10 @@ pub fn shard_of_token(token: &str, shards: usize) -> usize {
     ring_index(stable_hash(token.as_bytes()), shards)
 }
 
-/// The URI shard owning `uri`'s metadata record and popularity.
+/// The URI shard owning `uri`'s metadata record and popularity, placed by
+/// the [`stable_hash`] its `Uri` computed once when it was made.
 pub fn shard_of_uri(uri: &Uri, shards: usize) -> usize {
-    ring_index(stable_hash(uri.as_str().as_bytes()), shards)
+    ring_index(uri.stable_hash(), shards)
 }
 
 /// The address of one record: its URI shard and its slot in that shard's
@@ -265,6 +267,24 @@ mod tests {
                 seen[idx] = true;
             }
             assert!(seen.iter().all(|&s| s), "{shards} shards not all hit");
+        }
+    }
+
+    #[test]
+    fn uri_placement_is_pinned() {
+        // The shards of the placement that hashed each URI's text at every
+        // call: reading the hash a `Uri` stores must not move a record.
+        let pinned = [
+            ("mbt://x", [0, 1, 1]),
+            ("mbt://fox/news", [0, 2, 2]),
+            ("mbt://bench/file-0", [0, 6, 7]),
+            ("mbt://bench/file-12345", [0, 4, 5]),
+            ("mbt://publisher-3/fd00ab12", [0, 3, 3]),
+        ];
+        for (text, shards) in pinned {
+            let uri = Uri::new(text).unwrap();
+            let placed = [1, 7, 8].map(|n| shard_of_uri(&uri, n));
+            assert_eq!(placed, shards, "{text}");
         }
     }
 

@@ -6,14 +6,13 @@
 //! have completed. Everything here is TTL-aware: expired entries are pruned
 //! so stale advertisements do not circulate forever.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dtn_trace::{NodeId, SimTime};
 
 use crate::metadata::Metadata;
 use crate::query::Query;
-use crate::uri::Uri;
+use crate::uri::{Uri, UriMap};
 
 /// A lower bound on the earliest expiry a TTL'd store holds. Contacts prune
 /// every member on entry and almost never drop anything, so each store keeps
@@ -45,8 +44,9 @@ pub(crate) fn is_expired(expires: Option<SimTime>, now: SimTime) -> bool {
     expires.is_some_and(|e| now >= e)
 }
 
-/// A node's local metadata collection: one URI-ordered map and its expiry
-/// watermark.
+/// A node's local metadata collection: one map, ordered by each URI's
+/// stored hash and then its text so that a probe compares integers, and its
+/// expiry watermark.
 ///
 /// Nobody searches a node's store — the node matches each arriving record
 /// against its own standing queries once, when it is stored
@@ -67,7 +67,7 @@ pub(crate) fn is_expired(expires: Option<SimTime>, now: SimTime) -> bool {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MetadataStore {
-    map: BTreeMap<Uri, Metadata>,
+    map: UriMap<Metadata>,
     version: u64,
     next_expiry: NextExpiry,
 }
@@ -81,15 +81,12 @@ impl MetadataStore {
     /// Inserts metadata; returns `true` if it was new (an existing record for
     /// the same URI is kept unchanged).
     pub fn insert(&mut self, metadata: Metadata) -> bool {
-        match self.map.entry(metadata.uri().clone()) {
-            std::collections::btree_map::Entry::Vacant(v) => {
-                self.version += 1;
-                self.next_expiry.note(metadata.expires());
-                v.insert(metadata);
-                true
-            }
-            std::collections::btree_map::Entry::Occupied(_) => false,
+        let (_, fresh) = (self.map).get_or_insert_with(metadata.uri(), || metadata.clone());
+        if fresh {
+            self.version += 1;
+            self.next_expiry.note(metadata.expires());
         }
+        fresh
     }
 
     /// Looks up metadata by URI.
@@ -99,7 +96,7 @@ impl MetadataStore {
 
     /// True if metadata for `uri` is stored.
     pub fn contains(&self, uri: &Uri) -> bool {
-        self.map.contains_key(uri)
+        self.map.contains(uri)
     }
 
     /// Number of stored records.
@@ -112,12 +109,13 @@ impl MetadataStore {
         self.map.is_empty()
     }
 
-    /// Iterates over stored metadata in URI order.
+    /// Iterates over stored metadata in map order: by each URI's stored
+    /// hash, which is not URI order. Sort what you collect if order matters.
     pub fn iter(&self) -> impl Iterator<Item = &Metadata> {
         self.map.values()
     }
 
-    /// Iterates over `(key, record)` in URI order. The key shares its
+    /// Iterates over `(key, record)` in map order. The key shares its
     /// allocation with the record's URI, and reading it touches no record.
     pub(crate) fn entries(&self) -> impl Iterator<Item = (&Uri, &Metadata)> {
         self.map.iter()
@@ -137,15 +135,6 @@ impl MetadataStore {
             self.version += 1;
         }
         dropped
-    }
-
-    /// Removes a record by URI; returns it if present.
-    pub fn remove(&mut self, uri: &Uri) -> Option<Metadata> {
-        let removed = self.map.remove(uri);
-        if removed.is_some() {
-            self.version += 1;
-        }
-        removed
     }
 
     /// Monotonic mutation counter: bumps whenever the stored record set
@@ -352,10 +341,11 @@ impl QueryStore {
 }
 
 /// The set of complete files a node holds (file-level granularity, as used by
-/// the paper's evaluation model).
+/// the paper's evaluation model), each with its expiry, in one map ordered
+/// like [`MetadataStore`]'s.
 #[derive(Debug, Clone, Default)]
 pub struct FileStore {
-    files: BTreeMap<Uri, Option<SimTime>>,
+    files: UriMap<Option<SimTime>>,
     version: u64,
     next_expiry: NextExpiry,
 }
@@ -376,10 +366,11 @@ impl FileStore {
 
     /// True if the node holds `uri`.
     pub fn contains(&self, uri: &Uri) -> bool {
-        self.files.contains_key(uri)
+        self.files.contains(uri)
     }
 
-    /// Iterates over held URIs in order.
+    /// Iterates over held URIs in map order: by each URI's stored hash,
+    /// which is not URI order. Sort what you collect if order matters.
     pub fn iter(&self) -> impl Iterator<Item = &Uri> {
         self.files.keys()
     }
@@ -394,8 +385,8 @@ impl FileStore {
         self.files.is_empty()
     }
 
-    /// Drops expired files; returns the URIs dropped, in order (a file can
-    /// expire before its metadata, which makes it wanted again).
+    /// Drops expired files; returns the URIs dropped, in map order (a file
+    /// can expire before its metadata, which makes it wanted again).
     pub fn prune_expired(&mut self, now: SimTime) -> Vec<Uri> {
         let mut dropped = Vec::new();
         if !self.next_expiry.due(now) {
@@ -475,15 +466,6 @@ mod tests {
         assert_eq!(s.prune_expired(SimTime::from_secs(20)), 1);
         assert_eq!(s.len(), 1);
         assert!(s.contains(&Uri::new("mbt://fresh").unwrap()));
-    }
-
-    #[test]
-    fn metadata_store_remove() {
-        let mut s = MetadataStore::new();
-        s.insert(meta("a", "mbt://a"));
-        assert!(s.remove(&Uri::new("mbt://a").unwrap()).is_some());
-        assert!(s.is_empty());
-        assert!(s.remove(&Uri::new("mbt://a").unwrap()).is_none());
     }
 
     #[test]

@@ -343,12 +343,14 @@ mod wanted_set {
     /// ascending.
     fn wanted_by_definition(n: &MbtNode) -> Vec<Uri> {
         let own = n.own_queries();
-        n.metadata()
-            .iter()
+        let mut wanted: Vec<Uri> = (n.metadata().iter())
             .filter(|m| own.iter().any(|q| q.matches_text(&m.search_text())))
             .filter(|m| !n.files().contains(m.uri()))
             .map(|m| m.uri().clone())
-            .collect()
+            .collect();
+        // The store yields in its map order; the wanted set is URI-ordered.
+        wanted.sort();
+        wanted
     }
 
     fn fresh(i: usize, spec: ProtocolSpec, config: &MbtConfig) -> MbtNode {

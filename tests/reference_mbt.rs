@@ -191,13 +191,17 @@ impl Cliques {
     fn assert_same(&mut self, case: &str) {
         for (n, r) in self.nodes.iter_mut().zip(&mut self.reference) {
             let who = format!("{case}, node {}", n.id());
-            let records: Vec<&Metadata> = n.metadata().iter().collect();
+            // The stores yield in their map order; the reference's maps are
+            // URI-ordered.
+            let mut records: Vec<&Metadata> = n.metadata().iter().collect();
+            records.sort_by(|a, b| a.uri().cmp(b.uri()));
             assert_eq!(
                 records,
                 r.records.values().collect::<Vec<_>>(),
                 "{who}: records"
             );
-            let files: Vec<&Uri> = n.files().iter().collect();
+            let mut files: Vec<&Uri> = n.files().iter().collect();
+            files.sort();
             assert_eq!(files, r.files.keys().collect::<Vec<_>>(), "{who}: files");
             let own: Vec<Query> = r.own.iter().map(|(q, _)| q.clone()).collect();
             assert_eq!(n.own_queries(), own, "{who}: own queries");
