@@ -14,7 +14,9 @@
 # file. So `Foo::new` is unreached however many other types call their
 # `new`. A method (a `self` receiver) is still matched by name alone: one
 # whose name another type's method or function also uses counts as reached
-# by that other's calls — the hole this check leaves open.
+# by that other's calls — the hole this check leaves open. A use inside a
+# function of the same name reaches nothing, though: a method wrapping
+# another type's same-named method (or a recursive call) is not a caller.
 #
 # A function only tests reach is deleted or, if tests outside its module
 # need it as an observer no other public path gives, listed in ALLOWED
@@ -44,12 +46,14 @@ defs=$(mktemp)
 fields=$(mktemp)
 bound=$(mktemp)
 trap 'rm -f "$corpus" "$defs" "$fields" "$bound"' EXIT
-# One line per code line: `file<TAB>line`, test modules and comment lines
-# dropped, each string literal (on one line or several) an `S`. Beside it,
-# one line per `pub`/`pub(crate) fn`: `file<TAB>name<TAB>Type`, the type
-# empty unless the function is associated (in an `impl Type` block, no
-# `self` receiver); one per `pub`/`pub(crate)` field: `file<TAB>name`; and
-# one per field a `let` struct pattern binds, in the same form.
+# One line per code line: `file<TAB>fn<TAB>line`, test modules and comment
+# lines dropped, each string literal (on one line or several) an `S`, and
+# `fn` the innermost function whose body holds the line (empty outside
+# one). Beside it, one line per `pub`/`pub(crate) fn`:
+# `file<TAB>name<TAB>Type`, the type empty unless the function is
+# associated (in an `impl Type` block, no `self` receiver); one per
+# `pub`/`pub(crate)` field: `file<TAB>name`; and one per field a `let`
+# struct pattern binds, in the same form.
 find crates/*/src examples -name '*.rs' -not -path '*/target/*' | sort |
     while read -r f; do
         awk -v f="$f" -v defs="$defs" -v fields="$fields" -v bound="$bound" '/^#\[cfg\(test\)\]/ { exit }
@@ -63,7 +67,7 @@ find crates/*/src examples -name '*.rs' -not -path '*/target/*' | sort |
                 gsub(/'"'"'\\?"'"'"'/, "'"''"'", line)
                 gsub(/"([^"\\]|\\.)*"/, "S", line)
                 if (i = index(line, "\"")) { line = substr(line, 1, i); open = 1 }
-                print f "\t" line
+                print f "\t" fn_name[fns] "\t" line
 
                 code = line
                 gsub(/'"'"'[{}]'"'"'/, "", code)
@@ -130,7 +134,17 @@ find crates/*/src examples -name '*.rs' -not -path '*/target/*' | sort |
                         print f "\t" sig_name "\t" sig_type >> defs
                     }
                 }
+                # The enclosing function: a `fn name` opens its body at
+                # the next `{`, unless a `;` ends a bodiless declaration.
+                if (match(code, /(^|[^A-Za-z0-9_])fn[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/)) {
+                    pending = substr(code, RSTART, RLENGTH)
+                    sub(/.*fn[[:space:]]+/, "", pending)
+                }
+                if (pending != "" && index(code, "{")) {
+                    fns++; fn_name[fns] = pending; fn_depth[fns] = depth; pending = ""
+                } else if (code ~ /;[[:space:]]*$/) pending = ""
                 depth += gsub(/{/, "{", code) - gsub(/}/, "}", code)
+                while (fns > 0 && depth <= fn_depth[fns]) fns--
                 if (impl_type != "" && depth <= impl_depth && code ~ /}/) impl_type = ""
             }' "$f"
     done > "$corpus"
@@ -147,7 +161,8 @@ status=0
 # Methods and free functions: reached by name.
 for name in $(awk -F'\t' '$3 == "" { print $2 }' "$defs" | sort -u); do
     use="\b$name[[:space:]]*(\(|::<)|::$name\b"
-    grep -vE "fn[[:space:]]+$name\b" "$corpus" | grep -qE "$use" && continue
+    awk -F'\t' -v n="$name" '$2 != n' "$corpus" | grep -vE "fn[[:space:]]+$name\b" |
+        grep -qE "$use" && continue
     where=$(awk -F'\t' -v n="$name" '$2 == n && $3 == "" { print $1 }' "$defs" | sort -u | xargs)
     if allowed "$name" "$ALLOWED"; then echo "allowed: $name ($where)"; else
         echo "unreached: $name ($where)"; status=1; fi

@@ -112,18 +112,15 @@ counters! {
     /// File receptions discarded by checksum verification after injected
     /// piece corruption.
     corrupt_receptions: sum,
-    /// Hellos built with none of the node's metadata, file and own-query
-    /// stores changed since its previous hello. An arithmetic charge, not a
-    /// cache: the node maintains its wanted set as the stores change, and
-    /// the count keeps the definition it had when a hello recomputed the
-    /// set unless a memo was still valid. Deterministic: the hit/miss
-    /// pattern is a pure function of the event stream.
+    /// A structural zero: nothing charges it, since no node memoizes its
+    /// wanted set. The field stays because the perf-report keys and the
+    /// benchmark's `node.discovery.wanted_cache_hits` layer read it by name;
+    /// it goes with ledger v2a-0.
     wanted_cache_hits: sum,
-    /// One per own query for every hello that is not a `wanted_cache_hits`
-    /// hit, plus one per relevant query per member store for a contact's
-    /// metadata-requester matching. Arithmetic too — what per-store index
-    /// probes cost when there were per-store indexes — so it moves only
-    /// with behaviour.
+    /// A structural zero, like [`Counters::wanted_cache_hits`]: it priced
+    /// per-store index probes, and no store keeps an index. Read by the
+    /// perf-report keys and the benchmark's `node.discovery.index_lookups`
+    /// layer; it goes with ledger v2a-0.
     index_lookups: sum,
     /// On-disk trace shards loaded by streaming replay. Zero for fully
     /// in-memory runs. Additive on merge: total shard loads across all

@@ -337,12 +337,10 @@ mod tests {
         MbtNode::new(NodeId::new(i), protocol, config.clone())
     }
 
-    /// Building a hello records the store versions it announced, which the
-    /// next contact reports on: build from a copy.
     fn hellos(protocol: ProtocolSpec, nodes: &[MbtNode], members: &[usize]) -> Vec<HelloFrame> {
         members
             .iter()
-            .map(|&idx| build_hello(&mut nodes[idx].clone(), protocol, &mut Counters::default()))
+            .map(|&idx| build_hello(&nodes[idx], protocol))
             .collect()
     }
 

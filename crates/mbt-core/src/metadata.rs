@@ -14,7 +14,7 @@ use std::sync::Arc;
 use dtn_trace::{SimDuration, SimTime};
 
 use crate::checksum::{sha1, Digest};
-use crate::keyword::{tokenize, TokenSet};
+use crate::keyword::TokenSet;
 use crate::piece::{piece_count, Piece, PIECE_SIZE};
 use crate::query::Query;
 use crate::uri::Uri;
@@ -61,8 +61,7 @@ struct MetadataInner {
     expires: Option<SimTime>,
     auth_tag: Option<Digest>,
     /// Token set of name + publisher + description, computed once at build
-    /// time. Derived from the text fields, so it never disagrees with
-    /// [`Metadata::tokens`] and does not perturb equality.
+    /// time. Derived from the text fields, so it does not perturb equality.
     tokens: TokenSet,
 }
 
@@ -245,27 +244,9 @@ impl Metadata {
         Arc::make_mut(&mut self.inner).auth_tag = Some(tag);
     }
 
-    /// The searchable tokens of this metadata (name + publisher +
-    /// description), tokenized afresh in first-occurrence order.
-    ///
-    /// This is the uncached reference path; hot loops should probe
-    /// [`token_set`](Self::token_set) instead. The property suite checks
-    /// that the two always agree.
-    pub fn tokens(&self) -> Vec<String> {
-        tokenize(&self.search_text())
-    }
-
     /// The cached, sorted token set computed once at build time.
     pub fn token_set(&self) -> &TokenSet {
         &self.inner.tokens
-    }
-
-    /// The concatenated searchable text.
-    pub fn search_text(&self) -> String {
-        format!(
-            "{} {} {}",
-            self.inner.name, self.inner.publisher, self.inner.description
-        )
     }
 
     /// True if `query` matches this metadata's searchable text.

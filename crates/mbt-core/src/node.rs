@@ -115,9 +115,6 @@ pub struct MbtNode {
     /// held — the hello's "downloading files" (§III-B), maintained as the
     /// stores change rather than recomputed per hello.
     wanted: BTreeSet<Uri>,
-    /// The store versions the last hello was built from (see
-    /// [`Counters::wanted_cache_hits`]).
-    announced: Option<(u64, u64, u64)>,
     credits: CreditLedger,
     /// Best popularity observed per URI, with the URI's global expiry when
     /// the observation rode metadata (so dead URIs can be pruned).
@@ -162,7 +159,6 @@ impl MbtNode {
             metadata: MetadataStore::new(),
             files: FileStore::new(),
             wanted: BTreeSet::new(),
-            announced: None,
             credits: CreditLedger::new(),
             popularity: UriMap::default(),
             availability: UriMap::default(),
@@ -562,12 +558,14 @@ impl MbtNode {
 /// [`Counters`]: `contacts` is 1 and `frames_sent` is one per broadcast. A
 /// call with fewer than two members is no contact and counts nothing.
 ///
-/// All members must run the same protocol variant and cooperation mode.
+/// All members must run the same protocol variant and the same
+/// [`MbtConfig`]: the contact reads its budgets, fault plan, broadcast
+/// ordering, phase order and short-contact gate from one of them.
 ///
 /// # Panics
 ///
 /// Panics if `members` contains an out-of-range or duplicate index, or if
-/// members disagree on protocol/cooperation mode.
+/// members disagree on protocol or configuration.
 pub fn run_contact(
     nodes: &mut [MbtNode],
     members: &[usize],
@@ -618,20 +616,10 @@ pub struct ContactScratch {
 ///
 /// Frame emission order is deterministic: every collection iterated on this
 /// path — member snapshots, the catalog's rows, holder lists and sorted
-/// postings, broadcast schedules — is a `Vec`, slice, `BTreeMap`, or
-/// `BTreeSet`, never a hash map, so the carry sequence is a pure function of
-/// member state. (Audited 2026-08, with the cost-model rewrite, and again
-/// with the difference catalog: no hashed container was introduced — the
-/// catalog is a `Vec` of rows filled by an ordered walk over the members'
-/// stores and probed through a sorted `Vec`; the only `HashMap` near the
-/// contact path is documented scratch space in `server/shard.rs` that never
-/// reaches iteration order into results, and [`QueryStore`]'s sync memo is
-/// probed by key only. Audited again when a node's own maps became
-/// `UriMap`s: sorted `Vec`s ordered by each URI's `stable_hash` — a fixed
-/// function of the text, no per-process seed — then by text, so their
-/// order too is a pure function of member state; the walk sorts its rows
-/// back into URI order, and every schedule tie-break reads URI order as
-/// before.) `tests/transport_equivalence.rs` pins the exact sequence.
+/// postings, broadcast schedules, a node's `UriMap`s (ordered by each URI's
+/// `stable_hash`, a fixed function of the text, then by text) — is ordered,
+/// never a hash map, so the carry sequence is a pure function of member
+/// state. `tests/transport_equivalence.rs` pins the exact sequence.
 ///
 /// # Cost model
 ///
@@ -646,13 +634,14 @@ pub struct ContactScratch {
 /// protocol) but not re-stored. One ordered walk over the members' stores
 /// keeps a catalog row only for a URI whose metadata or file some members
 /// hold and others lack (every URI under DiffuseRep, which observes them
-/// all); requester matching counts its probes arithmetically and answers
-/// each query with one probe of a token index over the records somebody
-/// lacks; with no such rows there are no offers, no index and no schedule.
+/// all); requester matching answers each query with one probe of a token
+/// index over the records somebody lacks; with no such rows there are no
+/// offers, no index and no schedule.
 ///
 /// # Panics
 ///
-/// Same conditions as [`run_contact`].
+/// Panics if `members` contains an out-of-range or duplicate index, or if
+/// members disagree on protocol (checked first) or configuration.
 pub fn run_contact_via(
     transport: &mut dyn Transport,
     nodes: &mut [MbtNode],
@@ -682,9 +671,8 @@ pub fn run_contact_via(
             "mixed protocols in one contact"
         );
         assert_eq!(
-            nodes[idx].config.cooperation_value(),
-            config.cooperation_value(),
-            "mixed cooperation modes in one contact"
+            nodes[idx].config, config,
+            "mixed configurations in one contact"
         );
         nodes[idx].prune(now);
     }
@@ -705,7 +693,7 @@ pub fn run_contact_via(
     alive.clear();
     snapshots.clear();
     for &idx in members {
-        let hello = build_hello(&mut nodes[idx], protocol, &mut counters);
+        let hello = build_hello(&nodes[idx], protocol);
         let sender = nodes[idx].id;
         let delivered = if sender == coordinator {
             Some(hello)
@@ -842,15 +830,6 @@ pub fn run_contact_via(
         if !protocol.distributes_metadata() {
             return;
         }
-        // A member's relevant queries are its own plus those it carries
-        // for its frequent contacts, and requester matching (§IV-A) is
-        // charged one probe per member store for each — the count is
-        // arithmetic: the catalog answers each query from one index over
-        // the records somebody lacks, and looks at nothing when there are
-        // none.
-        let relevant = |s: &HelloFrame| s.own_queries.len() + s.foreign_queries.len();
-        let lookups = snapshots.iter().map(relevant).sum::<usize>() * members.len();
-        counters.index_lookups += lookups as u64;
         let offers = catalog.metadata_offers(snapshots);
         let schedule = schedule_broadcasts(&config, member_ids, snapshots, offers, metadata_slots);
         for b in &schedule {
@@ -1011,14 +990,10 @@ pub fn run_contact_via(
     counters
 }
 
-/// Builds one member's hello frame, charging the wanted set to the counters as
-/// the memoized lookup it replaced would have been. The own-query list and
-/// frequent set are shared, not copied; the wanted set is the maintained one.
-pub(crate) fn build_hello(
-    n: &mut MbtNode,
-    protocol: ProtocolSpec,
-    counters: &mut Counters,
-) -> HelloFrame {
+/// Builds one member's hello frame from the node as it stands. The own-query
+/// list and frequent set are shared, not copied; the wanted set is the
+/// maintained one.
+pub(crate) fn build_hello(n: &MbtNode, protocol: ProtocolSpec) -> HelloFrame {
     let own_queries: Arc<[OwnQuery]> = n.queries.own().clone();
     let foreign_queries: Vec<Query> = if protocol.distributes_queries() {
         n.queries
@@ -1040,16 +1015,6 @@ pub(crate) fn build_hello(
         "node {}: the maintained wanted set left its definition",
         n.id
     );
-    let versions = (
-        n.metadata.version(),
-        n.files.version(),
-        n.queries.own_version(),
-    );
-    if n.announced.replace(versions) == Some(versions) {
-        counters.wanted_cache_hits += 1;
-    } else {
-        counters.index_lookups += own_queries.len() as u64;
-    }
     HelloFrame {
         sender: n.id,
         own_queries,
@@ -1275,7 +1240,7 @@ mod tests {
     fn frequent_contacts_are_kept_ascending_and_distinct() {
         let mut n = node(0, ProtocolSpec::MBT);
         n.set_frequent_contacts([NodeId::new(5), NodeId::new(2), NodeId::new(5)]);
-        let hello = build_hello(&mut n, ProtocolSpec::MBT, &mut Counters::default());
+        let hello = build_hello(&n, ProtocolSpec::MBT);
         assert_eq!(*hello.frequent, [NodeId::new(2), NodeId::new(5)]);
         let shared: Arc<[NodeId]> = Arc::from([NodeId::new(1), NodeId::new(3)]);
         n.set_frequent_contacts(Arc::clone(&shared));
@@ -1722,6 +1687,19 @@ mod tests {
     #[should_panic(expected = "mixed protocols")]
     fn mixed_protocols_panic() {
         let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT_Q)];
+        run_contact(
+            &mut nodes,
+            &[0, 1],
+            SimTime::ZERO,
+            SimDuration::from_secs(60),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "mixed configurations")]
+    fn mixed_configs_panic() {
+        let mut nodes = vec![node(0, ProtocolSpec::MBT), node(1, ProtocolSpec::MBT)];
+        nodes[1].config = MbtConfig::new().files_per_contact(1);
         run_contact(
             &mut nodes,
             &[0, 1],

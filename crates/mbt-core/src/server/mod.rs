@@ -140,11 +140,6 @@ impl MetadataServer {
         self.len == 0
     }
 
-    /// Looks up metadata by URI.
-    pub fn metadata_of(&self, uri: &Uri) -> Option<&Metadata> {
-        self.uri_shards[shard_of_uri(uri, self.uri_shards.len())].metadata_of(uri)
-    }
-
     /// The assigned popularity of `uri` (0 if unknown).
     pub fn popularity_of(&self, uri: &Uri) -> Popularity {
         self.uri_shards[shard_of_uri(uri, self.uri_shards.len())].popularity_of(uri)
@@ -345,7 +340,10 @@ mod tests {
         let s = server_with(&[("FOX News", "mbt://a", 0.5)]);
         assert_eq!(s.len(), 1);
         let uri = Uri::new("mbt://a").unwrap();
-        assert_eq!(s.metadata_of(&uri).unwrap().name(), "FOX News");
+        assert_eq!(
+            s.iter().map(Metadata::name).collect::<Vec<_>>(),
+            ["FOX News"]
+        );
         assert_eq!(s.popularity_of(&uri).value(), 0.5);
     }
 
@@ -514,7 +512,7 @@ mod tests {
             Some("mbt://b".to_owned())
         );
         assert_eq!(frozen.most_popular(1, SimTime::ZERO).len(), 1);
-        assert!(frozen.metadata_of(&Uri::new("mbt://c").unwrap()).is_none());
+        assert!(frozen.iter().all(|m| m.uri().as_str() != "mbt://c"));
         assert!(!frozen.is_empty());
     }
 }

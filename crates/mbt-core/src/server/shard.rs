@@ -116,11 +116,6 @@ impl UriShard {
         (self.popularity[slot as usize], self.metadata(slot))
     }
 
-    /// `uri`'s record, if published.
-    pub fn metadata_of(&self, uri: &Uri) -> Option<&Metadata> {
-        self.slot_of(uri).map(|slot| self.metadata(slot))
-    }
-
     /// The assigned popularity of `uri` (0 if unknown).
     pub fn popularity_of(&self, uri: &Uri) -> Popularity {
         self.slot_of(uri)
@@ -340,7 +335,7 @@ mod tests {
         assert_eq!(expired, vec![a]);
         assert_eq!(shard.remove(a).uri().as_str(), "mbt://a");
         assert_eq!(shard.slots.len(), 1);
-        assert!(shard.metadata_of(&Uri::new("mbt://a").unwrap()).is_none());
+        assert_eq!(shard.slot_of(&Uri::new("mbt://a").unwrap()), None);
         // The freed slot goes to the next new URI; its expiry went with it.
         let (c, replaced) = shard.insert(meta("mbt://c", None), Popularity::MAX);
         assert_eq!(c, a);

@@ -51,8 +51,7 @@ pub(crate) fn is_expired(expires: Option<SimTime>, now: SimTime) -> bool {
 /// Nobody searches a node's store — the node matches each arriving record
 /// against its own standing queries once, when it is stored
 /// ([`MbtNode::wanted_uris`](crate::MbtNode::wanted_uris)) — so the store
-/// keeps no index. A monotonic [`version`](MetadataStore::version) counter
-/// bumps on every mutation.
+/// keeps no index.
 ///
 /// # Example
 ///
@@ -68,7 +67,6 @@ pub(crate) fn is_expired(expires: Option<SimTime>, now: SimTime) -> bool {
 #[derive(Debug, Clone, Default)]
 pub struct MetadataStore {
     map: UriMap<Metadata>,
-    version: u64,
     next_expiry: NextExpiry,
 }
 
@@ -83,7 +81,6 @@ impl MetadataStore {
     pub fn insert(&mut self, metadata: Metadata) -> bool {
         let (_, fresh) = (self.map).get_or_insert_with(metadata.uri(), || metadata.clone());
         if fresh {
-            self.version += 1;
             self.next_expiry.note(metadata.expires());
         }
         fresh
@@ -130,17 +127,7 @@ impl MetadataStore {
         self.map.retain(|_, m| !m.is_expired(now));
         self.next_expiry
             .reset(self.map.values().map(Metadata::expires));
-        let dropped = before - self.map.len();
-        if dropped > 0 {
-            self.version += 1;
-        }
-        dropped
-    }
-
-    /// Monotonic mutation counter: bumps whenever the stored record set
-    /// changes.
-    pub fn version(&self) -> u64 {
-        self.version
+        before - self.map.len()
     }
 }
 
@@ -346,7 +333,6 @@ impl QueryStore {
 #[derive(Debug, Clone, Default)]
 pub struct FileStore {
     files: UriMap<Option<SimTime>>,
-    version: u64,
     next_expiry: NextExpiry,
 }
 
@@ -359,7 +345,6 @@ impl FileStore {
     /// Records that the node holds the complete file at `uri`, expiring at
     /// `expires`. Returns `true` if it was new.
     pub fn insert(&mut self, uri: Uri, expires: Option<SimTime>) -> bool {
-        self.version += 1;
         self.next_expiry.note(expires);
         self.files.insert(uri, expires).is_none()
     }
@@ -400,25 +385,13 @@ impl FileStore {
             keep
         });
         self.next_expiry.reset(self.files.values().copied());
-        if !dropped.is_empty() {
-            self.version += 1;
-        }
         dropped
     }
 
     /// Evicts a held file (bounded-buffer cache policies); returns `true` if
     /// it was present.
     pub fn remove(&mut self, uri: &Uri) -> bool {
-        let removed = self.files.remove(uri).is_some();
-        if removed {
-            self.version += 1;
-        }
-        removed
-    }
-
-    /// Monotonic mutation counter: bumps on every insert or prune.
-    pub fn version(&self) -> u64 {
-        self.version
+        self.files.remove(uri).is_some()
     }
 }
 
@@ -572,17 +545,13 @@ mod tests {
     }
 
     #[test]
-    fn file_store_remove_bumps_version() {
+    fn file_store_remove_drops_a_held_file() {
         let mut s = FileStore::new();
         let uri = Uri::new("mbt://f").unwrap();
         s.insert(uri.clone(), None);
-        let v = s.version();
         assert!(s.remove(&uri));
         assert!(!s.contains(&uri));
-        assert!(s.version() > v);
-        let v = s.version();
         assert!(!s.remove(&uri), "removing a missing file is a no-op");
-        assert_eq!(s.version(), v);
     }
 
     #[test]

@@ -195,6 +195,11 @@ fn query_of(tok_a: usize, tok_b: Option<usize>, tok_c: Option<usize>) -> Query {
 
 /// Everything observable about a search result, stringified: any divergence
 /// in membership, order, or record contents shows up here.
+/// `uri`'s published record, found through the server's public iteration.
+fn record_of<'a>(server: &'a MetadataServer, uri: &Uri) -> Option<&'a Metadata> {
+    server.iter().find(|m| m.uri() == uri)
+}
+
 fn render(results: &[&Metadata]) -> Vec<String> {
     results
         .iter()
@@ -354,7 +359,7 @@ fn replay_against_reference(ops: &[Op], uris: usize) -> usize {
         let expected_est = reference.estimated_popularity(&target, t_end);
         for s in &sharded {
             prop_assert_eq!(
-                &s.metadata_of(&target).map(|m| m.uri().clone()),
+                &record_of(s, &target).map(|m| m.uri().clone()),
                 &expected_meta
             );
             prop_assert_eq!(s.popularity_of(&target), expected_pop);
@@ -388,7 +393,7 @@ proptest! {
         // exactly like the live server it was taken from.
         let mut server = MetadataServer::with_shards(10, SHARD_COUNTS[shards_idx]);
         for op in &ops {
-            let publish = record_to_publish(op, |target| server.metadata_of(target));
+            let publish = record_to_publish(op, |target| record_of(&server, target));
             if let Some((meta, p)) = publish {
                 server.publish(meta, p);
             }
@@ -417,8 +422,8 @@ proptest! {
             let target = uri(u);
             prop_assert_eq!(snap.popularity_of(&target), server.popularity_of(&target));
             prop_assert_eq!(
-                snap.metadata_of(&target).map(|m| m.uri().clone()),
-                server.metadata_of(&target).map(|m| m.uri().clone())
+                record_of(&snap, &target).map(|m| m.uri().clone()),
+                record_of(&server, &target).map(|m| m.uri().clone())
             );
         }
     }
@@ -491,7 +496,7 @@ fn a_record_published_into_an_expired_records_slot_leaves_no_ghost() {
         let fox = server.search(&Query::new("fox").unwrap(), 10);
         assert_eq!(fox.len(), 1);
         assert_eq!(fox[0].uri(), record_b().uri());
-        assert!(server.metadata_of(&uri(0)).is_none());
+        assert!(record_of(&server, &uri(0)).is_none());
         assert_eq!(server.popularity_of(&uri(0)), Popularity::MIN);
         assert_eq!(server.len(), 1);
         assert_eq!(server.most_popular(5, at(48)).len(), 1);
@@ -516,9 +521,9 @@ fn a_snapshot_from_before_the_expiry_still_answers_the_old_record() {
             assert_eq!(hits[0].name(), "evening news");
         }
         assert!(before.search(&Query::new("comedy").unwrap(), 10).is_empty());
-        assert_eq!(before.metadata_of(&uri(0)).unwrap().name(), "evening news");
+        assert_eq!(record_of(&before, &uri(0)).unwrap().name(), "evening news");
         assert_eq!(before.popularity_of(&uri(0)), Popularity::MAX);
-        assert!(before.metadata_of(record_b().uri()).is_none());
+        assert!(record_of(&before, record_b().uri()).is_none());
         assert_eq!(before.len(), 1);
     }
 }

@@ -85,10 +85,6 @@ fn an_idle_contact_allocates_almost_nothing() {
     let (_, allocations, report) = allocation_of(|| contact(&mut nodes, &mut scratch, 200));
     assert_eq!(report.queries_distributed, 0, "already in sync");
     assert_eq!(report.hello_exchanges, 2);
-    // Requester matching: 2 members x 6 relevant queries (3 own, 3 carried)
-    // x 2 member stores, all empty; both wanted lists are cache hits. The
-    // counters do not know that nothing was looked at.
-    assert_eq!((report.index_lookups, report.wanted_cache_hits), (24, 2));
     assert!(
         allocations <= 2,
         "an idle contact performed {allocations} allocations"

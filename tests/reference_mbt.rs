@@ -19,10 +19,10 @@
 //!   variant, half under each cooperation mode, cooperative ones drawing
 //!   their ordering as P1 does.
 //!
-//! A contact and a run are compared as `Counters`, less what the reference
-//! does not count: `wanted_cache_hits` and `index_lookups`, whose docs call
-//! them arithmetic charges of retired implementations, and what the runner
-//! counts of its trace and node table (`contact_level`).
+//! A contact and a run are compared as `Counters`, less what the runner
+//! counts of its trace and node table (`contact_level`). Every other field
+//! must agree, the structural zeros included: the node charges nothing the
+//! reference does not count.
 
 #[path = "support/reference_mbt.rs"]
 mod reference_mbt;
@@ -223,11 +223,9 @@ impl Cliques {
 }
 
 /// `c` in the reference's terms: zero where the reference counts nothing —
-/// the two arithmetic charges, and the runner's trace and node-table counts.
+/// the runner's trace and node-table counts.
 fn contact_level(c: &Counters) -> Counters {
     Counters {
-        wanted_cache_hits: 0,
-        index_lookups: 0,
         shards_loaded: 0,
         peak_resident_contacts: 0,
         nodes_instantiated: 0,

@@ -419,8 +419,6 @@ fn order(
 }
 
 /// One contact among `nodes[members]`, in member order, and what it did.
-/// Nothing charges `wanted_cache_hits` or `index_lookups`: they price
-/// implementations the paper does not have.
 pub fn contact(
     nodes: &mut [ReferenceNode],
     members: &[usize],
