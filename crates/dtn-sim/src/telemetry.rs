@@ -148,20 +148,17 @@ counters! {
     /// A structural zero, like [`Counters::peak_residue_nodes`]: the
     /// estimated peak bytes of that store. Merges by **maximum**.
     residue_bytes_est: max,
-    /// Frames the bus transport carried — encoded, moved across a link and
-    /// decoded: hellos, query shares, metadata and file broadcasts alike.
+    /// Frames the bus transport carried — encoded and checked as what was
+    /// sent: hellos, query shares, metadata and file broadcasts alike.
     /// Zero under the in-process simulator transport.
     bus_frames_carried: sum,
     /// Encoded bytes the bus transport moved across links, headers
     /// included. Zero under the in-process simulator transport.
     bus_bytes_on_wire: sum,
-    /// Frames the bus transport carried whose check against the sender's
-    /// message found a difference, and which it therefore decoded in full.
-    /// Zero for a sound codec, and under the simulator transport.
-    bus_frames_rebuilt: sum,
-    /// Frames the bus transport dropped because they failed the frame
-    /// check. Faults are rolled by the node, not the bus, so this is zero
-    /// unless the codec is broken, and under the simulator transport.
+    /// Frames the bus transport dropped because the frame check failed or
+    /// found a field that differs from what was sent. Faults are rolled by
+    /// the node, not the bus, so this is zero unless the codec is broken,
+    /// and under the simulator transport.
     bus_frames_dropped: sum,
 }
 
@@ -305,7 +302,7 @@ impl Telemetry {
     /// assert!(json.starts_with("{\n  \"wall_secs\": 1.500000,\n  \"phases\": {\n"));
     /// assert!(json.contains("    \"contacts\": 3,\n"));
     /// assert!(json.ends_with("    \"bus_frames_dropped\": 0\n  }\n}\n"));
-    /// assert_eq!(json.matches("\n    \"").count(), 6 + 24, "six phases, 24 counters");
+    /// assert_eq!(json.matches("\n    \"").count(), 6 + 23, "six phases, 23 counters");
     /// ```
     pub fn to_json(&self, wall: Duration) -> String {
         let secs = |d: Duration| format!("{:.6}", d.as_secs_f64());
@@ -381,7 +378,6 @@ mod tests {
             residue_bytes_est: 17,
             bus_frames_carried: 18,
             bus_bytes_on_wire: 19,
-            bus_frames_rebuilt: 20,
             bus_frames_dropped: 24,
         }
     }

@@ -282,7 +282,6 @@ mod tests {
             counter("bus", "bus_bytes_on_wire") > 64 * frames,
             "headers alone"
         );
-        assert_eq!(counter("bus", "bus_frames_rebuilt"), 0);
         assert_eq!(counter("bus", "bus_frames_dropped"), 0);
         assert_eq!(counter("sim", "bus_frames_carried"), 0);
         assert_eq!(counter("sim", "bus_bytes_on_wire"), 0);

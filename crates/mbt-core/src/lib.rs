@@ -91,5 +91,5 @@ pub use protocol::{CachePolicy, ProtocolSpec, ReplicationPolicy, UnknownProtocol
 pub use query::Query;
 pub use server::MetadataServer;
 pub use store::{FileStore, MetadataStore, OwnQuery, QueryStore};
-pub use transport::{BusTransport, Carried, SimTransport, Transport, TransportKind, WireMessage};
+pub use transport::{BusTransport, SimTransport, Transport, TransportKind, WireMessage};
 pub use uri::Uri;

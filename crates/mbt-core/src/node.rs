@@ -35,7 +35,7 @@ use crate::query::Query;
 use crate::server::MetadataServer;
 use crate::store::{is_expired, FileStore, MetadataStore, NextExpiry, OwnQuery, QueryStore};
 use crate::transport::frame::ascending;
-use crate::transport::{Carried, HelloFrame, SimTransport, Transport, WireMessage};
+use crate::transport::{HelloFrame, SimTransport, Transport, WireMessage};
 use crate::uri::{Uri, UriMap};
 
 /// How many best matches the metadata server returns per query at an
@@ -586,14 +586,17 @@ pub fn run_contact(
 }
 
 /// The vectors a contact fills and empties — the members whose hello
-/// arrived, their hellos and their ids — kept by the caller so that a run of
-/// contacts allocates them once, not once each. Holds nothing a later
-/// contact reads: every contact starts by clearing it.
+/// arrived, their hellos, their ids and their query shares — kept by the
+/// caller so that a run of contacts allocates them once, not once each.
+/// Holds nothing a later contact reads: every contact starts by clearing it.
 #[derive(Debug, Default)]
 pub struct ContactScratch {
     alive: Vec<usize>,
     snapshots: Vec<HelloFrame>,
     member_ids: Vec<NodeId>,
+    /// Per member, its query shares, built the first time a receiver
+    /// lists it as a frequent contact.
+    shares: Vec<Vec<WireMessage>>,
 }
 
 /// [`run_contact`] over an explicit [`Transport`] backend, with optional
@@ -605,14 +608,17 @@ pub struct ContactScratch {
 ///
 /// The contact's message flow — hello exchange to the clique coordinator
 /// (§V elects one; the lowest id here), query shares, metadata broadcasts,
-/// file broadcasts — goes through `transport` as [`WireMessage`]s. With
-/// [`SimTransport`] every carry is an in-process move and this function is
-/// byte-identical to the pre-seam contact loop; with
-/// [`BusTransport`](crate::transport::BusTransport) every message
-/// round-trips its serialized frame, and a frame that decodes equal to what
-/// was sent delivers the sender's value, so receivers share its allocations
-/// under either backend. A [`Carried::Dropped`] outcome counts as a lost
-/// frame (a dropped hello removes that member from the contact).
+/// file broadcasts — goes through `transport` as [`WireMessage`]s. Each is
+/// built once — a broadcast or a (sender, query) share once, whatever its
+/// receivers — and lent to [`Transport::carry`], which answers only
+/// whether it arrived; a receiver it reached applies the sender's own
+/// values (the row's record, URI and popularity, the share's query), so
+/// receivers share the sender's allocations under every backend. With
+/// [`SimTransport`] every message arrives; with
+/// [`BusTransport`](crate::transport::BusTransport) one arrives when its
+/// serialized frame checks as what was sent. A carry that does not arrive
+/// counts as a lost frame (a lost hello removes that member from the
+/// contact).
 ///
 /// Frame emission order is deterministic: every collection iterated on this
 /// path — member snapshots, the catalog's rows, holder lists and sorted
@@ -627,11 +633,11 @@ pub struct ContactScratch {
 /// they carry. Each member's hello — which is also its start-of-contact
 /// snapshot — shares the member's own-query list and frequent set by
 /// reference (neither changes inside a contact) and copies only what the
-/// contact itself mutates: the wanted set, the credit ledger and the
-/// foreign queries, all three usually empty. Pruning on entry is O(1) until
-/// something can have expired; a query share whose receiver already holds
-/// the sender's unchanged list is carried (the wire sequence is the
-/// protocol) but not re-stored. One ordered walk over the members' stores
+/// contact itself mutates: the wanted set, the rejected URIs, the credit
+/// ledger and the foreign queries, all four usually empty. Pruning on entry
+/// is O(1) until something can have expired; a query share whose receiver
+/// already holds the sender's unchanged list is carried (the wire sequence
+/// is the protocol) but not re-stored. One ordered walk over the members' stores
 /// keeps a catalog row only for a URI whose metadata or file some members
 /// hold and others lack (every URI under DiffuseRep, which observes them
 /// all); requester matching answers each query with one probe of a token
@@ -685,6 +691,7 @@ pub fn run_contact_via(
         alive,
         snapshots,
         member_ids,
+        shares,
     } = scratch;
     let coordinator = members.iter().map(|&idx| nodes[idx].id).min();
     let coordinator = coordinator.expect("a contact has members");
@@ -693,23 +700,17 @@ pub fn run_contact_via(
     alive.clear();
     snapshots.clear();
     for &idx in members {
-        let hello = build_hello(&nodes[idx], protocol);
+        let hello = WireMessage::Hello(build_hello(&nodes[idx], protocol));
         let sender = nodes[idx].id;
-        let delivered = if sender == coordinator {
-            Some(hello)
-        } else {
-            match transport.carry(sender, coordinator, WireMessage::Hello(hello)) {
-                Carried::Delivered(WireMessage::Hello(h)) => Some(h),
-                Carried::Delivered(_) | Carried::Dropped => None,
-            }
-        };
-        match delivered {
-            Some(h) => {
-                alive.push(idx);
-                snapshots.push(h);
-            }
-            None => counters.frames_lost += 1,
+        if sender != coordinator && !transport.carry(sender, coordinator, &hello) {
+            counters.frames_lost += 1;
+            continue;
         }
+        let WireMessage::Hello(hello) = hello else {
+            unreachable!("built as a hello")
+        };
+        alive.push(idx);
+        snapshots.push(hello);
     }
     let (members, snapshots) = (&alive[..], &snapshots[..]);
     counters.hello_exchanges = snapshots.len() as u64;
@@ -766,10 +767,25 @@ pub fn run_contact_via(
     // --- Query distribution (full MBT, §IV): frequent contacts store each
     // other's queries so they can collect metadata while apart. ---
     if protocol.distributes_queries() {
+        shares.iter_mut().for_each(Vec::clear);
+        if shares.len() < snapshots.len() {
+            shares.resize_with(snapshots.len(), Vec::new);
+        }
         for (i, &idx) in members.iter().enumerate() {
             for (j, snap) in snapshots.iter().enumerate() {
                 if i == j || snapshots[i].frequent.binary_search(&snap.sender).is_err() {
                     continue;
+                }
+                // A sender's shares are built once and lent to each receiver.
+                let sent = &mut shares[j];
+                if sent.is_empty() {
+                    sent.extend(snap.own_queries.iter().map(|(query, expires)| {
+                        WireMessage::QueryShare {
+                            owner: snap.sender,
+                            query: query.clone(),
+                            expires: *expires,
+                        }
+                    }));
                 }
                 // Every share is carried — the wire sequence is the
                 // protocol — but a receiver that has stored this list
@@ -777,27 +793,12 @@ pub fn run_contact_via(
                 let receiver = &mut nodes[idx].queries;
                 let in_sync = receiver.is_synced(snap.sender, &snap.own_queries);
                 let mut all_arrived = true;
-                for (query, expires) in snap.own_queries.iter() {
-                    let share = WireMessage::QueryShare {
-                        owner: snap.sender,
-                        query: query.clone(),
-                        expires: *expires,
-                    };
-                    match transport.carry(snap.sender, snapshots[i].sender, share) {
-                        Carried::Delivered(WireMessage::QueryShare {
-                            owner,
-                            query,
-                            expires,
-                        }) => {
-                            if !in_sync && receiver.add_foreign(owner, query, expires) {
-                                counters.queries_distributed += 1;
-                            }
-                        }
-                        Carried::Delivered(_) => all_arrived = false,
-                        Carried::Dropped => {
-                            counters.frames_lost += 1;
-                            all_arrived = false;
-                        }
+                for (share, (query, expires)) in sent.iter().zip(snap.own_queries.iter()) {
+                    if !transport.carry(snap.sender, snapshots[i].sender, share) {
+                        counters.frames_lost += 1;
+                        all_arrived = false;
+                    } else if !in_sync && receiver.add_foreign(snap.sender, query, *expires) {
+                        counters.queries_distributed += 1;
                     }
                 }
                 if all_arrived && !in_sync {
@@ -834,10 +835,11 @@ pub fn run_contact_via(
         let schedule = schedule_broadcasts(&config, member_ids, snapshots, offers, metadata_slots);
         for b in &schedule {
             let row = &catalog.rows()[b.item];
-            let (meta, pop) = (
-                row.record.as_ref().expect("offered a record"),
-                row.popularity,
-            );
+            let meta = row.record.as_ref().expect("offered a record");
+            let sent = WireMessage::Metadata {
+                metadata: meta.clone(),
+                popularity: row.popularity,
+            };
             counters.metadata_broadcasts += 1;
             for &idx in members {
                 let receiver_id = nodes[idx].id;
@@ -848,34 +850,19 @@ pub fn run_contact_via(
                     counters.frames_lost += 1;
                     continue;
                 }
-                let carried = transport.carry(
-                    b.sender,
-                    receiver_id,
-                    WireMessage::Metadata {
-                        metadata: meta.clone(),
-                        popularity: pop,
-                    },
-                );
-                let (metadata, popularity) = match carried {
-                    Carried::Delivered(WireMessage::Metadata {
-                        metadata,
-                        popularity,
-                    }) => (metadata, popularity),
-                    Carried::Delivered(_) => continue,
-                    Carried::Dropped => {
-                        counters.frames_lost += 1;
-                        continue;
-                    }
-                };
-                let receiver = &mut nodes[idx];
-                if !receiver.accepts_metadata(&metadata) {
-                    // Fake-publisher rejection (§III-B item f): blacklist the
-                    // URI so it is never requested again.
-                    receiver.reject(&metadata);
+                if !transport.carry(b.sender, receiver_id, &sent) {
+                    counters.frames_lost += 1;
                     continue;
                 }
-                counters.bytes_moved += frame_bytes(metadata.wire_size() as u64);
-                if receiver.store_record(&metadata, popularity, Source::Peer(b.sender), true) {
+                let receiver = &mut nodes[idx];
+                if !receiver.accepts_metadata(meta) {
+                    // Fake-publisher rejection (§III-B item f): blacklist the
+                    // URI so it is never requested again.
+                    receiver.reject(meta);
+                    continue;
+                }
+                counters.bytes_moved += frame_bytes(meta.wire_size() as u64);
+                if receiver.store_record(meta, row.popularity, Source::Peer(b.sender), true) {
                     counters.metadata_transferred += 1;
                 }
             }
@@ -898,6 +885,11 @@ pub fn run_contact_via(
                 // The file's metadata rides along with the file (as in prior
                 // content-distribution systems, and necessary for verification).
                 let row = &catalog.rows()[b.item];
+                let riding = row.record.as_ref().map(|m| (m, row.popularity));
+                let sent = WireMessage::FileBroadcast {
+                    uri: row.uri.clone(),
+                    metadata: riding.map(|(m, p)| (m.clone(), p)),
+                };
                 for &idx in members {
                     let receiver_id = nodes[idx].id;
                     if receiver_id == b.sender || nodes[idx].files.contains(&row.uri) {
@@ -915,27 +907,13 @@ pub fn run_contact_via(
                         counters.corrupt_receptions += 1;
                         continue;
                     }
-                    let carried = transport.carry(
-                        b.sender,
-                        receiver_id,
-                        WireMessage::FileBroadcast {
-                            uri: row.uri.clone(),
-                            metadata: row.record.clone().map(|m| (m, row.popularity)),
-                        },
-                    );
-                    let (uri, riding) = match carried {
-                        Carried::Delivered(WireMessage::FileBroadcast { uri, metadata }) => {
-                            (uri, metadata)
-                        }
-                        Carried::Delivered(_) => continue,
-                        Carried::Dropped => {
-                            counters.frames_lost += 1;
-                            continue;
-                        }
-                    };
+                    if !transport.carry(b.sender, receiver_id, &sent) {
+                        counters.frames_lost += 1;
+                        continue;
+                    }
                     let receiver = &mut nodes[idx];
                     let mut expires = None;
-                    if let Some((meta, pop)) = &riding {
+                    if let Some((meta, pop)) = riding {
                         if !receiver.accepts_metadata(meta) {
                             // A file whose riding metadata fails authentication
                             // is an unverifiable fake: refuse it and blacklist.
@@ -943,27 +921,26 @@ pub fn run_contact_via(
                             continue;
                         }
                         expires = meta.expires();
-                        if receiver.store_record(meta, *pop, Source::Peer(b.sender), false) {
+                        if receiver.store_record(meta, pop, Source::Peer(b.sender), false) {
                             // Metadata riding a file frame: no extra frame
                             // header, just its wire bytes.
                             counters.metadata_transferred += 1;
                             counters.bytes_moved += meta.wire_size() as u64;
                         }
                     }
-                    let wanted = receiver.matches_own_query(&uri);
-                    if receiver.try_store_file(uri.clone(), expires) {
+                    let wanted = receiver.matches_own_query(&row.uri);
+                    if receiver.try_store_file(row.uri.clone(), expires) {
                         let (pieces, content_bytes) = riding
-                            .as_ref()
                             .map(|(m, _)| (u64::from(m.piece_count()), m.size()))
                             .unwrap_or((1, 0));
                         counters.pieces_transferred += pieces;
                         counters.bytes_moved += frame_bytes(content_bytes);
                         receiver.events.push(NodeEvent::FileCompleted {
-                            uri: uri.clone(),
+                            uri: row.uri.clone(),
                             from: Source::Peer(b.sender),
                         });
                         // §V-B: file download reuses the metadata credit rule.
-                        receiver.pay(b.sender, wanted, receiver.known_popularity(&uri));
+                        receiver.pay(b.sender, wanted, receiver.known_popularity(&row.uri));
                     }
                 }
             }
@@ -1184,7 +1161,7 @@ mod tests {
             let mut n = node(0, protocol);
             n.set_internet_access(true);
             n.queries
-                .add_foreign(NodeId::new(9), Query::new("abc comedy").unwrap(), None);
+                .add_foreign(NodeId::new(9), &Query::new("abc comedy").unwrap(), None);
             n.internet_session(&server, SimTime::ZERO);
             assert_eq!(n.has_metadata(&uri("mbt://c")), expect, "{protocol}");
             assert!(!n.has_file(&uri("mbt://c")), "no file download for others");

@@ -183,7 +183,7 @@ pub type OwnQuery = (Query, Option<SimTime>);
 ///
 /// let mut store = QueryStore::new();
 /// store.add_own_batch([(Query::new("fox news")?, None)]);
-/// store.add_foreign(NodeId::new(7), Query::new("abc comedy")?, None);
+/// store.add_foreign(NodeId::new(7), &Query::new("abc comedy")?, None);
 /// assert_eq!(store.own().len(), 1);
 /// assert_eq!(store.foreign().count(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -234,14 +234,15 @@ impl QueryStore {
         added
     }
 
-    /// Adds a query on behalf of `owner` (deduplicated by owner + text).
-    /// Returns `true` if it was new.
-    pub fn add_foreign(&mut self, owner: NodeId, query: Query, expires: Option<SimTime>) -> bool {
-        if (self.foreign.iter()).any(|(o, held)| *o == owner && held.query == query) {
+    /// Adds a query on behalf of `owner` (deduplicated by owner + text),
+    /// cloning it only if it is new. Returns `true` if it was new.
+    pub fn add_foreign(&mut self, owner: NodeId, query: &Query, expires: Option<SimTime>) -> bool {
+        if (self.foreign.iter()).any(|(o, held)| *o == owner && held.query == *query) {
             return false;
         }
         self.next_expiry.note(expires);
-        self.foreign.push((owner, QueryEntry::new(query, expires)));
+        self.foreign
+            .push((owner, QueryEntry::new(query.clone(), expires)));
         true
     }
 
@@ -459,9 +460,9 @@ mod tests {
     fn query_store_foreign_per_owner() {
         let mut s = QueryStore::new();
         let q = Query::new("x").unwrap();
-        assert!(s.add_foreign(NodeId::new(1), q.clone(), None));
-        assert!(!s.add_foreign(NodeId::new(1), q.clone(), None));
-        assert!(s.add_foreign(NodeId::new(2), q, None));
+        assert!(s.add_foreign(NodeId::new(1), &q, None));
+        assert!(!s.add_foreign(NodeId::new(1), &q, None));
+        assert!(s.add_foreign(NodeId::new(2), &q, None));
         assert_eq!(s.foreign().count(), 2);
     }
 
@@ -478,7 +479,7 @@ mod tests {
         assert!(!mine.is_synced(owner, theirs.own()));
 
         for (q, expires) in theirs.own().iter() {
-            mine.add_foreign(owner, q.clone(), *expires);
+            mine.add_foreign(owner, q, *expires);
         }
         mine.mark_synced(owner, theirs.own().clone());
         assert!(mine.is_synced(owner, theirs.own()));
@@ -526,7 +527,7 @@ mod tests {
         s.add_own_batch([(Query::new("a").unwrap(), Some(SimTime::from_secs(10)))]);
         s.add_foreign(
             NodeId::new(1),
-            Query::new("b").unwrap(),
+            &Query::new("b").unwrap(),
             Some(SimTime::from_secs(5)),
         );
         s.add_own_batch([(Query::new("keep").unwrap(), None)]);

@@ -269,19 +269,14 @@ pub fn decode_frame(bytes: &[u8]) -> Result<WireMessage, FrameError> {
     }
 }
 
-/// Checks that `bytes` carry `sent`: reads every byte [`decode_frame`] reads,
-/// allocating nothing while the fields agree. Errs exactly as `decode_frame`
-/// does; answers `None` only when `decode_frame` yields `sent` (a hello's
-/// `frequent` ascending, as documented), else the decoded message.
-pub(crate) fn check_frame(
-    bytes: &[u8],
-    sent: &WireMessage,
-) -> Result<Option<WireMessage>, FrameError> {
-    match walk_frame(bytes, Sink::Expect(sent)) {
-        Ok(_) => Ok(None),
-        Err(Stop::Differs) => decode_frame(bytes).map(Some),
-        Err(Stop::Bad(e)) => Err(e),
-    }
+/// Whether `bytes` carry exactly `sent`: the frame passes every check
+/// [`decode_frame`] makes and every field equals the sender's, floats bit
+/// for bit. So it answers `true` exactly when `decode_frame` yields a
+/// message that encodes as `sent` does (a hello's `frequent` ascending, as
+/// documented). Allocates nothing, and stops at the first field that
+/// differs.
+pub(crate) fn check_frame(bytes: &[u8], sent: &WireMessage) -> bool {
+    walk_frame(bytes, Sink::Expect(sent)).is_ok()
 }
 
 /// The one frame walk: every check on the header, length and checksum, then
@@ -461,20 +456,18 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    /// A text field: the text when building (`sent` is `None`), `None` once
-    /// its bytes equal the sender's text when checking. Bytes equal to a
-    /// `&str` are valid UTF-8, so only bytes that differ are validated, and
-    /// the outcome is what validating first and comparing after gives.
+    /// A text field: the validated text when building (`sent` is `None`),
+    /// `None` once its bytes equal the sender's text when checking. Bytes
+    /// equal to a `&str` are valid UTF-8, so checking validates nothing.
     fn text(&mut self, sent: Option<&str>) -> Result<Option<&'a str>, Stop> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        if sent.is_some_and(|sent| sent.as_bytes() == bytes) {
-            return Ok(None);
-        }
-        let text =
-            std::str::from_utf8(bytes).map_err(|_| FrameError::Malformed("invalid UTF-8"))?;
         match sent {
-            None => Ok(Some(text)),
+            None => match std::str::from_utf8(bytes) {
+                Ok(text) => Ok(Some(text)),
+                Err(_) => Err(FrameError::Malformed("invalid UTF-8").into()),
+            },
+            Some(sent) if sent.as_bytes() == bytes => Ok(None),
             Some(_) => Err(Stop::Differs),
         }
     }
@@ -509,8 +502,8 @@ impl<'a> Reader<'a> {
 }
 
 /// What [`decode_payload`] does with each field it reads. A text is compared
-/// as the bytes that came off the wire, so checking tokenizes nothing and
-/// validates no text equal to the sender's; that text passed its
+/// as the bytes that came off the wire and a float as its bits, so checking
+/// tokenizes and validates nothing; a text equal to the sender's passed its
 /// constructor, so building would accept it too.
 #[derive(Clone, Copy)]
 enum Sink<'e> {
@@ -631,9 +624,10 @@ fn read_meta_pop(
         _ => return Err(FrameError::Malformed("bad option tag").into()),
     };
     let auth_tag = same(auth_tag, m.map(Metadata::auth_tag))?;
-    let popularity = same(
-        Popularity::new(f64::from_bits(r.u64()?)),
-        sent.map(|(_, p)| p),
+    let popularity = Popularity::new(f64::from_bits(r.u64()?));
+    same(
+        popularity.value().to_bits(),
+        sent.map(|(_, p)| p.value().to_bits()),
     )?;
     // Building reads every text; checking reads none.
     let (Some(name), Some(publisher), Some(description), Some(uri)) =
@@ -732,7 +726,9 @@ fn decode_payload(
             })?;
             let credits = list(r.count(12)?, h.map(|h| h.credits.iter()), |c| {
                 let id = same(r.node()?, c.map(|c| c.0))?;
-                let credit = field(f64::from_bits(r.u64()?), c.map(|c| c.1), Ok)?;
+                let credit = field(r.u64()?, c.map(|c| c.1.to_bits()), |bits| {
+                    Ok(f64::from_bits(bits))
+                })?;
                 Ok(credit.map(|credit| (id, credit)))
             })?;
             h.is_none().then(|| {
@@ -1119,30 +1115,28 @@ mod tests {
         }
     }
 
-    fn carries_nan(message: &WireMessage) -> bool {
-        matches!(message, WireMessage::Hello(h) if h.credits.iter().any(|c| c.1.is_nan()))
-    }
-
     /// Rewrites the header checksum to vouch for the payload as it now is.
     fn reseal(bytes: &mut [u8]) {
         let sum = payload_checksum(&bytes[FRAME_HEADER_BYTES..]);
         bytes[32..40].copy_from_slice(&sum.to_be_bytes());
     }
 
-    /// The check's contract against the decoder on the same bytes: the same
-    /// error, "carries `sent`" only for a frame that decodes to `sent`, and
-    /// otherwise the decoded message (compared by its encoding, as a NaN
-    /// credit equals nothing).
+    /// `message` framed with fixed routing fields: its bits, under which a
+    /// NaN credit equals itself and a −0 credit differs from +0.
+    fn bits(message: &WireMessage) -> Vec<u8> {
+        encode_frame(n(0), n(0), 0, message)
+    }
+
+    /// The check's contract against the decoder on the same bytes: "carries
+    /// `sent`" exactly for a frame that decodes to `sent`'s bits. Bits, not
+    /// `==`: a NaN credit equals nothing, and −0 equals +0.
     fn assert_check_agrees(bytes: &[u8], sent: &WireMessage) {
-        let encoded = |m: &WireMessage| encode_frame(n(0), n(0), 0, m);
-        match (check_frame(bytes, sent), decode_frame(bytes)) {
-            (Err(checked), Err(decoded)) => assert_eq!(checked, decoded),
-            (Ok(None), Ok(decoded)) => {
-                assert_eq!(&decoded, sent, "checked equal, decodes different")
-            }
-            (Ok(Some(rebuilt)), Ok(decoded)) => assert_eq!(encoded(&rebuilt), encoded(&decoded)),
-            (checked, decoded) => panic!("check gave {checked:?}, decode {decoded:?}"),
-        }
+        let decoded = decode_frame(bytes);
+        assert_eq!(
+            check_frame(bytes, sent),
+            decoded.as_ref().is_ok_and(|m| bits(m) == bits(sent)),
+            "decoded {decoded:?}"
+        );
     }
 
     /// Every one-bit change to a payload that the checksum still vouches
@@ -1177,7 +1171,7 @@ mod tests {
                     "{:?}, bit {bit}",
                     sent.kind()
                 );
-                assert_eq!(check_frame(&bytes, sent), Err(FrameError::BadChecksum));
+                assert!(!check_frame(&bytes, sent));
             }
         }
     }
@@ -1202,7 +1196,7 @@ mod tests {
             bytes[4..6].copy_from_slice(&1u16.to_be_bytes());
             reseal(&mut bytes);
             assert_eq!(decode_frame(&bytes), Err(FrameError::BadVersion(1)));
-            assert_eq!(check_frame(&bytes, sent), Err(FrameError::BadVersion(1)));
+            assert!(!check_frame(&bytes, sent));
         }
     }
 
@@ -1234,8 +1228,9 @@ mod tests {
         bytes
     }
 
-    /// Every text field read byte-first: bytes that are not UTF-8 err as the
-    /// decoder errs, and different valid text of the same length decodes.
+    /// Every text field read byte-first: bytes that differ from the sender's
+    /// text do not check, whether the decoder refuses them (not UTF-8) or
+    /// decodes them (different valid text of the same length).
     #[test]
     fn every_text_field_is_compared_as_bytes_and_validated_when_it_differs() {
         let messages = one_of_each_kind();
@@ -1263,14 +1258,14 @@ mod tests {
             let good = encode_frame(n(1), n(2), 3, sent);
             let invalid = rewritten(&good, text, |_| 0xff);
             let err = FrameError::Malformed("invalid UTF-8");
-            assert_eq!(decode_frame(&invalid), Err(err.clone()), "{text:?}");
-            assert_eq!(check_frame(&invalid, sent), Err(err), "{text:?}");
+            assert_eq!(decode_frame(&invalid), Err(err), "{text:?}");
+            assert!(!check_frame(&invalid, sent), "{text:?}");
             assert_check_agrees(&invalid, sent);
 
             let other = rewritten(&good, text, next);
             let decoded = decode_frame(&other).expect("different valid text decodes");
             assert_ne!(&decoded, sent, "{text:?}");
-            assert_eq!(check_frame(&other, sent), Ok(Some(decoded)), "{text:?}");
+            assert!(!check_frame(&other, sent), "{text:?}");
             assert_check_agrees(&other, sent);
         }
     }
@@ -1378,19 +1373,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
-        fn every_kind_checks_as_sent_unless_it_carries_nan(seed in any::<u64>()) {
+        fn every_kind_checks_as_sent(seed in any::<u64>()) {
+            // A NaN credit too: the check compares its bits.
             let sent = arbitrary_message(seed);
             let bytes = encode_frame(n(1), n(2), seed, &sent);
-            let checked = check_frame(&bytes, &sent).unwrap();
-            if carries_nan(&sent) {
-                // A NaN equals nothing, so the frame is rebuilt — to the
-                // sender's bits.
-                let rebuilt = checked.expect("a NaN credit checked equal");
-                prop_assert_eq!(encode_frame(n(1), n(2), seed, &rebuilt), bytes);
-            } else {
-                prop_assert_eq!(&decode_frame(&bytes).unwrap(), &sent);
-                prop_assert_eq!(checked, None);
-            }
+            prop_assert!(check_frame(&bytes, &sent));
+            prop_assert_eq!(bits(&decode_frame(&bytes).unwrap()), bits(&sent));
         }
 
         #[test]

@@ -30,7 +30,7 @@ use crate::piece::split_into_pieces;
 use crate::uri::Uri;
 
 use super::frame::{decode_frame, encode_frame, WireMessage};
-use super::{BusTransport, Carried, Transport};
+use super::{BusTransport, Transport};
 
 /// How long each scheduled contact of a live session lasts; contact `k`
 /// opens at `k` times this.
@@ -137,8 +137,8 @@ impl LiveBus {
 /// riding metadata's piece size; the receiver's [`FileAssembler`] checks
 /// each against the metadata's checksums, and the SHA-1 of the reassembled
 /// bytes is the delivery's digest. A broadcast whose pieces cannot be cut
-/// (no riding metadata, no published bytes) or fail to check is
-/// [`Carried::Dropped`].
+/// (no riding metadata, no published bytes) or fail to check does not
+/// arrive.
 ///
 /// A node broadcasts only a file it holds, and in a live session it holds
 /// one only if it was seeded with it or reassembled it here — so the
@@ -170,7 +170,7 @@ impl LiveTransport {
     }
 
     /// Counts `message`'s frame and carries it over the bus.
-    fn hop(&mut self, sender: NodeId, receiver: NodeId, message: WireMessage) -> Carried {
+    fn hop(&mut self, sender: NodeId, receiver: NodeId, message: &WireMessage) -> bool {
         *self
             .frames_by_kind
             .entry(message.kind().name())
@@ -192,31 +192,31 @@ impl LiveTransport {
         let piece_size = usize::try_from(metadata.piece_size()).ok()?;
         let pieces = split_into_pieces(uri, self.content.get(uri)?, piece_size);
         let mut assembler = FileAssembler::new(metadata.clone());
-        for piece in pieces {
-            let Carried::Delivered(WireMessage::Piece(piece)) =
-                self.hop(sender, receiver, WireMessage::Piece(piece))
-            else {
+        for sent in pieces.into_iter().map(WireMessage::Piece) {
+            if !self.hop(sender, receiver, &sent) {
                 return None;
-            };
-            assembler.add_piece(piece).ok()?;
+            }
+            if let WireMessage::Piece(piece) = sent {
+                assembler.add_piece(piece).ok()?;
+            }
         }
         assembler.assemble().map(|file| sha1(&file))
     }
 }
 
 impl Transport for LiveTransport {
-    fn carry(&mut self, sender: NodeId, receiver: NodeId, message: WireMessage) -> Carried {
-        let Carried::Delivered(delivered) = self.hop(sender, receiver, message) else {
-            return Carried::Dropped;
-        };
-        if let WireMessage::FileBroadcast { uri, metadata } = &delivered {
+    fn carry(&mut self, sender: NodeId, receiver: NodeId, message: &WireMessage) -> bool {
+        if !self.hop(sender, receiver, message) {
+            return false;
+        }
+        if let WireMessage::FileBroadcast { uri, metadata } = message {
             let riding = metadata.as_ref().map(|(m, _)| m);
             let Some(digest) = self.send_file(sender, receiver, uri, riding) else {
-                return Carried::Dropped;
+                return false;
             };
             self.assembled.insert((receiver, uri.clone()), digest);
         }
-        Carried::Delivered(delivered)
+        true
     }
 }
 
@@ -464,16 +464,12 @@ mod tests {
         ] {
             let content = content.map(|c| (uri.clone(), c)).into_iter().collect();
             let mut live = LiveTransport::new(content);
-            assert_eq!(live.carry(n(0), n(1), broadcast(riding)), Carried::Dropped);
+            assert!(!live.carry(n(0), n(1), &broadcast(riding)));
             assert!(live.assembled.is_empty());
             assert_eq!(live.frames_by_kind.get("piece"), pieces_sent);
         }
         let mut live = LiveTransport::new(BTreeMap::from([(uri.clone(), bytes.clone())]));
-        let sent = broadcast(Some(metadata));
-        assert_eq!(
-            live.carry(n(0), n(1), sent.clone()),
-            Carried::Delivered(sent)
-        );
+        assert!(live.carry(n(0), n(1), &broadcast(Some(metadata))));
         assert_eq!(live.assembled[&(n(1), uri.clone())], sha1(&bytes));
         assert_eq!(live.frames_by_kind["piece"], 3);
         assert_eq!(live.counters().bus_frames_dropped, 0);

@@ -4,19 +4,20 @@
 //! distribution, file broadcasts (§III–V) — is a message flow. Every
 //! message is a [`WireMessage`], every transfer is one
 //! [`carry`](Transport::carry) between two members of the running contact,
-//! and three backends interpret the same flow differently:
+//! and a carry is a verdict: the sender's message is lent, the transport
+//! answers whether it arrived, and a receiver it reached applies the
+//! sender's own value. Three backends reach that verdict differently:
 //!
-//! * [`SimTransport`] — the simulator path. Carrying a message is an
-//!   in-process move; nothing is serialized. This is the default backend.
+//! * [`SimTransport`] — the simulator path. Every message arrives; nothing
+//!   is serialized. This is the default backend.
 //! * [`BusTransport`] — an in-process message bus. Every carry encodes the
 //!   message into its serialized [`frame`], validates the bytes and checks
-//!   each field against the sender's value, and delivers that value when
-//!   all of them match. A frame costs one encode, two word-at-a-time
-//!   checksum passes over its payload and one walk of its fields, whose
-//!   texts are compared as bytes and validated only where they differ; it
-//!   allocates only when a field differs and the frame is decoded in full. The differential suite
-//!   (`tests/transport_equivalence.rs`) pins this backend byte-identical to
-//!   [`SimTransport`].
+//!   each field against the sender's, and the message arrives only if the
+//!   frame carries exactly what was sent. A frame costs one encode, two
+//!   word-at-a-time checksum passes over its payload and one walk of its
+//!   fields, whose texts are compared as bytes; it allocates nothing. The
+//!   differential suite (`tests/transport_equivalence.rs`) pins this
+//!   backend byte-identical to [`SimTransport`].
 //! * [`LiveTransport`] — the [`live`] runtime (the `mbt node` CLI mode): a
 //!   [`BusTransport`] that counts frames by kind and follows a file
 //!   broadcast with the file's bytes as piece frames, which the receiver
@@ -47,29 +48,20 @@ pub use frame::{
 pub use live::LiveTransport;
 pub use sim::SimTransport;
 
-/// The outcome of carrying one message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Carried {
-    /// The message reached the receiver; this is what it saw. A serializing
-    /// backend has encoded it and checked the frame: the value handed in
-    /// when every field equals it, else the frame decoded in full — so any
-    /// codec defect surfaces as a state divergence, not silently.
-    Delivered(WireMessage),
-    /// The frame failed in flight; the receiver saw nothing. The contact
-    /// loop counts these as lost frames.
-    Dropped,
-}
-
 /// Carries contact-phase messages between nodes.
 ///
 /// The contact loop ([`run_contact_via`](crate::node::run_contact_via))
 /// calls [`carry`](Transport::carry) once per directed message, always
-/// between two distinct members of the contact it is running.
+/// between two distinct members of the contact it is running, and lends
+/// the sender's message: a receiver the carry reaches applies the sender's
+/// own value, so a backend only answers whether it arrived.
 /// Implementations must be deterministic: the same call sequence must
-/// produce the same outcomes.
+/// produce the same answers.
 pub trait Transport {
-    /// Carries one message from `sender` to `receiver`.
-    fn carry(&mut self, sender: NodeId, receiver: NodeId, message: WireMessage) -> Carried;
+    /// Carries `message` from `sender` to `receiver`: `true` if it arrived,
+    /// `false` if it was lost in flight (the contact loop counts a lost
+    /// frame).
+    fn carry(&mut self, sender: NodeId, receiver: NodeId, message: &WireMessage) -> bool;
 }
 
 /// Which [`Transport`] backend a simulation run uses.

@@ -94,7 +94,7 @@ fn an_idle_contact_allocates_almost_nothing() {
 /// The idle pair meeting over `BusTransport` allocates what it allocates
 /// over `SimTransport`, 2: the bus encodes its seven frames (a hello, six
 /// query shares) into one buffer it keeps, checks each against the sender's
-/// message field by field without building one, delivers the sender's value
+/// message field by field without building one, answers that it arrived
 /// and queues nothing. It allocated 67 while it decoded every frame in full
 /// to compare the copy (65 of them the decoding), and 99 while every frame
 /// also took a payload `Vec`, an output `Vec` and a queue entry.
@@ -108,7 +108,7 @@ fn an_idle_bus_contact_allocates_what_sim_does() {
     assert_eq!((report.queries_distributed, report.hello_exchanges), (0, 2));
     let carried = bus.counters();
     assert_eq!(carried.bus_frames_carried, 2 * 7);
-    assert_eq!(carried.bus_frames_rebuilt, 0);
+    assert_eq!(carried.bus_frames_dropped, 0);
     assert!(
         allocations <= 2,
         "an idle bus contact performed {allocations} allocations"

@@ -18,7 +18,7 @@ use dtn_trace::generators::DieselNetConfig;
 use dtn_trace::{NodeId, SimDuration, SimTime, TraceSource};
 use mbt_core::node::{run_contact, run_contact_via, ContactScratch};
 use mbt_core::transport::{
-    BusTransport, Carried, LiveTransport, SimTransport, Transport, TransportKind, WireMessage,
+    BusTransport, LiveTransport, SimTransport, Transport, TransportKind, WireMessage,
 };
 use mbt_core::{
     CooperationMode, MbtConfig, MbtNode, Metadata, MetadataServer, Popularity, ProtocolSpec, Query,
@@ -109,18 +109,17 @@ fn faulty_runs_agree(cooperation: CooperationMode) {
         sim_result, bus_result,
         "{cooperation:?} fault-plan results diverged"
     );
-    // The bus's own three figures — what it carried, and what it had to
-    // decode in full — are the one thing the backends report differently;
-    // every simulation counter must agree. A sound codec rebuilds nothing.
+    // What the bus carried is the one thing the backends report
+    // differently; every simulation counter must agree. A sound codec drops
+    // no frame.
     let carried = bus_tel.counters.bus_frames_carried;
     assert!(carried > 0 && bus_tel.counters.bus_bytes_on_wire > 64 * carried);
-    assert_eq!(bus_tel.counters.bus_frames_rebuilt, 0);
+    assert_eq!(bus_tel.counters.bus_frames_dropped, 0);
     assert_eq!(
         sim_tel.counters,
         Counters {
             bus_frames_carried: 0,
             bus_bytes_on_wire: 0,
-            bus_frames_rebuilt: 0,
             ..bus_tel.counters
         },
         "fault-plan telemetry counters diverged"
@@ -241,9 +240,9 @@ fn direct_contact_matches_across_backends_and_bus_carries_frames() {
     assert!(sim_report.queries_distributed > 0);
 }
 
-/// A frame that decodes equal to what was sent delivers the sender's value:
-/// after a bus contact the receivers hold the very record the sender holds,
-/// one allocation shared as under `SimTransport`, not a decoded copy each.
+/// A receiver applies the sender's value: after a bus contact the receivers
+/// hold the very record the sender holds, one allocation shared as under
+/// `SimTransport`, not a decoded copy each.
 #[test]
 fn bus_receivers_share_the_senders_record() {
     let mut nodes = seeded_clique();
@@ -267,8 +266,8 @@ struct RecordingTransport {
 }
 
 impl Transport for RecordingTransport {
-    fn carry(&mut self, sender: NodeId, receiver: NodeId, message: WireMessage) -> Carried {
-        let item = match &message {
+    fn carry(&mut self, sender: NodeId, receiver: NodeId, message: &WireMessage) -> bool {
+        let item = match message {
             WireMessage::Hello(h) => format!("hello({})", h.sender.index()),
             WireMessage::QueryShare { query, .. } => format!("query-share({})", query.text()),
             WireMessage::Metadata { metadata, .. } => {
@@ -355,7 +354,7 @@ struct ContainedTransport {
 }
 
 impl Transport for ContainedTransport {
-    fn carry(&mut self, sender: NodeId, receiver: NodeId, message: WireMessage) -> Carried {
+    fn carry(&mut self, sender: NodeId, receiver: NodeId, message: &WireMessage) -> bool {
         assert_ne!(sender, receiver, "a carry from a member to itself");
         for id in [sender, receiver] {
             assert!(
@@ -411,6 +410,141 @@ fn every_carry_stays_inside_its_contact() {
                 carries += transport.carries;
             }
             assert!(carries > 0, "{protocol} under {faults:?} carried nothing");
+        }
+    }
+}
+
+/// Behaves like [`SimTransport`], but refuses the carry numbered `refuse`
+/// (counting from 0), and logs each carry's receiver and message.
+struct RefusingTransport {
+    refuse: usize,
+    log: Vec<(NodeId, WireMessage)>,
+}
+
+impl RefusingTransport {
+    fn refusing(refuse: usize) -> Self {
+        RefusingTransport {
+            refuse,
+            log: Vec::new(),
+        }
+    }
+}
+
+impl Transport for RefusingTransport {
+    fn carry(&mut self, _sender: NodeId, receiver: NodeId, message: &WireMessage) -> bool {
+        self.log.push((receiver, message.clone()));
+        self.log.len() - 1 != self.refuse
+    }
+}
+
+/// The counters in which `a` and `b` differ, by name.
+fn moved(a: &Counters, b: &Counters) -> Vec<&'static str> {
+    let pairs = a.entries().into_iter().zip(b.entries());
+    pairs
+        .filter(|((_, x), (_, y))| x != y)
+        .map(|((name, _), _)| name)
+        .collect()
+}
+
+/// Each carry of the seeded clique's contact refused in turn: the contact
+/// loses exactly that frame, and the receiver does without what it carried.
+#[test]
+fn a_refused_carry_is_one_lost_frame() {
+    let mut all = RefusingTransport::refusing(usize::MAX);
+    let mut base_nodes = seeded_clique();
+    let base = run_clique_via(&mut all, &mut base_nodes);
+    assert_eq!(base.frames_lost, 0);
+    let again = |nodes: &mut [MbtNode]| {
+        run_contact(
+            nodes,
+            &[0, 1, 2, 3],
+            SimTime::from_secs(7_200),
+            SimDuration::from_secs(900),
+        )
+    };
+    assert_eq!(
+        again(&mut base_nodes).queries_distributed,
+        0,
+        "in sync after one contact"
+    );
+    let kinds: Vec<&str> = all.log.iter().map(|(_, m)| m.kind().name()).collect();
+    for kind in ["hello", "query-share", "metadata", "file-broadcast"] {
+        assert!(kinds.contains(&kind), "the contact carried no {kind}");
+    }
+
+    for (k, (receiver, sent)) in all.log.iter().enumerate() {
+        let mut nodes = seeded_clique();
+        let mut refusing = RefusingTransport::refusing(k);
+        let lost = run_clique_via(&mut refusing, &mut nodes);
+        assert_eq!(lost.frames_lost, base.frames_lost + 1, "carry {k}");
+        let r = receiver.index();
+        // What a later carry that arrived brought `r`, after all.
+        let later = &refusing.log[k + 1..];
+        match sent {
+            WireMessage::Hello(h) => {
+                // The member leaves the contact: it is the contact of the
+                // other three, plus the lost hello.
+                let m = h.sender.index();
+                assert_eq!(lost.hello_exchanges, base.hello_exchanges - 1);
+                assert!(
+                    nodes[m].drain_events().is_empty(),
+                    "carry {k}: {m} received"
+                );
+                assert!(later.iter().all(|(to, _)| to.index() != m), "carry {k}");
+                let others: Vec<usize> = (0..4).filter(|&i| i != m).collect();
+                let mut three = seeded_clique();
+                let alone = run_contact(
+                    &mut three,
+                    &others,
+                    SimTime::from_secs(3_600),
+                    SimDuration::from_secs(900),
+                );
+                assert_eq!(
+                    lost,
+                    Counters {
+                        frames_lost: alone.frames_lost + 1,
+                        ..alone
+                    },
+                    "carry {k}"
+                );
+            }
+            WireMessage::QueryShare { .. } => {
+                assert_eq!(
+                    moved(&lost, &base),
+                    ["queries_distributed", "frames_lost"],
+                    "carry {k}"
+                );
+                assert_eq!(lost.queries_distributed, base.queries_distributed - 1);
+                // The receiver did not mark the list synced, so the next
+                // contact stores what it missed.
+                assert!(again(&mut nodes).queries_distributed > 0, "carry {k}");
+            }
+            WireMessage::Metadata { metadata, .. } => {
+                let uri = metadata.uri();
+                let rides = later.iter().any(|(to, m)| {
+                    to == receiver && matches!(m, WireMessage::FileBroadcast { uri: u, metadata: Some(_) } if u == uri)
+                });
+                assert_eq!(nodes[r].has_metadata(uri), rides, "carry {k}");
+                let expected: &[&str] = if rides {
+                    &["frames_lost", "bytes_moved"]
+                } else {
+                    &["frames_lost", "metadata_transferred", "bytes_moved"]
+                };
+                assert_eq!(moved(&lost, &base), expected, "carry {k}");
+                assert!(lost.bytes_moved < base.bytes_moved);
+            }
+            WireMessage::FileBroadcast { uri, .. } => {
+                assert!(!nodes[r].has_file(uri), "carry {k}");
+                assert!(base_nodes[r].has_file(uri));
+                let moved = moved(&lost, &base);
+                assert!(
+                    moved
+                        .iter()
+                        .all(|f| ["frames_lost", "pieces_transferred", "bytes_moved"].contains(f)),
+                    "carry {k}: {moved:?}"
+                );
+            }
+            WireMessage::Piece(_) => unreachable!("a contact carries no piece"),
         }
     }
 }
