@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""attribute.py <binary> <samples> [-v] [-m key,key,...]: where a replay's samples fall.
+"""attribute.py <binary> <samples> [-v] [-r root,...] [-m key,key,...]: where a run's samples fall.
 
 Reads what `sampler.c` wrote, expands every sampled stack through inlined
-frames (`addr2line -i`), keeps the samples inside `run_simulation` (or, in a
-sweep, the two halves the executor calls), and gives each to the innermost
-frame naming one of MARKERS. `-m` puts rows of its own before them — the
+frames (`addr2line -i`), keeps the samples with a frame naming one of the
+roots, and gives each to the innermost frame naming one of MARKERS. The
+roots default to `run_simulation` and, in a sweep, the two halves the
+executor calls; `-r` names others — the metadata server's storm wants
+`-r MetadataServer::`. `-m` puts rows of its own before MARKERS — the
 campus sweep wants `-m matches_token_set,matches_any,store_record,
-metadata_offers,FrequentScan`. `-v` lists each row's commonest leaf
-functions. A libc leaf (malloc, memcpy) keeps no frame pointer, so its
+metadata_offers,FrequentScan`, the storm the qualified operation names in
+`sampler.c`'s header (a bare `search` would also claim a `binary_search`
+leaf). `-v` lists each row's commonest leaf functions. A libc leaf
+(malloc, memcpy) keeps no frame pointer, so its
 sample skips its caller and lands one row further out; it is listed as
 `[libc.so.6 near <the dynamic symbol before it>] < <the frame it landed
 in>`, which on a stripped glibc tells the string routines (`near
@@ -94,14 +98,16 @@ MARKERS = [
 ]
 if "-m" in sys.argv:
     MARKERS = [(key, key) for key in sys.argv[sys.argv.index("-m") + 1].split(",")] + MARKERS
-BODY = ("run_simulation", "runner::simulate", "runner::frequent_contacts")
+ROOTS = ["run_simulation", "runner::simulate", "runner::frequent_contacts"]
+if "-r" in sys.argv:
+    ROOTS = sys.argv[sys.argv.index("-r") + 1].split(",")
 rows, leaves, total = collections.Counter(), collections.defaultdict(collections.Counter), 0
 for st in stacks:
     frames = []  # innermost first
     for i, a in enumerate(st):
         r = relative(a, i == 0)
         frames += chains.get(r, ["?"]) if r is not None else [outside(a)]
-    if not any(root in f for f in frames for root in BODY):
+    if not any(root in f for f in frames for root in ROOTS):
         continue
     total += 1
     row = next((name for f in frames for key, name in MARKERS if key in f), "other")
@@ -109,7 +115,7 @@ for st in stacks:
     # A leaf outside the binary is listed with the frame that called into it.
     leaf = " < ".join(frames[:2]) if frames[0].startswith("[") else frames[0]
     leaves[row][leaf] += 1
-print(f"{total} samples inside run_simulation")
+print(f"{total} of {len(stacks)} samples inside {', '.join(ROOTS)}")
 for row, n in rows.most_common():
     print(f"{100 * n / total:5.1f} %  {n:5d}  {row}")
     if "-v" in sys.argv:

@@ -10,6 +10,15 @@
 //   SAMPLER_OUT=city.samples LD_PRELOAD=$PWD/libsampler.so \
 //     $T/release/ledger --workload city_stream --seed 42 --seconds 15 --trace 0
 //   python3 ci/profile/attribute.py $T/release/ledger city.samples -v
+//
+// The metadata server's storm runs no simulation, so name its roots and rows:
+//
+//   SAMPLER_OUT=server.samples LD_PRELOAD=$PWD/libsampler.so \
+//     $T/release/ledger --workload server_storm --seed 42 --seconds 30 --trace 0
+//   ROWS=MetadataServer::publish,MetadataServer::search,MetadataServer::expire
+//   ROWS=$ROWS,MetadataServer::refresh_popularities,MetadataServer::record_request
+//   python3 ci/profile/attribute.py $T/release/ledger server.samples -v \
+//     -r MetadataServer:: -m $ROWS
 #define _GNU_SOURCE
 #include <signal.h>
 #include <stdint.h>

@@ -24,11 +24,17 @@
 #
 # Every `pub`/`pub(crate)` field of a struct is likewise read by that code,
 # or deleted: as `.name` — not `.name(` or `.name::<`, which call a method
-# of that name — or through a struct pattern that binds it
-# (`let Type { .., name, .. } =`, on one line or several). A field is
-# matched by name alone, so one whose name another type's field shares
-# counts as read wherever the other is, and a struct pattern anywhere but
-# a `let` (`if let`, `match`, a parameter) reads nothing: the holes the
+# of that name — or through a struct pattern that binds it, on one line or
+# several, in exactly two forms:
+#
+#   let Type { .., name, .. } =         (so `if let`, `while let`, `let … else`)
+#   Type { .., name: x, .. } =>         (a match arm, an `if` guard allowed)
+#
+# where the arm's pattern starts its line (after an optional `|`). Only the
+# outermost pattern's field names count. A field is matched by name alone,
+# so one whose name another type's field shares counts as read wherever
+# the other is, and a struct pattern in any other place (inside `Some(…)`,
+# after another alternative, a parameter) reads nothing: the holes the
 # field check leaves open.
 #
 # Prints each unreached function or field with its file; exits 1 if any is
@@ -52,11 +58,23 @@ trap 'rm -f "$corpus" "$defs" "$fields" "$bound"' EXIT
 # one). Beside it, one line per `pub`/`pub(crate) fn`:
 # `file<TAB>name<TAB>Type`, the type empty unless the function is
 # associated (in an `impl Type` block, no `self` receiver); one per
-# `pub`/`pub(crate)` field: `file<TAB>name`; and one per field a `let`
-# struct pattern binds, in the same form.
+# `pub`/`pub(crate)` field: `file<TAB>name`; and one per field a `let` or
+# match-arm struct pattern binds, in the same form.
 find crates/*/src examples -name '*.rs' -not -path '*/target/*' | sort |
     while read -r f; do
-        awk -v f="$f" -v defs="$defs" -v fields="$fields" -v bound="$bound" '/^#\[cfg\(test\)\]/ { exit }
+        awk -v f="$f" -v defs="$defs" -v fields="$fields" -v bound="$bound" '
+            # Prints each field name that a struct pattern binds, given
+            # the text between its braces.
+            function bind(fields_text,    parts, n, k, part) {
+                n = split(fields_text, parts, ",")
+                for (k = 1; k <= n; k++) {
+                    part = parts[k]
+                    sub(/^[[:space:]]*((ref|mut)[[:space:]]+)*/, "", part)
+                    if (match(part, /^[a-z_][a-z0-9_]*/))
+                        print f "\t" substr(part, RSTART, RLENGTH) >> bound
+                }
+            }
+            /^#\[cfg\(test\)\]/ { exit }
             /^[[:space:]]*\/\// { next }
             {
                 line = $0
@@ -116,12 +134,30 @@ find crates/*/src examples -name '*.rs' -not -path '*/target/*' | sort |
                         binding = 0
                         pattern = substr(pattern, 1, RSTART - 1)
                         sub(/^[^{]*\{/, "", pattern)
-                        n = split(pattern, parts, ",")
-                        for (k = 1; k <= n; k++) {
-                            part = parts[k]
-                            sub(/^[[:space:]]*((ref|mut)[[:space:]]+)*/, "", part)
-                            if (match(part, /^[a-z_][a-z0-9_]*/))
-                                print f "\t" substr(part, RSTART, RLENGTH) >> bound
+                        bind(pattern)
+                    }
+                }
+                # A line that starts with `Type {` opens a struct pattern
+                # or a struct expression: read on to its closing brace, and
+                # it is the pattern of a match arm if `=>` (or an `if`
+                # guard) follows.
+                if (!arm && !binding && code ~ /^[[:space:]]*(\|[[:space:]]*)?[A-Z][A-Za-z0-9_:]*[[:space:]]*\{/) {
+                    arm = 1; arm_text = ""
+                }
+                if (arm) {
+                    arm_text = arm_text " " code
+                    nest = 0
+                    for (k = 1; k <= length(arm_text); k++) {
+                        ch = substr(arm_text, k, 1)
+                        if (ch == "{") nest++
+                        else if (ch == "}" && --nest == 0) break
+                    }
+                    if (k <= length(arm_text)) {
+                        arm = 0
+                        if (substr(arm_text, k + 1) ~ /^[[:space:]]*(if[[:space:]].*)?=>/) {
+                            pattern = substr(arm_text, 1, k - 1)
+                            sub(/^[^{]*\{/, "", pattern)
+                            bind(pattern)
                         }
                     }
                 }
@@ -180,7 +216,7 @@ report=$(awk -F'\t' '$3 != "" { print $3 "\t" $2 "\t" $1 }' "$defs" | sort -u |
     done)
 [ -z "$report" ] || echo "$report"
 case "$report" in *unreached:*) status=1 ;; esac
-# Fields: read as `.name` or bound by a `let` struct pattern.
+# Fields: read as `.name` or bound by a `let` or match-arm struct pattern.
 for name in $(cut -f2 "$fields" | sort -u); do
     sed -E "s/\.$name[[:space:]]*(\(|::<)//g" "$corpus" | grep -qE "\.$name\b" && continue
     cut -f2 "$bound" | grep -qx "$name" && continue

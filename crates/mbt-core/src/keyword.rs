@@ -1,5 +1,10 @@
-//! Keyword tokenization, cached token sets and the posting-list intersection
-//! used for metadata search.
+//! Keyword tokenization and the cached token sets metadata search matches
+//! against.
+//!
+//! The posting lists of the metadata [`server`](crate::server) — hash sets of
+//! record ids, expected O(1) to add, drop or test — and their rarest-first
+//! intersection live with the server, their only user; a node's own store is
+//! not indexed (see [`MetadataStore`](crate::store::MetadataStore)).
 
 use std::collections::BTreeSet;
 
@@ -117,54 +122,6 @@ impl TokenSet {
     }
 }
 
-/// The elements common to every posting list, in ascending order.
-///
-/// One `lists` item per query token, `None` where the index has no list for
-/// it — which, like an empty `lists`, makes the answer empty. Walks the
-/// smallest list and probes the others for membership, so the cost is
-/// proportional to the rarest token's postings rather than to the lists'
-/// union. Nothing is allocated unless more than four lists are given.
-///
-/// The one intersection routine of the crate: the metadata
-/// [`server`](crate::server) runs it over integer record ids. (A node's own
-/// store is not indexed — see [`MetadataStore`](crate::store::MetadataStore).)
-pub(crate) fn intersect_rarest_first<'a, T: Ord + 'a>(
-    lists: impl IntoIterator<Item = Option<&'a BTreeSet<T>>>,
-) -> impl Iterator<Item = &'a T> {
-    // Posting lists for the common short query stay on the stack.
-    const INLINE: usize = 4;
-    let mut inline: [Option<&'a BTreeSet<T>>; INLINE] = [None; INLINE];
-    let mut spilled: Vec<&'a BTreeSet<T>> = Vec::new();
-    for (i, list) in lists.into_iter().enumerate() {
-        let Some(set) = list else {
-            // A token nothing carries: no list left to walk, no answer.
-            inline = [None; INLINE];
-            spilled.clear();
-            break;
-        };
-        match inline.get_mut(i) {
-            Some(slot) => *slot = Some(set),
-            None => spilled.push(set),
-        }
-    }
-    let (smallest, rarest) = inline
-        .iter()
-        .flatten()
-        .chain(&spilled)
-        .copied()
-        .enumerate()
-        .min_by_key(|(_, set)| set.len())
-        .unzip();
-    rarest.into_iter().flatten().filter(move |item| {
-        inline
-            .iter()
-            .flatten()
-            .chain(&spilled)
-            .enumerate()
-            .all(|(i, set)| Some(i) == smallest || set.contains(item))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,34 +183,5 @@ mod tests {
     #[test]
     fn tokenize_keeps_digits() {
         assert_eq!(tokenize("ep3 s01"), vec!["ep3", "s01"]);
-    }
-
-    fn intersect(lists: &[Option<&BTreeSet<u32>>]) -> Vec<u32> {
-        intersect_rarest_first(lists.iter().copied())
-            .copied()
-            .collect()
-    }
-
-    #[test]
-    fn intersection_requires_every_list() {
-        let (a, b) = (BTreeSet::from([1, 2, 3]), BTreeSet::from([2, 3, 4]));
-        assert_eq!(intersect(&[Some(&a), Some(&b)]), [2, 3]);
-        assert_eq!(intersect(&[Some(&a)]), [1, 2, 3]);
-        assert_eq!(intersect(&[Some(&a), None]), [], "a token nothing carries");
-        assert_eq!(intersect(&[]), [], "no token matches nothing");
-    }
-
-    #[test]
-    fn intersection_handles_more_lists_than_the_inline_scratch() {
-        // Six lists: four inline, two spilled; the rarest is a spilled one.
-        let wide: BTreeSet<u32> = (0..10).collect();
-        let (rare, other) = (BTreeSet::from([3, 7]), BTreeSet::from([7, 9]));
-        let six = [&wide, &wide, &wide, &wide, &wide, &rare].map(Some);
-        assert_eq!(intersect(&six), [3, 7]);
-        let mut with_other = six;
-        with_other[4] = Some(&other);
-        assert_eq!(intersect(&with_other), [7]);
-        with_other[5] = None;
-        assert_eq!(intersect(&with_other), []);
     }
 }

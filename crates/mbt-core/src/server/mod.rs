@@ -25,13 +25,13 @@ use std::sync::Arc;
 
 use dtn_trace::{NodeId, SimTime};
 
-use crate::keyword::{intersect_rarest_first, TokenSet};
+use crate::keyword::TokenSet;
 use crate::metadata::Metadata;
 use crate::popularity::{cmp_popularity, Popularity, PopularityEstimator};
 use crate::query::Query;
 use crate::uri::Uri;
 
-use shard::{shard_of_token, shard_of_uri, RecordId, TokenShard, UriShard};
+use shard::{shard_of_token, shard_of_uri, Postings, RecordId, TokenShard, UriShard};
 
 /// The central metadata server, sharded for heavy query traffic.
 ///
@@ -171,7 +171,7 @@ impl MetadataServer {
             .iter()
             .map(|token| self.token_shards[shard_of_token(token, shards)].postings(token));
         let survivors = intersect_rarest_first(lists)
-            .map(|id| {
+            .map(|&id| {
                 let (popularity, record) = self.uri_shards[id.shard()].entry(id.slot());
                 debug_assert!(record.matches_query(query), "postings and token sets agree");
                 (popularity, record)
@@ -288,6 +288,52 @@ impl MetadataServer {
     pub fn snapshot(&self) -> MetadataServer {
         self.clone()
     }
+}
+
+/// The record ids on every posting list, in no particular order (the
+/// caller ranks them by [`top_k`]'s total order).
+///
+/// One `lists` item per query token, `None` where the index has no list for
+/// it — which, like an empty `lists`, makes the answer empty. Walks the
+/// smallest list and tests the others' hash sets, expected O(1) a test, so
+/// the cost is proportional to the rarest token's postings rather than to
+/// the lists' union. Nothing is allocated unless more than four lists are
+/// given.
+fn intersect_rarest_first<'a>(
+    lists: impl IntoIterator<Item = Option<&'a Postings>>,
+) -> impl Iterator<Item = &'a RecordId> {
+    // Posting lists for the common short query stay on the stack.
+    const INLINE: usize = 4;
+    let mut inline: [Option<&'a Postings>; INLINE] = [None; INLINE];
+    let mut spilled: Vec<&'a Postings> = Vec::new();
+    for (i, list) in lists.into_iter().enumerate() {
+        let Some(set) = list else {
+            // A token nothing carries: no list left to walk, no answer.
+            inline = [None; INLINE];
+            spilled.clear();
+            break;
+        };
+        match inline.get_mut(i) {
+            Some(slot) => *slot = Some(set),
+            None => spilled.push(set),
+        }
+    }
+    let (smallest, rarest) = inline
+        .iter()
+        .flatten()
+        .chain(&spilled)
+        .copied()
+        .enumerate()
+        .min_by_key(|(_, set)| set.len())
+        .unzip();
+    rarest.into_iter().flatten().filter(move |item| {
+        inline
+            .iter()
+            .flatten()
+            .chain(&spilled)
+            .enumerate()
+            .all(|(i, set)| Some(i) == smallest || set.contains(item))
+    })
 }
 
 /// The best `limit` of `candidates` in rank order: popularity descending,
@@ -514,5 +560,45 @@ mod tests {
         assert_eq!(frozen.most_popular(1, SimTime::ZERO).len(), 1);
         assert!(frozen.iter().all(|m| m.uri().as_str() != "mbt://c"));
         assert!(!frozen.is_empty());
+    }
+
+    /// The intersection of `lists` of `RecordId::new(0, slot)`s, as slots
+    /// in ascending order.
+    fn intersect(lists: &[Option<&Postings>]) -> Vec<u32> {
+        let mut slots: Vec<u32> = intersect_rarest_first(lists.iter().copied())
+            .map(|id| id.slot())
+            .collect();
+        slots.sort_unstable();
+        slots
+    }
+
+    fn postings(slots: impl IntoIterator<Item = u32>) -> Postings {
+        slots
+            .into_iter()
+            .map(|slot| RecordId::new(0, slot))
+            .collect()
+    }
+
+    #[test]
+    fn intersection_requires_every_list() {
+        let (a, b) = (postings([1, 2, 3]), postings([2, 3, 4]));
+        assert_eq!(intersect(&[Some(&a), Some(&b)]), [2, 3]);
+        assert_eq!(intersect(&[Some(&a)]), [1, 2, 3]);
+        assert_eq!(intersect(&[Some(&a), None]), [], "a token nothing carries");
+        assert_eq!(intersect(&[]), [], "no token matches nothing");
+    }
+
+    #[test]
+    fn intersection_handles_more_lists_than_the_inline_scratch() {
+        // Six lists: four inline, two spilled; the rarest is a spilled one.
+        let wide = postings(0..10);
+        let (rare, other) = (postings([3, 7]), postings([7, 9]));
+        let six = [&wide, &wide, &wide, &wide, &wide, &rare].map(Some);
+        assert_eq!(intersect(&six), [3, 7]);
+        let mut with_other = six;
+        with_other[4] = Some(&other);
+        assert_eq!(intersect(&with_other), [7]);
+        with_other[5] = None;
+        assert_eq!(intersect(&with_other), []);
     }
 }

@@ -11,24 +11,35 @@
 //!   free list — so a record is addressed by one integer, its `RecordId`
 //!   `(uri shard, slot)`, which a republish keeps;
 //! - the **keyword index** is split by token hash: a token's full posting
-//!   list — an ordered set of `RecordId`s, the compact integer postings of
-//!   the same paper — lives in exactly one `TokenShard`, so a query fans out
-//!   to at most one shard per query token.
+//!   list — a hash set of `RecordId`s, the compact integer postings of the
+//!   same paper — lives in exactly one `TokenShard`, so a query fans out to
+//!   at most one shard per query token.
 //!
 //! Both use the same [`stable_hash`] (FNV-1a, finalized) — deterministic across processes and
 //! toolchains, unlike `std`'s seeded `RandomState` — so a shard layout is a
 //! pure function of `(key, shard count)` and committed bench digests never
-//! drift. The `Uri → slot` map does use `RandomState` over the URI's text,
-//! not its stored stable hash (URIs come from publishers, who must not be
-//! able to craft collisions), but it is only ever probed by key: its
-//! iteration order reaches no answer.
+//! drift. Inside a shard, the maps are hash tables under two hashers:
+//!
+//! - the `Uri → slot` map and the `token → postings` map hash the key's text
+//!   under `RandomState` (not the URI's stored stable hash): URIs and tokens
+//!   come from publishers, who must not be able to craft collisions;
+//! - a posting set hashes `RecordId`s under [`IdHasher`], one fixed folded
+//!   multiply: ids are assigned by the server, never chosen by a publisher,
+//!   so a fixed hash exposes no collision attack; under SipHash the
+//!   `server_storm` benchmark ran ≈ 1.2× slower.
+//!
+//! Each map is only ever probed by key or walked into candidates that the
+//! server ranks by a total order (popularity, then URI), so no iteration
+//! order reaches an answer.
 //!
 //! Every operation costs what it touches: a search walks the rarest query
-//! token's postings and resolves survivors by slab index, a refresh or
-//! expiry pass scans a column, and no per-record operation is linear in the
-//! length of a posting list.
+//! token's postings and tests the others' sets in expected O(1) each, and
+//! resolves survivors by slab index; a refresh or expiry pass scans a
+//! column; adding, dropping or testing one posting is expected O(1) even in
+//! the list every record is on (the publisher's name).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use dtn_trace::hash::stable_hash;
 use dtn_trace::SimTime;
@@ -62,7 +73,7 @@ pub fn shard_of_uri(uri: &Uri, shards: usize) -> usize {
 /// The address of one record: its URI shard and its slot in that shard's
 /// slab, packed into one integer (shard in the high half). Postings hold
 /// these instead of URIs; ordering is by shard, then slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) struct RecordId(u64);
 
 impl RecordId {
@@ -79,6 +90,39 @@ impl RecordId {
         self.0 as u32 // the low half
     }
 }
+
+/// The hasher of a posting set: one 64 × 64 → 128-bit multiply by a fixed
+/// odd constant, the two halves XORed, so every bit of a [`RecordId`] —
+/// the shard in the high half too — reaches the bucket index in the low
+/// bits and the tag in the top ones.
+///
+/// Fixed, not seeded: record ids are assigned by the server, so no
+/// publisher can choose colliding ones.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write_u64(&mut self, n: u64) {
+        // The fractional bits of the golden ratio, as in Fibonacci hashing.
+        const K: u64 = 0x9e37_79b9_7f4a_7c15;
+        let product = u128::from(self.0 ^ n) * u128::from(K);
+        self.0 = (product as u64) ^ (product >> 64) as u64;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One token's posting list: the ids of every record carrying the token,
+/// in no order — adding, dropping or testing an id is expected O(1).
+pub(crate) type Postings = HashSet<RecordId, BuildHasherDefault<IdHasher>>;
 
 /// One arc of the URI ring: every record whose URI hashes into this shard,
 /// stored as a slab.
@@ -140,16 +184,23 @@ impl UriShard {
         popularity: Popularity,
     ) -> (u32, Option<Metadata>) {
         let expires = metadata.expires().map_or(u64::MAX, SimTime::as_secs);
-        let slot = *self.slots.entry(metadata.uri().clone()).or_insert_with(|| {
-            self.free.pop().unwrap_or_else(|| {
-                let slot = u32::try_from(self.metadata.len())
-                    .expect("a shard holds fewer than 2^32 records");
-                self.metadata.push(None);
-                self.popularity.push(Popularity::MIN);
-                self.expires.push(u64::MAX);
+        // Probed before `entry`, which takes an owned key: a republish
+        // clones no `Uri`.
+        let slot = match self.slots.get(metadata.uri()) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.free.pop().unwrap_or_else(|| {
+                    let slot = u32::try_from(self.metadata.len())
+                        .expect("a shard holds fewer than 2^32 records");
+                    self.metadata.push(None);
+                    self.popularity.push(Popularity::MIN);
+                    self.expires.push(u64::MAX);
+                    slot
+                });
+                self.slots.insert(metadata.uri().clone(), slot);
                 slot
-            })
-        });
+            }
+        };
         self.popularity[slot as usize] = popularity;
         self.expires[slot as usize] = expires;
         (slot, self.metadata[slot as usize].replace(metadata))
@@ -208,17 +259,20 @@ impl UriShard {
 /// There is no reverse record → tokens map (the reference server's index in
 /// `tests/support/` keeps one) — the publisher removes a record's postings from
 /// the record's own cached [`TokenSet`](crate::keyword::TokenSet), so each
-/// token string is stored exactly once per shard. A posting list is an
-/// ordered set, so adding or removing one record is logarithmic even in the
-/// list every record is on (the publisher's name).
+/// token string is stored exactly once per shard. The token map is a hash
+/// table under `RandomState` (tokens are chosen by publishers) and each
+/// posting list a hash set under [`IdHasher`] (ids are chosen by the
+/// server), so finding a list is one probe and adding, removing or testing
+/// one record is expected O(1) even in the list every record is on (the
+/// publisher's name).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TokenShard {
-    postings: BTreeMap<Box<str>, BTreeSet<RecordId>>,
+    postings: HashMap<Box<str>, Postings>,
 }
 
 impl TokenShard {
     /// `token`'s posting list, if any record carries the token.
-    pub fn postings(&self, token: &str) -> Option<&BTreeSet<RecordId>> {
+    pub fn postings(&self, token: &str) -> Option<&Postings> {
         self.postings.get(token)
     }
 
@@ -229,7 +283,8 @@ impl TokenShard {
                 set.insert(id);
             }
             None => {
-                self.postings.insert(Box::from(token), BTreeSet::from([id]));
+                self.postings
+                    .insert(Box::from(token), Postings::from_iter([id]));
             }
         }
     }
@@ -301,6 +356,20 @@ mod tests {
         shard.remove_postings("fox", [a, b]); // `a` is already gone
         assert!(shard.postings("fox").is_none(), "empty list dropped");
         shard.remove_postings("gone", [a]); // no-op on absent token
+    }
+
+    #[test]
+    fn id_hash_spreads_shard_and_slot_over_the_bucket_bits() {
+        use std::hash::BuildHasher;
+        // 8 shards × 512 slots into 4 096 buckets: a hash that kept only
+        // the low half (the slot) would fill 512 of them; a uniform one
+        // fills ≈ 63 %.
+        let hasher = BuildHasherDefault::<IdHasher>::default();
+        let buckets: HashSet<u64> = (0..8)
+            .flat_map(|shard| (0..512).map(move |slot| RecordId::new(shard, slot)))
+            .map(|id| hasher.hash_one(id) & 0xfff)
+            .collect();
+        assert!(buckets.len() > 2_400, "{} buckets", buckets.len());
     }
 
     #[test]

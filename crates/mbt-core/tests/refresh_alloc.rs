@@ -17,7 +17,8 @@
 //! one rare token must not touch — let alone copy — a 10⁵-entry list.
 //!
 //! And it holds `snapshot` to a clone that shares every shard and the
-//! request log: its allocation count does not grow with either.
+//! request log: its allocation count does not grow with either; and a
+//! republish that keeps its token set to no allocation at all.
 
 use dtn_trace::{NodeId, SimDuration, SimTime};
 use mbt_core::{Metadata, MetadataServer, Popularity, Query, Uri};
@@ -157,4 +158,28 @@ fn a_snapshot_copies_no_record_and_no_request() {
          a shard or the request log is being copied"
     );
     assert_eq!(snapshot.len(), 10_000);
+}
+
+#[test]
+fn a_republish_that_keeps_its_tokens_allocates_nothing() {
+    for shards in [1, 8] {
+        let mut server = build_server(shards);
+        // The record is built before the measured region: what is counted
+        // is the server's own work, which leaves the slot, the `Uri → slot`
+        // entry and every posting list as they are.
+        let uri = Uri::new("mbt://alloc/file-4242").unwrap();
+        let meta = Metadata::builder("file 4242 news", "FOX", uri.clone()).build();
+        let (bytes, allocs, ()) = allocation_of(|| server.publish(meta, Popularity::MAX));
+        assert_eq!(
+            (bytes, allocs),
+            (0, 0),
+            "a republish with an unchanged token set allocated with {shards} shards"
+        );
+        assert_eq!(server.len(), RECORDS);
+        assert_eq!(server.popularity_of(&uri), Popularity::MAX);
+        assert_eq!(
+            server.search(&Query::new("4242 news").unwrap(), 10).len(),
+            1
+        );
+    }
 }

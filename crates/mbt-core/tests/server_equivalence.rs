@@ -527,3 +527,84 @@ fn a_snapshot_from_before_the_expiry_still_answers_the_old_record() {
         assert_eq!(before.len(), 1);
     }
 }
+
+/// Publish order reaches no answer. Two servers given the same records in
+/// different orders — republishes that change tokens, an expiry, and new
+/// URIs taking the freed slots between — hold their records in different
+/// slots, so their record ids and the hash order of every posting set
+/// differ. Only the rank order's URI tie-break keeps their answers equal,
+/// and popularities come from three values here, so ties are everywhere.
+#[test]
+fn answers_do_not_depend_on_publish_order() {
+    const RECORDS: usize = 64;
+    let record = |i: usize, generation: usize| {
+        let name = format!(
+            "{} {}",
+            TOKENS[(i + generation) % 10],
+            TOKENS[(i / 10 + 3 * generation) % 10]
+        );
+        let mut builder = Metadata::builder(name, "FOX", uri(i));
+        if i.is_multiple_of(4) {
+            builder = builder.ttl(SimDuration::from_days(1));
+        }
+        (builder.build(), Popularity::new([0.1, 0.5, 0.9][i % 3]))
+    };
+    let build = |shards: usize, order: &[usize]| {
+        let mut server = MetadataServer::with_shards(10, shards);
+        for &i in order {
+            let (meta, p) = record(i, 0);
+            server.publish(meta, p);
+        }
+        for &i in order.iter().filter(|&&i| i % 3 == 1) {
+            let (meta, p) = record(i, 1);
+            server.publish(meta, p);
+        }
+        assert_eq!(server.expire(at(36)), RECORDS / 4);
+        // Expired URIs published again, each beside a URI never seen: both
+        // take freed slots, in the order `order` gives them.
+        for &i in order.iter().filter(|&&i| i.is_multiple_of(8)) {
+            for late in [i, RECORDS + i / 8] {
+                let (meta, p) = record(late, 2);
+                server.publish(meta, p);
+            }
+        }
+        server
+    };
+    let forward: Vec<usize> = (0..RECORDS).collect();
+    let scrambled: Vec<usize> = (0..RECORDS).map(|i| i * 23 % RECORDS).collect();
+
+    let mut queries: Vec<String> = TOKENS.iter().map(|t| t.to_string()).collect();
+    for (a, first) in TOKENS.iter().enumerate() {
+        for second in TOKENS.iter().skip(a + 1).step_by(2) {
+            queries.push(format!("{first} {second}"));
+        }
+    }
+    let answers = |server: &MetadataServer| {
+        let mut out: Vec<Vec<String>> = Vec::new();
+        for text in &queries {
+            let q = Query::new(text.as_str()).unwrap();
+            out.extend([1, 10].map(|limit| render(&server.search(&q, limit))));
+        }
+        out.push(render(&server.most_popular(10, at(48))));
+        out.push(render(&server.most_popular(usize::MAX, at(48))));
+        out.push(render(&server.iter().collect::<Vec<_>>()));
+        out
+    };
+
+    let expected = answers(&build(1, &forward));
+    // The pin is only as strong as its ties: the publisher's token is on
+    // every record, so its top ten cut through one popularity tier.
+    assert_eq!(
+        expected[2 * queries.iter().position(|q| q == "fox").unwrap() + 1].len(),
+        10
+    );
+    for shards in [1, 7] {
+        for (order, name) in [(&forward, "forward"), (&scrambled, "scrambled")] {
+            assert_eq!(
+                answers(&build(shards, order)),
+                expected,
+                "{name} publish order at {shards} shards"
+            );
+        }
+    }
+}
