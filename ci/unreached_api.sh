@@ -24,18 +24,24 @@
 #
 # Every `pub`/`pub(crate)` field of a struct is likewise read by that code,
 # or deleted: as `.name` — not `.name(` or `.name::<`, which call a method
-# of that name — or through a struct pattern that binds it, on one line or
-# several, in exactly two forms:
+# of that name — or through a struct pattern that binds it. A struct
+# pattern binds its fields in exactly these places, on one line or several:
 #
-#   let Type { .., name, .. } =         (so `if let`, `while let`, `let … else`)
-#   Type { .., name: x, .. } =>         (a match arm, an `if` guard allowed)
+#   let P =                   (so `if let`, `while let`, `let … else`;
+#                              `let P: T =` too)
+#   P =>                      (a match arm that starts its line, after an
+#   P if guard =>              optional `|`; the guard on the `=>` line)
 #
-# where the arm's pattern starts its line (after an optional `|`). Only the
-# outermost pattern's field names count. A field is matched by name alone,
-# so one whose name another type's field shares counts as read wherever
-# the other is, and a struct pattern in any other place (inside `Some(…)`,
-# after another alternative, a parameter) reads nothing: the holes the
-# field check leaves open.
+# where P is one or more alternatives joined by `|`, each either a struct
+# pattern `Type { .. }` or one wrapped as `Some(Type { .. })` or
+# `Ok(Type { .. })`, optionally behind a `&` — any other alternative
+# (`Kind::A`, `Err(e)`, `_`) binds nothing but does not hide its
+# neighbours. Only each alternative's own field names count, not those of
+# a pattern nested inside a field. A field is matched by name alone, so one
+# whose name another type's field shares counts as read wherever the
+# other is, and a struct pattern anywhere else — a parameter, a closure's
+# argument, a `for` pattern, deeper than `Some`/`Ok` — reads nothing: the
+# holes the field check leaves open.
 #
 # Prints each unreached function or field with its file; exits 1 if any is
 # not allowed.
@@ -58,21 +64,87 @@ trap 'rm -f "$corpus" "$defs" "$fields" "$bound"' EXIT
 # one). Beside it, one line per `pub`/`pub(crate) fn`:
 # `file<TAB>name<TAB>Type`, the type empty unless the function is
 # associated (in an `impl Type` block, no `self` receiver); one per
-# `pub`/`pub(crate)` field: `file<TAB>name`; and one per field a `let` or
-# match-arm struct pattern binds, in the same form.
+# `pub`/`pub(crate)` field: `file<TAB>name`; and one per field a struct
+# pattern binds, in the same form.
 find crates/*/src examples -name '*.rs' -not -path '*/target/*' | sort |
     while read -r f; do
         awk -v f="$f" -v defs="$defs" -v fields="$fields" -v bound="$bound" '
             # Prints each field name that a struct pattern binds, given
-            # the text between its braces.
-            function bind(fields_text,    parts, n, k, part) {
-                n = split(fields_text, parts, ",")
-                for (k = 1; k <= n; k++) {
-                    part = parts[k]
-                    sub(/^[[:space:]]*((ref|mut)[[:space:]]+)*/, "", part)
-                    if (match(part, /^[a-z_][a-z0-9_]*/))
-                        print f "\t" substr(part, RSTART, RLENGTH) >> bound
+            # the text between its braces: the leading name of each field,
+            # split at the commas outside any nested group.
+            function bind(fields_text,    n, k, ch, nest, from, part) {
+                n = length(fields_text); nest = 0; from = 1
+                for (k = 1; k <= n + 1; k++) {
+                    ch = substr(fields_text, k, 1)
+                    if (ch ~ /[({[]/) nest++
+                    else if (ch ~ /[])}]/) nest--
+                    else if (k > n || (ch == "," && nest == 0)) {
+                        part = substr(fields_text, from, k - from); from = k + 1
+                        sub(/^[[:space:]]*((ref|mut)[[:space:]]+)*/, "", part)
+                        if (match(part, /^[a-z_][a-z0-9_]*/))
+                            print f "\t" substr(part, RSTART, RLENGTH) >> bound
+                    }
                 }
+            }
+            # Binds the fields of each alternative of pattern text `p` that
+            # is a struct pattern, bare or inside `Some(…)`/`Ok(…)`.
+            function bind_pattern(p,    n, k, ch, nest, from, alt) {
+                n = length(p); nest = 0; from = 1
+                for (k = 1; k <= n + 1; k++) {
+                    ch = substr(p, k, 1)
+                    if (ch ~ /[({[]/) nest++
+                    else if (ch ~ /[])}]/) nest--
+                    else if (k > n || (ch == "|" && nest == 0)) {
+                        alt = substr(p, from, k - from); from = k + 1
+                        sub(/^[[:space:]]*(&[[:space:]]*)?/, "", alt)
+                        sub(/[[:space:]]+$/, "", alt)
+                        if (match(alt, /^(Some|Ok)\([[:space:]]*/)) {
+                            if (alt !~ /\)$/) continue
+                            alt = substr(alt, RLENGTH + 1, length(alt) - RLENGTH - 1)
+                            sub(/[[:space:]]+$/, "", alt)
+                        }
+                        if (alt !~ /^[A-Z][A-Za-z0-9_:]*[[:space:]]*\{.*\}$/) continue
+                        sub(/^[^{]*\{/, "", alt)
+                        bind(substr(alt, 1, length(alt) - 1))
+                    }
+                }
+            }
+            # Reads candidate pattern text `t` of a `let` (mode "let") or a
+            # match arm (mode "arm") up to its `=` or `=>` outside any
+            # group: returns "done", with the pattern (guard and type
+            # annotation cut) in `found`; "open" if the next line may go
+            # on with it; "more" if only a line starting with `|`, `if` or
+            # `=>` may; "abort" if it is no such pattern.
+            function scan(t, mode,    n, k, ch, nx, nest, guard) {
+                n = length(t); nest = 0; guard = 0
+                for (k = 1; k <= n; k++) {
+                    ch = substr(t, k, 1); nx = substr(t, k + 1, 1)
+                    if (ch ~ /[({[]/) { nest++; continue }
+                    if (ch ~ /[])}]/) { if (--nest < 0) return "abort"; continue }
+                    if (nest > 0) continue
+                    if (ch == "=" && nx == ">") {
+                        if (mode != "arm") return "abort"
+                        found = substr(t, 1, (guard ? guard : k) - 1)
+                        return "done"
+                    }
+                    if (ch == ";") return "abort"
+                    if (guard) continue
+                    if (ch == "=" && nx != "=" && mode == "let") {
+                        found = substr(t, 1, k - 1)
+                        return "done"
+                    }
+                    if (ch == ":" && nx == ":") { k++; continue }
+                    if (ch == ":" && mode == "let") {
+                        found = substr(t, 1, k - 1)
+                        return "done"
+                    }
+                    if (ch == "." && nx == ".") { k++; continue }
+                    if (mode == "arm" && substr(t, k, 3) ~ /^if[[:space:]]/ &&
+                        substr(t, k - 1, 1) ~ /[[:space:]]/) { guard = k; k += 2; continue }
+                    if (ch !~ /[A-Za-z0-9_|&@[:space:]]/) return "abort"
+                }
+                if (nest > 0 || guard || mode == "let" || t ~ /\|[[:space:]]*$/) return "open"
+                return "more"
             }
             /^#\[cfg\(test\)\]/ { exit }
             /^[[:space:]]*\/\// { next }
@@ -123,43 +195,23 @@ find crates/*/src examples -name '*.rs' -not -path '*/target/*' | sort |
                     sub(/[[:space:]]*:.*/, "", field)
                     print f "\t" field >> fields
                 }
-                # A struct pattern `let Type { a, b: c, .. } = …`, on one
-                # line or several, reads each field it names.
-                if (!binding && code ~ /(^|[^A-Za-z0-9_])let[[:space:]]+[A-Z][A-Za-z0-9_:]*[[:space:]]*\{/) {
-                    binding = 1; pattern = ""
+                # A `let` pattern, or a match arm starting its line, that
+                # may hold a struct pattern: read on (at most 40 lines) to
+                # its `=` or `=>` and bind what its alternatives name.
+                if (pat_mode && pat_more && code !~ /^[[:space:]]*(\||if[[:space:]]|=>)/) pat_mode = ""
+                if (pat_mode) code_from = code
+                else if (match(code, /(^|[^A-Za-z0-9_])let[[:space:]]+&?[[:space:]]*[A-Z]/)) {
+                    pat_mode = "let"; pat_text = ""; pat_lines = 0
+                    code_from = substr(code, RSTART + RLENGTH - 1)
+                } else if (code ~ /^[[:space:]]*(\|[[:space:]]*)?&?[[:space:]]*[A-Z]/) {
+                    pat_mode = "arm"; pat_text = ""; pat_lines = 0; code_from = code
                 }
-                if (binding) {
-                    pattern = pattern " " code
-                    if (match(pattern, /\}[[:space:]]*=([^=]|$)/)) {
-                        binding = 0
-                        pattern = substr(pattern, 1, RSTART - 1)
-                        sub(/^[^{]*\{/, "", pattern)
-                        bind(pattern)
-                    }
-                }
-                # A line that starts with `Type {` opens a struct pattern
-                # or a struct expression: read on to its closing brace, and
-                # it is the pattern of a match arm if `=>` (or an `if`
-                # guard) follows.
-                if (!arm && !binding && code ~ /^[[:space:]]*(\|[[:space:]]*)?[A-Z][A-Za-z0-9_:]*[[:space:]]*\{/) {
-                    arm = 1; arm_text = ""
-                }
-                if (arm) {
-                    arm_text = arm_text " " code
-                    nest = 0
-                    for (k = 1; k <= length(arm_text); k++) {
-                        ch = substr(arm_text, k, 1)
-                        if (ch == "{") nest++
-                        else if (ch == "}" && --nest == 0) break
-                    }
-                    if (k <= length(arm_text)) {
-                        arm = 0
-                        if (substr(arm_text, k + 1) ~ /^[[:space:]]*(if[[:space:]].*)?=>/) {
-                            pattern = substr(arm_text, 1, k - 1)
-                            sub(/^[^{]*\{/, "", pattern)
-                            bind(pattern)
-                        }
-                    }
+                if (pat_mode) {
+                    pat_text = pat_text " " code_from
+                    verdict = scan(pat_text, pat_mode)
+                    pat_more = verdict == "more"
+                    if (verdict == "done") bind_pattern(found)
+                    if (verdict == "done" || verdict == "abort" || ++pat_lines == 40) pat_mode = ""
                 }
                 if (collecting) {
                     sig = sig " " code

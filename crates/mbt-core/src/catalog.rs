@@ -48,8 +48,8 @@ use crate::download::Offer;
 use crate::metadata::Metadata;
 use crate::node::MbtNode;
 use crate::popularity::Popularity;
+use crate::protocol::{ProtocolSpec, ReplicationPolicy};
 use crate::query::Query;
-use crate::transport::HelloFrame;
 use crate::uri::Uri;
 
 /// What the clique holds under one URI at contact start.
@@ -66,9 +66,6 @@ pub(crate) struct Row {
     pub(crate) metadata_holders: Vec<NodeId>,
     /// Members holding the complete file, in member order.
     pub(crate) file_holders: Vec<NodeId>,
-    /// Members that pull the file unasked because they estimate it scarce;
-    /// filled by the contact under DiffuseRep, empty otherwise.
-    pub(crate) proactive: Vec<NodeId>,
 }
 
 impl Row {
@@ -79,7 +76,6 @@ impl Row {
             popularity: Popularity::MIN,
             metadata_holders: Vec::new(),
             file_holders: Vec::new(),
-            proactive: Vec::new(),
         }
     }
 
@@ -97,8 +93,8 @@ impl Row {
     /// True if `member` neither holds nor refuses what `holders` hold under
     /// this URI. A member holds a row's metadata (file) iff it is listed, so
     /// the probe is a scan of at most clique-size ids.
-    pub(crate) fn open_to(&self, holders: &[NodeId], member: &HelloFrame) -> bool {
-        !holders.contains(&member.sender) && !member.rejected.contains(&self.uri)
+    pub(crate) fn open_to(&self, holders: &[NodeId], member: &MbtNode) -> bool {
+        !holders.contains(&member.id()) && !member.rejects(&self.uri)
     }
 
     fn matches(&self, query: &Query) -> bool {
@@ -203,26 +199,26 @@ impl Catalog {
         &self.rows
     }
 
-    /// The rows, for the contact to fill [`Row::proactive`].
-    pub(crate) fn rows_mut(&mut self) -> &mut [Row] {
-        &mut self.rows
-    }
-
-    /// The metadata phase's offers (§IV-A), each naming its row by index:
-    /// every record some member neither holds nor has rejected, requested
-    /// by the members with a relevant query — own, or carried for a
-    /// frequent contact — that matches the record a broadcast would carry.
+    /// The metadata phase's offers (§IV-A) among `members` (indices into
+    /// `nodes`), each naming its row by index: every record some member
+    /// neither holds nor has rejected, requested by the members with a
+    /// relevant query — own, or carried for a frequent contact — that
+    /// matches the record a broadcast would carry.
     ///
     /// The candidate rows are indexed by token hash once; each query
     /// then probes that index once — the rows of its rarest token, confirmed
     /// against the row's record. A query whose signature has a bit no
     /// candidate record's has lacks a match and is not probed.
-    pub(crate) fn metadata_offers(&self, members: &[HelloFrame]) -> Vec<Offer<usize>> {
-        let lacking = |row: &Row, m: &HelloFrame| row.open_to(&row.metadata_holders, m);
+    pub(crate) fn metadata_offers(
+        &self,
+        nodes: &[MbtNode],
+        members: &[usize],
+    ) -> Vec<Offer<usize>> {
+        let lacking = |row: &Row, m: &MbtNode| row.open_to(&row.metadata_holders, m);
         // Each with its row index and the record its broadcast carries.
         let candidates: Vec<(usize, &Row, &Metadata)> = (self.rows.iter().enumerate())
             .filter_map(|(at, row)| Some((at, row, row.record.as_ref()?)))
-            .filter(|(_, row, _)| members.iter().any(|m| lacking(row, m)))
+            .filter(|(_, row, _)| members.iter().any(|&idx| lacking(row, &nodes[idx])))
             .collect();
         if candidates.is_empty() {
             return Vec::new();
@@ -247,9 +243,8 @@ impl Catalog {
         };
 
         let mut requesters: Vec<Vec<NodeId>> = vec![Vec::new(); candidates.len()];
-        for member in members {
-            let own = member.own_queries.iter().map(|(q, _)| q);
-            for query in own.chain(&member.foreign_queries) {
+        for member in members.iter().map(|&idx| &nodes[idx]) {
+            for query in member.requested_queries() {
                 if query.signature() & !held != 0 {
                     continue;
                 }
@@ -261,11 +256,11 @@ impl Catalog {
                     .unwrap_or_default();
                 for &(_, at) in rarest {
                     let (_, row, _) = candidates[at];
-                    if requesters[at].last() != Some(&member.sender)
+                    if requesters[at].last() != Some(&member.id())
                         && lacking(row, member)
                         && row.matches(query)
                     {
-                        requesters[at].push(member.sender);
+                        requesters[at].push(member.id());
                     }
                 }
             }
@@ -280,38 +275,42 @@ impl Catalog {
             .collect()
     }
 
-    /// The file phase's offers (§V), each naming its row by index: every
-    /// file some member neither holds nor refuses, requested by the members
-    /// that announced wanting it.
-    /// Without standalone metadata (`announces_wants` false, MBT-QM) nobody
-    /// can announce a want, and a file nobody asked for is still pulled by
-    /// the row's [`proactive`](Row::proactive) members.
+    /// The file phase's offers (§V) among `members` (indices into `nodes`),
+    /// each naming its row by index: every file some member neither holds
+    /// nor refuses, requested by the members that want it. Without
+    /// standalone metadata (MBT-QM) nobody can want a file; under DiffuseRep
+    /// a file nobody asked for is pulled by the members that could take it
+    /// and [deem it scarce](MbtNode::deems_scarce).
     pub(crate) fn file_offers(
         &self,
-        members: &[HelloFrame],
-        announces_wants: bool,
+        nodes: &[MbtNode],
+        members: &[usize],
+        protocol: ProtocolSpec,
     ) -> Vec<Offer<usize>> {
-        let lacking = |row: &Row, m: &HelloFrame| row.open_to(&row.file_holders, m);
-        self.rows
-            .iter()
-            .enumerate()
-            .filter(|(_, row)| {
-                !row.file_holders.is_empty() && members.iter().any(|m| lacking(row, m))
-            })
-            .map(|(at, row)| {
-                let holds = |m: &HelloFrame| row.file_holders.contains(&m.sender);
-                let mut requesters: Vec<NodeId> = members
-                    .iter()
-                    .filter(|m| announces_wants && m.wanted.contains(&row.uri) && !holds(m))
-                    .map(|m| m.sender)
-                    .collect();
-                if requesters.is_empty() {
-                    requesters.clone_from(&row.proactive);
-                }
-                let holders = row.file_holders.clone();
-                Offer::new(at, row.popularity, requesters, holders)
-            })
-            .collect()
+        let lacking = |row: &Row, m: &MbtNode| row.open_to(&row.file_holders, m);
+        let members = || members.iter().map(|&idx| &nodes[idx]);
+        let mut offers: Vec<Offer<usize>> = (self.rows.iter().enumerate())
+            .filter(|(_, row)| !row.file_holders.is_empty() && members().any(|m| lacking(row, m)))
+            .map(|(at, row)| Offer::new(at, row.popularity, Vec::new(), row.file_holders.clone()))
+            .collect();
+        // One read of each member's wanted set, whatever the rows. A wanted
+        // file is one the member does not hold.
+        for member in members().filter(|_| protocol.distributes_metadata()) {
+            let wanted = member.wanted();
+            for offer in (offers.iter_mut()).filter(|o| wanted.contains(&self.rows[o.item].uri)) {
+                offer.requesters.push(member.id());
+            }
+        }
+        let diffuses = protocol.replication() == ReplicationPolicy::Diffusion;
+        for offer in &mut offers {
+            let row = &self.rows[offer.item];
+            if diffuses && offer.requesters.is_empty() {
+                let pullers = members().filter(|m| lacking(row, m) && m.deems_scarce(&row.uri));
+                offer.requesters.extend(pullers.map(MbtNode::id));
+            }
+            offer.requesters.sort_unstable();
+        }
+        offers
     }
 }
 
@@ -322,8 +321,7 @@ mod tests {
 
     use super::*;
     use crate::config::MbtConfig;
-    use crate::node::{build_hello, run_contact};
-    use crate::protocol::ProtocolSpec;
+    use crate::node::run_contact;
 
     fn uri(i: usize) -> Uri {
         Uri::new(format!("mbt://u/{i:02}")).unwrap()
@@ -335,13 +333,6 @@ mod tests {
 
     fn node(i: u32, protocol: ProtocolSpec, config: &MbtConfig) -> MbtNode {
         MbtNode::new(NodeId::new(i), protocol, config.clone())
-    }
-
-    fn hellos(protocol: ProtocolSpec, nodes: &[MbtNode], members: &[usize]) -> Vec<HelloFrame> {
-        members
-            .iter()
-            .map(|&idx| build_hello(&nodes[idx], protocol))
-            .collect()
     }
 
     fn contact(nodes: &mut [MbtNode], members: &[usize], at: u64) -> Counters {
@@ -369,11 +360,7 @@ mod tests {
         nodes[1].seed_content(record("late show", 0), Popularity::new(0.5), false);
         nodes[2].add_query(Query::new("late").unwrap(), None);
         let members = [0, 1, 2];
-        let offers = Catalog::walk(&nodes, &members, false).metadata_offers(&hellos(
-            ProtocolSpec::MBT,
-            &nodes,
-            &members,
-        ));
+        let offers = Catalog::walk(&nodes, &members, false).metadata_offers(&nodes, &members);
         assert_eq!(offers.len(), 1);
         assert_eq!(offers[0].requesters, [], "the broadcast carries `fox news`");
         assert_eq!(offers[0].holders, [NodeId::new(0), NodeId::new(1)]);
@@ -396,9 +383,8 @@ mod tests {
         nodes[1].reject(&record("fox news", 0));
         let catalog = Catalog::walk(&nodes, &[0, 1], false);
         assert_eq!(catalog.rows().len(), 1, "node 1 lacks it: a row");
-        let snapshots = hellos(ProtocolSpec::MBT, &nodes, &[0, 1]);
-        assert_eq!(catalog.metadata_offers(&snapshots), []);
-        assert_eq!(catalog.file_offers(&snapshots, true), []);
+        assert_eq!(catalog.metadata_offers(&nodes, &[0, 1]), []);
+        assert_eq!(catalog.file_offers(&nodes, &[0, 1], ProtocolSpec::MBT), []);
         assert_eq!(contact(&mut nodes, &[0, 1], 10).frames_sent, 0);
     }
 
@@ -414,14 +400,13 @@ mod tests {
         let catalog = Catalog::walk(&nodes, &[0, 1], false);
         assert_eq!(catalog.rows().len(), 1, "the file is held by one of two");
         assert_eq!(catalog.rows()[0].record, Some(record("fox news", 0)));
-        let snapshots = hellos(ProtocolSpec::MBT, &nodes, &[0, 1]);
         assert_eq!(
-            catalog.metadata_offers(&snapshots),
+            catalog.metadata_offers(&nodes, &[0, 1]),
             [],
             "both hold the record"
         );
         assert_eq!(
-            catalog.file_offers(&snapshots, true),
+            catalog.file_offers(&nodes, &[0, 1], ProtocolSpec::MBT),
             [Offer::new(
                 0,
                 Popularity::new(0.75),
@@ -469,9 +454,8 @@ mod tests {
         let rows: Vec<&Uri> = catalog.rows().iter().map(|r| &r.uri).collect();
         assert_eq!(rows, uris.iter().collect::<Vec<_>>());
 
-        let snapshots = hellos(ProtocolSpec::MBT, &nodes, &[0, 1]);
-        let metadata = catalog.metadata_offers(&snapshots);
-        let files = catalog.file_offers(&snapshots, true);
+        let metadata = catalog.metadata_offers(&nodes, &[0, 1]);
+        let files = catalog.file_offers(&nodes, &[0, 1], ProtocolSpec::MBT);
         for offers in [metadata, files] {
             let offered: Vec<&Uri> = (offers.iter())
                 .map(|o| &catalog.rows()[o.item].uri)
@@ -487,10 +471,7 @@ mod tests {
         for every_row in [false, true] {
             let catalog = Catalog::walk(&nodes, &[0, 1], every_row);
             assert_eq!(catalog, Catalog::default());
-            assert_eq!(
-                catalog.metadata_offers(&hellos(ProtocolSpec::MBT, &nodes, &[0, 1])),
-                []
-            );
+            assert_eq!(catalog.metadata_offers(&nodes, &[0, 1]), []);
         }
     }
 }

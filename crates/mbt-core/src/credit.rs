@@ -78,20 +78,11 @@ impl CreditLedger {
         out
     }
 
-    /// The raw `(peer, credit)` entries in ascending peer id.
-    ///
-    /// With [`from_entries`](Self::from_entries) this round-trips the ledger
-    /// exactly — credits pass through bit-for-bit, so a ledger decoded from a
-    /// hello frame schedules broadcasts identically to the original.
+    /// The raw `(peer, credit)` entries in ascending peer id — what a hello
+    /// frame carries, bit for bit. A contact's tit-for-tat scheduler reads
+    /// the ledger itself.
     pub fn entries(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
         self.credits.iter().map(|(&n, &c)| (n, c))
-    }
-
-    /// Rebuilds a ledger from raw entries (e.g. decoded from a hello frame).
-    pub fn from_entries<I: IntoIterator<Item = (NodeId, f64)>>(entries: I) -> Self {
-        CreditLedger {
-            credits: entries.into_iter().collect(),
-        }
     }
 
     /// Number of peers with recorded credit.

@@ -24,9 +24,9 @@ use crate::uri::Uri;
 /// Construct with [`Metadata::builder`]; sign with
 /// [`auth::sign`](crate::auth::sign) to fill the authentication tag.
 ///
-/// The record lives behind a shared allocation: cloning — which the contact
-/// loop does for every catalog entry and every snapshot at every contact —
-/// is a reference-count bump. The only post-build mutation,
+/// The record lives behind a shared allocation: cloning — which a contact
+/// does for every catalog row and every broadcast, and a receiver for every
+/// record it stores — is a reference-count bump. The only post-build mutation,
 /// [`auth::sign`](crate::auth::sign), copies on write.
 ///
 /// # Example

@@ -13,7 +13,7 @@
 //! runs seeded contacts and small whole runs through both and requires every
 //! contact counter, node state and run result to agree.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use dtn_sim::channel::frame_bytes;
@@ -331,7 +331,46 @@ impl MbtNode {
     /// leaves the set; [`add_query`](Self::add_query) and
     /// [`prune`](Self::prune) account for what they add and drop.
     pub fn wanted_uris(&self) -> Vec<Uri> {
-        self.wanted.iter().cloned().collect()
+        self.wanted().iter().cloned().collect()
+    }
+
+    /// The maintained wanted set. Every reader — a hello, a contact's file
+    /// plan — takes it from here, so a debug build holds it to its
+    /// definition (a scan of the store) at every read.
+    pub(crate) fn wanted(&self) -> &BTreeSet<Uri> {
+        debug_assert!(
+            self.wanted.iter().eq({
+                let own = self.queries.own();
+                let mut by_definition: Vec<&Uri> = (self.metadata.iter())
+                    .filter(|m| matches_any(own, m) && !self.files.contains(m.uri()))
+                    .map(Metadata::uri)
+                    .collect();
+                by_definition.sort_unstable();
+                by_definition
+            }),
+            "node {}: the maintained wanted set left its definition",
+            self.id
+        );
+        &self.wanted
+    }
+
+    /// The queries the node requests metadata for at a contact: its own,
+    /// then those it carries for frequent contacts.
+    pub(crate) fn requested_queries(&self) -> impl Iterator<Item = &Query> {
+        let own = self.queries.own().iter().map(|(q, _)| q);
+        own.chain(self.queries.foreign().map(|(_, e)| e.query()))
+    }
+
+    /// True if the node blacklisted `uri` after its metadata failed
+    /// authentication.
+    pub(crate) fn rejects(&self, uri: &Uri) -> bool {
+        self.rejected.contains(uri)
+    }
+
+    /// True if the node's availability estimate of `uri` (none is 0) sits
+    /// below [`DIFFUSION_THRESHOLD`]: DiffuseRep pulls such a file unasked.
+    pub(crate) fn deems_scarce(&self, uri: &Uri) -> bool {
+        self.availability.get(uri).map_or(0.0, |&e| e) < DIFFUSION_THRESHOLD
     }
 
     /// Drops expired metadata, files, queries, popularity observations, and
@@ -547,8 +586,8 @@ impl MbtNode {
 
 /// Runs one contact among the nodes at `members` (indices into `nodes`).
 ///
-/// Implements the paper's contact behaviour: hello exchange (implicit in the
-/// snapshot), query distribution to frequent contacts (full MBT), the
+/// Implements the paper's contact behaviour: hello exchange to the clique
+/// coordinator, query distribution to frequent contacts (full MBT), the
 /// two-phase metadata broadcast (unless the protocol disables standalone
 /// metadata), and the two-phase file broadcast — in that order when
 /// `discovery_first` is set, since short pedestrian contacts should be spent
@@ -586,13 +625,12 @@ pub fn run_contact(
 }
 
 /// The vectors a contact fills and empties — the members whose hello
-/// arrived, their hellos, their ids and their query shares — kept by the
-/// caller so that a run of contacts allocates them once, not once each.
-/// Holds nothing a later contact reads: every contact starts by clearing it.
+/// arrived, their ids and their query shares — kept by the caller so that a
+/// run of contacts allocates them once, not once each. Holds nothing a
+/// later contact reads: every contact starts by clearing it.
 #[derive(Debug, Default)]
 pub struct ContactScratch {
     alive: Vec<usize>,
-    snapshots: Vec<HelloFrame>,
     member_ids: Vec<NodeId>,
     /// Per member, its query shares, built the first time a receiver
     /// lists it as a frequent contact.
@@ -601,13 +639,22 @@ pub struct ContactScratch {
 
 /// [`run_contact`] over an explicit [`Transport`] backend, with optional
 /// phase spans and the caller's [`ContactScratch`]. With `spans` set, the
-/// metadata-broadcast phase is charged to [`Phase::Discovery`] and the
-/// file-broadcast phase to [`Phase::Download`]; timing is observational only
-/// (the counters and every node's state are those of an untimed contact), and
-/// with `spans` `None` the contact reads no clock.
+/// metadata-broadcast phase — its plan and its carries — is charged to
+/// [`Phase::Discovery`] and the file-broadcast phase to [`Phase::Download`];
+/// timing is observational only (the counters and every node's state are
+/// those of an untimed contact), and with `spans` `None` the contact reads
+/// no clock.
 ///
-/// The contact's message flow — hello exchange to the clique coordinator
-/// (§V elects one; the lowest id here), query shares, metadata broadcasts,
+/// A contact runs in two stages: plan, then carry. Every member but the
+/// clique coordinator (§V elects one; the lowest id here) carries its hello
+/// to it, and a member whose hello is lost leaves the contact. Both
+/// broadcast schedules are then planned from the members as their hellos
+/// announced them, before anything else is carried: the query shares, then
+/// the two planned phases in the configured order. Neither phase therefore
+/// sees what the other delivered, and a query carried here counts from the
+/// next contact on.
+///
+/// The contact's message flow — hellos, query shares, metadata broadcasts,
 /// file broadcasts — goes through `transport` as [`WireMessage`]s. Each is
 /// built once — a broadcast or a (sender, query) share once, whatever its
 /// receivers — and lent to [`Transport::carry`], which answers only
@@ -617,32 +664,32 @@ pub struct ContactScratch {
 /// [`SimTransport`] every message arrives; with
 /// [`BusTransport`](crate::transport::BusTransport) one arrives when its
 /// serialized frame checks as what was sent. A carry that does not arrive
-/// counts as a lost frame (a lost hello removes that member from the
-/// contact).
+/// counts as a lost frame.
 ///
 /// Frame emission order is deterministic: every collection iterated on this
-/// path — member snapshots, the catalog's rows, holder lists and sorted
-/// postings, broadcast schedules, a node's `UriMap`s (ordered by each URI's
-/// `stable_hash`, a fixed function of the text, then by text) — is ordered,
-/// never a hash map, so the carry sequence is a pure function of member
-/// state. `tests/transport_equivalence.rs` pins the exact sequence.
+/// path — the members in call order, the catalog's rows, holder lists and
+/// sorted postings, broadcast schedules, a node's `UriMap`s (ordered by each
+/// URI's `stable_hash`, a fixed function of the text, then by text) — is
+/// ordered, never a hash map, so the carry sequence is a pure function of
+/// member state. `tests/transport_equivalence.rs` pins the exact sequence.
 ///
 /// # Cost model
 ///
 /// A contact costs what its members *differ by* and what changed, not what
-/// they carry. Each member's hello — which is also its start-of-contact
-/// snapshot — shares the member's own-query list and frequent set by
-/// reference (neither changes inside a contact) and copies only what the
-/// contact itself mutates: the wanted set, the rejected URIs, the credit
-/// ledger and the foreign queries, all four usually empty. Pruning on entry
-/// is O(1) until something can have expired; a query share whose receiver
-/// already holds the sender's unchanged list is carried (the wire sequence
-/// is the protocol) but not re-stored. One ordered walk over the members' stores
-/// keeps a catalog row only for a URI whose metadata or file some members
-/// hold and others lack (every URI under DiffuseRep, which observes them
-/// all); requester matching answers each query with one probe of a token
-/// index over the records somebody lacks; with no such rows there are no
-/// offers, no index and no schedule.
+/// they carry. A hello is built only to be carried, and dropped once it
+/// has been: it shares the member's own-query list and frequent set by
+/// reference and copies the wanted set, the rejected URIs, the credit
+/// ledger and the foreign queries, all four usually empty. The plan reads
+/// the members themselves, so the coordinator builds no hello and a contact
+/// keeps no copy of any member. Pruning on entry is O(1) until something
+/// can have expired; a query share whose receiver already holds the
+/// sender's unchanged list is carried (the wire sequence is the protocol)
+/// but not re-stored. One ordered walk over the members' stores keeps a
+/// catalog row only for a URI whose metadata or file some members hold and
+/// others lack (every URI under DiffuseRep, which observes them all);
+/// requester matching answers each query with one probe of a token index
+/// over the records somebody lacks; with no such rows there are no offers,
+/// no index and no schedule.
 ///
 /// # Panics
 ///
@@ -683,59 +730,48 @@ pub fn run_contact_via(
         nodes[idx].prune(now);
     }
 
-    // --- Hello: every member advertises its state to the clique
-    // coordinator (§V: the lowest id). The coordinator's own hello is
-    // local; every other member's is carried as a frame, and a dropped
-    // hello removes that member from the contact. ---
+    // --- Hello: every member but the clique coordinator (§V: the lowest
+    // id) carries its advertised state to it as a frame, and a lost hello
+    // removes that member from the contact. The coordinator reads the
+    // members a hello announced, so it keeps none. ---
     let ContactScratch {
         alive,
-        snapshots,
         member_ids,
         shares,
     } = scratch;
     let coordinator = members.iter().map(|&idx| nodes[idx].id).min();
     let coordinator = coordinator.expect("a contact has members");
-
-    // A delivered hello doubles as that member's start-of-contact snapshot.
     alive.clear();
-    snapshots.clear();
     for &idx in members {
-        let hello = WireMessage::Hello(build_hello(&nodes[idx], protocol));
         let sender = nodes[idx].id;
-        if sender != coordinator && !transport.carry(sender, coordinator, &hello) {
-            counters.frames_lost += 1;
-            continue;
+        if sender != coordinator {
+            let hello = WireMessage::Hello(build_hello(&nodes[idx]));
+            if !transport.carry(sender, coordinator, &hello) {
+                counters.frames_lost += 1;
+                continue;
+            }
         }
-        let WireMessage::Hello(hello) = hello else {
-            unreachable!("built as a hello")
-        };
         alive.push(idx);
-        snapshots.push(hello);
     }
-    let (members, snapshots) = (&alive[..], &snapshots[..]);
-    counters.hello_exchanges = snapshots.len() as u64;
+    let members = &alive[..];
+    counters.hello_exchanges = members.len() as u64;
     if members.len() < 2 {
         return counters;
     }
-
-    // What the members differ by, as of now: whichever phase runs first,
-    // both read these start-of-contact rows. DiffuseRep alone observes the
-    // rows every member holds in full as well.
-    let diffuses = protocol.replication() == ReplicationPolicy::Diffusion;
-    let mut catalog = Catalog::walk(nodes, members, diffuses);
-
     member_ids.clear();
-    member_ids.extend(snapshots.iter().map(|s| s.sender));
+    member_ids.extend(members.iter().map(|&idx| nodes[idx].id));
     let member_ids = &member_ids[..];
+
+    // What the members differ by. DiffuseRep alone observes the rows every
+    // member holds in full as well.
+    let diffuses = protocol.replication() == ReplicationPolicy::Diffusion;
+    let catalog = Catalog::walk(nodes, members, diffuses);
 
     // --- Availability diffusion (DiffuseRep only): every member smooths its
     // per-URI availability estimate toward the fraction of clique members
-    // holding the file, then files observed scarce gain proactive
-    // requesters — members lacking them whose estimate sits below the
-    // threshold. The file phase folds these into its offers, so the
-    // existing requested-before-popular scheduler prioritises scarce files
-    // with no scheduler changes. Empty on every other replication policy.
-    // ---
+    // holding the file. The file plan lets a member that deems a file
+    // scarce pull it unasked, so the existing requested-before-popular
+    // scheduler prioritises scarce files with no scheduler changes. ---
     if diffuses {
         let clique = members.len() as f64;
         for &idx in members {
@@ -744,66 +780,6 @@ pub fn run_contact_via(
                 let availability = &mut nodes[idx].availability;
                 let (estimate, _) = availability.get_or_insert_with(&row.uri, || 0.0);
                 *estimate += DIFFUSION_SMOOTHING * (seen - *estimate);
-            }
-        }
-        for row in catalog.rows_mut() {
-            if row.file_holders.is_empty() {
-                continue;
-            }
-            row.proactive = members
-                .iter()
-                .zip(snapshots)
-                .filter(|(_, s)| row.open_to(&row.file_holders, s))
-                .filter(|(&idx, _)| {
-                    let estimate = nodes[idx].availability.get(&row.uri).copied();
-                    estimate.unwrap_or(0.0) < DIFFUSION_THRESHOLD
-                })
-                .map(|(_, s)| s.sender)
-                .collect();
-        }
-    }
-    let catalog = catalog;
-
-    // --- Query distribution (full MBT, §IV): frequent contacts store each
-    // other's queries so they can collect metadata while apart. ---
-    if protocol.distributes_queries() {
-        shares.iter_mut().for_each(Vec::clear);
-        if shares.len() < snapshots.len() {
-            shares.resize_with(snapshots.len(), Vec::new);
-        }
-        for (i, &idx) in members.iter().enumerate() {
-            for (j, snap) in snapshots.iter().enumerate() {
-                if i == j || snapshots[i].frequent.binary_search(&snap.sender).is_err() {
-                    continue;
-                }
-                // A sender's shares are built once and lent to each receiver.
-                let sent = &mut shares[j];
-                if sent.is_empty() {
-                    sent.extend(snap.own_queries.iter().map(|(query, expires)| {
-                        WireMessage::QueryShare {
-                            owner: snap.sender,
-                            query: query.clone(),
-                            expires: *expires,
-                        }
-                    }));
-                }
-                // Every share is carried — the wire sequence is the
-                // protocol — but a receiver that has stored this list
-                // before, and dropped nothing since, has nothing to store.
-                let receiver = &mut nodes[idx].queries;
-                let in_sync = receiver.is_synced(snap.sender, &snap.own_queries);
-                let mut all_arrived = true;
-                for (share, (query, expires)) in sent.iter().zip(snap.own_queries.iter()) {
-                    if !transport.carry(snap.sender, snapshots[i].sender, share) {
-                        counters.frames_lost += 1;
-                        all_arrived = false;
-                    } else if !in_sync && receiver.add_foreign(snap.sender, query, *expires) {
-                        counters.queries_distributed += 1;
-                    }
-                }
-                if all_arrived && !in_sync {
-                    receiver.mark_synced(snap.sender, snap.own_queries.clone());
-                }
             }
         }
     }
@@ -824,63 +800,106 @@ pub fn run_contact_via(
         faults.frame_lost(now, sender, receiver, item.as_str())
     };
 
-    // --- Phase closures. ---
-    let metadata_phase = |transport: &mut dyn Transport,
-                          nodes: &mut [MbtNode],
-                          counters: &mut Counters| {
-        if !protocol.distributes_metadata() {
-            return;
-        }
-        let offers = catalog.metadata_offers(snapshots);
-        let schedule = schedule_broadcasts(&config, member_ids, snapshots, offers, metadata_slots);
-        for b in &schedule {
-            let row = &catalog.rows()[b.item];
-            let meta = row.record.as_ref().expect("offered a record");
-            let sent = WireMessage::Metadata {
-                metadata: meta.clone(),
-                popularity: row.popularity,
-            };
-            counters.metadata_broadcasts += 1;
-            for &idx in members {
-                let receiver_id = nodes[idx].id;
-                if receiver_id == b.sender {
-                    continue;
-                }
-                if frame_lost(b.sender, receiver_id, &row.uri) {
-                    counters.frames_lost += 1;
-                    continue;
-                }
-                if !transport.carry(b.sender, receiver_id, &sent) {
-                    counters.frames_lost += 1;
-                    continue;
-                }
-                let receiver = &mut nodes[idx];
-                if !receiver.accepts_metadata(meta) {
-                    // Fake-publisher rejection (§III-B item f): blacklist the
-                    // URI so it is never requested again.
-                    receiver.reject(meta);
-                    continue;
-                }
-                counters.bytes_moved += frame_bytes(meta.wire_size() as u64);
-                if receiver.store_record(meta, row.popularity, Source::Peer(b.sender), true) {
-                    counters.metadata_transferred += 1;
-                }
-            }
-        }
-    };
+    // --- Plan: both schedules, before anything but the hellos is carried,
+    // so each reads the wants, refusals, queries and credits the hellos
+    // announced — whichever phase goes first. ---
+    let plan =
+        |offers, slots| schedule_broadcasts(&config, nodes, members, member_ids, offers, slots);
+    let metadata_schedule = timed(&mut spans, Phase::Discovery, || {
+        let planned = protocol.distributes_metadata();
+        planned.then(|| plan(catalog.metadata_offers(nodes, members), metadata_slots))
+    });
+    let file_schedule = timed(&mut spans, Phase::Download, || {
+        let planned = effective_duration.as_secs() >= config.min_download_contact_secs_value();
+        planned.then(|| plan(catalog.file_offers(nodes, members, protocol), file_slots))
+    });
 
-    let file_phase =
-        |transport: &mut dyn Transport, nodes: &mut [MbtNode], counters: &mut Counters| {
-            if effective_duration.as_secs() < config.min_download_contact_secs_value() {
-                return;
+    // --- Query distribution (full MBT, §IV): frequent contacts store each
+    // other's queries so they can collect metadata while apart. ---
+    if protocol.distributes_queries() {
+        shares.iter_mut().for_each(Vec::clear);
+        if shares.len() < members.len() {
+            shares.resize_with(members.len(), Vec::new);
+        }
+        for (i, &idx) in members.iter().enumerate() {
+            for (j, &from) in members.iter().enumerate() {
+                let (owner, receiver_id) = (member_ids[j], member_ids[i]);
+                if i == j || nodes[idx].frequent_contacts.binary_search(&owner).is_err() {
+                    continue;
+                }
+                let list = Arc::clone(nodes[from].queries.own());
+                // A sender's shares are built once and lent to each receiver.
+                let sent = &mut shares[j];
+                if sent.is_empty() {
+                    sent.extend(list.iter().map(|(query, expires)| WireMessage::QueryShare {
+                        owner,
+                        query: query.clone(),
+                        expires: *expires,
+                    }));
+                }
+                // Every share is carried — the wire sequence is the
+                // protocol — but a receiver that has stored this list
+                // before, and dropped nothing since, has nothing to store.
+                let receiver = &mut nodes[idx].queries;
+                let in_sync = receiver.is_synced(owner, &list);
+                let mut all_arrived = true;
+                for (share, (query, expires)) in sent.iter().zip(list.iter()) {
+                    if !transport.carry(owner, receiver_id, share) {
+                        counters.frames_lost += 1;
+                        all_arrived = false;
+                    } else if !in_sync && receiver.add_foreign(owner, query, *expires) {
+                        counters.queries_distributed += 1;
+                    }
+                }
+                if all_arrived && !in_sync {
+                    receiver.mark_synced(owner, list);
+                }
             }
-            // A member requests a file it wants (announced as a "downloading
-            // URI" in its hello) and does not hold. Under MBT-QM nobody can
-            // announce wants — nodes have no standalone metadata — so all
-            // offers fall to the popularity phase.
-            let offers = catalog.file_offers(snapshots, protocol.distributes_metadata());
-            let schedule = schedule_broadcasts(&config, member_ids, snapshots, offers, file_slots);
-            for b in &schedule {
+        }
+    }
+
+    // --- Carry: the two planned phases. ---
+    let carry_metadata =
+        |transport: &mut dyn Transport, nodes: &mut [MbtNode], counters: &mut Counters| {
+            for b in metadata_schedule.iter().flatten() {
+                let row = &catalog.rows()[b.item];
+                let meta = row.record.as_ref().expect("offered a record");
+                let sent = WireMessage::Metadata {
+                    metadata: meta.clone(),
+                    popularity: row.popularity,
+                };
+                counters.metadata_broadcasts += 1;
+                for &idx in members {
+                    let receiver_id = nodes[idx].id;
+                    if receiver_id == b.sender {
+                        continue;
+                    }
+                    if frame_lost(b.sender, receiver_id, &row.uri) {
+                        counters.frames_lost += 1;
+                        continue;
+                    }
+                    if !transport.carry(b.sender, receiver_id, &sent) {
+                        counters.frames_lost += 1;
+                        continue;
+                    }
+                    let receiver = &mut nodes[idx];
+                    if !receiver.accepts_metadata(meta) {
+                        // Fake-publisher rejection (§III-B item f): blacklist
+                        // the URI so it is never requested again.
+                        receiver.reject(meta);
+                        continue;
+                    }
+                    counters.bytes_moved += frame_bytes(meta.wire_size() as u64);
+                    if receiver.store_record(meta, row.popularity, Source::Peer(b.sender), true) {
+                        counters.metadata_transferred += 1;
+                    }
+                }
+            }
+        };
+
+    let carry_files =
+        |transport: &mut dyn Transport, nodes: &mut [MbtNode], counters: &mut Counters| {
+            for b in file_schedule.iter().flatten() {
                 counters.file_broadcasts += 1;
                 // The file's metadata rides along with the file (as in prior
                 // content-distribution systems, and necessary for verification).
@@ -946,57 +965,45 @@ pub fn run_contact_via(
             }
         };
 
-    // Wall-clock spans are observational: they are charged to the caller's
-    // `spans` and never read back, so timing cannot perturb the contact.
     let order = if config.discovery_first_value() {
         [Phase::Discovery, Phase::Download]
     } else {
         [Phase::Download, Phase::Discovery]
     };
     for phase in order {
-        let mut run = || match phase {
-            Phase::Discovery => metadata_phase(&mut *transport, nodes, &mut counters),
-            _ => file_phase(&mut *transport, nodes, &mut counters),
-        };
-        match spans.as_deref_mut() {
-            Some(spans) => spans.time(phase, run),
-            None => run(),
-        }
+        timed(&mut spans, phase, || match phase {
+            Phase::Discovery => carry_metadata(&mut *transport, nodes, &mut counters),
+            _ => carry_files(&mut *transport, nodes, &mut counters),
+        });
     }
     counters.frames_sent = counters.metadata_broadcasts + counters.file_broadcasts;
     counters
 }
 
+/// Runs `f`, charging its wall-clock time to `phase` when there are
+/// `spans`. Spans are observational: they are never read back, so timing
+/// cannot perturb the contact.
+fn timed<R>(spans: &mut Option<&mut PhaseTimes>, phase: Phase, f: impl FnOnce() -> R) -> R {
+    match spans.as_deref_mut() {
+        Some(spans) => spans.time(phase, f),
+        None => f(),
+    }
+}
+
 /// Builds one member's hello frame from the node as it stands. The own-query
 /// list and frequent set are shared, not copied; the wanted set is the
-/// maintained one.
-pub(crate) fn build_hello(n: &MbtNode, protocol: ProtocolSpec) -> HelloFrame {
-    let own_queries: Arc<[OwnQuery]> = n.queries.own().clone();
-    let foreign_queries: Vec<Query> = if protocol.distributes_queries() {
-        n.queries
-            .foreign()
-            .map(|(_, e)| e.query().clone())
-            .collect()
-    } else {
-        Vec::new()
-    };
-    debug_assert!(
-        n.wanted.iter().eq({
-            let mut by_definition: Vec<&Uri> = (n.metadata.iter())
-                .filter(|m| matches_any(&own_queries, m) && !n.files.contains(m.uri()))
-                .map(Metadata::uri)
-                .collect();
-            by_definition.sort_unstable();
-            by_definition
-        }),
-        "node {}: the maintained wanted set left its definition",
-        n.id
-    );
+/// maintained one. Only query distribution stores foreign queries, so
+/// other variants carry none.
+pub(crate) fn build_hello(n: &MbtNode) -> HelloFrame {
     HelloFrame {
         sender: n.id,
-        own_queries,
-        foreign_queries,
-        wanted: n.wanted.clone(),
+        own_queries: n.queries.own().clone(),
+        foreign_queries: n
+            .queries
+            .foreign()
+            .map(|(_, e)| e.query().clone())
+            .collect(),
+        wanted: n.wanted().clone(),
         rejected: n.rejected.keys().cloned().collect(),
         frequent: n.frequent_contacts.clone(),
         credits: n.credits.entries().collect(),
@@ -1008,11 +1015,13 @@ fn matches_any(own: &[OwnQuery], record: &Metadata) -> bool {
     own.iter().any(|(q, _)| record.matches_query(q))
 }
 
-/// Dispatches to the cooperative or tit-for-tat scheduler.
+/// Dispatches to the cooperative or tit-for-tat scheduler; the latter
+/// weighs each sender's choice by that member's own credit ledger.
 fn schedule_broadcasts(
     config: &MbtConfig,
+    nodes: &[MbtNode],
+    members: &[usize],
     member_ids: &[NodeId],
-    snapshots: &[HelloFrame],
     offers: Vec<Offer<usize>>,
     slots: usize,
 ) -> Vec<Broadcast<usize>> {
@@ -1022,15 +1031,11 @@ fn schedule_broadcasts(
     match config.cooperation_value() {
         CooperationMode::Cooperative => dl_coop::schedule(offers, slots, config.ordering_value()),
         CooperationMode::TitForTat => {
-            // Only this scheduler reads the start-of-contact ledgers.
-            let ledgers: BTreeMap<NodeId, CreditLedger> = snapshots
-                .iter()
-                .map(|s| {
-                    let ledger = CreditLedger::from_entries(s.credits.iter().copied());
-                    (s.sender, ledger)
-                })
-                .collect();
-            dl_tft::schedule(member_ids, offers, |id| &ledgers[&id], slots)
+            let ledger_of = |id: NodeId| {
+                let at = member_ids.iter().position(|&m| m == id);
+                &nodes[members[at.expect("the sender is a member")]].credits
+            };
+            dl_tft::schedule(member_ids, offers, ledger_of, slots)
         }
     }
 }
@@ -1217,7 +1222,7 @@ mod tests {
     fn frequent_contacts_are_kept_ascending_and_distinct() {
         let mut n = node(0, ProtocolSpec::MBT);
         n.set_frequent_contacts([NodeId::new(5), NodeId::new(2), NodeId::new(5)]);
-        let hello = build_hello(&n, ProtocolSpec::MBT);
+        let hello = build_hello(&n);
         assert_eq!(*hello.frequent, [NodeId::new(2), NodeId::new(5)]);
         let shared: Arc<[NodeId]> = Arc::from([NodeId::new(1), NodeId::new(3)]);
         n.set_frequent_contacts(Arc::clone(&shared));

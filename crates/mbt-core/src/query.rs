@@ -17,9 +17,9 @@ use crate::keyword::{signature, tokenize, TokenSet};
 /// A query matches a piece of text when **all** of its tokens occur in the
 /// text (AND semantics); ranking uses the match count.
 ///
-/// The text and token list live behind a shared allocation (`Arc`), so the
-/// per-contact snapshots that clone query vectors for every clique member
-/// bump a reference count instead of deep-copying strings. Equality,
+/// The text and token list live behind a shared allocation (`Arc`), so a
+/// hello's copy of the foreign queries, a query share and a receiver's
+/// stored copy bump a reference count instead of deep-copying strings. Equality,
 /// ordering, and hashing remain content-based.
 ///
 /// # Example

@@ -23,7 +23,7 @@
 //! - the `Uri → slot` map and the `token → postings` map hash the key's text
 //!   under `RandomState` (not the URI's stored stable hash): URIs and tokens
 //!   come from publishers, who must not be able to craft collisions;
-//! - a posting set hashes `RecordId`s under [`IdHasher`], one fixed folded
+//! - a posting set hashes `RecordId`s under `IdHasher`, one fixed folded
 //!   multiply: ids are assigned by the server, never chosen by a publisher,
 //!   so a fixed hash exposes no collision attack; under SipHash the
 //!   `server_storm` benchmark ran ≈ 1.2× slower.
