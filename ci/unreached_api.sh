@@ -25,12 +25,18 @@
 # Every `pub`/`pub(crate)` field of a struct is likewise read by that code,
 # or deleted: as `.name` — not `.name(` or `.name::<`, which call a method
 # of that name — or through a struct pattern that binds it. A struct
-# pattern binds its fields in exactly these places, on one line or several:
+# pattern binds its fields in exactly these places:
 #
 #   let P =                   (so `if let`, `while let`, `let … else`;
-#                              `let P: T =` too)
+#                              `let P: T =` too; on one line or several)
 #   P =>                      (a match arm that starts its line, after an
-#   P if guard =>              optional `|`; the guard on the `=>` line)
+#   P if guard =>              optional `|`; the guard on the `=>` line;
+#                              on one line or several)
+#   for P in                  (a `for` loop that starts its line; on one
+#                              line or several)
+#   |P, P: T, …|              (a closure parameter list that opens and
+#                              closes on one line: each parameter that is
+#                              a P, with or without a type annotation)
 #
 # where P is one or more alternatives joined by `|`, each either a struct
 # pattern `Type { .. }` or one wrapped as `Some(Type { .. })` or
@@ -39,9 +45,9 @@
 # neighbours. Only each alternative's own field names count, not those of
 # a pattern nested inside a field. A field is matched by name alone, so one
 # whose name another type's field shares counts as read wherever the
-# other is, and a struct pattern anywhere else — a parameter, a closure's
-# argument, a `for` pattern, deeper than `Some`/`Ok` — reads nothing: the
-# holes the field check leaves open.
+# other is, and a struct pattern anywhere else — a `fn` parameter, a
+# closure parameter list split over lines, a tuple element, deeper than
+# `Some`/`Ok` — reads nothing: the holes the field check leaves open.
 #
 # Prints each unreached function or field with its file; exits 1 if any is
 # not allowed.
@@ -109,12 +115,55 @@ find crates/*/src examples -name '*.rs' -not -path '*/target/*' | sort |
                     }
                 }
             }
-            # Reads candidate pattern text `t` of a `let` (mode "let") or a
-            # match arm (mode "arm") up to its `=` or `=>` outside any
-            # group: returns "done", with the pattern (guard and type
-            # annotation cut) in `found`; "open" if the next line may go
-            # on with it; "more" if only a line starting with `|`, `if` or
-            # `=>` may; "abort" if it is no such pattern.
+            # Binds the fields of each struct-pattern parameter of every
+            # closure parameter list that opens and closes within line `t`:
+            # pipes pair up left to right, and `||` is no list.
+            function bind_closures(t,    n, k, j, ch, nest, params, m, from, part) {
+                n = length(t)
+                for (k = 1; k <= n; k++) {
+                    if (substr(t, k, 1) != "|") continue
+                    if (substr(t, k + 1, 1) == "|") { k++; continue }
+                    nest = 0
+                    for (j = k + 1; j <= n; j++) {
+                        ch = substr(t, j, 1)
+                        if (ch ~ /[({[]/) nest++
+                        else if (ch ~ /[])}]/) { if (--nest < 0) break }
+                        else if (ch == "|" && nest == 0) break
+                    }
+                    if (j > n || substr(t, j, 1) != "|") continue
+                    params = substr(t, k + 1, j - k - 1); k = j
+                    m = length(params); nest = 0; from = 1
+                    for (j = 1; j <= m + 1; j++) {
+                        ch = substr(params, j, 1)
+                        if (ch ~ /[({[]/) nest++
+                        else if (ch ~ /[])}]/) nest--
+                        else if (j > m || (ch == "," && nest == 0)) {
+                            part = substr(params, from, j - from); from = j + 1
+                            bind_pattern(cut_annotation(part))
+                        }
+                    }
+                }
+            }
+            # Parameter text `p` without its `: T` annotation: cut at the
+            # first single `:` outside any group.
+            function cut_annotation(p,    n, k, ch, nest) {
+                n = length(p); nest = 0
+                for (k = 1; k <= n; k++) {
+                    ch = substr(p, k, 1)
+                    if (ch ~ /[({[]/) nest++
+                    else if (ch ~ /[])}]/) nest--
+                    else if (ch == ":" && substr(p, k + 1, 1) == ":") k++
+                    else if (ch == ":" && nest == 0) return substr(p, 1, k - 1)
+                }
+                return p
+            }
+            # Reads candidate pattern text `t` of a `let` (mode "let"), a
+            # match arm (mode "arm") or a `for` loop (mode "for") up to its
+            # `=`, `=>` or `in` outside any group: returns "done", with the
+            # pattern (guard and type annotation cut) in `found`; "open" if
+            # the next line may go on with it; "more" if only a line
+            # starting with `|`, `if` or `=>` may; "abort" if it is no such
+            # pattern.
             function scan(t, mode,    n, k, ch, nx, nest, guard) {
                 n = length(t); nest = 0; guard = 0
                 for (k = 1; k <= n; k++) {
@@ -122,6 +171,12 @@ find crates/*/src examples -name '*.rs' -not -path '*/target/*' | sort |
                     if (ch ~ /[({[]/) { nest++; continue }
                     if (ch ~ /[])}]/) { if (--nest < 0) return "abort"; continue }
                     if (nest > 0) continue
+                    if (mode == "for" && substr(t, k, 2) == "in" &&
+                        substr(t, k - 1, 1) ~ /[[:space:]]/ &&
+                        (k + 2 > n || substr(t, k + 2, 1) ~ /[[:space:]]/)) {
+                        found = substr(t, 1, k - 1)
+                        return "done"
+                    }
                     if (ch == "=" && nx == ">") {
                         if (mode != "arm") return "abort"
                         found = substr(t, 1, (guard ? guard : k) - 1)
@@ -143,7 +198,7 @@ find crates/*/src examples -name '*.rs' -not -path '*/target/*' | sort |
                         substr(t, k - 1, 1) ~ /[[:space:]]/) { guard = k; k += 2; continue }
                     if (ch !~ /[A-Za-z0-9_|&@[:space:]]/) return "abort"
                 }
-                if (nest > 0 || guard || mode == "let" || t ~ /\|[[:space:]]*$/) return "open"
+                if (nest > 0 || guard || mode != "arm" || t ~ /\|[[:space:]]*$/) return "open"
                 return "more"
             }
             /^#\[cfg\(test\)\]/ { exit }
@@ -195,13 +250,17 @@ find crates/*/src examples -name '*.rs' -not -path '*/target/*' | sort |
                     sub(/[[:space:]]*:.*/, "", field)
                     print f "\t" field >> fields
                 }
-                # A `let` pattern, or a match arm starting its line, that
-                # may hold a struct pattern: read on (at most 40 lines) to
-                # its `=` or `=>` and bind what its alternatives name.
+                # A `let` pattern, a match arm or `for` loop starting its
+                # line, that may hold a struct pattern: read on (at most 40
+                # lines) to its `=`, `=>` or `in` and bind what its
+                # alternatives name.
                 if (pat_mode && pat_more && code !~ /^[[:space:]]*(\||if[[:space:]]|=>)/) pat_mode = ""
                 if (pat_mode) code_from = code
                 else if (match(code, /(^|[^A-Za-z0-9_])let[[:space:]]+&?[[:space:]]*[A-Z]/)) {
                     pat_mode = "let"; pat_text = ""; pat_lines = 0
+                    code_from = substr(code, RSTART + RLENGTH - 1)
+                } else if (match(code, /^[[:space:]]*for[[:space:]]+&?[[:space:]]*[A-Z]/)) {
+                    pat_mode = "for"; pat_text = ""; pat_lines = 0
                     code_from = substr(code, RSTART + RLENGTH - 1)
                 } else if (code ~ /^[[:space:]]*(\|[[:space:]]*)?&?[[:space:]]*[A-Z]/) {
                     pat_mode = "arm"; pat_text = ""; pat_lines = 0; code_from = code
@@ -213,6 +272,7 @@ find crates/*/src examples -name '*.rs' -not -path '*/target/*' | sort |
                     if (verdict == "done") bind_pattern(found)
                     if (verdict == "done" || verdict == "abort" || ++pat_lines == 40) pat_mode = ""
                 }
+                bind_closures(code)
                 if (collecting) {
                     sig = sig " " code
                     if (code ~ /[{;]/) {

@@ -1,10 +1,10 @@
 //! The workspace's one FNV-1a loop, under two multipliers, and the stable
-//! hash built on it. [`stable_hash`] (the metadata server's shard placement
-//! and keyword signatures) finishes true FNV-1a; [`seed_hash`], the seed mix
-//! (`dtn_sim::rng`, trace perturbation), has always used another
-//! multiplier. Each output must stay byte-for-byte what it is: a change
-//! would move every committed seed-derived result or re-partition the
-//! metadata server.
+//! hash built on it. [`stable_hash`] (the hash a URI stores, keyword
+//! signatures and the contact catalog's token keys) finishes true FNV-1a;
+//! [`seed_hash`], the seed mix (`dtn_sim::rng`, trace perturbation), has
+//! always used another multiplier. Each output must stay byte-for-byte what
+//! it is: a change would move every committed seed-derived result or
+//! reorder every node's URI maps.
 
 /// FNV-1a's 64-bit offset basis.
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -38,11 +38,11 @@ pub fn seed_hash(bytes: &[u8]) -> u64 {
 
 /// Stable 64-bit hash of `bytes`: FNV-1a with a splitmix64 finalizer.
 ///
-/// Used for every shard-placement decision of the metadata server and for
-/// keyword signatures; must never change, or committed bench baselines and
-/// the golden equivalence of re-opened servers would silently re-partition.
-/// The finalizer matters: placement partitions on the *high* bits, which raw
-/// FNV-1a barely stirs for short or near-constant keys.
+/// The hash a `Uri` stores (a node's URI maps are ordered by it), and the
+/// source of keyword signatures; must never change, or committed outputs
+/// and bench digests would silently move. The finalizer matters: a
+/// signature picks its bit by the *high* bits, which raw FNV-1a barely
+/// stirs for short or near-constant keys.
 #[inline]
 pub fn stable_hash(bytes: &[u8]) -> u64 {
     let mut h = fnv1a(bytes);

@@ -33,7 +33,9 @@ use crate::protocol::{
 };
 use crate::query::Query;
 use crate::server::MetadataServer;
-use crate::store::{is_expired, FileStore, MetadataStore, NextExpiry, OwnQuery, QueryStore};
+use crate::store::{
+    is_expired, outlasting, FileStore, MetadataStore, NextExpiry, OwnQuery, QueryStore,
+};
 use crate::transport::frame::ascending;
 use crate::transport::{HelloFrame, SimTransport, Transport, WireMessage};
 use crate::uri::{Uri, UriMap};
@@ -119,16 +121,17 @@ pub struct MbtNode {
     /// Best popularity observed per URI, with the URI's global expiry when
     /// the observation rode metadata (so dead URIs can be pruned).
     popularity: UriMap<(Popularity, Option<SimTime>)>,
-    /// Smoothed per-URI availability estimates. Only populated under
+    /// Smoothed per-URI availability estimates, each with the URI's expiry
+    /// (so dead URIs can be pruned). Only populated under
     /// [`ReplicationPolicy::Diffusion`]; always empty on the paper's triad.
-    availability: UriMap<f64>,
+    availability: UriMap<(f64, Option<SimTime>)>,
     key_registry: Option<KeyRegistry>,
     /// URIs whose metadata failed authentication, with their claimed expiry:
     /// never re-requested, so fakes cannot burn a broadcast slot at every
     /// contact.
     rejected: UriMap<Option<SimTime>>,
-    /// Earliest expiry among `popularity` and `rejected` (the three stores
-    /// keep their own).
+    /// Earliest expiry among `popularity`, `availability` and `rejected`
+    /// (the three stores keep their own).
     next_expiry: NextExpiry,
     events: Vec<NodeEvent>,
 }
@@ -313,11 +316,20 @@ impl MbtNode {
         if p > entry.0 {
             entry.0 = p;
         }
-        entry.1 = match (entry.1, expires) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            // `None` means "no known lifetime": never prune.
-            _ => None,
-        };
+        entry.1 = outlasting(entry.1, expires);
+        let lifetime = entry.1;
+        self.next_expiry.note(lifetime);
+    }
+
+    /// Smooths the availability estimate of `uri`, a URI that expires at
+    /// `expires`, toward `seen`, the fraction of a clique holding its file
+    /// (none is 0). The entry keeps the latest expiry seen, and
+    /// [`prune`](Self::prune) drops it once that has passed, as it drops a
+    /// popularity observation.
+    fn smooth_availability(&mut self, uri: &Uri, seen: f64, expires: Option<SimTime>) {
+        let (entry, _) = (self.availability).get_or_insert_with(uri, || (0.0, expires));
+        entry.0 += DIFFUSION_SMOOTHING * (seen - entry.0);
+        entry.1 = outlasting(entry.1, expires);
         let lifetime = entry.1;
         self.next_expiry.note(lifetime);
     }
@@ -370,12 +382,12 @@ impl MbtNode {
     /// True if the node's availability estimate of `uri` (none is 0) sits
     /// below [`DIFFUSION_THRESHOLD`]: DiffuseRep pulls such a file unasked.
     pub(crate) fn deems_scarce(&self, uri: &Uri) -> bool {
-        self.availability.get(uri).map_or(0.0, |&e| e) < DIFFUSION_THRESHOLD
+        self.availability.get(uri).map_or(0.0, |&(e, _)| e) < DIFFUSION_THRESHOLD
     }
 
-    /// Drops expired metadata, files, queries, popularity observations, and
-    /// rejection records. O(1) until something can have expired: each store
-    /// tracks its earliest expiry.
+    /// Drops expired metadata, files, queries, popularity observations,
+    /// availability estimates and rejection records. O(1) until something
+    /// can have expired: each store tracks its earliest expiry.
     pub fn prune(&mut self, now: SimTime) {
         // The wanted set follows what each store drops: an expired record
         // leaves it and an expired own query releases the URIs nothing else
@@ -397,11 +409,17 @@ impl MbtNode {
         if self.next_expiry.due(now) {
             self.popularity
                 .retain(|_, &mut (_, expires)| !is_expired(expires, now));
+            self.availability
+                .retain(|_, &mut (_, expires)| !is_expired(expires, now));
             self.rejected
                 .retain(|_, expires| !is_expired(*expires, now));
             let popularity = self.popularity.values().map(|&(_, expires)| expires);
-            self.next_expiry
-                .reset(popularity.chain(self.rejected.values().copied()));
+            let availability = self.availability.values().map(|&(_, expires)| expires);
+            self.next_expiry.reset(
+                popularity
+                    .chain(availability)
+                    .chain(self.rejected.values().copied()),
+            );
         }
     }
 
@@ -774,12 +792,19 @@ pub fn run_contact_via(
     // scheduler prioritises scarce files with no scheduler changes. ---
     if diffuses {
         let clique = members.len() as f64;
-        for &idx in members {
-            for row in catalog.rows() {
-                let seen = row.file_holders.len() as f64 / clique;
-                let availability = &mut nodes[idx].availability;
-                let (estimate, _) = availability.get_or_insert_with(&row.uri, || 0.0);
-                *estimate += DIFFUSION_SMOOTHING * (seen - *estimate);
+        for row in catalog.rows() {
+            let seen = row.file_holders.len() as f64 / clique;
+            // The URI's expiry: its record's, or, when members hold only
+            // the file, the latest of their files'.
+            let expires = match &row.record {
+                Some(record) => record.expires(),
+                None => (members.iter())
+                    .filter_map(|&idx| nodes[idx].files.expiry_of(&row.uri))
+                    .reduce(outlasting)
+                    .flatten(),
+            };
+            for &idx in members {
+                nodes[idx].smooth_availability(&row.uri, seen, expires);
             }
         }
     }
@@ -1882,6 +1907,43 @@ mod tests {
             (true, false),
             "DiffuseRep: scarcity wins"
         );
+    }
+
+    #[test]
+    fn diffuserep_estimates_follow_their_uris_expiry() {
+        let mut nodes = vec![
+            node(0, ProtocolSpec::DIFFUSE_REP),
+            node(1, ProtocolSpec::DIFFUSE_REP),
+        ];
+        for i in 0..50 {
+            let record =
+                Metadata::builder(format!("show {i}"), "FOX", uri(&format!("mbt://d/{i}")))
+                    .expires_at(Some(SimTime::from_secs(100)))
+                    .build();
+            nodes[0].seed_content(record, Popularity::new(0.5), i % 2 == 0);
+        }
+        // A file both hold without its record: the row's expiry is the
+        // files'.
+        for n in &mut nodes {
+            n.try_store_file(uri("mbt://d/file-only"), Some(SimTime::from_secs(100)));
+        }
+        let meet = |nodes: &mut Vec<MbtNode>, secs| {
+            let now = SimTime::from_secs(secs);
+            run_contact(nodes, &[0, 1], now, SimDuration::from_secs(600));
+        };
+        meet(&mut nodes, 0);
+        for n in &nodes {
+            assert_eq!(n.availability.len(), 51, "node {}", n.id);
+        }
+        let later = SimTime::from_secs(10_000);
+        for n in &mut nodes {
+            n.prune(later);
+        }
+        meet(&mut nodes, 10_000);
+        for n in &nodes {
+            assert_eq!(n.metadata.len(), 0);
+            assert_eq!(n.availability.len(), 0, "node {} kept dead estimates", n.id);
+        }
     }
 
     #[test]

@@ -7,19 +7,19 @@
 //! which returns the best-matched metadata; the server can also estimate
 //! request popularity over a 24-hour window.
 //!
-//! [`MetadataServer`] is that server, its state split over `N` shards by the
-//! partitioning primitives of [`shard`]: stable placement of tokens and URIs
-//! onto ring shards, the slab each URI shard keeps its records in, and the
-//! integer posting lists. Every shard and the request log sit behind
-//! copy-on-write `Arc`s, so a snapshot is a clone of the server that copies
-//! no record and no request.
+//! [`MetadataServer`] is that server: one index (`server::index`) — the slab
+//! its records live in and the integer posting lists of its keyword map —
+//! beside the popularity estimator. The slab, the keyword map and the
+//! request log each sit behind a copy-on-write `Arc`, so a snapshot is a
+//! clone of the server that copies no record and no request.
 //!
 //! The proof machinery lives with the tests: the original single-registry
-//! implementation is kept verbatim as `tests/support/reference_server.rs`,
-//! the oracle `tests/server_equivalence.rs` and `tests/query_storm.rs` hold
-//! every answer to, for every shard count.
+//! implementation is kept verbatim as
+//! `crates/mbt-core/tests/support/reference_server.rs`, the oracle
+//! `tests/server_equivalence.rs` and `tests/query_storm.rs` hold every
+//! answer to.
 
-pub mod shard;
+mod index;
 
 use std::sync::Arc;
 
@@ -31,24 +31,21 @@ use crate::popularity::{cmp_popularity, Popularity, PopularityEstimator};
 use crate::query::Query;
 use crate::uri::Uri;
 
-use shard::{shard_of_token, shard_of_uri, Postings, RecordId, TokenShard, UriShard};
+use index::{Keywords, Postings, Slab};
 
-/// The central metadata server, sharded for heavy query traffic.
+/// The central metadata server.
 ///
 /// Holds every published metadata record, a keyword index over it, and the
 /// authoritative popularity of each file — exactly the role of the paper's
-/// Internet-side server (§III, §IV) — but split across `N` shards: the
-/// keyword index by token hash, the URI/popularity space by URI hash on a
-/// ring (see [`shard`]). Every answer is independent of the shard count —
-/// the property suite holds it to the single-registry reference — while
-/// publishes, expiries, and popularity refreshes touch only the shards they
-/// must.
+/// Internet-side server (§III, §IV). A record is addressed by its slab slot,
+/// which its posting lists hold; the property suite holds every answer to
+/// the single-registry reference.
 ///
-/// Every shard and the popularity estimator live behind an [`Arc`] under the
-/// copy-on-write discipline of the node-local stores: [`snapshot`] is a
-/// clone for the price of `N` reference counts, and a concurrent query storm
-/// reads snapshots lock-free while the writer mutates (and thereby
-/// un-shares) its own copies.
+/// The slab, the keyword map and the popularity estimator live behind an
+/// [`Arc`] each under the copy-on-write discipline of the node-local
+/// stores: [`snapshot`] is a clone for the price of three reference counts,
+/// and a concurrent query storm reads snapshots lock-free while the writer
+/// mutates (and thereby un-shares) its own copies.
 ///
 /// [`snapshot`]: Self::snapshot
 ///
@@ -69,32 +66,28 @@ use shard::{shard_of_token, shard_of_uri, Postings, RecordId, TokenShard, UriSha
 /// ```
 #[derive(Debug, Clone)]
 pub struct MetadataServer {
-    uri_shards: Vec<Arc<UriShard>>,
-    token_shards: Vec<Arc<TokenShard>>,
+    slab: Arc<Slab>,
+    keywords: Arc<Keywords>,
     estimator: Arc<PopularityEstimator>,
-    /// Total record count, maintained incrementally so `len` never walks
-    /// the shards.
-    len: usize,
 }
 
 impl MetadataServer {
-    /// Creates an unsharded (`N = 1`) server; `internet_population` is the
-    /// number of Internet-access nodes, used to normalize estimated
-    /// popularity.
+    /// Creates a server; `internet_population` is the number of
+    /// Internet-access nodes, used to normalize estimated popularity.
     pub fn new(internet_population: u32) -> Self {
-        Self::with_shards(internet_population, 1)
+        MetadataServer {
+            slab: Arc::default(),
+            keywords: Arc::default(),
+            estimator: Arc::new(PopularityEstimator::new(internet_population)),
+        }
     }
 
-    /// Creates a server partitioned over `shards` shards (clamped to at
-    /// least 1). Every query answer is independent of the shard count.
-    pub fn with_shards(internet_population: u32, shards: usize) -> Self {
-        let shards = shards.max(1);
-        MetadataServer {
-            uri_shards: (0..shards).map(|_| Arc::default()).collect(),
-            token_shards: (0..shards).map(|_| Arc::default()).collect(),
-            estimator: Arc::new(PopularityEstimator::new(internet_population)),
-            len: 0,
-        }
+    /// [`new`](Self::new) under the name the benchmark's `server_storm`
+    /// workload builds its server by. The count is not read; the alias goes
+    /// with the benchmark's next version (v2a-0).
+    #[doc(hidden)]
+    pub fn with_shards(internet_population: u32, _shards: usize) -> Self {
+        Self::new(internet_population)
     }
 
     /// Publishes metadata with an assigned popularity (the workload's ground
@@ -104,75 +97,59 @@ impl MetadataServer {
     /// old and new token sets reaches the keyword index: a token both carry
     /// (the publisher's name is on every record) costs nothing.
     pub fn publish(&mut self, metadata: Metadata, popularity: Popularity) {
-        let MetadataServer {
-            uri_shards,
-            token_shards,
-            len,
-            ..
-        } = self;
-        let shards = token_shards.len();
-        let shard = shard_of_uri(metadata.uri(), shards);
-        let (slot, replaced) = Arc::make_mut(&mut uri_shards[shard]).insert(metadata, popularity);
-        let id = RecordId::new(shard, slot);
-        let new = uri_shards[shard].metadata(slot).token_set();
+        let MetadataServer { slab, keywords, .. } = self;
+        let (slot, replaced) = Arc::make_mut(slab).insert(metadata, popularity);
+        let new = slab.metadata(slot).token_set();
         let no_tokens = TokenSet::default();
         let old = replaced.as_ref().map_or(&no_tokens, Metadata::token_set);
         for token in old.iter().filter(|token| !new.contains(token)) {
-            Arc::make_mut(&mut token_shards[shard_of_token(token, shards)])
-                .remove_postings(token, [id]);
+            Arc::make_mut(keywords).remove_postings(token, [slot]);
         }
         for token in new.iter().filter(|token| !old.contains(token)) {
-            Arc::make_mut(&mut token_shards[shard_of_token(token, shards)])
-                .insert_posting(token, id);
-        }
-        if replaced.is_none() {
-            *len += 1;
+            Arc::make_mut(keywords).insert_posting(token, slot);
         }
     }
 
     /// Number of published records.
     pub fn len(&self) -> usize {
-        self.len
+        self.slab.len()
     }
 
     /// True if nothing is published.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// The assigned popularity of `uri` (0 if unknown).
     pub fn popularity_of(&self, uri: &Uri) -> Popularity {
-        self.uri_shards[shard_of_uri(uri, self.uri_shards.len())].popularity_of(uri)
+        self.slab.popularity_of(uri)
     }
 
     /// Updates the assigned popularity (e.g. daily refresh from the
     /// estimator). URIs with no published record are ignored.
     pub fn set_popularity(&mut self, uri: &Uri, popularity: Popularity) {
-        let shard = shard_of_uri(uri, self.uri_shards.len());
-        let shard = &mut self.uri_shards[shard];
-        if let Some(slot) = shard.slot_of(uri) {
-            Arc::make_mut(shard).set_popularity(slot, popularity);
+        if let Some(slot) = self.slab.slot_of(uri) {
+            Arc::make_mut(&mut self.slab).set_popularity(slot, popularity);
         }
     }
 
     /// The records carrying every token of `query`, at most `limit`, ranked
     /// by popularity descending, then URI ascending.
     ///
-    /// Fetches each query token's posting list from its (single) owning
-    /// token shard, intersects them rarest-first — a token no record carries
-    /// ends the search before anything is allocated — resolves each survivor
-    /// by direct slab index, and keeps the top `limit`. Query tokens are
-    /// deduplicated and every survivor carries all of them, so the reference
-    /// scan's leading "match count" key is the same for all.
+    /// Fetches each query token's posting list, intersects them
+    /// rarest-first — a token no record carries ends the search before
+    /// anything is allocated — resolves each survivor by direct slab index,
+    /// and keeps the top `limit`. Query tokens are deduplicated and every
+    /// survivor carries all of them, so the reference scan's leading "match
+    /// count" key is the same for all.
     pub fn search(&self, query: &Query, limit: usize) -> Vec<&Metadata> {
-        let shards = self.token_shards.len();
         let lists = query
             .tokens()
             .iter()
-            .map(|token| self.token_shards[shard_of_token(token, shards)].postings(token));
+            .map(|token| self.keywords.postings(token));
         let survivors = intersect_rarest_first(lists)
-            .map(|&id| {
-                let (popularity, record) = self.uri_shards[id.shard()].entry(id.slot());
+            .map(|&slot| {
+                let (popularity, record) = self.slab.entry(slot);
                 debug_assert!(record.matches_query(query), "postings and token sets agree");
                 (popularity, record)
             })
@@ -183,12 +160,7 @@ impl MetadataServer {
     /// The `limit` most popular unexpired metadata at `now` (the push phase
     /// of metadata distribution).
     pub fn most_popular(&self, limit: usize, now: SimTime) -> Vec<&Metadata> {
-        let unexpired = self
-            .uri_shards
-            .iter()
-            .flat_map(|shard| shard.unexpired(now))
-            .collect();
-        top_k(unexpired, limit)
+        top_k(self.slab.unexpired(now).collect(), limit)
     }
 
     /// Records a download request (feeds the 24-hour popularity estimator).
@@ -204,25 +176,20 @@ impl MetadataServer {
     /// Refreshes every assigned popularity from the estimator (the paper's
     /// daily popularity update).
     ///
-    /// Fills each shard's popularity column with [`Popularity::MIN`] — what
+    /// Fills the slab's popularity column with [`Popularity::MIN`] — what
     /// the estimator answers for a URI nobody requested — then visits only
     /// the URIs the estimator holds: no per-record probe, no clone of the
     /// URI keyspace, no allocation for records the estimator has never seen
     /// (`tests/refresh_alloc.rs` pins this).
     pub fn refresh_popularities(&mut self, now: SimTime) {
         let MetadataServer {
-            uri_shards,
-            estimator,
-            ..
+            slab, estimator, ..
         } = self;
-        for shard in uri_shards.iter_mut() {
-            Arc::make_mut(shard).reset_popularities();
-        }
-        let shards = uri_shards.len();
+        let slab = Arc::make_mut(slab);
+        slab.reset_popularities();
         for (uri, popularity) in estimator.popularities(now) {
-            let shard = &mut uri_shards[shard_of_uri(uri, shards)];
-            if let Some(slot) = shard.slot_of(uri) {
-                Arc::make_mut(shard).set_popularity(slot, popularity);
+            if let Some(slot) = slab.slot_of(uri) {
+                slab.set_popularity(slot, popularity);
             }
         }
         Arc::make_mut(estimator).prune(now);
@@ -230,67 +197,56 @@ impl MetadataServer {
 
     /// Removes metadata expired at `now`; returns how many were dropped.
     ///
-    /// One scan of each shard's expiry column; a shard with nothing expired
-    /// stays shared with outstanding snapshots. The dropped records'
-    /// postings are removed batched per list — one look-up of each affected
-    /// token, not one per (record, token) pair.
+    /// One scan of the slab's expiry column; with nothing expired, the slab
+    /// and the keyword map stay shared with outstanding snapshots. The
+    /// dropped records' postings are removed batched per list — one look-up
+    /// of each affected token, not one per (record, token) pair.
     pub fn expire(&mut self, now: SimTime) -> usize {
-        let MetadataServer {
-            uri_shards,
-            token_shards,
-            len,
-            ..
-        } = self;
-        let mut expired: Vec<(RecordId, Metadata)> = Vec::new();
-        for (idx, shard) in uri_shards.iter_mut().enumerate() {
-            let slots: Vec<u32> = shard.expired_slots(now).collect();
-            if slots.is_empty() {
-                continue; // nothing expired: leave the shard shared
-            }
-            let shard = Arc::make_mut(shard);
-            expired.extend(
-                slots
-                    .into_iter()
-                    .map(|slot| (RecordId::new(idx, slot), shard.remove(slot))),
-            );
+        let slots: Vec<u32> = self.slab.expired_slots(now).collect();
+        if slots.is_empty() {
+            return 0;
         }
-        let mut removals: Vec<(&str, RecordId)> = expired
+        let slab = Arc::make_mut(&mut self.slab);
+        let expired: Vec<(u32, Metadata)> = slots
+            .into_iter()
+            .map(|slot| (slot, slab.remove(slot)))
+            .collect();
+        let mut removals: Vec<(&str, u32)> = expired
             .iter()
-            .flat_map(|(id, metadata)| metadata.token_set().iter().map(move |token| (token, *id)))
+            .flat_map(|(slot, metadata)| {
+                metadata.token_set().iter().map(move |token| (token, *slot))
+            })
             .collect();
         removals.sort_unstable();
-        let shards = token_shards.len();
+        let keywords = Arc::make_mut(&mut self.keywords);
         for list in removals.chunk_by(|a, b| a.0 == b.0) {
-            let token = list[0].0;
-            Arc::make_mut(&mut token_shards[shard_of_token(token, shards)])
-                .remove_postings(token, list.iter().map(|&(_, id)| id));
+            keywords.remove_postings(list[0].0, list.iter().map(|&(_, slot)| slot));
         }
-        *len -= expired.len();
         expired.len()
     }
 
-    /// Iterates over all published metadata in global URI order (the
-    /// iteration contract of the reference registry).
+    /// Iterates over all published metadata in URI order (the iteration
+    /// contract of the reference registry).
     pub fn iter(&self) -> impl Iterator<Item = &Metadata> {
-        let mut all: Vec<&Metadata> = self.uri_shards.iter().flat_map(|s| s.records()).collect();
+        let mut all: Vec<&Metadata> = self.slab.records().collect();
         all.sort_unstable_by(|a, b| a.uri().cmp(b.uri()));
         all.into_iter()
     }
 
     /// A consistent, immutable view of the server for concurrent readers:
-    /// a clone, which costs `N` reference-count bumps and copies no record
-    /// and no request.
+    /// a clone, which costs three reference-count bumps and copies no
+    /// record and no request.
     ///
     /// The snapshot keeps answering from the state at the time of the call
-    /// while this server keeps mutating — [`Arc::make_mut`] un-shares each
-    /// shard the writer touches, so a reader can never observe a torn
-    /// in-between state.
+    /// while this server keeps mutating — [`Arc::make_mut`] un-shares the
+    /// slab, keyword map or request log the writer touches, so a reader can
+    /// never observe a torn in-between state.
     pub fn snapshot(&self) -> MetadataServer {
         self.clone()
     }
 }
 
-/// The record ids on every posting list, in no particular order (the
+/// The slots on every posting list, in no particular order (the
 /// caller ranks them by [`top_k`]'s total order).
 ///
 /// One `lists` item per query token, `None` where the index has no list for
@@ -301,7 +257,7 @@ impl MetadataServer {
 /// given.
 fn intersect_rarest_first<'a>(
     lists: impl IntoIterator<Item = Option<&'a Postings>>,
-) -> impl Iterator<Item = &'a RecordId> {
+) -> impl Iterator<Item = &'a u32> {
     // Posting lists for the common short query stay on the stack.
     const INLINE: usize = 4;
     let mut inline: [Option<&'a Postings>; INLINE] = [None; INLINE];
@@ -373,14 +329,6 @@ mod tests {
         s
     }
 
-    fn sharded_with(shards: usize, entries: &[(&str, &str, f64)]) -> MetadataServer {
-        let mut s = MetadataServer::with_shards(10, shards);
-        for &(name, uri, pop) in entries {
-            s.publish(meta(name, uri), Popularity::new(pop));
-        }
-        s
-    }
-
     #[test]
     fn publish_and_lookup() {
         let s = server_with(&[("FOX News", "mbt://a", 0.5)]);
@@ -395,23 +343,17 @@ mod tests {
 
     #[test]
     fn search_ranks_by_match_then_popularity() {
-        // Zero shards is clamped to one.
-        for shards in [0, 1, 7] {
-            let s = sharded_with(
-                shards,
-                &[
-                    ("fox news tonight", "mbt://a", 0.1),
-                    ("fox news", "mbt://b", 0.9),
-                    ("fox comedy", "mbt://c", 0.99),
-                ],
-            );
-            let q = Query::new("fox news").unwrap();
-            let hits = s.search(&q, 10);
-            // Both a and b match fully (AND semantics filter others out).
-            assert_eq!(hits.len(), 2);
-            // Same match count (2 tokens) → popularity decides: b first.
-            assert_eq!(hits[0].uri().as_str(), "mbt://b");
-        }
+        let s = server_with(&[
+            ("fox news tonight", "mbt://a", 0.1),
+            ("fox news", "mbt://b", 0.9),
+            ("fox comedy", "mbt://c", 0.99),
+        ]);
+        let q = Query::new("fox news").unwrap();
+        let hits = s.search(&q, 10);
+        // Both a and b match fully (AND semantics filter others out).
+        assert_eq!(hits.len(), 2);
+        // Same match count (2 tokens) → popularity decides: b first.
+        assert_eq!(hits[0].uri().as_str(), "mbt://b");
     }
 
     #[test]
@@ -425,30 +367,23 @@ mod tests {
 
     #[test]
     fn search_requires_all_tokens() {
-        for shards in [1, 16] {
-            let s = sharded_with(shards, &[("fox comedy", "mbt://c", 0.9)]);
-            assert!(s.search(&Query::new("fox news").unwrap(), 10).is_empty());
-        }
+        let s = server_with(&[("fox comedy", "mbt://c", 0.9)]);
+        assert!(s.search(&Query::new("fox news").unwrap(), 10).is_empty());
     }
 
     #[test]
     fn most_popular_sorted_desc() {
-        for shards in [1, 2, 7] {
-            let s = sharded_with(
-                shards,
-                &[
-                    ("a", "mbt://a", 0.2),
-                    ("b", "mbt://b", 0.9),
-                    ("c", "mbt://c", 0.5),
-                ],
-            );
-            let top: Vec<&str> = s
-                .most_popular(2, SimTime::ZERO)
-                .iter()
-                .map(|m| m.uri().as_str())
-                .collect();
-            assert_eq!(top, vec!["mbt://b", "mbt://c"]);
-        }
+        let s = server_with(&[
+            ("a", "mbt://a", 0.2),
+            ("b", "mbt://b", 0.9),
+            ("c", "mbt://c", 0.5),
+        ]);
+        let top: Vec<&str> = s
+            .most_popular(2, SimTime::ZERO)
+            .iter()
+            .map(|m| m.uri().as_str())
+            .collect();
+        assert_eq!(top, vec!["mbt://b", "mbt://c"]);
     }
 
     #[test]
@@ -463,17 +398,15 @@ mod tests {
 
     #[test]
     fn expire_removes_records() {
-        for shards in [1, 7] {
-            let mut s = MetadataServer::with_shards(10, shards);
-            let m = Metadata::builder("old", "FOX", Uri::new("mbt://old").unwrap())
-                .ttl(SimDuration::from_secs(10))
-                .build();
-            s.publish(m, Popularity::MAX);
-            s.publish(meta("fresh", "mbt://fresh"), Popularity::MAX);
-            assert_eq!(s.expire(SimTime::from_secs(20)), 1);
-            assert_eq!(s.len(), 1);
-            assert!(s.search(&Query::new("old").unwrap(), 5).is_empty());
-        }
+        let mut s = MetadataServer::new(10);
+        let m = Metadata::builder("old", "FOX", Uri::new("mbt://old").unwrap())
+            .ttl(SimDuration::from_secs(10))
+            .build();
+        s.publish(m, Popularity::MAX);
+        s.publish(meta("fresh", "mbt://fresh"), Popularity::MAX);
+        assert_eq!(s.expire(SimTime::from_secs(20)), 1);
+        assert_eq!(s.len(), 1);
+        assert!(s.search(&Query::new("old").unwrap(), 5).is_empty());
     }
 
     #[test]
@@ -490,13 +423,11 @@ mod tests {
 
     #[test]
     fn republish_replaces() {
-        for shards in [1, 7] {
-            let mut s = sharded_with(shards, &[("first title", "mbt://a", 0.1)]);
-            s.publish(meta("second title", "mbt://a"), Popularity::new(0.7));
-            assert_eq!(s.len(), 1);
-            assert!(s.search(&Query::new("first").unwrap(), 5).is_empty());
-            assert_eq!(s.search(&Query::new("second").unwrap(), 5).len(), 1);
-        }
+        let mut s = server_with(&[("first title", "mbt://a", 0.1)]);
+        s.publish(meta("second title", "mbt://a"), Popularity::new(0.7));
+        assert_eq!(s.len(), 1);
+        assert!(s.search(&Query::new("first").unwrap(), 5).is_empty());
+        assert_eq!(s.search(&Query::new("second").unwrap(), 5).len(), 1);
     }
 
     #[test]
@@ -516,28 +447,24 @@ mod tests {
 
     #[test]
     fn iter_is_uri_ordered_across_shards() {
-        let s = sharded_with(
-            7,
-            &[
-                ("c", "mbt://c", 0.1),
-                ("a", "mbt://a", 0.2),
-                ("b", "mbt://b", 0.3),
-            ],
-        );
+        // Published out of order, so slot order is not URI order.
+        let s = server_with(&[
+            ("c", "mbt://c", 0.1),
+            ("a", "mbt://a", 0.2),
+            ("b", "mbt://b", 0.3),
+        ]);
         let order: Vec<&str> = s.iter().map(|m| m.uri().as_str()).collect();
         assert_eq!(order, vec!["mbt://a", "mbt://b", "mbt://c"]);
     }
 
     #[test]
     fn snapshot_is_frozen_while_writer_mutates() {
-        let mut s = sharded_with(
-            4,
-            &[("fox news", "mbt://a", 0.4), ("fox talk", "mbt://b", 0.6)],
-        );
+        let mut s = server_with(&[("fox news", "mbt://a", 0.4), ("fox talk", "mbt://b", 0.6)]);
         let frozen = s.snapshot();
         let q = Query::new("fox").unwrap();
 
-        // Writer mutates every shard class after the snapshot was taken.
+        // Writer mutates the slab and the keyword map after the snapshot
+        // was taken.
         s.publish(meta("fox extra", "mbt://c"), Popularity::new(0.9));
         s.set_popularity(&Uri::new("mbt://a").unwrap(), Popularity::MAX);
         s.expire(SimTime::ZERO + SimDuration::from_days(9999));
@@ -562,21 +489,17 @@ mod tests {
         assert!(!frozen.is_empty());
     }
 
-    /// The intersection of `lists` of `RecordId::new(0, slot)`s, as slots
-    /// in ascending order.
+    /// The intersection of `lists`, in ascending order.
     fn intersect(lists: &[Option<&Postings>]) -> Vec<u32> {
         let mut slots: Vec<u32> = intersect_rarest_first(lists.iter().copied())
-            .map(|id| id.slot())
+            .copied()
             .collect();
         slots.sort_unstable();
         slots
     }
 
     fn postings(slots: impl IntoIterator<Item = u32>) -> Postings {
-        slots
-            .into_iter()
-            .map(|slot| RecordId::new(0, slot))
-            .collect()
+        slots.into_iter().collect()
     }
 
     #[test]

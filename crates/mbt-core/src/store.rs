@@ -44,6 +44,11 @@ pub(crate) fn is_expired(expires: Option<SimTime>, now: SimTime) -> bool {
     expires.is_some_and(|e| now >= e)
 }
 
+/// The later of two expiries; `None`, no known lifetime, outlasts both.
+pub(crate) fn outlasting(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    a.zip(b).map(|(a, b)| a.max(b))
+}
+
 /// A node's local metadata collection: one map, ordered by each URI's
 /// stored hash and then its text so that a probe compares integers, and its
 /// expiry watermark.
@@ -353,6 +358,11 @@ impl FileStore {
     /// True if the node holds `uri`.
     pub fn contains(&self, uri: &Uri) -> bool {
         self.files.contains(uri)
+    }
+
+    /// The expiry of the held file at `uri`; `None` if it is not held.
+    pub(crate) fn expiry_of(&self, uri: &Uri) -> Option<Option<SimTime>> {
+        self.files.get(uri).copied()
     }
 
     /// Iterates over held URIs in map order: by each URI's stored hash,

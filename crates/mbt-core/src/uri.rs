@@ -18,11 +18,10 @@ use dtn_trace::hash::stable_hash;
 ///
 /// A `Uri` also carries the [`stable_hash`] of its text, computed once in
 /// [`Uri::new`]: a node's own maps are ordered by it (then by text), so a
-/// lookup compares integers and reads text only on a hash tie, and the
-/// metadata server places a record by it. Equality and ordering remain
-/// content-based — two allocations of one text are one URI — and ordering
-/// is text order, answered without reading the text when both sides share
-/// one allocation.
+/// lookup compares integers and reads text only on a hash tie. Equality
+/// and ordering remain content-based — two allocations of one text are one
+/// URI — and ordering is text order, answered without reading the text
+/// when both sides share one allocation.
 ///
 /// # Example
 ///
@@ -83,12 +82,6 @@ impl Uri {
     #[inline]
     pub fn as_str(&self) -> &str {
         &self.text
-    }
-
-    /// The [`stable_hash`] of the text, computed once at construction.
-    #[inline]
-    pub(crate) fn stable_hash(&self) -> u64 {
-        self.hash
     }
 
     /// The order of a [`UriMap`]: by stored hash, then as [`Ord`] — so the
@@ -325,7 +318,7 @@ mod tests {
             "mbt://publisher-7/fd0123456789abcdef",
         ] {
             let uri = Uri::new(text).unwrap();
-            assert_eq!(uri.stable_hash(), stable_hash(text.as_bytes()));
+            assert_eq!(uri.hash, stable_hash(text.as_bytes()));
         }
     }
 

@@ -1,6 +1,6 @@
-//! The concurrency contract of the sharded metadata server: a rayon query
-//! storm — worker threads hammering a snapshot (a clone of the server,
-//! sharing every shard) with mixed searches while a writer thread
+//! The concurrency contract of the metadata server: a rayon query storm —
+//! worker threads hammering a snapshot (a clone of the server, sharing its
+//! slab, keyword map and request log) with mixed searches while a writer thread
 //! concurrently publishes, re-popularizes, refreshes, and expires on the
 //! live server — produces a **deterministic, jobs-invariant digest**, and
 //! every answer matches a serially-advanced [`ReferenceServer`] at the
@@ -11,7 +11,7 @@
 //! writer applies batch `r` *while* the readers drain the round's queries
 //! against the frozen view. Because the snapshot pins round-start state, the
 //! expected answers are exactly those of an oracle that has applied batches
-//! `0..r` and nothing else — any torn read, lost posting, or cross-shard
+//! `0..r` and nothing else — any torn read, lost posting, or slab/posting
 //! inconsistency shows up as a digest mismatch.
 
 use rayon::prelude::*;
@@ -156,8 +156,8 @@ impl Ops for ReferenceServer {
     }
 }
 
-fn seeded_server(shards: usize) -> MetadataServer {
-    let mut s = MetadataServer::with_shards(9, shards);
+fn seeded_server() -> MetadataServer {
+    let mut s = MetadataServer::new(9);
     for idx in 0..SEED_RECORDS {
         let (m, p) = record(idx);
         s.publish(m, p);
@@ -177,8 +177,8 @@ fn seeded_reference() -> ReferenceServer {
 /// One full storm: returns the digest over every concurrent search result,
 /// folded in query order (the shim's `par_iter` preserves input order, so
 /// the digest is a pure function of the answers — not of scheduling).
-fn run_storm(pool: &ThreadPool, shards: usize) -> u64 {
-    let mut server = seeded_server(shards);
+fn run_storm(pool: &ThreadPool) -> u64 {
+    let mut server = seeded_server();
     let queries = query_pool();
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
     for round in 0..ROUNDS {
@@ -257,37 +257,17 @@ fn oracle_digest() -> u64 {
     digest
 }
 
-/// The serial oracle digest, computed once and shared by every storm test
-/// (each test then runs concurrently on its own cargo test thread).
-fn expected_digest() -> u64 {
-    static EXPECTED: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *EXPECTED.get_or_init(oracle_digest)
-}
-
 #[test]
 fn query_storm_digest_is_jobs_invariant_and_matches_the_serial_oracle() {
+    // Two independent storms reproducing one digest double as a
+    // bit-identical-repeat check.
+    let expected = oracle_digest();
     for jobs in [2, 8] {
         let pool = ThreadPoolBuilder::new().num_threads(jobs).build().unwrap();
-        let got = run_storm(&pool, 8);
         assert_eq!(
-            got,
-            expected_digest(),
+            run_storm(&pool),
+            expected,
             "storm digest with {jobs} worker threads diverged from the serial oracle"
-        );
-    }
-}
-
-#[test]
-fn query_storm_digest_is_shard_count_invariant() {
-    // Same workload, different partitionings — and the same oracle digest
-    // as the jobs-invariance storm, which doubles as a bit-identical-repeat
-    // check (independent storms reproducing one digest).
-    let pool = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
-    for shards in [1, 16] {
-        assert_eq!(
-            run_storm(&pool, shards),
-            expected_digest(),
-            "storm digest changed with {shards} shards"
         );
     }
 }

@@ -1,11 +1,8 @@
-//! The tentpole contract of the sharded metadata server: for **any**
-//! sequence of publish / search / set_popularity / record_request /
-//! refresh / expire operations, a [`MetadataServer`] with any shard
-//! count answers **byte-identically** to the [`ReferenceServer`] — the
-//! original single-registry implementation kept verbatim as the oracle.
-//!
-//! The server-side analogue of `tests/sharded_equivalence.rs` (which proves
-//! the same property for the sharded trace backing).
+//! The contract of the metadata server: for **any** sequence of publish /
+//! search / set_popularity / record_request / refresh / expire operations,
+//! a [`MetadataServer`] answers **byte-identically** to the
+//! [`ReferenceServer`] — the original single-registry implementation kept
+//! verbatim as the oracle.
 
 use proptest::prelude::*;
 
@@ -15,10 +12,6 @@ use mbt_core::{Metadata, MetadataServer, Popularity, Query, Uri};
 #[path = "support/reference_server.rs"]
 mod reference_server;
 use reference_server::ReferenceServer;
-
-/// Shard counts under test; 1 is the "byte-identical to today" case, the
-/// rest exercise real partitioning (including a prime).
-const SHARD_COUNTS: [usize; 4] = [1, 2, 7, 16];
 
 /// A small vocabulary so queries actually hit records (and overlap).
 const TOKENS: [&str; 10] = [
@@ -241,19 +234,16 @@ fn record_to_publish<'a>(
     }
 }
 
-/// Replays `ops` against the reference and one sharded server per shard
-/// count, holding every answer and, at the end, the whole state over
-/// `uris + 2` URI indices to the reference's.
+/// Replays `ops` against the reference and the server, holding every
+/// answer and, at the end, the whole state over `uris + 2` URI indices to
+/// the reference's.
 ///
 /// Returns how many publishes found their URI unpublished while the server
-/// held fewer records than it once had — i.e. were placed, on the
-/// single-shard server, in a slot an expired record had freed.
+/// held fewer records than it once had — i.e. were placed in a slot an
+/// expired record had freed.
 fn replay_against_reference(ops: &[Op], uris: usize) -> usize {
     let mut reference = ReferenceServer::new(10);
-    let mut sharded: Vec<MetadataServer> = SHARD_COUNTS
-        .iter()
-        .map(|&n| MetadataServer::with_shards(10, n))
-        .collect();
+    let mut server = MetadataServer::new(10);
     let (mut most_records, mut reused_slots) = (0, 0);
 
     for op in ops {
@@ -262,9 +252,7 @@ fn replay_against_reference(ops: &[Op], uris: usize) -> usize {
                 reused_slots += 1;
             }
             reference.publish(meta.clone(), p);
-            for s in &mut sharded {
-                s.publish(meta.clone(), p);
-            }
+            server.publish(meta, p);
         }
         match *op {
             Op::Publish { .. } | Op::Republish { .. } => {}
@@ -275,28 +263,22 @@ fn replay_against_reference(ops: &[Op], uris: usize) -> usize {
                 limit,
             } => {
                 let q = query_of(tok_a, tok_b, tok_c);
-                let expected = render(&reference.search(&q, limit));
-                let expected_best = render(&reference.search(&q, 1));
-                for (s, shards) in sharded.iter().zip(SHARD_COUNTS) {
-                    prop_assert_eq!(
-                        &render(&s.search(&q, limit)),
-                        &expected,
-                        "search diverged at {shards} shards"
-                    );
-                    prop_assert_eq!(
-                        &render(&s.search(&q, 1)),
-                        &expected_best,
-                        "best match diverged at {shards} shards"
-                    );
-                }
+                prop_assert_eq!(
+                    render(&server.search(&q, limit)),
+                    render(&reference.search(&q, limit)),
+                    "search diverged"
+                );
+                prop_assert_eq!(
+                    render(&server.search(&q, 1)),
+                    render(&reference.search(&q, 1)),
+                    "best match diverged"
+                );
             }
             Op::SetPopularity { uri: u, pop } => {
                 let target = uri(u);
                 let p = Popularity::new(pop);
                 reference.set_popularity(&target, p);
-                for s in &mut sharded {
-                    s.set_popularity(&target, p);
-                }
+                server.set_popularity(&target, p);
             }
             Op::RecordRequest {
                 uri: u,
@@ -306,46 +288,34 @@ fn replay_against_reference(ops: &[Op], uris: usize) -> usize {
                 let target = uri(u);
                 let now = at(at_hours);
                 reference.record_request(&target, NodeId::new(node), now);
-                for s in &mut sharded {
-                    s.record_request(&target, NodeId::new(node), now);
-                }
+                server.record_request(&target, NodeId::new(node), now);
             }
             Op::Refresh { at_hours } => {
                 let now = at(at_hours);
                 reference.refresh_popularities(now);
-                for s in &mut sharded {
-                    s.refresh_popularities(now);
-                }
+                server.refresh_popularities(now);
             }
             Op::Expire { at_hours } => {
                 let now = at(at_hours);
-                let expected = reference.expire(now);
-                for (s, shards) in sharded.iter_mut().zip(SHARD_COUNTS) {
-                    prop_assert_eq!(
-                        s.expire(now),
-                        expected,
-                        "expire count diverged at {shards} shards"
-                    );
-                }
+                prop_assert_eq!(
+                    server.expire(now),
+                    reference.expire(now),
+                    "expire count diverged"
+                );
             }
             Op::MostPopular { limit, at_hours } => {
                 let now = at(at_hours);
-                let expected = render(&reference.most_popular(limit, now));
-                for (s, shards) in sharded.iter().zip(SHARD_COUNTS) {
-                    prop_assert_eq!(
-                        &render(&s.most_popular(limit, now)),
-                        &expected,
-                        "most_popular diverged at {shards} shards"
-                    );
-                }
+                prop_assert_eq!(
+                    render(&server.most_popular(limit, now)),
+                    render(&reference.most_popular(limit, now)),
+                    "most_popular diverged"
+                );
             }
         }
 
         // Cheap invariants after every op.
-        for s in &sharded {
-            prop_assert_eq!(s.len(), reference.len());
-            prop_assert_eq!(s.is_empty(), reference.is_empty());
-        }
+        prop_assert_eq!(server.len(), reference.len());
+        prop_assert_eq!(server.is_empty(), reference.is_empty());
         most_records = most_records.max(reference.len());
     }
 
@@ -354,23 +324,24 @@ fn replay_against_reference(ops: &[Op], uris: usize) -> usize {
     let t_end = at(200);
     for u in 0..uris + 2 {
         let target = uri(u);
-        let expected_meta = reference.metadata_of(&target).map(|m| m.uri().clone());
-        let expected_pop = reference.popularity_of(&target);
-        let expected_est = reference.estimated_popularity(&target, t_end);
-        for s in &sharded {
-            prop_assert_eq!(
-                &record_of(s, &target).map(|m| m.uri().clone()),
-                &expected_meta
-            );
-            prop_assert_eq!(s.popularity_of(&target), expected_pop);
-            prop_assert_eq!(s.estimated_popularity(&target, t_end), expected_est);
-        }
+        prop_assert_eq!(
+            record_of(&server, &target).map(|m| m.uri().clone()),
+            reference.metadata_of(&target).map(|m| m.uri().clone())
+        );
+        prop_assert_eq!(
+            server.popularity_of(&target),
+            reference.popularity_of(&target)
+        );
+        prop_assert_eq!(
+            server.estimated_popularity(&target, t_end),
+            reference.estimated_popularity(&target, t_end)
+        );
     }
-    let expected_iter: Vec<String> = render(&reference.iter().collect::<Vec<_>>());
-    for (s, shards) in sharded.iter().zip(SHARD_COUNTS) {
-        let got: Vec<String> = render(&s.iter().collect::<Vec<_>>());
-        prop_assert_eq!(&got, &expected_iter, "iter diverged at {shards} shards");
-    }
+    prop_assert_eq!(
+        render(&server.iter().collect::<Vec<_>>()),
+        render(&reference.iter().collect::<Vec<_>>()),
+        "iter diverged"
+    );
     reused_slots
 }
 
@@ -386,12 +357,11 @@ proptest! {
 
     #[test]
     fn snapshot_answers_match_the_live_server(
-        ops in proptest::collection::vec(arb_op(URIS), 1..40),
-        shards_idx in 0usize..4
+        ops in proptest::collection::vec(arb_op(URIS), 1..40)
     ) {
         // A snapshot taken after a mutation burst answers the read API
         // exactly like the live server it was taken from.
-        let mut server = MetadataServer::with_shards(10, SHARD_COUNTS[shards_idx]);
+        let mut server = MetadataServer::new(10);
         for op in &ops {
             let publish = record_to_publish(op, |target| record_of(&server, target));
             if let Some((meta, p)) = publish {
@@ -450,89 +420,66 @@ proptest! {
     }
 }
 
-/// A URI of the property namespace, other than `uri(0)`, that every shard
-/// count under test places in `uri(0)`'s shard — so it inherits the slot
-/// `uri(0)` frees however many shards there are.
-fn shard_mate_of_uri_0() -> Uri {
-    use mbt_core::server::shard::shard_of_uri;
-    (1..)
-        .map(uri)
-        .find(|u| {
-            [1, 7]
-                .iter()
-                .all(|&n| shard_of_uri(u, n) == shard_of_uri(&uri(0), n))
-        })
-        .expect("some URI shares both shards")
-}
-
 /// A: `uri(0)`, "evening news" by FOX, expiring after a day.
 fn record_a() -> Metadata {
     build_meta(0, "evening news".to_owned(), 1)
 }
 
-/// B: a shard-mate of A's URI with no name token in common and no TTL.
+/// B: any URI other than A's, with no name token in common and no TTL.
+/// Published after A expired, it takes the slot A freed.
 fn record_b() -> Metadata {
-    Metadata::builder("comedy show", "FOX", shard_mate_of_uri_0()).build()
+    Metadata::builder("comedy show", "FOX", uri(1)).build()
 }
 
 #[test]
 fn a_record_published_into_an_expired_records_slot_leaves_no_ghost() {
-    for shards in [1, 7] {
-        let mut server = MetadataServer::with_shards(10, shards);
-        server.publish(record_a(), Popularity::MAX);
-        assert_eq!(server.expire(at(24)), 1);
-        server.publish(record_b(), Popularity::new(0.5));
+    let mut server = MetadataServer::new(10);
+    server.publish(record_a(), Popularity::MAX);
+    assert_eq!(server.expire(at(24)), 1);
+    server.publish(record_b(), Popularity::new(0.5));
 
-        // A's tokens find nothing — not A, and not B through A's postings.
-        for text in ["evening", "news", "evening news", "fox evening"] {
-            let hits = server.search(&Query::new(text).unwrap(), 10);
-            assert!(
-                hits.is_empty(),
-                "`{text}` found {:?} at {shards} shards",
-                render(&hits)
-            );
-        }
-        // The publisher token both carried now lists B alone.
-        let fox = server.search(&Query::new("fox").unwrap(), 10);
-        assert_eq!(fox.len(), 1);
-        assert_eq!(fox[0].uri(), record_b().uri());
-        assert!(record_of(&server, &uri(0)).is_none());
-        assert_eq!(server.popularity_of(&uri(0)), Popularity::MIN);
-        assert_eq!(server.len(), 1);
-        assert_eq!(server.most_popular(5, at(48)).len(), 1);
+    // A's tokens find nothing — not A, and not B through A's postings.
+    for text in ["evening", "news", "evening news", "fox evening"] {
+        let hits = server.search(&Query::new(text).unwrap(), 10);
+        assert!(hits.is_empty(), "`{text}` found {:?}", render(&hits));
     }
+    // The publisher token both carried now lists B alone.
+    let fox = server.search(&Query::new("fox").unwrap(), 10);
+    assert_eq!(fox.len(), 1);
+    assert_eq!(fox[0].uri(), record_b().uri());
+    assert!(record_of(&server, &uri(0)).is_none());
+    assert_eq!(server.popularity_of(&uri(0)), Popularity::MIN);
+    assert_eq!(server.len(), 1);
+    assert_eq!(server.most_popular(5, at(48)).len(), 1);
 }
 
 #[test]
 fn a_snapshot_from_before_the_expiry_still_answers_the_old_record() {
-    for shards in [1, 7] {
-        let mut server = MetadataServer::with_shards(10, shards);
-        server.publish(record_a(), Popularity::MAX);
-        let before = server.snapshot();
-        assert_eq!(server.expire(at(24)), 1);
-        server.publish(record_b(), Popularity::new(0.5));
+    let mut server = MetadataServer::new(10);
+    server.publish(record_a(), Popularity::MAX);
+    let before = server.snapshot();
+    assert_eq!(server.expire(at(24)), 1);
+    server.publish(record_b(), Popularity::new(0.5));
 
-        // The frozen halves agree with each other: A's postings still lead
-        // to A's record, though the live slab's slot now holds B.
-        for text in ["evening", "fox", "evening news"] {
-            let hits = before.search(&Query::new(text).unwrap(), 10);
-            assert_eq!(hits.len(), 1, "`{text}` at {shards} shards");
-            assert_eq!(hits[0].uri(), &uri(0));
-            assert_eq!(hits[0].name(), "evening news");
-        }
-        assert!(before.search(&Query::new("comedy").unwrap(), 10).is_empty());
-        assert_eq!(record_of(&before, &uri(0)).unwrap().name(), "evening news");
-        assert_eq!(before.popularity_of(&uri(0)), Popularity::MAX);
-        assert!(record_of(&before, record_b().uri()).is_none());
-        assert_eq!(before.len(), 1);
+    // The frozen halves agree with each other: A's postings still lead
+    // to A's record, though the live slab's slot now holds B.
+    for text in ["evening", "fox", "evening news"] {
+        let hits = before.search(&Query::new(text).unwrap(), 10);
+        assert_eq!(hits.len(), 1, "`{text}`");
+        assert_eq!(hits[0].uri(), &uri(0));
+        assert_eq!(hits[0].name(), "evening news");
     }
+    assert!(before.search(&Query::new("comedy").unwrap(), 10).is_empty());
+    assert_eq!(record_of(&before, &uri(0)).unwrap().name(), "evening news");
+    assert_eq!(before.popularity_of(&uri(0)), Popularity::MAX);
+    assert!(record_of(&before, record_b().uri()).is_none());
+    assert_eq!(before.len(), 1);
 }
 
 /// Publish order reaches no answer. Two servers given the same records in
 /// different orders — republishes that change tokens, an expiry, and new
 /// URIs taking the freed slots between — hold their records in different
-/// slots, so their record ids and the hash order of every posting set
-/// differ. Only the rank order's URI tie-break keeps their answers equal,
+/// slots, so the hash order of every posting set differs. Only the rank order's URI tie-break keeps their answers equal,
 /// and popularities come from three values here, so ties are everywhere.
 #[test]
 fn answers_do_not_depend_on_publish_order() {
@@ -549,8 +496,8 @@ fn answers_do_not_depend_on_publish_order() {
         }
         (builder.build(), Popularity::new([0.1, 0.5, 0.9][i % 3]))
     };
-    let build = |shards: usize, order: &[usize]| {
-        let mut server = MetadataServer::with_shards(10, shards);
+    let build = |order: &[usize]| {
+        let mut server = MetadataServer::new(10);
         for &i in order {
             let (meta, p) = record(i, 0);
             server.publish(meta, p);
@@ -591,20 +538,16 @@ fn answers_do_not_depend_on_publish_order() {
         out
     };
 
-    let expected = answers(&build(1, &forward));
+    let expected = answers(&build(&forward));
     // The pin is only as strong as its ties: the publisher's token is on
     // every record, so its top ten cut through one popularity tier.
     assert_eq!(
         expected[2 * queries.iter().position(|q| q == "fox").unwrap() + 1].len(),
         10
     );
-    for shards in [1, 7] {
-        for (order, name) in [(&forward, "forward"), (&scrambled, "scrambled")] {
-            assert_eq!(
-                answers(&build(shards, order)),
-                expected,
-                "{name} publish order at {shards} shards"
-            );
-        }
-    }
+    assert_eq!(
+        answers(&build(&scrambled)),
+        expected,
+        "scrambled publish order"
+    );
 }

@@ -75,8 +75,11 @@ pub struct ReferenceNode {
     /// Highest popularity seen per URI, with the latest expiry of the
     /// records it rode (`None`: some observation had no expiry).
     pub popularity: BTreeMap<Uri, (Popularity, Option<SimTime>)>,
-    /// DiffuseRep's smoothed fraction of clique members holding each file.
-    pub availability: BTreeMap<Uri, f64>,
+    /// DiffuseRep's smoothed fraction of clique members holding each file,
+    /// with the latest expiry of the URI as the cliques showed it: the
+    /// record a broadcast would carry, or, where members held only the
+    /// file, the latest of their files (`None`: no expiry).
+    pub availability: BTreeMap<Uri, (f64, Option<SimTime>)>,
     /// URIs whose record failed verification, with its claimed expiry.
     pub rejected: BTreeMap<Uri, Option<SimTime>>,
     pub events: Vec<NodeEvent>,
@@ -154,6 +157,7 @@ impl ReferenceNode {
         self.own.retain(|&(_, e)| !expired(e, now));
         self.foreign.retain(|&(_, _, e)| !expired(e, now));
         self.popularity.retain(|_, &mut (_, e)| !expired(e, now));
+        self.availability.retain(|_, &mut (_, e)| !expired(e, now));
         self.rejected.retain(|_, &mut e| !expired(e, now));
     }
 
@@ -490,11 +494,21 @@ pub fn contact(
     // a held file, not refusing it, and estimating it scarce pulls it.
     if protocol.replication() == ReplicationPolicy::Diffusion {
         let clique = members.len() as f64;
-        for &m in members {
-            for (uri, holding) in &union {
-                let seen = holding.file_holders.len() as f64 / clique;
-                let estimate = nodes[m].availability.entry(uri.clone()).or_insert(0.0);
+        let later = |a: Option<SimTime>, b: Option<SimTime>| a.zip(b).map(|(a, b)| a.max(b));
+        for (uri, holding) in &union {
+            let seen = holding.file_holders.len() as f64 / clique;
+            let expires = match holding.records.first() {
+                Some((_, record)) => record.expires(),
+                None => (members.iter())
+                    .filter_map(|&m| nodes[m].files.get(uri).copied())
+                    .reduce(later)
+                    .flatten(),
+            };
+            for &m in members {
+                let entry = nodes[m].availability.entry(uri.clone());
+                let (estimate, until) = entry.or_insert((0.0, expires));
                 *estimate += SMOOTHING * (seen - *estimate);
+                *until = later(*until, expires);
             }
         }
         for (uri, holding) in union.iter_mut() {
@@ -503,7 +517,7 @@ pub fn contact(
             }
             for (&m, hello) in members.iter().zip(&hellos) {
                 let lacks = !holding.file_holders.contains(&hello.id);
-                let estimate = nodes[m].availability.get(uri).copied().unwrap_or(0.0);
+                let estimate = nodes[m].availability.get(uri).map_or(0.0, |&(e, _)| e);
                 if lacks && !hello.rejected.contains(uri) && estimate < SCARCE {
                     holding.proactive.push(hello.id);
                 }
